@@ -36,6 +36,12 @@
 #                     committed BENCH_SERVE/LIVE/NET/COLDSTART/OBS/
 #                     PAPERSCALE/RESCORE.json: same key shape, sane rates,
 #                     no >10x throughput collapse)
+#   benchmark-smoke   benchmark/run.sh --quick        (the standalone
+#                     BENCHMARK.json package still builds against the
+#                     crates' public API and every workload answers
+#                     correctly at 1/20 scale; exit code only, its numbers
+#                     are the driver's to gate; artifacts and the report
+#                     stay under target/benchmark)
 #
 # Every smoke artifact goes under target/ so the committed full-scale
 # BENCH_*.json and results/ CSVs are never clobbered by quick numbers.
@@ -176,6 +182,13 @@ bench_regression() {
         --tolerance 10
 }
 
+# benchmark/ is a workspace of its own that tier1 never compiles; this
+# is the only stage that notices when a crate change breaks it.
+benchmark_smoke() {
+    mkdir -p target/benchmark
+    benchmark/run.sh --quick > target/benchmark/ci-smoke.log
+}
+
 stage fmt              cargo fmt --check
 stage clippy           cargo clippy --workspace --all-targets -- -D warnings
 stage doc              doc_stage
@@ -190,6 +203,7 @@ stage trace-smoke      trace_smoke
 stage paperscale-smoke paperscale_smoke
 stage rescore-smoke    rescore_smoke
 stage bench-regression bench_regression
+stage benchmark-smoke  benchmark_smoke
 
 print_timings
 echo "CI OK"

@@ -48,6 +48,13 @@ fn breakpoint_construction(c: &mut Criterion) {
             black_box(Breakpoints::b2_with_eps(&set, 0.01, B2Construction::Efficient).unwrap())
         })
     });
+    // The r fit every serve shard and live generation build runs
+    // (`ApproxConfig::default().r`).
+    g.bench_function("b2_with_count_r128", |b| {
+        b.iter(|| {
+            black_box(Breakpoints::b2_with_count(&set, 128, B2Construction::Efficient).unwrap())
+        })
+    });
     g.finish();
 }
 

@@ -20,6 +20,8 @@
 //!   epochs and eagerly only for *dangerous* objects (those that already
 //!   crossed the threshold), achieving the paper's Lemma 1
 //!   `O(N log N)` bound. Both produce identical breakpoints.
+//!   [`Breakpoints::b2_with_count`] fits `ε` to a breakpoint budget `r`
+//!   with a few sweeps over one prepared segment run.
 //!
 //! Negative scores (paper §4) are handled by running both sweeps over
 //! `|g_i|`: curves are pre-split at zero crossings and mirrored, so `M`
@@ -29,8 +31,6 @@ use crate::error::{CoreError, Result};
 use crate::object::TemporalSet;
 use chronorank_curve::numeric::accumulation_crossing;
 use chronorank_curve::PiecewiseLinear;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Which of the paper's two breakpoint families a [`Breakpoints`] set is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +68,7 @@ pub struct Breakpoints {
 impl Breakpoints {
     /// Assemble a breakpoint set from an already-run sweep. Used by the
     /// streaming construction (`streambuild`), which produces the same
-    /// points as [`sweep_b2`] without materializing the dataset.
+    /// points as [`B2Sweeper::sweep`] without materializing the dataset.
     pub(crate) fn from_sweep(kind: BreakpointsKind, points: Vec<f64>, eps: f64, mass: f64) -> Self {
         Self { kind, points, eps, mass }
     }
@@ -92,58 +92,55 @@ impl Breakpoints {
     /// BREAKPOINTS2 for a given `ε > 0`.
     pub fn b2_with_eps(set: &TemporalSet, eps: f64, construction: B2Construction) -> Result<Self> {
         check_eps(eps)?;
-        let points = sweep_b2(set, eps * set.total_mass(), construction)?;
+        let tau = eps * set.total_mass();
+        let Sweep::Done(points) = B2Sweeper::new(set, construction)?.sweep(tau, usize::MAX) else {
+            unreachable!("a sweep without a count limit never aborts");
+        };
         Ok(Self { kind: BreakpointsKind::B2, points, eps, mass: set.total_mass() })
     }
 
-    /// BREAKPOINTS2 sized to approximately `r` breakpoints: binary-search
-    /// the `ε` whose sweep yields the closest count (this is how the paper
-    /// compares B1 and B2 "given the same budget r", Fig. 11(a)).
+    /// BREAKPOINTS2 sized to approximately `r` breakpoints (this is how the
+    /// paper compares B1 and B2 "given the same budget r", Fig. 11(a)).
+    /// See [`Breakpoints::b2_with_count_stats`] for how `ε` is fitted.
     pub fn b2_with_count(
         set: &TemporalSet,
         r: usize,
         construction: B2Construction,
     ) -> Result<Self> {
+        Self::b2_with_count_stats(set, r, construction).map(|(bp, _)| bp)
+    }
+
+    /// [`Breakpoints::b2_with_count`], also reporting what the fit cost.
+    ///
+    /// The count of a B2 sweep lies between `max_i M_i / (εM)` (the
+    /// heaviest object alone forces that many cuts) and `1/ε` (B1's
+    /// count), so the `ε*` whose sweep yields `r` points satisfies
+    /// `max_i M_i / ((r−1)·M) ≤ ε* ≤ 1/(r−1)`. The fit prepares the sorted
+    /// segment run once, sweeps the upper end of that bracket (always a
+    /// valid answer), then closes in on `r`: log–log interpolation between
+    /// the bracket ends once both have been swept, else `count ∝ 1/ε`
+    /// around the latest trial, else bisection. A trial is abandoned as
+    /// soon as its count passes `r +` the best distance so far. The fit
+    /// stops at the first count with `|count − r| ≤ max(1, r/64)`, when two
+    /// consecutive trials on one side report the same count, or after
+    /// [`B2_FIT_MAX_SWEEPS`] sweeps, and returns the closest completed
+    /// trial — always a genuine `b2_with_eps` set, so the `ε` guarantee is
+    /// that of its own `ε`. A pure function of `(set, r, construction)`.
+    pub fn b2_with_count_stats(
+        set: &TemporalSet,
+        r: usize,
+        construction: B2Construction,
+    ) -> Result<(Self, FitStats)> {
         if r < 2 {
             return Err(CoreError::BadQuery(format!("need r ≥ 2 breakpoints, got {r}")));
         }
-        // Start from B1's ε: B2(ε) produces at most as many breakpoints.
-        let mut hi = 1.0 / (r as f64 - 1.0); // count(hi) ≤ r
-        let mut candidate = Self::b2_with_eps(set, hi, construction)?;
-        if candidate.len() >= r {
-            return Ok(candidate);
-        }
-        // Exponentially shrink ε until we overshoot the target count.
-        let mut lo = hi;
-        loop {
-            lo /= 4.0;
-            let trial = Self::b2_with_eps(set, lo, construction)?;
-            let done = trial.len() >= r;
-            if trial_closer(&trial, &candidate, r) {
-                candidate = trial;
-            }
-            if done || lo < 1e-15 {
-                break;
-            }
-        }
-        // Binary search between lo (too many / just enough) and hi (too few).
-        for _ in 0..24 {
-            let mid = 0.5 * (lo + hi);
-            let trial = Self::b2_with_eps(set, mid, construction)?;
-            if trial.len() >= r {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            let exact = trial.len() == r;
-            if trial_closer(&trial, &candidate, r) {
-                candidate = trial;
-            }
-            if exact {
-                break;
-            }
-        }
-        Ok(candidate)
+        let mut sweeper = B2Sweeper::new(set, construction)?;
+        let mass = set.total_mass();
+        let hi = 1.0 / (r as f64 - 1.0);
+        let lo = if mass > 0.0 { hi * (sweeper.max_object_mass() / mass).min(1.0) } else { hi };
+        let (eps, points, stats) =
+            fit_count(r, lo, hi, set.span(), |eps, limit| sweeper.sweep(eps * mass, limit));
+        Ok((Self { kind: BreakpointsKind::B2, points, eps, mass }, stats))
     }
 
     /// Which family this set is.
@@ -269,13 +266,6 @@ pub(crate) fn check_eps(eps: f64) -> Result<()> {
         return Err(CoreError::BadQuery(format!("ε must be positive and finite, got {eps}")));
     }
     Ok(())
-}
-
-/// Prefer the trial whose count is closest to the target (ties: keep
-/// current).
-fn trial_closer(trial: &Breakpoints, cur: &Breakpoints, r: usize) -> bool {
-    let d = |b: &Breakpoints| (b.len() as i64 - r as i64).unsigned_abs();
-    d(trial) < d(cur)
 }
 
 // ---------------------------------------------------------------------------
@@ -425,163 +415,322 @@ struct ObjState {
     integral: f64,
     /// Time up to which this object's segments have been consumed.
     frontier: f64,
+    /// Segment holding the breakpoint `integral` was last re-based at.
+    /// Breakpoints only move right, so this cursor stands in for the
+    /// binary search of `PiecewiseLinear::integral` / `time_to_accumulate`.
+    cursor: usize,
     /// Index into the emitted breakpoint list at whose value `integral`
     /// was last re-based.
     epoch: usize,
-    /// Whether the object currently has a crossing candidate queued.
+    /// Whether the object has crossed `τ` since it was last re-based (the
+    /// paper's *dangerous* objects).
     dangerous: bool,
-    /// Lazy-invalidated generation for heap entries.
-    generation: u64,
 }
 
-fn sweep_b2(set: &TemporalSet, tau: f64, construction: B2Construction) -> Result<Vec<f64>> {
-    let curves = AbsCurves::new(set)?;
-    let m = curves.len();
-    let t_min = set.t_min();
-    let t_max = set.t_max();
-    let mut points = vec![t_min];
-    if tau <= 0.0 || set.total_mass() <= 0.0 {
-        points.push(t_max);
-        return Ok(points);
+impl ObjState {
+    /// Re-base at breakpoint `b`: `integral = σ_i(b, frontier)`, bit for
+    /// bit what `c.integral(b, frontier)` returns.
+    fn rebase(&mut self, c: &PiecewiseLinear, b: f64) {
+        self.integral = if self.frontier > b {
+            // `b < frontier ≤ c.end()` stops the walk inside `times`.
+            while c.times()[self.cursor + 1] <= b {
+                self.cursor += 1;
+            }
+            c.integral_from(self.cursor, b.max(c.start()), self.frontier)
+        } else {
+            0.0
+        };
     }
+}
 
-    // All segments sorted by left endpoint (the paper's queue Q).
-    let mut segs: Vec<(f64, u32, u32)> = Vec::with_capacity(set.num_segments() as usize);
-    for i in 0..m {
-        let c = curves.get(i);
-        for j in 0..c.num_segments() {
-            segs.push((c.segment(j).t0, i as u32, j as u32));
+/// How one [`B2Sweeper::sweep`] ended.
+enum Sweep {
+    Done(Vec<f64>),
+    /// More than `limit` breakpoints were committed; the last one lies
+    /// `progress` past the start of the time domain.
+    Aborted {
+        progress: f64,
+    },
+}
+
+/// The BREAKPOINTS2 sweep with everything that does not depend on `τ`
+/// prepared once: the `|g_i|` view, the sorted segment queue and the
+/// per-object state's storage. A count fit runs several sweeps over it.
+struct B2Sweeper<'a> {
+    curves: AbsCurves<'a>,
+    construction: B2Construction,
+    t_min: f64,
+    t_max: f64,
+    /// All segments as `(t0, object, index)`, sorted by left endpoint (the
+    /// paper's queue Q).
+    segs: Vec<(f64, u32, u32)>,
+    st: Vec<ObjState>,
+    /// Ids of the objects whose `dangerous` flag is set.
+    dangerous: Vec<u32>,
+    /// Earliest crossing among the dangerous objects, `+∞` when none: the
+    /// next breakpoint. The paper keeps the crossings in a priority queue;
+    /// a running minimum does, because between two commits objects only
+    /// *become* dangerous and a commit recomputes every crossing anyway.
+    next: f64,
+}
+
+impl<'a> B2Sweeper<'a> {
+    fn new(set: &'a TemporalSet, construction: B2Construction) -> Result<Self> {
+        let curves = AbsCurves::new(set)?;
+        let mut segs: Vec<(f64, u32, u32)> = Vec::with_capacity(set.num_segments() as usize);
+        for i in 0..curves.len() {
+            let c = curves.get(i);
+            for j in 0..c.num_segments() {
+                segs.push((c.segment(j).t0, i as u32, j as u32));
+            }
         }
+        segs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        Ok(Self {
+            st: Vec::with_capacity(curves.len()),
+            curves,
+            construction,
+            t_min: set.t_min(),
+            t_max: set.t_max(),
+            segs,
+            dangerous: Vec::new(),
+            next: f64::INFINITY,
+        })
     }
-    segs.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-    let mut st: Vec<ObjState> = (0..m)
-        .map(|i| ObjState {
+    /// Heaviest single object's absolute mass, `max_i M_i`.
+    fn max_object_mass(&self) -> f64 {
+        (0..self.curves.len()).map(|i| self.curves.get(i).total()).fold(0.0, f64::max)
+    }
+
+    /// One sweep at threshold `tau`, given up once more than `limit`
+    /// breakpoints are committed.
+    fn sweep(&mut self, tau: f64, limit: usize) -> Sweep {
+        let mut points = vec![self.t_min];
+        if tau <= 0.0 {
+            points.push(self.t_max);
+            return Sweep::Done(points);
+        }
+        self.st.clear();
+        self.st.extend((0..self.curves.len()).map(|i| ObjState {
             integral: 0.0,
-            frontier: curves.get(i).start(),
+            frontier: self.curves.get(i).start(),
+            cursor: 0,
             epoch: 0,
             dangerous: false,
-            generation: 0,
-        })
-        .collect();
-    // Min-heap of (candidate crossing time, object, generation).
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u32, u64)>> = BinaryHeap::new();
-    let mut b_cur = t_min;
+        }));
+        self.dangerous.clear();
+        self.next = f64::INFINITY;
+        let mut b_cur = self.t_min;
 
-    // Commit the earliest valid candidate; returns the breakpoint or None.
-    // After a commit, dangerous objects are re-based eagerly (both
-    // constructions); the baseline additionally re-bases *every* object.
-    macro_rules! pop_valid {
-        () => {{
-            let mut found = None;
-            while let Some(&Reverse((OrdF64(t), obj, gen))) = heap.peek() {
-                let o = obj as usize;
-                if st[o].dangerous && st[o].generation == gen {
-                    found = Some((t, obj));
-                    break;
+        for k in 0..self.segs.len() {
+            let (t_l, obj, j) = self.segs[k];
+            // Commit any breakpoints that must occur before this segment starts.
+            while t_l > self.next {
+                let b_star = self.next;
+                self.commit(b_star, tau, &mut points);
+                if points.len() > limit {
+                    return Sweep::Aborted { progress: b_star - self.t_min };
                 }
-                heap.pop();
+                b_cur = b_star;
             }
-            found
-        }};
+            // Lazily re-base this object if breakpoints advanced past its epoch.
+            let o = obj as usize;
+            let c = self.curves.get(o);
+            let s = &mut self.st[o];
+            if s.epoch != points.len() - 1 {
+                s.rebase(c, b_cur);
+                s.epoch = points.len() - 1;
+                debug_assert!(
+                    s.integral < tau * (1.0 + 1e-9) + 1e-12 || s.dangerous,
+                    "lazy rebase found an unnoticed crossing"
+                );
+            }
+            // Consume the segment (only its part after the current breakpoint).
+            let seg = c.segment(j as usize);
+            let from = seg.t0.max(b_cur);
+            let add = if from < seg.t1 { seg.integral_clipped(from, seg.t1) } else { 0.0 };
+            if !s.dangerous && s.integral < tau && s.integral + add >= tau {
+                if let Some(t_star) = seg.time_to_accumulate(from, tau - s.integral) {
+                    s.dangerous = true;
+                    self.dangerous.push(obj);
+                    self.next = earlier(self.next, t_star);
+                }
+            }
+            s.integral += add;
+            s.frontier = seg.t1;
+        }
+        // Drain remaining candidates.
+        while self.next < self.t_max {
+            let b_star = self.next;
+            self.commit(b_star, tau, &mut points);
+            if points.len() > limit {
+                return Sweep::Aborted { progress: b_star - self.t_min };
+            }
+        }
+        if *points.last().expect("non-empty") < self.t_max {
+            points.push(self.t_max);
+        }
+        Sweep::Done(points)
     }
 
-    let commit = |b_star: f64,
-                  st: &mut Vec<ObjState>,
-                  heap: &mut BinaryHeap<Reverse<(OrdF64, u32, u64)>>,
-                  points: &mut Vec<f64>,
-                  b_cur: &mut f64| {
+    /// Commit breakpoint `b_star` and re-base eagerly, in ascending id
+    /// order: the dangerous objects under `Efficient` (everything else is
+    /// re-based lazily when its next segment arrives), every object under
+    /// `Baseline` (the paper's `O(rm)` resets).
+    fn commit(&mut self, b_star: f64, tau: f64, points: &mut Vec<f64>) {
         points.push(b_star);
-        *b_cur = b_star;
         let epoch = points.len() - 1;
-        // Collect objects to re-base: dangerous ones always; under the
-        // baseline construction, every object (the paper's O(rm) resets).
-        let rebase_all = construction == B2Construction::Baseline;
-        for (i, s) in st.iter_mut().enumerate() {
-            if !rebase_all && !s.dangerous {
-                continue;
-            }
-            let c = curves.get(i);
-            s.integral = if s.frontier > b_star { c.integral(b_star, s.frontier) } else { 0.0 };
+        let (curves, st) = (&self.curves, &mut self.st);
+        let mut next = f64::INFINITY;
+        let mut rebase = |i: u32| {
+            let (c, s) = (curves.get(i as usize), &mut st[i as usize]);
+            s.rebase(c, b_star);
             s.epoch = epoch;
-            s.generation += 1;
             s.dangerous = false;
             if s.integral >= tau {
                 // Still over threshold: a further crossing exists within
                 // the already-consumed region.
-                if let Some(t_star) = c.time_to_accumulate(b_star, tau) {
+                let from = b_star.max(c.start());
+                if let Some(t_star) = c.time_to_accumulate_from(s.cursor, from, tau) {
                     s.dangerous = true;
-                    heap.push(Reverse((OrdF64(t_star), i as u32, s.generation)));
+                    next = earlier(next, t_star);
                 }
             }
-        }
-    };
-
-    let mut k = 0usize;
-    while k < segs.len() {
-        let (t_l, obj, j) = segs[k];
-        // Commit any breakpoints that must occur before this segment starts.
-        loop {
-            match pop_valid!() {
-                Some((b_star, _)) if t_l > b_star => {
-                    commit(b_star, &mut st, &mut heap, &mut points, &mut b_cur);
-                }
-                _ => break,
+            s.dangerous
+        };
+        match self.construction {
+            B2Construction::Efficient => {
+                self.dangerous.sort_unstable();
+                self.dangerous.retain(|&i| rebase(i));
+            }
+            B2Construction::Baseline => {
+                self.dangerous.clear();
+                self.dangerous.extend((0..curves.len() as u32).filter(|&i| rebase(i)));
             }
         }
-        // Lazily re-base this object if breakpoints advanced past its epoch.
-        let o = obj as usize;
-        let c = curves.get(o);
-        if st[o].epoch != points.len() - 1 {
-            st[o].integral =
-                if st[o].frontier > b_cur { c.integral(b_cur, st[o].frontier) } else { 0.0 };
-            st[o].epoch = points.len() - 1;
-            debug_assert!(
-                st[o].integral < tau * (1.0 + 1e-9) + 1e-12 || st[o].dangerous,
-                "lazy rebase found an unnoticed crossing"
-            );
-        }
-        // Consume the segment (only its part after the current breakpoint).
-        let seg = c.segment(j as usize);
-        let from = seg.t0.max(b_cur);
-        let add = if from < seg.t1 { seg.integral_clipped(from, seg.t1) } else { 0.0 };
-        if !st[o].dangerous && st[o].integral < tau && st[o].integral + add >= tau {
-            if let Some(t_star) = seg.time_to_accumulate(from, tau - st[o].integral) {
-                st[o].dangerous = true;
-                st[o].generation += 1;
-                heap.push(Reverse((OrdF64(t_star), obj, st[o].generation)));
-            }
-        }
-        st[o].integral += add;
-        st[o].frontier = seg.t1;
-        k += 1;
+        self.next = next;
     }
-    // Drain remaining candidates.
-    while let Some((b_star, _)) = pop_valid!() {
-        if b_star >= t_max {
+}
+
+/// The earlier of two crossing times, in the total order the streaming
+/// sweep's heap uses (so a `-0.0`/`+0.0` tie resolves the same way).
+fn earlier(a: f64, b: f64) -> f64 {
+    if b.total_cmp(&a).is_lt() {
+        b
+    } else {
+        a
+    }
+}
+
+// ---------------------------------------------------------------------------
+// BREAKPOINTS2 count fit
+// ---------------------------------------------------------------------------
+
+/// Sweep budget of one [`Breakpoints::b2_with_count`] fit.
+pub const B2_FIT_MAX_SWEEPS: u32 = 8;
+
+/// What one [`Breakpoints::b2_with_count_stats`] fit cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FitStats {
+    /// Sweeps run, aborted ones included (≤ [`B2_FIT_MAX_SWEEPS`]).
+    pub sweeps: u32,
+    /// Sweeps given up early because their count had already overshot.
+    pub aborted: u32,
+}
+
+/// One end of the fit's `ε` bracket, with the gap count (`points − 1`)
+/// seen there: measured, extrapolated from an aborted sweep, or not known.
+#[derive(Clone, Copy)]
+struct End {
+    eps: f64,
+    gaps: Option<f64>,
+}
+
+/// Search `[lo, hi]` for the `ε` whose sweep yields `r` points, where
+/// `trial(ε, limit)` runs one sweep that may give up past `limit` points.
+/// The caller guarantees `count(hi) ≤ r ≲ count(lo)`. Returns the closest
+/// completed trial as `(ε, points)`.
+fn fit_count(
+    r: usize,
+    lo: f64,
+    hi: f64,
+    span: f64,
+    mut trial: impl FnMut(f64, usize) -> Sweep,
+) -> (f64, Vec<f64>, FitStats) {
+    let band = (r / 64).max(1);
+    let want = r as f64 - 1.0;
+    let Sweep::Done(first) = trial(hi, usize::MAX) else {
+        unreachable!("a sweep without a count limit never aborts");
+    };
+    let mut stats = FitStats { sweeps: 1, aborted: 0 };
+    let mut best_d = first.len().abs_diff(r);
+    // `many` has too many points (smaller ε), `few` too few.
+    let mut many = End { eps: lo, gaps: None };
+    // The latest trial: its ε, gap count (measured or extrapolated), count.
+    let (mut last_eps, mut last_gaps, mut last_count) = (hi, first.len() as f64 - 1.0, first.len());
+    let mut few = End { eps: hi, gaps: Some(last_gaps) };
+    let mut best = (hi, first);
+    if last_count >= r {
+        return (best.0, best.1, stats);
+    }
+    while best_d > band && stats.sweeps < B2_FIT_MAX_SWEEPS {
+        // Strictly inside the bracket; the `lo` end itself is fair game
+        // until it has been swept.
+        let inside =
+            |e: f64| e < few.eps && (e > many.eps || (e == many.eps && many.gaps.is_none()));
+        // Log–log interpolation between the bracket ends once both have
+        // been swept; a single gap says nothing (no object reached τ at
+        // all) and is left out.
+        let mut eps = match (many.gaps, few.gaps) {
+            (Some(gm), Some(gf)) if gf > 1.0 => {
+                let frac = (gm.ln() - want.ln()) / (gm.ln() - gf.ln());
+                (many.eps.ln() + frac * (few.eps.ln() - many.eps.ln())).exp()
+            }
+            _ => f64::NAN,
+        };
+        if !inside(eps) {
+            // count ∝ 1/ε around the latest trial, or straight to the mass
+            // bound when that trial saw a single gap.
+            eps = if last_gaps > 1.0 { (last_eps * last_gaps / want).max(lo) } else { many.eps };
+        }
+        if !inside(eps) {
+            eps = (many.eps * few.eps).sqrt();
+        }
+        if !inside(eps) {
+            break; // bracket exhausted
+        }
+        let limit = r + best_d;
+        stats.sweeps += 1;
+        let (count, gaps) = match trial(eps, limit) {
+            Sweep::Done(points) => {
+                let count = points.len();
+                if count.abs_diff(r) < best_d {
+                    best_d = count.abs_diff(r);
+                    best = (eps, points);
+                }
+                (count, count as f64 - 1.0)
+            }
+            Sweep::Aborted { progress } => {
+                stats.aborted += 1;
+                (limit + 1, limit as f64 * span / progress)
+            }
+        };
+        let end = End { eps, gaps: Some(gaps) };
+        let same_side = (count > r) == (last_count > r);
+        if count > r {
+            many = end;
+        } else {
+            few = end;
+        }
+        // A count that did not move between two trials on one side: the
+        // data cannot get closer (zero mass, or a plateau wider than the
+        // steps the search takes).
+        if same_side && count == last_count && count <= limit {
             break;
         }
-        commit(b_star, &mut st, &mut heap, &mut points, &mut b_cur);
+        (last_eps, last_gaps, last_count) = (eps, gaps, count);
     }
-    if *points.last().expect("non-empty") < t_max {
-        points.push(t_max);
-    }
-    Ok(points)
-}
-
-/// Total-ordered f64 for heap keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(pub(crate) f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+    (best.0, best.1, stats)
 }
 
 #[cfg(test)]
@@ -679,6 +828,103 @@ mod tests {
                 "requested {r}, got {got}"
             );
             assert_gap_property(&set, &bp);
+        }
+    }
+
+    /// `fit_count` against a synthetic `count(ε)`, honouring the abort
+    /// limit the way a real sweep does. Returns the chosen count, the
+    /// stats, and every count the search got to see.
+    fn fit_synthetic(
+        r: usize,
+        lo: f64,
+        count: impl Fn(f64) -> usize,
+    ) -> (usize, FitStats, Vec<usize>) {
+        let mut seen = Vec::new();
+        let hi = 1.0 / (r as f64 - 1.0);
+        let (eps, points, stats) = fit_count(r, lo, hi, 1.0, |eps, limit| {
+            let c = count(eps);
+            if c > limit {
+                return Sweep::Aborted { progress: limit as f64 / c as f64 };
+            }
+            seen.push(c);
+            Sweep::Done(vec![0.0; c])
+        });
+        assert_eq!(points.len(), count(eps), "the returned points are those of the returned ε");
+        assert_eq!(stats.sweeps as usize, seen.len() + stats.aborted as usize);
+        (points.len(), stats, seen)
+    }
+
+    #[test]
+    fn fit_reaches_the_band_on_power_law_counts_within_the_sweep_cap() {
+        for &r in &[8usize, 32, 128, 500] {
+            for &share in &[1.0, 0.3, 0.02, 5e-4] {
+                for &alpha in &[1.0, 0.8, 1.3] {
+                    // Gaps between share/ε and 1/ε, as for real data.
+                    let k = f64::sqrt(share);
+                    let count = |eps: f64| {
+                        let gaps = (k / eps.powf(alpha)).clamp(share / eps, 1.0 / eps);
+                        gaps.floor().max(1.0) as usize + 1
+                    };
+                    let lo = share / (r as f64 - 1.0);
+                    let (got, stats, seen) = fit_synthetic(r, lo, count);
+                    let ctx = format!("r={r} share={share} α={alpha}: {seen:?} {stats:?}");
+                    assert!(stats.sweeps <= B2_FIT_MAX_SWEEPS, "{ctx}");
+                    assert!(got.abs_diff(r) <= (r / 64).max(1), "{ctx}");
+                    // Closest completed trial wins, so the fit lands in the
+                    // band whenever any trial did.
+                    let closest = seen.iter().map(|c| c.abs_diff(r)).min().unwrap();
+                    assert_eq!(got.abs_diff(r), closest, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_gives_up_on_a_count_that_cannot_reach_r() {
+        // A count that saturates below r: nothing to find, so stop once two
+        // trials on the same side agree instead of spending the budget.
+        let (got, stats, seen) =
+            fit_synthetic(128, 1e-9, |eps| (0.05 / eps).min(40.0) as usize + 2);
+        assert_eq!(got, 42, "{seen:?}");
+        assert!(stats.sweeps <= 3, "{stats:?} {seen:?}");
+    }
+
+    #[test]
+    fn fit_aborts_overshooting_trials_and_still_brackets() {
+        // Steep count: the first guess overshoots past r + distance and is
+        // abandoned, yet tells the search which way to go.
+        let (got, stats, seen) = fit_synthetic(64, 1e-6, |eps| (1e-4 / (eps * eps)) as usize + 2);
+        assert!(stats.aborted >= 1, "{stats:?} {seen:?}");
+        assert!(stats.sweeps <= B2_FIT_MAX_SWEEPS);
+        assert!(got.abs_diff(64) <= 1, "{seen:?}");
+    }
+
+    #[test]
+    fn degenerate_fits_cost_at_most_three_sweeps() {
+        let flat = |pts: &[(f64, f64)]| PiecewiseLinear::from_points(pts).unwrap();
+        let zero_mass = TemporalSet::from_curves(vec![flat(&[(0.0, 0.0), (5.0, 0.0)])]).unwrap();
+        let one_segment = TemporalSet::from_curves(vec![flat(&[(0.0, 3.0), (8.0, 1.0)])]).unwrap();
+        // Three objects, five segments in all, asked for 200 breakpoints.
+        let tiny = TemporalSet::from_curves(vec![
+            flat(&[(0.0, 1.0), (4.0, 2.0), (9.0, 1.0)]),
+            flat(&[(1.0, 0.5), (9.0, 3.0)]),
+            flat(&[(0.0, 2.0), (3.0, 0.0), (9.0, 0.2)]),
+        ])
+        .unwrap();
+        for constr in [B2Construction::Baseline, B2Construction::Efficient] {
+            let (bp, stats) = Breakpoints::b2_with_count_stats(&zero_mass, 50, constr).unwrap();
+            assert_eq!(bp.points(), &[0.0, 5.0]);
+            assert_eq!(stats, FitStats { sweeps: 1, aborted: 0 });
+
+            let (bp, stats) = Breakpoints::b2_with_count_stats(&one_segment, 50, constr).unwrap();
+            assert!(bp.len().abs_diff(50) <= 1, "{}", bp.len());
+            assert_eq!(stats.sweeps, 1);
+            assert_gap_property(&one_segment, &bp);
+
+            let (bp, stats) = Breakpoints::b2_with_count_stats(&tiny, 200, constr).unwrap();
+            assert!(bp.len().abs_diff(200) <= 3, "{}", bp.len());
+            assert!(stats.sweeps <= 3, "{stats:?}");
+            assert_gap_property(&tiny, &bp);
         }
     }
 

@@ -64,7 +64,7 @@ mod topk;
 
 pub use agg::AggKind;
 pub use appx::{ApproxConfig, ApproxIndex, ApproxVariant, QueryKind};
-pub use breakpoints::{B2Construction, Breakpoints, BreakpointsKind};
+pub use breakpoints::{B2Construction, Breakpoints, BreakpointsKind, FitStats, B2_FIT_MAX_SWEEPS};
 pub use error::{CoreError, Result};
 pub use exact1::Exact1;
 pub use exact2::Exact2;

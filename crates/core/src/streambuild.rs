@@ -29,7 +29,6 @@
 //! `Breakpoints::b2_with_eps` up to ulp-level ties (the property tests in
 //! this module assert equality on mixed-sign inputs).
 
-use crate::breakpoints::OrdF64;
 use crate::breakpoints::{abs_curve, check_eps, B2Construction, Breakpoints, BreakpointsKind};
 use crate::error::Result;
 use crate::object::TemporalObject;
@@ -117,6 +116,21 @@ fn decode_b2(rec: &[u8; B2_REC_LEN]) -> (u32, Segment) {
     let f = |at: usize| f64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"));
     let obj = u32::from_le_bytes(rec[8..12].try_into().expect("4 bytes"));
     (obj, Segment::new(f(0), f(20), f(12), f(28)))
+}
+
+/// Total-ordered f64 for heap keys.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OrdF64(f64);
+impl Eq for OrdF64 {}
+impl PartialOrd for OrdF64 {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for OrdF64 {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
 }
 
 /// Per-object sweep state plus the retained active window.

@@ -140,6 +140,15 @@ impl PiecewiseLinear {
             return 0.0;
         }
         let first = self.locate(lo).expect("clamped inside domain");
+        self.integral_from(first, lo, hi)
+    }
+
+    /// The walk behind [`PiecewiseLinear::integral`], for a caller that
+    /// already knows `first = locate(lo)` — a sweep whose `lo` only moves
+    /// right keeps that index as a cursor instead of searching for it.
+    /// `lo` and `hi` must already be clamped to the domain. Same
+    /// arithmetic, so the same bits.
+    pub fn integral_from(&self, first: usize, lo: Time, hi: Time) -> f64 {
         let mut acc = 0.0;
         for j in first..self.num_segments() {
             let seg = self.segment(j);
@@ -234,6 +243,14 @@ impl PiecewiseLinear {
             return None;
         }
         let first = self.locate(from).expect("clamped inside domain");
+        self.time_to_accumulate_from(first, from, target)
+    }
+
+    /// The walk behind [`PiecewiseLinear::time_to_accumulate`], for a
+    /// caller that already knows `first = locate(from)` (see
+    /// [`PiecewiseLinear::integral_from`]). `from` must lie inside the
+    /// domain, before its end.
+    pub fn time_to_accumulate_from(&self, first: usize, from: Time, target: f64) -> Option<Time> {
         let mut need = target;
         for j in first..self.num_segments() {
             let seg = self.segment(j);

@@ -882,6 +882,7 @@ impl IngestEngine {
             rebuilds_in_flight: statuses.iter().filter(|s| s.rebuild_in_flight).count() as u64,
             index_bytes: statuses.iter().map(|s| s.size_bytes).sum(),
             build_secs: statuses.iter().map(|s| s.build_secs).sum(),
+            build_stages: statuses.iter().map(|s| s.build_stages).sum(),
             swap_pause,
             queries_during_rebuild: statuses.iter().map(|s| s.queries_during_rebuild).sum(),
             cache_hits: statuses.iter().map(|s| s.cache_hits).sum(),
@@ -919,6 +920,20 @@ impl IngestEngine {
             "chronorank_live_rebuilds_in_flight",
             "shards with a rebuild in flight",
             r.rebuilds_in_flight,
+        );
+        for (stage, us) in r.build_stages.stage_us() {
+            registry
+                .gauge_with(
+                    "chronorank_live_rebuild_stage_us",
+                    "cumulative generation build time per stage, microseconds",
+                    &[("stage", stage)],
+                )
+                .set_u64(us);
+        }
+        g(
+            "chronorank_live_rebuild_b2_sweeps",
+            "cumulative sweeps of the BREAKPOINTS2 count fit across generation builds",
+            r.build_stages.b2_sweeps,
         );
         g("chronorank_live_index_bytes", "bytes across published generations", r.index_bytes);
         g("chronorank_live_tail_segments", "appended segments in mutable tails", r.tail_segments);

@@ -20,7 +20,7 @@ use chronorank_core::{
     AggKind, ApproxConfig, Breakpoints, Exact1, Exact3, GenerationProfile, ObjectId, SharedMethod,
     TemporalSet,
 };
-use chronorank_serve::{panic_message, MethodSet, Route, RouteProfiles};
+use chronorank_serve::{panic_message, BuildStages, MethodSet, Route, RouteProfiles};
 use chronorank_storage::{Env, ImageWriter, IoStats, PagedFile, StoreConfig};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -52,6 +52,8 @@ pub(crate) struct GenMeta {
     pub size_bytes: u64,
     /// Off-thread wall time of the build.
     pub build_secs: f64,
+    /// Where that time went, per stage.
+    pub stages: BuildStages,
 }
 
 impl GenMeta {
@@ -157,7 +159,7 @@ impl Generation {
         built: chronorank_serve::BuiltRoutes,
         build_secs: f64,
     ) -> Self {
-        let chronorank_serve::BuiltRoutes { methods, breakpoints, exact1, exact3 } = built;
+        let chronorank_serve::BuiltRoutes { methods, breakpoints, exact1, exact3, stages } = built;
         let profiles: RouteProfiles =
             std::array::from_fn(|i| methods[i].as_ref().map(|m| m.profile()));
         let size_bytes = methods.iter().flatten().map(|m| m.size_bytes()).sum();
@@ -169,6 +171,7 @@ impl Generation {
             kmax,
             size_bytes,
             build_secs,
+            stages,
         };
         Self { meta, methods, exact1, exact3 }
     }

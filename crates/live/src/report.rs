@@ -1,6 +1,7 @@
 //! Live-engine statistics: ingest throughput, rebuild behaviour, and the
 //! reader-side evidence that epoch swaps never block queries.
 
+use chronorank_serve::BuildStages;
 use chronorank_storage::IoStats;
 
 /// Bucket upper bounds (µs) of [`PauseHistogram`]; the last bucket is
@@ -69,6 +70,8 @@ pub struct LiveReport {
     /// Wall seconds spent *off-thread* building generations (overlaps
     /// serving; not a pause).
     pub build_secs: f64,
+    /// Where that build time went, per stage, across all generations.
+    pub build_stages: BuildStages,
     /// Epoch-swap pauses (the reader-visible cost of a rebuild).
     pub swap_pause: PauseHistogram,
     /// Queries answered while some shard had a rebuild in flight — the
@@ -155,6 +158,7 @@ impl std::fmt::Display for LiveReport {
             self.swap_pause.max_us,
             self.queries_during_rebuild
         )?;
+        writeln!(f, "  build stages: {}", self.build_stages)?;
         writeln!(
             f,
             "  cache: {}/{} hits ({:.1}%), {} ε-invalidations | tail: {} segments \
@@ -211,6 +215,7 @@ mod tests {
             rebuilds_in_flight: 0,
             index_bytes: 0,
             build_secs: 0.0,
+            build_stages: BuildStages::default(),
             swap_pause: PauseHistogram::default(),
             queries_during_rebuild: 0,
             cache_hits: 0,

@@ -35,7 +35,7 @@ use crate::obs::ShardObs;
 use crate::report::PauseHistogram;
 use chronorank_core::{AppendRecord, ObjectId, TemporalSet};
 use chronorank_curve::{ColumnarTail, Segment};
-use chronorank_serve::{panic_message, LruCache, Route, RouteProfiles, ServeQuery};
+use chronorank_serve::{panic_message, BuildStages, LruCache, Route, RouteProfiles, ServeQuery};
 use chronorank_storage::IoStats;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -126,6 +126,7 @@ pub(crate) struct ShardStatus {
     pub profiles: RouteProfiles,
     pub rebuilds: u64,
     pub build_secs: f64,
+    pub build_stages: BuildStages,
     pub swap_pause: PauseHistogram,
     pub queries_during_rebuild: u64,
     pub cache_hits: u64,
@@ -219,6 +220,7 @@ struct ShardState {
     gen_applied: u64,
     rebuilds: u64,
     build_secs: f64,
+    build_stages: BuildStages,
     swap_pause: PauseHistogram,
     queries_during_rebuild: u64,
     cache_hits: u64,
@@ -259,6 +261,7 @@ impl ShardState {
             gen_applied: 0,
             rebuilds: 0,
             build_secs: 0.0,
+            build_stages: BuildStages::default(),
             swap_pause: PauseHistogram::default(),
             queries_during_rebuild: 0,
             cache_hits: 0,
@@ -322,6 +325,7 @@ impl ShardState {
         self.frozen_end = pending.frozen_end;
         self.gen_applied = pending.stamp_applied;
         self.build_secs += gen.meta.build_secs;
+        self.build_stages += gen.meta.stages;
         self.obs.rebuild_us.record((gen.meta.build_secs * 1e6) as u64);
         self.gen = Some(Installed { gen, join: pending.join });
         // The epoch swap also compacts the columnar append log into the
@@ -581,6 +585,7 @@ impl ShardState {
             profiles,
             rebuilds: self.rebuilds,
             build_secs: self.build_secs,
+            build_stages: self.build_stages,
             swap_pause: self.swap_pause,
             queries_during_rebuild: self.queries_during_rebuild,
             cache_hits: self.cache_hits,

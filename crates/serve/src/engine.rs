@@ -718,6 +718,20 @@ impl ServeEngine {
             "wall time the engine spent building, microseconds",
             (report.build_secs * 1e6) as u64,
         );
+        for (stage, us) in report.build_stages.stage_us() {
+            registry
+                .gauge_with(
+                    "chronorank_serve_build_stage_us",
+                    "shard build time per stage, summed over shards, microseconds",
+                    &[("stage", stage)],
+                )
+                .set_u64(us);
+        }
+        g(
+            "chronorank_serve_build_b2_sweeps",
+            "sweeps the BREAKPOINTS2 count fit ran, summed over shards",
+            report.build_stages.b2_sweeps,
+        );
         g("chronorank_serve_io_reads", "block reads across all shards", report.io.reads);
         g("chronorank_serve_io_writes", "block writes across all shards", report.io.writes);
         for route in Route::ALL {
@@ -758,6 +772,7 @@ impl ServeEngine {
             io: self.shards.iter().map(|s| s.io_total()).sum(),
             index_bytes: self.index_bytes,
             build_secs: self.build_secs,
+            build_stages: self.shards.iter().map(|s| s.facts().stages).sum(),
         }
     }
 }

@@ -81,8 +81,7 @@ pub use planner::{
 pub use query::{ServeQuery, Tolerance};
 pub use report::{RouteStats, ServeReport};
 pub use shard::{
-    assemble_route_methods, build_route_methods, build_route_methods_with_handles, BuiltRoutes,
-    Shard,
+    assemble_route_methods, build_route_methods_with_handles, BuildStages, BuiltRoutes, Shard,
 };
 
 /// Render a `catch_unwind` payload into a readable error message. Shared

@@ -1,6 +1,7 @@
 //! Aggregated serving statistics.
 
 use crate::planner::Route;
+use crate::shard::BuildStages;
 use chronorank_storage::IoStats;
 
 /// Per-route serving counters.
@@ -37,6 +38,9 @@ pub struct ServeReport {
     /// Wall seconds the engine spent building all shards (concurrent
     /// workers overlap, so this is less than the per-shard sum).
     pub build_secs: f64,
+    /// Where the build went, per stage, summed over shards (so up to
+    /// `workers ×` [`ServeReport::build_secs`]).
+    pub build_stages: BuildStages,
 }
 
 impl ServeReport {
@@ -84,6 +88,7 @@ impl std::fmt::Display for ServeReport {
             self.index_bytes as f64 / (1 << 20) as f64,
             self.build_secs
         )?;
+        writeln!(f, "  build stages: {}", self.build_stages)?;
         for (route, rs) in Route::ALL.iter().zip(&self.routes) {
             if rs.queries > 0 {
                 writeln!(
@@ -115,6 +120,7 @@ mod tests {
             io: IoStats::default(),
             index_bytes: 0,
             build_secs: 0.0,
+            build_stages: BuildStages::default(),
         };
         assert_eq!(r.qps(), 0.0);
         assert_eq!(r.cache_hit_rate(), 0.0);
@@ -136,6 +142,7 @@ mod tests {
             io: IoStats { reads: 5, ..Default::default() },
             index_bytes: 1 << 20,
             build_secs: 0.5,
+            build_stages: BuildStages::default(),
         };
         let text = r.to_string();
         assert!(text.contains("APPX2"), "{text}");

@@ -26,7 +26,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A shard-local ranked answer (global ids) or an error message.
 pub(crate) type ShardAnswer = Result<Vec<(ObjectId, f64)>, String>;
@@ -51,6 +51,8 @@ pub(crate) struct ShardFacts {
     /// already-built shards ([`crate::ServeEngine::from_shards`]).
     pub block: u64,
     pub r: u64,
+    /// What each stage of this shard's build cost.
+    pub stages: BuildStages,
 }
 
 /// Key of the shard-local result cache: the **snapped** interval (as
@@ -63,6 +65,64 @@ struct CacheKey {
     b2: u32,
     k: u32,
     route: Route,
+}
+
+/// Where one snapshot's build time went, per stage, plus the number of
+/// sweeps the BREAKPOINTS2 count fit ran. Sums over shards and over
+/// successive generation builds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BuildStages {
+    /// EXACT1 build, µs (`0` when the route is disabled).
+    pub exact1_us: u64,
+    /// EXACT3 build, µs.
+    pub exact3_us: u64,
+    /// Breakpoint construction (the `r` fit or the fixed-`ε` sweep), µs.
+    pub b2_us: u64,
+    /// Every enabled APPX variant over the shared breakpoints, µs.
+    pub appx_us: u64,
+    /// Sweeps of the B2 count fit (`1` per build under a fixed `ε`).
+    pub b2_sweeps: u64,
+}
+
+impl BuildStages {
+    /// `(stage label, µs)` pairs, the `stage` label values of the
+    /// `*_stage_us` metric families.
+    pub fn stage_us(&self) -> [(&'static str, u64); 4] {
+        [
+            ("exact1", self.exact1_us),
+            ("exact3", self.exact3_us),
+            ("b2", self.b2_us),
+            ("appx", self.appx_us),
+        ]
+    }
+}
+
+impl std::ops::AddAssign for BuildStages {
+    fn add_assign(&mut self, o: Self) {
+        self.exact1_us += o.exact1_us;
+        self.exact3_us += o.exact3_us;
+        self.b2_us += o.b2_us;
+        self.appx_us += o.appx_us;
+        self.b2_sweeps += o.b2_sweeps;
+    }
+}
+
+impl std::iter::Sum for BuildStages {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut acc, s| {
+            acc += s;
+            acc
+        })
+    }
+}
+
+impl std::fmt::Display for BuildStages {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (stage, us) in self.stage_us() {
+            write!(f, "{stage} {:.1} ms, ", us as f64 / 1e3)?;
+        }
+        write!(f, "{} b2 sweeps", self.b2_sweeps)
+    }
 }
 
 /// One snapshot's built route methods: the dyn-dispatch array the planner
@@ -78,51 +138,56 @@ pub struct BuiltRoutes {
     pub exact1: Option<Arc<Exact1>>,
     /// Concrete EXACT3 handle (always built — the exact fallback route).
     pub exact3: Arc<Exact3>,
+    /// What each stage of this build cost.
+    pub stages: BuildStages,
 }
 
-/// Build the per-route method array one serving snapshot needs: optional
+fn micros_since(t0: Instant) -> u64 {
+    t0.elapsed().as_micros() as u64
+}
+
+/// Build the per-route methods one serving snapshot needs: optional
 /// EXACT1, mandatory EXACT3, and the enabled APPX variants sharing one
-/// breakpoint set. The single construction path for both serve shards and
-/// live generations — the two layers must never diverge in what a route
-/// is backed by.
-pub fn build_route_methods(
-    set: &TemporalSet,
-    methods: MethodSet,
-    approx: ApproxConfig,
-    store: StoreConfig,
-) -> chronorank_core::Result<([Option<SharedMethod>; 5], Option<Breakpoints>)> {
-    let built = build_route_methods_with_handles(set, methods, approx, store)?;
-    Ok((built.methods, built.breakpoints))
-}
-
-/// [`build_route_methods`], keeping the concrete EXACT1/EXACT3 handles —
-/// what a generation image needs to capture the trees page-for-page.
+/// breakpoint set, keeping the concrete EXACT1/EXACT3 handles a generation
+/// image captures page-for-page. The single construction path for both
+/// serve shards and live generations — the two layers must never diverge
+/// in what a route is backed by.
 pub fn build_route_methods_with_handles(
     set: &TemporalSet,
     methods: MethodSet,
     approx: ApproxConfig,
     store: StoreConfig,
 ) -> chronorank_core::Result<BuiltRoutes> {
+    let t0 = Instant::now();
     let exact1 = if methods.exact1 {
         Some(Arc::new(Exact1::build(set, IndexConfig { store })?))
     } else {
         None
     };
+    let exact1_us = micros_since(t0);
+    let t0 = Instant::now();
     let exact3 = Arc::new(Exact3::build(set, IndexConfig { store })?);
-    let breakpoints = if methods.any_approx() {
-        Some(match approx.eps {
-            Some(eps) => Breakpoints::b2_with_eps(set, eps, approx.b2)?,
-            None => Breakpoints::b2_with_count(set, approx.r, approx.b2)?,
-        })
+    let exact3_us = micros_since(t0);
+    let t0 = Instant::now();
+    let (breakpoints, b2_sweeps) = if !methods.any_approx() {
+        (None, 0)
+    } else if let Some(eps) = approx.eps {
+        (Some(Breakpoints::b2_with_eps(set, eps, approx.b2)?), 1)
     } else {
-        None
+        let (bp, fit) = Breakpoints::b2_with_count_stats(set, approx.r, approx.b2)?;
+        (Some(bp), fit.sweeps as u64)
     };
-    assemble_route_methods(set, methods, approx, store, exact1, exact3, breakpoints)
+    let b2_us = micros_since(t0);
+    let mut built =
+        assemble_route_methods(set, methods, approx, store, exact1, exact3, breakpoints)?;
+    built.stages = BuildStages { exact1_us, exact3_us, b2_us, b2_sweeps, ..built.stages };
+    Ok(built)
 }
 
 /// Assemble the route array from pre-built exact handles plus a breakpoint
 /// set, building only the APPX variants (deterministic given the
-/// breakpoints). This is the reopen path: a restart extracts EXACT1/EXACT3
+/// breakpoints; the one stage [`BuiltRoutes::stages`] times here). This is
+/// the reopen path: a restart extracts EXACT1/EXACT3
 /// and the breakpoints from a generation image and rebuilds nothing else.
 pub fn assemble_route_methods(
     set: &TemporalSet,
@@ -133,6 +198,7 @@ pub fn assemble_route_methods(
     exact3: Arc<Exact3>,
     breakpoints: Option<Breakpoints>,
 ) -> chronorank_core::Result<BuiltRoutes> {
+    let t0 = Instant::now();
     let mut built: [Option<SharedMethod>; 5] = std::array::from_fn(|_| None);
     if let Some(e1) = &exact1 {
         built[Route::Exact1.idx()] = Some(Box::new(Arc::clone(e1)));
@@ -151,7 +217,8 @@ pub fn assemble_route_methods(
             built[route.idx()] = Some(Box::new(idx));
         }
     }
-    Ok(BuiltRoutes { methods: built, breakpoints, exact1, exact3 })
+    let stages = BuildStages { appx_us: micros_since(t0), ..BuildStages::default() };
+    Ok(BuiltRoutes { methods: built, breakpoints, exact1, exact3, stages })
 }
 
 /// One partition's built, immutable index snapshot (see module docs).
@@ -177,7 +244,8 @@ impl Shard {
         cfg: &ServeConfig,
     ) -> chronorank_core::Result<Self> {
         let store = cfg.store;
-        let (methods, breakpoints) = build_route_methods(set, cfg.methods, cfg.approx, store)?;
+        let BuiltRoutes { methods, breakpoints, stages, .. } =
+            build_route_methods_with_handles(set, cfg.methods, cfg.approx, store)?;
         let size_bytes = methods.iter().flatten().map(|m| m.size_bytes()).sum();
         let facts = ShardFacts {
             m: set.num_objects() as u64,
@@ -188,6 +256,7 @@ impl Shard {
             t_max: set.t_max(),
             block: store.block_size as u64,
             r: cfg.approx.r as u64,
+            stages,
         };
         let cache = (cfg.cache_capacity > 0).then(|| Mutex::new(LruCache::new(cfg.cache_capacity)));
         let latency_us =

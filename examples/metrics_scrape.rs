@@ -62,6 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "chronorank_serve_route_total",
         "chronorank_serve_cache_hits_total",
         "chronorank_serve_queries",
+        "chronorank_serve_build_us",
+        "chronorank_serve_build_stage_us",
+        "chronorank_serve_build_b2_sweeps",
         "chronorank_net_frames_in",
         "chronorank_net_frame_decode_us",
         "chronorank_net_frame_encode_us",
@@ -75,8 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         text.len(),
         families.len()
     );
-    for line in text.lines().filter(|l| l.starts_with("chronorank_serve_route_total")) {
-        println!("  {line}");
+    // Routing decisions, then "where did the build go" from the same scrape.
+    for prefix in ["chronorank_serve_route_total", "chronorank_serve_build_"] {
+        for line in text.lines().filter(|l| l.starts_with(prefix)) {
+            println!("  {line}");
+        }
     }
 
     // --- 2. the flight recorder -------------------------------------------
