@@ -101,6 +101,25 @@ fn query_methods(c: &mut Criterion) {
         });
     }
     g.finish();
+
+    // What APPX2+ pays on top of QUERY2: k = 20 candidates re-scored from
+    // a cold prefix file (EXACT2's per-object descent pair, without the
+    // forest) — read beside `query/exact2_topk_cold`.
+    let plus =
+        ApproxIndex::build(&set, ApproxVariant::APPX2_PLUS, ApproxConfig::default()).unwrap();
+    let rescorer = plus.rescorer().expect("APPX2+ re-scores from a prefix file");
+    let mut g = c.benchmark_group("appx2plus");
+    g.sample_size(20);
+    g.bench_function("rescore_cold_k20", |b| {
+        b.iter(|| {
+            rescorer.file().drop_cache().unwrap();
+            let mut scorer = rescorer.scorer();
+            for id in (0..300).step_by(15) {
+                black_box(scorer.score_one(id, t1, t2).unwrap());
+            }
+        })
+    });
+    g.finish();
 }
 
 fn meme_query(c: &mut Criterion) {

@@ -10,7 +10,12 @@
 //! | APPX2-B | B1 | QUERY2 | `(ε, 2 log r)` |
 //! | APPX1   | B2 | QUERY1 | `(ε, 1)`, much smaller ε at equal r |
 //! | APPX2   | B2 | QUERY2 | `(ε, 2 log r)`, 〃 |
-//! | APPX2+  | B2 | QUERY2 + EXACT2 re-scoring | near-exact in practice |
+//! | APPX2+  | B2 | QUERY2 + exact re-scoring | near-exact in practice |
+//!
+//! The `+` re-scoring needs `σ_i(t1, t2)` for QUERY2's candidates only, so
+//! it reads per-object prefix sums from one packed file
+//! ([`crate::PackedPrefix`]) — the paper's Eq. (2) on the bits EXACT2
+//! stores, without a tree per object.
 //!
 //! Updates follow the paper's §4 amortized policy: the structures are
 //! built for a fixed threshold `τ = εM`; when the dataset's mass doubles,
@@ -20,12 +25,13 @@
 use crate::agg::AggKind;
 use crate::breakpoints::{B2Construction, Breakpoints, BreakpointsKind};
 use crate::error::{CoreError, Result};
-use crate::exact2::Exact2;
-use crate::object::TemporalSet;
+use crate::object::{TemporalObject, TemporalSet};
+use crate::packed::{PackedPrefix, PackedPrefixBuilder};
 use crate::query1::Query1Index;
 use crate::query2::Query2Index;
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
-use chronorank_storage::{Env, IoStats, StoreConfig};
+use chronorank_storage::{Env, IoCounter, IoStats, StoreConfig};
+use std::sync::Arc;
 
 /// Which query structure a variant uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +66,7 @@ impl ApproxVariant {
     /// BREAKPOINTS2 + QUERY2 — the improved `(ε, 2 log r)` method.
     pub const APPX2: Self =
         Self { breakpoints: BreakpointsKind::B2, query: QueryKind::Q2, plus: false };
-    /// APPX2 + exact re-scoring of the candidate set against EXACT2.
+    /// APPX2 + exact re-scoring of the candidate set from prefix sums.
     pub const APPX2_PLUS: Self =
         Self { breakpoints: BreakpointsKind::B2, query: QueryKind::Q2, plus: true };
 
@@ -112,15 +118,19 @@ impl Default for ApproxConfig {
 }
 
 /// A built approximate index: breakpoints + query structure (+ optional
-/// EXACT2 re-scorer). See module docs for the variant grid.
+/// prefix-sum re-scorer). See module docs for the variant grid.
 pub struct ApproxIndex {
     variant: ApproxVariant,
     config: ApproxConfig,
+    /// Owner of this index's IO counter; the re-scorer's file lives here.
     env: Env,
     breakpoints: Breakpoints,
     q1: Option<Query1Index>,
-    q2: Option<Query2Index>,
-    rescorer: Option<Exact2>,
+    /// Counts IO on a counter of its own because a sibling variant over
+    /// the same breakpoints may share it ([`ApproxIndex::build_with_query2`]);
+    /// every probe's reads are credited to `env`.
+    q2: Option<Arc<Query2Index>>,
+    rescorer: Option<PackedPrefix>,
     /// `M` at build time: the §4 policy rebuilds when the live mass
     /// doubles.
     built_mass: f64,
@@ -160,39 +170,47 @@ impl ApproxIndex {
         config: ApproxConfig,
         breakpoints: Breakpoints,
     ) -> Result<Self> {
-        let (q1, q2) = match variant.query {
-            QueryKind::Q1 => (
-                Some(Query1Index::build(
-                    env_clone_counter(&env, "q1", config.store)?,
-                    set,
-                    breakpoints.clone(),
-                    config.kmax,
-                )?),
-                None,
-            ),
-            QueryKind::Q2 => (
-                None,
-                Some(Query2Index::build(
-                    env_clone_counter(&env, "q2", config.store)?,
-                    set,
-                    breakpoints.clone(),
-                    config.kmax,
-                )?),
-            ),
-        };
-        let rescorer = if variant.plus {
-            Some(Exact2::build_in(env_clone_counter(&env, "e2", config.store)?, set)?)
-        } else {
-            None
-        };
+        if variant.query == QueryKind::Q2 {
+            let q2 = Query2Index::build(env.detached_child(), set, breakpoints, config.kmax)?;
+            env.io().credit(q2.io_stats());
+            return Self::build_with_query2(env, set, variant, config, Arc::new(q2));
+        }
+        let q1 = Query1Index::build(env.child(), set, breakpoints.clone(), config.kmax)?;
         Ok(Self {
             variant,
             config,
+            rescorer: pack(&env, variant, set.objects())?,
             env,
             breakpoints,
-            q1,
-            q2,
-            rescorer,
+            q1: Some(q1),
+            q2: None,
+            built_mass: set.total_mass(),
+        })
+    }
+
+    /// Build a QUERY2 variant over an **already built** QUERY2 structure —
+    /// how APPX2 and APPX2+ over one breakpoint set share one index
+    /// instead of building it twice. Breakpoints and `kmax` are the
+    /// structure's; `config.kmax` is ignored. Each sharer's
+    /// [`RankMethod::io_stats`] counts only the reads its own queries did.
+    pub fn build_with_query2(
+        env: Env,
+        set: &TemporalSet,
+        variant: ApproxVariant,
+        config: ApproxConfig,
+        q2: Arc<Query2Index>,
+    ) -> Result<Self> {
+        if variant.query != QueryKind::Q2 {
+            return Err(CoreError::BadQuery(format!("{} is not a QUERY2 variant", variant.name())));
+        }
+        Ok(Self {
+            variant,
+            config: ApproxConfig { kmax: q2.kmax(), ..config },
+            rescorer: pack(&env, variant, set.objects())?,
+            env,
+            breakpoints: q2.breakpoints().clone(),
+            q1: None,
+            q2: Some(q2),
             built_mass: set.total_mass(),
         })
     }
@@ -200,8 +218,8 @@ impl ApproxIndex {
     /// Assemble an approximate index from a precomputed (typically
     /// streamed, see [`crate::b2_streaming`]) breakpoint set plus a fresh
     /// object stream for the query-structure fill — the paper-scale path:
-    /// no [`TemporalSet`] ever materializes. `plus` variants are rejected;
-    /// the EXACT2 re-scoring forest has no streaming bulk path.
+    /// no [`TemporalSet`] ever materializes. The `+` re-scorer is written
+    /// in the same pass over the stream.
     pub fn build_streaming<I>(
         env: Env,
         objects: I,
@@ -210,35 +228,46 @@ impl ApproxIndex {
         breakpoints: Breakpoints,
     ) -> Result<Self>
     where
-        I: IntoIterator<Item = crate::object::TemporalObject>,
+        I: IntoIterator<Item = TemporalObject>,
     {
-        if variant.plus {
-            return Err(CoreError::BadQuery(
-                "APPX2+ needs the EXACT2 forest, which has no streaming build".into(),
-            ));
-        }
         let built_mass = breakpoints.mass();
+        let mut packer = if variant.plus {
+            Some(PackedPrefixBuilder::new(env.create_file(PREFIX_FILE)?))
+        } else {
+            None
+        };
+        let mut pack_failed = None;
+        let objects = objects.into_iter().inspect(|o| {
+            if let (Some(p), true) = (&mut packer, pack_failed.is_none()) {
+                pack_failed = p.push(o).err();
+            }
+        });
         let (q1, q2) = match variant.query {
             QueryKind::Q1 => (
                 Some(Query1Index::build_streaming(
-                    env_clone_counter(&env, "q1", config.store)?,
+                    env.child(),
                     objects,
                     breakpoints.clone(),
                     config.kmax,
                 )?),
                 None,
             ),
-            QueryKind::Q2 => (
-                None,
-                Some(Query2Index::build_streaming(
-                    env_clone_counter(&env, "q2", config.store)?,
+            QueryKind::Q2 => {
+                let q2 = Query2Index::build_streaming(
+                    env.detached_child(),
                     objects,
                     breakpoints.clone(),
                     config.kmax,
-                )?),
-            ),
+                )?;
+                env.io().credit(q2.io_stats());
+                (None, Some(Arc::new(q2)))
+            }
         };
-        Ok(Self { variant, config, env, breakpoints, q1, q2, rescorer: None, built_mass })
+        if let Some(e) = pack_failed {
+            return Err(e);
+        }
+        let rescorer = packer.map(PackedPrefixBuilder::finish).transpose()?;
+        Ok(Self { variant, config, env, breakpoints, q1, q2, rescorer, built_mass })
     }
 
     /// The variant built.
@@ -256,6 +285,34 @@ impl ApproxIndex {
         self.config.kmax
     }
 
+    /// The QUERY2 structure behind this index (`None` for QUERY1
+    /// variants), for a sibling variant to share.
+    pub fn query2(&self) -> Option<&Arc<Query2Index>> {
+        self.q2.as_ref()
+    }
+
+    /// The prefix-sum file a `+` variant re-scores from.
+    pub fn rescorer(&self) -> Option<&PackedPrefix> {
+        self.rescorer.as_ref()
+    }
+
+    /// Files this index created (a shared QUERY2 structure counts for the
+    /// index that built it).
+    pub fn num_files(&self) -> usize {
+        self.env.num_files()
+    }
+
+    /// Probe the QUERY2 structure, crediting the block reads the probe did
+    /// there to this index's counter.
+    fn via_query2<T>(&self, probe: impl FnOnce(&Query2Index) -> Result<T>) -> Result<T> {
+        let q2 = self.q2.as_ref().expect("QUERY2 variants hold the structure");
+        let before = IoCounter::thread_reads();
+        let out = probe(q2);
+        let reads = IoCounter::thread_reads() - before;
+        self.env.io().credit(IoStats { reads, ..IoStats::default() });
+        out
+    }
+
     /// The paper's §4 amortized update policy: breakpoints were built for a
     /// fixed threshold `τ = εM`; once the live mass reaches `2M`, rebuild
     /// everything. Returns whether a rebuild happened.
@@ -269,12 +326,24 @@ impl ApproxIndex {
     }
 }
 
-/// Each sub-structure gets its own namespace but must share the master
-/// environment's IO counter; `Env` files already share counters within one
-/// env, so sub-envs reuse the same counter by construction through a child
-/// env sharing the parent counter.
-fn env_clone_counter(parent: &Env, _tag: &str, _store: StoreConfig) -> Result<Env> {
-    Ok(parent.child())
+/// Name of the re-scorer's file inside an index's environment.
+const PREFIX_FILE: &str = "appx_prefix";
+
+/// Write a `+` variant's re-scorer over in-memory objects (`None` for the
+/// other variants).
+fn pack(
+    env: &Env,
+    variant: ApproxVariant,
+    objects: &[TemporalObject],
+) -> Result<Option<PackedPrefix>> {
+    if !variant.plus {
+        return Ok(None);
+    }
+    let mut packer = PackedPrefixBuilder::new(env.create_file(PREFIX_FILE)?);
+    for o in objects {
+        packer.push(o)?;
+    }
+    packer.finish().map(Some)
 }
 
 impl RankMethod for ApproxIndex {
@@ -291,15 +360,15 @@ impl RankMethod for ApproxIndex {
             )));
         }
         if let Some(rescorer) = &self.rescorer {
-            // APPX2+: candidates from QUERY2, exact scores from EXACT2.
-            let q2 = self.q2.as_ref().expect("plus variants use QUERY2");
-            let cand = match q2.candidates(t1, t2, k)? {
+            // APPX2+: candidates from QUERY2, exact scores from prefix sums.
+            let cand = match self.via_query2(|q2| q2.candidates(t1, t2, k))? {
                 Some(c) => c,
                 None => return Ok(TopK::from_ranked(Vec::new())),
             };
+            let mut scorer = rescorer.scorer();
             let mut scored = Vec::with_capacity(cand.len());
             for (&id, _) in cand.iter() {
-                scored.push((id, rescorer.score_one(id, t1, t2)?));
+                scored.push((id, scorer.score_one(id, t1, t2)?));
             }
             let top = top_k_from_scores(scored.into_iter(), k);
             return Ok(match agg {
@@ -309,7 +378,7 @@ impl RankMethod for ApproxIndex {
         }
         match self.variant.query {
             QueryKind::Q1 => self.q1.as_ref().expect("built").top_k(t1, t2, k, agg),
-            QueryKind::Q2 => self.q2.as_ref().expect("built").top_k(t1, t2, k, agg),
+            QueryKind::Q2 => self.via_query2(|q2| q2.top_k(t1, t2, k, agg)),
         }
     }
 
@@ -343,7 +412,7 @@ impl RankMethod for ApproxIndex {
             q2.drop_caches()?;
         }
         if let Some(r) = &self.rescorer {
-            r.drop_caches()?;
+            r.file().drop_cache()?;
         }
         Ok(())
     }

@@ -53,7 +53,8 @@ pub struct QueryCost {
     pub appx1: f64,
     /// APPX2 (QUERY2): two snaps + ≤ `2 log r` list prefixes.
     pub appx2: f64,
-    /// APPX2+: APPX2 + one EXACT2 lookup pair per candidate.
+    /// APPX2+: APPX2 + a page-granular search of the packed prefix file
+    /// per candidate.
     pub appx2_plus: f64,
 }
 
@@ -65,6 +66,8 @@ mod entry {
     pub const EXACT3: u64 = 16 + 28;
     /// QUERY1/2 list entry: id + score.
     pub const LIST: u64 = 12;
+    /// APPX2+ prefix-file point: t + v + prefix.
+    pub const PREFIX_POINT: u64 = 24;
 }
 
 /// Predict cold query IOs for every method under `p`.
@@ -81,9 +84,16 @@ pub fn query_cost(p: &CostParams) -> QueryCost {
     let appx1 = 2.0 * p.log_b(p.r).max(1.0) + list_blocks(p.k);
     let pieces = 2.0 * (p.r.max(2) as f64).log2();
     let appx2 = 2.0 * p.log_b(p.r).max(1.0) + pieces * list_blocks(p.k);
-    // Candidate set ≤ k · 2 log r, each re-scored with two O(log_B n)
-    // descents; overlapping candidates make this a loose upper bound.
-    let appx2_plus = appx2 + (p.k as f64 * pieces).min(p.m as f64) * (1.0 + p.log_b(p.n_avg));
+    // The snapped interval covers `overlap · (r − 1)` gaps, whose
+    // canonical cover averages one piece per doubling. Every piece offers
+    // its top k, but heavy hitters persist from piece to piece: on Temp
+    // and Stock the union holds 0.7–1.3 × k·√pieces objects. Each is
+    // re-scored by a binary search over the pages of its run in the prefix
+    // file (both endpoints share the search's upper levels).
+    let expected_pieces = (p.overlap_frac * (p.r.max(2) - 1) as f64).max(2.0).log2();
+    let candidates = (p.k as f64 * expected_pieces.sqrt()).min(p.m as f64);
+    let run_pages = ((p.n_avg + 1) * entry::PREFIX_POINT) as f64 / p.block as f64;
+    let appx2_plus = appx2 + candidates * (1.0 + run_pages.max(1.0).log2());
     QueryCost { exact1, exact2, exact3, appx1, appx2, appx2_plus }
 }
 
@@ -127,6 +137,8 @@ pub struct SizeCost {
     pub appx1: f64,
     /// QUERY2: < `2r` lists of `kmax` entries.
     pub appx2: f64,
+    /// APPX2+: QUERY2 plus `N + m` prefix points packed at fill 1.0.
+    pub appx2_plus: f64,
 }
 
 /// Predict index sizes (in blocks) for every method under `p`.
@@ -138,7 +150,8 @@ pub fn size_cost(p: &CostParams) -> SizeCost {
     let list_blocks = ((p.kmax * entry::LIST) as f64 / b).ceil().max(1.0);
     let appx1 = (p.r * (p.r - 1) / 2) as f64 * list_blocks;
     let appx2 = (2 * p.r) as f64 * list_blocks;
-    SizeCost { exact1, exact2, exact3, appx1, appx2 }
+    let appx2_plus = appx2 + ((p.n_total + p.m) * entry::PREFIX_POINT) as f64 / b;
+    SizeCost { exact1, exact2, exact3, appx1, appx2, appx2_plus }
 }
 
 #[cfg(test)]
@@ -178,6 +191,8 @@ mod tests {
         };
         let q = query_cost(&p);
         assert!(q.appx1 < q.appx2);
+        assert!(q.appx2 < q.appx2_plus);
+        assert!(q.appx2_plus < q.exact3);
         assert!(q.appx2 < q.exact3);
         assert!(q.exact3 < q.exact1);
         assert!(q.exact1 < q.exact2);
@@ -188,6 +203,7 @@ mod tests {
         let s = size_cost(&p);
         assert!(s.appx2 < s.appx1, "dyadic ≪ all-pairs");
         assert!(s.appx1 < s.exact3, "appx1 smaller than data at paper params");
+        assert!(s.appx2 < s.appx2_plus && s.appx2_plus < s.exact1, "prefix points < segments");
     }
 
     #[test]

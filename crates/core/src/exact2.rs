@@ -103,8 +103,8 @@ impl Exact2 {
         }
     }
 
-    /// `σ_i(t1, t2)` for one object (Eq. (2)); public because APPX2+ uses
-    /// exactly this per-candidate re-scoring.
+    /// `σ_i(t1, t2)` for one object (Eq. (2)); public as the bitwise oracle
+    /// for [`crate::PackedPrefix`], which APPX2+ re-scores from.
     pub fn score_one(&self, id: ObjectId, t1: f64, t2: f64) -> Result<f64> {
         if id as usize >= self.trees.len() {
             return Err(crate::CoreError::NoSuchObject(id));

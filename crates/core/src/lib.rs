@@ -18,7 +18,7 @@
 //! | [`Exact3`] (§2) | one interval tree, two stabbing queries | exact | `O(log_B N + m/B)` |
 //! | [`ApproxIndex`] APPX1-B/1 (§3) | breakpoints + nested B+-trees | `(ε, 1)` | `O(k/B + log_B r)` |
 //! | [`ApproxIndex`] APPX2-B/2 (§3) | breakpoints + dyadic intervals | `(ε, 2 log r)` | `O(k log r)` |
-//! | [`ApproxIndex`] APPX2+ (§3.3) | APPX2 + exact candidate re-scoring | `(ε, 2 log r)`, near-exact in practice | `O(k log r log_B n)` |
+//! | [`ApproxIndex`] APPX2+ (§3.3) | APPX2 + exact candidate re-scoring from [`PackedPrefix`] | `(ε, 2 log r)`, near-exact in practice | `O(k log r log n/B)` |
 //!
 //! Breakpoints come in the two flavours of §3.1 — [`Breakpoints::b1_with_eps`]
 //! (global sum reaches `εM` per gap, `r = Θ(1/ε)`) and [`Breakpoints::b2_with_eps`]
@@ -55,6 +55,7 @@ mod exact3;
 mod method;
 pub mod metrics;
 mod object;
+mod packed;
 mod query1;
 mod query2;
 mod streambuild;
@@ -71,6 +72,7 @@ pub use exact2::Exact2;
 pub use exact3::Exact3;
 pub use method::{GenerationProfile, MethodProfile, SharedMethod, TopKMethod};
 pub use object::{AppendRecord, ObjectId, TemporalObject, TemporalSet};
+pub use packed::{PackedPrefix, PackedPrefixBuilder, PackedScorer};
 pub use query1::Query1Index;
 pub use query2::Query2Index;
 pub use streambuild::{b2_streaming, scan_stats, StreamStats, StreamedB2};

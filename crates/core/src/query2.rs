@@ -14,9 +14,10 @@
 //!   in practice accuracy is close to QUERY1 — paper Fig. 12),
 //! * query cost `O(k log r)` IOs.
 //!
-//! The `+` variant (APPX2+) re-scores each candidate in `K` exactly with an
-//! EXACT2 lookup, trading `O(k log r log_B n)` extra IOs for near-exact
-//! answers; see [`crate::ApproxIndex`].
+//! The `+` variant (APPX2+) re-scores each candidate in `K` exactly from
+//! per-object prefix sums ([`crate::PackedPrefix`]), trading
+//! `O(k log r · log(n/B))` extra IOs for near-exact answers; see
+//! [`crate::ApproxIndex`].
 
 use crate::agg::AggKind;
 use crate::breakpoints::Breakpoints;

@@ -486,7 +486,7 @@ mod tests {
         let cfg = ApproxConfig { kmax: 4, ..Default::default() };
         let mut pairs: Vec<(Box<dyn RankMethod>, Box<dyn RankMethod>)> =
             vec![(Box::new(e1_mem), Box::new(e1_str)), (Box::new(e3_mem), Box::new(e3_str))];
-        for v in [ApproxVariant::APPX1, ApproxVariant::APPX2] {
+        for v in [ApproxVariant::APPX1, ApproxVariant::APPX2, ApproxVariant::APPX2_PLUS] {
             let mem = ApproxIndex::build_with_breakpoints(
                 Env::mem(StoreConfig::default()),
                 &set,
@@ -515,15 +515,6 @@ mod tests {
                 }
             }
         }
-        // APPX2+ has no streaming path: the EXACT2 forest is per-object.
-        assert!(ApproxIndex::build_streaming(
-            Env::mem(StoreConfig::default()),
-            objs(),
-            ApproxVariant::APPX2_PLUS,
-            cfg,
-            bp,
-        )
-        .is_err());
     }
 
     #[test]

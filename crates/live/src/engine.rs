@@ -936,6 +936,18 @@ impl IngestEngine {
             r.build_stages.b2_sweeps,
         );
         g("chronorank_live_index_bytes", "bytes across published generations", r.index_bytes);
+        {
+            let statuses = self.statuses.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            for route in Route::ALL {
+                registry
+                    .gauge_with(
+                        "chronorank_live_route_index_bytes",
+                        "bytes of the files each route reads across published generations (a shared file counts for every route using it)",
+                        &[("route", route.name())],
+                    )
+                    .set_u64(statuses.iter().map(|s| s.route_bytes[route.idx()]).sum());
+            }
+        }
         g("chronorank_live_tail_segments", "appended segments in mutable tails", r.tail_segments);
         self.obs.tail_bytes.set_u64(r.tail_bytes);
         self.obs.tail_objects.set_u64(r.tail_objects);

@@ -48,8 +48,11 @@ pub(crate) struct GenMeta {
     pub breakpoints: Option<Breakpoints>,
     /// Largest `k` the approximate routes answer.
     pub kmax: usize,
-    /// Bytes across all built structures.
+    /// Bytes across all built structures (a shared file counted once).
     pub size_bytes: u64,
+    /// Bytes of the files each route reads (a shared file counts for
+    /// every route using it).
+    pub route_bytes: [u64; 5],
     /// Off-thread wall time of the build.
     pub build_secs: f64,
     /// Where that time went, per stage.
@@ -159,10 +162,17 @@ impl Generation {
         built: chronorank_serve::BuiltRoutes,
         build_secs: f64,
     ) -> Self {
-        let chronorank_serve::BuiltRoutes { methods, breakpoints, exact1, exact3, stages } = built;
+        let route_bytes = built.route_bytes();
+        let chronorank_serve::BuiltRoutes {
+            methods,
+            breakpoints,
+            exact1,
+            exact3,
+            stages,
+            size_bytes,
+        } = built;
         let profiles: RouteProfiles =
             std::array::from_fn(|i| methods[i].as_ref().map(|m| m.profile()));
-        let size_bytes = methods.iter().flatten().map(|m| m.size_bytes()).sum();
         let meta = GenMeta {
             generation,
             built_mass: snapshot.total_mass(),
@@ -170,6 +180,7 @@ impl Generation {
             breakpoints,
             kmax,
             size_bytes,
+            route_bytes,
             build_secs,
             stages,
         };

@@ -133,6 +133,7 @@ pub(crate) struct ShardStatus {
     pub cache_lookups: u64,
     pub cache_invalidations: u64,
     pub size_bytes: u64,
+    pub route_bytes: [u64; 5],
     /// Heap bytes held by the columnar append log (tail columns + index
     /// lists).
     pub tail_bytes: u64,
@@ -568,12 +569,13 @@ impl ShardState {
 
     fn status(&mut self) -> ShardStatus {
         self.status_seq += 1;
-        let (generation, built_mass, profiles, size_bytes, gen_io) = match &self.gen {
+        let (generation, built_mass, profiles, size_bytes, route_bytes, gen_io) = match &self.gen {
             Some(i) => {
                 let m = &i.gen.meta;
-                (m.generation, m.built_mass, m.profiles, m.size_bytes, i.gen.io_total())
+                let io = i.gen.io_total();
+                (m.generation, m.built_mass, m.profiles, m.size_bytes, m.route_bytes, io)
             }
-            None => (0, 0.0, [None; 5], 0, IoStats::default()),
+            None => (0, 0.0, [None; 5], 0, [0; 5], IoStats::default()),
         };
         ShardStatus {
             seq: self.status_seq,
@@ -592,6 +594,7 @@ impl ShardState {
             cache_lookups: self.cache_lookups,
             cache_invalidations: self.cache_invalidations,
             size_bytes,
+            route_bytes,
             tail_bytes: self.live.tail_bytes() as u64,
             tail_objects: self.live.tail_objects() as u64,
         }

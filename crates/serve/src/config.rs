@@ -43,13 +43,26 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Derive the storage settings from an explicit memory budget: the
-    /// budget's pool share is split over the files the engine keeps open —
-    /// roughly `4 × workers` long-lived [`chronorank_storage::PagedFile`]s
-    /// (per shard: the EXACT3 tree plus an approximate index's directory,
-    /// sub-tree and list files). Everything else in `self` is unchanged.
+    /// budget's pool share is split over the long-lived
+    /// [`chronorank_storage::PagedFile`]s the engine keeps open,
+    /// [`ServeConfig::files_per_shard`] `× workers` — none of which depends
+    /// on the number of objects. Everything else in `self` is unchanged.
     pub fn with_scale_budget(mut self, budget: ScaleBudget) -> Self {
-        self.store = budget.store_config(4 * self.workers.max(1));
+        self.store = budget.store_config(self.files_per_shard() * self.workers.max(1));
         self
+    }
+
+    /// Long-lived index files one shard holds under `self.methods`: the
+    /// EXACT3 tree; the EXACT1 tree; QUERY2's list and directory files
+    /// (one structure behind APPX2 and APPX2+); the APPX2+ prefix file;
+    /// and QUERY1's list file, directory and `r − 1` sub-trees. Five under
+    /// the default [`MethodSet`].
+    pub fn files_per_shard(&self) -> usize {
+        let m = self.methods;
+        1 + m.exact1 as usize
+            + 2 * (m.appx2 || m.appx2_plus) as usize
+            + m.appx2_plus as usize
+            + if m.appx1 { self.approx.r + 1 } else { 0 }
     }
 }
 
@@ -59,7 +72,8 @@ mod tests {
 
     #[test]
     fn scale_budget_sizes_pools_per_worker() {
-        let budget = ScaleBudget::new(64 << 20);
+        // 10 240 pool frames: divisible by 5 files × 4 workers.
+        let budget = ScaleBudget::new(80 << 20);
         let one = ServeConfig { workers: 1, ..Default::default() }.with_scale_budget(budget);
         let four = ServeConfig { workers: 4, ..Default::default() }.with_scale_budget(budget);
         assert_eq!(one.store.block_size, budget.block_size());
@@ -67,5 +81,22 @@ mod tests {
         // Other settings survive the builder untouched.
         assert_eq!(one.workers, 1);
         assert_eq!(four.workers, 4);
+    }
+
+    #[test]
+    fn files_per_shard_is_what_a_shard_build_opens() {
+        use chronorank_core::{ApproxIndex, ApproxVariant};
+        use chronorank_workloads::{DatasetGenerator, TempConfig, TempGenerator};
+        let set =
+            TempGenerator::new(TempConfig { objects: 60, avg_segments: 20, ..Default::default() })
+                .generate_set();
+        let cfg = ServeConfig::default();
+        assert_eq!(cfg.files_per_shard(), 5);
+        // The approximate side, counted by the environments that created
+        // the files: QUERY2 (shared, 2) + the prefix file; all of QUERY1.
+        let built = |v| ApproxIndex::build(&set, v, cfg.approx).unwrap().num_files();
+        assert_eq!(built(ApproxVariant::APPX2_PLUS), 3);
+        let with_appx1 = ServeConfig { methods: MethodSet { appx1: true, ..cfg.methods }, ..cfg };
+        assert_eq!(with_appx1.files_per_shard(), 5 + built(ApproxVariant::APPX1));
     }
 }

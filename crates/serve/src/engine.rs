@@ -750,6 +750,13 @@ impl ServeEngine {
                     &[("route", route.name())],
                 )
                 .set_u64((stats.secs * 1e6) as u64);
+            registry
+                .gauge_with(
+                    "chronorank_serve_route_index_bytes",
+                    "bytes of the files each route reads, summed over shards (a shared file counts for every route using it)",
+                    &[("route", route.name())],
+                )
+                .set_u64(self.shards.iter().map(|s| s.facts().route_bytes[route.idx()]).sum());
         }
     }
 

@@ -110,7 +110,8 @@ pub struct MethodSet {
     pub appx1: bool,
     /// Build APPX2 (`(ε, 2 log r)`; the cheap approximate workhorse).
     pub appx2: bool,
-    /// Build APPX2+ (APPX2 + EXACT2 re-scorer; near-exact in practice).
+    /// Build APPX2+ (APPX2 + exact re-scoring from a packed prefix-sum file;
+    /// near-exact in practice).
     pub appx2_plus: bool,
 }
 

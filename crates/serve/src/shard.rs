@@ -19,7 +19,7 @@ use crate::planner::{MethodSet, Route, RouteProfiles};
 use crate::query::ServeQuery;
 use chronorank_core::{
     AggKind, ApproxConfig, ApproxIndex, ApproxVariant, Breakpoints, Exact1, Exact3, IndexConfig,
-    ObjectId, SharedMethod, TemporalSet,
+    ObjectId, Query2Index, QueryKind, RankMethod, SharedMethod, TemporalSet,
 };
 use chronorank_storage::{Env, IoStats, StoreConfig};
 use std::collections::hash_map::Entry;
@@ -43,7 +43,12 @@ pub(crate) struct ShardFacts {
     /// [`chronorank_core::TopKMethod::profile`] surface the planner
     /// dispatches on.
     pub profiles: RouteProfiles,
+    /// Bytes across the shard's distinct index files.
     pub size_bytes: u64,
+    /// What each route reads from, per [`Route`] (`0` where disabled). A
+    /// file two routes share counts for both, so these can sum past
+    /// `size_bytes`.
+    pub route_bytes: [u64; 5],
     /// This partition's time domain (the engine merges all shards').
     pub t_min: f64,
     pub t_max: f64,
@@ -140,6 +145,16 @@ pub struct BuiltRoutes {
     pub exact3: Arc<Exact3>,
     /// What each stage of this build cost.
     pub stages: BuildStages,
+    /// Bytes across the distinct index files: the QUERY2 structure APPX2
+    /// and APPX2+ share is in both routes' `size_bytes()` but once here.
+    pub size_bytes: u64,
+}
+
+impl BuiltRoutes {
+    /// `size_bytes()` of every route's method (`0` where disabled).
+    pub fn route_bytes(&self) -> [u64; 5] {
+        std::array::from_fn(|i| self.methods[i].as_ref().map_or(0, |m| m.size_bytes()))
+    }
 }
 
 fn micros_since(t0: Instant) -> u64 {
@@ -205,20 +220,35 @@ pub fn assemble_route_methods(
     }
     built[Route::Exact3.idx()] = Some(Box::new(Arc::clone(&exact3)));
     let approx = ApproxConfig { store, ..approx };
+    // APPX2 and APPX2+ probe one QUERY2 structure: whichever is built
+    // first builds it, the other shares it.
+    let mut query2: Option<Arc<Query2Index>> = None;
+    let mut shared_bytes = 0;
     for (flag, route, variant) in [
         (methods.appx1, Route::Appx1, ApproxVariant::APPX1),
         (methods.appx2, Route::Appx2, ApproxVariant::APPX2),
         (methods.appx2_plus, Route::Appx2Plus, ApproxVariant::APPX2_PLUS),
     ] {
-        if flag {
-            let bp = breakpoints.clone().expect("breakpoints exist when any approx is built");
-            let idx =
-                ApproxIndex::build_with_breakpoints(Env::mem(store), set, variant, approx, bp)?;
-            built[route.idx()] = Some(Box::new(idx));
+        if !flag {
+            continue;
         }
+        let env = Env::mem(store);
+        let idx = match &query2 {
+            Some(q2) if variant.query == QueryKind::Q2 => {
+                shared_bytes = q2.size_bytes();
+                ApproxIndex::build_with_query2(env, set, variant, approx, Arc::clone(q2))?
+            }
+            _ => {
+                let bp = breakpoints.clone().expect("breakpoints exist when any approx is built");
+                ApproxIndex::build_with_breakpoints(env, set, variant, approx, bp)?
+            }
+        };
+        query2 = query2.or_else(|| idx.query2().cloned());
+        built[route.idx()] = Some(Box::new(idx));
     }
     let stages = BuildStages { appx_us: micros_since(t0), ..BuildStages::default() };
-    Ok(BuiltRoutes { methods: built, breakpoints, exact1, exact3, stages })
+    let size_bytes = built.iter().flatten().map(|m| m.size_bytes()).sum::<u64>() - shared_bytes;
+    Ok(BuiltRoutes { methods: built, breakpoints, exact1, exact3, stages, size_bytes })
 }
 
 /// One partition's built, immutable index snapshot (see module docs).
@@ -244,14 +274,15 @@ impl Shard {
         cfg: &ServeConfig,
     ) -> chronorank_core::Result<Self> {
         let store = cfg.store;
-        let BuiltRoutes { methods, breakpoints, stages, .. } =
-            build_route_methods_with_handles(set, cfg.methods, cfg.approx, store)?;
-        let size_bytes = methods.iter().flatten().map(|m| m.size_bytes()).sum();
+        let built = build_route_methods_with_handles(set, cfg.methods, cfg.approx, store)?;
+        let route_bytes = built.route_bytes();
+        let BuiltRoutes { methods, breakpoints, stages, size_bytes, .. } = built;
         let facts = ShardFacts {
             m: set.num_objects() as u64,
             n: set.num_segments(),
             profiles: std::array::from_fn(|i| methods[i].as_ref().map(|m| m.profile())),
             size_bytes,
+            route_bytes,
             t_min: set.t_min(),
             t_max: set.t_max(),
             block: store.block_size as u64,
@@ -275,7 +306,10 @@ impl Shard {
         self.latency_us.store(latency.map_or(0, |d| d.as_micros() as u64), Ordering::Relaxed);
     }
 
-    /// Cumulative IO across all of this shard's indexes.
+    /// Cumulative IO across all of this shard's indexes. Every route's
+    /// counter holds only what its own queries did — reads in a structure
+    /// two routes share are credited to the route that asked — so the sum
+    /// counts each block once.
     pub(crate) fn io_total(&self) -> IoStats {
         self.methods.iter().flatten().map(|m| m.io_stats()).sum()
     }
@@ -390,5 +424,63 @@ impl Shard {
             }
         }
         Ok(top.entries().iter().map(|&(id, s)| (self.global_ids[id as usize], s)).collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chronorank_storage::IoCounter;
+    use chronorank_workloads::{DatasetGenerator, TempConfig, TempGenerator};
+
+    fn shard() -> (TemporalSet, Shard) {
+        let set =
+            TempGenerator::new(TempConfig { objects: 200, avg_segments: 40, ..Default::default() })
+                .generate_set();
+        let cfg = ServeConfig { cache_capacity: 0, ..Default::default() };
+        let ids = (0..set.num_objects() as ObjectId).collect();
+        let shard = Shard::build(&set, ids, &cfg).unwrap();
+        (set, shard)
+    }
+
+    #[test]
+    fn a_file_two_routes_share_is_sized_once() {
+        let (set, shard) = shard();
+        let facts = shard.facts();
+        let [e1, e3, _, appx2, appx2_plus] = facts.route_bytes;
+        // APPX2 is the QUERY2 structure alone; APPX2+ is the same structure
+        // plus its prefix file.
+        let plus = ApproxIndex::build_with_breakpoints(
+            Env::mem(StoreConfig::default()),
+            &set,
+            ApproxVariant::APPX2_PLUS,
+            ApproxConfig::default(),
+            shard.breakpoints.clone().unwrap(),
+        )
+        .unwrap();
+        let prefix = plus.rescorer().unwrap().size_bytes();
+        assert_eq!(appx2_plus, appx2 + prefix);
+        assert_eq!(facts.size_bytes, e1 + e3 + appx2 + prefix, "distinct files only");
+    }
+
+    #[test]
+    fn a_shared_read_is_charged_once_and_to_the_route_that_asked() {
+        let (set, shard) = shard();
+        let q =
+            ServeQuery::exact(set.t_min() + 0.2 * set.span(), set.t_min() + 0.6 * set.span(), 10);
+        let reads = |route: Route| shard.methods[route.idx()].as_ref().unwrap().io_stats().reads;
+        for (asked, other) in [(Route::Appx2, Route::Appx2Plus), (Route::Appx2Plus, Route::Appx2)] {
+            for m in shard.methods.iter().flatten() {
+                m.drop_caches().unwrap();
+            }
+            let (total, own, others) = (shard.io_total().reads, reads(asked), reads(other));
+            let before = IoCounter::thread_reads();
+            shard.probe(asked, q).unwrap();
+            let did = IoCounter::thread_reads() - before;
+            assert!(did > 0, "{}: a cold probe reads", asked.name());
+            assert_eq!(shard.io_total().reads - total, did, "{}: shard total", asked.name());
+            assert_eq!(reads(asked) - own, did, "{}: its own counter", asked.name());
+            assert_eq!(reads(other), others, "{}: the sharer's counter", other.name());
+        }
     }
 }

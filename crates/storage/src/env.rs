@@ -17,8 +17,8 @@ use crate::pool::{PagedFile, StoreConfig};
 use crate::stats::{IoCounter, IoStats};
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Where an [`Env`] places its files.
 #[derive(Debug, Clone)]
@@ -39,6 +39,9 @@ pub struct Env {
     /// own namespace while sharing the counter).
     prefix: String,
     children: AtomicU32,
+    /// Files created through this environment and every sub-environment
+    /// spawned from it (see [`Env::num_files`]).
+    files: Arc<AtomicUsize>,
 }
 
 impl Env {
@@ -51,6 +54,7 @@ impl Env {
             names: Mutex::new(HashSet::new()),
             prefix: String::new(),
             children: AtomicU32::new(0),
+            files: Arc::default(),
         }
     }
 
@@ -65,24 +69,48 @@ impl Env {
             names: Mutex::new(HashSet::new()),
             prefix: String::new(),
             children: AtomicU32::new(0),
+            files: Arc::default(),
         })
     }
 
     /// A sub-environment with its own file namespace but **sharing this
-    /// environment's IO counter** — used by composite indexes (e.g. APPX2+
-    /// combines QUERY2 with an EXACT2 forest and reports one IO total).
+    /// environment's IO counter** — used by composite indexes (e.g. APPX1
+    /// combines a directory tree, sub-trees and a list file and reports one
+    /// IO total).
     /// Concurrent callers get distinct namespaces: the child ordinal is a
     /// single atomic increment.
     pub fn child(&self) -> Env {
+        self.sub_env(self.counter.clone())
+    }
+
+    /// A sub-environment with its own file namespace **and its own IO
+    /// counter** — for a structure several indexes share (APPX2 and APPX2+
+    /// probe one QUERY2 index): each sharer credits the reads its own
+    /// queries did there to itself ([`IoCounter::credit`]), so no read is
+    /// charged to an index that did not ask for it.
+    pub fn detached_child(&self) -> Env {
+        self.sub_env(IoCounter::new())
+    }
+
+    fn sub_env(&self, counter: IoCounter) -> Env {
         let n = self.children.fetch_add(1, Ordering::Relaxed);
         Env {
             backing: self.backing.clone(),
             config: self.config,
-            counter: self.counter.clone(),
+            counter,
             names: Mutex::new(HashSet::new()),
             prefix: format!("{}c{n}_", self.prefix),
             children: AtomicU32::new(0),
+            files: Arc::clone(&self.files),
         }
+    }
+
+    /// How many [`PagedFile`]s this environment and all of its
+    /// sub-environments have created — each one holds a private buffer
+    /// pool, so this is the number a memory budget divides its pool share
+    /// by.
+    pub fn num_files(&self) -> usize {
+        self.files.load(Ordering::Relaxed)
     }
 
     /// The environment's block size.
@@ -112,6 +140,7 @@ impl Env {
                 Box::new(FileDevice::create(&path, self.config.block_size)?)
             }
         };
+        self.files.fetch_add(1, Ordering::Relaxed);
         Ok(PagedFile::new(device, self.config, self.counter.clone()))
     }
 
@@ -183,6 +212,22 @@ mod tests {
         f.read(id, &mut buf).unwrap();
         assert_eq!(buf[0], 9);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sub_environments_count_files_together_and_detached_ones_count_io_apart() {
+        let env = Env::mem(StoreConfig { block_size: 128, pool_capacity: 2 });
+        let (child, detached) = (env.child(), env.detached_child());
+        for e in [&env, &child, &detached] {
+            let f = e.create_file("f").unwrap();
+            let id = f.allocate(1).unwrap();
+            f.write(id, &[7u8; 128]).unwrap();
+            f.flush().unwrap();
+        }
+        assert_eq!(env.num_files(), 3);
+        assert_eq!(detached.num_files(), 3);
+        assert_eq!(env.io_stats().writes, 2, "the child shares the counter");
+        assert_eq!(detached.io_stats().writes, 1, "the detached child owns its counter");
     }
 
     #[test]

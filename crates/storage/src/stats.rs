@@ -131,6 +131,19 @@ impl IoCounter {
         THREAD_READS.with(Cell::get)
     }
 
+    /// Credit IO that was already counted — and, for reads, already
+    /// tallied on its thread — through **another** counter: how an index
+    /// attributes to itself what its queries did in a structure it shares
+    /// with other indexes. Leaves [`IoCounter::thread_reads`] alone, so a
+    /// caller differencing the thread tally around a probe never sees a
+    /// read twice.
+    pub fn credit(&self, io: IoStats) {
+        self.inner.reads.fetch_add(io.reads, Ordering::Relaxed);
+        self.inner.writes.fetch_add(io.writes, Ordering::Relaxed);
+        self.inner.wal_writes.fetch_add(io.wal_writes, Ordering::Relaxed);
+        self.inner.wal_bytes.fetch_add(io.wal_bytes, Ordering::Relaxed);
+    }
+
     /// Record `n` block writes.
     pub fn add_writes(&self, n: u64) {
         self.inner.writes.fetch_add(n, Ordering::Relaxed);
@@ -293,6 +306,17 @@ mod tests {
             }
         });
         assert_eq!(shared.snapshot().reads, 3 + 7 + 11);
+    }
+
+    #[test]
+    fn credit_moves_the_counter_but_not_the_thread_tally() {
+        let (shared, own) = (IoCounter::new(), IoCounter::new());
+        let before = IoCounter::thread_reads();
+        shared.add_reads(4);
+        own.credit(IoStats { reads: IoCounter::thread_reads() - before, ..Default::default() });
+        own.credit(io(0, 3));
+        assert_eq!(own.snapshot(), io(4, 3));
+        assert_eq!(IoCounter::thread_reads() - before, 4, "credited reads are not re-tallied");
     }
 
     #[test]

@@ -65,6 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "chronorank_serve_build_us",
         "chronorank_serve_build_stage_us",
         "chronorank_serve_build_b2_sweeps",
+        "chronorank_serve_index_bytes",
+        "chronorank_serve_route_index_bytes",
         "chronorank_net_frames_in",
         "chronorank_net_frame_decode_us",
         "chronorank_net_frame_encode_us",
@@ -78,8 +80,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         text.len(),
         families.len()
     );
-    // Routing decisions, then "where did the build go" from the same scrape.
-    for prefix in ["chronorank_serve_route_total", "chronorank_serve_build_"] {
+    // Routing decisions, "where did the build go" and "which route owns the
+    // index bytes" from the same scrape.
+    for prefix in [
+        "chronorank_serve_route_total",
+        "chronorank_serve_build_",
+        "chronorank_serve_index_bytes",
+        "chronorank_serve_route_index_bytes",
+    ] {
         for line in text.lines().filter(|l| l.starts_with(prefix)) {
             println!("  {line}");
         }

@@ -1,0 +1,48 @@
+//! Tier-1 space gate (ISSUE 13): what one serve shard's indexes weigh per
+//! segment, and that no index opens files in proportion to the object
+//! count — the EXACT2 forest APPX2+ used to re-score from did both
+//! (114 B/segment and `m` files on this shard).
+
+use chronorank::core::{ApproxConfig, ApproxIndex, ApproxVariant, TemporalSet};
+use chronorank::serve::{build_route_methods_with_handles, MethodSet, Route};
+use chronorank::storage::StoreConfig;
+use chronorank::workloads::{DatasetGenerator, TempConfig, TempGenerator};
+
+fn temp(objects: usize) -> TemporalSet {
+    TempGenerator::new(TempConfig { objects, avg_segments: 100, ..Default::default() })
+        .generate_set()
+}
+
+/// One shard of the benchmark's `exact_cold` engine: Temp, m = 2000,
+/// n_avg = 100, every default.
+#[test]
+fn an_exact_cold_shard_stays_under_125_bytes_per_segment() {
+    let set = temp(2000);
+    let built = build_route_methods_with_handles(
+        &set,
+        MethodSet::default(),
+        ApproxConfig::default(),
+        StoreConfig::default(),
+    )
+    .unwrap();
+    let per_segment = |bytes: u64| bytes as f64 / set.num_segments() as f64;
+    let routes = built.route_bytes();
+    let total = per_segment(built.size_bytes);
+    let appx2_plus = per_segment(routes[Route::Appx2Plus.idx()]);
+    assert!(total <= 125.0, "shard total {total:.1} B/segment; per route {routes:?}");
+    assert!(appx2_plus <= 35.0, "APPX2+ route {appx2_plus:.1} B/segment");
+    // The shared QUERY2 structure is in both routes but once in the total.
+    let distinct: u64 = routes.iter().sum::<u64>() - routes[Route::Appx2.idx()];
+    assert_eq!(built.size_bytes, distinct);
+}
+
+#[test]
+fn appx2plus_opens_the_same_files_at_any_object_count() {
+    let files = |objects| {
+        ApproxIndex::build(&temp(objects), ApproxVariant::APPX2_PLUS, ApproxConfig::default())
+            .unwrap()
+            .num_files()
+    };
+    assert_eq!(files(50), 3, "QUERY2 lists + directory, one prefix file");
+    assert_eq!(files(50), files(1000));
+}
