@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # CI gate for the chronorank workspace. Usage: ./ci.sh
+#   ./ci.sh --lines   only the non-test line report printed after the timings
 #
 # Stages:
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
@@ -46,8 +47,8 @@
 # Every smoke artifact goes under target/ so the committed full-scale
 # BENCH_*.json and results/ CSVs are never clobbered by quick numbers.
 #
-# A per-stage wall-clock summary is printed at the end; on failure the
-# offending stage is named. The property suites honour PROPTEST_CASES;
+# A per-stage wall-clock summary is printed at the end, then non-test
+# Rust lines per crate; on failure the offending stage is named. The property suites honour PROPTEST_CASES;
 # the fixed default below keeps the whole script comfortably inside the
 # CI budget while still running every property at a meaningful case
 # count. Raise it locally (e.g. PROPTEST_CASES=1000 ./ci.sh) for a
@@ -73,12 +74,33 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
 }
 
+# Non-test Rust lines per crate: every src/**/*.rs up to its first
+# `#[cfg(test)]`. The number a CHANGES entry quotes as "net lines
+# deleted" (diff two runs of `./ci.sh --lines`).
+print_lines() {
+    echo
+    echo "== non-test Rust lines per crate"
+    local dir n total=0
+    for dir in crates/*/; do
+        n=$(find "$dir/src" -name '*.rs' -print0 |
+            xargs -0 awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }')
+        printf '  %-18s %6d\n' "$(basename "$dir")" "$n"
+        total=$((total + n))
+    done
+    printf '  %-18s %6d\n' "total" "$total"
+}
+
 on_failure() {
     echo
     echo "CI FAILED in stage: $CURRENT_STAGE" >&2
     print_timings
 }
 trap on_failure ERR
+
+if [[ "${1:-}" == "--lines" ]]; then
+    print_lines
+    exit 0
+fi
 
 stage() {
     CURRENT_STAGE="$1"
@@ -206,4 +228,5 @@ stage bench-regression bench_regression
 stage benchmark-smoke  benchmark_smoke
 
 print_timings
+print_lines
 echo "CI OK"

@@ -31,6 +31,7 @@ use crate::query1::Query1Index;
 use crate::query2::Query2Index;
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use chronorank_storage::{Env, IoCounter, IoStats, StoreConfig};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Which query structure a variant uses.
@@ -136,33 +137,30 @@ pub struct ApproxIndex {
     built_mass: f64,
 }
 
+impl ApproxConfig {
+    /// The breakpoint set this configuration asks for over `set`: the
+    /// explicit `ε` when given, else fitted to `r`.
+    fn breakpoints(&self, set: &TemporalSet, kind: BreakpointsKind) -> Result<Breakpoints> {
+        match (kind, self.eps) {
+            (BreakpointsKind::B1, Some(eps)) => Breakpoints::b1_with_eps(set, eps),
+            (BreakpointsKind::B1, None) => Breakpoints::b1_with_count(set, self.r),
+            (BreakpointsKind::B2, Some(eps)) => Breakpoints::b2_with_eps(set, eps, self.b2),
+            (BreakpointsKind::B2, None) => Breakpoints::b2_with_count(set, self.r, self.b2),
+        }
+    }
+}
+
 impl ApproxIndex {
-    /// Build the chosen variant over `set`.
+    /// Build the chosen variant over a resident set, in memory.
     pub fn build(set: &TemporalSet, variant: ApproxVariant, config: ApproxConfig) -> Result<Self> {
+        let breakpoints = config.breakpoints(set, variant.breakpoints)?;
         let env = Env::mem(config.store);
-        Self::build_in(env, set, variant, config)
+        Self::build_streaming(env, set.objects(), variant, config, breakpoints)
     }
 
-    /// Build in a caller-supplied environment (all files share its IO
-    /// counter).
-    pub fn build_in(
-        env: Env,
-        set: &TemporalSet,
-        variant: ApproxVariant,
-        config: ApproxConfig,
-    ) -> Result<Self> {
-        let breakpoints = match (variant.breakpoints, config.eps) {
-            (BreakpointsKind::B1, Some(eps)) => Breakpoints::b1_with_eps(set, eps)?,
-            (BreakpointsKind::B1, None) => Breakpoints::b1_with_count(set, config.r)?,
-            (BreakpointsKind::B2, Some(eps)) => Breakpoints::b2_with_eps(set, eps, config.b2)?,
-            (BreakpointsKind::B2, None) => Breakpoints::b2_with_count(set, config.r, config.b2)?,
-        };
-        Self::build_with_breakpoints(env, set, variant, config, breakpoints)
-    }
-
-    /// Build with precomputed breakpoints (lets the bench harness reuse one
-    /// breakpoint set across several variants, as the paper does when
-    /// comparing at equal `r`).
+    /// Build over a resident set with precomputed breakpoints (lets the
+    /// bench harness reuse one breakpoint set across several variants, as
+    /// the paper does when comparing at equal `r`).
     pub fn build_with_breakpoints(
         env: Env,
         set: &TemporalSet,
@@ -170,22 +168,7 @@ impl ApproxIndex {
         config: ApproxConfig,
         breakpoints: Breakpoints,
     ) -> Result<Self> {
-        if variant.query == QueryKind::Q2 {
-            let q2 = Query2Index::build(env.detached_child(), set, breakpoints, config.kmax)?;
-            env.io().credit(q2.io_stats());
-            return Self::build_with_query2(env, set, variant, config, Arc::new(q2));
-        }
-        let q1 = Query1Index::build(env.child(), set, breakpoints.clone(), config.kmax)?;
-        Ok(Self {
-            variant,
-            config,
-            rescorer: pack(&env, variant, set.objects())?,
-            env,
-            breakpoints,
-            q1: Some(q1),
-            q2: None,
-            built_mass: set.total_mass(),
-        })
+        Self::build_streaming(env, set.objects(), variant, config, breakpoints)
     }
 
     /// Build a QUERY2 variant over an **already built** QUERY2 structure —
@@ -203,23 +186,14 @@ impl ApproxIndex {
         if variant.query != QueryKind::Q2 {
             return Err(CoreError::BadQuery(format!("{} is not a QUERY2 variant", variant.name())));
         }
-        Ok(Self {
-            variant,
-            config: ApproxConfig { kmax: q2.kmax(), ..config },
-            rescorer: pack(&env, variant, set.objects())?,
-            env,
-            breakpoints: q2.breakpoints().clone(),
-            q1: None,
-            q2: Some(q2),
-            built_mass: set.total_mass(),
-        })
+        let config = ApproxConfig { kmax: q2.kmax(), ..config };
+        Self::fill(env, set.objects(), variant, config, q2.breakpoints().clone(), Some(q2))
     }
 
     /// Assemble an approximate index from a precomputed (typically
-    /// streamed, see [`crate::b2_streaming`]) breakpoint set plus a fresh
-    /// object stream for the query-structure fill — the paper-scale path:
-    /// no [`TemporalSet`] ever materializes. The `+` re-scorer is written
-    /// in the same pass over the stream.
+    /// streamed, see [`crate::b2_streaming`]) breakpoint set plus an object
+    /// stream, owned or borrowed, for the query-structure fill: no
+    /// [`TemporalSet`] need ever materialize.
     pub fn build_streaming<I>(
         env: Env,
         objects: I,
@@ -228,7 +202,25 @@ impl ApproxIndex {
         breakpoints: Breakpoints,
     ) -> Result<Self>
     where
-        I: IntoIterator<Item = TemporalObject>,
+        I: IntoIterator,
+        I::Item: Borrow<TemporalObject>,
+    {
+        Self::fill(env, objects, variant, config, breakpoints, None)
+    }
+
+    /// One pass over `objects` fills the query structure (unless a built
+    /// QUERY2 structure is `shared`) and, for a `+` variant, the re-scorer.
+    fn fill<I>(
+        env: Env,
+        objects: I,
+        variant: ApproxVariant,
+        config: ApproxConfig,
+        breakpoints: Breakpoints,
+        shared: Option<Arc<Query2Index>>,
+    ) -> Result<Self>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<TemporalObject>,
     {
         let built_mass = breakpoints.mass();
         let mut packer = if variant.plus {
@@ -239,26 +231,23 @@ impl ApproxIndex {
         let mut pack_failed = None;
         let objects = objects.into_iter().inspect(|o| {
             if let (Some(p), true) = (&mut packer, pack_failed.is_none()) {
-                pack_failed = p.push(o).err();
+                pack_failed = p.push(Borrow::<TemporalObject>::borrow(o)).err();
             }
         });
-        let (q1, q2) = match variant.query {
-            QueryKind::Q1 => (
-                Some(Query1Index::build_streaming(
-                    env.child(),
-                    objects,
-                    breakpoints.clone(),
-                    config.kmax,
-                )?),
-                None,
-            ),
-            QueryKind::Q2 => {
-                let q2 = Query2Index::build_streaming(
-                    env.detached_child(),
-                    objects,
-                    breakpoints.clone(),
-                    config.kmax,
-                )?;
+        let (q1, q2) = match (variant.query, shared) {
+            (QueryKind::Q1, _) => {
+                let q1 = Query1Index::build(env.child(), objects, breakpoints.clone(), config.kmax);
+                (Some(q1?), None)
+            }
+            (QueryKind::Q2, Some(q2)) => {
+                if variant.plus {
+                    objects.for_each(drop); // the packer's pass
+                }
+                (None, Some(q2))
+            }
+            (QueryKind::Q2, None) => {
+                let child = env.detached_child();
+                let q2 = Query2Index::build(child, objects, breakpoints.clone(), config.kmax)?;
                 env.io().credit(q2.io_stats());
                 (None, Some(Arc::new(q2)))
             }
@@ -328,23 +317,6 @@ impl ApproxIndex {
 
 /// Name of the re-scorer's file inside an index's environment.
 const PREFIX_FILE: &str = "appx_prefix";
-
-/// Write a `+` variant's re-scorer over in-memory objects (`None` for the
-/// other variants).
-fn pack(
-    env: &Env,
-    variant: ApproxVariant,
-    objects: &[TemporalObject],
-) -> Result<Option<PackedPrefix>> {
-    if !variant.plus {
-        return Ok(None);
-    }
-    let mut packer = PackedPrefixBuilder::new(env.create_file(PREFIX_FILE)?);
-    for o in objects {
-        packer.push(o)?;
-    }
-    packer.finish().map(Some)
-}
 
 impl RankMethod for ApproxIndex {
     fn name(&self) -> String {

@@ -23,6 +23,15 @@
 //!   [`Breakpoints::b2_with_count`] fits `ε` to a breakpoint budget `r`
 //!   with a few sweeps over one prepared segment run.
 //!
+//! There is one BREAKPOINTS2 sweep, `B2Sweeper`: one loop over the queue Q
+//! and one `commit`. It is generic (static dispatch) over where an object's
+//! already-consumed segments live (`Consumed`) and over what feeds it
+//! segments. A resident [`TemporalSet`] sweeps a sorted `Vec` against its
+//! own curves plus a cursor per object (`ResidentRun` / `Cursors`);
+//! [`crate::b2_streaming`] sweeps an external sort's merge against trimmed
+//! pending windows. A change to the sweep — bounding the window, fitting
+//! `r` on a stream — is a change to this one sweeper.
+//!
 //! Negative scores (paper §4) are handled by running both sweeps over
 //! `|g_i|`: curves are pre-split at zero crossings and mirrored, so `M`
 //! and every threshold use absolute mass.
@@ -30,7 +39,8 @@
 use crate::error::{CoreError, Result};
 use crate::object::TemporalSet;
 use chronorank_curve::numeric::accumulation_crossing;
-use chronorank_curve::PiecewiseLinear;
+use chronorank_curve::{PiecewiseLinear, Segment};
+use std::borrow::Cow;
 
 /// Which of the paper's two breakpoint families a [`Breakpoints`] set is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +77,8 @@ pub struct Breakpoints {
 
 impl Breakpoints {
     /// Assemble a breakpoint set from an already-run sweep. Used by the
-    /// streaming construction (`streambuild`), which produces the same
-    /// points as [`B2Sweeper::sweep`] without materializing the dataset.
+    /// streaming construction (`streambuild`), which runs
+    /// [`B2Sweeper::sweep`] without materializing the dataset.
     pub(crate) fn from_sweep(kind: BreakpointsKind, points: Vec<f64>, eps: f64, mass: f64) -> Self {
         Self { kind, points, eps, mass }
     }
@@ -93,9 +103,7 @@ impl Breakpoints {
     pub fn b2_with_eps(set: &TemporalSet, eps: f64, construction: B2Construction) -> Result<Self> {
         check_eps(eps)?;
         let tau = eps * set.total_mass();
-        let Sweep::Done(points) = B2Sweeper::new(set, construction)?.sweep(tau, usize::MAX) else {
-            unreachable!("a sweep without a count limit never aborts");
-        };
+        let points = ResidentRun::new(set, construction)?.sweep(tau, usize::MAX)?.done();
         Ok(Self { kind: BreakpointsKind::B2, points, eps, mass: set.total_mass() })
     }
 
@@ -134,12 +142,12 @@ impl Breakpoints {
         if r < 2 {
             return Err(CoreError::BadQuery(format!("need r ≥ 2 breakpoints, got {r}")));
         }
-        let mut sweeper = B2Sweeper::new(set, construction)?;
+        let run = ResidentRun::new(set, construction)?;
         let mass = set.total_mass();
         let hi = 1.0 / (r as f64 - 1.0);
-        let lo = if mass > 0.0 { hi * (sweeper.max_object_mass() / mass).min(1.0) } else { hi };
+        let lo = if mass > 0.0 { hi * (run.max_object_mass() / mass).min(1.0) } else { hi };
         let (eps, points, stats) =
-            fit_count(r, lo, hi, set.span(), |eps, limit| sweeper.sweep(eps * mass, limit));
+            fit_count(r, lo, hi, set.span(), |eps, limit| run.sweep(eps * mass, limit))?;
         Ok((Self { kind: BreakpointsKind::B2, points, eps, mass }, stats))
     }
 
@@ -272,37 +280,16 @@ pub(crate) fn check_eps(eps: f64) -> Result<()> {
 // Absolute-value curve view (negative-score handling, §4)
 // ---------------------------------------------------------------------------
 
-/// The curves the sweeps actually integrate: `|g_i|`, materialized only
-/// when negatives exist.
-enum AbsCurves<'a> {
-    Borrowed(&'a TemporalSet),
-    Owned(Vec<PiecewiseLinear>),
-}
+/// The curves the sweeps actually integrate: `|g_i|` in id order,
+/// materialized only when negatives exist.
+type AbsCurves<'a> = Vec<Cow<'a, PiecewiseLinear>>;
 
-impl<'a> AbsCurves<'a> {
-    fn new(set: &'a TemporalSet) -> Result<Self> {
-        if !set.has_negative() {
-            return Ok(AbsCurves::Borrowed(set));
-        }
-        let mut curves = Vec::with_capacity(set.num_objects());
-        for o in set.objects() {
-            curves.push(abs_curve(&o.curve)?);
-        }
-        Ok(AbsCurves::Owned(curves))
-    }
-
-    fn get(&self, i: usize) -> &PiecewiseLinear {
-        match self {
-            AbsCurves::Borrowed(set) => &set.objects()[i].curve,
-            AbsCurves::Owned(curves) => &curves[i],
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            AbsCurves::Borrowed(set) => set.num_objects(),
-            AbsCurves::Owned(curves) => curves.len(),
-        }
+fn abs_curves(set: &TemporalSet) -> Result<AbsCurves<'_>> {
+    let curves = set.objects().iter().map(|o| &o.curve);
+    if set.has_negative() {
+        curves.map(|c| abs_curve(c).map(Cow::Owned)).collect()
+    } else {
+        Ok(curves.map(Cow::Borrowed).collect())
     }
 }
 
@@ -339,8 +326,7 @@ struct Event {
 
 fn b1_events(curves: &AbsCurves<'_>) -> Vec<Event> {
     let mut events: Vec<Event> = Vec::new();
-    for i in 0..curves.len() {
-        let c = curves.get(i);
+    for c in curves {
         let first = c.segment(0);
         events.push(Event { t: c.start(), dw: first.slope(), dv: first.v0 });
         for j in 1..c.num_segments() {
@@ -358,8 +344,7 @@ fn b1_events(curves: &AbsCurves<'_>) -> Vec<Event> {
 /// BREAKPOINTS1 sweep: emit a breakpoint whenever the global running
 /// integral `I(t) = Σ_i σ_i(b_j, t)` reaches `τ = εM`.
 fn sweep_b1(set: &TemporalSet, tau: f64) -> Result<Vec<f64>> {
-    let curves = AbsCurves::new(set)?;
-    let events = b1_events(&curves);
+    let events = b1_events(&abs_curves(set)?);
     let t_min = set.t_min();
     let t_max = set.t_max();
     let mut points = vec![t_min];
@@ -408,17 +393,63 @@ fn sweep_b1(set: &TemporalSet, tau: f64) -> Result<Vec<f64>> {
 // BREAKPOINTS2: per-object max sweep (baseline and efficient)
 // ---------------------------------------------------------------------------
 
+/// Where the sweep keeps the part of each object it has already consumed —
+/// everything a re-base asks about the past. Two stores exist: [`Cursors`]
+/// over resident curves and `streambuild`'s pending windows.
+pub(crate) trait Consumed {
+    /// Object `i`'s next segment was consumed.
+    fn push(&mut self, i: usize, seg: Segment);
+
+    /// Re-base object `i` at breakpoint `b`: `σ_i(b, frontier)`, where
+    /// `frontier` is the end of the last segment pushed for `i`.
+    /// Breakpoints only move right, so whatever ends at or before `b` may
+    /// be forgotten.
+    fn rebase(&mut self, i: usize, b: f64, frontier: f64) -> f64;
+
+    /// Earliest `t` with `σ_i(b, t) = tau`, for the `b` object `i` was last
+    /// re-based at. Only asked when that re-base returned at least `tau`.
+    fn crossing(&self, i: usize, b: f64, tau: f64) -> Option<f64>;
+}
+
+/// The resident store: every `|g_i|` curve whole, plus per object the
+/// segment holding the breakpoint it was last re-based at. Breakpoints only
+/// move right, so that cursor stands in for the binary search of
+/// `PiecewiseLinear::integral` / `time_to_accumulate`.
+struct Cursors<'a> {
+    curves: &'a AbsCurves<'a>,
+    cursor: Vec<usize>,
+}
+
+impl Consumed for Cursors<'_> {
+    fn push(&mut self, _: usize, _: Segment) {}
+
+    /// Bit for bit what `c.integral(b, frontier)` returns.
+    fn rebase(&mut self, i: usize, b: f64, frontier: f64) -> f64 {
+        if frontier <= b {
+            return 0.0;
+        }
+        let (c, cursor) = (&self.curves[i], &mut self.cursor[i]);
+        // `b < frontier ≤ c.end()` stops the walk inside `times`.
+        while c.times()[*cursor + 1] <= b {
+            *cursor += 1;
+        }
+        c.integral_from(*cursor, b.max(c.start()), frontier)
+    }
+
+    fn crossing(&self, i: usize, b: f64, tau: f64) -> Option<f64> {
+        let c = &self.curves[i];
+        c.time_to_accumulate_from(self.cursor[i], b.max(c.start()), tau)
+    }
+}
+
 /// Per-object sweep state.
 struct ObjState {
     /// Running integral `σ_i(b_cur, frontier)`… relative to the breakpoint
     /// the object was last re-based at (`epoch`).
     integral: f64,
-    /// Time up to which this object's segments have been consumed.
+    /// Time up to which this object's segments have been consumed. Starts
+    /// at `−∞`: nothing consumed re-bases to `0.0`.
     frontier: f64,
-    /// Segment holding the breakpoint `integral` was last re-based at.
-    /// Breakpoints only move right, so this cursor stands in for the
-    /// binary search of `PiecewiseLinear::integral` / `time_to_accumulate`.
-    cursor: usize,
     /// Index into the emitted breakpoint list at whose value `integral`
     /// was last re-based.
     epoch: usize,
@@ -427,24 +458,8 @@ struct ObjState {
     dangerous: bool,
 }
 
-impl ObjState {
-    /// Re-base at breakpoint `b`: `integral = σ_i(b, frontier)`, bit for
-    /// bit what `c.integral(b, frontier)` returns.
-    fn rebase(&mut self, c: &PiecewiseLinear, b: f64) {
-        self.integral = if self.frontier > b {
-            // `b < frontier ≤ c.end()` stops the walk inside `times`.
-            while c.times()[self.cursor + 1] <= b {
-                self.cursor += 1;
-            }
-            c.integral_from(self.cursor, b.max(c.start()), self.frontier)
-        } else {
-            0.0
-        };
-    }
-}
-
 /// How one [`B2Sweeper::sweep`] ended.
-enum Sweep {
+pub(crate) enum Sweep {
     Done(Vec<f64>),
     /// More than `limit` breakpoints were committed; the last one lies
     /// `progress` past the start of the time domain.
@@ -453,17 +468,22 @@ enum Sweep {
     },
 }
 
-/// The BREAKPOINTS2 sweep with everything that does not depend on `τ`
-/// prepared once: the `|g_i|` view, the sorted segment queue and the
-/// per-object state's storage. A count fit runs several sweeps over it.
-struct B2Sweeper<'a> {
-    curves: AbsCurves<'a>,
+impl Sweep {
+    /// The points of a sweep that ran without a count limit.
+    pub(crate) fn done(self) -> Vec<f64> {
+        match self {
+            Sweep::Done(points) => points,
+            Sweep::Aborted { .. } => unreachable!("a sweep without a count limit never aborts"),
+        }
+    }
+}
+
+/// The one BREAKPOINTS2 sweep (§3.1), generic over where consumed segments
+/// live ([`Consumed`]) and over the queue Q it is fed from.
+pub(crate) struct B2Sweeper<'s, S> {
+    store: &'s mut S,
     construction: B2Construction,
-    t_min: f64,
-    t_max: f64,
-    /// All segments as `(t0, object, index)`, sorted by left endpoint (the
-    /// paper's queue Q).
-    segs: Vec<(f64, u32, u32)>,
+    tau: f64,
     st: Vec<ObjState>,
     /// Ids of the objects whose `dangerous` flag is set.
     dangerous: Vec<u32>,
@@ -472,126 +492,107 @@ struct B2Sweeper<'a> {
     /// a running minimum does, because between two commits objects only
     /// *become* dangerous and a commit recomputes every crossing anyway.
     next: f64,
+    points: Vec<f64>,
 }
 
-impl<'a> B2Sweeper<'a> {
-    fn new(set: &'a TemporalSet, construction: B2Construction) -> Result<Self> {
-        let curves = AbsCurves::new(set)?;
-        let mut segs: Vec<(f64, u32, u32)> = Vec::with_capacity(set.num_segments() as usize);
-        for i in 0..curves.len() {
-            let c = curves.get(i);
-            for j in 0..c.num_segments() {
-                segs.push((c.segment(j).t0, i as u32, j as u32));
-            }
+impl<'s, S: Consumed> B2Sweeper<'s, S> {
+    /// One sweep at threshold `tau` over `num_objects` objects on
+    /// `[t_min, t_max]`, fed every `|g_i|` segment as `(object, segment)`
+    /// in left-endpoint order (ties in object order), given up once more
+    /// than `limit` breakpoints are committed.
+    pub(crate) fn sweep(
+        store: &'s mut S,
+        num_objects: usize,
+        construction: B2Construction,
+        (t_min, t_max): (f64, f64),
+        tau: f64,
+        limit: usize,
+        segments: impl Iterator<Item = Result<(u32, Segment)>>,
+    ) -> Result<Sweep> {
+        if tau <= 0.0 {
+            return Ok(Sweep::Done(vec![t_min, t_max]));
         }
-        segs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Ok(Self {
-            st: Vec::with_capacity(curves.len()),
-            curves,
+        let fresh =
+            || ObjState { integral: 0.0, frontier: f64::NEG_INFINITY, epoch: 0, dangerous: false };
+        let mut sw = Self {
+            store,
             construction,
-            t_min: set.t_min(),
-            t_max: set.t_max(),
-            segs,
+            tau,
+            st: (0..num_objects).map(|_| fresh()).collect(),
             dangerous: Vec::new(),
             next: f64::INFINITY,
-        })
-    }
+            points: vec![t_min],
+        };
+        let mut b_cur = t_min;
 
-    /// Heaviest single object's absolute mass, `max_i M_i`.
-    fn max_object_mass(&self) -> f64 {
-        (0..self.curves.len()).map(|i| self.curves.get(i).total()).fold(0.0, f64::max)
-    }
-
-    /// One sweep at threshold `tau`, given up once more than `limit`
-    /// breakpoints are committed.
-    fn sweep(&mut self, tau: f64, limit: usize) -> Sweep {
-        let mut points = vec![self.t_min];
-        if tau <= 0.0 {
-            points.push(self.t_max);
-            return Sweep::Done(points);
-        }
-        self.st.clear();
-        self.st.extend((0..self.curves.len()).map(|i| ObjState {
-            integral: 0.0,
-            frontier: self.curves.get(i).start(),
-            cursor: 0,
-            epoch: 0,
-            dangerous: false,
-        }));
-        self.dangerous.clear();
-        self.next = f64::INFINITY;
-        let mut b_cur = self.t_min;
-
-        for k in 0..self.segs.len() {
-            let (t_l, obj, j) = self.segs[k];
+        for item in segments {
+            let (obj, seg) = item?;
             // Commit any breakpoints that must occur before this segment starts.
-            while t_l > self.next {
-                let b_star = self.next;
-                self.commit(b_star, tau, &mut points);
-                if points.len() > limit {
-                    return Sweep::Aborted { progress: b_star - self.t_min };
+            while seg.t0 > sw.next {
+                b_cur = sw.next;
+                sw.commit(b_cur);
+                if sw.points.len() > limit {
+                    return Ok(Sweep::Aborted { progress: b_cur - t_min });
                 }
-                b_cur = b_star;
             }
             // Lazily re-base this object if breakpoints advanced past its epoch.
             let o = obj as usize;
-            let c = self.curves.get(o);
-            let s = &mut self.st[o];
-            if s.epoch != points.len() - 1 {
-                s.rebase(c, b_cur);
-                s.epoch = points.len() - 1;
+            let s = &mut sw.st[o];
+            if s.epoch != sw.points.len() - 1 {
+                s.integral = sw.store.rebase(o, b_cur, s.frontier);
+                s.epoch = sw.points.len() - 1;
                 debug_assert!(
                     s.integral < tau * (1.0 + 1e-9) + 1e-12 || s.dangerous,
                     "lazy rebase found an unnoticed crossing"
                 );
             }
             // Consume the segment (only its part after the current breakpoint).
-            let seg = c.segment(j as usize);
             let from = seg.t0.max(b_cur);
             let add = if from < seg.t1 { seg.integral_clipped(from, seg.t1) } else { 0.0 };
             if !s.dangerous && s.integral < tau && s.integral + add >= tau {
                 if let Some(t_star) = seg.time_to_accumulate(from, tau - s.integral) {
                     s.dangerous = true;
-                    self.dangerous.push(obj);
-                    self.next = earlier(self.next, t_star);
+                    sw.dangerous.push(obj);
+                    sw.next = earlier(sw.next, t_star);
                 }
             }
             s.integral += add;
             s.frontier = seg.t1;
+            sw.store.push(o, seg);
         }
         // Drain remaining candidates.
-        while self.next < self.t_max {
-            let b_star = self.next;
-            self.commit(b_star, tau, &mut points);
-            if points.len() > limit {
-                return Sweep::Aborted { progress: b_star - self.t_min };
+        while sw.next < t_max {
+            let b_star = sw.next;
+            sw.commit(b_star);
+            if sw.points.len() > limit {
+                return Ok(Sweep::Aborted { progress: b_star - t_min });
             }
         }
-        if *points.last().expect("non-empty") < self.t_max {
-            points.push(self.t_max);
+        if *sw.points.last().expect("non-empty") < t_max {
+            sw.points.push(t_max);
         }
-        Sweep::Done(points)
+        Ok(Sweep::Done(sw.points))
     }
 
     /// Commit breakpoint `b_star` and re-base eagerly, in ascending id
     /// order: the dangerous objects under `Efficient` (everything else is
     /// re-based lazily when its next segment arrives), every object under
     /// `Baseline` (the paper's `O(rm)` resets).
-    fn commit(&mut self, b_star: f64, tau: f64, points: &mut Vec<f64>) {
-        points.push(b_star);
-        let epoch = points.len() - 1;
-        let (curves, st) = (&self.curves, &mut self.st);
+    fn commit(&mut self, b_star: f64) {
+        self.points.push(b_star);
+        let epoch = self.points.len() - 1;
+        let num_objects = self.st.len() as u32;
+        let (store, st, tau) = (&mut *self.store, &mut self.st, self.tau);
         let mut next = f64::INFINITY;
         let mut rebase = |i: u32| {
-            let (c, s) = (curves.get(i as usize), &mut st[i as usize]);
-            s.rebase(c, b_star);
+            let (i, s) = (i as usize, &mut st[i as usize]);
+            s.integral = store.rebase(i, b_star, s.frontier);
             s.epoch = epoch;
             s.dangerous = false;
             if s.integral >= tau {
                 // Still over threshold: a further crossing exists within
                 // the already-consumed region.
-                let from = b_star.max(c.start());
-                if let Some(t_star) = c.time_to_accumulate_from(s.cursor, from, tau) {
+                if let Some(t_star) = store.crossing(i, b_star, tau) {
                     s.dangerous = true;
                     next = earlier(next, t_star);
                 }
@@ -605,20 +606,60 @@ impl<'a> B2Sweeper<'a> {
             }
             B2Construction::Baseline => {
                 self.dangerous.clear();
-                self.dangerous.extend((0..curves.len() as u32).filter(|&i| rebase(i)));
+                self.dangerous.extend((0..num_objects).filter(|&i| rebase(i)));
             }
         }
         self.next = next;
     }
 }
 
-/// The earlier of two crossing times, in the total order the streaming
-/// sweep's heap uses (so a `-0.0`/`+0.0` tie resolves the same way).
+/// The earlier of two crossing times in `f64`'s total order (so a
+/// `-0.0`/`+0.0` tie resolves one way everywhere).
 fn earlier(a: f64, b: f64) -> f64 {
     if b.total_cmp(&a).is_lt() {
         b
     } else {
         a
+    }
+}
+
+/// What the sweeps over one resident set share: the `|g_i|` view and all
+/// its segments as `(t0, object, index)` sorted by left endpoint (the
+/// paper's queue Q), prepared once. A count fit runs several sweeps over it.
+struct ResidentRun<'a> {
+    curves: AbsCurves<'a>,
+    segs: Vec<(f64, u32, u32)>,
+    construction: B2Construction,
+    domain: (f64, f64),
+}
+
+impl<'a> ResidentRun<'a> {
+    fn new(set: &'a TemporalSet, construction: B2Construction) -> Result<Self> {
+        let curves = abs_curves(set)?;
+        let mut segs: Vec<(f64, u32, u32)> = Vec::with_capacity(set.num_segments() as usize);
+        for (i, c) in curves.iter().enumerate() {
+            for j in 0..c.num_segments() {
+                segs.push((c.segment(j).t0, i as u32, j as u32));
+            }
+        }
+        segs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        Ok(Self { curves, segs, construction, domain: (set.t_min(), set.t_max()) })
+    }
+
+    /// Heaviest single object's absolute mass, `max_i M_i`.
+    fn max_object_mass(&self) -> f64 {
+        self.curves.iter().map(|c| c.total()).fold(0.0, f64::max)
+    }
+
+    /// One sweep over the run, on fresh cursors.
+    fn sweep(&self, tau: f64, limit: usize) -> Result<Sweep> {
+        let m = self.curves.len();
+        let mut store = Cursors { curves: &self.curves, cursor: vec![0; m] };
+        let segments = self
+            .segs
+            .iter()
+            .map(|&(_, obj, j)| Ok((obj, self.curves[obj as usize].segment(j as usize))));
+        B2Sweeper::sweep(&mut store, m, self.construction, self.domain, tau, limit, segments)
     }
 }
 
@@ -655,13 +696,11 @@ fn fit_count(
     lo: f64,
     hi: f64,
     span: f64,
-    mut trial: impl FnMut(f64, usize) -> Sweep,
-) -> (f64, Vec<f64>, FitStats) {
+    mut trial: impl FnMut(f64, usize) -> Result<Sweep>,
+) -> Result<(f64, Vec<f64>, FitStats)> {
     let band = (r / 64).max(1);
     let want = r as f64 - 1.0;
-    let Sweep::Done(first) = trial(hi, usize::MAX) else {
-        unreachable!("a sweep without a count limit never aborts");
-    };
+    let first = trial(hi, usize::MAX)?.done();
     let mut stats = FitStats { sweeps: 1, aborted: 0 };
     let mut best_d = first.len().abs_diff(r);
     // `many` has too many points (smaller ε), `few` too few.
@@ -671,7 +710,7 @@ fn fit_count(
     let mut few = End { eps: hi, gaps: Some(last_gaps) };
     let mut best = (hi, first);
     if last_count >= r {
-        return (best.0, best.1, stats);
+        return Ok((best.0, best.1, stats));
     }
     while best_d > band && stats.sweeps < B2_FIT_MAX_SWEEPS {
         // Strictly inside the bracket; the `lo` end itself is fair game
@@ -701,7 +740,7 @@ fn fit_count(
         }
         let limit = r + best_d;
         stats.sweeps += 1;
-        let (count, gaps) = match trial(eps, limit) {
+        let (count, gaps) = match trial(eps, limit)? {
             Sweep::Done(points) => {
                 let count = points.len();
                 if count.abs_diff(r) < best_d {
@@ -730,7 +769,7 @@ fn fit_count(
         }
         (last_eps, last_gaps, last_count) = (eps, gaps, count);
     }
-    (best.0, best.1, stats)
+    Ok((best.0, best.1, stats))
 }
 
 #[cfg(test)]
@@ -844,11 +883,12 @@ mod tests {
         let (eps, points, stats) = fit_count(r, lo, hi, 1.0, |eps, limit| {
             let c = count(eps);
             if c > limit {
-                return Sweep::Aborted { progress: limit as f64 / c as f64 };
+                return Ok(Sweep::Aborted { progress: limit as f64 / c as f64 });
             }
             seen.push(c);
-            Sweep::Done(vec![0.0; c])
-        });
+            Ok(Sweep::Done(vec![0.0; c]))
+        })
+        .unwrap();
         assert_eq!(points.len(), count(eps), "the returned points are those of the returned ε");
         assert_eq!(stats.sweeps as usize, seen.len() + stats.aborted as usize);
         (points.len(), stats, seen)

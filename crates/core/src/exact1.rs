@@ -20,12 +20,13 @@
 
 use crate::agg::AggKind;
 use crate::error::Result;
-use crate::object::{ObjectId, TemporalSet};
+use crate::object::{ObjectId, TemporalObject, TemporalSet};
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
 use chronorank_index::{BPlusTree, ExternalSorter};
 use chronorank_storage::{Env, IoStats, PagedFile};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Segment record payload: `obj u32 | v0 f64 | t1 f64 | v1 f64`
@@ -60,51 +61,21 @@ pub struct Exact1 {
 }
 
 impl Exact1 {
-    /// Build from a temporal set: external-sort all `N` segments by left
-    /// endpoint, then bulk-load the B+-tree.
+    /// Build from a resident set — [`Exact1::build_streaming`] over its
+    /// objects, in memory.
     pub fn build(set: &TemporalSet, config: IndexConfig) -> Result<Self> {
-        let env = Env::mem(config.store);
-        Self::build_in(env, set)
+        let budget = crate::resident_sort_bytes(RECORD_LEN);
+        Self::build_streaming(Env::mem(config.store), set.objects(), budget)
     }
 
-    /// Build using a caller-supplied storage environment.
-    pub fn build_in(env: Env, set: &TemporalSet) -> Result<Self> {
-        let sort_file = env.create_file("exact1_sort")?;
-        let mut sorter = ExternalSorter::new(sort_file, RECORD_LEN, 1 << 16, |rec| {
-            f64::from_le_bytes(rec[..8].try_into().expect("8"))
-        })?;
-        let mut rec = [0u8; RECORD_LEN];
-        for o in set.objects() {
-            for seg in o.curve.segments() {
-                rec[..8].copy_from_slice(&seg.t0.to_le_bytes());
-                encode_payload(&mut rec[8..], o.id, seg);
-                sorter.push(&rec)?;
-            }
-        }
-        let mut stream = sorter.finish()?;
-        let mut loader =
-            chronorank_index::BPlusTree::bulk_loader(env.create_file("exact1_tree")?, PAYLOAD_LEN)?;
-        while stream.next_into(&mut rec)? {
-            let key = f64::from_le_bytes(rec[..8].try_into().expect("8"));
-            loader.push(key, &rec[8..])?;
-        }
-        let tree = loader.finish()?;
-        Ok(Self {
-            env,
-            tree,
-            num_objects: set.num_objects(),
-            max_segment_duration: AtomicU64::new(set.max_segment_duration().to_bits()),
-        })
-    }
-
-    /// Build from an object stream without ever materializing the dataset
-    /// (the paper-scale path). Identical sort + bulk load to
-    /// [`Exact1::build_in`], but the external sorter's run length is derived
-    /// from an explicit byte budget and `m` / `Δmax` are accumulated inside
-    /// the push loop instead of read off a [`TemporalSet`].
+    /// Build from an object stream, owned or borrowed, that is never
+    /// materialized: external-sort all `N` segments by left endpoint in
+    /// runs of `sort_budget_bytes`, then bulk-load the B+-tree. `m` and
+    /// `Δmax` are accumulated in the push loop.
     pub fn build_streaming<I>(env: Env, objects: I, sort_budget_bytes: u64) -> Result<Self>
     where
-        I: IntoIterator<Item = crate::object::TemporalObject>,
+        I: IntoIterator,
+        I::Item: Borrow<TemporalObject>,
     {
         let sort_file = env.create_file("exact1_sort")?;
         let mut sorter =
@@ -115,6 +86,7 @@ impl Exact1 {
         let mut num_objects = 0usize;
         let mut max_dur = 0.0f64;
         for o in objects {
+            let o: &TemporalObject = o.borrow();
             num_objects += 1;
             for seg in o.curve.segments() {
                 max_dur = max_dur.max(seg.duration());

@@ -29,12 +29,13 @@
 
 use crate::agg::AggKind;
 use crate::error::Result;
-use crate::object::{ObjectId, TemporalSet};
+use crate::object::{ObjectId, TemporalObject, TemporalSet};
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
 use chronorank_index::{ExternalSorter, IntervalBulkLoader, IntervalTree};
 use chronorank_storage::{Env, IoStats, PagedFile, StoreConfig};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::RwLock;
 
@@ -44,8 +45,6 @@ const PAYLOAD_LEN: usize = 4 + 8 + 8 + 8;
 
 /// External-sort record for the bulk build: `lo f64 | hi f64 | payload`.
 const SORT_RECORD_LEN: usize = 16 + PAYLOAD_LEN;
-/// Records the build sort buffers in memory before spilling a run.
-const SORT_MEM_RECORDS: usize = 1 << 16;
 
 fn encode_payload(obj: ObjectId, v0: f64, v1: f64, prefix: f64) -> Vec<u8> {
     let mut p = Vec::with_capacity(PAYLOAD_LEN);
@@ -89,29 +88,16 @@ pub struct Exact3 {
 }
 
 impl Exact3 {
-    /// Build from a temporal set.
+    /// Build from a resident set — [`Exact3::build_streaming`] over its
+    /// objects, in memory.
     pub fn build(set: &TemporalSet, config: IndexConfig) -> Result<Self> {
-        let env = Env::mem(config.store);
-        Self::build_in(env, config.store, set)
+        let budget = crate::resident_sort_bytes(SORT_RECORD_LEN);
+        Self::build_streaming(Env::mem(config.store), config.store, set.objects(), budget)
     }
 
-    /// Build using a caller-supplied storage environment.
-    pub fn build_in(env: Env, store: StoreConfig, set: &TemporalSet) -> Result<Self> {
-        let tree = Self::build_tree(&env, set, 0)?;
-        let meta = set
-            .objects()
-            .iter()
-            .map(|o| ObjMeta { start: o.curve.start(), end: o.curve.end(), total: o.curve.total() })
-            .collect();
-        Ok(Self { env, store, tree, meta: RwLock::new(meta), generation: AtomicU32::new(0) })
-    }
-
-    /// Build from an object stream without materializing the dataset (the
-    /// paper-scale path): same sort + leaf-fill-1.0 bulk load as
-    /// [`Exact3::build_in`], with the sort run length taken from an
-    /// explicit byte budget and the per-object `(start, end, total)`
-    /// triples collected inside the push loop (`24·m` bytes — the only
-    /// `O(m)` state this method keeps, same as the in-memory build).
+    /// Build from an object stream, owned or borrowed, that is never
+    /// materialized: one external sort in runs of `sort_budget_bytes`, one
+    /// leaf-fill-1.0 bulk load.
     pub fn build_streaming<I>(
         env: Env,
         store: StoreConfig,
@@ -119,15 +105,38 @@ impl Exact3 {
         sort_budget_bytes: u64,
     ) -> Result<Self>
     where
-        I: IntoIterator<Item = crate::object::TemporalObject>,
+        I: IntoIterator,
+        I::Item: Borrow<TemporalObject>,
     {
-        let scratch = env.create_file("exact3_sort_gen0")?;
+        let (tree, meta) = Self::fill(&env, objects, 0, sort_budget_bytes)?;
+        Ok(Self { env, store, tree, meta: RwLock::new(meta), generation: AtomicU32::new(0) })
+    }
+
+    /// Bottom-up bulk build: stream all `N` entries through an external
+    /// sort on `lo` (`O((N/B) log_B N)` IOs, the paper's construction
+    /// preamble) and feed the sorted stream straight into the interval
+    /// tree's leaf-fill-1.0 bulk loader. Peak memory is one sort run
+    /// (`sort_budget_bytes`), one fence per leaf and the per-object
+    /// `(start, end, total)` triples collected in the push loop (`24·m`
+    /// bytes) — never the full entry set.
+    fn fill<I>(
+        env: &Env,
+        objects: I,
+        generation: u32,
+        sort_budget_bytes: u64,
+    ) -> Result<(IntervalTree, Vec<ObjMeta>)>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<TemporalObject>,
+    {
+        let scratch = env.create_file(&format!("exact3_sort_gen{generation}"))?;
         let key = |rec: &[u8]| f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
         let mut sorter =
             ExternalSorter::with_byte_budget(scratch, SORT_RECORD_LEN, sort_budget_bytes, key)?;
         let mut rec = [0u8; SORT_RECORD_LEN];
         let mut meta: Vec<ObjMeta> = Vec::new();
         for o in objects {
+            let o: &TemporalObject = o.borrow();
             let mut prefix = 0.0f64;
             for seg in o.curve.segments() {
                 prefix += seg.integral_full();
@@ -143,39 +152,6 @@ impl Exact3 {
             });
         }
         let mut stream = sorter.finish()?;
-        let file = env.create_file("exact3_tree_gen0")?;
-        let mut loader = IntervalBulkLoader::new(file, PAYLOAD_LEN)?;
-        while stream.next_into(&mut rec)? {
-            let lo = f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            let hi = f64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-            loader.push(lo, hi, &rec[16..])?;
-        }
-        let tree = loader.finish()?;
-        Ok(Self { env, store, tree, meta: RwLock::new(meta), generation: AtomicU32::new(0) })
-    }
-
-    /// Bottom-up bulk build: stream all `N` entries through an external
-    /// sort on `lo` (`O((N/B) log_B N)` IOs, the paper's construction
-    /// preamble) and feed the sorted stream straight into the interval
-    /// tree's leaf-fill-1.0 bulk loader. Peak memory is the sort buffer
-    /// (`SORT_MEM_RECORDS` records) plus one fence per leaf — never the
-    /// full entry set.
-    fn build_tree(env: &Env, set: &TemporalSet, generation: u32) -> Result<IntervalTree> {
-        let scratch = env.create_file(&format!("exact3_sort_gen{generation}"))?;
-        let key = |rec: &[u8]| f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-        let mut sorter = ExternalSorter::new(scratch, SORT_RECORD_LEN, SORT_MEM_RECORDS, key)?;
-        let mut rec = [0u8; SORT_RECORD_LEN];
-        for o in set.objects() {
-            let mut prefix = 0.0f64;
-            for seg in o.curve.segments() {
-                prefix += seg.integral_full();
-                rec[..8].copy_from_slice(&seg.t0.to_le_bytes());
-                rec[8..16].copy_from_slice(&seg.t1.to_le_bytes());
-                rec[16..].copy_from_slice(&encode_payload(o.id, seg.v0, seg.v1, prefix));
-                sorter.push(&rec)?;
-            }
-        }
-        let mut stream = sorter.finish()?;
         let file = env.create_file(&format!("exact3_tree_gen{generation}"))?;
         let mut loader = IntervalBulkLoader::new(file, PAYLOAD_LEN)?;
         while stream.next_into(&mut rec)? {
@@ -183,7 +159,7 @@ impl Exact3 {
             let hi = f64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
             loader.push(lo, hi, &rec[16..])?;
         }
-        Ok(loader.finish()?)
+        Ok((loader.finish()?, meta))
     }
 
     /// Cumulative integrals of **all** objects at time `t` with one
@@ -253,12 +229,10 @@ impl Exact3 {
     pub fn rebuild(&mut self, set: &TemporalSet) -> Result<()> {
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         self.generation.store(generation, Ordering::Relaxed);
-        self.tree = Self::build_tree(&self.env, set, generation)?;
-        *self.meta.write().expect("meta lock") = set
-            .objects()
-            .iter()
-            .map(|o| ObjMeta { start: o.curve.start(), end: o.curve.end(), total: o.curve.total() })
-            .collect();
+        let budget = crate::resident_sort_bytes(SORT_RECORD_LEN);
+        let (tree, meta) = Self::fill(&self.env, set.objects(), generation, budget)?;
+        self.tree = tree;
+        *self.meta.write().expect("meta lock") = meta;
         Ok(())
     }
 

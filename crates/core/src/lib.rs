@@ -78,6 +78,12 @@ pub use query2::Query2Index;
 pub use streambuild::{b2_streaming, scan_stats, StreamStats, StreamedB2};
 pub use topk::{RankMethod, TopK};
 
+/// Sort budget a resident build (`build(&set, …)`) hands its streaming
+/// constructor: runs of 2¹⁶ records.
+pub(crate) fn resident_sort_bytes(record_len: usize) -> u64 {
+    (1 << 16) * record_len as u64
+}
+
 /// Default index configuration shared by all methods.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexConfig {

@@ -1,6 +1,7 @@
 //! The temporal database model: objects and object sets.
 
 use crate::error::{CoreError, Result};
+use crate::streambuild::{scan_stats, StreamStats};
 use chronorank_curve::{ColumnarTail, PiecewiseLinear};
 
 /// Object identifier; objects are dense `0..m` within a [`TemporalSet`].
@@ -68,16 +69,9 @@ impl AppendRecord {
 #[derive(Debug, Clone)]
 pub struct TemporalSet {
     objects: Vec<TemporalObject>,
-    t_min: f64,
-    t_max: f64,
-    num_segments: u64,
-    /// `M = Σ_i σ_i(0, T)` over |g| (absolute mass; equals the plain mass
-    /// for non-negative data). Breakpoint thresholds are `ε·M` (§3.1, §4).
-    total_mass: f64,
-    /// True when any object takes a negative value (enables the §4
-    /// absolute-value handling in breakpoint construction).
-    has_negative: bool,
-    max_segment_duration: f64,
+    /// What [`scan_stats`] reports over `objects` — a resident set is one
+    /// more object stream — kept current by [`TemporalSet::append_segment`].
+    stats: StreamStats,
 }
 
 impl TemporalSet {
@@ -104,35 +98,8 @@ impl TemporalSet {
                 )));
             }
         }
-        let mut set = Self {
-            objects,
-            t_min: 0.0,
-            t_max: 0.0,
-            num_segments: 0,
-            total_mass: 0.0,
-            has_negative: false,
-            max_segment_duration: 0.0,
-        };
-        set.recompute_stats();
-        Ok(set)
-    }
-
-    fn recompute_stats(&mut self) {
-        self.t_min = f64::INFINITY;
-        self.t_max = f64::NEG_INFINITY;
-        self.num_segments = 0;
-        self.total_mass = 0.0;
-        self.has_negative = false;
-        self.max_segment_duration = 0.0;
-        for o in &self.objects {
-            let c = &o.curve;
-            self.t_min = self.t_min.min(c.start());
-            self.t_max = self.t_max.max(c.end());
-            self.num_segments += c.num_segments() as u64;
-            self.total_mass += c.total_abs();
-            self.has_negative |= c.min_value() < 0.0;
-            self.max_segment_duration = self.max_segment_duration.max(c.max_segment_duration());
-        }
+        let stats = scan_stats(&objects);
+        Ok(Self { objects, stats })
     }
 
     /// Number of objects `m`.
@@ -142,37 +109,37 @@ impl TemporalSet {
 
     /// Total number of segments `N`.
     pub fn num_segments(&self) -> u64 {
-        self.num_segments
+        self.stats.num_segments
     }
 
     /// Left edge of the global time domain.
     pub fn t_min(&self) -> f64 {
-        self.t_min
+        self.stats.t_min
     }
 
     /// Right edge of the global time domain (`T`).
     pub fn t_max(&self) -> f64 {
-        self.t_max
+        self.stats.t_max
     }
 
     /// `t_max - t_min`.
     pub fn span(&self) -> f64 {
-        self.t_max - self.t_min
+        self.stats.t_max - self.stats.t_min
     }
 
     /// `M = Σ_i ∫ |g_i|` — the paper's total mass, absolute-valued per §4.
     pub fn total_mass(&self) -> f64 {
-        self.total_mass
+        self.stats.total_mass
     }
 
     /// True when any curve dips below zero.
     pub fn has_negative(&self) -> bool {
-        self.has_negative
+        self.stats.has_negative
     }
 
     /// Longest single segment duration across all objects.
     pub fn max_segment_duration(&self) -> f64 {
-        self.max_segment_duration
+        self.stats.max_segment_duration
     }
 
     /// Borrow an object.
@@ -209,13 +176,13 @@ impl TemporalSet {
         let curve = &mut self.objects[idx].curve;
         let (prev_t, prev_v) = curve.point(curve.num_points() - 1);
         curve.append(t, v)?;
-        self.num_segments += 1;
-        self.t_max = self.t_max.max(t);
-        self.max_segment_duration = self.max_segment_duration.max(t - prev_t);
+        self.stats.num_segments += 1;
+        self.stats.t_max = self.stats.t_max.max(t);
+        self.stats.max_segment_duration = self.stats.max_segment_duration.max(t - prev_t);
         // Absolute mass of the new trapezoid (exact, including sign change).
         let seg = chronorank_curve::Segment::new(prev_t, prev_v, t, v);
-        self.total_mass += seg.abs_integral_clipped(prev_t, t);
-        self.has_negative |= v < 0.0;
+        self.stats.total_mass += seg.abs_integral_clipped(prev_t, t);
+        self.stats.has_negative |= v < 0.0;
         Ok(())
     }
 

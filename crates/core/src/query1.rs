@@ -14,18 +14,19 @@
 //! * query cost `O(k/B + log_B r)` IOs — the 6–8 cold IOs of the paper's
 //!   Figure 12(c).
 //!
-//! Construction streams objects in object-major order over a per-object
-//! breakpoint-prefix row (`O(m·r)` space, `O(m·r²)` heap pushes), which
-//! materializes exactly the lists the paper's `O(r)`-running-sums sweep
-//! produces (DESIGN.md §5 note 4).
+//! Construction streams objects in object-major order, pushing each
+//! object's breakpoint-prefix row into the pair heaps (`O(r² kmax)` space,
+//! `O(m·r²)` heap pushes), which materializes exactly the lists the
+//! paper's `O(r)`-running-sums sweep produces (DESIGN.md §5 note 4).
 
 use crate::agg::AggKind;
 use crate::breakpoints::Breakpoints;
 use crate::error::{CoreError, Result};
-use crate::object::{ObjectId, TemporalSet};
+use crate::object::{ObjectId, TemporalObject};
 use crate::topk::{capped_push, check_interval, heap_into_desc, RankMethod, TopK, WorstFirst};
 use chronorank_index::BPlusTree;
 use chronorank_storage::{Env, IoStats, PagedFile};
+use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 
 /// List entry: `id u32 | score f64`.
@@ -46,83 +47,16 @@ pub struct Query1Index {
 }
 
 impl Query1Index {
-    /// Build over `set` with the given breakpoints, storing the top-`kmax`
-    /// list for each of the `r(r−1)/2` breakpoint pairs.
-    pub fn build(
-        env: Env,
-        set: &TemporalSet,
-        breakpoints: Breakpoints,
-        kmax: usize,
-    ) -> Result<Self> {
-        if kmax == 0 {
-            return Err(CoreError::BadQuery("kmax must be at least 1".into()));
-        }
-        let r = breakpoints.len();
-        let m = set.num_objects();
-        let block = env.block_size();
-        let blocks_per_list = ((kmax * ENTRY_LEN) as u64).div_ceil(block as u64);
-
-        // Per-object cumulative rows at the breakpoints (m × r doubles).
-        let mut cums: Vec<f64> = Vec::with_capacity(m * r);
-        for o in set.objects() {
-            cums.extend(breakpoints.cums_at(&o.curve));
-        }
-
-        let lists = env.create_file("q1_lists")?;
-        let mut list_buf = vec![0u8; block];
-        let mut sub_trees = Vec::with_capacity(r.saturating_sub(1));
-        // For each left endpoint j: one pass over all objects fills the
-        // r−1−j heaps for its pairs, then the lists and sub-tree for j are
-        // written out before moving on (peak memory O(r·kmax) per j).
-        for j in 0..r.saturating_sub(1) {
-            let npairs = r - 1 - j;
-            let mut heaps: Vec<BinaryHeap<WorstFirst>> = Vec::with_capacity(npairs);
-            heaps.resize_with(npairs, BinaryHeap::new);
-            for i in 0..m {
-                let row = &cums[i * r..(i + 1) * r];
-                let base = row[j];
-                for (p, &c) in row[j + 1..].iter().enumerate() {
-                    capped_push(&mut heaps[p], kmax, c - base, i as ObjectId);
-                }
-            }
-            // Write this j's lists and its sub-tree keyed by b_j'.
-            let mut loader =
-                BPlusTree::bulk_loader(env.create_file(&format!("q1_sub_{j:06}"))?, 8)?;
-            for (p, heap) in heaps.into_iter().enumerate() {
-                let jp = j + 1 + p;
-                let entries = heap_into_desc(heap);
-                let start = lists.allocate(blocks_per_list)?;
-                write_list(&lists, &mut list_buf, start, kmax, &entries)?;
-                loader.push(breakpoints.points()[jp], &start.to_le_bytes())?;
-            }
-            sub_trees.push(loader.finish()?);
-        }
-        drop(cums);
-
-        // Top-level tree: left endpoints b_0 … b_{r−2} → sub-tree index.
-        let mut loader = BPlusTree::bulk_loader(env.create_file("q1_top")?, 4)?;
-        for (j, &b) in breakpoints.points()[..r.saturating_sub(1)].iter().enumerate() {
-            loader.push(b, &(j as u32).to_le_bytes())?;
-        }
-        let top_tree = loader.finish()?;
-        Ok(Self { env, breakpoints, top_tree, sub_trees, lists, kmax, blocks_per_list })
-    }
-
-    /// Build from an object stream without materializing the dataset (the
-    /// paper-scale path). Where [`Query1Index::build`] keeps the full
-    /// `m × r` cumulative matrix and passes over it `r−1` times, this makes
-    /// **one** object-major pass holding all `r(r−1)/2` pair heaps
-    /// (`O(r² kmax)` memory — the size of the final index, independent of
-    /// `m` and `N`). Each heap sees the same objects in the same order as
-    /// the in-memory build, so the resulting lists are identical.
-    pub fn build_streaming<I>(
-        env: Env,
-        objects: I,
-        breakpoints: Breakpoints,
-        kmax: usize,
-    ) -> Result<Self>
+    /// Build over an object stream (owned or borrowed, e.g.
+    /// `set.objects()`) with the given breakpoints, storing the top-`kmax`
+    /// list for each of the `r(r−1)/2` breakpoint pairs. **One**
+    /// object-major pass holds all the pair heaps (`O(r² kmax)` memory —
+    /// the size of the final index, independent of `m` and `N`); the
+    /// dataset is never materialized.
+    pub fn build<I>(env: Env, objects: I, breakpoints: Breakpoints, kmax: usize) -> Result<Self>
     where
-        I: IntoIterator<Item = crate::object::TemporalObject>,
+        I: IntoIterator,
+        I::Item: Borrow<TemporalObject>,
     {
         if kmax == 0 {
             return Err(CoreError::BadQuery("kmax must be at least 1".into()));
@@ -138,6 +72,7 @@ impl Query1Index {
         let mut heaps: Vec<BinaryHeap<WorstFirst>> = Vec::with_capacity(npairs_total);
         heaps.resize_with(npairs_total, BinaryHeap::new);
         for o in objects {
+            let o: &TemporalObject = o.borrow();
             let row = breakpoints.cums_at(&o.curve);
             for j in 0..r.saturating_sub(1) {
                 let base = row[j];
@@ -148,8 +83,7 @@ impl Query1Index {
             }
         }
 
-        // Drain in j-major order — the same list/sub-tree layout the
-        // in-memory build writes.
+        // Drain in j-major order: one sub-tree per left endpoint.
         let lists = env.create_file("q1_lists")?;
         let mut list_buf = vec![0u8; block];
         let mut sub_trees = Vec::with_capacity(r.saturating_sub(1));
@@ -341,7 +275,7 @@ mod tests {
         let set = small_set();
         let bp = Breakpoints::b2_with_count(&set, r, B2Construction::Efficient).unwrap();
         let env = Env::mem(StoreConfig::default());
-        let idx = Query1Index::build(env, &set, bp, kmax).unwrap();
+        let idx = Query1Index::build(env, set.objects(), bp, kmax).unwrap();
         (set, idx)
     }
 

@@ -22,12 +22,13 @@
 use crate::agg::AggKind;
 use crate::breakpoints::Breakpoints;
 use crate::error::{CoreError, Result};
-use crate::object::{ObjectId, TemporalSet};
+use crate::object::{ObjectId, TemporalObject};
 use crate::topk::{
     capped_push, check_interval, heap_into_desc, top_k_from_scores, RankMethod, TopK, WorstFirst,
 };
 use chronorank_index::BPlusTree;
 use chronorank_storage::{Env, IoStats, PagedFile};
+use std::borrow::Borrow;
 use std::collections::{BinaryHeap, HashMap};
 
 /// List entry: `id u32 | score f64`.
@@ -54,27 +55,26 @@ pub struct Query2Index {
     /// B+-tree over all `r` breakpoints (payload: index) used to snap
     /// query endpoints with real IOs.
     bp_tree: BPlusTree,
-    /// Implicit binary tree over the padded gap range `[0, pad)`.
+    /// Implicit binary tree over the gap range `[0, r − 1)` padded to a
+    /// power of two.
     nodes: Vec<Node>,
-    /// Number of real gaps (`r − 1`).
-    #[allow(dead_code)] // read by tests and diagnostics
-    gaps: usize,
-    /// Padded power-of-two leaf count.
-    #[allow(dead_code)] // read by tests and diagnostics
-    pad: usize,
     lists: PagedFile,
     kmax: usize,
     blocks_per_list: u64,
 }
 
 impl Query2Index {
-    /// Build over `set` with the given breakpoints.
-    pub fn build(
-        env: Env,
-        set: &TemporalSet,
-        breakpoints: Breakpoints,
-        kmax: usize,
-    ) -> Result<Self> {
+    /// Build over an object stream (owned or borrowed, e.g.
+    /// `set.objects()`) with the given breakpoints. Object-major: each
+    /// object contributes its breakpoint-cumulative row to the per-node
+    /// heaps and is dropped (the single linear sweep of the paper, recast;
+    /// `O(m · #nodes)` pushes), so peak memory is `O(r·kmax)` heaps plus
+    /// one curve — the dataset is never materialized.
+    pub fn build<I>(env: Env, objects: I, breakpoints: Breakpoints, kmax: usize) -> Result<Self>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<TemporalObject>,
+    {
         if kmax == 0 {
             return Err(CoreError::BadQuery("kmax must be at least 1".into()));
         }
@@ -89,12 +89,10 @@ impl Query2Index {
         let mut nodes = Vec::with_capacity(total_nodes);
         build_spans(0, 0, pad as u32, gaps as u32, total_nodes, &mut nodes);
 
-        // Top-kmax heaps for the live nodes, filled object-major from each
-        // object's breakpoint-cumulative row (the single linear sweep of
-        // the paper, recast; O(m · #nodes) pushes).
         let mut heaps: Vec<BinaryHeap<WorstFirst>> = Vec::with_capacity(total_nodes);
         heaps.resize_with(total_nodes, BinaryHeap::new);
-        for o in set.objects() {
+        for o in objects {
+            let o: &TemporalObject = o.borrow();
             let row = breakpoints.cums_at(&o.curve);
             for (ni, node) in nodes.iter().enumerate() {
                 if node.lo >= node.hi {
@@ -125,68 +123,7 @@ impl Query2Index {
             loader.push(b, &(j as u32).to_le_bytes())?;
         }
         let bp_tree = loader.finish()?;
-        Ok(Self { env, breakpoints, bp_tree, nodes, gaps, pad, lists, kmax, blocks_per_list })
-    }
-
-    /// Build from an object stream without materializing the dataset (the
-    /// paper-scale path). The in-memory build is already object-major —
-    /// each object contributes its breakpoint-cumulative row to the tiny
-    /// per-node heaps and is dropped — so this is the same loop over an
-    /// iterator; peak memory is `O(r·kmax)` heaps plus one curve.
-    pub fn build_streaming<I>(
-        env: Env,
-        objects: I,
-        breakpoints: Breakpoints,
-        kmax: usize,
-    ) -> Result<Self>
-    where
-        I: IntoIterator<Item = crate::object::TemporalObject>,
-    {
-        if kmax == 0 {
-            return Err(CoreError::BadQuery("kmax must be at least 1".into()));
-        }
-        let r = breakpoints.len();
-        let gaps = r - 1;
-        let pad = gaps.next_power_of_two().max(1);
-        let total_nodes = 2 * pad - 1;
-        let block = env.block_size();
-        let blocks_per_list = ((kmax * ENTRY_LEN) as u64).div_ceil(block as u64);
-
-        let mut nodes = Vec::with_capacity(total_nodes);
-        build_spans(0, 0, pad as u32, gaps as u32, total_nodes, &mut nodes);
-
-        let mut heaps: Vec<BinaryHeap<WorstFirst>> = Vec::with_capacity(total_nodes);
-        heaps.resize_with(total_nodes, BinaryHeap::new);
-        for o in objects {
-            let row = breakpoints.cums_at(&o.curve);
-            for (ni, node) in nodes.iter().enumerate() {
-                if node.lo >= node.hi {
-                    continue;
-                }
-                let s = row[node.hi as usize] - row[node.lo as usize];
-                capped_push(&mut heaps[ni], kmax, s, o.id);
-            }
-        }
-
-        let lists = env.create_file("q2_lists")?;
-        let mut buf = vec![0u8; block];
-        for (ni, heap) in heaps.into_iter().enumerate() {
-            if nodes[ni].lo >= nodes[ni].hi {
-                nodes[ni].list_start = NO_LIST;
-                continue;
-            }
-            let entries = heap_into_desc(heap);
-            let start = lists.allocate(blocks_per_list)?;
-            crate::query1::write_list(&lists, &mut buf, start, kmax, &entries)?;
-            nodes[ni].list_start = start;
-        }
-
-        let mut loader = BPlusTree::bulk_loader(env.create_file("q2_bp")?, 4)?;
-        for (j, &b) in breakpoints.points().iter().enumerate() {
-            loader.push(b, &(j as u32).to_le_bytes())?;
-        }
-        let bp_tree = loader.finish()?;
-        Ok(Self { env, breakpoints, bp_tree, nodes, gaps, pad, lists, kmax, blocks_per_list })
+        Ok(Self { env, breakpoints, bp_tree, nodes, lists, kmax, blocks_per_list })
     }
 
     /// Maximum `k` this index can answer.
@@ -366,7 +303,7 @@ mod tests {
         let set = small_set();
         let bp = Breakpoints::b2_with_count(&set, r, B2Construction::Efficient).unwrap();
         let env = Env::mem(StoreConfig::default());
-        let idx = Query2Index::build(env, &set, bp, kmax).unwrap();
+        let idx = Query2Index::build(env, set.objects(), bp, kmax).unwrap();
         (set, idx)
     }
 
@@ -384,13 +321,14 @@ mod tests {
     #[test]
     fn canonical_cover_is_disjoint_and_complete() {
         let (_, idx) = build(20, 4);
-        let gaps = idx.gaps;
+        let gaps = idx.breakpoints().len() - 1;
+        let pad = gaps.next_power_of_two();
         for g1 in 0..gaps {
             for g2 in g1 + 1..=gaps {
                 let mut pieces = Vec::new();
                 canonical_cover(&idx.nodes, 0, g1 as u32, g2 as u32, &mut pieces);
                 // Bound: ≤ 2 log2(pad) pieces.
-                let bound = 2 * (idx.pad.max(2) as f64).log2().ceil() as usize + 2;
+                let bound = 2 * (pad.max(2) as f64).log2().ceil() as usize + 2;
                 assert!(pieces.len() <= bound, "[{g1},{g2}): {} pieces", pieces.len());
                 // Disjoint and exactly covering [g1, g2).
                 let mut covered: Vec<(u32, u32)> =
@@ -448,7 +386,8 @@ mod tests {
         let (_, idx) = build(24, 8);
         let k = 4;
         let cand = idx.candidates(1.0, 19.0, k).unwrap().unwrap();
-        let bound = 2 * k * (idx.pad.max(2) as f64).log2().ceil() as usize + 2 * k;
+        let pad = (idx.breakpoints().len() - 1).next_power_of_two();
+        let bound = 2 * k * (pad.max(2) as f64).log2().ceil() as usize + 2 * k;
         assert!(cand.len() <= bound, "|K| = {} exceeds 2k log r ≈ {bound}", cand.len());
     }
 
@@ -468,9 +407,9 @@ mod tests {
     fn index_is_much_smaller_than_query1() {
         let set = small_set();
         let bp = Breakpoints::b2_with_count(&set, 32, B2Construction::Efficient).unwrap();
-        let q1 =
-            Query1Index::build(Env::mem(StoreConfig::default()), &set, bp.clone(), 16).unwrap();
-        let q2 = Query2Index::build(Env::mem(StoreConfig::default()), &set, bp, 16).unwrap();
+        let env = || Env::mem(StoreConfig::default());
+        let q1 = Query1Index::build(env(), set.objects(), bp.clone(), 16).unwrap();
+        let q2 = Query2Index::build(env(), set.objects(), bp, 16).unwrap();
         assert!(
             q2.size_bytes() * 2 < q1.size_bytes(),
             "Q2 ({}) should be far smaller than Q1 ({})",

@@ -1,47 +1,48 @@
-//! Streaming (external-memory) BREAKPOINTS2 construction for paper-scale
-//! builds.
+//! Out-of-core BREAKPOINTS2 for paper-scale builds: the segment store and
+//! segment source that let [`crate::breakpoints`]' one sweep run without a
+//! resident dataset.
 //!
-//! The in-memory sweep in [`crate::breakpoints`] needs every curve resident
-//! so it can re-base running integrals against arbitrary past breakpoints.
 //! At the paper's Meme scale (`m ≈ 1.5·10⁶` objects, `N ≈ 10⁸` segments)
-//! that is ruled out, so this module reruns the *same* sweep against an
-//! externally sorted segment stream:
+//! the curves cannot stay in memory for the sweep to re-base against, so:
 //!
 //! 1. [`scan_stats`] makes one pass over the generator to obtain the exact
-//!    quantities [`crate::TemporalSet`] would report (`M`, `t_min`, `t_max`,
-//!    …) — same accumulation order, bit-identical values, so the threshold
-//!    `τ = εM` matches the in-memory construction exactly;
+//!    quantities [`crate::TemporalSet`] reports (`M`, `t_min`, `t_max`, …)
+//!    — the set's are this scan over its own objects — so the threshold
+//!    `τ = εM` matches the resident construction exactly;
 //! 2. [`b2_streaming`] pushes every `|g_i|` segment through an
-//!    [`ExternalSorter`] under an explicit byte budget and replays the
-//!    §3.1 efficient sweep over the sorted run merge. Per object it keeps
-//!    only the *active window* — the segments consumed since the object was
-//!    last re-based that still end after the current breakpoint — in a
-//!    `pending` buffer. Every integral/crossing query the sweep performs
-//!    (`σ_i(b*, frontier)` at commits, crossing searches for dangerous
-//!    objects) touches only that window, so peak memory is `O(m)` state
-//!    plus the segments of one breakpoint gap, never the `N`-segment
-//!    dataset.
+//!    [`ExternalSorter`] under an explicit byte budget and feeds the sorted
+//!    run merge to `B2Sweeper::sweep` — the same sweep and `commit` a
+//!    resident [`crate::TemporalSet`] goes through — over a `Pending`
+//!    store. Per object that store keeps only the *pending window*: the
+//!    segments consumed since the object was last re-based that still end
+//!    after that breakpoint. Every question a re-base asks
+//!    (`σ_i(b*, frontier)`, the next crossing of a dangerous object)
+//!    touches only that window, so peak memory is `O(m)` state plus the
+//!    windows, never the curves themselves.
 //!
-//! The pending-window walks mirror [`chronorank_curve::PiecewiseLinear`]'s
-//! `integral`/`time_to_accumulate` term by term (same per-segment clipped
-//! trapezoids, same accumulation order); trimmed segments would contribute
-//! exactly `+0.0`, so the streaming sweep emits the same breakpoints as
-//! `Breakpoints::b2_with_eps` up to ulp-level ties (the property tests in
-//! this module assert equality on mixed-sign inputs).
+//! One sweep, two stores: the resident store answers from the whole curve
+//! behind a cursor, the pending store from the trimmed window. The window
+//! walks mirror [`chronorank_curve::PiecewiseLinear`]'s `integral_from` /
+//! `time_to_accumulate_from` term by term (same per-segment clipped
+//! trapezoids, same accumulation order) and a trimmed segment would
+//! contribute exactly `+0.0`, so both stores yield the same breakpoints up
+//! to ulp-level ties (the tests in this module and `tests/build_golden.rs`
+//! assert equality, mixed-sign inputs included). How large the windows get
+//! is REPRODUCTION.md deviation 3.
 
-use crate::breakpoints::{abs_curve, check_eps, B2Construction, Breakpoints, BreakpointsKind};
+use crate::breakpoints::{
+    abs_curve, check_eps, B2Construction, B2Sweeper, Breakpoints, BreakpointsKind, Consumed,
+};
 use crate::error::Result;
 use crate::object::TemporalObject;
 use chronorank_curve::Segment;
 use chronorank_index::ExternalSorter;
 use chronorank_storage::Env;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::borrow::Borrow;
 
-/// Dataset statistics gathered by [`scan_stats`] — the streaming stand-in
-/// for the fields [`crate::TemporalSet`] precomputes, accumulated in the
-/// same object order with the same operations so that thresholds derived
-/// from them (`τ = εM`) are bit-identical.
+/// Dataset statistics gathered by [`scan_stats`]. A [`crate::TemporalSet`]
+/// holds the scan of its own objects, so thresholds derived from either
+/// (`τ = εM`) are bit-identical.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamStats {
     /// Number of objects `m`.
@@ -60,11 +61,12 @@ pub struct StreamStats {
     pub max_segment_duration: f64,
 }
 
-/// One streaming pass over a generator, computing [`StreamStats`] exactly
-/// as `TemporalSet::recompute_stats` would (same order, same operations).
+/// One pass over an object stream, owned or borrowed, computing its
+/// [`StreamStats`].
 pub fn scan_stats<I>(objects: I) -> StreamStats
 where
-    I: IntoIterator<Item = TemporalObject>,
+    I: IntoIterator,
+    I::Item: Borrow<TemporalObject>,
 {
     let mut s = StreamStats {
         num_objects: 0,
@@ -76,7 +78,7 @@ where
         max_segment_duration: 0.0,
     };
     for o in objects {
-        let c = &o.curve;
+        let c = &Borrow::<TemporalObject>::borrow(&o).curve;
         s.t_min = s.t_min.min(c.start());
         s.t_max = s.t_max.max(c.end());
         s.num_segments += c.num_segments() as u64;
@@ -118,88 +120,61 @@ fn decode_b2(rec: &[u8; B2_REC_LEN]) -> (u32, Segment) {
     (obj, Segment::new(f(0), f(20), f(12), f(28)))
 }
 
-/// Total-ordered f64 for heap keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+/// The out-of-core store: per object only the *pending window* — the
+/// segments consumed since the object was last re-based that still end
+/// after that breakpoint, the only part of the curve a re-base can still
+/// ask about. The walks mirror `PiecewiseLinear::integral_from` /
+/// `time_to_accumulate_from` term by term; a dropped segment would have
+/// contributed exactly `+0.0`.
+struct Pending {
+    windows: Vec<Vec<Segment>>,
+    /// Segments retained across all windows now, and the high-water mark.
+    live: u64,
+    peak: u64,
 }
 
-/// Per-object sweep state plus the retained active window.
-struct StreamObj {
-    /// Running integral since the object's last re-base (see `ObjState`).
-    integral: f64,
-    /// Time up to which this object's segments have been consumed.
-    frontier: f64,
-    /// Breakpoint index at which `integral` was last re-based.
-    epoch: usize,
-    /// Whether a crossing candidate is queued.
-    dangerous: bool,
-    /// Lazy-invalidated generation for heap entries.
-    generation: u64,
-    /// Consumed segments still ending after the current breakpoint — the
-    /// only part of the curve the sweep can still ask about.
-    pending: Vec<Segment>,
-}
-
-/// Mirror of `PiecewiseLinear::integral(a, b)` over a retained suffix of
-/// the curve. Segments wholly behind `a` contribute the same `+0.0` the
-/// full walk's `locate` skip produces, so trimming them is bit-neutral.
-fn pending_integral(pending: &[Segment], a: f64, b: f64) -> f64 {
-    if b <= a {
-        return 0.0;
+impl Consumed for Pending {
+    fn push(&mut self, i: usize, seg: Segment) {
+        self.windows[i].push(seg);
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
     }
-    let mut acc = 0.0;
-    for seg in pending {
-        if seg.t0 >= b {
-            break;
+
+    fn rebase(&mut self, i: usize, b: f64, frontier: f64) -> f64 {
+        let window = &mut self.windows[i];
+        let before = window.len();
+        window.retain(|seg| seg.t1 > b);
+        self.live -= (before - window.len()) as u64;
+        let mut acc = 0.0;
+        for seg in window.iter() {
+            if seg.t0 >= frontier {
+                break;
+            }
+            acc += seg.integral_clipped(b, frontier);
         }
-        acc += seg.integral_clipped(a, b);
+        acc
     }
-    acc
-}
 
-/// Mirror of `PiecewiseLinear::time_to_accumulate(from, target)` over a
-/// retained suffix (same per-segment availability terms, same subtraction
-/// order). Only called when the retained mass past `from` reaches
-/// `target`, so staying within the window loses nothing.
-fn pending_time_to_accumulate(pending: &[Segment], from: f64, target: f64) -> Option<f64> {
-    debug_assert!(target > 0.0);
-    let mut need = target;
-    for seg in pending {
-        let lo = from.max(seg.t0);
-        let available = seg.integral_clipped(lo, seg.t1);
-        if available >= need {
-            return seg.time_to_accumulate(lo, need);
+    fn crossing(&self, i: usize, b: f64, tau: f64) -> Option<f64> {
+        let mut need = tau;
+        for seg in &self.windows[i] {
+            let lo = b.max(seg.t0);
+            let available = seg.integral_clipped(lo, seg.t1);
+            if available >= need {
+                return seg.time_to_accumulate(lo, need);
+            }
+            need -= available;
         }
-        need -= available;
+        None
     }
-    None
 }
 
-/// Drop pending segments that end at or before `b`: every future query
-/// uses a left bound ≥ `b` (breakpoints only advance), so they can only
-/// ever contribute an exact `0.0` again.
-fn trim(s: &mut StreamObj, b: f64, live: &mut u64) {
-    let before = s.pending.len();
-    s.pending.retain(|seg| seg.t1 > b);
-    *live -= (before - s.pending.len()) as u64;
-}
-
-/// Streaming BREAKPOINTS2 (§3.1) over an object stream: externally sorts
-/// all `|g_i|` segments by left endpoint under `sort_budget_bytes`, then
-/// replays the efficient sweep holding only per-object active windows.
-/// Produces the same breakpoints as [`Breakpoints::b2_with_eps`] on the
-/// materialized set (`stats` must come from [`scan_stats`] over the same
-/// stream).
+/// Streaming BREAKPOINTS2 (§3.1) over an object stream, owned or borrowed:
+/// externally sorts all `|g_i|` segments by left endpoint in runs of
+/// `sort_budget_bytes`, then runs the sweep holding only per-object pending
+/// windows. Produces the same breakpoints as [`Breakpoints::b2_with_eps`]
+/// on the materialized set (`stats` must come from [`scan_stats`] over the
+/// same stream).
 pub fn b2_streaming<I>(
     env: &Env,
     objects: I,
@@ -209,28 +184,13 @@ pub fn b2_streaming<I>(
     sort_budget_bytes: u64,
 ) -> Result<StreamedB2>
 where
-    I: IntoIterator<Item = TemporalObject>,
+    I: IntoIterator,
+    I::Item: Borrow<TemporalObject>,
 {
     check_eps(eps)?;
-    let tau = eps * stats.total_mass;
-    let (t_min, t_max) = (stats.t_min, stats.t_max);
-    let mut points = vec![t_min];
-    if tau <= 0.0 || stats.total_mass <= 0.0 {
-        points.push(t_max);
-        return Ok(StreamedB2 {
-            breakpoints: Breakpoints::from_sweep(
-                BreakpointsKind::B2,
-                points,
-                eps,
-                stats.total_mass,
-            ),
-            peak_pending_segments: 0,
-        });
-    }
-
     // Externally sort all |g| segments by t0 (the paper's queue Q). Pushed
     // object-major in id order, so equal-t0 ties merge back in the same
-    // order the in-memory stable sort produces.
+    // order the resident stable sort produces.
     let sort_file = env.create_file("b2_stream_sort")?;
     let mut sorter =
         ExternalSorter::with_byte_budget(sort_file, B2_REC_LEN, sort_budget_bytes, |rec| {
@@ -238,140 +198,31 @@ where
         })?;
     let mut rec = [0u8; B2_REC_LEN];
     for o in objects {
-        if stats.has_negative {
-            // §4 negative scores: sweep |g| — same global rule as the
-            // in-memory AbsCurves (all curves pass through abs_curve).
-            let ac = abs_curve(&o.curve)?;
-            for seg in ac.segments() {
-                encode_b2(&mut rec, o.id, &seg);
-                sorter.push(&rec)?;
-            }
-        } else {
-            for seg in o.curve.segments() {
-                encode_b2(&mut rec, o.id, &seg);
-                sorter.push(&rec)?;
-            }
+        let o: &TemporalObject = o.borrow();
+        // §4 negative scores: sweep |g| — same global rule as the resident
+        // AbsCurves (all curves pass through abs_curve).
+        let abs = if stats.has_negative { Some(abs_curve(&o.curve)?) } else { None };
+        for seg in abs.as_ref().unwrap_or(&o.curve).segments() {
+            encode_b2(&mut rec, o.id, &seg);
+            sorter.push(&rec)?;
         }
     }
     let mut stream = sorter.finish()?;
+    let segments = std::iter::from_fn(|| match stream.next_into(&mut rec) {
+        Ok(true) => Some(Ok(decode_b2(&rec))),
+        Ok(false) => None,
+        Err(e) => Some(Err(e.into())),
+    });
 
     let m = stats.num_objects;
-    let mut st: Vec<StreamObj> = (0..m)
-        .map(|_| StreamObj {
-            integral: 0.0,
-            // NEG_INFINITY stands in for the (unknown) curve start: both
-            // make every pre-consumption re-base take the `0.0` branch.
-            frontier: f64::NEG_INFINITY,
-            epoch: 0,
-            dangerous: false,
-            generation: 0,
-            pending: Vec::new(),
-        })
-        .collect();
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u32, u64)>> = BinaryHeap::new();
-    let mut b_cur = t_min;
-    let mut live_pending = 0u64;
-    let mut peak_pending = 0u64;
-
-    macro_rules! pop_valid {
-        () => {{
-            let mut found = None;
-            while let Some(&Reverse((OrdF64(t), obj, gen))) = heap.peek() {
-                let o = obj as usize;
-                if st[o].dangerous && st[o].generation == gen {
-                    found = Some((t, obj));
-                    break;
-                }
-                heap.pop();
-            }
-            found
-        }};
-    }
-
-    let rebase_all = construction == B2Construction::Baseline;
-    let commit = |b_star: f64,
-                  st: &mut Vec<StreamObj>,
-                  heap: &mut BinaryHeap<Reverse<(OrdF64, u32, u64)>>,
-                  points: &mut Vec<f64>,
-                  b_cur: &mut f64,
-                  live_pending: &mut u64| {
-        points.push(b_star);
-        *b_cur = b_star;
-        let epoch = points.len() - 1;
-        for (i, s) in st.iter_mut().enumerate() {
-            if !rebase_all && !s.dangerous {
-                continue;
-            }
-            s.integral = if s.frontier > b_star {
-                pending_integral(&s.pending, b_star, s.frontier)
-            } else {
-                0.0
-            };
-            s.epoch = epoch;
-            s.generation += 1;
-            s.dangerous = false;
-            if s.integral >= tau {
-                if let Some(t_star) = pending_time_to_accumulate(&s.pending, b_star, tau) {
-                    s.dangerous = true;
-                    heap.push(Reverse((OrdF64(t_star), i as u32, s.generation)));
-                }
-            }
-            trim(s, b_star, live_pending);
-        }
-    };
-
-    while stream.next_into(&mut rec)? {
-        let (obj, seg) = decode_b2(&rec);
-        let t_l = seg.t0;
-        loop {
-            match pop_valid!() {
-                Some((b_star, _)) if t_l > b_star => {
-                    commit(b_star, &mut st, &mut heap, &mut points, &mut b_cur, &mut live_pending);
-                }
-                _ => break,
-            }
-        }
-        let o = obj as usize;
-        if st[o].epoch != points.len() - 1 {
-            st[o].integral = if st[o].frontier > b_cur {
-                pending_integral(&st[o].pending, b_cur, st[o].frontier)
-            } else {
-                0.0
-            };
-            st[o].epoch = points.len() - 1;
-            debug_assert!(
-                st[o].integral < tau * (1.0 + 1e-9) + 1e-12 || st[o].dangerous,
-                "lazy rebase found an unnoticed crossing"
-            );
-        }
-        trim(&mut st[o], b_cur, &mut live_pending);
-        let from = seg.t0.max(b_cur);
-        let add = if from < seg.t1 { seg.integral_clipped(from, seg.t1) } else { 0.0 };
-        if !st[o].dangerous && st[o].integral < tau && st[o].integral + add >= tau {
-            if let Some(t_star) = seg.time_to_accumulate(from, tau - st[o].integral) {
-                st[o].dangerous = true;
-                st[o].generation += 1;
-                heap.push(Reverse((OrdF64(t_star), obj, st[o].generation)));
-            }
-        }
-        st[o].integral += add;
-        st[o].frontier = seg.t1;
-        st[o].pending.push(seg);
-        live_pending += 1;
-        peak_pending = peak_pending.max(live_pending);
-    }
-    while let Some((b_star, _)) = pop_valid!() {
-        if b_star >= t_max {
-            break;
-        }
-        commit(b_star, &mut st, &mut heap, &mut points, &mut b_cur, &mut live_pending);
-    }
-    if *points.last().expect("non-empty") < t_max {
-        points.push(t_max);
-    }
+    let mut store = Pending { windows: vec![Vec::new(); m], live: 0, peak: 0 };
+    let domain = (stats.t_min, stats.t_max);
+    let tau = eps * stats.total_mass;
+    let points =
+        B2Sweeper::sweep(&mut store, m, construction, domain, tau, usize::MAX, segments)?.done();
     Ok(StreamedB2 {
         breakpoints: Breakpoints::from_sweep(BreakpointsKind::B2, points, eps, stats.total_mass),
-        peak_pending_segments: peak_pending,
+        peak_pending_segments: store.peak,
     })
 }
 
@@ -458,63 +309,95 @@ mod tests {
         assert_streaming_matches(&set, 0.1, B2Construction::Efficient);
     }
 
+    /// `objects` curves of `segments` segments each; every pair of objects
+    /// shares its vertex times, so equal left endpoints must keep object
+    /// order through any number of merged runs.
+    fn wavy_set(objects: usize, segments: usize) -> TemporalSet {
+        let curve = |i: usize| {
+            let (shift, step) = (0.37 * (i / 2) as f64, 1.0 + 0.01 * (i / 2) as f64);
+            let point = |j: usize| (shift + step * j as f64, 1.0 + ((i * 31 + j * 17) % 23) as f64);
+            PiecewiseLinear::from_points(&(0..=segments).map(point).collect::<Vec<_>>()).unwrap()
+        };
+        TemporalSet::from_curves((0..objects).map(curve).collect()).unwrap()
+    }
+
     #[test]
-    fn streaming_method_builds_answer_identically() {
-        use crate::agg::AggKind;
+    fn streaming_matches_at_the_eps_a_count_fit_chooses() {
+        let set = wavy_set(20, 25);
+        for construction in [B2Construction::Efficient, B2Construction::Baseline] {
+            for r in [6, 12, 30] {
+                let fitted = Breakpoints::b2_with_count(&set, r, construction).unwrap();
+                assert_streaming_matches(&set, fitted.eps(), construction);
+            }
+        }
+    }
+
+    /// Every file a build left in `dir` except sort scratch, by name.
+    fn index_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| !name.contains("sort"))
+            .map(|name| (name.clone(), std::fs::read(dir.join(&name)).unwrap()))
+            .collect()
+    }
+
+    /// Budget invariance: what a build writes depends neither on the sort
+    /// run length nor on whether its objects arrive borrowed or owned.
+    #[test]
+    fn index_files_do_not_depend_on_the_budget_or_the_stream() {
         use crate::appx::{ApproxConfig, ApproxIndex, ApproxVariant};
         use crate::exact1::Exact1;
         use crate::exact3::Exact3;
         use crate::topk::RankMethod;
-        use crate::IndexConfig;
 
-        let set = small_set();
-        let budget = 1u64 << 14;
-        let objs = || set.objects().iter().cloned();
-
-        let e1_mem = Exact1::build(&set, IndexConfig::default()).unwrap();
-        let e1_str =
-            Exact1::build_streaming(Env::mem(StoreConfig::default()), objs(), budget).unwrap();
-        let e3_mem = Exact3::build(&set, IndexConfig::default()).unwrap();
-        let e3_str = Exact3::build_streaming(
-            Env::mem(StoreConfig::default()),
-            StoreConfig::default(),
-            objs(),
-            budget,
-        )
-        .unwrap();
-        let bp = Breakpoints::b2_with_eps(&set, 0.05, B2Construction::Efficient).unwrap();
-        let cfg = ApproxConfig { kmax: 4, ..Default::default() };
-        let mut pairs: Vec<(Box<dyn RankMethod>, Box<dyn RankMethod>)> =
-            vec![(Box::new(e1_mem), Box::new(e1_str)), (Box::new(e3_mem), Box::new(e3_str))];
-        for v in [ApproxVariant::APPX1, ApproxVariant::APPX2, ApproxVariant::APPX2_PLUS] {
-            let mem = ApproxIndex::build_with_breakpoints(
-                Env::mem(StoreConfig::default()),
-                &set,
-                v,
-                cfg,
-                bp.clone(),
-            )
-            .unwrap();
-            let str = ApproxIndex::build_streaming(
-                Env::mem(StoreConfig::default()),
-                objs(),
-                v,
-                cfg,
-                bp.clone(),
-            )
-            .unwrap();
-            pairs.push((Box::new(mem), Box::new(str)));
-        }
-        for (mem, str) in &pairs {
-            for &(a, b) in crate::test_support::INTERVALS {
-                let want = mem.top_k(a, b, 3, AggKind::Sum).unwrap();
-                let got = str.top_k(a, b, 3, AggKind::Sum).unwrap();
-                assert_eq!(want.ids(), got.ids(), "{} [{a},{b}] ids", mem.name());
-                for (x, y) in want.scores().iter().zip(got.scores()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{} [{a},{b}] scores", mem.name());
+        let set = wavy_set(40, 30);
+        let store = StoreConfig { block_size: 256, pool_capacity: 16 };
+        let bp = Breakpoints::b2_with_eps(&set, 0.02, B2Construction::Efficient).unwrap();
+        let cfg = ApproxConfig { kmax: 4, store, ..Default::default() };
+        let root = std::env::temp_dir().join(format!("chronorank-budget-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        // One run holds all 1200 segments; sixteen 44-byte records make 75.
+        let budgets = [("one-run", u64::MAX), ("tiny", 16 * 44)];
+        let mut builds = Vec::new();
+        for (tag, budget) in budgets {
+            for owned in [false, true] {
+                let dir = root.join(format!("{tag}-{owned}"));
+                let env = |name: &str| Env::dir(dir.join(name), store).unwrap();
+                let objs = || set.objects().iter().cloned();
+                let flush = |m: &dyn RankMethod| m.drop_caches().unwrap();
+                if owned {
+                    flush(&Exact1::build_streaming(env("e1"), objs(), budget).unwrap());
+                    flush(&Exact3::build_streaming(env("e3"), store, objs(), budget).unwrap());
+                } else {
+                    let objs = set.objects();
+                    flush(&Exact1::build_streaming(env("e1"), objs, budget).unwrap());
+                    flush(&Exact3::build_streaming(env("e3"), store, objs, budget).unwrap());
                 }
+                // QUERY1 lists, QUERY2 lists and the APPX2+ prefix file.
+                for v in [ApproxVariant::APPX1, ApproxVariant::APPX2_PLUS] {
+                    let (env, bp) = (env(v.name()), bp.clone());
+                    let idx = if owned {
+                        ApproxIndex::build_streaming(env, objs(), v, cfg, bp)
+                    } else {
+                        ApproxIndex::build_streaming(env, set.objects(), v, cfg, bp)
+                    };
+                    flush(&idx.unwrap());
+                }
+                let files: Vec<_> = ["e1", "e3", "APPX1", "APPX2+"]
+                    .iter()
+                    .map(|name| index_files(&dir.join(name)))
+                    .collect();
+                builds.push((format!("{tag}, owned = {owned}"), files));
             }
         }
+        let (first, want) = &builds[0];
+        assert!(want.iter().all(|files| !files.is_empty()));
+        assert!(want[3].contains_key("appx_prefix") && want[2].contains_key("c0_q1_lists"));
+        for (label, got) in &builds[1..] {
+            assert!(got == want, "index files differ between ({first}) and ({label})");
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -112,48 +112,41 @@ pub struct ExternalSorter<F: Fn(&[u8]) -> f64> {
     file: PagedFile,
     record_len: usize,
     key_fn: F,
-    /// Max records buffered in memory before spilling a run.
-    mem_budget: usize,
+    /// Records buffered in memory before a run is spilled.
+    run_records: usize,
     buf: Vec<u8>,
-    n_buf: usize,
     runs: Vec<Run>,
     total: u64,
 }
 
 impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
-    /// `file` must be a fresh scratch file; `mem_budget` is in records.
-    pub fn new(file: PagedFile, record_len: usize, mem_budget: usize, key_fn: F) -> Result<Self> {
-        if record_len == 0 || record_len > file.block_size() - RUN_HDR {
-            return Err(IndexError::BadInput(format!(
-                "record length {record_len} unusable with block size {}",
-                file.block_size()
-            )));
-        }
-        let mem_budget = mem_budget.max(16);
-        Ok(Self {
-            buf: Vec::with_capacity(mem_budget * record_len),
-            n_buf: 0,
-            runs: Vec::new(),
-            total: 0,
-            file,
-            record_len,
-            key_fn,
-            mem_budget,
-        })
-    }
-
-    /// Like [`ExternalSorter::new`], but the in-memory run length is
-    /// derived from an explicit **byte** budget (a `ScaleBudget` sort
-    /// share) instead of a record count. Floors at 16 records so a
-    /// degenerate budget still sorts.
+    /// `file` must be a fresh scratch file. `budget_bytes` (a `ScaleBudget`
+    /// sort share) caps the run length at `budget_bytes / record_len`
+    /// records — never fewer than 16, so a degenerate budget still sorts.
+    /// Only the run length is capped: the buffer grows as records arrive,
+    /// so a budget far above the input costs nothing.
     pub fn with_byte_budget(
         file: PagedFile,
         record_len: usize,
         budget_bytes: u64,
         key_fn: F,
     ) -> Result<Self> {
-        let records = (budget_bytes / record_len.max(1) as u64).clamp(16, 1 << 31) as usize;
-        Self::new(file, record_len, records, key_fn)
+        if record_len == 0 || record_len > file.block_size() - RUN_HDR {
+            return Err(IndexError::BadInput(format!(
+                "record length {record_len} unusable with block size {}",
+                file.block_size()
+            )));
+        }
+        let run_records = (budget_bytes / record_len as u64).clamp(16, usize::MAX as u64) as usize;
+        Ok(Self {
+            buf: Vec::new(),
+            runs: Vec::new(),
+            total: 0,
+            file,
+            record_len,
+            key_fn,
+            run_records,
+        })
     }
 
     /// Add one record.
@@ -170,20 +163,19 @@ impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
             return Err(IndexError::BadInput("record key must be finite".into()));
         }
         self.buf.extend_from_slice(rec);
-        self.n_buf += 1;
         self.total += 1;
-        if self.n_buf >= self.mem_budget {
+        if self.buf.len() / self.record_len >= self.run_records {
             self.spill()?;
         }
         Ok(())
     }
 
     fn spill(&mut self) -> Result<()> {
-        if self.n_buf == 0 {
+        if self.buf.is_empty() {
             return Ok(());
         }
         let rl = self.record_len;
-        let mut order: Vec<usize> = (0..self.n_buf).collect();
+        let mut order: Vec<usize> = (0..self.buf.len() / rl).collect();
         order.sort_by(|&a, &b| {
             let ka = (self.key_fn)(&self.buf[a * rl..(a + 1) * rl]);
             let kb = (self.key_fn)(&self.buf[b * rl..(b + 1) * rl]);
@@ -193,7 +185,6 @@ impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
         let run = write_run(&self.file, rl, &refs)?;
         self.runs.push(run);
         self.buf.clear();
-        self.n_buf = 0;
         Ok(())
     }
 
@@ -419,7 +410,9 @@ mod tests {
     #[test]
     fn sorts_random_input_across_many_runs() {
         let e = env();
-        let mut s = ExternalSorter::new(e.create_file("runs").unwrap(), 12, 50, key_of).unwrap();
+        let mut s =
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 12 * 50, key_of)
+                .unwrap();
         // Deterministic pseudo-random keys.
         let mut x = 123456789u64;
         let mut keys = Vec::new();
@@ -430,6 +423,7 @@ mod tests {
             s.push(&rec(k, i)).unwrap();
         }
         assert_eq!(s.len(), 2000);
+        assert_eq!(s.runs.len(), 40, "the budget caps every run at 50 records");
         let mut stream = s.finish().unwrap();
         keys.sort_by(f64::total_cmp);
         let mut out = vec![0u8; 12];
@@ -466,8 +460,7 @@ mod tests {
     #[test]
     fn byte_budget_constructor_sorts_identically() {
         let e = env();
-        // 600 bytes / 12-byte records → 50-record runs: same spill pattern
-        // as the record-count test above.
+        // 600 bytes / 12-byte records → 50-record runs: ten spills.
         let mut s =
             ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 600, key_of)
                 .unwrap();
@@ -493,9 +486,34 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_budget_reserves_nothing_up_front() {
+        // Regression: the budget used to be reserved whole at construction
+        // (an allocation abort at this size). It caps the run length only.
+        let e = env();
+        let mut s =
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, u64::MAX, key_of)
+                .unwrap();
+        assert_eq!(s.buf.capacity(), 0);
+        for i in 0..100u32 {
+            s.push(&rec(f64::from(100 - i), i)).unwrap();
+        }
+        assert!(s.buf.capacity() <= 256 * 12, "buffer grew to {} bytes", s.buf.capacity());
+        assert!(s.runs.is_empty(), "100 records are one in-memory run");
+        let mut stream = s.finish().unwrap();
+        let mut out = vec![0u8; 12];
+        for want in 1..=100u32 {
+            assert!(stream.next_into(&mut out).unwrap());
+            assert_eq!(key_of(&out), f64::from(want));
+        }
+        assert!(!stream.next_into(&mut out).unwrap());
+    }
+
+    #[test]
     fn empty_sorter_yields_nothing() {
         let e = env();
-        let s = ExternalSorter::new(e.create_file("runs").unwrap(), 12, 50, key_of).unwrap();
+        let s =
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 12 * 50, key_of)
+                .unwrap();
         assert!(s.is_empty());
         let mut stream = s.finish().unwrap();
         let mut out = vec![0u8; 12];
@@ -505,7 +523,9 @@ mod tests {
     #[test]
     fn single_run_in_memory_only() {
         let e = env();
-        let mut s = ExternalSorter::new(e.create_file("runs").unwrap(), 12, 1000, key_of).unwrap();
+        let mut s =
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 12 * 1000, key_of)
+                .unwrap();
         for k in [5.0, 1.0, 3.0] {
             s.push(&rec(k, 0)).unwrap();
         }
@@ -521,17 +541,24 @@ mod tests {
     #[test]
     fn sorter_rejects_bad_input() {
         let e = env();
-        let mut s = ExternalSorter::new(e.create_file("runs").unwrap(), 12, 50, key_of).unwrap();
+        let mut s =
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 12 * 50, key_of)
+                .unwrap();
         assert!(s.push(&[0u8; 5]).is_err());
         assert!(s.push(&rec(f64::NAN, 0)).is_err());
-        assert!(ExternalSorter::new(e.create_file("r2").unwrap(), 0, 50, key_of).is_err());
-        assert!(ExternalSorter::new(e.create_file("r3").unwrap(), 4000, 50, key_of).is_err());
+        assert!(
+            ExternalSorter::with_byte_budget(e.create_file("r2").unwrap(), 0, 600, key_of).is_err()
+        );
+        assert!(ExternalSorter::with_byte_budget(e.create_file("r3").unwrap(), 4000, 600, key_of)
+            .is_err());
     }
 
     #[test]
     fn duplicate_keys_are_all_preserved() {
         let e = env();
-        let mut s = ExternalSorter::new(e.create_file("runs").unwrap(), 12, 20, key_of).unwrap();
+        let mut s =
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 12 * 20, key_of)
+                .unwrap();
         for i in 0..100u32 {
             s.push(&rec(7.0, i)).unwrap();
         }

@@ -16,12 +16,9 @@
 //! `Arc` replacement (measured in the swap-pause histogram).
 
 use crate::shard::ToShard;
-use chronorank_core::{
-    AggKind, ApproxConfig, Breakpoints, Exact1, Exact3, GenerationProfile, ObjectId, SharedMethod,
-    TemporalSet,
-};
-use chronorank_serve::{panic_message, BuildStages, MethodSet, Route, RouteProfiles};
-use chronorank_storage::{Env, ImageWriter, IoStats, PagedFile, StoreConfig};
+use chronorank_core::{ApproxConfig, Breakpoints, Exact1, Exact3, GenerationProfile, TemporalSet};
+use chronorank_serve::{panic_message, BuiltRoutes, MethodSet, Route};
+use chronorank_storage::{Env, ImageWriter, PagedFile, StoreConfig};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,39 +32,18 @@ pub(crate) struct GenBuildSpec {
     pub store: StoreConfig,
 }
 
-/// Everything a shard needs to route against a published generation.
-#[derive(Debug, Clone)]
+/// What a shard needs to know about a published generation beyond its
+/// built routes.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct GenMeta {
     /// Epoch counter (0 = the bootstrap build).
     pub generation: u64,
     /// Mass the snapshot carried — the denominator of ε re-validation.
     pub built_mass: f64,
-    /// Per-route built-method profiles (against `built_mass`).
-    pub profiles: RouteProfiles,
-    /// The breakpoints the approximate routes snap to.
-    pub breakpoints: Option<Breakpoints>,
     /// Largest `k` the approximate routes answer.
     pub kmax: usize,
-    /// Bytes across all built structures (a shared file counted once).
-    pub size_bytes: u64,
-    /// Bytes of the files each route reads (a shared file counts for
-    /// every route using it).
-    pub route_bytes: [u64; 5],
     /// Off-thread wall time of the build.
     pub build_secs: f64,
-    /// Where that time went, per stage.
-    pub stages: BuildStages,
-}
-
-impl GenMeta {
-    /// The generation-aware profile of `route`, if built.
-    pub fn profile(&self, route: Route) -> Option<GenerationProfile> {
-        self.profiles[route.idx()].map(|profile| GenerationProfile {
-            generation: self.generation,
-            built_mass: self.built_mass,
-            profile,
-        })
-    }
 }
 
 /// One reopened index extracted from a generation image: its environment
@@ -91,16 +67,16 @@ pub(crate) struct GenParts {
     pub breakpoints: Option<Vec<u8>>,
 }
 
-/// A published, immutable generation: built methods + metadata, shared as
+/// A published, immutable generation: built routes + metadata, shared as
 /// `Arc<Generation>` between the builder (briefly), the shard, and
-/// whatever the shard is answering right now. Also keeps the concrete
-/// EXACT1/EXACT3 handles (the `methods` array holds `Arc` clones of the
-/// same indexes) so a checkpoint can capture the trees page-for-page.
+/// whatever the shard is answering right now. The routes keep the concrete
+/// EXACT1/EXACT3 handles so a checkpoint can capture the trees
+/// page-for-page.
 pub(crate) struct Generation {
     pub meta: GenMeta,
-    methods: [Option<SharedMethod>; 5],
-    exact1: Option<Arc<Exact1>>,
-    exact3: Arc<Exact3>,
+    /// Probed in-thread, directly: breakpoints, sizes, IO and build
+    /// stages are read off it too.
+    pub built: BuiltRoutes,
 }
 
 impl Generation {
@@ -115,7 +91,9 @@ impl Generation {
         // is backed by can never diverge between the two layers.
         let built =
             chronorank_serve::build_route_methods_with_handles(snapshot, methods, approx, store)?;
-        Ok(Self::assembled(snapshot, generation, approx.kmax, built, build_secs()))
+        let built_mass = snapshot.total_mass();
+        let meta = GenMeta { generation, built_mass, kmax: approx.kmax, build_secs: build_secs() };
+        Ok(Self { meta, built })
     }
 
     /// Reopen from the parts of a checkpoint image: the exact trees come
@@ -152,39 +130,18 @@ impl Generation {
             exact3,
             breakpoints,
         )?;
-        Ok(Self::assembled(snapshot, parts.generation, approx.kmax, built, 0.0))
+        let (generation, built_mass) = (parts.generation, snapshot.total_mass());
+        let meta = GenMeta { generation, built_mass, kmax: approx.kmax, build_secs: 0.0 };
+        Ok(Self { meta, built })
     }
 
-    fn assembled(
-        snapshot: &TemporalSet,
-        generation: u64,
-        kmax: usize,
-        built: chronorank_serve::BuiltRoutes,
-        build_secs: f64,
-    ) -> Self {
-        let route_bytes = built.route_bytes();
-        let chronorank_serve::BuiltRoutes {
-            methods,
-            breakpoints,
-            exact1,
-            exact3,
-            stages,
-            size_bytes,
-        } = built;
-        let profiles: RouteProfiles =
-            std::array::from_fn(|i| methods[i].as_ref().map(|m| m.profile()));
-        let meta = GenMeta {
-            generation,
-            built_mass: snapshot.total_mass(),
-            profiles,
-            breakpoints,
-            kmax,
-            size_bytes,
-            route_bytes,
-            build_secs,
-            stages,
-        };
-        Self { meta, methods, exact1, exact3 }
+    /// The generation-aware profile of `route`, if built.
+    pub fn profile(&self, route: Route) -> Option<GenerationProfile> {
+        self.built.profiles()[route.idx()].map(|profile| GenerationProfile {
+            generation: self.meta.generation,
+            built_mass: self.meta.built_mass,
+            profile,
+        })
     }
 
     /// Write this generation's persistent form under `prefix` in an image:
@@ -199,44 +156,23 @@ impl Generation {
     ) -> chronorank_core::Result<()> {
         let mut meta = Vec::with_capacity(14 + 8 * frozen_end.len());
         meta.extend_from_slice(&self.meta.generation.to_le_bytes());
-        meta.push(self.exact1.is_some() as u8);
-        meta.push(self.meta.breakpoints.is_some() as u8);
+        meta.push(self.built.exact1.is_some() as u8);
+        meta.push(self.built.breakpoints.is_some() as u8);
         meta.extend_from_slice(&(frozen_end.len() as u32).to_le_bytes());
         for &e in frozen_end {
             meta.extend_from_slice(&e.to_bits().to_le_bytes());
         }
         w.add_blob(&format!("{prefix}meta"), &meta)?;
-        if let Some(e1) = &self.exact1 {
+        if let Some(e1) = &self.built.exact1 {
             w.add_paged(&format!("{prefix}exact1_pages"), e1.tree_file())?;
             w.add_blob(&format!("{prefix}exact1_meta"), &e1.meta_bytes())?;
         }
-        w.add_paged(&format!("{prefix}exact3_pages"), self.exact3.tree_file())?;
-        w.add_blob(&format!("{prefix}exact3_meta"), &self.exact3.meta_bytes())?;
-        if let Some(bp) = &self.meta.breakpoints {
+        w.add_paged(&format!("{prefix}exact3_pages"), self.built.exact3.tree_file())?;
+        w.add_blob(&format!("{prefix}exact3_meta"), &self.built.exact3.meta_bytes())?;
+        if let Some(bp) = &self.built.breakpoints {
             w.add_blob(&format!("{prefix}breakpoints"), &bp.to_bytes())?;
         }
         Ok(())
-    }
-
-    /// Frozen top-`k` candidates for `[t1, t2]` on `route` — a direct
-    /// in-thread probe of the shared snapshot.
-    pub fn probe(
-        &self,
-        t1: f64,
-        t2: f64,
-        k: usize,
-        route: Route,
-    ) -> Result<Vec<(ObjectId, f64)>, String> {
-        let method = self.methods[route.idx()]
-            .as_ref()
-            .ok_or_else(|| format!("route {} not built in this generation", route.name()))?;
-        let top = method.top_k(t1, t2, k, AggKind::Sum).map_err(|e| e.to_string())?;
-        Ok(top.entries().to_vec())
-    }
-
-    /// Cumulative IO of all this generation's indexes.
-    pub fn io_total(&self) -> IoStats {
-        self.methods.iter().flatten().map(|m| m.io_stats()).sum()
     }
 }
 

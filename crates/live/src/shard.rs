@@ -318,7 +318,7 @@ impl ShardState {
         }
         let t0 = Instant::now();
         if let Some(mut old) = self.gen.take() {
-            self.retired_io += old.gen.io_total();
+            self.retired_io += old.gen.built.io_total();
             if let Some(join) = old.join.take() {
                 join.join().ok(); // builder exited after its announce
             }
@@ -326,7 +326,7 @@ impl ShardState {
         self.frozen_end = pending.frozen_end;
         self.gen_applied = pending.stamp_applied;
         self.build_secs += gen.meta.build_secs;
-        self.build_stages += gen.meta.stages;
+        self.build_stages += gen.built.stages;
         self.obs.rebuild_us.record((gen.meta.build_secs * 1e6) as u64);
         self.gen = Some(Installed { gen, join: pending.join });
         // The epoch swap also compacts the columnar append log into the
@@ -412,11 +412,11 @@ impl ShardState {
         // semantics (their index structures only know breakpoint pairs),
         // not a cache artifact, so it must not depend on whether a cache
         // is configured.
-        let snapped = job.route.cacheable() && gen.meta.breakpoints.is_some();
+        let snapped = job.route.cacheable() && gen.built.breakpoints.is_some();
         if !snapped {
             return self.merged_answer(&gen, q.t1, q.t2, q.k, job.route);
         }
-        let bp = gen.meta.breakpoints.as_ref().expect("checked above");
+        let bp = gen.built.breakpoints.as_ref().expect("checked above");
         let key = CacheKey {
             b1: bp.snap_idx(q.t1) as u32,
             b2: bp.snap_idx(q.t2) as u32,
@@ -431,7 +431,7 @@ impl ShardState {
         // ε·M_built, plus whatever mass landed inside the snapped interval
         // since the entry was computed, must still fit the query's
         // ε-budget against the *live* mass.
-        let eps_abs = gen.meta.profile(job.route).map_or(0.0, |g| g.eps_abs());
+        let eps_abs = gen.profile(job.route).map_or(0.0, |g| g.eps_abs());
         let budget_abs = q.tolerance.map(|t| t.eps * self.live_mass).unwrap_or(0.0);
         self.cache_lookups += 1;
         let mut invalidate = false;
@@ -480,7 +480,7 @@ impl ShardState {
         for job in jobs {
             let q = job.query;
             let snapped = match &gen {
-                Some(g) if job.route.cacheable() => g.meta.breakpoints.as_ref(),
+                Some(g) if job.route.cacheable() => g.built.breakpoints.as_ref(),
                 _ => None,
             };
             let (a, b) = match snapped {
@@ -541,7 +541,7 @@ impl ShardState {
         if !route.is_exact() {
             kk = kk.min(gen.meta.kmax).max(k.min(gen.meta.kmax));
         }
-        let frozen = gen.probe(t1, t2, kk, route)?;
+        let frozen = gen.built.probe(route, t1, t2, kk)?;
         let mut seen = vec![false; m];
         let mut candidates: Vec<ObjectId> = Vec::with_capacity(frozen.len() + touched.len());
         for (id, _) in frozen {
@@ -571,9 +571,15 @@ impl ShardState {
         self.status_seq += 1;
         let (generation, built_mass, profiles, size_bytes, route_bytes, gen_io) = match &self.gen {
             Some(i) => {
-                let m = &i.gen.meta;
-                let io = i.gen.io_total();
-                (m.generation, m.built_mass, m.profiles, m.size_bytes, m.route_bytes, io)
+                let (m, b) = (i.gen.meta, &i.gen.built);
+                (
+                    m.generation,
+                    m.built_mass,
+                    b.profiles(),
+                    b.size_bytes,
+                    b.route_bytes(),
+                    b.io_total(),
+                )
             }
             None => (0, 0.0, [None; 5], 0, [0; 5], IoStats::default()),
         };

@@ -305,9 +305,10 @@ impl ServeEngine {
                 r: facts[0].r,
                 span: (t_max - t_min).max(0.0),
             },
-            merge_profiles(&facts.iter().map(|f| f.profiles).collect::<Vec<_>>()),
+            merge_profiles(&shards.iter().map(|s| s.built().profiles()).collect::<Vec<_>>()),
         );
         Ok(Self {
+            index_bytes: shards.iter().map(|s| s.built().size_bytes).sum(),
             shards,
             pool: WorkerPool::new(pool_workers)?,
             planner,
@@ -317,7 +318,6 @@ impl ServeEngine {
                 queries: 0,
                 elapsed_secs: 0.0,
             }),
-            index_bytes: facts.iter().map(|f| f.size_bytes).sum(),
             build_secs: 0.0,
             obs: ServeObs::attach(Registry::global()),
         })
@@ -734,6 +734,7 @@ impl ServeEngine {
         );
         g("chronorank_serve_io_reads", "block reads across all shards", report.io.reads);
         g("chronorank_serve_io_writes", "block writes across all shards", report.io.writes);
+        let route_bytes: Vec<_> = self.shards.iter().map(|s| s.built().route_bytes()).collect();
         for route in Route::ALL {
             let stats = report.routes[route.idx()];
             registry
@@ -756,7 +757,7 @@ impl ServeEngine {
                     "bytes of the files each route reads, summed over shards (a shared file counts for every route using it)",
                     &[("route", route.name())],
                 )
-                .set_u64(self.shards.iter().map(|s| s.facts().route_bytes[route.idx()]).sum());
+                .set_u64(route_bytes.iter().map(|b| b[route.idx()]).sum());
         }
     }
 
@@ -776,10 +777,10 @@ impl ServeEngine {
             routes: served.routes,
             cache_hits,
             cache_lookups,
-            io: self.shards.iter().map(|s| s.io_total()).sum(),
+            io: self.shards.iter().map(|s| s.built().io_total()).sum(),
             index_bytes: self.index_bytes,
             build_secs: self.build_secs,
-            build_stages: self.shards.iter().map(|s| s.facts().stages).sum(),
+            build_stages: self.shards.iter().map(|s| s.built().stages).sum(),
         }
     }
 }

@@ -39,16 +39,6 @@ type ResultCache = Mutex<LruCache<CacheKey, Vec<(ObjectId, f64)>>>;
 pub(crate) struct ShardFacts {
     pub m: u64,
     pub n: u64,
-    /// Profile of every built method, per route — the object-safe
-    /// [`chronorank_core::TopKMethod::profile`] surface the planner
-    /// dispatches on.
-    pub profiles: RouteProfiles,
-    /// Bytes across the shard's distinct index files.
-    pub size_bytes: u64,
-    /// What each route reads from, per [`Route`] (`0` where disabled). A
-    /// file two routes share counts for both, so these can sum past
-    /// `size_bytes`.
-    pub route_bytes: [u64; 5],
     /// This partition's time domain (the engine merges all shards').
     pub t_min: f64,
     pub t_max: f64,
@@ -56,8 +46,6 @@ pub(crate) struct ShardFacts {
     /// already-built shards ([`crate::ServeEngine::from_shards`]).
     pub block: u64,
     pub r: u64,
-    /// What each stage of this shard's build cost.
-    pub stages: BuildStages,
 }
 
 /// Key of the shard-local result cache: the **snapped** interval (as
@@ -148,12 +136,47 @@ pub struct BuiltRoutes {
     /// Bytes across the distinct index files: the QUERY2 structure APPX2
     /// and APPX2+ share is in both routes' `size_bytes()` but once here.
     pub size_bytes: u64,
+    /// Fixed once built, and read on every live reply: kept, not recomputed.
+    route_bytes: [u64; 5],
+    profiles: RouteProfiles,
 }
 
 impl BuiltRoutes {
-    /// `size_bytes()` of every route's method (`0` where disabled).
+    /// `size_bytes()` of every route's method (`0` where disabled). A
+    /// file two routes share counts for both, so these can sum past
+    /// [`BuiltRoutes::size_bytes`].
     pub fn route_bytes(&self) -> [u64; 5] {
-        std::array::from_fn(|i| self.methods[i].as_ref().map_or(0, |m| m.size_bytes()))
+        self.route_bytes
+    }
+
+    /// Profile of every built method, per route — the object-safe
+    /// [`chronorank_core::TopKMethod::profile`] surface the planner
+    /// dispatches on.
+    pub fn profiles(&self) -> RouteProfiles {
+        self.profiles
+    }
+
+    /// Cumulative IO across all of this snapshot's indexes. Every route's
+    /// counter holds only what its own queries did — reads in a structure
+    /// two routes share are credited to the route that asked — so the sum
+    /// counts each block once.
+    pub fn io_total(&self) -> IoStats {
+        self.methods.iter().flatten().map(|m| m.io_stats()).sum()
+    }
+
+    /// `top-k(t1, t2, sum)` on `route`, in the snapshot's own ids.
+    pub fn probe(
+        &self,
+        route: Route,
+        t1: f64,
+        t2: f64,
+        k: usize,
+    ) -> Result<Vec<(ObjectId, f64)>, String> {
+        let method = self.methods[route.idx()]
+            .as_ref()
+            .ok_or_else(|| format!("route {} not built in this snapshot", route.name()))?;
+        let top = method.top_k(t1, t2, k, AggKind::Sum).map_err(|e| e.to_string())?;
+        Ok(top.entries().to_vec())
     }
 }
 
@@ -247,15 +270,26 @@ pub fn assemble_route_methods(
         built[route.idx()] = Some(Box::new(idx));
     }
     let stages = BuildStages { appx_us: micros_since(t0), ..BuildStages::default() };
-    let size_bytes = built.iter().flatten().map(|m| m.size_bytes()).sum::<u64>() - shared_bytes;
-    Ok(BuiltRoutes { methods: built, breakpoints, exact1, exact3, stages, size_bytes })
+    let route_bytes: [u64; 5] =
+        std::array::from_fn(|i| built[i].as_ref().map_or(0, |m| m.size_bytes()));
+    let profiles = std::array::from_fn(|i| built[i].as_ref().map(|m| m.profile()));
+    let size_bytes = route_bytes.iter().sum::<u64>() - shared_bytes;
+    Ok(BuiltRoutes {
+        methods: built,
+        breakpoints,
+        exact1,
+        exact3,
+        stages,
+        size_bytes,
+        route_bytes,
+        profiles,
+    })
 }
 
 /// One partition's built, immutable index snapshot (see module docs).
 /// Published as `Arc<Shard>`; every method takes `&self`.
 pub struct Shard {
-    methods: [Option<SharedMethod>; 5],
-    breakpoints: Option<Breakpoints>,
+    built: BuiltRoutes,
     cache: Option<ResultCache>,
     /// Local dense id → global id.
     global_ids: Vec<ObjectId>,
@@ -275,28 +309,27 @@ impl Shard {
     ) -> chronorank_core::Result<Self> {
         let store = cfg.store;
         let built = build_route_methods_with_handles(set, cfg.methods, cfg.approx, store)?;
-        let route_bytes = built.route_bytes();
-        let BuiltRoutes { methods, breakpoints, stages, size_bytes, .. } = built;
         let facts = ShardFacts {
             m: set.num_objects() as u64,
             n: set.num_segments(),
-            profiles: std::array::from_fn(|i| methods[i].as_ref().map(|m| m.profile())),
-            size_bytes,
-            route_bytes,
             t_min: set.t_min(),
             t_max: set.t_max(),
             block: store.block_size as u64,
             r: cfg.approx.r as u64,
-            stages,
         };
         let cache = (cfg.cache_capacity > 0).then(|| Mutex::new(LruCache::new(cfg.cache_capacity)));
         let latency_us =
             AtomicU64::new(cfg.simulated_read_latency.map_or(0, |d| d.as_micros() as u64));
-        Ok(Self { methods, breakpoints, cache, global_ids, latency_us, facts })
+        Ok(Self { built, cache, global_ids, latency_us, facts })
     }
 
     pub(crate) fn facts(&self) -> ShardFacts {
         self.facts
+    }
+
+    /// The built indexes, with their sizes, profiles, IO and build stages.
+    pub(crate) fn built(&self) -> &BuiltRoutes {
+        &self.built
     }
 
     /// Re-configure the emulated per-block-read device latency. Probes
@@ -304,14 +337,6 @@ impl Shard {
     /// for queries already queued.
     pub(crate) fn set_latency(&self, latency: Option<Duration>) {
         self.latency_us.store(latency.map_or(0, |d| d.as_micros() as u64), Ordering::Relaxed);
-    }
-
-    /// Cumulative IO across all of this shard's indexes. Every route's
-    /// counter holds only what its own queries did — reads in a structure
-    /// two routes share are credited to the route that asked — so the sum
-    /// counts each block once.
-    pub(crate) fn io_total(&self) -> IoStats {
-        self.methods.iter().flatten().map(|m| m.io_stats()).sum()
     }
 
     /// `(hits, lookups)` of the shard-local result cache.
@@ -331,7 +356,7 @@ impl Shard {
     /// consulted (`None` = the route bypassed it) — what the engine folds
     /// into a query-level [`chronorank_obs::CacheOutcome`].
     pub(crate) fn answer(&self, q: ServeQuery, route: Route) -> (ShardAnswer, Option<bool>) {
-        let key = match (&self.breakpoints, &self.cache) {
+        let key = match (&self.built.breakpoints, &self.cache) {
             (Some(bp), Some(_)) if route.cacheable() => Some(CacheKey {
                 b1: bp.snap_idx(q.t1) as u32,
                 b2: bp.snap_idx(q.t2) as u32,
@@ -378,7 +403,7 @@ impl Shard {
             Snapped { b1: u32, b2: u32, k: u32, route: Route },
             Raw { t1: u64, t2: u64, k: u32, route: Route },
         }
-        let key_of = |q: &ServeQuery, route: Route| match &self.breakpoints {
+        let key_of = |q: &ServeQuery, route: Route| match &self.built.breakpoints {
             Some(bp) if route.cacheable() => ProbeKey::Snapped {
                 b1: bp.snap_idx(q.t1) as u32,
                 b2: bp.snap_idx(q.t2) as u32,
@@ -403,12 +428,9 @@ impl Shard {
 
     /// Run the routed index probe and translate ids to the global space.
     fn probe(&self, route: Route, q: ServeQuery) -> ShardAnswer {
-        let method = self.methods[route.idx()]
-            .as_ref()
-            .ok_or_else(|| format!("route {} not built on this shard", route.name()))?;
         let latency_us = self.latency_us.load(Ordering::Relaxed);
         let before = (latency_us > 0).then(chronorank_storage::IoCounter::thread_reads);
-        let top = method.top_k(q.t1, q.t2, q.k, AggKind::Sum).map_err(|e| e.to_string())?;
+        let top = self.built.probe(route, q.t1, q.t2, q.k)?;
         if let Some(before) = before {
             // Emulated device: sleep once per block read THIS probe did.
             // The thread-local tally attributes reads exactly to the
@@ -423,7 +445,7 @@ impl Shard {
                 );
             }
         }
-        Ok(top.entries().iter().map(|&(id, s)| (self.global_ids[id as usize], s)).collect())
+        Ok(top.into_iter().map(|(id, s)| (self.global_ids[id as usize], s)).collect())
     }
 }
 
@@ -446,8 +468,7 @@ mod tests {
     #[test]
     fn a_file_two_routes_share_is_sized_once() {
         let (set, shard) = shard();
-        let facts = shard.facts();
-        let [e1, e3, _, appx2, appx2_plus] = facts.route_bytes;
+        let [e1, e3, _, appx2, appx2_plus] = shard.built.route_bytes();
         // APPX2 is the QUERY2 structure alone; APPX2+ is the same structure
         // plus its prefix file.
         let plus = ApproxIndex::build_with_breakpoints(
@@ -455,12 +476,12 @@ mod tests {
             &set,
             ApproxVariant::APPX2_PLUS,
             ApproxConfig::default(),
-            shard.breakpoints.clone().unwrap(),
+            shard.built.breakpoints.clone().unwrap(),
         )
         .unwrap();
         let prefix = plus.rescorer().unwrap().size_bytes();
         assert_eq!(appx2_plus, appx2 + prefix);
-        assert_eq!(facts.size_bytes, e1 + e3 + appx2 + prefix, "distinct files only");
+        assert_eq!(shard.built.size_bytes, e1 + e3 + appx2 + prefix, "distinct files only");
     }
 
     #[test]
@@ -468,17 +489,18 @@ mod tests {
         let (set, shard) = shard();
         let q =
             ServeQuery::exact(set.t_min() + 0.2 * set.span(), set.t_min() + 0.6 * set.span(), 10);
-        let reads = |route: Route| shard.methods[route.idx()].as_ref().unwrap().io_stats().reads;
+        let reads =
+            |route: Route| shard.built.methods[route.idx()].as_ref().unwrap().io_stats().reads;
         for (asked, other) in [(Route::Appx2, Route::Appx2Plus), (Route::Appx2Plus, Route::Appx2)] {
-            for m in shard.methods.iter().flatten() {
+            for m in shard.built.methods.iter().flatten() {
                 m.drop_caches().unwrap();
             }
-            let (total, own, others) = (shard.io_total().reads, reads(asked), reads(other));
+            let (total, own, others) = (shard.built.io_total().reads, reads(asked), reads(other));
             let before = IoCounter::thread_reads();
             shard.probe(asked, q).unwrap();
             let did = IoCounter::thread_reads() - before;
             assert!(did > 0, "{}: a cold probe reads", asked.name());
-            assert_eq!(shard.io_total().reads - total, did, "{}: shard total", asked.name());
+            assert_eq!(shard.built.io_total().reads - total, did, "{}: shard total", asked.name());
             assert_eq!(reads(asked) - own, did, "{}: its own counter", asked.name());
             assert_eq!(reads(other), others, "{}: the sharer's counter", other.name());
         }
