@@ -42,7 +42,10 @@ impl CostParams {
 /// Predicted cold query IOs (block reads) per method.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryCost {
-    /// EXACT1: `log_B N + Σ q_i / B_entries`.
+    /// EXACT1, the standalone B+-tree of [`crate::Exact1`]:
+    /// `log_B N + Σ q_i / B_entries`. Omits the `t1 − Δmax` look-back the
+    /// scan starts with, which is most of a short window's measured cost;
+    /// serving shards build no such tree and nothing routes on this price.
     pub exact1: f64,
     /// EXACT2: `Σ_i log_B n_i` ≈ `m · (1 + log_B n_avg)` (≥ 1 root read
     /// per object tree).

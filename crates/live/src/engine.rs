@@ -413,7 +413,9 @@ impl IngestEngine {
             return Err(LiveError::Snapshot("corrupt shard metadata".into()));
         }
         let generation = u64::from_le_bytes(meta[..8].try_into().expect("8"));
-        let (has_exact1, has_bp) = (meta[8] != 0, meta[9] != 0);
+        // meta[8] said "an EXACT1 tree follows" in images written while
+        // generations still built one; those sections are simply not read.
+        let has_bp = meta[9] != 0;
         let count = u32::from_le_bytes(meta[10..14].try_into().expect("4")) as usize;
         if meta.len() != 14 + 8 * count {
             return Err(LiveError::Snapshot("corrupt shard metadata".into()));
@@ -431,11 +433,10 @@ impl IngestEngine {
             let meta = img.blob(&format!("s{shard}/{name}_meta"))?;
             Ok(GenPart { env, file, meta })
         };
-        let exact1 = if has_exact1 { Some(part("exact1")?) } else { None };
         let exact3 = part("exact3")?;
         let breakpoints =
             if has_bp { Some(img.blob(&format!("s{shard}/breakpoints"))?) } else { None };
-        Ok(GenParts { generation, frozen_end, exact1, exact3, breakpoints })
+        Ok(GenParts { generation, frozen_end, exact3, breakpoints })
     }
 
     /// Number of ingest shards.
@@ -942,7 +943,7 @@ impl IngestEngine {
                 registry
                     .gauge_with(
                         "chronorank_live_route_index_bytes",
-                        "bytes of the files each route reads across published generations (a shared file counts for every route using it)",
+                        "bytes of the files each route reads across published generations (a shared file counts for every route using it: EXACT1 is the EXACT3 tree)",
                         &[("route", route.name())],
                     )
                     .set_u64(statuses.iter().map(|s| s.route_bytes[route.idx()]).sum());

@@ -1,7 +1,7 @@
 //! Generations: the frozen, epoch-swapped index side of a shard.
 //!
-//! A generation is an **immutable snapshot**: EXACT3 (+ optional EXACT1 /
-//! APPX1 / APPX2 / APPX2+ sharing one breakpoint set) built over a copy of
+//! A generation is an **immutable snapshot**: EXACT3 (+ optional APPX1 /
+//! APPX2 / APPX2+ sharing one breakpoint set) built over a copy of
 //! the live data, plus the metadata the planner and the ε re-validation
 //! need. Since the whole index stack is `Send + Sync`, the builder thread
 //! simply constructs the generation, hands the finished
@@ -16,7 +16,7 @@
 //! `Arc` replacement (measured in the swap-pause histogram).
 
 use crate::shard::ToShard;
-use chronorank_core::{ApproxConfig, Breakpoints, Exact1, Exact3, GenerationProfile, TemporalSet};
+use chronorank_core::{ApproxConfig, Breakpoints, Exact3, GenerationProfile, TemporalSet};
 use chronorank_serve::{panic_message, BuiltRoutes, MethodSet, Route};
 use chronorank_storage::{Env, ImageWriter, PagedFile, StoreConfig};
 use std::sync::mpsc::Sender;
@@ -56,13 +56,12 @@ pub(crate) struct GenPart {
 }
 
 /// Everything a shard needs to reopen its frozen generation from a
-/// checkpoint image: EXACT3 (always), optional EXACT1, the breakpoint
-/// table (APPX variants rebuild deterministically from it), and the
+/// checkpoint image: the EXACT3 tree (the only exact index), the
+/// breakpoint table (APPX variants rebuild deterministically from it), and the
 /// per-object frozen edges that reconstruct the build-time snapshot.
 pub(crate) struct GenParts {
     pub generation: u64,
     pub frozen_end: Vec<f64>,
-    pub exact1: Option<GenPart>,
     pub exact3: GenPart,
     pub breakpoints: Option<Vec<u8>>,
 }
@@ -70,8 +69,7 @@ pub(crate) struct GenParts {
 /// A published, immutable generation: built routes + metadata, shared as
 /// `Arc<Generation>` between the builder (briefly), the shard, and
 /// whatever the shard is answering right now. The routes keep the concrete
-/// EXACT1/EXACT3 handles so a checkpoint can capture the trees
-/// page-for-page.
+/// EXACT3 handle so a checkpoint can capture the tree page-for-page.
 pub(crate) struct Generation {
     pub meta: GenMeta,
     /// Probed in-thread, directly: breakpoints, sizes, IO and build
@@ -96,7 +94,7 @@ impl Generation {
         Ok(Self { meta, built })
     }
 
-    /// Reopen from the parts of a checkpoint image: the exact trees come
+    /// Reopen from the parts of a checkpoint image: the EXACT3 tree comes
     /// back page-for-page (no sort, no build), and the APPX variants are
     /// rebuilt deterministically from the persisted breakpoints over the
     /// reconstructed build-time snapshot.
@@ -106,17 +104,13 @@ impl Generation {
         spec: GenBuildSpec,
     ) -> chronorank_core::Result<Self> {
         let GenBuildSpec { methods, approx, store } = spec;
-        let exact1 = match parts.exact1 {
-            Some(p) => Some(Arc::new(Exact1::open_parts(p.env, p.file, &p.meta)?)),
-            None => None,
-        };
         let p3 = parts.exact3;
         let exact3 = Arc::new(Exact3::open_parts(p3.env, store, p3.file, &p3.meta)?);
         let breakpoints = match &parts.breakpoints {
             Some(bytes) => Some(Breakpoints::from_bytes(bytes)?),
             None => None,
         };
-        if methods.exact1 != exact1.is_some() || methods.any_approx() != breakpoints.is_some() {
+        if methods.any_approx() != breakpoints.is_some() {
             return Err(chronorank_core::CoreError::BadQuery(
                 "generation image does not match the configured method set".into(),
             ));
@@ -126,7 +120,6 @@ impl Generation {
             methods,
             approx,
             store,
-            exact1,
             exact3,
             breakpoints,
         )?;
@@ -145,7 +138,7 @@ impl Generation {
     }
 
     /// Write this generation's persistent form under `prefix` in an image:
-    /// the exact trees page-for-page, their side metadata, the breakpoint
+    /// the EXACT3 tree page-for-page, its side metadata, the breakpoint
     /// table, and the frozen edges that let a reopen reconstruct the
     /// build-time snapshot from the recovered live set.
     pub(crate) fn add_to_image(
@@ -156,17 +149,13 @@ impl Generation {
     ) -> chronorank_core::Result<()> {
         let mut meta = Vec::with_capacity(14 + 8 * frozen_end.len());
         meta.extend_from_slice(&self.meta.generation.to_le_bytes());
-        meta.push(self.built.exact1.is_some() as u8);
+        meta.push(0); // was "has an EXACT1 tree" while generations built one
         meta.push(self.built.breakpoints.is_some() as u8);
         meta.extend_from_slice(&(frozen_end.len() as u32).to_le_bytes());
         for &e in frozen_end {
             meta.extend_from_slice(&e.to_bits().to_le_bytes());
         }
         w.add_blob(&format!("{prefix}meta"), &meta)?;
-        if let Some(e1) = &self.built.exact1 {
-            w.add_paged(&format!("{prefix}exact1_pages"), e1.tree_file())?;
-            w.add_blob(&format!("{prefix}exact1_meta"), &e1.meta_bytes())?;
-        }
         w.add_paged(&format!("{prefix}exact3_pages"), self.built.exact3.tree_file())?;
         w.add_blob(&format!("{prefix}exact3_meta"), &self.built.exact3.meta_bytes())?;
         if let Some(bp) = &self.built.breakpoints {

@@ -53,14 +53,13 @@ impl ServeConfig {
     }
 
     /// Long-lived index files one shard holds under `self.methods`: the
-    /// EXACT3 tree; the EXACT1 tree; QUERY2's list and directory files
-    /// (one structure behind APPX2 and APPX2+); the APPX2+ prefix file;
-    /// and QUERY1's list file, directory and `r − 1` sub-trees. Five under
-    /// the default [`MethodSet`].
+    /// EXACT3 tree (the one time-ordered segment file); QUERY2's list and
+    /// directory files (one structure behind APPX2 and APPX2+); the APPX2+
+    /// prefix file; and QUERY1's list file, directory and `r − 1`
+    /// sub-trees. Four under the default [`MethodSet`].
     pub fn files_per_shard(&self) -> usize {
         let m = self.methods;
-        1 + m.exact1 as usize
-            + 2 * (m.appx2 || m.appx2_plus) as usize
+        1 + 2 * (m.appx2 || m.appx2_plus) as usize
             + m.appx2_plus as usize
             + if m.appx1 { self.approx.r + 1 } else { 0 }
     }
@@ -72,7 +71,7 @@ mod tests {
 
     #[test]
     fn scale_budget_sizes_pools_per_worker() {
-        // 10 240 pool frames: divisible by 5 files × 4 workers.
+        // 10 240 pool frames: divisible by 4 files × 4 workers.
         let budget = ScaleBudget::new(80 << 20);
         let one = ServeConfig { workers: 1, ..Default::default() }.with_scale_budget(budget);
         let four = ServeConfig { workers: 4, ..Default::default() }.with_scale_budget(budget);
@@ -91,12 +90,12 @@ mod tests {
             TempGenerator::new(TempConfig { objects: 60, avg_segments: 20, ..Default::default() })
                 .generate_set();
         let cfg = ServeConfig::default();
-        assert_eq!(cfg.files_per_shard(), 5);
+        assert_eq!(cfg.files_per_shard(), 4);
         // The approximate side, counted by the environments that created
         // the files: QUERY2 (shared, 2) + the prefix file; all of QUERY1.
         let built = |v| ApproxIndex::build(&set, v, cfg.approx).unwrap().num_files();
         assert_eq!(built(ApproxVariant::APPX2_PLUS), 3);
         let with_appx1 = ServeConfig { methods: MethodSet { appx1: true, ..cfg.methods }, ..cfg };
-        assert_eq!(with_appx1.files_per_shard(), 5 + built(ApproxVariant::APPX1));
+        assert_eq!(with_appx1.files_per_shard(), 4 + built(ApproxVariant::APPX1));
     }
 }

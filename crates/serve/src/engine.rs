@@ -754,7 +754,7 @@ impl ServeEngine {
             registry
                 .gauge_with(
                     "chronorank_serve_route_index_bytes",
-                    "bytes of the files each route reads, summed over shards (a shared file counts for every route using it)",
+                    "bytes of the files each route reads, summed over shards (a shared file counts for every route using it: EXACT1 is the EXACT3 tree)",
                     &[("route", route.name())],
                 )
                 .set_u64(route_bytes.iter().map(|b| b[route.idx()]).sum());

@@ -20,8 +20,7 @@
 //!
 //!    | tolerance | route | paper cost (Fig. 3) |
 //!    |-----------|-------|---------------------|
-//!    | exact, short interval | EXACT1 (§2) | `O(log_B N + Σ qᵢ/B)` |
-//!    | exact, otherwise | EXACT3 (§2) | `O(log_B N + m/B)` |
+//!    | exact | EXACT3 (§2) | `O(log_B N + m/B)` |
 //!    | `ε`-budget, `α = 1` ranks | APPX1 (§3.2) | `O(k/B + log_B r)` |
 //!    | `ε`-budget, loose ranks | APPX2 (§3.2) | `O(k log r)` |
 //!    | `ε`-budget, tight ranks, no APPX1 | APPX2+ (§3.3) | `O(k log r log_B n)` |

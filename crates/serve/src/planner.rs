@@ -8,9 +8,10 @@
 //! merged worst-case across shards) satisfies the query's
 //! [`crate::Tolerance`]:
 //!
-//! * no tolerance → exact: EXACT1 (`log_B N + Σ qᵢ/B`, wins on short
-//!   intervals where few segments overlap) vs EXACT3 (`log_B N + m/B`,
-//!   wins everywhere else — the paper's default exact choice);
+//! * no tolerance → exact: EXACT3's two stabs (`log_B N + m/B` each), the
+//!   paper's default exact choice and since ISSUE 15 the only one — it
+//!   measured cheaper than the EXACT1 B+-tree at every window width, so
+//!   shards no longer build that tree;
 //! * tolerance with `ε`-budget ≥ the shards' achieved ε → approximate:
 //!   APPX1 (`k/B + log_B r`, `α = 1`), APPX2 (`k log r`, `α = 2 log r`),
 //!   APPX2+ (`k log r log_B n`, re-scored) — filtered by each profile's
@@ -42,7 +43,9 @@ pub struct Freshness {
 /// The methods the engine can host, in the paper's presentation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Route {
-    /// EXACT1 — B+-tree over all segments, range scan (§2).
+    /// EXACT1 (§2). Serving shards build no B+-tree: this slot is a second
+    /// handle to the EXACT3 index, kept so route indexes, metric labels and
+    /// wire codes do not shift. The planner never routes here.
     Exact1,
     /// EXACT3 — interval tree, two stabbing queries (§2).
     Exact3,
@@ -104,7 +107,8 @@ impl Route {
 /// fallback when a tolerance cannot be honoured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodSet {
-    /// Build EXACT1 (enables short-interval exact routing).
+    /// Fill the [`Route::Exact1`] slot. Builds nothing: the slot holds the
+    /// EXACT3 index every shard has anyway.
     pub exact1: bool,
     /// Build APPX1 (`(ε,1)`; `Θ(r² kmax/B)` space — off by default).
     pub appx1: bool,
@@ -331,11 +335,7 @@ impl Planner {
                 return route;
             }
         }
-        if self.profiles[Route::Exact1.idx()].is_some() && c.exact1 < c.exact3 {
-            Route::Exact1
-        } else {
-            Route::Exact3
-        }
+        Route::Exact3
     }
 }
 
@@ -362,21 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn exact_queries_route_by_interval_length() {
+    fn exact_queries_go_to_exact3_at_every_interval_length() {
         let p = Planner::new(params(), profiles());
-        // A hairline interval overlaps almost nothing: EXACT1's range scan
-        // beats EXACT3's unconditional m/B output term.
-        assert_eq!(p.route(&ServeQuery::exact(10.0, 10.01, 20)), Route::Exact1);
-        // A 30%-of-domain interval must scan ~60k segments: EXACT3 wins.
-        assert_eq!(p.route(&ServeQuery::exact(100.0, 400.0, 20)), Route::Exact3);
-    }
-
-    #[test]
-    fn without_exact1_everything_exact_goes_to_exact3() {
-        let mut pr = profiles();
-        pr[Route::Exact1.idx()] = None;
-        let p = Planner::new(params(), pr);
         assert_eq!(p.route(&ServeQuery::exact(10.0, 10.01, 20)), Route::Exact3);
+        assert_eq!(p.route(&ServeQuery::exact(100.0, 400.0, 20)), Route::Exact3);
     }
 
     #[test]

@@ -18,8 +18,8 @@ use crate::config::ServeConfig;
 use crate::planner::{MethodSet, Route, RouteProfiles};
 use crate::query::ServeQuery;
 use chronorank_core::{
-    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, Breakpoints, Exact1, Exact3, IndexConfig,
-    ObjectId, Query2Index, QueryKind, RankMethod, SharedMethod, TemporalSet,
+    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, Breakpoints, Exact3, IndexConfig, ObjectId,
+    Query2Index, QueryKind, RankMethod, SharedMethod, TemporalSet,
 };
 use chronorank_storage::{Env, IoStats, StoreConfig};
 use std::collections::hash_map::Entry;
@@ -65,8 +65,6 @@ struct CacheKey {
 /// successive generation builds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStages {
-    /// EXACT1 build, µs (`0` when the route is disabled).
-    pub exact1_us: u64,
     /// EXACT3 build, µs.
     pub exact3_us: u64,
     /// Breakpoint construction (the `r` fit or the fixed-`ε` sweep), µs.
@@ -80,19 +78,13 @@ pub struct BuildStages {
 impl BuildStages {
     /// `(stage label, µs)` pairs, the `stage` label values of the
     /// `*_stage_us` metric families.
-    pub fn stage_us(&self) -> [(&'static str, u64); 4] {
-        [
-            ("exact1", self.exact1_us),
-            ("exact3", self.exact3_us),
-            ("b2", self.b2_us),
-            ("appx", self.appx_us),
-        ]
+    pub fn stage_us(&self) -> [(&'static str, u64); 3] {
+        [("exact3", self.exact3_us), ("b2", self.b2_us), ("appx", self.appx_us)]
     }
 }
 
 impl std::ops::AddAssign for BuildStages {
     fn add_assign(&mut self, o: Self) {
-        self.exact1_us += o.exact1_us;
         self.exact3_us += o.exact3_us;
         self.b2_us += o.b2_us;
         self.appx_us += o.appx_us;
@@ -119,22 +111,22 @@ impl std::fmt::Display for BuildStages {
 }
 
 /// One snapshot's built route methods: the dyn-dispatch array the planner
-/// routes through, plus the typed EXACT1/EXACT3 handles a persistence
-/// layer captures page-for-page (the array holds `Arc` clones of the same
-/// indexes — nothing is built twice).
+/// routes through, plus the typed EXACT3 handle a persistence layer
+/// captures page-for-page (both exact slots of the array hold `Arc` clones
+/// of that one index — nothing is built twice).
 pub struct BuiltRoutes {
     /// Per-[`Route`] methods, `None` where disabled.
     pub methods: [Option<SharedMethod>; 5],
     /// The one breakpoint set shared by every enabled APPX variant.
     pub breakpoints: Option<Breakpoints>,
-    /// Concrete EXACT1 handle (present iff the route is enabled).
-    pub exact1: Option<Arc<Exact1>>,
-    /// Concrete EXACT3 handle (always built — the exact fallback route).
+    /// The shard's one time-ordered segment file (always built), behind
+    /// both [`Route::Exact3`] and [`Route::Exact1`].
     pub exact3: Arc<Exact3>,
     /// What each stage of this build cost.
     pub stages: BuildStages,
-    /// Bytes across the distinct index files: the QUERY2 structure APPX2
-    /// and APPX2+ share is in both routes' `size_bytes()` but once here.
+    /// Bytes across the distinct index files: the EXACT3 tree both exact
+    /// routes name and the QUERY2 structure APPX2 and APPX2+ share are in
+    /// both routes' `size_bytes()` but once here.
     pub size_bytes: u64,
     /// Fixed once built, and read on every live reply: kept, not recomputed.
     route_bytes: [u64; 5],
@@ -156,12 +148,15 @@ impl BuiltRoutes {
         self.profiles
     }
 
-    /// Cumulative IO across all of this snapshot's indexes. Every route's
-    /// counter holds only what its own queries did — reads in a structure
-    /// two routes share are credited to the route that asked — so the sum
-    /// counts each block once.
+    /// Cumulative IO across all of this snapshot's indexes: the EXACT3
+    /// index once (both exact routes report its one counter — builds,
+    /// queries, imaging and pool write-back alike), plus every APPX route's
+    /// counter, which holds only what its own queries did — reads in the
+    /// structure two of them share are credited to the route that asked —
+    /// so the sum counts each block once.
     pub fn io_total(&self) -> IoStats {
-        self.methods.iter().flatten().map(|m| m.io_stats()).sum()
+        let appx = self.methods[Route::Appx1.idx()..].iter().flatten().map(|m| m.io_stats());
+        std::iter::once(self.exact3.io_stats()).chain(appx).sum()
     }
 
     /// `top-k(t1, t2, sum)` on `route`, in the snapshot's own ids.
@@ -184,25 +179,18 @@ fn micros_since(t0: Instant) -> u64 {
     t0.elapsed().as_micros() as u64
 }
 
-/// Build the per-route methods one serving snapshot needs: optional
-/// EXACT1, mandatory EXACT3, and the enabled APPX variants sharing one
-/// breakpoint set, keeping the concrete EXACT1/EXACT3 handles a generation
-/// image captures page-for-page. The single construction path for both
-/// serve shards and live generations — the two layers must never diverge
-/// in what a route is backed by.
+/// Build the per-route methods one serving snapshot needs: EXACT3 (which
+/// also fills the [`Route::Exact1`] slot, see [`MethodSet::exact1`]) and
+/// the enabled APPX variants sharing one breakpoint set, keeping the
+/// concrete EXACT3 handle a generation image captures page-for-page. The
+/// single construction path for both serve shards and live generations —
+/// the two layers must never diverge in what a route is backed by.
 pub fn build_route_methods_with_handles(
     set: &TemporalSet,
     methods: MethodSet,
     approx: ApproxConfig,
     store: StoreConfig,
 ) -> chronorank_core::Result<BuiltRoutes> {
-    let t0 = Instant::now();
-    let exact1 = if methods.exact1 {
-        Some(Arc::new(Exact1::build(set, IndexConfig { store })?))
-    } else {
-        None
-    };
-    let exact1_us = micros_since(t0);
     let t0 = Instant::now();
     let exact3 = Arc::new(Exact3::build(set, IndexConfig { store })?);
     let exact3_us = micros_since(t0);
@@ -216,37 +204,36 @@ pub fn build_route_methods_with_handles(
         (Some(bp), fit.sweeps as u64)
     };
     let b2_us = micros_since(t0);
-    let mut built =
-        assemble_route_methods(set, methods, approx, store, exact1, exact3, breakpoints)?;
-    built.stages = BuildStages { exact1_us, exact3_us, b2_us, b2_sweeps, ..built.stages };
+    let mut built = assemble_route_methods(set, methods, approx, store, exact3, breakpoints)?;
+    built.stages = BuildStages { exact3_us, b2_us, b2_sweeps, ..built.stages };
     Ok(built)
 }
 
-/// Assemble the route array from pre-built exact handles plus a breakpoint
+/// Assemble the route array from a pre-built EXACT3 index plus a breakpoint
 /// set, building only the APPX variants (deterministic given the
 /// breakpoints; the one stage [`BuiltRoutes::stages`] times here). This is
-/// the reopen path: a restart extracts EXACT1/EXACT3
-/// and the breakpoints from a generation image and rebuilds nothing else.
+/// the reopen path: a restart extracts EXACT3 and the breakpoints from a
+/// generation image and rebuilds nothing else.
 pub fn assemble_route_methods(
     set: &TemporalSet,
     methods: MethodSet,
     approx: ApproxConfig,
     store: StoreConfig,
-    exact1: Option<Arc<Exact1>>,
     exact3: Arc<Exact3>,
     breakpoints: Option<Breakpoints>,
 ) -> chronorank_core::Result<BuiltRoutes> {
     let t0 = Instant::now();
     let mut built: [Option<SharedMethod>; 5] = std::array::from_fn(|_| None);
-    if let Some(e1) = &exact1 {
-        built[Route::Exact1.idx()] = Some(Box::new(Arc::clone(e1)));
-    }
     built[Route::Exact3.idx()] = Some(Box::new(Arc::clone(&exact3)));
+    let mut shared_bytes = 0;
+    if methods.exact1 {
+        shared_bytes += exact3.size_bytes();
+        built[Route::Exact1.idx()] = Some(Box::new(Arc::clone(&exact3)));
+    }
     let approx = ApproxConfig { store, ..approx };
     // APPX2 and APPX2+ probe one QUERY2 structure: whichever is built
     // first builds it, the other shares it.
     let mut query2: Option<Arc<Query2Index>> = None;
-    let mut shared_bytes = 0;
     for (flag, route, variant) in [
         (methods.appx1, Route::Appx1, ApproxVariant::APPX1),
         (methods.appx2, Route::Appx2, ApproxVariant::APPX2),
@@ -258,7 +245,7 @@ pub fn assemble_route_methods(
         let env = Env::mem(store);
         let idx = match &query2 {
             Some(q2) if variant.query == QueryKind::Q2 => {
-                shared_bytes = q2.size_bytes();
+                shared_bytes += q2.size_bytes();
                 ApproxIndex::build_with_query2(env, set, variant, approx, Arc::clone(q2))?
             }
             _ => {
@@ -277,7 +264,6 @@ pub fn assemble_route_methods(
     Ok(BuiltRoutes {
         methods: built,
         breakpoints,
-        exact1,
         exact3,
         stages,
         size_bytes,
@@ -481,7 +467,9 @@ mod tests {
         .unwrap();
         let prefix = plus.rescorer().unwrap().size_bytes();
         assert_eq!(appx2_plus, appx2 + prefix);
-        assert_eq!(shard.built.size_bytes, e1 + e3 + appx2 + prefix, "distinct files only");
+        // Both exact routes are the one EXACT3 index.
+        assert_eq!(e1, e3);
+        assert_eq!(shard.built.size_bytes, e3 + appx2 + prefix, "distinct files only");
     }
 
     #[test]
@@ -503,6 +491,24 @@ mod tests {
             assert_eq!(shard.built.io_total().reads - total, did, "{}: shard total", asked.name());
             assert_eq!(reads(asked) - own, did, "{}: its own counter", asked.name());
             assert_eq!(reads(other), others, "{}: the sharer's counter", other.name());
+        }
+    }
+
+    #[test]
+    fn the_exact3_index_is_counted_once_under_both_route_names() {
+        let (set, shard) = shard();
+        let q =
+            ServeQuery::exact(set.t_min() + 0.2 * set.span(), set.t_min() + 0.21 * set.span(), 10);
+        let io = |route: Route| shard.built.methods[route.idx()].as_ref().unwrap().io_stats();
+        for asked in [Route::Exact1, Route::Exact3] {
+            shard.built.exact3.drop_caches().unwrap();
+            let total = shard.built.io_total().reads;
+            let before = IoCounter::thread_reads();
+            shard.probe(asked, q).unwrap();
+            let did = IoCounter::thread_reads() - before;
+            assert!(did > 0, "{}: a cold probe reads", asked.name());
+            assert_eq!(shard.built.io_total().reads - total, did, "{}: shard total", asked.name());
+            assert_eq!(io(Route::Exact1), io(Route::Exact3), "one index, one counter");
         }
     }
 }

@@ -80,8 +80,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         text.len(),
         families.len()
     );
-    // Routing decisions, "where did the build go" and "which route owns the
-    // index bytes" from the same scrape.
+    // Routing decisions, "where did the build go" (stages exact3 / b2 /
+    // appx) and "which route owns the index bytes" from the same scrape.
+    // route="EXACT1" reports the EXACT3 tree (shards build no B+-tree; the
+    // slot holds the same index), so the two exact routes show the same bytes.
     for prefix in [
         "chronorank_serve_route_total",
         "chronorank_serve_build_",

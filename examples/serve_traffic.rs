@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         set.t_max()
     );
 
-    // 2. The engine: 4 shards, each with EXACT1 + EXACT3 + APPX2 + APPX2+
-    //    and a shard-local result cache (the defaults).
+    // 2. The engine: 4 shards, each with EXACT3 + APPX2 + APPX2+ and a
+    //    shard-local result cache (the defaults).
     let engine = ServeEngine::new(&set, ServeConfig { workers: 4, ..Default::default() })?;
 
     // 3. A Zipf-skewed interval stream: 8 hot intervals, exponent 1,

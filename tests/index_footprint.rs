@@ -1,10 +1,12 @@
-//! Tier-1 space gate (ISSUE 13): what one serve shard's indexes weigh per
-//! segment, and that no index opens files in proportion to the object
-//! count — the EXACT2 forest APPX2+ used to re-score from did both
-//! (114 B/segment and `m` files on this shard).
+//! Tier-1 space gate (ISSUE 13, tightened by ISSUE 15): what one serve
+//! shard's indexes weigh per segment, and that no index opens files in
+//! proportion to the object count — the EXACT2 forest APPX2+ used to
+//! re-score from did both (114 B/segment and `m` files on this shard), and
+//! the EXACT1 B+-tree stored every segment a second time (36 B/segment)
+//! until every exact query went to the EXACT3 tree.
 
-use chronorank::core::{ApproxConfig, ApproxIndex, ApproxVariant, TemporalSet};
-use chronorank::serve::{build_route_methods_with_handles, MethodSet, Route};
+use chronorank::core::{ApproxConfig, ApproxIndex, ApproxVariant, RankMethod, TemporalSet};
+use chronorank::serve::{build_route_methods_with_handles, MethodSet, Route, ServeConfig};
 use chronorank::storage::StoreConfig;
 use chronorank::workloads::{DatasetGenerator, TempConfig, TempGenerator};
 
@@ -16,7 +18,7 @@ fn temp(objects: usize) -> TemporalSet {
 /// One shard of the benchmark's `exact_cold` engine: Temp, m = 2000,
 /// n_avg = 100, every default.
 #[test]
-fn an_exact_cold_shard_stays_under_125_bytes_per_segment() {
+fn an_exact_cold_shard_stays_under_80_bytes_per_segment() {
     let set = temp(2000);
     let built = build_route_methods_with_handles(
         &set,
@@ -29,11 +31,16 @@ fn an_exact_cold_shard_stays_under_125_bytes_per_segment() {
     let routes = built.route_bytes();
     let total = per_segment(built.size_bytes);
     let appx2_plus = per_segment(routes[Route::Appx2Plus.idx()]);
-    assert!(total <= 125.0, "shard total {total:.1} B/segment; per route {routes:?}");
+    assert!(total <= 80.0, "shard total {total:.1} B/segment; per route {routes:?}");
     assert!(appx2_plus <= 35.0, "APPX2+ route {appx2_plus:.1} B/segment");
-    // The shared QUERY2 structure is in both routes but once in the total.
-    let distinct: u64 = routes.iter().sum::<u64>() - routes[Route::Appx2.idx()];
-    assert_eq!(built.size_bytes, distinct);
+    // Three structures, each counted once: the EXACT3 tree both exact
+    // routes name, and the APPX2+ route's two — the QUERY2 structure APPX2
+    // probes too, and the prefix file.
+    let tree = built.exact3.size_bytes();
+    assert_eq!(routes[Route::Exact1.idx()], tree);
+    assert_eq!(routes[Route::Exact3.idx()], tree);
+    assert_eq!(built.size_bytes, tree + routes[Route::Appx2Plus.idx()]);
+    assert_eq!(ServeConfig::default().files_per_shard(), 4);
 }
 
 #[test]

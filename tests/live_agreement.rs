@@ -5,15 +5,18 @@
 //!     for W ∈ {1, 4} (plus `$CHRONORANK_AGREEMENT_W` — CI re-runs at
 //!     W = 8 with `RUST_TEST_THREADS` unpinned);
 //! (b) WAL replay after a simulated crash reproduces the pre-crash
-//!     answers bit-for-bit, with and without an intervening checkpoint;
+//!     answers bit-for-bit, with and without an intervening checkpoint —
+//!     and so does booting an image that still carries the per-shard
+//!     EXACT1 sections checkpoints wrote before ISSUE 15;
 //! (c) property test (`PROPTEST_CASES`-scaled): approximate answers —
 //!     including ones served from the staleness-audited cache — never
 //!     violate the ε·M budget against the live ground truth, no matter
 //!     how appends interleave with queries.
 
-use chronorank::core::{TemporalSet, TopK};
+use chronorank::core::{Exact1, IndexConfig, TemporalSet, TopK};
 use chronorank::live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank::serve::ServeQuery;
+use chronorank::storage::{GenerationImage, ImageWriter, IoCounter, StoreConfig};
 use chronorank::workloads::{
     AppendStream, AppendStreamConfig, StockConfig, StockGenerator, TempConfig, TempGenerator,
 };
@@ -156,6 +159,99 @@ fn wal_replay_after_crash_reproduces_pre_crash_answers() {
         assert_bit_identical(want, &got, "second recovery");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `LiveReport.index_io` is every block the generations' pools moved, not
+/// only the queries': a checkpoint images the EXACT3 tree through its pool.
+#[test]
+fn a_checkpoint_reads_the_tree_into_index_io() {
+    let dir = std::env::temp_dir().join(format!("chronorank-live-ckio-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let seed = temp_stream(60, 20, 0.0).base_set();
+    // A tree of ~60 512-byte pages behind 8 frames: imaging it must read.
+    let store = StoreConfig { block_size: 512, pool_capacity: 8 };
+    let config = LiveConfig { workers: 1, store, wal_dir: Some(dir.clone()), ..Default::default() };
+    let mut engine = IngestEngine::new(&seed, config).unwrap();
+    // A shard reports its counters with each reply, so a query follows
+    // every step; its own reads are taken out by asking it once more.
+    let q = ServeQuery::exact(seed.t_min(), seed.t_min() + 0.5 * seed.span(), 8);
+    let reads_after_query = |engine: &IngestEngine| {
+        engine.query(q).unwrap();
+        engine.report().index_io.reads
+    };
+    let r0 = reads_after_query(&engine);
+    engine.checkpoint().unwrap();
+    let r1 = reads_after_query(&engine);
+    let r2 = reads_after_query(&engine);
+    let imaging = (r1 - r0) as i64 - (r2 - r1) as i64;
+    assert!(imaging >= 30, "imaging read {imaging} blocks ({r0} → {r1} → {r2})");
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrite the image at `path` the way a pre-ISSUE-15 checkpoint wrote
+/// it: every shard's metadata flags an EXACT1 tree (byte 8) and the
+/// `exact1_pages` / `exact1_meta` sections follow it.
+fn add_exact1_sections(path: &std::path::Path, exact1: &Exact1) {
+    let mut img = GenerationImage::open(path).unwrap();
+    let names: Vec<String> = img.section_names().iter().map(|n| n.to_string()).collect();
+    let staged = path.with_extension("old");
+    let mut w = ImageWriter::create(&staged).unwrap();
+    for name in &names {
+        // `blob` refuses a paged section, which is how the two kinds are told apart.
+        match img.blob(name) {
+            Ok(mut bytes) => {
+                if let Some(prefix) = name.strip_suffix("meta").filter(|p| p.ends_with('/')) {
+                    bytes[8] = 1;
+                    w.add_blob(name, &bytes).unwrap();
+                    w.add_paged(&format!("{prefix}exact1_pages"), exact1.tree_file()).unwrap();
+                    w.add_blob(&format!("{prefix}exact1_meta"), &exact1.meta_bytes()).unwrap();
+                } else {
+                    w.add_blob(name, &bytes).unwrap();
+                }
+            }
+            Err(_) => w.add_paged(name, &img.paged(name, 8, IoCounter::new()).unwrap()).unwrap(),
+        }
+    }
+    w.finish(img.epoch()).unwrap();
+    std::fs::rename(&staged, path).unwrap();
+}
+
+#[test]
+fn an_image_with_exact1_sections_boots_from_the_image() {
+    let dir = std::env::temp_dir().join(format!("chronorank-live-oldimg-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let stream = temp_stream(30, 20, 0.0);
+    let seed = stream.base_set();
+    for w in worker_widths() {
+        let config = LiveConfig { workers: w, wal_dir: Some(dir.clone()), ..Default::default() };
+        let mut want: Vec<(f64, f64, TopK)> = Vec::new();
+        {
+            let mut engine = IngestEngine::new(&seed, config.clone()).unwrap();
+            for batch in stream.batches() {
+                engine.append_batch(batch).unwrap();
+            }
+            engine.checkpoint().unwrap();
+            let live = engine.live_set().clone();
+            // A hairline window too: what the EXACT1 tree used to answer.
+            let hairline = (live.t_min() + 0.5 * live.span(), live.t_min() + 0.501 * live.span());
+            for (t1, t2) in probe_windows(&live).into_iter().chain([hairline]) {
+                want.push((t1, t2, engine.query(ServeQuery::exact(t1, t2, 8)).unwrap()));
+            }
+        }
+        let image = dir.join("generation.img");
+        add_exact1_sections(&image, &Exact1::build(&seed, IndexConfig::default()).unwrap());
+        let sections = GenerationImage::open(&image).unwrap().section_names().join(" ");
+        assert!(sections.contains("s0/exact1_pages") && sections.contains("s0/exact1_meta"));
+        let recovered = IngestEngine::new(&seed, config).unwrap();
+        assert_eq!(recovered.report().preloaded_shards, w as u64, "W={w}: no silent rebuild");
+        for (t1, t2, want) in &want {
+            let got = recovered.query(ServeQuery::exact(*t1, *t2, 8)).unwrap();
+            assert_bit_identical(want, &got, &format!("W={w} old-format image [{t1},{t2}]"));
+        }
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 proptest! {

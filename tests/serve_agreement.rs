@@ -4,6 +4,9 @@
 //! * Exact-routed answers from the sharded engine equal single-threaded
 //!   EXACT3 on the same workload, for W ∈ {1, 4} (workers query *shared*
 //!   `Arc` snapshots — no per-worker index duplication; ISSUE 5).
+//! * Short exact windows — the ones shards answered from an EXACT1 B+-tree
+//!   until ISSUE 15 — route to EXACT3 and still equal a standalone
+//!   `Exact1` over the whole set.
 //! * Cached answers are byte-identical to uncached ones (same engine
 //!   re-asked, and a cache-disabled twin engine).
 //!
@@ -11,8 +14,8 @@
 //! (and `RUST_TEST_THREADS` unpinned), which appends that width to every
 //! W sweep below.
 
-use chronorank::core::{AggKind, Exact3, IndexConfig, RankMethod, TemporalSet, TopK};
-use chronorank::serve::{ServeConfig, ServeEngine, ServeQuery};
+use chronorank::core::{AggKind, Exact1, Exact3, IndexConfig, RankMethod, TemporalSet, TopK};
+use chronorank::serve::{Route, ServeConfig, ServeEngine, ServeQuery};
 use chronorank::workloads::{
     DatasetGenerator, IntervalPattern, MemeConfig, MemeGenerator, QueryWorkload,
     QueryWorkloadConfig, TempConfig, TempGenerator,
@@ -100,6 +103,31 @@ fn sharded_exact_equals_single_threaded_exact3() {
                 let want = exact3.top_k(q.t1, q.t2, q.k, AggKind::Sum).unwrap();
                 assert_answers_match(&want, &got, &format!("{name} W={w} q{i}"));
             }
+        }
+    }
+}
+
+#[test]
+fn short_windows_route_to_exact3_and_equal_a_standalone_exact1() {
+    for (name, set) in datasets() {
+        let exact1 = Exact1::build(&set, IndexConfig::default()).unwrap();
+        let width = 0.004 * set.span();
+        let queries: Vec<ServeQuery> = (0..12)
+            .map(|i| {
+                let t1 = set.t_min() + (set.span() - width) * i as f64 / 11.0;
+                ServeQuery::exact(t1, t1 + width, 8)
+            })
+            .collect();
+        for w in worker_widths() {
+            let engine =
+                ServeEngine::new(&set, ServeConfig { workers: w, ..Default::default() }).unwrap();
+            for (i, q) in queries.iter().enumerate() {
+                let (got, route) = engine.query_routed(*q).unwrap();
+                assert_eq!(route, Route::Exact3, "{name} W={w} q{i}");
+                let want = exact1.top_k(q.t1, q.t2, q.k, AggKind::Sum).unwrap();
+                assert_answers_match(&want, &got, &format!("{name} W={w} short q{i}"));
+            }
+            assert_eq!(engine.report().routes[Route::Exact1.idx()].queries, 0);
         }
     }
 }
