@@ -27,7 +27,8 @@
 #   paperscale-smoke  paper-bench paperscale --quick  (one scaled-down rung
 #                     through the streaming out-of-core build pipeline; the
 #                     bench itself exits nonzero unless EXACT3 beats EXACT1
-#                     in per-query cold IO)
+#                     in per-query cold IO and the BREAKPOINTS2 sweep held
+#                     at most m segments)
 #   rescore-smoke     paper-bench rescore --quick     (columnar batch
 #                     rescoring vs the scalar row walk, and query_batch
 #                     windows vs solo queries; the bench asserts bit-
@@ -175,7 +176,8 @@ trace_smoke() {
 
 # One scaled-down ladder rung through the same streaming generators,
 # external sorts and budget-sized pools as the committed ladder; the
-# bench self-gates the paper's EXACT3 < EXACT1 cold-IO ordering.
+# bench self-gates the paper's EXACT3 < EXACT1 cold-IO ordering and the
+# streamed BREAKPOINTS2 sweep's peak_pending_segments <= m.
 paperscale_smoke() {
     CHRONORANK_PAPERSCALE_JSON=target/BENCH_PAPERSCALE_ci.json \
         cargo run --release -q -p chronorank-bench --bin paper_bench -- paperscale --quick \

@@ -1953,8 +1953,9 @@ struct RungMethod {
 /// `--quick` runs one small rung for CI.
 ///
 /// The binary **self-gates**: it exits nonzero unless EXACT3 beats EXACT1
-/// in mean cold-cache I/O on every rung, and the best APPX beats EXACT3 on
-/// every rung with `N ≥ 10⁵`. Writes `BENCH_PAPERSCALE.json` (cwd, or
+/// in mean cold-cache I/O on every rung, the best APPX beats EXACT3 on
+/// every rung with `N ≥ 10⁵`, and the streamed BREAKPOINTS2 sweep reports
+/// `peak_pending_segments ≤ m`. Writes `BENCH_PAPERSCALE.json` (cwd, or
 /// `$CHRONORANK_PAPERSCALE_JSON`) plus a CSV under `--out`.
 fn paperscale(opts: &Opts) {
     use chronorank_core::{b2_streaming, scan_stats, AggKind};
@@ -2118,14 +2119,14 @@ fn paperscale(opts: &Opts) {
         std::fs::remove_dir_all(rung_dir.join("b2")).ok();
         println!(
             "[paperscale]   BREAKPOINTS2 sweep: {} points in {b2_secs:.1}s, \
-             peak pending window {peak_pending} segments ({} of N)",
+             at most {peak_pending} objects holding a segment (m = {m})",
             breakpoints.len(),
-            if n_segments > 0 {
-                format!("{:.3}%", 100.0 * peak_pending as f64 / n_segments as f64)
-            } else {
-                "-".into()
-            },
         );
+        if peak_pending > m as u64 {
+            gate_failures.push(format!(
+                "N={n_segments}: BREAKPOINTS2 sweep held {peak_pending} segments, over m = {m}"
+            ));
+        }
 
         for (variant, name, sub) in
             [(ApproxVariant::APPX1, "APPX1", "appx1"), (ApproxVariant::APPX2, "APPX2", "appx2")]
@@ -2247,9 +2248,10 @@ fn paperscale(opts: &Opts) {
          budget, and bulk-loaded through pools sized from the same budget. avg_ios is mean \
          cold-cache block reads per query (pools dropped + counter zeroed per query). The \
          bench exits nonzero unless EXACT3 < EXACT1 on every rung and best-APPX < EXACT3 on \
-         every rung with N >= 1e5 — the paper's Section 5 headline ordering. \
-         peak_pending_segments is the streaming BREAKPOINTS2 sweep's working-set high-water \
-         mark.\",\n  \
+         every rung with N >= 1e5 — the paper's Section 5 headline ordering — and \
+         peak_pending_segments <= m on every rung. peak_pending_segments is the streaming \
+         BREAKPOINTS2 sweep's high-water count of objects holding a segment, ≤ m (it keeps \
+         one segment per object).\",\n  \
          \"rungs\": [\n{}\n  ]\n}}\n",
         opts.quick,
         budget.total_bytes(),
@@ -2261,13 +2263,15 @@ fn paperscale(opts: &Opts) {
     write_bench_json("PAPERSCALE", &json);
 
     if !gate_failures.is_empty() {
-        eprintln!("paperscale ordering gate FAILED:");
+        eprintln!("paperscale gate FAILED:");
         for g in &gate_failures {
             eprintln!("  - {g}");
         }
         std::process::exit(1);
     }
-    println!("paperscale ordering gate OK: EXACT3 < EXACT1 and APPX < EXACT3 where gated");
+    println!(
+        "paperscale gate OK: EXACT3 < EXACT1, APPX < EXACT3 where gated, B2 holds ≤ m segments"
+    );
 }
 
 // ---------------------------------------------------------------------------

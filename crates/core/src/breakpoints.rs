@@ -24,13 +24,23 @@
 //!   with a few sweeps over one prepared segment run.
 //!
 //! There is one BREAKPOINTS2 sweep, `B2Sweeper`: one loop over the queue Q
-//! and one `commit`. It is generic (static dispatch) over where an object's
-//! already-consumed segments live (`Consumed`) and over what feeds it
-//! segments. A resident [`TemporalSet`] sweeps a sorted `Vec` against its
-//! own curves plus a cursor per object (`ResidentRun` / `Cursors`);
-//! [`crate::b2_streaming`] sweeps an external sort's merge against trimmed
-//! pending windows. A change to the sweep — bounding the window, fitting
-//! `r` on a stream — is a change to this one sweeper.
+//! and one `commit`, generic only over what feeds it segments. A resident
+//! [`TemporalSet`] feeds a sorted `Vec` (`ResidentRun`);
+//! [`crate::b2_streaming`] feeds an external sort's merge. Its state is
+//! `O(m)`: of everything it has consumed, the sweep keeps **one segment per
+//! object, the last one**. That is all a re-base can ask about, because
+//! when object `i` is re-based at breakpoint `b`, every segment consumed
+//! for `i` starts at or before `b`:
+//!
+//! * segments are consumed in `t0` order and only while `t0 ≤ next`, the
+//!   earliest pending crossing; a crossing found in a segment lies at or
+//!   after that segment's `t0`, so `next` never drops below the `t0` of
+//!   anything already consumed, and a commit happens at `b = next`;
+//! * a lazy re-base at the latest breakpoint `b` only reaches an object
+//!   that has consumed nothing since `b` was committed.
+//!
+//! An object's segments tile its domain, so all but the last consumed one
+//! end at or before `b` and contribute nothing to `σ_i(b, frontier)`.
 //!
 //! Negative scores (paper §4) are handled by running both sweeps over
 //! `|g_i|`: curves are pre-split at zero crossings and mirrored, so `M`
@@ -393,69 +403,43 @@ fn sweep_b1(set: &TemporalSet, tau: f64) -> Result<Vec<f64>> {
 // BREAKPOINTS2: per-object max sweep (baseline and efficient)
 // ---------------------------------------------------------------------------
 
-/// Where the sweep keeps the part of each object it has already consumed —
-/// everything a re-base asks about the past. Two stores exist: [`Cursors`]
-/// over resident curves and `streambuild`'s pending windows.
-pub(crate) trait Consumed {
-    /// Object `i`'s next segment was consumed.
-    fn push(&mut self, i: usize, seg: Segment);
-
-    /// Re-base object `i` at breakpoint `b`: `σ_i(b, frontier)`, where
-    /// `frontier` is the end of the last segment pushed for `i`.
-    /// Breakpoints only move right, so whatever ends at or before `b` may
-    /// be forgotten.
-    fn rebase(&mut self, i: usize, b: f64, frontier: f64) -> f64;
-
-    /// Earliest `t` with `σ_i(b, t) = tau`, for the `b` object `i` was last
-    /// re-based at. Only asked when that re-base returned at least `tau`.
-    fn crossing(&self, i: usize, b: f64, tau: f64) -> Option<f64>;
-}
-
-/// The resident store: every `|g_i|` curve whole, plus per object the
-/// segment holding the breakpoint it was last re-based at. Breakpoints only
-/// move right, so that cursor stands in for the binary search of
-/// `PiecewiseLinear::integral` / `time_to_accumulate`.
-struct Cursors<'a> {
-    curves: &'a AbsCurves<'a>,
-    cursor: Vec<usize>,
-}
-
-impl Consumed for Cursors<'_> {
-    fn push(&mut self, _: usize, _: Segment) {}
-
-    /// Bit for bit what `c.integral(b, frontier)` returns.
-    fn rebase(&mut self, i: usize, b: f64, frontier: f64) -> f64 {
-        if frontier <= b {
-            return 0.0;
-        }
-        let (c, cursor) = (&self.curves[i], &mut self.cursor[i]);
-        // `b < frontier ≤ c.end()` stops the walk inside `times`.
-        while c.times()[*cursor + 1] <= b {
-            *cursor += 1;
-        }
-        c.integral_from(*cursor, b.max(c.start()), frontier)
-    }
-
-    fn crossing(&self, i: usize, b: f64, tau: f64) -> Option<f64> {
-        let c = &self.curves[i];
-        c.time_to_accumulate_from(self.cursor[i], b.max(c.start()), tau)
-    }
-}
-
 /// Per-object sweep state.
 struct ObjState {
-    /// Running integral `σ_i(b_cur, frontier)`… relative to the breakpoint
-    /// the object was last re-based at (`epoch`).
+    /// Running integral `σ_i(b, frontier)` relative to the breakpoint `b`
+    /// the object was last re-based at (`epoch`), `frontier` being the end
+    /// of the last segment consumed.
     integral: f64,
-    /// Time up to which this object's segments have been consumed. Starts
-    /// at `−∞`: nothing consumed re-bases to `0.0`.
-    frontier: f64,
+    /// The last segment consumed, until a re-base finds it ended (see the
+    /// module docs for why no earlier one is ever needed).
+    last: Option<Segment>,
     /// Index into the emitted breakpoint list at whose value `integral`
     /// was last re-based.
     epoch: usize,
     /// Whether the object has crossed `τ` since it was last re-based (the
     /// paper's *dangerous* objects).
     dangerous: bool,
+}
+
+impl ObjState {
+    /// Re-base at breakpoint `b`, the `epoch`-th: `integral` becomes
+    /// `σ_i(b, frontier)`. Breakpoints only move right, so a segment that
+    /// ended at or before `b` is dropped (and `held` counts one fewer).
+    fn rebase(&mut self, b: f64, epoch: usize, held: &mut u64) {
+        self.epoch = epoch;
+        self.integral = match self.last {
+            Some(seg) => {
+                debug_assert!(seg.t0 <= b, "re-base at {b} before a consumed segment's start");
+                if seg.t1 > b {
+                    seg.integral_clipped(b, seg.t1)
+                } else {
+                    self.last = None;
+                    *held -= 1;
+                    0.0
+                }
+            }
+            None => 0.0,
+        };
+    }
 }
 
 /// How one [`B2Sweeper::sweep`] ended.
@@ -478,10 +462,8 @@ impl Sweep {
     }
 }
 
-/// The one BREAKPOINTS2 sweep (§3.1), generic over where consumed segments
-/// live ([`Consumed`]) and over the queue Q it is fed from.
-pub(crate) struct B2Sweeper<'s, S> {
-    store: &'s mut S,
+/// The one BREAKPOINTS2 sweep (§3.1), over whatever queue Q feeds it.
+pub(crate) struct B2Sweeper {
     construction: B2Construction,
     tau: f64,
     st: Vec<ObjState>,
@@ -493,35 +475,38 @@ pub(crate) struct B2Sweeper<'s, S> {
     /// *become* dangerous and a commit recomputes every crossing anyway.
     next: f64,
     points: Vec<f64>,
+    /// Objects holding a `last` segment now, and the high-water mark.
+    held: u64,
+    peak_held: u64,
 }
 
-impl<'s, S: Consumed> B2Sweeper<'s, S> {
+impl B2Sweeper {
     /// One sweep at threshold `tau` over `num_objects` objects on
     /// `[t_min, t_max]`, fed every `|g_i|` segment as `(object, segment)`
     /// in left-endpoint order (ties in object order), given up once more
-    /// than `limit` breakpoints are committed.
+    /// than `limit` breakpoints are committed. Also returns the most
+    /// objects that held a segment at once (`≤ num_objects`).
     pub(crate) fn sweep(
-        store: &'s mut S,
         num_objects: usize,
         construction: B2Construction,
         (t_min, t_max): (f64, f64),
         tau: f64,
         limit: usize,
         segments: impl Iterator<Item = Result<(u32, Segment)>>,
-    ) -> Result<Sweep> {
+    ) -> Result<(Sweep, u64)> {
         if tau <= 0.0 {
-            return Ok(Sweep::Done(vec![t_min, t_max]));
+            return Ok((Sweep::Done(vec![t_min, t_max]), 0));
         }
-        let fresh =
-            || ObjState { integral: 0.0, frontier: f64::NEG_INFINITY, epoch: 0, dangerous: false };
+        let fresh = || ObjState { integral: 0.0, last: None, epoch: 0, dangerous: false };
         let mut sw = Self {
-            store,
             construction,
             tau,
             st: (0..num_objects).map(|_| fresh()).collect(),
             dangerous: Vec::new(),
             next: f64::INFINITY,
             points: vec![t_min],
+            held: 0,
+            peak_held: 0,
         };
         let mut b_cur = t_min;
 
@@ -532,15 +517,13 @@ impl<'s, S: Consumed> B2Sweeper<'s, S> {
                 b_cur = sw.next;
                 sw.commit(b_cur);
                 if sw.points.len() > limit {
-                    return Ok(Sweep::Aborted { progress: b_cur - t_min });
+                    return Ok((Sweep::Aborted { progress: b_cur - t_min }, sw.peak_held));
                 }
             }
             // Lazily re-base this object if breakpoints advanced past its epoch.
-            let o = obj as usize;
-            let s = &mut sw.st[o];
+            let s = &mut sw.st[obj as usize];
             if s.epoch != sw.points.len() - 1 {
-                s.integral = sw.store.rebase(o, b_cur, s.frontier);
-                s.epoch = sw.points.len() - 1;
+                s.rebase(b_cur, sw.points.len() - 1, &mut sw.held);
                 debug_assert!(
                     s.integral < tau * (1.0 + 1e-9) + 1e-12 || s.dangerous,
                     "lazy rebase found an unnoticed crossing"
@@ -557,21 +540,23 @@ impl<'s, S: Consumed> B2Sweeper<'s, S> {
                 }
             }
             s.integral += add;
-            s.frontier = seg.t1;
-            sw.store.push(o, seg);
+            if s.last.replace(seg).is_none() {
+                sw.held += 1;
+                sw.peak_held = sw.peak_held.max(sw.held);
+            }
         }
         // Drain remaining candidates.
         while sw.next < t_max {
             let b_star = sw.next;
             sw.commit(b_star);
             if sw.points.len() > limit {
-                return Ok(Sweep::Aborted { progress: b_star - t_min });
+                return Ok((Sweep::Aborted { progress: b_star - t_min }, sw.peak_held));
             }
         }
         if *sw.points.last().expect("non-empty") < t_max {
             sw.points.push(t_max);
         }
-        Ok(Sweep::Done(sw.points))
+        Ok((Sweep::Done(sw.points), sw.peak_held))
     }
 
     /// Commit breakpoint `b_star` and re-base eagerly, in ascending id
@@ -582,17 +567,16 @@ impl<'s, S: Consumed> B2Sweeper<'s, S> {
         self.points.push(b_star);
         let epoch = self.points.len() - 1;
         let num_objects = self.st.len() as u32;
-        let (store, st, tau) = (&mut *self.store, &mut self.st, self.tau);
+        let (st, held, tau) = (&mut self.st, &mut self.held, self.tau);
         let mut next = f64::INFINITY;
         let mut rebase = |i: u32| {
-            let (i, s) = (i as usize, &mut st[i as usize]);
-            s.integral = store.rebase(i, b_star, s.frontier);
-            s.epoch = epoch;
+            let s = &mut st[i as usize];
+            s.rebase(b_star, epoch, held);
             s.dangerous = false;
             if s.integral >= tau {
-                // Still over threshold: a further crossing exists within
-                // the already-consumed region.
-                if let Some(t_star) = store.crossing(i, b_star, tau) {
+                // Still over threshold: a further crossing lies inside the
+                // segment the object holds.
+                if let Some(t_star) = s.last.and_then(|seg| seg.time_to_accumulate(b_star, tau)) {
                     s.dangerous = true;
                     next = earlier(next, t_star);
                 }
@@ -651,15 +635,15 @@ impl<'a> ResidentRun<'a> {
         self.curves.iter().map(|c| c.total()).fold(0.0, f64::max)
     }
 
-    /// One sweep over the run, on fresh cursors.
+    /// One sweep over the run.
     fn sweep(&self, tau: f64, limit: usize) -> Result<Sweep> {
         let m = self.curves.len();
-        let mut store = Cursors { curves: &self.curves, cursor: vec![0; m] };
         let segments = self
             .segs
             .iter()
             .map(|&(_, obj, j)| Ok((obj, self.curves[obj as usize].segment(j as usize))));
-        B2Sweeper::sweep(&mut store, m, self.construction, self.domain, tau, limit, segments)
+        B2Sweeper::sweep(m, self.construction, self.domain, tau, limit, segments)
+            .map(|(sweep, _)| sweep)
     }
 }
 

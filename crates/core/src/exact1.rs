@@ -77,7 +77,7 @@ impl Exact1 {
         I: IntoIterator,
         I::Item: Borrow<TemporalObject>,
     {
-        let sort_file = env.create_file("exact1_sort")?;
+        let sort_file = env.create_scratch("exact1_sort")?;
         let mut sorter =
             ExternalSorter::with_byte_budget(sort_file, RECORD_LEN, sort_budget_bytes, |rec| {
                 f64::from_le_bytes(rec[..8].try_into().expect("8"))

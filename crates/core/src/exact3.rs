@@ -129,7 +129,7 @@ impl Exact3 {
         I: IntoIterator,
         I::Item: Borrow<TemporalObject>,
     {
-        let scratch = env.create_file(&format!("exact3_sort_gen{generation}"))?;
+        let scratch = env.create_scratch(&format!("exact3_sort_gen{generation}"))?;
         let key = |rec: &[u8]| f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
         let mut sorter =
             ExternalSorter::with_byte_budget(scratch, SORT_RECORD_LEN, sort_budget_bytes, key)?;

@@ -1,9 +1,8 @@
-//! Out-of-core BREAKPOINTS2 for paper-scale builds: the segment store and
-//! segment source that let [`crate::breakpoints`]' one sweep run without a
-//! resident dataset.
+//! Out-of-core BREAKPOINTS2 for paper-scale builds: the segment source that
+//! lets [`crate::breakpoints`]' one sweep run without a resident dataset.
 //!
 //! At the paper's Meme scale (`m ≈ 1.5·10⁶` objects, `N ≈ 10⁸` segments)
-//! the curves cannot stay in memory for the sweep to re-base against, so:
+//! the curves cannot stay in memory for the sweep, so:
 //!
 //! 1. [`scan_stats`] makes one pass over the generator to obtain the exact
 //!    quantities [`crate::TemporalSet`] reports (`M`, `t_min`, `t_max`, …)
@@ -12,26 +11,20 @@
 //! 2. [`b2_streaming`] pushes every `|g_i|` segment through an
 //!    [`ExternalSorter`] under an explicit byte budget and feeds the sorted
 //!    run merge to `B2Sweeper::sweep` — the same sweep and `commit` a
-//!    resident [`crate::TemporalSet`] goes through — over a `Pending`
-//!    store. Per object that store keeps only the *pending window*: the
-//!    segments consumed since the object was last re-based that still end
-//!    after that breakpoint. Every question a re-base asks
-//!    (`σ_i(b*, frontier)`, the next crossing of a dangerous object)
-//!    touches only that window, so peak memory is `O(m)` state plus the
-//!    windows, never the curves themselves.
+//!    resident [`crate::TemporalSet`] goes through, so the same breakpoints
+//!    bit for bit (the tests in this module and `tests/build_golden.rs`
+//!    assert equality, mixed-sign inputs included).
 //!
-//! One sweep, two stores: the resident store answers from the whole curve
-//! behind a cursor, the pending store from the trimmed window. The window
-//! walks mirror [`chronorank_curve::PiecewiseLinear`]'s `integral_from` /
-//! `time_to_accumulate_from` term by term (same per-segment clipped
-//! trapezoids, same accumulation order) and a trimmed segment would
-//! contribute exactly `+0.0`, so both stores yield the same breakpoints up
-//! to ulp-level ties (the tests in this module and `tests/build_golden.rs`
-//! assert equality, mixed-sign inputs included). How large the windows get
-//! is REPRODUCTION.md deviation 3.
+//! The sweep's own state is `O(m)`, 40 bytes of it the one segment it keeps
+//! per object: whenever an object is re-based at a breakpoint `b`, every
+//! segment consumed for it starts at or before `b` (segments arrive in `t0`
+//! order and a breakpoint is only committed once the next segment starts
+//! after it), and an object's segments tile its domain, so only the last
+//! one consumed can still end after `b`. Beyond that state, memory is the
+//! sorter's budgeted run and the sort file's pool — nothing grows with `N`.
 
 use crate::breakpoints::{
-    abs_curve, check_eps, B2Construction, B2Sweeper, Breakpoints, BreakpointsKind, Consumed,
+    abs_curve, check_eps, B2Construction, B2Sweeper, Breakpoints, BreakpointsKind,
 };
 use crate::error::Result;
 use crate::object::TemporalObject;
@@ -95,9 +88,9 @@ where
 pub struct StreamedB2 {
     /// The constructed breakpoint set (same points as the in-memory sweep).
     pub breakpoints: Breakpoints,
-    /// High-water mark of retained segments across all pending windows —
-    /// the sweep's actual working set, reported by `paper_bench paperscale`
-    /// as part of the resource envelope.
+    /// High-water mark of segments the sweep held: one per object that has
+    /// consumed a segment not yet found ended by a re-base, so at most `m`.
+    /// `paper_bench paperscale` gates that bound on every rung.
     pub peak_pending_segments: u64,
 }
 
@@ -120,60 +113,11 @@ fn decode_b2(rec: &[u8; B2_REC_LEN]) -> (u32, Segment) {
     (obj, Segment::new(f(0), f(20), f(12), f(28)))
 }
 
-/// The out-of-core store: per object only the *pending window* — the
-/// segments consumed since the object was last re-based that still end
-/// after that breakpoint, the only part of the curve a re-base can still
-/// ask about. The walks mirror `PiecewiseLinear::integral_from` /
-/// `time_to_accumulate_from` term by term; a dropped segment would have
-/// contributed exactly `+0.0`.
-struct Pending {
-    windows: Vec<Vec<Segment>>,
-    /// Segments retained across all windows now, and the high-water mark.
-    live: u64,
-    peak: u64,
-}
-
-impl Consumed for Pending {
-    fn push(&mut self, i: usize, seg: Segment) {
-        self.windows[i].push(seg);
-        self.live += 1;
-        self.peak = self.peak.max(self.live);
-    }
-
-    fn rebase(&mut self, i: usize, b: f64, frontier: f64) -> f64 {
-        let window = &mut self.windows[i];
-        let before = window.len();
-        window.retain(|seg| seg.t1 > b);
-        self.live -= (before - window.len()) as u64;
-        let mut acc = 0.0;
-        for seg in window.iter() {
-            if seg.t0 >= frontier {
-                break;
-            }
-            acc += seg.integral_clipped(b, frontier);
-        }
-        acc
-    }
-
-    fn crossing(&self, i: usize, b: f64, tau: f64) -> Option<f64> {
-        let mut need = tau;
-        for seg in &self.windows[i] {
-            let lo = b.max(seg.t0);
-            let available = seg.integral_clipped(lo, seg.t1);
-            if available >= need {
-                return seg.time_to_accumulate(lo, need);
-            }
-            need -= available;
-        }
-        None
-    }
-}
-
 /// Streaming BREAKPOINTS2 (§3.1) over an object stream, owned or borrowed:
 /// externally sorts all `|g_i|` segments by left endpoint in runs of
-/// `sort_budget_bytes`, then runs the sweep holding only per-object pending
-/// windows. Produces the same breakpoints as [`Breakpoints::b2_with_eps`]
-/// on the materialized set (`stats` must come from [`scan_stats`] over the
+/// `sort_budget_bytes`, then runs the sweep over the merged runs, holding
+/// one segment per object. Produces the same breakpoints as
+/// [`Breakpoints::b2_with_eps`] on the materialized set (`stats` must come from [`scan_stats`] over the
 /// same stream).
 pub fn b2_streaming<I>(
     env: &Env,
@@ -191,7 +135,7 @@ where
     // Externally sort all |g| segments by t0 (the paper's queue Q). Pushed
     // object-major in id order, so equal-t0 ties merge back in the same
     // order the resident stable sort produces.
-    let sort_file = env.create_file("b2_stream_sort")?;
+    let sort_file = env.create_scratch("b2_stream_sort")?;
     let mut sorter =
         ExternalSorter::with_byte_budget(sort_file, B2_REC_LEN, sort_budget_bytes, |rec| {
             f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"))
@@ -214,15 +158,14 @@ where
         Err(e) => Some(Err(e.into())),
     });
 
-    let m = stats.num_objects;
-    let mut store = Pending { windows: vec![Vec::new(); m], live: 0, peak: 0 };
     let domain = (stats.t_min, stats.t_max);
     let tau = eps * stats.total_mass;
-    let points =
-        B2Sweeper::sweep(&mut store, m, construction, domain, tau, usize::MAX, segments)?.done();
+    let (sweep, peak_pending_segments) =
+        B2Sweeper::sweep(stats.num_objects, construction, domain, tau, usize::MAX, segments)?;
+    let points = sweep.done();
     Ok(StreamedB2 {
         breakpoints: Breakpoints::from_sweep(BreakpointsKind::B2, points, eps, stats.total_mass),
-        peak_pending_segments: store.peak,
+        peak_pending_segments,
     })
 }
 
@@ -238,7 +181,11 @@ mod tests {
         Env::mem(StoreConfig { block_size: 256, pool_capacity: 16 })
     }
 
-    fn assert_streaming_matches(set: &TemporalSet, eps: f64, construction: B2Construction) {
+    fn assert_streaming_matches(
+        set: &TemporalSet,
+        eps: f64,
+        construction: B2Construction,
+    ) -> StreamedB2 {
         let expect = Breakpoints::b2_with_eps(set, eps, construction).unwrap();
         let stats = scan_stats(set.objects().iter().cloned());
         let got = b2_streaming(
@@ -258,6 +205,7 @@ mod tests {
         );
         assert_eq!(got.breakpoints.eps(), expect.eps());
         assert_eq!(got.breakpoints.mass(), expect.mass());
+        got
     }
 
     #[test]
@@ -332,12 +280,11 @@ mod tests {
         }
     }
 
-    /// Every file a build left in `dir` except sort scratch, by name.
+    /// Every file a build left in `dir`, by name.
     fn index_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
         std::fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| !name.contains("sort"))
             .map(|name| (name.clone(), std::fs::read(dir.join(&name)).unwrap()))
             .collect()
     }
@@ -400,27 +347,59 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// Sort scratch goes away with the sorted stream: a directory-backed
+    /// build leaves its index files and nothing else.
     #[test]
-    fn pending_window_stays_below_dataset() {
-        // The whole point: at small eps the sweep never retains more than a
-        // gap's worth of segments (plus one in flight per object).
-        let set = small_set();
-        let stats = scan_stats(set.objects().iter().cloned());
-        let got = b2_streaming(
-            &stream_env(),
-            set.objects().iter().cloned(),
-            &stats,
-            0.01,
-            B2Construction::Efficient,
-            1 << 16,
-        )
-        .unwrap();
-        assert!(got.peak_pending_segments > 0);
-        assert!(
-            got.peak_pending_segments < stats.num_segments,
-            "peak window {} must undercut N = {}",
-            got.peak_pending_segments,
-            stats.num_segments
-        );
+    fn dir_builds_leave_no_sort_scratch_behind() {
+        use crate::exact1::Exact1;
+        use crate::exact3::Exact3;
+
+        let set = wavy_set(12, 20);
+        let store = StoreConfig { block_size: 256, pool_capacity: 16 };
+        let root = std::env::temp_dir().join(format!("chronorank-unlink-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let names = |dir: &str| index_files(&root.join(dir)).into_keys().collect::<Vec<_>>();
+        let env = |dir: &str| Env::dir(root.join(dir), store).unwrap();
+        let budget = 16 * 44; // several runs each
+
+        let e1 = Exact1::build_streaming(env("e1"), set.objects(), budget).unwrap();
+        let e3 = Exact3::build_streaming(env("e3"), store, set.objects(), budget).unwrap();
+        assert_eq!(names("e1"), ["exact1_tree"]);
+        assert_eq!(names("e3"), ["exact3_tree_gen0"]);
+        drop((e1, e3));
+
+        let stats = scan_stats(set.objects());
+        let b2 = env("b2");
+        b2_streaming(&b2, set.objects(), &stats, 0.02, B2Construction::Efficient, budget).unwrap();
+        assert_eq!(names("b2"), [] as [&str; 0]);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Short-lived objects with staggered lifespans, the shape of the Meme
+    /// data: at any instant most of them have already ended.
+    fn staggered_set(objects: usize) -> TemporalSet {
+        let curve = |i: usize| {
+            let (start, segments) = (3.0 * i as f64, 2 + i % 5);
+            let point = |j: usize| (start + 1.5 * j as f64, 1.0 + ((i * 7 + j * 13) % 11) as f64);
+            PiecewiseLinear::from_points(&(0..=segments).map(point).collect::<Vec<_>>()).unwrap()
+        };
+        TemporalSet::from_curves((0..objects).map(curve).collect()).unwrap()
+    }
+
+    #[test]
+    fn sweep_holds_at_most_one_segment_per_object() {
+        for set in [small_set(), wavy_set(40, 30), staggered_set(200)] {
+            let m = set.num_objects() as u64;
+            for construction in [B2Construction::Efficient, B2Construction::Baseline] {
+                for eps in [0.2, 0.01, 0.0005] {
+                    let peak =
+                        assert_streaming_matches(&set, eps, construction).peak_pending_segments;
+                    assert!(
+                        0 < peak && peak <= m,
+                        "eps={eps} {construction:?}: held {peak} segments for m = {m}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -4,10 +4,11 @@
 //! approximate methods must satisfy Definition 2.
 
 use chronorank_core::{
-    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, B2Construction, Breakpoints, Exact1, Exact2,
-    Exact3, IndexConfig, RankMethod, TemporalSet,
+    b2_streaming, scan_stats, AggKind, ApproxConfig, ApproxIndex, ApproxVariant, B2Construction,
+    Breakpoints, Exact1, Exact2, Exact3, IndexConfig, RankMethod, TemporalSet,
 };
 use chronorank_curve::PiecewiseLinear;
+use chronorank_storage::{Env, StoreConfig};
 use proptest::prelude::*;
 
 /// An arbitrary temporal set: 2..=8 objects, ragged domains, values that
@@ -30,6 +31,32 @@ fn arb_set(allow_negative: bool) -> impl Strategy<Value = TemporalSet> {
                 let pts: Vec<(f64, f64)> = (0..n.max(2))
                     .map(|i| (start + i as f64 * step, values[i % values.len()]))
                     .collect();
+                PiecewiseLinear::from_points(&pts).expect("valid curve")
+            })
+            .collect();
+        TemporalSet::from_curves(curves).expect("valid set")
+    })
+}
+
+/// Many short-lived objects with staggered lifespans and mixed signs (the
+/// Meme shape): 6..=40 objects of 1..=6 segments each, starting anywhere in
+/// a domain far longer than any one of them lives.
+fn arb_staggered_set() -> impl Strategy<Value = TemporalSet> {
+    proptest::collection::vec(
+        (
+            2usize..8,     // points per curve
+            0.0f64..200.0, // start
+            0.1f64..3.0,   // step
+            proptest::collection::vec(-6.0..10.0f64, 8),
+        ),
+        6..=40,
+    )
+    .prop_map(|specs| {
+        let curves: Vec<PiecewiseLinear> = specs
+            .into_iter()
+            .map(|(n, start, step, values)| {
+                let pts: Vec<(f64, f64)> =
+                    (0..n).map(|i| (start + i as f64 * step, values[i])).collect();
                 PiecewiseLinear::from_points(&pts).expect("valid curve")
             })
             .collect();
@@ -156,6 +183,35 @@ proptest! {
         prop_assert_eq!(a.len(), b.len(), "counts differ");
         for (x, y) in a.points().iter().zip(b.points()) {
             prop_assert!((x - y).abs() <= 1e-6 * (1.0 + x.abs()), "{} vs {}", x, y);
+        }
+    }
+
+    /// One segment per object is all the sweep needs: on staggered,
+    /// mixed-sign sets both constructions and the streamed sweep emit the
+    /// same points, the sweep never holds more than `m` segments, and every
+    /// gap keeps `max_i ∫|g_i| ≤ τ` by an oracle that shares no code with
+    /// the sweep (`PiecewiseLinear::abs_integral` over the raw curves).
+    #[test]
+    fn b2_one_segment_per_object_suffices(set in arb_staggered_set(), eps in 0.002f64..0.3) {
+        let efficient = Breakpoints::b2_with_eps(&set, eps, B2Construction::Efficient).unwrap();
+        let baseline = Breakpoints::b2_with_eps(&set, eps, B2Construction::Baseline).unwrap();
+        prop_assert_eq!(efficient.points(), baseline.points());
+        let stats = scan_stats(set.objects());
+        let env = Env::mem(StoreConfig { block_size: 256, pool_capacity: 8 });
+        let streamed =
+            b2_streaming(&env, set.objects(), &stats, eps, B2Construction::Efficient, 16 * 36)
+                .unwrap();
+        prop_assert_eq!(streamed.breakpoints.points(), efficient.points());
+        prop_assert!(streamed.peak_pending_segments <= set.num_objects() as u64);
+        let tau = eps * set.total_mass();
+        for w in efficient.points().windows(2) {
+            for o in set.objects() {
+                let s = o.curve.abs_integral(w[0], w[1]);
+                prop_assert!(
+                    s <= tau * (1.0 + 1e-9),
+                    "gap [{}, {}] obj {}: {} > τ = {}", w[0], w[1], o.id, s, tau
+                );
+            }
         }
     }
 

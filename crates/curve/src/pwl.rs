@@ -140,15 +140,6 @@ impl PiecewiseLinear {
             return 0.0;
         }
         let first = self.locate(lo).expect("clamped inside domain");
-        self.integral_from(first, lo, hi)
-    }
-
-    /// The walk behind [`PiecewiseLinear::integral`], for a caller that
-    /// already knows `first = locate(lo)` — a sweep whose `lo` only moves
-    /// right keeps that index as a cursor instead of searching for it.
-    /// `lo` and `hi` must already be clamped to the domain. Same
-    /// arithmetic, so the same bits.
-    pub fn integral_from(&self, first: usize, lo: Time, hi: Time) -> f64 {
         let mut acc = 0.0;
         for j in first..self.num_segments() {
             let seg = self.segment(j);
@@ -234,8 +225,7 @@ impl PiecewiseLinear {
     /// walking segments from `from` and solving the final crossing inside a
     /// segment. `None` when the curve's remaining mass is below `target`.
     /// This is the whole-curve version of
-    /// [`Segment::time_to_accumulate`](crate::Segment::time_to_accumulate),
-    /// used when BREAKPOINTS2 re-bases a dangerous object after a commit.
+    /// [`Segment::time_to_accumulate`](crate::Segment::time_to_accumulate).
     pub fn time_to_accumulate(&self, from: Time, target: f64) -> Option<Time> {
         debug_assert!(target > 0.0);
         let from = from.max(self.start());
@@ -243,14 +233,6 @@ impl PiecewiseLinear {
             return None;
         }
         let first = self.locate(from).expect("clamped inside domain");
-        self.time_to_accumulate_from(first, from, target)
-    }
-
-    /// The walk behind [`PiecewiseLinear::time_to_accumulate`], for a
-    /// caller that already knows `first = locate(from)` (see
-    /// [`PiecewiseLinear::integral_from`]). `from` must lie inside the
-    /// domain, before its end.
-    pub fn time_to_accumulate_from(&self, first: usize, from: Time, target: f64) -> Option<Time> {
         let mut need = target;
         for j in first..self.num_segments() {
             let seg = self.segment(j);

@@ -72,7 +72,8 @@ impl FenceSpill {
 
     /// A queue that keeps at most `budget_entries` fences in memory and
     /// appends the rest to `scratch` (a freshly created file this queue
-    /// owns). A zero budget is rounded up to one entry.
+    /// owns; one from `Env::create_scratch` is unlinked when the replay
+    /// drops). A zero budget is rounded up to one entry.
     pub fn budgeted(scratch: PagedFile, budget_entries: usize) -> Result<Self> {
         let block = scratch.block_size();
         if block < REC_LEN {

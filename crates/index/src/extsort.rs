@@ -120,9 +120,11 @@ pub struct ExternalSorter<F: Fn(&[u8]) -> f64> {
 }
 
 impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
-    /// `file` must be a fresh scratch file. `budget_bytes` (a `ScaleBudget`
-    /// sort share) caps the run length at `budget_bytes / record_len`
-    /// records — never fewer than 16, so a degenerate budget still sorts.
+    /// `file` must be a fresh scratch file (`Env::create_scratch`: it goes
+    /// away with the sorter or its `SortedStream`). `budget_bytes` (a
+    /// `ScaleBudget` sort share) caps the run length at
+    /// `budget_bytes / record_len` records — never fewer than 16, so a
+    /// degenerate budget still sorts.
     /// Only the run length is capped: the buffer grows as records arrive,
     /// so a budget far above the input costs nothing.
     pub fn with_byte_budget(

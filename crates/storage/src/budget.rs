@@ -11,9 +11,9 @@
 //! * **buffer pools** — [`ScaleBudget::store_config`] sizes
 //!   [`StoreConfig::pool_capacity`] from the pool share divided by the
 //!   number of concurrently live [`crate::PagedFile`]s;
-//! * **sort runs** — [`ScaleBudget::sort_records`] converts the sort share
-//!   into an `ExternalSorter` in-memory run length for a given record
-//!   width;
+//! * **sort runs** — [`ScaleBudget::sort_bytes`] is the byte budget every
+//!   streaming constructor hands its `ExternalSorter`, which turns it into
+//!   a run length for its own record width;
 //! * **admission checks** — [`ScaleBudget::holds_dataset`] answers whether
 //!   a dataset of the given size would fit entirely in the budget (the
 //!   paperscale bench asserts this is *false*, i.e. the build really ran
@@ -89,16 +89,6 @@ impl ScaleBudget {
         }
     }
 
-    /// In-memory run length (in records) for an external sort of
-    /// `record_len`-byte records, splitting the sort share across
-    /// `concurrent_sorts` sorters alive at the same time. Never below 16
-    /// records (the `ExternalSorter` minimum).
-    pub fn sort_records(&self, record_len: usize, concurrent_sorts: usize) -> usize {
-        let sorts = concurrent_sorts.max(1) as u64;
-        let recs = self.sort_bytes() / sorts / record_len.max(1) as u64;
-        recs.clamp(16, usize::MAX as u64) as usize
-    }
-
     /// Whether a dataset of `dataset_bytes` would fit wholly inside this
     /// budget. The paperscale bench requires this to be `false` at every
     /// committed rung: the headline I/O ordering must emerge from an
@@ -134,14 +124,6 @@ mod tests {
     fn tiny_budgets_stay_functional() {
         let b = ScaleBudget::new(1024);
         assert!(b.store_config(100).pool_capacity >= 4);
-        assert!(b.sort_records(64, 100) >= 16);
-    }
-
-    #[test]
-    fn sort_records_scale_with_record_len() {
-        let b = ScaleBudget::new(32 << 20);
-        assert_eq!(b.sort_records(32, 1), 2 * b.sort_records(64, 1));
-        assert_eq!(b.sort_records(64, 2), b.sort_records(64, 1) / 2);
     }
 
     #[test]

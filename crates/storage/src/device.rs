@@ -8,7 +8,7 @@ use crate::error::{Result, StorageError};
 use crate::PageId;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// An array of fixed-size blocks addressed by [`PageId`].
 ///
@@ -114,6 +114,8 @@ pub struct FileDevice {
     file: File,
     block_size: usize,
     num_blocks: u64,
+    /// Set for scratch devices: the path to unlink when the device drops.
+    scratch_path: Option<PathBuf>,
 }
 
 impl FileDevice {
@@ -122,7 +124,15 @@ impl FileDevice {
         assert!(block_size >= 64, "block size unreasonably small");
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(Self { file, block_size, num_blocks: 0 })
+        Ok(Self { file, block_size, num_blocks: 0, scratch_path: None })
+    }
+
+    /// [`FileDevice::create`] for build-time scratch (sort runs, fence
+    /// spills): the file is removed when the device drops.
+    pub fn create_scratch(path: &Path, block_size: usize) -> Result<Self> {
+        let mut dev = Self::create(path, block_size)?;
+        dev.scratch_path = Some(path.to_path_buf());
+        Ok(dev)
     }
 
     /// Open an existing device file; its length must be a whole number of
@@ -135,7 +145,16 @@ impl FileDevice {
                 "file length {len} is not a multiple of block size {block_size}"
             )));
         }
-        Ok(Self { file, block_size, num_blocks: len / block_size as u64 })
+        Ok(Self { file, block_size, num_blocks: len / block_size as u64, scratch_path: None })
+    }
+}
+
+impl Drop for FileDevice {
+    fn drop(&mut self) {
+        if let Some(path) = &self.scratch_path {
+            // Best effort: a leftover scratch file costs disk, not correctness.
+            std::fs::remove_file(path).ok();
+        }
     }
 }
 
@@ -219,6 +238,20 @@ mod tests {
         let mut out = vec![0u8; 256];
         dev.read(1, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn scratch_device_unlinks_its_file_on_drop() {
+        let dir = std::env::temp_dir().join(format!("chronorank-scratch-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (kept, scratch) = (dir.join("kept.blk"), dir.join("scratch.blk"));
+        roundtrip(&mut FileDevice::create(&kept, 256).unwrap());
+        let mut dev = FileDevice::create_scratch(&scratch, 256).unwrap();
+        roundtrip(&mut dev);
+        assert!(scratch.exists());
+        drop(dev);
+        assert!(kept.exists() && !scratch.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -127,6 +127,18 @@ impl Env {
     /// environment; the check-and-insert is atomic under the registry
     /// lock, so two threads racing on one name see exactly one winner.
     pub fn create_file(&self, name: &str) -> Result<PagedFile> {
+        self.new_file(name, false)
+    }
+
+    /// [`Env::create_file`] for build-time scratch (external-sort runs,
+    /// fence spills): a directory-backed environment removes the file when
+    /// the returned [`PagedFile`] drops, so a finished — or failed — build
+    /// leaves only its index files behind. In memory the two are the same.
+    pub fn create_scratch(&self, name: &str) -> Result<PagedFile> {
+        self.new_file(name, true)
+    }
+
+    fn new_file(&self, name: &str, scratch: bool) -> Result<PagedFile> {
         {
             let mut names = self.names.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             if !names.insert(name.to_string()) {
@@ -137,7 +149,8 @@ impl Env {
             EnvBacking::Memory => Box::new(MemDevice::new(self.config.block_size)),
             EnvBacking::Directory(dir) => {
                 let path = dir.join(sanitize(&format!("{}{name}", self.prefix)));
-                Box::new(FileDevice::create(&path, self.config.block_size)?)
+                let create = if scratch { FileDevice::create_scratch } else { FileDevice::create };
+                Box::new(create(&path, self.config.block_size)?)
             }
         };
         self.files.fetch_add(1, Ordering::Relaxed);
