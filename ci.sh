@@ -7,8 +7,8 @@
 #   clippy            cargo clippy -D warnings        (whole workspace, all targets)
 #   doc               cargo doc --no-deps             (RUSTDOCFLAGS="-D warnings")
 #   tier1             cargo build --release && cargo test -q
-#   agreement-w8      serve/live agreement suites re-run at W=8 with
-#                     RUST_TEST_THREADS deliberately unpinned, so the
+#   agreement-w8      serve/live/window agreement suites re-run at W=8
+#                     with RUST_TEST_THREADS deliberately unpinned, so the
 #                     shared-snapshot engines race for real cores
 #   serve-smoke       paper-bench serve --quick       (JSON under target/)
 #   live-smoke        paper-bench live --quick        (JSON under target/)
@@ -30,7 +30,7 @@
 #                     in per-query cold IO and the BREAKPOINTS2 sweep held
 #                     at most m segments)
 #   rescore-smoke     paper-bench rescore --quick     (columnar batch
-#                     rescoring vs the scalar row walk, and query_batch
+#                     rescoring vs the scalar row walk, and execute
 #                     windows vs solo queries; the bench asserts bit-
 #                     identical checksums and exits nonzero unless
 #                     columnar >= scalar and batched W=64 >= solo)
@@ -128,7 +128,8 @@ tier1_stage() {
 # collide as hard as the host allows.
 agreement_w8() {
     CHRONORANK_AGREEMENT_W=8 \
-        cargo test --release -q --test serve_agreement --test live_agreement
+        cargo test --release -q --test serve_agreement --test live_agreement \
+        --test columnar_agreement
 }
 
 serve_smoke() {

@@ -2289,12 +2289,13 @@ fn paperscale(opts: &Opts) {
 ///   prove the same per element), so the contest is purely throughput.
 /// * **execution** — one Zipf-skewed approximate stream served solo
 ///   (`query`) and in admission windows of W ∈ {1, 8, 64}
-///   (`query_batch`) with result caches **off**, so the windows' repeated
+///   (`execute`) with result caches **off**, so the windows' repeated
 ///   hotspots are amortized by shared probes alone, never by cache hits.
 ///
 /// Gates, checked after `BENCH_RESCORE.json` is written: columnar kernel
 /// throughput ≥ scalar, and batched W=64 QPS ≥ solo QPS.
 fn rescore(opts: &Opts) {
+    use chronorank_obs::SpanSink;
     use chronorank_serve::{ServeConfig, ServeEngine, ServeQuery};
     use chronorank_workloads::{IntervalPattern, QueryWorkload, QueryWorkloadConfig};
 
@@ -2417,7 +2418,7 @@ fn rescore(opts: &Opts) {
             workload.windows(w).iter().map(|win| win.iter().map(as_query).collect()).collect();
         let t0 = Instant::now();
         for win in &batches {
-            engine.query_batch(win).expect("batch query");
+            engine.execute(win, None, &SpanSink::noop()).expect("window");
         }
         let qps = stream.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
         let speedup = qps / solo_qps.max(1e-9);

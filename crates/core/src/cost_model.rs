@@ -100,33 +100,6 @@ pub fn query_cost(p: &CostParams) -> QueryCost {
     QueryCost { exact1, exact2, exact3, appx1, appx2, appx2_plus }
 }
 
-impl QueryCost {
-    /// Batch amortization: when `share` queries in one admitted window
-    /// collapse onto the same probe — identical raw interval for the exact
-    /// routes, identical snapped `(B(t1), B(t2))` pair for the
-    /// breakpoint-based ones — the index is probed once and the answer
-    /// shared, so the *per-query* cost of every route divides by its group
-    /// size. `exact_share` amortizes the raw-keyed routes (EXACT*, APPX2+
-    /// re-scores per raw interval), `snap_share` the snapped-keyed ones
-    /// (APPX1/APPX2); `snap_share ≥ exact_share` whenever distinct raw
-    /// intervals snap together. Within each comparison class the factor is
-    /// uniform, so amortization never reorders a class — batch routing
-    /// stays consistent with solo routing while the reported costs stay
-    /// honest about what a batched execution actually pays.
-    pub fn amortized(&self, exact_share: usize, snap_share: usize) -> QueryCost {
-        let es = exact_share.max(1) as f64;
-        let ss = snap_share.max(1) as f64;
-        QueryCost {
-            exact1: self.exact1 / es,
-            exact2: self.exact2 / es,
-            exact3: self.exact3 / es,
-            appx1: self.appx1 / ss,
-            appx2: self.appx2 / ss,
-            appx2_plus: self.appx2_plus / es,
-        }
-    }
-}
-
 /// Predicted index sizes in blocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeCost {
@@ -207,32 +180,6 @@ mod tests {
         assert!(s.appx2 < s.appx1, "dyadic ≪ all-pairs");
         assert!(s.appx1 < s.exact3, "appx1 smaller than data at paper params");
         assert!(s.appx2 < s.appx2_plus && s.appx2_plus < s.exact1, "prefix points < segments");
-    }
-
-    #[test]
-    fn amortized_divides_by_group_size_and_preserves_class_order() {
-        let p = CostParams {
-            m: 50_000,
-            n_total: 50_000_000,
-            n_avg: 1000,
-            block: 4096,
-            r: 500,
-            kmax: 200,
-            k: 50,
-            overlap_frac: 0.2,
-        };
-        let q = query_cost(&p);
-        let a = q.amortized(4, 16);
-        assert_eq!(a.exact1, q.exact1 / 4.0);
-        assert_eq!(a.exact3, q.exact3 / 4.0);
-        assert_eq!(a.appx2_plus, q.appx2_plus / 4.0);
-        assert_eq!(a.appx1, q.appx1 / 16.0);
-        assert_eq!(a.appx2, q.appx2 / 16.0);
-        // Uniform per-class factors preserve each class's internal order.
-        assert_eq!(a.exact1 < a.exact3, q.exact1 < q.exact3);
-        assert_eq!(a.appx1 < a.appx2, q.appx1 < q.appx2);
-        // share ≤ 1 is the solo cost.
-        assert_eq!(q.amortized(0, 1), q);
     }
 
     #[test]

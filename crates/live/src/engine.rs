@@ -1,23 +1,22 @@
 //! The ingest engine: durable appends in, fresh answers out.
 //!
 //! Appends take `&mut self` (there is exactly one WAL and one master set),
-//! but the whole query path takes `&self`: every query opens its own reply
-//! channel, so any number of caller threads can query one engine
-//! concurrently — the network tier wraps an `IngestEngine` in an `RwLock`
-//! and lets reads overlap while appends serialize.
+//! but the query path — [`IngestEngine::execute`], one window of queries
+//! scattered as one message per shard — takes `&self`: every call gathers
+//! on its own reply channel, so any number of caller threads can query one
+//! engine concurrently — the network tier wraps an `IngestEngine` in an
+//! `RwLock` and lets reads overlap while appends serialize.
 
 use crate::config::LiveConfig;
 use crate::generation::{GenPart, GenParts};
 use crate::obs::LiveObs;
 use crate::report::{LiveReport, PauseHistogram};
-use crate::shard::{
-    shard_main, LiveJob, ShardChannels, ShardCheckpoint, ShardReply, ShardStatus, ToShard,
-};
-use chronorank_core::{AppendRecord, ObjectId, TemporalSet, TopK};
+use crate::shard::{shard_main, ShardChannels, ShardCheckpoint, ShardReply, ShardStatus, ToShard};
+use chronorank_core::{AppendRecord, MethodProfile, TemporalSet, TopK};
 use chronorank_curve::ColumnarTail;
 use chronorank_obs::{elapsed_us, AttrValue, Registry, SpanId, SpanSink, TraceId};
 use chronorank_serve::{
-    merge_profiles, merge_ranked, partition, Freshness, MethodSet, Planner, PlannerParams, Route,
+    merge_profiles, partition, Answer, Freshness, Gather, MethodSet, Planner, PlannerParams, Route,
     ServeQuery,
 };
 use chronorank_storage::{
@@ -25,9 +24,8 @@ use chronorank_storage::{
 };
 use chronorank_workloads::LiveOp;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -117,68 +115,6 @@ struct Worker {
     handle: Option<JoinHandle<()>>,
 }
 
-/// Bookkeeping for one pipelined trace: replies can be absorbed at any
-/// moment (opportunistically during the trace, exhaustively at the end),
-/// and `expected()` says when every scattered query is fully answered.
-struct TraceGather {
-    base_qid: u64,
-    w: usize,
-    /// `k` of each scattered query, scatter order.
-    ks: Vec<usize>,
-    /// Per-query shard answers collected so far.
-    partial: Vec<Vec<Vec<(ObjectId, f64)>>>,
-    /// Merged answers (filled once all `w` shards replied).
-    answers: Vec<Option<TopK>>,
-    received: usize,
-    first_err: Option<String>,
-}
-
-impl TraceGather {
-    fn new(base_qid: u64, w: usize) -> Self {
-        Self {
-            base_qid,
-            w,
-            ks: Vec::new(),
-            partial: Vec::new(),
-            answers: Vec::new(),
-            received: 0,
-            first_err: None,
-        }
-    }
-
-    /// Register one scattered query.
-    fn scattered(&mut self, k: usize) {
-        self.ks.push(k);
-        self.partial.push(Vec::new());
-        self.answers.push(None);
-    }
-
-    /// Replies owed by the shards for everything scattered so far.
-    fn expected(&self) -> usize {
-        self.ks.len() * self.w
-    }
-
-    /// Fold one shard reply in (merging the query once complete).
-    fn absorb(&mut self, reply: ShardReply) {
-        let i = (reply.qid - self.base_qid) as usize;
-        self.received += 1;
-        match reply.result {
-            Ok(entries) => {
-                self.partial[i].push(entries);
-                if self.partial[i].len() == self.w {
-                    self.answers[i] = Some(merge_ranked(&self.partial[i], self.ks[i]));
-                    self.partial[i] = Vec::new();
-                }
-            }
-            Err(e) => {
-                if self.first_err.is_none() {
-                    self.first_err = Some(e);
-                }
-            }
-        }
-    }
-}
-
 /// Query-path counters updated under one short lock (the query path is
 /// `&self`, so plain fields will not do).
 struct QueryCounters {
@@ -198,7 +134,6 @@ pub struct IngestEngine {
     workers: Vec<Worker>,
     statuses: Mutex<Vec<ShardStatus>>,
     params: PlannerParams,
-    next_qid: AtomicU64,
     // --- accumulated statistics ---
     appends: u64,
     batches: u64,
@@ -284,7 +219,6 @@ impl IngestEngine {
             workers,
             statuses: Mutex::new(statuses),
             params,
-            next_qid: AtomicU64::new(0),
             appends: 0,
             batches: 0,
             query_counters: Mutex::new(QueryCounters { queries: 0, elapsed_secs: 0.0 }),
@@ -452,26 +386,25 @@ impl IngestEngine {
 
     /// The freshness-aware routing decision for `q` (without executing).
     pub fn route_for(&self, q: &ServeQuery) -> Route {
-        self.planner().route_with_freshness(q, Some(self.freshness()))
+        let (planner, fresh) = self.routing_snapshot();
+        planner.route_with_freshness(q, Some(fresh))
     }
 
-    /// The router over the shards' *current* generation profiles (rebuilt
-    /// on demand — epoch swaps change the profiles underneath). Combined
-    /// with [`IngestEngine::freshness`] this is how a serving tier above
-    /// (the network layer) restates each route's achieved ε against the
-    /// live mass when reporting what a query was answered with.
-    pub fn planner(&self) -> Planner {
+    /// Everything a routing decision reads, under **one** `statuses` lock:
+    /// the router over the shards' *current* generation profiles (rebuilt
+    /// on demand — epoch swaps change the profiles underneath) and the §4
+    /// freshness dimension those profiles are restated against — mass the
+    /// serving generations were built over vs the live (appends-included)
+    /// mass. One snapshot both admits a query and restates the ε its
+    /// answer reports, so the two are the same number.
+    pub fn routing_snapshot(&self) -> (Planner, Freshness) {
         let statuses = self.statuses.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let profiles: Vec<_> = statuses.iter().map(|s| s.profiles).collect();
-        Planner::new(self.params, merge_profiles(&profiles))
-    }
-
-    /// The §4 freshness dimension: mass the serving generations were
-    /// built over vs the live (appends-included) mass.
-    pub fn freshness(&self) -> Freshness {
-        let statuses = self.statuses.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let built_mass: f64 = statuses.iter().map(|s| s.built_mass).sum();
-        Freshness { built_mass, live_mass: self.master.total_mass() }
+        (
+            Planner::new(self.params, merge_profiles(&profiles)),
+            Freshness { built_mass, live_mass: self.master.total_mass() },
+        )
     }
 
     /// Records durably applied over the engine's lifetime (cheaper than
@@ -564,130 +497,73 @@ impl IngestEngine {
         }
     }
 
-    /// Answer one query: route with freshness, scatter, gather, merge.
-    pub fn query(&self, q: ServeQuery) -> Result<TopK, LiveError> {
-        self.query_routed(q).map(|(top, _)| top)
-    }
-
-    /// [`IngestEngine::query`], also returning the freshness-aware route
-    /// this execution was planned onto (taken atomically with the answer,
-    /// so an epoch swap between planning and reporting cannot misattribute
-    /// it). `&self`: each call gathers on its own private channel, so
-    /// concurrent callers can never cross answers.
-    pub fn query_routed(&self, q: ServeQuery) -> Result<(TopK, Route), LiveError> {
-        let t0 = Instant::now();
-        let route = self.route_for(&q);
-        let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = channel();
-        self.scatter(LiveJob { qid, query: q, route, reply: reply_tx })?;
-        let w = self.workers.len();
-        let mut lists = Vec::with_capacity(w);
-        let mut first_err = None;
-        for _ in 0..w {
-            let reply = reply_rx.recv().map_err(|_| LiveError::WorkerGone)?;
-            debug_assert_eq!(reply.qid, qid);
-            self.absorb_status(&reply);
-            match reply.result {
-                Ok(entries) => lists.push(entries),
-                Err(e) => first_err = Some(e),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(LiveError::Query(e));
-        }
-        let top = merge_ranked(&lists, q.k);
-        let mut counters =
-            self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        counters.queries += 1;
-        counters.elapsed_secs += t0.elapsed().as_secs_f64();
-        Ok((top, route))
-    }
-
-    /// Answer one admitted window of queries as a batch: the planner
-    /// routes the whole window together ([`Planner::route_batch`] — costs
-    /// amortized over shared probes, routes provably identical to solo
-    /// planning), each shard receives the window as **one** message and
-    /// executes probe-identical queries — same snapped `(B(t1), B(t2))`
-    /// pair, `k`, route, and tolerance — with a single index probe whose
-    /// answer is shared across the group, and the per-shard answer lists
-    /// are gathered and merged per query. The answers are bit-identical to
-    /// issuing every query through [`IngestEngine::query`] one at a time
-    /// (the batch agreement suite pins this); what the batch buys is
-    /// amortization, not approximation.
-    pub fn query_batch(&self, qs: &[ServeQuery]) -> Result<Vec<TopK>, LiveError> {
-        if qs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let t0 = Instant::now();
-        let routes = self.planner().route_batch(qs, Some(self.freshness()));
-        let base_qid = self.next_qid.fetch_add(qs.len() as u64, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = channel();
-        let jobs: Vec<LiveJob> = qs
-            .iter()
-            .zip(&routes)
-            .enumerate()
-            .map(|(i, (q, route))| LiveJob {
-                qid: base_qid + i as u64,
-                query: *q,
-                route: *route,
-                reply: reply_tx.clone(),
-            })
-            .collect();
-        drop(reply_tx);
-        for worker in &self.workers {
-            worker.tx.send(ToShard::QueryBatch(jobs.clone())).map_err(|_| LiveError::WorkerGone)?;
-        }
-        let w = self.workers.len();
-        let mut partial: Vec<Vec<Vec<(ObjectId, f64)>>> = vec![Vec::new(); qs.len()];
-        let mut first_err: Option<String> = None;
-        for _ in 0..qs.len() * w {
-            let reply = reply_rx.recv().map_err(|_| LiveError::WorkerGone)?;
-            self.absorb_status(&reply);
-            let i = (reply.qid - base_qid) as usize;
-            match reply.result {
-                Ok(entries) => partial[i].push(entries),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(LiveError::Query(e));
-        }
-        let answers: Vec<TopK> =
-            partial.iter().zip(qs).map(|(lists, q)| merge_ranked(lists, q.k)).collect();
-        let mut counters =
-            self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        counters.queries += qs.len() as u64;
-        counters.elapsed_secs += t0.elapsed().as_secs_f64();
-        Ok(answers)
-    }
-
-    /// [`IngestEngine::query_routed`], joined into an existing
-    /// distributed trace: an `engine.query` span is opened as a child of
-    /// `parent` on `trace`. The live scatter path does not surface
-    /// per-shard probe timings to the gatherer (its replies carry shard
-    /// *status*, not spans), so the live engine contributes the engine
-    /// span only; per-shard children are a serve-backend feature. With a
-    /// noop `sink` this costs a branch.
-    pub fn query_spanned(
+    /// Answer one window of queries — the engine's one query body. The
+    /// window is routed against one [`IngestEngine::routing_snapshot`],
+    /// each shard receives it as **one** message and answers
+    /// probe-identical queries (same snapped or raw interval, `k`, route
+    /// and tolerance) with a single frozen probe and columnar rescore, and
+    /// the per-shard lists are merged per query. Answers are bit-identical
+    /// to executing every query in a window of its own (the window
+    /// agreement suite pins this); each [`Answer`] carries the route it
+    /// was planned onto and that route's ε restated against the same
+    /// snapshot, so an epoch swap absorbed meanwhile cannot misattribute
+    /// either.
+    ///
+    /// With a `trace` context `(trace, parent)`, one `engine.query` span
+    /// per query is emitted into `sink` as a child of `parent`. The live
+    /// replies carry shard *status*, not probe timings, so there are no
+    /// per-shard children; those are a serve-backend feature.
+    pub fn execute(
         &self,
-        q: ServeQuery,
-        trace: TraceId,
-        parent: SpanId,
+        window: &[ServeQuery],
+        trace: Option<(TraceId, SpanId)>,
         sink: &SpanSink,
-    ) -> Result<(TopK, Route), LiveError> {
-        let mut span = sink.child(trace, parent, "engine.query");
-        let result = self.query_routed(q);
-        if let Ok((_, route)) = &result {
-            span.attr("route", AttrValue::Sym(route.name()));
-            span.attr("k", AttrValue::U64(q.k as u64));
-            span.attr("shards", AttrValue::U64(self.workers.len() as u64));
+    ) -> Result<Vec<Answer>, LiveError> {
+        let t0 = Instant::now();
+        let (planner, fresh) = self.routing_snapshot();
+        let routed: Arc<[(ServeQuery, Route)]> =
+            window.iter().map(|q| (*q, planner.route_with_freshness(q, Some(fresh)))).collect();
+        let mut gather = Gather::new(self.workers.len());
+        let (reply_tx, reply_rx) = channel();
+        gather.register(window.iter().map(|q| q.k));
+        if !routed.is_empty() {
+            self.scatter(&routed, 0, &reply_tx)?;
         }
-        span.finish();
-        result
+        drop(reply_tx);
+        while gather.owed() > 0 {
+            self.absorb(&mut gather, reply_rx.recv().map_err(|_| LiveError::WorkerGone)?);
+        }
+        let tops = gather.finish().map_err(LiveError::Query)?;
+        let elapsed = t0.elapsed();
+        let mut counters =
+            self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        counters.queries += tops.len() as u64;
+        counters.elapsed_secs += elapsed.as_secs_f64();
+        drop(counters);
+        let answer = |(topk, (q, route)): (TopK, &(ServeQuery, Route))| {
+            if let Some((trace, parent)) = trace {
+                sink.emit_measured(
+                    trace,
+                    (parent.0 != 0).then_some(parent),
+                    "engine.query",
+                    elapsed.as_micros() as u64,
+                    [
+                        ("route", AttrValue::Sym(route.name())),
+                        ("k", AttrValue::U64(q.k as u64)),
+                        ("shards", AttrValue::U64(self.workers.len() as u64)),
+                    ],
+                );
+            }
+            let restated = |p: MethodProfile| p.revalidate(fresh.built_mass, fresh.live_mass).eps;
+            Answer { topk, route: *route, eps_used: planner.profile(*route).and_then(restated) }
+        };
+        Ok(tops.into_iter().zip(routed.iter()).map(answer).collect())
+    }
+
+    /// Answer one query: a window of one.
+    pub fn query(&self, q: ServeQuery) -> Result<TopK, LiveError> {
+        let answers = self.execute(&[q], None, &SpanSink::noop())?;
+        Ok(answers.into_iter().map(|a| a.topk).next().expect("one answer per query"))
     }
 
     /// Execute a mixed append/query trace pipelined: appends are durable
@@ -711,11 +587,8 @@ impl IngestEngine {
 
     fn run_trace(&mut self, ops: &[LiveOp], eps: Option<f64>) -> Result<LiveOutcome, LiveError> {
         let t0 = Instant::now();
-        let queries: usize = ops.iter().filter(|op| matches!(op, LiveOp::Query(_))).count();
-        let base_qid = self.next_qid.fetch_add(queries as u64, Ordering::Relaxed);
-        let mut scattered = 0u64;
-        let mut gather = TraceGather::new(base_qid, self.workers.len());
-        // One reply channel for the whole trace; every job carries a clone.
+        let mut gather = Gather::new(self.workers.len());
+        // One reply channel for the whole trace; every window carries a clone.
         let (reply_tx, reply_rx) = channel();
         let mut appends = 0u64;
         let mut trace_err: Option<LiveError> = None;
@@ -734,19 +607,15 @@ impl IngestEngine {
                     // the ε re-validation inputs) tracks completed epoch
                     // swaps instead of being frozen at trace start.
                     while let Ok(reply) = reply_rx.try_recv() {
-                        self.absorb_status(&reply);
-                        gather.absorb(reply);
+                        self.absorb(&mut gather, reply);
                     }
                     let q = match eps {
                         None => ServeQuery::exact(q.t1, q.t2, q.k),
                         Some(eps) => ServeQuery::approx(q.t1, q.t2, q.k, eps),
                     };
-                    let route = self.route_for(&q);
-                    let qid = base_qid + scattered;
-                    scattered += 1;
-                    gather.scattered(q.k);
-                    let job = LiveJob { qid, query: q, route, reply: reply_tx.clone() };
-                    if let Err(e) = self.scatter(job) {
+                    let tag = gather.register([q.k]);
+                    let window = Arc::from([(q, self.route_for(&q))]);
+                    if let Err(e) = self.scatter(&window, tag, &reply_tx) {
                         trace_err = Some(e);
                         break;
                     }
@@ -756,12 +625,9 @@ impl IngestEngine {
         drop(reply_tx);
         // Drain every outstanding reply even on the error path — a reply
         // left behind would be mis-attributed to a later query.
-        while gather.received < gather.expected() {
+        while gather.owed() > 0 {
             match reply_rx.recv() {
-                Ok(reply) => {
-                    self.absorb_status(&reply);
-                    gather.absorb(reply);
-                }
+                Ok(reply) => self.absorb(&mut gather, reply),
                 Err(_) => {
                     trace_err.get_or_insert(LiveError::WorkerGone);
                     break;
@@ -771,11 +637,7 @@ impl IngestEngine {
         if let Some(e) = trace_err {
             return Err(e);
         }
-        if let Some(e) = gather.first_err {
-            return Err(LiveError::Query(e));
-        }
-        let answers: Vec<TopK> =
-            gather.answers.into_iter().map(|a| a.expect("all shards replied")).collect();
+        let answers = gather.finish().map_err(LiveError::Query)?;
         let elapsed_secs = t0.elapsed().as_secs_f64();
         let mut counters =
             self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -785,15 +647,36 @@ impl IngestEngine {
         Ok(LiveOutcome { answers, appends, elapsed_secs })
     }
 
-    /// Fold one reply's piggybacked status into the shard-status view.
-    /// Replies from concurrent `&self` queries can arrive out of order;
-    /// the shard stamps each status monotonically, so only a strictly
-    /// newer view replaces the stored one (an older reply must never
-    /// regress the planner's freshness to a superseded generation).
-    fn absorb_status(&self, reply: &ShardReply) {
+    /// Send one routed window to every shard; replies come back on
+    /// `reply`, echoing `tag` (the gather index of the window's first
+    /// query).
+    fn scatter(
+        &self,
+        window: &Arc<[(ServeQuery, Route)]>,
+        tag: usize,
+        reply: &Sender<ShardReply>,
+    ) -> Result<(), LiveError> {
+        for worker in &self.workers {
+            let msg = ToShard::Query { window: Arc::clone(window), tag, reply: reply.clone() };
+            worker.tx.send(msg).map_err(|_| LiveError::WorkerGone)?;
+        }
+        Ok(())
+    }
+
+    /// Fold one shard's reply to a window into `gather`, and its
+    /// piggybacked status into the shard-status view. Replies from
+    /// concurrent `&self` queries can arrive out of order; the shard stamps
+    /// each status monotonically, so only a strictly newer view replaces
+    /// the stored one (an older reply must never regress the planner's
+    /// freshness to a superseded generation).
+    fn absorb(&self, gather: &mut Gather, reply: ShardReply) {
         let mut statuses = self.statuses.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if reply.status.seq > statuses[reply.shard].seq {
             statuses[reply.shard] = reply.status;
+        }
+        drop(statuses);
+        for (j, result) in reply.results.into_iter().enumerate() {
+            gather.absorb(reply.tag + j, reply.shard, result);
         }
     }
 
@@ -974,13 +857,6 @@ impl IngestEngine {
         g("chronorank_live_wal_writes", "WAL block flushes", r.wal.wal_writes);
         g("chronorank_live_wal_bytes", "WAL payload bytes", r.wal.wal_bytes);
         g("chronorank_live_index_reads", "index block reads across generations", r.index_io.reads);
-    }
-
-    fn scatter(&self, job: LiveJob) -> Result<(), LiveError> {
-        for worker in &self.workers {
-            worker.tx.send(ToShard::Query(job.clone())).map_err(|_| LiveError::WorkerGone)?;
-        }
-        Ok(())
     }
 }
 

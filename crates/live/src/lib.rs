@@ -40,6 +40,13 @@
 //!    entry is invalidated and recomputed. No stale approximate answer
 //!    ever escapes the budget.
 //!
+//! Queries go through one body, [`IngestEngine::execute`]: a window is
+//! routed from one snapshot of the shards' profiles and masses, sent to
+//! every shard as one message, gathered by [`chronorank_serve::Gather`],
+//! and answered as one [`chronorank_serve::Answer`] per query whose
+//! `eps_used` is restated from that same snapshot.
+//! [`IngestEngine::query`] is a window of one.
+//!
 //! ## Example
 //!
 //! ```

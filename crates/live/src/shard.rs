@@ -35,7 +35,9 @@ use crate::obs::ShardObs;
 use crate::report::PauseHistogram;
 use chronorank_core::{AppendRecord, ObjectId, TemporalSet};
 use chronorank_curve::{ColumnarTail, Segment};
-use chronorank_serve::{panic_message, BuildStages, LruCache, Route, RouteProfiles, ServeQuery};
+use chronorank_serve::{
+    panic_message, BuildStages, LruCache, ProbeKey, Route, RouteProfiles, ServeQuery, ShardAnswer,
+};
 use chronorank_storage::IoStats;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -44,28 +46,22 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One routed query, as sent to every shard. Carries the reply sender of
-/// the query that spawned it, so concurrent callers can never receive
-/// each other's answers.
-#[derive(Debug, Clone)]
-pub(crate) struct LiveJob {
-    pub qid: u64,
-    pub query: ServeQuery,
-    pub route: Route,
-    pub reply: Sender<ShardReply>,
-}
-
 /// Coordinator (and generation builders) → shard messages.
 pub(crate) enum ToShard {
     /// Apply a batch of already-durable appends (object ids are **local**).
     Apply(Vec<AppendRecord>),
-    /// Answer one routed query.
-    Query(LiveJob),
-    /// Answer an admitted window of routed queries in one columnar pass:
-    /// jobs sharing a snapped interval (or a raw interval, for the
-    /// non-snapping routes) probe the frozen generation once and share the
-    /// rescored answer. One [`ShardReply`] still goes out per job.
-    QueryBatch(Vec<LiveJob>),
+    /// Answer one window of routed queries: queries sharing a probe key
+    /// and tolerance probe the frozen generation once and share the
+    /// rescored answer. One [`ShardReply`] goes back per window, on the
+    /// sender of the call that scattered it — so concurrent callers can
+    /// never receive each other's answers.
+    Query {
+        window: Arc<[(ServeQuery, Route)]>,
+        /// Echoed in the reply: the gather index of the window's first
+        /// query.
+        tag: usize,
+        reply: Sender<ShardReply>,
+    },
     /// Checkpoint gather: reply with the installed frozen generation and
     /// its frozen edges. Doubles as the barrier — the FIFO mailbox means
     /// every apply sent before this message is applied by the reply.
@@ -98,12 +94,13 @@ pub(crate) struct ShardCheckpoint {
     pub frozen_end: Vec<f64>,
 }
 
-/// Shard → caller answer for one query.
+/// Shard → caller answers for one window.
 pub(crate) struct ShardReply {
-    pub qid: u64,
+    pub tag: usize,
     pub shard: usize,
-    /// Shard-local top-k with **global** object ids, descending score.
-    pub result: Result<Vec<(ObjectId, f64)>, String>,
+    /// Per query of the window: the shard-local top-k with **global**
+    /// object ids, descending score.
+    pub results: Vec<ShardAnswer>,
     /// Piggybacked live statistics (always current; cache hit/miss counts
     /// ride in here rather than per-reply flags).
     pub status: ShardStatus,
@@ -152,16 +149,6 @@ pub(crate) struct ShardInfo {
     pub m: u64,
     pub n: u64,
     pub status: ShardStatus,
-}
-
-/// Key of the staleness-audited result cache (cacheable routes snap to
-/// breakpoints before answering, see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    b1: u32,
-    b2: u32,
-    k: u32,
-    route: Route,
 }
 
 /// A cached snapped answer plus its staleness account.
@@ -213,7 +200,8 @@ struct ShardState {
     frozen_end: Vec<f64>,
     gen: Option<Installed>,
     pending: Option<PendingGen>,
-    cache: Option<LruCache<CacheKey, Cached>>,
+    /// Staleness-audited result cache (snapped keys only, see module docs).
+    cache: Option<LruCache<ProbeKey, Cached>>,
     /// Mailbox sender, cloned into every spawned generation build.
     self_tx: Sender<ToShard>,
     // --- counters ---
@@ -396,14 +384,13 @@ impl ShardState {
     }
 
     /// Answer one routed query (see module docs for the merge contract).
-    fn answer(&mut self, job: &LiveJob) -> Result<Vec<(ObjectId, f64)>, String> {
+    fn answer(&mut self, q: ServeQuery, route: Route, key: ProbeKey) -> ShardAnswer {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
         if self.pending.is_some() {
             self.queries_during_rebuild += 1;
         }
-        let q = job.query;
         let gen = match &self.gen {
             Some(installed) => Arc::clone(&installed.gen),
             None => return Err("no generation published".into()),
@@ -412,26 +399,18 @@ impl ShardState {
         // semantics (their index structures only know breakpoint pairs),
         // not a cache artifact, so it must not depend on whether a cache
         // is configured.
-        let snapped = job.route.cacheable() && gen.built.breakpoints.is_some();
-        if !snapped {
-            return self.merged_answer(&gen, q.t1, q.t2, q.k, job.route);
-        }
-        let bp = gen.built.breakpoints.as_ref().expect("checked above");
-        let key = CacheKey {
-            b1: bp.snap_idx(q.t1) as u32,
-            b2: bp.snap_idx(q.t2) as u32,
-            k: q.k as u32,
-            route: job.route,
+        let (ProbeKey::Snapped { .. }, Some(bp)) = (key, &gen.built.breakpoints) else {
+            return self.merged_answer(&gen, q.t1, q.t2, q.k, route);
         };
         let (a, b) = (bp.snap(q.t1), bp.snap(q.t2));
         if self.cache.is_none() || q.tolerance.is_none() {
-            return self.merged_answer(&gen, a, b, q.k, job.route);
+            return self.merged_answer(&gen, a, b, q.k, route);
         }
         // Staleness audit: this generation's re-validated absolute bound
         // ε·M_built, plus whatever mass landed inside the snapped interval
         // since the entry was computed, must still fit the query's
         // ε-budget against the *live* mass.
-        let eps_abs = gen.profile(job.route).map_or(0.0, |g| g.eps_abs());
+        let eps_abs = gen.profile(route).map_or(0.0, |g| g.eps_abs());
         let budget_abs = q.tolerance.map(|t| t.eps * self.live_mass).unwrap_or(0.0);
         self.cache_lookups += 1;
         let mut invalidate = false;
@@ -446,7 +425,7 @@ impl ShardState {
         if invalidate {
             self.cache_invalidations += 1;
         }
-        let res = self.merged_answer(&gen, a, b, q.k, job.route);
+        let res = self.merged_answer(&gen, a, b, q.k, route);
         if let Ok(entries) = &res {
             self.cache.as_mut().expect("cacheable implies cache").insert(
                 key,
@@ -456,54 +435,31 @@ impl ShardState {
         res
     }
 
-    /// Answer an admitted window of routed queries, deduplicating shared
-    /// probes: jobs are grouped by the key that fully determines their
-    /// answer — the snapped `(B(t1), B(t2))` pair for the breakpoint
-    /// routes, the raw interval otherwise, plus `(k, route, tolerance)` —
-    /// and each group runs [`ShardState::answer`] exactly once (one frozen
-    /// probe, one columnar rescore, one cache lookup), with every member
-    /// sharing the result. Deterministic state means the shared answer is
-    /// bit-identical to answering each job sequentially.
-    fn answer_batch(&mut self, jobs: &[LiveJob]) -> Vec<Result<Vec<(ObjectId, f64)>, String>> {
-        #[derive(PartialEq, Eq, Hash)]
-        struct BatchKey {
-            a: u64,
-            b: u64,
-            k: usize,
-            route: Route,
-            tol: Option<(u64, bool)>,
-        }
+    /// Answer one window of routed queries, deduplicating shared probes:
+    /// queries are grouped by what fully determines their answer — the
+    /// [`ProbeKey`] on the published generation plus the tolerance (the
+    /// staleness audit can tell two tolerances apart) — and each group
+    /// runs [`ShardState::answer`] exactly once (one frozen probe, one
+    /// columnar rescore, one cache lookup), with every member sharing the
+    /// result. Deterministic state means the shared answer is
+    /// bit-identical to answering each query sequentially.
+    fn answer_batch(&mut self, window: &[(ServeQuery, Route)]) -> Vec<ShardAnswer> {
         let gen = self.gen.as_ref().map(|i| Arc::clone(&i.gen));
-        let mut groups: HashMap<BatchKey, usize> = HashMap::new();
-        let mut computed: Vec<Result<Vec<(ObjectId, f64)>, String>> = Vec::new();
-        let mut out = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let q = job.query;
-            let snapped = match &gen {
-                Some(g) if job.route.cacheable() => g.built.breakpoints.as_ref(),
-                _ => None,
-            };
-            let (a, b) = match snapped {
-                Some(bp) => (bp.snap_idx(q.t1) as u64, bp.snap_idx(q.t2) as u64),
-                None => (q.t1.to_bits(), q.t2.to_bits()),
-            };
-            let key = BatchKey {
-                a,
-                b,
-                k: q.k,
-                route: job.route,
-                tol: q.tolerance.map(|t| (t.eps.to_bits(), t.tight_ranks)),
-            };
-            let slot = match groups.get(&key) {
-                Some(&slot) => slot,
+        let breakpoints = gen.as_ref().and_then(|g| g.built.breakpoints.as_ref());
+        let mut first_of: HashMap<(ProbeKey, Option<(u64, bool)>), usize> =
+            HashMap::with_capacity(window.len());
+        let mut out: Vec<ShardAnswer> = Vec::with_capacity(window.len());
+        for (q, route) in window {
+            let key = ProbeKey::new(q, *route, breakpoints);
+            let tolerance = q.tolerance.map(|t| (t.eps.to_bits(), t.tight_ranks));
+            let answered = match first_of.get(&(key, tolerance)) {
+                Some(&first) => out[first].clone(),
                 None => {
-                    let slot = computed.len();
-                    computed.push(self.answer(job));
-                    groups.insert(key, slot);
-                    slot
+                    first_of.insert((key, tolerance), out.len());
+                    self.answer(*q, *route, key)
                 }
             };
-            out.push(computed[slot].clone());
+            out.push(answered);
         }
         out
     }
@@ -517,7 +473,7 @@ impl ShardState {
         t2: f64,
         k: usize,
         route: Route,
-    ) -> Result<Vec<(ObjectId, f64)>, String> {
+    ) -> ShardAnswer {
         if t2 < t1 || !t1.is_finite() || !t2.is_finite() {
             return Err(format!("bad query interval [{t1}, {t2}]"));
         }
@@ -692,29 +648,17 @@ pub(crate) fn shard_main(
                     state.poisoned = Some(format!("apply panicked: {}", panic_message(&*payload)));
                 }
             }
-            ToShard::Query(job) => {
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.answer(&job)));
-                let result = outcome.unwrap_or_else(|payload| {
-                    Err(format!("query panicked: {}", panic_message(&*payload)))
-                });
-                let reply = ShardReply { qid: job.qid, shard, result, status: state.status() };
-                // A dropped receiver only means that query's caller gave
-                // up; later queries carry fresh senders, so keep serving.
-                job.reply.send(reply).ok();
-            }
-            ToShard::QueryBatch(jobs) => {
+            ToShard::Query { window, tag, reply } => {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    state.answer_batch(&jobs)
+                    state.answer_batch(&window)
                 }));
                 let results = outcome.unwrap_or_else(|payload| {
-                    let msg = format!("batch query panicked: {}", panic_message(&*payload));
-                    jobs.iter().map(|_| Err(msg.clone())).collect()
+                    let msg = format!("query panicked: {}", panic_message(&*payload));
+                    window.iter().map(|_| Err(msg.clone())).collect()
                 });
-                for (job, result) in jobs.iter().zip(results) {
-                    let reply = ShardReply { qid: job.qid, shard, result, status: state.status() };
-                    job.reply.send(reply).ok();
-                }
+                // A dropped receiver only means that window's caller gave
+                // up; later windows carry fresh senders, so keep serving.
+                reply.send(ShardReply { tag, shard, results, status: state.status() }).ok();
             }
             ToShard::Checkpoint(reply) => {
                 let cp = ShardCheckpoint {

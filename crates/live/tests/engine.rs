@@ -3,6 +3,7 @@
 
 use chronorank_core::{AppendRecord, TemporalSet};
 use chronorank_live::{IngestEngine, LiveConfig, RebuildPolicy};
+use chronorank_obs::SpanSink;
 use chronorank_serve::ServeQuery;
 use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
 
@@ -336,4 +337,43 @@ fn concurrent_readers_query_one_live_engine() {
         }
     });
     assert_eq!(engine.report().queries, 1 + 4 * 10);
+}
+
+#[test]
+fn a_mixed_window_is_routed_query_by_query_from_one_snapshot() {
+    let stream = stock_stream(16, 8);
+    let seed = stream.base_set();
+    // Rebuilds off: the snapshot that routes the window is the one
+    // `route_for` and `routing_snapshot` read afterwards.
+    let config = LiveConfig {
+        workers: 2,
+        rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: usize::MAX },
+        ..Default::default()
+    };
+    let mut engine = IngestEngine::new(&seed, config).unwrap();
+    engine.append_batch(stream.batches().next().unwrap()).unwrap();
+    let live = engine.live_set();
+    let (t1, t2) = (live.t_min() + 0.3 * live.span(), live.t_min() + 0.8 * live.span());
+    let window = [
+        ServeQuery::exact(t1, t2, 4),
+        ServeQuery::approx(t1, t2, 4, 0.3),
+        ServeQuery::approx_tight(t1, t2, 4, 0.3),
+        ServeQuery::approx(t1, t2, 4, 1e-12), // unsatisfiable: exact fallback
+        ServeQuery::approx(t1, t2, 4, 0.3),
+    ];
+    let answers = engine.execute(&window, None, &SpanSink::noop()).unwrap();
+    let (planner, fresh) = engine.routing_snapshot();
+    assert!(fresh.live_mass > fresh.built_mass, "the append must have grown the live mass");
+    let mut approximate = 0;
+    for (q, a) in window.iter().zip(&answers) {
+        assert_eq!(a.route, engine.route_for(q), "{q:?}");
+        let want = planner
+            .profile(a.route)
+            .and_then(|p| p.revalidate(fresh.built_mass, fresh.live_mass).eps);
+        assert_eq!(a.eps_used.map(f64::to_bits), want.map(f64::to_bits), "{q:?}");
+        assert_eq!(a.eps_used.is_none(), a.route.is_exact(), "{q:?}");
+        approximate += usize::from(!a.route.is_exact());
+    }
+    assert!(approximate >= 2, "the window must exercise approximate routes: {answers:?}");
+    assert_eq!(engine.report().queries, window.len() as u64);
 }

@@ -5,11 +5,13 @@
 //!
 //! The chronorank engines are `Send + Sync` (the whole index stack is),
 //! so one backend is **shared**: [`NetConfig::engine_threads`] worker
-//! threads drain a common job queue against the same `Arc`'d engine. A
-//! read-only [`ServeEngine`] answers every job through `&self` — engine
-//! workers genuinely overlap. A live [`IngestEngine`] sits behind an
-//! `RwLock`: queries overlap as readers, while appends and checkpoints
-//! serialize as writers (there is exactly one WAL).
+//! threads drain a common job queue against the same `Arc`'d engine. Both
+//! engines answer a TOPK through the same call — `execute` on a window of
+//! one, `&self` — and hand back the [`Answer`] the response encodes. A
+//! read-only [`ServeEngine`] is shared as is — engine workers genuinely
+//! overlap. A live [`IngestEngine`] sits behind an `RwLock`: queries
+//! overlap as readers, while appends and checkpoints serialize as writers
+//! (there is exactly one WAL).
 //!
 //! Around that shared resource:
 //!
@@ -42,13 +44,13 @@ use crate::frame::{
     AppendOk, Decoder, ErrCode, ErrorBody, Frame, FrameError, OpCode, StatsBody, TopKRequest,
     TopKResponse, MAX_PAYLOAD,
 };
-use chronorank_core::{AppendRecord, TemporalSet, TopK};
+use chronorank_core::{AppendRecord, TemporalSet};
 use chronorank_live::{IngestEngine, LiveConfig};
 use chronorank_obs::{
     elapsed_us, spans_json, ActiveSpan, AttrValue, Counter, Histogram, Registry, SloObjective,
     SloTracker, SpanId, SpanSink, TraceId,
 };
-use chronorank_serve::{Route, ServeConfig, ServeEngine, ServeQuery};
+use chronorank_serve::{Answer, ServeConfig, ServeEngine, ServeQuery};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -119,41 +121,28 @@ impl From<IngestEngine> for Backend {
 }
 
 impl Backend {
-    /// Answer one TOPK. With a `span` context, the engine joins the
-    /// distributed trace: its execution (and, on a serve backend, every
-    /// shard probe) is emitted into `sink` as children of the server span.
+    /// Answer one TOPK: a window of one through the backend's `execute`,
+    /// whose [`Answer`] becomes the response at one site. With a `span`
+    /// context the engine joins the distributed trace: its execution (and,
+    /// on a serve backend, every shard probe) is emitted into `sink` under
+    /// the server span. The live append prefix is read under the same read
+    /// lock that answered.
     fn topk(
         &self,
         q: ServeQuery,
         span: Option<(TraceId, SpanId)>,
         sink: &SpanSink,
     ) -> Result<TopKResponse, (ErrCode, String)> {
-        match self {
-            Backend::Serve(e) => {
-                let (topk, route): (TopK, Route) = match span {
-                    Some((trace, parent)) => e.query_spanned(q, trace, parent, sink),
-                    None => e.query_routed(q),
-                }
-                .map_err(|e| (ErrCode::Engine, e.to_string()))?;
-                let eps_used = e.planner().profile(route).and_then(|p| p.eps);
-                Ok(TopKResponse { topk, route, eps_used, appends_applied: 0 })
-            }
+        let (answers, appends_applied) = match self {
+            Backend::Serve(e) => (e.execute(&[q], span, sink).map_err(|e| e.to_string()), 0),
             Backend::Live(lock) => {
                 let e = lock.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let (topk, route): (TopK, Route) = match span {
-                    Some((trace, parent)) => e.query_spanned(q, trace, parent, sink),
-                    None => e.query_routed(q),
-                }
-                .map_err(|e| (ErrCode::Engine, e.to_string()))?;
-                let f = e.freshness();
-                let eps_used = e
-                    .planner()
-                    .profile(route)
-                    .map(|p| p.revalidate(f.built_mass, f.live_mass))
-                    .and_then(|p| p.eps);
-                Ok(TopKResponse { topk, route, eps_used, appends_applied: e.appends() })
+                (e.execute(&[q], span, sink).map_err(|e| e.to_string()), e.appends())
             }
-        }
+        };
+        let mut answers = answers.map_err(|message| (ErrCode::Engine, message))?;
+        let Answer { topk, route, eps_used } = answers.pop().expect("one answer per query");
+        Ok(TopKResponse { topk, route, eps_used, appends_applied })
     }
 
     /// Apply one wire APPEND_BATCH: records are WAL-group-committed by

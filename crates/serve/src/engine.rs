@@ -51,14 +51,17 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Everything one executed query produced — for the tracing path, which
-/// needs the per-shard fan-out alongside the answer.
-struct QueryOutcome {
-    top: TopK,
-    route: Route,
-    total_us: u64,
-    cache: CacheOutcome,
-    spans: Vec<ShardSpan>,
+/// What one executed query produced — the one shape both engines return
+/// and the wire tier encodes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Answer {
+    /// The merged global top-k.
+    pub topk: TopK,
+    /// The route the planner chose for exactly this execution.
+    pub route: Route,
+    /// The ε the route achieved, stated against the mass snapshot that
+    /// routed the query (`None` on exact routes).
+    pub eps_used: Option<f64>,
 }
 
 /// Result of [`ServeEngine::run_stream`].
@@ -81,42 +84,31 @@ impl StreamOutcome {
     }
 }
 
-/// One unit of pool work: answer `work` on `shard`, replies tagged.
+/// One unit of pool work: one shard's view of one window
+/// ([`Shard::answer_batch`]: probe-identical queries share one index
+/// probe). The window is `Arc`-shared across the per-shard tasks.
 struct Task {
     shard: Arc<Shard>,
     /// Index of `shard` within the engine (trace attribution).
     shard_idx: usize,
-    work: TaskWork,
+    /// Index of the window within its scatter.
+    window_idx: usize,
+    window: Arc<[(ServeQuery, Route)]>,
     reply: Sender<TaskReply>,
 }
 
-enum TaskWork {
-    /// One query (the solo and pipelined-stream paths).
-    One {
-        query: ServeQuery,
-        route: Route,
-        /// Index of the query within its stream (0 for single queries).
-        tag: u64,
-    },
-    /// One shard's view of an admitted batch window
-    /// ([`Shard::answer_batch`]): probe-identical queries share one index
-    /// probe. The window is `Arc`-shared across the per-shard tasks; reply
-    /// tags are window indexes. Batch replies carry the *window's*
-    /// wall-clock and reads (per-probe attribution is a solo/stream
-    /// feature — dedup makes per-query probes fictional here).
-    Batch(Arc<Vec<(ServeQuery, Route)>>),
-}
-
+/// One shard's answers to one window. Wall-clock and reads are the
+/// *window's* (dedup makes per-query probes fictional inside one).
 struct TaskReply {
-    tag: u64,
+    window: usize,
     shard: usize,
-    result: ShardAnswer,
-    /// Probe wall time (µs) measured on the worker thread.
+    /// Per query of the window: the shard-local answer, and `Some(hit)`
+    /// when the shard's result cache was consulted.
+    results: Vec<(ShardAnswer, Option<bool>)>,
+    /// Window wall time (µs) measured on the worker thread.
     elapsed_us: u64,
-    /// Block reads this probe performed (thread-attributed).
+    /// Block reads the window performed (thread-attributed).
     reads: u64,
-    /// `Some(hit)` when the shard's result cache was consulted.
-    cache: Option<bool>,
 }
 
 /// A fixed set of worker threads draining one shared task queue. Workers
@@ -177,50 +169,23 @@ fn worker_main(task_rx: &Mutex<Receiver<Task>>) {
         };
         let t0 = Instant::now();
         let reads_before = chronorank_storage::IoCounter::thread_reads();
-        match &task.work {
-            TaskWork::One { query, route, tag } => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    task.shard.answer(*query, *route)
-                }));
-                let (result, cache) = outcome.unwrap_or_else(|payload| {
-                    (Err(format!("query panicked: {}", panic_message(&*payload))), None)
-                });
-                // A dropped receiver means the query's caller is gone; fine.
-                task.reply
-                    .send(TaskReply {
-                        tag: *tag,
-                        shard: task.shard_idx,
-                        result,
-                        elapsed_us: elapsed_us(t0),
-                        reads: chronorank_storage::IoCounter::thread_reads() - reads_before,
-                        cache,
-                    })
-                    .ok();
-            }
-            TaskWork::Batch(window) => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    task.shard.answer_batch(window)
-                }));
-                let answers = outcome.unwrap_or_else(|payload| {
-                    let msg = format!("query panicked: {}", panic_message(&*payload));
-                    window.iter().map(|_| (Err(msg.clone()), None)).collect()
-                });
-                let elapsed = elapsed_us(t0);
-                let reads = chronorank_storage::IoCounter::thread_reads() - reads_before;
-                for (tag, (result, cache)) in answers.into_iter().enumerate() {
-                    task.reply
-                        .send(TaskReply {
-                            tag: tag as u64,
-                            shard: task.shard_idx,
-                            result,
-                            elapsed_us: elapsed,
-                            reads,
-                            cache,
-                        })
-                        .ok();
-                }
-            }
-        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            task.shard.answer_batch(&task.window)
+        }));
+        let results = outcome.unwrap_or_else(|payload| {
+            let msg = format!("query panicked: {}", panic_message(&*payload));
+            task.window.iter().map(|_| (Err(msg.clone()), None)).collect()
+        });
+        // A dropped receiver means the window's caller is gone; fine.
+        task.reply
+            .send(TaskReply {
+                window: task.window_idx,
+                shard: task.shard_idx,
+                results,
+                elapsed_us: elapsed_us(t0),
+                reads: chronorank_storage::IoCounter::thread_reads() - reads_before,
+            })
+            .ok();
     }
 }
 
@@ -386,24 +351,49 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Answer one query: route, scatter to the pool, k-way merge.
+    /// Answer one window of queries — the engine's one query body. Every
+    /// query is routed on its own ([`Planner::route`]), each shard gets the
+    /// window as **one** pool task and answers probe-identical queries
+    /// (same [`crate::ProbeKey`]) with one shared probe, and the per-shard
+    /// lists are k-way merged per query. Answers are bit-identical to
+    /// executing every query in a window of its own (the window agreement
+    /// suite pins this): a window buys probe and scatter amortization, not
+    /// approximation. `&self`: concurrent callers each gather on a private
+    /// reply channel, so answers can never cross.
+    ///
+    /// With a `trace` context `(trace, parent)` every query gets an
+    /// `engine.query` span under `parent` with the window's per-shard
+    /// probes as `shard.probe` children, so a wire query's tree reaches
+    /// from the remote client into the shards; without one, or with a noop
+    /// `sink`, tracing costs a branch. Metrics are per query whatever the
+    /// window: `n` queries add `n` route-latency samples (each the
+    /// window's wall time — what its caller waited) and `n` served
+    /// queries, and a window slow enough for the flight recorder leaves one
+    /// [`QueryTrace`] per query carrying the window's per-shard spans.
+    /// (In a pipelined stream a window's wall time runs from the previous
+    /// window's completion: what it added to the stream's wait.)
+    pub fn execute(
+        &self,
+        window: &[ServeQuery],
+        trace: Option<(TraceId, SpanId)>,
+        sink: &SpanSink,
+    ) -> Result<Vec<Answer>, ServeError> {
+        self.scatter_gather(&[window], trace, sink)
+    }
+
+    /// Answer one query: a window of one.
     pub fn query(&self, q: ServeQuery) -> Result<TopK, ServeError> {
         self.query_routed(q).map(|(top, _)| top)
     }
 
     /// [`ServeEngine::query`], also returning the route the planner chose
-    /// for exactly this execution. `&self`: concurrent callers each get
-    /// their own private reply channel, so answers can never cross.
+    /// for exactly this execution: a traced query with the noop sink.
     pub fn query_routed(&self, q: ServeQuery) -> Result<(TopK, Route), ServeError> {
-        self.query_core(q).map(|out| (out.top, out.route))
+        self.query_spanned(q, TraceId(0), SpanId(0), &SpanSink::noop())
     }
 
-    /// [`ServeEngine::query_routed`], joining this execution into an
-    /// existing distributed trace: an `engine.query` span is opened as a
-    /// child of `parent` on `trace`, and every shard's probe is emitted
-    /// as a `shard.probe` child of the engine span — so a wire query's
-    /// tree reaches from the remote client all the way into the shards.
-    /// With a noop `sink` this costs a branch per span.
+    /// [`ServeEngine::query_routed`] joined into the trace `trace` under
+    /// `parent` (see [`ServeEngine::execute`]).
     pub fn query_spanned(
         &self,
         q: ServeQuery,
@@ -411,284 +401,177 @@ impl ServeEngine {
         parent: SpanId,
         sink: &SpanSink,
     ) -> Result<(TopK, Route), ServeError> {
-        // The engine already times itself (`out.total_us`) and its
-        // probes, so every span here is emitted from those measurements
-        // against one hoisted clock read — no second clock pair on the
-        // hot path. Probes are emitted first, parented on a pre-minted
-        // id; drain order is by sequence, tree shape is by parent links.
-        let out = self.query_core(q)?;
-        if !sink.is_noop() {
-            let engine_span = SpanId::next();
-            let end_us = sink.now_us();
-            for s in &out.spans {
-                sink.emit_at(
-                    SpanId::next(),
-                    trace,
-                    Some(engine_span),
-                    "shard.probe",
-                    end_us,
-                    s.elapsed_us,
-                    [
-                        ("shard", AttrValue::U64(s.shard as u64)),
-                        ("reads", AttrValue::U64(s.reads)),
-                        ("cache_hit", AttrValue::Bool(s.cache_hit)),
-                    ],
-                );
-            }
-            sink.emit_at(
-                engine_span,
-                trace,
-                (parent.0 != 0).then_some(parent),
-                "engine.query",
-                end_us,
-                out.total_us,
-                [
-                    ("route", AttrValue::Sym(out.route.name())),
-                    ("k", AttrValue::U64(q.k as u64)),
-                    ("cache", AttrValue::Sym(out.cache.name())),
-                    ("shards", AttrValue::U64(out.spans.len() as u64)),
-                ],
-            );
-        }
-        Ok((out.top, out.route))
+        let answers = self.execute(&[q], Some((trace, parent)), sink)?;
+        Ok(answers.into_iter().map(|a| (a.topk, a.route)).next().expect("one answer per query"))
     }
 
-    fn query_core(&self, q: ServeQuery) -> Result<QueryOutcome, ServeError> {
-        let t0 = Instant::now();
-        let route = self.planner.route(&q);
-        self.obs.route_decisions[route.idx()].inc();
-        let (reply_tx, reply_rx) = channel();
-        for (shard_idx, shard) in self.shards.iter().enumerate() {
-            self.pool.submit(Task {
-                shard: Arc::clone(shard),
-                shard_idx,
-                work: TaskWork::One { query: q, route, tag: 0 },
-                reply: reply_tx.clone(),
-            })?;
-        }
-        drop(reply_tx);
-        let mut lists = Vec::with_capacity(self.shards.len());
-        let mut spans = Vec::with_capacity(self.shards.len());
-        let mut cache = CacheOutcome::Bypass;
-        let mut first_err = None;
-        for _ in 0..self.shards.len() {
-            let reply = reply_rx.recv().map_err(|_| ServeError::WorkerGone)?;
-            spans.push(ShardSpan {
-                shard: reply.shard,
-                elapsed_us: reply.elapsed_us,
-                reads: reply.reads,
-                cache_hit: reply.cache == Some(true),
-            });
-            if let Some(hit) = reply.cache {
-                cache = cache.fold(hit);
-                self.obs.shard_cache(hit);
-            }
-            match reply.result {
-                Ok(entries) => lists.push(entries),
-                Err(e) => first_err = Some(e),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(ServeError::Query(e));
-        }
-        let top = merge_ranked(&lists, q.k);
-        let dt = t0.elapsed().as_secs_f64();
-        let total_us = (dt * 1e6) as u64;
-        self.obs.route_latency_us[route.idx()].record(total_us);
-        spans.sort_by_key(|s| s.shard);
-        if self.obs.recorder.qualifies(total_us) {
-            self.obs.recorder.record(QueryTrace {
-                route: route.name(),
-                t1: q.t1,
-                t2: q.t2,
-                k: q.k,
-                total_us,
-                cache,
-                io: IoDelta { reads: spans.iter().map(|s| s.reads).sum(), ..Default::default() },
-                shards: spans.clone(),
-            });
-        }
-        let mut served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        served.routes[route.idx()].queries += 1;
-        served.routes[route.idx()].secs += dt;
-        served.queries += 1;
-        served.elapsed_secs += dt;
-        drop(served);
-        Ok(QueryOutcome { top, route, total_us, cache, spans })
-    }
-
-    /// Answer a whole query stream, pipelined: every per-shard task is
-    /// queued up front and the pool drains them in parallel, so the wall
-    /// time measures serving throughput rather than per-query round trips.
+    /// Answer a whole query stream, pipelined: windows of one, every
+    /// per-shard task queued up front so the pool drains them in parallel
+    /// and the wall time measures serving throughput rather than
+    /// per-query round trips.
     pub fn run_stream(&self, queries: &[ServeQuery]) -> Result<StreamOutcome, ServeError> {
-        if queries.is_empty() {
-            return Ok(StreamOutcome { answers: Vec::new(), elapsed_secs: 0.0 });
+        let t0 = Instant::now();
+        let windows: Vec<&[ServeQuery]> = queries.chunks(1).collect();
+        let answers = self.scatter_gather(&windows, None, &SpanSink::noop())?;
+        Ok(StreamOutcome {
+            answers: answers.into_iter().map(|a| a.topk).collect(),
+            elapsed_secs: t0.elapsed().as_secs_f64(),
+        })
+    }
+
+    /// The one scatter–gather: route and submit every window up front,
+    /// gather the per-(shard, window) replies in arrival order, then do
+    /// each window's bookkeeping (see [`ServeEngine::execute`]). Answers
+    /// come back in input order, windows concatenated.
+    fn scatter_gather(
+        &self,
+        windows: &[&[ServeQuery]],
+        trace: Option<(TraceId, SpanId)>,
+        sink: &SpanSink,
+    ) -> Result<Vec<Answer>, ServeError> {
+        /// A scattered window awaiting its shards.
+        struct Open {
+            /// Index of the window's first query among all scattered.
+            first: usize,
+            routed: Arc<[(ServeQuery, Route)]>,
+            /// One span per shard reply so far.
+            spans: Vec<ShardSpan>,
+            /// Per query, the shards' cache outcomes folded.
+            caches: Vec<CacheOutcome>,
+            /// The wall time this window added to its caller's wait: from
+            /// the previous window's completion (the scatter's start for
+            /// the first) to its own last reply.
+            total_us: u64,
         }
         let t0 = Instant::now();
         let w = self.shards.len();
-        let routes: Vec<Route> = queries.iter().map(|q| self.planner.route(q)).collect();
-        for route in &routes {
-            self.obs.route_decisions[route.idx()].inc();
-        }
+        let mut gather = Gather::new(w);
+        let mut open: Vec<Open> = Vec::with_capacity(windows.len());
         let (reply_tx, reply_rx) = channel();
-        for (i, (q, route)) in queries.iter().zip(&routes).enumerate() {
-            for (shard_idx, shard) in self.shards.iter().enumerate() {
-                self.pool.submit(Task {
-                    shard: Arc::clone(shard),
-                    shard_idx,
-                    work: TaskWork::One { query: *q, route: *route, tag: i as u64 },
-                    reply: reply_tx.clone(),
-                })?;
+        for (window_idx, queries) in windows.iter().enumerate() {
+            let routed: Arc<[(ServeQuery, Route)]> =
+                queries.iter().map(|q| (*q, self.planner.route(q))).collect();
+            let first = gather.register(routed.iter().map(|(q, _)| q.k));
+            routed.iter().for_each(|(_, route)| self.obs.route_decisions[route.idx()].inc());
+            if !routed.is_empty() {
+                for (shard_idx, shard) in self.shards.iter().enumerate() {
+                    self.pool.submit(Task {
+                        shard: Arc::clone(shard),
+                        shard_idx,
+                        window_idx,
+                        window: Arc::clone(&routed),
+                        reply: reply_tx.clone(),
+                    })?;
+                }
             }
+            open.push(Open {
+                first,
+                caches: vec![CacheOutcome::Bypass; routed.len()],
+                routed,
+                spans: Vec::with_capacity(w),
+                total_us: 0,
+            });
         }
         drop(reply_tx);
-
-        let mut partial: Vec<Vec<Vec<(ObjectId, f64)>>> = vec![Vec::new(); queries.len()];
-        let mut spans: Vec<Vec<ShardSpan>> = vec![Vec::new(); queries.len()];
-        let mut caches: Vec<CacheOutcome> = vec![CacheOutcome::Bypass; queries.len()];
-        let mut answers: Vec<Option<TopK>> = (0..queries.len()).map(|_| None).collect();
-        let mut first_err = None;
-        for _ in 0..queries.len() * w {
+        let mut completed_us = 0;
+        while gather.owed() > 0 {
             let reply = reply_rx.recv().map_err(|_| ServeError::WorkerGone)?;
-            let i = reply.tag as usize;
-            spans[i].push(ShardSpan {
+            let win = &mut open[reply.window];
+            win.spans.push(ShardSpan {
                 shard: reply.shard,
                 elapsed_us: reply.elapsed_us,
                 reads: reply.reads,
-                cache_hit: reply.cache == Some(true),
+                cache_hit: reply.results.iter().all(|(_, cache)| *cache == Some(true)),
             });
-            if let Some(hit) = reply.cache {
-                caches[i] = caches[i].fold(hit);
-                self.obs.shard_cache(hit);
-            }
-            match reply.result {
-                Ok(entries) => {
-                    partial[i].push(entries);
-                    if partial[i].len() == w {
-                        answers[i] = Some(merge_ranked(&partial[i], queries[i].k));
-                        partial[i] = Vec::new();
-                        self.finish_stream_query(queries[i], routes[i], &mut spans[i], caches[i]);
-                    }
+            for (j, (result, cache)) in reply.results.into_iter().enumerate() {
+                if let Some(hit) = cache {
+                    win.caches[j] = win.caches[j].fold(hit);
+                    self.obs.shard_cache(hit);
                 }
-                Err(e) => first_err = Some(e),
+                gather.absorb(win.first + j, reply.shard, result);
+            }
+            if win.spans.len() == w {
+                let now_us = elapsed_us(t0);
+                win.total_us = now_us - completed_us;
+                completed_us = now_us;
             }
         }
-        if let Some(e) = first_err {
-            return Err(ServeError::Query(e));
-        }
+        let mut tops = gather.finish().map_err(ServeError::Query)?.into_iter();
         let elapsed_secs = t0.elapsed().as_secs_f64();
-        let per_query = elapsed_secs / queries.len() as f64;
-        let mut served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for route in &routes {
-            served.routes[route.idx()].queries += 1;
-            served.routes[route.idx()].secs += per_query;
-        }
-        served.queries += queries.len() as u64;
-        served.elapsed_secs += elapsed_secs;
-        drop(served);
-        let answers =
-            answers.into_iter().map(|a| a.expect("all shards replied")).collect::<Vec<_>>();
-        Ok(StreamOutcome { answers, elapsed_secs })
-    }
 
-    /// Answer one admitted window of queries as a batch: the planner
-    /// routes the whole window together ([`Planner::route_batch`] — costs
-    /// amortized over shared probes, routes provably identical to solo
-    /// planning), each shard receives the window as **one** pool task and
-    /// answers probe-identical queries — same route, `k`, and snapped
-    /// interval (snap-keyed routes) or raw interval — with a single index
-    /// probe shared across the group (`Shard::answer_batch`), and the
-    /// per-shard lists are k-way merged per query. Answers are
-    /// bit-identical to issuing every query through [`ServeEngine::query`]
-    /// one at a time (the batch agreement suite pins this); what the batch
-    /// buys is probe amortization, not approximation. Per-probe latency
-    /// attribution and flight-recorder traces stay solo/stream features —
-    /// dedup makes per-query probes fictional inside a batch.
-    pub fn query_batch(&self, queries: &[ServeQuery]) -> Result<Vec<TopK>, ServeError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let t0 = Instant::now();
-        let routes = self.planner.route_batch(queries, None);
-        for route in &routes {
-            self.obs.route_decisions[route.idx()].inc();
-        }
-        let window: Arc<Vec<(ServeQuery, Route)>> =
-            Arc::new(queries.iter().copied().zip(routes.iter().copied()).collect());
-        let (reply_tx, reply_rx) = channel();
-        for (shard_idx, shard) in self.shards.iter().enumerate() {
-            self.pool.submit(Task {
-                shard: Arc::clone(shard),
-                shard_idx,
-                work: TaskWork::Batch(Arc::clone(&window)),
-                reply: reply_tx.clone(),
-            })?;
-        }
-        drop(reply_tx);
-        let w = self.shards.len();
-        let mut partial: Vec<Vec<Vec<(ObjectId, f64)>>> = vec![Vec::new(); queries.len()];
-        let mut answers: Vec<Option<TopK>> = (0..queries.len()).map(|_| None).collect();
-        let mut first_err = None;
-        for _ in 0..queries.len() * w {
-            let reply = reply_rx.recv().map_err(|_| ServeError::WorkerGone)?;
-            let i = reply.tag as usize;
-            if let Some(hit) = reply.cache {
-                self.obs.shard_cache(hit);
-            }
-            match reply.result {
-                Ok(entries) => {
-                    partial[i].push(entries);
-                    if partial[i].len() == w {
-                        answers[i] = Some(merge_ranked(&partial[i], queries[i].k));
-                        partial[i] = Vec::new();
-                    }
+        let mut answers = Vec::with_capacity(tops.len());
+        for win in &mut open {
+            win.spans.sort_by_key(|s| s.shard);
+            let slow = self.obs.recorder.qualifies(win.total_us);
+            let reads = win.spans.iter().map(|s| s.reads).sum();
+            for ((q, route), cache) in win.routed.iter().zip(&win.caches) {
+                self.obs.route_latency_us[route.idx()].record(win.total_us);
+                if slow {
+                    self.obs.recorder.record(QueryTrace {
+                        route: route.name(),
+                        t1: q.t1,
+                        t2: q.t2,
+                        k: q.k,
+                        total_us: win.total_us,
+                        cache: *cache,
+                        io: IoDelta { reads, ..Default::default() },
+                        shards: win.spans.clone(),
+                    });
                 }
-                Err(e) => first_err = Some(e),
+                if let (Some((trace, parent)), false) = (trace, sink.is_noop()) {
+                    // Every span is emitted from measurements already taken,
+                    // against one hoisted clock read — no second clock pair
+                    // on the hot path. Probes go first, parented on a
+                    // pre-minted id; drain order is by sequence, tree shape
+                    // is by parent links.
+                    let engine_span = SpanId::next();
+                    let end_us = sink.now_us();
+                    for s in &win.spans {
+                        sink.emit_at(
+                            SpanId::next(),
+                            trace,
+                            Some(engine_span),
+                            "shard.probe",
+                            end_us,
+                            s.elapsed_us,
+                            [
+                                ("shard", AttrValue::U64(s.shard as u64)),
+                                ("reads", AttrValue::U64(s.reads)),
+                                ("cache_hit", AttrValue::Bool(s.cache_hit)),
+                            ],
+                        );
+                    }
+                    sink.emit_at(
+                        engine_span,
+                        trace,
+                        (parent.0 != 0).then_some(parent),
+                        "engine.query",
+                        end_us,
+                        win.total_us,
+                        [
+                            ("route", AttrValue::Sym(route.name())),
+                            ("k", AttrValue::U64(q.k as u64)),
+                            ("cache", AttrValue::Sym(cache.name())),
+                            ("shards", AttrValue::U64(w as u64)),
+                        ],
+                    );
+                }
+                answers.push(Answer {
+                    topk: tops.next().expect("one merged answer per registered query"),
+                    route: *route,
+                    eps_used: self.planner.profile(*route).and_then(|p| p.eps),
+                });
             }
         }
-        if let Some(e) = first_err {
-            return Err(ServeError::Query(e));
-        }
-        let elapsed_secs = t0.elapsed().as_secs_f64();
-        let per_query = elapsed_secs / queries.len() as f64;
+        let per_query = elapsed_secs / answers.len().max(1) as f64;
         let mut served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for route in &routes {
-            served.routes[route.idx()].queries += 1;
-            served.routes[route.idx()].secs += per_query;
+        for a in &answers {
+            served.routes[a.route.idx()].queries += 1;
+            served.routes[a.route.idx()].secs += per_query;
         }
-        served.queries += queries.len() as u64;
+        served.queries += answers.len() as u64;
         served.elapsed_secs += elapsed_secs;
-        drop(served);
-        Ok(answers.into_iter().map(|a| a.expect("all shards replied")).collect())
-    }
-
-    /// Per-query epilogue of the pipelined stream path: record the
-    /// route's latency (the slowest shard span — the critical path; the
-    /// queue wait of a pipelined stream is throughput, not latency) and
-    /// trace the query if it qualifies as slow.
-    fn finish_stream_query(
-        &self,
-        q: ServeQuery,
-        route: Route,
-        spans: &mut Vec<ShardSpan>,
-        cache: CacheOutcome,
-    ) {
-        let total_us = spans.iter().map(|s| s.elapsed_us).max().unwrap_or(0);
-        self.obs.route_latency_us[route.idx()].record(total_us);
-        if self.obs.recorder.qualifies(total_us) {
-            let mut shards = std::mem::take(spans);
-            shards.sort_by_key(|s| s.shard);
-            self.obs.recorder.record(QueryTrace {
-                route: route.name(),
-                t1: q.t1,
-                t2: q.t2,
-                k: q.k,
-                total_us,
-                cache,
-                io: IoDelta { reads: shards.iter().map(|s| s.reads).sum(), ..Default::default() },
-                shards,
-            });
-        }
+        Ok(answers)
     }
 
     /// Mirror the current [`ServeReport`] into this engine's registry as
@@ -857,6 +740,82 @@ pub fn merge_ranked(lists: &[Vec<(ObjectId, f64)>], k: usize) -> TopK {
     TopK::from_ranked(merged)
 }
 
+/// The one gather behind every scatter, serve or live: register each
+/// scattered query's `k`, absorb the shards' lists in whatever order they
+/// arrive, and a query is merged ([`merge_ranked`]) the moment its `W`-th
+/// list lands. Errors are reported deterministically — the one from the
+/// lowest `(query, shard)` — and only by [`Gather::finish`], so a caller
+/// always drains every reply it is [`Gather::owed`] first.
+#[derive(Default)]
+pub struct Gather {
+    w: usize,
+    /// `k` of each registered query.
+    ks: Vec<usize>,
+    /// Per query, the lists absorbed so far (emptied once merged).
+    partial: Vec<Vec<Vec<(ObjectId, f64)>>>,
+    answers: Vec<Option<TopK>>,
+    owed: usize,
+    first_err: Option<((usize, usize), String)>,
+}
+
+impl Gather {
+    /// A gather over `w` shards with nothing registered yet.
+    pub fn new(w: usize) -> Self {
+        Self { w, ..Self::default() }
+    }
+
+    /// Register one scattered window by its queries' `k`s: they take the
+    /// next indexes — the first is returned — and owe one list per shard
+    /// each.
+    pub fn register(&mut self, ks: impl IntoIterator<Item = usize>) -> usize {
+        let first = self.ks.len();
+        self.ks.extend(ks);
+        self.partial.resize_with(self.ks.len(), || Vec::with_capacity(self.w));
+        self.answers.resize_with(self.ks.len(), || None);
+        self.owed += (self.ks.len() - first) * self.w;
+        first
+    }
+
+    /// Shard answers still outstanding across every registered query.
+    pub fn owed(&self) -> usize {
+        self.owed
+    }
+
+    /// Fold in `shard`'s answer to query `query`.
+    pub fn absorb(&mut self, query: usize, shard: usize, answer: ShardAnswer) {
+        self.owed -= 1;
+        match answer {
+            Ok(list) => {
+                let lists = &mut self.partial[query];
+                lists.push(list);
+                if lists.len() == self.w {
+                    self.answers[query] = Some(merge_ranked(lists, self.ks[query]));
+                    *lists = Vec::new();
+                }
+            }
+            Err(e) => {
+                if self.first_err.as_ref().is_none_or(|(at, _)| (query, shard) < *at) {
+                    self.first_err = Some(((query, shard), e));
+                }
+            }
+        }
+    }
+
+    /// Every query's merged answer, registration order — or the error of
+    /// the lowest `(query, shard)` that failed. Call once nothing is
+    /// [`Gather::owed`].
+    pub fn finish(self) -> Result<Vec<TopK>, String> {
+        match self.first_err {
+            Some((_, e)) => Err(e),
+            None => Ok(self
+                .answers
+                .into_iter()
+                .map(|a| a.expect("finish is called once every shard replied"))
+                .collect()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -906,5 +865,63 @@ mod tests {
         let want = merge_ranked(&lists, 4);
         lists.reverse();
         assert_eq!(merge_ranked(&lists, 4).entries(), want.entries());
+    }
+    /// Three shards' lists for one query, and their merge.
+    fn three_lists() -> Vec<Vec<(ObjectId, f64)>> {
+        vec![vec![(0, 9.0), (3, 1.0)], vec![(1, 8.0), (4, 8.0)], vec![(2, 9.0), (5, 0.5)]]
+    }
+
+    #[test]
+    fn gather_gives_one_answer_in_every_arrival_order() {
+        let lists = three_lists();
+        let want = merge_ranked(&lists, 4);
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let mut gather = Gather::new(3);
+            assert_eq!(gather.register([4, 2]), 0);
+            assert_eq!((gather.register([]), gather.owed()), (2, 6));
+            for shard in order {
+                // Two queries' replies interleaved, the second's reversed.
+                gather.absorb(0, shard, Ok(lists[shard].clone()));
+                gather.absorb(1, 2 - shard, Ok(lists[2 - shard].clone()));
+            }
+            assert_eq!(gather.owed(), 0);
+            let tops = gather.finish().unwrap();
+            assert_eq!(tops[0].entries(), want.entries(), "order {order:?}");
+            assert_eq!(tops[1].entries(), &want.entries()[..2], "order {order:?}");
+        }
+    }
+
+    #[test]
+    fn gather_reports_the_lowest_query_then_shard_error_whatever_the_order() {
+        let failures = [(1, 0, "q1 s0"), (0, 2, "q0 s2"), (0, 1, "q0 s1")];
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let mut gather = Gather::new(3);
+            gather.register([4, 4]);
+            for i in order {
+                let (query, shard, msg) = failures[i];
+                gather.absorb(query, shard, Err(msg.to_string()));
+            }
+            // The error is held back until every owed reply is drained.
+            gather.absorb(0, 0, Ok(vec![(0, 1.0)]));
+            gather.absorb(1, 1, Ok(vec![(1, 1.0)]));
+            gather.absorb(1, 2, Ok(vec![(2, 1.0)]));
+            assert_eq!(gather.owed(), 0);
+            assert_eq!(gather.finish().unwrap_err(), "q0 s1", "order {order:?}");
+        }
+    }
+
+    #[test]
+    fn gather_merges_k_zero_to_empty_and_finishes_an_empty_window_without_waiting() {
+        // Nothing registered: nothing owed, nothing to wait for.
+        let gather = Gather::new(3);
+        assert_eq!(gather.owed(), 0);
+        assert!(gather.finish().unwrap().is_empty());
+        // k = 0 merges to the empty answer whatever the shards list.
+        let mut gather = Gather::new(2);
+        gather.register([0]);
+        gather.absorb(0, 1, Ok(vec![(1, 2.0)]));
+        gather.absorb(0, 0, Ok(Vec::new()));
+        assert_eq!(gather.owed(), 0);
+        assert!(gather.finish().unwrap()[0].is_empty());
     }
 }

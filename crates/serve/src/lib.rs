@@ -12,8 +12,14 @@
 //!    parts in parallel (any worker serves any shard) and the shard-local
 //!    top-k lists are k-way merged (exact: because shards partition the
 //!    objects, the global top-k is a subset of the union of shard
-//!    top-k's). All query methods take `&self`, so whole engines are
-//!    themselves shareable across caller threads;
+//!    top-k's). There is one query body, [`ServeEngine::execute`]: a
+//!    *window* of queries goes to every shard as one pool task, comes
+//!    back as one reply per shard, and is merged by the one shared
+//!    [`Gather`] into one [`Answer`] per query; a solo query
+//!    ([`ServeEngine::query`] and its routed/spanned variants) is a window
+//!    of one, a pipelined stream is windows of one queued up front. It
+//!    takes `&self`, so whole engines are themselves shareable across
+//!    caller threads;
 //! 2. **routes** each query with a cost-based [`Planner`] built on
 //!    [`chronorank_core::cost_model`] (the paper's Figure-3 table as
 //!    executable formulas). Per query `(t1, t2, k, tolerance)` it picks:
@@ -73,14 +79,15 @@ mod shard;
 
 pub use cache::LruCache;
 pub use config::ServeConfig;
-pub use engine::{merge_ranked, partition, ServeEngine, ServeError, StreamOutcome};
+pub use engine::{merge_ranked, partition, Answer, Gather, ServeEngine, ServeError, StreamOutcome};
 pub use planner::{
     merge_profiles, Freshness, MethodSet, Planner, PlannerParams, Route, RouteProfiles,
 };
 pub use query::{ServeQuery, Tolerance};
 pub use report::{RouteStats, ServeReport};
 pub use shard::{
-    assemble_route_methods, build_route_methods_with_handles, BuildStages, BuiltRoutes, Shard,
+    assemble_route_methods, build_route_methods_with_handles, BuildStages, BuiltRoutes, ProbeKey,
+    Shard, ShardAnswer,
 };
 
 /// Render a `catch_unwind` payload into a readable error message. Shared

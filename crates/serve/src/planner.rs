@@ -259,61 +259,8 @@ impl Planner {
     /// the ε-budget check (see [`Freshness`]). `None` reproduces the
     /// static behaviour exactly.
     pub fn route_with_freshness(&self, q: &ServeQuery, fresh: Option<Freshness>) -> Route {
-        self.select(q, self.costs(q), fresh)
-    }
-
-    /// Route every query of one admitted batch window.
-    ///
-    /// Queries that collapse onto the same probe — identical raw interval
-    /// for the raw-keyed routes, identical snapped breakpoint pair for the
-    /// grid-keyed ones — share that probe at execution time, so their
-    /// per-query costs are amortized ([`chronorank_core::cost_model::QueryCost::amortized`]) before
-    /// selection. The amortization factors are uniform within each
-    /// comparison class, so the chosen route for every query is provably
-    /// identical to its solo [`Planner::route_with_freshness`] route (the
-    /// batch agreement suites pin this); what changes is the *cost* the
-    /// planner attributes to the plan, which keeps downstream accounting
-    /// honest about shared probes. The snapped grouping is estimated on
-    /// the planner's uniform `r`-cell grid over the domain span — the
-    /// shards' real breakpoints refine it, never coarsen it.
-    pub fn route_batch(&self, qs: &[ServeQuery], fresh: Option<Freshness>) -> Vec<Route> {
-        use std::collections::HashMap;
-        // Probe-sharing keys: (interval key, k, tolerance identity).
-        type Key = (u64, u64, usize, Option<(u64, bool)>);
-        let tol_key = |q: &ServeQuery| q.tolerance.map(|t| (t.eps.to_bits(), t.tight_ranks));
-        let p = self.params;
-        let cell = if p.span > 0.0 { p.span / p.r.max(2) as f64 } else { 0.0 };
-        let snap = |t: f64| {
-            if cell > 0.0 {
-                (t / cell).floor().clamp(-1.0, p.r as f64 + 1.0) as i64 as u64
-            } else {
-                t.to_bits()
-            }
-        };
-        let mut raw: HashMap<Key, usize> = HashMap::new();
-        let mut grid: HashMap<Key, usize> = HashMap::new();
-        for q in qs {
-            *raw.entry((q.t1.to_bits(), q.t2.to_bits(), q.k, tol_key(q))).or_insert(0) += 1;
-            *grid.entry((snap(q.t1), snap(q.t2), q.k, tol_key(q))).or_insert(0) += 1;
-        }
-        qs.iter()
-            .map(|q| {
-                let exact_share = raw[&(q.t1.to_bits(), q.t2.to_bits(), q.k, tol_key(q))];
-                let snap_share = grid[&(snap(q.t1), snap(q.t2), q.k, tol_key(q))];
-                self.select(q, self.costs(q).amortized(exact_share, snap_share), fresh)
-            })
-            .collect()
-    }
-
-    /// Shared selection logic: cheapest admissible approximate route under
-    /// the (possibly amortized) costs, exact fallback otherwise.
-    fn select(
-        &self,
-        q: &ServeQuery,
-        c: chronorank_core::cost_model::QueryCost,
-        fresh: Option<Freshness>,
-    ) -> Route {
         if let Some(tol) = q.tolerance {
+            let c = self.costs(q);
             let mut best: Option<(Route, f64)> = None;
             for (route, cost) in
                 [(Route::Appx1, c.appx1), (Route::Appx2, c.appx2), (Route::Appx2Plus, c.appx2_plus)]
@@ -416,29 +363,6 @@ mod tests {
         // Exact queries are unaffected by freshness.
         let e = ServeQuery::exact(100.0, 400.0, 20);
         assert_eq!(p.route_with_freshness(&e, Some(fresh)), p.route(&e));
-    }
-
-    #[test]
-    fn batch_routing_matches_solo_routing() {
-        let p = Planner::new(params(), profiles());
-        let fresh = Freshness { built_mass: 100.0, live_mass: 150.0 };
-        // A mixed window: duplicated exact probes, snapped-together approx
-        // probes, a tight-ranks query, and an unsatisfiable budget.
-        let qs = vec![
-            ServeQuery::exact(10.0, 10.01, 20),
-            ServeQuery::exact(10.0, 10.01, 20),
-            ServeQuery::exact(100.0, 400.0, 20),
-            ServeQuery::approx(100.0, 400.0, 20, 0.05),
-            ServeQuery::approx(100.1, 400.2, 20, 0.05),
-            ServeQuery::approx_tight(100.0, 400.0, 20, 0.05),
-            ServeQuery::approx(100.0, 400.0, 200, 0.05),
-        ];
-        for fr in [None, Some(fresh)] {
-            let batch = p.route_batch(&qs, fr);
-            let solo: Vec<Route> = qs.iter().map(|q| p.route_with_freshness(q, fr)).collect();
-            assert_eq!(batch, solo, "amortization must never flip a route");
-        }
-        assert!(p.route_batch(&[], None).is_empty());
     }
 
     #[test]

@@ -28,11 +28,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A shard-local ranked answer (global ids) or an error message.
-pub(crate) type ShardAnswer = Result<Vec<(ObjectId, f64)>, String>;
+/// A shard-local ranked answer (global ids, descending score) or an error
+/// message — what every shard, serve or live, hands the gather.
+pub type ShardAnswer = Result<Vec<(ObjectId, f64)>, String>;
 
-/// The shard-local result cache under its lock.
-type ResultCache = Mutex<LruCache<CacheKey, Vec<(ObjectId, f64)>>>;
+/// The shard-local result cache under its lock (only ever holds
+/// [`ProbeKey::Snapped`] keys).
+type ResultCache = Mutex<LruCache<ProbeKey, Vec<(ObjectId, f64)>>>;
 
 /// Per-shard facts the engine folds into the planner and report.
 #[derive(Debug, Clone, Copy)]
@@ -48,16 +50,33 @@ pub(crate) struct ShardFacts {
     pub r: u64,
 }
 
-/// Key of the shard-local result cache: the **snapped** interval (as
-/// breakpoint indexes), `k`, and the route. Valid precisely because the
-/// cacheable routes ([`Route::cacheable`]) answer from the snapped
-/// interval alone.
+/// What fully determines a shard-local answer on one snapshot: the route,
+/// `k`, and the interval — **snapped** to breakpoint indexes on the routes
+/// that answer from the snapped interval alone ([`Route::cacheable`]), its
+/// raw bits on the rest. The one key behind both the result caches (which
+/// hold snapped keys only) and the probe dedup inside a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    b1: u32,
-    b2: u32,
-    k: u32,
-    route: Route,
+pub enum ProbeKey {
+    /// `(B(t1), B(t2))` as breakpoint indexes.
+    Snapped { b1: u32, b2: u32, k: u32, route: Route },
+    /// The raw interval's bits.
+    Raw { t1: u64, t2: u64, k: u32, route: Route },
+}
+
+impl ProbeKey {
+    /// The key of `q` on `route` over a snapshot with these breakpoints.
+    pub fn new(q: &ServeQuery, route: Route, breakpoints: Option<&Breakpoints>) -> Self {
+        let k = q.k as u32;
+        match breakpoints {
+            Some(bp) if route.cacheable() => ProbeKey::Snapped {
+                b1: bp.snap_idx(q.t1) as u32,
+                b2: bp.snap_idx(q.t2) as u32,
+                k,
+                route,
+            },
+            _ => ProbeKey::Raw { t1: q.t1.to_bits(), t2: q.t2.to_bits(), k, route },
+        }
+    }
 }
 
 /// Where one snapshot's build time went, per stage, plus the number of
@@ -336,23 +355,16 @@ impl Shard {
         }
     }
 
-    /// Answer one routed query, consulting the result cache when the route
-    /// permits. `&self`: any worker thread may answer for any shard.
-    /// The second return is `Some(hit)` when the result cache was
-    /// consulted (`None` = the route bypassed it) — what the engine folds
-    /// into a query-level [`chronorank_obs::CacheOutcome`].
-    pub(crate) fn answer(&self, q: ServeQuery, route: Route) -> (ShardAnswer, Option<bool>) {
-        let key = match (&self.built.breakpoints, &self.cache) {
-            (Some(bp), Some(_)) if route.cacheable() => Some(CacheKey {
-                b1: bp.snap_idx(q.t1) as u32,
-                b2: bp.snap_idx(q.t2) as u32,
-                k: q.k as u32,
-                route,
-            }),
-            _ => None,
+    /// Answer one routed query (`key` is its [`ProbeKey`] on this shard),
+    /// consulting the result cache when the key is a snapped one. `&self`:
+    /// any worker thread may answer for any shard. The second return is
+    /// `Some(hit)` when the result cache was consulted (`None` = the route
+    /// bypassed it) — what the engine folds into a query-level
+    /// [`chronorank_obs::CacheOutcome`].
+    fn answer(&self, q: ServeQuery, route: Route, key: ProbeKey) -> (ShardAnswer, Option<bool>) {
+        let (Some(cache), ProbeKey::Snapped { .. }) = (&self.cache, key) else {
+            return (self.probe(route, q), None);
         };
-        let Some(key) = key else { return (self.probe(route, q), None) };
-        let cache = self.cache.as_ref().expect("key implies cache");
         if let Some(hit) =
             cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).get(&key).cloned()
         {
@@ -371,45 +383,30 @@ impl Shard {
         (res, Some(false))
     }
 
-    /// Answer one shard's view of an admitted batch window: queries that
-    /// collapse onto the same probe — same route, `k`, and snapped
-    /// `(B(t1), B(t2))` pair for the snap-keyed routes, same raw interval
-    /// for the rest — are answered by **one** [`Shard::answer`] call whose
-    /// result is cloned to every group member. The result cache therefore
-    /// sees exactly one lookup per group per batch (the probe-dedup
-    /// regression test pins this). Bit-identical to answering every query
-    /// alone: snap-keyed routes ([`Route::cacheable`]) answer from the
-    /// snapped interval alone, and raw groups share the full probe input.
+    /// Answer one shard's view of a window: queries that collapse onto the
+    /// same [`ProbeKey`] are answered by **one** probe whose result is
+    /// cloned to every group member, so the result cache sees exactly one
+    /// lookup per group per window (the probe-dedup regression test pins
+    /// this). Bit-identical to answering every query alone: the key holds
+    /// the whole probe input.
     pub(crate) fn answer_batch(
         &self,
         window: &[(ServeQuery, Route)],
     ) -> Vec<(ShardAnswer, Option<bool>)> {
-        #[derive(PartialEq, Eq, Hash)]
-        enum ProbeKey {
-            Snapped { b1: u32, b2: u32, k: u32, route: Route },
-            Raw { t1: u64, t2: u64, k: u32, route: Route },
-        }
-        let key_of = |q: &ServeQuery, route: Route| match &self.built.breakpoints {
-            Some(bp) if route.cacheable() => ProbeKey::Snapped {
-                b1: bp.snap_idx(q.t1) as u32,
-                b2: bp.snap_idx(q.t2) as u32,
-                k: q.k as u32,
-                route,
-            },
-            _ => ProbeKey::Raw { t1: q.t1.to_bits(), t2: q.t2.to_bits(), k: q.k as u32, route },
-        };
         let mut first_of: HashMap<ProbeKey, usize> = HashMap::with_capacity(window.len());
-        let mut out: Vec<Option<(ShardAnswer, Option<bool>)>> = vec![None; window.len()];
-        for (i, (q, route)) in window.iter().enumerate() {
-            match first_of.entry(key_of(q, *route)) {
-                Entry::Occupied(e) => out[i] = out[*e.get()].clone(),
+        let mut out: Vec<(ShardAnswer, Option<bool>)> = Vec::with_capacity(window.len());
+        for (q, route) in window {
+            let key = ProbeKey::new(q, *route, self.built.breakpoints.as_ref());
+            let answered = match first_of.entry(key) {
+                Entry::Occupied(e) => out[*e.get()].clone(),
                 Entry::Vacant(e) => {
-                    e.insert(i);
-                    out[i] = Some(self.answer(*q, *route));
+                    e.insert(out.len());
+                    self.answer(*q, *route, key)
                 }
-            }
+            };
+            out.push(answered);
         }
-        out.into_iter().map(|o| o.expect("every slot answered or copied")).collect()
+        out
     }
 
     /// Run the routed index probe and translate ids to the global space.

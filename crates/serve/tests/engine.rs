@@ -1,6 +1,7 @@
 //! Engine-level integration: routing, caching, streams, and reporting
 //! against generated workloads.
 
+use chronorank_obs::{Registry, SpanSink};
 use chronorank_serve::{MethodSet, Route, ServeConfig, ServeEngine, ServeQuery};
 use chronorank_workloads::{
     DatasetGenerator, IntervalPattern, QueryWorkload, QueryWorkloadConfig, TempConfig,
@@ -288,5 +289,39 @@ fn engines_over_shared_shards_answer_identically() {
         for (a, b) in got.scores().iter().zip(want.scores()) {
             assert_eq!(a.to_bits(), b.to_bits(), "pool = {pool_workers}");
         }
+    }
+}
+
+#[test]
+fn every_query_of_a_window_reaches_the_metrics_and_the_flight_recorder() {
+    let set = dataset(40);
+    let mut engine = ServeEngine::new(&set, config(2)).unwrap();
+    let registry = Registry::new();
+    engine.set_registry(&registry);
+    engine.set_slow_query_threshold_us(0);
+    let latency_count = |route: Route| {
+        registry
+            .histogram_with("chronorank_serve_route_latency_us", "", &[("route", route.name())])
+            .snapshot()
+            .count
+    };
+    let window: Vec<ServeQuery> = (0..16)
+        .map(|i| {
+            let a = set.t_min() + (0.05 + 0.02 * i as f64) * set.span();
+            ServeQuery::exact(a, a + 0.3 * set.span(), 5)
+        })
+        .collect();
+    let answers = engine.execute(&window, None, &SpanSink::noop()).unwrap();
+    assert_eq!(answers.len(), 16);
+    assert_eq!(latency_count(Route::Exact3), 16, "one latency sample per query of the window");
+    let report = engine.report();
+    assert_eq!((report.queries, report.routes[Route::Exact3.idx()].queries), (16, 16));
+    // One trace per query, each carrying the window's per-shard spans.
+    let traces = engine.flight_recorder().snapshot();
+    assert_eq!(traces.len(), 16);
+    for (trace, q) in traces.iter().zip(&window) {
+        assert_eq!((trace.t1, trace.t2, trace.k), (q.t1, q.t2, q.k));
+        assert_eq!(trace.shards.iter().map(|s| s.shard).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(trace.total_us, traces[0].total_us, "the window's wall time");
     }
 }

@@ -131,7 +131,7 @@ impl QueryWorkload {
 
     /// Chunk the generated stream into admission windows of `window`
     /// queries (the last window may be shorter) — the unit a batching
-    /// execution layer (`query_batch`) admits at once. A Zipf-skewed
+    /// execution layer (`execute`) admits at once. A Zipf-skewed
     /// stream chunked this way yields windows that repeat hotspot
     /// intervals, exactly the shape shared-probe batch execution
     /// amortizes.

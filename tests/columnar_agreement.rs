@@ -5,17 +5,20 @@
 //!     `PiecewiseLinear` path — per-object integrals, batch integrals,
 //!     and multi-window integrals agree to the last bit at *every* stream
 //!     prefix, across mid-stream `freeze()` compactions;
-//! (b) `query_batch` on both engines (serve and live) is bit-identical to
-//!     issuing the same queries one at a time, for W ∈ {1, 4} (plus
-//!     `$CHRONORANK_AGREEMENT_W`), on windows full of duplicates, snapped
-//!     neighbours, and mixed exact/approx tolerances;
+//! (b) `execute(window)` on both engines (serve and live) is bit-identical
+//!     — answers, routes and `eps_used` — to the concatenation of
+//!     `execute(&[q])`, for W ∈ {1, 4} (plus `$CHRONORANK_AGREEMENT_W`),
+//!     on windows full of duplicates, snapped neighbours, mixed exact/approx
+//!     tolerances, and the empty window; on live with appends and forced
+//!     rebuilds between windows;
 //! (c) probe-dedup regression: a batch window of probe-identical queries
 //!     costs each shard's result cache exactly **one** lookup, where the
 //!     same queries issued solo cost one lookup each.
 
 use chronorank::core::{TemporalSet, TopK};
-use chronorank::live::{IngestEngine, LiveConfig};
-use chronorank::serve::{ServeConfig, ServeEngine, ServeQuery};
+use chronorank::live::{IngestEngine, LiveConfig, RebuildPolicy};
+use chronorank::obs::SpanSink;
+use chronorank::serve::{Answer, ServeConfig, ServeEngine, ServeQuery};
 use chronorank::workloads::{
     AppendStream, AppendStreamConfig, DatasetGenerator, StockConfig, StockGenerator, TempConfig,
     TempGenerator,
@@ -40,6 +43,21 @@ fn assert_bit_identical(want: &TopK, got: &TopK, ctx: &str) {
     assert_eq!(want.ids(), got.ids(), "{ctx}: ids");
     for (j, (ws, gs)) in want.scores().iter().zip(got.scores()).enumerate() {
         assert_eq!(ws.to_bits(), gs.to_bits(), "{ctx} rank {j}: {ws} vs {gs}");
+    }
+}
+
+/// A window's answers against the same queries executed in windows of one:
+/// same bits, same routes, same restated ε.
+fn assert_window_matches_solo(got: &[Answer], want: &[Answer], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: one answer per query");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_bit_identical(&w.topk, &g.topk, &format!("{ctx} query {i}"));
+        assert_eq!(g.route, w.route, "{ctx} query {i}: route");
+        assert_eq!(
+            g.eps_used.map(f64::to_bits),
+            w.eps_used.map(f64::to_bits),
+            "{ctx} query {i}: eps_used"
+        );
     }
 }
 
@@ -68,26 +86,43 @@ fn mixed_window(set: &TemporalSet) -> Vec<ServeQuery> {
 fn serve_query_batch_is_bit_identical_to_solo_queries() {
     let set = temp_set(60);
     let window = mixed_window(&set);
+    let noop = SpanSink::noop();
     for w in worker_widths() {
-        let batched =
+        let windowed =
             ServeEngine::new(&set, ServeConfig { workers: w, ..Default::default() }).unwrap();
         let solo =
             ServeEngine::new(&set, ServeConfig { workers: w, ..Default::default() }).unwrap();
-        let got = batched.query_batch(&window).unwrap();
-        assert_eq!(got.len(), window.len());
-        for (i, q) in window.iter().enumerate() {
-            let want = solo.query(*q).unwrap();
-            assert_bit_identical(&want, &got[i], &format!("serve W={w} query {i}"));
-        }
-        // W ∈ {1, 4} again as batch size 1 and 4: degenerate windows too.
-        for sub in [&window[..1], &window[..4]] {
-            let got = batched.query_batch(sub).unwrap();
-            for (i, q) in sub.iter().enumerate() {
-                let want = solo.query(*q).unwrap();
-                assert_bit_identical(&want, &got[i], &format!("serve W={w} sub {i}"));
+        // The full window, then sizes 1 and 4: degenerate windows too.
+        for sub in [&window[..], &window[..1], &window[..4]] {
+            let got = windowed.execute(sub, None, &noop).unwrap();
+            let want: Vec<Answer> = sub
+                .iter()
+                .flat_map(|q| solo.execute(std::slice::from_ref(q), None, &noop).unwrap())
+                .collect();
+            assert_window_matches_solo(&got, &want, &format!("serve W={w} |window|={}", sub.len()));
+            for (q, a) in sub.iter().zip(&got) {
+                assert_eq!(a.route, solo.route_for(q), "serve W={w}: planner route");
+                assert_eq!(a.route.is_exact(), a.eps_used.is_none(), "serve W={w}: eps class");
             }
         }
-        assert!(batched.query_batch(&[]).unwrap().is_empty());
+        assert!(windowed.execute(&[], None, &noop).unwrap().is_empty());
+        assert_eq!(windowed.report().queries, solo.report().queries, "every query is counted");
+    }
+}
+
+/// Query until no shard reports a rebuild in flight (statuses ride on
+/// query replies), so two engines fed the same appends publish the same
+/// generations before they are compared.
+fn settle(engine: &IngestEngine) {
+    let probe = ServeQuery::exact(engine.live_set().t_min(), engine.live_set().t_max(), 1);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        engine.query(probe).unwrap();
+        if engine.report().rebuilds_in_flight == 0 {
+            return;
+        }
+        assert!(std::time::Instant::now() < deadline, "rebuild never landed");
+        std::thread::sleep(std::time::Duration::from_millis(2));
     }
 }
 
@@ -100,26 +135,40 @@ fn live_query_batch_is_bit_identical_to_solo_queries() {
         AppendStreamConfig { base_fraction: 0.5, batch: 24, skew: 0.0, seed: 31 },
     );
     let seed = stream.base_set();
+    let noop = SpanSink::noop();
     for w in worker_widths() {
-        let mut batched =
-            IngestEngine::new(&seed, LiveConfig { workers: w, ..Default::default() }).unwrap();
-        let mut solo =
-            IngestEngine::new(&seed, LiveConfig { workers: w, ..Default::default() }).unwrap();
+        // A full tail forces a rebuild every few batches; settling both
+        // engines after every batch makes the swaps land at the same
+        // stream prefixes on both.
+        let config = LiveConfig {
+            workers: w,
+            rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 48 / w },
+            ..Default::default()
+        };
+        let mut windowed = IngestEngine::new(&seed, config.clone()).unwrap();
+        let mut solo = IngestEngine::new(&seed, config).unwrap();
         for (i, batch) in stream.batches().enumerate() {
-            batched.append_batch(batch).unwrap();
+            windowed.append_batch(batch).unwrap();
             solo.append_batch(batch).unwrap();
+            settle(&windowed);
+            settle(&solo);
             if i % 4 != 0 {
                 continue;
             }
             // Probe mid-stream so the windows hit mutable columnar tails,
             // not just frozen generations.
-            let window = mixed_window(batched.live_set());
-            let got = batched.query_batch(&window).unwrap();
-            for (j, q) in window.iter().enumerate() {
-                let want = solo.query(*q).unwrap();
-                assert_bit_identical(&want, &got[j], &format!("live W={w} batch {i} query {j}"));
-            }
+            let window = mixed_window(windowed.live_set());
+            let got = windowed.execute(&window, None, &noop).unwrap();
+            let want: Vec<Answer> = window
+                .iter()
+                .flat_map(|q| solo.execute(std::slice::from_ref(q), None, &noop).unwrap())
+                .collect();
+            assert_window_matches_solo(&got, &want, &format!("live W={w} batch {i}"));
         }
+        assert!(windowed.execute(&[], None, &noop).unwrap().is_empty());
+        let (a, b) = (windowed.report(), solo.report());
+        assert!(a.rebuilds > 0, "live W={w}: the stream must force rebuilds between windows");
+        assert_eq!(a.rebuilds, b.rebuilds, "live W={w}: both engines swapped alike");
     }
 }
 
@@ -138,7 +187,7 @@ fn batch_window_of_identical_queries_costs_one_cache_lookup_per_shard() {
         "the ε budget must admit a snap-keyed route for this regression to bite"
     );
     let window = vec![q; 8];
-    let got = batched.query_batch(&window).unwrap();
+    let got = batched.execute(&window, None, &SpanSink::noop()).unwrap();
     let r = batched.report();
     assert_eq!(r.cache_lookups, w as u64, "one lookup per shard for the whole window");
     assert_eq!(r.cache_hits, 0, "a deduped window never re-asks its own probe");
@@ -152,13 +201,13 @@ fn batch_window_of_identical_queries_costs_one_cache_lookup_per_shard() {
     assert_eq!(r.cache_lookups, 8 * w as u64);
     assert_eq!(r.cache_hits, 7 * w as u64, "solo repeats hit the cache after the first miss");
     for (i, w) in want.iter().enumerate() {
-        assert_bit_identical(w, &got[i], &format!("dedup vs solo {i}"));
+        assert_bit_identical(w, &got[i].topk, &format!("dedup vs solo {i}"));
     }
 
     // Live tier: same contract through the ingest engine's shard caches.
     let live = IngestEngine::new(&set, LiveConfig { workers: w, ..Default::default() }).unwrap();
     assert!(live.route_for(&q).cacheable());
-    live.query_batch(&window).unwrap();
+    live.execute(&window, None, &SpanSink::noop()).unwrap();
     let r = live.report();
     assert_eq!(r.cache_lookups, w as u64, "live: one lookup per shard for the whole window");
     assert_eq!(r.cache_hits, 0);

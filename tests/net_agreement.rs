@@ -14,7 +14,7 @@
 //!   prefix-consistency guarantee.
 
 use chronorank::core::{AppendRecord, TemporalSet, TopK};
-use chronorank::live::{IngestEngine, LiveConfig};
+use chronorank::live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank::net::{NetClient, NetConfig, NetServer};
 use chronorank::serve::{ServeConfig, ServeEngine, ServeQuery};
 use chronorank::workloads::{
@@ -150,6 +150,47 @@ fn wire_live_trace_agrees_with_in_process_engine() {
         }
         server.shutdown();
     }
+}
+
+#[test]
+fn wire_eps_used_is_restated_from_the_snapshot_that_routed_the_query() {
+    // Quiescent: rebuilds off, so the generation (and its built mass) that
+    // routes a wire query is the one the oracle's planner reports.
+    let stream = temp_stream(36);
+    let seed = stream.base_set();
+    let cfg = LiveConfig {
+        workers: 2,
+        rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: usize::MAX },
+        ..Default::default()
+    };
+    let mut oracle = IngestEngine::new(&seed, cfg.clone()).unwrap();
+    let server = NetServer::start_live(seed.clone(), cfg, NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    for batch in stream.batches().take(4) {
+        client.append_batch(batch).unwrap();
+        oracle.append_batch(batch).unwrap();
+    }
+    let (planner, fresh) = oracle.routing_snapshot();
+    assert!(fresh.live_mass > fresh.built_mass, "appends must have outgrown the built mass");
+    let (t1, t2) = probe_windows(&stream.full_set())[2];
+    let mut approximate = 0;
+    for q in [
+        ServeQuery::exact(t1, t2, 6),
+        ServeQuery::approx(t1, t2, 6, 0.3),
+        ServeQuery::approx_tight(t1, t2, 6, 0.3),
+        ServeQuery::approx(t1, t2, 6, 1e-12),
+    ] {
+        let got = client.topk(q).unwrap();
+        assert_eq!(got.route, oracle.route_for(&q), "{q:?}: route");
+        let want = planner
+            .profile(got.route)
+            .and_then(|p| p.revalidate(fresh.built_mass, fresh.live_mass).eps);
+        assert_eq!(got.eps_used.map(f64::to_bits), want.map(f64::to_bits), "{q:?}: eps_used");
+        assert_eq!(got.eps_used.is_none(), got.route.is_exact(), "{q:?}: eps class");
+        approximate += usize::from(!got.route.is_exact());
+    }
+    assert!(approximate >= 2, "the ε-tolerant queries must take approximate routes");
+    server.shutdown();
 }
 
 #[test]
