@@ -1954,9 +1954,11 @@ struct RungMethod {
 ///
 /// The binary **self-gates**: it exits nonzero unless EXACT3 beats EXACT1
 /// in mean cold-cache I/O on every rung, the best APPX beats EXACT3 on
-/// every rung with `N ≥ 10⁵`, and the streamed BREAKPOINTS2 sweep reports
-/// `peak_pending_segments ≤ m`. Writes `BENCH_PAPERSCALE.json` (cwd, or
-/// `$CHRONORANK_PAPERSCALE_JSON`) plus a CSV under `--out`.
+/// every rung with `N ≥ 10⁵`, EXACT3 stays within the paper's own
+/// `2·(log_B N + m/B)` on every rung with `N ≥ 10⁶`, and the streamed
+/// BREAKPOINTS2 sweep reports `peak_pending_segments ≤ m`. Writes
+/// `BENCH_PAPERSCALE.json` (cwd, or `$CHRONORANK_PAPERSCALE_JSON`) plus a
+/// CSV under `--out`.
 fn paperscale(opts: &Opts) {
     use chronorank_core::{b2_streaming, scan_stats, AggKind};
     use chronorank_storage::ScaleBudget;
@@ -2183,6 +2185,17 @@ fn paperscale(opts: &Opts) {
             ));
         }
 
+        // The paper's own bound on EXACT3 (§2, Eq. 2): two stabs of
+        // log_B N + m/B blocks each, in the `cost_model` units below.
+        let b_entries = (budget.block_size() / 16).max(2) as f64;
+        let logb_n = (n_segments.max(2) as f64).ln() / b_entries.ln();
+        let e3_bound = 2.0 * (logb_n + m as f64 / b_entries);
+        if n_segments >= 1_000_000 && below(e3_bound, e3) {
+            gate_failures.push(format!(
+                "N={n_segments}: EXACT3 avg IOs {e3:.1} over 2·(log_B N + m/B) = {e3_bound:.1}"
+            ));
+        }
+
         for mrec in &methods {
             table.row(vec![
                 n_segments.to_string(),
@@ -2196,8 +2209,6 @@ fn paperscale(opts: &Opts) {
 
         // Cost-model reference terms (paper Fig. 3, B = entries per block):
         // EXACT1 queries pay O(log_B N + scanned/B), EXACT3 O(log_B N + m/B).
-        let b_entries = (budget.block_size() / 16).max(2) as f64;
-        let logb_n = (n_segments.max(2) as f64).ln() / b_entries.ln();
         let method_rows: Vec<String> = methods
             .iter()
             .map(|mr| {
@@ -2248,7 +2259,8 @@ fn paperscale(opts: &Opts) {
          budget, and bulk-loaded through pools sized from the same budget. avg_ios is mean \
          cold-cache block reads per query (pools dropped + counter zeroed per query). The \
          bench exits nonzero unless EXACT3 < EXACT1 on every rung and best-APPX < EXACT3 on \
-         every rung with N >= 1e5 — the paper's Section 5 headline ordering — and \
+         every rung with N >= 1e5 — the paper's Section 5 headline ordering — EXACT3 <= \
+         2*(logb_n + m_over_b) of its rung's cost_model on every rung with N >= 1e6, and \
          peak_pending_segments <= m on every rung. peak_pending_segments is the streaming \
          BREAKPOINTS2 sweep's high-water count of objects holding a segment, ≤ m (it keeps \
          one segment per object).\",\n  \
@@ -2270,7 +2282,8 @@ fn paperscale(opts: &Opts) {
         std::process::exit(1);
     }
     println!(
-        "paperscale gate OK: EXACT3 < EXACT1, APPX < EXACT3 where gated, B2 holds ≤ m segments"
+        "paperscale gate OK: EXACT3 < EXACT1, APPX < EXACT3 and EXACT3 ≤ 2·(log_B N + m/B) \
+         where gated, B2 holds ≤ m segments"
     );
 }
 

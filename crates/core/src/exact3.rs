@@ -16,7 +16,11 @@
 //! so two stabbing queries — `O(log_B N + m/B)` IOs each — compute every
 //! object's aggregate, and a size-`k` heap finishes the query. This is 2–3
 //! orders of magnitude fewer IOs than EXACT1/EXACT2 at large `m` (paper
-//! Figures 13–14).
+//! Figures 13–14). The `m/B` term is a layout property, not a given: the
+//! bulk loader packs leaves by `hi` inside self-sized `lo` runs, and a
+//! stab then reads ≈ 1.5× its `⌈alive/B⌉` output leaves on Temp and ≈ 4×
+//! on Meme, where one long segment per leaf used to drag in 18× (see
+//! `chronorank_index`'s interval module, "the output term").
 //!
 //! Objects whose domain does not cover a stab time contribute `0` (before
 //! their start) or their total mass (after their end); per-object
@@ -116,9 +120,9 @@ impl Exact3 {
     /// sort on `lo` (`O((N/B) log_B N)` IOs, the paper's construction
     /// preamble) and feed the sorted stream straight into the interval
     /// tree's leaf-fill-1.0 bulk loader. Peak memory is one sort run
-    /// (`sort_budget_bytes`), one fence per leaf and the per-object
-    /// `(start, end, total)` triples collected in the push loop (`24·m`
-    /// bytes) — never the full entry set.
+    /// (`sort_budget_bytes`), one loader run (≤ 256 leaves), one fence per
+    /// leaf and the per-object `(start, end, total)` triples collected in
+    /// the push loop (`24·m` bytes) — never the full entry set.
     fn fill<I>(
         env: &Env,
         objects: I,
@@ -178,10 +182,16 @@ impl Exact3 {
         drop(meta);
         self.tree.stab(t, &mut |lo, hi, p| {
             let (obj, v0, v1, prefix) = decode_payload(p);
-            let seg = Segment { t0: lo, v0, t1: hi, v1 };
-            // Both intervals at a shared endpoint yield the same value, so
-            // no dedup is needed (∫ identity, see module docs).
-            out[obj as usize] = prefix - seg.integral_clipped(t, hi);
+            let slot = &mut out[obj as usize];
+            // At a vertex two entries share `t`, and `(prefix_A + I_B) − I_B`
+            // need not equal `prefix_A` in the last bit: the entry that
+            // *ends* at `t` answers (`prefix`, nothing subtracted) whichever
+            // the leaf layout visits first. Only an object's first entry
+            // starts at `t` with none ending there, and finds the slot NaN.
+            if lo == t && !slot.is_nan() {
+                return;
+            }
+            *slot = prefix - Segment { t0: lo, v0, t1: hi, v1 }.integral_clipped(t, hi);
         })?;
         // Objects alive at t but not stabbed cannot happen: intervals tile
         // each object's domain. Guard against NaN leakage anyway.
@@ -372,6 +382,35 @@ mod tests {
             let want = set.top_k_bruteforce(a, b, 5);
             let got = idx.top_k(a, b, 5, AggKind::Sum).unwrap();
             assert_same_answer(&want, &got, &format!("EXACT3 boundary [{a},{b}]"));
+        }
+    }
+
+    #[test]
+    fn the_entry_ending_at_a_vertex_answers_under_any_leaf_layout() {
+        // 5 entries per 256-byte leaf against all 30 in one 4 KiB leaf:
+        // the two builds visit a vertex's two entries in different orders
+        // and must still agree to the last bit — on the ending entry's
+        // prefix, which is the running sum of whole-segment integrals.
+        let set = small_set();
+        let build = |block_size| {
+            let store = StoreConfig { block_size, pool_capacity: 64 };
+            Exact3::build(&set, IndexConfig { store }).unwrap()
+        };
+        let (small, large) = (build(256), build(4096));
+        let m = set.objects().len();
+        let (mut a, mut b) = (vec![0.0f64; m], vec![0.0f64; m]);
+        for o in set.objects() {
+            let mut prefix = 0.0f64;
+            for seg in o.curve.segments() {
+                prefix += seg.integral_full();
+                for t in [seg.t0, seg.t1] {
+                    small.cumulative_all(t, &mut a).unwrap();
+                    large.cumulative_all(t, &mut b).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&a), bits(&b), "t={t}");
+                }
+                assert_eq!(a[o.id as usize].to_bits(), prefix.to_bits(), "o{} t={}", o.id, seg.t1);
+            }
         }
     }
 

@@ -410,11 +410,8 @@ impl BPlusTree {
 ///   what makes the paper's `O(scanned/B)` range-output cost hold.
 /// * Leaves are allocated and written in key order, so leaf page ids are
 ///   physically sequential and the `next` chain never seeks backwards.
-/// * Construction memory is one leaf buffer plus one fence per sealed leaf;
-///   [`BulkLoader::with_fence_budget`] caps the fence term by spilling to a
-///   scratch file, and produces a **byte-identical** tree file to
-///   [`BulkLoader::new`] for the same input (the scratch file is separate,
-///   so tree-page allocation order is unchanged).
+/// * Construction memory is one leaf buffer plus one fence per sealed leaf
+///   (a [`FenceSpill`] nobody budgets; see [`crate::IntervalBulkLoader`]).
 pub struct BulkLoader {
     file: PagedFile,
     value_len: usize,
@@ -437,24 +434,6 @@ pub struct BulkLoader {
 impl BulkLoader {
     /// Start a bulk load into a freshly created `file`.
     pub fn new(file: PagedFile, value_len: usize) -> Result<Self> {
-        Self::with_level(file, value_len, FenceSpill::unbounded())
-    }
-
-    /// Like [`BulkLoader::new`], but keeps at most `fence_budget` leaf
-    /// fences in memory, spilling the rest to `scratch` (a freshly created
-    /// file the loader owns — **not** the tree file). The finished tree is
-    /// byte-identical to an unbudgeted build of the same input.
-    pub fn with_fence_budget(
-        file: PagedFile,
-        value_len: usize,
-        scratch: PagedFile,
-        fence_budget: usize,
-    ) -> Result<Self> {
-        let level = FenceSpill::budgeted(scratch, fence_budget)?;
-        Self::with_level(file, value_len, level)
-    }
-
-    fn with_level(file: PagedFile, value_len: usize, level: FenceSpill) -> Result<Self> {
         let block = file.block_size();
         let leaf_cap = BPlusTree::leaf_cap(block, value_len);
         if leaf_cap < 2 || BPlusTree::internal_cap(block) < 3 {
@@ -471,7 +450,7 @@ impl BulkLoader {
             cur_n: 0,
             cur_first_key: 0.0,
             pending: None,
-            level,
+            level: FenceSpill::unbounded(),
             first_leaf: cur_id,
             count: 0,
             last_key: f64::NEG_INFINITY,
@@ -755,13 +734,10 @@ mod tests {
         for n in [0u64, 1, 5, 40, 1000] {
             let mut plain =
                 BulkLoader::new(e.create_file(&format!("plain{n}")).unwrap(), 8).unwrap();
-            let mut tight = BulkLoader::with_fence_budget(
-                e.create_file(&format!("tight{n}")).unwrap(),
-                8,
-                e.create_file(&format!("scratch{n}")).unwrap(),
-                2,
-            )
-            .unwrap();
+            let mut tight =
+                BulkLoader::new(e.create_file(&format!("tight{n}")).unwrap(), 8).unwrap();
+            tight.level =
+                FenceSpill::budgeted(e.create_file(&format!("scratch{n}")).unwrap(), 2).unwrap();
             for i in 0..n {
                 let k = (i / 3) as f64; // duplicates included
                 plain.push(k, &payload(i)).unwrap();

@@ -22,10 +22,10 @@
 //! created their file, which is how the benchmark harness measures the
 //! paper's "I/Os" columns.
 //!
-//! For paper-scale builds (`N ≥ 10⁷`) both bulk loaders accept a fence
-//! budget ([`FenceSpill`]): the per-leaf fence list — the only `O(N/B)`
-//! memory term in a bulk load — spills to a scratch file past the budget
-//! and is replayed in order, leaving the built tree byte-identical.
+//! Both bulk loaders queue their per-leaf fences — the only `O(N/B)`
+//! memory term in a bulk load — in a [`FenceSpill`], which can spill past
+//! a budget and replay in order; no loader constructor budgets it, and the
+//! type stays public only while `benchmark/src/adapter.rs` pins it.
 
 mod btree;
 mod bulk;
