@@ -2,7 +2,7 @@
 # CI gate for the chronorank workspace. Usage: ./ci.sh
 #   ./ci.sh --lines   only the non-test line report printed after the timings
 #
-# Stages:
+# Stages (10):
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
 #   clippy            cargo clippy -D warnings        (whole workspace, all targets)
 #   doc               cargo doc --no-deps             (RUSTDOCFLAGS="-D warnings")
@@ -10,12 +10,6 @@
 #   agreement-w8      serve/live/window agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
 #                     shared-snapshot engines race for real cores
-#   serve-smoke       paper-bench serve --quick       (JSON under target/)
-#   live-smoke        paper-bench live --quick        (JSON under target/)
-#   net-smoke         paper-bench net --quick         (JSON under target/)
-#   coldstart-smoke   paper-bench coldstart --quick   (bulk load vs insert
-#                     build, image cold start vs WAL replay; the bench
-#                     asserts bit-identical answers across every restart)
 #   obs-smoke         paper-bench obs --quick         (exits nonzero if the
 #                     telemetry plane costs >3% read-path throughput,
 #                     untraced AND fully traced) plus a loopback METRICS
@@ -34,13 +28,11 @@
 #                     windows vs solo queries; the bench asserts bit-
 #                     identical checksums and exits nonzero unless
 #                     columnar >= scalar and batched W=64 >= solo)
-#   bench-regression  paper-bench check-regression    (smoke JSONs vs the
-#                     committed BENCH_SERVE/LIVE/NET/COLDSTART/OBS/
-#                     PAPERSCALE/RESCORE.json: same key shape, sane rates,
-#                     no >10x throughput collapse)
 #   benchmark-smoke   benchmark/run.sh --quick        (the standalone
 #                     BENCHMARK.json package still builds against the
-#                     crates' public API and every workload answers
+#                     crates' public API and every workload — in-process
+#                     serve, the wire, live ingest beside reads, checkpoint
+#                     and image boot, out-of-core builds — answers
 #                     correctly at 1/20 scale; exit code only, its numbers
 #                     are the driver's to gate; artifacts and the report
 #                     stay under target/benchmark)
@@ -132,33 +124,6 @@ agreement_w8() {
         --test columnar_agreement
 }
 
-serve_smoke() {
-    CHRONORANK_SERVE_JSON=target/BENCH_SERVE_ci.json \
-        cargo run --release -q -p chronorank-bench --bin paper_bench -- serve --quick \
-        --out target/paper-bench-smoke
-}
-
-live_smoke() {
-    CHRONORANK_LIVE_JSON=target/BENCH_LIVE_ci.json \
-        cargo run --release -q -p chronorank-bench --bin paper_bench -- live --quick \
-        --out target/paper-bench-smoke
-}
-
-net_smoke() {
-    CHRONORANK_NET_JSON=target/BENCH_NET_ci.json \
-        cargo run --release -q -p chronorank-bench --bin paper_bench -- net --quick \
-        --out target/paper-bench-smoke
-}
-
-# The coldstart smoke doubles as the recovery gate: the bench itself
-# asserts that an image boot preloads every shard, a replay boot none,
-# and that both restarts answer the pre-restart probe bit-identically.
-coldstart_smoke() {
-    CHRONORANK_COLDSTART_JSON=target/BENCH_COLDSTART_ci.json \
-        cargo run --release -q -p chronorank-bench --bin paper_bench -- coldstart --quick \
-        --out target/paper-bench-smoke
-}
-
 # The obs bench enforces its own <3% overhead gate by exit code; the
 # scrape example fails on malformed exposition or a missing family.
 obs_smoke() {
@@ -195,18 +160,6 @@ rescore_smoke() {
         --out target/paper-bench-smoke
 }
 
-bench_regression() {
-    cargo run --release -q -p chronorank-bench --bin paper_bench -- check-regression \
-        --pair BENCH_SERVE.json=target/BENCH_SERVE_ci.json \
-        --pair BENCH_LIVE.json=target/BENCH_LIVE_ci.json \
-        --pair BENCH_NET.json=target/BENCH_NET_ci.json \
-        --pair BENCH_COLDSTART.json=target/BENCH_COLDSTART_ci.json \
-        --pair BENCH_OBS.json=target/BENCH_OBS_ci.json \
-        --pair BENCH_PAPERSCALE.json=target/BENCH_PAPERSCALE_ci.json \
-        --pair BENCH_RESCORE.json=target/BENCH_RESCORE_ci.json \
-        --tolerance 10
-}
-
 # benchmark/ is a workspace of its own that tier1 never compiles; this
 # is the only stage that notices when a crate change breaks it.
 benchmark_smoke() {
@@ -219,15 +172,10 @@ stage clippy           cargo clippy --workspace --all-targets -- -D warnings
 stage doc              doc_stage
 stage tier1            tier1_stage
 stage agreement-w8     agreement_w8
-stage serve-smoke      serve_smoke
-stage live-smoke       live_smoke
-stage net-smoke        net_smoke
-stage coldstart-smoke  coldstart_smoke
 stage obs-smoke        obs_smoke
 stage trace-smoke      trace_smoke
 stage paperscale-smoke paperscale_smoke
 stage rescore-smoke    rescore_smoke
-stage bench-regression bench_regression
 stage benchmark-smoke  benchmark_smoke
 
 print_timings

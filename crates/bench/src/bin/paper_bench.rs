@@ -5,9 +5,7 @@
 //! paper-bench <figure> [options]
 //!
 //! figures: fig3 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20
-//!          ablation serve live coldstart net obs paperscale rescore all
-//! check-regression --pair BASELINE.json=CURRENT.json [--pair ...]
-//!                  [--tolerance N]        compare bench JSON shapes/rates
+//!          ablation obs paperscale rescore all
 //! options:
 //!   --m N         base object count            (default 800)
 //!   --navg N      base segments per object     (default 250)
@@ -25,7 +23,8 @@
 //! Every figure prints the same rows/series the paper reports and writes a
 //! CSV under `--out`. Paper-scale absolute numbers are not the goal — the
 //! *shapes* are (who wins, by how much, where crossovers happen); see
-//! EXPERIMENTS.md for the recorded comparison.
+//! `REPRODUCTION.md`, "Committed bench series → paper claims", for the
+//! recorded comparison.
 
 use chronorank_bench::{
     build_approx, build_exact, build_exact_with, fmt_bytes, ground_truth, measure_queries,
@@ -74,48 +73,42 @@ impl Default for Opts {
     }
 }
 
+/// The value after the flag at `args[*i]`, or exit 2 naming the flag.
+fn take<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    *i += 1;
+    match args.get(*i).and_then(|v| v.parse().ok()) {
+        Some(v) => v,
+        None => {
+            eprintln!("missing/invalid value for {}", args[*i - 1]);
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!(
-            "usage: paper-bench <fig3|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|ablation|serve|live|coldstart|net|obs|paperscale|rescore|all> \
-             [--m N] [--navg N] [--r N] [--kmax N] [--k N] [--queries N] [--meme-m N] [--out DIR] [--quick] [--budget-mb N] [--paper]\n\
-             \x20      paper-bench check-regression --pair BASELINE.json=CURRENT.json [--pair ...] [--tolerance N]"
+            "usage: paper-bench <fig3|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|ablation|obs|paperscale|rescore|all> \
+             [--m N] [--navg N] [--r N] [--kmax N] [--k N] [--queries N] [--meme-m N] [--out DIR] [--quick] [--budget-mb N] [--paper]"
         );
         std::process::exit(2);
     }
     let fig = args[0].clone();
-    if fig == "check-regression" {
-        check_regression_cli(&args[1..]);
-        return;
-    }
     let mut opts = Opts::default();
     let mut i = 1;
     while i < args.len() {
-        let take = |i: &mut usize| -> usize {
-            *i += 1;
-            match args.get(*i).and_then(|v| v.parse().ok()) {
-                Some(v) => v,
-                None => {
-                    eprintln!("missing/invalid value for {}", args[*i - 1]);
-                    std::process::exit(2);
-                }
-            }
-        };
         match args[i].as_str() {
-            "--m" => opts.m = take(&mut i),
-            "--navg" => opts.navg = take(&mut i),
-            "--r" => opts.r = take(&mut i),
-            "--kmax" => opts.kmax = take(&mut i),
-            "--k" => opts.k = take(&mut i),
-            "--queries" => opts.queries = take(&mut i),
-            "--meme-m" => opts.meme_m = take(&mut i),
-            "--budget-mb" => opts.budget_mb = take(&mut i),
+            "--m" => opts.m = take(&args, &mut i),
+            "--navg" => opts.navg = take(&args, &mut i),
+            "--r" => opts.r = take(&args, &mut i),
+            "--kmax" => opts.kmax = take(&args, &mut i),
+            "--k" => opts.k = take(&args, &mut i),
+            "--queries" => opts.queries = take(&args, &mut i),
+            "--meme-m" => opts.meme_m = take(&args, &mut i),
+            "--budget-mb" => opts.budget_mb = take(&args, &mut i),
             "--paper" => opts.paper = true,
-            "--out" => {
-                i += 1;
-                opts.out = PathBuf::from(args.get(i).cloned().unwrap_or_default());
-            }
+            "--out" => opts.out = take(&args, &mut i),
             "--quick" => {
                 opts.m = 200;
                 opts.navg = 80;
@@ -149,10 +142,6 @@ fn main() {
         "fig18" => fig18(&opts),
         "fig19" | "fig20" => fig19_20(&opts),
         "ablation" => ablation(&opts),
-        "serve" => serve(&opts),
-        "live" => live(&opts),
-        "coldstart" => coldstart(&opts),
-        "net" => net(&opts),
         "obs" => obs(&opts),
         "paperscale" => paperscale(&opts),
         "rescore" => rescore(&opts),
@@ -167,10 +156,6 @@ fn main() {
             fig18(&opts);
             fig19_20(&opts);
             ablation(&opts);
-            serve(&opts);
-            live(&opts);
-            coldstart(&opts);
-            net(&opts);
             obs(&opts);
             rescore(&opts);
         }
@@ -690,7 +675,8 @@ fn fig19_20(opts: &Opts) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations: the substrate design knobs (DESIGN.md §5)
+// Ablations: the substrate design knobs (README "Workspace layout":
+// `crates/storage`'s block size and buffer pool)
 // ---------------------------------------------------------------------------
 
 /// Two ablations over the storage substrate: the block size `B` (the free
@@ -756,871 +742,6 @@ fn ablation(opts: &Opts) {
     }
     tb.print();
     tb.write_csv(&opts.out, "ablation_pool").expect("csv");
-}
-
-// ---------------------------------------------------------------------------
-// Serve: the sharded, cost-routed serving engine (BENCH_SERVE.json)
-// ---------------------------------------------------------------------------
-
-/// Benchmark `chronorank-serve` at W ∈ {1, 2, 4} on a skewed stream.
-///
-/// Three measurements per W:
-///
-/// * **io-bound** — exact-routed Zipf stream under an emulated SSD
-///   (`simulated_read_latency` per block read, the paper's cost unit made
-///   wall time). Sharding multiplies aggregate buffer-pool memory, so
-///   from some W the per-shard working set fits its pool and queries stop
-///   touching the device: throughput scales superlinearly even on one
-///   core. This is the headline serving number.
-/// * **in-memory** — the same stream with no device model: reported for
-///   transparency (single-core hosts cannot overlap pure CPU work).
-/// * **zipf-cache** — an approximate-tolerance hot stream: shard-local
-///   result caches answer repeated snapped intervals without touching any
-///   index.
-///
-/// A fourth measurement, **parallel_speedup**, exists because the whole
-/// index stack is now `Send + Sync`: the partitions are built ONCE and
-/// published as `Arc<Shard>` snapshots, then the *same* shards are served
-/// by worker pools of W ∈ {1, 2, 4, 8} threads. Per-query work genuinely
-/// overlaps — under the emulated device the sleeps overlap even on a
-/// single core, and on multi-core hosts the in-memory column scales too.
-/// Before the shared-snapshot refactor this experiment was impossible:
-/// every worker had to build and privately own its partition.
-///
-/// Writes `BENCH_SERVE.json` (cwd, or `$CHRONORANK_SERVE_JSON`) plus a
-/// CSV under `--out`.
-fn serve(opts: &Opts) {
-    use chronorank_serve::{ServeConfig, ServeEngine, ServeQuery};
-    use chronorank_workloads::{IntervalPattern, QueryWorkload, QueryWorkloadConfig};
-    use std::time::Duration;
-
-    // Workload shapes, named once so the emitted JSON metadata can never
-    // drift from the streams actually generated.
-    const EXACT_PATTERN: IntervalPattern =
-        IntervalPattern::Zipf { hotspots: 64, exponent: 1.0, background: 0.05 };
-    const ZIPF_PATTERN: IntervalPattern =
-        IntervalPattern::Zipf { hotspots: 8, exponent: 1.0, background: 0.1 };
-    const EPS_BUDGET: f64 = 0.2;
-
-    // Scenario scale: the full index must overflow one worker's pool while
-    // a quarter shard fits (see the doc comment); `--quick` shrinks
-    // everything proportionally.
-    let (m, navg, exact_count, zipf_count, latency_us, pool) =
-        if opts.quick { (600, 40, 120, 240, 50, 128) } else { (2000, 60, 400, 800, 100, 1024) };
-    let k = 20.min(opts.kmax.max(8));
-    let set = temp_dataset(m, navg, 42);
-    let store = StoreConfig { block_size: 4096, pool_capacity: pool };
-    println!(
-        "# serve scenario: m = {m}, N = {} segments, pool = {} frames × {} B, \
-         emulated device = {latency_us} µs/block read",
-        set.num_segments(),
-        store.pool_capacity,
-        store.block_size
-    );
-
-    // Exact-routed skewed stream: 64 hotspots spread the block working set
-    // past one worker's pool; 5% uniform background keeps it honest.
-    let exact_workload = QueryWorkload::new(
-        QueryWorkloadConfig {
-            count: exact_count,
-            span_fraction: 0.2,
-            k,
-            seed: 7,
-            pattern: EXACT_PATTERN,
-        },
-        set.t_min(),
-        set.t_max(),
-    );
-    let exact_stream: Vec<ServeQuery> =
-        exact_workload.generate().iter().map(|q| ServeQuery::exact(q.t1, q.t2, q.k)).collect();
-    // Approximate hot stream for the result cache: few hotspots, loose ε.
-    let zipf_workload = QueryWorkload::new(
-        QueryWorkloadConfig {
-            count: zipf_count,
-            span_fraction: 0.2,
-            k,
-            seed: 9,
-            pattern: ZIPF_PATTERN,
-        },
-        set.t_min(),
-        set.t_max(),
-    );
-    let zipf_stream: Vec<ServeQuery> = zipf_workload
-        .generate()
-        .iter()
-        .map(|q| ServeQuery::approx(q.t1, q.t2, q.k, EPS_BUDGET))
-        .collect();
-    // Warmup stream: every hotspot once (steady-state serving).
-    let warmup: Vec<ServeQuery> =
-        exact_workload.hotspots().iter().map(|q| ServeQuery::exact(q.t1, q.t2, q.k)).collect();
-
-    let mut table = Table::new(
-        "Serve — sharded engine at W workers (skewed stream)",
-        &["W", "io-bound q/s", "reads/q", "in-memory q/s", "zipf q/s", "cache hit %", "route"],
-    );
-    let mut rows_json = Vec::new();
-    let mut io_qps_by_w = Vec::new();
-    for workers in [1usize, 2, 4] {
-        // One engine per W: measured in-memory first, then switched to the
-        // emulated device with the live latency toggle (same indexes, same
-        // warm pools — only the device model changes).
-        let cfg =
-            ServeConfig { workers, store, simulated_read_latency: None, ..Default::default() };
-        let engine = ServeEngine::new(&set, cfg).expect("build engine");
-        let route = engine.route_for(&exact_stream[0]).name();
-        engine.run_stream(&warmup).expect("warmup");
-
-        // (a) In-memory: no device model.
-        let mem_qps = engine.run_stream(&exact_stream).expect("exact stream").qps();
-
-        // (b) Cache: the approximate hot stream.
-        let zipf_outcome = engine.run_stream(&zipf_stream).expect("zipf stream");
-        let hit_rate = engine.report().cache_hit_rate();
-
-        // (c) IO-bound: emulated device latency per block read.
-        engine.set_simulated_read_latency(Some(Duration::from_micros(latency_us))).expect("toggle");
-        let before = engine.report().io;
-        let outcome = engine.run_stream(&exact_stream).expect("exact stream");
-        let reads_per_query =
-            engine.report().io.since(before).reads as f64 / exact_stream.len() as f64;
-        let io_qps = outcome.qps();
-
-        table.row(vec![
-            workers.to_string(),
-            format!("{io_qps:.0}"),
-            format!("{reads_per_query:.1}"),
-            format!("{mem_qps:.0}"),
-            format!("{:.0}", zipf_outcome.qps()),
-            format!("{:.1}", 100.0 * hit_rate),
-            route.to_string(),
-        ]);
-        io_qps_by_w.push((workers, io_qps));
-        rows_json.push(format!(
-            "    {{\"workers\": {workers}, \"io_bound_qps\": {io_qps:.1}, \
-             \"reads_per_query\": {reads_per_query:.2}, \"in_memory_qps\": {mem_qps:.1}, \
-             \"zipf_qps\": {:.1}, \"cache_hit_rate\": {hit_rate:.4}, \
-             \"exact_route\": \"{route}\"}}",
-            zipf_outcome.qps(),
-        ));
-    }
-    table.print();
-    table.write_csv(&opts.out, "serve_scaling").expect("csv");
-
-    // --- parallel speedup over ONE shared snapshot -----------------------
-    // Build 4 partitions once, with pools far smaller than the hot working
-    // set so exact probes keep reading; then serve the SAME Arc<Shard>
-    // snapshots with pools of 1/2/4/8 workers. Under the emulated device
-    // the per-read sleeps overlap across workers, so throughput scales
-    // with W even on one core; the in-memory column additionally scales on
-    // multi-core hosts.
-    const PAR_SHARDS: usize = 4;
-    let par_pool = if opts.quick { 32 } else { 64 };
-    let par_store = StoreConfig { block_size: 4096, pool_capacity: par_pool };
-    let par_cfg = ServeConfig {
-        workers: PAR_SHARDS,
-        store: par_store,
-        simulated_read_latency: None,
-        ..Default::default()
-    };
-    let base = ServeEngine::new(&set, par_cfg).expect("build shared snapshot");
-    let shards = base.shards();
-    drop(base);
-    let mut par_table = Table::new(
-        "Serve — parallel speedup: pool workers over ONE shared 4-shard snapshot",
-        &["pool workers", "io-bound q/s", "in-memory q/s", "speedup vs W=1 (io)"],
-    );
-    let mut par_rows = Vec::new();
-    let mut par_io_qps = Vec::new();
-    for pool_workers in [1usize, 2, 4, 8] {
-        let engine = ServeEngine::from_shards(shards.clone(), pool_workers)
-            .expect("engine over shared shards");
-        engine.set_simulated_read_latency(None).expect("toggle");
-        engine.run_stream(&warmup).expect("warmup");
-        let mem_qps = engine.run_stream(&exact_stream).expect("exact stream").qps();
-        engine.set_simulated_read_latency(Some(Duration::from_micros(latency_us))).expect("toggle");
-        let io_qps = engine.run_stream(&exact_stream).expect("exact stream").qps();
-        engine.set_simulated_read_latency(None).expect("toggle");
-        let speedup = io_qps / par_io_qps.first().copied().unwrap_or(io_qps).max(1e-9);
-        par_table.row(vec![
-            pool_workers.to_string(),
-            format!("{io_qps:.0}"),
-            format!("{mem_qps:.0}"),
-            format!("{speedup:.2}x"),
-        ]);
-        par_rows.push(format!(
-            "      {{\"pool_workers\": {pool_workers}, \"io_bound_qps\": {io_qps:.1}, \"in_memory_qps\": {mem_qps:.1}}}"
-        ));
-        par_io_qps.push(io_qps);
-    }
-    par_table.print();
-    par_table.write_csv(&opts.out, "serve_parallel_speedup").expect("csv");
-    let par_speedup = par_io_qps[2] / par_io_qps[0].max(1e-9);
-    println!("\nparallel speedup over one shared snapshot, W=4 vs W=1: {par_speedup:.2}x");
-
-    let pattern_json = |p: IntervalPattern, count: usize| match p {
-        IntervalPattern::Uniform => format!("{{\"queries\": {count}, \"pattern\": \"uniform\"}}"),
-        IntervalPattern::Zipf { hotspots, exponent, background } => format!(
-            "{{\"queries\": {count}, \"hotspots\": {hotspots}, \"exponent\": {exponent}, \
-             \"background\": {background}}}"
-        ),
-    };
-    let speedup = io_qps_by_w[2].1 / io_qps_by_w[0].1.max(1e-9);
-    println!("\nW=4 over W=1 io-bound speedup: {speedup:.2}x");
-    let json = format!(
-        "{{\n  \"harness\": \"chronorank-serve-bench\",\n  \"quick\": {},\n  \"scenario\": {{\n    \
-         \"dataset\": \"temp\", \"m\": {m}, \"n_segments\": {}, \"k\": {k},\n    \
-         \"pool_frames\": {}, \"block_bytes\": {},\n    \
-         \"emulated_read_latency_us\": {latency_us},\n    \
-         \"exact_stream\": {},\n    \
-         \"zipf_stream\": {{\"eps_budget\": {EPS_BUDGET}, \"base\": {}}}\n  }},\n  \
-         \"note\": \"io_bound emulates the paper's cost unit (one block read = {latency_us} us); sharding multiplies aggregate pool memory, so shards fit and stop reading. in_memory shows the same stream without a device model. parallel_speedup serves ONE shared Arc-published 4-shard snapshot (small pools, so probes keep reading) with pools of 1/2/4/8 worker threads: the whole index stack is Send+Sync, so workers overlap on shared state — under the emulated device the sleeps overlap even on one core, and the in-memory column scales too on multi-core hosts. This replaces the old 'in-memory scatter-gather does not scale' caveat: it could not scale while every worker privately rebuilt its partition.\",\n  \
-         \"results\": [\n{}\n  ],\n  \"speedup_w4_over_w1_io_bound\": {speedup:.2},\n  \
-         \"parallel_speedup\": {{\n    \"shards\": {PAR_SHARDS}, \"pool_frames\": {par_pool},\n    \"emulated_read_latency_us\": {latency_us},\n    \"series\": [\n{}\n    ],\n    \"speedup_w4_over_w1\": {par_speedup:.2}\n  }}\n}}\n",
-        opts.quick,
-        set.num_segments(),
-        store.pool_capacity,
-        store.block_size,
-        pattern_json(EXACT_PATTERN, exact_stream.len()),
-        pattern_json(ZIPF_PATTERN, zipf_stream.len()),
-        rows_json.join(",\n"),
-        par_rows.join(",\n"),
-    );
-    write_bench_json("SERVE", &json);
-}
-
-// ---------------------------------------------------------------------------
-// Live: WAL-backed streaming ingestion under query traffic (BENCH_LIVE.json)
-// ---------------------------------------------------------------------------
-
-/// Benchmark `chronorank-live` at W ∈ {1, 2, 4}: replay a stock-volume
-/// dataset's second half as a durable append stream with hot-spot queries
-/// interleaved after every batch.
-///
-/// Per W, two passes over the same trace:
-///
-/// * **exact** — every query demands exactness (frozen candidates ∪ tail,
-///   exactly rescored). Reports ingest throughput, query QPS *during*
-///   ingest, completed rebuilds with the swap-pause histogram, and the
-///   queries answered while a rebuild was in flight — the non-blocking
-///   readers evidence.
-/// * **tolerance** — the same trace with an ε-budget, exercising the
-///   snapped approximate routes and the staleness-audited result cache
-///   (hits vs ε-invalidations).
-///
-/// Staleness is reported as the final mass growth past the built
-/// generations (`ΔM/M_built` — what §4's doubling policy bounds) plus the
-/// tail length at the end of the run.
-///
-/// Writes `BENCH_LIVE.json` (cwd, or `$CHRONORANK_LIVE_JSON`) plus a CSV
-/// under `--out`.
-fn live(opts: &Opts) {
-    use chronorank_live::{IngestEngine, LiveConfig, RebuildPolicy};
-    use chronorank_workloads::{
-        AppendStream, AppendStreamConfig, IntervalPattern, QueryWorkloadConfig, StockConfig,
-        StockGenerator,
-    };
-
-    const EPS_BUDGET: f64 = 0.2;
-    let (tickers, days, batch, queries_per_batch) =
-        if opts.quick { (120, 10, 32, 1) } else { (600, 24, 64, 2) };
-    let generator =
-        StockGenerator::new(StockConfig { objects: tickers, days, readings_per_day: 8, seed: 42 });
-    let stream = AppendStream::from_generator(
-        &generator,
-        AppendStreamConfig { base_fraction: 0.5, batch, skew: 0.0, seed: 7 },
-    );
-    let seed = stream.base_set();
-    let query_cfg = QueryWorkloadConfig {
-        span_fraction: 0.15,
-        k: opts.k.min(opts.kmax),
-        seed: 9,
-        pattern: IntervalPattern::Zipf { hotspots: 8, exponent: 1.0, background: 0.1 },
-        ..Default::default()
-    };
-    let ops = stream.hotspot(query_cfg, queries_per_batch);
-    println!(
-        "# live scenario: {} tickers, {} base segments, {} appends in batches of {}, \
-         {} interleaved hot-spot queries",
-        seed.num_objects(),
-        seed.num_segments(),
-        stream.records().len(),
-        batch,
-        ops.len() - stream.records().len().div_ceil(batch),
-    );
-
-    let mut table = Table::new(
-        "Live — WAL-backed ingest under query traffic at W workers",
-        &[
-            "W",
-            "ticks/s",
-            "q/s",
-            "rebuilds",
-            "max pause µs",
-            "q mid-rebuild",
-            "wal flushes",
-            "tol q/s",
-            "cache hit %",
-            "ε-invalid",
-        ],
-    );
-    let mut rows_json = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let config = LiveConfig {
-            workers,
-            rebuild: RebuildPolicy { mass_factor: 1.5, max_tail_segments: 4096 },
-            ..Default::default()
-        };
-        // Pass 1: exact queries.
-        let mut engine = IngestEngine::new(&seed, config.clone()).expect("build live engine");
-        let outcome = engine.run_ops(&ops).expect("exact trace");
-        // Drain: steady-state traffic keeps flowing until the in-flight
-        // generation builds publish — this is where the swap-pause
-        // histogram fills and rebuild completion becomes observable.
-        let full = stream.full_set();
-        let drain_q = chronorank_serve::ServeQuery::exact(
-            full.t_min() + 0.2 * full.span(),
-            full.t_min() + 0.4 * full.span(),
-            query_cfg.k,
-        );
-        let drain_t0 = Instant::now();
-        let mut drain_queries = 0u64;
-        while engine.report().rebuilds_in_flight > 0 && drain_t0.elapsed().as_secs_f64() < 60.0 {
-            engine.query(drain_q).expect("drain query");
-            drain_queries += 1;
-        }
-        let drain_secs = drain_t0.elapsed().as_secs_f64();
-        let report = engine.report();
-        drop(engine);
-        // Pass 2: ε-tolerance queries (fresh engine, same trace).
-        let mut engine = IngestEngine::new(&seed, config).expect("build live engine");
-        let tol = engine.run_ops_with_tolerance(&ops, EPS_BUDGET).expect("tolerance trace");
-        let tol_report = engine.report();
-        drop(engine);
-
-        table.row(vec![
-            workers.to_string(),
-            format!("{:.0}", outcome.ingest_rate()),
-            format!("{:.0}", outcome.qps()),
-            report.rebuilds.to_string(),
-            report.swap_pause.max_us.to_string(),
-            report.queries_during_rebuild.to_string(),
-            report.wal.wal_writes.to_string(),
-            format!("{:.0}", tol.qps()),
-            format!("{:.1}", 100.0 * tol_report.cache_hit_rate()),
-            tol_report.cache_invalidations.to_string(),
-        ]);
-        let buckets: Vec<String> =
-            report.swap_pause.buckets.iter().map(|b| b.to_string()).collect();
-        rows_json.push(format!(
-            "    {{\"workers\": {workers}, \"ingest_ticks_per_sec\": {:.1}, \
-             \"query_qps_during_ingest\": {:.1}, \"rebuilds\": {}, \
-             \"rebuild_build_secs\": {:.3}, \
-             \"swap_pause_histogram_us\": {{\"bounds\": [50, 200, 1000, 5000, 20000], \
-             \"counts\": [{}], \"max_us\": {}}}, \
-             \"queries_during_rebuild\": {}, \
-             \"drain\": {{\"queries\": {drain_queries}, \"secs\": {drain_secs:.3}}}, \
-             \"wal_writes\": {}, \"wal_bytes\": {}, \
-             \"staleness\": {{\"final_mass_growth\": {:.4}, \"final_tail_segments\": {}}}, \
-             \"tolerance\": {{\"eps\": {EPS_BUDGET}, \"qps\": {:.1}, \
-             \"cache_hit_rate\": {:.4}, \"eps_invalidations\": {}}}}}",
-            outcome.ingest_rate(),
-            outcome.qps(),
-            report.rebuilds,
-            report.build_secs,
-            buckets.join(", "),
-            report.swap_pause.max_us,
-            report.queries_during_rebuild,
-            report.wal.wal_writes,
-            report.wal.wal_bytes,
-            report.mass_growth(),
-            report.tail_segments,
-            tol.qps(),
-            tol_report.cache_hit_rate(),
-            tol_report.cache_invalidations,
-        ));
-    }
-    table.print();
-    table.write_csv(&opts.out, "live_ingest").expect("csv");
-
-    let json = format!(
-        "{{\n  \"harness\": \"chronorank-live-bench\",\n  \"quick\": {},\n  \"scenario\": {{\n    \
-         \"dataset\": \"stock\", \"tickers\": {tickers}, \"days\": {days},\n    \
-         \"base_segments\": {}, \"appended_ticks\": {}, \"batch\": {batch},\n    \
-         \"queries_per_batch\": {queries_per_batch}, \"k\": {}, \
-         \"rebuild_mass_factor\": 1.5\n  }},\n  \
-         \"note\": \"queries_during_rebuild > 0 with nonzero query_qps_during_ingest is the \
-         non-blocking-reader evidence: generation builds run off-thread and publish via an \
-         epoch swap whose pause histogram is in microseconds. The drain phase keeps the \
-         query stream flowing after the trace until in-flight builds publish (steady-state \
-         serving), which is where swaps land. wal_writes/wal_bytes attribute the ingest \
-         path's own IO separately from index reads.\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        opts.quick,
-        seed.num_segments(),
-        stream.records().len(),
-        query_cfg.k,
-        rows_json.join(",\n"),
-    );
-    write_bench_json("LIVE", &json);
-}
-
-// ---------------------------------------------------------------------------
-// Cold start: bulk load + image-backed recovery (BENCH_COLDSTART.json)
-// ---------------------------------------------------------------------------
-
-/// Benchmark the persistence stack: bottom-up bulk loading against
-/// top-down insertion at the index layer, and an image-backed cold start
-/// against full WAL replay at the engine layer.
-///
-/// **Build path** — N sorted entries go once through the fill-1.0
-/// [`chronorank_index::BulkLoader`] (sequential leaves, inner layers
-/// stacked bottom-up, no splits) and once through the `insert` path it
-/// replaces on the frozen side. Both trees are checked for agreement
-/// before any timing is reported.
-///
-/// **Cold-start path** — one stock ingest run is checkpointed and
-/// restarted: the frozen generations reopen page-for-page from the
-/// on-disk image and only the (empty) WAL suffix past the image's epoch
-/// stamp replays. A second identical run is killed *without* a
-/// checkpoint and restarted: full WAL replay plus fresh index builds.
-/// Both boots must answer the pre-restart probe bit-identically; the
-/// image boot must preload every shard, the replay boot none.
-///
-/// Writes `BENCH_COLDSTART.json` (cwd, or `$CHRONORANK_COLDSTART_JSON`)
-/// plus a CSV under `--out`.
-fn coldstart(opts: &Opts) {
-    use chronorank_index::{BPlusTree, BulkLoader};
-    use chronorank_live::{IngestEngine, LiveConfig};
-    use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
-
-    // --- index layer: bulk load vs insert build over identical data ---
-    let n = if opts.quick { 20_000usize } else { 120_000 };
-    let env = Env::mem(StoreConfig::default());
-
-    let t0 = Instant::now();
-    let mut loader = BulkLoader::new(env.create_file("cs-bulk").expect("file"), 8).expect("loader");
-    for i in 0..n {
-        loader.push(i as f64, &(i as u64).to_le_bytes()).expect("push");
-    }
-    let bulk_tree = loader.finish().expect("finish");
-    let bulk_secs = t0.elapsed().as_secs_f64().max(1e-9);
-
-    let t0 = Instant::now();
-    let insert_tree = BPlusTree::create(env.create_file("cs-ins").expect("file"), 8).expect("tree");
-    for i in 0..n {
-        insert_tree.insert(i as f64, &(i as u64).to_le_bytes()).expect("insert");
-    }
-    let insert_secs = t0.elapsed().as_secs_f64().max(1e-9);
-
-    assert_eq!(bulk_tree.len(), insert_tree.len(), "bulk and insert builds must agree");
-    assert_eq!(
-        bulk_tree.last_entry().expect("last"),
-        insert_tree.last_entry().expect("last"),
-        "bulk and insert builds must agree on the last entry"
-    );
-
-    // --- engine layer: image-backed cold start vs full WAL replay ---
-    let (tickers, days, batch) = if opts.quick { (120, 10, 32) } else { (600, 24, 64) };
-    let generator =
-        StockGenerator::new(StockConfig { objects: tickers, days, readings_per_day: 8, seed: 42 });
-    let stream = AppendStream::from_generator(
-        &generator,
-        AppendStreamConfig { base_fraction: 0.5, batch, skew: 0.0, seed: 7 },
-    );
-    let seed_set = stream.base_set();
-    let full = stream.full_set();
-    let live_segments = full.num_segments() as usize;
-    let workers = 2usize;
-    let probe = chronorank_serve::ServeQuery::exact(
-        full.t_min() + 0.25 * full.span(),
-        full.t_max(),
-        opts.k.min(opts.kmax),
-    );
-    let base_dir =
-        std::env::temp_dir().join(format!("chronorank-coldstart-{}", std::process::id()));
-
-    // One ingest run per boot mode: identical trace, then a restart timed
-    // from `IngestEngine::new` to first serviceable state. Returns
-    // (boot seconds, preloaded shard count).
-    let boot = |name: &str, take_checkpoint: bool| -> (f64, u64) {
-        let dir = base_dir.join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        let config = LiveConfig { workers, wal_dir: Some(dir.clone()), ..Default::default() };
-        let want;
-        {
-            let mut engine = IngestEngine::new(&seed_set, config.clone()).expect("build engine");
-            for b in stream.batches() {
-                engine.append_batch(b).expect("append");
-            }
-            if take_checkpoint {
-                engine.checkpoint().expect("checkpoint");
-            }
-            want = engine.query(probe).expect("pre-restart probe");
-            // Engine dropped here: a crash for the replay run, a clean
-            // restart for the checkpointed one.
-        }
-        let t0 = Instant::now();
-        let recovered = IngestEngine::new(&seed_set, config).expect("recover engine");
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let got = recovered.query(probe).expect("post-restart probe");
-        assert_eq!(want.ids(), got.ids(), "{name}: restart changed the answer ids");
-        for (j, (ws, gs)) in want.scores().iter().zip(got.scores()).enumerate() {
-            assert_eq!(ws.to_bits(), gs.to_bits(), "{name}: restart changed score at rank {j}");
-        }
-        let preloaded = recovered.report().preloaded_shards;
-        drop(recovered);
-        std::fs::remove_dir_all(&dir).ok();
-        (secs, preloaded)
-    };
-
-    let (image_secs, image_preloaded) = boot("image", true);
-    let (replay_secs, replay_preloaded) = boot("replay", false);
-    assert_eq!(image_preloaded, workers as u64, "image boot must preload every shard");
-    assert_eq!(replay_preloaded, 0, "replay boot must not find an image");
-
-    let mut table = Table::new(
-        "Cold start — bulk load vs insert build, image boot vs WAL replay",
-        &["series", "mode", "items", "secs", "items/s"],
-    );
-    let rate = |items: usize, secs: f64| items as f64 / secs;
-    for (series, mode, items, secs) in [
-        ("btree build", "bulk", n, bulk_secs),
-        ("btree build", "insert", n, insert_secs),
-        ("engine boot", "image", live_segments, image_secs),
-        ("engine boot", "replay", live_segments, replay_secs),
-    ] {
-        table.row(vec![
-            series.to_string(),
-            mode.to_string(),
-            items.to_string(),
-            format!("{secs:.4}"),
-            format!("{:.0}", rate(items, secs)),
-        ]);
-    }
-    table.print();
-    table.write_csv(&opts.out, "coldstart").expect("csv");
-    println!(
-        "bulk load {:.2}x over insert; image cold start {:.2}x over WAL replay",
-        insert_secs / bulk_secs,
-        replay_secs / image_secs
-    );
-
-    let json = format!(
-        "{{\n  \"harness\": \"chronorank-coldstart-bench\",\n  \"quick\": {},\n  \
-         \"scenario\": {{\n    \"bulk_entries\": {n}, \"dataset\": \"stock\", \
-         \"tickers\": {tickers}, \"days\": {days},\n    \"batch\": {batch}, \
-         \"workers\": {workers}, \"ingested_records\": {}, \
-         \"live_segments\": {live_segments}\n  }},\n  \
-         \"note\": \"bulk_load times the fill-1.0 bottom-up B+-tree loader against the \
-         top-down insert path over identical sorted data (both products are checked for \
-         agreement first). cold_start restarts the same ingest run twice: once from a \
-         checkpoint image (generations reopen page-for-page, only the empty WAL suffix \
-         past the epoch stamp replays) and once from the bare WAL (full replay + fresh \
-         builds). Both boots must answer the pre-restart probe bit-identically; \
-         preloaded_shards is the image-boot evidence.\",\n  \
-         \"bulk_load\": {{\n    \"entries\": {n},\n    \
-         \"bulk\": {{\"secs\": {bulk_secs:.4}, \"entries_per_sec\": {:.1}}},\n    \
-         \"insert\": {{\"secs\": {insert_secs:.4}, \"entries_per_sec\": {:.1}}},\n    \
-         \"bulk_over_insert_speedup\": {:.3}\n  }},\n  \
-         \"cold_start\": {{\n    \"workers\": {workers}, \"segments\": {live_segments},\n    \
-         \"image\": {{\"secs\": {image_secs:.4}, \"boot_segments_per_sec\": {:.1}, \
-         \"preloaded_shards\": {image_preloaded}}},\n    \
-         \"replay\": {{\"secs\": {replay_secs:.4}, \"boot_segments_per_sec\": {:.1}, \
-         \"preloaded_shards\": {replay_preloaded}}},\n    \
-         \"image_over_replay_speedup\": {:.3}\n  }}\n}}\n",
-        opts.quick,
-        stream.records().len(),
-        rate(n, bulk_secs),
-        rate(n, insert_secs),
-        insert_secs / bulk_secs,
-        rate(live_segments, image_secs),
-        rate(live_segments, replay_secs),
-        replay_secs / image_secs,
-    );
-    write_bench_json("COLDSTART", &json);
-}
-
-// ---------------------------------------------------------------------------
-// Net: wire-protocol serving over a real socket (BENCH_NET.json)
-// ---------------------------------------------------------------------------
-
-/// Benchmark `chronorank-net` against a real TCP socket on loopback.
-///
-/// **Read path** — a serve-backend server (4 shards); `C` concurrent
-/// closed-loop clients (each its own connection and OS thread) sweep a
-/// shared-hotspot Zipf stream at pipeline depths `D`. Reported per
-/// `(C, D)`: aggregate throughput and client-observed latency
-/// percentiles. Depth is the lever the frame protocol exists for: at
-/// `D = 1` every query pays a full socket round trip, at `D = 16` the
-/// connection stays busy and the protocol overhead amortizes.
-///
-/// **Write path** — a live-backend server; `A` appender connections
-/// stream a stock-ticker append trace (records partitioned by object so
-/// each object's timeline stays on one connection) while one query
-/// client runs hotspot queries concurrently. Reported: durable wire
-/// ingest rate, concurrent query throughput, and the final
-/// `appends_applied` freshness check.
-///
-/// Writes `BENCH_NET.json` (cwd, or `$CHRONORANK_NET_JSON`) plus CSVs
-/// under `--out`.
-fn net(opts: &Opts) {
-    use chronorank_bench::Table;
-    use chronorank_net::{NetClient, NetConfig, NetServer};
-    use chronorank_serve::{ServeConfig, ServeQuery};
-    use chronorank_workloads::{
-        AppendStream, AppendStreamConfig, ClosedLoopTraffic, IntervalPattern, QueryWorkloadConfig,
-        StockConfig, StockGenerator, TrafficConfig,
-    };
-
-    const EPS_BUDGET: f64 = 0.2;
-    const PATTERN: IntervalPattern =
-        IntervalPattern::Zipf { hotspots: 8, exponent: 1.0, background: 0.1 };
-    let (m, navg, per_client, clients_sweep, depth_sweep, tickers, days, append_batch): (
-        usize,
-        usize,
-        usize,
-        &[usize],
-        &[usize],
-        usize,
-        usize,
-        usize,
-    ) = if opts.quick {
-        (400, 30, 80, &[1, 2, 4], &[1, 8], 120, 10, 32)
-    } else {
-        (1200, 50, 250, &[1, 2, 4, 8], &[1, 4, 16], 400, 20, 64)
-    };
-    let k = opts.k.min(opts.kmax).max(1);
-    let set = temp_dataset(m, navg, 42);
-    println!(
-        "# net scenario: m = {m}, N = {} segments, loopback TCP, server W = 4, \
-         {per_client} queries/client",
-        set.num_segments()
-    );
-
-    // --- read path -------------------------------------------------------
-    let server = NetServer::start_serve(
-        set.clone(),
-        ServeConfig { workers: 4, ..Default::default() },
-        NetConfig { max_in_flight: 1024, max_connections: 64, ..Default::default() },
-    )
-    .expect("start serve-backend server");
-    let addr = server.local_addr();
-
-    let mut table = Table::new(
-        "Net — closed-loop clients vs pipeline depth (loopback TCP, serve backend)",
-        &["clients", "depth", "q/s", "p50 µs", "p95 µs", "p99 µs", "busy retries"],
-    );
-    let mut read_rows = Vec::new();
-    for &clients in clients_sweep {
-        let plan = ClosedLoopTraffic::new(
-            TrafficConfig {
-                clients,
-                queries_per_client: per_client,
-                workload: QueryWorkloadConfig {
-                    span_fraction: 0.2,
-                    k,
-                    seed: 7,
-                    pattern: PATTERN,
-                    ..Default::default()
-                },
-            },
-            set.t_min(),
-            set.t_max(),
-        );
-        // Mixed exact / ε-budget traffic, the serve scenario's shape.
-        let streams: Vec<Vec<ServeQuery>> = plan
-            .streams()
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .enumerate()
-                    .map(|(i, q)| {
-                        if i % 2 == 0 {
-                            ServeQuery::exact(q.t1, q.t2, q.k)
-                        } else {
-                            ServeQuery::approx(q.t1, q.t2, q.k, EPS_BUDGET)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        for &depth in depth_sweep {
-            let t0 = Instant::now();
-            let outcomes: Vec<(Vec<std::time::Duration>, u64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = streams
-                    .iter()
-                    .map(|stream| {
-                        scope.spawn(move || {
-                            let mut client =
-                                NetClient::connect(addr).expect("bench client connects");
-                            let outcome =
-                                client.pipeline_topk(stream, depth).expect("pipelined stream");
-                            (outcome.latencies, outcome.busy_retries)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("client thread")).collect()
-            });
-            let elapsed = t0.elapsed().as_secs_f64();
-            let total_queries = clients * per_client;
-            let qps = total_queries as f64 / elapsed;
-            let mut lat_us: Vec<u64> = outcomes
-                .iter()
-                .flat_map(|(lat, _)| lat.iter().map(|d| d.as_micros() as u64))
-                .collect();
-            lat_us.sort_unstable();
-            let pct = |p: f64| lat_us[((lat_us.len() - 1) as f64 * p) as usize];
-            let busy: u64 = outcomes.iter().map(|(_, b)| b).sum();
-            table.row(vec![
-                clients.to_string(),
-                depth.to_string(),
-                format!("{qps:.0}"),
-                pct(0.50).to_string(),
-                pct(0.95).to_string(),
-                pct(0.99).to_string(),
-                busy.to_string(),
-            ]);
-            read_rows.push(format!(
-                "    {{\"clients\": {clients}, \"depth\": {depth}, \"qps\": {qps:.1}, \
-                 \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"busy_retries\": {busy}}}",
-                pct(0.50),
-                pct(0.95),
-                pct(0.99),
-            ));
-        }
-    }
-    table.print();
-    table.write_csv(&opts.out, "net_read_path").expect("csv");
-    server.shutdown();
-
-    // --- write path ------------------------------------------------------
-    let generator =
-        StockGenerator::new(StockConfig { objects: tickers, days, readings_per_day: 8, seed: 42 });
-    let stream = AppendStream::from_generator(
-        &generator,
-        AppendStreamConfig { base_fraction: 0.5, batch: append_batch, skew: 0.0, seed: 7 },
-    );
-    let seed_set = stream.base_set();
-    let records = stream.records();
-    let mut table = Table::new(
-        "Net — durable wire ingest with concurrent queries (live backend)",
-        &["appenders", "ticks/s", "concurrent q/s", "appends", "queries"],
-    );
-    // Mirrored into the emitted JSON's write_dataset.live_workers so the
-    // committed artifact documents the experiment it actually ran.
-    const LIVE_WORKERS: usize = 2;
-    let mut write_rows = Vec::new();
-    for &appenders in if opts.quick { &[1usize, 2][..] } else { &[1usize, 2, 4][..] } {
-        let server = NetServer::start_live(
-            seed_set.clone(),
-            chronorank_live::LiveConfig { workers: LIVE_WORKERS, ..Default::default() },
-            NetConfig { max_in_flight: 1024, ..Default::default() },
-        )
-        .expect("start live-backend server");
-        let addr = server.local_addr();
-        // Partition the trace by object so each object's timeline stays
-        // on one connection (appends must be per-object monotone).
-        let partitions: Vec<Vec<chronorank_core::AppendRecord>> = (0..appenders)
-            .map(|a| {
-                records.iter().filter(|r| r.object as usize % appenders == a).copied().collect()
-            })
-            .collect();
-        let full = stream.full_set();
-        let hot = ClosedLoopTraffic::new(
-            TrafficConfig {
-                clients: 1,
-                queries_per_client: 4096,
-                workload: QueryWorkloadConfig {
-                    span_fraction: 0.15,
-                    k,
-                    seed: 9,
-                    pattern: PATTERN,
-                    ..Default::default()
-                },
-            },
-            full.t_min(),
-            full.t_max(),
-        );
-        let queries: Vec<ServeQuery> =
-            hot.streams()[0].iter().map(|q| ServeQuery::exact(q.t1, q.t2, q.k)).collect();
-        let done = std::sync::atomic::AtomicBool::new(false);
-        let t0 = Instant::now();
-        let (applied, wire_queries, ingest_secs) = std::thread::scope(|scope| {
-            let done = &done;
-            let append_handles: Vec<_> = partitions
-                .iter()
-                .map(|part| {
-                    scope.spawn(move || {
-                        let mut client = NetClient::connect(addr).expect("appender connects");
-                        let mut applied = 0u64;
-                        for batch in part.chunks(append_batch) {
-                            applied += client.append_batch(batch).expect("wire append").accepted;
-                        }
-                        applied
-                    })
-                })
-                .collect();
-            let query_handle = scope.spawn(move || {
-                let mut client = NetClient::connect(addr).expect("query client connects");
-                let mut served = 0u64;
-                for q in queries.iter().cycle() {
-                    if done.load(std::sync::atomic::Ordering::Relaxed) {
-                        break;
-                    }
-                    client.topk(*q).expect("concurrent query");
-                    served += 1;
-                }
-                served
-            });
-            let applied: u64 =
-                append_handles.into_iter().map(|h| h.join().expect("appender")).sum();
-            let ingest_secs = t0.elapsed().as_secs_f64();
-            done.store(true, std::sync::atomic::Ordering::Relaxed);
-            (applied, query_handle.join().expect("query client"), ingest_secs)
-        });
-        assert_eq!(applied as usize, records.len(), "every record durably applied");
-        let ticks_per_sec = applied as f64 / ingest_secs;
-        let qps = wire_queries as f64 / ingest_secs;
-        table.row(vec![
-            appenders.to_string(),
-            format!("{ticks_per_sec:.0}"),
-            format!("{qps:.0}"),
-            applied.to_string(),
-            wire_queries.to_string(),
-        ]);
-        write_rows.push(format!(
-            "    {{\"appenders\": {appenders}, \"ingest_ticks_per_sec\": {ticks_per_sec:.1}, \
-             \"concurrent_query_qps\": {qps:.1}, \"appends\": {applied}, \
-             \"queries\": {wire_queries}}}"
-        ));
-        server.shutdown();
-    }
-    table.print();
-    table.write_csv(&opts.out, "net_write_path").expect("csv");
-
-    let json = format!(
-        "{{\n  \"harness\": \"chronorank-net-bench\",\n  \"quick\": {},\n  \"scenario\": {{\n    \
-         \"dataset\": \"temp\", \"m\": {m}, \"n_segments\": {}, \"k\": {k},\n    \
-         \"server_workers\": 4, \"per_client_queries\": {per_client},\n    \
-         \"zipf\": {{\"hotspots\": 8, \"exponent\": 1.0, \"background\": 0.1}},\n    \
-         \"eps_budget\": {EPS_BUDGET},\n    \
-         \"write_dataset\": {{\"tickers\": {tickers}, \"days\": {days}, \
-         \"appended_ticks\": {}, \"batch\": {append_batch}, \"live_workers\": {LIVE_WORKERS}}}\n  }},\n  \
-         \"note\": \"All traffic crosses a real loopback TCP socket through the framed wire \
-         protocol; answers are bit-identical to in-process engines (tests/net_agreement.rs). \
-         Read path: closed-loop clients, shared Zipf hotspots, mixed exact/eps traffic; depth \
-         is the request-pipelining window per connection — depth 1 measures per-query round \
-         trips, deeper windows amortize protocol overhead. Write path: durable APPEND_BATCH \
-         ingest (one WAL group-commit per batch) with concurrent exact queries on a second \
-         connection.\",\n  \
-         \"read_path\": [\n{}\n  ],\n  \"write_path\": [\n{}\n  ]\n}}\n",
-        opts.quick,
-        set.num_segments(),
-        records.len(),
-        read_rows.join(",\n"),
-        write_rows.join(",\n"),
-    );
-    write_bench_json("NET", &json);
 }
 
 // ---------------------------------------------------------------------------
@@ -2481,7 +1602,7 @@ fn rescore(opts: &Opts) {
 }
 
 // ---------------------------------------------------------------------------
-// check-regression: the CI bench gate
+// Bench JSON artifacts
 // ---------------------------------------------------------------------------
 
 /// Emit one bench JSON artifact the way every figure does: resolve the
@@ -2496,79 +1617,6 @@ fn write_bench_json(tag: &str, json: &str) {
         std::fs::File::create(&json_path).unwrap_or_else(|e| panic!("create {json_path}: {e}"));
     f.write_all(json.as_bytes()).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     println!("wrote {json_path}");
-}
-
-/// `paper-bench check-regression --pair BASELINE.json=CURRENT.json …`
-///
-/// Compares each smoke-run JSON against its committed baseline with
-/// [`chronorank_bench::json::check_regression`] (same key shape, sane
-/// numbers, throughput within a generous tolerance) and exits nonzero
-/// naming every violation — the CI stage that keeps the committed
-/// BENCH_*.json numbers honest.
-fn check_regression_cli(args: &[String]) {
-    let mut pairs: Vec<(String, String)> = Vec::new();
-    let mut tolerance = 10.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--pair" => {
-                i += 1;
-                let Some((base, cur)) = args.get(i).and_then(|v| v.split_once('=')) else {
-                    eprintln!("--pair wants BASELINE.json=CURRENT.json");
-                    std::process::exit(2);
-                };
-                pairs.push((base.to_string(), cur.to_string()));
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(t) if t >= 1.0 => t,
-                    _ => {
-                        eprintln!("--tolerance wants a factor >= 1");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown check-regression option {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    if pairs.is_empty() {
-        eprintln!("check-regression needs at least one --pair BASELINE.json=CURRENT.json");
-        std::process::exit(2);
-    }
-    let mut failed = false;
-    for (base_path, cur_path) in &pairs {
-        let load = |path: &str| -> chronorank_bench::json::Json {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("check-regression: cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            chronorank_bench::json::parse(&text).unwrap_or_else(|e| {
-                eprintln!("check-regression: {path} is not valid JSON: {e}");
-                std::process::exit(2);
-            })
-        };
-        let problems =
-            chronorank_bench::json::check_regression(&load(base_path), &load(cur_path), tolerance);
-        if problems.is_empty() {
-            println!(
-                "check-regression OK: {cur_path} matches {base_path} (tolerance {tolerance}x)"
-            );
-        } else {
-            failed = true;
-            eprintln!("check-regression FAILED: {cur_path} vs {base_path}:");
-            for p in &problems {
-                eprintln!("  - {p}");
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
 }
 
 fn prepend<'a>(first: &'a str, rest: &[&'a str]) -> Vec<&'a str> {

@@ -1,29 +1,12 @@
-//! A minimal JSON reader/writer plus the bench-regression comparator.
+//! A minimal JSON reader/writer.
 //!
 //! The workspace is dependency-free by policy (no serde), and the bench
 //! JSONs it emits are small and simple — so this module carries its own
-//! ~150-line recursive-descent parser, the matching [`encode`] writer
-//! (property-tested against the parser by `tests/json_roundtrip.rs`), a
-//! path flattener, and the comparison rules the `paper_bench
-//! check-regression` CI gate applies:
-//!
-//! 1. **structure** — a smoke-run JSON must have exactly the committed
-//!    baseline's key shape (arrays are compared by *element shape*, not
-//!    length: quick runs sweep fewer points by design);
-//! 2. **sanity** — every number finite; every `*hit_rate*` in `[0, 1]`;
-//! 3. **ratio** — for throughput-like keys (`*qps*`, `*_per_sec`), the
-//!    smoke run's best value must be within a generous factor (default
-//!    10×) of the committed best — quick-scale runs are smaller, not
-//!    order-of-magnitude slower, so a >10× collapse means a real
-//!    regression (or a broken bench);
-//! 4. **parallel monotonicity** — the serve bench's `parallel_speedup`
-//!    series (worker pools over one shared snapshot, ascending W) must be
-//!    monotone-nonworse within a ×[`PARALLEL_SLACK`] tolerance: each
-//!    point must stay above `best-so-far / PARALLEL_SLACK`. A worker pool
-//!    that stops scaling means shared-snapshot parallelism regressed back
-//!    into serialization.
+//! ~150-line recursive-descent parser and the matching [`encode`] writer
+//! (property-tested against the parser by `tests/json_roundtrip.rs`).
+//! `benchmark/` reads `BENCHMARK.json` and writes its result lines
+//! through it.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -222,8 +205,7 @@ impl Parser<'_> {
 /// every finite document: objects keep insertion order, numbers print in
 /// Rust's shortest round-trip decimal form, and strings escape quotes,
 /// backslashes and all control characters. Non-finite numbers have no
-/// JSON spelling and encode as `null` (the sanity gate rejects them from
-/// bench files anyway).
+/// JSON spelling and encode as `null`.
 pub fn encode(value: &Json) -> String {
     let mut out = String::new();
     write_value(value, &mut out);
@@ -280,127 +262,6 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// One flattened leaf: collapsed path (array indexes become `[]`) plus
-/// the numeric value, if the leaf is a number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Leaf {
-    /// e.g. `results[].swap_pause_histogram_us.max_us`
-    pub path: String,
-    /// `Some` for numbers, `None` for strings/bools/nulls.
-    pub num: Option<f64>,
-}
-
-/// Flatten to leaves with collapsed array indexes (see module docs).
-pub fn flatten(value: &Json) -> Vec<Leaf> {
-    let mut out = Vec::new();
-    walk(value, String::new(), &mut out);
-    out
-}
-
-fn walk(value: &Json, path: String, out: &mut Vec<Leaf>) {
-    match value {
-        Json::Obj(fields) => {
-            for (k, v) in fields {
-                let sub = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
-                walk(v, sub, out);
-            }
-        }
-        Json::Arr(items) => {
-            for v in items {
-                walk(v, format!("{path}[]"), out);
-            }
-        }
-        Json::Num(n) => out.push(Leaf { path, num: Some(*n) }),
-        _ => out.push(Leaf { path, num: None }),
-    }
-}
-
-/// Compare a smoke-run bench JSON against its committed baseline. Returns
-/// the list of violations (empty = gate passes). `tolerance` is the
-/// allowed throughput collapse factor (the gate's "generous 10×").
-pub fn check_regression(baseline: &Json, current: &Json, tolerance: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    let base = flatten(baseline);
-    let cur = flatten(current);
-
-    // 1. Structure: identical collapsed key sets.
-    let base_keys: BTreeSet<&str> = base.iter().map(|l| l.path.as_str()).collect();
-    let cur_keys: BTreeSet<&str> = cur.iter().map(|l| l.path.as_str()).collect();
-    for missing in base_keys.difference(&cur_keys) {
-        problems.push(format!("missing key: {missing}"));
-    }
-    for extra in cur_keys.difference(&base_keys) {
-        problems.push(format!("unexpected key: {extra}"));
-    }
-
-    // 2. Sanity over the smoke run's numbers.
-    for leaf in &cur {
-        let Some(n) = leaf.num else { continue };
-        if !n.is_finite() {
-            problems.push(format!("non-finite value at {}: {n}", leaf.path));
-        }
-        if leaf.path.contains("hit_rate") && !(0.0..=1.0).contains(&n) {
-            problems.push(format!("{} out of [0,1]: {n}", leaf.path));
-        }
-    }
-
-    // 3. Throughput ratio: best smoke value within `tolerance`× of the
-    //    best committed value, per rate-like key.
-    for key in base_keys.intersection(&cur_keys) {
-        if !is_rate_key(key) {
-            continue;
-        }
-        let best = |leaves: &[Leaf]| {
-            leaves
-                .iter()
-                .filter(|l| l.path == *key)
-                .filter_map(|l| l.num)
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
-        let (b, c) = (best(&base), best(&cur));
-        if b.is_finite() && c.is_finite() && b > 0.0 && c < b / tolerance {
-            let mut msg = String::new();
-            write!(
-                msg,
-                "{key}: smoke best {c:.1} is over {tolerance:.0}x below committed best {b:.1}"
-            )
-            .expect("write to string");
-            problems.push(msg);
-        }
-    }
-    // 4. Parallel monotonicity: the shared-snapshot speedup series must
-    //    not fall back toward serial as the pool grows.
-    for key in cur_keys {
-        if !key.ends_with("parallel_speedup.series[].io_bound_qps") {
-            continue;
-        }
-        let series: Vec<f64> =
-            cur.iter().filter(|l| l.path == *key).filter_map(|l| l.num).collect();
-        let mut best_so_far = f64::NEG_INFINITY;
-        for (i, &v) in series.iter().enumerate() {
-            if best_so_far.is_finite() && v < best_so_far / PARALLEL_SLACK {
-                problems.push(format!(
-                    "{key}: point {i} ({v:.1}) fell more than {PARALLEL_SLACK}x below the \
-                     best earlier point ({best_so_far:.1}) — the pool stopped scaling"
-                ));
-            }
-            best_so_far = best_so_far.max(v);
-        }
-    }
-    problems
-}
-
-/// Tolerance of the `parallel_speedup` monotone-nonworse gate: a point may
-/// sit at worst this factor below the best earlier point (smoke runs are
-/// noisy; a genuine fallback to serial throughput is far larger).
-pub const PARALLEL_SLACK: f64 = 2.0;
-
-/// True for keys the ratio gate applies to: throughputs.
-fn is_rate_key(path: &str) -> bool {
-    let tail = path.rsplit(['.', ']']).next().unwrap_or(path);
-    tail.ends_with("qps") || tail.ends_with("_per_sec") || tail == "speedup_w4_over_w1_io_bound"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,18 +274,6 @@ mod tests {
             {"workers": 4, "io_bound_qps": 900.0, "cache_hit_rate": 0.91}
         ]
     }"#;
-
-    #[test]
-    fn parses_and_flattens_with_collapsed_arrays() {
-        let v = parse(SAMPLE).unwrap();
-        let leaves = flatten(&v);
-        let paths: Vec<&str> = leaves.iter().map(|l| l.path.as_str()).collect();
-        assert!(paths.contains(&"scenario.m"));
-        // Both rows collapse onto one path.
-        assert_eq!(paths.iter().filter(|p| **p == "results[].io_bound_qps").count(), 2);
-        let m = leaves.iter().find(|l| l.path == "scenario.m").unwrap();
-        assert_eq!(m.num, Some(600.0));
-    }
 
     #[test]
     fn encode_is_the_inverse_of_parse() {
@@ -468,73 +317,5 @@ mod tests {
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn identical_files_pass() {
-        let v = parse(SAMPLE).unwrap();
-        assert!(check_regression(&v, &v, 10.0).is_empty());
-    }
-
-    #[test]
-    fn fewer_sweep_points_still_pass_but_shape_changes_fail() {
-        let base = parse(SAMPLE).unwrap();
-        // A quick run with only one row: same element shape, fine.
-        let quick = parse(
-            r#"{"harness": "x", "quick": true,
-                "scenario": {"m": 150, "note": "n"},
-                "results": [{"workers": 1, "io_bound_qps": 95.0, "cache_hit_rate": 0.88}]}"#,
-        )
-        .unwrap();
-        assert!(check_regression(&base, &quick, 10.0).is_empty());
-        // Dropping a field from the row is a structural failure.
-        let broken = parse(
-            r#"{"harness": "x", "quick": true,
-                "scenario": {"m": 150, "note": "n"},
-                "results": [{"workers": 1, "cache_hit_rate": 0.88}]}"#,
-        )
-        .unwrap();
-        let problems = check_regression(&base, &broken, 10.0);
-        assert!(problems.iter().any(|p| p.contains("missing key")), "{problems:?}");
-    }
-
-    #[test]
-    fn parallel_series_must_be_monotone_nonworse() {
-        let good = parse(
-            r#"{"parallel_speedup": {"series": [
-                {"pool_workers": 1, "io_bound_qps": 100.0},
-                {"pool_workers": 2, "io_bound_qps": 90.0},
-                {"pool_workers": 4, "io_bound_qps": 250.0},
-                {"pool_workers": 8, "io_bound_qps": 240.0}]}}"#,
-        )
-        .unwrap();
-        assert!(check_regression(&good, &good, 10.0).is_empty());
-        // A pool that collapses back toward serial past the slack fails.
-        let bad = parse(
-            r#"{"parallel_speedup": {"series": [
-                {"pool_workers": 1, "io_bound_qps": 100.0},
-                {"pool_workers": 2, "io_bound_qps": 200.0},
-                {"pool_workers": 4, "io_bound_qps": 80.0}]}}"#,
-        )
-        .unwrap();
-        let problems = check_regression(&bad, &bad, 10.0);
-        assert!(problems.iter().any(|p| p.contains("stopped scaling")), "{problems:?}");
-    }
-
-    #[test]
-    fn throughput_collapse_and_insane_rates_fail() {
-        let base = parse(SAMPLE).unwrap();
-        let slow = parse(
-            r#"{"harness": "x", "quick": true,
-                "scenario": {"m": 150, "note": "n"},
-                "results": [{"workers": 1, "io_bound_qps": 5.0, "cache_hit_rate": 1.7}]}"#,
-        )
-        .unwrap();
-        let problems = check_regression(&base, &slow, 10.0);
-        assert!(problems.iter().any(|p| p.contains("io_bound_qps")), "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("out of [0,1]")), "{problems:?}");
-        // The same numbers pass a looser tolerance (rate check only).
-        let loose = check_regression(&base, &slow, 1000.0);
-        assert!(loose.iter().all(|p| !p.contains("below committed best")), "{loose:?}");
     }
 }

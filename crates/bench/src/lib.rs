@@ -1,8 +1,9 @@
 //! # chronorank-bench — the paper's evaluation harness
 //!
 //! Shared machinery for the `paper-bench` binary, which regenerates every
-//! table and figure of the paper's Section 5 (see DESIGN.md §3 for the
-//! experiment index and EXPERIMENTS.md for recorded results):
+//! table and figure of the paper's Section 5 (see `REPRODUCTION.md`,
+//! "Committed bench series → paper claims", for the experiment index and
+//! what each series reproduces):
 //!
 //! * dataset builders wrapping `chronorank-workloads` at the scaled
 //!   defaults,

@@ -12,11 +12,11 @@
 //! overlapping the query window — `O(N/B)` in the worst case, which is
 //! exactly the non-scalability the paper's Figure 16 shows.
 //!
-//! One honest deviation (DESIGN.md §5): a left-endpoint B+-tree alone cannot
-//! find the segments *straddling* `t1` in `O(log_B N)` IOs when segment
-//! spans are unbounded, so the scan starts at
-//! `lower_bound(t1 − max_segment_duration)`; Eq. (1) contributes zero for
-//! the non-overlapping prefix, preserving exactness.
+//! One honest deviation (`REPRODUCTION.md`, "Known deviations", item 6): a
+//! left-endpoint B+-tree alone cannot find the segments *straddling* `t1`
+//! in `O(log_B N)` IOs when segment spans are unbounded, so the scan starts
+//! at `lower_bound(t1 − max_segment_duration)`; Eq. (1) contributes zero
+//! for the non-overlapping prefix, preserving exactness.
 
 use crate::agg::AggKind;
 use crate::error::Result;

@@ -17,7 +17,8 @@
 //! Construction streams objects in object-major order, pushing each
 //! object's breakpoint-prefix row into the pair heaps (`O(r² kmax)` space,
 //! `O(m·r²)` heap pushes), which materializes exactly the lists the
-//! paper's `O(r)`-running-sums sweep produces (DESIGN.md §5 note 4).
+//! paper's `O(r)`-running-sums sweep produces (`REPRODUCTION.md`, "Known
+//! deviations", item 7).
 
 use crate::agg::AggKind;
 use crate::breakpoints::Breakpoints;

@@ -22,7 +22,6 @@ use chronorank_serve::{
 use chronorank_storage::{
     Env, FileDevice, GenerationImage, ImageWriter, IoCounter, StorageError, WriteAheadLog,
 };
-use chronorank_workloads::LiveOp;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
@@ -74,39 +73,6 @@ impl std::error::Error for LiveError {}
 impl From<StorageError> for LiveError {
     fn from(e: StorageError) -> Self {
         LiveError::Storage(e)
-    }
-}
-
-/// Result of [`IngestEngine::run_ops`]: a mixed append/query trace executed
-/// pipelined (appends are fire-and-forget past the WAL sync, queries are
-/// gathered at the end), so wall time measures live serving throughput.
-#[derive(Debug)]
-pub struct LiveOutcome {
-    /// One merged answer per [`LiveOp::Query`], trace order.
-    pub answers: Vec<TopK>,
-    /// Records appended by the trace.
-    pub appends: u64,
-    /// Wall time for the whole trace.
-    pub elapsed_secs: f64,
-}
-
-impl LiveOutcome {
-    /// Queries per second over the mixed trace.
-    pub fn qps(&self) -> f64 {
-        if self.elapsed_secs > 0.0 {
-            self.answers.len() as f64 / self.elapsed_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Appended records per second over the mixed trace.
-    pub fn ingest_rate(&self) -> f64 {
-        if self.elapsed_secs > 0.0 {
-            self.appends as f64 / self.elapsed_secs
-        } else {
-            0.0
-        }
     }
 }
 
@@ -527,7 +493,10 @@ impl IngestEngine {
         let (reply_tx, reply_rx) = channel();
         gather.register(window.iter().map(|q| q.k));
         if !routed.is_empty() {
-            self.scatter(&routed, 0, &reply_tx)?;
+            for worker in &self.workers {
+                let msg = ToShard::Query { window: Arc::clone(&routed), reply: reply_tx.clone() };
+                worker.tx.send(msg).map_err(|_| LiveError::WorkerGone)?;
+            }
         }
         drop(reply_tx);
         while gather.owed() > 0 {
@@ -566,103 +535,6 @@ impl IngestEngine {
         Ok(answers.into_iter().map(|a| a.topk).next().expect("one answer per query"))
     }
 
-    /// Execute a mixed append/query trace pipelined: appends are durable
-    /// (WAL-synced per batch) before any later query is scattered, and the
-    /// FIFO shard channels guarantee every query observes every append
-    /// that precedes it in the trace. Queries demand exact answers.
-    pub fn run_ops(&mut self, ops: &[LiveOp]) -> Result<LiveOutcome, LiveError> {
-        self.run_trace(ops, None)
-    }
-
-    /// Like [`IngestEngine::run_ops`] but issuing every query with the
-    /// given ε-tolerance instead of demanding exactness (exercises the
-    /// approximate routes and the staleness-audited cache).
-    pub fn run_ops_with_tolerance(
-        &mut self,
-        ops: &[LiveOp],
-        eps: f64,
-    ) -> Result<LiveOutcome, LiveError> {
-        self.run_trace(ops, Some(eps))
-    }
-
-    fn run_trace(&mut self, ops: &[LiveOp], eps: Option<f64>) -> Result<LiveOutcome, LiveError> {
-        let t0 = Instant::now();
-        let mut gather = Gather::new(self.workers.len());
-        // One reply channel for the whole trace; every window carries a clone.
-        let (reply_tx, reply_rx) = channel();
-        let mut appends = 0u64;
-        let mut trace_err: Option<LiveError> = None;
-        for op in ops {
-            match op {
-                LiveOp::Appends(batch) => {
-                    if let Err(e) = self.append_batch(batch) {
-                        trace_err = Some(e);
-                        break;
-                    }
-                    appends += batch.len() as u64;
-                }
-                LiveOp::Query(q) => {
-                    // Absorb any replies already waiting before routing, so
-                    // the planner's freshness view (built mass, profiles —
-                    // the ε re-validation inputs) tracks completed epoch
-                    // swaps instead of being frozen at trace start.
-                    while let Ok(reply) = reply_rx.try_recv() {
-                        self.absorb(&mut gather, reply);
-                    }
-                    let q = match eps {
-                        None => ServeQuery::exact(q.t1, q.t2, q.k),
-                        Some(eps) => ServeQuery::approx(q.t1, q.t2, q.k, eps),
-                    };
-                    let tag = gather.register([q.k]);
-                    let window = Arc::from([(q, self.route_for(&q))]);
-                    if let Err(e) = self.scatter(&window, tag, &reply_tx) {
-                        trace_err = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        drop(reply_tx);
-        // Drain every outstanding reply even on the error path — a reply
-        // left behind would be mis-attributed to a later query.
-        while gather.owed() > 0 {
-            match reply_rx.recv() {
-                Ok(reply) => self.absorb(&mut gather, reply),
-                Err(_) => {
-                    trace_err.get_or_insert(LiveError::WorkerGone);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = trace_err {
-            return Err(e);
-        }
-        let answers = gather.finish().map_err(LiveError::Query)?;
-        let elapsed_secs = t0.elapsed().as_secs_f64();
-        let mut counters =
-            self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        counters.queries += answers.len() as u64;
-        counters.elapsed_secs += elapsed_secs;
-        drop(counters);
-        Ok(LiveOutcome { answers, appends, elapsed_secs })
-    }
-
-    /// Send one routed window to every shard; replies come back on
-    /// `reply`, echoing `tag` (the gather index of the window's first
-    /// query).
-    fn scatter(
-        &self,
-        window: &Arc<[(ServeQuery, Route)]>,
-        tag: usize,
-        reply: &Sender<ShardReply>,
-    ) -> Result<(), LiveError> {
-        for worker in &self.workers {
-            let msg = ToShard::Query { window: Arc::clone(window), tag, reply: reply.clone() };
-            worker.tx.send(msg).map_err(|_| LiveError::WorkerGone)?;
-        }
-        Ok(())
-    }
-
     /// Fold one shard's reply to a window into `gather`, and its
     /// piggybacked status into the shard-status view. Replies from
     /// concurrent `&self` queries can arrive out of order; the shard stamps
@@ -676,7 +548,7 @@ impl IngestEngine {
         }
         drop(statuses);
         for (j, result) in reply.results.into_iter().enumerate() {
-            gather.absorb(reply.tag + j, reply.shard, result);
+            gather.absorb(j, reply.shard, result);
         }
     }
 

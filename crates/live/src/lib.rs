@@ -79,10 +79,9 @@ mod report;
 mod shard;
 
 pub use config::{LiveConfig, RebuildPolicy};
-pub use engine::{IngestEngine, LiveError, LiveOutcome};
+pub use engine::{IngestEngine, LiveError};
 pub use report::{LiveReport, PauseHistogram, PAUSE_BUCKETS_US};
 
-// Re-export the trace vocabulary so callers need not name the workloads
-// crate for the common path.
+// Re-export the append vocabulary so callers need not name the core crate
+// for the common path.
 pub use chronorank_core::AppendRecord;
-pub use chronorank_workloads::LiveOp;

@@ -57,9 +57,6 @@ pub(crate) enum ToShard {
     /// never receive each other's answers.
     Query {
         window: Arc<[(ServeQuery, Route)]>,
-        /// Echoed in the reply: the gather index of the window's first
-        /// query.
-        tag: usize,
         reply: Sender<ShardReply>,
     },
     /// Checkpoint gather: reply with the installed frozen generation and
@@ -96,7 +93,6 @@ pub(crate) struct ShardCheckpoint {
 
 /// Shard → caller answers for one window.
 pub(crate) struct ShardReply {
-    pub tag: usize,
     pub shard: usize,
     /// Per query of the window: the shard-local top-k with **global**
     /// object ids, descending score.
@@ -648,7 +644,7 @@ pub(crate) fn shard_main(
                     state.poisoned = Some(format!("apply panicked: {}", panic_message(&*payload)));
                 }
             }
-            ToShard::Query { window, tag, reply } => {
+            ToShard::Query { window, reply } => {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     state.answer_batch(&window)
                 }));
@@ -658,7 +654,7 @@ pub(crate) fn shard_main(
                 });
                 // A dropped receiver only means that window's caller gave
                 // up; later windows carry fresh senders, so keep serving.
-                reply.send(ShardReply { tag, shard, results, status: state.status() }).ok();
+                reply.send(ShardReply { shard, results, status: state.status() }).ok();
             }
             ToShard::Checkpoint(reply) => {
                 let cp = ShardCheckpoint {

@@ -247,18 +247,6 @@ impl ServeEngine {
                 Err(message) => return Err(ServeError::Build { shard, message }),
             }
         }
-        let mut engine = Self::from_shards(shards, w)?;
-        engine.build_secs = t0.elapsed().as_secs_f64();
-        Ok(engine)
-    }
-
-    /// Serve an already-built set of shard snapshots with a pool of
-    /// `pool_workers` threads. The same `Arc<Shard>`s can back any number
-    /// of engines — this is how the bench harness measures parallel
-    /// speedup over **one** shared snapshot, and how a deployment could
-    /// resize its worker pool without rebuilding anything.
-    pub fn from_shards(shards: Vec<Arc<Shard>>, pool_workers: usize) -> Result<Self, ServeError> {
-        assert!(!shards.is_empty(), "an engine needs at least one shard");
         let facts: Vec<_> = shards.iter().map(|s| s.facts()).collect();
         let t_min = facts.iter().map(|f| f.t_min).fold(f64::INFINITY, f64::min);
         let t_max = facts.iter().map(|f| f.t_max).fold(f64::NEG_INFINITY, f64::max);
@@ -266,8 +254,8 @@ impl ServeEngine {
             PlannerParams {
                 shard_m: facts.iter().map(|f| f.m).max().unwrap_or(0),
                 shard_n: facts.iter().map(|f| f.n).max().unwrap_or(0),
-                block: facts[0].block,
-                r: facts[0].r,
+                block: config.store.block_size as u64,
+                r: config.approx.r as u64,
                 span: (t_max - t_min).max(0.0),
             },
             merge_profiles(&shards.iter().map(|s| s.built().profiles()).collect::<Vec<_>>()),
@@ -275,7 +263,7 @@ impl ServeEngine {
         Ok(Self {
             index_bytes: shards.iter().map(|s| s.built().size_bytes).sum(),
             shards,
-            pool: WorkerPool::new(pool_workers)?,
+            pool: WorkerPool::new(w)?,
             planner,
             domain: (t_min, t_max),
             served: Mutex::new(Served {
@@ -283,7 +271,7 @@ impl ServeEngine {
                 queries: 0,
                 elapsed_secs: 0.0,
             }),
-            build_secs: 0.0,
+            build_secs: t0.elapsed().as_secs_f64(),
             obs: ServeObs::attach(Registry::global()),
         })
     }
@@ -312,12 +300,6 @@ impl ServeEngine {
         self.shards.len()
     }
 
-    /// The shard snapshots this engine serves — shareable with further
-    /// engines via [`ServeEngine::from_shards`].
-    pub fn shards(&self) -> Vec<Arc<Shard>> {
-        self.shards.clone()
-    }
-
     /// The served data's time domain `(t_min, t_max)` — what remote
     /// clients need to form meaningful query intervals.
     pub fn domain(&self) -> (f64, f64) {
@@ -336,19 +318,6 @@ impl ServeEngine {
     /// [`MethodProfile`]: chronorank_core::MethodProfile
     pub fn planner(&self) -> &Planner {
         &self.planner
-    }
-
-    /// Re-configure the emulated per-block-read device latency on every
-    /// shard (see [`crate::ServeConfig::simulated_read_latency`]). Takes
-    /// effect immediately (the knob is atomic).
-    pub fn set_simulated_read_latency(
-        &self,
-        latency: Option<std::time::Duration>,
-    ) -> Result<(), ServeError> {
-        for shard in &self.shards {
-            shard.set_latency(latency);
-        }
-        Ok(())
     }
 
     /// Answer one window of queries — the engine's one query body. Every

@@ -87,7 +87,7 @@ pub use query::{ServeQuery, Tolerance};
 pub use report::{RouteStats, ServeReport};
 pub use shard::{
     assemble_route_methods, build_route_methods_with_handles, BuildStages, BuiltRoutes, ProbeKey,
-    Shard, ShardAnswer,
+    ShardAnswer,
 };
 
 /// Render a `catch_unwind` payload into a readable error message. Shared

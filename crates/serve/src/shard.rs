@@ -24,7 +24,6 @@ use chronorank_core::{
 use chronorank_storage::{Env, IoStats, StoreConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -44,10 +43,6 @@ pub(crate) struct ShardFacts {
     /// This partition's time domain (the engine merges all shards').
     pub t_min: f64,
     pub t_max: f64,
-    /// Inputs the planner needs back when an engine is rebuilt over
-    /// already-built shards ([`crate::ServeEngine::from_shards`]).
-    pub block: u64,
-    pub r: u64,
 }
 
 /// What fully determines a shard-local answer on one snapshot: the route,
@@ -293,13 +288,14 @@ pub fn assemble_route_methods(
 
 /// One partition's built, immutable index snapshot (see module docs).
 /// Published as `Arc<Shard>`; every method takes `&self`.
-pub struct Shard {
+pub(crate) struct Shard {
     built: BuiltRoutes,
     cache: Option<ResultCache>,
     /// Local dense id → global id.
     global_ids: Vec<ObjectId>,
-    /// Emulated device latency per block read, in µs (`0` = none).
-    latency_us: AtomicU64,
+    /// Emulated device latency per block read
+    /// ([`ServeConfig::simulated_read_latency`]).
+    latency: Option<Duration>,
     facts: ShardFacts,
 }
 
@@ -312,20 +308,15 @@ impl Shard {
         global_ids: Vec<ObjectId>,
         cfg: &ServeConfig,
     ) -> chronorank_core::Result<Self> {
-        let store = cfg.store;
-        let built = build_route_methods_with_handles(set, cfg.methods, cfg.approx, store)?;
+        let built = build_route_methods_with_handles(set, cfg.methods, cfg.approx, cfg.store)?;
         let facts = ShardFacts {
             m: set.num_objects() as u64,
             n: set.num_segments(),
             t_min: set.t_min(),
             t_max: set.t_max(),
-            block: store.block_size as u64,
-            r: cfg.approx.r as u64,
         };
         let cache = (cfg.cache_capacity > 0).then(|| Mutex::new(LruCache::new(cfg.cache_capacity)));
-        let latency_us =
-            AtomicU64::new(cfg.simulated_read_latency.map_or(0, |d| d.as_micros() as u64));
-        Ok(Self { built, cache, global_ids, latency_us, facts })
+        Ok(Self { built, cache, global_ids, latency: cfg.simulated_read_latency, facts })
     }
 
     pub(crate) fn facts(&self) -> ShardFacts {
@@ -335,13 +326,6 @@ impl Shard {
     /// The built indexes, with their sizes, profiles, IO and build stages.
     pub(crate) fn built(&self) -> &BuiltRoutes {
         &self.built
-    }
-
-    /// Re-configure the emulated per-block-read device latency. Probes
-    /// read the knob atomically, so this takes effect immediately, even
-    /// for queries already queued.
-    pub(crate) fn set_latency(&self, latency: Option<Duration>) {
-        self.latency_us.store(latency.map_or(0, |d| d.as_micros() as u64), Ordering::Relaxed);
     }
 
     /// `(hits, lookups)` of the shard-local result cache.
@@ -411,10 +395,9 @@ impl Shard {
 
     /// Run the routed index probe and translate ids to the global space.
     fn probe(&self, route: Route, q: ServeQuery) -> ShardAnswer {
-        let latency_us = self.latency_us.load(Ordering::Relaxed);
-        let before = (latency_us > 0).then(chronorank_storage::IoCounter::thread_reads);
+        let device = self.latency.map(|l| (l, chronorank_storage::IoCounter::thread_reads()));
         let top = self.built.probe(route, q.t1, q.t2, q.k)?;
-        if let Some(before) = before {
+        if let Some((latency, before)) = device {
             // Emulated device: sleep once per block read THIS probe did.
             // The thread-local tally attributes reads exactly to the
             // calling worker, so concurrent probes on one shard never
@@ -422,10 +405,7 @@ impl Shard {
             // deterministic at any pool size.
             let reads = chronorank_storage::IoCounter::thread_reads() - before;
             if reads > 0 {
-                std::thread::sleep(
-                    Duration::from_micros(latency_us)
-                        .saturating_mul(reads.min(u32::MAX as u64) as u32),
-                );
+                std::thread::sleep(latency.saturating_mul(reads.min(u32::MAX as u64) as u32));
             }
         }
         Ok(top.into_iter().map(|(id, s)| (self.global_ids[id as usize], s)).collect())

@@ -172,34 +172,34 @@ fn disabled_cache_never_reports_lookups() {
 }
 
 #[test]
-fn latency_toggle_slows_and_restores_io_bound_queries() {
+fn device_latency_slows_cold_probes_and_keeps_answers() {
     let set =
         TempGenerator::new(TempConfig { objects: 200, avg_segments: 60, seed: 11, dropout: 0.02 })
             .generate_set();
     // A single-frame pool guarantees every exact probe misses (reads > 0)
     // — the bulk-loaded trees are compact enough that a few frames would
     // cache a repeated stab — so the emulated device latency must dominate
-    // once on.
-    let cfg = ServeConfig {
+    // where it is configured.
+    let cfg = |simulated_read_latency| ServeConfig {
         workers: 2,
         store: chronorank_storage::StoreConfig { block_size: 4096, pool_capacity: 1 },
+        simulated_read_latency,
         ..Default::default()
     };
-    let engine = ServeEngine::new(&set, cfg).unwrap();
+    let plain = ServeEngine::new(&set, cfg(None)).unwrap();
+    let device = ServeEngine::new(&set, cfg(Some(std::time::Duration::from_millis(4)))).unwrap();
     let q = ServeQuery::exact(set.t_min() + 0.1 * set.span(), set.t_min() + 0.6 * set.span(), 5);
-    let fast = engine.query(q).unwrap();
-    engine.set_simulated_read_latency(Some(std::time::Duration::from_millis(4))).unwrap();
-    let before_reads = engine.report().io.reads;
     let t0 = std::time::Instant::now();
-    let slow = engine.query(q).unwrap();
+    let fast = plain.query(q).unwrap();
+    let without_latency = t0.elapsed();
+    let before_reads = device.report().io.reads;
+    let t0 = std::time::Instant::now();
+    let slow = device.query(q).unwrap();
     let with_latency = t0.elapsed();
     assert_eq!(fast.entries(), slow.entries(), "device model must not change answers");
-    assert!(engine.report().io.reads > before_reads, "the probe must actually miss");
+    assert!(device.report().io.reads > before_reads, "the probe must actually miss");
     assert!(with_latency.as_millis() >= 4, "at least one emulated read must have slept");
-    engine.set_simulated_read_latency(None).unwrap();
-    let t0 = std::time::Instant::now();
-    engine.query(q).unwrap();
-    assert!(t0.elapsed() < with_latency, "toggling back off must remove the sleeps");
+    assert!(without_latency < with_latency, "no device model, no sleeps");
 }
 
 #[test]
@@ -240,7 +240,6 @@ fn methods_can_be_trimmed_to_exact3_only() {
 fn engine_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ServeEngine>();
-    assert_send_sync::<std::sync::Arc<chronorank_serve::Shard>>();
 }
 
 #[test]
@@ -270,26 +269,6 @@ fn concurrent_callers_share_one_engine() {
         }
     });
     assert_eq!(engine.report().queries, 12 + 4 * 5);
-}
-
-#[test]
-fn engines_over_shared_shards_answer_identically() {
-    // The parallel-speedup bench shape: build the partitions ONCE, then
-    // serve the same Arc<Shard> snapshots from pools of different sizes.
-    let set = dataset(60);
-    let base = ServeEngine::new(&set, config(4)).unwrap();
-    let shards = base.shards();
-    let q = ServeQuery::exact(set.t_min() + 0.2 * set.span(), set.t_min() + 0.7 * set.span(), 7);
-    let want = base.query(q).unwrap();
-    for pool_workers in [1usize, 2, 8] {
-        let engine = ServeEngine::from_shards(shards.clone(), pool_workers).unwrap();
-        assert_eq!(engine.workers(), 4, "shard count is independent of the pool size");
-        let got = engine.query(q).unwrap();
-        assert_eq!(got.ids(), want.ids(), "pool = {pool_workers}");
-        for (a, b) in got.scores().iter().zip(want.scores()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "pool = {pool_workers}");
-        }
-    }
 }
 
 #[test]

@@ -11,8 +11,9 @@
 //!   `N = 10⁸` records, `n_avg = 67`), scores = number of memes on a page,
 //!   bursty with fast decay.
 //!
-//! This crate generates faithful *synthetic* equivalents (see DESIGN.md §4
-//! for the substitution argument): [`TempGenerator`] produces smooth
+//! This crate generates faithful *synthetic* equivalents (see
+//! `REPRODUCTION.md`, "Environment deviations", for the substitution
+//! argument): [`TempGenerator`] produces smooth
 //! seasonal+diurnal curves with weather-front noise; [`MemeGenerator`]
 //! produces short-lived, heavy-tailed burst curves. Both expose the knobs
 //! the paper sweeps (`m`, `n_avg`) and are fully deterministic under a

@@ -12,7 +12,8 @@
 //! query population (hotspots stay shared across clients, which is what
 //! makes a server-side result cache see realistic cross-client reuse),
 //! while each client holds a different interleaving of it. The driver
-//! (e.g. `paper_bench net`) maps each stream onto one connection.
+//! (e.g. the benchmark's `zipf_wire` workload) maps each stream onto one
+//! connection.
 
 use crate::query::{QueryInterval, QueryWorkload, QueryWorkloadConfig};
 
