@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the chronorank workspace. Usage: ./ci.sh
-#   ./ci.sh --lines   only the non-test line report printed after the timings
+#   ./ci.sh --lines        only the non-test line report printed after the timings
+#   ./ci.sh --lines <rev>  that report as `<rev> → now` per crate, the same
+#                          rule applied to `git show <rev>:<file>` — the one
+#                          command a CHANGES entry quotes
 #
 # Stages (10):
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
@@ -69,18 +72,43 @@ print_timings() {
 
 # Non-test Rust lines per crate: every src/**/*.rs up to its first
 # `#[cfg(test)]`. The number a CHANGES entry quotes as "net lines
-# deleted" (diff two runs of `./ci.sh --lines`).
-print_lines() {
-    echo
-    echo "== non-test Rust lines per crate"
-    local dir n total=0
-    for dir in crates/*/; do
-        n=$(find "$dir/src" -name '*.rs' -print0 |
-            xargs -0 awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }')
-        printf '  %-18s %6d\n' "$(basename "$dir")" "$n"
+# deleted": with a revision, each crate prints as `<rev> → now`.
+NON_TEST_LINES='/^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 } !cut { n++ } END { print n + 0 }'
+
+# crate_lines <dir> [rev]: the count for one crate, in the working tree or
+# as of <rev>.
+crate_lines() {
+    local dir=$1 rev=${2:-} f n total=0
+    while IFS= read -r f; do
+        n=$(if [[ -n $rev ]]; then git show "$rev:$f"; else cat "$f"; fi | awk "$NON_TEST_LINES")
         total=$((total + n))
+    done < <(if [[ -n $rev ]]; then git ls-tree -r --name-only "$rev" -- "$dir/src"
+        else find "$dir/src" -type f 2> /dev/null; fi | grep '\.rs$' || true)
+    echo "$total"
+}
+
+print_lines() {
+    local rev=${1:-} dirs dir now was=0 total=0 total_was=0
+    row() {
+        if [[ -n $rev ]]; then
+            printf '  %-18s %6d → %6d  %+6d\n' "$1" "$3" "$2" "$(($2 - $3))"
+        else
+            printf '  %-18s %6d\n' "$1" "$2"
+        fi
+    }
+    echo
+    echo "== non-test Rust lines per crate${rev:+ ($rev → now)}"
+    # Crates of either side: one deleted since <rev> prints `n → 0`.
+    dirs=$(ls -d crates/*)
+    [[ -z $rev ]] || dirs+=$'\n'$(git ls-tree -d --name-only "$rev" crates/)
+    for dir in $(sort -u <<< "$dirs"); do
+        now=$(crate_lines "$dir")
+        [[ -z $rev ]] || was=$(crate_lines "$dir" "$rev")
+        row "$(basename "$dir")" "$now" "$was"
+        total=$((total + now))
+        total_was=$((total_was + was))
     done
-    printf '  %-18s %6d\n' "total" "$total"
+    row total "$total" "$total_was"
 }
 
 on_failure() {
@@ -91,7 +119,11 @@ on_failure() {
 trap on_failure ERR
 
 if [[ "${1:-}" == "--lines" ]]; then
-    print_lines
+    if [[ -n "${2:-}" ]] && ! git rev-parse --verify --quiet "$2^{commit}" > /dev/null; then
+        echo "ci.sh --lines: not a revision: $2" >&2
+        exit 2
+    fi
+    print_lines "${2:-}"
     exit 0
 fi
 

@@ -27,7 +27,6 @@ use chronorank_curve::Segment;
 use chronorank_index::{BPlusTree, ExternalSorter};
 use chronorank_storage::{Env, IoStats, PagedFile};
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Segment record payload: `obj u32 | v0 f64 | t1 f64 | v1 f64`
 /// (the key holds `t0`).
@@ -55,9 +54,8 @@ pub struct Exact1 {
     env: Env,
     tree: BPlusTree,
     num_objects: usize,
-    /// `f64` bits in a relaxed atomic: read by every query, raised by
-    /// appends (which require external exclusivity, like the tree's).
-    max_segment_duration: AtomicU64,
+    /// Read by every query, raised by appends.
+    max_segment_duration: f64,
 }
 
 impl Exact1 {
@@ -103,19 +101,17 @@ impl Exact1 {
             loader.push(key, &rec[8..])?;
         }
         let tree = loader.finish()?;
-        Ok(Self { env, tree, num_objects, max_segment_duration: AtomicU64::new(max_dur.to_bits()) })
+        Ok(Self { env, tree, num_objects, max_segment_duration: max_dur })
     }
 
     /// Append a new segment for `obj` (the paper's §4 update:
     /// `O(log_B N)` IOs). The caller keeps the [`TemporalSet`] in sync via
     /// [`TemporalSet::append_segment`].
-    pub fn append_segment(&self, obj: ObjectId, seg: Segment) -> Result<()> {
+    pub fn append_segment(&mut self, obj: ObjectId, seg: Segment) -> Result<()> {
         let mut p = [0u8; PAYLOAD_LEN];
         encode_payload(&mut p, obj, seg);
         self.tree.insert(seg.t0, &p)?;
-        if seg.duration() > f64::from_bits(self.max_segment_duration.load(Ordering::Relaxed)) {
-            self.max_segment_duration.store(seg.duration().to_bits(), Ordering::Relaxed);
-        }
+        self.max_segment_duration = self.max_segment_duration.max(seg.duration());
         Ok(())
     }
 
@@ -140,7 +136,7 @@ impl Exact1 {
     pub fn meta_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
         out.extend_from_slice(&(self.num_objects as u64).to_le_bytes());
-        out.extend_from_slice(&self.max_segment_duration.load(Ordering::Relaxed).to_le_bytes());
+        out.extend_from_slice(&self.max_segment_duration.to_le_bytes());
         out
     }
 
@@ -151,9 +147,9 @@ impl Exact1 {
             return Err(crate::CoreError::BadQuery("corrupt EXACT1 generation metadata".into()));
         }
         let num_objects = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
-        let max_dur = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+        let max_dur = f64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
         let tree = BPlusTree::open(file)?;
-        Ok(Self { env, tree, num_objects, max_segment_duration: AtomicU64::new(max_dur) })
+        Ok(Self { env, tree, num_objects, max_segment_duration: max_dur })
     }
 }
 
@@ -166,7 +162,7 @@ impl RankMethod for Exact1 {
         check_interval(t1, t2)?;
         let mut sums = vec![0.0f64; self.num_objects];
         // Segments overlapping [t1, t2] have t0 < t2 and t0 ≥ t1 − Δmax.
-        let start = t1 - f64::from_bits(self.max_segment_duration.load(Ordering::Relaxed));
+        let start = t1 - self.max_segment_duration;
         let mut cur = self.tree.seek(start)?;
         while cur.valid() {
             let key = cur.key();
@@ -244,7 +240,7 @@ mod tests {
     #[test]
     fn update_then_query_sees_new_segment() {
         let mut set = small_set();
-        let idx = Exact1::build(&set, IndexConfig::default()).unwrap();
+        let mut idx = Exact1::build(&set, IndexConfig::default()).unwrap();
         // Extend object 0 far to the right with a tall segment.
         let end = set.object(0).unwrap().curve.end();
         let v_end = set.object(0).unwrap().curve.eval(end).unwrap();

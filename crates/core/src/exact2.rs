@@ -114,11 +114,8 @@ impl Exact2 {
 
     /// Append a new segment for `obj`: fetches `σ_i(I_{i,n_i})` from the
     /// last entry and inserts the new one in `O(log_B n_i)` IOs.
-    pub fn append_segment(&self, obj: ObjectId, seg: Segment) -> Result<()> {
-        if obj as usize >= self.trees.len() {
-            return Err(crate::CoreError::NoSuchObject(obj));
-        }
-        let tree = &self.trees[obj as usize];
+    pub fn append_segment(&mut self, obj: ObjectId, seg: Segment) -> Result<()> {
+        let tree = self.trees.get_mut(obj as usize).ok_or(crate::CoreError::NoSuchObject(obj))?;
         let prev_prefix = match tree.last_entry()? {
             Some((_, p)) => f64::from_le_bytes(p[24..32].try_into().expect("8")),
             None => 0.0,
@@ -220,7 +217,7 @@ mod tests {
     #[test]
     fn update_then_query() {
         let mut set = small_set();
-        let idx = Exact2::build(&set, IndexConfig::default()).unwrap();
+        let mut idx = Exact2::build(&set, IndexConfig::default()).unwrap();
         let end = set.object(2).unwrap().curve.end();
         let v_end = set.object(2).unwrap().curve.eval(end).unwrap();
         set.append_segment(2, end + 4.0, 50.0).unwrap();

@@ -40,8 +40,6 @@ use chronorank_curve::Segment;
 use chronorank_index::{ExternalSorter, IntervalBulkLoader, IntervalTree};
 use chronorank_storage::{Env, IoStats, PagedFile, StoreConfig};
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::RwLock;
 
 /// Entry payload: `obj u32 | v0 f64 | v1 f64 | prefix f64` (the interval
 /// key holds `t0` / `t1`).
@@ -78,17 +76,14 @@ struct ObjMeta {
 
 /// The EXACT3 index (see module docs).
 /// `Send + Sync`: a built index is an immutable snapshot any number of
-/// threads may query concurrently (the per-object metadata is behind an
-/// `RwLock` that queries only read). Appends take `&self` but require
-/// external exclusivity, matching the underlying [`IntervalTree`]'s
-/// contract.
+/// threads may query concurrently; appends and rebuilds take `&mut self`.
 pub struct Exact3 {
     env: Env,
     store: StoreConfig,
     tree: IntervalTree,
-    meta: RwLock<Vec<ObjMeta>>,
+    meta: Vec<ObjMeta>,
     /// Counter used to give rebuilt trees fresh file names.
-    generation: AtomicU32,
+    generation: u32,
 }
 
 impl Exact3 {
@@ -113,7 +108,7 @@ impl Exact3 {
         I::Item: Borrow<TemporalObject>,
     {
         let (tree, meta) = Self::fill(&env, objects, 0, sort_budget_bytes)?;
-        Ok(Self { env, store, tree, meta: RwLock::new(meta), generation: AtomicU32::new(0) })
+        Ok(Self { env, store, tree, meta, generation: 0 })
     }
 
     /// Bottom-up bulk build: stream all `N` entries through an external
@@ -169,8 +164,7 @@ impl Exact3 {
     /// Cumulative integrals of **all** objects at time `t` with one
     /// stabbing query; `out[i] = cum_i(t)`.
     fn cumulative_all(&self, t: f64, out: &mut [f64]) -> Result<()> {
-        let meta = self.meta.read().expect("meta lock");
-        for (i, m) in meta.iter().enumerate() {
+        for (i, m) in self.meta.iter().enumerate() {
             out[i] = if t < m.start {
                 0.0
             } else if t >= m.end {
@@ -179,7 +173,6 @@ impl Exact3 {
                 f64::NAN // must be filled by the stab below
             };
         }
-        drop(meta);
         self.tree.stab(t, &mut |lo, hi, p| {
             let (obj, v0, v1, prefix) = decode_payload(p);
             let slot = &mut out[obj as usize];
@@ -218,9 +211,8 @@ impl Exact3 {
 
     /// Append a new segment for `obj`: one tail write + in-memory metadata
     /// update (`O(log_B N)` in the paper's accounting).
-    pub fn append_segment(&self, obj: ObjectId, seg: Segment) -> Result<()> {
-        let mut meta = self.meta.write().expect("meta lock");
-        let m = meta.get_mut(obj as usize).ok_or(crate::CoreError::NoSuchObject(obj))?;
+    pub fn append_segment(&mut self, obj: ObjectId, seg: Segment) -> Result<()> {
+        let m = self.meta.get_mut(obj as usize).ok_or(crate::CoreError::NoSuchObject(obj))?;
         let prefix = m.total + seg.integral_full();
         self.tree.append(seg.t0, seg.t1, &encode_payload(obj, seg.v0, seg.v1, prefix))?;
         m.total = prefix;
@@ -237,12 +229,9 @@ impl Exact3 {
     /// Rebuild the interval tree from the (updated) set, folding the append
     /// tail into the static structure.
     pub fn rebuild(&mut self, set: &TemporalSet) -> Result<()> {
-        let generation = self.generation.load(Ordering::Relaxed) + 1;
-        self.generation.store(generation, Ordering::Relaxed);
+        self.generation += 1;
         let budget = crate::resident_sort_bytes(SORT_RECORD_LEN);
-        let (tree, meta) = Self::fill(&self.env, set.objects(), generation, budget)?;
-        self.tree = tree;
-        *self.meta.write().expect("meta lock") = meta;
+        (self.tree, self.meta) = Self::fill(&self.env, set.objects(), self.generation, budget)?;
         Ok(())
     }
 
@@ -271,9 +260,9 @@ impl Exact3 {
     /// `(start, end, total)` triples) for a generation image. All floats
     /// cross as raw bits, so a reopened index rescored bit-identically.
     pub fn meta_bytes(&self) -> Vec<u8> {
-        let meta = self.meta.read().expect("meta lock");
+        let meta = &self.meta;
         let mut out = Vec::with_capacity(8 + 24 * meta.len());
-        out.extend_from_slice(&self.generation.load(Ordering::Relaxed).to_le_bytes());
+        out.extend_from_slice(&self.generation.to_le_bytes());
         out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
         for m in meta.iter() {
             out.extend_from_slice(&m.start.to_bits().to_le_bytes());
@@ -305,13 +294,7 @@ impl Exact3 {
             })
             .collect();
         let tree = IntervalTree::open(file)?;
-        Ok(Self {
-            env,
-            store,
-            tree,
-            meta: RwLock::new(meta),
-            generation: AtomicU32::new(generation),
-        })
+        Ok(Self { env, store, tree, meta, generation })
     }
 }
 
@@ -322,7 +305,7 @@ impl RankMethod for Exact3 {
 
     fn top_k(&self, t1: f64, t2: f64, k: usize, agg: AggKind) -> Result<TopK> {
         check_interval(t1, t2)?;
-        let m = self.meta.read().expect("meta lock").len();
+        let m = self.meta.len();
         let mut cum1 = vec![0.0f64; m];
         let mut cum2 = vec![0.0f64; m];
         self.cumulative_all(t1, &mut cum1)?;
@@ -464,7 +447,7 @@ mod tests {
     #[test]
     fn many_appends_trigger_rebuild_flag() {
         let mut set = small_set();
-        let idx = Exact3::build(&set, IndexConfig::default()).unwrap();
+        let mut idx = Exact3::build(&set, IndexConfig::default()).unwrap();
         assert!(!idx.needs_rebuild());
         let mut t = set.t_max();
         for i in 0..300 {

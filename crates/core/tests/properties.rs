@@ -120,7 +120,7 @@ proptest! {
             .collect();
         let base = set.truncated_at(&ends).unwrap();
         let bulk = Exact3::build(&set, IndexConfig::default()).unwrap();
-        let inc = Exact3::build(&base, IndexConfig::default()).unwrap();
+        let mut inc = Exact3::build(&base, IndexConfig::default()).unwrap();
         for (i, o) in set.objects().iter().enumerate() {
             for seg in o.curve.segments() {
                 if seg.t0 >= ends[i] {

@@ -30,7 +30,6 @@ use crate::bulk::FenceSpill;
 use crate::error::{IndexError, Result};
 use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
 use chronorank_storage::{PageId, PagedFile};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 const META_MAGIC: u32 = 0xB7EE_0001;
 const LEAF_MAGIC: u32 = 0xB7EE_00AA;
@@ -43,19 +42,15 @@ const INTERNAL_HDR: usize = 4 + 4;
 ///
 /// `Send + Sync`: a built tree is an immutable snapshot that any number of
 /// threads may `seek`/scan through a shared reference (the backing
-/// [`PagedFile`] synchronizes block access internally; the metadata below
-/// is relaxed atomics). Mutation ([`BPlusTree::insert`]) still takes
-/// `&self` for API compatibility but requires **external exclusivity** —
-/// exactly one thread may mutate, with no concurrent readers; in this
-/// workspace every mutating owner (live ingest shards, test drivers) holds
-/// its index exclusively.
+/// [`PagedFile`] synchronizes block access internally). Mutation
+/// ([`BPlusTree::insert`]) takes `&mut self`.
 pub struct BPlusTree {
     file: PagedFile,
     value_len: usize,
-    root: AtomicU64,
-    height: AtomicU32,
-    count: AtomicU64,
-    first_leaf: AtomicU64,
+    root: PageId,
+    height: u32,
+    count: u64,
+    first_leaf: PageId,
 }
 
 impl BPlusTree {
@@ -88,14 +83,7 @@ impl BPlusTree {
         let mut buf = vec![0u8; block];
         encode_leaf_header(&mut buf, 0, 0);
         file.write(root, &buf)?;
-        let tree = Self {
-            file,
-            value_len,
-            root: AtomicU64::new(root),
-            height: AtomicU32::new(1),
-            count: AtomicU64::new(0),
-            first_leaf: AtomicU64::new(root),
-        };
+        let tree = Self { file, value_len, root, height: 1, count: 0, first_leaf: root };
         tree.write_meta()?;
         Ok(tree)
     }
@@ -112,31 +100,24 @@ impl BPlusTree {
         let height = get_u32(&buf, 16);
         let count = get_u64(&buf, 20);
         let first_leaf = get_u64(&buf, 28);
-        Ok(Self {
-            file,
-            value_len,
-            root: AtomicU64::new(root),
-            height: AtomicU32::new(height),
-            count: AtomicU64::new(count),
-            first_leaf: AtomicU64::new(first_leaf),
-        })
+        Ok(Self { file, value_len, root, height, count, first_leaf })
     }
 
     fn write_meta(&self) -> Result<()> {
         let mut buf = vec![0u8; self.file.block_size()];
         let mut o = put_u32(&mut buf, 0, META_MAGIC);
         o = put_u32(&mut buf, o, self.value_len as u32);
-        o = put_u64(&mut buf, o, self.root.load(Ordering::Relaxed));
-        o = put_u32(&mut buf, o, self.height.load(Ordering::Relaxed));
-        o = put_u64(&mut buf, o, self.count.load(Ordering::Relaxed));
-        put_u64(&mut buf, o, self.first_leaf.load(Ordering::Relaxed));
+        o = put_u64(&mut buf, o, self.root);
+        o = put_u32(&mut buf, o, self.height);
+        o = put_u64(&mut buf, o, self.count);
+        put_u64(&mut buf, o, self.first_leaf);
         self.file.write(0, &buf)?;
         Ok(())
     }
 
     /// Number of entries.
     pub fn len(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// True when the tree holds no entries.
@@ -146,7 +127,7 @@ impl BPlusTree {
 
     /// Tree height (1 = root is a leaf).
     pub fn height(&self) -> u32 {
-        self.height.load(Ordering::Relaxed)
+        self.height
     }
 
     /// Payload length in bytes.
@@ -176,8 +157,8 @@ impl BPlusTree {
     /// Position a cursor at the first entry with key ≥ `key`.
     pub fn seek(&self, key: f64) -> Result<Cursor<'_>> {
         let mut buf = vec![0u8; self.file.block_size()];
-        let mut node = self.root.load(Ordering::Relaxed);
-        let mut level = self.height.load(Ordering::Relaxed);
+        let mut node = self.root;
+        let mut level = self.height;
         while level > 1 {
             self.file.read(node, &mut buf)?;
             check_magic(&buf, INTERNAL_MAGIC)?;
@@ -210,7 +191,7 @@ impl BPlusTree {
     /// Cursor at the first entry of the tree.
     pub fn cursor_first(&self) -> Result<Cursor<'_>> {
         let mut buf = vec![0u8; self.file.block_size()];
-        let leaf = self.first_leaf.load(Ordering::Relaxed);
+        let leaf = self.first_leaf;
         self.file.read(leaf, &mut buf)?;
         check_magic(&buf, LEAF_MAGIC)?;
         let n = get_u32(&buf, 4) as usize;
@@ -228,8 +209,8 @@ impl BPlusTree {
             return Ok(None);
         }
         let mut buf = vec![0u8; self.file.block_size()];
-        let mut node = self.root.load(Ordering::Relaxed);
-        let mut level = self.height.load(Ordering::Relaxed);
+        let mut node = self.root;
+        let mut level = self.height;
         while level > 1 {
             self.file.read(node, &mut buf)?;
             check_magic(&buf, INTERNAL_MAGIC)?;
@@ -251,7 +232,7 @@ impl BPlusTree {
     // ----- insert ---------------------------------------------------------
 
     /// Insert an entry (duplicates allowed, placed after existing equals).
-    pub fn insert(&self, key: f64, payload: &[u8]) -> Result<()> {
+    pub fn insert(&mut self, key: f64, payload: &[u8]) -> Result<()> {
         if payload.len() != self.value_len {
             return Err(IndexError::BadInput(format!(
                 "payload length {} != value_len {}",
@@ -262,26 +243,21 @@ impl BPlusTree {
         if !key.is_finite() {
             return Err(IndexError::BadInput("key must be finite".into()));
         }
-        let split = self.insert_rec(
-            self.root.load(Ordering::Relaxed),
-            self.height.load(Ordering::Relaxed),
-            key,
-            payload,
-        )?;
+        let split = self.insert_rec(self.root, self.height, key, payload)?;
         if let Some((sep, right)) = split {
             // Grow the tree: new root with two children.
             let new_root = self.file.allocate(1)?;
             let mut buf = vec![0u8; self.file.block_size()];
             let mut o = put_u32(&mut buf, 0, INTERNAL_MAGIC);
             o = put_u32(&mut buf, o, 2);
-            o = put_u64(&mut buf, o, self.root.load(Ordering::Relaxed));
+            o = put_u64(&mut buf, o, self.root);
             o = put_f64(&mut buf, o, sep);
             put_u64(&mut buf, o, right);
             self.file.write(new_root, &buf)?;
-            self.root.store(new_root, Ordering::Relaxed);
-            self.height.store(self.height.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            self.root = new_root;
+            self.height += 1;
         }
-        self.count.store(self.count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        self.count += 1;
         self.write_meta()?;
         Ok(())
     }
@@ -576,10 +552,10 @@ impl BulkLoader {
         let tree = BPlusTree {
             file: self.file,
             value_len: self.value_len,
-            root: AtomicU64::new(root),
-            height: AtomicU32::new(height),
-            count: AtomicU64::new(self.count),
-            first_leaf: AtomicU64::new(self.first_leaf),
+            root,
+            height,
+            count: self.count,
+            first_leaf: self.first_leaf,
         };
         tree.write_meta()?;
         Ok(tree)
@@ -836,7 +812,7 @@ mod tests {
     #[test]
     fn inserts_into_empty_tree() {
         let e = env();
-        let tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
+        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
         assert!(tree.is_empty());
         for i in (0..300u64).rev() {
             tree.insert(i as f64, &payload(i)).unwrap();
@@ -857,7 +833,7 @@ mod tests {
         for i in 0..200u64 {
             b.push((2 * i) as f64, &payload(2 * i)).unwrap();
         }
-        let tree = b.finish().unwrap();
+        let mut tree = b.finish().unwrap();
         for i in 0..200u64 {
             tree.insert((2 * i + 1) as f64, &payload(2 * i + 1)).unwrap();
         }
@@ -872,7 +848,7 @@ mod tests {
     #[test]
     fn last_entry_returns_max_key() {
         let e = env();
-        let tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
+        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
         assert!(tree.last_entry().unwrap().is_none());
         for i in 0..250u64 {
             tree.insert(i as f64, &payload(i)).unwrap();
@@ -917,7 +893,7 @@ mod tests {
     #[test]
     fn wrong_payload_len_rejected() {
         let e = env();
-        let tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
+        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
         assert!(matches!(tree.insert(1.0, &[0u8; 4]), Err(IndexError::BadInput(_))));
         let mut b = BulkLoader::new(e.create_file("u").unwrap(), 8).unwrap();
         assert!(matches!(b.push(1.0, &[0u8; 9]), Err(IndexError::BadInput(_))));
@@ -935,7 +911,7 @@ mod tests {
     fn empty_bulk_load_is_a_valid_empty_tree() {
         let e = env();
         let b = BulkLoader::new(e.create_file("t").unwrap(), 8).unwrap();
-        let tree = b.finish().unwrap();
+        let mut tree = b.finish().unwrap();
         assert!(tree.is_empty());
         assert!(!tree.cursor_first().unwrap().valid());
         tree.insert(1.0, &payload(1)).unwrap();
@@ -946,7 +922,7 @@ mod tests {
     fn large_payloads_still_split_correctly() {
         let e = env();
         // 100-byte payloads in 256-byte blocks → 2 entries per leaf.
-        let tree = BPlusTree::create(e.create_file("t").unwrap(), 100).unwrap();
+        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 100).unwrap();
         let mk = |i: u64| {
             let mut p = vec![0u8; 100];
             p[..8].copy_from_slice(&i.to_le_bytes());

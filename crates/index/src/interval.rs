@@ -53,7 +53,6 @@ use crate::bulk::FenceSpill;
 use crate::error::{IndexError, Result};
 use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
 use chronorank_storage::{PageId, PagedFile};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const META_MAGIC: u32 = 0x17EE_0002;
 const LEAF_MAGIC: u32 = 0x17EE_00AA;
@@ -83,22 +82,19 @@ pub struct IntervalEntry {
 ///
 /// `Send + Sync`: a built tree is an immutable snapshot that any number of
 /// threads may stab concurrently (block access is synchronized inside
-/// [`PagedFile`]; the metadata below is relaxed atomics). Tail appends
-/// ([`IntervalTree::append`]) take `&self` for API compatibility but
-/// require **external exclusivity** — one mutating thread, no concurrent
-/// readers — which every owner in this workspace guarantees (frozen
-/// generations are never appended to; mutable tails are single-owner).
+/// [`PagedFile`]). Tail appends ([`IntervalTree::append`]) take
+/// `&mut self`.
 pub struct IntervalTree {
     file: PagedFile,
     payload_len: usize,
-    root: AtomicU64,
-    n: AtomicU64,
+    root: PageId,
+    n: u64,
     /// First and last tail blocks (0 = none).
-    tail_head: AtomicU64,
-    tail_last: AtomicU64,
-    tail_count: AtomicU64,
+    tail_head: PageId,
+    tail_last: PageId,
+    tail_count: u64,
     /// Entries folded into the main (static) tree.
-    main_count: AtomicU64,
+    main_count: u64,
 }
 
 /// A run never buffers more leaves than this (1 MiB of 4 KiB blocks), so
@@ -310,12 +306,12 @@ impl IntervalBulkLoader {
         let tree = IntervalTree {
             file: self.file,
             payload_len: self.payload_len,
-            root: AtomicU64::new(root),
-            n: AtomicU64::new(self.count),
-            tail_head: AtomicU64::new(0),
-            tail_last: AtomicU64::new(0),
-            tail_count: AtomicU64::new(0),
-            main_count: AtomicU64::new(self.count),
+            root,
+            n: self.count,
+            tail_head: 0,
+            tail_last: 0,
+            tail_count: 0,
+            main_count: self.count,
         };
         tree.write_meta()?;
         Ok(tree)
@@ -367,12 +363,12 @@ impl IntervalTree {
         let mut buf = vec![0u8; self.file.block_size()];
         let mut o = put_u32(&mut buf, 0, META_MAGIC);
         o = put_u32(&mut buf, o, self.payload_len as u32);
-        o = put_u64(&mut buf, o, self.root.load(Ordering::Relaxed));
-        o = put_u64(&mut buf, o, self.n.load(Ordering::Relaxed));
-        o = put_u64(&mut buf, o, self.tail_head.load(Ordering::Relaxed));
-        o = put_u64(&mut buf, o, self.tail_last.load(Ordering::Relaxed));
-        o = put_u64(&mut buf, o, self.tail_count.load(Ordering::Relaxed));
-        put_u64(&mut buf, o, self.main_count.load(Ordering::Relaxed));
+        o = put_u64(&mut buf, o, self.root);
+        o = put_u64(&mut buf, o, self.n);
+        o = put_u64(&mut buf, o, self.tail_head);
+        o = put_u64(&mut buf, o, self.tail_last);
+        o = put_u64(&mut buf, o, self.tail_count);
+        put_u64(&mut buf, o, self.main_count);
         self.file.write(0, &buf)?;
         Ok(())
     }
@@ -387,19 +383,19 @@ impl IntervalTree {
         let payload_len = get_u32(&buf, 4) as usize;
         Ok(Self {
             payload_len,
-            root: AtomicU64::new(get_u64(&buf, 8)),
-            n: AtomicU64::new(get_u64(&buf, 16)),
-            tail_head: AtomicU64::new(get_u64(&buf, 24)),
-            tail_last: AtomicU64::new(get_u64(&buf, 32)),
-            tail_count: AtomicU64::new(get_u64(&buf, 40)),
-            main_count: AtomicU64::new(get_u64(&buf, 48)),
+            root: get_u64(&buf, 8),
+            n: get_u64(&buf, 16),
+            tail_head: get_u64(&buf, 24),
+            tail_last: get_u64(&buf, 32),
+            tail_count: get_u64(&buf, 40),
+            main_count: get_u64(&buf, 48),
             file,
         })
     }
 
     /// Total entries (static tree + tail).
     pub fn len(&self) -> u64 {
-        self.n.load(Ordering::Relaxed)
+        self.n
     }
 
     /// True when no entries are present.
@@ -409,7 +405,7 @@ impl IntervalTree {
 
     /// Entries waiting in the append tail.
     pub fn tail_len(&self) -> u64 {
-        self.tail_count.load(Ordering::Relaxed)
+        self.tail_count
     }
 
     /// Bytes allocated on the device.
@@ -433,8 +429,8 @@ impl IntervalTree {
     /// (10 % of the static tree, min 256 entries) and the owner should
     /// rebuild — the paper's rebuild-on-doubling policy uses the same hook.
     pub fn needs_rebuild(&self) -> bool {
-        let tail = self.tail_count.load(Ordering::Relaxed);
-        tail > 256.max(self.main_count.load(Ordering::Relaxed) / 10)
+        let tail = self.tail_count;
+        tail > 256.max(self.main_count / 10)
     }
 
     /// Visit every entry whose closed interval contains `t`:
@@ -445,7 +441,7 @@ impl IntervalTree {
         let elen = Self::entry_len(self.payload_len);
         let mut buf = vec![0u8; block];
         let mut stack: Vec<PageId> = Vec::new();
-        let root = self.root.load(Ordering::Relaxed);
+        let root = self.root;
         if root != 0 {
             stack.push(root);
         }
@@ -485,7 +481,7 @@ impl IntervalTree {
             }
         }
         // Tail scan: the append log is small by the rebuild invariant.
-        let mut blk = self.tail_head.load(Ordering::Relaxed);
+        let mut blk = self.tail_head;
         while blk != 0 {
             self.file.read(blk, &mut buf)?;
             if get_u32(&buf, 0) != TAIL_MAGIC {
@@ -508,7 +504,7 @@ impl IntervalTree {
     /// Append an entry to the tail (`O(1)` amortized block writes — the
     /// paper's `O(log_B N)` bound is dominated by this plus the eventual
     /// amortized rebuild).
-    pub fn append(&self, lo: f64, hi: f64, payload: &[u8]) -> Result<()> {
+    pub fn append(&mut self, lo: f64, hi: f64, payload: &[u8]) -> Result<()> {
         if payload.len() != self.payload_len {
             return Err(IndexError::BadInput("payload length mismatch".into()));
         }
@@ -519,7 +515,7 @@ impl IntervalTree {
         let epb = Self::entries_per_block(block, self.payload_len);
         let elen = Self::entry_len(self.payload_len);
         let mut buf = vec![0u8; block];
-        let last = self.tail_last.load(Ordering::Relaxed);
+        let last = self.tail_last;
         let mut target = last;
         let mut count_in_block = 0usize;
         if last != 0 {
@@ -533,13 +529,13 @@ impl IntervalTree {
                 put_u64(&mut buf, 8, new_blk);
                 self.file.write(last, &buf)?;
             } else {
-                self.tail_head.store(new_blk, Ordering::Relaxed);
+                self.tail_head = new_blk;
             }
             buf.fill(0);
             put_u32(&mut buf, 0, TAIL_MAGIC);
             put_u32(&mut buf, 4, 0);
             put_u64(&mut buf, 8, 0);
-            self.tail_last.store(new_blk, Ordering::Relaxed);
+            self.tail_last = new_blk;
             target = new_blk;
             count_in_block = 0;
         }
@@ -549,8 +545,8 @@ impl IntervalTree {
         buf[off + 16..off + 16 + self.payload_len].copy_from_slice(payload);
         put_u32(&mut buf, 4, (count_in_block + 1) as u32);
         self.file.write(target, &buf)?;
-        self.tail_count.store(self.tail_count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        self.n.store(self.n.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        self.tail_count += 1;
+        self.n += 1;
         self.write_meta()?;
         Ok(())
     }
@@ -747,7 +743,7 @@ mod tests {
     fn appended_entries_are_stabbed() {
         let e = env();
         let entries = vec![entry(0.0, 10.0, 1)];
-        let tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
+        let mut tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
         for i in 0..50u32 {
             let lo = 10.0 + i as f64;
             tree.append(lo, lo + 2.0, &(100 + i).to_le_bytes()).unwrap();
@@ -766,7 +762,7 @@ mod tests {
     fn needs_rebuild_after_many_appends() {
         let e = env();
         let entries = vec![entry(0.0, 1.0, 0)];
-        let tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
+        let mut tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
         assert!(!tree.needs_rebuild());
         for i in 0..300u32 {
             tree.append(i as f64, i as f64 + 1.0, &i.to_le_bytes()).unwrap();
@@ -778,7 +774,7 @@ mod tests {
     fn open_round_trips_with_tail() {
         let e = env();
         let entries = vec![entry(0.0, 10.0, 1), entry(5.0, 7.0, 2)];
-        let tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
+        let mut tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
         tree.append(10.0, 12.0, &3u32.to_le_bytes()).unwrap();
         tree.flush().unwrap();
         let file = {

@@ -52,7 +52,7 @@ proptest! {
         }
         let bulk = loader.finish().unwrap();
 
-        let insert = BPlusTree::create(e.create_file("ins").unwrap(), 8).unwrap();
+        let mut insert = BPlusTree::create(e.create_file("ins").unwrap(), 8).unwrap();
         for (i, &k) in keys.iter().enumerate() {
             insert.insert(k, &(i as u64).to_le_bytes()).unwrap();
         }
@@ -109,7 +109,7 @@ proptest! {
 
         // Append path: every entry lands in the tail, the structure the
         // incremental (§4) ingest writes into.
-        let appended =
+        let mut appended =
             IntervalTree::build(e.create_file("app").unwrap(), 4, Vec::new()).unwrap();
         for en in &entries {
             appended.append(en.lo, en.hi, &en.payload).unwrap();

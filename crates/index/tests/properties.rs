@@ -34,7 +34,7 @@ proptest! {
         probes in proptest::collection::vec(-1100.0f64..1100.0, 1..12),
     ) {
         let e = env();
-        let tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
+        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
         let mut items = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
             // Quantize to provoke duplicate keys.
@@ -89,7 +89,7 @@ proptest! {
             loader.push(k, &payload(i as u64)).unwrap();
             items.push((k, i as u64));
         }
-        let tree = loader.finish().unwrap();
+        let mut tree = loader.finish().unwrap();
         for (j, &k) in extra.iter().enumerate() {
             tree.insert(k, &payload(10_000 + j as u64)).unwrap();
             items.push((k, 10_000 + j as u64));
@@ -130,7 +130,7 @@ proptest! {
             .collect();
         let mut reference: Vec<(f64, f64, u32)> =
             entries.iter().map(|e| (e.lo, e.hi, u32::from_le_bytes(e.payload[..4].try_into().unwrap()))).collect();
-        let tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
+        let mut tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
         for (j, &(lo, len)) in appends.iter().enumerate() {
             let tag = 100_000 + j as u32;
             tree.append(lo, lo + len, &tag.to_le_bytes()).unwrap();

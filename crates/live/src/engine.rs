@@ -1,31 +1,30 @@
 //! The ingest engine: durable appends in, fresh answers out.
 //!
-//! Appends take `&mut self` (there is exactly one WAL and one master set),
-//! but the query path — [`IngestEngine::execute`], one window of queries
-//! scattered as one message per shard — takes `&self`: every call gathers
-//! on its own reply channel, so any number of caller threads can query one
-//! engine concurrently — the network tier wraps an `IngestEngine` in an
-//! `RwLock` and lets reads overlap while appends serialize.
+//! Appends take `&mut self` (there is exactly one WAL and one master set)
+//! and are applied to the owning shards before the call returns. The query
+//! path — [`IngestEngine::execute`], one window of queries scattered as one
+//! pool task per shard — takes `&self`: every call gathers on its own reply
+//! channel, so any number of caller threads can query one engine
+//! concurrently — the network tier wraps an `IngestEngine` in an `RwLock`
+//! and lets reads overlap while appends serialize.
 
 use crate::config::LiveConfig;
 use crate::generation::{GenPart, GenParts};
 use crate::obs::LiveObs;
 use crate::report::{LiveReport, PauseHistogram};
-use crate::shard::{shard_main, ShardChannels, ShardCheckpoint, ShardReply, ShardStatus, ToShard};
+use crate::shard::{LiveShard, ShardStatus};
 use chronorank_core::{AppendRecord, MethodProfile, TemporalSet, TopK};
 use chronorank_curve::ColumnarTail;
-use chronorank_obs::{elapsed_us, AttrValue, Registry, SpanId, SpanSink, TraceId};
+use chronorank_obs::{elapsed_us, Registry, SpanId, SpanSink, TraceId};
 use chronorank_serve::{
-    merge_profiles, partition, Answer, Freshness, Gather, MethodSet, Planner, PlannerParams, Route,
-    ServeQuery,
+    merge_profiles, panic_message, partition, Answer, Freshness, MethodSet, Planner, PlannerParams,
+    Route, ServeError, ServeQuery, WorkerPool,
 };
 use chronorank_storage::{
     Env, FileDevice, GenerationImage, ImageWriter, IoCounter, StorageError, WriteAheadLog,
 };
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Errors surfaced by the live layer.
@@ -42,7 +41,7 @@ pub enum LiveError {
     },
     /// A query failed on some shard.
     Query(String),
-    /// A shard thread died (channel closed).
+    /// A pool worker died (channel closed).
     WorkerGone,
     /// WAL / snapshot storage failure.
     Storage(StorageError),
@@ -60,7 +59,7 @@ impl std::fmt::Display for LiveError {
                 write!(f, "shard {shard} failed to build: {message}")
             }
             LiveError::Query(e) => write!(f, "query failed: {e}"),
-            LiveError::WorkerGone => write!(f, "a shard thread terminated unexpectedly"),
+            LiveError::WorkerGone => write!(f, "a worker thread terminated unexpectedly"),
             LiveError::Storage(e) => write!(f, "wal: {e}"),
             LiveError::Append(e) => write!(f, "append rejected: {e}"),
             LiveError::Snapshot(e) => write!(f, "snapshot: {e}"),
@@ -76,9 +75,15 @@ impl From<StorageError> for LiveError {
     }
 }
 
-struct Worker {
-    tx: Sender<ToShard>,
-    handle: Option<JoinHandle<()>>,
+impl From<ServeError> for LiveError {
+    fn from(e: ServeError) -> Self {
+        match e {
+            ServeError::Spawn(e) => LiveError::Spawn(e),
+            ServeError::Build { shard, message } => LiveError::Build { shard, message },
+            ServeError::Query(e) => LiveError::Query(e),
+            ServeError::WorkerGone => LiveError::WorkerGone,
+        }
+    }
 }
 
 /// Query-path counters updated under one short lock (the query path is
@@ -91,14 +96,15 @@ struct QueryCounters {
 /// The WAL-backed live ingest/serving engine (see crate docs).
 ///
 /// Owns the write-ahead log, a master copy of the live [`TemporalSet`]
-/// (the checkpoint/recovery source of truth), and `W` ingest shards that
-/// each pair a mutable tail with an epoch-swapped frozen generation.
+/// (the checkpoint/recovery source of truth), `W` ingest shards that each
+/// pair a mutable tail with an epoch-swapped frozen generation, and the
+/// worker pool their query windows run on.
 pub struct IngestEngine {
     master: TemporalSet,
     wal: WriteAheadLog,
     image_path: Option<PathBuf>,
-    workers: Vec<Worker>,
-    statuses: Mutex<Vec<ShardStatus>>,
+    shards: Vec<Arc<LiveShard>>,
+    pool: WorkerPool,
     params: PlannerParams,
     // --- accumulated statistics ---
     appends: u64,
@@ -136,54 +142,46 @@ impl IngestEngine {
             preloads = (0..w).map(|_| None).collect();
         }
         let preloaded_shards = preloads.iter().filter(|p| p.is_some()).count() as u64;
-        let (build_tx, build_rx) = channel();
-        let mut workers = Vec::with_capacity(w);
-        for (shard, (subset, global_ids)) in partition(&base, w).into_iter().enumerate() {
-            let (tx, rx) = channel();
-            let channels = ShardChannels { rx, self_tx: tx.clone(), build_tx: build_tx.clone() };
-            let cfg = config.clone();
-            let preload = preloads[shard].take();
-            let shard_obs = obs.shard.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("chronorank-live-{shard}"))
-                .spawn(move || {
-                    shard_main(shard, subset, global_ids, cfg, channels, preload, shard_obs)
-                })
-                .map_err(|e| LiveError::Spawn(e.to_string()))?;
-            workers.push(Worker { tx, handle: Some(handle) });
-        }
-        drop(build_tx);
-
-        let (mut max_m, mut max_n) = (0u64, 0u64);
-        let mut statuses = vec![None; w];
-        for _ in 0..w {
-            let outcome = build_rx.recv().map_err(|_| LiveError::WorkerGone)?;
-            match outcome.result {
-                Ok(info) => {
-                    max_m = max_m.max(info.m);
-                    max_n = max_n.max(info.n);
-                    statuses[outcome.shard] = Some(info.status);
-                }
-                Err(message) => {
-                    return Err(LiveError::Build { shard: outcome.shard, message });
-                }
-            }
-        }
-        let statuses: Vec<ShardStatus> =
-            statuses.into_iter().map(|s| s.expect("every shard handshakes")).collect();
+        let parts = partition(&base, w);
         let params = PlannerParams {
-            shard_m: max_m,
-            shard_n: max_n,
+            shard_m: parts.iter().map(|(s, _)| s.num_objects() as u64).max().unwrap_or(0),
+            shard_n: parts.iter().map(|(s, _)| s.num_segments()).max().unwrap_or(0),
             block: config.store.block_size as u64,
             r: config.approx.r as u64,
             span: base.span(),
         };
+        // Every shard boots (generation 0, or its reopen) on a thread of
+        // its own, all at once.
+        let booted: Vec<Result<LiveShard, String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = parts
+                .into_iter()
+                .zip(preloads)
+                .enumerate()
+                .map(|(shard, ((subset, global_ids), preload))| {
+                    let (config, obs) = (config.clone(), obs.shard.clone());
+                    scope.spawn(move || {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            LiveShard::boot(shard, subset, global_ids, config, preload, obs)
+                        }))
+                        .unwrap_or_else(|p| Err(format!("build panicked: {}", panic_message(&*p))))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("boot threads do not panic")).collect()
+        });
+        let mut shards = Vec::with_capacity(w);
+        for (shard, outcome) in booted.into_iter().enumerate() {
+            match outcome {
+                Ok(s) => shards.push(Arc::new(s)),
+                Err(message) => return Err(LiveError::Build { shard, message }),
+            }
+        }
         Ok(Self {
             master: base,
             wal,
             image_path,
-            workers,
-            statuses: Mutex::new(statuses),
+            pool: WorkerPool::new(w, &Registry::noop())?,
+            shards,
             params,
             appends: 0,
             batches: 0,
@@ -294,9 +292,8 @@ impl IngestEngine {
         }
         let mut preloads = Vec::with_capacity(w);
         for shard in 0..w {
-            // A missing shard section (e.g. a shard that had no installed
-            // generation at checkpoint time) falls back to a fresh build
-            // for that shard only.
+            // A missing or unreadable shard section falls back to a fresh
+            // build for that shard only.
             preloads.push(Self::load_shard_parts(&mut img, shard, config).ok());
         }
         Ok((set, epoch, preloads))
@@ -341,7 +338,7 @@ impl IngestEngine {
 
     /// Number of ingest shards.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.shards.len()
     }
 
     /// The engine's master copy of the live data (appends applied; the
@@ -356,17 +353,18 @@ impl IngestEngine {
         planner.route_with_freshness(q, Some(fresh))
     }
 
-    /// Everything a routing decision reads, under **one** `statuses` lock:
-    /// the router over the shards' *current* generation profiles (rebuilt
-    /// on demand — epoch swaps change the profiles underneath) and the §4
-    /// freshness dimension those profiles are restated against — mass the
-    /// serving generations were built over vs the live (appends-included)
-    /// mass. One snapshot both admits a query and restates the ε its
-    /// answer reports, so the two are the same number.
+    /// Everything a routing decision reads, from what each shard published
+    /// at its last install (never behind a probe): the router over the
+    /// shards' *current* generation profiles (rebuilt on demand — epoch
+    /// swaps change the profiles underneath) and the §4 freshness dimension
+    /// those profiles are restated against — mass the serving generations
+    /// were built over vs the live (appends-included) mass. One snapshot
+    /// both admits a query and restates the ε its answer reports, so the
+    /// two are the same number.
     pub fn routing_snapshot(&self) -> (Planner, Freshness) {
-        let statuses = self.statuses.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let profiles: Vec<_> = statuses.iter().map(|s| s.profiles).collect();
-        let built_mass: f64 = statuses.iter().map(|s| s.built_mass).sum();
+        let routing: Vec<_> = self.shards.iter().map(|s| s.routing()).collect();
+        let profiles: Vec<_> = routing.iter().map(|r| r.profiles).collect();
+        let built_mass: f64 = routing.iter().map(|r| r.built_mass).sum();
         (
             Planner::new(self.params, merge_profiles(&profiles)),
             Freshness { built_mass, live_mass: self.master.total_mass() },
@@ -387,15 +385,15 @@ impl IngestEngine {
 
     /// Append a batch durably: every record is validated against the
     /// master set, written to the WAL, group-committed with **one** sync,
-    /// and only then shipped to the owning shards. A rejected record (or a
-    /// WAL failure) fails the batch at that point — but every record
-    /// accepted before it is still shipped, so the master set, the WAL,
-    /// and the shards never diverge from each other.
+    /// and only then applied to the owning shards, before this returns. A
+    /// rejected record (or a WAL failure) fails the batch at that point —
+    /// but every record accepted before it is still applied, so the master
+    /// set, the WAL, and the shards never diverge from each other.
     pub fn append_batch(&mut self, recs: &[AppendRecord]) -> Result<(), LiveError> {
         if recs.is_empty() {
             return Ok(());
         }
-        let w = self.workers.len();
+        let w = self.shards.len();
         let mut per_shard: Vec<Vec<AppendRecord>> = vec![Vec::new(); w];
         let mut accepted = 0u64;
         let mut failed = None;
@@ -436,20 +434,15 @@ impl IngestEngine {
             });
         }
         if accepted > 0 {
-            // Even if the sync fails, ship what was applied to master —
+            // Even if the sync fails, apply what was applied to master —
             // consistency between master and shards outranks durability of
             // the tail (the caller learns about the failed sync).
             let t_sync = Instant::now();
             let synced = self.wal.sync();
             self.obs.wal_fsync_us.record(elapsed_us(t_sync));
             self.obs.batch_size.record(accepted);
-            for (shard, batch) in per_shard.into_iter().enumerate() {
-                if !batch.is_empty() {
-                    self.workers[shard]
-                        .tx
-                        .send(ToShard::Apply(batch))
-                        .map_err(|_| LiveError::WorkerGone)?;
-                }
+            for (shard, batch) in self.shards.iter().zip(&per_shard) {
+                shard.apply(batch);
             }
             self.appends += accepted;
             self.batches += 1;
@@ -464,21 +457,21 @@ impl IngestEngine {
     }
 
     /// Answer one window of queries — the engine's one query body. The
-    /// window is routed against one [`IngestEngine::routing_snapshot`],
-    /// each shard receives it as **one** message and answers
-    /// probe-identical queries (same snapped or raw interval, `k`, route
-    /// and tolerance) with a single frozen probe and columnar rescore, and
-    /// the per-shard lists are merged per query. Answers are bit-identical
-    /// to executing every query in a window of its own (the window
-    /// agreement suite pins this); each [`Answer`] carries the route it
-    /// was planned onto and that route's ε restated against the same
-    /// snapshot, so an epoch swap absorbed meanwhile cannot misattribute
-    /// either.
+    /// window is routed against one [`IngestEngine::routing_snapshot`] and
+    /// handed to the worker pool's [`WorkerPool::scatter_gather`] — the
+    /// scatter–gather `chronorank-serve` runs: each shard gets it as
+    /// **one** pool task, takes its lock, answers probe-identical queries
+    /// (same snapped or raw interval, `k`, route and tolerance) with a
+    /// single frozen probe and columnar rescore, and the per-shard lists
+    /// are merged per query. Answers are bit-identical to executing every
+    /// query in a window of its own (the window agreement suite pins this);
+    /// each [`Answer`] carries the route it was planned onto and that
+    /// route's ε restated against the same snapshot, so an epoch swap
+    /// absorbed meanwhile cannot misattribute either.
     ///
-    /// With a `trace` context `(trace, parent)`, one `engine.query` span
-    /// per query is emitted into `sink` as a child of `parent`. The live
-    /// replies carry shard *status*, not probe timings, so there are no
-    /// per-shard children; those are a serve-backend feature.
+    /// With a `trace` context `(trace, parent)`, every query gets an
+    /// `engine.query` span under `parent` with one `shard.probe` child per
+    /// shard carrying its reads, exactly as on the serve backend.
     pub fn execute(
         &self,
         window: &[ServeQuery],
@@ -489,40 +482,14 @@ impl IngestEngine {
         let (planner, fresh) = self.routing_snapshot();
         let routed: Arc<[(ServeQuery, Route)]> =
             window.iter().map(|q| (*q, planner.route_with_freshness(q, Some(fresh)))).collect();
-        let mut gather = Gather::new(self.workers.len());
-        let (reply_tx, reply_rx) = channel();
-        gather.register(window.iter().map(|q| q.k));
-        if !routed.is_empty() {
-            for worker in &self.workers {
-                let msg = ToShard::Query { window: Arc::clone(&routed), reply: reply_tx.clone() };
-                worker.tx.send(msg).map_err(|_| LiveError::WorkerGone)?;
-            }
-        }
-        drop(reply_tx);
-        while gather.owed() > 0 {
-            self.absorb(&mut gather, reply_rx.recv().map_err(|_| LiveError::WorkerGone)?);
-        }
-        let tops = gather.finish().map_err(LiveError::Query)?;
-        let elapsed = t0.elapsed();
+        let tops =
+            self.pool.scatter_gather(&self.shards, std::slice::from_ref(&routed), trace, sink)?;
         let mut counters =
             self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         counters.queries += tops.len() as u64;
-        counters.elapsed_secs += elapsed.as_secs_f64();
+        counters.elapsed_secs += t0.elapsed().as_secs_f64();
         drop(counters);
-        let answer = |(topk, (q, route)): (TopK, &(ServeQuery, Route))| {
-            if let Some((trace, parent)) = trace {
-                sink.emit_measured(
-                    trace,
-                    (parent.0 != 0).then_some(parent),
-                    "engine.query",
-                    elapsed.as_micros() as u64,
-                    [
-                        ("route", AttrValue::Sym(route.name())),
-                        ("k", AttrValue::U64(q.k as u64)),
-                        ("shards", AttrValue::U64(self.workers.len() as u64)),
-                    ],
-                );
-            }
+        let answer = |(topk, (_, route)): (TopK, &(ServeQuery, Route))| {
             let restated = |p: MethodProfile| p.revalidate(fresh.built_mass, fresh.live_mass).eps;
             Answer { topk, route: *route, eps_used: planner.profile(*route).and_then(restated) }
         };
@@ -535,30 +502,13 @@ impl IngestEngine {
         Ok(answers.into_iter().map(|a| a.topk).next().expect("one answer per query"))
     }
 
-    /// Fold one shard's reply to a window into `gather`, and its
-    /// piggybacked status into the shard-status view. Replies from
-    /// concurrent `&self` queries can arrive out of order; the shard stamps
-    /// each status monotonically, so only a strictly newer view replaces
-    /// the stored one (an older reply must never regress the planner's
-    /// freshness to a superseded generation).
-    fn absorb(&self, gather: &mut Gather, reply: ShardReply) {
-        let mut statuses = self.statuses.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if reply.status.seq > statuses[reply.shard].seq {
-            statuses[reply.shard] = reply.status;
-        }
-        drop(statuses);
-        for (j, result) in reply.results.into_iter().enumerate() {
-            gather.absorb(j, reply.shard, result);
-        }
-    }
-
-    /// Checkpoint: barrier every shard (so everything durable is also
-    /// applied), publish a generation image next to the WAL — the master
-    /// set, plus every shard's frozen generation captured page-for-page —
-    /// then truncate the WAL. The image is stamped `wal.epoch() + 1` and
-    /// written tmp+rename *before* the truncation bumps the epoch to that
-    /// stamp, so a crash anywhere in between recovers exactly (see
-    /// [`IngestEngine::new`]'s recovery contract).
+    /// Checkpoint: publish a generation image next to the WAL — the master
+    /// set, plus every shard's frozen generation captured page-for-page
+    /// (an append is applied before it returns, so everything durable is
+    /// already in the shards) — then truncate the WAL. The image is stamped
+    /// `wal.epoch() + 1` and written tmp+rename *before* the truncation
+    /// bumps the epoch to that stamp, so a crash anywhere in between
+    /// recovers exactly (see [`IngestEngine::new`]'s recovery contract).
     pub fn checkpoint(&mut self) -> Result<(), LiveError> {
         let t0 = Instant::now();
         self.write_checkpoint_image()?;
@@ -577,24 +527,9 @@ impl IngestEngine {
         self.write_checkpoint_image()
     }
 
-    /// Gather every shard's installed generation (the gather doubles as
-    /// the apply barrier) and publish the checkpoint image.
+    /// Publish the checkpoint image: the master set plus every shard's
+    /// installed generation.
     fn write_checkpoint_image(&mut self) -> Result<(), LiveError> {
-        let (cp_tx, cp_rx) = channel();
-        for worker in &self.workers {
-            worker
-                .tx
-                .send(ToShard::Checkpoint(cp_tx.clone()))
-                .map_err(|_| LiveError::WorkerGone)?;
-        }
-        drop(cp_tx);
-        let w = self.workers.len();
-        let mut shards: Vec<Option<ShardCheckpoint>> = (0..w).map(|_| None).collect();
-        for _ in 0..w {
-            let cp = cp_rx.recv().map_err(|_| LiveError::WorkerGone)?;
-            let shard = cp.shard;
-            shards[shard] = Some(cp);
-        }
         let Some(path) = &self.image_path else { return Ok(()) };
         let mut writer = ImageWriter::create(path)?;
         // The master set travels in columnar (PAX) form: one shared offset
@@ -602,16 +537,15 @@ impl IngestEngine {
         // mutable tails live in, so recovery rehydrates without reshaping.
         writer.add_blob("live_set", &self.master.to_columnar().to_bytes())?;
         let mut meta = Vec::with_capacity(25);
-        meta.extend_from_slice(&(w as u64).to_le_bytes());
+        meta.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
         meta.extend_from_slice(&(self.params.block).to_le_bytes());
         meta.extend_from_slice(&(self.config_kmax as u64).to_le_bytes());
         meta.push(self.config_flags);
         writer.add_blob("engine", &meta)?;
-        for cp in shards.into_iter().flatten() {
-            if let Some(gen) = &cp.gen {
-                gen.add_to_image(&mut writer, &format!("s{}/", cp.shard), &cp.frozen_end)
-                    .map_err(|e| LiveError::Snapshot(e.to_string()))?;
-            }
+        for (shard, live) in self.shards.iter().enumerate() {
+            let (gen, frozen_end) = live.checkpoint();
+            gen.add_to_image(&mut writer, &format!("s{shard}/"), &frozen_end)
+                .map_err(|e| LiveError::Snapshot(e.to_string()))?;
         }
         writer.finish(self.wal.epoch() + 1)?;
         Ok(())
@@ -619,31 +553,42 @@ impl IngestEngine {
 
     /// A snapshot of everything ingested and served so far.
     pub fn report(&self) -> LiveReport {
-        let statuses = self.statuses.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.report_of(&self.statuses())
+    }
+
+    /// Every shard's statistics, read now (each under its shard's lock).
+    fn statuses(&self) -> Vec<ShardStatus> {
+        self.shards.iter().map(|s| s.status()).collect()
+    }
+
+    fn report_of(&self, statuses: &[ShardStatus]) -> LiveReport {
         let counters =
             self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut swap_pause = PauseHistogram::default();
         for s in statuses.iter() {
-            swap_pause.merge(&s.swap_pause);
+            swap_pause.merge(&s.counters.swap_pause);
         }
         LiveReport {
-            workers: self.workers.len(),
+            workers: self.shards.len(),
             appends: self.appends,
             batches: self.batches,
             queries: counters.queries,
             elapsed_secs: counters.elapsed_secs,
             wal: self.wal.io_stats(),
             index_io: statuses.iter().map(|s| s.io).sum(),
-            rebuilds: statuses.iter().map(|s| s.rebuilds).sum(),
+            rebuilds: statuses.iter().map(|s| s.counters.rebuilds).sum(),
             rebuilds_in_flight: statuses.iter().filter(|s| s.rebuild_in_flight).count() as u64,
             index_bytes: statuses.iter().map(|s| s.size_bytes).sum(),
-            build_secs: statuses.iter().map(|s| s.build_secs).sum(),
-            build_stages: statuses.iter().map(|s| s.build_stages).sum(),
+            build_secs: statuses.iter().map(|s| s.counters.build_secs).sum(),
+            build_stages: statuses.iter().map(|s| s.counters.build_stages).sum(),
             swap_pause,
-            queries_during_rebuild: statuses.iter().map(|s| s.queries_during_rebuild).sum(),
-            cache_hits: statuses.iter().map(|s| s.cache_hits).sum(),
-            cache_lookups: statuses.iter().map(|s| s.cache_lookups).sum(),
-            cache_invalidations: statuses.iter().map(|s| s.cache_invalidations).sum(),
+            queries_during_rebuild: statuses
+                .iter()
+                .map(|s| s.counters.queries_during_rebuild)
+                .sum(),
+            cache_hits: statuses.iter().map(|s| s.counters.cache_hits).sum(),
+            cache_lookups: statuses.iter().map(|s| s.counters.cache_lookups).sum(),
+            cache_invalidations: statuses.iter().map(|s| s.counters.cache_invalidations).sum(),
             tail_segments: statuses.iter().map(|s| s.tail_segments).sum(),
             tail_bytes: statuses.iter().map(|s| s.tail_bytes).sum(),
             tail_objects: statuses.iter().map(|s| s.tail_objects).sum(),
@@ -665,7 +610,8 @@ impl IngestEngine {
         if registry.is_noop() {
             return;
         }
-        let r = self.report();
+        let statuses = self.statuses();
+        let r = self.report_of(&statuses);
         let g = |name: &str, help: &str, v: u64| registry.gauge(name, help).set_u64(v);
         g("chronorank_live_workers", "ingest shard count", r.workers as u64);
         g("chronorank_live_appends", "records appended (WAL-durable)", r.appends);
@@ -692,17 +638,14 @@ impl IngestEngine {
             r.build_stages.b2_sweeps,
         );
         g("chronorank_live_index_bytes", "bytes across published generations", r.index_bytes);
-        {
-            let statuses = self.statuses.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for route in Route::ALL {
-                registry
-                    .gauge_with(
-                        "chronorank_live_route_index_bytes",
-                        "bytes of the files each route reads across published generations (a shared file counts for every route using it: EXACT1 is the EXACT3 tree)",
-                        &[("route", route.name())],
-                    )
-                    .set_u64(statuses.iter().map(|s| s.route_bytes[route.idx()]).sum());
-            }
+        for route in Route::ALL {
+            registry
+                .gauge_with(
+                    "chronorank_live_route_index_bytes",
+                    "bytes of the files each route reads across published generations (a shared file counts for every route using it: EXACT1 is the EXACT3 tree)",
+                    &[("route", route.name())],
+                )
+                .set_u64(statuses.iter().map(|s| s.route_bytes[route.idx()]).sum());
         }
         g("chronorank_live_tail_segments", "appended segments in mutable tails", r.tail_segments);
         self.obs.tail_bytes.set_u64(r.tail_bytes);
@@ -733,14 +676,46 @@ impl IngestEngine {
 }
 
 impl Drop for IngestEngine {
+    /// A build in flight cannot be interrupted: wait for it, so that no
+    /// thread outlives the engine holding a shard.
     fn drop(&mut self) {
-        for worker in &self.workers {
-            worker.tx.send(ToShard::Shutdown).ok();
+        for handle in self.shards.iter().filter_map(|s| s.take_builder()) {
+            handle.join().ok();
         }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                handle.join().ok();
-            }
-        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RebuildPolicy;
+    use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
+
+    /// The half of the drop hazard only the crate can see (the bounded
+    /// wait is `tests/engine.rs`'s): once `drop` returns, neither a
+    /// generation builder nor a pool worker still owns a shard.
+    #[test]
+    fn a_dropped_engine_leaves_no_thread_holding_a_shard() {
+        let generator = StockGenerator::new(StockConfig {
+            objects: 400,
+            days: 8,
+            readings_per_day: 6,
+            seed: 17,
+        });
+        let stream = AppendStream::from_generator(
+            &generator,
+            AppendStreamConfig { base_fraction: 0.5, batch: 64, ..Default::default() },
+        );
+        let config = LiveConfig {
+            workers: 2,
+            rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 1 },
+            ..Default::default()
+        };
+        let mut engine = IngestEngine::new(&stream.base_set(), config).unwrap();
+        engine.append_batch(stream.batches().next().unwrap()).unwrap();
+        assert!(engine.report().rebuilds_in_flight > 0, "the drop below must race a build");
+        let shards: Vec<_> = engine.shards.iter().map(Arc::downgrade).collect();
+        drop(engine);
+        assert!(shards.iter().all(|s| s.strong_count() == 0), "a thread outlived the engine");
     }
 }

@@ -3,34 +3,24 @@
 //! A generation is an **immutable snapshot**: EXACT3 (+ optional APPX1 /
 //! APPX2 / APPX2+ sharing one breakpoint set) built over a copy of
 //! the live data, plus the metadata the planner and the ε re-validation
-//! need. Since the whole index stack is `Send + Sync`, the builder thread
-//! simply constructs the generation, hands the finished
-//! [`Arc<Generation>`] to its shard through the shard's own mailbox, and
-//! **exits** — the shard probes the shared snapshot directly, in-thread.
-//! (Before the storage layer became thread-safe this took a resident
-//! "generation host" thread serving probes over channels; that machinery
-//! is gone.)
+//! need. The whole index stack is `Send + Sync`, so the builder thread
+//! constructs the generation outside the shard lock, takes the lock to
+//! install it ([`LiveShard::finish_build`]), and **exits** — whichever
+//! pool worker answers the shard's next window probes the new snapshot
+//! directly.
 //!
-//! The shard never blocks on a build: it keeps answering from the old
+//! A shard never blocks on a build: it keeps answering from the old
 //! generation while the new one constructs, and the swap itself is an
-//! `Arc` replacement (measured in the swap-pause histogram).
+//! `Arc` replacement under the lock (measured in the swap-pause
+//! histogram).
 
-use crate::shard::ToShard;
-use chronorank_core::{ApproxConfig, Breakpoints, Exact3, GenerationProfile, TemporalSet};
-use chronorank_serve::{panic_message, BuiltRoutes, MethodSet, Route};
-use chronorank_storage::{Env, ImageWriter, PagedFile, StoreConfig};
-use std::sync::mpsc::Sender;
+use crate::config::LiveConfig;
+use crate::shard::LiveShard;
+use chronorank_core::{Breakpoints, Exact3, GenerationProfile, TemporalSet};
+use chronorank_serve::{BuiltRoutes, Route};
+use chronorank_storage::{Env, ImageWriter, PagedFile};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// What a generation build constructs (one `Copy` bundle so spawn sites
-/// stay tidy).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GenBuildSpec {
-    pub methods: MethodSet,
-    pub approx: ApproxConfig,
-    pub store: StoreConfig,
-}
 
 /// What a shard needs to know about a published generation beyond its
 /// built routes.
@@ -67,30 +57,31 @@ pub(crate) struct GenParts {
 }
 
 /// A published, immutable generation: built routes + metadata, shared as
-/// `Arc<Generation>` between the builder (briefly), the shard, and
-/// whatever the shard is answering right now. The routes keep the concrete
+/// `Arc<Generation>` between the shard, a checkpoint in progress, and
+/// whatever window is being answered right now. The routes keep the concrete
 /// EXACT3 handle so a checkpoint can capture the tree page-for-page.
 pub(crate) struct Generation {
     pub meta: GenMeta,
-    /// Probed in-thread, directly: breakpoints, sizes, IO and build
-    /// stages are read off it too.
+    /// Probed directly; breakpoints, sizes, IO and build stages are read
+    /// off it too.
     pub built: BuiltRoutes,
 }
 
 impl Generation {
-    fn build(
+    pub(crate) fn build(
         snapshot: &TemporalSet,
         generation: u64,
-        spec: GenBuildSpec,
-        build_secs: impl FnOnce() -> f64,
+        config: &LiveConfig,
     ) -> chronorank_core::Result<Self> {
-        let GenBuildSpec { methods, approx, store } = spec;
+        let t0 = Instant::now();
+        let (methods, approx, store) = (config.methods, config.approx, config.store);
         // The one construction path shared with serve shards: what a route
         // is backed by can never diverge between the two layers.
         let built =
             chronorank_serve::build_route_methods_with_handles(snapshot, methods, approx, store)?;
         let built_mass = snapshot.total_mass();
-        let meta = GenMeta { generation, built_mass, kmax: approx.kmax, build_secs: build_secs() };
+        let build_secs = t0.elapsed().as_secs_f64();
+        let meta = GenMeta { generation, built_mass, kmax: approx.kmax, build_secs };
         Ok(Self { meta, built })
     }
 
@@ -101,9 +92,9 @@ impl Generation {
     pub(crate) fn open(
         snapshot: &TemporalSet,
         parts: GenParts,
-        spec: GenBuildSpec,
+        config: &LiveConfig,
     ) -> chronorank_core::Result<Self> {
-        let GenBuildSpec { methods, approx, store } = spec;
+        let (methods, approx, store) = (config.methods, config.approx, config.store);
         let p3 = parts.exact3;
         let exact3 = Arc::new(Exact3::open_parts(p3.env, store, p3.file, &p3.meta)?);
         let breakpoints = match &parts.breakpoints {
@@ -165,23 +156,16 @@ impl Generation {
     }
 }
 
-/// Thread body of one generation build: construct, hand the finished
-/// `Arc` to the shard's mailbox, exit. No serving loop — the shard owns
-/// the snapshot from here on.
+/// Thread body of one generation build: construct, install under the
+/// shard's lock, exit. A failed (or panicked) rebuild installs nothing.
 pub(crate) fn generation_main(
+    shard: &LiveShard,
     generation: u64,
-    snapshot: TemporalSet,
-    spec: GenBuildSpec,
-    ready_tx: Sender<ToShard>,
+    snapshot: &TemporalSet,
+    config: &LiveConfig,
 ) {
-    let t0 = Instant::now();
     let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Generation::build(&snapshot, generation, spec, || t0.elapsed().as_secs_f64())
+        Generation::build(snapshot, generation, config)
     }));
-    let result = match built {
-        Ok(Ok(generation)) => Ok(Arc::new(generation)),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => Err(format!("generation build panicked: {}", panic_message(&*payload))),
-    };
-    ready_tx.send(ToShard::GenReady { generation, result }).ok();
+    shard.finish_build(built.ok().and_then(Result::ok));
 }

@@ -14,8 +14,9 @@
 //!    records, one group-commit sync per batch) *before* it is
 //!    acknowledged. Crash recovery replays the log over the latest
 //!    checkpoint snapshot, and [`IngestEngine::checkpoint`] truncates it.
-//! 2. **Mutable tails** — each of `W` ingest shards applies its appends to
-//!    a live, in-memory copy of its partition immediately. Queries answer
+//! 2. **Mutable tails** — each of `W` ingest shards holds a live,
+//!    in-memory copy of its partition behind one lock, and an append is
+//!    applied to it before `append_batch` returns. Queries answer
 //!    as *frozen-generation candidates ∪ tail-touched objects*, exactly
 //!    rescored on the live curves, so results are **exact-fresh at every
 //!    point between rebuilds**: the frozen index only nominates
@@ -23,12 +24,11 @@
 //! 3. **Epoch-swapped generations** — the §4 geometric mass-doubling
 //!    policy (or a full tail) triggers a rebuild: a builder thread
 //!    constructs fresh EXACT3/APPX2(+)/breakpoint structures from a
-//!    snapshot **off the serving thread**, hands the finished immutable
-//!    `Arc` generation to the shard, and exits; the shard installs it
-//!    with an `Arc` swap — a microsecond pause measured in
-//!    [`LiveReport::swap_pause`]. Readers never block on a build, and the
-//!    shard probes the shared snapshot directly in-thread (the whole
-//!    index stack is `Send + Sync`).
+//!    snapshot **outside the shard lock**, takes the lock to install the
+//!    finished immutable `Arc` generation — a microsecond pause measured
+//!    in [`LiveReport::swap_pause`] — and exits. Readers never block on a
+//!    build, and probe the shared snapshot directly (the whole index stack
+//!    is `Send + Sync`).
 //! 4. **ε re-validation** — an approximate generation built over mass
 //!    `M_built` carries an absolute bound `ε·M_built`. As appends grow the
 //!    live mass, the planner
@@ -41,11 +41,15 @@
 //!    ever escapes the budget.
 //!
 //! Queries go through one body, [`IngestEngine::execute`]: a window is
-//! routed from one snapshot of the shards' profiles and masses, sent to
-//! every shard as one message, gathered by [`chronorank_serve::Gather`],
-//! and answered as one [`chronorank_serve::Answer`] per query whose
-//! `eps_used` is restated from that same snapshot.
-//! [`IngestEngine::query`] is a window of one.
+//! routed from one snapshot of the shards' profiles and masses and run
+//! through [`chronorank_serve::WorkerPool::scatter_gather`] — the pool,
+//! scatter, gather and span tree `chronorank-serve` itself uses, with a
+//! live shard behind [`chronorank_serve::ShardProbe`] where serve has an
+//! immutable one — and answered as one [`chronorank_serve::Answer`] per
+//! query whose `eps_used` is restated from that same snapshot.
+//! [`IngestEngine::query`] is a window of one. Beside the pool's `W`
+//! workers, the only threads the engine starts are generation builders,
+//! one per build.
 //!
 //! ## Example
 //!

@@ -1,6 +1,6 @@
 //! Live-tier instrumentation: ingest-path histograms the engine bumps
-//! around its durability points, plus the handles each shard thread
-//! carries for the swap-pause / rebuild timings it alone observes.
+//! around its durability points, plus the handles each shard carries for
+//! the swap-pause / rebuild timings recorded at install.
 //!
 //! Handles are resolved once at engine construction (from the process
 //! [`Registry::global`]); the append and query hot paths never touch the
@@ -17,7 +17,7 @@ pub(crate) struct LiveObs {
     pub wal_fsync_us: Histogram,
     /// Records per durable group-commit.
     pub batch_size: Histogram,
-    /// One full checkpoint (gather + image publish + truncate), µs.
+    /// One full checkpoint (image publish + truncate), µs.
     pub checkpoint_us: Histogram,
     /// Boot-time recovery (WAL open, image load, replay), µs.
     pub recovery_us: Gauge,
@@ -25,12 +25,12 @@ pub(crate) struct LiveObs {
     pub tail_bytes: Gauge,
     /// Objects with a non-empty appended tail.
     pub tail_objects: Gauge,
-    /// Handles cloned into every shard thread.
+    /// Handles cloned into every shard.
     pub shard: ShardObs,
 }
 
 /// The per-shard slice of [`LiveObs`]: cheap `Arc` clones handed to each
-/// shard thread at spawn, recorded from inside the shard loop.
+/// shard at boot.
 #[derive(Clone)]
 pub(crate) struct ShardObs {
     /// Epoch-swap pause (the reader-visible cost of installing a rebuilt

@@ -54,7 +54,7 @@ pub struct LiveReport {
     pub batches: u64,
     /// Queries answered.
     pub queries: u64,
-    /// Coordinator wall seconds across queries and mixed traces.
+    /// Caller wall seconds across queries.
     pub elapsed_secs: f64,
     /// WAL traffic (`wal_writes` / `wal_bytes` — the ingest path's own
     /// IO attribution, separate from index reads).

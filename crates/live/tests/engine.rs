@@ -313,30 +313,95 @@ fn ingest_engine_is_send_and_sync() {
 
 #[test]
 fn concurrent_readers_query_one_live_engine() {
-    let stream = stock_stream(24, 16);
+    let stream = stock_stream(400, 64);
     let seed = stream.base_set();
-    let mut engine = IngestEngine::new(&seed, LiveConfig::default()).unwrap();
-    // Apply half the appends so tails are non-trivial.
+    // A one-segment tail limit: the append below leaves a generation build
+    // in flight on every shard, so the readers query across its install.
+    let config = LiveConfig {
+        workers: 2,
+        rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 1 },
+        ..Default::default()
+    };
+    let mut engine = IngestEngine::new(&seed, config).unwrap();
     let records = stream.records();
-    engine.append_batch(&records[..records.len() / 2]).unwrap();
-    let live = engine.live_set().clone();
-    let (t1, t2) = (live.t_min() + 0.3 * live.span(), live.t_min() + 0.8 * live.span());
-    let want = engine.query(ServeQuery::exact(t1, t2, 5)).unwrap();
+    let prefix = &records[..records.len() / 2];
+    engine.append_batch(prefix).unwrap();
+    assert_eq!(engine.report().rebuilds_in_flight, 2, "the readers must race the installs");
+    // The oracle: a bulk build of the same append prefix, never the engine.
+    let mut objects = seed.objects().to_vec();
+    for rec in prefix {
+        objects[rec.object as usize].curve.append(rec.t, rec.v).unwrap();
+    }
+    let bulk = TemporalSet::from_objects(objects).unwrap();
+    let windows = [
+        (bulk.t_min() + 0.3 * bulk.span(), bulk.t_min() + 0.8 * bulk.span()),
+        (bulk.t_max() - 0.1 * bulk.span(), bulk.t_max()),
+        (bulk.t_min(), bulk.t_max()),
+    ];
+    let want = windows.map(|(t1, t2)| bulk.top_k_bruteforce(t1, t2, 5));
+    let asked = std::sync::atomic::AtomicU64::new(0);
     std::thread::scope(|scope| {
         for t in 0..4 {
-            let (engine, want) = (&engine, &want);
+            let (engine, want, asked) = (&engine, &want, &asked);
             scope.spawn(move || {
-                for _ in 0..10 {
+                // Keep asking until both installs have landed, then a few
+                // more on the new generations.
+                let mut after = 0;
+                for i in 0.. {
+                    let (t1, t2) = windows[i % 3];
                     let got = engine.query(ServeQuery::exact(t1, t2, 5)).unwrap();
-                    assert_eq!(got.ids(), want.ids(), "thread {t}");
-                    for (a, b) in got.scores().iter().zip(want.scores()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "thread {t}");
+                    asked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    assert_top_matches(&want[i % 3], &got, &format!("thread {t} query {i}"));
+                    let report = engine.report();
+                    after += usize::from(report.rebuilds == 2 && report.rebuilds_in_flight == 0);
+                    assert!(i < 200_000, "the builds never landed: {report}");
+                    if after == 10 {
+                        break;
                     }
                 }
             });
         }
     });
-    assert_eq!(engine.report().queries, 1 + 4 * 10);
+    let report = engine.report();
+    assert_eq!(report.queries, asked.into_inner());
+    assert!(report.queries_during_rebuild > 0, "no query overlapped a build: {report}");
+    assert_eq!((report.rebuilds, report.generations), (2, 1));
+}
+
+#[test]
+fn dropping_the_engine_mid_build_returns_once_the_build_lands() {
+    let dir = std::env::temp_dir().join(format!("chronorank-live-drop-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let stream = stock_stream(400, 64);
+    let seed = stream.base_set();
+    let config = LiveConfig {
+        workers: 2,
+        wal_dir: Some(dir.clone()),
+        rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 1 },
+        ..Default::default()
+    };
+    let mut engine = IngestEngine::new(&seed, config.clone()).unwrap();
+    engine.append_batch(stream.batches().next().unwrap()).unwrap();
+    assert!(engine.report().rebuilds_in_flight > 0, "the drop below must race a build");
+    let live = engine.live_set();
+    let q = ServeQuery::exact(live.t_min(), live.t_max(), 6);
+    let want = engine.query(q).unwrap();
+    // Dropped on a helper thread: a builder left to join itself, or a drop
+    // holding a lock the builder needs, fails here instead of hanging.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        drop(engine);
+        done_tx.send(()).ok();
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("drop must return once the in-flight build has landed");
+    // Nothing of the dropped engine is left running: its directory boots
+    // again and answers as it did.
+    let recovered = IngestEngine::new(&seed, config).unwrap();
+    assert_top_matches(&want, &recovered.query(q).unwrap(), "after the drop");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

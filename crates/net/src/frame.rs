@@ -524,7 +524,10 @@ impl TopKResponse {
             .get(buf[0] as usize)
             .ok_or(FrameError::BadPayload("route byte out of range"))?;
         let eps = f64_at(buf, 1, "eps_used")?;
-        let eps_used = if eps < 0.0 { None } else { Some(eps) };
+        if eps != -1.0 && !(eps.is_finite() && eps >= 0.0) {
+            return Err(FrameError::BadPayload("eps_used must be -1 or finite and ≥ 0"));
+        }
+        let eps_used = (eps >= 0.0).then_some(eps);
         let appends_applied = u64::from_le_bytes(take::<8>(buf, 9, "appends_applied")?);
         let count = u32::from_le_bytes(take::<4>(buf, 17, "entry count")?) as usize;
         if buf.len() != 21 + 12 * count {

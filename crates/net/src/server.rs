@@ -7,11 +7,13 @@
 //! so one backend is **shared**: [`NetConfig::engine_threads`] worker
 //! threads drain a common job queue against the same `Arc`'d engine. Both
 //! engines answer a TOPK through the same call — `execute` on a window of
-//! one, `&self` — and hand back the [`Answer`] the response encodes. A
+//! one, `&self`, which runs on the engine's own `chronorank-serve` worker
+//! pool either way — and hand back the [`Answer`] the response encodes. A
 //! read-only [`ServeEngine`] is shared as is — engine workers genuinely
 //! overlap. A live [`IngestEngine`] sits behind an `RwLock`: queries
 //! overlap as readers, while appends and checkpoints serialize as writers
-//! (there is exactly one WAL).
+//! (there is exactly one WAL; an append is applied to its shards before
+//! the write lock is released).
 //!
 //! Around that shared resource:
 //!
@@ -123,9 +125,8 @@ impl From<IngestEngine> for Backend {
 impl Backend {
     /// Answer one TOPK: a window of one through the backend's `execute`,
     /// whose [`Answer`] becomes the response at one site. With a `span`
-    /// context the engine joins the distributed trace: its execution (and,
-    /// on a serve backend, every shard probe) is emitted into `sink` under
-    /// the server span. The live append prefix is read under the same read
+    /// context the engine joins the distributed trace: its execution and
+    /// every shard probe are emitted into `sink` under the server span. The live append prefix is read under the same read
     /// lock that answered.
     fn topk(
         &self,

@@ -383,3 +383,29 @@ fn oversized_k_is_refused_not_wrapped() {
     let ok = TopKRequest(ServeQuery::exact(0.0, 1.0, u32::MAX as usize)).encode();
     assert!(ok.is_ok(), "u32::MAX is the largest encodable k");
 }
+
+/// `eps_used` is outside input like any request field: the wire carries
+/// either the `-1.0` "exact route" sentinel or a finite ε ≥ 0. Anything
+/// else used to decode as `None` (any other negative, −∞) or pass through
+/// as `Some(_)` (NaN, +∞); now it is a typed refusal.
+#[test]
+fn a_response_with_a_non_finite_or_stray_negative_eps_is_refused() {
+    let resp = |eps_used| TopKResponse {
+        topk: TopK::from_ranked(vec![(3, 2.0), (1, 1.0)]),
+        route: Route::Appx2,
+        eps_used,
+        appends_applied: 7,
+    };
+    for eps in [None, Some(0.0), Some(0.25), Some(f64::MAX)] {
+        let bytes = resp(eps).encode().unwrap();
+        assert_eq!(TopKResponse::decode(&bytes).unwrap(), resp(eps), "{eps:?} must round-trip");
+    }
+    let mut bytes = resp(None).encode().unwrap();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -2.0, -0.5, -f64::MIN_POSITIVE] {
+        bytes[1..9].copy_from_slice(&bad.to_bits().to_le_bytes());
+        assert!(
+            matches!(TopKResponse::decode(&bytes), Err(FrameError::BadPayload(_))),
+            "eps_used = {bad} must be refused"
+        );
+    }
+}

@@ -7,7 +7,7 @@ use crate::panic_message;
 use crate::planner::{merge_profiles, Planner, PlannerParams, Route};
 use crate::query::ServeQuery;
 use crate::report::{RouteStats, ServeReport};
-use crate::shard::{Shard, ShardAnswer};
+use crate::shard::{Shard, ShardAnswer, ShardProbe};
 use chronorank_core::{ObjectId, TemporalObject, TemporalSet, TopK};
 use chronorank_obs::{
     elapsed_us, AttrValue, CacheOutcome, FlightRecorder, IoDelta, QueryTrace, Registry, ShardSpan,
@@ -85,10 +85,10 @@ impl StreamOutcome {
 }
 
 /// One unit of pool work: one shard's view of one window
-/// ([`Shard::answer_batch`]: probe-identical queries share one index
+/// ([`ShardProbe::answer_batch`]: probe-identical queries share one index
 /// probe). The window is `Arc`-shared across the per-shard tasks.
 struct Task {
-    shard: Arc<Shard>,
+    shard: Arc<dyn ShardProbe>,
     /// Index of `shard` within the engine (trace attribution).
     shard_idx: usize,
     /// Index of the window within its scatter.
@@ -111,16 +111,22 @@ struct TaskReply {
     reads: u64,
 }
 
-/// A fixed set of worker threads draining one shared task queue. Workers
-/// hold no state of their own — every task carries the `Arc` of the shard
-/// it probes, so any worker can serve any shard at any time.
-struct WorkerPool {
+/// A fixed set of worker threads draining one shared task queue, and the
+/// one scatter–gather both engines run on it
+/// ([`WorkerPool::scatter_gather`]). Workers hold no state of their own —
+/// every task carries the `Arc` of the shard it probes, so any worker can
+/// serve any shard at any time.
+pub struct WorkerPool {
     task_tx: Option<Sender<Task>>,
     handles: Vec<JoinHandle<()>>,
+    pub(crate) obs: ServeObs,
 }
 
 impl WorkerPool {
-    fn new(workers: usize) -> Result<Self, ServeError> {
+    /// Spawn `workers` threads (at least one). Route counters, latency
+    /// histograms and the slow-query recorder attach to `registry`; a
+    /// [`Registry::noop`] leaves only the span tree of a traced query.
+    pub fn new(workers: usize, registry: &Registry) -> Result<Self, ServeError> {
         let (task_tx, task_rx) = channel::<Task>();
         let task_rx = Arc::new(Mutex::new(task_rx));
         let mut handles = Vec::with_capacity(workers);
@@ -132,15 +138,150 @@ impl WorkerPool {
                 .map_err(|e| ServeError::Spawn(e.to_string()))?;
             handles.push(handle);
         }
-        Ok(Self { task_tx: Some(task_tx), handles })
+        Ok(Self { task_tx: Some(task_tx), handles, obs: ServeObs::attach(registry) })
     }
 
-    fn submit(&self, task: Task) -> Result<(), ServeError> {
-        self.task_tx
-            .as_ref()
-            .expect("pool sender lives until drop")
-            .send(task)
-            .map_err(|_| ServeError::WorkerGone)
+    /// The one scatter–gather, serve or live: submit every routed window
+    /// to every shard up front (one task per (shard, window)), gather the
+    /// replies in arrival order, then do each window's bookkeeping —
+    /// metrics, the slow-query recorder, and with a `trace` context one
+    /// `engine.query` span per query with the window's per-shard probes as
+    /// `shard.probe` children (see [`ServeEngine::execute`]). Merged
+    /// answers come back in input order, windows concatenated.
+    pub fn scatter_gather<S: ShardProbe + 'static>(
+        &self,
+        shards: &[Arc<S>],
+        windows: &[Arc<[(ServeQuery, Route)]>],
+        trace: Option<(TraceId, SpanId)>,
+        sink: &SpanSink,
+    ) -> Result<Vec<TopK>, ServeError> {
+        /// A scattered window awaiting its shards.
+        struct Open<'a> {
+            /// Index of the window's first query among all scattered.
+            first: usize,
+            routed: &'a [(ServeQuery, Route)],
+            /// One span per shard reply so far.
+            spans: Vec<ShardSpan>,
+            /// Per query, the shards' cache outcomes folded.
+            caches: Vec<CacheOutcome>,
+            /// The wall time this window added to its caller's wait: from
+            /// the previous window's completion (the scatter's start for
+            /// the first) to its own last reply.
+            total_us: u64,
+        }
+        let t0 = Instant::now();
+        let w = shards.len();
+        let mut gather = Gather::new(w);
+        let mut open: Vec<Open> = Vec::with_capacity(windows.len());
+        let task_tx = self.task_tx.as_ref().expect("pool sender lives until drop");
+        let (reply_tx, reply_rx) = channel();
+        for (window_idx, routed) in windows.iter().enumerate() {
+            let first = gather.register(routed.iter().map(|(q, _)| q.k));
+            routed.iter().for_each(|(_, route)| self.obs.route_decisions[route.idx()].inc());
+            if !routed.is_empty() {
+                for (shard_idx, shard) in shards.iter().enumerate() {
+                    let task = Task {
+                        shard: Arc::clone(shard) as Arc<dyn ShardProbe>,
+                        shard_idx,
+                        window_idx,
+                        window: Arc::clone(routed),
+                        reply: reply_tx.clone(),
+                    };
+                    task_tx.send(task).map_err(|_| ServeError::WorkerGone)?;
+                }
+            }
+            open.push(Open {
+                first,
+                caches: vec![CacheOutcome::Bypass; routed.len()],
+                routed,
+                spans: Vec::with_capacity(w),
+                total_us: 0,
+            });
+        }
+        drop(reply_tx);
+        let mut completed_us = 0;
+        while gather.owed() > 0 {
+            let reply = reply_rx.recv().map_err(|_| ServeError::WorkerGone)?;
+            let win = &mut open[reply.window];
+            win.spans.push(ShardSpan {
+                shard: reply.shard,
+                elapsed_us: reply.elapsed_us,
+                reads: reply.reads,
+                cache_hit: reply.results.iter().all(|(_, cache)| *cache == Some(true)),
+            });
+            for (j, (result, cache)) in reply.results.into_iter().enumerate() {
+                if let Some(hit) = cache {
+                    win.caches[j] = win.caches[j].fold(hit);
+                    self.obs.shard_cache(hit);
+                }
+                gather.absorb(win.first + j, reply.shard, result);
+            }
+            if win.spans.len() == w {
+                let now_us = elapsed_us(t0);
+                win.total_us = now_us - completed_us;
+                completed_us = now_us;
+            }
+        }
+        let tops = gather.finish().map_err(ServeError::Query)?;
+        for win in &mut open {
+            win.spans.sort_by_key(|s| s.shard);
+            let slow = self.obs.recorder.qualifies(win.total_us);
+            let reads = win.spans.iter().map(|s| s.reads).sum();
+            for ((q, route), cache) in win.routed.iter().zip(&win.caches) {
+                self.obs.route_latency_us[route.idx()].record(win.total_us);
+                if slow {
+                    self.obs.recorder.record(QueryTrace {
+                        route: route.name(),
+                        t1: q.t1,
+                        t2: q.t2,
+                        k: q.k,
+                        total_us: win.total_us,
+                        cache: *cache,
+                        io: IoDelta { reads, ..Default::default() },
+                        shards: win.spans.clone(),
+                    });
+                }
+                if let (Some((trace, parent)), false) = (trace, sink.is_noop()) {
+                    // Every span is emitted from measurements already taken,
+                    // against one hoisted clock read — no second clock pair
+                    // on the hot path. Probes go first, parented on a
+                    // pre-minted id; drain order is by sequence, tree shape
+                    // is by parent links.
+                    let engine_span = SpanId::next();
+                    let end_us = sink.now_us();
+                    for s in &win.spans {
+                        sink.emit_at(
+                            SpanId::next(),
+                            trace,
+                            Some(engine_span),
+                            "shard.probe",
+                            end_us,
+                            s.elapsed_us,
+                            [
+                                ("shard", AttrValue::U64(s.shard as u64)),
+                                ("reads", AttrValue::U64(s.reads)),
+                                ("cache_hit", AttrValue::Bool(s.cache_hit)),
+                            ],
+                        );
+                    }
+                    sink.emit_at(
+                        engine_span,
+                        trace,
+                        (parent.0 != 0).then_some(parent),
+                        "engine.query",
+                        end_us,
+                        win.total_us,
+                        [
+                            ("route", AttrValue::Sym(route.name())),
+                            ("k", AttrValue::U64(q.k as u64)),
+                            ("cache", AttrValue::Sym(cache.name())),
+                            ("shards", AttrValue::U64(w as u64)),
+                        ],
+                    );
+                }
+            }
+        }
+        Ok(tops)
     }
 }
 
@@ -213,7 +354,6 @@ pub struct ServeEngine {
     served: Mutex<Served>,
     index_bytes: u64,
     build_secs: f64,
-    obs: ServeObs,
 }
 
 impl ServeEngine {
@@ -263,7 +403,7 @@ impl ServeEngine {
         Ok(Self {
             index_bytes: shards.iter().map(|s| s.built().size_bytes).sum(),
             shards,
-            pool: WorkerPool::new(w)?,
+            pool: WorkerPool::new(w, Registry::global())?,
             planner,
             domain: (t_min, t_max),
             served: Mutex::new(Served {
@@ -272,7 +412,6 @@ impl ServeEngine {
                 elapsed_secs: 0.0,
             }),
             build_secs: t0.elapsed().as_secs_f64(),
-            obs: ServeObs::attach(Registry::global()),
         })
     }
 
@@ -281,18 +420,18 @@ impl ServeEngine {
     /// uninstrumented side of the overhead A/B. Counters restart at the
     /// new registry's values; the flight recorder is replaced too.
     pub fn set_registry(&mut self, registry: &Registry) {
-        self.obs = ServeObs::attach(registry);
+        self.pool.obs = ServeObs::attach(registry);
     }
 
     /// The engine's slow-query flight recorder (no-op when attached to a
     /// no-op registry).
     pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.obs.recorder
+        &self.pool.obs.recorder
     }
 
     /// Re-arm the slow-query trace threshold (µs; `0` traces everything).
     pub fn set_slow_query_threshold_us(&self, us: u64) {
-        self.obs.recorder.set_threshold_us(us);
+        self.pool.obs.recorder.set_threshold_us(us);
     }
 
     /// Number of shard partitions.
@@ -347,7 +486,7 @@ impl ServeEngine {
         trace: Option<(TraceId, SpanId)>,
         sink: &SpanSink,
     ) -> Result<Vec<Answer>, ServeError> {
-        self.scatter_gather(&[window], trace, sink)
+        self.execute_windows(&[window], trace, sink)
     }
 
     /// Answer one query: a window of one.
@@ -381,157 +520,38 @@ impl ServeEngine {
     pub fn run_stream(&self, queries: &[ServeQuery]) -> Result<StreamOutcome, ServeError> {
         let t0 = Instant::now();
         let windows: Vec<&[ServeQuery]> = queries.chunks(1).collect();
-        let answers = self.scatter_gather(&windows, None, &SpanSink::noop())?;
+        let answers = self.execute_windows(&windows, None, &SpanSink::noop())?;
         Ok(StreamOutcome {
             answers: answers.into_iter().map(|a| a.topk).collect(),
             elapsed_secs: t0.elapsed().as_secs_f64(),
         })
     }
 
-    /// The one scatter–gather: route and submit every window up front,
-    /// gather the per-(shard, window) replies in arrival order, then do
-    /// each window's bookkeeping (see [`ServeEngine::execute`]). Answers
-    /// come back in input order, windows concatenated.
-    fn scatter_gather(
+    /// Route every window, run them through the pool's one
+    /// [`WorkerPool::scatter_gather`], and state each answer's route and
+    /// ε. Answers come back in input order, windows concatenated.
+    fn execute_windows(
         &self,
         windows: &[&[ServeQuery]],
         trace: Option<(TraceId, SpanId)>,
         sink: &SpanSink,
     ) -> Result<Vec<Answer>, ServeError> {
-        /// A scattered window awaiting its shards.
-        struct Open {
-            /// Index of the window's first query among all scattered.
-            first: usize,
-            routed: Arc<[(ServeQuery, Route)]>,
-            /// One span per shard reply so far.
-            spans: Vec<ShardSpan>,
-            /// Per query, the shards' cache outcomes folded.
-            caches: Vec<CacheOutcome>,
-            /// The wall time this window added to its caller's wait: from
-            /// the previous window's completion (the scatter's start for
-            /// the first) to its own last reply.
-            total_us: u64,
-        }
         let t0 = Instant::now();
-        let w = self.shards.len();
-        let mut gather = Gather::new(w);
-        let mut open: Vec<Open> = Vec::with_capacity(windows.len());
-        let (reply_tx, reply_rx) = channel();
-        for (window_idx, queries) in windows.iter().enumerate() {
-            let routed: Arc<[(ServeQuery, Route)]> =
-                queries.iter().map(|q| (*q, self.planner.route(q))).collect();
-            let first = gather.register(routed.iter().map(|(q, _)| q.k));
-            routed.iter().for_each(|(_, route)| self.obs.route_decisions[route.idx()].inc());
-            if !routed.is_empty() {
-                for (shard_idx, shard) in self.shards.iter().enumerate() {
-                    self.pool.submit(Task {
-                        shard: Arc::clone(shard),
-                        shard_idx,
-                        window_idx,
-                        window: Arc::clone(&routed),
-                        reply: reply_tx.clone(),
-                    })?;
-                }
-            }
-            open.push(Open {
-                first,
-                caches: vec![CacheOutcome::Bypass; routed.len()],
-                routed,
-                spans: Vec::with_capacity(w),
-                total_us: 0,
-            });
-        }
-        drop(reply_tx);
-        let mut completed_us = 0;
-        while gather.owed() > 0 {
-            let reply = reply_rx.recv().map_err(|_| ServeError::WorkerGone)?;
-            let win = &mut open[reply.window];
-            win.spans.push(ShardSpan {
-                shard: reply.shard,
-                elapsed_us: reply.elapsed_us,
-                reads: reply.reads,
-                cache_hit: reply.results.iter().all(|(_, cache)| *cache == Some(true)),
-            });
-            for (j, (result, cache)) in reply.results.into_iter().enumerate() {
-                if let Some(hit) = cache {
-                    win.caches[j] = win.caches[j].fold(hit);
-                    self.obs.shard_cache(hit);
-                }
-                gather.absorb(win.first + j, reply.shard, result);
-            }
-            if win.spans.len() == w {
-                let now_us = elapsed_us(t0);
-                win.total_us = now_us - completed_us;
-                completed_us = now_us;
-            }
-        }
-        let mut tops = gather.finish().map_err(ServeError::Query)?.into_iter();
+        let routed: Vec<Arc<[(ServeQuery, Route)]>> = windows
+            .iter()
+            .map(|queries| queries.iter().map(|q| (*q, self.planner.route(q))).collect())
+            .collect();
+        let tops = self.pool.scatter_gather(&self.shards, &routed, trace, sink)?;
         let elapsed_secs = t0.elapsed().as_secs_f64();
-
-        let mut answers = Vec::with_capacity(tops.len());
-        for win in &mut open {
-            win.spans.sort_by_key(|s| s.shard);
-            let slow = self.obs.recorder.qualifies(win.total_us);
-            let reads = win.spans.iter().map(|s| s.reads).sum();
-            for ((q, route), cache) in win.routed.iter().zip(&win.caches) {
-                self.obs.route_latency_us[route.idx()].record(win.total_us);
-                if slow {
-                    self.obs.recorder.record(QueryTrace {
-                        route: route.name(),
-                        t1: q.t1,
-                        t2: q.t2,
-                        k: q.k,
-                        total_us: win.total_us,
-                        cache: *cache,
-                        io: IoDelta { reads, ..Default::default() },
-                        shards: win.spans.clone(),
-                    });
-                }
-                if let (Some((trace, parent)), false) = (trace, sink.is_noop()) {
-                    // Every span is emitted from measurements already taken,
-                    // against one hoisted clock read — no second clock pair
-                    // on the hot path. Probes go first, parented on a
-                    // pre-minted id; drain order is by sequence, tree shape
-                    // is by parent links.
-                    let engine_span = SpanId::next();
-                    let end_us = sink.now_us();
-                    for s in &win.spans {
-                        sink.emit_at(
-                            SpanId::next(),
-                            trace,
-                            Some(engine_span),
-                            "shard.probe",
-                            end_us,
-                            s.elapsed_us,
-                            [
-                                ("shard", AttrValue::U64(s.shard as u64)),
-                                ("reads", AttrValue::U64(s.reads)),
-                                ("cache_hit", AttrValue::Bool(s.cache_hit)),
-                            ],
-                        );
-                    }
-                    sink.emit_at(
-                        engine_span,
-                        trace,
-                        (parent.0 != 0).then_some(parent),
-                        "engine.query",
-                        end_us,
-                        win.total_us,
-                        [
-                            ("route", AttrValue::Sym(route.name())),
-                            ("k", AttrValue::U64(q.k as u64)),
-                            ("cache", AttrValue::Sym(cache.name())),
-                            ("shards", AttrValue::U64(w as u64)),
-                        ],
-                    );
-                }
-                answers.push(Answer {
-                    topk: tops.next().expect("one merged answer per registered query"),
-                    route: *route,
-                    eps_used: self.planner.profile(*route).and_then(|p| p.eps),
-                });
-            }
-        }
+        let answers: Vec<Answer> = tops
+            .into_iter()
+            .zip(routed.iter().flat_map(|window| window.iter()))
+            .map(|(topk, (_, route))| Answer {
+                topk,
+                route: *route,
+                eps_used: self.planner.profile(*route).and_then(|p| p.eps),
+            })
+            .collect();
         let per_query = elapsed_secs / answers.len().max(1) as f64;
         let mut served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         for a in &answers {
@@ -549,7 +569,7 @@ impl ServeEngine {
     /// stays the thin programmatic view). Cold path: registration is
     /// idempotent and only this call touches the registry mutex.
     pub fn sync_obs(&self) {
-        let registry = &self.obs.registry;
+        let registry = &self.pool.obs.registry;
         if registry.is_noop() {
             return;
         }

@@ -79,7 +79,9 @@ mod shard;
 
 pub use cache::LruCache;
 pub use config::ServeConfig;
-pub use engine::{merge_ranked, partition, Answer, Gather, ServeEngine, ServeError, StreamOutcome};
+pub use engine::{
+    merge_ranked, partition, Answer, Gather, ServeEngine, ServeError, StreamOutcome, WorkerPool,
+};
 pub use planner::{
     merge_profiles, Freshness, MethodSet, Planner, PlannerParams, Route, RouteProfiles,
 };
@@ -87,12 +89,13 @@ pub use query::{ServeQuery, Tolerance};
 pub use report::{RouteStats, ServeReport};
 pub use shard::{
     assemble_route_methods, build_route_methods_with_handles, BuildStages, BuiltRoutes, ProbeKey,
-    ShardAnswer,
+    ShardAnswer, ShardProbe,
 };
 
 /// Render a `catch_unwind` payload into a readable error message. Shared
-/// by every worker-thread layer that converts panics into `Err` replies
-/// (this crate's shards, `chronorank-live`'s shards and generation hosts).
+/// by every layer that converts panics into `Err`s (this crate's pool
+/// workers and shard builds, `chronorank-live`'s shard boots, applies and
+/// generation builds).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()

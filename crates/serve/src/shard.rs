@@ -8,10 +8,9 @@
 //! any free worker answers any shard's part — true parallel
 //! scatter-gather over shared state, with no per-worker index duplication.
 //!
-//! The only mutable pieces are the shard-local result cache (a small LRU
+//! The only mutable piece is the shard-local result cache (a small LRU
 //! behind its own [`Mutex`]; the critical section is a key lookup or an
-//! insert, never an index probe) and the emulated-device latency knob (a
-//! relaxed atomic read per probe).
+//! insert, never an index probe).
 
 use crate::cache::LruCache;
 use crate::config::ServeConfig;
@@ -30,6 +29,17 @@ use std::time::{Duration, Instant};
 /// A shard-local ranked answer (global ids, descending score) or an error
 /// message — what every shard, serve or live, hands the gather.
 pub type ShardAnswer = Result<Vec<(ObjectId, f64)>, String>;
+
+/// One partition as the worker pool sees it — the seam both engines share:
+/// serve's immutable `Shard` snapshot, and live's mutable shard state
+/// behind its own lock.
+pub trait ShardProbe: Send + Sync {
+    /// Answer this shard's view of one routed window, one entry per query
+    /// in window order: the shard-local answer, and `Some(hit)` when the
+    /// shard's result cache was consulted (`None` = the route bypassed it).
+    /// Queries that collapse onto one [`ProbeKey`] share one probe.
+    fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)>;
+}
 
 /// The shard-local result cache under its lock (only ever holds
 /// [`ProbeKey::Snapped`] keys).
@@ -367,32 +377,6 @@ impl Shard {
         (res, Some(false))
     }
 
-    /// Answer one shard's view of a window: queries that collapse onto the
-    /// same [`ProbeKey`] are answered by **one** probe whose result is
-    /// cloned to every group member, so the result cache sees exactly one
-    /// lookup per group per window (the probe-dedup regression test pins
-    /// this). Bit-identical to answering every query alone: the key holds
-    /// the whole probe input.
-    pub(crate) fn answer_batch(
-        &self,
-        window: &[(ServeQuery, Route)],
-    ) -> Vec<(ShardAnswer, Option<bool>)> {
-        let mut first_of: HashMap<ProbeKey, usize> = HashMap::with_capacity(window.len());
-        let mut out: Vec<(ShardAnswer, Option<bool>)> = Vec::with_capacity(window.len());
-        for (q, route) in window {
-            let key = ProbeKey::new(q, *route, self.built.breakpoints.as_ref());
-            let answered = match first_of.entry(key) {
-                Entry::Occupied(e) => out[*e.get()].clone(),
-                Entry::Vacant(e) => {
-                    e.insert(out.len());
-                    self.answer(*q, *route, key)
-                }
-            };
-            out.push(answered);
-        }
-        out
-    }
-
     /// Run the routed index probe and translate ids to the global space.
     fn probe(&self, route: Route, q: ServeQuery) -> ShardAnswer {
         let device = self.latency.map(|l| (l, chronorank_storage::IoCounter::thread_reads()));
@@ -409,6 +393,30 @@ impl Shard {
             }
         }
         Ok(top.into_iter().map(|(id, s)| (self.global_ids[id as usize], s)).collect())
+    }
+}
+
+impl ShardProbe for Shard {
+    /// Queries that collapse onto the same [`ProbeKey`] are answered by
+    /// **one** probe whose result is cloned to every group member, so the
+    /// result cache sees exactly one lookup per group per window (the
+    /// probe-dedup regression test pins this). Bit-identical to answering
+    /// every query alone: the key holds the whole probe input.
+    fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)> {
+        let mut first_of: HashMap<ProbeKey, usize> = HashMap::with_capacity(window.len());
+        let mut out: Vec<(ShardAnswer, Option<bool>)> = Vec::with_capacity(window.len());
+        for (q, route) in window {
+            let key = ProbeKey::new(q, *route, self.built.breakpoints.as_ref());
+            let answered = match first_of.entry(key) {
+                Entry::Occupied(e) => out[*e.get()].clone(),
+                Entry::Vacant(e) => {
+                    e.insert(out.len());
+                    self.answer(*q, *route, key)
+                }
+            };
+            out.push(answered);
+        }
+        out
     }
 }
 

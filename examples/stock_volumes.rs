@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gen =
         StockGenerator::new(StockConfig { objects: 1000, days: 60, readings_per_day: 8, seed: 11 });
     let mut set = gen.generate_set();
-    let exact3 = Exact3::build(&set, IndexConfig::default())?;
+    let mut exact3 = Exact3::build(&set, IndexConfig::default())?;
 
     // "Total volume over days 40–42" (a 3-day window like 02/05–02/07).
     let (t1, t2) = (40.0, 43.0);

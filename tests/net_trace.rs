@@ -6,7 +6,8 @@
 //! parents every `shard.probe`. The tree is retrieved over the TRACE
 //! wire op as structured JSON and parsed here with the bench crate's
 //! JSON parser — ids cross as 16-hex-digit strings precisely so this
-//! round-trip is lossless.
+//! round-trip is lossless. A live backend yields the same tree: its
+//! windows run through the same scatter–gather on the same worker pool.
 //!
 //! The same file exercises the SLO burn-rate engine end to end: a
 //! healthy loopback server reports compliant windows in METRICS; a
@@ -21,6 +22,7 @@ use std::time::Duration;
 
 use chronorank::core::TemporalSet;
 use chronorank::curve::PiecewiseLinear;
+use chronorank::live::LiveConfig;
 use chronorank::net::{NetClient, NetConfig, NetServer};
 use chronorank::obs::{SloObjective, SpanSink};
 use chronorank::serve::{ServeConfig, ServeQuery};
@@ -65,18 +67,11 @@ fn as_arr(v: &Json) -> &[Json] {
     }
 }
 
-#[test]
-fn wire_query_yields_one_joined_tree_and_slo_gauges_flip() {
-    // ----- Phase 1: one traced query, one joined tree over TRACE. -----
-    let server = NetServer::start_serve(
-        tiny_set(24),
-        ServeConfig { workers: 3, ..Default::default() },
-        NetConfig::default(),
-    )
-    .unwrap();
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
+/// One traced TOPK over `client`, and its tree as TRACE dumps it:
+/// `client.topk → server.request → engine.query → probes × shard.probe`,
+/// every probe reporting its reads, and nothing else in the trace.
+fn assert_one_joined_tree(client: &mut NetClient, probes: usize) {
     client.set_span_sink(SpanSink::new(64));
-
     let (answer, trace) = client.topk_traced(ServeQuery::exact(10.0, 90.0, 4)).unwrap();
     assert_eq!(answer.topk.len(), 4);
 
@@ -116,13 +111,27 @@ fn wire_query_yields_one_joined_tree_and_slo_gauges_flip() {
     let engine_span = engine_spans[0];
     assert_eq!(as_str(get(engine_span, "parent")), as_str(get(server_span, "span")));
 
-    let probes = by_name("shard.probe");
-    assert!(!probes.is_empty(), "scatter must record shard probes:\n{dump}");
-    for probe in &probes {
+    let probe_spans = by_name("shard.probe");
+    assert_eq!(probe_spans.len(), probes, "one probe per shard:\n{dump}");
+    for probe in &probe_spans {
         assert_eq!(as_str(get(probe, "parent")), as_str(get(engine_span, "span")));
+        assert!(matches!(get(get(probe, "attrs"), "reads"), Json::Num(_)), "reads:\n{dump}");
     }
     // Nothing else claims membership in this trace: the tree is closed.
-    assert_eq!(ours.len(), 2 + probes.len(), "unexpected extra spans:\n{dump}");
+    assert_eq!(ours.len(), 2 + probes, "unexpected extra spans:\n{dump}");
+}
+
+#[test]
+fn wire_query_yields_one_joined_tree_and_slo_gauges_flip() {
+    // ----- Phase 1: one traced query, one joined tree over TRACE. -----
+    let server = NetServer::start_serve(
+        tiny_set(24),
+        ServeConfig { workers: 3, ..Default::default() },
+        NetConfig::default(),
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    assert_one_joined_tree(&mut client, 3);
 
     // A healthy loopback server is within its (generous default) SLO.
     let text = client.metrics().unwrap();
@@ -131,6 +140,17 @@ fn wire_query_yields_one_joined_tree_and_slo_gauges_flip() {
         text.contains("chronorank_slo_compliant{window=\"1s\"} 1"),
         "healthy server must report compliance:\n{text}"
     );
+    server.shutdown();
+
+    // A live backend yields the same tree: its windows run through the
+    // same scatter–gather.
+    let server = NetServer::start_live(
+        tiny_set(24),
+        LiveConfig { workers: 2, ..Default::default() },
+        NetConfig::default(),
+    )
+    .unwrap();
+    assert_one_joined_tree(&mut NetClient::connect(server.local_addr()).unwrap(), 2);
     server.shutdown();
 
     // ----- Phase 2: injected latency violates a tight objective. -----

@@ -21,7 +21,7 @@ fn btree_survives_reopen_from_disk() {
         for i in 0..5000u64 {
             loader.push(i as f64 * 0.5, &i.to_le_bytes()).unwrap();
         }
-        let tree = loader.finish().unwrap();
+        let mut tree = loader.finish().unwrap();
         tree.insert(123.25, &999_999u64.to_le_bytes()).unwrap();
         tree.flush().unwrap();
     }
@@ -57,7 +57,7 @@ fn interval_tree_survives_reopen_from_disk() {
                 payload: i.to_le_bytes().to_vec(),
             })
             .collect();
-        let tree = IntervalTree::build(env.create_file("itree").unwrap(), 4, entries).unwrap();
+        let mut tree = IntervalTree::build(env.create_file("itree").unwrap(), 4, entries).unwrap();
         tree.append(2500.0, 2600.0, &7777u32.to_le_bytes()).unwrap();
         tree.flush().unwrap();
     }

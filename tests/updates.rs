@@ -17,9 +17,9 @@ fn setup() -> chronorank::core::TemporalSet {
 /// Apply one append to the set and all three exact indexes.
 fn append_everywhere(
     set: &mut chronorank::core::TemporalSet,
-    e1: &Exact1,
-    e2: &Exact2,
-    e3: &Exact3,
+    e1: &mut Exact1,
+    e2: &mut Exact2,
+    e3: &mut Exact3,
     id: u32,
     dt: f64,
     v: f64,
@@ -36,14 +36,14 @@ fn append_everywhere(
 #[test]
 fn all_exact_methods_stay_correct_through_appends() {
     let mut set = setup();
-    let e1 = Exact1::build(&set, IndexConfig::default()).unwrap();
-    let e2 = Exact2::build(&set, IndexConfig::default()).unwrap();
-    let e3 = Exact3::build(&set, IndexConfig::default()).unwrap();
+    let mut e1 = Exact1::build(&set, IndexConfig::default()).unwrap();
+    let mut e2 = Exact2::build(&set, IndexConfig::default()).unwrap();
+    let mut e3 = Exact3::build(&set, IndexConfig::default()).unwrap();
     // A few hundred appends round-robin across objects, values varied.
     for step in 0..300u32 {
         let id = step % set.num_objects() as u32;
         let v = 1.0 + (step % 17) as f64;
-        append_everywhere(&mut set, &e1, &e2, &e3, id, 0.5 + (step % 3) as f64, v);
+        append_everywhere(&mut set, &mut e1, &mut e2, &mut e3, id, 0.5 + (step % 3) as f64, v);
         if step % 60 == 0 {
             // Check both an old window and the fresh edge.
             for (a, b) in [
