@@ -9,7 +9,10 @@
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
 #   clippy            cargo clippy -D warnings        (whole workspace, all targets)
 #   doc               cargo doc --no-deps             (RUSTDOCFLAGS="-D warnings")
-#   tier1             cargo build --release && cargo test -q
+#   tier1             cargo build --release && cargo test -q, then the three
+#                     counts tests/resident_build_counts.rs pins (blocks
+#                     written, blocks read, allocations per shard build)
+#                     echoed into the summary below the timings
 #   agreement-w8      serve/live/window agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
 #                     shared-snapshot engines race for real cores
@@ -57,6 +60,7 @@ export PROPTEST_CASES="${PROPTEST_CASES:-64}"
 
 STAGE_NAMES=()
 STAGE_SECS=()
+PINNED_COUNTS=""
 CURRENT_STAGE="(startup)"
 CI_T0=$SECONDS
 
@@ -68,6 +72,11 @@ print_timings() {
         printf '  %-18s %4ds\n' "${STAGE_NAMES[$i]}" "${STAGE_SECS[$i]}"
     done
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
+    if [[ -n $PINNED_COUNTS ]]; then
+        echo
+        echo "== pinned counts (tier1, tests/resident_build_counts.rs)"
+        sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
+    fi
 }
 
 # Non-test Rust lines per crate: every src/**/*.rs up to its first
@@ -141,9 +150,12 @@ doc_stage() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 }
 
+# The counts a CHANGES entry quotes from this log instead of re-measuring:
+# the test prints them, the run above already asserted them.
 tier1_stage() {
     cargo build --release
     cargo test -q --workspace
+    PINNED_COUNTS=$(cargo test -q --test resident_build_counts -- --nocapture | grep '^pinned:')
 }
 
 # The agreement suites prove bit-identical answers with workers querying

@@ -34,11 +34,13 @@ const PAYLOAD_LEN: usize = 4 + 8 + 8 + 8;
 /// Sort record: key prefix + payload.
 const RECORD_LEN: usize = 8 + PAYLOAD_LEN;
 
-fn encode_payload(out: &mut [u8], obj: ObjectId, s: Segment) {
+fn encode_payload(obj: ObjectId, s: Segment) -> [u8; PAYLOAD_LEN] {
+    let mut out = [0u8; PAYLOAD_LEN];
     out[0..4].copy_from_slice(&obj.to_le_bytes());
     out[4..12].copy_from_slice(&s.v0.to_le_bytes());
     out[12..20].copy_from_slice(&s.t1.to_le_bytes());
     out[20..28].copy_from_slice(&s.v1.to_le_bytes());
+    out
 }
 
 fn decode_payload(key: f64, p: &[u8]) -> (ObjectId, Segment) {
@@ -59,27 +61,38 @@ pub struct Exact1 {
 }
 
 impl Exact1 {
-    /// Build from a resident set — [`Exact1::build_streaming`] over its
-    /// objects, in memory.
+    /// Build from a resident set, in memory. No sort: the set's curves are
+    /// each in `t0` order already, so [`TemporalSet::time_ordered`] merges
+    /// them into the bulk loader, and `m` and `Δmax` are the set's own.
+    /// Every tree page is written once and none is read back, and the file
+    /// is byte for byte what [`Exact1::build_streaming`] writes over the
+    /// same objects — the merge yields the sorter's sequence, ties included
+    /// (`tests/build_golden.rs`).
     pub fn build(set: &TemporalSet, config: IndexConfig) -> Result<Self> {
-        let budget = crate::resident_sort_bytes(RECORD_LEN);
-        Self::build_streaming(Env::mem(config.store), set.objects(), budget)
+        let env = Env::mem(config.store);
+        let merged = set.time_ordered().map(|entry| {
+            let (obj, seg, _) = entry?;
+            Ok((seg.t0, encode_payload(obj, seg)))
+        });
+        let tree = Self::load(&env, merged)?;
+        let (num_objects, max_segment_duration) = (set.num_objects(), set.max_segment_duration());
+        Ok(Self { env, tree, num_objects, max_segment_duration })
     }
 
     /// Build from an object stream, owned or borrowed, that is never
-    /// materialized: external-sort all `N` segments by left endpoint in
-    /// runs of `sort_budget_bytes`, then bulk-load the B+-tree. `m` and
-    /// `Δmax` are accumulated in the push loop.
+    /// materialized (the paper's construction preamble: its data sits on
+    /// disk in object order): external-sort all `N` segments by left
+    /// endpoint in runs of `sort_budget_bytes`, then bulk-load the
+    /// B+-tree. `m` and `Δmax` are accumulated in the push loop.
     pub fn build_streaming<I>(env: Env, objects: I, sort_budget_bytes: u64) -> Result<Self>
     where
         I: IntoIterator,
         I::Item: Borrow<TemporalObject>,
     {
         let sort_file = env.create_scratch("exact1_sort")?;
+        let key = |rec: &[u8]| f64::from_le_bytes(rec[..8].try_into().expect("8"));
         let mut sorter =
-            ExternalSorter::with_byte_budget(sort_file, RECORD_LEN, sort_budget_bytes, |rec| {
-                f64::from_le_bytes(rec[..8].try_into().expect("8"))
-            })?;
+            ExternalSorter::with_byte_budget(sort_file, RECORD_LEN, sort_budget_bytes, key)?;
         let mut rec = [0u8; RECORD_LEN];
         let mut num_objects = 0usize;
         let mut max_dur = 0.0f64;
@@ -89,28 +102,39 @@ impl Exact1 {
             for seg in o.curve.segments() {
                 max_dur = max_dur.max(seg.duration());
                 rec[..8].copy_from_slice(&seg.t0.to_le_bytes());
-                encode_payload(&mut rec[8..], o.id, seg);
+                rec[8..].copy_from_slice(&encode_payload(o.id, seg));
                 sorter.push(&rec)?;
             }
         }
         let mut stream = sorter.finish()?;
-        let mut loader =
-            chronorank_index::BPlusTree::bulk_loader(env.create_file("exact1_tree")?, PAYLOAD_LEN)?;
-        while stream.next_into(&mut rec)? {
-            let key = f64::from_le_bytes(rec[..8].try_into().expect("8"));
-            loader.push(key, &rec[8..])?;
-        }
-        let tree = loader.finish()?;
+        let sorted = std::iter::from_fn(|| match stream.next_into(&mut rec) {
+            Ok(true) => Some(Ok((key(&rec), rec[8..].try_into().expect("payload")))),
+            Ok(false) => None,
+            Err(e) => Some(Err(e.into())),
+        });
+        let tree = Self::load(&env, sorted)?;
         Ok(Self { env, tree, num_objects, max_segment_duration: max_dur })
+    }
+
+    /// The one loader loop: `(t0, payload)` entries in `t0` order — a
+    /// sorted stream's or a resident set's merge — into the bulk loader.
+    fn load(
+        env: &Env,
+        entries: impl Iterator<Item = Result<(f64, [u8; PAYLOAD_LEN])>>,
+    ) -> Result<BPlusTree> {
+        let mut loader = BPlusTree::bulk_loader(env.create_file("exact1_tree")?, PAYLOAD_LEN)?;
+        for entry in entries {
+            let (key, payload) = entry?;
+            loader.push(key, &payload)?;
+        }
+        Ok(loader.finish()?)
     }
 
     /// Append a new segment for `obj` (the paper's §4 update:
     /// `O(log_B N)` IOs). The caller keeps the [`TemporalSet`] in sync via
     /// [`TemporalSet::append_segment`].
     pub fn append_segment(&mut self, obj: ObjectId, seg: Segment) -> Result<()> {
-        let mut p = [0u8; PAYLOAD_LEN];
-        encode_payload(&mut p, obj, seg);
-        self.tree.insert(seg.t0, &p)?;
+        self.tree.insert(seg.t0, &encode_payload(obj, seg))?;
         self.max_segment_duration = self.max_segment_duration.max(seg.duration());
         Ok(())
     }
@@ -215,6 +239,17 @@ mod tests {
             let got = idx.top_k(a, b, 3, AggKind::Sum).unwrap();
             assert_same_answer(&want, &got, &format!("EXACT1 [{a},{b}]"));
         }
+    }
+
+    #[test]
+    fn a_resident_build_writes_each_tree_page_once_and_reads_none() {
+        let set = crate::test_support::wavy_set(40, 30);
+        let idx = Exact1::build(&set, IndexConfig::default()).unwrap();
+        idx.flush().unwrap();
+        assert_eq!(idx.env.num_files(), 1);
+        let pages = idx.size_bytes() / idx.env.block_size() as u64;
+        let io = idx.io_stats();
+        assert_eq!((io.writes, io.reads), (pages, 0));
     }
 
     #[test]

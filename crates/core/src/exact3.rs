@@ -48,12 +48,12 @@ const PAYLOAD_LEN: usize = 4 + 8 + 8 + 8;
 /// External-sort record for the bulk build: `lo f64 | hi f64 | payload`.
 const SORT_RECORD_LEN: usize = 16 + PAYLOAD_LEN;
 
-fn encode_payload(obj: ObjectId, v0: f64, v1: f64, prefix: f64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(PAYLOAD_LEN);
-    p.extend_from_slice(&obj.to_le_bytes());
-    p.extend_from_slice(&v0.to_le_bytes());
-    p.extend_from_slice(&v1.to_le_bytes());
-    p.extend_from_slice(&prefix.to_le_bytes());
+fn encode_payload(obj: ObjectId, v0: f64, v1: f64, prefix: f64) -> [u8; PAYLOAD_LEN] {
+    let mut p = [0u8; PAYLOAD_LEN];
+    p[0..4].copy_from_slice(&obj.to_le_bytes());
+    p[4..12].copy_from_slice(&v0.to_le_bytes());
+    p[12..20].copy_from_slice(&v1.to_le_bytes());
+    p[20..28].copy_from_slice(&prefix.to_le_bytes());
     p
 }
 
@@ -74,6 +74,12 @@ struct ObjMeta {
     total: f64,
 }
 
+impl ObjMeta {
+    fn of(o: &TemporalObject) -> Self {
+        Self { start: o.curve.start(), end: o.curve.end(), total: o.curve.total() }
+    }
+}
+
 /// The EXACT3 index (see module docs).
 /// `Send + Sync`: a built index is an immutable snapshot any number of
 /// threads may query concurrently; appends and rebuilds take `&mut self`.
@@ -87,16 +93,25 @@ pub struct Exact3 {
 }
 
 impl Exact3 {
-    /// Build from a resident set — [`Exact3::build_streaming`] over its
-    /// objects, in memory.
+    /// Build from a resident set, in memory. No sort: the set's curves are
+    /// each in `t0` order already, so [`TemporalSet::time_ordered`] merges
+    /// them into the loader. Every tree page is written once and none is
+    /// read back, and the file is byte for byte what
+    /// [`Exact3::build_streaming`] writes over the same objects — the merge
+    /// yields the sorter's sequence, ties included (`tests/build_golden.rs`).
     pub fn build(set: &TemporalSet, config: IndexConfig) -> Result<Self> {
-        let budget = crate::resident_sort_bytes(SORT_RECORD_LEN);
-        Self::build_streaming(Env::mem(config.store), config.store, set.objects(), budget)
+        let env = Env::mem(config.store);
+        let (tree, meta) = Self::fill(&env, set, 0)?;
+        Ok(Self { env, store: config.store, tree, meta, generation: 0 })
     }
 
     /// Build from an object stream, owned or borrowed, that is never
-    /// materialized: one external sort in runs of `sort_budget_bytes`, one
-    /// leaf-fill-1.0 bulk load.
+    /// materialized (the paper's construction preamble: its data sits on
+    /// disk in object order): one external sort on `lo` in runs of
+    /// `sort_budget_bytes` (`O((N/B) log_B N)` IOs), one leaf-fill-1.0 bulk
+    /// load. Peak memory is one sort run, one loader run (≤ 256 leaves), one
+    /// fence per leaf and the per-object `(start, end, total)` triples
+    /// collected in the push loop (`24·m` bytes) — never the full entry set.
     pub fn build_streaming<I>(
         env: Env,
         store: StoreConfig,
@@ -107,28 +122,7 @@ impl Exact3 {
         I: IntoIterator,
         I::Item: Borrow<TemporalObject>,
     {
-        let (tree, meta) = Self::fill(&env, objects, 0, sort_budget_bytes)?;
-        Ok(Self { env, store, tree, meta, generation: 0 })
-    }
-
-    /// Bottom-up bulk build: stream all `N` entries through an external
-    /// sort on `lo` (`O((N/B) log_B N)` IOs, the paper's construction
-    /// preamble) and feed the sorted stream straight into the interval
-    /// tree's leaf-fill-1.0 bulk loader. Peak memory is one sort run
-    /// (`sort_budget_bytes`), one loader run (≤ 256 leaves), one fence per
-    /// leaf and the per-object `(start, end, total)` triples collected in
-    /// the push loop (`24·m` bytes) — never the full entry set.
-    fn fill<I>(
-        env: &Env,
-        objects: I,
-        generation: u32,
-        sort_budget_bytes: u64,
-    ) -> Result<(IntervalTree, Vec<ObjMeta>)>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<TemporalObject>,
-    {
-        let scratch = env.create_scratch(&format!("exact3_sort_gen{generation}"))?;
+        let scratch = env.create_scratch("exact3_sort")?;
         let key = |rec: &[u8]| f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
         let mut sorter =
             ExternalSorter::with_byte_budget(scratch, SORT_RECORD_LEN, sort_budget_bytes, key)?;
@@ -144,21 +138,49 @@ impl Exact3 {
                 rec[16..].copy_from_slice(&encode_payload(o.id, seg.v0, seg.v1, prefix));
                 sorter.push(&rec)?;
             }
-            meta.push(ObjMeta {
-                start: o.curve.start(),
-                end: o.curve.end(),
-                total: o.curve.total(),
-            });
+            meta.push(ObjMeta::of(o));
         }
         let mut stream = sorter.finish()?;
+        let sorted = std::iter::from_fn(|| match stream.next_into(&mut rec) {
+            Ok(true) => {
+                Some(Ok((key(&rec), key(&rec[8..]), rec[16..].try_into().expect("payload"))))
+            }
+            Ok(false) => None,
+            Err(e) => Some(Err(e.into())),
+        });
+        let tree = Self::load(&env, 0, sorted)?;
+        Ok(Self { env, store, tree, meta, generation: 0 })
+    }
+
+    /// The resident build behind [`Exact3::build`] and [`Exact3::rebuild`]:
+    /// the set's time-ordered merge into [`Exact3::load`]. Beyond the
+    /// loader's share, memory is the merge's `64·m` bytes and the `24·m` of
+    /// `(start, end, total)` triples — no copy of the entries anywhere.
+    fn fill(env: &Env, set: &TemporalSet, generation: u32) -> Result<(IntervalTree, Vec<ObjMeta>)> {
+        let merged = set.time_ordered().map(|entry| {
+            let (obj, seg, prefix) = entry?;
+            Ok((seg.t0, seg.t1, encode_payload(obj, seg.v0, seg.v1, prefix)))
+        });
+        let tree = Self::load(env, generation, merged)?;
+        Ok((tree, set.objects().iter().map(ObjMeta::of).collect()))
+    }
+
+    /// The one loader loop: `(lo, hi, payload)` entries in `lo` order — a
+    /// sorted stream's or a resident set's merge — straight into the
+    /// interval tree's leaf-fill-1.0 bulk loader, which holds one run
+    /// (≤ 256 leaves) and one fence per leaf.
+    fn load(
+        env: &Env,
+        generation: u32,
+        entries: impl Iterator<Item = Result<(f64, f64, [u8; PAYLOAD_LEN])>>,
+    ) -> Result<IntervalTree> {
         let file = env.create_file(&format!("exact3_tree_gen{generation}"))?;
         let mut loader = IntervalBulkLoader::new(file, PAYLOAD_LEN)?;
-        while stream.next_into(&mut rec)? {
-            let lo = f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            let hi = f64::from_le_bytes(rec[8..16].try_into().expect("8 bytes"));
-            loader.push(lo, hi, &rec[16..])?;
+        for entry in entries {
+            let (lo, hi, payload) = entry?;
+            loader.push(lo, hi, &payload)?;
         }
-        Ok((loader.finish()?, meta))
+        Ok(loader.finish()?)
     }
 
     /// Cumulative integrals of **all** objects at time `t` with one
@@ -196,17 +218,20 @@ impl Exact3 {
     /// — a single stabbing query. Objects not alive at `t` are excluded.
     pub fn instant_top_k(&self, t: f64, k: usize) -> Result<TopK> {
         check_interval(t, t)?;
-        let mut values: Vec<(ObjectId, f64)> = Vec::new();
+        let mut values: Vec<(ObjectId, bool, f64)> = Vec::new();
         self.tree.stab(t, &mut |lo, hi, p| {
             let (obj, v0, v1, _) = decode_payload(p);
             let seg = Segment { t0: lo, v0, t1: hi, v1 };
-            values.push((obj, seg.eval(t)));
+            values.push((obj, lo == t, seg.eval(t)));
         })?;
-        // Shared-endpoint stabs return two entries per object with equal
-        // values; dedup keeps the first.
-        values.sort_by_key(|&(id, _)| id);
-        values.dedup_by_key(|&mut (id, _)| id);
-        Ok(top_k_from_scores(values.into_iter(), k))
+        // At a vertex a stab returns two entries per object, and
+        // `v0 + w·(t1 − t0)` need not equal `v1` in the last bit: as in
+        // `cumulative_all`, the entry that *ends* at `t` answers whichever
+        // the leaf layout visits first — it sorts before the one starting
+        // there, and the dedup keeps the first.
+        values.sort_by_key(|&(id, starts_at_t, _)| (id, starts_at_t));
+        values.dedup_by_key(|&mut (id, ..)| id);
+        Ok(top_k_from_scores(values.into_iter().map(|(id, _, v)| (id, v)), k))
     }
 
     /// Append a new segment for `obj`: one tail write + in-memory metadata
@@ -230,8 +255,7 @@ impl Exact3 {
     /// tail into the static structure.
     pub fn rebuild(&mut self, set: &TemporalSet) -> Result<()> {
         self.generation += 1;
-        let budget = crate::resident_sort_bytes(SORT_RECORD_LEN);
-        (self.tree, self.meta) = Self::fill(&self.env, set.objects(), self.generation, budget)?;
+        (self.tree, self.meta) = Self::fill(&self.env, set, self.generation)?;
         Ok(())
     }
 
@@ -411,6 +435,73 @@ mod tests {
         // Instant queries at a vertex time.
         let top = idx.instant_top_k(15.0, 1).unwrap();
         assert_eq!(top.ids(), vec![2]); // o2 reaches 5 at t=15
+    }
+
+    #[test]
+    fn instant_top_k_at_a_vertex_does_not_depend_on_the_leaf_layout() {
+        // Times and values off the binary grid: at most vertices
+        // `v0 + w·(t1 − t0)` misses `v1` by an ulp, so an answer taken from
+        // whichever entry is visited first differs between a 256-byte and
+        // a 4 KiB build.
+        let curve = |i: usize| {
+            let point = |j: usize| {
+                (0.3 * i as f64 + 0.7 * j as f64, 0.03 + 0.1 * ((7 * i + 13 * j) % 11) as f64)
+            };
+            chronorank_curve::PiecewiseLinear::from_points(&(0..8).map(point).collect::<Vec<_>>())
+        };
+        let set = TemporalSet::from_curves((0..10).map(|i| curve(i).unwrap()).collect()).unwrap();
+        let build = |block_size| {
+            let store = StoreConfig { block_size, pool_capacity: 64 };
+            Exact3::build(&set, IndexConfig { store }).unwrap()
+        };
+        let (small, large) = (build(256), build(4096));
+        let m = set.num_objects();
+        let mut off_grid = 0;
+        for o in set.objects() {
+            for seg in o.curve.segments() {
+                for t in [seg.t0, seg.t1] {
+                    let (a, b) =
+                        (small.instant_top_k(t, m).unwrap(), large.instant_top_k(t, m).unwrap());
+                    let bits = |top: &TopK| {
+                        top.entries().iter().map(|&(id, v)| (id, v.to_bits())).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&a), bits(&b), "t={t}");
+                }
+                // The entry ending at `t1` answered, not the one starting there.
+                let ended = seg.eval(seg.t1);
+                off_grid += usize::from(ended != seg.v1);
+                let got = small.instant_top_k(seg.t1, m).unwrap();
+                let &(_, v) = got.entries().iter().find(|&&(id, _)| id == o.id).unwrap();
+                assert_eq!(v.to_bits(), ended.to_bits(), "o{} t={}", o.id, seg.t1);
+            }
+        }
+        assert!(
+            off_grid > 0,
+            "every vertex of this set evaluates exactly: the test checks nothing"
+        );
+    }
+
+    #[test]
+    fn a_resident_build_writes_each_tree_page_once_and_reads_none() {
+        // No sort scratch: the one file is the tree, and the build's whole
+        // IO is the tree's pages going out once.
+        let mut set = crate::test_support::wavy_set(40, 30);
+        let mut idx = Exact3::build(&set, IndexConfig::default()).unwrap();
+        idx.flush().unwrap();
+        assert_eq!(idx.env.num_files(), 1);
+        let pages = idx.size_bytes() / idx.env.block_size() as u64;
+        let io = idx.io_stats();
+        assert_eq!((io.writes, io.reads), (pages, 0));
+        // A rebuild is the same merge into the next generation's file.
+        let end = set.object(1).unwrap().curve.end();
+        set.append_segment(1, end + 5.0, 20.0).unwrap();
+        idx.reset_io();
+        idx.rebuild(&set).unwrap();
+        idx.flush().unwrap();
+        assert_eq!(idx.env.num_files(), 2);
+        let pages = idx.size_bytes() / idx.env.block_size() as u64;
+        let io = idx.io_stats();
+        assert_eq!((io.writes, io.reads), (pages, 0));
     }
 
     #[test]

@@ -71,18 +71,12 @@ pub use exact1::Exact1;
 pub use exact2::Exact2;
 pub use exact3::Exact3;
 pub use method::{GenerationProfile, MethodProfile, SharedMethod, TopKMethod};
-pub use object::{AppendRecord, ObjectId, TemporalObject, TemporalSet};
+pub use object::{AppendRecord, ObjectId, TemporalObject, TemporalSet, TimeOrdered};
 pub use packed::{PackedPrefix, PackedPrefixBuilder, PackedScorer};
 pub use query1::Query1Index;
 pub use query2::Query2Index;
 pub use streambuild::{b2_streaming, scan_stats, StreamStats, StreamedB2};
 pub use topk::{RankMethod, TopK};
-
-/// Sort budget a resident build (`build(&set, …)`) hands its streaming
-/// constructor: runs of 2¹⁶ records.
-pub(crate) fn resident_sort_bytes(record_len: usize) -> u64 {
-    (1 << 16) * record_len as u64
-}
 
 /// Default index configuration shared by all methods.
 #[derive(Debug, Clone, Copy, Default)]

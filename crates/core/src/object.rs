@@ -2,7 +2,10 @@
 
 use crate::error::{CoreError, Result};
 use crate::streambuild::{scan_stats, StreamStats};
-use chronorank_curve::{ColumnarTail, PiecewiseLinear};
+use chronorank_curve::{ColumnarTail, PiecewiseLinear, Segment};
+use chronorank_index::IndexError;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Object identifier; objects are dense `0..m` within a [`TemporalSet`].
 pub type ObjectId = u32;
@@ -150,6 +153,13 @@ impl TemporalSet {
     /// All objects, id order.
     pub fn objects(&self) -> &[TemporalObject] {
         &self.objects
+    }
+
+    /// Every segment of the set in global start-time order (see
+    /// [`TimeOrdered`]) — what a resident EXACT1 / EXACT3 build loads its
+    /// tree from.
+    pub fn time_ordered(&self) -> TimeOrdered<'_> {
+        TimeOrdered::new(self.objects.iter().map(|o| (o.curve.times(), o.curve.values())).collect())
     }
 
     /// `σ_i(t1, t2)`: the ground-truth aggregate score of one object.
@@ -311,6 +321,78 @@ impl TemporalSet {
     }
 }
 
+/// A resident set's segments in global start-time order, without sorting
+/// them: every curve is already in `t0` order, so an `m`-way merge of
+/// per-object cursors keyed `(t0 by total_cmp, object position)` — an
+/// object's start times strictly increase, so the segment position never
+/// has to break a tie — yields exactly the sequence a stable sort by `t0`
+/// over an object-major push produces, which is what
+/// `chronorank_index::ExternalSorter` (stable run sort, run index as the
+/// merge tie-break) hands the streamed builds. Memory is `O(m)`, `64·m`
+/// bytes: the borrowed point columns, the heap, each object's next segment
+/// and its running prefix sum.
+///
+/// Yields `(object, segment, prefix)`, `prefix` being `σ_i` through the end
+/// of that segment — the running sum of [`Segment::integral_full`] in
+/// segment order, the value EXACT3 stores beside each entry. A non-finite
+/// start time is refused with the sorter's error when the merge reaches it
+/// (a validated curve holds none).
+pub struct TimeOrdered<'a> {
+    /// Per object, its `(times, values)` point columns.
+    columns: Vec<(&'a [f64], &'a [f64])>,
+    /// One head per object with segments left: `(t0 in total order, object)`.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per object, the segment its head stands for.
+    next: Vec<usize>,
+    prefix: Vec<f64>,
+}
+
+/// `f64::total_cmp` order as unsigned integers: negatives flipped whole,
+/// the sign bit set on the rest.
+fn total_order_bits(t: f64) -> u64 {
+    t.to_bits() ^ ((t.to_bits() as i64 >> 63) as u64 | 1 << 63)
+}
+
+impl<'a> TimeOrdered<'a> {
+    /// Merge objects given as point columns (`n + 1` points = `n`
+    /// segments; ids are positions).
+    fn new(columns: Vec<(&'a [f64], &'a [f64])>) -> Self {
+        let heap = columns
+            .iter()
+            .zip(0u32..)
+            .filter(|((times, _), _)| times.len() >= 2)
+            .map(|((times, _), obj)| Reverse((total_order_bits(times[0]), obj)))
+            .collect();
+        Self { next: vec![0; columns.len()], prefix: vec![0.0; columns.len()], heap, columns }
+    }
+}
+
+impl Iterator for TimeOrdered<'_> {
+    type Item = Result<(ObjectId, Segment, f64)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut head = self.heap.peek_mut()?;
+        let obj = head.0 .1;
+        let (times, values) = self.columns[obj as usize];
+        let j = self.next[obj as usize];
+        self.next[obj as usize] = j + 1;
+        // Re-key the head in place (one sift) while the object has more.
+        if j + 2 < times.len() {
+            head.0 .0 = total_order_bits(times[j + 1]);
+            drop(head);
+        } else {
+            PeekMut::pop(head);
+        }
+        let seg = Segment { t0: times[j], v0: values[j], t1: times[j + 1], v1: values[j + 1] };
+        if !seg.t0.is_finite() {
+            return Some(Err(IndexError::BadInput("record key must be finite".into()).into()));
+        }
+        let prefix = &mut self.prefix[obj as usize];
+        *prefix += seg.integral_full();
+        Some(Ok((obj, seg, *prefix)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,6 +529,89 @@ mod tests {
         assert_eq!(back.total_mass().to_bits(), s.total_mass().to_bits());
         assert_eq!(back.num_segments(), s.num_segments());
         assert!(back.has_negative());
+    }
+
+    /// What the resident builds used to get from the sorter: every segment
+    /// start in object-major push order, stably sorted by `t0.total_cmp`.
+    fn stable_sort_order(columns: &[(&[f64], &[f64])]) -> Vec<(u32, usize)> {
+        let mut pushed: Vec<(u32, usize)> = columns
+            .iter()
+            .zip(0u32..)
+            .flat_map(|((times, _), obj)| (0..times.len().saturating_sub(1)).map(move |j| (obj, j)))
+            .collect();
+        pushed
+            .sort_by(|a, b| columns[a.0 as usize].0[a.1].total_cmp(&columns[b.0 as usize].0[b.1]));
+        pushed
+    }
+
+    proptest::proptest! {
+        /// Objects start on a 4-point grid and step by 1 or 2, so start
+        /// times collide across objects all the time; zero is `-0.0` for
+        /// some objects and `+0.0` for others (`total_cmp` tells them
+        /// apart, `==` does not); point counts 0 and 1 are objects with no
+        /// segment, 2 is a single-segment object.
+        #[test]
+        fn time_ordered_is_a_stable_sort_by_t0_over_object_major_order(
+            specs in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    0usize..4,
+                    0usize..7,
+                    proptest::collection::vec((1usize..3, -3.0f64..3.0), 7),
+                ),
+                1..12,
+            ),
+        ) {
+            let objects: Vec<(Vec<f64>, Vec<f64>)> = specs
+                .iter()
+                .map(|(neg_zero, start, points, steps)| {
+                    let mut at = *start;
+                    steps[..*points]
+                        .iter()
+                        .map(|&(step, v)| {
+                            let t = at as f64 - 2.0;
+                            at += step;
+                            (if t == 0.0 && *neg_zero { -0.0 } else { t }, v)
+                        })
+                        .unzip()
+                })
+                .collect();
+            let columns: Vec<(&[f64], &[f64])> =
+                objects.iter().map(|(t, v)| (t.as_slice(), v.as_slice())).collect();
+            let want = stable_sort_order(&columns);
+            let mut prefix = vec![0.0f64; columns.len()];
+            let mut merged = TimeOrdered::new(columns.clone());
+            for &(obj, j) in &want {
+                let (times, values) = columns[obj as usize];
+                let seg = Segment { t0: times[j], v0: values[j], t1: times[j + 1], v1: values[j + 1] };
+                prefix[obj as usize] += seg.integral_full();
+                let (got_obj, got, got_prefix) = merged.next().expect("a segment is missing").unwrap();
+                let bits = |s: Segment| [s.t0, s.v0, s.t1, s.v1].map(f64::to_bits);
+                proptest::prop_assert_eq!((got_obj, bits(got)), (obj, bits(seg)));
+                proptest::prop_assert_eq!(got_prefix.to_bits(), prefix[obj as usize].to_bits());
+            }
+            proptest::prop_assert!(merged.next().is_none());
+        }
+    }
+
+    #[test]
+    fn time_ordered_refuses_a_non_finite_start_as_the_sorter_did() {
+        use chronorank_index::ExternalSorter;
+        use chronorank_storage::{Env, StoreConfig};
+        let env = Env::mem(StoreConfig::default());
+        let key = |rec: &[u8]| f64::from_le_bytes(rec.try_into().unwrap());
+        let mut sorter =
+            ExternalSorter::with_byte_budget(env.create_file("s").unwrap(), 8, 1 << 10, key)
+                .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let sorters = CoreError::from(sorter.push(&bad.to_le_bytes()).unwrap_err());
+            let (times, values) = ([0.0, bad, 2.0], [1.0; 3]);
+            let fine = ([0.5, 1.5], [1.0; 2]);
+            let merged = TimeOrdered::new(vec![(&times, &values), (&fine.0, &fine.1)]);
+            let errors: Vec<String> =
+                merged.filter_map(|e| e.err()).map(|e| e.to_string()).collect();
+            assert_eq!(errors, [sorters.to_string()], "t0 = {bad}");
+        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ where
 mod tests {
     use super::*;
     use crate::object::TemporalSet;
-    use crate::test_support::small_set;
+    use crate::test_support::{small_set, wavy_set};
     use chronorank_curve::PiecewiseLinear;
     use chronorank_storage::{Env, StoreConfig};
 
@@ -255,18 +255,6 @@ mod tests {
         let c = PiecewiseLinear::from_points(&[(0.0, 0.0), (5.0, 0.0)]).unwrap();
         let set = TemporalSet::from_curves(vec![c]).unwrap();
         assert_streaming_matches(&set, 0.1, B2Construction::Efficient);
-    }
-
-    /// `objects` curves of `segments` segments each; every pair of objects
-    /// shares its vertex times, so equal left endpoints must keep object
-    /// order through any number of merged runs.
-    fn wavy_set(objects: usize, segments: usize) -> TemporalSet {
-        let curve = |i: usize| {
-            let (shift, step) = (0.37 * (i / 2) as f64, 1.0 + 0.01 * (i / 2) as f64);
-            let point = |j: usize| (shift + step * j as f64, 1.0 + ((i * 31 + j * 17) % 23) as f64);
-            PiecewiseLinear::from_points(&(0..=segments).map(point).collect::<Vec<_>>()).unwrap()
-        };
-        TemporalSet::from_curves((0..objects).map(curve).collect()).unwrap()
     }
 
     #[test]

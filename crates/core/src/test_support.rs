@@ -64,6 +64,18 @@ pub fn small_set() -> TemporalSet {
     TemporalSet::from_curves(curves).unwrap()
 }
 
+/// `objects` curves of `segments` segments each; every pair of objects
+/// shares its vertex times, so equal left endpoints must keep object
+/// order through a merge or any number of merged runs.
+pub fn wavy_set(objects: usize, segments: usize) -> TemporalSet {
+    let curve = |i: usize| {
+        let (shift, step) = (0.37 * (i / 2) as f64, 1.0 + 0.01 * (i / 2) as f64);
+        let point = |j: usize| (shift + step * j as f64, 1.0 + ((i * 31 + j * 17) % 23) as f64);
+        PiecewiseLinear::from_points(&(0..=segments).map(point).collect::<Vec<_>>()).unwrap()
+    };
+    TemporalSet::from_curves((0..objects).map(curve).collect()).unwrap()
+}
+
 /// Assert two top-k answers agree: same scores rank-by-rank (within slack)
 /// and same ids wherever scores are not tied.
 pub fn assert_same_answer(want: &TopK, got: &TopK, ctx: &str) {

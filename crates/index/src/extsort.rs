@@ -18,7 +18,7 @@ use crate::error::{IndexError, Result};
 use chronorank_storage::page::{get_u32, put_u32};
 use chronorank_storage::{PageId, PagedFile};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 const RUN_HDR: usize = 4; // record count within the block
 
@@ -105,6 +105,20 @@ impl RunCursor {
         let off = RUN_HDR + within * self.record_len;
         Ok(Some(&self.buf[off..off + self.record_len]))
     }
+
+    /// The record the last `next` returned: it stays in the block buffer
+    /// until the following `next`.
+    fn current(&self) -> &[u8] {
+        let (_, within) = run_position(self.pos - 1, self.per_block);
+        let off = RUN_HDR + within * self.record_len;
+        &self.buf[off..off + self.record_len]
+    }
+}
+
+/// `f64::total_cmp` order as unsigned integers: negatives flipped whole,
+/// the sign bit set on the rest.
+pub(crate) fn total_order_bits(key: f64) -> u64 {
+    key.to_bits() ^ ((key.to_bits() as i64 >> 63) as u64 | 1 << 63)
 }
 
 /// External merge sorter over fixed-size records (see module docs).
@@ -206,13 +220,12 @@ impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
         let block = self.file.block_size();
         let mut cursors: Vec<RunCursor> =
             self.runs.iter().map(|&r| RunCursor::new(r, self.record_len, block)).collect();
-        // Prime the heap with each run's head key.
+        // Prime the heap with each run's head key; the head record itself
+        // stays in its cursor's block buffer.
         let mut heap = BinaryHeap::with_capacity(cursors.len());
         for (i, c) in cursors.iter_mut().enumerate() {
             if let Some(rec) = c.next(&self.file)? {
-                let key = (self.key_fn)(rec);
-                let rec = rec.to_vec();
-                heap.push(Reverse(HeapEntry { key, run: i, rec }));
+                heap.push(Reverse((total_order_bits((self.key_fn)(rec)), i)));
             }
         }
         Ok(SortedStream {
@@ -255,7 +268,9 @@ pub struct SortedStream<F: Fn(&[u8]) -> f64> {
     record_len: usize,
     key_fn: F,
     cursors: Vec<RunCursor>,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// `(head key in total order, run)` per unexhausted run: equal keys
+    /// leave in run order, which is push order.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
     remaining: u64,
 }
 
@@ -270,13 +285,15 @@ impl<F: Fn(&[u8]) -> f64> SortedStream<F> {
         if out.len() != self.record_len {
             return Err(IndexError::BadInput("output buffer length mismatch".into()));
         }
-        let Some(Reverse(top)) = self.heap.pop() else { return Ok(false) };
-        out.copy_from_slice(&top.rec);
-        // Refill from the run the winner came from.
-        if let Some(rec) = self.cursors[top.run].next(&self.file)? {
-            let key = (self.key_fn)(rec);
-            let rec = rec.to_vec();
-            self.heap.push(Reverse(HeapEntry { key, run: top.run, rec }));
+        let Some(mut top) = self.heap.peek_mut() else { return Ok(false) };
+        let cursor = &mut self.cursors[top.0 .1];
+        out.copy_from_slice(cursor.current());
+        // Re-key the winner's run to its next record, or retire it.
+        match cursor.next(&self.file)? {
+            Some(rec) => top.0 .0 = total_order_bits((self.key_fn)(rec)),
+            None => {
+                PeekMut::pop(top);
+            }
         }
         self.remaining -= 1;
         Ok(true)

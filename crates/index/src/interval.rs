@@ -51,6 +51,7 @@
 
 use crate::bulk::FenceSpill;
 use crate::error::{IndexError, Result};
+use crate::extsort::total_order_bits;
 use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
 use chronorank_storage::{PageId, PagedFile};
 
@@ -200,11 +201,12 @@ impl IntervalBulkLoader {
         let block = self.file.block_size();
         let elen = IntervalTree::entry_len(self.payload_len);
         let epb = IntervalTree::entries_per_block(block, self.payload_len);
-        // `total_cmp` order as integers: flip negatives whole, set the
-        // sign bit of the rest.
-        let key = |hi: f64| hi.to_bits() ^ ((hi.to_bits() as i64 >> 63) as u64 | 1 << 63);
-        let mut order: Vec<(u64, u32)> =
-            self.run.chunks_exact(elen).zip(0..).map(|(e, i)| (key(get_f64(e, 8)), i)).collect();
+        let mut order: Vec<(u64, u32)> = self
+            .run
+            .chunks_exact(elen)
+            .zip(0..)
+            .map(|(e, i)| (total_order_bits(get_f64(e, 8)), i))
+            .collect();
         order.sort_unstable();
         let mut leaf_of = vec![0u32; order.len()];
         for (at, &(_, i)) in order.iter().enumerate() {
