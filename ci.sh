@@ -9,10 +9,11 @@
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
 #   clippy            cargo clippy -D warnings        (whole workspace, all targets)
 #   doc               cargo doc --no-deps             (RUSTDOCFLAGS="-D warnings")
-#   tier1             cargo build --release && cargo test -q, then the three
+#   tier1             cargo build --release && cargo test -q, then the four
 #                     counts tests/resident_build_counts.rs pins (blocks
-#                     written, blocks read, allocations per shard build)
-#                     echoed into the summary below the timings
+#                     written, blocks read, allocations per shard build,
+#                     heap bytes held per index byte) echoed into the
+#                     summary below the timings — and below a failure
 #   agreement-w8      serve/live/window agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
 #                     shared-snapshot engines race for real cores
@@ -150,12 +151,15 @@ doc_stage() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 }
 
-# The counts a CHANGES entry quotes from this log instead of re-measuring:
-# the test prints them, the run above already asserted them.
+# The counts a CHANGES entry quotes from this log instead of re-measuring.
+# Collected first and tolerant of failure: the test prints each count before
+# asserting it, so one that trips its pin still reaches the failure summary;
+# the workspace run below is what fails the stage.
 tier1_stage() {
     cargo build --release
+    PINNED_COUNTS=$(cargo test -q --test resident_build_counts -- --nocapture 2> /dev/null \
+        | grep '^pinned:' || true)
     cargo test -q --workspace
-    PINNED_COUNTS=$(cargo test -q --test resident_build_counts -- --nocapture | grep '^pinned:')
 }
 
 # The agreement suites prove bit-identical answers with workers querying

@@ -3,12 +3,27 @@
 //! A [`BlockDevice`] is an uncached, uncounted array of fixed-size blocks.
 //! The buffer pool ([`crate::PagedFile`]) sits on top and is the only
 //! component that should talk to a device directly.
+//!
+//! The pool and a device exchange whole blocks as [`Page`] handles
+//! ([`BlockDevice::load`] / [`BlockDevice::store`]): a pointer where the
+//! device keeps its blocks in this heap ([`MemDevice`]), the bytes otherwise.
 
 use crate::error::{Result, StorageError};
 use crate::PageId;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// One block's bytes behind a shared handle. The bytes are immutable while
+/// the handle is shared: whoever wants to change them either holds the only
+/// handle ([`Arc::get_mut`]) or replaces its handle with a fresh buffer.
+pub type Page = Arc<[u8]>;
+
+/// A fresh, exclusively owned page of `block_size` zeros.
+fn zeroed_page(block_size: usize) -> Page {
+    std::iter::repeat_n(0u8, block_size).collect()
+}
 
 /// An array of fixed-size blocks addressed by [`PageId`].
 ///
@@ -35,6 +50,25 @@ pub trait BlockDevice: Send + Sync {
 
     /// Force durability (no-op for memory devices).
     fn sync(&mut self) -> Result<()>;
+
+    /// Make `page` hold block `id`. The default reads into `page`'s own
+    /// buffer when the caller holds the only handle to a block-sized one (a
+    /// pool reusing an evicted frame) and into a fresh one otherwise; a
+    /// device that keeps pages itself hands out its handle instead. On error
+    /// `page`'s bytes are unspecified.
+    fn load(&mut self, id: PageId, page: &mut Page) -> Result<()> {
+        if Arc::get_mut(page).is_none_or(|buf| buf.len() != self.block_size()) {
+            *page = zeroed_page(self.block_size());
+        }
+        self.read(id, Arc::get_mut(page).expect("checked or fresh: the only handle"))
+    }
+
+    /// Make block `id` hold `page`'s bytes. The default writes them out; a
+    /// device that keeps pages itself keeps the handle instead, after which
+    /// the caller must not expect to own the bytes alone.
+    fn store(&mut self, id: PageId, page: &Page) -> Result<()> {
+        self.write(id, page)
+    }
 }
 
 fn check_len(buf_len: usize, block_size: usize) -> Result<()> {
@@ -54,16 +88,29 @@ fn check_bounds(id: PageId, len: u64) -> Result<()> {
 /// An in-memory block device. The default backing for benchmarks: IO counts
 /// are identical to the file-backed device while keeping runs fast and
 /// filesystem-independent.
+///
+/// Each block is a [`Page`] handle. [`BlockDevice::load`] hands out a clone
+/// of it and [`BlockDevice::store`] keeps the caller's, so a page the pool
+/// has cached from, or flushed to, this device is resident once. A block
+/// nobody has written yet is a handle to the device's one page of zeros.
 pub struct MemDevice {
     block_size: usize,
-    blocks: Vec<Box<[u8]>>,
+    blocks: Vec<Page>,
+    /// What every allocated, never-written block points at.
+    zeros: Page,
 }
 
 impl MemDevice {
     /// Create an empty device with the given block size.
     pub fn new(block_size: usize) -> Self {
         assert!(block_size >= 64, "block size unreasonably small");
-        Self { block_size, blocks: Vec::new() }
+        Self { block_size, blocks: Vec::new(), zeros: zeroed_page(block_size) }
+    }
+
+    fn block_mut(&mut self, id: PageId, len: usize) -> Result<&mut Page> {
+        check_len(len, self.block_size)?;
+        check_bounds(id, self.blocks.len() as u64)?;
+        Ok(&mut self.blocks[id as usize])
     }
 
     /// Bytes currently held by the device.
@@ -82,28 +129,33 @@ impl BlockDevice for MemDevice {
     }
 
     fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
-        check_len(buf.len(), self.block_size)?;
-        check_bounds(id, self.blocks.len() as u64)?;
-        buf.copy_from_slice(&self.blocks[id as usize]);
+        buf.copy_from_slice(self.block_mut(id, buf.len())?);
         Ok(())
     }
 
     fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
-        check_len(buf.len(), self.block_size)?;
-        check_bounds(id, self.blocks.len() as u64)?;
-        self.blocks[id as usize].copy_from_slice(buf);
+        // In place unless someone else holds this block's handle.
+        Arc::make_mut(self.block_mut(id, buf.len())?).copy_from_slice(buf);
         Ok(())
     }
 
     fn allocate(&mut self, n: u64) -> Result<PageId> {
         let first = self.blocks.len() as u64;
-        for _ in 0..n {
-            self.blocks.push(vec![0u8; self.block_size].into_boxed_slice());
-        }
+        self.blocks.extend((0..n).map(|_| Arc::clone(&self.zeros)));
         Ok(first)
     }
 
     fn sync(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn load(&mut self, id: PageId, page: &mut Page) -> Result<()> {
+        *page = Arc::clone(self.block_mut(id, self.block_size)?);
+        Ok(())
+    }
+
+    fn store(&mut self, id: PageId, page: &Page) -> Result<()> {
+        *self.block_mut(id, page.len())? = Arc::clone(page);
         Ok(())
     }
 }
@@ -214,10 +266,28 @@ mod tests {
             dev.read(first + i, &mut out).unwrap();
             assert!(out.iter().all(|&b| b == i as u8 + 1), "block {i} mismatch");
         }
-        // Fresh allocations are zeroed.
+        // Fresh allocations are zeroed, read either way.
         let id = dev.allocate(1).unwrap();
         dev.read(id, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 0));
+        let mut handle = Page::default();
+        dev.load(id, &mut handle).unwrap();
+        assert!(handle.len() == bs && handle.iter().all(|&b| b == 0));
+        // A stored page reads back through both, and a load over a handle
+        // someone else still holds leaves their bytes alone.
+        let nines = Page::from(vec![9u8; bs]);
+        dev.store(id, &nines).unwrap();
+        dev.read(id, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 9));
+        let (mut loaded, held) = (Arc::clone(&handle), handle);
+        dev.load(id, &mut loaded).unwrap();
+        assert_eq!(loaded, nines);
+        assert!(held.iter().all(|&b| b == 0));
+        // A plain write never reaches a handle already handed out.
+        dev.write(id, &vec![5u8; bs]).unwrap();
+        assert!(loaded.iter().all(|&b| b == 9) && nines.iter().all(|&b| b == 9));
+        dev.read(id, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 5));
         dev.sync().unwrap();
     }
 

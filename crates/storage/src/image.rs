@@ -29,7 +29,7 @@ use crate::error::{Result, StorageError};
 use crate::pool::{PagedFile, StoreConfig};
 use crate::stats::IoCounter;
 use crate::wal::crc32;
-use crate::{BlockDevice, MemDevice};
+use crate::{BlockDevice, MemDevice, Page};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -232,9 +232,10 @@ impl GenerationImage {
         self.payload(&s)
     }
 
-    /// Reconstruct a captured [`PagedFile`] (CRC-checked): the pages are
-    /// loaded into a fresh [`MemDevice`], so the returned file serves
-    /// queries immediately with no build pass. IOs charge to `counter`.
+    /// Reconstruct a captured [`PagedFile`] (CRC-checked): each page is
+    /// handed to a fresh [`MemDevice`] as the handle the pool will later
+    /// share, so the returned file serves queries immediately with no build
+    /// pass. IOs charge to `counter`.
     pub fn paged(
         &mut self,
         name: &str,
@@ -253,7 +254,7 @@ impl GenerationImage {
         let mut dev = MemDevice::new(bs);
         dev.allocate(s.len / bs as u64)?;
         for (id, chunk) in bytes.chunks_exact(bs).enumerate() {
-            dev.write(id as u64, chunk)?;
+            dev.store(id as u64, &Page::from(chunk))?;
         }
         let config = StoreConfig { block_size: bs, pool_capacity };
         Ok(PagedFile::new(Box::new(dev), config, counter))

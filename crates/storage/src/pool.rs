@@ -6,9 +6,22 @@
 //! mirrors how TPIE-backed structures in the paper accumulate their IO
 //! counts.
 //!
-//! The API is copy-in/copy-out (callers own scratch buffers) which keeps the
-//! pool reentrancy-safe without unsafe code; a 4 KB memcpy is far below the
-//! cost noise floor of anything this workspace measures.
+//! A frame holds its block as a [`Page`] handle and exchanges it with the
+//! device through [`BlockDevice::load`] / [`BlockDevice::store`]. Over a
+//! [`crate::MemDevice`] both are a pointer copy, so a clean cached page and
+//! the device's block are one allocation — the pool costs IO accounting, not
+//! a second copy of the index. A frame owns its bytes (and is written in
+//! place) from the first [`PagedFile::write`] after it was loaded or written
+//! back until the next write-back; a write to a frame whose handle the
+//! device also holds replaces it with a fresh buffer, so the device never
+//! sees bytes that were not written back. Over a [`crate::FileDevice`]
+//! nothing is shared and a frame's buffer is reused across evictions.
+//!
+//! Towards callers the API stays copy-in/copy-out (callers own scratch
+//! buffers): that keeps the lock held for one block transfer only and the
+//! pool reentrancy-safe without unsafe code, and callers decode records out
+//! of the copy anyway — a 4 KB memcpy is far below the cost noise floor of
+//! anything this workspace measures.
 //!
 //! `PagedFile` is `Send + Sync`: the pool state sits behind one internal
 //! [`Mutex`], so any number of threads can read and write through a shared
@@ -17,12 +30,12 @@
 //! hold the lock while computing on block contents, because the API copies
 //! the block out before returning.
 
-use crate::device::BlockDevice;
+use crate::device::{BlockDevice, Page};
 use crate::error::{Result, StorageError};
 use crate::stats::IoCounter;
 use crate::PageId;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Configuration for a [`PagedFile`]'s pool and device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +53,12 @@ impl Default for StoreConfig {
 }
 
 struct Frame {
-    id: PageId,
+    /// The block this frame caches; `None` after a load into it failed.
+    id: Option<PageId>,
     dirty: bool,
     /// Tick of the most recent access (LRU victim = minimum).
     last_used: u64,
-    buf: Box<[u8]>,
+    page: Page,
 }
 
 struct PoolInner {
@@ -63,7 +77,9 @@ impl PoolInner {
         self.frames[idx].last_used = self.tick;
     }
 
-    /// Index of the frame holding `id`, faulting it in if necessary.
+    /// Index of the frame holding `id`, faulting it in if necessary. A
+    /// failed write-back leaves the pool as it was; a failed load costs at
+    /// most the victim's cached copy, which was clean by then.
     fn frame_for(&mut self, id: PageId, counter: &IoCounter, load: bool) -> Result<usize> {
         if id >= self.device.num_blocks() {
             return Err(StorageError::OutOfBounds { id, len: self.device.num_blocks() });
@@ -75,39 +91,40 @@ impl PoolInner {
         }
         self.misses += 1;
         let idx = if self.frames.len() < self.capacity {
-            let bs = self.device.block_size();
-            self.frames.push(Frame {
-                id,
-                dirty: false,
-                last_used: 0,
-                buf: vec![0u8; bs].into_boxed_slice(),
-            });
+            // No buffer yet: the device's handle or the caller's bytes fill it.
+            self.frames.push(Frame { id: None, dirty: false, last_used: 0, page: Page::default() });
             self.frames.len() - 1
         } else {
             let victim = self.pick_victim();
-            let old = self.frames[victim].id;
-            if self.frames[victim].dirty {
-                let buf = std::mem::take(&mut self.frames[victim].buf);
-                self.device.write(old, &buf)?;
-                self.frames[victim].buf = buf;
-                counter.add_writes(1);
-            }
-            self.map.remove(&old);
-            self.frames[victim].id = id;
-            self.frames[victim].dirty = false;
+            self.write_back(victim, counter)?;
             victim
         };
-        if load {
-            let mut buf = std::mem::take(&mut self.frames[idx].buf);
-            self.device.read(id, &mut buf)?;
-            self.frames[idx].buf = buf;
-            counter.add_reads(1);
-        } else {
-            self.frames[idx].buf.fill(0);
+        let frame = &mut self.frames[idx];
+        // Unmapped until the page is in: a failed load may leave half a
+        // transfer in the buffer, and the frame is then the next victim.
+        if let Some(old) = frame.id.take() {
+            self.map.remove(&old);
         }
+        frame.last_used = 0;
+        if load {
+            self.device.load(id, &mut frame.page)?;
+            counter.add_reads(1);
+        }
+        frame.id = Some(id);
         self.map.insert(id, idx);
         self.touch(idx);
         Ok(idx)
+    }
+
+    /// Hand frame `idx`'s page to the device if it is dirty.
+    fn write_back(&mut self, idx: usize, counter: &IoCounter) -> Result<()> {
+        let frame = &mut self.frames[idx];
+        if let (true, Some(id)) = (frame.dirty, frame.id) {
+            self.device.store(id, &frame.page)?;
+            frame.dirty = false;
+            counter.add_writes(1);
+        }
+        Ok(())
     }
 
     /// LRU victim: the frame with the smallest access tick. A linear scan is
@@ -124,14 +141,7 @@ impl PoolInner {
 
     fn flush(&mut self, counter: &IoCounter) -> Result<()> {
         for idx in 0..self.frames.len() {
-            if self.frames[idx].dirty {
-                let id = self.frames[idx].id;
-                let buf = std::mem::take(&mut self.frames[idx].buf);
-                self.device.write(id, &buf)?;
-                self.frames[idx].buf = buf;
-                self.frames[idx].dirty = false;
-                counter.add_writes(1);
-            }
+            self.write_back(idx, counter)?;
         }
         self.device.sync()?;
         Ok(())
@@ -204,7 +214,7 @@ impl PagedFile {
         }
         let mut inner = self.lock();
         let idx = inner.frame_for(id, &self.counter, true)?;
-        buf.copy_from_slice(&inner.frames[idx].buf);
+        buf.copy_from_slice(&inner.frames[idx].page);
         Ok(())
     }
 
@@ -216,8 +226,14 @@ impl PagedFile {
         let mut inner = self.lock();
         // A full-block overwrite never needs to fault the old contents in.
         let idx = inner.frame_for(id, &self.counter, false)?;
-        inner.frames[idx].buf.copy_from_slice(buf);
-        inner.frames[idx].dirty = true;
+        let frame = &mut inner.frames[idx];
+        // In place only where this frame holds the sole handle to a buffer:
+        // the device must not see bytes before they are written back.
+        match Arc::get_mut(&mut frame.page) {
+            Some(own) if own.len() == buf.len() => own.copy_from_slice(buf),
+            _ => frame.page = Page::from(buf),
+        }
+        frame.dirty = true;
         Ok(())
     }
 
@@ -252,11 +268,110 @@ impl PagedFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::MemDevice;
+    use crate::device::{FileDevice, MemDevice};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    fn file_on(device: impl BlockDevice + 'static, cap: usize) -> PagedFile {
+        let cfg = StoreConfig { block_size: 128, pool_capacity: cap };
+        PagedFile::new(Box::new(device), cfg, IoCounter::new())
+    }
 
     fn file(cap: usize) -> PagedFile {
-        let cfg = StoreConfig { block_size: 128, pool_capacity: cap };
-        PagedFile::new(Box::new(MemDevice::new(128)), cfg, IoCounter::new())
+        file_on(MemDevice::new(128), cap)
+    }
+
+    /// A [`MemDevice`] the test keeps a second handle to, so it can look at
+    /// the device's blocks behind the pool's back.
+    #[derive(Clone)]
+    struct Shared(Arc<Mutex<MemDevice>>);
+
+    impl Shared {
+        /// The handle the device holds for block `id` (what a load hands out).
+        fn block(&self, id: PageId) -> Page {
+            let mut page = Page::default();
+            self.0.lock().unwrap().load(id, &mut page).unwrap();
+            page
+        }
+    }
+
+    impl BlockDevice for Shared {
+        fn block_size(&self) -> usize {
+            self.0.lock().unwrap().block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.0.lock().unwrap().num_blocks()
+        }
+        fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            self.0.lock().unwrap().read(id, buf)
+        }
+        fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.0.lock().unwrap().write(id, buf)
+        }
+        fn allocate(&mut self, n: u64) -> Result<PageId> {
+            self.0.lock().unwrap().allocate(n)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.0.lock().unwrap().sync()
+        }
+        fn load(&mut self, id: PageId, page: &mut Page) -> Result<()> {
+            self.0.lock().unwrap().load(id, page)
+        }
+        fn store(&mut self, id: PageId, page: &Page) -> Result<()> {
+            self.0.lock().unwrap().store(id, page)
+        }
+    }
+
+    /// The handle the pool's frame for block `id` holds.
+    fn cached(f: &PagedFile, id: PageId) -> Page {
+        let inner = f.lock();
+        Arc::clone(&inner.frames[inner.map[&id]].page)
+    }
+
+    /// Fails the next transfer after the test arms it — a read fails half
+    /// way through the caller's buffer. Only the required methods, so the
+    /// pool reaches it through the provided `load` / `store`.
+    struct Flaky {
+        inner: MemDevice,
+        fail_next: Arc<AtomicBool>,
+    }
+
+    impl Flaky {
+        fn trip(&self) -> Result<()> {
+            if self.fail_next.swap(false, Ordering::Relaxed) {
+                return Err(StorageError::Io(std::io::Error::other("injected fault")));
+            }
+            Ok(())
+        }
+    }
+
+    impl BlockDevice for Flaky {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn read(&mut self, id: PageId, buf: &mut [u8]) -> Result<()> {
+            let half = buf.len() / 2;
+            self.trip().inspect_err(|_| buf[..half].fill(0xEE))?;
+            self.inner.read(id, buf)
+        }
+        fn write(&mut self, id: PageId, buf: &[u8]) -> Result<()> {
+            self.trip()?;
+            self.inner.write(id, buf)
+        }
+        fn allocate(&mut self, n: u64) -> Result<PageId> {
+            self.inner.allocate(n)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    fn flaky_file(cap: usize) -> (PagedFile, Arc<AtomicBool>) {
+        let fail_next = Arc::new(AtomicBool::new(false));
+        let device = Flaky { inner: MemDevice::new(128), fail_next: Arc::clone(&fail_next) };
+        (file_on(device, cap), fail_next)
     }
 
     #[test]
@@ -313,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_prefers_unreferenced_victims() {
+    fn lru_evicts_the_least_recently_used_page() {
         let f = file(2);
         let first = f.allocate(3).unwrap();
         let mut out = vec![0u8; 128];
@@ -326,6 +441,129 @@ mod tests {
         // reading block 0 again must still be a cache hit.
         f.read(first, &mut out).unwrap();
         assert_eq!(f.io().snapshot().reads, 0);
+    }
+
+    #[test]
+    fn a_page_cached_from_or_flushed_to_memory_is_the_devices_allocation() {
+        let dev = Shared(Arc::new(Mutex::new(MemDevice::new(128))));
+        let f = file_on(dev.clone(), 4);
+        f.allocate(1).unwrap();
+        f.write(0, &[7u8; 128]).unwrap();
+        assert!(dev.block(0).iter().all(|&b| b == 0), "write-back cache: nothing out yet");
+        f.flush().unwrap();
+        assert!(Arc::ptr_eq(&cached(&f, 0), &dev.block(0)), "a flush hands the frame's page over");
+        assert!(dev.block(0).iter().all(|&b| b == 7));
+
+        // A cold read allocates no page: the new frame points at the block.
+        f.drop_cache().unwrap();
+        let mut out = vec![0u8; 128];
+        f.read(0, &mut out).unwrap();
+        assert_eq!(out, [7u8; 128]);
+        assert!(Arc::ptr_eq(&cached(&f, 0), &dev.block(0)));
+        assert_eq!(f.io().snapshot(), crate::IoStats { reads: 1, writes: 1, ..Default::default() });
+    }
+
+    #[test]
+    fn rewriting_a_clean_page_reaches_the_device_only_when_written_back() {
+        let dev = Shared(Arc::new(Mutex::new(MemDevice::new(128))));
+        let f = file_on(dev.clone(), 1);
+        f.allocate(2).unwrap();
+        f.write(0, &[1u8; 128]).unwrap();
+        f.flush().unwrap();
+        let mut out = vec![0u8; 128];
+        for (round, by_flush) in [(2u8, true), (3u8, false)] {
+            // The frame shares its page with the device here; the rewrite
+            // must show to readers at once and to the device not yet.
+            let before = dev.block(0);
+            f.write(0, &[round; 128]).unwrap();
+            f.read(0, &mut out).unwrap();
+            assert_eq!(out, [round; 128]);
+            assert!(Arc::ptr_eq(&before, &dev.block(0)));
+            assert!(before.iter().all(|&b| b == round - 1), "the device saw an unflushed write");
+            if by_flush {
+                f.flush().unwrap();
+                assert!(Arc::ptr_eq(&cached(&f, 0), &dev.block(0)));
+            } else {
+                f.read(1, &mut out).unwrap(); // one frame: evicts block 0
+            }
+            assert!(dev.block(0).iter().all(|&b| b == round));
+        }
+    }
+
+    #[test]
+    fn allocated_never_written_blocks_read_as_zeros_on_both_devices() {
+        let dir = std::env::temp_dir().join(format!("chronorank-pool-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let on_disk = FileDevice::create_scratch(&dir.join("zeros.blk"), 128).unwrap();
+        for f in [file(2), file_on(on_disk, 2)] {
+            f.allocate(3).unwrap();
+            f.write(1, &[4u8; 128]).unwrap();
+            let mut out = vec![0xAAu8; 128];
+            for id in [0, 2] {
+                f.read(id, &mut out).unwrap();
+                assert_eq!(out, [0u8; 128], "block {id}");
+            }
+            f.read(1, &mut out).unwrap();
+            assert_eq!(out, [4u8; 128]);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_flush_keeps_the_page_dirty_and_readable() {
+        let (f, fail_next) = flaky_file(2);
+        f.allocate(1).unwrap();
+        f.write(0, &[7u8; 128]).unwrap();
+        fail_next.store(true, Ordering::Relaxed);
+        assert!(matches!(f.flush(), Err(StorageError::Io(_))));
+        let mut out = vec![0u8; 128];
+        f.read(0, &mut out).unwrap();
+        assert_eq!(out, [7u8; 128]);
+        assert_eq!(f.io().snapshot().total(), 0, "the failed transfer is not charged");
+        // The retry writes it, once.
+        f.flush().unwrap();
+        f.flush().unwrap();
+        assert_eq!(f.io().snapshot().writes, 1);
+        f.drop_cache().unwrap();
+        f.read(0, &mut out).unwrap();
+        assert_eq!(out, [7u8; 128]);
+    }
+
+    #[test]
+    fn a_failed_load_loses_no_frame_and_serves_no_half_read_page() {
+        let (f, fail_next) = flaky_file(2);
+        f.allocate(3).unwrap();
+        for id in 0..3u64 {
+            f.write(id, &[id as u8 + 1; 128]).unwrap();
+        }
+        f.drop_cache().unwrap();
+        f.io().reset();
+        let mut out = vec![0u8; 128];
+        let mut read = |id: u64| {
+            f.read(id, &mut out)?;
+            assert!(out.iter().all(|&b| b == out[0]), "block {id} is torn");
+            Ok::<u8, StorageError>(out[0])
+        };
+        let reads = || f.io().snapshot().reads;
+
+        // Into a frame the pool had not used yet.
+        fail_next.store(true, Ordering::Relaxed);
+        assert!(matches!(read(0), Err(StorageError::Io(_))));
+        assert_eq!(reads(), 0);
+        assert_eq!(read(0).unwrap(), 1);
+        assert_eq!(reads(), 1, "the failed page is a miss again, charged once");
+        assert_eq!(read(1).unwrap(), 2);
+        assert_eq!((read(0).unwrap(), read(1).unwrap(), reads()), (1, 2, 2), "both frames cache");
+
+        // Into block 0's frame (the LRU victim), half overwritten by the
+        // failed read: block 0 must come back from the device, not from it.
+        fail_next.store(true, Ordering::Relaxed);
+        assert!(matches!(read(2), Err(StorageError::Io(_))));
+        assert_eq!((read(1).unwrap(), reads()), (2, 2), "the other frame is untouched");
+        assert_eq!((read(0).unwrap(), reads()), (1, 3));
+        assert_eq!((read(2).unwrap(), reads()), (3, 4));
+        f.write(1, &[9u8; 128]).unwrap();
+        assert_eq!(read(1).unwrap(), 9);
     }
 
     #[test]
