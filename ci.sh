@@ -5,24 +5,25 @@
 #                          rule applied to `git show <rev>:<file>` — the one
 #                          command a CHANGES entry quotes
 #
-# Stages (10):
+# Stages (9):
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
 #   clippy            cargo clippy -D warnings        (whole workspace, all targets)
 #   doc               cargo doc --no-deps             (RUSTDOCFLAGS="-D warnings")
-#   tier1             cargo build --release && cargo test -q, then the four
+#   tier1             cargo build --release && cargo test -q, then the
 #                     counts tests/resident_build_counts.rs pins (blocks
 #                     written, blocks read, allocations per shard build,
-#                     heap bytes held per index byte) echoed into the
-#                     summary below the timings — and below a failure
+#                     heap bytes held per index byte and per live point)
+#                     and the ones tests/obs_counts.rs pins (spans, heap
+#                     allocations and metric updates per query, bytes per
+#                     span slot — what telemetry costs, as counts that
+#                     repeat rather than a timing) echoed into the summary
+#                     below the timings — and below a failure
 #   agreement-w8      serve/live/window agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
 #                     shared-snapshot engines race for real cores
-#   obs-smoke         paper-bench obs --quick         (exits nonzero if the
-#                     telemetry plane costs >3% read-path throughput,
-#                     untraced AND fully traced) plus a loopback METRICS
-#                     scrape (examples/metrics_scrape fails on malformed
-#                     exposition or missing families)
-#   trace-smoke       examples/trace_dump against a loopback server
+#   obs-smoke         a loopback METRICS scrape (examples/metrics_scrape
+#                     fails on malformed exposition or missing families)
+#                     and examples/trace_dump against a loopback server
 #                     (exits nonzero unless one wire query yields one
 #                     joined cross-process span tree over the TRACE op)
 #   paperscale-smoke  paper-bench paperscale --quick  (one scaled-down rung
@@ -75,7 +76,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/resident_build_counts.rs)"
+        echo "== pinned counts (tier1, tests/resident_build_counts.rs and tests/obs_counts.rs)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -157,8 +158,8 @@ doc_stage() {
 # the workspace run below is what fails the stage.
 tier1_stage() {
     cargo build --release
-    PINNED_COUNTS=$(cargo test -q --test resident_build_counts -- --nocapture 2> /dev/null \
-        | grep '^pinned:' || true)
+    PINNED_COUNTS=$(cargo test -q --test resident_build_counts --test obs_counts -- --nocapture \
+        2> /dev/null | grep '^pinned:' || true)
     cargo test -q --workspace
 }
 
@@ -172,19 +173,13 @@ agreement_w8() {
         --test columnar_agreement
 }
 
-# The obs bench enforces its own <3% overhead gate by exit code; the
-# scrape example fails on malformed exposition or a missing family.
-obs_smoke() {
-    CHRONORANK_OBS_JSON=target/BENCH_OBS_ci.json \
-        cargo run --release -q -p chronorank-bench --bin paper_bench -- obs --quick \
-        --out target/paper-bench-smoke
-    cargo run --release -q --example metrics_scrape
-}
-
+# The scrape example fails on malformed exposition or a missing family.
 # One traced wire query must come back over TRACE as a single joined
 # span tree (client.topk -> server.request -> engine.query -> probes);
-# the example exits nonzero otherwise.
-trace_smoke() {
+# the trace example exits nonzero otherwise. What telemetry costs a query
+# is tier1's business (tests/obs_counts.rs), not a timing here.
+obs_smoke() {
+    cargo run --release -q --example metrics_scrape
     cargo run --release -q --example trace_dump
 }
 
@@ -221,7 +216,6 @@ stage doc              doc_stage
 stage tier1            tier1_stage
 stage agreement-w8     agreement_w8
 stage obs-smoke        obs_smoke
-stage trace-smoke      trace_smoke
 stage paperscale-smoke paperscale_smoke
 stage rescore-smoke    rescore_smoke
 stage benchmark-smoke  benchmark_smoke

@@ -5,7 +5,7 @@
 //! paper-bench <figure> [options]
 //!
 //! figures: fig3 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20
-//!          ablation obs paperscale rescore all
+//!          ablation paperscale rescore all
 //! options:
 //!   --m N         base object count            (default 800)
 //!   --navg N      base segments per object     (default 250)
@@ -89,7 +89,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!(
-            "usage: paper-bench <fig3|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|ablation|obs|paperscale|rescore|all> \
+            "usage: paper-bench <fig3|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|ablation|paperscale|rescore|all> \
              [--m N] [--navg N] [--r N] [--kmax N] [--k N] [--queries N] [--meme-m N] [--out DIR] [--quick] [--budget-mb N] [--paper]"
         );
         std::process::exit(2);
@@ -142,7 +142,6 @@ fn main() {
         "fig18" => fig18(&opts),
         "fig19" | "fig20" => fig19_20(&opts),
         "ablation" => ablation(&opts),
-        "obs" => obs(&opts),
         "paperscale" => paperscale(&opts),
         "rescore" => rescore(&opts),
         "all" => {
@@ -156,7 +155,6 @@ fn main() {
             fig18(&opts);
             fig19_20(&opts);
             ablation(&opts);
-            obs(&opts);
             rescore(&opts);
         }
         other => {
@@ -742,302 +740,6 @@ fn ablation(opts: &Opts) {
     }
     tb.print();
     tb.write_csv(&opts.out, "ablation_pool").expect("csv");
-}
-
-// ---------------------------------------------------------------------------
-// Obs: telemetry overhead gate (BENCH_OBS.json)
-// ---------------------------------------------------------------------------
-
-/// Measure what the telemetry plane costs on the serving read path and
-/// fail if it is not (nearly) free.
-///
-/// Two identical serve engines answer the same mixed exact/ε Zipf stream:
-/// one wired to the process-global registry (per-route latency
-/// histograms, cache counters, flight-recorder admission on every query —
-/// the default), one detached onto [`chronorank_obs::Registry::noop`],
-/// where every handle is `None` and each record is a dead branch. Trials
-/// interleave A/B so both arms share warmup, thermal and cache
-/// conditions, and the best trial per arm is compared: **if instrumented
-/// throughput lands more than [`OBS_GATE_PCT`]% below no-op, the run
-/// exits nonzero** — the CI gate that keeps telemetry off the hot path.
-/// A second series measures full distributed tracing the same way: a
-/// span tree (client root, engine child, per-shard probes) plus an SLO
-/// observation per query on a cache-off engine, under the same gate.
-///
-/// A microbench of the raw primitives (counter inc, histogram record;
-/// live and no-op) is reported alongside for context.
-///
-/// Writes `BENCH_OBS.json` (cwd, or `$CHRONORANK_OBS_JSON`) plus a CSV
-/// under `--out`.
-const OBS_GATE_PCT: f64 = 3.0;
-
-fn obs(opts: &Opts) {
-    use chronorank_obs::{
-        AttrList, Counter, Histogram, Registry, SloObjective, SloTracker, SpanId, SpanSink, TraceId,
-    };
-    use chronorank_serve::{ServeConfig, ServeEngine, ServeQuery};
-    use chronorank_workloads::{IntervalPattern, QueryWorkload, QueryWorkloadConfig};
-
-    const PATTERN: IntervalPattern =
-        IntervalPattern::Zipf { hotspots: 8, exponent: 1.0, background: 0.1 };
-    const EPS_BUDGET: f64 = 0.2;
-    let (m, navg, count, trials) = if opts.quick { (400, 30, 400, 3) } else { (1200, 50, 2000, 5) };
-    let k = opts.k.min(opts.kmax).max(1);
-    let set = temp_dataset(m, navg, 42);
-    let workload = QueryWorkload::new(
-        QueryWorkloadConfig { count, span_fraction: 0.2, k, seed: 7, pattern: PATTERN },
-        set.t_min(),
-        set.t_max(),
-    );
-    let stream: Vec<ServeQuery> = workload
-        .generate()
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            if i % 2 == 0 {
-                ServeQuery::exact(q.t1, q.t2, q.k)
-            } else {
-                ServeQuery::approx(q.t1, q.t2, q.k, EPS_BUDGET)
-            }
-        })
-        .collect();
-    // Interleaved A/B trials with best-of comparison: contention noise
-    // is one-sided (it only slows a trial), so more trials tighten the
-    // estimate of both arms' true rate.
-    let rp_trials = trials * 3;
-    println!(
-        "# obs scenario: m = {m}, N = {} segments, {} queries/trial × {rp_trials} interleaved \
-         trials, instrumented (global registry) vs no-op registry",
-        set.num_segments(),
-        stream.len()
-    );
-
-    // Arm A: the default — handles resolved against the global registry.
-    let instrumented =
-        ServeEngine::new(&set, ServeConfig { workers: 2, ..Default::default() }).expect("engine");
-    // Arm B: same engine shape, every metric handle a no-op.
-    let mut noop =
-        ServeEngine::new(&set, ServeConfig { workers: 2, ..Default::default() }).expect("engine");
-    noop.set_registry(&Registry::noop());
-
-    instrumented.run_stream(&stream).expect("warmup");
-    noop.run_stream(&stream).expect("warmup");
-    let mut on_qps = Vec::new();
-    let mut off_qps = Vec::new();
-    for t in 0..rp_trials {
-        // Alternate which arm goes first: under decaying background
-        // load a fixed order systematically penalises the same arm.
-        if t % 2 == 0 {
-            on_qps.push(instrumented.run_stream(&stream).expect("instrumented trial").qps());
-            off_qps.push(noop.run_stream(&stream).expect("noop trial").qps());
-        } else {
-            off_qps.push(noop.run_stream(&stream).expect("noop trial").qps());
-            on_qps.push(instrumented.run_stream(&stream).expect("instrumented trial").qps());
-        }
-    }
-    let best = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let (best_on, best_off) = (best(&on_qps), best(&off_qps));
-    // Best-vs-best, deliberately: background load inflates BOTH the
-    // noise and the true cost of the loaded arm (slow-query admissions
-    // fire more often on a contended box), so mid-distribution
-    // statistics measure the box, not the instrumentation. The cleanest
-    // trial per arm is the only load-free observation available.
-    // Negative = instrumented measured faster; pure noise either way.
-    let overhead_pct = 100.0 * (1.0 - best_on / best_off.max(1e-9));
-
-    // Tracing series (ISSUE 8): the same closed query loop with and
-    // without a full span tree per query — root span, `engine.query`
-    // child with per-shard `shard.probe` children, SLO burn-rate
-    // observation, all against a server-sized bounded sink. Serial loops
-    // on both arms so the comparison isolates the tracing plane (the
-    // batched `run_stream` pipeline above has different concurrency).
-    // Both arms share one engine with the result cache off: a span tree
-    // documents shard probes, so the series traces queries that probe —
-    // a cache hit would measure tracing against a memcpy.
-    // Deliberately small: a ring big enough to hold a whole trial's
-    // spans keeps thousands of boxed spans live and blows the cache —
-    // measured 2-3× slower emission than a 512-slot ring, whose
-    // overwrite-and-free path recycles the same warm allocator bins.
-    let sink = SpanSink::new(512);
-    let slo = SloTracker::new(SloObjective::default());
-    // Several passes per timed trial: one pass is ~10 ms and scheduler
-    // noise at that scale dwarfs the sub-µs effect under test. Quick
-    // mode doubles the passes — its queries are cheaper, so the same
-    // absolute cost is a larger fraction and needs a steadier clock.
-    let serial_passes: usize = if opts.quick { 8 } else { 4 };
-    let serial_qps = |f: &mut dyn FnMut(usize, ServeQuery)| -> f64 {
-        let t0 = Instant::now();
-        for pass in 0..serial_passes {
-            for (i, q) in stream.iter().enumerate() {
-                f(pass * stream.len() + i, *q);
-            }
-        }
-        (serial_passes * stream.len()) as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let mut traced_qps = Vec::new();
-    let mut untraced_qps = Vec::new();
-    // Serial trials are cheap (a few passes over the stream each); run
-    // many so best-of converges — per-trial noise exceeds the sub-µs
-    // effect under test, and noise is one-sided (contention only ever
-    // slows a trial), so the max over trials estimates the true rate
-    // from below.
-    let serial_trials = trials * if opts.quick { 6 } else { 3 };
-    let serial_engine =
-        ServeEngine::new(&set, ServeConfig { workers: 2, cache_capacity: 0, ..Default::default() })
-            .expect("engine");
-    serial_qps(&mut |_, q| {
-        serial_engine.query_routed(q).expect("serial warmup");
-    });
-    for trial in 0..serial_trials {
-        traced_qps.push(serial_qps(&mut |i, q| {
-            let trace = TraceId((trial * serial_passes * stream.len() + i + 1) as u64);
-            // One clock pair serves both the SLO observation and the
-            // root span's duration (a real client does the same — it
-            // times the request once and reports that number twice).
-            let root_id = SpanId::next();
-            let t0 = Instant::now();
-            let ok = serial_engine.query_spanned(q, trace, root_id, &sink).is_ok();
-            let lat_us = t0.elapsed().as_micros() as u64;
-            slo.observe(lat_us, !ok);
-            sink.emit_measured_as(root_id, trace, None, "client.topk", lat_us, AttrList::default());
-        }));
-        untraced_qps.push(serial_qps(&mut |_, q| {
-            // The untraced server still times every request (latency
-            // histograms predate this plane), so the baseline pays the
-            // same clock reads and only the span/SLO work is compared.
-            let t0 = Instant::now();
-            serial_engine.query_routed(q).expect("untraced trial");
-            std::hint::black_box(t0.elapsed());
-        }));
-        sink.drain(); // the scrape side of the real server's TRACE op
-    }
-    let (best_traced, best_untraced) = (best(&traced_qps), best(&untraced_qps));
-    let traced_overhead_pct = 100.0 * (1.0 - best_traced / best_untraced.max(1e-9));
-
-    // Primitive costs, for the table: what one increment/record buys.
-    let private = Registry::new();
-    let live_counter = private.counter("obs_bench_counter", "microbench");
-    let live_hist = private.histogram("obs_bench_hist", "microbench");
-    let ns_per = |op: &dyn Fn(u64)| -> f64 {
-        const OPS: u64 = 1_000_000;
-        let t0 = Instant::now();
-        for i in 0..OPS {
-            op(i);
-        }
-        t0.elapsed().as_nanos() as f64 / OPS as f64
-    };
-    let noop_counter = Counter::noop();
-    let noop_hist = Histogram::noop();
-    let prim_sink = SpanSink::new(512);
-    let noop_sink = SpanSink::noop();
-    let prim_slo = SloTracker::new(SloObjective::default());
-    let prim = [
-        ("counter_inc", ns_per(&|_| std::hint::black_box(&live_counter).inc())),
-        ("histogram_record", ns_per(&|i| std::hint::black_box(&live_hist).record(i))),
-        ("noop_counter_inc", ns_per(&|_| std::hint::black_box(&noop_counter).inc())),
-        ("noop_histogram_record", ns_per(&|i| std::hint::black_box(&noop_hist).record(i))),
-        (
-            "span_emit",
-            ns_per(&|i| std::hint::black_box(&prim_sink).root(TraceId(i + 1), "bench").finish()),
-        ),
-        (
-            "noop_span_emit",
-            ns_per(&|i| std::hint::black_box(&noop_sink).root(TraceId(i + 1), "bench").finish()),
-        ),
-        ("slo_observe", ns_per(&|i| std::hint::black_box(&prim_slo).observe(i % 1000, false))),
-    ];
-
-    let mut table = Table::new(
-        "Obs — read-path throughput with telemetry on vs off (best of trials)",
-        &["arm", "best q/s", "per-trial q/s"],
-    );
-    let fmt_trials =
-        |v: &[f64]| v.iter().map(|q| format!("{q:.0}")).collect::<Vec<_>>().join(" / ");
-    table.row(vec!["instrumented".into(), format!("{best_on:.0}"), fmt_trials(&on_qps)]);
-    table.row(vec!["noop".into(), format!("{best_off:.0}"), fmt_trials(&off_qps)]);
-    table.row(vec!["traced (serial)".into(), format!("{best_traced:.0}"), fmt_trials(&traced_qps)]);
-    table.row(vec![
-        "untraced (serial)".into(),
-        format!("{best_untraced:.0}"),
-        fmt_trials(&untraced_qps),
-    ]);
-    table.print();
-    let mut tp = Table::new("Obs — primitive cost (ns/op)", &["primitive", "ns"]);
-    for (name, ns) in prim {
-        tp.row(vec![name.into(), format!("{ns:.1}")]);
-    }
-    tp.print();
-    tp.write_csv(&opts.out, "obs_primitives").expect("csv");
-    table.write_csv(&opts.out, "obs_overhead").expect("csv");
-    println!("\ntelemetry overhead on the read path: {overhead_pct:.2}% (gate: < {OBS_GATE_PCT}%)");
-    println!(
-        "tracing overhead on the serial read path: {traced_overhead_pct:.2}% \
-         (gate: < {OBS_GATE_PCT}%)"
-    );
-
-    let trial_rows: Vec<String> = on_qps
-        .iter()
-        .zip(&off_qps)
-        .map(|(on, off)| format!("      {{\"instrumented_qps\": {on:.1}, \"noop_qps\": {off:.1}}}"))
-        .collect();
-    let traced_rows: Vec<String> = traced_qps
-        .iter()
-        .zip(&untraced_qps)
-        .map(|(on, off)| format!("      {{\"traced_qps\": {on:.1}, \"untraced_qps\": {off:.1}}}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"harness\": \"chronorank-obs-bench\",\n  \"quick\": {},\n  \"scenario\": {{\n    \
-         \"dataset\": \"temp\", \"m\": {m}, \"n_segments\": {}, \"k\": {k},\n    \
-         \"queries_per_trial\": {}, \"trials\": {rp_trials}, \"workers\": 2,\n    \
-         \"zipf\": {{\"hotspots\": 8, \"exponent\": 1.0, \"background\": 0.1}},\n    \
-         \"eps_budget\": {EPS_BUDGET}\n  }},\n  \
-         \"note\": \"Two identical serve engines answer the same mixed exact/eps Zipf stream; \
-         one records per-route latency histograms, cache counters and flight-recorder \
-         admission against the global registry, the other holds no-op handles (every record \
-         a dead branch). Trials interleave A/B; the best trial per arm is compared, and the \
-         bench exits nonzero if instrumentation costs more than {OBS_GATE_PCT}% of read-path \
-         throughput. primitives_ns times the raw atomic ops one query's telemetry is made \
-         of.\",\n  \
-         \"read_path\": {{\n    \"instrumented_qps\": {best_on:.1},\n    \
-         \"noop_qps\": {best_off:.1},\n    \"overhead_pct\": {overhead_pct:.3},\n    \
-         \"gate_pct\": {OBS_GATE_PCT},\n    \"trials\": [\n{}\n    ]\n  }},\n  \
-         \"traced_path\": {{\n    \"traced_qps\": {best_traced:.1},\n    \
-         \"untraced_qps\": {best_untraced:.1},\n    \
-         \"overhead_pct\": {traced_overhead_pct:.3},\n    \
-         \"gate_pct\": {OBS_GATE_PCT},\n    \"trials\": [\n{}\n    ]\n  }},\n  \
-         \"primitives_ns\": {{\n    \"counter_inc\": {:.1},\n    \"histogram_record\": {:.1},\n    \
-         \"noop_counter_inc\": {:.1},\n    \"noop_histogram_record\": {:.1},\n    \
-         \"span_emit\": {:.1},\n    \"noop_span_emit\": {:.1},\n    \
-         \"slo_observe\": {:.1}\n  }}\n}}\n",
-        opts.quick,
-        set.num_segments(),
-        stream.len(),
-        trial_rows.join(",\n"),
-        traced_rows.join(",\n"),
-        prim[0].1,
-        prim[1].1,
-        prim[2].1,
-        prim[3].1,
-        prim[4].1,
-        prim[5].1,
-        prim[6].1,
-    );
-    write_bench_json("OBS", &json);
-
-    if overhead_pct >= OBS_GATE_PCT {
-        eprintln!(
-            "obs overhead gate FAILED: instrumented read path is {overhead_pct:.2}% slower \
-             than no-op (gate: < {OBS_GATE_PCT}%)"
-        );
-        std::process::exit(1);
-    }
-    if traced_overhead_pct >= OBS_GATE_PCT {
-        eprintln!(
-            "obs tracing gate FAILED: traced read path is {traced_overhead_pct:.2}% slower \
-             than untraced (gate: < {OBS_GATE_PCT}%)"
-        );
-        std::process::exit(1);
-    }
 }
 
 // ---------------------------------------------------------------------------

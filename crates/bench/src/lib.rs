@@ -13,6 +13,8 @@
 //! * quality metrics against brute-force ground truth,
 //! * fixed-width table printing plus CSV emission under `results/`.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 
 use chronorank_core::metrics;

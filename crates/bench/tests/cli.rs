@@ -15,7 +15,7 @@ fn bad_command_lines_exit_2() {
     let (code, stderr) = run(&["fig3", "--quick", "--out"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("missing/invalid value for --out"), "{stderr}");
-    for retired in ["serve", "live", "coldstart", "net"] {
+    for retired in ["serve", "live", "coldstart", "net", "obs"] {
         let (code, stderr) = run(&[retired]);
         assert_eq!(code, Some(2), "{retired}: {stderr}");
         assert!(stderr.contains(&format!("unknown figure {retired}")), "{stderr}");

@@ -44,6 +44,8 @@
 //! | `r` | [`Breakpoints::len`] |
 //! | `kmax` | [`ApproxConfig::kmax`] |
 
+#![forbid(unsafe_code)]
+
 mod agg;
 mod appx;
 mod breakpoints;

@@ -20,14 +20,12 @@
 //!   with append-only mutable tails, plus branch-light batch integral
 //!   kernels bit-identical to the scalar path (the live tier's columnar
 //!   rescoring engine);
-//! * [`segmentation`] — algorithms that turn raw time-series samples into a
-//!   piecewise-linear representation (connect-the-dots, uniform thinning,
-//!   and adaptive bottom-up segmentation), since the paper assumes data
-//!   arrives already segmented by any such method;
 //! * [`numeric`] — shared robust solvers (quadratic accumulation
 //!   crossings).
 //!
 //! Everything is plain `f64` math with no storage dependencies.
+
+#![forbid(unsafe_code)]
 
 mod columnar;
 mod error;
@@ -35,7 +33,6 @@ pub mod numeric;
 mod poly;
 mod pwl;
 mod segment;
-pub mod segmentation;
 
 pub use columnar::ColumnarTail;
 pub use error::{CurveError, Result};

@@ -27,6 +27,8 @@
 //! a budget and replay in order; no loader constructor budgets it, and the
 //! type stays public only while `benchmark/src/adapter.rs` pins it.
 
+#![forbid(unsafe_code)]
+
 mod btree;
 mod bulk;
 mod error;

@@ -1,7 +1,7 @@
 //! The ingest engine: durable appends in, fresh answers out.
 //!
-//! Appends take `&mut self` (there is exactly one WAL and one master set)
-//! and are applied to the owning shards before the call returns. The query
+//! Appends take `&mut self` (there is exactly one WAL) and are applied to
+//! the owning shards, which hold the data, before the call returns. The query
 //! path — [`IngestEngine::execute`], one window of queries scattered as one
 //! pool task per shard — takes `&self`: every call gathers on its own reply
 //! channel, so any number of caller threads can query one engine
@@ -12,9 +12,9 @@ use crate::config::LiveConfig;
 use crate::generation::{GenPart, GenParts};
 use crate::obs::LiveObs;
 use crate::report::{LiveReport, PauseHistogram};
-use crate::shard::{LiveShard, ShardStatus};
-use chronorank_core::{AppendRecord, MethodProfile, TemporalSet, TopK};
-use chronorank_curve::ColumnarTail;
+use crate::shard::{live_columns, LiveShard, ShardStatus};
+use chronorank_core::{AppendRecord, CoreError, MethodProfile, ObjectId, TemporalSet, TopK};
+use chronorank_curve::{ColumnarTail, Segment};
 use chronorank_obs::{elapsed_us, Registry, SpanId, SpanSink, TraceId};
 use chronorank_serve::{
     merge_profiles, panic_message, partition, Answer, Freshness, MethodSet, Planner, PlannerParams,
@@ -23,6 +23,7 @@ use chronorank_serve::{
 use chronorank_storage::{
     Env, FileDevice, GenerationImage, ImageWriter, IoCounter, StorageError, WriteAheadLog,
 };
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -95,12 +96,20 @@ struct QueryCounters {
 
 /// The WAL-backed live ingest/serving engine (see crate docs).
 ///
-/// Owns the write-ahead log, a master copy of the live [`TemporalSet`]
-/// (the checkpoint/recovery source of truth), `W` ingest shards that each
-/// pair a mutable tail with an epoch-swapped frozen generation, and the
-/// worker pool their query windows run on.
+/// Owns the write-ahead log, `W` ingest shards that each pair their
+/// partition's columns (the only copy of the live data) with an
+/// epoch-swapped frozen generation, the worker pool their query windows run
+/// on, and what the §4 update model needs of the data as a whole: every
+/// object's right edge, the live mass and the time domain.
 pub struct IngestEngine {
-    master: TemporalSet,
+    /// Each object's last point `(t, v)`, by global id: the edge an append
+    /// must extend and the left end of the segment it adds.
+    last: Vec<(f64, f64)>,
+    /// `M` of the live data, advanced with exactly the arithmetic of
+    /// [`TemporalSet::append_segment`]: the bits a bulk set would report.
+    live_mass: f64,
+    /// `(t_min, t_max)` of the live data.
+    domain: (f64, f64),
     wal: WriteAheadLog,
     image_path: Option<PathBuf>,
     shards: Vec<Arc<LiveShard>>,
@@ -132,6 +141,8 @@ impl IngestEngine {
     /// latest checkpoint snapshot (or `seed` if none), every durable WAL
     /// record is replayed onto it, and the shards bootstrap from the
     /// recovered set — so answers after a crash equal answers before it.
+    /// The recovered set is dropped once it is partitioned: from then on
+    /// the shards' columns are the data.
     pub fn new(seed: &TemporalSet, config: LiveConfig) -> Result<Self, LiveError> {
         let obs = LiveObs::attach(Registry::global());
         let t_recover = Instant::now();
@@ -150,6 +161,9 @@ impl IngestEngine {
             r: config.approx.r as u64,
             span: base.span(),
         };
+        let last = base.objects().iter().map(|o| o.curve.point(o.curve.num_points() - 1)).collect();
+        let (live_mass, domain) = (base.total_mass(), (base.t_min(), base.t_max()));
+        drop(base);
         // Every shard boots (generation 0, or its reopen) on a thread of
         // its own, all at once.
         let booted: Vec<Result<LiveShard, String>> = std::thread::scope(|scope| {
@@ -177,7 +191,9 @@ impl IngestEngine {
             }
         }
         Ok(Self {
-            master: base,
+            last,
+            live_mass,
+            domain,
             wal,
             image_path,
             pool: WorkerPool::new(w, &Registry::noop())?,
@@ -262,7 +278,7 @@ impl IngestEngine {
         Ok((wal, base, Some(image_path), preloads))
     }
 
-    /// Load a checkpoint image: the master set (always used — it IS the
+    /// Load a checkpoint image: the live set (always used — it IS the
     /// checkpoint) and, when the persisted topology matches the current
     /// config, the per-shard generation parts to reopen. A topology
     /// mismatch (worker count, block size, kmax, method set) only forfeits
@@ -341,10 +357,18 @@ impl IngestEngine {
         self.shards.len()
     }
 
-    /// The engine's master copy of the live data (appends applied; the
-    /// source of truth for checkpoints and ground-truth assertions).
-    pub fn live_set(&self) -> &TemporalSet {
-        &self.master
+    /// The live data (appends applied) as a row-form set, assembled from
+    /// the shards' columns on every call — a copy of the whole dataset. The
+    /// test and diagnostic surface (ground-truth assertions, segment
+    /// counts); nothing on the append, query or STATS path calls it.
+    pub fn live_set(&self) -> TemporalSet {
+        TemporalSet::from_columnar(&live_columns(&self.shards)).expect("columns hold valid curves")
+    }
+
+    /// `(t_min, t_max)` of the live data — what remote clients need to
+    /// form meaningful query intervals.
+    pub fn domain(&self) -> (f64, f64) {
+        self.domain
     }
 
     /// The freshness-aware routing decision for `q` (without executing).
@@ -367,7 +391,7 @@ impl IngestEngine {
         let built_mass: f64 = routing.iter().map(|r| r.built_mass).sum();
         (
             Planner::new(self.params, merge_profiles(&profiles)),
-            Freshness { built_mass, live_mass: self.master.total_mass() },
+            Freshness { built_mass, live_mass: self.live_mass },
         )
     }
 
@@ -383,48 +407,35 @@ impl IngestEngine {
         self.append_batch(std::slice::from_ref(&rec))
     }
 
-    /// Append a batch durably: every record is validated against the
-    /// master set, written to the WAL, group-committed with **one** sync,
-    /// and only then applied to the owning shards, before this returns. A
-    /// rejected record (or a WAL failure) fails the batch at that point —
-    /// but every record accepted before it is still applied, so the master
-    /// set, the WAL, and the shards never diverge from each other.
+    /// Append a batch durably: the whole batch is validated against the
+    /// objects' right edges **before the first WAL byte** (the checks mirror
+    /// `PiecewiseLinear::append` exactly), so a rejected batch leaves no
+    /// trace anywhere; then every record is written to the WAL,
+    /// group-committed with **one** sync, and applied to the owning shards,
+    /// before this returns. A WAL write or sync failure is returned with
+    /// the records logged before it applied: the log and the shards never
+    /// disagree about what was appended.
     pub fn append_batch(&mut self, recs: &[AppendRecord]) -> Result<(), LiveError> {
         if recs.is_empty() {
             return Ok(());
         }
+        self.validate(recs)?;
         let w = self.shards.len();
         let mut per_shard: Vec<Vec<AppendRecord>> = vec![Vec::new(); w];
         let mut accepted = 0u64;
         let mut failed = None;
         for rec in recs {
-            // Validate BEFORE touching the WAL or the master set (the
-            // checks mirror `PiecewiseLinear::append` exactly), so a
-            // rejected record leaves no trace anywhere.
-            let end = match self.master.object(rec.object) {
-                Ok(o) => o.curve.end(),
-                Err(e) => {
-                    failed = Some(LiveError::Append(e.to_string()));
-                    break;
-                }
-            };
-            if !rec.t.is_finite() || !rec.v.is_finite() || rec.t <= end {
-                failed = Some(LiveError::Append(format!(
-                    "record must extend object {} past t = {end} with finite values, \
-                     got (t = {}, v = {})",
-                    rec.object, rec.t, rec.v
-                )));
-                break;
-            }
-            // Durability first; an IO failure stops the batch but the
-            // records already logged still reach master and shards below.
             let t_append = Instant::now();
             if let Err(e) = self.wal.append(&rec.encode()) {
                 failed = Some(LiveError::Storage(e));
                 break;
             }
             self.obs.wal_append_us.record(elapsed_us(t_append));
-            self.master.apply(*rec).expect("validated above");
+            let (prev_t, prev_v) =
+                std::mem::replace(&mut self.last[rec.object as usize], (rec.t, rec.v));
+            self.live_mass +=
+                Segment::new(prev_t, prev_v, rec.t, rec.v).abs_integral_clipped(prev_t, rec.t);
+            self.domain.1 = self.domain.1.max(rec.t);
             accepted += 1;
             let shard = rec.object as usize % w;
             per_shard[shard].push(AppendRecord {
@@ -434,9 +445,8 @@ impl IngestEngine {
             });
         }
         if accepted > 0 {
-            // Even if the sync fails, apply what was applied to master —
-            // consistency between master and shards outranks durability of
-            // the tail (the caller learns about the failed sync).
+            // Even if the sync fails the logged records reach the shards —
+            // the caller learns about the failed sync.
             let t_sync = Instant::now();
             let synced = self.wal.sync();
             self.obs.wal_fsync_us.record(elapsed_us(t_sync));
@@ -454,6 +464,27 @@ impl IngestEngine {
             Some(e) => Err(e),
             None => Ok(()),
         }
+    }
+
+    /// Every record must extend its object past the edge the records before
+    /// it in the batch leave, with finite values.
+    fn validate(&self, recs: &[AppendRecord]) -> Result<(), LiveError> {
+        let mut batch_end: HashMap<ObjectId, f64> = HashMap::new();
+        for rec in recs {
+            let known = self.last.get(rec.object as usize).map(|&(t, _)| t);
+            let Some(end) = batch_end.get(&rec.object).copied().or(known) else {
+                return Err(LiveError::Append(CoreError::NoSuchObject(rec.object).to_string()));
+            };
+            if !rec.t.is_finite() || !rec.v.is_finite() || rec.t <= end {
+                return Err(LiveError::Append(format!(
+                    "record must extend object {} past t = {end} with finite values, \
+                     got (t = {}, v = {})",
+                    rec.object, rec.t, rec.v
+                )));
+            }
+            batch_end.insert(rec.object, rec.t);
+        }
+        Ok(())
     }
 
     /// Answer one window of queries — the engine's one query body. The
@@ -502,7 +533,7 @@ impl IngestEngine {
         Ok(answers.into_iter().map(|a| a.topk).next().expect("one answer per query"))
     }
 
-    /// Checkpoint: publish a generation image next to the WAL — the master
+    /// Checkpoint: publish a generation image next to the WAL — the live
     /// set, plus every shard's frozen generation captured page-for-page
     /// (an append is applied before it returns, so everything durable is
     /// already in the shards) — then truncate the WAL. The image is stamped
@@ -527,15 +558,14 @@ impl IngestEngine {
         self.write_checkpoint_image()
     }
 
-    /// Publish the checkpoint image: the master set plus every shard's
+    /// Publish the checkpoint image: the live set plus every shard's
     /// installed generation.
     fn write_checkpoint_image(&mut self) -> Result<(), LiveError> {
         let Some(path) = &self.image_path else { return Ok(()) };
         let mut writer = ImageWriter::create(path)?;
-        // The master set travels in columnar (PAX) form: one shared offset
-        // table plus contiguous t/v columns — the same layout the shards'
-        // mutable tails live in, so recovery rehydrates without reshaping.
-        writer.add_blob("live_set", &self.master.to_columnar().to_bytes())?;
+        // The live set travels in columnar (PAX) form: one shared offset
+        // table plus contiguous t/v columns, gathered from the shards'.
+        writer.add_blob("live_set", &live_columns(&self.shards).to_bytes())?;
         let mut meta = Vec::with_capacity(25);
         meta.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
         meta.extend_from_slice(&(self.params.block).to_le_bytes());
@@ -593,7 +623,7 @@ impl IngestEngine {
             tail_bytes: statuses.iter().map(|s| s.tail_bytes).sum(),
             tail_objects: statuses.iter().map(|s| s.tail_objects).sum(),
             built_mass: statuses.iter().map(|s| s.built_mass).sum(),
-            live_mass: self.master.total_mass(),
+            live_mass: self.live_mass,
             generations: statuses.iter().map(|s| s.generation).max().unwrap_or(0),
             checkpoints: self.checkpoints,
             preloaded_shards: self.preloaded_shards,

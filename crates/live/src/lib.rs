@@ -9,18 +9,21 @@
 //! [`IngestEngine`] that accepts a live append stream while
 //! `chronorank-serve`-style query traffic keeps flowing:
 //!
-//! 1. **Durability first** — every accepted append is framed into a
+//! 1. **Durability first** — a batch is validated whole against its
+//!    objects' right edges, then every append is framed into a
 //!    block-device-backed [`chronorank_storage::WriteAheadLog`] (CRC'd
 //!    records, one group-commit sync per batch) *before* it is
-//!    acknowledged. Crash recovery replays the log over the latest
-//!    checkpoint snapshot, and [`IngestEngine::checkpoint`] truncates it.
-//! 2. **Mutable tails** — each of `W` ingest shards holds a live,
-//!    in-memory copy of its partition behind one lock, and an append is
-//!    applied to it before `append_batch` returns. Queries answer
-//!    as *frozen-generation candidates ∪ tail-touched objects*, exactly
-//!    rescored on the live curves, so results are **exact-fresh at every
-//!    point between rebuilds**: the frozen index only nominates
-//!    candidates, never scores the answer.
+//!    acknowledged; a rejected batch never reaches the log. Crash recovery
+//!    replays the log over the latest checkpoint snapshot, and
+//!    [`IngestEngine::checkpoint`] truncates it.
+//! 2. **Mutable tails** — each of `W` ingest shards holds its partition of
+//!    the live data in columns behind one lock (the one copy: the engine
+//!    itself keeps only each object's right edge, the live mass and the
+//!    time domain), and an append is applied to it before `append_batch`
+//!    returns. Queries answer as *frozen-generation candidates ∪
+//!    tail-touched objects*, exactly rescored on the live curves, so
+//!    results are **exact-fresh at every point between rebuilds**: the
+//!    frozen index only nominates candidates, never scores the answer.
 //! 3. **Epoch-swapped generations** — the §4 geometric mass-doubling
 //!    policy (or a full tail) triggers a rebuild: a builder thread
 //!    constructs fresh EXACT3/APPX2(+)/breakpoint structures from a
@@ -74,6 +77,8 @@
 //! assert_eq!(top.rank(0).0, 3, "the fresh append dominates the right edge");
 //! println!("{}", engine.report());
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod config;
 mod engine;

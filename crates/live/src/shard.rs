@@ -557,6 +557,22 @@ impl LiveShard {
     }
 }
 
+/// The live data of `shards` gathered into one column set in global object
+/// order (`global = local · W + shard`, as [`chronorank_serve::partition`]
+/// numbers them): point for point what `to_columnar()` of a row-form set
+/// holding the same data is. Every shard's lock is taken once and held
+/// across the gather; no other path holds two, so the order cannot deadlock.
+pub(crate) fn live_columns(shards: &[Arc<LiveShard>]) -> ColumnarTail {
+    let states: Vec<_> = shards.iter().map(|s| s.lock()).collect();
+    let m: usize = states.iter().map(|s| s.live.num_objects()).sum();
+    let (mut all, mut ts, mut vs) = (ColumnarTail::new(), Vec::new(), Vec::new());
+    for global in 0..m {
+        states[global % states.len()].live.copy_points(global / states.len(), &mut ts, &mut vs);
+        all.push_object(&ts, &vs).expect("shard columns hold valid curves");
+    }
+    all
+}
+
 impl ShardProbe for LiveShard {
     fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)> {
         self.lock().answer_batch(window)

@@ -5,6 +5,7 @@ use chronorank_core::{AppendRecord, TemporalSet};
 use chronorank_live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank_obs::SpanSink;
 use chronorank_serve::ServeQuery;
+use chronorank_storage::GenerationImage;
 use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
 
 fn stock_stream(objects: usize, batch: usize) -> AppendStream {
@@ -131,17 +132,23 @@ fn checkpoint_then_recover_reproduces_answers() {
         }
         engine.checkpoint().unwrap();
         assert_eq!(engine.report().checkpoints, 1);
+        // The image's data section is gathered from the shards' columns:
+        // byte for byte what a bulk set of the same append prefix writes.
+        let mut oracle = seed.clone();
+        batches[..mid].iter().flat_map(|b| b.iter()).for_each(|rec| oracle.apply(*rec).unwrap());
+        let mut image = GenerationImage::open(dir.join("generation.img")).unwrap();
+        assert!(image.blob("live_set").unwrap() == oracle.to_columnar().to_bytes());
         for batch in &batches[mid..] {
             engine.append_batch(batch).unwrap();
         }
-        want = engine.query(q(engine.live_set())).unwrap();
+        want = engine.query(q(&engine.live_set())).unwrap();
         // Simulated crash: engine dropped without another checkpoint.
     }
     {
         let recovered = IngestEngine::new(&seed, config.clone()).unwrap();
-        let got = recovered.query(q(recovered.live_set())).unwrap();
+        let got = recovered.query(q(&recovered.live_set())).unwrap();
         assert_top_matches(&want, &got, "post-recovery");
-        // The recovered master equals the fully applied stream.
+        // The recovered set equals the fully applied stream.
         assert_eq!(recovered.live_set().num_segments(), stream.full_set().num_segments());
         // And the frozen generations came back page-for-page from the
         // checkpoint image rather than being rebuilt.
@@ -175,7 +182,7 @@ fn interrupted_checkpoint_recovers_idempotently() {
         }
         engine.checkpoint_without_truncate().unwrap();
         assert_eq!(engine.report().checkpoints, 0, "an interrupted checkpoint must not count");
-        want = engine.query(q(engine.live_set())).unwrap();
+        want = engine.query(q(&engine.live_set())).unwrap();
         want_segments = engine.live_set().num_segments();
         // Simulated crash: dropped between image publish and truncation.
     }
@@ -189,7 +196,7 @@ fn interrupted_checkpoint_recovers_idempotently() {
             want_segments,
             "recovery {attempt}: segment count"
         );
-        let got = recovered.query(q(recovered.live_set())).unwrap();
+        let got = recovered.query(q(&recovered.live_set())).unwrap();
         assert_top_matches(&want, &got, &format!("recovery {attempt}"));
         assert_eq!(
             recovered.report().preloaded_shards,
@@ -273,21 +280,40 @@ fn eps_invalidating_appends_evict_cached_answers() {
 
 #[test]
 fn rejected_appends_do_not_corrupt_state() {
+    let dir = std::env::temp_dir().join(format!("chronorank-live-reject-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     let stream = stock_stream(5, 4);
     let seed = stream.base_set();
-    let mut engine =
-        IngestEngine::new(&seed, LiveConfig { workers: 1, ..Default::default() }).unwrap();
+    let config = LiveConfig { workers: 1, wal_dir: Some(dir.clone()), ..Default::default() };
+    let mut engine = IngestEngine::new(&seed, config.clone()).unwrap();
     // Appending into the past must fail…
     let bad = AppendRecord { object: 0, t: seed.t_min() - 5.0, v: 1.0 };
     assert!(engine.append(bad).is_err());
     // …and to an unknown object too.
-    let bad = AppendRecord { object: 10_000, t: seed.t_max() + 1.0, v: 1.0 };
-    assert!(engine.append(bad).is_err());
-    // The engine still ingests and serves.
-    let good = AppendRecord { object: 0, t: seed.object(0).unwrap().curve.end() + 1.0, v: 9.0 };
-    engine.append(good).unwrap();
+    let unknown = AppendRecord { object: 10_000, t: seed.t_max() + 1.0, v: 1.0 };
+    assert!(engine.append(unknown).is_err());
+    // A batch is refused whole, before the first WAL byte: the records ahead
+    // of the bad one are neither logged nor applied, wherever it sits — also
+    // when it only collides with an edge the batch itself moved.
+    let end = |object| seed.object(object).unwrap().curve.end();
+    let good = AppendRecord { object: 0, t: end(0) + 1.0, v: 9.0 };
+    let later = AppendRecord { object: 1, t: end(1) + 1.0, v: 9.0 };
+    let wal_writes = engine.report().wal.wal_writes;
+    for batch in [[good, bad, later], [good, later, good]] {
+        assert!(engine.append_batch(&batch).is_err());
+        assert_eq!(engine.appends(), 0);
+        assert_eq!(engine.report().wal.wal_writes, wal_writes, "a refused batch reached the WAL");
+    }
+    drop(engine);
+    let mut engine = IngestEngine::new(&seed, config).unwrap();
+    assert_eq!(engine.live_set().num_segments(), seed.num_segments(), "a refused record replayed");
+    // The engine still ingests and serves: the retry of the good records lands.
+    engine.append_batch(&[good, later]).unwrap();
+    assert_eq!(engine.appends(), 2);
     let top = engine.query(ServeQuery::exact(seed.t_min(), seed.t_max() + 1.0, 2)).unwrap();
     assert_eq!(top.len(), 2);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -65,6 +65,8 @@
 //! server.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod frame;
 
 mod client;

@@ -149,7 +149,11 @@ impl Backend {
     /// Apply one wire APPEND_BATCH: records are WAL-group-committed by
     /// the live engine and land in the owning shards' columnar tails
     /// (one shared offset table + `t`/`v` column pushes per record —
-    /// the same arrays the batch rescoring kernels later stream).
+    /// the same arrays the batch rescoring kernels later stream). The
+    /// engine refuses a batch with a bad record whole, before its first
+    /// WAL byte, so an error reply means no record of the batch landed
+    /// (short of a failing log device) and the client may retry its good
+    /// records.
     fn append(&self, recs: &[AppendRecord]) -> Result<AppendOk, (ErrCode, String)> {
         match self {
             Backend::Serve(_) => Err((
@@ -194,8 +198,7 @@ impl Backend {
             Backend::Live(lock) => {
                 let e = lock.read().unwrap_or_else(std::sync::PoisonError::into_inner);
                 let r = e.report();
-                let set = e.live_set();
-                (1, r.workers as u32, r.queries, r.appends, (set.t_min(), set.t_max()))
+                (1, r.workers as u32, r.queries, r.appends, e.domain())
             }
         };
         StatsBody {

@@ -81,11 +81,14 @@ fn live_backend_appends_and_checkpoints_over_the_wire() {
     let answer = client.topk(ServeQuery::exact(120.0, 150.0, 3)).unwrap();
     assert_eq!(answer.appends_applied, 8, "the answer must report the applied appends");
     client.checkpoint().unwrap();
-    // A rejected append (non-monotone time) is a typed engine error.
-    expect_remote(
-        client.append_batch(&[AppendRecord { object: 0, t: 10.0, v: 1.0 }]),
-        ErrCode::Engine,
-    );
+    // A rejected append (non-monotone time) is a typed engine error, and it
+    // refuses its whole batch: the reply carries no count, so none of the
+    // records ahead of it may have landed, and a retry of those is accepted.
+    let bad = AppendRecord { object: 0, t: 10.0, v: 1.0 };
+    let good = [1, 2].map(|object| AppendRecord { object, t: 160.0, v: 1.0 });
+    expect_remote(client.append_batch(&[good[0], bad, good[1]]), ErrCode::Engine);
+    assert_eq!(client.stats().unwrap().appends, 8);
+    assert_eq!(client.append_batch(&good).unwrap().total_appends, 10);
     server.shutdown();
 }
 

@@ -12,8 +12,9 @@
 //! * [`Registry`] — a process-wide (or private) collection of named
 //!   metric families with labels, rendered as Prometheus-style text
 //!   exposition by [`Registry::render`]. [`Registry::noop`] hands out
-//!   handles whose operations compile to a branch on `None` — the
-//!   baseline side of the instrumentation-overhead A/B bench.
+//!   handles whose operations compile to a branch on `None` — the side
+//!   `tests/obs_counts.rs` compares the global registry's allocations
+//!   per query against (the difference is pinned at zero).
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of structured
 //!   [`QueryTrace`] records for queries slower than a settable
 //!   threshold: route, per-shard fan-out timings, cache outcome, and the
@@ -21,14 +22,16 @@
 //! * [`SpanSink`] / [`ActiveSpan`] — explicit span trees for end-to-end
 //!   distributed tracing: [`TraceId`]s cross the wire, parent links join
 //!   client, server, engine and shard timings into one tree, and the
-//!   sink is a lock-free bounded ring with take-and-clear
-//!   [`SpanSink::drain`].
+//!   sink is a bounded ring of inline slots behind one lock — no
+//!   allocation per span — with take-and-clear [`SpanSink::drain`].
 //! * [`SloTracker`] — multi-window (1 s / 10 s / 60 s) burn-rate
 //!   tracking over a latency objective ([`SloObjective`]), exposed as
 //!   registry gauges and as structured JSON for the wire `TRACE` op.
 //!
 //! The crate depends on `std` only, so every tier (including `storage`)
 //! can use it without a cycle.
+
+#![forbid(unsafe_code)]
 
 mod metrics;
 mod recorder;

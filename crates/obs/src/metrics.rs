@@ -3,8 +3,8 @@
 //! Every handle is a cheap clone around an `Option<Arc<_>>`: a `Some`
 //! handle updates shared atomics with `Relaxed` ordering, a `None` handle
 //! (from [`crate::Registry::noop`]) is a no-op whose cost is one branch.
-//! That makes "instrumented vs. uninstrumented" an A/B the bench harness
-//! can run against identical code.
+//! That makes "instrumented vs. uninstrumented" a comparison a test can
+//! run against identical code (`tests/obs_counts.rs`).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,7 +91,7 @@ impl Gauge {
 /// Sub-bucket precision: 2^5 = 32 sub-buckets per power of two, so any
 /// recorded value lands in a bucket within ~3% of its true magnitude —
 /// tight enough that the p50/p95/p99 snapshots are honest at the
-/// single-digit-percent level the overhead gate cares about.
+/// single-digit-percent level.
 const SUB_BITS: u32 = 5;
 const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// Values below `SUB_COUNT` get exact unit buckets; above, 32 log

@@ -80,7 +80,7 @@ impl Registry {
     }
 
     /// A registry whose handles are all no-ops — the uninstrumented side
-    /// of the overhead A/B bench.
+    /// of `tests/obs_counts.rs`'s allocation comparison.
     pub fn noop() -> Self {
         Registry { inner: None }
     }

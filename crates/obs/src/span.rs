@@ -8,16 +8,24 @@
 //! crosses the wire — which is exactly what the net tier's trace-context
 //! extension does.
 //!
-//! Finished spans land in a [`SpanSink`]: a *lock-free bounded* ring of
-//! `AtomicPtr` slots. Emitting is one `fetch_add` (sequence / slot claim)
-//! plus one pointer `swap`; an overwritten span is dropped and counted,
-//! never blocked on. [`SpanSink::drain`] takes-and-clears by swapping
-//! every slot to null, so scrapers never re-report a span. The noop
-//! variant follows the same cost discipline as [`crate::Registry::noop`]:
-//! every operation on a noop sink is a branch on `None`.
+//! Finished spans land in a [`SpanSink`]: a *bounded* ring of inline
+//! `Option<Span>` slots behind one `Mutex`, allocated once when the sink
+//! is made. Emitting is lock, stamp the sequence number, replace the slot
+//! — no allocation per span; an overwritten span is dropped and counted,
+//! never waited for. [`SpanSink::drain`] takes every slot under the same
+//! lock, so scrapers never re-report a span. A lock is enough because of
+//! who emits: the caller gathering a query's shard replies (its
+//! `engine.query` span and the W `shard.probe` children it back-dates
+//! from the workers' reported durations — the workers themselves never
+//! touch the sink) and the connection thread closing `server.request`,
+//! so 2–4 threads per process, each holding the lock for one slot write;
+//! `tests/obs_counts.rs` pins the resulting cost at W + 1 spans and zero
+//! heap allocations per traced query. The noop variant follows the same
+//! cost discipline as [`crate::Registry::noop`]: every operation on a
+//! noop sink is a branch on `None`.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Identifies one end-to-end query across processes. `0` is reserved for
@@ -102,7 +110,8 @@ pub enum AttrValue {
 /// The most attributes one span can carry. Everything past the cap is
 /// silently dropped — spans are diagnostics, and a fixed inline array
 /// keeps attribute attachment allocation-free on the serving hot path
-/// (a heap `Vec` here measurably moved the obs bench's overhead gate).
+/// (a heap `Vec` here is one allocation per span; `tests/obs_counts.rs`
+/// pins a traced query at none).
 /// Kept tight: every slot widens every `Span`, and emission cost at
 /// serving scale is dominated by the cache lines a span touches.
 pub const MAX_ATTRS: usize = 4;
@@ -172,28 +181,28 @@ pub struct Span {
 
 struct SinkInner {
     epoch: Instant,
-    /// Spans ever admitted (also the sequence source).
-    emitted: AtomicU64,
-    /// Spans overwritten before any drain saw them.
-    dropped: AtomicU64,
-    /// The bounded ring. A non-null pointer is owned by its slot; `swap`
-    /// transfers that ownership atomically, so emit and drain never alias.
-    slots: Box<[AtomicPtr<Span>]>,
+    ring: Mutex<Ring>,
 }
 
-impl Drop for SinkInner {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // Safety: the swap took sole ownership of the pointer.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
+/// The bounded ring and its two counters, all under the sink's one lock.
+struct Ring {
+    /// Spans ever admitted (also the sequence source).
+    emitted: u64,
+    /// Spans overwritten before any drain saw them.
+    dropped: u64,
+    /// Span `seq` lives in slot `seq % len` until overwritten or drained.
+    slots: Box<[Option<Span>]>,
+}
+
+impl SinkInner {
+    /// Nothing done under the lock can leave the ring half-written, so a
+    /// poisoned lock is entered, not propagated.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A lock-free bounded ring of finished [`Span`]s (see module docs).
+/// A bounded ring of finished [`Span`]s behind one lock (see module docs).
 #[derive(Clone, Default)]
 pub struct SpanSink(Option<Arc<SinkInner>>);
 
@@ -212,11 +221,11 @@ impl SpanSink {
         let capacity = capacity.max(1);
         SpanSink(Some(Arc::new(SinkInner {
             epoch: Instant::now(),
-            emitted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots: std::iter::repeat_with(|| AtomicPtr::new(std::ptr::null_mut()))
-                .take(capacity)
-                .collect(),
+            ring: Mutex::new(Ring {
+                emitted: 0,
+                dropped: 0,
+                slots: std::iter::repeat_with(|| None).take(capacity).collect(),
+            }),
         })))
     }
 
@@ -239,12 +248,12 @@ impl SpanSink {
 
     /// Spans ever admitted (including overwritten ones).
     pub fn emitted(&self) -> u64 {
-        self.0.as_ref().map_or(0, |s| s.emitted.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |s| s.ring().emitted)
     }
 
     /// Spans overwritten before a drain collected them.
     pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |s| s.dropped.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |s| s.ring().dropped)
     }
 
     /// Open a root span (no parent) on `trace`.
@@ -267,40 +276,6 @@ impl SpanSink {
         ActiveSpan { sink: self.clone(), trace, id: SpanId::next(), parent, name, timing, attrs }
     }
 
-    /// Emit a span whose duration was measured elsewhere (per-shard probe
-    /// timings arrive as µs from the worker threads). The start offset is
-    /// back-dated by the duration.
-    pub fn emit_measured(
-        &self,
-        trace: TraceId,
-        parent: Option<SpanId>,
-        name: &'static str,
-        duration_us: u64,
-        attrs: impl Into<AttrList>,
-    ) {
-        if self.0.is_none() {
-            return;
-        }
-        self.emit_measured_as(SpanId::next(), trace, parent, name, duration_us, attrs);
-    }
-
-    /// [`SpanSink::emit_measured`] with a caller-minted span id, so a
-    /// caller can hand the id to children *before* the span itself is
-    /// emitted (the serve engine parents its shard probes on the
-    /// `engine.query` span it emits last, from an already-measured
-    /// duration — no second clock read).
-    pub fn emit_measured_as(
-        &self,
-        id: SpanId,
-        trace: TraceId,
-        parent: Option<SpanId>,
-        name: &'static str,
-        duration_us: u64,
-        attrs: impl Into<AttrList>,
-    ) {
-        self.emit_at(id, trace, parent, name, self.now_us(), duration_us, attrs);
-    }
-
     /// Microseconds since this sink's epoch. Pair with
     /// [`SpanSink::emit_at`] so a caller emitting several spans measured
     /// against the same instant (the serve engine's probes plus its own
@@ -309,9 +284,12 @@ impl SpanSink {
         self.0.as_ref().map_or(0, |inner| us_since(inner.epoch, Instant::now()))
     }
 
-    /// [`SpanSink::emit_measured_as`] with the clock read hoisted out:
-    /// the span ends at `end_us` (a [`SpanSink::now_us`] reading) and is
-    /// back-dated by `duration_us`.
+    /// Emit a span whose duration was measured elsewhere (per-shard probe
+    /// timings arrive as µs from the worker threads): it ends at `end_us`
+    /// (a [`SpanSink::now_us`] reading) and is back-dated by `duration_us`.
+    /// The id is the caller's, so it can be handed to children *before*
+    /// the span itself is emitted (the serve engine parents its shard
+    /// probes on the `engine.query` span it emits last).
     #[allow(clippy::too_many_arguments)]
     pub fn emit_at(
         &self,
@@ -340,31 +318,21 @@ impl SpanSink {
 
     fn push(&self, mut span: Span) {
         let Some(inner) = &self.0 else { return };
-        let seq = inner.emitted.fetch_add(1, Ordering::Relaxed);
-        span.seq = seq;
-        let slot = &inner.slots[(seq % inner.slots.len() as u64) as usize];
-        let old = slot.swap(Box::into_raw(Box::new(span)), Ordering::AcqRel);
-        if !old.is_null() {
-            // Safety: the swap took sole ownership of the pointer.
-            drop(unsafe { Box::from_raw(old) });
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut ring = inner.ring();
+        span.seq = ring.emitted;
+        ring.emitted += 1;
+        let slot = (span.seq % ring.slots.len() as u64) as usize;
+        if ring.slots[slot].replace(span).is_some() {
+            ring.dropped += 1;
         }
     }
 
     /// Take-and-clear: every held span, admission order, and the ring is
-    /// left empty. Concurrent emitters keep working — each slot's `swap`
-    /// hands exactly one owner the span, so nothing is reported twice and
-    /// nothing leaks.
+    /// left empty. Emitters wait for the one pass over the slots; nothing
+    /// is reported twice.
     pub fn drain(&self) -> Vec<Span> {
         let Some(inner) = &self.0 else { return Vec::new() };
-        let mut out: Vec<Span> = Vec::new();
-        for slot in inner.slots.iter() {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // Safety: the swap took sole ownership of the pointer.
-                out.push(*unsafe { Box::from_raw(p) });
-            }
-        }
+        let mut out: Vec<Span> = inner.ring().slots.iter_mut().filter_map(Option::take).collect();
         out.sort_by_key(|s| s.seq);
         out
     }
@@ -501,10 +469,12 @@ mod tests {
         root.attr("op", AttrValue::Str("topk".into()));
         let mut child = sink.child(trace, root.id(), "engine.query");
         child.attr("k", AttrValue::U64(8));
-        sink.emit_measured(
+        sink.emit_at(
+            SpanId::next(),
             trace,
             Some(child.id()),
             "shard.probe",
+            sink.now_us(),
             250,
             [("shard", AttrValue::U64(0)), ("cache_hit", AttrValue::Bool(false))],
         );

@@ -1,6 +1,6 @@
 //! Concurrency stress for the observability plane's shared structures:
 //! the flight recorder's record/snapshot/drain triangle and the span
-//! sink's lock-free emit/drain ring. Writers hammer from several
+//! sink's emit/drain ring. Writers hammer from several
 //! threads while readers snapshot and drain; the invariants checked are
 //! conservation (nothing double-reported, nothing lost unaccounted) and
 //! absence of panics/deadlocks under contention.

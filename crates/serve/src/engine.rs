@@ -416,8 +416,8 @@ impl ServeEngine {
     }
 
     /// Re-attach this engine's instrumentation to `registry` — a private
-    /// registry for isolated measurements, or [`Registry::noop`] for the
-    /// uninstrumented side of the overhead A/B. Counters restart at the
+    /// registry for isolated measurements, or [`Registry::noop`] for an
+    /// uninstrumented engine. Counters restart at the
     /// new registry's values; the flight recorder is replaced too.
     pub fn set_registry(&mut self, registry: &Registry) {
         self.pool.obs = ServeObs::attach(registry);

@@ -68,6 +68,8 @@
 //!
 //! [`TemporalSet`]: chronorank_core::TemporalSet
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 mod config;
 mod engine;

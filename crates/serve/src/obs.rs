@@ -4,8 +4,9 @@
 //! Every handle is resolved once, at engine construction — the scatter
 //! hot path never touches the registry mutex. With a
 //! [`Registry::noop`] source every operation below degenerates to a
-//! branch on `None`, which is the uninstrumented side of the
-//! `paper_bench obs` overhead gate.
+//! branch on `None`; `tests/obs_counts.rs` pins what the live side adds
+//! per query (two metric updates, three with the result cache, and no
+//! heap allocation).
 
 use crate::planner::Route;
 use chronorank_obs::{Counter, FlightRecorder, Histogram, Registry};

@@ -64,6 +64,8 @@
 //! assert!(env.io_stats().reads >= 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod budget;
 mod device;
 mod env;

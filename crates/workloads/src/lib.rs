@@ -57,6 +57,8 @@
 //! [`DatasetGenerator::generate`] is required to agree with the streaming
 //! view: it is the same `object(id)` loop, collected.
 
+#![forbid(unsafe_code)]
+
 mod append;
 pub mod csvio;
 mod meme;

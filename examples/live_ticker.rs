@@ -82,14 +82,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The market close: who traded the most over the freshly arrived days?
-    let live = engine.live_set().clone();
+    let live = engine.live_set();
     let (t1, t2) = (live.t_max() - 3.0, live.t_max());
     let top = engine.query(ServeQuery::exact(t1, t2, 10))?;
     println!("\ntop-10 tickers by volume over the last 3 (live-streamed) days:");
     for (rank, &(id, vol)) in top.entries().iter().enumerate() {
         println!("  #{:<2} ticker {:<4} volume {:.1}", rank + 1, id, vol);
     }
-    // Cross-check against brute force over the engine's master copy.
+    // Cross-check against brute force over the engine's live data.
     let oracle = live.top_k_bruteforce(t1, t2, 10);
     assert_eq!(oracle.ids(), top.ids(), "live answers must equal ground truth");
 

@@ -50,6 +50,8 @@
 //! assert_eq!(top.len(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use chronorank_core as core;
 pub use chronorank_curve as curve;
 pub use chronorank_index as index;

@@ -114,7 +114,8 @@ fn serve_query_batch_is_bit_identical_to_solo_queries() {
 /// query replies), so two engines fed the same appends publish the same
 /// generations before they are compared.
 fn settle(engine: &IngestEngine) {
-    let probe = ServeQuery::exact(engine.live_set().t_min(), engine.live_set().t_max(), 1);
+    let (t_min, t_max) = engine.domain();
+    let probe = ServeQuery::exact(t_min, t_max, 1);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     loop {
         engine.query(probe).unwrap();
@@ -157,7 +158,7 @@ fn live_query_batch_is_bit_identical_to_solo_queries() {
             }
             // Probe mid-stream so the windows hit mutable columnar tails,
             // not just frozen generations.
-            let window = mixed_window(windowed.live_set());
+            let window = mixed_window(&windowed.live_set());
             let got = windowed.execute(&window, None, &noop).unwrap();
             let want: Vec<Answer> = window
                 .iter()

@@ -138,7 +138,7 @@ fn wal_replay_after_crash_reproduces_pre_crash_answers() {
         for batch in &batches[mid..] {
             engine.append_batch(batch).unwrap();
         }
-        let live = engine.live_set().clone();
+        let live = engine.live_set();
         for (t1, t2) in probe_windows(&live) {
             let top = engine.query(ServeQuery::exact(t1, t2, 8)).unwrap();
             pre_crash.push((t1, t2, top));
@@ -232,7 +232,7 @@ fn an_image_with_exact1_sections_boots_from_the_image() {
                 engine.append_batch(batch).unwrap();
             }
             engine.checkpoint().unwrap();
-            let live = engine.live_set().clone();
+            let live = engine.live_set();
             // A hairline window too: what the EXACT1 tree used to answer.
             let hairline = (live.t_min() + 0.5 * live.span(), live.t_min() + 0.501 * live.span());
             for (t1, t2) in probe_windows(&live).into_iter().chain([hairline]) {

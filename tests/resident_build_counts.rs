@@ -2,7 +2,8 @@
 //! `exact_cold` engine (Temp, m = 2000, n_avg = 100, every default), as
 //! four counts that repeat exactly (ISSUE 21, 22): blocks written, blocks
 //! read, heap allocations per shard build, and heap bytes the built shard
-//! holds per index byte. A resident set's curves are already in `t0` order,
+//! holds per index byte — and a fifth for the data path (ISSUE 23): heap
+//! bytes a live engine holds per live point beyond its indexes. A resident set's curves are already in `t0` order,
 //! so EXACT1 / EXACT3 merge them into their loaders instead of sorting a
 //! scratch copy: the build's whole IO is the tree's pages going out once,
 //! and nothing is allocated per record. The indexes sit on memory devices
@@ -13,53 +14,57 @@
 //! `ci.sh`'s `tier1` stage echoes the `pinned:` lines into its summary.
 
 use chronorank::core::{ApproxConfig, Exact1, Exact3, IndexConfig, RankMethod, TemporalSet};
+use chronorank::live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank::serve::{build_route_methods_with_handles, MethodSet};
 use chronorank::storage::StoreConfig;
-use chronorank::workloads::{DatasetGenerator, TempConfig, TempGenerator};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use chronorank::workloads::{
+    AppendStream, AppendStreamConfig, DatasetGenerator, StockConfig, StockGenerator, TempConfig,
+    TempGenerator,
+};
 
-/// The system allocator, counting every block it hands out or moves and
-/// the bytes currently handed out.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes handed out and not yet returned (a shrinking `realloc` adds a
-/// wrapped negative).
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded to `System` unchanged.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES
-            .fetch_add((new_size as u64).wrapping_sub(layout.size() as u64), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
+mod counting;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting::Counting = counting::Counting;
 
 /// `(pages, writes, reads)` of a flushed index: its size in blocks against
 /// the IO its build charged.
 fn build_io(index: &dyn RankMethod) -> (u64, u64, u64) {
     let io = index.io_stats();
     (index.size_bytes() / StoreConfig::default().block_size as u64, io.writes, io.reads)
+}
+
+/// Heap bytes a two-shard live engine holds beyond its indexes, per live
+/// point, after a stream of appends it never rebuilds over (directory WAL,
+/// so the log is not in the heap): the shards' columns are the one copy of
+/// the data, 16 bytes a point plus the append log's 4-byte index and `Vec`
+/// slack (22.55 here). A second, row-form copy beside them read 48.19.
+fn live_engine_bytes_per_point() {
+    let dir = std::env::temp_dir().join(format!("chronorank-counts-live-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let stream = AppendStream::from_generator(
+        &StockGenerator::new(StockConfig { objects: 600, days: 120, readings_per_day: 8, seed: 7 }),
+        AppendStreamConfig { base_fraction: 0.1, batch: 4096, ..Default::default() },
+    );
+    let base = stream.base_set();
+    assert!(stream.records().len() >= 500_000);
+    let points = base.num_segments() + base.num_objects() as u64 + stream.records().len() as u64;
+    let config = LiveConfig {
+        workers: 2,
+        wal_dir: Some(dir.clone()),
+        rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: usize::MAX },
+        ..Default::default()
+    };
+
+    let live_before = counting::live_bytes();
+    let mut engine = IngestEngine::new(&base, config).unwrap();
+    stream.batches().for_each(|batch| engine.append_batch(batch).unwrap());
+    let held = counting::live_bytes() - live_before - engine.report().index_bytes;
+    let per_point = held as f64 / points as f64;
+    println!("pinned: heap bytes a live engine holds per live point: {per_point:.2}");
+    assert!(per_point <= 30.0, "{held} heap bytes beyond the indexes for {points} live points");
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -81,8 +86,8 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
     assert_eq!((pages1, writes1, reads1), (1729, 1729, 0));
     drop((exact3, exact1));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = counting::allocations();
+    let live_before = counting::live_bytes();
     let built = build_route_methods_with_handles(
         &set,
         MethodSet::default(),
@@ -90,12 +95,12 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
         StoreConfig::default(),
     )
     .unwrap();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = counting::allocations() - before;
     println!("pinned: allocations per shard build: {allocations}");
     assert!(allocations <= 15_000, "{allocations} allocations for one shard build");
 
     // Everything the build allocated and did not free is what `built` holds.
-    let held = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
+    let held = counting::live_bytes() - live_before;
     let ratio = held as f64 / built.size_bytes as f64;
     println!("pinned: heap bytes held per index byte: {ratio:.3} ({held} / {})", built.size_bytes);
     assert!(
@@ -104,4 +109,6 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
         built.size_bytes
     );
     drop(built);
+
+    live_engine_bytes_per_point();
 }
