@@ -12,7 +12,10 @@
 #   tier1             cargo build --release && cargo test -q, then the
 #                     counts tests/resident_build_counts.rs pins (blocks
 #                     written, blocks read, allocations per shard build,
-#                     heap bytes held per index byte and per live point)
+#                     heap bytes held per index byte and per live point),
+#                     the ones tests/streaming_build_counts.rs pins (peak
+#                     heap beyond the ScaleBudget, heap held and blocks a
+#                     drop_caches writes after each out-of-core build)
 #                     and the ones tests/obs_counts.rs pins (spans, heap
 #                     allocations and metric updates per query, bytes per
 #                     span slot — what telemetry costs, as counts that
@@ -76,7 +79,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/resident_build_counts.rs and tests/obs_counts.rs)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs and tests/obs_counts.rs)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -158,8 +161,8 @@ doc_stage() {
 # the workspace run below is what fails the stage.
 tier1_stage() {
     cargo build --release
-    PINNED_COUNTS=$(cargo test -q --test resident_build_counts --test obs_counts -- --nocapture \
-        2> /dev/null | grep '^pinned:' || true)
+    PINNED_COUNTS=$(cargo test -q --test resident_build_counts --test streaming_build_counts \
+        --test obs_counts -- --nocapture 2> /dev/null | grep '^pinned:' || true)
     cargo test -q --workspace
 }
 

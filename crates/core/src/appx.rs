@@ -25,7 +25,7 @@
 use crate::agg::AggKind;
 use crate::breakpoints::{B2Construction, Breakpoints, BreakpointsKind};
 use crate::error::{CoreError, Result};
-use crate::object::{TemporalObject, TemporalSet};
+use crate::object::{check_id, TemporalObject, TemporalSet};
 use crate::packed::{PackedPrefix, PackedPrefixBuilder};
 use crate::query1::Query1Index;
 use crate::query2::Query2Index;
@@ -228,11 +228,18 @@ impl ApproxIndex {
         } else {
             None
         };
-        let mut pack_failed = None;
-        let objects = objects.into_iter().inspect(|o| {
-            if let (Some(p), true) = (&mut packer, pack_failed.is_none()) {
-                pack_failed = p.push(Borrow::<TemporalObject>::borrow(o)).err();
+        // The packer checks each id as it packs; without one, this does.
+        let mut failed = None;
+        let objects = objects.into_iter().enumerate().map(|(position, o)| {
+            let obj = Borrow::<TemporalObject>::borrow(&o);
+            if failed.is_none() {
+                failed = match &mut packer {
+                    Some(p) => p.push(obj),
+                    None => check_id(position, obj),
+                }
+                .err();
             }
+            o
         });
         let (q1, q2) = match (variant.query, shared) {
             (QueryKind::Q1, _) => {
@@ -252,7 +259,7 @@ impl ApproxIndex {
                 (None, Some(Arc::new(q2)))
             }
         };
-        if let Some(e) = pack_failed {
+        if let Some(e) = failed {
             return Err(e);
         }
         let rescorer = packer.map(PackedPrefixBuilder::finish).transpose()?;

@@ -20,7 +20,7 @@
 
 use crate::agg::AggKind;
 use crate::error::Result;
-use crate::object::{ObjectId, TemporalObject, TemporalSet};
+use crate::object::{check_id, ObjectId, TemporalObject, TemporalSet};
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
@@ -83,7 +83,9 @@ impl Exact1 {
     /// materialized (the paper's construction preamble: its data sits on
     /// disk in object order): external-sort all `N` segments by left
     /// endpoint in runs of `sort_budget_bytes`, then bulk-load the
-    /// B+-tree. `m` and `Δmax` are accumulated in the push loop.
+    /// B+-tree. `m` and `Δmax` are accumulated in the push loop, which
+    /// refuses ids out of `0, 1, 2, …` order. The build ends by writing the
+    /// tree back and emptying its pool: the index keeps no frame.
     pub fn build_streaming<I>(env: Env, objects: I, sort_budget_bytes: u64) -> Result<Self>
     where
         I: IntoIterator,
@@ -98,6 +100,7 @@ impl Exact1 {
         let mut max_dur = 0.0f64;
         for o in objects {
             let o: &TemporalObject = o.borrow();
+            check_id(num_objects, o)?;
             num_objects += 1;
             for seg in o.curve.segments() {
                 max_dur = max_dur.max(seg.duration());
@@ -113,6 +116,7 @@ impl Exact1 {
             Err(e) => Some(Err(e.into())),
         });
         let tree = Self::load(&env, sorted)?;
+        tree.file().drop_cache()?;
         Ok(Self { env, tree, num_objects, max_segment_duration: max_dur })
     }
 

@@ -33,7 +33,7 @@
 
 use crate::agg::AggKind;
 use crate::error::Result;
-use crate::object::{ObjectId, TemporalObject, TemporalSet};
+use crate::object::{check_id, ObjectId, TemporalObject, TemporalSet};
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
@@ -111,7 +111,9 @@ impl Exact3 {
     /// `sort_budget_bytes` (`O((N/B) log_B N)` IOs), one leaf-fill-1.0 bulk
     /// load. Peak memory is one sort run, one loader run (≤ 256 leaves), one
     /// fence per leaf and the per-object `(start, end, total)` triples
-    /// collected in the push loop (`24·m` bytes) — never the full entry set.
+    /// collected in the push loop (`24·m` bytes; it refuses ids out of
+    /// `0, 1, 2, …` order) — never the full entry set. The build ends by
+    /// writing the tree back and emptying its pool: the index keeps no frame.
     pub fn build_streaming<I>(
         env: Env,
         store: StoreConfig,
@@ -130,6 +132,7 @@ impl Exact3 {
         let mut meta: Vec<ObjMeta> = Vec::new();
         for o in objects {
             let o: &TemporalObject = o.borrow();
+            check_id(meta.len(), o)?;
             let mut prefix = 0.0f64;
             for seg in o.curve.segments() {
                 prefix += seg.integral_full();
@@ -149,6 +152,7 @@ impl Exact3 {
             Err(e) => Some(Err(e.into())),
         });
         let tree = Self::load(&env, 0, sorted)?;
+        tree.file().drop_cache()?;
         Ok(Self { env, store, tree, meta, generation: 0 })
     }
 

@@ -19,6 +19,19 @@ pub struct TemporalObject {
     pub curve: PiecewiseLinear,
 }
 
+/// The id rule of every object stream, resident or streamed: the object at
+/// `position` carries id `position`. Every streaming constructor's push
+/// loop checks it before indexing per-object state by id.
+pub(crate) fn check_id(position: usize, o: &TemporalObject) -> Result<()> {
+    if o.id as usize != position {
+        return Err(CoreError::BadQuery(format!(
+            "object ids must be dense and ordered: position {position} holds id {}",
+            o.id
+        )));
+    }
+    Ok(())
+}
+
 /// One §4 update: a new reading `(t, v)` extending `object` at its right
 /// time edge (the segment from the object's previous endpoint to `(t, v)`).
 ///
@@ -93,13 +106,8 @@ impl TemporalSet {
         if objects.is_empty() {
             return Err(CoreError::BadQuery("a temporal set needs at least one object".into()));
         }
-        for (i, o) in objects.iter().enumerate() {
-            if o.id != i as ObjectId {
-                return Err(CoreError::BadQuery(format!(
-                    "object ids must be dense and ordered: position {i} holds id {}",
-                    o.id
-                )));
-            }
+        for (position, o) in objects.iter().enumerate() {
+            check_id(position, o)?;
         }
         let stats = scan_stats(&objects);
         Ok(Self { objects, stats })

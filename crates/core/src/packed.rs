@@ -21,7 +21,7 @@
 //! the first record of its page.
 
 use crate::error::{CoreError, Result};
-use crate::object::{ObjectId, TemporalObject};
+use crate::object::{check_id, ObjectId, TemporalObject};
 use chronorank_curve::Segment;
 use chronorank_storage::{PageId, PagedFile};
 
@@ -76,13 +76,7 @@ impl PackedPrefixBuilder {
 
     /// Append the next object's run. Objects must arrive in dense id order.
     pub fn push(&mut self, o: &TemporalObject) -> Result<()> {
-        if o.id as usize != self.first_record.len() - 1 {
-            return Err(CoreError::BadQuery(format!(
-                "packed prefix file expects object {} next, got {}",
-                self.first_record.len() - 1,
-                o.id
-            )));
-        }
+        check_id(self.first_record.len() - 1, o)?;
         let (t0, v0) = o.curve.point(0);
         self.push_record(t0, v0, 0.0)?;
         // The same running sum EXACT2 stores, so the bits agree.

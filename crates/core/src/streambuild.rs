@@ -27,7 +27,7 @@ use crate::breakpoints::{
     abs_curve, check_eps, B2Construction, B2Sweeper, Breakpoints, BreakpointsKind,
 };
 use crate::error::Result;
-use crate::object::TemporalObject;
+use crate::object::{check_id, TemporalObject};
 use chronorank_curve::Segment;
 use chronorank_index::ExternalSorter;
 use chronorank_storage::Env;
@@ -141,8 +141,9 @@ where
             f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"))
         })?;
     let mut rec = [0u8; B2_REC_LEN];
-    for o in objects {
+    for (position, o) in objects.into_iter().enumerate() {
         let o: &TemporalObject = o.borrow();
+        check_id(position, o)?;
         // §4 negative scores: sweep |g| — same global rule as the resident
         // AbsCurves (all curves pass through abs_curve).
         let abs = if stats.has_negative { Some(abs_curve(&o.curve)?) } else { None };
@@ -361,6 +362,42 @@ mod tests {
         b2_streaming(&b2, set.objects(), &stats, 0.02, B2Construction::Efficient, budget).unwrap();
         assert_eq!(names("b2"), [] as [&str; 0]);
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Every streaming constructor refuses a stream whose ids are not
+    /// `0, 1, 2, …` in order, with `TemporalSet::from_objects`'s error:
+    /// `[1, 0]` used to swap two objects' EXACT3 totals, `[3]` to panic in
+    /// an EXACT1 query or the B2 sweep.
+    #[test]
+    fn streams_whose_ids_are_not_dense_and_ordered_are_refused() {
+        use crate::appx::{ApproxConfig, ApproxIndex, ApproxVariant};
+        use crate::exact1::Exact1;
+        use crate::exact3::Exact3;
+
+        let set = small_set();
+        let store = StoreConfig { block_size: 256, pool_capacity: 16 };
+        let bp = Breakpoints::b2_with_eps(&set, 0.1, B2Construction::Efficient).unwrap();
+        let cfg = ApproxConfig { kmax: 4, store, ..Default::default() };
+        let with_id =
+            |id: u32, from: usize| TemporalObject { id, curve: set.objects()[from].curve.clone() };
+        for bad in [vec![with_id(1, 0), with_id(0, 1)], vec![with_id(3, 3)]] {
+            let want = TemporalSet::from_objects(bad.clone()).unwrap_err().to_string();
+            let stats = scan_stats(&bad);
+            let mut got = vec![
+                Exact1::build_streaming(stream_env(), &bad, 1 << 20).err(),
+                Exact3::build_streaming(stream_env(), store, &bad, 1 << 20).err(),
+                b2_streaming(&stream_env(), &bad, &stats, 0.1, B2Construction::Efficient, 1 << 20)
+                    .err(),
+            ];
+            for v in [ApproxVariant::APPX1, ApproxVariant::APPX2, ApproxVariant::APPX2_PLUS] {
+                got.push(
+                    ApproxIndex::build_streaming(stream_env(), &bad, v, cfg, bp.clone()).err(),
+                );
+            }
+            for (i, e) in got.into_iter().enumerate() {
+                assert_eq!(e.map(|e| e.to_string()).as_ref(), Some(&want), "constructor {i}");
+            }
+        }
     }
 
     /// Short-lived objects with staggered lifespans, the shape of the Meme

@@ -1,18 +1,19 @@
-//! Run-based external merge sort and a buffered external priority queue.
+//! Run-based external merge sort: every construction in the paper begins
+//! by sorting all `N` segments (`O((N/B) log_B N)` IOs).
 //!
-//! Every construction in the paper begins by sorting all `N` segments
-//! (`O((N/B) log_B N)` IOs); BREAKPOINTS2 and the QUERY1/QUERY2 sweeps
-//! additionally use IO-efficient priority queues [Brodal–Katajainen].
-//! These are the corresponding substrates:
+//! [`ExternalSorter`] takes fixed-size records in any order (opaque byte
+//! strings; the caller provides a key extractor); memory-full batches are
+//! sorted and spilled as block runs, and `finish` returns a k-way-merged
+//! sorted stream.
 //!
-//! * [`ExternalSorter`] — push fixed-size records in any order; memory-full
-//!   batches are sorted and spilled as block runs; `finish` returns a
-//!   k-way-merged sorted stream.
-//! * [`ExternalPq`] — a min-queue on `f64` keys whose overflow spills to
-//!   sorted runs; pops merge the in-memory heap with the run heads.
-//!
-//! Records are opaque byte strings of a fixed length; callers provide a key
-//! extractor.
+//! What a run costs is its byte budget and nothing beside it: each record
+//! is `record_len` bytes in the run buffer plus a 4-byte slot in the `u32`
+//! permutation a spill sorts, so a run holds `budget / (record_len + 4)`
+//! records. The spill writes the records straight off the permutation (no
+//! vector of references), and the buffer is sized once to the whole run
+//! after its first MiB, so it stops reallocating through the heap. The
+//! merge then holds one block per run. (The paper's IO-efficient priority
+//! queues have no caller here: every sweep consumes a sorted stream.)
 
 use crate::error::{IndexError, Result};
 use chronorank_storage::page::{get_u32, put_u32};
@@ -21,12 +22,17 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 const RUN_HDR: usize = 4; // record count within the block
+/// Bytes of a record's slot in a spill's permutation.
+const SLOT: u64 = 4;
+/// The run buffer grows by doubling up to this size, then is sized once to
+/// the whole run.
+const DOUBLING_LIMIT: usize = 1 << 20;
 
 /// Locate record ordinal `pos` of a run: `(block index, slot within
 /// block)`. Kept as a free helper so the arithmetic is testable at
-/// paper-scale ordinals: a single sorted run at `N = 10⁸⁺` segments can
-/// hold more than 2³² records, so every term here must stay `u64` — a
-/// careless `usize` multiply would wrap on 32-bit hosts.
+/// paper-scale ordinals: a single sorted run can hold up to 2³² − 1
+/// records, so every term here must stay `u64` — a careless `usize`
+/// multiply would wrap on 32-bit hosts.
 fn run_position(pos: u64, per_block: usize) -> (u64, usize) {
     let pb = per_block as u64;
     (pos / pb, (pos % pb) as usize)
@@ -41,26 +47,32 @@ struct Run {
 }
 
 /// Writes records packed into consecutive blocks; returns the run descriptor.
-fn write_run(file: &PagedFile, record_len: usize, records: &[&[u8]]) -> Result<Run> {
+fn write_run<'a>(
+    file: &PagedFile,
+    record_len: usize,
+    mut records: impl ExactSizeIterator<Item = &'a [u8]>,
+) -> Result<Run> {
     let block = file.block_size();
     let per_block = (block - RUN_HDR) / record_len;
-    let blocks = records.len().div_ceil(per_block).max(1);
-    let start = file.allocate(blocks as u64)?;
+    let n = records.len();
+    let blocks = n.div_ceil(per_block).max(1) as u64;
+    let start = file.allocate(blocks)?;
     let mut buf = vec![0u8; block];
-    for (b, chunk) in records.chunks(per_block).enumerate() {
+    for b in 0..blocks {
         buf.fill(0);
-        put_u32(&mut buf, 0, chunk.len() as u32);
-        for (i, rec) in chunk.iter().enumerate() {
-            let off = RUN_HDR + i * record_len;
-            buf[off..off + record_len].copy_from_slice(rec);
+        let mut count = 0;
+        for rec in records.by_ref().take(per_block) {
+            buf[RUN_HDR + count * record_len..][..record_len].copy_from_slice(rec);
+            count += 1;
         }
-        file.write(start + b as u64, &buf)?;
+        put_u32(&mut buf, 0, count as u32);
+        file.write(start + b, &buf)?;
     }
-    Ok(Run { start, records: records.len() as u64 })
+    Ok(Run { start, records: n as u64 })
 }
 
 /// Sequential reader over one spilled run.
-pub struct RunCursor {
+struct RunCursor {
     run: Run,
     record_len: usize,
     per_block: usize,
@@ -136,10 +148,11 @@ pub struct ExternalSorter<F: Fn(&[u8]) -> f64> {
 impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
     /// `file` must be a fresh scratch file (`Env::create_scratch`: it goes
     /// away with the sorter or its `SortedStream`). `budget_bytes` (a
-    /// `ScaleBudget` sort share) caps the run length at
-    /// `budget_bytes / record_len` records — never fewer than 16, so a
-    /// degenerate budget still sorts.
-    /// Only the run length is capped: the buffer grows as records arrive,
+    /// `ScaleBudget` sort share) is the whole run: a record costs
+    /// `record_len` bytes plus its 4-byte permutation slot, so a run holds
+    /// `budget_bytes / (record_len + 4)` records — never fewer than 16, so
+    /// a degenerate budget still sorts, nor more than `u32::MAX`.
+    /// Nothing is reserved up front: the buffer grows as records arrive,
     /// so a budget far above the input costs nothing.
     pub fn with_byte_budget(
         file: PagedFile,
@@ -153,7 +166,8 @@ impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
                 file.block_size()
             )));
         }
-        let run_records = (budget_bytes / record_len as u64).clamp(16, usize::MAX as u64) as usize;
+        let slot = record_len as u64 + SLOT;
+        let run_records = (budget_bytes / slot).clamp(16, u32::MAX.into()) as usize;
         Ok(Self {
             buf: Vec::new(),
             runs: Vec::new(),
@@ -178,6 +192,13 @@ impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
         if !key.is_finite() {
             return Err(IndexError::BadInput("record key must be finite".into()));
         }
+        let full = self.buf.capacity() - self.buf.len() < rec.len();
+        if full && self.buf.len() >= DOUBLING_LIMIT {
+            // Sized once to the whole run, so it never moves through the
+            // heap again; if the allocator refuses, it keeps doubling.
+            let run_bytes = self.run_records.saturating_mul(self.record_len);
+            let _ = self.buf.try_reserve_exact(run_bytes - self.buf.len());
+        }
         self.buf.extend_from_slice(rec);
         self.total += 1;
         if self.buf.len() / self.record_len >= self.run_records {
@@ -186,19 +207,18 @@ impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
         Ok(())
     }
 
+    /// Sort the buffered records through a `u32` permutation and write them
+    /// off it as one run. Unstable on `(key, index)` is the stable order:
+    /// equal keys leave in push order.
     fn spill(&mut self) -> Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let rl = self.record_len;
-        let mut order: Vec<usize> = (0..self.buf.len() / rl).collect();
-        order.sort_by(|&a, &b| {
-            let ka = (self.key_fn)(&self.buf[a * rl..(a + 1) * rl]);
-            let kb = (self.key_fn)(&self.buf[b * rl..(b + 1) * rl]);
-            ka.total_cmp(&kb)
-        });
-        let refs: Vec<&[u8]> = order.iter().map(|&i| &self.buf[i * rl..(i + 1) * rl]).collect();
-        let run = write_run(&self.file, rl, &refs)?;
+        let (buf, rl) = (&self.buf, self.record_len);
+        let record = |i: u32| &buf[i as usize * rl..][..rl];
+        let mut perm: Vec<u32> = (0..(buf.len() / rl) as u32).collect();
+        perm.sort_unstable_by_key(|&i| (total_order_bits((self.key_fn)(record(i))), i));
+        let run = write_run(&self.file, rl, perm.iter().map(|&i| record(i)))?;
         self.runs.push(run);
         self.buf.clear();
         Ok(())
@@ -236,29 +256,6 @@ impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
             heap,
             remaining: self.total,
         })
-    }
-}
-
-struct HeapEntry {
-    key: f64,
-    run: usize,
-    rec: Vec<u8>,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key.total_cmp(&other.key).is_eq() && self.run == other.run
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.total_cmp(&other.key).then(self.run.cmp(&other.run))
     }
 }
 
@@ -300,112 +297,6 @@ impl<F: Fn(&[u8]) -> f64> SortedStream<F> {
     }
 }
 
-/// A buffered external min-priority-queue on `f64` keys with fixed-size
-/// payloads. Pushes beyond the memory budget spill to sorted runs; pops
-/// merge the in-memory heap with the run heads.
-pub struct ExternalPq {
-    file: PagedFile,
-    payload_len: usize,
-    mem_budget: usize,
-    mem: BinaryHeap<Reverse<HeapEntry>>,
-    cursors: Vec<RunCursor>,
-    /// Head of each spilled run, refilled on pop (run index mirrors
-    /// `cursors`).
-    run_heads: BinaryHeap<Reverse<HeapEntry>>,
-    len: u64,
-}
-
-impl ExternalPq {
-    /// `file` must be a fresh scratch file.
-    pub fn new(file: PagedFile, payload_len: usize, mem_budget: usize) -> Result<Self> {
-        let record_len = 8 + payload_len;
-        if record_len > file.block_size() - RUN_HDR {
-            return Err(IndexError::BadInput("payload too large for block".into()));
-        }
-        Ok(Self {
-            file,
-            payload_len,
-            mem_budget: mem_budget.max(16),
-            mem: BinaryHeap::new(),
-            cursors: Vec::new(),
-            run_heads: BinaryHeap::new(),
-            len: 0,
-        })
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Insert an item.
-    pub fn push(&mut self, key: f64, payload: &[u8]) -> Result<()> {
-        if payload.len() != self.payload_len {
-            return Err(IndexError::BadInput("payload length mismatch".into()));
-        }
-        if !key.is_finite() {
-            return Err(IndexError::BadInput("key must be finite".into()));
-        }
-        let mut rec = Vec::with_capacity(8 + self.payload_len);
-        rec.extend_from_slice(&key.to_le_bytes());
-        rec.extend_from_slice(payload);
-        self.mem.push(Reverse(HeapEntry { key, run: usize::MAX, rec }));
-        self.len += 1;
-        if self.mem.len() > self.mem_budget {
-            self.spill()?;
-        }
-        Ok(())
-    }
-
-    /// Spill the in-memory heap as one sorted run.
-    fn spill(&mut self) -> Result<()> {
-        let mut items: Vec<HeapEntry> =
-            std::mem::take(&mut self.mem).into_sorted_vec().into_iter().map(|r| r.0).collect();
-        items.sort_by(|a, b| a.key.total_cmp(&b.key));
-        let record_len = 8 + self.payload_len;
-        let refs: Vec<&[u8]> = items.iter().map(|e| e.rec.as_slice()).collect();
-        let run = write_run(&self.file, record_len, &refs)?;
-        let run_idx = self.cursors.len();
-        let mut cursor = RunCursor::new(run, record_len, self.file.block_size());
-        if let Some(rec) = cursor.next(&self.file)? {
-            let key = f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            let rec = rec.to_vec();
-            self.run_heads.push(Reverse(HeapEntry { key, run: run_idx, rec }));
-        }
-        self.cursors.push(cursor);
-        Ok(())
-    }
-
-    /// Remove and return the minimum-key item.
-    pub fn pop_min(&mut self) -> Result<Option<(f64, Vec<u8>)>> {
-        let mem_key = self.mem.peek().map(|r| r.0.key);
-        let run_key = self.run_heads.peek().map(|r| r.0.key);
-        let from_mem = match (mem_key, run_key) {
-            (None, None) => return Ok(None),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(m), Some(r)) => m.total_cmp(&r).is_le(),
-        };
-        self.len -= 1;
-        if from_mem {
-            let e = self.mem.pop().expect("peeked").0;
-            return Ok(Some((e.key, e.rec[8..].to_vec())));
-        }
-        let e = self.run_heads.pop().expect("peeked").0;
-        if let Some(rec) = self.cursors[e.run].next(&self.file)? {
-            let key = f64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-            let rec = rec.to_vec();
-            self.run_heads.push(Reverse(HeapEntry { key, run: e.run, rec }));
-        }
-        Ok(Some((e.key, e.rec[8..].to_vec())))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,8 +320,9 @@ mod tests {
     #[test]
     fn sorts_random_input_across_many_runs() {
         let e = env();
+        // Fifty 12-byte records, each with its 4-byte permutation slot.
         let mut s =
-            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 12 * 50, key_of)
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 16 * 50, key_of)
                 .unwrap();
         // Deterministic pseudo-random keys.
         let mut x = 123456789u64;
@@ -479,7 +371,8 @@ mod tests {
     #[test]
     fn byte_budget_constructor_sorts_identically() {
         let e = env();
-        // 600 bytes / 12-byte records → 50-record runs: ten spills.
+        // 600 bytes / (12-byte records + 4-byte slots) → 37-record runs:
+        // fourteen spills.
         let mut s =
             ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 600, key_of)
                 .unwrap();
@@ -507,7 +400,8 @@ mod tests {
     #[test]
     fn a_huge_budget_reserves_nothing_up_front() {
         // Regression: the budget used to be reserved whole at construction
-        // (an allocation abort at this size). It caps the run length only.
+        // (an allocation abort at this size). It caps the run length only,
+        // and the buffer is sized to the run only past its first MiB.
         let e = env();
         let mut s =
             ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, u64::MAX, key_of)
@@ -525,6 +419,22 @@ mod tests {
             assert_eq!(key_of(&out), f64::from(want));
         }
         assert!(!stream.next_into(&mut out).unwrap());
+    }
+
+    #[test]
+    fn the_run_buffer_is_sized_once_past_its_first_mib() {
+        let e = env();
+        let run_records = 200_000u32;
+        let budget = 16 * u64::from(run_records);
+        let mut s =
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, budget, key_of)
+                .unwrap();
+        // 1.8 MB buffered: past the first MiB, short of the 2.4 MB run.
+        for i in 0..150_000u32 {
+            s.push(&rec(f64::from(i % 7), i)).unwrap();
+        }
+        assert!(s.runs.is_empty());
+        assert_eq!(s.buf.capacity(), run_records as usize * 12, "the whole run, not a byte more");
     }
 
     #[test]
@@ -574,65 +484,24 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_all_preserved() {
+        // Ties leave in push order, within a run (the spill's unstable sort
+        // breaks them by index) and across runs (the merge by run): the
+        // order the golden build hashes rely on.
         let e = env();
         let mut s =
-            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 12 * 20, key_of)
+            ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 16 * 16, key_of)
                 .unwrap();
         for i in 0..100u32 {
             s.push(&rec(7.0, i)).unwrap();
         }
+        assert_eq!(s.runs.len(), 6, "sixteen records a run");
         let mut stream = s.finish().unwrap();
         let mut out = vec![0u8; 12];
-        let mut seen = std::collections::HashSet::new();
+        let mut tags = Vec::new();
         while stream.next_into(&mut out).unwrap() {
             assert_eq!(key_of(&out), 7.0);
-            seen.insert(u32::from_le_bytes(out[8..12].try_into().unwrap()));
+            tags.push(u32::from_le_bytes(out[8..12].try_into().unwrap()));
         }
-        assert_eq!(seen.len(), 100);
-    }
-
-    #[test]
-    fn pq_orders_interleaved_push_pop() {
-        let e = env();
-        let mut pq = ExternalPq::new(e.create_file("pq").unwrap(), 4, 16).unwrap();
-        for k in [9.0, 2.0, 7.0, 4.0] {
-            pq.push(k, &1u32.to_le_bytes()).unwrap();
-        }
-        assert_eq!(pq.pop_min().unwrap().unwrap().0, 2.0);
-        pq.push(1.0, &2u32.to_le_bytes()).unwrap();
-        assert_eq!(pq.pop_min().unwrap().unwrap().0, 1.0);
-        assert_eq!(pq.pop_min().unwrap().unwrap().0, 4.0);
-        assert_eq!(pq.len(), 2);
-    }
-
-    #[test]
-    fn pq_spills_and_still_orders() {
-        let e = env();
-        let mut pq = ExternalPq::new(e.create_file("pq").unwrap(), 4, 16).unwrap();
-        let mut x = 99u64;
-        for i in 0..500u32 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let k = (x >> 20) as f64;
-            pq.push(k, &i.to_le_bytes()).unwrap();
-        }
-        assert!(e.io_stats().writes > 0, "must have spilled to the device");
-        let mut prev = f64::NEG_INFINITY;
-        let mut n = 0;
-        while let Some((k, _)) = pq.pop_min().unwrap() {
-            assert!(k >= prev, "{k} < {prev}");
-            prev = k;
-            n += 1;
-        }
-        assert_eq!(n, 500);
-        assert!(pq.is_empty());
-    }
-
-    #[test]
-    fn pq_rejects_bad_input() {
-        let e = env();
-        let mut pq = ExternalPq::new(e.create_file("pq").unwrap(), 4, 16).unwrap();
-        assert!(pq.push(1.0, &[0u8; 3]).is_err());
-        assert!(pq.push(f64::INFINITY, &[0u8; 4]).is_err());
-        assert!(ExternalPq::new(e.create_file("pq2").unwrap(), 4000, 16).is_err());
+        assert_eq!(tags, (0..100).collect::<Vec<_>>());
     }
 }

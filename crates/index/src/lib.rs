@@ -13,9 +13,11 @@
 //!   queries (`O(height + output/B)` IOs) and right-edge appends, the
 //!   backbone of EXACT3. Built bottom-up at leaf fill 1.0 from lo-sorted
 //!   streams via [`IntervalBulkLoader`].
-//! * [`ExternalSorter`] / [`ExternalPq`] — run-based external merge sort
-//!   and a buffered external priority queue, used by the construction
-//!   sweeps (the paper sorts all `N` segments before every build).
+//! * [`ExternalSorter`] — run-based external merge sort, used by every
+//!   streaming construction (the paper sorts all `N` segments before every
+//!   build). A run is its byte budget: `record_len` bytes plus a 4-byte
+//!   permutation slot per record, nothing beside it. There is no external
+//!   priority queue: every sweep here consumes a sorted stream.
 //!
 //! All structures charge their block transfers to the
 //! [`IoCounter`](chronorank_storage::IoCounter) of the environment that
@@ -38,5 +40,5 @@ mod interval;
 pub use btree::{BPlusTree, BulkLoader, Cursor};
 pub use bulk::{FenceReplay, FenceSpill};
 pub use error::{IndexError, Result};
-pub use extsort::{ExternalPq, ExternalSorter, RunCursor};
+pub use extsort::ExternalSorter;
 pub use interval::{IntervalBulkLoader, IntervalEntry, IntervalTree};

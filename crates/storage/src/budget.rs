@@ -12,8 +12,8 @@
 //!   [`StoreConfig::pool_capacity`] from the pool share divided by the
 //!   number of concurrently live [`crate::PagedFile`]s;
 //! * **sort runs** — [`ScaleBudget::sort_bytes`] is the byte budget every
-//!   streaming constructor hands its `ExternalSorter`, which turns it into
-//!   a run length for its own record width;
+//!   streaming constructor hands its `ExternalSorter`: a run of records of
+//!   its own width *and* their 4-byte permutation slots;
 //! * **admission checks** — [`ScaleBudget::holds_dataset`] answers whether
 //!   a dataset of the given size would fit entirely in the budget (the
 //!   paperscale bench asserts this is *false*, i.e. the build really ran
@@ -21,7 +21,12 @@
 //!
 //! The split is static — half the budget to pools, half to sort runs —
 //! because the two phases overlap: the sorted stream is consumed while the
-//! bulk loader writes leaves through a pool.
+//! bulk loader writes leaves through a pool. A tree build returns its pool
+//! share: `Exact1` / `Exact3::build_streaming` end by writing the tree back
+//! and emptying its pool. Outside the budget, by design, live the bulk
+//! loader's run (≤ 256 leaves, twice that while it closes), one 24-byte
+//! fence per leaf and the per-object state (EXACT3's 24-byte triples, the
+//! B2 sweep's 64-byte slots); `tests/streaming_build_counts.rs` pins it.
 
 use crate::pool::StoreConfig;
 use crate::DEFAULT_BLOCK_SIZE;

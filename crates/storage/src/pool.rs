@@ -35,6 +35,7 @@ use crate::error::{Result, StorageError};
 use crate::stats::IoCounter;
 use crate::PageId;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::{Arc, Mutex};
 
 /// Configuration for a [`PagedFile`]'s pool and device.
@@ -64,7 +65,10 @@ struct Frame {
 struct PoolInner {
     device: Box<dyn BlockDevice>,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    /// Fixed keys: when a full pool's table grows depends on where its
+    /// tombstones hash, and the counts tests pin the pool's heap. Page ids
+    /// are ours, never crafted input.
+    map: HashMap<PageId, usize, BuildHasherDefault<DefaultHasher>>,
     tick: u64,
     capacity: usize,
     hits: u64,
@@ -168,7 +172,7 @@ impl PagedFile {
             inner: Mutex::new(PoolInner {
                 device,
                 frames: Vec::new(),
-                map: HashMap::new(),
+                map: HashMap::default(),
                 tick: 0,
                 capacity: config.pool_capacity,
                 hits: 0,
