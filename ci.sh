@@ -19,7 +19,9 @@
 #                     and the ones tests/obs_counts.rs pins (spans, heap
 #                     allocations and metric updates per query, bytes per
 #                     span slot — what telemetry costs, as counts that
-#                     repeat rather than a timing) echoed into the summary
+#                     repeat rather than a timing), plus the sleeps and
+#                     yields in tests/ and crates/*/tests (must be 0: tests
+#                     wait on events, not time), echoed into the summary
 #                     below the timings — and below a failure
 #   agreement-w8      serve/live/window agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
@@ -79,7 +81,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs and tests/obs_counts.rs)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, test waits)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -163,6 +165,14 @@ tier1_stage() {
     cargo build --release
     PINNED_COUNTS=$(cargo test -q --test resident_build_counts --test streaming_build_counts \
         --test obs_counts -- --nocapture 2> /dev/null | grep '^pinned:' || true)
+    # Tests wait on events, not time: none may sleep or yield.
+    local waits
+    waits=$(grep -rnE 'thread::(sleep|yield_now)' tests crates/*/tests || true)
+    PINNED_COUNTS+="${PINNED_COUNTS:+$'\n'}pinned: sleeps and yields in tests: $(grep -c . <<< "$waits" || true)"
+    if [[ -n $waits ]]; then
+        echo "$waits" >&2
+        return 1
+    fi
     cargo test -q --workspace
 }
 

@@ -6,13 +6,13 @@
 //! pool task per shard — takes `&self`: every call gathers on its own reply
 //! channel, so any number of caller threads can query one engine
 //! concurrently — the network tier wraps an `IngestEngine` in an `RwLock`
-//! and lets reads overlap while appends serialize.
+//! and lets reads overlap while appends serialize, and installs with them.
 
 use crate::config::LiveConfig;
 use crate::generation::{GenPart, GenParts};
 use crate::obs::LiveObs;
 use crate::report::{LiveReport, PauseHistogram};
-use crate::shard::{live_columns, LiveShard, ShardStatus};
+use crate::shard::{live_columns, LiveShard, ShardStatus, Step};
 use chronorank_core::{AppendRecord, CoreError, MethodProfile, ObjectId, TemporalSet, TopK};
 use chronorank_curve::{ColumnarTail, Segment};
 use chronorank_obs::{elapsed_us, Registry, SpanId, SpanSink, TraceId};
@@ -89,8 +89,10 @@ impl From<ServeError> for LiveError {
 
 /// Query-path counters updated under one short lock (the query path is
 /// `&self`, so plain fields will not do).
+#[derive(Default)]
 struct QueryCounters {
     queries: u64,
+    queries_during_rebuild: u64,
     elapsed_secs: f64,
 }
 
@@ -114,7 +116,11 @@ pub struct IngestEngine {
     image_path: Option<PathBuf>,
     shards: Vec<Arc<LiveShard>>,
     pool: WorkerPool,
-    params: PlannerParams,
+    /// Routing over the installed generations and the mass they were built
+    /// over (recomputed at install), and whether a build is pending.
+    planner: Planner,
+    built_mass: f64,
+    building: bool,
     // --- accumulated statistics ---
     appends: u64,
     batches: u64,
@@ -190,6 +196,7 @@ impl IngestEngine {
                 Err(message) => return Err(LiveError::Build { shard, message }),
             }
         }
+        let (planner, built_mass) = plan(&shards, params);
         Ok(Self {
             last,
             live_mass,
@@ -198,10 +205,12 @@ impl IngestEngine {
             image_path,
             pool: WorkerPool::new(w, &Registry::noop())?,
             shards,
-            params,
+            planner,
+            built_mass,
+            building: false,
             appends: 0,
             batches: 0,
-            query_counters: Mutex::new(QueryCounters { queries: 0, elapsed_secs: 0.0 }),
+            query_counters: Mutex::default(),
             checkpoints: 0,
             preloaded_shards,
             config_kmax: config.approx.kmax,
@@ -377,22 +386,14 @@ impl IngestEngine {
         planner.route_with_freshness(q, Some(fresh))
     }
 
-    /// Everything a routing decision reads, from what each shard published
-    /// at its last install (never behind a probe): the router over the
-    /// shards' *current* generation profiles (rebuilt on demand — epoch
-    /// swaps change the profiles underneath) and the §4 freshness dimension
-    /// those profiles are restated against — mass the serving generations
-    /// were built over vs the live (appends-included) mass. One snapshot
-    /// both admits a query and restates the ε its answer reports, so the
-    /// two are the same number.
+    /// Everything a routing decision reads, copied: the router over the
+    /// installed generations' profiles and the §4 freshness dimension those
+    /// profiles are restated against — mass the serving generations were
+    /// built over vs the live (appends-included) mass. One snapshot both
+    /// admits a query and restates the ε its answer reports, so the two
+    /// are the same number.
     pub fn routing_snapshot(&self) -> (Planner, Freshness) {
-        let routing: Vec<_> = self.shards.iter().map(|s| s.routing()).collect();
-        let profiles: Vec<_> = routing.iter().map(|r| r.profiles).collect();
-        let built_mass: f64 = routing.iter().map(|r| r.built_mass).sum();
-        (
-            Planner::new(self.params, merge_profiles(&profiles)),
-            Freshness { built_mass, live_mass: self.live_mass },
-        )
+        (self.planner, Freshness { built_mass: self.built_mass, live_mass: self.live_mass })
     }
 
     /// Records durably applied over the engine's lifetime (cheaper than
@@ -415,6 +416,8 @@ impl IngestEngine {
     /// before this returns. A WAL write or sync failure is returned with
     /// the records logged before it applied: the log and the shards never
     /// disagree about what was appended.
+    /// An install point (see [`IngestEngine::finish_rebuilds`]): each shard
+    /// installs a finished build before applying; a rejected batch does not.
     pub fn append_batch(&mut self, recs: &[AppendRecord]) -> Result<(), LiveError> {
         if recs.is_empty() {
             return Ok(());
@@ -451,9 +454,8 @@ impl IngestEngine {
             let synced = self.wal.sync();
             self.obs.wal_fsync_us.record(elapsed_us(t_sync));
             self.obs.batch_size.record(accepted);
-            for (shard, batch) in self.shards.iter().zip(&per_shard) {
-                shard.apply(batch);
-            }
+            let steps = self.shards.iter().zip(&per_shard).map(|(s, b)| s.apply(b)).collect();
+            self.stepped(steps);
             self.appends += accepted;
             self.batches += 1;
             if let Err(e) = synced {
@@ -464,6 +466,28 @@ impl IngestEngine {
             Some(e) => Err(e),
             None => Ok(()),
         }
+    }
+
+    /// Fold what a step left the shards with into what queries read.
+    fn stepped(&mut self, steps: Vec<Step>) {
+        self.building = steps.iter().any(|s| s.pending);
+        if steps.iter().any(|s| s.installed) {
+            (self.planner, self.built_mass) = plan(&self.shards, self.planner.params());
+        }
+    }
+
+    /// Every shard installs a finished build (with `wait`, any pending one).
+    fn install(&mut self, wait: bool) {
+        let steps = self.shards.iter().map(|s| s.install(wait)).collect();
+        self.stepped(steps);
+    }
+
+    /// The install point for a quiet writer: wait for every pending build
+    /// and install it. A build that finishes while no append arrives
+    /// waits for this, a checkpoint or the next append; until then queries
+    /// are answered as during any build.
+    pub fn finish_rebuilds(&mut self) {
+        self.install(true);
     }
 
     /// Every record must extend its object past the edge the records before
@@ -497,8 +521,8 @@ impl IngestEngine {
     /// are merged per query. Answers are bit-identical to executing every
     /// query in a window of its own (the window agreement suite pins this);
     /// each [`Answer`] carries the route it was planned onto and that
-    /// route's ε restated against the same snapshot, so an epoch swap
-    /// absorbed meanwhile cannot misattribute either.
+    /// route's ε restated against the same snapshot, which no install can
+    /// change underneath (installs take `&mut self`).
     ///
     /// With a `trace` context `(trace, parent)`, every query gets an
     /// `engine.query` span under `parent` with one `shard.probe` child per
@@ -518,6 +542,9 @@ impl IngestEngine {
         let mut counters =
             self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         counters.queries += tops.len() as u64;
+        if self.building {
+            counters.queries_during_rebuild += tops.len() as u64;
+        }
         counters.elapsed_secs += t0.elapsed().as_secs_f64();
         drop(counters);
         let answer = |(topk, (_, route)): (TopK, &(ServeQuery, Route))| {
@@ -540,8 +567,11 @@ impl IngestEngine {
     /// `wal.epoch() + 1` and written tmp+rename *before* the truncation
     /// bumps the epoch to that stamp, so a crash anywhere in between
     /// recovers exactly (see [`IngestEngine::new`]'s recovery contract).
+    /// An install point: finished builds are installed before the image
+    /// (see [`IngestEngine::finish_rebuilds`]).
     pub fn checkpoint(&mut self) -> Result<(), LiveError> {
         let t0 = Instant::now();
+        self.install(false);
         self.write_checkpoint_image()?;
         self.wal.truncate()?;
         self.checkpoints += 1;
@@ -555,6 +585,7 @@ impl IngestEngine {
     /// checkpoint (the epoch gate skips the already-absorbed records).
     #[doc(hidden)]
     pub fn checkpoint_without_truncate(&mut self) -> Result<(), LiveError> {
+        self.install(false);
         self.write_checkpoint_image()
     }
 
@@ -568,7 +599,7 @@ impl IngestEngine {
         writer.add_blob("live_set", &live_columns(&self.shards).to_bytes())?;
         let mut meta = Vec::with_capacity(25);
         meta.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
-        meta.extend_from_slice(&(self.params.block).to_le_bytes());
+        meta.extend_from_slice(&self.planner.params().block.to_le_bytes());
         meta.extend_from_slice(&(self.config_kmax as u64).to_le_bytes());
         meta.push(self.config_flags);
         writer.add_blob("engine", &meta)?;
@@ -612,10 +643,7 @@ impl IngestEngine {
             build_secs: statuses.iter().map(|s| s.counters.build_secs).sum(),
             build_stages: statuses.iter().map(|s| s.counters.build_stages).sum(),
             swap_pause,
-            queries_during_rebuild: statuses
-                .iter()
-                .map(|s| s.counters.queries_during_rebuild)
-                .sum(),
+            queries_during_rebuild: counters.queries_during_rebuild,
             cache_hits: statuses.iter().map(|s| s.counters.cache_hits).sum(),
             cache_lookups: statuses.iter().map(|s| s.counters.cache_lookups).sum(),
             cache_invalidations: statuses.iter().map(|s| s.counters.cache_invalidations).sum(),
@@ -705,13 +733,17 @@ impl IngestEngine {
     }
 }
 
+/// The router over `shards`' installed generations (their profiles merged
+/// worst-case) and the mass those generations were built over.
+fn plan(shards: &[Arc<LiveShard>], params: PlannerParams) -> (Planner, f64) {
+    let (profiles, masses): (Vec<_>, Vec<f64>) = shards.iter().map(|s| s.routing()).unzip();
+    (Planner::new(params, merge_profiles(&profiles)), masses.iter().sum())
+}
+
 impl Drop for IngestEngine {
-    /// A build in flight cannot be interrupted: wait for it, so that no
-    /// thread outlives the engine holding a shard.
+    /// A build cannot be interrupted: wait for it, so no builder outlives us.
     fn drop(&mut self) {
-        for handle in self.shards.iter().filter_map(|s| s.take_builder()) {
-            handle.join().ok();
-        }
+        self.finish_rebuilds();
     }
 }
 
@@ -721,9 +753,9 @@ mod tests {
     use crate::RebuildPolicy;
     use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
 
-    /// The half of the drop hazard only the crate can see (the bounded
-    /// wait is `tests/engine.rs`'s): once `drop` returns, neither a
-    /// generation builder nor a pool worker still owns a shard.
+    /// What only the crate can see (the bounded wait is `tests/engine.rs`'s):
+    /// a generation builder never owns a shard, not even mid-build, and
+    /// once `drop` returns no pool worker does either.
     #[test]
     fn a_dropped_engine_leaves_no_thread_holding_a_shard() {
         let generator = StockGenerator::new(StockConfig {
@@ -744,6 +776,7 @@ mod tests {
         let mut engine = IngestEngine::new(&stream.base_set(), config).unwrap();
         engine.append_batch(stream.batches().next().unwrap()).unwrap();
         assert!(engine.report().rebuilds_in_flight > 0, "the drop below must race a build");
+        assert!(engine.shards.iter().all(|s| Arc::strong_count(s) == 1), "a builder holds a shard");
         let shards: Vec<_> = engine.shards.iter().map(Arc::downgrade).collect();
         drop(engine);
         assert!(shards.iter().all(|s| s.strong_count() == 0), "a thread outlived the engine");

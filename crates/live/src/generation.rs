@@ -3,11 +3,10 @@
 //! A generation is an **immutable snapshot**: EXACT3 (+ optional APPX1 /
 //! APPX2 / APPX2+ sharing one breakpoint set) built over a copy of
 //! the live data, plus the metadata the planner and the ε re-validation
-//! need. The whole index stack is `Send + Sync`, so the builder thread
-//! constructs the generation outside the shard lock, takes the lock to
-//! install it ([`LiveShard::finish_build`]), and **exits** — whichever
-//! pool worker answers the shard's next window probes the new snapshot
-//! directly.
+//! need. The whole index stack is `Send + Sync`, so a builder thread
+//! constructs it from its own snapshot and **returns** it, never touching
+//! the shard; the engine installs it on a `&mut self` step, and whichever
+//! pool worker answers the shard's next window probes it directly.
 //!
 //! A shard never blocks on a build: it keeps answering from the old
 //! generation while the new one constructs, and the swap itself is an
@@ -15,7 +14,6 @@
 //! histogram).
 
 use crate::config::LiveConfig;
-use crate::shard::LiveShard;
 use chronorank_core::{Breakpoints, Exact3, GenerationProfile, TemporalSet};
 use chronorank_serve::{BuiltRoutes, Route};
 use chronorank_storage::{Env, ImageWriter, PagedFile};
@@ -154,18 +152,4 @@ impl Generation {
         }
         Ok(())
     }
-}
-
-/// Thread body of one generation build: construct, install under the
-/// shard's lock, exit. A failed (or panicked) rebuild installs nothing.
-pub(crate) fn generation_main(
-    shard: &LiveShard,
-    generation: u64,
-    snapshot: &TemporalSet,
-    config: &LiveConfig,
-) {
-    let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Generation::build(snapshot, generation, config)
-    }));
-    shard.finish_build(built.ok().and_then(Result::ok));
 }

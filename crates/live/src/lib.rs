@@ -27,11 +27,11 @@
 //! 3. **Epoch-swapped generations** — the §4 geometric mass-doubling
 //!    policy (or a full tail) triggers a rebuild: a builder thread
 //!    constructs fresh EXACT3/APPX2(+)/breakpoint structures from a
-//!    snapshot **outside the shard lock**, takes the lock to install the
-//!    finished immutable `Arc` generation — a microsecond pause measured
-//!    in [`LiveReport::swap_pause`] — and exits. Readers never block on a
-//!    build, and probe the shared snapshot directly (the whole index stack
-//!    is `Send + Sync`).
+//!    snapshot **outside the shard lock** and returns the immutable
+//!    generation; the engine installs it on its next `&mut self` step — a
+//!    microsecond `Arc` swap measured in [`LiveReport::swap_pause`]. Queries
+//!    take `&self`, so none overlaps an install, none blocks on a build,
+//!    and each probes the shared snapshot directly (`Send + Sync`).
 //! 4. **ε re-validation** — an approximate generation built over mass
 //!    `M_built` carries an absolute bound `ε·M_built`. As appends grow the
 //!    live mass, the planner

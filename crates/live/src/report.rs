@@ -63,7 +63,7 @@ pub struct LiveReport {
     pub index_io: IoStats,
     /// Completed generation rebuilds across all shards.
     pub rebuilds: u64,
-    /// Shards with a rebuild in flight at snapshot time.
+    /// Shards with a build pending: running, or finished, not installed.
     pub rebuilds_in_flight: u64,
     /// Bytes of index structures across all published generations.
     pub index_bytes: u64,
@@ -74,8 +74,8 @@ pub struct LiveReport {
     pub build_stages: BuildStages,
     /// Epoch-swap pauses (the reader-visible cost of a rebuild).
     pub swap_pause: PauseHistogram,
-    /// Queries answered while some shard had a rebuild in flight — the
-    /// non-blocking-readers evidence.
+    /// Queries answered while some shard had a build pending, each counted
+    /// once — the non-blocking-readers evidence.
     pub queries_during_rebuild: u64,
     /// Shard-cache hits.
     pub cache_hits: u64,

@@ -2,18 +2,17 @@
 //!
 //! A [`LiveShard`] holds the *mutable* side of its partition — the live
 //! [`TemporalSet`] (appends applied immediately), the per-object frozen
-//! edge of the currently published generation, and the result cache — in
-//! a `Mutex<ShardState>`, and probes its frozen side directly: the
-//! published generation is an immutable `Arc`-shared snapshot
-//! ([`crate::generation`]). No thread belongs to a shard. A query window
-//! runs on `chronorank-serve`'s worker pool through [`ShardProbe`], the
-//! same seam serve's immutable shards sit behind; an append batch is
-//! applied by the appending caller; a finished generation build installs
-//! itself from its builder thread. All three take the shard lock, so on
-//! one shard they serialize and across shards they run in parallel.
-//! What routing reads (the installed generation's profiles and mass) is
-//! published beside the lock at install, so routing never waits behind a
-//! probe; every other statistic is read on demand ([`LiveShard::status`]).
+//! edge of the currently published generation, the pending build, and the
+//! result cache — in a `Mutex<ShardState>`, and probes its frozen side
+//! directly: the published generation is an immutable `Arc`-shared
+//! snapshot ([`crate::generation`]). No thread belongs to a shard. A query
+//! window runs on `chronorank-serve`'s worker pool through [`ShardProbe`],
+//! the same seam serve's immutable shards sit behind; an append batch, and
+//! the install of a finished build, are steps the engine takes from its
+//! `&mut self` calls. A generation builder holds only its snapshot: it
+//! returns the generation through its `JoinHandle` and never touches the
+//! shard, so no install can overlap a query. Every statistic is read on
+//! demand ([`LiveShard::status`]).
 //!
 //! ## Query = frozen candidates ∪ tail, exactly rescored
 //!
@@ -38,7 +37,7 @@
 //! invalidated and recomputed. Epoch swaps clear the cache outright.
 
 use crate::config::LiveConfig;
-use crate::generation::{generation_main, GenParts, Generation};
+use crate::generation::{GenParts, Generation};
 use crate::obs::ShardObs;
 use crate::report::PauseHistogram;
 use chronorank_core::{AppendRecord, ObjectId, TemporalSet};
@@ -50,17 +49,16 @@ use chronorank_serve::{
 use chronorank_storage::IoStats;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// What routing reads of a shard: the installed generation's profiles and
-/// the mass it was built over. Published at install, beside the shard
-/// lock.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Routing {
-    pub profiles: RouteProfiles,
-    pub built_mass: f64,
+/// What an engine step left a shard with: whether it installed a
+/// generation, and whether a build is pending (running, or not installed).
+pub(crate) struct Step {
+    pub installed: bool,
+    pub pending: bool,
 }
 
 /// What a shard has counted since boot.
@@ -70,7 +68,6 @@ pub(crate) struct Counters {
     pub build_secs: f64,
     pub build_stages: BuildStages,
     pub swap_pause: PauseHistogram,
-    pub queries_during_rebuild: u64,
     pub cache_hits: u64,
     pub cache_lookups: u64,
     pub cache_invalidations: u64,
@@ -113,6 +110,8 @@ struct PendingGen {
     frozen_end: Vec<f64>,
     /// `applied` counter at snapshot time.
     stamp_applied: u64,
+    /// Returns the generation (`None` if the build failed or panicked).
+    builder: JoinHandle<Option<Generation>>,
 }
 
 struct ShardState {
@@ -133,9 +132,6 @@ struct ShardState {
     gen: Arc<Generation>,
     frozen_end: Vec<f64>,
     pending: Option<PendingGen>,
-    /// The latest builder thread (running while `pending` is set, exiting
-    /// or gone otherwise); the engine joins it when it drops.
-    builder: Option<JoinHandle<()>>,
     /// Staleness-audited result cache (snapped keys only, see module docs).
     cache: Option<LruCache<ProbeKey, Cached>>,
     /// Records applied since boot, and as of the installed generation's
@@ -172,7 +168,6 @@ impl ShardState {
             gen,
             frozen_end,
             pending: None,
-            builder: None,
             cache,
             applied: 0,
             gen_applied: 0,
@@ -183,29 +178,46 @@ impl ShardState {
         }
     }
 
-    /// Cut the snapshot the next generation is built over and mark the
-    /// build pending; `None` (and a poisoned shard) if the live columns do
-    /// not form a set.
-    fn begin_generation(&mut self) -> Option<TemporalSet> {
+    /// Cut the snapshot generation `generation` is built over and start its
+    /// build on a thread of its own (or poison the shard).
+    fn begin_generation(&mut self, generation: u64) {
         // Materialize a row-form snapshot from the columns (the index
         // builders consume `TemporalSet`); point bits are copied verbatim.
         let snapshot = match TemporalSet::from_columnar(&self.live) {
             Ok(s) => s,
             Err(e) => {
                 self.poisoned = Some(format!("generation snapshot: {e}"));
-                return None;
+                return;
             }
         };
+        let config = self.config.clone();
+        // The builder holds nothing but its snapshot and config.
+        let builder = std::thread::Builder::new()
+            .name(format!("chronorank-live-gen{}-{}", self.shard, generation))
+            .spawn(move || {
+                catch_unwind(AssertUnwindSafe(|| Generation::build(&snapshot, generation, &config)))
+                    .ok()
+                    .and_then(Result::ok)
+            });
+        let Ok(builder) = builder else {
+            self.poisoned = Some("failed to spawn generation build".into());
+            return;
+        };
         let frozen_end = (0..self.live.num_objects()).map(|i| self.live.end_time(i)).collect();
-        self.pending = Some(PendingGen { frozen_end, stamp_applied: self.applied });
-        Some(snapshot)
+        self.pending = Some(PendingGen { frozen_end, stamp_applied: self.applied, builder });
     }
 
-    /// Epoch swap: install a finished generation. Everything here is the
-    /// reader-visible pause — an `Arc` replacement plus bookkeeping — so
-    /// it is measured into the histogram.
-    fn install(&mut self, gen: Arc<Generation>) {
-        let Some(pending) = self.pending.take() else { return };
+    /// Epoch swap: install the pending build if its builder has finished
+    /// (or, with `wait`, once it has); a failed build installs nothing and
+    /// the next trigger retries. The swap itself — an `Arc` replacement
+    /// plus bookkeeping — is measured into the pause histogram.
+    fn install(&mut self, wait: bool) -> bool {
+        if !self.pending.as_ref().is_some_and(|p| wait || p.builder.is_finished()) {
+            return false;
+        }
+        let pending = self.pending.take().expect("checked above");
+        let Some(gen) = pending.builder.join().ok().flatten() else { return false };
+        let gen = Arc::new(gen);
         let t0 = Instant::now();
         self.retired_io += std::mem::replace(&mut self.gen, gen).built.io_total();
         self.count_build();
@@ -223,6 +235,7 @@ impl ShardState {
         let pause_us = t0.elapsed().as_micros() as u64;
         self.counters.swap_pause.record(pause_us);
         self.obs.swap_pause_us.record(pause_us);
+        true
     }
 
     /// Account the build of the generation now installed (the bootstrap's
@@ -233,16 +246,16 @@ impl ShardState {
         self.obs.rebuild_us.record((self.gen.meta.build_secs * 1e6) as u64);
     }
 
-    /// Apply one durable batch to the live state and charge staleness to
-    /// the overlapped cache entries; returns the generation the §4 rebuild
-    /// policy now calls for, if any.
-    fn apply(&mut self, recs: &[AppendRecord]) -> Option<u64> {
+    /// Apply one durable batch to the live state, charge staleness to the
+    /// overlapped cache entries, and start the build the §4 rebuild policy
+    /// now calls for, if any.
+    fn apply(&mut self, recs: &[AppendRecord]) {
         let mass_before = self.live_mass;
         let mut batch_min_t0 = f64::INFINITY;
         for rec in recs {
             if rec.object as usize >= self.live.num_objects() {
                 self.poisoned = Some(format!("apply: no such object: {}", rec.object));
-                return None;
+                return;
             }
             // Columnar append; the returned previous endpoint feeds the
             // same incremental mass arithmetic `TemporalSet` uses.
@@ -250,7 +263,7 @@ impl ShardState {
                 Ok(prev) => prev,
                 Err(e) => {
                     self.poisoned = Some(format!("apply: curve: {e}"));
-                    return None;
+                    return;
                 }
             };
             let seg = Segment::new(prev_t, prev_v, rec.t, rec.v);
@@ -272,7 +285,9 @@ impl ShardState {
         let tail = self.applied - self.gen_applied;
         let mass_due = self.live_mass >= self.config.rebuild.mass_factor * self.gen.meta.built_mass;
         let due = mass_due || tail >= self.config.rebuild.max_tail_segments as u64;
-        (due && self.pending.is_none()).then_some(self.gen.meta.generation + 1)
+        if due && self.pending.is_none() {
+            self.begin_generation(self.gen.meta.generation + 1);
+        }
     }
 
     /// Answer one routed query (see module docs for the merge contract);
@@ -285,9 +300,6 @@ impl ShardState {
     ) -> (ShardAnswer, Option<bool>) {
         if let Some(e) = &self.poisoned {
             return (Err(e.clone()), None);
-        }
-        if self.pending.is_some() {
-            self.counters.queries_during_rebuild += 1;
         }
         let gen = Arc::clone(&self.gen);
         // APPX1/APPX2 answer over the *snapped* interval — that is route
@@ -418,10 +430,6 @@ impl ShardState {
         Ok(scored.into_iter().map(|(id, s)| (self.global_ids[id as usize], s)).collect())
     }
 
-    fn routing(&self) -> Routing {
-        Routing { profiles: self.gen.built.profiles(), built_mass: self.gen.meta.built_mass }
-    }
-
     fn status(&self) -> ShardStatus {
         let (meta, built) = (self.gen.meta, &self.gen.built);
         ShardStatus {
@@ -439,11 +447,10 @@ impl ShardState {
     }
 }
 
-/// One ingest shard as the engine, the worker pool and generation builders
-/// share it (see module docs).
+/// One ingest shard as the engine and the worker pool share it (see module
+/// docs).
 pub(crate) struct LiveShard {
     state: Mutex<ShardState>,
-    routing: Mutex<Routing>,
 }
 
 impl LiveShard {
@@ -477,7 +484,7 @@ impl LiveShard {
         if fresh {
             state.count_build();
         }
-        Ok(Self { routing: Mutex::new(state.routing()), state: Mutex::new(state) })
+        Ok(Self { state: Mutex::new(state) })
     }
 
     /// The shard lock. A panic under it is contained by its caller (the
@@ -487,54 +494,30 @@ impl LiveShard {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Apply a batch of already-durable appends (object ids are **local**)
-    /// and, when the rebuild policy fires, start the next generation's
-    /// build on a thread of its own.
-    pub fn apply(self: &Arc<Self>, recs: &[AppendRecord]) {
+    /// The append step: install a finished build, then apply a batch of
+    /// already-durable appends (object ids are **local**) and check the
+    /// rebuild trigger against the generation now installed.
+    pub fn apply(&self, recs: &[AppendRecord]) -> Step {
         let mut state = self.lock();
-        let due = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.apply(recs)));
-        let generation = match due {
-            Ok(Some(generation)) => generation,
-            Ok(None) => return,
-            Err(payload) => {
-                state.poisoned = Some(format!("apply panicked: {}", panic_message(&*payload)));
-                return;
-            }
-        };
-        let Some(snapshot) = state.begin_generation() else { return };
-        let (shard, config) = (Arc::clone(self), state.config.clone());
-        // The build runs entirely off the caller's thread and outside the
-        // lock; the builder takes it again only to install.
-        let builder = std::thread::Builder::new()
-            .name(format!("chronorank-live-gen{}-{}", state.shard, generation))
-            .spawn(move || generation_main(&shard, generation, &snapshot, &config));
-        match builder {
-            Ok(handle) => state.builder = Some(handle),
-            Err(_) => {
-                state.pending = None;
-                state.poisoned = Some("failed to spawn generation build".into());
-            }
+        let installed = state.install(false);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| state.apply(recs))) {
+            state.poisoned = Some(format!("apply panicked: {}", panic_message(&*payload)));
         }
+        Step { installed, pending: state.pending.is_some() }
     }
 
-    /// A generation build finished: install it and publish its routing
-    /// facts, or — the build having failed — keep serving the old
-    /// generation; the next apply trigger retries.
-    pub fn finish_build(&self, built: Option<Generation>) {
+    /// The install step on its own.
+    pub fn install(&self, wait: bool) -> Step {
         let mut state = self.lock();
-        match built {
-            Some(gen) => {
-                state.install(Arc::new(gen));
-                *self.routing.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                    state.routing();
-            }
-            None => state.pending = None,
-        }
+        let installed = state.install(wait);
+        Step { installed, pending: state.pending.is_some() }
     }
 
-    /// What routing reads, as of the last install.
-    pub fn routing(&self) -> Routing {
-        *self.routing.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// What routing reads of the installed generation: its profiles and
+    /// the mass it was built over.
+    pub fn routing(&self) -> (RouteProfiles, f64) {
+        let state = self.lock();
+        (state.gen.built.profiles(), state.gen.meta.built_mass)
     }
 
     /// The shard's statistics as of now.
@@ -547,13 +530,6 @@ impl LiveShard {
     pub fn checkpoint(&self) -> (Arc<Generation>, Vec<f64>) {
         let state = self.lock();
         (Arc::clone(&state.gen), state.frozen_end.clone())
-    }
-
-    /// The latest builder's handle, for the dropping engine to join —
-    /// outside the lock, which the builder needs to install. Whichever
-    /// thread ends up a shard's last owner then has no handle left to join.
-    pub fn take_builder(&self) -> Option<JoinHandle<()>> {
-        self.lock().builder.take()
     }
 }
 

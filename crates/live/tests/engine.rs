@@ -72,19 +72,14 @@ fn mass_doubling_triggers_an_epoch_swap_without_blocking_readers() {
         let want = oracle.top_k_bruteforce(t1, t2, 4);
         assert_top_matches(&want, &got, "during ingest");
     }
-    // Let in-flight builds land, then confirm swaps happened.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        engine.query(ServeQuery::exact(seed.t_min(), oracle.t_max(), 3)).unwrap();
-        let report = engine.report();
-        if report.rebuilds > 0 && report.rebuilds_in_flight == 0 {
-            assert!(report.generations > 0);
-            assert_eq!(report.swap_pause.count(), report.rebuilds);
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "rebuild never landed: {report}");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    // Install what is still building, then confirm swaps happened.
+    engine.finish_rebuilds();
+    let report = engine.report();
+    assert!(report.rebuilds > 0 && report.rebuilds_in_flight == 0, "{report}");
+    assert!(report.generations > 0);
+    assert_eq!(report.swap_pause.count(), report.rebuilds);
+    let got = engine.query(ServeQuery::exact(oracle.t_min(), oracle.t_max(), 4)).unwrap();
+    assert_top_matches(&oracle.top_k_bruteforce(oracle.t_min(), oracle.t_max(), 4), &got, "after");
 }
 
 #[test]
@@ -100,15 +95,8 @@ fn tail_length_policy_also_triggers_rebuilds() {
     for batch in stream.batches() {
         engine.append_batch(batch).unwrap();
     }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        engine.query(ServeQuery::exact(seed.t_min(), seed.t_max(), 2)).unwrap();
-        if engine.report().rebuilds > 0 {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "tail policy never fired");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    engine.finish_rebuilds();
+    assert!(engine.report().rebuilds > 0, "tail policy never fired");
 }
 
 #[test]
@@ -342,7 +330,9 @@ fn concurrent_readers_query_one_live_engine() {
     let stream = stock_stream(400, 64);
     let seed = stream.base_set();
     // A one-segment tail limit: the append below leaves a generation build
-    // in flight on every shard, so the readers query across its install.
+    // pending on every shard, and nothing installs it before
+    // `finish_rebuilds` — so the readers query first across the builds,
+    // then on what they built.
     let config = LiveConfig {
         workers: 2,
         rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 1 },
@@ -352,7 +342,7 @@ fn concurrent_readers_query_one_live_engine() {
     let records = stream.records();
     let prefix = &records[..records.len() / 2];
     engine.append_batch(prefix).unwrap();
-    assert_eq!(engine.report().rebuilds_in_flight, 2, "the readers must race the installs");
+    assert_eq!(engine.report().rebuilds_in_flight, 2, "both shards must be building");
     // The oracle: a bulk build of the same append prefix, never the engine.
     let mut objects = seed.objects().to_vec();
     for rec in prefix {
@@ -365,33 +355,53 @@ fn concurrent_readers_query_one_live_engine() {
         (bulk.t_min(), bulk.t_max()),
     ];
     let want = windows.map(|(t1, t2)| bulk.top_k_bruteforce(t1, t2, 5));
-    let asked = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for t in 0..4 {
-            let (engine, want, asked) = (&engine, &want, &asked);
-            scope.spawn(move || {
-                // Keep asking until both installs have landed, then a few
-                // more on the new generations.
-                let mut after = 0;
-                for i in 0.. {
-                    let (t1, t2) = windows[i % 3];
-                    let got = engine.query(ServeQuery::exact(t1, t2, 5)).unwrap();
-                    asked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    assert_top_matches(&want[i % 3], &got, &format!("thread {t} query {i}"));
-                    let report = engine.report();
-                    after += usize::from(report.rebuilds == 2 && report.rebuilds_in_flight == 0);
-                    assert!(i < 200_000, "the builds never landed: {report}");
-                    if after == 10 {
-                        break;
+    const PER_READER: usize = 30;
+    let asked = 4 * PER_READER as u64;
+    let read = |engine: &IngestEngine, phase: &str| {
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (want, windows) = (&want, &windows);
+                scope.spawn(move || {
+                    for i in 0..PER_READER {
+                        let (t1, t2) = windows[i % 3];
+                        let got = engine.query(ServeQuery::exact(t1, t2, 5)).unwrap();
+                        assert_top_matches(&want[i % 3], &got, &format!("{phase} {t}/{i}"));
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+        });
+    };
+    read(&engine, "building");
     let report = engine.report();
-    assert_eq!(report.queries, asked.into_inner());
-    assert!(report.queries_during_rebuild > 0, "no query overlapped a build: {report}");
-    assert_eq!((report.rebuilds, report.generations), (2, 1));
+    assert_eq!((report.queries, report.queries_during_rebuild), (asked, asked), "{report}");
+    assert_eq!((report.rebuilds, report.rebuilds_in_flight), (0, 2), "no query installs");
+    engine.finish_rebuilds();
+    let report = engine.report();
+    assert_eq!((report.rebuilds, report.rebuilds_in_flight, report.generations), (2, 0, 1));
+    read(&engine, "installed");
+    let report = engine.report();
+    assert_eq!((report.queries, report.queries_during_rebuild), (2 * asked, asked), "{report}");
+}
+
+#[test]
+fn queries_during_rebuild_counts_each_query_once() {
+    let stream = stock_stream(400, 64);
+    let seed = stream.base_set();
+    let config = LiveConfig {
+        workers: 2,
+        rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 1 },
+        ..Default::default()
+    };
+    let mut engine = IngestEngine::new(&seed, config).unwrap();
+    engine.append_batch(stream.batches().next().unwrap()).unwrap();
+    assert_eq!(engine.report().rebuilds_in_flight, 2, "both shards must be building");
+    // Three probe-identical queries (one probe group per shard) and two
+    // distinct ones: five queries, whatever the shards and groups.
+    let (t1, t2) = (seed.t_min(), seed.t_max());
+    let q = ServeQuery::exact(t1, t2, 4);
+    let window = [q, q, q, ServeQuery::exact(t1, t2, 2), ServeQuery::approx(t1, t2, 3, 0.3)];
+    engine.execute(&window, None, &SpanSink::noop()).unwrap();
+    assert_eq!(engine.report().queries_during_rebuild, 5);
 }
 
 #[test]
@@ -412,8 +422,8 @@ fn dropping_the_engine_mid_build_returns_once_the_build_lands() {
     let live = engine.live_set();
     let q = ServeQuery::exact(live.t_min(), live.t_max(), 6);
     let want = engine.query(q).unwrap();
-    // Dropped on a helper thread: a builder left to join itself, or a drop
-    // holding a lock the builder needs, fails here instead of hanging.
+    // Dropped on a helper thread: a drop that waits on something the build
+    // never delivers fails here instead of hanging.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         drop(engine);

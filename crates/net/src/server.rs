@@ -100,6 +100,8 @@ impl Default for NetConfig {
 
 /// What a [`NetServer`] fronts: the read-only serving engine or the
 /// WAL-backed live ingest engine.
+// One `Backend` per server, behind an `Arc`: its size is paid once.
+#[allow(clippy::large_enum_variant)]
 pub enum Backend {
     /// Read path only: TOPK / STATS / PING (appends answer `Unsupported`).
     /// Queried concurrently through `&self` by every engine worker.

@@ -33,14 +33,16 @@ fn recorder_survives_concurrent_record_snapshot_drain() {
     let drained_total = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|s| {
-        for w in 0..WRITERS {
-            let rec = rec.clone();
-            s.spawn(move || {
-                for i in 0..PER_WRITER {
-                    rec.record(trace(w as u64 * PER_WRITER + i + 1));
-                }
-            });
-        }
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let rec = rec.clone();
+                s.spawn(move || {
+                    for i in 0..PER_WRITER {
+                        rec.record(trace(w as u64 * PER_WRITER + i + 1));
+                    }
+                })
+            })
+            .collect();
         // One snapshotter: every observed snapshot must be internally
         // consistent (bounded by capacity, monotone totals).
         {
@@ -68,18 +70,10 @@ fn recorder_survives_concurrent_record_snapshot_drain() {
                 }
             });
         }
-        // Scope joins the writers; then release the readers.
-        // (The writer spawns above return when done; signal stop after
-        // they complete by joining via a monitor thread.)
-        let rec2 = rec.clone();
-        let stop2 = stop.clone();
-        s.spawn(move || {
-            // Wait until all writers' records are accounted for.
-            while rec2.recorded() < (WRITERS as u64) * PER_WRITER {
-                std::thread::yield_now();
-            }
-            stop2.store(true, Ordering::Relaxed);
-        });
+        // Every writer done (or dead), release the readers.
+        let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+        stop.store(true, Ordering::Relaxed);
+        assert!(joined.iter().all(Result::is_ok), "a writer panicked");
     });
 
     // Final drain picks up whatever the background drainer missed.
@@ -109,15 +103,17 @@ fn span_sink_emit_and_drain_conserve_spans() {
     let drained_total = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|s| {
-        for _ in 0..WRITERS {
-            let sink = sink.clone();
-            s.spawn(move || {
-                let trace = TraceId::next();
-                for _ in 0..PER_WRITER {
-                    sink.root(trace, "stress").finish();
-                }
-            });
-        }
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                let sink = sink.clone();
+                s.spawn(move || {
+                    let trace = TraceId::next();
+                    for _ in 0..PER_WRITER {
+                        sink.root(trace, "stress").finish();
+                    }
+                })
+            })
+            .collect();
         {
             let sink = sink.clone();
             let stop = stop.clone();
@@ -132,14 +128,10 @@ fn span_sink_emit_and_drain_conserve_spans() {
                 }
             });
         }
-        let sink2 = sink.clone();
-        let stop2 = stop.clone();
-        s.spawn(move || {
-            while sink2.emitted() < (WRITERS as u64) * PER_WRITER {
-                std::thread::yield_now();
-            }
-            stop2.store(true, Ordering::Relaxed);
-        });
+        // Every writer done (or dead), release the readers.
+        let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+        stop.store(true, Ordering::Relaxed);
+        assert!(joined.iter().all(Result::is_ok), "a writer panicked");
     });
 
     drained_total.fetch_add(sink.drain().len() as u64, Ordering::Relaxed);

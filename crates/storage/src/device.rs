@@ -21,7 +21,7 @@ use std::sync::Arc;
 pub type Page = Arc<[u8]>;
 
 /// A fresh, exclusively owned page of `block_size` zeros.
-fn zeroed_page(block_size: usize) -> Page {
+pub(crate) fn zeroed_page(block_size: usize) -> Page {
     std::iter::repeat_n(0u8, block_size).collect()
 }
 

@@ -25,11 +25,12 @@
 //! after the header (written last) and all payload bytes are synced. A
 //! crash mid-write leaves either the old image or none — never a torn one.
 
+use crate::device::zeroed_page;
 use crate::error::{Result, StorageError};
 use crate::pool::{PagedFile, StoreConfig};
 use crate::stats::IoCounter;
 use crate::wal::crc32;
-use crate::{BlockDevice, MemDevice, Page};
+use crate::{BlockDevice, MemDevice};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -213,29 +214,26 @@ impl GenerationImage {
             .ok_or_else(|| StorageError::Corrupt(format!("image has no section {name:?}")))
     }
 
-    fn payload(&mut self, s: &Section) -> Result<Vec<u8>> {
-        let mut bytes = vec![0u8; s.len as usize];
-        self.file.seek(SeekFrom::Start(s.start))?;
-        self.file.read_exact(&mut bytes)?;
-        if crc32(0, &bytes) != s.crc {
-            return Err(StorageError::Corrupt(format!("section {:?} CRC mismatch", s.name)));
-        }
-        Ok(bytes)
-    }
-
     /// Extract a blob section (CRC-checked).
     pub fn blob(&mut self, name: &str) -> Result<Vec<u8>> {
         let s = self.section(name)?.clone();
         if s.kind != KIND_BLOB {
             return Err(StorageError::Corrupt(format!("section {name:?} is not a blob")));
         }
-        self.payload(&s)
+        let mut bytes = vec![0u8; s.len as usize];
+        self.file.seek(SeekFrom::Start(s.start))?;
+        self.file.read_exact(&mut bytes)?;
+        if crc32(0, &bytes) != s.crc {
+            return Err(StorageError::Corrupt(format!("section {name:?} CRC mismatch")));
+        }
+        Ok(bytes)
     }
 
-    /// Reconstruct a captured [`PagedFile`] (CRC-checked): each page is
-    /// handed to a fresh [`MemDevice`] as the handle the pool will later
-    /// share, so the returned file serves queries immediately with no build
-    /// pass. IOs charge to `counter`.
+    /// Reconstruct a captured [`PagedFile`]: the section is read one block
+    /// at a time straight into the pages a fresh [`MemDevice`] keeps (the
+    /// handles the pool will later share), CRC-chained, and the device is
+    /// discarded on a mismatch. The file serves queries with no build pass;
+    /// IOs charge to `counter`.
     pub fn paged(
         &mut self,
         name: &str,
@@ -250,11 +248,18 @@ impl GenerationImage {
         if bs < 64 || s.len % bs as u64 != 0 {
             return Err(StorageError::Corrupt(format!("section {name:?} has a bad block size")));
         }
-        let bytes = self.payload(&s)?;
         let mut dev = MemDevice::new(bs);
         dev.allocate(s.len / bs as u64)?;
-        for (id, chunk) in bytes.chunks_exact(bs).enumerate() {
-            dev.store(id as u64, &Page::from(chunk))?;
+        self.file.seek(SeekFrom::Start(s.start))?;
+        let mut crc = 0u32;
+        for id in 0..dev.num_blocks() {
+            let mut page = zeroed_page(bs);
+            self.file.read_exact(std::sync::Arc::get_mut(&mut page).expect("a fresh page"))?;
+            crc = crc32(crc, &page);
+            dev.store(id, &page)?;
+        }
+        if crc != s.crc {
+            return Err(StorageError::Corrupt(format!("section {name:?} CRC mismatch")));
         }
         let config = StoreConfig { block_size: bs, pool_capacity };
         Ok(PagedFile::new(Box::new(dev), config, counter))
@@ -411,6 +416,29 @@ mod tests {
         // Truncated to less than a header.
         std::fs::write(&path, &bytes[..10]).unwrap();
         assert!(matches!(GenerationImage::open(&path), Err(StorageError::Corrupt(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_byte_in_the_last_block_of_a_paged_section_is_detected() {
+        let dir = tmp_dir("corrupt-paged");
+        let path = dir.join("gen.img");
+        let env = Env::mem(StoreConfig { block_size: 128, pool_capacity: 4 });
+        let f = env.create_file("tree").unwrap();
+        let first = f.allocate(3).unwrap();
+        for i in 0..3u64 {
+            f.write(first + i, &[i as u8 + 1; 128]).unwrap();
+        }
+        let mut w = ImageWriter::create(&path).unwrap();
+        w.add_paged("tree", &f).unwrap();
+        w.finish(1).unwrap();
+        // The section is the whole payload: its last byte sits just before
+        // the manifest.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[HEADER_LEN as usize + 3 * 128 - 1] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut img = GenerationImage::open(&path).unwrap();
+        assert!(matches!(img.paged("tree", 4, IoCounter::new()), Err(StorageError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -110,23 +110,6 @@ fn serve_query_batch_is_bit_identical_to_solo_queries() {
     }
 }
 
-/// Query until no shard reports a rebuild in flight (statuses ride on
-/// query replies), so two engines fed the same appends publish the same
-/// generations before they are compared.
-fn settle(engine: &IngestEngine) {
-    let (t_min, t_max) = engine.domain();
-    let probe = ServeQuery::exact(t_min, t_max, 1);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        engine.query(probe).unwrap();
-        if engine.report().rebuilds_in_flight == 0 {
-            return;
-        }
-        assert!(std::time::Instant::now() < deadline, "rebuild never landed");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-}
-
 #[test]
 fn live_query_batch_is_bit_identical_to_solo_queries() {
     let generator =
@@ -138,9 +121,9 @@ fn live_query_batch_is_bit_identical_to_solo_queries() {
     let seed = stream.base_set();
     let noop = SpanSink::noop();
     for w in worker_widths() {
-        // A full tail forces a rebuild every few batches; settling both
-        // engines after every batch makes the swaps land at the same
-        // stream prefixes on both.
+        // A full tail forces a rebuild every few batches; installing both
+        // engines' builds after every batch makes the swaps land at the
+        // same stream prefixes on both.
         let config = LiveConfig {
             workers: w,
             rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 48 / w },
@@ -151,8 +134,8 @@ fn live_query_batch_is_bit_identical_to_solo_queries() {
         for (i, batch) in stream.batches().enumerate() {
             windowed.append_batch(batch).unwrap();
             solo.append_batch(batch).unwrap();
-            settle(&windowed);
-            settle(&solo);
+            windowed.finish_rebuilds();
+            solo.finish_rebuilds();
             if i % 4 != 0 {
                 continue;
             }

@@ -172,8 +172,8 @@ fn a_checkpoint_reads_the_tree_into_index_io() {
     let store = StoreConfig { block_size: 512, pool_capacity: 8 };
     let config = LiveConfig { workers: 1, store, wal_dir: Some(dir.clone()), ..Default::default() };
     let mut engine = IngestEngine::new(&seed, config).unwrap();
-    // A shard reports its counters with each reply, so a query follows
-    // every step; its own reads are taken out by asking it once more.
+    // The same query follows every step, and its own reads are taken out
+    // by asking it once more: what is left is the checkpoint's.
     let q = ServeQuery::exact(seed.t_min(), seed.t_min() + 0.5 * seed.span(), 8);
     let reads_after_query = |engine: &IngestEngine| {
         engine.query(q).unwrap();
@@ -303,14 +303,16 @@ proptest! {
         for batch in stream.batches() {
             cached.append_batch(batch).unwrap();
             uncached.append_batch(batch).unwrap();
+            // Both twins then serve the same generation, built over the
+            // same prefix.
+            cached.finish_rebuilds();
+            uncached.finish_rebuilds();
             for &rec in batch {
                 oracle.apply(rec).unwrap();
             }
             for &(t1, t2) in &hot {
                 let q = ServeQuery::approx(t1, t2, k, eps);
-                // Snapshot the mass-growth headroom *before* querying: an
-                // epoch swap completing mid-query only shrinks ΔM, so the
-                // pre-query value upper-bounds the answer's actual slack.
+                // The mass-growth headroom of the generation that answers.
                 let report = cached.report();
                 let delta_m = (report.live_mass - report.built_mass).max(0.0);
                 let a = cached.query(q).unwrap();
@@ -322,20 +324,15 @@ proptest! {
                 // snapped truth at eps·M_live − ε_abs; both engines' fresh
                 // candidate sets are ε_abs-grade, so rank-wise scores may
                 // differ by at most 2·ε_abs + staleness ≤ 2·eps·M_live.
-                // (Only assertable while both twins serve the same frozen
-                // generation: with rebuilds enabled, asynchronous epoch
-                // swaps can momentarily snap to different breakpoints.)
-                if aggressive_sel == 0 {
-                    let slack = 2.0 * eps * m_live + 1e-9 * (1.0 + m_live);
-                    for j in 0..a.len() {
-                        let (sa, sb) = (a.rank(j).1, b.rank(j).1);
-                        prop_assert!(
-                            (sa - sb).abs() <= slack,
-                            "rank {}: cached {} vs uncached {} drifts past {} \
-                             (seed={} eps={} batch={} k={} agg={})",
-                            j, sa, sb, slack, seed_sel, eps, batch.len(), k, aggressive_sel
-                        );
-                    }
+                let slack = 2.0 * eps * m_live + 1e-9 * (1.0 + m_live);
+                for j in 0..a.len() {
+                    let (sa, sb) = (a.rank(j).1, b.rank(j).1);
+                    prop_assert!(
+                        (sa - sb).abs() <= slack,
+                        "rank {}: cached {} vs uncached {} drifts past {} \
+                         (seed={} eps={} batch={} k={} agg={})",
+                        j, sa, sb, slack, seed_sel, eps, batch.len(), k, aggressive_sel
+                    );
                 }
                 // Absolute guardrail against live truth: the snapped
                 // endpoints can each miss the built per-gap mass (≤
