@@ -15,7 +15,10 @@
 //! The `+` re-scoring needs `σ_i(t1, t2)` for QUERY2's candidates only, so
 //! it reads per-object prefix sums from one packed file
 //! ([`crate::PackedPrefix`]) — the paper's Eq. (2) on the bits EXACT2
-//! stores, without a tree per object.
+//! stores, without a tree per object. A caller that holds the curves
+//! anyway builds the `+` variant as a view with no such file
+//! ([`ApproxIndex::into_plus_view`]) and re-scores the candidate pool
+//! ([`ApproxIndex::candidates`]) from its own copy.
 //!
 //! Updates follow the paper's §4 amortized policy: the structures are
 //! built for a fixed threshold `τ = εM`; when the dataset's mass doubles,
@@ -25,13 +28,14 @@
 use crate::agg::AggKind;
 use crate::breakpoints::{B2Construction, Breakpoints, BreakpointsKind};
 use crate::error::{CoreError, Result};
-use crate::object::{check_id, TemporalObject, TemporalSet};
+use crate::object::{check_id, ObjectId, TemporalObject, TemporalSet};
 use crate::packed::{PackedPrefix, PackedPrefixBuilder};
 use crate::query1::Query1Index;
 use crate::query2::Query2Index;
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use chronorank_storage::{Env, IoCounter, IoStats, StoreConfig};
 use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which query structure a variant uses.
@@ -266,6 +270,23 @@ impl ApproxIndex {
         Ok(Self { variant, config, env, breakpoints, q1, q2, rescorer, built_mass })
     }
 
+    /// This QUERY2 index as its `+` variant **without** a prefix file: a
+    /// view that publishes the `+` profile and answers
+    /// [`ApproxIndex::candidates`], for a caller that holds the curves and
+    /// re-scores the pool exactly itself. Its [`RankMethod::top_k`] refuses,
+    /// since it has nothing to re-score from. It keeps this index's QUERY2
+    /// structure (shared or not) and IO counter.
+    pub fn into_plus_view(self) -> Result<Self> {
+        if self.variant.query != QueryKind::Q2 || self.variant.plus {
+            return Err(CoreError::BadQuery(format!(
+                "{} is not a plain QUERY2 variant",
+                self.variant.name()
+            )));
+        }
+        let variant = ApproxVariant { plus: true, ..self.variant };
+        Ok(Self { variant, ..self })
+    }
+
     /// The variant built.
     pub fn variant(&self) -> ApproxVariant {
         self.variant
@@ -296,6 +317,33 @@ impl ApproxIndex {
     /// index that built it).
     pub fn num_files(&self) -> usize {
         self.env.num_files()
+    }
+
+    /// QUERY2's candidate pool `K` for `top-k(t1, t2)`, ascending ids: every
+    /// object some dyadic piece of the snapped interval lists in its top
+    /// `k`, with the reads credited to this index. It is what a `+` variant
+    /// re-scores exactly: from its prefix file in [`RankMethod::top_k`], or
+    /// from the caller's curves on an [`ApproxIndex::into_plus_view`].
+    pub fn candidates(&self, t1: f64, t2: f64, k: usize) -> Result<Vec<ObjectId>> {
+        check_interval(t1, t2)?;
+        self.check_k(k)?;
+        if self.variant.query != QueryKind::Q2 {
+            return Err(CoreError::BadQuery(format!("{} has no QUERY2 pool", self.variant.name())));
+        }
+        let pool = self.via_query2(|q2| q2.candidates(t1, t2, k))?;
+        let mut ids: Vec<ObjectId> = pool.into_iter().flat_map(HashMap::into_keys).collect();
+        ids.sort_unstable();
+        Ok(ids)
+    }
+
+    fn check_k(&self, k: usize) -> Result<()> {
+        if k > self.config.kmax {
+            return Err(CoreError::BadQuery(format!(
+                "k = {k} exceeds kmax = {}",
+                self.config.kmax
+            )));
+        }
+        Ok(())
     }
 
     /// Probe the QUERY2 structure, crediting the block reads the probe did
@@ -331,22 +379,18 @@ impl RankMethod for ApproxIndex {
     }
 
     fn top_k(&self, t1: f64, t2: f64, k: usize, agg: AggKind) -> Result<TopK> {
-        check_interval(t1, t2)?;
-        if k > self.config.kmax {
-            return Err(CoreError::BadQuery(format!(
-                "k = {k} exceeds kmax = {}",
-                self.config.kmax
-            )));
-        }
-        if let Some(rescorer) = &self.rescorer {
+        if self.variant.plus {
             // APPX2+: candidates from QUERY2, exact scores from prefix sums.
-            let cand = match self.via_query2(|q2| q2.candidates(t1, t2, k))? {
-                Some(c) => c,
-                None => return Ok(TopK::from_ranked(Vec::new())),
+            let Some(rescorer) = &self.rescorer else {
+                return Err(CoreError::BadQuery(format!(
+                    "{} without a prefix file: its caller re-scores `candidates`",
+                    self.variant.name()
+                )));
             };
+            let cand = self.candidates(t1, t2, k)?;
             let mut scorer = rescorer.scorer();
             let mut scored = Vec::with_capacity(cand.len());
-            for (&id, _) in cand.iter() {
+            for id in cand {
                 scored.push((id, scorer.score_one(id, t1, t2)?));
             }
             let top = top_k_from_scores(scored.into_iter(), k);
@@ -355,6 +399,8 @@ impl RankMethod for ApproxIndex {
                 _ => top,
             });
         }
+        check_interval(t1, t2)?;
+        self.check_k(k)?;
         match self.variant.query {
             QueryKind::Q1 => self.q1.as_ref().expect("built").top_k(t1, t2, k, agg),
             QueryKind::Q2 => self.via_query2(|q2| q2.top_k(t1, t2, k, agg)),
@@ -449,6 +495,32 @@ mod tests {
                 assert!((s - truth).abs() <= 1e-9 * (1.0 + truth.abs()));
             }
         }
+    }
+
+    #[test]
+    fn a_plus_view_hands_out_the_pool_the_prefix_file_rescores() {
+        use crate::method::TopKMethod;
+        let set = small_set();
+        let plus = ApproxIndex::build(&set, ApproxVariant::APPX2_PLUS, cfg(24, 6)).unwrap();
+        let appx2 = ApproxIndex::build(&set, ApproxVariant::APPX2, cfg(24, 6)).unwrap();
+        let q2_bytes = appx2.size_bytes();
+        let view = appx2.into_plus_view().unwrap();
+        assert_eq!(view.profile(), plus.profile(), "the view publishes APPX2+'s profile");
+        assert_eq!(view.size_bytes(), q2_bytes, "no prefix file");
+        assert!(view.top_k(1.0, 9.0, 3, AggKind::Sum).is_err(), "nothing to re-score from");
+        for &(a, b) in &[(1.0, 9.0), (0.0, 20.0), (4.0, 16.0)] {
+            let pool = view.candidates(a, b, 3).unwrap();
+            assert_eq!(pool, plus.candidates(a, b, 3).unwrap());
+            // Re-scoring the pool exactly is APPX2+'s answer.
+            let rescored = top_k_from_scores(
+                pool.iter().map(|&id| (id, plus.rescorer().unwrap().score_one(id, a, b).unwrap())),
+                3,
+            );
+            assert_eq!(rescored, plus.top_k(a, b, 3, AggKind::Sum).unwrap());
+        }
+        assert!(view.candidates(1.0, 9.0, 7).is_err(), "k beyond kmax");
+        let q1 = ApproxIndex::build(&set, ApproxVariant::APPX1, cfg(24, 6)).unwrap();
+        assert!(q1.into_plus_view().is_err() && plus.into_plus_view().is_err());
     }
 
     #[test]

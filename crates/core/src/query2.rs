@@ -17,7 +17,8 @@
 //! The `+` variant (APPX2+) re-scores each candidate in `K` exactly from
 //! per-object prefix sums ([`crate::PackedPrefix`]), trading
 //! `O(k log r · log(n/B))` extra IOs for near-exact answers; see
-//! [`crate::ApproxIndex`].
+//! [`crate::ApproxIndex`]. A caller that already holds the curves takes
+//! `K` itself ([`crate::ApproxIndex::candidates`]) and needs no prefix file.
 
 use crate::agg::AggKind;
 use crate::breakpoints::Breakpoints;
@@ -159,7 +160,10 @@ impl Query2Index {
     /// The candidate set `K` for a query: summed visible scores per object
     /// over the ≤ `2 log r` dyadic pieces (each contributing its top-`k`).
     /// Returns `None` when the snapped interval is empty. Public within the
-    /// crate so APPX2+ can re-score the same candidates exactly.
+    /// crate: callers reach it through [`crate::ApproxIndex::candidates`],
+    /// which credits the reads to the asking index — APPX2+ re-scoring the
+    /// pool from its prefix file, or a caller that holds the curves (a live
+    /// shard's columns) re-scoring it from those.
     pub(crate) fn candidates(
         &self,
         t1: f64,

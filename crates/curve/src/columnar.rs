@@ -265,15 +265,20 @@ impl ColumnarTail {
         self.touched
     }
 
-    /// Heap bytes held by the append log (shared columns + index lists).
+    /// Heap bytes held by the append log (shared columns + index lists):
+    /// their capacity, not just the points in them.
     pub fn tail_bytes(&self) -> usize {
-        (self.log_t.len() + self.log_v.len()) * 8
-            + self.log_of.iter().map(|l| l.len() * 4).sum::<usize>()
+        (self.log_t.capacity() + self.log_v.capacity()) * 8
+            + self.log_of.iter().map(|l| l.capacity() * 4).sum::<usize>()
     }
 
-    /// Heap bytes held by the whole store (base columns + offsets + log).
+    /// Heap bytes held by the whole store (base columns + offsets + the
+    /// per-object log list headers + log), by capacity.
     pub fn bytes(&self) -> usize {
-        (self.base_t.len() + self.base_v.len()) * 8 + self.start.len() * 4 + self.tail_bytes()
+        (self.base_t.capacity() + self.base_v.capacity()) * 8
+            + self.start.capacity() * 4
+            + self.log_of.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self.tail_bytes()
     }
 
     /// Current freeze epoch (bumped by every [`ColumnarTail::freeze`]).
@@ -282,10 +287,11 @@ impl ColumnarTail {
         self.epoch
     }
 
-    /// Compact the append log into the contiguous base columns and bump the
-    /// epoch — the columnar analogue of a generation swap retiring a tail.
-    /// Integrals are unchanged bit-for-bit: the merged point sequence per
-    /// object is identical, only its storage moves.
+    /// Compact the append log into the contiguous base columns, release the
+    /// log's buffers, and bump the epoch — the columnar analogue of a
+    /// generation swap retiring a tail. Integrals are unchanged
+    /// bit-for-bit: the merged point sequence per object is identical, only
+    /// its storage moves.
     pub fn freeze(&mut self) {
         self.epoch += 1;
         if self.log_t.is_empty() {
@@ -306,13 +312,13 @@ impl ColumnarTail {
                 nv.push(self.log_v[idx as usize]);
             }
             nstart.push(nt.len() as u32);
-            self.log_of[i].clear();
+            self.log_of[i] = Vec::new();
         }
         self.base_t = nt;
         self.base_v = nv;
         self.start = nstart;
-        self.log_t.clear();
-        self.log_v.clear();
+        self.log_t = Vec::new();
+        self.log_v = Vec::new();
         self.touched = 0;
     }
 
@@ -566,13 +572,16 @@ mod tests {
         assert_bits(&ct, &cs);
         assert_eq!(ct.tail_segments(), 4);
         assert_eq!(ct.tail_objects(), 3);
-        assert!(ct.tail_bytes() > 0);
-        // Freezing compacts the log without changing any result bits.
+        assert!(ct.tail_bytes() >= 4 * (8 + 8 + 4));
+        // Freezing compacts the log without changing any result bits, and
+        // hands its buffers back.
         ct.freeze();
         assert_eq!(ct.epoch(), 1);
         assert_eq!(ct.tail_segments(), 0);
         assert_eq!(ct.tail_objects(), 0);
         assert_eq!(ct.tail_bytes(), 0);
+        assert_eq!(ct.log_t.capacity() + ct.log_v.capacity(), 0);
+        assert!(ct.log_of.iter().all(|l| l.capacity() == 0));
         assert_bits(&ct, &cs);
     }
 

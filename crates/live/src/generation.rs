@@ -3,7 +3,12 @@
 //! A generation is an **immutable snapshot**: EXACT3 (+ optional APPX1 /
 //! APPX2 / APPX2+ sharing one breakpoint set) built over a copy of
 //! the live data, plus the metadata the planner and the ε re-validation
-//! need. The whole index stack is `Send + Sync`, so a builder thread
+//! need. The copy is dropped once the build returns; only the indexes
+//! stay. APPX2+ keeps no packed prefix file here: its slot is a view over
+//! the QUERY2 structure APPX2 shares, publishing APPX2+'s profile and
+//! handing the shard QUERY2's whole candidate pool, which the shard
+//! re-scores exactly from its columns as it does every route's candidates
+//! ([`PlusRescore::Columns`]). The whole index stack is `Send + Sync`, so a builder thread
 //! constructs it from its own snapshot and **returns** it, never touching
 //! the shard; the engine installs it on a `&mut self` step, and whichever
 //! pool worker answers the shard's next window probes it directly.
@@ -15,7 +20,7 @@
 
 use crate::config::LiveConfig;
 use chronorank_core::{Breakpoints, Exact3, GenerationProfile, TemporalSet};
-use chronorank_serve::{BuiltRoutes, Route};
+use chronorank_serve::{BuiltRoutes, PlusRescore, Route};
 use chronorank_storage::{Env, ImageWriter, PagedFile};
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,10 +78,15 @@ impl Generation {
     ) -> chronorank_core::Result<Self> {
         let t0 = Instant::now();
         let (methods, approx, store) = (config.methods, config.approx, config.store);
-        // The one construction path shared with serve shards: what a route
-        // is backed by can never diverge between the two layers.
-        let built =
-            chronorank_serve::build_route_methods_with_handles(snapshot, methods, approx, store)?;
+        // The one construction path shared with serve shards; only APPX2+
+        // differs, re-scoring from the shard's columns, not a prefix file.
+        let built = chronorank_serve::build_route_methods(
+            snapshot,
+            methods,
+            approx,
+            store,
+            PlusRescore::Columns,
+        )?;
         let built_mass = snapshot.total_mass();
         let build_secs = t0.elapsed().as_secs_f64();
         let meta = GenMeta { generation, built_mass, kmax: approx.kmax, build_secs };
@@ -111,6 +121,7 @@ impl Generation {
             store,
             exact3,
             breakpoints,
+            PlusRescore::Columns,
         )?;
         let (generation, built_mass) = (parts.generation, snapshot.total_mass());
         let meta = GenMeta { generation, built_mass, kmax: approx.kmax, build_secs: 0.0 };

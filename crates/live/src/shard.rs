@@ -17,7 +17,7 @@
 //! ## Query = frozen candidates ∪ tail, exactly rescored
 //!
 //! For `top-k(t1, t2, k)` the shard fetches the frozen index's top
-//! `k + |touched| + slack` candidates (where *touched* are the objects
+//! `kk = k + |touched| + slack` candidates (where *touched* are the objects
 //! whose appended tail overlaps the interval), unions the touched objects
 //! in, rescores every candidate **exactly** on the live curves, and ranks.
 //! Any object missing from that candidate set is beaten by at least `k`
@@ -26,6 +26,12 @@
 //! are exact-fresh at every point between rebuilds, and approximate
 //! routes keep their frozen `ε·M_built` candidate guarantee with exact
 //! scores on top.
+//!
+//! APPX2+ is "QUERY2's candidates, rescored exactly", and the rescoring
+//! is the step above. So its frozen candidates are QUERY2's whole pool
+//! `K` for `kk` ([`chronorank_serve::BuiltRoutes::candidates`]), not a top-`kk` a prefix
+//! file picked: one exact rescoring over a superset, and no second copy
+//! of the points beside the columns.
 //!
 //! ## Staleness-audited caching
 //!
@@ -404,16 +410,10 @@ impl ShardState {
         if !route.is_exact() {
             kk = kk.min(gen.meta.kmax).max(k.min(gen.meta.kmax));
         }
-        let frozen = gen.built.probe(route, t1, t2, kk)?;
+        let frozen = gen.built.candidates(route, t1, t2, kk)?;
         let mut seen = vec![false; m];
         let mut candidates: Vec<ObjectId> = Vec::with_capacity(frozen.len() + touched.len());
-        for (id, _) in frozen {
-            if !seen[id as usize] {
-                seen[id as usize] = true;
-                candidates.push(id);
-            }
-        }
-        for id in touched {
+        for id in frozen.into_iter().chain(touched) {
             if !seen[id as usize] {
                 seen[id as usize] = true;
                 candidates.push(id);

@@ -4,7 +4,7 @@
 use chronorank_core::{AppendRecord, TemporalSet};
 use chronorank_live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank_obs::SpanSink;
-use chronorank_serve::ServeQuery;
+use chronorank_serve::{Route, ServeQuery};
 use chronorank_storage::GenerationImage;
 use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
 
@@ -477,4 +477,44 @@ fn a_mixed_window_is_routed_query_by_query_from_one_snapshot() {
     }
     assert!(approximate >= 2, "the window must exercise approximate routes: {answers:?}");
     assert_eq!(engine.report().queries, window.len() as u64);
+}
+
+#[test]
+fn appx2_plus_rescores_the_whole_query2_pool_from_the_columns() {
+    let stream = stock_stream(256, 8);
+    let seed = stream.base_set();
+    for kmax in [2, 3] {
+        // Rebuilds off, so the appended tail stays beside the frozen
+        // generation and its touched objects join QUERY2's pool. A `kmax`
+        // of `k` caps the candidate budget at `k`: QUERY2's top `k` alone
+        // misses an exact top-k object in some of these windows, its whole
+        // pool in none.
+        let mut config = LiveConfig {
+            workers: 2,
+            rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: usize::MAX },
+            ..Default::default()
+        };
+        config.approx.kmax = kmax;
+        let mut engine = IngestEngine::new(&seed, config).unwrap();
+        for batch in stream.batches().take(3) {
+            engine.append_batch(batch).unwrap();
+        }
+        assert!(engine.report().tail_segments > 0, "the tail must not be absorbed");
+        let live = engine.live_set();
+        let at = |i: usize| live.t_min() + live.span() * i as f64 / 20.0;
+        for (a, b) in (0..20).flat_map(|a| (a + 1..20).map(move |b| (a, b))) {
+            let (t1, t2) = (at(a), at(b));
+            let q = ServeQuery::approx_tight(t1, t2, kmax, 0.3);
+            let answer = engine.execute(&[q], None, &SpanSink::noop()).unwrap().remove(0);
+            let ctx = format!("kmax {kmax} [{a}, {b}]/20");
+            assert_eq!(answer.route, Route::Appx2Plus, "{ctx}: route");
+            // Every score is the exact live score, to the bit.
+            for &(id, s) in answer.topk.entries() {
+                let truth = live.score(id, t1, t2).unwrap();
+                assert_eq!(s.to_bits(), truth.to_bits(), "{ctx} object {id}: {s} vs {truth}");
+            }
+            // Pool ∪ touched, ranked exactly: on these seeds, the exact top-k.
+            assert_top_matches(&live.top_k_bruteforce(t1, t2, kmax), &answer.topk, &ctx);
+        }
+    }
 }

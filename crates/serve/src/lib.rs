@@ -90,8 +90,8 @@ pub use planner::{
 pub use query::{ServeQuery, Tolerance};
 pub use report::{RouteStats, ServeReport};
 pub use shard::{
-    assemble_route_methods, build_route_methods_with_handles, BuildStages, BuiltRoutes, ProbeKey,
-    ShardAnswer, ShardProbe,
+    assemble_route_methods, build_route_methods, build_route_methods_with_handles, BuildStages,
+    BuiltRoutes, PlusRescore, ProbeKey, ShardAnswer, ShardProbe,
 };
 
 /// Render a `catch_unwind` payload into a readable error message. Shared

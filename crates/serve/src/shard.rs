@@ -134,6 +134,20 @@ impl std::fmt::Display for BuildStages {
     }
 }
 
+/// Where a snapshot's APPX2+ reads the curves it re-scores QUERY2's
+/// candidates from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlusRescore {
+    /// Its own packed prefix file, 24 bytes a point: a serve shard keeps
+    /// no curves.
+    PrefixFile,
+    /// The caller's copy: the APPX2+ slot is a view over the QUERY2
+    /// structure APPX2 shares, and [`BuiltRoutes::candidates`] hands the
+    /// caller QUERY2's whole pool. A live shard, which re-scores every
+    /// candidate from its columns anyway, builds this.
+    Columns,
+}
+
 /// One snapshot's built route methods: the dyn-dispatch array the planner
 /// routes through, plus the typed EXACT3 handle a persistence layer
 /// captures page-for-page (both exact slots of the array hold `Arc` clones
@@ -155,6 +169,8 @@ pub struct BuiltRoutes {
     /// Fixed once built, and read on every live reply: kept, not recomputed.
     route_bytes: [u64; 5],
     profiles: RouteProfiles,
+    /// The APPX2+ slot when it is a view ([`PlusRescore::Columns`]).
+    plus_view: Option<Arc<ApproxIndex>>,
 }
 
 impl BuiltRoutes {
@@ -197,23 +213,58 @@ impl BuiltRoutes {
         let top = method.top_k(t1, t2, k, AggKind::Sum).map_err(|e| e.to_string())?;
         Ok(top.entries().to_vec())
     }
+
+    /// The ids a caller that holds the curves re-scores for `top-k(t1, t2,
+    /// k)` on `route`, in the snapshot's own ids: QUERY2's whole candidate
+    /// pool on a [`PlusRescore::Columns`] APPX2+ slot, [`BuiltRoutes::probe`]'s
+    /// top `k` on every other route.
+    pub fn candidates(
+        &self,
+        route: Route,
+        t1: f64,
+        t2: f64,
+        k: usize,
+    ) -> Result<Vec<ObjectId>, String> {
+        match &self.plus_view {
+            Some(view) if route == Route::Appx2Plus => {
+                view.candidates(t1, t2, k).map_err(|e| e.to_string())
+            }
+            _ => Ok(self.probe(route, t1, t2, k)?.into_iter().map(|(id, _)| id).collect()),
+        }
+    }
 }
 
 fn micros_since(t0: Instant) -> u64 {
     t0.elapsed().as_micros() as u64
 }
 
-/// Build the per-route methods one serving snapshot needs: EXACT3 (which
-/// also fills the [`Route::Exact1`] slot, see [`MethodSet::exact1`]) and
-/// the enabled APPX variants sharing one breakpoint set, keeping the
-/// concrete EXACT3 handle a generation image captures page-for-page. The
-/// single construction path for both serve shards and live generations —
-/// the two layers must never diverge in what a route is backed by.
+/// Build the per-route methods one serve shard needs:
+/// [`build_route_methods`] with APPX2+ re-scoring from its prefix file.
 pub fn build_route_methods_with_handles(
     set: &TemporalSet,
     methods: MethodSet,
     approx: ApproxConfig,
     store: StoreConfig,
+) -> chronorank_core::Result<BuiltRoutes> {
+    build_route_methods(set, methods, approx, store, PlusRescore::PrefixFile)
+}
+
+/// Build the per-route methods one snapshot needs: EXACT3 (which also
+/// fills the [`Route::Exact1`] slot, see [`MethodSet::exact1`]) and the
+/// enabled APPX variants sharing one breakpoint set, keeping the concrete
+/// EXACT3 handle a generation image captures page-for-page. The single
+/// construction path for both serve shards and live generations, so what
+/// backs a route is the same in both layers with one exception, `rescore`:
+/// a serve shard holds no curves, so its APPX2+ re-scores from a prefix
+/// file of its own; a live shard re-scores every candidate from its
+/// columns, so its APPX2+ is a view over QUERY2 and keeps no second copy
+/// of the points.
+pub fn build_route_methods(
+    set: &TemporalSet,
+    methods: MethodSet,
+    approx: ApproxConfig,
+    store: StoreConfig,
+    rescore: PlusRescore,
 ) -> chronorank_core::Result<BuiltRoutes> {
     let t0 = Instant::now();
     let exact3 = Arc::new(Exact3::build(set, IndexConfig { store })?);
@@ -228,7 +279,8 @@ pub fn build_route_methods_with_handles(
         (Some(bp), fit.sweeps as u64)
     };
     let b2_us = micros_since(t0);
-    let mut built = assemble_route_methods(set, methods, approx, store, exact3, breakpoints)?;
+    let mut built =
+        assemble_route_methods(set, methods, approx, store, exact3, breakpoints, rescore)?;
     built.stages = BuildStages { exact3_us, b2_us, b2_sweeps, ..built.stages };
     Ok(built)
 }
@@ -245,6 +297,7 @@ pub fn assemble_route_methods(
     store: StoreConfig,
     exact3: Arc<Exact3>,
     breakpoints: Option<Breakpoints>,
+    rescore: PlusRescore,
 ) -> chronorank_core::Result<BuiltRoutes> {
     let t0 = Instant::now();
     let mut built: [Option<SharedMethod>; 5] = std::array::from_fn(|_| None);
@@ -256,8 +309,10 @@ pub fn assemble_route_methods(
     }
     let approx = ApproxConfig { store, ..approx };
     // APPX2 and APPX2+ probe one QUERY2 structure: whichever is built
-    // first builds it, the other shares it.
+    // first builds it, the other shares it. An APPX2+ view is APPX2 over
+    // that structure, re-labelled.
     let mut query2: Option<Arc<Query2Index>> = None;
+    let mut plus_view = None;
     for (flag, route, variant) in [
         (methods.appx1, Route::Appx1, ApproxVariant::APPX1),
         (methods.appx2, Route::Appx2, ApproxVariant::APPX2),
@@ -267,18 +322,26 @@ pub fn assemble_route_methods(
             continue;
         }
         let env = Env::mem(store);
+        let view = variant.plus && rescore == PlusRescore::Columns;
+        let build = if view { ApproxVariant::APPX2 } else { variant };
         let idx = match &query2 {
             Some(q2) if variant.query == QueryKind::Q2 => {
                 shared_bytes += q2.size_bytes();
-                ApproxIndex::build_with_query2(env, set, variant, approx, Arc::clone(q2))?
+                ApproxIndex::build_with_query2(env, set, build, approx, Arc::clone(q2))?
             }
             _ => {
                 let bp = breakpoints.clone().expect("breakpoints exist when any approx is built");
-                ApproxIndex::build_with_breakpoints(env, set, variant, approx, bp)?
+                ApproxIndex::build_with_breakpoints(env, set, build, approx, bp)?
             }
         };
         query2 = query2.or_else(|| idx.query2().cloned());
-        built[route.idx()] = Some(Box::new(idx));
+        built[route.idx()] = Some(if view {
+            let idx = Arc::new(idx.into_plus_view()?);
+            plus_view = Some(Arc::clone(&idx));
+            Box::new(idx)
+        } else {
+            Box::new(idx)
+        });
     }
     let stages = BuildStages { appx_us: micros_since(t0), ..BuildStages::default() };
     let route_bytes: [u64; 5] =
@@ -293,6 +356,7 @@ pub fn assemble_route_methods(
         size_bytes,
         route_bytes,
         profiles,
+        plus_view,
     })
 }
 

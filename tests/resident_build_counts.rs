@@ -8,7 +8,8 @@
 //! scratch copy: the build's whole IO is the tree's pages going out once,
 //! and nothing is allocated per record. The indexes sit on memory devices
 //! whose blocks the buffer pools share rather than copy, so a built shard
-//! holds its index bytes once.
+//! holds its index bytes once. A live generation's index bytes per segment
+//! are pinned beside the fifth: its APPX2+ keeps no prefix file.
 //!
 //! One test, so nothing else in the process allocates while it counts;
 //! `ci.sh`'s `tier1` stage echoes the `pinned:` lines into its summary.
@@ -39,6 +40,9 @@ fn build_io(index: &dyn RankMethod) -> (u64, u64, u64) {
 /// so the log is not in the heap): the shards' columns are the one copy of
 /// the data, 16 bytes a point plus the append log's 4-byte index and `Vec`
 /// slack (22.55 here). A second, row-form copy beside them read 48.19.
+/// Its generation's indexes hold 81.78 bytes a segment: APPX2+ re-scores
+/// QUERY2's pool from those columns, so no 24-byte-a-point prefix file
+/// sits beside them (106.21 with one).
 fn live_engine_bytes_per_point() {
     let dir = std::env::temp_dir().join(format!("chronorank-counts-live-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -58,6 +62,10 @@ fn live_engine_bytes_per_point() {
 
     let live_before = counting::live_bytes();
     let mut engine = IngestEngine::new(&base, config).unwrap();
+    let index_bytes = engine.report().index_bytes;
+    let per_segment = index_bytes as f64 / base.num_segments() as f64;
+    println!("pinned: index bytes a live generation holds per segment: {per_segment:.2}");
+    assert!(per_segment <= 90.0, "{index_bytes} index bytes for {} segments", base.num_segments());
     stream.batches().for_each(|batch| engine.append_batch(batch).unwrap());
     let held = counting::live_bytes() - live_before - engine.report().index_bytes;
     let per_point = held as f64 / points as f64;
