@@ -23,9 +23,10 @@
 #                     yields in tests/ and crates/*/tests (must be 0: tests
 #                     wait on events, not time), echoed into the summary
 #                     below the timings — and below a failure
-#   agreement-w8      serve/live/window agreement suites re-run at W=8
+#   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
-#                     shared-snapshot engines race for real cores
+#                     shared-snapshot engines race for real cores (and a
+#                     wire appender and querier contend for one backend)
 #   obs-smoke         a loopback METRICS scrape (examples/metrics_scrape
 #                     fails on malformed exposition or missing families)
 #                     and examples/trace_dump against a loopback server
@@ -183,7 +184,7 @@ tier1_stage() {
 agreement_w8() {
     CHRONORANK_AGREEMENT_W=8 \
         cargo test --release -q --test serve_agreement --test live_agreement \
-        --test columnar_agreement
+        --test columnar_agreement --test net_agreement
 }
 
 # The scrape example fails on malformed exposition or a missing family.

@@ -959,13 +959,7 @@ fn paperscale(opts: &Opts) {
             // QUERY1 keeps r+1 files alive (lists + r-1 sub-trees + top).
             let store = budget.store_config(r + 1);
             let env = Env::dir(rung_dir.join(sub), store).expect("env");
-            let cfg = ApproxConfig {
-                r: breakpoints.len(),
-                kmax,
-                eps: None,
-                b2: B2Construction::Efficient,
-                store,
-            };
+            let cfg = ApproxConfig { r: breakpoints.len(), kmax, eps: None, store };
             let t0 = Instant::now();
             let idx = ApproxIndex::build_streaming(
                 env,

@@ -19,8 +19,8 @@ pub mod json;
 
 use chronorank_core::metrics;
 use chronorank_core::{
-    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, B2Construction, Exact1, Exact2, Exact3,
-    IndexConfig, RankMethod, TemporalSet, TopK,
+    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, Exact1, Exact2, Exact3, IndexConfig,
+    RankMethod, TemporalSet, TopK,
 };
 use chronorank_workloads::{
     DatasetGenerator, MemeConfig, MemeGenerator, QueryInterval, QueryWorkload, QueryWorkloadConfig,
@@ -88,12 +88,8 @@ pub fn build_exact_with(which: &str, set: &TemporalSet, config: IndexConfig) -> 
 /// Build an approximate variant with the given breakpoint budget.
 pub fn build_approx(variant: ApproxVariant, set: &TemporalSet, r: usize, kmax: usize) -> Built {
     let t0 = Instant::now();
-    let idx = ApproxIndex::build(
-        set,
-        variant,
-        ApproxConfig { r, kmax, eps: None, b2: B2Construction::Efficient, ..Default::default() },
-    )
-    .expect("build approx");
+    let idx = ApproxIndex::build(set, variant, ApproxConfig { r, kmax, ..Default::default() })
+        .expect("build approx");
     let build_secs = t0.elapsed().as_secs_f64();
     Built {
         name: variant.name().to_string(),

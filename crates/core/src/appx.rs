@@ -104,21 +104,13 @@ pub struct ApproxConfig {
     pub eps: Option<f64>,
     /// Largest `k` the index will answer (paper default 200).
     pub kmax: usize,
-    /// Which BREAKPOINTS2 construction to use (when applicable).
-    pub b2: B2Construction,
     /// Storage settings.
     pub store: StoreConfig,
 }
 
 impl Default for ApproxConfig {
     fn default() -> Self {
-        Self {
-            r: 128,
-            eps: None,
-            kmax: 64,
-            b2: B2Construction::Efficient,
-            store: StoreConfig::default(),
-        }
+        Self { r: 128, eps: None, kmax: 64, store: StoreConfig::default() }
     }
 }
 
@@ -143,13 +135,15 @@ pub struct ApproxIndex {
 
 impl ApproxConfig {
     /// The breakpoint set this configuration asks for over `set`: the
-    /// explicit `ε` when given, else fitted to `r`.
+    /// explicit `ε` when given, else fitted to `r` (BREAKPOINTS2 by its
+    /// efficient construction).
     fn breakpoints(&self, set: &TemporalSet, kind: BreakpointsKind) -> Result<Breakpoints> {
+        let efficient = B2Construction::Efficient;
         match (kind, self.eps) {
             (BreakpointsKind::B1, Some(eps)) => Breakpoints::b1_with_eps(set, eps),
             (BreakpointsKind::B1, None) => Breakpoints::b1_with_count(set, self.r),
-            (BreakpointsKind::B2, Some(eps)) => Breakpoints::b2_with_eps(set, eps, self.b2),
-            (BreakpointsKind::B2, None) => Breakpoints::b2_with_count(set, self.r, self.b2),
+            (BreakpointsKind::B2, Some(eps)) => Breakpoints::b2_with_eps(set, eps, efficient),
+            (BreakpointsKind::B2, None) => Breakpoints::b2_with_count(set, self.r, efficient),
         }
     }
 }

@@ -45,11 +45,6 @@ pub struct LiveConfig {
     /// keeps the WAL on an in-memory block device: durability accounting
     /// still works, crash recovery obviously does not.
     pub wal_dir: Option<PathBuf>,
-    /// Extra frozen-index candidates fetched beyond the provable
-    /// `k + |tail-touched|` bound, guarding top-k boundary ties against
-    /// floating-point perturbation between index arithmetic and exact
-    /// rescoring.
-    pub candidate_slack: usize,
 }
 
 impl Default for LiveConfig {
@@ -62,7 +57,6 @@ impl Default for LiveConfig {
             cache_capacity: 1024,
             rebuild: RebuildPolicy::default(),
             wal_dir: None,
-            candidate_slack: 4,
         }
     }
 }

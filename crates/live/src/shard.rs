@@ -60,6 +60,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// Extra frozen-index candidates fetched beyond the provable
+/// `k + |tail-touched|` bound, guarding top-k boundary ties against
+/// floating-point perturbation between index arithmetic and exact
+/// rescoring.
+const CANDIDATE_SLACK: usize = 4;
+
 /// What an engine step left a shard with: whether it installed a
 /// generation, and whether a build is pending (running, or not installed).
 pub(crate) struct Step {
@@ -406,7 +412,7 @@ impl ShardState {
         // Candidate budget: k + |touched| (+ slack) suffices — any object
         // outside it is beaten by ≥ k candidates (see module docs). The
         // approximate routes are additionally capped by their built kmax.
-        let mut kk = (k + touched.len() + self.config.candidate_slack).min(m);
+        let mut kk = (k + touched.len() + CANDIDATE_SLACK).min(m);
         if !route.is_exact() {
             kk = kk.min(gen.meta.kmax).max(k.min(gen.meta.kmax));
         }

@@ -30,9 +30,9 @@
 //!   client surfaces [`NetError::Refused`] instead of retrying, because
 //!   re-sending on a closed connection can only produce IO errors.
 //!
-//! With several server engine threads, responses on one connection may
-//! complete out of submission order; ids are matched explicitly, which is
-//! also what makes BUSY-retry (a new id for the same query) unambiguous.
+//! The server answers one connection's requests in the order they
+//! arrived. Ids are still matched explicitly, which is what makes
+//! BUSY-retry (a new id for the same query) unambiguous.
 
 use crate::frame::{
     encode_append_batch, encode_append_batch_traced, AppendOk, Decoder, ErrCode, ErrorBody, Frame,

@@ -727,7 +727,8 @@ pub enum ErrCode {
     Engine = 3,
     /// The frame or its payload was malformed.
     BadRequest = 4,
-    /// The server is shutting down.
+    /// The server is shutting down. No current server sends it (shutdown
+    /// closes the socket instead); decoders still accept it.
     Shutdown = 5,
 }
 

@@ -1,46 +1,47 @@
-//! The TCP server: acceptor, per-connection IO threads, a pool of engine
-//! worker threads over one shared backend, and explicit admission control.
+//! The TCP server: an acceptor, per-connection reader and writer threads
+//! over one shared backend, and explicit admission control.
 //!
 //! ## Threading model
 //!
 //! The chronorank engines are `Send + Sync` (the whole index stack is),
-//! so one backend is **shared**: [`NetConfig::engine_threads`] worker
-//! threads drain a common job queue against the same `Arc`'d engine. Both
-//! engines answer a TOPK through the same call — `execute` on a window of
-//! one, `&self`, which runs on the engine's own `chronorank-serve` worker
-//! pool either way — and hand back the [`Answer`] the response encodes. A
-//! read-only [`ServeEngine`] is shared as is — engine workers genuinely
-//! overlap. A live [`IngestEngine`] sits behind an `RwLock`: queries
-//! overlap as readers, while appends and checkpoints serialize as writers
-//! (there is exactly one WAL; an append is applied to its shards before
-//! the write lock is released).
+//! so one backend is **shared**: every connection's reader calls the same
+//! `Arc`'d engine directly. Both engines answer a TOPK through the same
+//! call — `execute` on a window of one, `&self`, which runs on the
+//! engine's own `chronorank-serve` worker pool either way — and hand back
+//! the [`Answer`] the response encodes. A read-only [`ServeEngine`] is
+//! shared as is, so connections genuinely overlap. A live
+//! [`IngestEngine`] sits behind an `RwLock`: queries overlap as readers,
+//! while appends and checkpoints serialize as writers (there is exactly
+//! one WAL; an append is applied to its shards before the write lock is
+//! released).
 //!
-//! Around that shared resource:
+//! A server runs `1 + 2·connections` threads:
 //!
 //! * an **acceptor** thread owns the listener, enforces the connection
 //!   cap (over-limit connections are answered with one typed BUSY frame
 //!   and closed), and spawns a reader + writer thread per connection;
 //! * each **reader** drains its socket through the streaming
-//!   [`Decoder`](crate::frame::Decoder), answers PING inline, and submits
-//!   engine ops — but only after passing **admission control**: a global
-//!   in-flight counter bounded by [`NetConfig::max_in_flight`]. At the
-//!   bound the reader answers a typed [`ErrCode::Busy`] error instead of
-//!   queueing unboundedly, so overload degrades into explicit,
-//!   client-visible pushback rather than memory growth;
+//!   [`Decoder`](crate::frame::Decoder), answers PING inline, and runs
+//!   engine ops itself — but only after passing **admission control**: a
+//!   global in-flight counter bounded by [`NetConfig::max_in_flight`]. At
+//!   the bound the reader answers a typed [`ErrCode::Busy`] error instead
+//!   of running the op, so overload degrades into explicit,
+//!   client-visible pushback;
 //! * each **writer** owns the socket's write half behind a `BufWriter`,
 //!   flushing whenever its queue momentarily drains (adaptive batching:
 //!   pipelined bursts coalesce into few syscalls, single requests flush
 //!   immediately).
 //!
-//! With more than one engine thread, jobs from a single connection may
-//! complete out of submission order; responses carry the request id they
-//! answer, and the client matches ids explicitly, so pipelining stays
-//! unambiguous.
+//! One connection's requests run one at a time, in arrival order, so its
+//! replies leave in request order. The reader hands each reply to its
+//! writer through a queue of `REPLY_QUEUE_FRAMES` frames; a client that
+//! sends without reading fills it, its reader blocks and stops reading
+//! the socket, and TCP pushes back on the client.
 //!
 //! Shutdown is clean and total: the stop flag is raised, the acceptor is
 //! woken with a loopback connection, every live socket is shut down, and
-//! every thread — acceptor, readers, writers, engine workers — is joined
-//! before [`NetServer::shutdown`] returns.
+//! every thread — acceptor, readers, writers — is joined before
+//! [`NetServer::shutdown`] returns.
 
 use crate::frame::{
     AppendOk, Decoder, ErrCode, ErrorBody, Frame, FrameError, OpCode, StatsBody, TopKRequest,
@@ -56,10 +57,14 @@ use chronorank_serve::{Answer, ServeConfig, ServeEngine, ServeQuery};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Reply frames a connection's reader (the queue's only producer) may
+/// queue ahead of its writer.
+const REPLY_QUEUE_FRAMES: usize = 16;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -75,11 +80,6 @@ pub struct NetConfig {
     /// Connection cap; over-limit connections receive one BUSY frame and
     /// are closed.
     pub max_connections: usize,
-    /// Engine worker threads draining the shared job queue against one
-    /// shared backend. More than one lets CPU-bound queries overlap
-    /// (reads run through `&self` / a read lock); live-backend writes
-    /// still serialize on the backend's write lock.
-    pub engine_threads: usize,
     /// The latency/error objective the server's SLO burn-rate tracker
     /// measures TOPK serving against. Burn rates surface as registry
     /// gauges (METRICS) and through the TRACE wire op.
@@ -92,7 +92,6 @@ impl Default for NetConfig {
             addr: "127.0.0.1:0".to_string(),
             max_in_flight: 256,
             max_connections: 64,
-            engine_threads: 1,
             slo: SloObjective::default(),
         }
     }
@@ -104,7 +103,7 @@ impl Default for NetConfig {
 #[allow(clippy::large_enum_variant)]
 pub enum Backend {
     /// Read path only: TOPK / STATS / PING (appends answer `Unsupported`).
-    /// Queried concurrently through `&self` by every engine worker.
+    /// Queried concurrently through `&self` by every connection's reader.
     Serve(ServeEngine),
     /// Read + write paths: everything, including APPEND_BATCH and
     /// CHECKPOINT. Queries take the read lock (overlapping); appends and
@@ -223,7 +222,7 @@ impl Backend {
 pub enum ServerError {
     /// Socket-level failure (bind, local_addr, …).
     Io(std::io::Error),
-    /// The backend builder closure failed on the engine thread.
+    /// The backend builder closure failed.
     Backend(String),
 }
 
@@ -253,25 +252,11 @@ enum EngineOp {
     Trace,
 }
 
-struct Job {
-    request_id: u64,
-    op: EngineOp,
-    resp: Sender<OutFrame>,
-    /// The open `server.request` span when the request carried trace
-    /// context; finished by the engine worker once the response frame is
-    /// built, so it covers queue + execution + encode.
-    span: Option<ActiveSpan>,
-    /// When admission control accepted the frame (queue-time attribution
-    /// and the SLO latency sample both measure from here).
-    admitted_at: Instant,
-}
-
 /// One encoded frame queued for a connection's writer. `releases_slot`
 /// marks responses to *admitted* engine ops: their admission-control slot
 /// is released only once the writer has actually put the bytes on the
-/// wire (or the connection died), so a client that pipelines requests but
-/// never reads responses runs out of slots — and gets typed BUSY — instead
-/// of growing the writer queue without bound.
+/// wire (or the connection died), so `max_in_flight` counts replies not
+/// yet delivered as well as ops still running.
 struct OutFrame {
     bytes: Vec<u8>,
     releases_slot: bool,
@@ -387,7 +372,6 @@ pub struct NetServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    engine_workers: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<ConnRegistry>>,
 }
 
@@ -400,12 +384,12 @@ struct ConnRegistry {
 impl NetServer {
     /// Bind `config.addr` and serve the backend produced by `build`.
     ///
-    /// The backend is built once, shared behind an `Arc`, and drained by
-    /// [`NetConfig::engine_threads`] worker threads (the engines are
-    /// `Send + Sync`); a build failure is reported here, not deferred.
+    /// The backend is built once and shared behind an `Arc` by every
+    /// connection's reader (the engines are `Send + Sync`); a build
+    /// failure is reported here, not deferred.
     pub fn start<F>(config: NetConfig, build: F) -> Result<Self, ServerError>
     where
-        F: FnOnce() -> Result<Backend, String> + Send + 'static,
+        F: FnOnce() -> Result<Backend, String>,
     {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -423,19 +407,6 @@ impl NetServer {
             slo: SloTracker::new(config.slo),
         });
         let backend = Arc::new(build().map_err(ServerError::Backend)?);
-        let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut engine_workers = Vec::with_capacity(config.engine_threads.max(1));
-        for i in 0..config.engine_threads.max(1) {
-            let backend = Arc::clone(&backend);
-            let rx = Arc::clone(&job_rx);
-            let engine_shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("chronorank-net-engine-{i}"))
-                .spawn(move || engine_main(&backend, &rx, &engine_shared))
-                .map_err(ServerError::Io)?;
-            engine_workers.push(handle);
-        }
         let conns: Arc<Mutex<ConnRegistry>> = Arc::default();
         let acceptor_shared = Arc::clone(&shared);
         let acceptor_conns = Arc::clone(&conns);
@@ -445,14 +416,14 @@ impl NetServer {
             .spawn(move || {
                 acceptor_main(
                     &listener,
-                    &job_tx,
+                    &backend,
                     &acceptor_shared,
                     &acceptor_conns,
                     max_connections,
                 );
             })
             .map_err(ServerError::Io)?;
-        Ok(Self { addr, shared, acceptor: Some(acceptor), engine_workers, conns })
+        Ok(Self { addr, shared, acceptor: Some(acceptor), conns })
     }
 
     /// [`NetServer::start`] over a read-only [`ServeEngine`] built from
@@ -484,8 +455,8 @@ impl NetServer {
         self.addr
     }
 
-    /// Stop accepting, close every connection, drain the engine, and join
-    /// every thread the server spawned.
+    /// Stop accepting, close every connection, and join every thread the
+    /// server spawned.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -494,9 +465,7 @@ impl NetServer {
         if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake the blocking accept() so the acceptor sees the flag; the
-        // acceptor holds the prototype job sender, so joining it is what
-        // lets the engine channel start draining toward closure. A bind
+        // Wake the blocking accept() so the acceptor sees the flag. A bind
         // to an unspecified address (0.0.0.0 / ::) is not connectable as
         // such on every platform — wake it via loopback instead.
         let mut wake = self.addr;
@@ -520,9 +489,6 @@ impl NetServer {
         for h in handles {
             h.join().ok();
         }
-        for h in self.engine_workers.drain(..) {
-            h.join().ok();
-        }
     }
 }
 
@@ -532,71 +498,61 @@ impl Drop for NetServer {
     }
 }
 
-/// Thread body of one engine worker: pull a job off the shared queue,
-/// answer it against the shared backend, hand the frame to the writer.
-fn engine_main(backend: &Backend, jobs: &Mutex<Receiver<Job>>, shared: &Shared) {
-    loop {
-        // Idle workers queue on the mutex; the channel closing (acceptor
-        // gone at shutdown) ends the loop for everyone.
-        let job = {
-            let rx = jobs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            match rx.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            }
-        };
-        let queue_us = elapsed_us(job.admitted_at);
-        let span_ctx = job.span.as_ref().map(|s| (s.trace(), s.id()));
-        let is_topk = matches!(job.op, EngineOp::TopK(_));
-        let frame = match job.op {
-            EngineOp::TopK(q) => match backend
-                .topk(q, span_ctx, &shared.sink)
-                .and_then(|resp| resp.encode().map_err(|e| (ErrCode::Engine, e.to_string())))
-            {
-                Ok(body) => Frame::new(OpCode::TopKOk, job.request_id, body),
-                Err(e) => error_frame(job.request_id, e.0, e.1),
-            },
-            EngineOp::Append(recs) => match backend.append(&recs) {
-                Ok(ok) => Frame::new(OpCode::AppendOk, job.request_id, ok.encode()),
-                Err(e) => error_frame(job.request_id, e.0, e.1),
-            },
-            EngineOp::Checkpoint => match backend.checkpoint() {
-                Ok(()) => Frame::new(OpCode::CheckpointOk, job.request_id, Vec::new()),
-                Err(e) => error_frame(job.request_id, e.0, e.1),
-            },
-            EngineOp::Stats => {
-                Frame::new(OpCode::StatsOk, job.request_id, backend.stats(shared).encode())
-            }
-            EngineOp::Metrics => match render_metrics(backend, shared) {
-                Ok(text) => Frame::new(OpCode::MetricsOk, job.request_id, text.into_bytes()),
-                Err(e) => error_frame(job.request_id, e.0, e.1),
-            },
-            EngineOp::Trace => match render_trace(shared) {
-                Ok(text) => Frame::new(OpCode::TraceOk, job.request_id, text.into_bytes()),
-                Err(e) => error_frame(job.request_id, e.0, e.1),
-            },
-        };
-        let failed = frame.opcode == OpCode::Error;
-        // TOPK is the serving path the SLO objective covers: one latency
-        // sample per answered query, measured from admission (queue time
-        // burns budget too), with engine failures burning as errors.
-        if is_topk {
-            shared.slo.observe(elapsed_us(job.admitted_at), failed);
-        }
-        if let Some(mut span) = job.span {
-            span.attr("queue_us", AttrValue::U64(queue_us));
-            span.attr("ok", AttrValue::Bool(!failed));
-            span.finish();
-        }
-        // The writer releases the admission slot once the bytes reach the
-        // wire; if the connection is already gone, release it here.
-        let t_enc = Instant::now();
-        let out = OutFrame::engine(&frame);
-        shared.obs.encode_us.record(elapsed_us(t_enc));
-        if job.resp.send(out).is_err() {
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
+/// Run one admitted engine op against the backend, on the reader thread
+/// that decoded it, and encode the reply. `span` is the open
+/// `server.request` span when the request carried trace context; it is
+/// finished once the response frame is built.
+fn answer(
+    backend: &Backend,
+    shared: &Shared,
+    id: u64,
+    op: EngineOp,
+    span: Option<ActiveSpan>,
+    admitted_at: Instant,
+) -> OutFrame {
+    let span_ctx = span.as_ref().map(|s| (s.trace(), s.id()));
+    let is_topk = matches!(op, EngineOp::TopK(_));
+    let frame = match op {
+        EngineOp::TopK(q) => match backend
+            .topk(q, span_ctx, &shared.sink)
+            .and_then(|resp| resp.encode().map_err(|e| (ErrCode::Engine, e.to_string())))
+        {
+            Ok(body) => Frame::new(OpCode::TopKOk, id, body),
+            Err(e) => error_frame(id, e.0, e.1),
+        },
+        EngineOp::Append(recs) => match backend.append(&recs) {
+            Ok(ok) => Frame::new(OpCode::AppendOk, id, ok.encode()),
+            Err(e) => error_frame(id, e.0, e.1),
+        },
+        EngineOp::Checkpoint => match backend.checkpoint() {
+            Ok(()) => Frame::new(OpCode::CheckpointOk, id, Vec::new()),
+            Err(e) => error_frame(id, e.0, e.1),
+        },
+        EngineOp::Stats => Frame::new(OpCode::StatsOk, id, backend.stats(shared).encode()),
+        EngineOp::Metrics => match render_metrics(backend, shared) {
+            Ok(text) => Frame::new(OpCode::MetricsOk, id, text.into_bytes()),
+            Err(e) => error_frame(id, e.0, e.1),
+        },
+        EngineOp::Trace => match render_trace(shared) {
+            Ok(text) => Frame::new(OpCode::TraceOk, id, text.into_bytes()),
+            Err(e) => error_frame(id, e.0, e.1),
+        },
+    };
+    let failed = frame.opcode == OpCode::Error;
+    // TOPK is the serving path the SLO objective covers: one latency
+    // sample per answered query, measured from admission, with engine
+    // failures burning as errors.
+    if is_topk {
+        shared.slo.observe(elapsed_us(admitted_at), failed);
     }
+    if let Some(mut span) = span {
+        span.attr("ok", AttrValue::Bool(!failed));
+        span.finish();
+    }
+    let t_enc = Instant::now();
+    let out = OutFrame::engine(&frame);
+    shared.obs.encode_us.record(elapsed_us(t_enc));
+    out
 }
 
 /// Answer one METRICS scrape: pull every backend's counters into the
@@ -654,7 +610,7 @@ fn error_frame(request_id: u64, code: ErrCode, message: String) -> Frame {
 
 fn acceptor_main(
     listener: &TcpListener,
-    job_tx: &Sender<Job>,
+    backend: &Arc<Backend>,
     shared: &Arc<Shared>,
     conns: &Arc<Mutex<ConnRegistry>>,
     max_connections: usize,
@@ -701,13 +657,13 @@ fn acceptor_main(
         shared.active_conns.fetch_add(1, Ordering::SeqCst);
         shared.connections.fetch_add(1, Ordering::Relaxed);
         stream.set_nodelay(true).ok();
-        spawn_connection(stream, job_tx.clone(), Arc::clone(shared), conns);
+        spawn_connection(stream, Arc::clone(backend), Arc::clone(shared), conns);
     }
 }
 
 fn spawn_connection(
     stream: TcpStream,
-    job_tx: Sender<Job>,
+    backend: Arc<Backend>,
     shared: Arc<Shared>,
     conns: &Arc<Mutex<ConnRegistry>>,
 ) {
@@ -715,7 +671,7 @@ fn spawn_connection(
         shared.active_conns.fetch_sub(1, Ordering::SeqCst);
         return;
     };
-    let (out_tx, out_rx) = channel::<OutFrame>();
+    let (out_tx, out_rx) = sync_channel::<OutFrame>(REPLY_QUEUE_FRAMES);
     let writer_shared = Arc::clone(&shared);
     let Ok(writer) = std::thread::Builder::new()
         .name("chronorank-net-write".to_string())
@@ -729,7 +685,7 @@ fn spawn_connection(
     let reader_shared = Arc::clone(&shared);
     let reader =
         std::thread::Builder::new().name("chronorank-net-read".to_string()).spawn(move || {
-            reader_main(stream, &job_tx, &out_tx, &reader_shared);
+            reader_main(stream, &backend, &out_tx, &reader_shared);
             reader_shared.active_conns.fetch_sub(1, Ordering::SeqCst);
         });
     if reader.is_err() {
@@ -765,9 +721,8 @@ fn writer_main(stream: TcpStream, frames: &Receiver<OutFrame>, shared: &Shared) 
             Err(TryRecvError::Disconnected) => break,
         };
         let wrote = out.write_all(&frame.bytes).is_ok();
-        // Wire-level backpressure: the slot opens only now, after the
-        // response actually left (or irrecoverably failed), so a client
-        // that never reads keeps at most `max_in_flight` responses queued.
+        // The slot opens only now, after the response actually left (or
+        // irrecoverably failed).
         if frame.releases_slot {
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
@@ -778,8 +733,8 @@ fn writer_main(stream: TcpStream, frames: &Receiver<OutFrame>, shared: &Shared) 
     }
     // The writer owns the connection's end of life: flush the goodbye and
     // actively close the socket — the registry may still hold a clone, so
-    // dropping the fd alone would leave the peer waiting — then block
-    // until every producer (reader, in-flight engine jobs) has hung up,
+    // dropping the fd alone would leave the peer waiting — then drain
+    // until the reader has hung up (it may be blocked on a full queue),
     // releasing the admission slots of any responses that never made it.
     out.flush().ok();
     if let Ok(stream) = out.into_inner() {
@@ -794,8 +749,8 @@ fn writer_main(stream: TcpStream, frames: &Receiver<OutFrame>, shared: &Shared) 
 
 fn reader_main(
     mut stream: TcpStream,
-    job_tx: &Sender<Job>,
-    out_tx: &Sender<OutFrame>,
+    backend: &Backend,
+    out_tx: &SyncSender<OutFrame>,
     shared: &Shared,
 ) {
     let mut decoder = Decoder::new();
@@ -822,23 +777,24 @@ fn reader_main(
                 }
             };
             shared.frames_in.fetch_add(1, Ordering::Relaxed);
-            if !dispatch(frame, job_tx, out_tx, shared) {
+            if !dispatch(frame, backend, out_tx, shared) {
                 break 'conn;
             }
         }
     }
     // Stop reading only; the writer still owes the peer any buffered
     // responses (including the typed goodbye above) and closes the
-    // socket itself once every producer has hung up.
+    // socket itself once the reader has hung up.
     stream.shutdown(Shutdown::Read).ok();
 }
 
-/// Handle one decoded frame. Returns `false` when the connection must
-/// close (writer gone or server stopping).
+/// Handle one decoded frame: answer it, or refuse it, and queue the reply
+/// for the writer. Returns `false` when the connection must close (the
+/// writer is gone).
 fn dispatch(
     frame: Frame,
-    job_tx: &Sender<Job>,
-    out_tx: &Sender<OutFrame>,
+    backend: &Backend,
+    out_tx: &SyncSender<OutFrame>,
     shared: &Shared,
 ) -> bool {
     let id = frame.request_id;
@@ -887,7 +843,8 @@ fn dispatch(
     }
     // The request joins its originating trace here: the server span's
     // parent is the *client's* span, so the cross-process tree is joined
-    // by construction. It stays open until the engine worker answers.
+    // by construction. It stays open until the reply is built.
+    let admitted_at = Instant::now();
     let span = ctx.map(|ctx| {
         let mut span =
             shared.sink.child(TraceId(ctx.trace_id), SpanId(ctx.parent_span), "server.request");
@@ -901,18 +858,16 @@ fn dispatch(
         );
         span
     });
-    if job_tx
-        .send(Job { request_id: id, op, resp: out_tx.clone(), span, admitted_at: Instant::now() })
-        .is_err()
-    {
+    let out = answer(backend, shared, id, op, span, admitted_at);
+    // The writer releases the admission slot once the bytes reach the
+    // wire; if the connection is already gone, release it here.
+    if out_tx.send(out).is_err() {
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        let msg = "server is shutting down".to_string();
-        out_tx.send(OutFrame::inline(&error_frame(id, ErrCode::Shutdown, msg))).ok();
         return false;
     }
     true
 }
 
-fn send_bad_request(out_tx: &Sender<OutFrame>, id: u64, e: &FrameError) -> bool {
+fn send_bad_request(out_tx: &SyncSender<OutFrame>, id: u64, e: &FrameError) -> bool {
     out_tx.send(OutFrame::inline(&error_frame(id, ErrCode::BadRequest, e.to_string()))).is_ok()
 }

@@ -6,7 +6,7 @@
 use chronorank_core::{AppendRecord, TemporalSet};
 use chronorank_curve::PiecewiseLinear;
 use chronorank_live::LiveConfig;
-use chronorank_net::{ErrCode, NetClient, NetConfig, NetError, NetServer};
+use chronorank_net::{ErrCode, Frame, NetClient, NetConfig, NetError, NetServer, OpCode, Response};
 use chronorank_serve::{ServeConfig, ServeQuery};
 
 fn tiny_set(objects: usize) -> TemporalSet {
@@ -182,15 +182,15 @@ fn pipeline_distinguishes_admission_busy_from_connection_refusal() {
 }
 
 #[test]
-fn engine_thread_pool_answers_concurrent_pipelines_correctly() {
-    // N engine workers over ONE shared ServeEngine: concurrent pipelined
-    // clients must each get answers identical to a single-threaded oracle,
-    // even though responses may complete out of submission order.
-    let set = tiny_set(16);
+fn concurrent_pipelines_are_each_answered_in_request_order() {
+    // Three connections pipeline at depth 8 into ONE shared ServeEngine,
+    // each running its requests on its own reader thread: every answer
+    // matches a single-connection oracle, and each connection receives
+    // its response ids in the order it sent them.
     let server = NetServer::start_serve(
-        set.clone(),
+        tiny_set(16),
         ServeConfig { workers: 2, ..Default::default() },
-        NetConfig { engine_threads: 4, ..Default::default() },
+        NetConfig::default(),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -204,9 +204,19 @@ fn engine_thread_pool_answers_concurrent_pipelines_correctly() {
             let (queries, want) = (&queries, &want);
             scope.spawn(move || {
                 let mut client = NetClient::connect(addr).unwrap();
-                let outcome = client.pipeline_topk(queries, 8).unwrap();
-                for (i, (got, want)) in outcome.answers.iter().zip(want).enumerate() {
-                    assert_eq!(got.topk.entries(), &want[..], "query {i}");
+                let mut sent = Vec::with_capacity(queries.len());
+                for (i, want) in want.iter().enumerate() {
+                    while sent.len() < queries.len() && sent.len() < i + 8 {
+                        sent.push(client.send_topk(queries[sent.len()]).unwrap());
+                    }
+                    let (id, resp) = client.recv().unwrap();
+                    assert_eq!(id, sent[i], "reply {i} must answer this connection's request {i}");
+                    match resp {
+                        Response::TopK(got) => {
+                            assert_eq!(got.topk.entries(), &want[..], "query {i}")
+                        }
+                        other => panic!("query {i}: expected TOPK_OK, got {other:?}"),
+                    }
                 }
             });
         }
@@ -283,7 +293,7 @@ fn concurrent_metrics_scrapes_stay_valid_under_traffic() {
     let server = NetServer::start_live(
         tiny_set(16),
         LiveConfig { workers: 2, ..Default::default() },
-        NetConfig { engine_threads: 4, max_in_flight: 256, ..Default::default() },
+        NetConfig { max_in_flight: 256, ..Default::default() },
     )
     .unwrap();
     let addr = server.local_addr();
@@ -351,6 +361,38 @@ fn malformed_bytes_get_a_typed_goodbye_then_close() {
     server.shutdown();
 }
 
+/// A client that writes and never reads cannot grow server memory: its
+/// PING echoes fill a bounded reply queue, its reader stops reading, and
+/// TCP pushes back until the client's write blocks. The socket's write
+/// timeout is the only clock — a write that makes no progress for 2 s is
+/// a write the server stopped reading.
+#[test]
+fn a_client_that_never_reads_stops_being_read() {
+    use std::io::{ErrorKind, Write};
+    const LIMIT: usize = 64 << 20;
+    let server =
+        NetServer::start_serve(tiny_set(8), ServeConfig::default(), NetConfig::default()).unwrap();
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_write_timeout(Some(std::time::Duration::from_secs(2))).unwrap();
+    let ping = Frame::new(OpCode::Ping, 1, vec![0x5a; 60 << 10]).encode();
+    let mut written = 0usize;
+    let blocked = loop {
+        if written >= LIMIT {
+            break None;
+        }
+        match raw.write(&ping[written % ping.len()..]) {
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => break Some(e),
+        }
+    };
+    let Some(e) = blocked else {
+        panic!("a client that never reads wrote {written} bytes without being pushed back");
+    };
+    assert!(matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut), "got {e}");
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_is_clean_and_observable_from_the_client() {
     let server =
@@ -358,7 +400,7 @@ fn shutdown_is_clean_and_observable_from_the_client() {
     let addr = server.local_addr();
     let mut client = NetClient::connect(addr).unwrap();
     assert_eq!(client.ping(b"x").unwrap(), b"x");
-    server.shutdown(); // joins acceptor, connections, engine
+    server.shutdown(); // joins the acceptor and every connection's threads
 
     // The live connection was shut down; the next call must fail cleanly.
     let result = client.ping(b"y");

@@ -345,7 +345,8 @@ struct Served {
 /// parts in parallel and the shard-local top-k lists are k-way merged
 /// into the global answer. All query methods take `&self` — the engine
 /// itself is `Send + Sync`, so any number of caller threads (e.g. the
-/// network tier's engine workers) can query one engine concurrently.
+/// network tier's per-connection readers) can query one engine
+/// concurrently.
 pub struct ServeEngine {
     shards: Vec<Arc<Shard>>,
     pool: WorkerPool,

@@ -17,8 +17,8 @@ use crate::config::ServeConfig;
 use crate::planner::{MethodSet, Route, RouteProfiles};
 use crate::query::ServeQuery;
 use chronorank_core::{
-    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, Breakpoints, Exact3, IndexConfig, ObjectId,
-    Query2Index, QueryKind, RankMethod, SharedMethod, TemporalSet,
+    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, B2Construction, Breakpoints, Exact3,
+    IndexConfig, ObjectId, Query2Index, QueryKind, RankMethod, SharedMethod, TemporalSet,
 };
 use chronorank_storage::{Env, IoStats, StoreConfig};
 use std::collections::hash_map::Entry;
@@ -270,12 +270,13 @@ pub fn build_route_methods(
     let exact3 = Arc::new(Exact3::build(set, IndexConfig { store })?);
     let exact3_us = micros_since(t0);
     let t0 = Instant::now();
+    let efficient = B2Construction::Efficient;
     let (breakpoints, b2_sweeps) = if !methods.any_approx() {
         (None, 0)
     } else if let Some(eps) = approx.eps {
-        (Some(Breakpoints::b2_with_eps(set, eps, approx.b2)?), 1)
+        (Some(Breakpoints::b2_with_eps(set, eps, efficient)?), 1)
     } else {
-        let (bp, fit) = Breakpoints::b2_with_count_stats(set, approx.r, approx.b2)?;
+        let (bp, fit) = Breakpoints::b2_with_count_stats(set, approx.r, efficient)?;
         (Some(bp), fit.sweeps as u64)
     };
     let b2_us = micros_since(t0);

@@ -244,7 +244,7 @@ fn engine_is_send_and_sync() {
 
 #[test]
 fn concurrent_callers_share_one_engine() {
-    // The network tier's engine workers do exactly this: many threads
+    // The network tier's connection readers do exactly this: many threads
     // querying one ServeEngine through a shared reference. Every thread
     // must see answers bit-identical to a serial oracle.
     let set = dataset(60);

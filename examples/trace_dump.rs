@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! trace 7c31…  client.topk (412 µs)
-//!   └─ server.request (389 µs)  queue_us=12 op=topk
+//!   └─ server.request (389 µs)  op=topk
 //!        └─ engine.query (351 µs)  route=exact3 cache=miss
 //!             ├─ shard.probe (118 µs)  shard=0 reads=4
 //!             └─ shard.probe (104 µs)  shard=1 reads=3

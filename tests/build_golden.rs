@@ -140,7 +140,9 @@ fn appx_hash(set: &TemporalSet, tag: &str, variant: ApproxVariant, streamed: boo
     let cfg = ApproxConfig { r: 24, kmax: 16, store: STORE, ..Default::default() };
     let bp = match variant.breakpoints {
         chronorank::core::BreakpointsKind::B1 => Breakpoints::b1_with_count(set, cfg.r),
-        chronorank::core::BreakpointsKind::B2 => Breakpoints::b2_with_count(set, cfg.r, cfg.b2),
+        chronorank::core::BreakpointsKind::B2 => {
+            Breakpoints::b2_with_count(set, cfg.r, B2Construction::Efficient)
+        }
     }
     .unwrap();
     let dir = tmpdir(&format!("{tag}-{}-{streamed}", variant.name()));

@@ -4,7 +4,9 @@
 //!
 //! * TOPK answers fetched over a real socket are **bit-identical** to
 //!   in-process [`ServeEngine`] answers on the same workload, for
-//!   W ∈ {1, 4}, across exact and approximate routes — pipelined too.
+//!   W ∈ {1, 4} (plus `$CHRONORANK_AGREEMENT_W` — CI re-runs at W = 8
+//!   with `RUST_TEST_THREADS` unpinned), across exact and approximate
+//!   routes — pipelined too.
 //! * Over the live path, a wire trace of interleaved APPEND_BATCH / TOPK
 //!   ops agrees bit-for-bit with the same trace driven in process.
 //! * Under genuinely **concurrent** append traffic from a second
@@ -21,6 +23,18 @@ use chronorank::workloads::{
     AppendStream, AppendStreamConfig, ClosedLoopTraffic, DatasetGenerator, IntervalPattern,
     QueryWorkloadConfig, TempConfig, TempGenerator, TrafficConfig,
 };
+
+/// {1, 4} plus `$CHRONORANK_AGREEMENT_W` when set (the CI wide sweep).
+fn worker_widths() -> Vec<usize> {
+    let mut widths = vec![1usize, 4];
+    if let Ok(w) = std::env::var("CHRONORANK_AGREEMENT_W") {
+        let w: usize = w.parse().expect("CHRONORANK_AGREEMENT_W must be a worker count");
+        if !widths.contains(&w) {
+            widths.push(w);
+        }
+    }
+    widths
+}
 
 fn temp_set(objects: usize) -> TemporalSet {
     TempGenerator::new(TempConfig { objects, avg_segments: 40, seed: 33, dropout: 0.02 })
@@ -68,7 +82,7 @@ fn mixed_queries(set: &TemporalSet, count: usize) -> Vec<ServeQuery> {
 fn wire_topk_is_bit_identical_to_in_process_serve() {
     let set = temp_set(80);
     let queries = mixed_queries(&set, 24);
-    for w in [1usize, 4] {
+    for w in worker_widths() {
         let cfg = ServeConfig { workers: w, ..Default::default() };
         let oracle = ServeEngine::new(&set, cfg).unwrap();
         let server = NetServer::start_serve(set.clone(), cfg, NetConfig::default()).unwrap();
@@ -89,7 +103,7 @@ fn wire_topk_is_bit_identical_to_in_process_serve() {
 fn pipelined_wire_answers_match_in_process_in_order() {
     let set = temp_set(60);
     let queries = mixed_queries(&set, 40);
-    for w in [1usize, 4] {
+    for w in worker_widths() {
         let cfg = ServeConfig { workers: w, ..Default::default() };
         let oracle = ServeEngine::new(&set, cfg).unwrap();
         let server = NetServer::start_serve(set.clone(), cfg, NetConfig::default()).unwrap();
@@ -128,7 +142,7 @@ fn wire_live_trace_agrees_with_in_process_engine() {
     let stream = temp_stream(36);
     let seed = stream.base_set();
     let full = stream.full_set();
-    for w in [1usize, 4] {
+    for w in worker_widths() {
         let cfg = LiveConfig { workers: w, ..Default::default() };
         let mut oracle = IngestEngine::new(&seed, cfg.clone()).unwrap();
         let server = NetServer::start_live(seed.clone(), cfg, NetConfig::default()).unwrap();
@@ -199,7 +213,7 @@ fn wire_topk_agrees_under_concurrent_append_traffic() {
     let seed = stream.base_set();
     let full = stream.full_set();
     let records = stream.records().to_vec();
-    for w in [1usize, 4] {
+    for w in worker_widths() {
         let cfg = LiveConfig { workers: w, ..Default::default() };
         let server = NetServer::start_live(seed.clone(), cfg, NetConfig::default()).unwrap();
         let addr = server.local_addr();
