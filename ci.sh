@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # CI gate for the chronorank workspace. Usage: ./ci.sh
-#   ./ci.sh --lines        only the non-test line report printed after the timings
-#   ./ci.sh --lines <rev>  that report as `<rev> → now` per crate, the same
-#                          rule applied to `git show <rev>:<file>` — the one
-#                          command a CHANGES entry quotes
+#   ./ci.sh --lines        only the reports printed after the timings: non-test
+#                          lines per crate, and the settable `pub` fields of
+#                          each public config struct (ServeConfig, LiveConfig,
+#                          NetConfig, ApproxConfig, StoreConfig, RebuildPolicy,
+#                          MethodSet)
+#   ./ci.sh --lines <rev>  both reports as `<rev> → now` per row, the same
+#                          rules applied to `git show <rev>:<file>` — the one
+#                          command a CHANGES entry quotes for lines and knobs
 #
 # Stages (9):
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
@@ -55,7 +59,8 @@
 # BENCH_*.json and results/ CSVs are never clobbered by quick numbers.
 #
 # A per-stage wall-clock summary is printed at the end, then non-test
-# Rust lines per crate; on failure the offending stage is named. The property suites honour PROPTEST_CASES;
+# Rust lines per crate and settable fields per config struct; on failure
+# the offending stage is named. The property suites honour PROPTEST_CASES;
 # the fixed default below keeps the whole script comfortably inside the
 # CI budget while still running every property at a meaningful case
 # count. Raise it locally (e.g. PROPTEST_CASES=1000 ./ci.sh) for a
@@ -104,15 +109,17 @@ crate_lines() {
     echo "$total"
 }
 
+# row <rev> <name> <now> <was>: one report line, `was → now` with a rev.
+row() {
+    if [[ -n $1 ]]; then
+        printf '  %-18s %6d → %6d  %+6d\n' "$2" "$4" "$3" "$(($3 - $4))"
+    else
+        printf '  %-18s %6d\n' "$2" "$3"
+    fi
+}
+
 print_lines() {
     local rev=${1:-} dirs dir now was=0 total=0 total_was=0
-    row() {
-        if [[ -n $rev ]]; then
-            printf '  %-18s %6d → %6d  %+6d\n' "$1" "$3" "$2" "$(($2 - $3))"
-        else
-            printf '  %-18s %6d\n' "$1" "$2"
-        fi
-    }
     echo
     echo "== non-test Rust lines per crate${rev:+ ($rev → now)}"
     # Crates of either side: one deleted since <rev> prints `n → 0`.
@@ -121,11 +128,45 @@ print_lines() {
     for dir in $(sort -u <<< "$dirs"); do
         now=$(crate_lines "$dir")
         [[ -z $rev ]] || was=$(crate_lines "$dir" "$rev")
-        row "$(basename "$dir")" "$now" "$was"
+        row "$rev" "$(basename "$dir")" "$now" "$was"
         total=$((total + now))
         total_was=$((total_was + was))
     done
-    row total "$total" "$total_was"
+    row "$rev" total "$total" "$total_was"
+}
+
+# The knobs a CHANGES entry counts: the settable `pub` fields of each
+# public config struct, by one awk pass over `pub struct <Name> {` … `}`
+# per file that defines any of them.
+CONFIG_STRUCTS=(ServeConfig LiveConfig NetConfig ApproxConfig StoreConfig RebuildPolicy MethodSet)
+PUB_FIELDS='/^pub struct [A-Za-z]+ [{]/ { name = index(" " want " ", " " $3 " ") ? $3 : ""; n = 0; next }
+name != "" && /^}/ { print name, n; name = "" }
+name != "" && /^    pub [a-z_0-9]+:/ { n++ }'
+
+# config_fields [rev]: `<Name> <fields>` per struct, in the working tree or
+# as of <rev> (`git grep` names a file `<rev>:<path>`, what `git show` takes).
+config_fields() {
+    local rev=${1:-} pattern f
+    pattern="^pub struct ($(IFS='|' && echo "${CONFIG_STRUCTS[*]}")) [{]"
+    while IFS= read -r f; do
+        if [[ -n $rev ]]; then git show "$f"; else cat "$f"; fi |
+            awk -v want="${CONFIG_STRUCTS[*]}" "$PUB_FIELDS"
+    done < <(if [[ -n $rev ]]; then git grep -lE "$pattern" "$rev" -- crates
+        else grep -rlE "$pattern" crates --include='*.rs'; fi || true)
+}
+
+print_configs() {
+    local rev=${1:-} name n
+    local -A now=() was=()
+    while read -r name n; do now[$name]=$n; done < <(config_fields)
+    if [[ -n $rev ]]; then
+        while read -r name n; do was[$name]=$n; done < <(config_fields "$rev")
+    fi
+    echo
+    echo "== settable pub fields per config struct${rev:+ ($rev → now)}"
+    for name in "${CONFIG_STRUCTS[@]}"; do
+        row "$rev" "$name" "${now[$name]:-0}" "${was[$name]:-0}"
+    done
 }
 
 on_failure() {
@@ -141,6 +182,7 @@ if [[ "${1:-}" == "--lines" ]]; then
         exit 2
     fi
     print_lines "${2:-}"
+    print_configs "${2:-}"
     exit 0
 fi
 
@@ -236,4 +278,5 @@ stage benchmark-smoke  benchmark_smoke
 
 print_timings
 print_lines
+print_configs
 echo "CI OK"

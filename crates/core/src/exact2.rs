@@ -59,11 +59,6 @@ impl Exact2 {
         let mut store = config.store;
         store.pool_capacity = store.pool_capacity.clamp(8, 64);
         let env = Env::mem(store);
-        Self::build_in(env, set)
-    }
-
-    /// Build using a caller-supplied storage environment.
-    pub fn build_in(env: Env, set: &TemporalSet) -> Result<Self> {
         let mut trees = Vec::with_capacity(set.num_objects());
         let mut payload = [0u8; PAYLOAD_LEN];
         for o in set.objects() {
@@ -125,11 +120,6 @@ impl Exact2 {
         tree.insert(seg.t1, &payload)?;
         Ok(())
     }
-
-    /// Number of per-object trees (`m`).
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl RankMethod for Exact2 {
@@ -179,7 +169,7 @@ mod tests {
     fn matches_bruteforce_on_small_set() {
         let set = small_set();
         let idx = Exact2::build(&set, IndexConfig::default()).unwrap();
-        assert_eq!(idx.num_trees(), set.num_objects());
+        assert_eq!(idx.trees.len(), set.num_objects());
         for &(a, b) in crate::test_support::INTERVALS {
             let want = set.top_k_bruteforce(a, b, 4);
             let got = idx.top_k(a, b, 4, AggKind::Sum).unwrap();

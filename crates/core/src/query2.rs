@@ -142,11 +142,6 @@ impl Query2Index {
         &self.env
     }
 
-    /// Number of dyadic nodes with materialized lists.
-    pub fn num_live_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.list_start != NO_LIST).count()
-    }
-
     /// Snap `t` to a breakpoint index through the directory tree.
     fn snap_via_tree(&self, t: f64) -> Result<Option<usize>> {
         let cur = self.bp_tree.seek(t)?;
@@ -315,10 +310,10 @@ mod tests {
     fn dyadic_node_count_is_linear_in_r() {
         let (_, idx) = build(24, 4);
         let r = idx.breakpoints().len();
+        let live_nodes = idx.nodes.iter().filter(|n| n.list_start != NO_LIST).count();
         assert!(
-            idx.num_live_nodes() <= 2 * r + (r as f64).log2() as usize + 2,
-            "live nodes {} vs bound for r = {r}",
-            idx.num_live_nodes()
+            live_nodes <= 2 * r + (r as f64).log2() as usize + 2,
+            "live nodes {live_nodes} vs bound for r = {r}"
         );
     }
 

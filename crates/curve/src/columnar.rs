@@ -192,7 +192,7 @@ impl ColumnarTail {
 
     /// Left end of object `i`'s domain.
     #[inline]
-    pub fn start_time(&self, i: usize) -> Time {
+    fn start_time(&self, i: usize) -> Time {
         self.base_t[self.start[i] as usize]
     }
 
@@ -245,12 +245,6 @@ impl ColumnarTail {
         self.log_t.push(t);
         self.log_v.push(v);
         Ok(prev)
-    }
-
-    /// Number of log points of object `i` (equals its tail segment count).
-    #[inline]
-    pub fn tail_points(&self, i: usize) -> usize {
-        self.log_of[i].len()
     }
 
     /// Total log points across all objects — each one is a tail segment.
@@ -595,7 +589,7 @@ mod tests {
         assert_eq!(ct.point(1, 2), (30.0, 5.0));
         assert_eq!(ct.start_time(1), 10.0);
         assert_eq!(ct.end_time(1), 30.0);
-        assert_eq!(ct.tail_points(1), 1);
+        assert_eq!(ct.log_of[1].len(), 1);
         let (mut t, mut v) = (Vec::new(), Vec::new());
         ct.copy_points(1, &mut t, &mut v);
         assert_eq!(t, vec![10.0, 20.0, 30.0]);

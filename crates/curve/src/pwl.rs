@@ -201,7 +201,7 @@ impl PiecewiseLinear {
     /// Cumulative integral from the domain start to `t` (clamped), given
     /// precomputed [`PiecewiseLinear::prefix_sums`]. `O(log n)` — the Eq. (2)
     /// building block.
-    pub fn cumulative_at(&self, prefix: &[f64], t: Time) -> f64 {
+    fn cumulative_at(&self, prefix: &[f64], t: Time) -> f64 {
         debug_assert_eq!(prefix.len(), self.num_points());
         if t <= self.start() {
             return 0.0;

@@ -405,11 +405,6 @@ impl IntervalTree {
         self.len() == 0
     }
 
-    /// Entries waiting in the append tail.
-    pub fn tail_len(&self) -> u64 {
-        self.tail_count
-    }
-
     /// Bytes allocated on the device.
     pub fn size_bytes(&self) -> u64 {
         self.file.size_bytes()
@@ -751,7 +746,7 @@ mod tests {
             tree.append(lo, lo + 2.0, &(100 + i).to_le_bytes()).unwrap();
         }
         assert_eq!(tree.len(), 51);
-        assert_eq!(tree.tail_len(), 50);
+        assert_eq!(tree.tail_count, 50);
         // t=30.5 hits appended intervals [29,31] and [30,32].
         assert_eq!(stab_tags(&tree, 30.5), vec![119, 120]);
         // Static entry still found.

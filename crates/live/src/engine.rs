@@ -31,19 +31,10 @@ use std::time::Instant;
 /// Errors surfaced by the live layer.
 #[derive(Debug)]
 pub enum LiveError {
-    /// A thread could not be spawned.
-    Spawn(String),
-    /// A shard failed its bootstrap build.
-    Build {
-        /// Which shard failed.
-        shard: usize,
-        /// The underlying build error.
-        message: String,
-    },
-    /// A query failed on some shard.
-    Query(String),
-    /// A pool worker died (channel closed).
-    WorkerGone,
+    /// The serving side failed: a thread could not be spawned, a shard
+    /// failed its bootstrap build, a query failed on some shard, or a pool
+    /// worker died.
+    Serve(ServeError),
     /// WAL / snapshot storage failure.
     Storage(StorageError),
     /// An append was rejected (unknown object, non-monotone time, …).
@@ -55,12 +46,7 @@ pub enum LiveError {
 impl std::fmt::Display for LiveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LiveError::Spawn(e) => write!(f, "failed to spawn worker: {e}"),
-            LiveError::Build { shard, message } => {
-                write!(f, "shard {shard} failed to build: {message}")
-            }
-            LiveError::Query(e) => write!(f, "query failed: {e}"),
-            LiveError::WorkerGone => write!(f, "a worker thread terminated unexpectedly"),
+            LiveError::Serve(e) => write!(f, "{e}"),
             LiveError::Storage(e) => write!(f, "wal: {e}"),
             LiveError::Append(e) => write!(f, "append rejected: {e}"),
             LiveError::Snapshot(e) => write!(f, "snapshot: {e}"),
@@ -78,12 +64,7 @@ impl From<StorageError> for LiveError {
 
 impl From<ServeError> for LiveError {
     fn from(e: ServeError) -> Self {
-        match e {
-            ServeError::Spawn(e) => LiveError::Spawn(e),
-            ServeError::Build { shard, message } => LiveError::Build { shard, message },
-            ServeError::Query(e) => LiveError::Query(e),
-            ServeError::WorkerGone => LiveError::WorkerGone,
-        }
+        LiveError::Serve(e)
     }
 }
 
@@ -193,7 +174,7 @@ impl IngestEngine {
         for (shard, outcome) in booted.into_iter().enumerate() {
             match outcome {
                 Ok(s) => shards.push(Arc::new(s)),
-                Err(message) => return Err(LiveError::Build { shard, message }),
+                Err(message) => return Err(ServeError::Build { shard, message }.into()),
             }
         }
         let (planner, built_mass) = plan(&shards, params);
@@ -514,11 +495,12 @@ impl IngestEngine {
     /// Answer one window of queries — the engine's one query body. The
     /// window is routed against one [`IngestEngine::routing_snapshot`] and
     /// handed to the worker pool's [`WorkerPool::scatter_gather`] — the
-    /// scatter–gather `chronorank-serve` runs: each shard gets it as
-    /// **one** pool task, takes its lock, answers probe-identical queries
-    /// (same snapped or raw interval, `k`, route and tolerance) with a
-    /// single frozen probe and columnar rescore, and the per-shard lists
-    /// are merged per query. Answers are bit-identical to executing every
+    /// scatter–gather `chronorank-serve` runs, one window per call: each
+    /// shard gets it as **one** pool task, takes its lock, answers
+    /// probe-identical queries (same snapped or raw interval, `k`, route
+    /// and tolerance) with a single frozen probe and columnar rescore, and
+    /// once every shard has replied the lists are merged per query.
+    /// Answers are bit-identical to executing every
     /// query in a window of its own (the window agreement suite pins this);
     /// each [`Answer`] carries the route it was planned onto and that
     /// route's ε restated against the same snapshot, which no install can
@@ -537,8 +519,7 @@ impl IngestEngine {
         let (planner, fresh) = self.routing_snapshot();
         let routed: Arc<[(ServeQuery, Route)]> =
             window.iter().map(|q| (*q, planner.route_with_freshness(q, Some(fresh)))).collect();
-        let tops =
-            self.pool.scatter_gather(&self.shards, std::slice::from_ref(&routed), trace, sink)?;
+        let tops = self.pool.scatter_gather(&self.shards, &routed, trace, sink)?;
         let mut counters =
             self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         counters.queries += tops.len() as u64;

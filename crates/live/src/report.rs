@@ -123,7 +123,7 @@ impl LiveReport {
 
     /// Fraction the live mass has grown past the built generations —
     /// the ε re-validation headroom (`0` right after every shard rebuilt).
-    pub fn mass_growth(&self) -> f64 {
+    fn mass_growth(&self) -> f64 {
         if self.built_mass > 0.0 {
             (self.live_mass - self.built_mass).max(0.0) / self.built_mass
         } else {

@@ -41,9 +41,8 @@ pub struct SloObjective {
 
 impl Default for SloObjective {
     fn default() -> Self {
-        // Generous serving default: p99 ≤ 50 ms with a 1% budget. Tight
-        // enough to flip under an injected-latency device, loose enough
-        // that loopback tests never trip it by accident.
+        // Generous serving default: p99 ≤ 50 ms with a 1% budget, loose
+        // enough that loopback tests never trip it by accident.
         SloObjective { p99_target_us: 50_000, error_budget: 0.01 }
     }
 }

@@ -3,7 +3,6 @@
 use crate::planner::MethodSet;
 use chronorank_core::ApproxConfig;
 use chronorank_storage::{ScaleBudget, StoreConfig};
-use std::time::Duration;
 
 /// Configuration of a [`crate::ServeEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -21,11 +20,6 @@ pub struct ServeConfig {
     pub store: StoreConfig,
     /// Entries per shard-local result cache; `0` disables caching.
     pub cache_capacity: usize,
-    /// When set, every shard sleeps this long per block *read* its index
-    /// performs — emulating an IO-bound storage device so that serving
-    /// experiments measure the paper's cost unit (block IOs) as wall time.
-    /// `None` (the default) measures raw in-memory speed.
-    pub simulated_read_latency: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -36,7 +30,6 @@ impl Default for ServeConfig {
             approx: ApproxConfig::default(),
             store: StoreConfig::default(),
             cache_capacity: 1024,
-            simulated_read_latency: None,
         }
     }
 }

@@ -64,43 +64,20 @@ pub struct Answer {
     pub eps_used: Option<f64>,
 }
 
-/// Result of [`ServeEngine::run_stream`].
-#[derive(Debug)]
-pub struct StreamOutcome {
-    /// One merged answer per input query, input order.
-    pub answers: Vec<TopK>,
-    /// Wall time for the whole (pipelined) stream.
-    pub elapsed_secs: f64,
-}
-
-impl StreamOutcome {
-    /// Stream throughput in queries per second.
-    pub fn qps(&self) -> f64 {
-        if self.elapsed_secs > 0.0 {
-            self.answers.len() as f64 / self.elapsed_secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One unit of pool work: one shard's view of one window
+/// One unit of pool work: one shard's view of the window
 /// ([`ShardProbe::answer_batch`]: probe-identical queries share one index
 /// probe). The window is `Arc`-shared across the per-shard tasks.
 struct Task {
     shard: Arc<dyn ShardProbe>,
-    /// Index of `shard` within the engine (trace attribution).
+    /// Index of `shard` within the engine: the reply's slot.
     shard_idx: usize,
-    /// Index of the window within its scatter.
-    window_idx: usize,
     window: Arc<[(ServeQuery, Route)]>,
     reply: Sender<TaskReply>,
 }
 
-/// One shard's answers to one window. Wall-clock and reads are the
+/// One shard's answers to the window. Wall-clock and reads are the
 /// *window's* (dedup makes per-query probes fictional inside one).
 struct TaskReply {
-    window: usize,
     shard: usize,
     /// Per query of the window: the shard-local answer, and `Some(hit)`
     /// when the shard's result cache was consulted.
@@ -141,144 +118,114 @@ impl WorkerPool {
         Ok(Self { task_tx: Some(task_tx), handles, obs: ServeObs::attach(registry) })
     }
 
-    /// The one scatter–gather, serve or live: submit every routed window
-    /// to every shard up front (one task per (shard, window)), gather the
-    /// replies in arrival order, then do each window's bookkeeping —
-    /// metrics, the slow-query recorder, and with a `trace` context one
-    /// `engine.query` span per query with the window's per-shard probes as
-    /// `shard.probe` children (see [`ServeEngine::execute`]). Merged
-    /// answers come back in input order, windows concatenated.
+    /// The one scatter–gather, serve or live: submit the routed window to
+    /// every shard as one task each, slot the `W` replies by shard as they
+    /// arrive, merge each query's lists ([`merge_ranked`]), then do the
+    /// window's bookkeeping — metrics, the slow-query recorder, and with a
+    /// `trace` context one `engine.query` span per query with the
+    /// per-shard probes as `shard.probe` children (see
+    /// [`ServeEngine::execute`]). Merged answers come back in input order.
     pub fn scatter_gather<S: ShardProbe + 'static>(
         &self,
         shards: &[Arc<S>],
-        windows: &[Arc<[(ServeQuery, Route)]>],
+        routed: &Arc<[(ServeQuery, Route)]>,
         trace: Option<(TraceId, SpanId)>,
         sink: &SpanSink,
     ) -> Result<Vec<TopK>, ServeError> {
-        /// A scattered window awaiting its shards.
-        struct Open<'a> {
-            /// Index of the window's first query among all scattered.
-            first: usize,
-            routed: &'a [(ServeQuery, Route)],
-            /// One span per shard reply so far.
-            spans: Vec<ShardSpan>,
-            /// Per query, the shards' cache outcomes folded.
-            caches: Vec<CacheOutcome>,
-            /// The wall time this window added to its caller's wait: from
-            /// the previous window's completion (the scatter's start for
-            /// the first) to its own last reply.
-            total_us: u64,
+        if routed.is_empty() {
+            return Ok(Vec::new());
         }
         let t0 = Instant::now();
         let w = shards.len();
-        let mut gather = Gather::new(w);
-        let mut open: Vec<Open> = Vec::with_capacity(windows.len());
+        routed.iter().for_each(|(_, route)| self.obs.route_decisions[route.idx()].inc());
         let task_tx = self.task_tx.as_ref().expect("pool sender lives until drop");
         let (reply_tx, reply_rx) = channel();
-        for (window_idx, routed) in windows.iter().enumerate() {
-            let first = gather.register(routed.iter().map(|(q, _)| q.k));
-            routed.iter().for_each(|(_, route)| self.obs.route_decisions[route.idx()].inc());
-            if !routed.is_empty() {
-                for (shard_idx, shard) in shards.iter().enumerate() {
-                    let task = Task {
-                        shard: Arc::clone(shard) as Arc<dyn ShardProbe>,
-                        shard_idx,
-                        window_idx,
-                        window: Arc::clone(routed),
-                        reply: reply_tx.clone(),
-                    };
-                    task_tx.send(task).map_err(|_| ServeError::WorkerGone)?;
-                }
-            }
-            open.push(Open {
-                first,
-                caches: vec![CacheOutcome::Bypass; routed.len()],
-                routed,
-                spans: Vec::with_capacity(w),
-                total_us: 0,
-            });
+        for (shard_idx, shard) in shards.iter().enumerate() {
+            let task = Task {
+                shard: Arc::clone(shard) as Arc<dyn ShardProbe>,
+                shard_idx,
+                window: Arc::clone(routed),
+                reply: reply_tx.clone(),
+            };
+            task_tx.send(task).map_err(|_| ServeError::WorkerGone)?;
         }
         drop(reply_tx);
-        let mut completed_us = 0;
-        while gather.owed() > 0 {
+        let mut slots = vec![Vec::new(); w];
+        let mut spans = Vec::with_capacity(w);
+        let mut caches = vec![CacheOutcome::Bypass; routed.len()];
+        for _ in 0..w {
             let reply = reply_rx.recv().map_err(|_| ServeError::WorkerGone)?;
-            let win = &mut open[reply.window];
-            win.spans.push(ShardSpan {
+            spans.push(ShardSpan {
                 shard: reply.shard,
                 elapsed_us: reply.elapsed_us,
                 reads: reply.reads,
                 cache_hit: reply.results.iter().all(|(_, cache)| *cache == Some(true)),
             });
-            for (j, (result, cache)) in reply.results.into_iter().enumerate() {
-                if let Some(hit) = cache {
-                    win.caches[j] = win.caches[j].fold(hit);
+            for (outcome, (_, cache)) in caches.iter_mut().zip(&reply.results) {
+                if let Some(hit) = *cache {
+                    *outcome = outcome.fold(hit);
                     self.obs.shard_cache(hit);
                 }
-                gather.absorb(win.first + j, reply.shard, result);
             }
-            if win.spans.len() == w {
-                let now_us = elapsed_us(t0);
-                win.total_us = now_us - completed_us;
-                completed_us = now_us;
-            }
+            slots[reply.shard] = reply.results;
         }
-        let tops = gather.finish().map_err(ServeError::Query)?;
-        for win in &mut open {
-            win.spans.sort_by_key(|s| s.shard);
-            let slow = self.obs.recorder.qualifies(win.total_us);
-            let reads = win.spans.iter().map(|s| s.reads).sum();
-            for ((q, route), cache) in win.routed.iter().zip(&win.caches) {
-                self.obs.route_latency_us[route.idx()].record(win.total_us);
-                if slow {
-                    self.obs.recorder.record(QueryTrace {
-                        route: route.name(),
-                        t1: q.t1,
-                        t2: q.t2,
-                        k: q.k,
-                        total_us: win.total_us,
-                        cache: *cache,
-                        io: IoDelta { reads, ..Default::default() },
-                        shards: win.spans.clone(),
-                    });
-                }
-                if let (Some((trace, parent)), false) = (trace, sink.is_noop()) {
-                    // Every span is emitted from measurements already taken,
-                    // against one hoisted clock read — no second clock pair
-                    // on the hot path. Probes go first, parented on a
-                    // pre-minted id; drain order is by sequence, tree shape
-                    // is by parent links.
-                    let engine_span = SpanId::next();
-                    let end_us = sink.now_us();
-                    for s in &win.spans {
-                        sink.emit_at(
-                            SpanId::next(),
-                            trace,
-                            Some(engine_span),
-                            "shard.probe",
-                            end_us,
-                            s.elapsed_us,
-                            [
-                                ("shard", AttrValue::U64(s.shard as u64)),
-                                ("reads", AttrValue::U64(s.reads)),
-                                ("cache_hit", AttrValue::Bool(s.cache_hit)),
-                            ],
-                        );
-                    }
+        let tops =
+            merge_window(routed.iter().map(|(q, _)| q.k), slots).map_err(ServeError::Query)?;
+        let total_us = elapsed_us(t0);
+        spans.sort_by_key(|s| s.shard);
+        let slow = self.obs.recorder.qualifies(total_us);
+        let reads = spans.iter().map(|s| s.reads).sum();
+        for ((q, route), cache) in routed.iter().zip(&caches) {
+            self.obs.route_latency_us[route.idx()].record(total_us);
+            if slow {
+                self.obs.recorder.record(QueryTrace {
+                    route: route.name(),
+                    t1: q.t1,
+                    t2: q.t2,
+                    k: q.k,
+                    total_us,
+                    cache: *cache,
+                    io: IoDelta { reads, ..Default::default() },
+                    shards: spans.clone(),
+                });
+            }
+            if let (Some((trace, parent)), false) = (trace, sink.is_noop()) {
+                // Every span is emitted from measurements already taken,
+                // against one hoisted clock read — no second clock pair on
+                // the hot path. Probes go first, parented on a pre-minted
+                // id; drain order is by sequence, tree shape is by parent
+                // links.
+                let engine_span = SpanId::next();
+                let end_us = sink.now_us();
+                for s in &spans {
                     sink.emit_at(
-                        engine_span,
+                        SpanId::next(),
                         trace,
-                        (parent.0 != 0).then_some(parent),
-                        "engine.query",
+                        Some(engine_span),
+                        "shard.probe",
                         end_us,
-                        win.total_us,
+                        s.elapsed_us,
                         [
-                            ("route", AttrValue::Sym(route.name())),
-                            ("k", AttrValue::U64(q.k as u64)),
-                            ("cache", AttrValue::Sym(cache.name())),
-                            ("shards", AttrValue::U64(w as u64)),
+                            ("shard", AttrValue::U64(s.shard as u64)),
+                            ("reads", AttrValue::U64(s.reads)),
+                            ("cache_hit", AttrValue::Bool(s.cache_hit)),
                         ],
                     );
                 }
+                sink.emit_at(
+                    engine_span,
+                    trace,
+                    (parent.0 != 0).then_some(parent),
+                    "engine.query",
+                    end_us,
+                    total_us,
+                    [
+                        ("route", AttrValue::Sym(route.name())),
+                        ("k", AttrValue::U64(q.k as u64)),
+                        ("cache", AttrValue::Sym(cache.name())),
+                        ("shards", AttrValue::U64(w as u64)),
+                    ],
+                );
             }
         }
         Ok(tops)
@@ -320,7 +267,6 @@ fn worker_main(task_rx: &Mutex<Receiver<Task>>) {
         // A dropped receiver means the window's caller is gone; fine.
         task.reply
             .send(TaskReply {
-                window: task.window_idx,
                 shard: task.shard_idx,
                 results,
                 elapsed_us: elapsed_us(t0),
@@ -330,8 +276,8 @@ fn worker_main(task_rx: &Mutex<Receiver<Task>>) {
     }
 }
 
-/// Coordinator-side counters behind one mutex (locked once per query or
-/// stream, off the scatter-gather hot path).
+/// Coordinator-side counters behind one mutex (locked once per window,
+/// off the scatter-gather hot path).
 struct Served {
     routes: [RouteStats; 5],
     queries: u64,
@@ -479,15 +425,35 @@ impl ServeEngine {
     /// window's wall time — what its caller waited) and `n` served
     /// queries, and a window slow enough for the flight recorder leaves one
     /// [`QueryTrace`] per query carrying the window's per-shard spans.
-    /// (In a pipelined stream a window's wall time runs from the previous
-    /// window's completion: what it added to the stream's wait.)
     pub fn execute(
         &self,
         window: &[ServeQuery],
         trace: Option<(TraceId, SpanId)>,
         sink: &SpanSink,
     ) -> Result<Vec<Answer>, ServeError> {
-        self.execute_windows(&[window], trace, sink)
+        let t0 = Instant::now();
+        let routed: Arc<[(ServeQuery, Route)]> =
+            window.iter().map(|q| (*q, self.planner.route(q))).collect();
+        let tops = self.pool.scatter_gather(&self.shards, &routed, trace, sink)?;
+        let elapsed_secs = t0.elapsed().as_secs_f64();
+        let answers: Vec<Answer> = tops
+            .into_iter()
+            .zip(routed.iter())
+            .map(|(topk, (_, route))| Answer {
+                topk,
+                route: *route,
+                eps_used: self.planner.profile(*route).and_then(|p| p.eps),
+            })
+            .collect();
+        let per_query = elapsed_secs / answers.len().max(1) as f64;
+        let mut served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for a in &answers {
+            served.routes[a.route.idx()].queries += 1;
+            served.routes[a.route.idx()].secs += per_query;
+        }
+        served.queries += answers.len() as u64;
+        served.elapsed_secs += elapsed_secs;
+        Ok(answers)
     }
 
     /// Answer one query: a window of one.
@@ -512,56 +478,6 @@ impl ServeEngine {
     ) -> Result<(TopK, Route), ServeError> {
         let answers = self.execute(&[q], Some((trace, parent)), sink)?;
         Ok(answers.into_iter().map(|a| (a.topk, a.route)).next().expect("one answer per query"))
-    }
-
-    /// Answer a whole query stream, pipelined: windows of one, every
-    /// per-shard task queued up front so the pool drains them in parallel
-    /// and the wall time measures serving throughput rather than
-    /// per-query round trips.
-    pub fn run_stream(&self, queries: &[ServeQuery]) -> Result<StreamOutcome, ServeError> {
-        let t0 = Instant::now();
-        let windows: Vec<&[ServeQuery]> = queries.chunks(1).collect();
-        let answers = self.execute_windows(&windows, None, &SpanSink::noop())?;
-        Ok(StreamOutcome {
-            answers: answers.into_iter().map(|a| a.topk).collect(),
-            elapsed_secs: t0.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// Route every window, run them through the pool's one
-    /// [`WorkerPool::scatter_gather`], and state each answer's route and
-    /// ε. Answers come back in input order, windows concatenated.
-    fn execute_windows(
-        &self,
-        windows: &[&[ServeQuery]],
-        trace: Option<(TraceId, SpanId)>,
-        sink: &SpanSink,
-    ) -> Result<Vec<Answer>, ServeError> {
-        let t0 = Instant::now();
-        let routed: Vec<Arc<[(ServeQuery, Route)]>> = windows
-            .iter()
-            .map(|queries| queries.iter().map(|q| (*q, self.planner.route(q))).collect())
-            .collect();
-        let tops = self.pool.scatter_gather(&self.shards, &routed, trace, sink)?;
-        let elapsed_secs = t0.elapsed().as_secs_f64();
-        let answers: Vec<Answer> = tops
-            .into_iter()
-            .zip(routed.iter().flat_map(|window| window.iter()))
-            .map(|(topk, (_, route))| Answer {
-                topk,
-                route: *route,
-                eps_used: self.planner.profile(*route).and_then(|p| p.eps),
-            })
-            .collect();
-        let per_query = elapsed_secs / answers.len().max(1) as f64;
-        let mut served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for a in &answers {
-            served.routes[a.route.idx()].queries += 1;
-            served.routes[a.route.idx()].secs += per_query;
-        }
-        served.queries += answers.len() as u64;
-        served.elapsed_secs += elapsed_secs;
-        Ok(answers)
     }
 
     /// Mirror the current [`ServeReport`] into this engine's registry as
@@ -730,80 +646,27 @@ pub fn merge_ranked(lists: &[Vec<(ObjectId, f64)>], k: usize) -> TopK {
     TopK::from_ranked(merged)
 }
 
-/// The one gather behind every scatter, serve or live: register each
-/// scattered query's `k`, absorb the shards' lists in whatever order they
-/// arrive, and a query is merged ([`merge_ranked`]) the moment its `W`-th
-/// list lands. Errors are reported deterministically — the one from the
-/// lowest `(query, shard)` — and only by [`Gather::finish`], so a caller
-/// always drains every reply it is [`Gather::owed`] first.
-#[derive(Default)]
-pub struct Gather {
-    w: usize,
-    /// `k` of each registered query.
-    ks: Vec<usize>,
-    /// Per query, the lists absorbed so far (emptied once merged).
-    partial: Vec<Vec<Vec<(ObjectId, f64)>>>,
-    answers: Vec<Option<TopK>>,
-    owed: usize,
-    first_err: Option<((usize, usize), String)>,
-}
-
-impl Gather {
-    /// A gather over `w` shards with nothing registered yet.
-    pub fn new(w: usize) -> Self {
-        Self { w, ..Self::default() }
-    }
-
-    /// Register one scattered window by its queries' `k`s: they take the
-    /// next indexes — the first is returned — and owe one list per shard
-    /// each.
-    pub fn register(&mut self, ks: impl IntoIterator<Item = usize>) -> usize {
-        let first = self.ks.len();
-        self.ks.extend(ks);
-        self.partial.resize_with(self.ks.len(), || Vec::with_capacity(self.w));
-        self.answers.resize_with(self.ks.len(), || None);
-        self.owed += (self.ks.len() - first) * self.w;
-        first
-    }
-
-    /// Shard answers still outstanding across every registered query.
-    pub fn owed(&self) -> usize {
-        self.owed
-    }
-
-    /// Fold in `shard`'s answer to query `query`.
-    pub fn absorb(&mut self, query: usize, shard: usize, answer: ShardAnswer) {
-        self.owed -= 1;
-        match answer {
-            Ok(list) => {
-                let lists = &mut self.partial[query];
-                lists.push(list);
-                if lists.len() == self.w {
-                    self.answers[query] = Some(merge_ranked(lists, self.ks[query]));
-                    *lists = Vec::new();
-                }
-            }
-            Err(e) => {
-                if self.first_err.as_ref().is_none_or(|(at, _)| (query, shard) < *at) {
-                    self.first_err = Some(((query, shard), e));
-                }
-            }
+/// The gather behind every scatter, serve or live: `slots[s]` is shard
+/// `s`'s reply to one window of queries with the given `k`s — per query,
+/// its ranked list and cache outcome — and each query's `W` lists are
+/// k-way merged ([`merge_ranked`]). Replies sit in shard order whatever
+/// order they arrived in, and the first error in (query, shard) order
+/// wins, so arrival order cannot change the result.
+fn merge_window(
+    ks: impl Iterator<Item = usize>,
+    slots: Vec<Vec<(ShardAnswer, Option<bool>)>>,
+) -> Result<Vec<TopK>, String> {
+    let mut shards: Vec<_> = slots.into_iter().map(Vec::into_iter).collect();
+    let mut lists = Vec::with_capacity(shards.len());
+    ks.map(|k| {
+        lists.clear();
+        for shard in &mut shards {
+            let (answer, _) = shard.next().expect("every shard answers every query");
+            lists.push(answer?);
         }
-    }
-
-    /// Every query's merged answer, registration order — or the error of
-    /// the lowest `(query, shard)` that failed. Call once nothing is
-    /// [`Gather::owed`].
-    pub fn finish(self) -> Result<Vec<TopK>, String> {
-        match self.first_err {
-            Some((_, e)) => Err(e),
-            None => Ok(self
-                .answers
-                .into_iter()
-                .map(|a| a.expect("finish is called once every shard replied"))
-                .collect()),
-        }
-    }
+        Ok(merge_ranked(&lists, k))
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -861,57 +724,49 @@ mod tests {
         vec![vec![(0, 9.0), (3, 1.0)], vec![(1, 8.0), (4, 8.0)], vec![(2, 9.0), (5, 0.5)]]
     }
 
+    /// Slot `replies` (shard, that shard's answer per query) in arrival
+    /// order, as [`WorkerPool::scatter_gather`] does, and fold the window.
+    fn gather(
+        ks: &[usize],
+        replies: impl IntoIterator<Item = (usize, Vec<ShardAnswer>)>,
+    ) -> Result<Vec<TopK>, String> {
+        let mut slots = vec![Vec::new(); 3];
+        for (shard, answers) in replies {
+            slots[shard] = answers.into_iter().map(|a| (a, None)).collect();
+        }
+        merge_window(ks.iter().copied(), slots)
+    }
+
     #[test]
-    fn gather_gives_one_answer_in_every_arrival_order() {
+    fn merge_window_gives_one_answer_in_every_arrival_order() {
         let lists = three_lists();
         let want = merge_ranked(&lists, 4);
         for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            let mut gather = Gather::new(3);
-            assert_eq!(gather.register([4, 2]), 0);
-            assert_eq!((gather.register([]), gather.owed()), (2, 6));
-            for shard in order {
-                // Two queries' replies interleaved, the second's reversed.
-                gather.absorb(0, shard, Ok(lists[shard].clone()));
-                gather.absorb(1, 2 - shard, Ok(lists[2 - shard].clone()));
-            }
-            assert_eq!(gather.owed(), 0);
-            let tops = gather.finish().unwrap();
+            let replies = order.map(|s| (s, vec![Ok(lists[s].clone()), Ok(lists[s].clone())]));
+            let tops = gather(&[4, 2], replies).unwrap();
             assert_eq!(tops[0].entries(), want.entries(), "order {order:?}");
             assert_eq!(tops[1].entries(), &want.entries()[..2], "order {order:?}");
         }
     }
 
     #[test]
-    fn gather_reports_the_lowest_query_then_shard_error_whatever_the_order() {
-        let failures = [(1, 0, "q1 s0"), (0, 2, "q0 s2"), (0, 1, "q0 s1")];
-        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
-            let mut gather = Gather::new(3);
-            gather.register([4, 4]);
-            for i in order {
-                let (query, shard, msg) = failures[i];
-                gather.absorb(query, shard, Err(msg.to_string()));
-            }
-            // The error is held back until every owed reply is drained.
-            gather.absorb(0, 0, Ok(vec![(0, 1.0)]));
-            gather.absorb(1, 1, Ok(vec![(1, 1.0)]));
-            gather.absorb(1, 2, Ok(vec![(2, 1.0)]));
-            assert_eq!(gather.owed(), 0);
-            assert_eq!(gather.finish().unwrap_err(), "q0 s1", "order {order:?}");
+    fn merge_window_reports_the_lowest_query_then_shard_error_whatever_the_order() {
+        let err = |msg: &str| Err(msg.to_string());
+        let replies = [
+            (0, vec![Ok(vec![(0, 1.0)]), err("q1 s0")]),
+            (1, vec![err("q0 s1"), Ok(vec![(1, 1.0)])]),
+            (2, vec![err("q0 s2"), Ok(vec![(2, 1.0)])]),
+        ];
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let arrived = order.map(|i| replies[i].clone());
+            assert_eq!(gather(&[4, 4], arrived).unwrap_err(), "q0 s1", "order {order:?}");
         }
     }
 
     #[test]
-    fn gather_merges_k_zero_to_empty_and_finishes_an_empty_window_without_waiting() {
-        // Nothing registered: nothing owed, nothing to wait for.
-        let gather = Gather::new(3);
-        assert_eq!(gather.owed(), 0);
-        assert!(gather.finish().unwrap().is_empty());
-        // k = 0 merges to the empty answer whatever the shards list.
-        let mut gather = Gather::new(2);
-        gather.register([0]);
-        gather.absorb(0, 1, Ok(vec![(1, 2.0)]));
-        gather.absorb(0, 0, Ok(Vec::new()));
-        assert_eq!(gather.owed(), 0);
-        assert!(gather.finish().unwrap()[0].is_empty());
+    fn merge_window_merges_k_zero_to_empty() {
+        let lists = three_lists();
+        let replies = (0..3).map(|s| (s, vec![Ok(lists[s].clone())]));
+        assert!(gather(&[0], replies).unwrap()[0].is_empty());
     }
 }

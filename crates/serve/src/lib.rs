@@ -14,12 +14,12 @@
 //!    objects, the global top-k is a subset of the union of shard
 //!    top-k's). There is one query body, [`ServeEngine::execute`]: a
 //!    *window* of queries goes to every shard as one pool task, comes
-//!    back as one reply per shard, and is merged by the one shared
-//!    [`Gather`] into one [`Answer`] per query; a solo query
+//!    back as one reply per shard, and each query's lists are merged
+//!    ([`merge_ranked`]) into one [`Answer`] per query by the one
+//!    [`WorkerPool::scatter_gather`] both engines run; a solo query
 //!    ([`ServeEngine::query`] and its routed/spanned variants) is a window
-//!    of one, a pipelined stream is windows of one queued up front. It
-//!    takes `&self`, so whole engines are themselves shareable across
-//!    caller threads;
+//!    of one. It takes `&self`, so whole engines are themselves shareable
+//!    across caller threads;
 //! 2. **routes** each query with a cost-based [`Planner`] built on
 //!    [`chronorank_core::cost_model`] (the paper's Figure-3 table as
 //!    executable formulas). Per query `(t1, t2, k, tolerance)` it picks:
@@ -81,9 +81,7 @@ mod shard;
 
 pub use cache::LruCache;
 pub use config::ServeConfig;
-pub use engine::{
-    merge_ranked, partition, Answer, Gather, ServeEngine, ServeError, StreamOutcome, WorkerPool,
-};
+pub use engine::{merge_ranked, partition, Answer, ServeEngine, ServeError, WorkerPool};
 pub use planner::{
     merge_profiles, Freshness, MethodSet, Planner, PlannerParams, Route, RouteProfiles,
 };

@@ -24,7 +24,7 @@ use chronorank_storage::{Env, IoStats, StoreConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A shard-local ranked answer (global ids, descending score) or an error
 /// message — what every shard, serve or live, hands the gather.
@@ -368,9 +368,6 @@ pub(crate) struct Shard {
     cache: Option<ResultCache>,
     /// Local dense id → global id.
     global_ids: Vec<ObjectId>,
-    /// Emulated device latency per block read
-    /// ([`ServeConfig::simulated_read_latency`]).
-    latency: Option<Duration>,
     facts: ShardFacts,
 }
 
@@ -391,7 +388,7 @@ impl Shard {
             t_max: set.t_max(),
         };
         let cache = (cfg.cache_capacity > 0).then(|| Mutex::new(LruCache::new(cfg.cache_capacity)));
-        Ok(Self { built, cache, global_ids, latency: cfg.simulated_read_latency, facts })
+        Ok(Self { built, cache, global_ids, facts })
     }
 
     pub(crate) fn facts(&self) -> ShardFacts {
@@ -444,19 +441,7 @@ impl Shard {
 
     /// Run the routed index probe and translate ids to the global space.
     fn probe(&self, route: Route, q: ServeQuery) -> ShardAnswer {
-        let device = self.latency.map(|l| (l, chronorank_storage::IoCounter::thread_reads()));
         let top = self.built.probe(route, q.t1, q.t2, q.k)?;
-        if let Some((latency, before)) = device {
-            // Emulated device: sleep once per block read THIS probe did.
-            // The thread-local tally attributes reads exactly to the
-            // calling worker, so concurrent probes on one shard never
-            // smear into each other's sleep time — the emulation is
-            // deterministic at any pool size.
-            let reads = chronorank_storage::IoCounter::thread_reads() - before;
-            if reads > 0 {
-                std::thread::sleep(latency.saturating_mul(reads.min(u32::MAX as u64) as u32));
-            }
-        }
         Ok(top.into_iter().map(|(id, s)| (self.global_ids[id as usize], s)).collect())
     }
 }

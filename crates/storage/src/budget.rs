@@ -51,13 +51,7 @@ impl Default for ScaleBudget {
 impl ScaleBudget {
     /// A budget of `total_bytes` at the default block size.
     pub fn new(total_bytes: u64) -> Self {
-        Self::with_block_size(total_bytes, DEFAULT_BLOCK_SIZE)
-    }
-
-    /// A budget with an explicit block size (must be nonzero).
-    pub fn with_block_size(total_bytes: u64, block_size: usize) -> Self {
-        assert!(block_size > 0, "block size must be nonzero");
-        Self { total_bytes, block_size }
+        Self { total_bytes, block_size: DEFAULT_BLOCK_SIZE }
     }
 
     /// The whole budget in bytes.

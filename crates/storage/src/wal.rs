@@ -273,11 +273,6 @@ impl WriteAheadLog {
         self.epoch
     }
 
-    /// Live bytes in the record region (frames included).
-    pub fn len_bytes(&self) -> u64 {
-        self.end - self.start
-    }
-
     /// True when no live record exists.
     pub fn is_empty(&self) -> bool {
         self.start == self.end

@@ -51,11 +51,6 @@ impl StockGenerator {
     pub fn config(&self) -> StockConfig {
         self.config
     }
-
-    /// Time stamp of the start of trading day `d` (1 unit = 1 day).
-    pub fn day_start(d: usize) -> f64 {
-        d as f64
-    }
 }
 
 impl DatasetGenerator for StockGenerator {

@@ -68,20 +68,10 @@ impl ClosedLoopTraffic {
         &self.streams
     }
 
-    /// Consume the plan into its per-client streams.
-    pub fn into_streams(self) -> Vec<Vec<QueryInterval>> {
-        self.streams
-    }
-
     /// The hotspot intervals shared by every client's stream (empty for a
     /// uniform workload) — warm these once for steady-state measurements.
     pub fn hotspots(&self) -> &[QueryInterval] {
         &self.hotspots
-    }
-
-    /// Total queries across the fleet.
-    pub fn total_queries(&self) -> usize {
-        self.streams.iter().map(Vec::len).sum()
     }
 }
 
@@ -109,7 +99,7 @@ mod tests {
         let plan = ClosedLoopTraffic::new(config(3, 20), 0.0, 1000.0);
         assert_eq!(plan.streams().len(), 3);
         assert!(plan.streams().iter().all(|s| s.len() == 20));
-        assert_eq!(plan.total_queries(), 60);
+        assert_eq!(plan.streams.iter().map(Vec::len).sum::<usize>(), 60);
         // The union of the streams is exactly the underlying workload.
         let workload = QueryWorkload::new(
             QueryWorkloadConfig { count: 60, ..config(3, 20).workload },

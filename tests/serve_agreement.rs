@@ -15,6 +15,7 @@
 //! W sweep below.
 
 use chronorank::core::{AggKind, Exact1, Exact3, IndexConfig, RankMethod, TemporalSet, TopK};
+use chronorank::obs::SpanSink;
 use chronorank::serve::{Route, ServeConfig, ServeEngine, ServeQuery};
 use chronorank::workloads::{
     DatasetGenerator, IntervalPattern, MemeConfig, MemeGenerator, QueryWorkload,
@@ -182,10 +183,10 @@ fn streamed_exact_equals_single_threaded_exact3() {
     for w in worker_widths() {
         let engine =
             ServeEngine::new(&set, ServeConfig { workers: w, ..Default::default() }).unwrap();
-        let outcome = engine.run_stream(&queries).unwrap();
-        for (i, (q, got)) in queries.iter().zip(&outcome.answers).enumerate() {
+        let answers = engine.execute(&queries, None, &SpanSink::noop()).unwrap();
+        for (i, (q, got)) in queries.iter().zip(&answers).enumerate() {
             let want = exact3.top_k(q.t1, q.t2, q.k, AggKind::Sum).unwrap();
-            assert_answers_match(&want, got, &format!("stream W={w} q{i}"));
+            assert_answers_match(&want, &got.topk, &format!("stream W={w} q{i}"));
         }
     }
 }
