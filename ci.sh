@@ -19,14 +19,17 @@
 #                     heap bytes held per index byte and per live point),
 #                     the ones tests/streaming_build_counts.rs pins (peak
 #                     heap beyond the ScaleBudget, heap held and blocks a
-#                     drop_caches writes after each out-of-core build)
-#                     and the ones tests/obs_counts.rs pins (spans, heap
+#                     drop_caches writes after each out-of-core build),
+#                     the ones tests/obs_counts.rs pins (spans, heap
 #                     allocations and metric updates per query, bytes per
 #                     span slot — what telemetry costs, as counts that
-#                     repeat rather than a timing), plus the sleeps and
-#                     yields in tests/ and crates/*/tests (must be 0: tests
-#                     wait on events, not time), echoed into the summary
-#                     below the timings — and below a failure
+#                     repeat rather than a timing) and the ones
+#                     crates/net/tests/thread_counts.rs pins (wire-server
+#                     threads with 3 connections, 4 = the acceptor + one
+#                     per connection, and after shutdown, 0), plus the
+#                     sleeps and yields in tests/ and crates/*/tests (must
+#                     be 0: tests wait on events, not time), echoed into
+#                     the summary below the timings — and below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
 #                     shared-snapshot engines race for real cores (and a
@@ -87,7 +90,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, test waits)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, test waits)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -206,8 +209,9 @@ doc_stage() {
 # the workspace run below is what fails the stage.
 tier1_stage() {
     cargo build --release
-    PINNED_COUNTS=$(cargo test -q --test resident_build_counts --test streaming_build_counts \
-        --test obs_counts -- --nocapture 2> /dev/null | grep '^pinned:' || true)
+    PINNED_COUNTS=$(cargo test -q -p chronorank -p chronorank-net --test resident_build_counts \
+        --test streaming_build_counts --test obs_counts --test thread_counts -- --nocapture \
+        2> /dev/null | grep '^pinned:' || true)
     # Tests wait on events, not time: none may sleep or yield.
     local waits
     waits=$(grep -rnE 'thread::(sleep|yield_now)' tests crates/*/tests || true)

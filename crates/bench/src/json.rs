@@ -1,30 +1,14 @@
-//! A minimal JSON reader/writer.
+//! A minimal JSON reader beside the workspace's one writer.
 //!
 //! The workspace is dependency-free by policy (no serde), and the bench
 //! JSONs it emits are small and simple — so this module carries its own
-//! ~150-line recursive-descent parser and the matching [`encode`] writer
+//! ~150-line recursive-descent parser and re-exports the matching
+//! [`encode`] writer and [`Json`] value from `chronorank_obs::json`
 //! (property-tested against the parser by `tests/json_roundtrip.rs`).
 //! `benchmark/` reads `BENCHMARK.json` and writes its result lines
 //! through it.
 
-use std::fmt::Write as _;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (held as `f64`; bench values are all doubles).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion order preserved.
-    Obj(Vec<(String, Json)>),
-}
+pub use chronorank_obs::json::{encode, Json};
 
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(text: &str) -> Result<Json, String> {
@@ -199,67 +183,6 @@ impl Parser<'_> {
             }
         }
     }
-}
-
-/// Serialize a [`Json`] back to text. Exact inverse of [`parse`] for
-/// every finite document: objects keep insertion order, numbers print in
-/// Rust's shortest round-trip decimal form, and strings escape quotes,
-/// backslashes and all control characters. Non-finite numbers have no
-/// JSON spelling and encode as `null`.
-pub fn encode(value: &Json) -> String {
-    let mut out = String::new();
-    write_value(value, &mut out);
-    out
-}
-
-fn write_value(value: &Json, out: &mut String) {
-    match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(n) if n.is_finite() => write!(out, "{n}").expect("write to string"),
-        Json::Num(_) => out.push_str("null"),
-        Json::Str(s) => write_string(s, out),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, v) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(v, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(v, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).expect("write to string"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

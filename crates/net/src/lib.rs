@@ -20,12 +20,13 @@
 //! * a **server** ([`NetServer`]) — a dependency-free `std::net` TCP
 //!   server fronting a [`chronorank_serve::ServeEngine`] (read path) or a
 //!   [`chronorank_live::IngestEngine`] (read + durable write path), with
-//!   an acceptor and per connection a reader, which runs its requests on
-//!   **one shared backend** (the engines are `Send + Sync`; live writes
-//!   serialize behind a write lock), and a writer fed by a bounded queue,
-//!   so a client that never reads stops being read; admission control at
-//!   `max_in_flight` frames answers a typed `BUSY` error instead of
-//!   running the op; shutdown joins every thread;
+//!   an acceptor and one thread per connection, which runs its requests
+//!   on **one shared backend** (the engines are `Send + Sync`; live
+//!   writes serialize behind a write lock) and writes its own replies, so
+//!   a client that never reads fills its socket buffers and stops being
+//!   read; admission control at `max_in_flight` running engine ops
+//!   answers a typed `BUSY` error instead of running the op; shutdown
+//!   joins every thread;
 //! * a **client** ([`NetClient`]) — blocking, with request pipelining
 //!   (many requests in flight on one connection), batched appends, and a
 //!   closed-loop driver that records per-request latencies and retries

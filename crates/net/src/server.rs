@@ -1,10 +1,10 @@
-//! The TCP server: an acceptor, per-connection reader and writer threads
-//! over one shared backend, and explicit admission control.
+//! The TCP server: an acceptor and one thread per connection over one
+//! shared backend, with explicit admission control.
 //!
 //! ## Threading model
 //!
 //! The chronorank engines are `Send + Sync` (the whole index stack is),
-//! so one backend is **shared**: every connection's reader calls the same
+//! so one backend is **shared**: every connection thread calls the same
 //! `Arc`'d engine directly. Both engines answer a TOPK through the same
 //! call — `execute` on a window of one, `&self`, which runs on the
 //! engine's own `chronorank-serve` worker pool either way — and hand back
@@ -15,56 +15,52 @@
 //! one WAL; an append is applied to its shards before the write lock is
 //! released).
 //!
-//! A server runs `1 + 2·connections` threads:
+//! A server runs `1 + connections` threads:
 //!
 //! * an **acceptor** thread owns the listener, enforces the connection
 //!   cap (over-limit connections are answered with one typed BUSY frame
-//!   and closed), and spawns a reader + writer thread per connection;
-//! * each **reader** drains its socket through the streaming
-//!   [`Decoder`](crate::frame::Decoder), answers PING inline, and runs
-//!   engine ops itself — but only after passing **admission control**: a
-//!   global in-flight counter bounded by [`NetConfig::max_in_flight`]. At
-//!   the bound the reader answers a typed [`ErrCode::Busy`] error instead
-//!   of running the op, so overload degrades into explicit,
-//!   client-visible pushback;
-//! * each **writer** owns the socket's write half behind a `BufWriter`,
-//!   flushing whenever its queue momentarily drains (adaptive batching:
-//!   pipelined bursts coalesce into few syscalls, single requests flush
-//!   immediately).
+//!   and closed), and spawns one thread per connection;
+//! * each **connection** thread reads a burst from its socket, takes
+//!   every complete frame in it out of the streaming
+//!   [`Decoder`](crate::frame::Decoder) and answers each in turn: PING
+//!   inline, engine ops on the shared backend — but only after passing
+//!   **admission control**, a global count of running engine ops bounded
+//!   by [`NetConfig::max_in_flight`]. At the bound the thread answers a
+//!   typed [`ErrCode::Busy`] error instead of running the op, so overload
+//!   degrades into explicit, client-visible pushback. An op's slot is
+//!   released as soon as its reply is built.
 //!
-//! One connection's requests run one at a time, in arrival order, so its
-//! replies leave in request order. The reader hands each reply to its
-//! writer through a queue of `REPLY_QUEUE_FRAMES` frames; a client that
-//! sends without reading fills it, its reader blocks and stops reading
-//! the socket, and TCP pushes back on the client.
+//! The replies go into one `BufWriter` over the same socket, flushed
+//! before the thread blocks in `read` again: a pipelined burst leaves in
+//! few syscalls, a single request at once. One connection's requests run
+//! one at a time, in arrival order, so its replies leave in request
+//! order. A client that sends without reading fills the kernel's socket
+//! buffers; the thread's write then blocks, it stops reading, and TCP
+//! pushes back on the client. The server holds no reply queue of its own.
 //!
 //! Shutdown is clean and total: the stop flag is raised, the acceptor is
 //! woken with a loopback connection, every live socket is shut down, and
-//! every thread — acceptor, readers, writers — is joined before
+//! every thread — the acceptor and each connection's — is joined before
 //! [`NetServer::shutdown`] returns.
 
 use crate::frame::{
-    AppendOk, Decoder, ErrCode, ErrorBody, Frame, FrameError, OpCode, StatsBody, TopKRequest,
-    TopKResponse, MAX_PAYLOAD,
+    AppendOk, Decoder, ErrCode, ErrorBody, Frame, OpCode, StatsBody, TopKRequest, TopKResponse,
+    MAX_PAYLOAD,
 };
 use chronorank_core::{AppendRecord, TemporalSet};
 use chronorank_live::{IngestEngine, LiveConfig};
+use chronorank_obs::json::{self, Json};
 use chronorank_obs::{
     elapsed_us, spans_json, ActiveSpan, AttrValue, Counter, Histogram, Registry, SloObjective,
     SloTracker, SpanId, SpanSink, TraceId,
 };
 use chronorank_serve::{Answer, ServeConfig, ServeEngine, ServeQuery};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Reply frames a connection's reader (the queue's only producer) may
-/// queue ahead of its writer.
-const REPLY_QUEUE_FRAMES: usize = 16;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -72,10 +68,10 @@ pub struct NetConfig {
     /// Bind address; port 0 picks a free port (read it back with
     /// [`NetServer::local_addr`]).
     pub addr: String,
-    /// Admission-control bound: engine frames accepted but not yet
-    /// answered, across all connections. At the bound, further frames are
-    /// refused with a typed BUSY error. `0` refuses everything — useful
-    /// for testing client overload handling.
+    /// Admission-control bound: engine ops running at once, across all
+    /// connections. At the bound, further engine frames are refused with
+    /// a typed BUSY error. `0` refuses everything — useful for testing
+    /// client overload handling.
     pub max_in_flight: usize,
     /// Connection cap; over-limit connections receive one BUSY frame and
     /// are closed.
@@ -103,7 +99,7 @@ impl Default for NetConfig {
 #[allow(clippy::large_enum_variant)]
 pub enum Backend {
     /// Read path only: TOPK / STATS / PING (appends answer `Unsupported`).
-    /// Queried concurrently through `&self` by every connection's reader.
+    /// Queried concurrently through `&self` by every connection thread.
     Serve(ServeEngine),
     /// Read + write paths: everything, including APPEND_BATCH and
     /// CHECKPOINT. Queries take the read lock (overlapping); appends and
@@ -127,8 +123,9 @@ impl Backend {
     /// Answer one TOPK: a window of one through the backend's `execute`,
     /// whose [`Answer`] becomes the response at one site. With a `span`
     /// context the engine joins the distributed trace: its execution and
-    /// every shard probe are emitted into `sink` under the server span. The live append prefix is read under the same read
-    /// lock that answered.
+    /// every shard probe are emitted into `sink` under the server span.
+    /// The live append prefix is read under the same read lock that
+    /// answered.
     fn topk(
         &self,
         q: ServeQuery,
@@ -252,26 +249,6 @@ enum EngineOp {
     Trace,
 }
 
-/// One encoded frame queued for a connection's writer. `releases_slot`
-/// marks responses to *admitted* engine ops: their admission-control slot
-/// is released only once the writer has actually put the bytes on the
-/// wire (or the connection died), so `max_in_flight` counts replies not
-/// yet delivered as well as ops still running.
-struct OutFrame {
-    bytes: Vec<u8>,
-    releases_slot: bool,
-}
-
-impl OutFrame {
-    fn inline(frame: &Frame) -> Self {
-        Self { bytes: frame.encode(), releases_slot: false }
-    }
-
-    fn engine(frame: &Frame) -> Self {
-        Self { bytes: frame.encode(), releases_slot: true }
-    }
-}
-
 /// Cross-thread server state: the stop flag, admission counter, and the
 /// observability counters STATS reports.
 struct Shared {
@@ -360,7 +337,7 @@ impl Shared {
         );
         g(
             "chronorank_net_in_flight",
-            "engine frames admitted but not yet answered",
+            "engine ops admitted and still running",
             self.in_flight.load(Ordering::SeqCst) as u64,
         );
     }
@@ -385,7 +362,7 @@ impl NetServer {
     /// Bind `config.addr` and serve the backend produced by `build`.
     ///
     /// The backend is built once and shared behind an `Arc` by every
-    /// connection's reader (the engines are `Send + Sync`); a build
+    /// connection thread (the engines are `Send + Sync`); a build
     /// failure is reported here, not deferred.
     pub fn start<F>(config: NetConfig, build: F) -> Result<Self, ServerError>
     where
@@ -498,8 +475,8 @@ impl Drop for NetServer {
     }
 }
 
-/// Run one admitted engine op against the backend, on the reader thread
-/// that decoded it, and encode the reply. `span` is the open
+/// Run one admitted engine op against the backend, on the connection
+/// thread that decoded it, and encode the reply. `span` is the open
 /// `server.request` span when the request carried trace context; it is
 /// finished once the response frame is built.
 fn answer(
@@ -509,7 +486,7 @@ fn answer(
     op: EngineOp,
     span: Option<ActiveSpan>,
     admitted_at: Instant,
-) -> OutFrame {
+) -> Vec<u8> {
     let span_ctx = span.as_ref().map(|s| (s.trace(), s.id()));
     let is_topk = matches!(op, EngineOp::TopK(_));
     let frame = match op {
@@ -550,9 +527,9 @@ fn answer(
         span.finish();
     }
     let t_enc = Instant::now();
-    let out = OutFrame::engine(&frame);
+    let bytes = frame.encode();
     shared.obs.encode_us.record(elapsed_us(t_enc));
-    out
+    bytes
 }
 
 /// Answer one METRICS scrape: pull every backend's counters into the
@@ -580,12 +557,11 @@ fn render_metrics(backend: &Backend, shared: &Shared) -> Result<String, (ErrCode
 /// and rendered as one structured JSON object.
 fn render_trace(shared: &Shared) -> Result<String, (ErrCode, String)> {
     let spans = shared.sink.drain();
-    let text = format!(
-        "{{\"slo\":{},\"spans\":{},\"spans_dropped\":{}}}",
-        shared.slo.status().to_json(),
-        spans_json(&spans),
-        shared.sink.dropped(),
-    );
+    let text = json::encode(&Json::Obj(vec![
+        ("slo".into(), shared.slo.status().to_json()),
+        ("spans".into(), spans_json(&spans)),
+        ("spans_dropped".into(), Json::Num(shared.sink.dropped() as f64)),
+    ]));
     if text.len() > MAX_PAYLOAD as usize {
         return Err((ErrCode::Engine, "trace dump exceeds the frame payload bound".into()));
     }
@@ -667,161 +643,93 @@ fn spawn_connection(
     shared: Arc<Shared>,
     conns: &Arc<Mutex<ConnRegistry>>,
 ) {
-    let (Ok(write_half), Ok(registry_handle)) = (stream.try_clone(), stream.try_clone()) else {
+    let Ok(registry_handle) = stream.try_clone() else {
         shared.active_conns.fetch_sub(1, Ordering::SeqCst);
         return;
     };
-    let (out_tx, out_rx) = sync_channel::<OutFrame>(REPLY_QUEUE_FRAMES);
-    let writer_shared = Arc::clone(&shared);
-    let Ok(writer) = std::thread::Builder::new()
-        .name("chronorank-net-write".to_string())
-        .spawn(move || writer_main(write_half, &out_rx, &writer_shared))
-    else {
-        // Roll back the acceptor's reservation: the decrement below lives
-        // in the reader closure, which will never run.
-        shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-        return;
-    };
-    let reader_shared = Arc::clone(&shared);
-    let reader =
-        std::thread::Builder::new().name("chronorank-net-read".to_string()).spawn(move || {
-            reader_main(stream, &backend, &out_tx, &reader_shared);
-            reader_shared.active_conns.fetch_sub(1, Ordering::SeqCst);
+    let conn_shared = Arc::clone(&shared);
+    let spawned =
+        std::thread::Builder::new().name("chronorank-net-conn".to_string()).spawn(move || {
+            connection_main(&stream, &backend, &conn_shared);
+            conn_shared.active_conns.fetch_sub(1, Ordering::SeqCst);
         });
-    if reader.is_err() {
+    let Ok(handle) = spawned else {
         // The dropped closure never ran; undo its side of the accounting.
-        // Dropping it also hung up out_tx, so the writer exits on its own.
         shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-    }
+        return;
+    };
     let mut reg = conns.lock().expect("registry lock");
     // Reap finished connections so long-lived servers don't accumulate
     // dead handles or stale stream clones.
     reg.handles.retain(|h| !h.is_finished());
     reg.streams.retain(|s| s.peer_addr().is_ok());
     reg.streams.push(registry_handle);
-    reg.handles.push(writer);
-    reg.handles.extend(reader);
+    reg.handles.push(handle);
 }
 
-fn writer_main(stream: TcpStream, frames: &Receiver<OutFrame>, shared: &Shared) {
-    let mut out = std::io::BufWriter::new(stream);
-    loop {
-        let frame = match frames.try_recv() {
-            Ok(f) => f,
-            Err(TryRecvError::Empty) => {
-                // Queue drained: flush the batch, then block for more.
-                if out.flush().is_err() {
-                    break;
-                }
-                match frames.recv() {
-                    Ok(f) => f,
-                    Err(_) => break,
-                }
-            }
-            Err(TryRecvError::Disconnected) => break,
-        };
-        let wrote = out.write_all(&frame.bytes).is_ok();
-        // The slot opens only now, after the response actually left (or
-        // irrecoverably failed).
-        if frame.releases_slot {
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-        if !wrote {
-            break;
-        }
-        shared.frames_out.fetch_add(1, Ordering::Relaxed);
-    }
-    // The writer owns the connection's end of life: flush the goodbye and
-    // actively close the socket — the registry may still hold a clone, so
-    // dropping the fd alone would leave the peer waiting — then drain
-    // until the reader has hung up (it may be blocked on a full queue),
-    // releasing the admission slots of any responses that never made it.
-    out.flush().ok();
-    if let Ok(stream) = out.into_inner() {
-        stream.shutdown(Shutdown::Both).ok();
-    }
-    while let Ok(frame) = frames.recv() {
-        if frame.releases_slot {
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-fn reader_main(
-    mut stream: TcpStream,
-    backend: &Backend,
-    out_tx: &SyncSender<OutFrame>,
-    shared: &Shared,
-) {
+/// Serve one connection until the peer hangs up, its framing is lost or a
+/// write fails. Each burst read from the socket is answered frame by
+/// frame into one `BufWriter`, flushed before the next blocking `read`:
+/// when the peer stops reading, the socket buffers fill, a write blocks,
+/// and this thread stops reading too.
+fn connection_main(stream: &TcpStream, backend: &Backend, shared: &Shared) {
+    let (mut input, mut out) = (stream, BufWriter::new(stream));
     let mut decoder = Decoder::new();
     let mut scratch = [0u8; 16 * 1024];
-    'conn: loop {
-        let n = match stream.read(&mut scratch) {
+    'conn: while out.flush().is_ok() {
+        let n = match input.read(&mut scratch) {
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
         decoder.feed(&scratch[..n]);
         loop {
             let t_dec = Instant::now();
-            let frame = match decoder.next_frame() {
-                Ok(Some(f)) => {
+            let (reply, goodbye) = match decoder.next_frame() {
+                Ok(Some(frame)) => {
                     shared.obs.decode_us.record(elapsed_us(t_dec));
-                    f
+                    shared.frames_in.fetch_add(1, Ordering::Relaxed);
+                    (dispatch(frame, backend, shared), false)
                 }
                 Ok(None) => break,
-                Err(e) => {
-                    // Framing is lost; one typed goodbye, then close.
-                    let goodbye = error_frame(0, ErrCode::BadRequest, e.to_string());
-                    out_tx.send(OutFrame::inline(&goodbye)).ok();
-                    break 'conn;
-                }
+                // Framing is lost; one typed goodbye, then close.
+                Err(e) => (error_frame(0, ErrCode::BadRequest, e.to_string()).encode(), true),
             };
-            shared.frames_in.fetch_add(1, Ordering::Relaxed);
-            if !dispatch(frame, backend, out_tx, shared) {
+            if out.write_all(&reply).is_err() {
+                break 'conn;
+            }
+            shared.frames_out.fetch_add(1, Ordering::Relaxed);
+            if goodbye {
                 break 'conn;
             }
         }
     }
-    // Stop reading only; the writer still owes the peer any buffered
-    // responses (including the typed goodbye above) and closes the
-    // socket itself once the reader has hung up.
-    stream.shutdown(Shutdown::Read).ok();
+    // Flush the goodbye, then close actively: the registry holds a clone
+    // of the socket, so dropping this thread's handle alone would leave
+    // the peer waiting.
+    out.flush().ok();
+    stream.shutdown(Shutdown::Both).ok();
 }
 
-/// Handle one decoded frame: answer it, or refuse it, and queue the reply
-/// for the writer. Returns `false` when the connection must close (the
-/// writer is gone).
-fn dispatch(
-    frame: Frame,
-    backend: &Backend,
-    out_tx: &SyncSender<OutFrame>,
-    shared: &Shared,
-) -> bool {
+/// Answer one decoded frame, or refuse it, and return the encoded reply.
+fn dispatch(frame: Frame, backend: &Backend, shared: &Shared) -> Vec<u8> {
     let id = frame.request_id;
+    let bad_request = |message: String| error_frame(id, ErrCode::BadRequest, message).encode();
     let (op, ctx) = match frame.opcode {
-        OpCode::Ping => {
-            let pong = Frame::new(OpCode::Pong, id, frame.payload);
-            return out_tx.send(OutFrame::inline(&pong)).is_ok();
-        }
+        OpCode::Ping => return Frame::new(OpCode::Pong, id, frame.payload).encode(),
         OpCode::TopK => match TopKRequest::decode_traced(&frame.payload) {
             Ok((req, ctx)) => (EngineOp::TopK(req.0), ctx),
-            Err(e) => return send_bad_request(out_tx, id, &e),
+            Err(e) => return bad_request(e.to_string()),
         },
         OpCode::AppendBatch => match crate::frame::decode_append_batch_traced(&frame.payload) {
             Ok((recs, ctx)) => (EngineOp::Append(recs), ctx),
-            Err(e) => return send_bad_request(out_tx, id, &e),
+            Err(e) => return bad_request(e.to_string()),
         },
         OpCode::Checkpoint => (EngineOp::Checkpoint, None),
         OpCode::Stats => (EngineOp::Stats, None),
         OpCode::Metrics => (EngineOp::Metrics, None),
         OpCode::Trace => (EngineOp::Trace, None),
         // A response opcode arriving at the server is a confused client.
-        other => {
-            let msg = format!("{other:?} is not a request opcode");
-            return out_tx
-                .send(OutFrame::inline(&error_frame(id, ErrCode::BadRequest, msg)))
-                .is_ok();
-        }
+        other => return bad_request(format!("{other:?} is not a request opcode")),
     };
     // Admission control: reserve an in-flight slot or answer BUSY now.
     let admitted = shared
@@ -839,7 +747,7 @@ fn dispatch(
             shared.slo.observe(0, true);
         }
         let msg = format!("{} frames in flight (limit)", shared.max_in_flight);
-        return out_tx.send(OutFrame::inline(&error_frame(id, ErrCode::Busy, msg))).is_ok();
+        return error_frame(id, ErrCode::Busy, msg).encode();
     }
     // The request joins its originating trace here: the server span's
     // parent is the *client's* span, so the cross-process tree is joined
@@ -858,16 +766,9 @@ fn dispatch(
         );
         span
     });
-    let out = answer(backend, shared, id, op, span, admitted_at);
-    // The writer releases the admission slot once the bytes reach the
-    // wire; if the connection is already gone, release it here.
-    if out_tx.send(out).is_err() {
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        return false;
-    }
-    true
-}
-
-fn send_bad_request(out_tx: &SyncSender<OutFrame>, id: u64, e: &FrameError) -> bool {
-    out_tx.send(OutFrame::inline(&error_frame(id, ErrCode::BadRequest, e.to_string()))).is_ok()
+    let reply = answer(backend, shared, id, op, span, admitted_at);
+    // The op has finished running; its slot opens before the reply is
+    // written, so admission counts running ops, not undelivered replies.
+    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+    reply
 }

@@ -293,7 +293,7 @@ fn concurrent_metrics_scrapes_stay_valid_under_traffic() {
     let server = NetServer::start_live(
         tiny_set(16),
         LiveConfig { workers: 2, ..Default::default() },
-        NetConfig { max_in_flight: 256, ..Default::default() },
+        NetConfig::default(),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -362,8 +362,9 @@ fn malformed_bytes_get_a_typed_goodbye_then_close() {
 }
 
 /// A client that writes and never reads cannot grow server memory: its
-/// PING echoes fill a bounded reply queue, its reader stops reading, and
-/// TCP pushes back until the client's write blocks. The socket's write
+/// PING echoes fill the kernel's socket buffers, the connection thread's
+/// write blocks and it stops reading, and TCP pushes back until the
+/// client's write blocks. The socket's write
 /// timeout is the only clock — a write that makes no progress for 2 s is
 /// a write the server stopped reading.
 #[test]

@@ -27,12 +27,15 @@
 //! * [`SloTracker`] — multi-window (1 s / 10 s / 60 s) burn-rate
 //!   tracking over a latency objective ([`SloObjective`]), exposed as
 //!   registry gauges and as structured JSON for the wire `TRACE` op.
+//! * [`json`] — the workspace's one JSON writer: the `TRACE` payload and
+//!   the bench JSONs are [`json::Json`] trees written by [`json::encode`].
 //!
 //! The crate depends on `std` only, so every tier (including `storage`)
 //! can use it without a cycle.
 
 #![forbid(unsafe_code)]
 
+pub mod json;
 mod metrics;
 mod recorder;
 mod registry;

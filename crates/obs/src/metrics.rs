@@ -44,7 +44,7 @@ impl Counter {
     }
 }
 
-/// A value that can go up and down (signed, set/add semantics).
+/// A point-in-time value (signed, set semantics).
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(pub(crate) Option<Arc<AtomicI64>>);
 
@@ -72,14 +72,6 @@ impl Gauge {
     #[inline]
     pub fn set_u64(&self, v: u64) {
         self.set(i64::try_from(v).unwrap_or(i64::MAX));
-    }
-
-    /// Add a (possibly negative) delta.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(d, Ordering::Relaxed);
-        }
     }
 
     /// Current value (0 for a no-op handle).
@@ -238,8 +230,7 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         let g = Gauge::new();
-        g.set(7);
-        g.add(-10);
+        g.set(-3);
         assert_eq!(g.get(), -3);
         g.set_u64(u64::MAX);
         assert_eq!(g.get(), i64::MAX);

@@ -97,7 +97,6 @@ pub struct QueryTrace {
 struct RecorderInner {
     capacity: usize,
     threshold_us: AtomicU64,
-    recorded: AtomicU64,
     ring: Mutex<VecDeque<QueryTrace>>,
 }
 
@@ -121,7 +120,6 @@ impl FlightRecorder {
         FlightRecorder(Some(Arc::new(RecorderInner {
             capacity: capacity.max(1),
             threshold_us: AtomicU64::new(threshold_us),
-            recorded: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::new()),
         })))
     }
@@ -160,7 +158,6 @@ impl FlightRecorder {
         if trace.total_us < r.threshold_us.load(Ordering::Relaxed) {
             return;
         }
-        r.recorded.fetch_add(1, Ordering::Relaxed);
         let mut ring = r.ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if ring.len() == r.capacity {
             ring.pop_front();
@@ -194,21 +191,9 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Total traces ever recorded (including ones the ring has evicted).
-    pub fn recorded(&self) -> u64 {
-        self.0.as_ref().map_or(0, |r| r.recorded.load(Ordering::Relaxed))
-    }
-
-    /// Drop every held trace (counters keep their totals).
-    pub fn clear(&self) {
-        if let Some(r) = &self.0 {
-            r.ring.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-        }
-    }
-
     /// Take-and-clear: every held trace, oldest first, leaving the ring
     /// empty. A scraper that drains never re-reports the same slow
-    /// query; `recorded()` keeps its lifetime total.
+    /// query.
     pub fn drain(&self) -> Vec<QueryTrace> {
         match &self.0 {
             Some(r) => {
@@ -245,7 +230,6 @@ mod tests {
         }
         let kept: Vec<u64> = rec.snapshot().iter().map(|t| t.total_us).collect();
         assert_eq!(kept, vec![3, 4, 5]);
-        assert_eq!(rec.recorded(), 5);
         assert_eq!(rec.len(), 3);
     }
 
@@ -281,7 +265,6 @@ mod tests {
         assert_eq!(drained, vec![1, 2], "oldest first");
         assert!(rec.is_empty(), "drain leaves the ring empty");
         assert!(rec.drain().is_empty(), "second drain sees nothing");
-        assert_eq!(rec.recorded(), 2, "lifetime total survives the drain");
         rec.record(trace(3));
         assert_eq!(rec.len(), 1, "recorder keeps working after a drain");
     }

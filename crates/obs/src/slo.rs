@@ -12,12 +12,10 @@
 //! cliff within a second, the long window filters one-off blips.
 //!
 //! [`SloTracker::observe`] is lock-free (a few relaxed atomics on a
-//! time-sliced ring) so it can sit on the wire tier's per-request path;
-//! the noop variant follows the [`crate::Registry::noop`] cost
-//! discipline — every operation is a branch on `None`.
+//! time-sliced ring) so it can sit on the wire tier's per-request path.
 
+use crate::json::Json;
 use crate::registry::Registry;
-use crate::span::write_json_str;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,15 +61,12 @@ struct TrackerInner {
 }
 
 /// Lock-free multi-window burn-rate tracker (see module docs).
-#[derive(Clone, Default)]
-pub struct SloTracker(Option<Arc<TrackerInner>>);
+#[derive(Clone)]
+pub struct SloTracker(Arc<TrackerInner>);
 
 impl std::fmt::Debug for SloTracker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SloTracker")
-            .field("noop", &self.0.is_none())
-            .field("objective", &self.0.as_ref().map(|i| i.objective))
-            .finish()
+        f.debug_struct("SloTracker").field("objective", &self.0.objective).finish()
     }
 }
 
@@ -84,7 +79,7 @@ impl SloTracker {
         } else {
             0.01
         };
-        SloTracker(Some(Arc::new(TrackerInner {
+        SloTracker(Arc::new(TrackerInner {
             objective: SloObjective { error_budget: budget, ..objective },
             epoch: Instant::now(),
             buckets: std::array::from_fn(|_| Bucket {
@@ -95,30 +90,14 @@ impl SloTracker {
                 slow: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
             }),
-        })))
-    }
-
-    /// A tracker that observes nothing; every operation is a branch on
-    /// `None`.
-    pub fn noop() -> Self {
-        SloTracker(None)
-    }
-
-    /// Whether this is a [`SloTracker::noop`] handle.
-    pub fn is_noop(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// The objective being tracked (`None` for a noop tracker).
-    pub fn objective(&self) -> Option<SloObjective> {
-        self.0.as_ref().map(|i| i.objective)
+        }))
     }
 
     /// Record one finished request. `error` marks a request that failed
     /// outright (decode error, BUSY rejection) — it burns budget
     /// regardless of latency.
     pub fn observe(&self, latency_us: u64, error: bool) {
-        let Some(inner) = &self.0 else { return };
+        let inner = &self.0;
         let sec = inner.epoch.elapsed().as_secs();
         let bucket = &inner.buckets[(sec % BUCKETS as u64) as usize];
         let tagged = bucket.sec.load(Ordering::Acquire);
@@ -143,12 +122,9 @@ impl SloTracker {
         }
     }
 
-    /// Snapshot every window's burn rate. Empty (all-zero, compliant)
-    /// for a noop tracker.
+    /// Snapshot every window's burn rate.
     pub fn status(&self) -> SloStatus {
-        let Some(inner) = &self.0 else {
-            return SloStatus { objective: SloObjective::default(), windows: Vec::new() };
-        };
+        let inner = &self.0;
         let now_sec = inner.epoch.elapsed().as_secs();
         let windows = SLO_WINDOWS_S
             .iter()
@@ -186,11 +162,7 @@ impl SloTracker {
     /// window. [`crate::Gauge`] is integer-valued, so burn rates are
     /// exposed in **milli-units** (`1000` = burning exactly at budget).
     pub fn sync_gauges(&self, registry: &Registry) {
-        let status = self.status();
-        if self.0.is_none() {
-            return;
-        }
-        for w in &status.windows {
+        for w in &self.status().windows {
             let window = format!("{}s", w.window_s);
             let labels: &[(&str, &str)] = &[("window", &window)];
             let burn_milli = (w.burn_rate * 1000.0).min(i64::MAX as f64) as i64;
@@ -248,7 +220,7 @@ pub struct WindowStatus {
 pub struct SloStatus {
     /// The objective the windows are measured against.
     pub objective: SloObjective,
-    /// One entry per [`SLO_WINDOWS_S`] window (empty for noop trackers).
+    /// One entry per [`SLO_WINDOWS_S`] window.
     pub windows: Vec<WindowStatus>,
 }
 
@@ -258,42 +230,32 @@ impl SloStatus {
         self.windows.iter().all(|w| w.compliant)
     }
 
-    /// Render as a structured JSON object (the `slo` half of the wire
-    /// `TRACE` op payload).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"objective\":{{\"p99_target_us\":{},\"error_budget\":{}}},\"healthy\":{},\"windows\":[",
-            self.objective.p99_target_us,
-            json_num(self.objective.error_budget),
-            self.healthy(),
-        );
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let mut name = String::new();
-            write_json_str(&format!("{}s", w.window_s), &mut name);
-            out.push_str(&format!(
-                "{{\"window\":{name},\"window_s\":{},\"total\":{},\"slow\":{},\"errors\":{},\
-                 \"burn_rate\":{},\"compliant\":{}}}",
-                w.window_s,
-                w.total,
-                w.slow,
-                w.errors,
-                json_num(w.burn_rate),
-                w.compliant,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn json_num(f: f64) -> String {
-    if f.is_finite() {
-        format!("{f}")
-    } else {
-        "null".to_string()
+    /// As a structured JSON object (the `slo` half of the wire `TRACE`
+    /// op payload; [`crate::json::encode`] writes it).
+    pub fn to_json(&self) -> Json {
+        let field = |k: &str, v: Json| (k.to_string(), v);
+        let window = |w: &WindowStatus| {
+            Json::Obj(vec![
+                field("window", Json::Str(format!("{}s", w.window_s))),
+                field("window_s", Json::Num(w.window_s as f64)),
+                field("total", Json::Num(w.total as f64)),
+                field("slow", Json::Num(w.slow as f64)),
+                field("errors", Json::Num(w.errors as f64)),
+                field("burn_rate", Json::Num(w.burn_rate)),
+                field("compliant", Json::Bool(w.compliant)),
+            ])
+        };
+        Json::Obj(vec![
+            field(
+                "objective",
+                Json::Obj(vec![
+                    field("p99_target_us", Json::Num(self.objective.p99_target_us as f64)),
+                    field("error_budget", Json::Num(self.objective.error_budget)),
+                ]),
+            ),
+            field("healthy", Json::Bool(self.healthy())),
+            field("windows", Json::Arr(self.windows.iter().map(window).collect())),
+        ])
     }
 }
 
@@ -373,22 +335,10 @@ mod tests {
     }
 
     #[test]
-    fn noop_tracker_observes_nothing() {
-        let t = SloTracker::noop();
-        t.observe(u64::MAX, true);
-        assert!(t.status().windows.is_empty());
-        assert!(t.status().healthy());
-        assert!(t.is_noop());
-        let r = Registry::new();
-        t.sync_gauges(&r);
-        assert!(r.render().is_empty(), "noop tracker must not register gauges");
-    }
-
-    #[test]
     fn json_shape_is_stable() {
         let t = SloTracker::new(SloObjective { p99_target_us: 2_500, error_budget: 0.02 });
         t.observe(10, false);
-        let json = t.status().to_json();
+        let json = crate::json::encode(&t.status().to_json());
         assert!(json.starts_with("{\"objective\":{\"p99_target_us\":2500,\"error_budget\":0.02}"));
         assert!(json.contains("\"window\":\"1s\""));
         assert!(json.contains("\"compliant\":true"));
@@ -398,10 +348,10 @@ mod tests {
     #[test]
     fn degenerate_budget_is_clamped() {
         let t = SloTracker::new(SloObjective { p99_target_us: 100, error_budget: 0.0 });
-        assert_eq!(t.objective().unwrap().error_budget, 0.01);
+        assert_eq!(t.status().objective.error_budget, 0.01);
         let t = SloTracker::new(SloObjective { p99_target_us: 100, error_budget: f64::NAN });
-        assert_eq!(t.objective().unwrap().error_budget, 0.01);
+        assert_eq!(t.status().objective.error_budget, 0.01);
         let t = SloTracker::new(SloObjective { p99_target_us: 100, error_budget: 7.0 });
-        assert_eq!(t.objective().unwrap().error_budget, 1.0);
+        assert_eq!(t.status().objective.error_budget, 1.0);
     }
 }

@@ -24,6 +24,7 @@
 //! cost discipline as [`crate::Registry::noop`]: every operation on a
 //! noop sink is a branch on `None`.
 
+use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -135,16 +136,6 @@ impl AttrList {
     /// Attributes in attachment order.
     pub fn iter(&self) -> impl Iterator<Item = &(&'static str, AttrValue)> {
         self.slots[..self.len as usize].iter().filter_map(Option::as_ref)
-    }
-
-    /// Number of attached attributes.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True when no attribute is attached.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -386,65 +377,34 @@ impl ActiveSpan {
     }
 }
 
-/// Render spans as one structured JSON array (the payload of the net
-/// tier's `TRACE` wire op, parseable by the bench harness's JSON reader).
-/// Ids are fixed-width hex **strings** — a u64 does not survive an `f64`
-/// JSON number — and every attribute keeps its type.
-pub fn spans_json(spans: &[Span]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"trace\":\"{}\",\"span\":\"{}\",\"parent\":{},\"name\":",
-            s.trace.hex(),
-            s.id.hex(),
-            match s.parent {
-                Some(p) => format!("\"{}\"", p.hex()),
-                None => "null".to_string(),
-            },
-        ));
-        write_json_str(s.name, &mut out);
-        out.push_str(&format!(
-            ",\"seq\":{},\"start_us\":{},\"duration_us\":{},\"attrs\":{{",
-            s.seq, s.start_us, s.duration_us
-        ));
-        for (j, (k, v)) in s.attrs.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write_json_str(k, &mut out);
-            out.push(':');
-            match v {
-                AttrValue::U64(n) => out.push_str(&n.to_string()),
-                AttrValue::F64(f) if f.is_finite() => out.push_str(&format!("{f}")),
-                AttrValue::F64(_) => out.push_str("null"),
-                AttrValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                AttrValue::Str(s) => write_json_str(s, &mut out),
-                AttrValue::Sym(s) => write_json_str(s, &mut out),
-            }
-        }
-        out.push_str("}}");
-    }
-    out.push(']');
-    out
-}
-
-pub(crate) fn write_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Spans as one structured JSON array (the `spans` of the net tier's
+/// `TRACE` wire op; [`crate::json::encode`] writes it). Ids are
+/// fixed-width hex **strings** — a u64 does not survive an `f64` JSON
+/// number — and every attribute keeps its type.
+pub fn spans_json(spans: &[Span]) -> Json {
+    let span = |s: &Span| {
+        let attrs = s.attrs.iter().map(|(k, v)| {
+            let v = match v {
+                AttrValue::U64(n) => Json::Num(*n as f64),
+                AttrValue::F64(f) => Json::Num(*f),
+                AttrValue::Bool(b) => Json::Bool(*b),
+                AttrValue::Str(s) => Json::Str(s.to_string()),
+                AttrValue::Sym(s) => Json::Str(s.to_string()),
+            };
+            (k.to_string(), v)
+        });
+        Json::Obj(vec![
+            ("trace".into(), Json::Str(s.trace.hex())),
+            ("span".into(), Json::Str(s.id.hex())),
+            ("parent".into(), s.parent.map_or(Json::Null, |p| Json::Str(p.hex()))),
+            ("name".into(), Json::Str(s.name.into())),
+            ("seq".into(), Json::Num(s.seq as f64)),
+            ("start_us".into(), Json::Num(s.start_us as f64)),
+            ("duration_us".into(), Json::Num(s.duration_us as f64)),
+            ("attrs".into(), Json::Obj(attrs.collect())),
+        ])
+    };
+    Json::Arr(spans.iter().map(span).collect())
 }
 
 #[cfg(test)]
@@ -553,7 +513,7 @@ mod tests {
         child.attr("nan", AttrValue::F64(f64::NAN));
         child.finish();
         span.finish();
-        let json = spans_json(&sink.drain());
+        let json = crate::json::encode(&spans_json(&sink.drain()));
         assert!(json.contains(&format!("\"trace\":\"{}\"", trace.hex())));
         assert!(json.contains("\"parent\":null"));
         assert!(json.contains("\"route\":\"EXACT\\\"1\\\"\""));
@@ -561,6 +521,6 @@ mod tests {
         assert!(json.contains("\"eps\":0.25"));
         assert!(json.contains("\"hit\":true"));
         assert!(json.contains("\"nan\":null"));
-        assert_eq!(spans_json(&[]), "[]");
+        assert_eq!(crate::json::encode(&spans_json(&[])), "[]");
     }
 }

@@ -79,7 +79,6 @@ fn recorder_survives_concurrent_record_snapshot_drain() {
     // Final drain picks up whatever the background drainer missed.
     drained_total.fetch_add(rec.drain().len() as u64, Ordering::Relaxed);
     let expected = (WRITERS as u64) * PER_WRITER;
-    assert_eq!(rec.recorded(), expected, "every record call was counted");
     let drained = drained_total.load(Ordering::Relaxed);
     assert!(
         drained <= expected,
