@@ -23,13 +23,16 @@
 #                     the ones tests/obs_counts.rs pins (spans, heap
 #                     allocations and metric updates per query, bytes per
 #                     span slot — what telemetry costs, as counts that
-#                     repeat rather than a timing) and the ones
+#                     repeat rather than a timing), the ones
 #                     crates/net/tests/thread_counts.rs pins (wire-server
 #                     threads with 3 connections, 4 = the acceptor + one
-#                     per connection, and after shutdown, 0), plus the
+#                     per connection, and after shutdown, 0) and the one
+#                     tests/stab_reads.rs pins (blocks 100 cold Meme stabs
+#                     read, at most a third of lo-order packing), plus the
 #                     sleeps and yields in tests/ and crates/*/tests (must
-#                     be 0: tests wait on events, not time), echoed into
-#                     the summary below the timings — and below a failure
+#                     be 0: tests wait on events, not time) — 17 lines,
+#                     echoed into the summary below the timings — and
+#                     below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
 #                     shared-snapshot engines race for real cores (and a
@@ -90,7 +93,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, test waits)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, test waits)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -210,7 +213,8 @@ doc_stage() {
 tier1_stage() {
     cargo build --release
     PINNED_COUNTS=$(cargo test -q -p chronorank -p chronorank-net --test resident_build_counts \
-        --test streaming_build_counts --test obs_counts --test thread_counts -- --nocapture \
+        --test streaming_build_counts --test obs_counts --test thread_counts --test stab_reads \
+        -- --nocapture \
         2> /dev/null | grep '^pinned:' || true)
     # Tests wait on events, not time: none may sleep or yield.
     local waits

@@ -17,9 +17,11 @@
 //! object's aggregate, and a size-`k` heap finishes the query. This is 2–3
 //! orders of magnitude fewer IOs than EXACT1/EXACT2 at large `m` (paper
 //! Figures 13–14). The `m/B` term is a layout property, not a given: the
-//! bulk loader packs leaves by `hi` inside self-sized `lo` runs, and a
-//! stab then reads ≈ 1.5× its `⌈alive/B⌉` output leaves on Temp and ≈ 4×
-//! on Meme, where one long segment per leaf used to drag in 18× (see
+//! bulk loader packs leaves by `hi` inside self-sized `lo` runs, and sends
+//! segments longer than 8× the typical length to runs of their own length
+//! band. A stab then reads ≈ 1.5× its `⌈alive/B⌉` output leaves on Temp,
+//! and on Meme ≈ 0.3× of what pure `lo` order reads (≈ 0.4× with one
+//! stream of runs), because long tails no longer widen every run (see
 //! `chronorank_index`'s interval module, "the output term").
 //!
 //! Objects whose domain does not cover a stab time contribute `0` (before
@@ -109,8 +111,8 @@ impl Exact3 {
     /// materialized (the paper's construction preamble: its data sits on
     /// disk in object order): one external sort on `lo` in runs of
     /// `sort_budget_bytes` (`O((N/B) log_B N)` IOs), one leaf-fill-1.0 bulk
-    /// load. Peak memory is one sort run, one loader run (≤ 256 leaves), one
-    /// fence per leaf and the per-object `(start, end, total)` triples
+    /// load. Peak memory is one sort run, the loader's open runs (≤ 256
+    /// whole leaves between them), one fence per leaf and the per-object `(start, end, total)` triples
     /// collected in the push loop (`24·m` bytes; it refuses ids out of
     /// `0, 1, 2, …` order) — never the full entry set. The build ends by
     /// writing the tree back and emptying its pool: the index keeps no frame.
@@ -171,8 +173,8 @@ impl Exact3 {
 
     /// The one loader loop: `(lo, hi, payload)` entries in `lo` order — a
     /// sorted stream's or a resident set's merge — straight into the
-    /// interval tree's leaf-fill-1.0 bulk loader, which holds one run
-    /// (≤ 256 leaves) and one fence per leaf.
+    /// interval tree's leaf-fill-1.0 bulk loader, which holds its open runs
+    /// (≤ 256 whole leaves between them) and one fence per leaf.
     fn load(
         env: &Env,
         generation: u32,

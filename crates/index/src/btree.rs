@@ -387,7 +387,8 @@ impl BPlusTree {
 /// * Leaves are allocated and written in key order, so leaf page ids are
 ///   physically sequential and the `next` chain never seeks backwards.
 /// * Construction memory is one leaf buffer plus one fence per sealed leaf
-///   (a [`FenceSpill`] nobody budgets; see [`crate::IntervalBulkLoader`]).
+///   (a [`FenceSpill`] nobody budgets; it stays only while the benchmark's
+///   adapter pins the type).
 pub struct BulkLoader {
     file: PagedFile,
     value_len: usize,

@@ -1,12 +1,12 @@
 //! Budget-spilled fence queues for bottom-up bulk loads.
 //!
-//! Both bulk loaders in this crate ([`crate::BulkLoader`] and
-//! [`crate::IntervalBulkLoader`]) write their leaves at **fill rate 1.0**
-//! as the sorted stream arrives and remember one small *fence* per sealed
-//! leaf — `(separator key, page)` for the B+-tree, `(min lo, max hi, page)`
-//! for the interval tree. When `finish` runs, the fences become the bottom
-//! input of the `while level.len() > 1` stacking loop that writes the
-//! inner levels.
+//! The B+-tree bulk loader ([`crate::BulkLoader`]) writes its leaves at
+//! **fill rate 1.0** as the sorted stream arrives and remembers one small
+//! *fence* per sealed leaf — `(separator key, page)`. When `finish` runs,
+//! the fences become the bottom input of the `while level.len() > 1`
+//! stacking loop that writes the inner levels. (The interval loader writes
+//! leaves out of `min_lo` order, so it keeps its fences in a plain `Vec`
+//! and sorts them before stacking.)
 //!
 //! At bench scale the fence list is the *only* part of a bulk load whose
 //! memory footprint grows with `N`: one 24-byte record per leaf, i.e.
@@ -23,13 +23,12 @@
 //!
 //! * **Order-preserving**: [`FenceSpill::replay`] yields records in exactly
 //!   the order they were pushed — the in-memory prefix first, then the
-//!   spilled suffix. Bulk loaders push fences in leaf-allocation order, so
-//!   replay order equals the order the old all-in-memory `Vec` had.
+//!   spilled suffix.
 //! * **Bit-for-bit neutral**: the scratch file is a *separate* file from
 //!   the tree under construction, so spilling never perturbs the tree
 //!   file's allocation sequence. A budgeted bulk load writes a
 //!   byte-identical tree file to an unbudgeted one (asserted by tests in
-//!   this module and in `btree`/`interval`).
+//!   this module and in `btree`).
 //! * The budget bounds the fence *queue* only; the loader's one-leaf write
 //!   buffer and the per-level chunk buffer (≤ fanout records) are O(B).
 

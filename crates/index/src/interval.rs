@@ -10,12 +10,14 @@
 //!
 //! * **leaves** are written at fill rate 1.0 as the sorted stream arrives
 //!   ([`IntervalBulkLoader`], the sweep-bptree pattern: never insert, only
-//!   append). The stream is cut into **runs** of whole leaves; inside a
-//!   run the entries are dealt to leaves by `hi`, each leaf keeps its
-//!   entries in `lo` order, and the leaves are written in `min_lo` order;
-//! * **inner levels** are stacked bottom-up; an inner node stores, per
-//!   child, the page id plus two fences — the child subtree's minimum
-//!   `lo` and maximum `hi` (a B-tree-order max-augmented interval tree);
+//!   append). The stream is split by length into a main stream and one
+//!   stream per length band of outlier-long entries, and each stream is cut
+//!   into **runs** of whole leaves; inside a run the entries are dealt to
+//!   leaves by `hi`, and each leaf keeps its entries in `lo` order;
+//! * **inner levels** are stacked bottom-up over the leaves sorted by
+//!   `min_lo`; an inner node stores, per child, the page id plus two
+//!   fences — the child subtree's minimum `lo` and maximum `hi` (a
+//!   B-tree-order max-augmented interval tree);
 //! * a **stab** at `t` walks the tree with an explicit work stack,
 //!   descending exactly into subtrees with `min_lo ≤ t ≤ max_hi`. Leaves
 //!   scan their lo-ascending prefix while `lo ≤ t` and report entries with
@@ -27,18 +29,40 @@
 //! leaves and `R` = the leaves one longest interval spans in `lo` order
 //! (`longest × density / B`), a stab pays its `⌈hits/B⌉` output plus
 //! ≈ `R/w` clipped leaves plus ≈ `w`, least at `w² = R`. Substituting `R`
-//! and `w` leaves = `w·B/density` of `lo` turns `w² = R` into the rule the
-//! loader closes a run by, with no constant to tune:
+//! and `w` leaves = `w·B/density` of `lo` turns `w² = R` into the rule a
+//! run closes by, with no constant to tune:
 //! `leaves × (last_lo − first_lo) ≥ longest interval in the run`.
+//!
+//! That rule lets the longest entry set the width of every run, which is
+//! wrong when lengths span orders of magnitude: on Meme (records bunch
+//! after an object's birth and thin out in its tail) a few long tails
+//! widen each run, and each older run they outlive keeps one mostly dead
+//! leaf that every later stab reads. So the loader holds one open run
+//! **per stream**. An entry longer than 8× the median length of the main
+//! stream's last closed run goes to the run of its band `⌊log₈ len⌋`;
+//! every other entry goes to the main run. Each run closes by the rule
+//! above, so long tails land in leaves full of long-lived entries, and a
+//! query's two stabs often share those leaves. At `finish` each band run
+//! writes its whole leaves and its partial rest joins the main run, which
+//! closes last: the tree has one partial leaf, `⌈N/B⌉` leaves in all, the
+//! size a single stream would write. Leaves are written as runs close, so
+//! their fences are sorted by `min_lo` before the inner levels are
+//! stacked; inner nodes stay in `min_lo` order, which a stab's early exit
+//! needs. Data of one length scale (Temp, Stock, random walks) never
+//! divert and write the bytes a single stream writes.
+//!
 //! Measured in cold blocks per stab against `⌈hits/B⌉` (pure `lo` order
-//! in brackets): 31 vs 21.7 on a Temp shard of m = 2000 (46), 50 vs 13 on
-//! Meme at m = 29 850 (240); a shared tick grid (Stock, random walks)
-//! makes the two orders equal and the file the same to the byte.
+//! in brackets): 31 vs 21.7 on a Temp shard of m = 2000 (46); on Meme
+//! (m = 4000, 100 probes, `tests/stab_reads.rs`) 1,012 blocks where one
+//! stream read 1,377 (3,350); EXACT3 on the benchmark's `paper_build`
+//! (Meme, m = 29 850, two stabs a query) ≈ 65 blocks a query where one
+//! stream read ≈ 99.
 //!
 //! Nothing here recurses: the build and the stab are loops over explicit
-//! stacks and a run is capped at `RUN_CAP_LEAVES`, so degenerate inputs
-//! (all-identical intervals, fully nested endpoint chains) cannot blow the
-//! call stack or the run buffer no matter how large `N` grows.
+//! stacks and the open runs share a cap of `RUN_CAP_LEAVES`, so
+//! degenerate inputs (all-identical intervals, fully nested endpoint
+//! chains) cannot blow the call stack or the run buffers no matter how
+//! large `N` grows.
 //!
 //! **Appends** (the paper's right-edge update model) go to a chained tail
 //! of blocks scanned lineally by stabs; [`IntervalTree::needs_rebuild`]
@@ -49,7 +73,6 @@
 //! half-open semantics (EXACT3 does, to get exactly one entry per object)
 //! dedupe at shared endpoints.
 
-use crate::bulk::FenceSpill;
 use crate::error::{IndexError, Result};
 use crate::extsort::total_order_bits;
 use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
@@ -98,31 +121,62 @@ pub struct IntervalTree {
     main_count: u64,
 }
 
-/// A run never buffers more leaves than this (1 MiB of 4 KiB blocks), so
-/// all-equal `lo` keys cannot grow it without bound.
+/// The open runs together never hold more whole leaves than this (1 MiB
+/// of 4 KiB blocks), so all-equal `lo` keys cannot grow them without bound.
 const RUN_CAP_LEAVES: usize = 256;
+
+/// An entry longer than this many times the median length of the main
+/// stream's last closed run is sent to its band's stream; a band spans one
+/// power of the same factor (module docs: "the output term").
+const DIVERT: f64 = 8.0;
+
+/// The band of a diverted length: `⌊log₈ len⌋`.
+fn band_of(len: f64) -> i32 {
+    (len.log2().floor() as i32).div_euclid(3)
+}
+
+/// One stream's open run: `entry_len` records in push (= `lo`) order.
+#[derive(Default)]
+struct Run {
+    entries: Vec<u8>,
+    /// Longest `hi − lo` among them.
+    longest: f64,
+}
+
+impl Run {
+    /// Whole leaves among the entries, for leaves of `leaf_bytes`.
+    fn whole_leaves(&self, leaf_bytes: usize) -> usize {
+        self.entries.len() / leaf_bytes
+    }
+}
 
 /// Streaming bottom-up builder: push entries in **nondecreasing `lo`
 /// order** (an [`crate::ExternalSorter`] stream, typically) and leaves are
 /// written at fill 1.0 as their run closes (module docs: "the output
 /// term"); [`IntervalBulkLoader::finish`] stacks the inner levels over the
-/// collected fences and returns the ready tree. Memory held during the
-/// build is one run (≤ 256 leaves; twice that while it closes, entries
-/// beside their leaf pages) plus one 24-byte fence per leaf (`O(N/B)`),
-/// shrinking by the inner fanout per level.
-/// ([`FenceSpill`] can cap the fence term, but no caller budgets it: the
-/// type stays only while `benchmark/src/adapter.rs` pins it, and goes when
-/// a `[benchmark]` PR re-pins.)
+/// collected fences and returns the ready tree.
+///
+/// Memory held during the build: the open runs buffer at most 256 whole
+/// leaves of entries between them plus one partial leaf per stream —
+/// the cap counts every stream's leaves together, so a many-band input
+/// cannot multiply it, and a band's buffer is freed when its run empties.
+/// A closing run holds its entries beside their leaf pages, twice its own
+/// size. Beside the runs, one 24-byte fence per leaf (`O(N/B)`), shrinking
+/// by the inner fanout per level.
 pub struct IntervalBulkLoader {
     file: PagedFile,
     payload_len: usize,
-    /// The open run: `entry_len` records in push (= `lo`) order.
-    run: Vec<u8>,
-    /// Longest `hi − lo` in the open run.
-    longest: f64,
+    /// The main stream's open run.
+    main: Run,
+    /// One open run per band `⌊log₈ len⌋` of diverted entries, in opening
+    /// order; a band leaves the list when its run empties.
+    bands: Vec<(i32, Run)>,
+    /// Entries longer than this divert: [`DIVERT`] × the median length of
+    /// the main stream's last closed run (∞ until its first close).
+    divert_above: f64,
     buf: Vec<u8>,
-    /// `(min_lo, max_hi, page)` of every written leaf, in `min_lo` order.
-    fences: FenceSpill,
+    /// `(page, min_lo, max_hi)` of every written leaf, in write order.
+    fences: Vec<(PageId, f64, f64)>,
     count: u64,
     last_lo: f64,
 }
@@ -145,15 +199,51 @@ impl IntervalBulkLoader {
         let meta = file.allocate(1)?;
         debug_assert_eq!(meta, 0);
         Ok(Self {
-            run: Vec::new(),
-            longest: 0.0,
+            main: Run::default(),
+            bands: Vec::new(),
+            divert_above: f64::INFINITY,
             buf: vec![0u8; block],
-            fences: FenceSpill::unbounded(),
+            fences: Vec::new(),
             count: 0,
             last_lo: f64::NEG_INFINITY,
             file,
             payload_len,
         })
+    }
+
+    /// `(entry bytes, entries per leaf)`.
+    fn shape(&self) -> (usize, usize) {
+        let elen = IntervalTree::entry_len(self.payload_len);
+        (elen, IntervalTree::entries_per_block(self.file.block_size(), self.payload_len))
+    }
+
+    /// Stream `0` is the main one, stream `i ≥ 1` is `bands[i − 1]`.
+    fn run_mut(&mut self, stream: usize) -> &mut Run {
+        match stream {
+            0 => &mut self.main,
+            band => &mut self.bands[band - 1].1,
+        }
+    }
+
+    /// Every open run, in stream order.
+    fn runs(&self) -> impl Iterator<Item = &Run> {
+        std::iter::once(&self.main).chain(self.bands.iter().map(|(_, run)| run))
+    }
+
+    /// The stream an entry of length `len` goes to, opening its band's
+    /// run if it diverts to a band with none.
+    fn stream_of(&mut self, len: f64) -> usize {
+        if len <= self.divert_above {
+            return 0;
+        }
+        let band = band_of(len);
+        match self.bands.iter().position(|&(b, _)| b == band) {
+            Some(i) => i + 1,
+            None => {
+                self.bands.push((band, Run::default()));
+                self.bands.len()
+            }
+        }
     }
 
     /// Append the next entry; `lo` must be ≥ every previously pushed `lo`.
@@ -175,34 +265,70 @@ impl IntervalBulkLoader {
             )));
         }
         self.last_lo = lo;
-        self.run.extend_from_slice(&lo.to_le_bytes());
-        self.run.extend_from_slice(&hi.to_le_bytes());
-        self.run.extend_from_slice(payload);
-        self.longest = self.longest.max(hi - lo);
         self.count += 1;
-        let epb = IntervalTree::entries_per_block(self.file.block_size(), self.payload_len);
-        let in_run = self.run.len() / IntervalTree::entry_len(self.payload_len);
+        let len = hi - lo;
+        let stream = self.stream_of(len);
+        let (elen, epb) = self.shape();
+        let run = self.run_mut(stream);
+        run.entries.extend_from_slice(&lo.to_le_bytes());
+        run.entries.extend_from_slice(&hi.to_le_bytes());
+        run.entries.extend_from_slice(payload);
+        run.longest = run.longest.max(len);
+        let in_run = run.entries.len() / elen;
         if in_run.is_multiple_of(epb) {
-            let leaves = in_run / epb;
-            let width = lo - get_f64(&self.run, 0);
-            if leaves == RUN_CAP_LEAVES || leaves as f64 * width >= self.longest {
-                self.close_run()?;
+            let width = lo - get_f64(&run.entries, 0);
+            if (in_run / epb) as f64 * width >= run.longest {
+                self.close(stream)?;
+            } else if self.runs().map(|r| r.whole_leaves(epb * elen)).sum::<usize>()
+                >= RUN_CAP_LEAVES
+            {
+                // The cap: the stream holding the most whole leaves (the
+                // earliest on a tie) writes them.
+                let fullest = (0..)
+                    .zip(self.runs())
+                    .max_by_key(|&(i, r)| (r.whole_leaves(epb * elen), std::cmp::Reverse(i)))
+                    .map_or(0, |(i, _)| i);
+                self.close(fullest)?;
             }
         }
         Ok(())
     }
 
-    /// Write the open run: deal its entries to leaves by `hi` (a stable
-    /// sort of `(hi, index)` pairs, not of the records), then copy them out
-    /// in `lo` (= index) order, each to its leaf. Every leaf so holds its
-    /// entries in `lo` order, and writing the leaves in first-touch order
-    /// keeps the fence sequence nondecreasing in `min_lo`.
-    fn close_run(&mut self) -> Result<()> {
+    /// Write the whole leaves of `stream`'s open run; a partial leaf stays
+    /// open. A main-stream close resets the divert threshold, and a band
+    /// whose run empties leaves the list.
+    fn close(&mut self, stream: usize) -> Result<()> {
+        let (elen, epb) = self.shape();
+        let mut run = std::mem::take(self.run_mut(stream));
+        let whole = run.whole_leaves(epb * elen) * epb * elen;
+        let median = self.write_leaves(&run.entries[..whole])?;
+        if stream == 0 {
+            self.divert_above = DIVERT * median;
+        }
+        run.entries.drain(..whole);
+        run.longest = run
+            .entries
+            .chunks_exact(elen)
+            .map(|e| get_f64(e, 8) - get_f64(e, 0))
+            .fold(0.0, f64::max);
+        if stream > 0 && run.entries.is_empty() {
+            self.bands.remove(stream - 1);
+        } else {
+            *self.run_mut(stream) = run;
+        }
+        Ok(())
+    }
+
+    /// Write `entries` (records in `lo` order) as leaves: deal them to
+    /// leaves by `hi` (a stable sort of `(hi, index)` pairs, not of the
+    /// records), then copy them out in `lo` (= index) order, each to its
+    /// leaf, so every leaf holds its entries in `lo` order. Returns the
+    /// entries' median length (the upper one; ∞ for none), selected in the
+    /// pair buffer once the dealing is done with it.
+    fn write_leaves(&mut self, entries: &[u8]) -> Result<f64> {
         let block = self.file.block_size();
-        let elen = IntervalTree::entry_len(self.payload_len);
-        let epb = IntervalTree::entries_per_block(block, self.payload_len);
-        let mut order: Vec<(u64, u32)> = self
-            .run
+        let (elen, epb) = self.shape();
+        let mut order: Vec<(u64, u32)> = entries
             .chunks_exact(elen)
             .zip(0..)
             .map(|(e, i)| (total_order_bits(get_f64(e, 8)), i))
@@ -216,7 +342,7 @@ impl IntervalBulkLoader {
         let mut pages = vec![0u8; leaves * block];
         let mut filled = vec![0usize; leaves];
         let mut touched: Vec<(usize, f64)> = Vec::with_capacity(leaves);
-        for (entry, &leaf) in self.run.chunks_exact(elen).zip(&leaf_of) {
+        for (entry, &leaf) in entries.chunks_exact(elen).zip(&leaf_of) {
             let leaf = leaf as usize;
             if filled[leaf] == 0 {
                 touched.push((leaf, get_f64(entry, 0)));
@@ -229,14 +355,20 @@ impl IntervalBulkLoader {
             put_u32(buf, 0, LEAF_MAGIC);
             put_u32(buf, 4, filled[leaf] as u32);
             let (_, last) = order[leaf * epb + filled[leaf] - 1];
-            let max_hi = get_f64(&self.run, last as usize * elen + 8);
+            let max_hi = get_f64(entries, last as usize * elen + 8);
             let page = self.file.allocate(1)?;
             self.file.write(page, buf)?;
-            self.fences.push(min_lo, max_hi, page)?;
+            self.fences.push((page, min_lo, max_hi));
         }
-        self.run.clear();
-        self.longest = 0.0;
-        Ok(())
+        // Lengths are ≥ +0, so their raw bits order as the lengths do.
+        for (pair, e) in order.iter_mut().zip(entries.chunks_exact(elen)) {
+            pair.0 = (get_f64(e, 8) - get_f64(e, 0)).to_bits();
+        }
+        if order.is_empty() {
+            return Ok(f64::INFINITY);
+        }
+        let mid = order.len() / 2;
+        Ok(f64::from_bits(order.select_nth_unstable(mid).1 .0))
     }
 
     /// Entries pushed so far.
@@ -269,34 +401,41 @@ impl IntervalBulkLoader {
         Ok((page, min_lo, max_hi))
     }
 
-    /// Close the last run, stack the inner levels bottom-up, persist the
-    /// metadata page, and return the finished tree.
+    /// Close the open runs — each band's whole leaves, then the main run
+    /// with every band's partial rest merged in by `lo`, so the tree's one
+    /// partial leaf is the last written — stack the inner levels bottom-up
+    /// over the leaves in `min_lo` order, persist the metadata page, and
+    /// return the finished tree.
     pub fn finish(mut self) -> Result<IntervalTree> {
-        self.close_run()?;
-        let per_inner = (self.file.block_size() - INNER_HDR) / FENCE_LEN;
-        // The leaf-fence level is the only one that can exceed a fence
-        // budget: stream it out of the (possibly spilled) queue chunk by
-        // chunk. Levels above shrink by the inner fanout and fit in memory.
-        let fences = std::mem::replace(&mut self.fences, FenceSpill::unbounded());
-        let single_leaf = fences.len() <= 1;
-        let mut replay = fences.replay()?;
-        let mut level: Vec<(PageId, f64, f64)> = Vec::new();
-        let mut chunk: Vec<(PageId, f64, f64)> = Vec::with_capacity(per_inner);
-        loop {
-            let item = replay.next()?;
-            if let Some((lo, hi, page)) = item {
-                chunk.push((page, lo, hi));
-            }
-            if single_leaf {
-                level.append(&mut chunk);
-            } else if chunk.len() == per_inner || (item.is_none() && !chunk.is_empty()) {
-                level.push(self.write_inner(&chunk)?);
-                chunk.clear();
-            }
-            if item.is_none() {
-                break;
-            }
+        let (elen, epb) = self.shape();
+        let mut last = std::mem::take(&mut self.main.entries);
+        let main_len = last.len();
+        for (_, run) in std::mem::take(&mut self.bands) {
+            let whole = run.whole_leaves(epb * elen) * epb * elen;
+            self.write_leaves(&run.entries[..whole])?;
+            last.extend_from_slice(&run.entries[whole..]);
         }
+        if last.len() > main_len {
+            let mut order: Vec<(u64, u32)> = last
+                .chunks_exact(elen)
+                .zip(0..)
+                .map(|(e, i)| (total_order_bits(get_f64(e, 0)), i))
+                .collect();
+            order.sort_unstable();
+            last = order
+                .iter()
+                .flat_map(|&(_, i)| &last[i as usize * elen..][..elen])
+                .copied()
+                .collect();
+        }
+        self.write_leaves(&last)?;
+        let per_inner = (self.file.block_size() - INNER_HDR) / FENCE_LEN;
+        // Ties keep write order, so a single stream's fences (written in
+        // `min_lo` order) stay as they are.
+        let mut level = std::mem::take(&mut self.fences);
+        level.sort_unstable_by(|a, b| {
+            a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+        });
         while level.len() > 1 {
             let mut next = Vec::with_capacity(level.len().div_ceil(per_inner));
             for group in level.chunks(per_inner) {
@@ -375,16 +514,19 @@ impl IntervalTree {
         Ok(())
     }
 
-    /// Open a tree previously built in `file`.
+    /// Open a tree previously built in `file`. A metadata page that cannot
+    /// describe a tree in this file — an entry wider than a block, a page
+    /// id past its end, counts that do not add up — is refused as
+    /// [`IndexError::Corrupt`].
     pub fn open(file: PagedFile) -> Result<Self> {
-        let mut buf = vec![0u8; file.block_size()];
+        let block = file.block_size();
+        let mut buf = vec![0u8; block];
         file.read(0, &mut buf)?;
         if get_u32(&buf, 0) != META_MAGIC {
             return Err(IndexError::Corrupt("not an interval-tree file".into()));
         }
-        let payload_len = get_u32(&buf, 4) as usize;
-        Ok(Self {
-            payload_len,
+        let tree = Self {
+            payload_len: get_u32(&buf, 4) as usize,
             root: get_u64(&buf, 8),
             n: get_u64(&buf, 16),
             tail_head: get_u64(&buf, 24),
@@ -392,7 +534,35 @@ impl IntervalTree {
             tail_count: get_u64(&buf, 40),
             main_count: get_u64(&buf, 48),
             file,
-        })
+        };
+        if TAIL_HDR + Self::entry_len(tree.payload_len) > block {
+            return Err(IndexError::Corrupt(format!(
+                "a {}-byte payload does not fit a {block}-byte block",
+                tree.payload_len
+            )));
+        }
+        let blocks = tree.file.num_blocks();
+        if let Some(id) =
+            [tree.root, tree.tail_head, tree.tail_last].into_iter().find(|&id| id >= blocks)
+        {
+            return Err(IndexError::Corrupt(format!("page {id} past the file's {blocks} blocks")));
+        }
+        if tree.main_count.checked_add(tree.tail_count) != Some(tree.n) {
+            return Err(IndexError::Corrupt(format!(
+                "{} main + {} tail entries != {}",
+                tree.main_count, tree.tail_count, tree.n
+            )));
+        }
+        Ok(tree)
+    }
+
+    /// A node's entry count, refused as corrupt past the block's `capacity`.
+    fn node_count(buf: &[u8], capacity: usize) -> Result<usize> {
+        let count = get_u32(buf, 4) as usize;
+        if count > capacity {
+            return Err(IndexError::Corrupt(format!("node holds {count} > {capacity} entries")));
+        }
+        Ok(count)
     }
 
     /// Total entries (static tree + tail).
@@ -436,6 +606,7 @@ impl IntervalTree {
     pub fn stab(&self, t: f64, visit: &mut dyn FnMut(f64, f64, &[u8])) -> Result<()> {
         let block = self.file.block_size();
         let elen = Self::entry_len(self.payload_len);
+        let epb = Self::entries_per_block(block, self.payload_len);
         let mut buf = vec![0u8; block];
         let mut stack: Vec<PageId> = Vec::new();
         let root = self.root;
@@ -446,7 +617,7 @@ impl IntervalTree {
             self.file.read(page, &mut buf)?;
             match get_u32(&buf, 0) {
                 INNER_MAGIC => {
-                    let count = get_u32(&buf, 4) as usize;
+                    let count = Self::node_count(&buf, (block - INNER_HDR) / FENCE_LEN)?;
                     for i in 0..count {
                         let off = INNER_HDR + i * FENCE_LEN;
                         let min_lo = get_f64(&buf, off + 8);
@@ -461,8 +632,7 @@ impl IntervalTree {
                     }
                 }
                 LEAF_MAGIC => {
-                    let count = get_u32(&buf, 4) as usize;
-                    for i in 0..count {
+                    for i in 0..Self::node_count(&buf, epb)? {
                         let off = TAIL_HDR + i * elen;
                         let lo = get_f64(&buf, off);
                         if lo > t {
@@ -484,8 +654,7 @@ impl IntervalTree {
             if get_u32(&buf, 0) != TAIL_MAGIC {
                 return Err(IndexError::Corrupt("bad tail block magic".into()));
             }
-            let cnt = get_u32(&buf, 4) as usize;
-            for i in 0..cnt {
+            for i in 0..Self::node_count(&buf, epb)? {
                 let off = TAIL_HDR + i * elen;
                 let lo = get_f64(&buf, off);
                 let hi = get_f64(&buf, off + 8);
@@ -553,6 +722,7 @@ impl IntervalTree {
 mod tests {
     use super::*;
     use chronorank_storage::{Env, StoreConfig};
+    use std::collections::BTreeSet;
 
     fn env() -> Env {
         Env::mem(StoreConfig { block_size: 256, pool_capacity: 64 })
@@ -574,52 +744,167 @@ mod tests {
         (0u32..).zip(entries).filter(|(_, e)| e.0 <= t && t <= e.1).map(|(i, _)| i).collect()
     }
 
+    /// The `min_lo` fences of each inner level, root level first, and the
+    /// number of leaves under them.
+    fn inner_levels(tree: &IntervalTree) -> (Vec<Vec<f64>>, usize) {
+        let mut buf = vec![0u8; tree.file.block_size()];
+        let (mut levels, mut leaves) = (Vec::new(), 0);
+        let mut level = if tree.root == 0 { vec![] } else { vec![tree.root] };
+        while !level.is_empty() {
+            let (mut fences, mut next) = (Vec::new(), Vec::new());
+            for page in level {
+                tree.file.read(page, &mut buf).unwrap();
+                if get_u32(&buf, 0) == LEAF_MAGIC {
+                    leaves += 1;
+                    continue;
+                }
+                for i in 0..get_u32(&buf, 4) as usize {
+                    next.push(get_u64(&buf, INNER_HDR + i * FENCE_LEN));
+                    fences.push(get_f64(&buf, INNER_HDR + i * FENCE_LEN + 8));
+                }
+            }
+            if !fences.is_empty() {
+                levels.push(fences);
+            }
+            level = next;
+        }
+        (levels, leaves)
+    }
+
     #[test]
-    fn budgeted_bulk_load_is_bit_identical() {
-        // Spilling leaf fences to scratch must not change one byte of the
-        // tree file, and every stab must equal brute force: around one
-        // block (B = 12 entries here), over many runs, and on the shapes
-        // that hold a run open — to the cap when every `lo` is equal.
+    fn every_stream_shape_loads_one_partial_leaf_in_min_lo_order() {
+        // B = 12 entries a leaf here. Around one block and over many runs;
+        // the shapes that hold a run open (to the cap when every `lo` is
+        // equal); and the shapes that divert: a heavy tail over two bands,
+        // a band that stops qualifying when the median grows past it,
+        // zero and subnormal lengths (a zero median diverts every nonzero
+        // one), and equal `lo` over many bands, where only the shared cap
+        // closes band runs. Each input names the distinct bands it must
+        // divert to at least; 0 marks one length scale, which diverts none.
+        type Shape = (String, Vec<(f64, f64)>, usize);
         let e = env();
         let ramp = |n: u32| (0..n).map(|i| ((i / 2) as f64, (i / 2 + 5 + i % 7) as f64)).collect();
-        let mut inputs: Vec<(String, Vec<(f64, f64)>)> =
-            [0u32, 1, 11, 12, 13, 900].iter().map(|&n| (format!("ramp{n}"), ramp(n))).collect();
+        let mut inputs: Vec<Shape> =
+            [0u32, 1, 11, 12, 13, 900].iter().map(|&n| (format!("ramp{n}"), ramp(n), 0)).collect();
         let n = (RUN_CAP_LEAVES as u32 + 40) * 12 + 5;
-        inputs.push(("equal_lo".into(), (0..n).map(|i| (3.0, 3.0 + (i % 37) as f64)).collect()));
-        inputs.push(("equal_interval".into(), (0..n).map(|_| (1.0, 2.0)).collect()));
-        inputs.push(("nested".into(), (0..n).map(|i| (i as f64, (2 * n - i) as f64)).collect()));
-        for (name, entries) in &inputs {
-            let mut plain =
-                IntervalBulkLoader::new(e.create_file(&format!("plain_{name}")).unwrap(), 4)
+        let mut push = |name: &str, entries: Vec<(f64, f64)>, bands| {
+            inputs.push((name.into(), entries, bands));
+        };
+        push("equal_lo", (0..n).map(|i| (3.0, 3.0 + (i % 37) as f64)).collect(), 0);
+        push("equal_interval", (0..n).map(|_| (1.0, 2.0)).collect(), 0);
+        push("nested", (0..n).map(|i| (i as f64, (2 * n - i) as f64)).collect(), 0);
+        push("uniform", (0..n).map(|i| (i as f64 * 0.7, i as f64 * 0.7 + 10.0)).collect(), 0);
+        let tail = |i: u32| match (i % 53, i % 17) {
+            (0, _) => 5000.0,
+            (_, 0) => 100.0,
+            _ => 1.0 + (i % 5) as f64 * 0.1,
+        };
+        push(
+            "heavy_tail",
+            (0..6000).map(|i| (i as f64 * 0.1, i as f64 * 0.1 + tail(i))).collect(),
+            2,
+        );
+        let late = |i: u32| if i.is_multiple_of(10) { 100.0 } else { 1.0 + i as f64 / 100.0 };
+        push("stops_qualifying", (0..8000).map(|i| (i as f64, i as f64 + late(i))).collect(), 1);
+        let sub = |i: u32| if i.is_multiple_of(5) { 1u64 << (i % 45) } else { 0 };
+        let subnormal = (0..8000u32)
+            .map(|i| (f64::from_bits(i as u64 / 2), f64::from_bits(i as u64 / 2 + sub(i))))
+            .collect();
+        push("zero_and_subnormal", subnormal, 2);
+        let wide =
+            |i: u32| if i.is_multiple_of(4) { 1.1 * 8f64.powi((i / 4 % 20) as i32) } else { 0.5 };
+        push("equal_lo_many_bands", (0..4 * n).map(|i| (3.0, 3.0 + wide(i))).collect(), 10);
+
+        for (name, entries, bands) in &inputs {
+            let mut loader =
+                IntervalBulkLoader::new(e.create_file(&format!("tree_{name}")).unwrap(), 4)
                     .unwrap();
-            let mut tight =
-                IntervalBulkLoader::new(e.create_file(&format!("tight_{name}")).unwrap(), 4)
-                    .unwrap();
-            tight.fences =
-                FenceSpill::budgeted(e.create_file(&format!("scratch_{name}")).unwrap(), 3)
-                    .unwrap();
+            let leaf = 12 * IntervalTree::entry_len(4);
+            let (mut diverted, mut stopped) = (BTreeSet::new(), BTreeSet::new());
             for (i, &(lo, hi)) in (0u32..).zip(entries) {
-                plain.push(lo, hi, &i.to_le_bytes()).unwrap();
-                tight.push(lo, hi, &i.to_le_bytes()).unwrap();
+                let band = band_of(hi - lo);
+                if hi - lo > loader.divert_above {
+                    diverted.insert(band);
+                } else if diverted.contains(&band) {
+                    stopped.insert(band);
+                }
+                loader.push(lo, hi, &i.to_le_bytes()).unwrap();
+                let buffered: usize = loader.runs().map(|r| r.entries.len()).sum();
+                let streams = 1 + loader.bands.len();
+                assert!(buffered <= (RUN_CAP_LEAVES + streams) * leaf, "{name}: {buffered} bytes");
             }
-            let ta = plain.finish().unwrap();
-            let tb = tight.finish().unwrap();
-            assert_eq!(ta.file.num_blocks(), tb.file.num_blocks(), "{name}");
-            let block = ta.file.block_size();
-            let (mut ba, mut bb) = (vec![0u8; block], vec![0u8; block]);
-            let mut leaves = 0;
-            for id in 0..ta.file.num_blocks() {
-                ta.file.read(id, &mut ba).unwrap();
-                tb.file.read(id, &mut bb).unwrap();
-                assert_eq!(ba, bb, "block {id} differs on {name}");
-                leaves += (get_u32(&ba, 0) == LEAF_MAGIC) as usize;
+            if *bands == 0 {
+                assert!(diverted.is_empty(), "{name} opened band streams {diverted:?}");
             }
-            assert_eq!(leaves, entries.len().div_ceil(12), "{name}: leaves stay at fill 1.0");
+            assert!(diverted.len() >= *bands, "{name}: bands {diverted:?}");
+            if name == "stops_qualifying" {
+                assert!(!stopped.is_empty(), "{name}: the median never outgrew a band");
+            }
+            let tree = loader.finish().unwrap();
+            let (levels, leaves) = inner_levels(&tree);
+            assert_eq!(leaves, entries.len().div_ceil(12), "{name}: one partial leaf");
+            for fences in &levels {
+                assert!(fences.is_sorted(), "{name}: an inner level leaves min_lo order");
+            }
             let last = entries.last().map_or(0.0, |e| e.0);
-            for probe in [0.0, 1.5, 3.0, 3.5, 21.0, 100.0, 449.0, last, last + 7.0, 1e6] {
-                assert_eq!(stab_tags(&ta, probe), brute_tags(entries, probe), "{name} t={probe}");
-                assert_eq!(stab_tags(&tb, probe), brute_tags(entries, probe), "{name} t={probe}");
+            let ends = entries.iter().step_by(entries.len() / 16 + 1).flat_map(|e| [e.0, e.1]);
+            let fixed = [0.0, 1.5, 3.0, 3.5, 21.0, 100.0, 449.0, last, last + 7.0, 1e6];
+            for probe in fixed.into_iter().chain(ends) {
+                assert_eq!(stab_tags(&tree, probe), brute_tags(entries, probe), "{name} t={probe}");
             }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_meta_page_or_node_count_is_refused_not_trusted() {
+        // Every field of the meta page, and the count of an inner, a leaf
+        // and a tail block, patched to a value no tree here can have:
+        // `open` refuses the first kind and the first stab the second.
+        let e = env();
+        let built = |name: &str| {
+            let entries = (0..100).map(|i| entry(i as f64, i as f64 + 3.0, i)).collect();
+            let mut tree = IntervalTree::build(e.create_file(name).unwrap(), 4, entries).unwrap();
+            tree.append(200.0, 201.0, &7u32.to_le_bytes()).unwrap();
+            tree.flush().unwrap();
+            let IntervalTree { file, root, tail_head, .. } = tree;
+            (file, root, tail_head)
+        };
+        let patch = |file: &PagedFile, page: PageId, off: usize, value: u64| {
+            let mut buf = vec![0u8; file.block_size()];
+            file.read(page, &mut buf).unwrap();
+            match off {
+                4 => put_u32(&mut buf, off, value as u32),
+                _ => put_u64(&mut buf, off, value),
+            };
+            file.write(page, &buf).unwrap();
+        };
+        let (file, ..) = built("probe");
+        let past_end = file.num_blocks();
+        for (off, value) in [
+            (4, 5000),
+            (8, past_end),
+            (16, 102),
+            (24, past_end),
+            (32, past_end + 7),
+            (40, 2),
+            (48, 99),
+        ] {
+            let (file, ..) = built(&format!("meta{off}"));
+            patch(&file, 0, off, value);
+            let opened = IntervalTree::open(file);
+            assert!(matches!(opened, Err(IndexError::Corrupt(_))), "meta offset {off}");
+        }
+        for node in ["inner", "leaf", "tail"] {
+            let (file, root, tail_head) = built(node);
+            let page = match node {
+                "inner" => root,
+                "leaf" => 1,
+                _ => tail_head,
+            };
+            patch(&file, page, 4, 1 << 20);
+            let tree = IntervalTree::open(file).unwrap();
+            let stabbed = tree.stab(5.0, &mut |_, _, _| {});
+            assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "{node} count");
         }
     }
 

@@ -24,10 +24,12 @@
 //! created their file, which is how the benchmark harness measures the
 //! paper's "I/Os" columns.
 //!
-//! Both bulk loaders queue their per-leaf fences — the only `O(N/B)`
-//! memory term in a bulk load — in a [`FenceSpill`], which can spill past
-//! a budget and replay in order; no loader constructor budgets it, and the
-//! type stays public only while `benchmark/src/adapter.rs` pins it.
+//! Each bulk loader keeps its per-leaf fences — the only `O(N/B)` memory
+//! term in a bulk load — in memory: the interval loader in a `Vec` it
+//! sorts by `min_lo` at `finish`, the B+-tree loader in a [`FenceSpill`],
+//! which can spill past a budget and replay in order; no loader
+//! constructor budgets it, and the type stays public only while
+//! `benchmark/src/adapter.rs` pins it.
 
 #![forbid(unsafe_code)]
 

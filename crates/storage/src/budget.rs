@@ -24,7 +24,8 @@
 //! bulk loader writes leaves through a pool. A tree build returns its pool
 //! share: `Exact1` / `Exact3::build_streaming` end by writing the tree back
 //! and emptying its pool. Outside the budget, by design, live the bulk
-//! loader's run (≤ 256 leaves, twice that while it closes), one 24-byte
+//! loader's open runs (≤ 256 whole leaves between them plus a partial
+//! leaf per stream, a run twice its size while it closes), one 24-byte
 //! fence per leaf and the per-object state (EXACT3's 24-byte triples, the
 //! B2 sweep's 64-byte slots); `tests/streaming_build_counts.rs` pins it.
 

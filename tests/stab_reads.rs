@@ -1,9 +1,14 @@
-//! Tier-1 read gate (ISSUE 18): a cold stab of the interval tree reads the
-//! leaves its answer lives in, not every leaf between `t − (longest
-//! segment nearby)` and `t`. On a heavy-tailed set the loader's `hi`-packed
-//! runs must at least halve what pure `lo`-order packing reads — a count
-//! this test derives from the same entries, so it fails on any loader that
-//! goes back to `lo` order.
+//! Tier-1 read gate: a cold stab of the
+//! interval tree reads the leaves its answer lives in, not every leaf
+//! between `t − (longest segment nearby)` and `t`. On a heavy-tailed set
+//! the loader's `hi`-packed runs, with outlier-long segments in runs of
+//! their own length band, must read at most a third of what pure
+//! `lo`-order packing reads — a count this test derives from the same
+//! entries. One stream of runs (every segment in the main run) read 1,377
+//! blocks against 3,350 and fails it; `lo` order fails it by far.
+//!
+//! The count repeats exactly, so it is printed as a `pinned:` line before
+//! it is asserted; `ci.sh`'s `tier1` stage echoes it into its summary.
 
 use chronorank::index::IntervalBulkLoader;
 use chronorank::storage::{Env, StoreConfig};
@@ -33,7 +38,7 @@ fn lo_order_fences(entries: &[(f64, f64)]) -> Vec<(f64, f64)> {
 }
 
 #[test]
-fn a_cold_stab_reads_at_most_half_of_what_lo_order_packing_would() {
+fn a_cold_stab_reads_at_most_a_third_of_what_lo_order_packing_would() {
     let set = MemeGenerator::new(MemeConfig { objects: 4000, ..Default::default() }).generate_set();
     let mut entries: Vec<(f64, f64)> =
         set.objects().iter().flat_map(|o| o.curve.segments().map(|s| (s.t0, s.t1))).collect();
@@ -60,9 +65,10 @@ fn a_cold_stab_reads_at_most_half_of_what_lo_order_packing_would() {
         hits += stabbed;
         lo_order += fences.iter().filter(|f| f.0 <= t && t <= f.1).count();
     }
+    println!("pinned: blocks 100 cold Meme stabs read: {reads} (lo-order packing: {lo_order})");
     assert!(hits >= 100 * PER_LEAF, "the probes must have an output term: {hits} hits");
     assert!(
-        2 * reads <= lo_order as u64,
+        3 * reads <= lo_order as u64,
         "100 cold stabs read {reads} blocks; lo-order packing visits {lo_order}"
     );
 }

@@ -6,8 +6,9 @@
 //! build three counts are pinned:
 //!
 //! 1. peak heap above the pre-build level: the budget, plus what lives
-//!    outside it — the bulk loader's run (≤ 256 leaves, twice that while it
-//!    closes), one 24-byte fence per leaf and the per-object state (EXACT3's
+//!    outside it — the bulk loader's open runs (≤ 256 whole leaves between
+//!    them, a run twice its size while it closes), one 24-byte fence per
+//!    leaf and the per-object state (EXACT3's
 //!    `(start, end, total)`, the B2 sweep's 64-byte slot);
 //! 2. heap the built index holds: that per-object state and no pool frame;
 //! 3. blocks a `drop_caches()` right after the build writes: none, because
@@ -25,7 +26,7 @@ mod counting;
 #[global_allocator]
 static GLOBAL: counting::Counting = counting::Counting;
 
-/// Leaves the interval loader's run buffers at most.
+/// Whole leaves the interval loader's open runs buffer at most.
 const RUN_LEAVES: u64 = 256;
 /// Bytes per leaf fence.
 const FENCE: u64 = 24;
