@@ -9,7 +9,7 @@
 #                          rules applied to `git show <rev>:<file>` — the one
 #                          command a CHANGES entry quotes for lines and knobs
 #
-# Stages (9):
+# Stages (8):
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
 #   clippy            cargo clippy -D warnings        (whole workspace, all targets)
 #   doc               cargo doc --no-deps             (RUSTDOCFLAGS="-D warnings")
@@ -28,11 +28,17 @@
 #                     threads with 3 connections, 4 = the acceptor + one
 #                     per connection, and after shutdown, 0) and the one
 #                     tests/stab_reads.rs pins (blocks 100 cold Meme stabs
-#                     read, at most a third of lo-order packing), plus the
-#                     sleeps and yields in tests/ and crates/*/tests (must
-#                     be 0: tests wait on events, not time) — 17 lines,
-#                     echoed into the summary below the timings — and
-#                     below a failure
+#                     read, at most a third of lo-order packing), the ones
+#                     tests/paper_claims.rs pins (per generator — Temp,
+#                     Meme, Stock at N ≈ 10⁵ — cold reads per query of
+#                     EXACT1 / EXACT3 / APPX1 / APPX2 / APPX2+ against the
+#                     paper's EXACT3 bound, and APPX precision, ratio and
+#                     worst error vs EXACT3; then the blocks 64 Zipf
+#                     queries read solo against one execute window), plus
+#                     the sleeps and yields in tests/ and crates/*/tests
+#                     (must be 0: tests wait on events, not time) — 24
+#                     lines, echoed into the summary below the timings —
+#                     and below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
 #                     shared-snapshot engines race for real cores (and a
@@ -47,11 +53,6 @@
 #                     bench itself exits nonzero unless EXACT3 beats EXACT1
 #                     in per-query cold IO and the BREAKPOINTS2 sweep held
 #                     at most m segments)
-#   rescore-smoke     paper-bench rescore --quick     (columnar batch
-#                     rescoring vs the scalar row walk, and execute
-#                     windows vs solo queries; the bench asserts bit-
-#                     identical checksums and exits nonzero unless
-#                     columnar >= scalar and batched W=64 >= solo)
 #   benchmark-smoke   benchmark/run.sh --quick        (the standalone
 #                     BENCHMARK.json package still builds against the
 #                     crates' public API and every workload — in-process
@@ -93,7 +94,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, test waits)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/paper_claims.rs, test waits)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -209,13 +210,14 @@ doc_stage() {
 # The counts a CHANGES entry quotes from this log instead of re-measuring.
 # Collected first and tolerant of failure: the test prints each count before
 # asserting it, so one that trips its pin still reaches the failure summary;
-# the workspace run below is what fails the stage.
+# the workspace run below is what fails the stage. `-o`: under `-q` a line
+# can follow another test's progress dot.
 tier1_stage() {
     cargo build --release
     PINNED_COUNTS=$(cargo test -q -p chronorank -p chronorank-net --test resident_build_counts \
         --test streaming_build_counts --test obs_counts --test thread_counts --test stab_reads \
-        -- --nocapture \
-        2> /dev/null | grep '^pinned:' || true)
+        --test paper_claims -- --nocapture \
+        2> /dev/null | grep -o 'pinned:.*' || true)
     # Tests wait on events, not time: none may sleep or yield.
     local waits
     waits=$(grep -rnE 'thread::(sleep|yield_now)' tests crates/*/tests || true)
@@ -257,16 +259,6 @@ paperscale_smoke() {
         --out target/paper-bench-smoke
 }
 
-# The rescore bench enforces its own gates by exit code: the columnar
-# kernel must not lose to the scalar row walk, and batched execution at
-# W=64 must not lose to solo queries (both after asserting bit-identical
-# answers/checksums).
-rescore_smoke() {
-    CHRONORANK_RESCORE_JSON=target/BENCH_RESCORE_ci.json \
-        cargo run --release -q -p chronorank-bench --bin paper_bench -- rescore --quick \
-        --out target/paper-bench-smoke
-}
-
 # benchmark/ is a workspace of its own that tier1 never compiles; this
 # is the only stage that notices when a crate change breaks it.
 benchmark_smoke() {
@@ -281,7 +273,6 @@ stage tier1            tier1_stage
 stage agreement-w8     agreement_w8
 stage obs-smoke        obs_smoke
 stage paperscale-smoke paperscale_smoke
-stage rescore-smoke    rescore_smoke
 stage benchmark-smoke  benchmark_smoke
 
 print_timings

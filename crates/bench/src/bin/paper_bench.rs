@@ -5,7 +5,7 @@
 //! paper-bench <figure> [options]
 //!
 //! figures: fig3 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20
-//!          ablation paperscale rescore all
+//!          ablation paperscale all
 //! options:
 //!   --m N         base object count            (default 800)
 //!   --navg N      base segments per object     (default 250)
@@ -89,7 +89,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         eprintln!(
-            "usage: paper-bench <fig3|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|ablation|paperscale|rescore|all> \
+            "usage: paper-bench <fig3|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|fig19|fig20|ablation|paperscale|all> \
              [--m N] [--navg N] [--r N] [--kmax N] [--k N] [--queries N] [--meme-m N] [--out DIR] [--quick] [--budget-mb N] [--paper]"
         );
         std::process::exit(2);
@@ -143,7 +143,6 @@ fn main() {
         "fig19" | "fig20" => fig19_20(&opts),
         "ablation" => ablation(&opts),
         "paperscale" => paperscale(&opts),
-        "rescore" => rescore(&opts),
         "all" => {
             fig3(&opts);
             fig11(&opts);
@@ -155,7 +154,6 @@ fn main() {
             fig18(&opts);
             fig19_20(&opts);
             ablation(&opts);
-            rescore(&opts);
         }
         other => {
             eprintln!("unknown figure {other}");
@@ -1101,199 +1099,6 @@ fn paperscale(opts: &Opts) {
     println!(
         "paperscale gate OK: EXACT3 < EXACT1, APPX < EXACT3 and EXACT3 ≤ 2·(log_B N + m/B) \
          where gated, B2 holds ≤ m segments"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Rescore: columnar kernels + shared-probe batch execution (BENCH_RESCORE.json)
-// ---------------------------------------------------------------------------
-
-/// Benchmark the two batching layers of the read path and self-gate them
-/// by exit code:
-///
-/// * **kernel** — every object of a Temp dataset rescored over the
-///   paper's random query windows, scalar (`PiecewiseLinear::integral`,
-///   one pointer-chased curve at a time) against columnar
-///   (`ColumnarTail::integral_batch` streaming the PAX `t`/`v` arrays).
-///   The two checksums must agree to the last bit (the agreement suites
-///   prove the same per element), so the contest is purely throughput.
-/// * **execution** — one Zipf-skewed approximate stream served solo
-///   (`query`) and in admission windows of W ∈ {1, 8, 64}
-///   (`execute`) with result caches **off**, so the windows' repeated
-///   hotspots are amortized by shared probes alone, never by cache hits.
-///
-/// Gates, checked after `BENCH_RESCORE.json` is written: columnar kernel
-/// throughput ≥ scalar, and batched W=64 QPS ≥ solo QPS.
-fn rescore(opts: &Opts) {
-    use chronorank_obs::SpanSink;
-    use chronorank_serve::{ServeConfig, ServeEngine, ServeQuery};
-    use chronorank_workloads::{IntervalPattern, QueryWorkload, QueryWorkloadConfig};
-
-    const EPS_BUDGET: f64 = 0.2;
-    const WINDOW_SIZES: [usize; 3] = [1, 8, 64];
-
-    // --- kernel: scalar vs columnar batch rescoring ----------------------
-    // Kernel sizing is decoupled from --m: the point columns must overflow
-    // L2 (a couple of MiB) so the schedule contrast is visible — the
-    // row-path loop re-streams every curve once per window, the columnar
-    // object-major traversal loads each candidate's run once and scores
-    // all windows against it while it is cache-hot.
-    let kernel_m = 1600;
-    let kset = temp_dataset(kernel_m, opts.navg, 42);
-    let columns = kset.to_columnar();
-    let windows = queries(&kset, opts.queries.max(8), 0.2, opts.k);
-    let ids: Vec<u32> = (0..columns.num_objects()).map(|i| i as u32).collect();
-    let reps = if opts.quick { 2 } else { 3 };
-    println!(
-        "# rescore kernel: m = {kernel_m}, N = {} segments, {} windows × {} reps (best-of)",
-        kset.num_segments(),
-        windows.len(),
-        reps,
-    );
-
-    let mut scalar_secs = f64::INFINITY;
-    let mut scalar_sum = 0.0f64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut acc = 0.0f64;
-        for q in &windows {
-            for o in kset.objects() {
-                acc += o.curve.integral(q.t1, q.t2);
-            }
-        }
-        scalar_secs = scalar_secs.min(t0.elapsed().as_secs_f64());
-        scalar_sum = acc;
-    }
-    let wins: Vec<(f64, f64)> = windows.iter().map(|q| (q.t1, q.t2)).collect();
-    let mut columnar_secs = f64::INFINITY;
-    let mut columnar_sum = 0.0f64;
-    let mut scores = Vec::new();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        scores.clear();
-        columns.integral_multi(&ids, &wins, &mut scores);
-        // Row-major output summed in index order = the scalar loop's
-        // window-major add order, so the checksums must collide exactly.
-        let mut acc = 0.0f64;
-        for &s in &scores {
-            acc += s;
-        }
-        columnar_secs = columnar_secs.min(t0.elapsed().as_secs_f64());
-        columnar_sum = acc;
-    }
-    // Same per-element bits and the same left-to-right add order, so the
-    // checksums must collide exactly — this doubles as the end-to-end
-    // bit-identity assertion at bench scale.
-    assert_eq!(
-        scalar_sum.to_bits(),
-        columnar_sum.to_bits(),
-        "columnar kernel drifted from the scalar path"
-    );
-    let rescans = (kset.objects().len() * windows.len()) as f64;
-    let scalar_per_sec = rescans / scalar_secs.max(1e-9);
-    let columnar_per_sec = rescans / columnar_secs.max(1e-9);
-    let kernel_speedup = columnar_per_sec / scalar_per_sec.max(1e-9);
-    println!(
-        "kernel: scalar {scalar_per_sec:.0} rescans/s, columnar {columnar_per_sec:.0} rescans/s \
-         ({kernel_speedup:.2}x), checksums bit-identical"
-    );
-
-    // --- execution: solo vs batched admission windows --------------------
-    let set = temp_dataset(opts.m, opts.navg, 42);
-    let count = if opts.quick { 256 } else { 1024 };
-    let k = opts.k.min(opts.kmax);
-    println!(
-        "# rescore batch: m = {}, N = {} segments, {} Zipf queries",
-        set.objects().len(),
-        set.num_segments(),
-        count,
-    );
-    let workload = QueryWorkload::new(
-        QueryWorkloadConfig {
-            count,
-            span_fraction: 0.2,
-            k,
-            seed: 11,
-            pattern: IntervalPattern::Zipf { hotspots: 8, exponent: 1.0, background: 0.1 },
-        },
-        set.t_min(),
-        set.t_max(),
-    );
-    let as_query = |q: &QueryInterval| ServeQuery::approx(q.t1, q.t2, q.k, EPS_BUDGET);
-    // Caches OFF: solo repeats may not hide behind the result cache, so
-    // batching has to win on shared probes and amortized scatter alone.
-    let engine =
-        ServeEngine::new(&set, ServeConfig { workers: 2, cache_capacity: 0, ..Default::default() })
-            .expect("build engine");
-    let stream: Vec<ServeQuery> = workload.generate().iter().map(as_query).collect();
-    // One warmup pass so every timed pass reads hot buffer pools.
-    for q in &stream {
-        engine.query(*q).expect("warmup");
-    }
-    let t0 = Instant::now();
-    for q in &stream {
-        engine.query(*q).expect("solo query");
-    }
-    let solo_qps = stream.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-
-    let mut table = Table::new(
-        "Rescore — shared-probe batch execution (Zipf stream, caches off)",
-        &["window W", "q/s", "speedup vs solo"],
-    );
-    table.row(vec!["solo".to_string(), format!("{solo_qps:.0}"), "1.00x".to_string()]);
-    let mut series = Vec::new();
-    let mut qps_by_window = Vec::new();
-    for w in WINDOW_SIZES {
-        let batches: Vec<Vec<ServeQuery>> =
-            workload.windows(w).iter().map(|win| win.iter().map(as_query).collect()).collect();
-        let t0 = Instant::now();
-        for win in &batches {
-            engine.execute(win, None, &SpanSink::noop()).expect("window");
-        }
-        let qps = stream.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-        let speedup = qps / solo_qps.max(1e-9);
-        table.row(vec![w.to_string(), format!("{qps:.0}"), format!("{speedup:.2}x")]);
-        series.push(format!(
-            "      {{\"window\": {w}, \"qps\": {qps:.1}, \"speedup_vs_solo\": {speedup:.3}}}"
-        ));
-        qps_by_window.push(qps);
-    }
-    table.print();
-    table.write_csv(&opts.out, "rescore_batch").expect("csv");
-    let batch64_qps = qps_by_window[WINDOW_SIZES.len() - 1];
-    let batch64_speedup = batch64_qps / solo_qps.max(1e-9);
-
-    let columnar_ok = columnar_per_sec >= scalar_per_sec;
-    let batch_ok = batch64_qps >= solo_qps;
-    let json = format!(
-        "{{\n  \"harness\": \"chronorank-rescore-bench\",\n  \"quick\": {},\n  \"scenario\": {{\n    \
-         \"dataset\": \"temp\", \"m\": {}, \"n_segments\": {}, \"k\": {k},\n    \
-         \"kernel_m\": {kernel_m}, \"kernel_windows\": {}, \"kernel_reps\": {reps},\n    \
-         \"zipf_stream\": {{\"queries\": {count}, \"hotspots\": 8, \"exponent\": 1.0, \
-         \"background\": 0.1, \"eps_budget\": {EPS_BUDGET}}}\n  }},\n  \
-         \"note\": \"kernel rescans every object over every window: scalar walks one PiecewiseLinear at a time, columnar streams the PAX t/v arrays through integral_batch; the checksums are asserted bit-identical before any timing counts. batch serves the same Zipf stream with result caches OFF, so W=64 windows win by probing each snapped group once per shard and fanning the shared answer out — one scatter per shard per window instead of per query.\",\n  \
-         \"kernel\": {{\n    \"scalar_rescans_per_sec\": {scalar_per_sec:.1},\n    \
-         \"columnar_rescans_per_sec\": {columnar_per_sec:.1},\n    \
-         \"columnar_speedup\": {kernel_speedup:.3},\n    \"bit_identical\": true\n  }},\n  \
-         \"batch\": {{\n    \"workers\": 2, \"solo_qps\": {solo_qps:.1},\n    \"series\": [\n{}\n    ],\n    \
-         \"batch64_speedup_over_solo\": {batch64_speedup:.3}\n  }},\n  \
-         \"gates\": {{\"columnar_ge_scalar\": {columnar_ok}, \"batch64_ge_solo\": {batch_ok}}}\n}}\n",
-        opts.quick,
-        set.objects().len(),
-        set.num_segments(),
-        windows.len(),
-        series.join(",\n"),
-    );
-    write_bench_json("RESCORE", &json);
-    if !(columnar_ok && batch_ok) {
-        eprintln!(
-            "rescore gate FAILED: columnar_ge_scalar = {columnar_ok} ({kernel_speedup:.2}x), \
-             batch64_ge_solo = {batch_ok} ({batch64_speedup:.2}x)"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "rescore gates OK: columnar {kernel_speedup:.2}x scalar, batch-64 {batch64_speedup:.2}x solo"
     );
 }
 

@@ -138,7 +138,7 @@ pub fn measure_queries(
         ios += built.method.io_stats().reads;
         if let Some(truth) = truth {
             prec += metrics::precision(&truth[i], &answer);
-            ratio += metrics::approximation_ratio(set, &answer, q.t1, q.t2).mean;
+            ratio += metrics::approximation_ratio(set, &answer, q.t1, q.t2).expect("ratio").mean;
         }
     }
     let n = qs.len().max(1) as f64;

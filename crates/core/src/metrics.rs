@@ -10,6 +10,7 @@
 
 use crate::object::TemporalSet;
 use crate::topk::TopK;
+use crate::Result;
 
 /// `|A ∩ Ã| / |A|`. With both answers of size `k`, precision = recall
 /// (paper: "the precision and the recall will have the same denominator").
@@ -36,8 +37,15 @@ pub struct RatioStats {
 }
 
 /// Approximation ratios `σ̃_i / σ_i` for every object the approximate
-/// answer returned, with `σ_i` recomputed exactly from the set.
-pub fn approximation_ratio(set: &TemporalSet, approx: &TopK, t1: f64, t2: f64) -> RatioStats {
+/// answer returned, with `σ_i` recomputed exactly from the set. An id the
+/// set does not hold is an error ([`crate::CoreError::NoSuchObject`]), not
+/// a skipped object.
+pub fn approximation_ratio(
+    set: &TemporalSet,
+    approx: &TopK,
+    t1: f64,
+    t2: f64,
+) -> Result<RatioStats> {
     let mut sum = 0.0;
     let mut n = 0usize;
     let mut min = f64::INFINITY;
@@ -45,7 +53,7 @@ pub fn approximation_ratio(set: &TemporalSet, approx: &TopK, t1: f64, t2: f64) -
     let mut skipped = 0usize;
     let scale = set.total_mass().max(1.0);
     for &(id, approx_score) in approx.entries() {
-        let truth = set.score(id, t1, t2).unwrap_or(0.0);
+        let truth = set.score(id, t1, t2)?;
         if truth.abs() <= 1e-12 * scale {
             skipped += 1;
             continue;
@@ -57,9 +65,9 @@ pub fn approximation_ratio(set: &TemporalSet, approx: &TopK, t1: f64, t2: f64) -
         max = max.max(ratio);
     }
     if n == 0 {
-        return RatioStats { mean: 1.0, min: 1.0, max: 1.0, skipped };
+        return Ok(RatioStats { mean: 1.0, min: 1.0, max: 1.0, skipped });
     }
-    RatioStats { mean: sum / n as f64, min, max, skipped }
+    Ok(RatioStats { mean: sum / n as f64, min, max, skipped })
 }
 
 #[cfg(test)]
@@ -83,7 +91,7 @@ mod tests {
     fn perfect_scores_give_unit_ratio() {
         let set = small_set();
         let exact = set.top_k_bruteforce(2.0, 10.0, 3);
-        let stats = approximation_ratio(&set, &exact, 2.0, 10.0);
+        let stats = approximation_ratio(&set, &exact, 2.0, 10.0).unwrap();
         assert!((stats.mean - 1.0).abs() < 1e-12);
         assert!((stats.min - 1.0).abs() < 1e-12);
         assert!((stats.max - 1.0).abs() < 1e-12);
@@ -96,7 +104,7 @@ mod tests {
         let exact = set.top_k_bruteforce(2.0, 10.0, 2);
         let doubled =
             TopK::from_ranked(exact.entries().iter().map(|&(id, s)| (id, 2.0 * s)).collect());
-        let stats = approximation_ratio(&set, &doubled, 2.0, 10.0);
+        let stats = approximation_ratio(&set, &doubled, 2.0, 10.0).unwrap();
         assert!((stats.mean - 2.0).abs() < 1e-9);
     }
 
@@ -105,8 +113,19 @@ mod tests {
         let set = small_set();
         // Object 5 is the all-zero curve.
         let fake = TopK::from_ranked(vec![(5, 0.5)]);
-        let stats = approximation_ratio(&set, &fake, 2.0, 10.0);
+        let stats = approximation_ratio(&set, &fake, 2.0, 10.0).unwrap();
         assert_eq!(stats.skipped, 1);
         assert_eq!(stats.mean, 1.0);
+    }
+
+    #[test]
+    fn an_unknown_object_is_an_error_not_a_skip() {
+        let set = small_set();
+        let m = set.num_objects() as crate::ObjectId;
+        let bogus = TopK::from_ranked(vec![(m, 0.5)]);
+        assert!(matches!(
+            approximation_ratio(&set, &bogus, 2.0, 10.0),
+            Err(crate::CoreError::NoSuchObject(id)) if id == m
+        ));
     }
 }

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let answer = idx.top_k(t1, t2, k, AggKind::Sum)?;
         let ios = idx.io_stats().reads;
         let prec = metrics::precision(&exact, &answer);
-        let ratio = metrics::approximation_ratio(&set, &answer, t1, t2);
+        let ratio = metrics::approximation_ratio(&set, &answer, t1, t2)?;
         println!(
             "{:<9} {:>10} {:>12} {:>11} {:>10.3} {:>10.3}",
             idx.name(),

@@ -1,10 +1,9 @@
 //! Cross-crate integration: every exact method must agree with brute force
-//! (and hence with each other) on realistic generated datasets, and every
-//! approximate method must satisfy its paper guarantee.
+//! (and hence with each other) on realistic generated datasets. The
+//! approximate methods' guarantees are checked in `tests/paper_claims.rs`.
 
 use chronorank::core::{
-    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, Exact1, Exact2, Exact3, IndexConfig,
-    RankMethod, TemporalSet, TopK,
+    AggKind, Exact1, Exact2, Exact3, IndexConfig, RankMethod, TemporalSet, TopK,
 };
 use chronorank::workloads::{
     DatasetGenerator, MemeConfig, MemeGenerator, QueryWorkload, QueryWorkloadConfig, TempConfig,
@@ -83,104 +82,4 @@ fn exact_methods_agree_with_bruteforce_everywhere() {
             }
         }
     }
-}
-
-#[test]
-fn approx_methods_satisfy_their_guarantees() {
-    for (name, set) in datasets() {
-        for variant in ApproxVariant::ALL {
-            let idx = ApproxIndex::build(
-                &set,
-                variant,
-                ApproxConfig { r: 24, kmax: 12, ..Default::default() },
-            )
-            .unwrap();
-            let em = idx.breakpoints().eps() * idx.breakpoints().mass();
-            let r = idx.breakpoints().len() as f64;
-            let alpha = match variant.query {
-                chronorank::core::QueryKind::Q1 => 1.0,
-                chronorank::core::QueryKind::Q2 => 2.0 * r.log2().max(1.0),
-            };
-            let queries = QueryWorkload::new(
-                QueryWorkloadConfig {
-                    count: 8,
-                    span_fraction: 0.3,
-                    k: 8,
-                    seed: 6,
-                    ..Default::default()
-                },
-                set.t_min(),
-                set.t_max(),
-            )
-            .generate();
-            for q in queries {
-                let exact = set.top_k_bruteforce(q.t1, q.t2, q.k);
-                let approx = idx.top_k(q.t1, q.t2, q.k, AggKind::Sum).unwrap();
-                // Definition 2: at every rank j, σ̃_Ã(j) is an
-                // (ε, α)-approximation of σ_A(j).
-                for j in 0..approx.len().min(exact.len()) {
-                    let sa = approx.rank(j).1;
-                    let se = exact.rank(j).1;
-                    let slack = 1e-7 * (1.0 + se.abs()) + 1e-9;
-                    assert!(
-                        sa >= se / alpha - em - slack,
-                        "{} on {name} [{}, {}] rank {j}: {sa} < {se}/{alpha} - {em}",
-                        variant.name(),
-                        q.t1,
-                        q.t2
-                    );
-                    assert!(
-                        sa <= se + em + slack,
-                        "{} on {name} [{}, {}] rank {j}: {sa} > {se} + {em}",
-                        variant.name(),
-                        q.t1,
-                        q.t2
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn avg_aggregate_consistent_across_methods() {
-    let (_, set) = datasets().remove(0);
-    let e3 = Exact3::build(&set, IndexConfig::default()).unwrap();
-    let (t1, t2) = (set.t_min() + 5.0, set.t_min() + 25.0);
-    let by_sum = e3.top_k(t1, t2, 5, AggKind::Sum).unwrap();
-    let by_avg = e3.top_k(t1, t2, 5, AggKind::Avg).unwrap();
-    assert_eq!(by_sum.ids(), by_avg.ids(), "fixed interval: identical ranking");
-    for (s, a) in by_sum.scores().iter().zip(by_avg.scores()) {
-        assert!((s / (t2 - t1) - a).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn io_accounting_shows_the_paper_ordering() {
-    // The headline result: EXACT3 ≪ EXACT1/EXACT2 in query IOs at large m,
-    // and APPX* ≪ EXACT3.
-    let set =
-        TempGenerator::new(TempConfig { objects: 400, avg_segments: 120, seed: 9, dropout: 0.02 })
-            .generate_set();
-    let e1 = Exact1::build(&set, IndexConfig::default()).unwrap();
-    let e2 = Exact2::build(&set, IndexConfig::default()).unwrap();
-    let e3 = Exact3::build(&set, IndexConfig::default()).unwrap();
-    let appx = ApproxIndex::build(
-        &set,
-        ApproxVariant::APPX2,
-        ApproxConfig { r: 32, kmax: 16, ..Default::default() },
-    )
-    .unwrap();
-    let (t1, t2) = (set.t_min() + 0.3 * set.span(), set.t_min() + 0.5 * set.span());
-    let mut ios = Vec::new();
-    for m in [&e1 as &dyn RankMethod, &e2, &e3, &appx] {
-        m.drop_caches().unwrap();
-        m.reset_io();
-        m.top_k(t1, t2, 10, AggKind::Sum).unwrap();
-        ios.push(m.io_stats().reads);
-    }
-    let (i1, i2, i3, ia) = (ios[0], ios[1], ios[2], ios[3]);
-    assert!(i3 < i1, "EXACT3 ({i3}) must beat EXACT1 ({i1})");
-    assert!(i3 < i2, "EXACT3 ({i3}) must beat EXACT2 ({i2})");
-    assert!(ia * 3 < i3, "APPX2 ({ia}) must be far below EXACT3 ({i3})");
 }

@@ -1,10 +1,8 @@
-//! Integration tests for the paper's §4 extensions: negative scores and
-//! piecewise-polynomial data.
+//! Integration tests for the paper's §4 extensions: exact answers on
+//! negative scores, and piecewise-polynomial data. The approximate bound on
+//! signed data and instant top-k are checked in `tests/paper_claims.rs`.
 
-use chronorank::core::{
-    AggKind, ApproxConfig, ApproxIndex, ApproxVariant, Exact1, Exact2, Exact3, IndexConfig,
-    RankMethod,
-};
+use chronorank::core::{AggKind, Exact1, Exact2, Exact3, IndexConfig, RankMethod};
 use chronorank::curve::{PiecewisePoly, PolySegment};
 use chronorank::workloads::{DatasetGenerator, RandomWalkConfig, RandomWalkGenerator};
 
@@ -34,35 +32,6 @@ fn negative_scores_exact_methods_agree() {
                     m.name()
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn negative_scores_approx_guarantee_uses_absolute_mass() {
-    let set = RandomWalkGenerator::new(RandomWalkConfig {
-        objects: 40,
-        segments: 60,
-        volatility: 1.5,
-        allow_negative: true,
-        seed: 22,
-    })
-    .generate_set();
-    // §4: M and the thresholds switch to |g|; the (ε,1) bound still holds
-    // with that M.
-    let idx = ApproxIndex::build(
-        &set,
-        ApproxVariant::APPX1,
-        ApproxConfig { r: 20, kmax: 10, ..Default::default() },
-    )
-    .unwrap();
-    let em = idx.breakpoints().eps() * idx.breakpoints().mass();
-    for &(a, b) in &[(5.0, 45.0), (0.0, 60.0), (20.0, 25.0)] {
-        let exact = set.top_k_bruteforce(a, b, 6);
-        let approx = idx.top_k(a, b, 6, AggKind::Sum).unwrap();
-        for j in 0..approx.len().min(exact.len()) {
-            let d = (approx.rank(j).1 - exact.rank(j).1).abs();
-            assert!(d <= em + 1e-9, "[{a},{b}] rank {j}: |Δ| = {d} > εM = {em}");
         }
     }
 }
@@ -132,28 +101,4 @@ fn polynomial_prefix_sum_ranking() {
         }
     }
     assert!(errors[2] < errors[0], "error must shrink as the segment budget grows: {errors:?}");
-}
-
-#[test]
-fn instant_topk_is_the_degenerate_case() {
-    // §1: the instant top-k query is the special case t1 = t2 of the
-    // aggregate query (under avg semantics).
-    let set = RandomWalkGenerator::new(RandomWalkConfig {
-        objects: 30,
-        segments: 50,
-        volatility: 1.0,
-        allow_negative: false,
-        seed: 23,
-    })
-    .generate_set();
-    let e3 = Exact3::build(&set, IndexConfig::default()).unwrap();
-    let t = set.t_min() + 0.5 * set.span();
-    let inst = e3.instant_top_k(t, 5).unwrap();
-    // As the window shrinks, the avg aggregate ranking converges to the
-    // instant ranking.
-    let tiny = e3.top_k(t, t + 1e-7, 5, AggKind::Avg).unwrap();
-    assert_eq!(inst.ids(), tiny.ids(), "shrinking window → instant ranking");
-    for (a, b) in inst.scores().iter().zip(tiny.scores()) {
-        assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-    }
 }
