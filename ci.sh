@@ -30,7 +30,10 @@
 #                     threads with 3 connections, 4 = the acceptor + one
 #                     per connection, and after shutdown, 0) and the one
 #                     tests/stab_reads.rs pins (blocks 100 cold Meme stabs
-#                     read, at most a third of lo-order packing), the ones
+#                     read, at most a third of lo-order packing), the one
+#                     tests/pool_reads.rs pins (blocks per exact query on
+#                     an exact_cold-shaped engine through 64-frame
+#                     segmented-LRU pools), the ones
 #                     tests/paper_claims.rs pins (per generator — Temp,
 #                     Meme, Stock at N ≈ 10⁵ — cold reads per query of
 #                     EXACT1 / EXACT3 / APPX1 / APPX2 / APPX2+ against the
@@ -38,7 +41,7 @@
 #                     worst error vs EXACT3; then the blocks 64 Zipf
 #                     queries read solo against one execute window), plus
 #                     the sleeps and yields in tests/ and crates/*/tests
-#                     (must be 0: tests wait on events, not time) — 24
+#                     (must be 0: tests wait on events, not time) — 25
 #                     lines, echoed into the summary below the timings —
 #                     and below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
@@ -96,7 +99,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/paper_claims.rs, test waits)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/pool_reads.rs, tests/paper_claims.rs, test waits; 25 lines)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -231,7 +234,7 @@ tier1_stage() {
     cargo build --release
     PINNED_COUNTS=$(cargo test -q -p chronorank -p chronorank-net --test resident_build_counts \
         --test streaming_build_counts --test obs_counts --test thread_counts --test stab_reads \
-        --test paper_claims -- --nocapture \
+        --test pool_reads --test paper_claims -- --nocapture \
         2> /dev/null | grep -o 'pinned:.*' || true)
     # Tests wait on events, not time: none may sleep or yield.
     local waits

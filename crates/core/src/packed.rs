@@ -23,7 +23,7 @@
 use crate::error::{CoreError, Result};
 use crate::object::{check_id, ObjectId, TemporalObject};
 use chronorank_curve::Segment;
-use chronorank_storage::{PageId, PagedFile};
+use chronorank_storage::{Page, PageId, PagedFile};
 
 /// One point: `t f64 | v f64 | prefix f64`. Records never straddle a page.
 const RECORD_LEN: usize = 24;
@@ -127,7 +127,7 @@ impl PackedPrefix {
     /// A scorer that keeps the last page it read, so consecutive lookups
     /// landing on one page touch the pool once.
     pub fn scorer(&self) -> PackedScorer<'_> {
-        PackedScorer { packed: self, page: vec![0u8; self.file.block_size()], loaded: None }
+        PackedScorer { packed: self, page: Page::default(), loaded: None }
     }
 
     /// `σ_i(t1, t2)` for one object (Eq. (2)), bit-identical to
@@ -137,10 +137,10 @@ impl PackedPrefix {
     }
 }
 
-/// A [`PackedPrefix`] reader with one page of scratch.
+/// A [`PackedPrefix`] reader holding the last page the pool lent it.
 pub struct PackedScorer<'a> {
     packed: &'a PackedPrefix,
-    page: Vec<u8>,
+    page: Page,
     loaded: Option<PageId>,
 }
 
@@ -155,8 +155,7 @@ impl PackedScorer<'_> {
 
     fn load(&mut self, page: PageId) -> Result<()> {
         if self.loaded != Some(page) {
-            self.loaded = None;
-            self.packed.file.read(page, &mut self.page)?;
+            self.page = self.packed.file.page(page)?;
             self.loaded = Some(page);
         }
         Ok(())

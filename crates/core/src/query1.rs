@@ -189,13 +189,11 @@ pub(crate) fn read_list(
     blocks_per_list: u64,
     k: usize,
 ) -> Result<Vec<(ObjectId, f64)>> {
-    let block = lists.block_size();
-    let per_block = block / ENTRY_LEN;
-    let mut buf = vec![0u8; block];
+    let per_block = lists.block_size() / ENTRY_LEN;
     let mut out = Vec::with_capacity(k);
     let need_blocks = (k as u64).div_ceil(per_block as u64).min(blocks_per_list);
     'outer: for b in 0..need_blocks {
-        lists.read(start + b, &mut buf)?;
+        let buf = lists.page(start + b)?;
         for slot in 0..per_block {
             if out.len() >= k {
                 break 'outer;

@@ -29,7 +29,7 @@
 use crate::bulk::FenceSpill;
 use crate::error::{IndexError, Result};
 use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
-use chronorank_storage::{PageId, PagedFile};
+use chronorank_storage::{Page, PageId, PagedFile};
 
 const META_MAGIC: u32 = 0xB7EE_0001;
 const LEAF_MAGIC: u32 = 0xB7EE_00AA;
@@ -90,8 +90,7 @@ impl BPlusTree {
 
     /// Open a tree previously created/bulk-loaded in `file`.
     pub fn open(file: PagedFile) -> Result<Self> {
-        let mut buf = vec![0u8; file.block_size()];
-        file.read(0, &mut buf)?;
+        let buf = file.page(0)?;
         if get_u32(&buf, 0) != META_MAGIC {
             return Err(IndexError::Corrupt("not a B+-tree file".into()));
         }
@@ -125,16 +124,6 @@ impl BPlusTree {
         self.len() == 0
     }
 
-    /// Tree height (1 = root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Payload length in bytes.
-    pub fn value_len(&self) -> usize {
-        self.value_len
-    }
-
     /// Bytes allocated on the backing device.
     pub fn size_bytes(&self) -> u64 {
         self.file.size_bytes()
@@ -152,17 +141,40 @@ impl BPlusTree {
         Ok(())
     }
 
+    /// Node `id` as the pool lends it, checked to be a `magic` node, with
+    /// its entry count. A count its block cannot hold (or an internal node
+    /// without a child) is refused as [`IndexError::Corrupt`]: every
+    /// decode below indexes the block by it.
+    fn node(&self, id: PageId, magic: u32) -> Result<(Page, usize)> {
+        let page = self.file.page(id)?;
+        let got = get_u32(&page, 0);
+        if got != magic {
+            return Err(IndexError::Corrupt(format!(
+                "expected page magic {magic:#x}, found {got:#x}"
+            )));
+        }
+        let block = self.file.block_size();
+        let counts = match magic {
+            LEAF_MAGIC => 0..=Self::leaf_cap(block, self.value_len),
+            _ => 1..=Self::internal_cap(block),
+        };
+        let n = get_u32(&page, 4) as usize;
+        if !counts.contains(&n) {
+            return Err(IndexError::Corrupt(format!(
+                "node {id} holds {n} entries, not {counts:?}"
+            )));
+        }
+        Ok((page, n))
+    }
+
     // ----- search ---------------------------------------------------------
 
     /// Position a cursor at the first entry with key ≥ `key`.
     pub fn seek(&self, key: f64) -> Result<Cursor<'_>> {
-        let mut buf = vec![0u8; self.file.block_size()];
         let mut node = self.root;
         let mut level = self.height;
         while level > 1 {
-            self.file.read(node, &mut buf)?;
-            check_magic(&buf, INTERNAL_MAGIC)?;
-            let n = get_u32(&buf, 4) as usize;
+            let (buf, n) = self.node(node, INTERNAL_MAGIC)?;
             // Leftmost-duplicate rule: descend to the first child whose
             // separator range can contain an entry ≥ key, i.e. child index
             // = #separators strictly below `key`.
@@ -173,9 +185,7 @@ impl BPlusTree {
             node = internal_child(&buf, idx);
             level -= 1;
         }
-        self.file.read(node, &mut buf)?;
-        check_magic(&buf, LEAF_MAGIC)?;
-        let n = get_u32(&buf, 4) as usize;
+        let (buf, n) = self.node(node, LEAF_MAGIC)?;
         let stride = 8 + self.value_len;
         let mut idx = 0usize;
         while idx < n && get_f64(&buf, LEAF_HDR + idx * stride) < key {
@@ -190,11 +200,8 @@ impl BPlusTree {
 
     /// Cursor at the first entry of the tree.
     pub fn cursor_first(&self) -> Result<Cursor<'_>> {
-        let mut buf = vec![0u8; self.file.block_size()];
         let leaf = self.first_leaf;
-        self.file.read(leaf, &mut buf)?;
-        check_magic(&buf, LEAF_MAGIC)?;
-        let n = get_u32(&buf, 4) as usize;
+        let (buf, n) = self.node(leaf, LEAF_MAGIC)?;
         let mut cur = Cursor { tree: self, buf, leaf, idx: 0, entries: n };
         if n == 0 {
             cur.advance_leaf()?;
@@ -208,19 +215,14 @@ impl BPlusTree {
         if self.is_empty() {
             return Ok(None);
         }
-        let mut buf = vec![0u8; self.file.block_size()];
         let mut node = self.root;
         let mut level = self.height;
         while level > 1 {
-            self.file.read(node, &mut buf)?;
-            check_magic(&buf, INTERNAL_MAGIC)?;
-            let n = get_u32(&buf, 4) as usize;
+            let (buf, n) = self.node(node, INTERNAL_MAGIC)?;
             node = internal_child(&buf, n - 1);
             level -= 1;
         }
-        self.file.read(node, &mut buf)?;
-        check_magic(&buf, LEAF_MAGIC)?;
-        let n = get_u32(&buf, 4) as usize;
+        let (buf, n) = self.node(node, LEAF_MAGIC)?;
         if n == 0 {
             return Ok(None);
         }
@@ -270,14 +272,13 @@ impl BPlusTree {
         payload: &[u8],
     ) -> Result<Option<(f64, PageId)>> {
         let block = self.file.block_size();
-        let mut buf = vec![0u8; block];
-        self.file.read(node, &mut buf)?;
+        // Read-modify-write: our own copy of the node.
         if level == 1 {
-            check_magic(&buf, LEAF_MAGIC)?;
+            let mut buf = self.node(node, LEAF_MAGIC)?.0.to_vec();
             return self.leaf_insert(node, &mut buf, key, payload);
         }
-        check_magic(&buf, INTERNAL_MAGIC)?;
-        let n = get_u32(&buf, 4) as usize;
+        let (page, n) = self.node(node, INTERNAL_MAGIC)?;
+        let mut buf = page.to_vec();
         // Rightmost-duplicate descent for inserts.
         let mut idx = 0usize;
         while idx + 1 < n && internal_key(&buf, idx + 1) <= key {
@@ -286,10 +287,7 @@ impl BPlusTree {
         let child = internal_child(&buf, idx);
         let split = self.insert_rec(child, level - 1, key, payload)?;
         let Some((sep, right)) = split else { return Ok(None) };
-        // Re-read: recursion may have evicted our frame, but contents of
-        // this node only change through this single-threaded path, so the
-        // buffer is still valid; decode fresh anyway for clarity.
-        self.file.read(node, &mut buf)?;
+        // The child's split wrote only below this node: `buf` is current.
         let (mut children, mut keys) = decode_internal(&buf);
         children.insert(idx + 1, right);
         keys.insert(idx, sep);
@@ -567,7 +565,8 @@ impl BulkLoader {
 /// [`BPlusTree::cursor_first`]; step with [`Cursor::advance`].
 pub struct Cursor<'a> {
     tree: &'a BPlusTree,
-    buf: Vec<u8>,
+    /// The current leaf, as the pool lent it.
+    buf: Page,
     leaf: PageId,
     idx: usize,
     entries: usize,
@@ -612,11 +611,9 @@ impl<'a> Cursor<'a> {
                 self.entries = 0;
                 return Ok(());
             }
-            self.tree.file.read(next, &mut self.buf)?;
-            check_magic(&self.buf, LEAF_MAGIC)?;
+            (self.buf, self.entries) = self.tree.node(next, LEAF_MAGIC)?;
             self.leaf = next;
             self.idx = 0;
-            self.entries = get_u32(&self.buf, 4) as usize;
             if self.entries > 0 {
                 return Ok(());
             }
@@ -671,14 +668,6 @@ fn encode_internal(buf: &mut [u8], children: &[u64], keys: &[f64]) {
     }
 }
 
-fn check_magic(buf: &[u8], want: u32) -> Result<()> {
-    let got = get_u32(buf, 0);
-    if got != want {
-        return Err(IndexError::Corrupt(format!("expected page magic {want:#x}, found {got:#x}")));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,12 +712,12 @@ mod tests {
             let ta = plain.finish().unwrap();
             let tb = tight.finish().unwrap();
             assert_eq!(ta.file.num_blocks(), tb.file.num_blocks(), "n={n}");
-            let block = ta.file.block_size();
-            let (mut ba, mut bb) = (vec![0u8; block], vec![0u8; block]);
             for id in 0..ta.file.num_blocks() {
-                ta.file.read(id, &mut ba).unwrap();
-                tb.file.read(id, &mut bb).unwrap();
-                assert_eq!(ba, bb, "block {id} differs at n={n}");
+                assert_eq!(
+                    ta.file.page(id).unwrap(),
+                    tb.file.page(id).unwrap(),
+                    "block {id} at n={n}"
+                );
             }
             assert_eq!(collect_all(&ta), collect_all(&tb));
         }
@@ -743,7 +732,7 @@ mod tests {
         }
         let tree = b.finish().unwrap();
         assert_eq!(tree.len(), 1000);
-        assert!(tree.height() >= 2, "1000 entries in 256B blocks must be multi-level");
+        assert!(tree.height >= 2, "1000 entries in 256B blocks must be multi-level");
         let all = collect_all(&tree);
         assert_eq!(all.len(), 1000);
         for (i, (k, v)) in all.iter().enumerate() {
@@ -950,6 +939,39 @@ mod tests {
         let e = env();
         assert!(BPlusTree::create(e.create_file("t").unwrap(), 4000).is_err());
         assert!(BulkLoader::new(e.create_file("u").unwrap(), 4000).is_err());
+    }
+
+    #[test]
+    fn a_node_count_its_block_cannot_hold_is_refused_not_trusted() {
+        // 1,000 entries in 256-byte blocks: 15 a leaf, 67 leaves written
+        // from page 1 on, 5 inner nodes under a root of 5. The second leaf's
+        // count past its capacity, and the root's past its capacity or 0:
+        // each read path that meets the node refuses it instead of indexing
+        // the block by the count.
+        let e = env();
+        let corrupt = |r: Result<()>| matches!(r, Err(IndexError::Corrupt(_)));
+        for (node, count) in [("leaf", 1u32 << 20), ("root", 1 << 20), ("root", 0)] {
+            let mut b =
+                BulkLoader::new(e.create_file(&format!("{node}{count}")).unwrap(), 8).unwrap();
+            for i in 0..1000u64 {
+                b.push(i as f64, &payload(i)).unwrap();
+            }
+            let mut tree = b.finish().unwrap();
+            assert_eq!(tree.height, 3);
+            let page = if node == "leaf" { tree.first_leaf + 1 } else { tree.root };
+            let mut buf = tree.file.page(page).unwrap().to_vec();
+            put_u32(&mut buf, 4, count);
+            tree.file.write(page, &buf).unwrap();
+            assert!(corrupt(tree.seek(20.0).map(drop)), "{node} {count}: seek");
+            if node == "leaf" {
+                let mut cur = tree.cursor_first().unwrap();
+                let scan = (0..100).map(|_| cur.advance().map(drop)).find(Result::is_err);
+                assert!(corrupt(scan.unwrap()), "a scan into the leaf");
+            } else {
+                assert!(corrupt(tree.last_entry().map(drop)), "{count}: last entry");
+                assert!(corrupt(tree.insert(5.5, &payload(0))), "{count}: insert");
+            }
+        }
     }
 
     #[test]

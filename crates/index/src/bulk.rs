@@ -34,7 +34,7 @@
 
 use crate::error::{IndexError, Result};
 use chronorank_storage::page::{get_f64, get_u64, put_f64, put_u64};
-use chronorank_storage::{PageId, PagedFile};
+use chronorank_storage::{Page, PageId, PagedFile};
 
 /// Bytes per spilled fence record: two `f64` fields plus a page id.
 const REC_LEN: usize = 8 + 8 + 8;
@@ -148,7 +148,7 @@ impl FenceSpill {
             mem: self.mem.into_iter(),
             scratch: self.scratch,
             blocks: self.blocks.into_iter(),
-            buf: self.buf,
+            page: Page::default(),
             in_block: 0,
             block_n: 0,
             remaining: self.spilled,
@@ -163,7 +163,8 @@ pub struct FenceReplay {
     mem: std::vec::IntoIter<(f64, f64, PageId)>,
     scratch: Option<PagedFile>,
     blocks: std::vec::IntoIter<PageId>,
-    buf: Vec<u8>,
+    /// The scratch block being replayed, as the pool lent it.
+    page: Page,
     in_block: usize,
     block_n: usize,
     remaining: u64,
@@ -186,14 +187,14 @@ impl FenceReplay {
                 .next()
                 .ok_or_else(|| IndexError::Corrupt("fence spill block list short".into()))?;
             let scratch = self.scratch.as_ref().expect("spilled records imply a scratch file");
-            scratch.read(id, &mut self.buf)?;
+            self.page = scratch.page(id)?;
             self.block_n = (self.epb as u64).min(self.remaining) as usize;
             self.in_block = 0;
         }
         let off = self.in_block * REC_LEN;
-        let a = get_f64(&self.buf, off);
-        let b = get_f64(&self.buf, off + 8);
-        let page = get_u64(&self.buf, off + 16);
+        let a = get_f64(&self.page, off);
+        let b = get_f64(&self.page, off + 8);
+        let page = get_u64(&self.page, off + 16);
         self.in_block += 1;
         self.remaining -= 1;
         Ok(Some((a, b, page)))

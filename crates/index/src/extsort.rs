@@ -17,7 +17,7 @@
 
 use crate::error::{IndexError, Result};
 use chronorank_storage::page::{get_u32, put_u32};
-use chronorank_storage::{PageId, PagedFile};
+use chronorank_storage::{Page, PageId, PagedFile};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -76,10 +76,11 @@ struct RunCursor {
     run: Run,
     record_len: usize,
     per_block: usize,
-    buf: Vec<u8>,
+    /// The block being read, as the pool lent it.
+    page: Page,
     /// Next record ordinal within the run.
     pos: u64,
-    /// Block currently decoded into `buf` (`u64::MAX` = none yet).
+    /// Block `page` holds (`u64::MAX` = none yet).
     cur_block: u64,
 }
 
@@ -89,7 +90,7 @@ impl RunCursor {
             run,
             record_len,
             per_block: (block - RUN_HDR) / record_len,
-            buf: vec![0u8; block],
+            page: Page::default(),
             pos: 0,
             cur_block: u64::MAX,
         }
@@ -102,8 +103,8 @@ impl RunCursor {
         }
         let (block_idx, within) = run_position(self.pos, self.per_block);
         if block_idx != self.cur_block {
-            file.read(self.run.start + block_idx, &mut self.buf)?;
-            let count = get_u32(&self.buf, 0) as u64;
+            self.page = file.page(self.run.start + block_idx)?;
+            let count = get_u32(&self.page, 0) as u64;
             let expected =
                 (self.run.records - block_idx * self.per_block as u64).min(self.per_block as u64);
             if count != expected {
@@ -115,15 +116,15 @@ impl RunCursor {
         }
         self.pos += 1;
         let off = RUN_HDR + within * self.record_len;
-        Ok(Some(&self.buf[off..off + self.record_len]))
+        Ok(Some(&self.page[off..off + self.record_len]))
     }
 
-    /// The record the last `next` returned: it stays in the block buffer
-    /// until the following `next`.
+    /// The record the last `next` returned: it stays in `page` until the
+    /// following `next`.
     fn current(&self) -> &[u8] {
         let (_, within) = run_position(self.pos - 1, self.per_block);
         let off = RUN_HDR + within * self.record_len;
-        &self.buf[off..off + self.record_len]
+        &self.page[off..off + self.record_len]
     }
 }
 
@@ -272,11 +273,6 @@ pub struct SortedStream<F: Fn(&[u8]) -> f64> {
 }
 
 impl<F: Fn(&[u8]) -> f64> SortedStream<F> {
-    /// Records not yet emitted.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
     /// Copy the next record (in key order) into `out`; `Ok(false)` at end.
     pub fn next_into(&mut self, out: &mut [u8]) -> Result<bool> {
         if out.len() != self.record_len {
@@ -343,7 +339,7 @@ mod tests {
             assert_eq!(key_of(&out), *want);
         }
         assert!(!stream.next_into(&mut out).unwrap());
-        assert_eq!(stream.remaining(), 0);
+        assert_eq!(stream.remaining, 0);
     }
 
     #[test]

@@ -76,7 +76,7 @@
 use crate::error::{IndexError, Result};
 use crate::extsort::total_order_bits;
 use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
-use chronorank_storage::{PageId, PagedFile};
+use chronorank_storage::{Page, PageId, PagedFile};
 
 const META_MAGIC: u32 = 0x17EE_0002;
 const LEAF_MAGIC: u32 = 0x17EE_00AA;
@@ -520,8 +520,7 @@ impl IntervalTree {
     /// [`IndexError::Corrupt`].
     pub fn open(file: PagedFile) -> Result<Self> {
         let block = file.block_size();
-        let mut buf = vec![0u8; block];
-        file.read(0, &mut buf)?;
+        let buf = file.page(0)?;
         if get_u32(&buf, 0) != META_MAGIC {
             return Err(IndexError::Corrupt("not an interval-tree file".into()));
         }
@@ -602,19 +601,31 @@ impl IntervalTree {
 
     /// Visit every entry whose closed interval contains `t`:
     /// `visit(lo, hi, payload)`. Iterative — an explicit work stack of
-    /// page ids bounded by `height × fanout`, never the call stack.
+    /// page ids bounded by `height × fanout`, never the call stack. Each
+    /// node is decoded from the pool's own page. A well-formed stab visits
+    /// no page twice, so one that would visit more pages than the file
+    /// holds (a tail or child link back into itself) is refused as
+    /// [`IndexError::Corrupt`].
     pub fn stab(&self, t: f64, visit: &mut dyn FnMut(f64, f64, &[u8])) -> Result<()> {
         let block = self.file.block_size();
         let elen = Self::entry_len(self.payload_len);
         let epb = Self::entries_per_block(block, self.payload_len);
-        let mut buf = vec![0u8; block];
+        let (blocks, mut visited) = (self.file.num_blocks(), 0u64);
+        let mut fetch = |page: PageId| -> Result<Page> {
+            visited += 1;
+            if visited > blocks {
+                let msg = format!("a stab visits more than the file's {blocks} blocks");
+                return Err(IndexError::Corrupt(msg));
+            }
+            Ok(self.file.page(page)?)
+        };
         let mut stack: Vec<PageId> = Vec::new();
         let root = self.root;
         if root != 0 {
             stack.push(root);
         }
         while let Some(page) = stack.pop() {
-            self.file.read(page, &mut buf)?;
+            let buf = fetch(page)?;
             match get_u32(&buf, 0) {
                 INNER_MAGIC => {
                     let count = Self::node_count(&buf, (block - INNER_HDR) / FENCE_LEN)?;
@@ -650,7 +661,7 @@ impl IntervalTree {
         // Tail scan: the append log is small by the rebuild invariant.
         let mut blk = self.tail_head;
         while blk != 0 {
-            self.file.read(blk, &mut buf)?;
+            let buf = fetch(blk)?;
             if get_u32(&buf, 0) != TAIL_MAGIC {
                 return Err(IndexError::Corrupt("bad tail block magic".into()));
             }
@@ -680,14 +691,16 @@ impl IntervalTree {
         let block = self.file.block_size();
         let epb = Self::entries_per_block(block, self.payload_len);
         let elen = Self::entry_len(self.payload_len);
-        let mut buf = vec![0u8; block];
         let last = self.tail_last;
         let mut target = last;
-        let mut count_in_block = 0usize;
-        if last != 0 {
-            self.file.read(last, &mut buf)?;
-            count_in_block = get_u32(&buf, 4) as usize;
-        }
+        let (mut buf, mut count_in_block) = if last != 0 {
+            // Read-modify-write: our own copy of the block.
+            let buf = self.file.page(last)?.to_vec();
+            let count = Self::node_count(&buf, epb)?;
+            (buf, count)
+        } else {
+            (vec![0u8; block], 0)
+        };
         if last == 0 || count_in_block == epb {
             // Start a new tail block and link it in.
             let new_blk = self.file.allocate(1)?;
@@ -747,13 +760,12 @@ mod tests {
     /// The `min_lo` fences of each inner level, root level first, and the
     /// number of leaves under them.
     fn inner_levels(tree: &IntervalTree) -> (Vec<Vec<f64>>, usize) {
-        let mut buf = vec![0u8; tree.file.block_size()];
         let (mut levels, mut leaves) = (Vec::new(), 0);
         let mut level = if tree.root == 0 { vec![] } else { vec![tree.root] };
         while !level.is_empty() {
             let (mut fences, mut next) = (Vec::new(), Vec::new());
             for page in level {
-                tree.file.read(page, &mut buf).unwrap();
+                let buf = tree.file.page(page).unwrap();
                 if get_u32(&buf, 0) == LEAF_MAGIC {
                     leaves += 1;
                     continue;
@@ -855,29 +867,34 @@ mod tests {
         }
     }
 
+    /// A 100-entry tree over `[i, i + 3]` with one appended tail entry,
+    /// flushed: its file, root page and tail head.
+    fn built_with_tail(e: &Env, name: &str) -> (PagedFile, PageId, PageId) {
+        let entries = (0..100).map(|i| entry(i as f64, i as f64 + 3.0, i)).collect();
+        let mut tree = IntervalTree::build(e.create_file(name).unwrap(), 4, entries).unwrap();
+        tree.append(200.0, 201.0, &7u32.to_le_bytes()).unwrap();
+        tree.flush().unwrap();
+        let IntervalTree { file, root, tail_head, .. } = tree;
+        (file, root, tail_head)
+    }
+
+    /// Overwrite the `u32` at offset 4 (a count), or the `u64` at `off`.
+    fn patch(file: &PagedFile, page: PageId, off: usize, value: u64) {
+        let mut buf = file.page(page).unwrap().to_vec();
+        match off {
+            4 => put_u32(&mut buf, off, value as u32),
+            _ => put_u64(&mut buf, off, value),
+        };
+        file.write(page, &buf).unwrap();
+    }
+
     #[test]
     fn a_corrupt_meta_page_or_node_count_is_refused_not_trusted() {
         // Every field of the meta page, and the count of an inner, a leaf
         // and a tail block, patched to a value no tree here can have:
         // `open` refuses the first kind and the first stab the second.
         let e = env();
-        let built = |name: &str| {
-            let entries = (0..100).map(|i| entry(i as f64, i as f64 + 3.0, i)).collect();
-            let mut tree = IntervalTree::build(e.create_file(name).unwrap(), 4, entries).unwrap();
-            tree.append(200.0, 201.0, &7u32.to_le_bytes()).unwrap();
-            tree.flush().unwrap();
-            let IntervalTree { file, root, tail_head, .. } = tree;
-            (file, root, tail_head)
-        };
-        let patch = |file: &PagedFile, page: PageId, off: usize, value: u64| {
-            let mut buf = vec![0u8; file.block_size()];
-            file.read(page, &mut buf).unwrap();
-            match off {
-                4 => put_u32(&mut buf, off, value as u32),
-                _ => put_u64(&mut buf, off, value),
-            };
-            file.write(page, &buf).unwrap();
-        };
+        let built = |name: &str| built_with_tail(&e, name);
         let (file, ..) = built("probe");
         let past_end = file.num_blocks();
         for (off, value) in [
@@ -906,6 +923,31 @@ mod tests {
             let stabbed = tree.stab(5.0, &mut |_, _, _| {});
             assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "{node} count");
         }
+    }
+
+    #[test]
+    fn a_link_back_into_the_tree_or_its_tail_is_refused_not_followed() {
+        // The root's first child and the tail block's next link, each
+        // pointed at its own page: a stab that followed either would never
+        // return. It may visit no more pages than the file holds.
+        let e = env();
+        for node in ["inner", "tail"] {
+            let (file, root, tail_head) = built_with_tail(&e, node);
+            let (page, link) = match node {
+                "inner" => (root, INNER_HDR),
+                _ => (tail_head, 8),
+            };
+            patch(&file, page, link, page);
+            let tree = IntervalTree::open(file).unwrap();
+            let stabbed = tree.stab(5.0, &mut |_, _, _| {});
+            assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "{node} self-link");
+        }
+        // Appending to a tail block whose count is past its capacity.
+        let (file, _, tail_head) = built_with_tail(&e, "append");
+        patch(&file, tail_head, 4, 1 << 20);
+        let mut tree = IntervalTree::open(file).unwrap();
+        let appended = tree.append(300.0, 301.0, &8u32.to_le_bytes());
+        assert!(matches!(appended, Err(IndexError::Corrupt(_))));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 /// Where an [`Env`] places its files.
 #[derive(Debug, Clone)]
-pub enum EnvBacking {
+enum EnvBacking {
     /// Everything in RAM ([`MemDevice`]); IO counting is identical to disk.
     Memory,
     /// One OS file per logical file inside this directory.

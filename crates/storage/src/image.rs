@@ -101,19 +101,18 @@ impl ImageWriter {
     }
 
     /// Capture a [`PagedFile`] page for page. Flushes it first so the
-    /// device holds every dirty frame; the copy then bypasses the pool
-    /// cache via plain block reads.
+    /// device holds every dirty frame, then writes each page as the pool
+    /// lends it.
     pub fn add_paged(&mut self, name: &str, paged: &PagedFile) -> Result<()> {
         self.check_name(name)?;
         paged.flush()?;
         let bs = paged.block_size();
         let blocks = paged.num_blocks();
-        let mut buf = vec![0u8; bs];
         let mut crc = 0u32;
         for id in 0..blocks {
-            paged.read(id, &mut buf)?;
-            self.file.write_all(&buf)?;
-            crc = crc32(crc, &buf);
+            let page = paged.page(id)?;
+            self.file.write_all(&page)?;
+            crc = crc32(crc, &page);
         }
         self.sections.push(Section {
             name: name.to_string(),

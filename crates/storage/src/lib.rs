@@ -7,15 +7,16 @@
 //!
 //! * [`BlockDevice`] — a raw array of fixed-size blocks, either in memory
 //!   ([`MemDevice`]) or backed by a file ([`FileDevice`]);
-//! * [`PagedFile`] — a buffer-pool-cached view of a device with LRU
-//!   eviction (least recent access tick) and write-back caching;
-//! * [`Page`] — one block's bytes behind a shared handle, the unit the pool
-//!   and a device exchange. A memory device and the pool in front of it
-//!   hold the same handle for a clean page, so an index built in memory is
-//!   resident once, not once as "disk" and again as cache; bytes are copied
-//!   only out to callers (who decode from their own buffer, outside the
-//!   pool's lock) and when a cached page the device also holds is
-//!   rewritten;
+//! * [`PagedFile`] — a buffer-pool-cached view of a device with
+//!   segmented-LRU eviction (a page hit once more is protected from scans)
+//!   and write-back caching;
+//! * [`Page`] — one block's bytes behind a shared handle, the unit the pool,
+//!   a device and a reader exchange. A memory device and the pool in front
+//!   of it hold the same handle for a clean page, so an index built in
+//!   memory is resident once, not once as "disk" and again as cache;
+//!   [`PagedFile::page`] lends callers that handle to decode outside the
+//!   pool's lock, so bytes are copied only when a cached page someone else
+//!   also holds is rewritten;
 //! * [`IoCounter`] / [`IoStats`] — shared counters that record every block
 //!   transfer between the pool and the device. These counters are the
 //!   quantity reported as "I/Os" in the paper's figures;
@@ -78,12 +79,12 @@ mod wal;
 
 pub use budget::ScaleBudget;
 pub use device::{BlockDevice, FileDevice, MemDevice, Page};
-pub use env::{Env, EnvBacking};
+pub use env::Env;
 pub use error::{Result, StorageError};
 pub use image::{GenerationImage, ImageWriter};
 pub use pool::{PagedFile, StoreConfig};
 pub use stats::{IoCounter, IoStats};
-pub use wal::{crc32, WriteAheadLog, MAX_RECORD_LEN};
+pub use wal::{crc32, WriteAheadLog};
 
 /// Identifier of a block within one [`BlockDevice`] / [`PagedFile`].
 pub type PageId = u64;

@@ -4,8 +4,6 @@
 //! These helpers centralize the offset arithmetic; each returns the offset
 //! just past the value written/read so encoders can be written as chains.
 
-use crate::error::{Result, StorageError};
-
 /// Write a `u32` at `off`, returning the next offset.
 #[inline]
 pub fn put_u32(buf: &mut [u8], off: usize, v: u32) -> usize {
@@ -45,18 +43,6 @@ pub fn get_f64(buf: &[u8], off: usize) -> f64 {
     f64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"))
 }
 
-/// Validate a page's leading magic number; a mismatch means the caller is
-/// decoding the wrong kind of page.
-pub fn check_magic(buf: &[u8], magic: u32, what: &str) -> Result<()> {
-    let got = get_u32(buf, 0);
-    if got != magic {
-        return Err(StorageError::Corrupt(format!(
-            "{what}: expected magic {magic:#x}, found {got:#x}"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,14 +68,5 @@ mod tests {
         }
         put_f64(&mut buf, 0, f64::NAN);
         assert!(get_f64(&buf, 0).is_nan());
-    }
-
-    #[test]
-    fn magic_check() {
-        let mut buf = vec![0u8; 16];
-        put_u32(&mut buf, 0, 0xCAFE);
-        assert!(check_magic(&buf, 0xCAFE, "test page").is_ok());
-        let err = check_magic(&buf, 0xBEEF, "test page").unwrap_err();
-        assert!(err.to_string().contains("test page"));
     }
 }

@@ -1,10 +1,22 @@
-//! Buffer pool: a write-back block cache with LRU eviction.
+//! Buffer pool: a write-back block cache with segmented-LRU eviction.
 //!
 //! [`PagedFile`] is the unit the index crates build on. Reads that hit the
 //! cache are free; misses fetch from the device and count one read IO;
 //! dirty frames count one write IO when they are evicted or flushed. This
 //! mirrors how TPIE-backed structures in the paper accumulate their IO
 //! counts.
+//!
+//! **Eviction is segmented LRU** (Karedla, Love & Wherry, IEEE Computer
+//! 1994). A page faulted in enters *probation*; a hit on a probation page
+//! promotes it to *protected*. At most four fifths of the frames are
+//! protected, the textbook split (untuned): past that, the least recently
+//! used protected page goes back to probation as its most recent page. The
+//! victim is the least recently used probation page, and a protected one
+//! only when none is on probation. So a scan of pages read once — the ~30 leaves a cold stab
+//! streams — recycles the probation frames and leaves the inner pages
+//! every stab reads again where they are. A one-frame pool is plain LRU,
+//! and [`PagedFile::drop_cache`] empties both segments, so every cold count
+//! starts from the same empty pool.
 //!
 //! A frame holds its block as a [`Page`] handle and exchanges it with the
 //! device through [`BlockDevice::load`] / [`BlockDevice::store`]. Over a
@@ -13,22 +25,23 @@
 //! a second copy of the index. A frame owns its bytes (and is written in
 //! place) from the first [`PagedFile::write`] after it was loaded or written
 //! back until the next write-back; a write to a frame whose handle the
-//! device also holds replaces it with a fresh buffer, so the device never
-//! sees bytes that were not written back. Over a [`crate::FileDevice`]
-//! nothing is shared and a frame's buffer is reused across evictions.
+//! device or a reader also holds replaces it with a fresh buffer, so
+//! neither sees bytes that were not written to them. Over a
+//! [`crate::FileDevice`] nothing is shared and a frame's buffer is reused
+//! across evictions unless a reader still holds it.
 //!
-//! Towards callers the API stays copy-in/copy-out (callers own scratch
-//! buffers): that keeps the lock held for one block transfer only and the
-//! pool reentrancy-safe without unsafe code, and callers decode records out
-//! of the copy anyway — a 4 KB memcpy is far below the cost noise floor of
-//! anything this workspace measures.
+//! **Reads lend the page.** [`PagedFile::page`] hands out the frame's
+//! handle under the lock and callers decode from it outside the lock: no
+//! byte is copied out of the pool, cold or warm. A lent page is a snapshot
+//! — a later write to the block replaces the frame's handle, not the bytes
+//! the reader holds. [`PagedFile::read`] is `page` plus one copy into a
+//! caller's buffer.
 //!
 //! `PagedFile` is `Send + Sync`: the pool state sits behind one internal
 //! [`Mutex`], so any number of threads can read and write through a shared
 //! reference (`&PagedFile` / `Arc<PagedFile>`). The critical section covers
 //! exactly one block transfer plus the frame-table update — callers never
-//! hold the lock while computing on block contents, because the API copies
-//! the block out before returning.
+//! hold the lock while computing on block contents.
 
 use crate::device::{BlockDevice, Page};
 use crate::error::{Result, StorageError};
@@ -57,9 +70,16 @@ struct Frame {
     /// The block this frame caches; `None` after a load into it failed.
     id: Option<PageId>,
     dirty: bool,
-    /// Tick of the most recent access (LRU victim = minimum).
+    /// Tick of the most recent access (each segment's LRU page = minimum).
     last_used: u64,
+    /// Hit since it was faulted in (module docs: segmented LRU).
+    protected: bool,
     page: Page,
+}
+
+/// The most frames a pool of `capacity` keeps protected: four fifths.
+fn protected_share(capacity: usize) -> usize {
+    (capacity * 4 / 5).max(1)
 }
 
 struct PoolInner {
@@ -71,6 +91,8 @@ struct PoolInner {
     map: HashMap<PageId, usize, BuildHasherDefault<DefaultHasher>>,
     tick: u64,
     capacity: usize,
+    /// Frames with `protected` set.
+    protected: usize,
     hits: u64,
     misses: u64,
 }
@@ -79,6 +101,40 @@ impl PoolInner {
     fn touch(&mut self, idx: usize) {
         self.tick += 1;
         self.frames[idx].last_used = self.tick;
+    }
+
+    /// Move frame `idx` to or from the protected segment.
+    fn set_protected(&mut self, idx: usize, protected: bool) {
+        if std::mem::replace(&mut self.frames[idx].protected, protected) != protected {
+            if protected {
+                self.protected += 1;
+            } else {
+                self.protected -= 1;
+            }
+        }
+    }
+
+    /// A hit: promote a probation frame, and past the share demote the
+    /// least recently used protected frame to the most recent probation
+    /// slot.
+    fn promote(&mut self, idx: usize) {
+        self.set_protected(idx, true);
+        if self.protected > protected_share(self.capacity) {
+            let oldest = self.lru(|f| f.protected);
+            self.set_protected(oldest, false);
+            self.touch(oldest);
+        }
+    }
+
+    /// The least recently used frame among those `in_segment` accepts. A
+    /// linear scan is fine at the pool sizes this workspace uses (≤ a few
+    /// thousand frames), and eviction cost is dominated by the device
+    /// transfer anyway.
+    fn lru(&self, in_segment: impl Fn(&Frame) -> bool) -> usize {
+        (0..self.frames.len())
+            .filter(|&i| in_segment(&self.frames[i]))
+            .min_by_key(|&i| self.frames[i].last_used)
+            .expect("the segment holds a frame")
     }
 
     /// Index of the frame holding `id`, faulting it in if necessary. A
@@ -91,18 +147,31 @@ impl PoolInner {
         if let Some(&idx) = self.map.get(&id) {
             self.hits += 1;
             self.touch(idx);
+            self.promote(idx);
+            self.debug_check_shape();
             return Ok(idx);
         }
         self.misses += 1;
         let idx = if self.frames.len() < self.capacity {
             // No buffer yet: the device's handle or the caller's bytes fill it.
-            self.frames.push(Frame { id: None, dirty: false, last_used: 0, page: Page::default() });
+            let page = Page::default();
+            self.frames.push(Frame {
+                id: None,
+                dirty: false,
+                last_used: 0,
+                protected: false,
+                page,
+            });
             self.frames.len() - 1
         } else {
-            let victim = self.pick_victim();
+            // Probation's least recent frame; a protected one only when
+            // probation is empty (a one-frame pool).
+            let victim = self.lru(|f| !f.protected || self.protected == self.frames.len());
             self.write_back(victim, counter)?;
             victim
         };
+        // A faulted page starts on probation.
+        self.set_protected(idx, false);
         let frame = &mut self.frames[idx];
         // Unmapped until the page is in: a failed load may leave half a
         // transfer in the buffer, and the frame is then the next victim.
@@ -117,7 +186,17 @@ impl PoolInner {
         frame.id = Some(id);
         self.map.insert(id, idx);
         self.touch(idx);
+        self.debug_check_shape();
         Ok(idx)
+    }
+
+    /// What every access leaves true, checked in debug builds (so
+    /// `tests/pool_model.rs` checks it after every op it generates): no
+    /// more frames than the capacity, no more protected than the share.
+    fn debug_check_shape(&self) {
+        debug_assert!(self.frames.len() <= self.capacity, "{} frames", self.frames.len());
+        debug_assert!(self.protected <= protected_share(self.capacity), "{}", self.protected);
+        debug_assert!(self.map.len() <= self.frames.len());
     }
 
     /// Hand frame `idx`'s page to the device if it is dirty.
@@ -129,18 +208,6 @@ impl PoolInner {
             counter.add_writes(1);
         }
         Ok(())
-    }
-
-    /// LRU victim: the frame with the smallest access tick. A linear scan is
-    /// fine at the pool sizes this workspace uses (≤ a few thousand frames),
-    /// and eviction cost is dominated by the device transfer anyway.
-    fn pick_victim(&self) -> usize {
-        self.frames
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, f)| f.last_used)
-            .map(|(i, _)| i)
-            .expect("pool has at least one frame")
     }
 
     fn flush(&mut self, counter: &IoCounter) -> Result<()> {
@@ -175,6 +242,7 @@ impl PagedFile {
                 map: HashMap::default(),
                 tick: 0,
                 capacity: config.pool_capacity,
+                protected: 0,
                 hits: 0,
                 misses: 0,
             }),
@@ -211,14 +279,22 @@ impl PagedFile {
         self.counter.clone()
     }
 
-    /// Read block `id` into `buf` (length must equal the block size).
+    /// Block `id`, lent: the frame's own handle, taken under the lock and
+    /// decoded by the caller outside it. Its bytes never change; a later
+    /// write to the block replaces the frame's handle instead.
+    pub fn page(&self, id: PageId) -> Result<Page> {
+        let mut inner = self.lock();
+        let idx = inner.frame_for(id, &self.counter, true)?;
+        Ok(Arc::clone(&inner.frames[idx].page))
+    }
+
+    /// Copy block `id` into `buf` (length must equal the block size):
+    /// [`PagedFile::page`] plus one copy.
     pub fn read(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         if buf.len() != self.block_size {
             return Err(StorageError::BadBufferLen { got: buf.len(), want: self.block_size });
         }
-        let mut inner = self.lock();
-        let idx = inner.frame_for(id, &self.counter, true)?;
-        buf.copy_from_slice(&inner.frames[idx].page);
+        buf.copy_from_slice(&self.page(id)?);
         Ok(())
     }
 
@@ -232,7 +308,8 @@ impl PagedFile {
         let idx = inner.frame_for(id, &self.counter, false)?;
         let frame = &mut inner.frames[idx];
         // In place only where this frame holds the sole handle to a buffer:
-        // the device must not see bytes before they are written back.
+        // the device must not see bytes before they are written back, nor a
+        // reader bytes it did not read.
         match Arc::get_mut(&mut frame.page) {
             Some(own) if own.len() == buf.len() => own.copy_from_slice(buf),
             _ => frame.page = Page::from(buf),
@@ -259,6 +336,7 @@ impl PagedFile {
         inner.frames.clear();
         inner.map.clear();
         inner.tick = 0;
+        inner.protected = 0;
         Ok(())
     }
 
@@ -329,6 +407,17 @@ mod tests {
     fn cached(f: &PagedFile, id: PageId) -> Page {
         let inner = f.lock();
         Arc::clone(&inner.frames[inner.map[&id]].page)
+    }
+
+    /// The blocks the pool holds protected, in ascending order, after
+    /// checking its count of them.
+    fn protected_ids(f: &PagedFile) -> Vec<PageId> {
+        let inner = f.lock();
+        let mut ids: Vec<PageId> =
+            inner.frames.iter().filter(|fr| fr.protected).filter_map(|fr| fr.id).collect();
+        assert_eq!(inner.protected, ids.len(), "the protected count drifted");
+        ids.sort_unstable();
+        ids
     }
 
     /// Fails the next transfer after the test arms it — a read fails half
@@ -448,6 +537,113 @@ mod tests {
     }
 
     #[test]
+    fn a_page_read_twice_survives_a_scan_of_four_pools_of_fresh_pages() {
+        // LRU keeps the last `cap` pages whatever they are, so the scan
+        // evicts the hot page; segmented LRU recycles probation frames only.
+        let cap = 8u64;
+        let f = file(cap as usize);
+        let hot = f.allocate(1 + 4 * cap).unwrap();
+        let mut out = vec![0u8; 128];
+        f.read(hot, &mut out).unwrap();
+        f.read(hot, &mut out).unwrap();
+        for id in hot + 1..=hot + 4 * cap {
+            f.read(id, &mut out).unwrap();
+        }
+        f.io().reset();
+        f.read(hot, &mut out).unwrap();
+        assert_eq!(f.io().snapshot().reads, 0, "a one-pass scan evicted a page read twice");
+    }
+
+    #[test]
+    fn the_protected_set_stays_within_its_share_and_a_stale_page_ages_out() {
+        let cap = 10;
+        let share = protected_share(cap) as u64;
+        assert_eq!(share, 8);
+        let f = file(cap);
+        let stale = f.allocate(40).unwrap();
+        let mut out = vec![0u8; 128];
+        // Promote `stale`, then `share` newer pages one at a time.
+        for id in stale..=stale + share {
+            f.read(id, &mut out).unwrap();
+            f.read(id, &mut out).unwrap();
+            assert!(protected_ids(&f).len() as u64 <= share, "after promoting {id}");
+        }
+        let newer: Vec<PageId> = (stale + 1..=stale + share).collect();
+        assert_eq!(protected_ids(&f), newer, "the oldest protected page is demoted");
+        // Back on probation, it goes with a scan; the newer pages stay.
+        for id in stale + 20..stale + 40 {
+            f.read(id, &mut out).unwrap();
+            assert_eq!(protected_ids(&f), newer);
+        }
+        f.io().reset();
+        for &id in &newer {
+            f.read(id, &mut out).unwrap();
+        }
+        assert_eq!(f.io().snapshot().reads, 0);
+        f.read(stale, &mut out).unwrap();
+        assert_eq!(f.io().snapshot().reads, 1, "the stale page outlived the scan");
+    }
+
+    #[test]
+    fn a_one_frame_pool_hits_and_misses_exactly_as_lru() {
+        // LRU with one frame hits exactly when the block is the last one
+        // accessed. Reads and writes mixed; the write-backs follow misses.
+        let f = file(1);
+        f.allocate(4).unwrap();
+        let mut x = 11u64;
+        let mut last = None;
+        let mut out = vec![0u8; 128];
+        for step in 0..300 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let id = (x >> 33) % 4;
+            let before = f.cache_stats();
+            if x >> 62 == 0 {
+                f.write(id, &[step as u8; 128]).unwrap();
+            } else {
+                f.read(id, &mut out).unwrap();
+            }
+            let (hits, misses) = f.cache_stats();
+            let hit = last == Some(id);
+            assert_eq!((hits - before.0, misses - before.1), (hit as u64, !hit as u64), "{step}");
+            last = Some(id);
+        }
+    }
+
+    #[test]
+    fn after_drop_cache_k_distinct_reads_cost_exactly_k_reads() {
+        let f = file(4);
+        f.allocate(8).unwrap();
+        let mut out = vec![0u8; 128];
+        for k in 0..=8u64 {
+            // Both segments full and a dirty frame, then dropped.
+            for id in [0, 1, 0, 1, 2, 3, 2, 3, 5] {
+                f.read(id, &mut out).unwrap();
+            }
+            f.write(6, &[1u8; 128]).unwrap();
+            assert_eq!(protected_ids(&f).len(), protected_share(4));
+            f.drop_cache().unwrap();
+            assert!(protected_ids(&f).is_empty());
+            f.io().reset();
+            for id in 0..k {
+                f.read(id, &mut out).unwrap();
+            }
+            assert_eq!(f.io().snapshot().reads, k);
+        }
+    }
+
+    #[test]
+    fn a_lent_page_keeps_its_bytes_when_the_block_is_rewritten() {
+        let f = file(2);
+        f.allocate(1).unwrap();
+        f.write(0, &[1u8; 128]).unwrap();
+        let lent = f.page(0).unwrap();
+        f.write(0, &[2u8; 128]).unwrap();
+        assert_eq!(*lent, [1u8; 128]);
+        assert_eq!(*f.page(0).unwrap(), [2u8; 128]);
+        assert!(!Arc::ptr_eq(&lent, &cached(&f, 0)), "the write took a fresh buffer");
+    }
+
+    #[test]
     fn a_page_cached_from_or_flushed_to_memory_is_the_devices_allocation() {
         let dev = Shared(Arc::new(Mutex::new(MemDevice::new(128))));
         let f = file_on(dev.clone(), 4);
@@ -458,12 +654,19 @@ mod tests {
         assert!(Arc::ptr_eq(&cached(&f, 0), &dev.block(0)), "a flush hands the frame's page over");
         assert!(dev.block(0).iter().all(|&b| b == 7));
 
-        // A cold read allocates no page: the new frame points at the block.
+        // A cold read allocates no page: the new frame points at the block,
+        // and `page` lends that allocation, cold and on a hit. Bytes copied
+        // out of the pool per read: 0 (`read` copies the block into its
+        // caller's buffer, as every reader did before `page`).
         f.drop_cache().unwrap();
+        let cold = f.page(0).unwrap();
+        assert!(Arc::ptr_eq(&cold, &dev.block(0)), "a cold page() lends the device's allocation");
+        assert!(Arc::ptr_eq(&cached(&f, 0), &dev.block(0)));
+        let warm = f.page(0).unwrap();
+        assert!(Arc::ptr_eq(&warm, &cached(&f, 0)), "a hit lends the frame's allocation");
         let mut out = vec![0u8; 128];
         f.read(0, &mut out).unwrap();
         assert_eq!(out, [7u8; 128]);
-        assert!(Arc::ptr_eq(&cached(&f, 0), &dev.block(0)));
         assert_eq!(f.io().snapshot(), crate::IoStats { reads: 1, writes: 1, ..Default::default() });
     }
 

@@ -33,7 +33,7 @@ use crate::PageId;
 const MAGIC: [u8; 8] = *b"CRWAL001";
 /// Upper bound on one record's payload — anything larger in a scan is
 /// treated as corruption.
-pub const MAX_RECORD_LEN: usize = 1 << 24;
+const MAX_RECORD_LEN: usize = 1 << 24;
 const FRAME: u64 = 8; // [len: u32][crc: u32]
 
 /// CRC-32 (IEEE 802.3, reflected), table-driven. Small and dependency-free;

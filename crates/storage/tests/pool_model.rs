@@ -1,10 +1,14 @@
-//! Property test: a [`PagedFile`] under arbitrary read/write/flush/drop
-//! sequences must behave exactly like a plain in-memory array of blocks,
-//! its IO counters must never exceed the workload's worst case, and both
-//! must come out the same whatever device sits under the pool: memory
-//! (pages exchanged as handles), a wrapper with only the required
-//! [`BlockDevice`] methods (the provided `load` / `store`), and a directory
-//! — `Env`'s "IO counting is identical to disk".
+//! Property test: a [`PagedFile`] under arbitrary read/lend/write/flush/
+//! drop sequences must behave exactly like a plain in-memory array of
+//! blocks — a lent page ([`PagedFile::page`]) and a copied one
+//! ([`PagedFile::read`]) both show the model's bytes — its IO counters must
+//! never exceed the workload's worst case, and both must come out the same
+//! whatever device sits under the pool: memory (pages exchanged as
+//! handles), a wrapper with only the required [`BlockDevice`] methods (the
+//! provided `load` / `store`), and a directory — `Env`'s "IO counting is
+//! identical to disk". The pool checks its own shape after every access in
+//! debug builds (no more frames than its capacity, no more protected frames
+//! than its share), so every op generated here is checked for that too.
 
 use chronorank_storage::{
     BlockDevice, Env, IoCounter, IoStats, MemDevice, PageId, PagedFile, Result, StoreConfig,
@@ -15,6 +19,7 @@ use proptest::prelude::*;
 enum Op {
     Write(u8, u8),
     Read(u8),
+    Lend(u8),
     Flush,
     DropCache,
 }
@@ -23,6 +28,7 @@ fn arb_op(max_block: u8) -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..max_block, any::<u8>()).prop_map(|(b, v)| Op::Write(b, v)),
         (0..max_block).prop_map(Op::Read),
+        (0..max_block).prop_map(Op::Lend),
         Just(Op::Flush),
         Just(Op::DropCache),
     ]
@@ -56,8 +62,8 @@ impl BlockDevice for RequiredOnly {
     }
 }
 
-/// Run `ops`, then a cold read-back of every block. Returns what each read
-/// saw, in order.
+/// Run `ops`, then a cold read-back of every block, lent and copied in
+/// turn. Returns what each read saw, in order.
 fn replay(file: &PagedFile, ops: &[Op]) -> Vec<Vec<u8>> {
     file.allocate(BLOCKS as u64).unwrap();
     let mut buf = vec![0u8; BLOCK_SIZE];
@@ -72,14 +78,19 @@ fn replay(file: &PagedFile, ops: &[Op]) -> Vec<Vec<u8>> {
                 file.read(b as u64, &mut buf).unwrap();
                 seen.push(buf.clone());
             }
+            Op::Lend(b) => seen.push(file.page(b as u64).unwrap().to_vec()),
             Op::Flush => file.flush().unwrap(),
             Op::DropCache => file.drop_cache().unwrap(),
         }
     }
     file.drop_cache().unwrap();
     for id in 0..BLOCKS as u64 {
-        file.read(id, &mut buf).unwrap();
-        seen.push(buf.clone());
+        if id % 2 == 0 {
+            seen.push(file.page(id).unwrap().to_vec());
+        } else {
+            file.read(id, &mut buf).unwrap();
+            seen.push(buf.clone());
+        }
     }
     seen
 }
@@ -91,7 +102,7 @@ fn replay_model(ops: &[Op]) -> Vec<Vec<u8>> {
     for op in ops {
         match *op {
             Op::Write(b, v) => model[b as usize].fill(v),
-            Op::Read(b) => seen.push(model[b as usize].clone()),
+            Op::Read(b) | Op::Lend(b) => seen.push(model[b as usize].clone()),
             Op::Flush | Op::DropCache => {}
         }
     }
@@ -134,7 +145,7 @@ proptest! {
         // plus the final read-back; each flush/eviction writes each dirty
         // block at most once per dirtying.
         let logical_accesses =
-            ops.iter().filter(|op| matches!(op, Op::Write(..) | Op::Read(_))).count() as u64;
+            ops.iter().filter(|op| matches!(op, Op::Write(..) | Op::Read(_) | Op::Lend(_))).count() as u64;
         prop_assert!(io.reads <= logical_accesses + BLOCKS as u64);
         prop_assert!(io.writes <= logical_accesses + 1);
     }

@@ -34,6 +34,13 @@ const ROUNDS: usize = 20;
 /// which drifts while a measurement runs. A difference paired within
 /// rounds repeats to about ±5 in its median.
 const SLACK: f64 = 0.05;
+/// Heap allocations an untraced query of this stream may make: about 37.5
+/// (printed rounded). 47 while readers copied each block out of the pool
+/// into a buffer of their own: an exact query allocated one per stab, 2
+/// stabs × W shards = 4 (31.6 → 35.6 alone); an ε = 0.2 query, routed to
+/// APPX2, one per directory seek and per dyadic list read, ≈ 15 (43.5 →
+/// 58.6 alone); the stream alternates the two.
+const ALLOCATIONS: f64 = 38.5;
 
 /// Heap allocations one pass of `stream` makes through each of `variants`,
 /// in each of `ROUNDS` rounds after a warm-up one. A round runs the
@@ -181,6 +188,7 @@ fn telemetry_costs_a_query_w_plus_1_spans_no_allocation_and_two_metric_updates()
     assert!(traced.abs() <= SLACK, "a traced query allocates {traced:+} more");
     assert!(metered.abs() <= SLACK, "metrics allocate {metered:+} per query");
     assert!(every_7th > SLACK, "an allocation every 7th query reads as {every_7th:+}");
+    assert!(untraced <= ALLOCATIONS, "{untraced:.3} allocations per query");
     assert_eq!((updates, updates_cached), (2.0, 3.0));
     assert!(std::mem::size_of::<Span>() <= 240);
 }
