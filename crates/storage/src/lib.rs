@@ -59,9 +59,8 @@
 //! f.flush().unwrap();
 //! f.drop_cache().unwrap();
 //!
-//! let mut out = vec![0u8; f.block_size()];
-//! f.read(id, &mut out).unwrap();
-//! assert_eq!(&out[..4], &42u32.to_le_bytes());
+//! let page = f.page(id).unwrap();
+//! assert_eq!(&page[..4], &42u32.to_le_bytes());
 //! assert!(env.io_stats().reads >= 1);
 //! ```
 

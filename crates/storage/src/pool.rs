@@ -12,11 +12,11 @@
 //! protected, the textbook split (untuned): past that, the least recently
 //! used protected page goes back to probation as its most recent page. The
 //! victim is the least recently used probation page, and a protected one
-//! only when none is on probation. So a scan of pages read once — the ~30 leaves a cold stab
-//! streams — recycles the probation frames and leaves the inner pages
-//! every stab reads again where they are. A one-frame pool is plain LRU,
-//! and [`PagedFile::drop_cache`] empties both segments, so every cold count
-//! starts from the same empty pool.
+//! only when none is on probation. So a scan of pages read once — the ~30
+//! leaves a stab streams — recycles the probation frames and leaves the
+//! inner pages every stab reads again where they are. A one-frame pool is
+//! plain LRU, and [`PagedFile::drop_cache`] empties both segments, so every
+//! cold count starts from the same empty pool.
 //!
 //! A frame holds its block as a [`Page`] handle and exchanges it with the
 //! device through [`BlockDevice::load`] / [`BlockDevice::store`]. Over a
@@ -154,13 +154,12 @@ impl PoolInner {
         self.misses += 1;
         let idx = if self.frames.len() < self.capacity {
             // No buffer yet: the device's handle or the caller's bytes fill it.
-            let page = Page::default();
             self.frames.push(Frame {
                 id: None,
                 dirty: false,
                 last_used: 0,
                 protected: false,
-                page,
+                page: Page::default(),
             });
             self.frames.len() - 1
         } else {
@@ -196,7 +195,6 @@ impl PoolInner {
     fn debug_check_shape(&self) {
         debug_assert!(self.frames.len() <= self.capacity, "{} frames", self.frames.len());
         debug_assert!(self.protected <= protected_share(self.capacity), "{}", self.protected);
-        debug_assert!(self.map.len() <= self.frames.len());
     }
 
     /// Hand frame `idx`'s page to the device if it is dirty.

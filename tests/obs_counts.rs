@@ -36,10 +36,10 @@ const ROUNDS: usize = 20;
 const SLACK: f64 = 0.05;
 /// Heap allocations an untraced query of this stream may make: about 37.5
 /// (printed rounded). 47 while readers copied each block out of the pool
-/// into a buffer of their own: an exact query allocated one per stab, 2
-/// stabs × W shards = 4 (31.6 → 35.6 alone); an ε = 0.2 query, routed to
-/// APPX2, one per directory seek and per dyadic list read, ≈ 15 (43.5 →
-/// 58.6 alone); the stream alternates the two.
+/// into a buffer of their own: an exact query one per stab, 2 stabs × W
+/// shards = 4 (35.6 → 31.6 on the exact half alone); an ε = 0.2 query,
+/// routed to APPX2, one per directory seek and per dyadic list read, ≈ 15
+/// (58.6 → 43.5 on the ε half alone); the stream alternates the two.
 const ALLOCATIONS: f64 = 38.5;
 
 /// Heap allocations one pass of `stream` makes through each of `variants`,

@@ -1,7 +1,8 @@
 //! Tier-1 read gate for the buffer pool: the blocks an exact query reads
-//! on an `exact_cold`-shaped engine (Temp, 100 segments per object, W = 2
-//! shards, 64-frame pools, uniform span-0.2 queries at k = 20), measured
-//! after a warm-up so the pools hold what a running engine's would.
+//! on an `exact_cold`-shaped engine at half its size (Temp m = 2,000 with
+//! 100 segments per object, W = 2 shards, 64-frame pools, uniform span-0.2
+//! queries at k = 20), measured after a warm-up so the pools hold what a
+//! running engine's would.
 //!
 //! Each stab reads its inner pages again and streams leaves it reads
 //! once. A plain LRU pool lets those leaves evict the inner pages; the
