@@ -39,10 +39,13 @@
 #                     EXACT1 / EXACT3 / APPX1 / APPX2 / APPX2+ against the
 #                     paper's EXACT3 bound, and APPX precision, ratio and
 #                     worst error vs EXACT3; then the blocks 64 Zipf
-#                     queries read solo against one execute window), plus
-#                     the sleeps and yields in tests/ and crates/*/tests
-#                     (must be 0: tests wait on events, not time) — 25
-#                     lines, echoed into the summary below the timings —
+#                     queries read solo against one execute window), the
+#                     one tests/shard_workers.rs pins (worker threads that
+#                     probed each shard of a W = 4 pool under 4 callers:
+#                     1, each shard's own worker), plus the sleeps and
+#                     yields in tests/ and crates/*/tests (must be 0:
+#                     tests wait on events, not time) — 26 lines, echoed
+#                     into the summary below the timings —
 #                     and below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
 #                     with RUST_TEST_THREADS deliberately unpinned, so the
@@ -99,7 +102,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/pool_reads.rs, tests/paper_claims.rs, test waits; 25 lines)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; 26 lines)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -234,7 +237,7 @@ tier1_stage() {
     cargo build --release
     PINNED_COUNTS=$(cargo test -q -p chronorank -p chronorank-net --test resident_build_counts \
         --test streaming_build_counts --test obs_counts --test thread_counts --test stab_reads \
-        --test pool_reads --test paper_claims -- --nocapture \
+        --test pool_reads --test paper_claims --test shard_workers -- --nocapture \
         2> /dev/null | grep -o 'pinned:.*' || true)
     # Tests wait on events, not time: none may sleep or yield.
     local waits

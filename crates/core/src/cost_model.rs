@@ -83,7 +83,8 @@ pub fn query_cost(p: &CostParams) -> QueryCost {
     let ent_per_block3 = (p.block / entry::EXACT3).max(1) as f64;
     let exact3 = 2.0 * ((p.n_total.max(2) as f64).log2() + p.m as f64 / ent_per_block3);
 
-    let list_blocks = |k: u64| ((k * entry::LIST) as f64 / p.block as f64).ceil().max(1.0);
+    let list_blocks =
+        |k: u64| (k.saturating_mul(entry::LIST) as f64 / p.block as f64).ceil().max(1.0);
     let appx1 = 2.0 * p.log_b(p.r).max(1.0) + list_blocks(p.k);
     let pieces = 2.0 * (p.r.max(2) as f64).log2();
     let appx2 = 2.0 * p.log_b(p.r).max(1.0) + pieces * list_blocks(p.k);

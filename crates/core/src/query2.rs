@@ -382,6 +382,69 @@ mod tests {
         assert!(cand.len() <= bound, "|K| = {} exceeds 2k log r ≈ {bound}", cand.len());
     }
 
+    /// `m` objects over `[0, 100]` whose values come from an LCG: no two
+    /// piece scores tie, so every top-`k` is one well-defined set.
+    fn tie_free_set(m: usize) -> crate::TemporalSet {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let curves = (0..m)
+            .map(|_| {
+                let points: Vec<(f64, f64)> =
+                    (0..=25).map(|i| (4.0 * i as f64, 10.0 * next())).collect();
+                chronorank_curve::PiecewiseLinear::from_points(&points).unwrap()
+            })
+            .collect();
+        crate::TemporalSet::from_curves(curves).unwrap()
+    }
+
+    /// `candidates` is the dyadic merge: for each node of the canonical
+    /// cover of the snapped gaps, the top `k` objects by that node's score
+    /// (`cums_at` differences), summed per object in cover order. Checked
+    /// against that oracle for every breakpoint pair, ids and sum bits.
+    #[test]
+    fn candidates_sum_each_cover_pieces_top_k() {
+        let set = tie_free_set(40);
+        let bp = Breakpoints::b2_with_count(&set, 24, B2Construction::Efficient).unwrap();
+        let rows: Vec<Vec<f64>> = set.objects().iter().map(|o| bp.cums_at(&o.curve)).collect();
+        let kmax = 8;
+        let idx =
+            Query2Index::build(Env::mem(StoreConfig::default()), set.objects(), bp, kmax).unwrap();
+        let points = idx.breakpoints().points().to_vec();
+        for k in [1, 3, kmax] {
+            for j1 in 0..points.len() {
+                for j2 in j1 + 1..points.len() {
+                    let mut pieces = Vec::new();
+                    canonical_cover(&idx.nodes, 0, j1 as u32, j2 as u32, &mut pieces);
+                    let mut want: HashMap<ObjectId, f64> = HashMap::new();
+                    for ni in pieces {
+                        let (lo, hi) = (idx.nodes[ni].lo as usize, idx.nodes[ni].hi as usize);
+                        let mut ranked: Vec<(ObjectId, f64)> = rows
+                            .iter()
+                            .enumerate()
+                            .map(|(id, row)| (id as ObjectId, row[hi] - row[lo]))
+                            .collect();
+                        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                        for &(id, s) in &ranked[..k] {
+                            *want.entry(id).or_insert(0.0) += s;
+                        }
+                    }
+                    let got = idx.candidates(points[j1], points[j2], k).unwrap().unwrap();
+                    let bits = |m: &HashMap<ObjectId, f64>| {
+                        let mut v: Vec<_> = m.iter().map(|(&id, s)| (id, s.to_bits())).collect();
+                        v.sort_unstable();
+                        v
+                    };
+                    assert_eq!(bits(&got), bits(&want), "k = {k}, gaps [{j1}, {j2})");
+                }
+            }
+        }
+    }
+
     #[test]
     fn interval_past_domain_is_empty() {
         let (_, idx) = build(12, 4);

@@ -83,12 +83,15 @@ impl Ord for WorstFirst {
 
 /// Select the top `k` scores from an iterator with a size-`k` min-heap —
 /// the `O(x log k)` priority-queue step every method in the paper ends
-/// with. Deterministic: score ties are broken by smaller object id.
+/// with. Deterministic: score ties are broken by smaller object id. A `k`
+/// past the input's length returns the whole input: the heap is sized by
+/// what the input can fill, never by `k` alone.
 pub(crate) fn top_k_from_scores(scores: impl Iterator<Item = (ObjectId, f64)>, k: usize) -> TopK {
     if k == 0 {
         return TopK { entries: Vec::new() };
     }
-    let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
+    let (lower, upper) = scores.size_hint();
+    let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k.min(upper.unwrap_or(lower)));
     for (id, s) in scores {
         if heap.len() < k {
             heap.push(WorstFirst(s, id));

@@ -1,12 +1,13 @@
 //! The ingest engine: durable appends in, fresh answers out.
 //!
 //! Appends take `&mut self` (there is exactly one WAL) and are applied to
-//! the owning shards, which hold the data, before the call returns. The query
-//! path — [`IngestEngine::execute`], one window of queries scattered as one
-//! pool task per shard — takes `&self`: every call gathers on its own reply
-//! channel, so any number of caller threads can query one engine
-//! concurrently — the network tier wraps an `IngestEngine` in an `RwLock`
-//! and lets reads overlap while appends serialize, and installs with them.
+//! the owning shards, which hold the data, before the call returns. The
+//! query path — [`IngestEngine::execute`], one window of queries scattered
+//! as one job to each shard's own pool worker — takes `&self`: every call
+//! gathers on its own reply channel, so any number of caller threads can
+//! query one engine concurrently — the network tier wraps an
+//! `IngestEngine` in an `RwLock` and lets reads overlap while appends
+//! serialize, and installs with them.
 
 use crate::config::LiveConfig;
 use crate::generation::{GenPart, GenParts};
@@ -17,8 +18,8 @@ use chronorank_core::{AppendRecord, CoreError, MethodProfile, ObjectId, Temporal
 use chronorank_curve::{ColumnarTail, Segment};
 use chronorank_obs::{elapsed_us, Registry, SpanId, SpanSink, TraceId};
 use chronorank_serve::{
-    merge_profiles, panic_message, partition, Answer, Freshness, MethodSet, Planner, PlannerParams,
-    Route, ServeError, ServeQuery, WorkerPool,
+    merge_profiles, partition, Answer, Freshness, MethodSet, Planner, PlannerParams, Route,
+    ServeError, ServeQuery, WorkerPool,
 };
 use chronorank_storage::{
     Env, FileDevice, GenerationImage, ImageWriter, IoCounter, StorageError, WriteAheadLog,
@@ -79,11 +80,12 @@ struct QueryCounters {
 
 /// The WAL-backed live ingest/serving engine (see crate docs).
 ///
-/// Owns the write-ahead log, `W` ingest shards that each pair their
-/// partition's columns (the only copy of the live data) with an
-/// epoch-swapped frozen generation, the worker pool their query windows run
-/// on, and what the §4 update model needs of the data as a whole: every
-/// object's right edge, the live mass and the time domain.
+/// Owns the write-ahead log, the worker pool — which owns the `W` ingest
+/// shards, each pairing its partition's columns (the only copy of the live
+/// data) with an epoch-swapped frozen generation, and runs each shard's
+/// query windows on a worker of its own — and what the §4 update model
+/// needs of the data as a whole: every object's right edge, the live mass
+/// and the time domain.
 pub struct IngestEngine {
     /// Each object's last point `(t, v)`, by global id: the edge an append
     /// must extend and the left end of the segment it adds.
@@ -95,8 +97,7 @@ pub struct IngestEngine {
     domain: (f64, f64),
     wal: WriteAheadLog,
     image_path: Option<PathBuf>,
-    shards: Vec<Arc<LiveShard>>,
-    pool: WorkerPool,
+    pool: WorkerPool<LiveShard>,
     /// Routing over the installed generations and the mass they were built
     /// over (recomputed at install), and whether a build is pending.
     planner: Planner,
@@ -153,39 +154,22 @@ impl IngestEngine {
         drop(base);
         // Every shard boots (generation 0, or its reopen) on a thread of
         // its own, all at once.
-        let booted: Vec<Result<LiveShard, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .zip(preloads)
-                .enumerate()
-                .map(|(shard, ((subset, global_ids), preload))| {
-                    let (config, obs) = (config.clone(), obs.shard.clone());
-                    scope.spawn(move || {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            LiveShard::boot(shard, subset, global_ids, config, preload, obs)
-                        }))
-                        .unwrap_or_else(|p| Err(format!("build panicked: {}", panic_message(&*p))))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("boot threads do not panic")).collect()
-        });
-        let mut shards = Vec::with_capacity(w);
-        for (shard, outcome) in booted.into_iter().enumerate() {
-            match outcome {
-                Ok(s) => shards.push(Arc::new(s)),
-                Err(message) => return Err(ServeError::Build { shard, message }.into()),
-            }
-        }
-        let (planner, built_mass) = plan(&shards, params);
+        let pool = WorkerPool::boot(
+            parts.into_iter().zip(preloads).collect(),
+            &Registry::noop(),
+            |shard, ((subset, global_ids), preload)| {
+                let (config, obs) = (config.clone(), obs.shard.clone());
+                LiveShard::boot(shard, subset, global_ids, config, preload, obs)
+            },
+        )?;
+        let (planner, built_mass) = plan(pool.shards(), params);
         Ok(Self {
             last,
             live_mass,
             domain,
             wal,
             image_path,
-            pool: WorkerPool::new(w, &Registry::noop())?,
-            shards,
+            pool,
             planner,
             built_mass,
             building: false,
@@ -344,7 +328,7 @@ impl IngestEngine {
 
     /// Number of ingest shards.
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.pool.shards().len()
     }
 
     /// The live data (appends applied) as a row-form set, assembled from
@@ -352,7 +336,8 @@ impl IngestEngine {
     /// test and diagnostic surface (ground-truth assertions, segment
     /// counts); nothing on the append, query or STATS path calls it.
     pub fn live_set(&self) -> TemporalSet {
-        TemporalSet::from_columnar(&live_columns(&self.shards)).expect("columns hold valid curves")
+        TemporalSet::from_columnar(&live_columns(self.pool.shards()))
+            .expect("columns hold valid curves")
     }
 
     /// `(t_min, t_max)` of the live data — what remote clients need to
@@ -404,7 +389,7 @@ impl IngestEngine {
             return Ok(());
         }
         self.validate(recs)?;
-        let w = self.shards.len();
+        let w = self.pool.shards().len();
         let mut per_shard: Vec<Vec<AppendRecord>> = vec![Vec::new(); w];
         let mut accepted = 0u64;
         let mut failed = None;
@@ -435,7 +420,8 @@ impl IngestEngine {
             let synced = self.wal.sync();
             self.obs.wal_fsync_us.record(elapsed_us(t_sync));
             self.obs.batch_size.record(accepted);
-            let steps = self.shards.iter().zip(&per_shard).map(|(s, b)| s.apply(b)).collect();
+            let steps =
+                self.pool.shards().iter().zip(&per_shard).map(|(s, b)| s.apply(b)).collect();
             self.stepped(steps);
             self.appends += accepted;
             self.batches += 1;
@@ -453,13 +439,13 @@ impl IngestEngine {
     fn stepped(&mut self, steps: Vec<Step>) {
         self.building = steps.iter().any(|s| s.pending);
         if steps.iter().any(|s| s.installed) {
-            (self.planner, self.built_mass) = plan(&self.shards, self.planner.params());
+            (self.planner, self.built_mass) = plan(self.pool.shards(), self.planner.params());
         }
     }
 
     /// Every shard installs a finished build (with `wait`, any pending one).
     fn install(&mut self, wait: bool) {
-        let steps = self.shards.iter().map(|s| s.install(wait)).collect();
+        let steps = self.pool.shards().iter().map(|s| s.install(wait)).collect();
         self.stepped(steps);
     }
 
@@ -496,7 +482,7 @@ impl IngestEngine {
     /// window is routed against one [`IngestEngine::routing_snapshot`] and
     /// handed to the worker pool's [`WorkerPool::scatter_gather`] — the
     /// scatter–gather `chronorank-serve` runs, one window per call: each
-    /// shard gets it as **one** pool task, takes its lock, answers
+    /// shard's worker gets it as **one** job, takes its lock, answers
     /// probe-identical queries (same snapped or raw interval, `k`, route
     /// and tolerance) with a single frozen probe and columnar rescore, and
     /// once every shard has replied the lists are merged per query.
@@ -519,7 +505,7 @@ impl IngestEngine {
         let (planner, fresh) = self.routing_snapshot();
         let routed: Arc<[(ServeQuery, Route)]> =
             window.iter().map(|q| (*q, planner.route_with_freshness(q, Some(fresh)))).collect();
-        let tops = self.pool.scatter_gather(&self.shards, &routed, trace, sink)?;
+        let tops = self.pool.scatter_gather(&routed, trace, sink)?;
         let mut counters =
             self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         counters.queries += tops.len() as u64;
@@ -577,14 +563,14 @@ impl IngestEngine {
         let mut writer = ImageWriter::create(path)?;
         // The live set travels in columnar (PAX) form: one shared offset
         // table plus contiguous t/v columns, gathered from the shards'.
-        writer.add_blob("live_set", &live_columns(&self.shards).to_bytes())?;
+        writer.add_blob("live_set", &live_columns(self.pool.shards()).to_bytes())?;
         let mut meta = Vec::with_capacity(25);
-        meta.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
+        meta.extend_from_slice(&(self.pool.shards().len() as u64).to_le_bytes());
         meta.extend_from_slice(&self.planner.params().block.to_le_bytes());
         meta.extend_from_slice(&(self.config_kmax as u64).to_le_bytes());
         meta.push(self.config_flags);
         writer.add_blob("engine", &meta)?;
-        for (shard, live) in self.shards.iter().enumerate() {
+        for (shard, live) in self.pool.shards().iter().enumerate() {
             let (gen, frozen_end) = live.checkpoint();
             gen.add_to_image(&mut writer, &format!("s{shard}/"), &frozen_end)
                 .map_err(|e| LiveError::Snapshot(e.to_string()))?;
@@ -600,7 +586,7 @@ impl IngestEngine {
 
     /// Every shard's statistics, read now (each under its shard's lock).
     fn statuses(&self) -> Vec<ShardStatus> {
-        self.shards.iter().map(|s| s.status()).collect()
+        self.pool.shards().iter().map(|s| s.status()).collect()
     }
 
     fn report_of(&self, statuses: &[ShardStatus]) -> LiveReport {
@@ -611,7 +597,7 @@ impl IngestEngine {
             swap_pause.merge(&s.counters.swap_pause);
         }
         LiveReport {
-            workers: self.shards.len(),
+            workers: self.pool.shards().len(),
             appends: self.appends,
             batches: self.batches,
             queries: counters.queries,
@@ -735,8 +721,9 @@ mod tests {
     use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
 
     /// What only the crate can see (the bounded wait is `tests/engine.rs`'s):
-    /// a generation builder never owns a shard, not even mid-build, and
-    /// once `drop` returns no pool worker does either.
+    /// a generation builder never owns a shard, not even mid-build (each is
+    /// held by the pool and its own worker only), and once `drop` returns
+    /// no pool worker does either.
     #[test]
     fn a_dropped_engine_leaves_no_thread_holding_a_shard() {
         let generator = StockGenerator::new(StockConfig {
@@ -757,8 +744,9 @@ mod tests {
         let mut engine = IngestEngine::new(&stream.base_set(), config).unwrap();
         engine.append_batch(stream.batches().next().unwrap()).unwrap();
         assert!(engine.report().rebuilds_in_flight > 0, "the drop below must race a build");
-        assert!(engine.shards.iter().all(|s| Arc::strong_count(s) == 1), "a builder holds a shard");
-        let shards: Vec<_> = engine.shards.iter().map(Arc::downgrade).collect();
+        let held = |s: &Arc<LiveShard>| Arc::strong_count(s) == 2;
+        assert!(engine.pool.shards().iter().all(held), "a builder holds a shard");
+        let shards: Vec<_> = engine.pool.shards().iter().map(Arc::downgrade).collect();
         drop(engine);
         assert!(shards.iter().all(|s| s.strong_count() == 0), "a thread outlived the engine");
     }

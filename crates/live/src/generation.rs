@@ -10,8 +10,8 @@
 //! re-scores exactly from its columns as it does every route's candidates
 //! ([`PlusRescore::Columns`]). The whole index stack is `Send + Sync`, so a builder thread
 //! constructs it from its own snapshot and **returns** it, never touching
-//! the shard; the engine installs it on a `&mut self` step, and whichever
-//! pool worker answers the shard's next window probes it directly.
+//! the shard; the engine installs it on a `&mut self` step, and the
+//! shard's pool worker probes it directly from the next window on.
 //!
 //! A shard never blocks on a build: it keeps answering from the old
 //! generation while the new one constructs, and the swap itself is an

@@ -45,14 +45,16 @@
 //!
 //! Queries go through one body, [`IngestEngine::execute`]: a window is
 //! routed from one snapshot of the shards' profiles and masses and run
-//! through [`chronorank_serve::WorkerPool::scatter_gather`] — the pool,
-//! one task per shard, per-query merge and span tree `chronorank-serve`
-//! itself uses, with a live shard behind [`chronorank_serve::ShardProbe`]
-//! where serve has an immutable one — and answered as one
+//! through [`chronorank_serve::WorkerPool::scatter_gather`] — the pool
+//! (booted by [`chronorank_serve::WorkerPool::boot`], which owns the
+//! shards), one job per shard's own worker, per-query merge and span tree
+//! `chronorank-serve` itself uses, with a live shard behind
+//! [`chronorank_serve::ShardProbe`] where serve has an immutable one — and
+//! answered as one
 //! [`chronorank_serve::Answer`] per query whose `eps_used` is restated
 //! from that same snapshot.
 //! [`IngestEngine::query`] is a window of one. Beside the pool's `W`
-//! workers, the only threads the engine starts are generation builders,
+//! workers, one per shard, the only threads the engine starts are generation builders,
 //! one per build.
 //!
 //! ## Example

@@ -5,11 +5,12 @@
 //! edge of the currently published generation, the pending build, and the
 //! result cache — in a `Mutex<ShardState>`, and probes its frozen side
 //! directly: the published generation is an immutable `Arc`-shared
-//! snapshot ([`crate::generation`]). No thread belongs to a shard. A query
-//! window runs on `chronorank-serve`'s worker pool through [`ShardProbe`],
-//! the same seam serve's immutable shards sit behind; an append batch, and
-//! the install of a finished build, are steps the engine takes from its
-//! `&mut self` calls. A generation builder holds only its snapshot: it
+//! snapshot ([`crate::generation`]). The engine's `chronorank-serve`
+//! worker pool owns the shard and runs its query windows on the shard's
+//! own worker through [`ShardProbe`], the same seam serve's immutable
+//! shards sit behind; an append batch, and the install of a finished
+//! build, are steps the engine takes from its `&mut self` calls, on the
+//! shard directly. A generation builder holds only its snapshot: it
 //! returns the generation through its `JoinHandle` and never touches the
 //! shard, so no install can overlap a query. Every statistic is read on
 //! demand ([`LiveShard::status`]).
@@ -412,7 +413,7 @@ impl ShardState {
         // Candidate budget: k + |touched| (+ slack) suffices — any object
         // outside it is beaten by ≥ k candidates (see module docs). The
         // approximate routes are additionally capped by their built kmax.
-        let mut kk = (k + touched.len() + CANDIDATE_SLACK).min(m);
+        let mut kk = k.saturating_add(touched.len() + CANDIDATE_SLACK).min(m);
         if !route.is_exact() {
             kk = kk.min(gen.meta.kmax).max(k.min(gen.meta.kmax));
         }
@@ -453,7 +454,8 @@ impl ShardState {
     }
 }
 
-/// One ingest shard as the engine and the worker pool share it (see module
+/// One ingest shard, owned by the worker pool: its worker answers query
+/// windows, the engine calls it directly for everything else (see module
 /// docs).
 pub(crate) struct LiveShard {
     state: Mutex<ShardState>,

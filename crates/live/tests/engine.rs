@@ -49,6 +49,46 @@ fn appends_are_visible_to_the_next_query() {
     assert!(report.tail_segments > 0 || report.rebuilds > 0);
 }
 
+/// A `k` past the object count is the whole set, on every route and
+/// whether it comes alone or in a window with `k = 0`: the candidate
+/// budget `k + |touched| + slack` must not wrap. ε = 0.2 at `k = m` is
+/// APPX2's answer over the snapped interval; past `kmax` every ε query is
+/// answered exactly.
+#[test]
+fn a_k_past_the_object_count_is_the_whole_set() {
+    let m = 16;
+    let stream = stock_stream(m, 8);
+    let mut engine =
+        IngestEngine::new(&stream.base_set(), LiveConfig { workers: 2, ..Default::default() })
+            .unwrap();
+    engine.append_batch(stream.batches().next().unwrap()).unwrap();
+    let (t_min, t_max) = engine.domain();
+    let (t1, t2) = (t_min + 0.1 * (t_max - t_min), t_max);
+    let whole = engine.query(ServeQuery::exact(t1, t2, m)).unwrap();
+    assert_eq!(whole.len(), m);
+    assert_eq!(engine.route_for(&ServeQuery::approx(t1, t2, m, 0.2)), Route::Appx2);
+    let appx = engine.query(ServeQuery::approx(t1, t2, m, 0.2)).unwrap();
+    assert_eq!(appx.len(), m);
+    let huge = [1 << 40, usize::MAX / 2, usize::MAX - 2];
+    for eps in [None, Some(0.2)] {
+        let at = |k| match eps {
+            None => ServeQuery::exact(t1, t2, k),
+            Some(eps) => ServeQuery::approx(t1, t2, k, eps),
+        };
+        for k in huge {
+            assert!(engine.route_for(&at(k)).is_exact());
+            assert_top_matches(&whole, &engine.query(at(k)).unwrap(), &format!("{:?}", at(k)));
+        }
+        let window: Vec<_> = [0, m].into_iter().chain(huge).map(at).collect();
+        let answers = engine.execute(&window, None, &SpanSink::noop()).unwrap();
+        assert!(answers[0].topk.is_empty(), "k = 0");
+        assert_top_matches(if eps.is_some() { &appx } else { &whole }, &answers[1].topk, "k = m");
+        for (q, a) in window.iter().zip(&answers).skip(2) {
+            assert_top_matches(&whole, &a.topk, &format!("window {q:?}"));
+        }
+    }
+}
+
 #[test]
 fn mass_doubling_triggers_an_epoch_swap_without_blocking_readers() {
     let stream = stock_stream(6, 4);

@@ -170,7 +170,7 @@ impl NetClient {
     /// BUSY refusals tolerated per query in [`NetClient::pipeline_topk`]
     /// before the overload is surfaced as an error (with the capped
     /// linear backoff this is several seconds of sustained pushback).
-    pub const MAX_BUSY_RETRIES: u32 = 100;
+    const MAX_BUSY_RETRIES: u32 = 100;
 
     /// Connect.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
@@ -210,7 +210,7 @@ impl NetClient {
     }
 
     /// Queue one APPEND_BATCH request; returns its request id.
-    pub fn send_append_batch(&mut self, recs: &[AppendRecord]) -> Result<u64, NetError> {
+    fn send_append_batch(&mut self, recs: &[AppendRecord]) -> Result<u64, NetError> {
         self.send_frame(OpCode::AppendBatch, encode_append_batch(recs)?)
     }
 
@@ -363,8 +363,8 @@ impl NetClient {
     /// Run `queries` closed-loop with at most `depth` requests in flight:
     /// fill the window, then answer-and-refill until done. BUSY pushback
     /// is retried (the same query, a fresh id) with a growing backoff —
-    /// never a hot spin — and a query refused [`Self::MAX_BUSY_RETRIES`]
-    /// times surfaces the BUSY as an error (a server that can admit
+    /// never a hot spin — and a query refused more than 100 times
+    /// surfaces the BUSY as an error (a server that can admit
     /// nothing should look overloaded, not hang its clients).
     pub fn pipeline_topk(
         &mut self,

@@ -1,5 +1,5 @@
-//! The serving engine: partition, build once, scatter to a worker pool
-//! over shared snapshots, gather, merge.
+//! The serving engine: partition, build once, scatter to one worker per
+//! shard over shared snapshots, gather, merge.
 
 use crate::config::ServeConfig;
 use crate::obs::ServeObs;
@@ -66,18 +66,16 @@ pub struct Answer {
 
 /// One unit of pool work: one shard's view of the window
 /// ([`ShardProbe::answer_batch`]: probe-identical queries share one index
-/// probe). The window is `Arc`-shared across the per-shard tasks.
-struct Task {
-    shard: Arc<dyn ShardProbe>,
-    /// Index of `shard` within the engine: the reply's slot.
-    shard_idx: usize,
+/// probe). The window is `Arc`-shared across the per-shard jobs; the shard
+/// is the one its worker owns.
+struct Job {
     window: Arc<[(ServeQuery, Route)]>,
-    reply: Sender<TaskReply>,
+    reply: Sender<JobReply>,
 }
 
 /// One shard's answers to the window. Wall-clock and reads are the
 /// *window's* (dedup makes per-query probes fictional inside one).
-struct TaskReply {
+struct JobReply {
     shard: usize,
     /// Per query of the window: the shard-local answer, and `Some(hit)`
     /// when the shard's result cache was consulted.
@@ -88,46 +86,88 @@ struct TaskReply {
     reads: u64,
 }
 
-/// A fixed set of worker threads draining one shared task queue, and the
-/// one scatter–gather both engines run on it
-/// ([`WorkerPool::scatter_gather`]). Workers hold no state of their own —
-/// every task carries the `Arc` of the shard it probes, so any worker can
-/// serve any shard at any time.
-pub struct WorkerPool {
-    task_tx: Option<Sender<Task>>,
+/// The shards of one engine, one worker thread per shard, and the one
+/// scatter–gather both engines run on them ([`WorkerPool::scatter_gather`]).
+/// Worker `i` drains a channel of its own and answers only shard `i`'s
+/// windows, so no query passes through a lock the workers share. Appends,
+/// installs and status reads call a shard directly ([`WorkerPool::shards`]).
+pub struct WorkerPool<S> {
+    shards: Vec<Arc<S>>,
+    /// Worker `i`'s job channel; dropping it is worker `i`'s shutdown.
+    jobs: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
     pub(crate) obs: ServeObs,
 }
 
-impl WorkerPool {
-    /// Spawn `workers` threads (at least one). Route counters, latency
-    /// histograms and the slow-query recorder attach to `registry`; a
-    /// [`Registry::noop`] leaves only the span tree of a traced query.
-    pub fn new(workers: usize, registry: &Registry) -> Result<Self, ServeError> {
-        let (task_tx, task_rx) = channel::<Task>();
-        let task_rx = Arc::new(Mutex::new(task_rx));
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers.max(1) {
-            let rx = Arc::clone(&task_rx);
+impl<S: ShardProbe + 'static> WorkerPool<S> {
+    /// Build shard `i` as `build(i, part)` for every part, all at once on
+    /// scoped threads (a panic or error becomes [`ServeError::Build`]),
+    /// then spawn worker `chronorank-serve-{i}` for each. Route counters,
+    /// latency histograms and the slow-query recorder attach to
+    /// `registry`; a [`Registry::noop`] leaves only the span tree of a
+    /// traced query.
+    pub fn boot<P: Send>(
+        parts: Vec<P>,
+        registry: &Registry,
+        build: impl Fn(usize, P) -> Result<S, String> + Sync,
+    ) -> Result<Self, ServeError> {
+        let build = &build;
+        let built: Vec<Result<S, String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = parts
+                .into_iter()
+                .enumerate()
+                .map(|(i, part)| {
+                    scope.spawn(move || {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(i, part)))
+                            .unwrap_or_else(|p| {
+                                Err(format!("build panicked: {}", panic_message(&*p)))
+                            })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("build threads do not panic")).collect()
+        });
+        let shards = built
+            .into_iter()
+            .enumerate()
+            .map(|(shard, outcome)| {
+                outcome.map(Arc::new).map_err(|message| ServeError::Build { shard, message })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut pool = Self {
+            jobs: Vec::with_capacity(shards.len()),
+            handles: Vec::with_capacity(shards.len()),
+            shards,
+            obs: ServeObs::attach(registry),
+        };
+        for (i, shard) in pool.shards.iter().enumerate() {
+            let (job_tx, job_rx) = channel();
+            let shard = Arc::clone(shard);
             let handle = std::thread::Builder::new()
-                .name(format!("chronorank-serve-{w}"))
-                .spawn(move || worker_main(&rx))
+                .name(format!("chronorank-serve-{i}"))
+                .spawn(move || worker_main(i, &*shard, job_rx))
                 .map_err(|e| ServeError::Spawn(e.to_string()))?;
-            handles.push(handle);
+            pool.jobs.push(job_tx);
+            pool.handles.push(handle);
         }
-        Ok(Self { task_tx: Some(task_tx), handles, obs: ServeObs::attach(registry) })
+        Ok(pool)
     }
 
-    /// The one scatter–gather, serve or live: submit the routed window to
-    /// every shard as one task each, slot the `W` replies by shard as they
-    /// arrive, merge each query's lists ([`merge_ranked`]), then do the
-    /// window's bookkeeping — metrics, the slow-query recorder, and with a
-    /// `trace` context one `engine.query` span per query with the
+    /// The shards, in partition order: what appends, installs, status
+    /// reads and checkpoints call directly.
+    pub fn shards(&self) -> &[Arc<S>] {
+        &self.shards
+    }
+
+    /// The one scatter–gather, serve or live: send the routed window to
+    /// every shard's worker as one job each, slot the `W` replies by shard
+    /// as they arrive, merge each query's lists ([`merge_ranked`]), then do
+    /// the window's bookkeeping — metrics, the slow-query recorder, and
+    /// with a `trace` context one `engine.query` span per query with the
     /// per-shard probes as `shard.probe` children (see
     /// [`ServeEngine::execute`]). Merged answers come back in input order.
-    pub fn scatter_gather<S: ShardProbe + 'static>(
+    pub fn scatter_gather(
         &self,
-        shards: &[Arc<S>],
         routed: &Arc<[(ServeQuery, Route)]>,
         trace: Option<(TraceId, SpanId)>,
         sink: &SpanSink,
@@ -136,18 +176,12 @@ impl WorkerPool {
             return Ok(Vec::new());
         }
         let t0 = Instant::now();
-        let w = shards.len();
+        let w = self.jobs.len();
         routed.iter().for_each(|(_, route)| self.obs.route_decisions[route.idx()].inc());
-        let task_tx = self.task_tx.as_ref().expect("pool sender lives until drop");
         let (reply_tx, reply_rx) = channel();
-        for (shard_idx, shard) in shards.iter().enumerate() {
-            let task = Task {
-                shard: Arc::clone(shard) as Arc<dyn ShardProbe>,
-                shard_idx,
-                window: Arc::clone(routed),
-                reply: reply_tx.clone(),
-            };
-            task_tx.send(task).map_err(|_| ServeError::WorkerGone)?;
+        for jobs in &self.jobs {
+            let job = Job { window: Arc::clone(routed), reply: reply_tx.clone() };
+            jobs.send(job).map_err(|_| ServeError::WorkerGone)?;
         }
         drop(reply_tx);
         let mut slots = vec![Vec::new(); w];
@@ -232,42 +266,36 @@ impl WorkerPool {
     }
 }
 
-impl Drop for WorkerPool {
+impl<S> Drop for WorkerPool<S> {
     fn drop(&mut self) {
-        // Closing the queue is the shutdown signal; workers drain and exit.
-        self.task_tx.take();
+        // Closing a worker's channel is its shutdown signal; it drains and
+        // exits, dropping its handle on the shard.
+        self.jobs.clear();
         for handle in self.handles.drain(..) {
             handle.join().ok();
         }
     }
 }
 
-/// Thread body of one pool worker. Panic-safe: a panicking probe becomes
-/// an `Err` reply, so the gathering caller is never left short.
-fn worker_main(task_rx: &Mutex<Receiver<Task>>) {
-    loop {
-        // Holding the lock while blocked in `recv` is the hand-off: idle
-        // siblings queue on the mutex and take the next task in turn.
-        let task = {
-            let rx = task_rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            match rx.recv() {
-                Ok(task) => task,
-                Err(_) => return, // queue closed: engine is shutting down
-            }
-        };
+/// Thread body of worker `shard_idx`: answer `shard`'s part of every
+/// window sent to it until the pool closes the channel. Panic-safe: a
+/// panicking probe becomes an `Err` reply, so the gathering caller is never
+/// left short.
+fn worker_main<S: ShardProbe>(shard_idx: usize, shard: &S, jobs: Receiver<Job>) {
+    for job in jobs {
         let t0 = Instant::now();
         let reads_before = chronorank_storage::IoCounter::thread_reads();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            task.shard.answer_batch(&task.window)
+            shard.answer_batch(&job.window)
         }));
         let results = outcome.unwrap_or_else(|payload| {
             let msg = format!("query panicked: {}", panic_message(&*payload));
-            task.window.iter().map(|_| (Err(msg.clone()), None)).collect()
+            job.window.iter().map(|_| (Err(msg.clone()), None)).collect()
         });
         // A dropped receiver means the window's caller is gone; fine.
-        task.reply
-            .send(TaskReply {
-                shard: task.shard_idx,
+        job.reply
+            .send(JobReply {
+                shard: shard_idx,
                 results,
                 elapsed_us: elapsed_us(t0),
                 reads: chronorank_storage::IoCounter::thread_reads() - reads_before,
@@ -287,15 +315,14 @@ struct Served {
 /// The sharded, cost-routed serving engine (see crate docs).
 ///
 /// Data is partitioned once into immutable [`Arc`]-published shard
-/// snapshots; a pool of worker threads answers every query's per-shard
-/// parts in parallel and the shard-local top-k lists are k-way merged
-/// into the global answer. All query methods take `&self` — the engine
+/// snapshots owned by a [`WorkerPool`]; each shard's own worker answers
+/// its part of every query, all in parallel, and the shard-local top-k
+/// lists are k-way merged into the global answer. All query methods take `&self` — the engine
 /// itself is `Send + Sync`, so any number of caller threads (e.g. the
 /// network tier's connection threads) can query one engine
 /// concurrently.
 pub struct ServeEngine {
-    shards: Vec<Arc<Shard>>,
-    pool: WorkerPool,
+    pool: WorkerPool<Shard>,
     planner: Planner,
     domain: (f64, f64),
     served: Mutex<Served>,
@@ -306,34 +333,15 @@ pub struct ServeEngine {
 impl ServeEngine {
     /// Partition `set` across `config.workers` shards (round-robin by
     /// object id), build every shard's indexes **concurrently on build
-    /// threads**, and serve them with a same-sized worker pool.
+    /// threads** ([`WorkerPool::boot`]), and serve each on a worker of its
+    /// own.
     pub fn new(set: &TemporalSet, config: ServeConfig) -> Result<Self, ServeError> {
         let t0 = Instant::now();
         let w = config.workers.clamp(1, set.num_objects());
-        let parts = partition(set, w);
-        let built: Vec<Result<Shard, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .map(|(subset, global_ids)| {
-                    let config = &config;
-                    scope.spawn(move || {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            Shard::build(&subset, global_ids, config)
-                        }))
-                        .map_err(|p| format!("build panicked: {}", panic_message(&*p)))
-                        .and_then(|r| r.map_err(|e| e.to_string()))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("build threads do not panic")).collect()
-        });
-        let mut shards = Vec::with_capacity(w);
-        for (shard, outcome) in built.into_iter().enumerate() {
-            match outcome {
-                Ok(s) => shards.push(Arc::new(s)),
-                Err(message) => return Err(ServeError::Build { shard, message }),
-            }
-        }
+        let pool = WorkerPool::boot(partition(set, w), Registry::global(), |_, (subset, ids)| {
+            Shard::build(&subset, ids, &config).map_err(|e| e.to_string())
+        })?;
+        let shards = pool.shards();
         let facts: Vec<_> = shards.iter().map(|s| s.facts()).collect();
         let t_min = facts.iter().map(|f| f.t_min).fold(f64::INFINITY, f64::min);
         let t_max = facts.iter().map(|f| f.t_max).fold(f64::NEG_INFINITY, f64::max);
@@ -349,8 +357,7 @@ impl ServeEngine {
         );
         Ok(Self {
             index_bytes: shards.iter().map(|s| s.built().size_bytes).sum(),
-            shards,
-            pool: WorkerPool::new(w, Registry::global())?,
+            pool,
             planner,
             domain: (t_min, t_max),
             served: Mutex::new(Served {
@@ -383,7 +390,7 @@ impl ServeEngine {
 
     /// Number of shard partitions.
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.pool.shards().len()
     }
 
     /// The served data's time domain `(t_min, t_max)` — what remote
@@ -407,8 +414,8 @@ impl ServeEngine {
     }
 
     /// Answer one window of queries — the engine's one query body. Every
-    /// query is routed on its own ([`Planner::route`]), each shard gets the
-    /// window as **one** pool task and answers probe-identical queries
+    /// query is routed on its own ([`Planner::route`]), each shard's worker
+    /// gets the window as **one** job and answers probe-identical queries
     /// (same [`crate::ProbeKey`]) with one shared probe, and the per-shard
     /// lists are k-way merged per query. Answers are bit-identical to
     /// executing every query in a window of its own (the window agreement
@@ -434,7 +441,7 @@ impl ServeEngine {
         let t0 = Instant::now();
         let routed: Arc<[(ServeQuery, Route)]> =
             window.iter().map(|q| (*q, self.planner.route(q))).collect();
-        let tops = self.pool.scatter_gather(&self.shards, &routed, trace, sink)?;
+        let tops = self.pool.scatter_gather(&routed, trace, sink)?;
         let elapsed_secs = t0.elapsed().as_secs_f64();
         let answers: Vec<Answer> = tops
             .into_iter()
@@ -523,7 +530,8 @@ impl ServeEngine {
         );
         g("chronorank_serve_io_reads", "block reads across all shards", report.io.reads);
         g("chronorank_serve_io_writes", "block writes across all shards", report.io.writes);
-        let route_bytes: Vec<_> = self.shards.iter().map(|s| s.built().route_bytes()).collect();
+        let route_bytes: Vec<_> =
+            self.pool.shards().iter().map(|s| s.built().route_bytes()).collect();
         for route in Route::ALL {
             let stats = report.routes[route.idx()];
             registry
@@ -554,22 +562,22 @@ impl ServeEngine {
     /// read straight off the shared shards.
     pub fn report(&self) -> ServeReport {
         let served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (cache_hits, cache_lookups) = self
-            .shards
+        let shards = self.pool.shards();
+        let (cache_hits, cache_lookups) = shards
             .iter()
             .map(|s| s.cache_counters())
             .fold((0, 0), |(h, l), (sh, sl)| (h + sh, l + sl));
         ServeReport {
-            workers: self.shards.len(),
+            workers: shards.len(),
             queries: served.queries,
             elapsed_secs: served.elapsed_secs,
             routes: served.routes,
             cache_hits,
             cache_lookups,
-            io: self.shards.iter().map(|s| s.built().io_total()).sum(),
+            io: shards.iter().map(|s| s.built().io_total()).sum(),
             index_bytes: self.index_bytes,
             build_secs: self.build_secs,
-            build_stages: self.shards.iter().map(|s| s.built().stages).sum(),
+            build_stages: shards.iter().map(|s| s.built().stages).sum(),
         }
     }
 }

@@ -8,12 +8,13 @@
 //!    object id), builds every partition's indexes concurrently, and
 //!    publishes each as an immutable `Arc<Shard>` **snapshot** — the
 //!    storage layer is `Send + Sync`, so built indexes are shared, not
-//!    duplicated. A pool of worker threads answers every query's per-shard
-//!    parts in parallel (any worker serves any shard) and the shard-local
-//!    top-k lists are k-way merged (exact: because shards partition the
-//!    objects, the global top-k is a subset of the union of shard
-//!    top-k's). There is one query body, [`ServeEngine::execute`]: a
-//!    *window* of queries goes to every shard as one pool task, comes
+//!    duplicated. A [`WorkerPool`] owns the shards and one worker thread
+//!    per shard: worker `i` answers shard `i`'s part of every query, all
+//!    shards in parallel, and the shard-local top-k lists are k-way
+//!    merged (exact: because shards partition the objects, the global
+//!    top-k is a subset of the union of shard top-k's). There is one
+//!    query body, [`ServeEngine::execute`]: a *window* of queries goes to
+//!    every shard's worker as one job, comes
 //!    back as one reply per shard, and each query's lists are merged
 //!    ([`merge_ranked`]) into one [`Answer`] per query by the one
 //!    [`WorkerPool::scatter_gather`] both engines run; a solo query

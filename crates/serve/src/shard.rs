@@ -1,12 +1,12 @@
-//! Shared-snapshot shards: one partition's indexes, built once, queried by
-//! any number of worker threads.
+//! Shared-snapshot shards: one partition's indexes, built once, queried
+//! from any thread.
 //!
 //! Since the storage layer became `Send + Sync` (atomic IO counters, a
 //! mutex-guarded buffer pool), a fully built index is an immutable
 //! snapshot. A [`Shard`] bundles one partition's built methods behind an
 //! `Arc`: the engine's worker pool scatters every query to all shards and
-//! any free worker answers any shard's part — true parallel
-//! scatter-gather over shared state, with no per-worker index duplication.
+//! each shard's own worker answers its part — parallel scatter-gather
+//! over shared state, with no per-worker index duplication.
 //!
 //! The only mutable piece is the shard-local result cache (a small LRU
 //! behind its own [`Mutex`]; the critical section is a key lookup or an
@@ -71,7 +71,10 @@ pub enum ProbeKey {
 impl ProbeKey {
     /// The key of `q` on `route` over a snapshot with these breakpoints.
     pub fn new(q: &ServeQuery, route: Route, breakpoints: Option<&Breakpoints>) -> Self {
-        let k = q.k as u32;
+        // Saturating, never wrapping: every `k` from `u32::MAX` up shares
+        // one key, and each of them asks for the whole shard as long as a
+        // shard holds fewer than `u32::MAX` objects (ids are `u32`).
+        let k = u32::try_from(q.k).unwrap_or(u32::MAX);
         match breakpoints {
             Some(bp) if route.cacheable() => ProbeKey::Snapped {
                 b1: bp.snap_idx(q.t1) as u32,
@@ -413,9 +416,9 @@ impl Shard {
 
     /// Answer one routed query (`key` is its [`ProbeKey`] on this shard),
     /// consulting the result cache when the key is a snapped one. `&self`:
-    /// any worker thread may answer for any shard. The second return is
-    /// `Some(hit)` when the result cache was consulted (`None` = the route
-    /// bypassed it) — what the engine folds into a query-level
+    /// the shard's worker answers from the shared snapshot. The second
+    /// return is `Some(hit)` when the result cache was consulted (`None` =
+    /// the route bypassed it) — what the engine folds into a query-level
     /// [`chronorank_obs::CacheOutcome`].
     fn answer(&self, q: ServeQuery, route: Route, key: ProbeKey) -> (ShardAnswer, Option<bool>) {
         let (Some(cache), ProbeKey::Snapped { .. }) = (&self.cache, key) else {
@@ -426,7 +429,7 @@ impl Shard {
         {
             return (Ok(hit), Some(true));
         }
-        // The index probe runs outside the cache lock; two workers racing
+        // The index probe runs outside the cache lock; two callers racing
         // on the same cold key both probe and the second insert wins —
         // identical answers either way (cached == uncached is bit-exact).
         let res = self.probe(route, q);

@@ -166,6 +166,52 @@ fn k_beyond_kmax_falls_back_to_exact() {
     assert_eq!(engine.query(q).unwrap().len(), 20);
 }
 
+/// `k`s past the object count: the count itself, one that fits no heap,
+/// and two that wrap any sum they enter.
+const HUGE_KS: [usize; 3] = [1 << 40, usize::MAX / 2, usize::MAX - 2];
+
+/// Bit-identical answers: ids, then every score's bits.
+fn assert_same_bits(want: &chronorank_core::TopK, got: &chronorank_core::TopK, ctx: &str) {
+    assert_eq!(want.ids(), got.ids(), "{ctx}: ids");
+    let bits =
+        |t: &chronorank_core::TopK| t.scores().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(want), bits(got), "{ctx}: scores");
+}
+
+/// A `k` past the object count is the whole set, on every route and
+/// whether it comes alone or in a window with `k = 0`. ε = 0.2 at `k = m`
+/// is APPX2's answer; past `kmax` every ε query is answered exactly.
+#[test]
+fn a_k_past_the_object_count_is_the_whole_set() {
+    let m = 16;
+    let set = dataset(m);
+    let engine = ServeEngine::new(&set, config(2)).unwrap();
+    let (t1, t2) = (set.t_min() + 0.1 * set.span(), set.t_min() + 0.6 * set.span());
+    let whole = engine.query(ServeQuery::exact(t1, t2, m)).unwrap();
+    assert_eq!(whole.len(), m);
+    let appx = engine.query(ServeQuery::approx(t1, t2, m, 0.2)).unwrap();
+    assert_eq!(engine.route_for(&ServeQuery::approx(t1, t2, m, 0.2)), Route::Appx2);
+    assert_eq!(appx.len(), m);
+    for eps in [None, Some(0.2)] {
+        let at = |k| match eps {
+            None => ServeQuery::exact(t1, t2, k),
+            Some(eps) => ServeQuery::approx(t1, t2, k, eps),
+        };
+        for k in HUGE_KS {
+            assert!(engine.route_for(&at(k)).is_exact());
+            assert_same_bits(&whole, &engine.query(at(k)).unwrap(), &format!("{:?}", at(k)));
+        }
+        let window: Vec<_> = [0, m].into_iter().chain(HUGE_KS).map(at).collect();
+        let answers = engine.execute(&window, None, &SpanSink::noop()).unwrap();
+        assert!(answers[0].topk.is_empty(), "k = 0");
+        let at_m = if eps.is_some() { &appx } else { &whole };
+        assert_same_bits(at_m, &answers[1].topk, "window k = m");
+        for (q, a) in window.iter().zip(&answers).skip(2) {
+            assert_same_bits(&whole, &a.topk, &format!("window {q:?}"));
+        }
+    }
+}
+
 #[test]
 fn disabled_cache_never_reports_lookups() {
     let set = dataset(40);

@@ -6,7 +6,7 @@
 //! until every exact query went to the EXACT3 tree.
 
 use chronorank::core::{ApproxConfig, ApproxIndex, ApproxVariant, RankMethod, TemporalSet};
-use chronorank::serve::{build_route_methods_with_handles, MethodSet, Route, ServeConfig};
+use chronorank::serve::{build_route_methods_with_handles, MethodSet, Route};
 use chronorank::storage::StoreConfig;
 use chronorank::workloads::{DatasetGenerator, TempConfig, TempGenerator};
 
@@ -40,7 +40,6 @@ fn an_exact_cold_shard_stays_under_80_bytes_per_segment() {
     assert_eq!(routes[Route::Exact1.idx()], tree);
     assert_eq!(routes[Route::Exact3.idx()], tree);
     assert_eq!(built.size_bytes, tree + routes[Route::Appx2Plus.idx()]);
-    assert_eq!(ServeConfig::default().files_per_shard(), 4);
 }
 
 #[test]
