@@ -42,9 +42,10 @@
 #                     queries read solo against one execute window), the
 #                     one tests/shard_workers.rs pins (worker threads that
 #                     probed each shard of a W = 4 pool under 4 callers:
-#                     1, each shard's own worker), plus the sleeps and
-#                     yields in tests/ and crates/*/tests (must be 0:
-#                     tests wait on events, not time) — 26 lines, echoed
+#                     1, each shard's own worker), plus the sleeps, yields
+#                     and socket read/write timeouts in tests/ and
+#                     crates/*/tests (must be 0: tests wait on events, not
+#                     time) — 26 lines, echoed
 #                     into the summary below the timings —
 #                     and below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
@@ -239,10 +240,11 @@ tier1_stage() {
         --test streaming_build_counts --test obs_counts --test thread_counts --test stab_reads \
         --test pool_reads --test paper_claims --test shard_workers -- --nocapture \
         2> /dev/null | grep -o 'pinned:.*' || true)
-    # Tests wait on events, not time: none may sleep or yield.
+    # Tests wait on events, not time: none may sleep, yield or wait out a
+    # socket timeout.
     local waits
-    waits=$(grep -rnE 'thread::(sleep|yield_now)' tests crates/*/tests || true)
-    PINNED_COUNTS+="${PINNED_COUNTS:+$'\n'}pinned: sleeps and yields in tests: $(grep -c . <<< "$waits" || true)"
+    waits=$(grep -rnE 'thread::(sleep|yield_now)|set_(read|write)_timeout' tests crates/*/tests || true)
+    PINNED_COUNTS+="${PINNED_COUNTS:+$'\n'}pinned: sleeps, yields and socket timeouts in tests: $(grep -c . <<< "$waits" || true)"
     if [[ -n $waits ]]; then
         echo "$waits" >&2
         return 1

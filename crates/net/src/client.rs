@@ -35,8 +35,8 @@
 //! BUSY-retry (a new id for the same query) unambiguous.
 
 use crate::frame::{
-    encode_append_batch, encode_append_batch_traced, AppendOk, Decoder, ErrCode, ErrorBody, Frame,
-    FrameError, OpCode, StatsBody, TopKRequest, TopKResponse, TraceContext, MAX_PAYLOAD,
+    encode_append_batch, AppendOk, Decoder, ErrCode, ErrorBody, Frame, FrameError, OpCode,
+    StatsBody, TopKRequest, TopKResponse, TraceContext, MAX_PAYLOAD,
 };
 use chronorank_core::AppendRecord;
 use chronorank_obs::{AttrValue, SpanSink, TraceId};
@@ -211,7 +211,7 @@ impl NetClient {
 
     /// Queue one APPEND_BATCH request; returns its request id.
     fn send_append_batch(&mut self, recs: &[AppendRecord]) -> Result<u64, NetError> {
-        self.send_frame(OpCode::AppendBatch, encode_append_batch(recs)?)
+        self.send_frame(OpCode::AppendBatch, encode_append_batch(recs, None)?)
     }
 
     /// Push all queued requests onto the wire.
@@ -296,8 +296,7 @@ impl NetClient {
         let trace = TraceId::next();
         let mut span = self.sink.root(trace, "client.append");
         let ctx = TraceContext { trace_id: trace.0, parent_span: span.id().0 };
-        let id =
-            self.send_frame(OpCode::AppendBatch, encode_append_batch_traced(recs, Some(ctx))?)?;
+        let id = self.send_frame(OpCode::AppendBatch, encode_append_batch(recs, Some(ctx))?)?;
         let result = self.recv_for(id);
         span.attr("records", AttrValue::U64(recs.len() as u64));
         span.attr("ok", AttrValue::Bool(matches!(&result, Ok(Response::Append(_)))));

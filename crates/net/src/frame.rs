@@ -256,20 +256,6 @@ impl Frame {
         }
         Ok((Frame { opcode, request_id, payload: payload.to_vec() }, total))
     }
-
-    /// Decode every frame in `buf`, failing on the first malformed one.
-    /// Trailing partial data is [`FrameError::Truncated`]. This is the
-    /// closed-input view (what a connection sees at EOF); the streaming
-    /// [`Decoder`] treats `Truncated` as "wait for more bytes" instead.
-    pub fn decode_all(mut buf: &[u8]) -> Result<Vec<Frame>, FrameError> {
-        let mut frames = Vec::new();
-        while !buf.is_empty() {
-            let (frame, used) = Frame::decode(buf)?;
-            frames.push(frame);
-            buf = &buf[used..];
-        }
-        Ok(frames)
-    }
 }
 
 /// Incremental frame extraction over an arbitrary chunking of the byte
@@ -543,17 +529,12 @@ impl TopKResponse {
     }
 }
 
-/// Encode an [`OpCode::AppendBatch`] request payload. Refuses (typed) a
-/// record count that does not fit the u32 wire field — truncating it
-/// would make the count disagree with the payload and mis-split records.
-pub fn encode_append_batch(recs: &[AppendRecord]) -> Result<Vec<u8>, FrameError> {
-    encode_append_batch_traced(recs, None)
-}
-
 /// Encode an [`OpCode::AppendBatch`] request payload, optionally with a
-/// [`TraceContext`] tail after the records. With `None` the output is
-/// byte-identical to [`encode_append_batch`].
-pub fn encode_append_batch_traced(
+/// [`TraceContext`] tail after the records; with `None` it is the
+/// pre-trace layout, `4 + 20·count` bytes. Refuses (typed) a record count
+/// that does not fit the u32 wire field — truncating it would make the
+/// count disagree with the payload and mis-split records.
+pub fn encode_append_batch(
     recs: &[AppendRecord],
     ctx: Option<TraceContext>,
 ) -> Result<Vec<u8>, FrameError> {
@@ -570,21 +551,11 @@ pub fn encode_append_batch_traced(
     Ok(out)
 }
 
-/// Decode an [`OpCode::AppendBatch`] request payload. Rejects payloads
-/// carrying a trace-context tail — use [`decode_append_batch_traced`]
-/// to accept both shapes.
-pub fn decode_append_batch(buf: &[u8]) -> Result<Vec<AppendRecord>, FrameError> {
-    match decode_append_batch_traced(buf)? {
-        (recs, None) => Ok(recs),
-        (_, Some(_)) => Err(FrameError::BadPayload("append count disagrees with payload length")),
-    }
-}
-
 /// Decode an [`OpCode::AppendBatch`] request payload in either shape:
 /// `4 + 20·count` bytes (no context) or the same plus a 16-byte
 /// [`TraceContext`] tail. The tail length is not a multiple of a record,
 /// so the two shapes can never be confused.
-pub fn decode_append_batch_traced(
+pub fn decode_append_batch(
     buf: &[u8],
 ) -> Result<(Vec<AppendRecord>, Option<TraceContext>), FrameError> {
     let count = u32::from_le_bytes(take::<4>(buf, 0, "append count")?) as usize;
@@ -905,11 +876,11 @@ mod tests {
         assert_eq!(TopKRequest(q).encode_with(None).unwrap(), plain);
         // Append batch both shapes.
         let recs = vec![AppendRecord { object: 1, t: 2.0, v: 3.0 }];
-        let plain = encode_append_batch(&recs).unwrap();
-        let traced = encode_append_batch_traced(&recs, Some(ctx)).unwrap();
+        let plain = encode_append_batch(&recs, None).unwrap();
+        let traced = encode_append_batch(&recs, Some(ctx)).unwrap();
         assert_eq!(&traced[..plain.len()], &plain[..]);
-        assert_eq!(decode_append_batch_traced(&plain).unwrap(), (recs.clone(), None));
-        assert_eq!(decode_append_batch_traced(&traced).unwrap(), (recs, Some(ctx)));
+        assert_eq!(decode_append_batch(&plain).unwrap(), (recs.clone(), None));
+        assert_eq!(decode_append_batch(&traced).unwrap(), (recs, Some(ctx)));
     }
 
     #[test]
@@ -934,10 +905,8 @@ mod tests {
         let mut zeroed = traced.clone();
         zeroed[29..37].fill(0);
         assert!(matches!(TopKRequest::decode_traced(&zeroed), Err(FrameError::BadPayload(_))));
-        // The strict decoders reject traced payloads outright.
+        // The strict TOPK decoder rejects a traced payload outright.
         assert!(TopKRequest::decode(&traced).is_err());
-        let batch = encode_append_batch_traced(&[], Some(ctx)).unwrap();
-        assert!(decode_append_batch(&batch).is_err());
     }
 
     #[test]
@@ -946,7 +915,8 @@ mod tests {
             AppendRecord { object: 3, t: 10.5, v: -2.25 },
             AppendRecord { object: 0, t: 11.0, v: 0.0 },
         ];
-        assert_eq!(decode_append_batch(&encode_append_batch(&recs).unwrap()).unwrap(), recs);
+        let bytes = encode_append_batch(&recs, None).unwrap();
+        assert_eq!(decode_append_batch(&bytes).unwrap(), (recs, None));
         let ok = AppendOk { accepted: 2, total_appends: 77 };
         assert_eq!(AppendOk::decode(&ok.encode()).unwrap(), ok);
         let stats = StatsBody { live_backend: 1, workers: 4, queries: 10, ..Default::default() };

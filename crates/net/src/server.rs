@@ -20,23 +20,34 @@
 //! * an **acceptor** thread owns the listener, enforces the connection
 //!   cap (over-limit connections are answered with one typed BUSY frame
 //!   and closed), and spawns one thread per connection;
-//! * each **connection** thread reads a burst from its socket, takes
-//!   every complete frame in it out of the streaming
-//!   [`Decoder`](crate::frame::Decoder) and answers each in turn: PING
-//!   inline, engine ops on the shared backend — but only after passing
-//!   **admission control**, a global count of running engine ops bounded
-//!   by [`NetConfig::max_in_flight`]. At the bound the thread answers a
-//!   typed [`ErrCode::Busy`] error instead of running the op, so overload
-//!   degrades into explicit, client-visible pushback. An op's slot is
-//!   released as soon as its reply is built.
+//! * each **connection** thread runs `serve_stream` with its socket as
+//!   both the reader and the writer, then shuts the socket down.
 //!
-//! The replies go into one `BufWriter` over the same socket, flushed
-//! before the thread blocks in `read` again: a pipelined burst leaves in
-//! few syscalls, a single request at once. One connection's requests run
-//! one at a time, in arrival order, so its replies leave in request
-//! order. A client that sends without reading fills the kernel's socket
-//! buffers; the thread's write then blocks, it stops reading, and TCP
-//! pushes back on the client. The server holds no reply queue of its own.
+//! `serve_stream` is the whole protocol and knows nothing of TCP: it reads
+//! a burst, takes every complete frame in it out of the streaming
+//! [`Decoder`](crate::frame::Decoder) and answers each in turn: PING
+//! inline, engine ops on the shared backend — but only after passing
+//! **admission control**, a global count of running engine ops bounded
+//! by [`NetConfig::max_in_flight`]. At the bound it answers a typed
+//! [`ErrCode::Busy`] error instead of running the op, so overload
+//! degrades into explicit, client-visible pushback. An op's slot is
+//! released as soon as its reply is built. A frame that breaks the
+//! framing (magic, version, opcode, length, CRC) gets one BadRequest
+//! goodbye with request id 0 and ends the loop; a frame whose payload does
+//! not decode for its opcode — a non-empty payload on CHECKPOINT, STATS,
+//! METRICS or TRACE included — gets a BadRequest that echoes its id, and
+//! the next frame is answered. The unit tests at the end of this file
+//! drive `serve_stream` from scripted byte chunks, one per `read`.
+//!
+//! The replies go into one `BufWriter` over the writer, flushed before the
+//! loop blocks in `read` again: a pipelined burst leaves in few syscalls,
+//! a single request at once. One connection's requests run one at a time,
+//! in arrival order, so its replies leave in request order. A client that
+//! sends without reading fills the kernel's socket buffers; the thread's
+//! write then blocks, it stops reading, and TCP pushes back on the client.
+//! The server holds no reply queue of its own. A socket write that makes
+//! no progress for `WRITE_STALL` (30 s) fails, and a failed write ends the
+//! loop without writing again, so such a client releases its thread.
 //!
 //! Shutdown is clean and total: the stop flag is raised, the acceptor is
 //! woken with a loopback connection, every live socket is shut down, and
@@ -60,7 +71,11 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long one socket write may make no progress before the connection
+/// is closed: a client that never reads holds its thread this long.
+const WRITE_STALL: Duration = Duration::from_secs(30);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -307,6 +322,22 @@ impl NetObs {
 }
 
 impl Shared {
+    fn new(config: &NetConfig) -> Self {
+        Self {
+            stop: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            max_in_flight: config.max_in_flight,
+            active_conns: AtomicUsize::new(0),
+            frames_in: AtomicU64::new(0),
+            frames_out: AtomicU64::new(0),
+            busy_rejections: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+            obs: NetObs::attach(Registry::global()),
+            sink: SpanSink::global().clone(),
+            slo: SloTracker::new(config.slo),
+        }
+    }
+
     /// Mirror the wire counters into registry gauges (METRICS scrape).
     fn sync_obs(&self, registry: &Registry) {
         let g = |name: &str, help: &str, v: u64| registry.gauge(name, help).set_u64(v);
@@ -370,19 +401,7 @@ impl NetServer {
     {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            max_in_flight: config.max_in_flight,
-            active_conns: AtomicUsize::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            busy_rejections: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            obs: NetObs::attach(Registry::global()),
-            sink: SpanSink::global().clone(),
-            slo: SloTracker::new(config.slo),
-        });
+        let shared = Arc::new(Shared::new(&config));
         let backend = Arc::new(build().map_err(ServerError::Backend)?);
         let conns: Arc<Mutex<ConnRegistry>> = Arc::default();
         let acceptor_shared = Arc::clone(&shared);
@@ -632,7 +651,6 @@ fn acceptor_main(
         }
         shared.active_conns.fetch_add(1, Ordering::SeqCst);
         shared.connections.fetch_add(1, Ordering::Relaxed);
-        stream.set_nodelay(true).ok();
         spawn_connection(stream, Arc::clone(backend), Arc::clone(shared), conns);
     }
 }
@@ -643,6 +661,8 @@ fn spawn_connection(
     shared: Arc<Shared>,
     conns: &Arc<Mutex<ConnRegistry>>,
 ) {
+    stream.set_nodelay(true).ok();
+    stream.set_write_timeout(Some(WRITE_STALL)).ok();
     let Ok(registry_handle) = stream.try_clone() else {
         shared.active_conns.fetch_sub(1, Ordering::SeqCst);
         return;
@@ -650,7 +670,11 @@ fn spawn_connection(
     let conn_shared = Arc::clone(&shared);
     let spawned =
         std::thread::Builder::new().name("chronorank-net-conn".to_string()).spawn(move || {
-            connection_main(&stream, &backend, &conn_shared);
+            serve_stream(&stream, &stream, &backend, &conn_shared);
+            // Close actively: the registry holds a clone of the socket, so
+            // dropping this thread's handle alone would leave the peer
+            // waiting.
+            stream.shutdown(Shutdown::Both).ok();
             conn_shared.active_conns.fetch_sub(1, Ordering::SeqCst);
         });
     let Ok(handle) = spawned else {
@@ -668,12 +692,13 @@ fn spawn_connection(
 }
 
 /// Serve one connection until the peer hangs up, its framing is lost or a
-/// write fails. Each burst read from the socket is answered frame by
-/// frame into one `BufWriter`, flushed before the next blocking `read`:
-/// when the peer stops reading, the socket buffers fill, a write blocks,
-/// and this thread stops reading too.
-fn connection_main(stream: &TcpStream, backend: &Backend, shared: &Shared) {
-    let (mut input, mut out) = (stream, BufWriter::new(stream));
+/// read or write fails. Each burst read from `input` is answered frame by
+/// frame into one `BufWriter` over `output`, flushed before the next
+/// blocking `read`: when the peer stops reading, a write blocks, and the
+/// loop stops reading too. After a failed write nothing more is written —
+/// the replies still buffered are dropped, not retried.
+fn serve_stream<R: Read, W: Write>(mut input: R, output: W, backend: &Backend, shared: &Shared) {
+    let mut out = BufWriter::new(output);
     let mut decoder = Decoder::new();
     let mut scratch = [0u8; 16 * 1024];
     'conn: while out.flush().is_ok() {
@@ -699,15 +724,13 @@ fn connection_main(stream: &TcpStream, backend: &Backend, shared: &Shared) {
             }
             shared.frames_out.fetch_add(1, Ordering::Relaxed);
             if goodbye {
+                out.flush().ok();
                 break 'conn;
             }
         }
     }
-    // Flush the goodbye, then close actively: the registry holds a clone
-    // of the socket, so dropping this thread's handle alone would leave
-    // the peer waiting.
-    out.flush().ok();
-    stream.shutdown(Shutdown::Both).ok();
+    // `BufWriter`'s drop would write what it holds once more.
+    drop(out.into_parts());
 }
 
 /// Answer one decoded frame, or refuse it, and return the encoded reply.
@@ -720,10 +743,16 @@ fn dispatch(frame: Frame, backend: &Backend, shared: &Shared) -> Vec<u8> {
             Ok((req, ctx)) => (EngineOp::TopK(req.0), ctx),
             Err(e) => return bad_request(e.to_string()),
         },
-        OpCode::AppendBatch => match crate::frame::decode_append_batch_traced(&frame.payload) {
+        OpCode::AppendBatch => match crate::frame::decode_append_batch(&frame.payload) {
             Ok((recs, ctx)) => (EngineOp::Append(recs), ctx),
             Err(e) => return bad_request(e.to_string()),
         },
+        // A body-less op carrying a body is refused, not ignored.
+        op @ (OpCode::Checkpoint | OpCode::Stats | OpCode::Metrics | OpCode::Trace)
+            if !frame.payload.is_empty() =>
+        {
+            return bad_request(format!("{op:?} takes an empty payload"));
+        }
         OpCode::Checkpoint => (EngineOp::Checkpoint, None),
         OpCode::Stats => (EngineOp::Stats, None),
         OpCode::Metrics => (EngineOp::Metrics, None),
@@ -771,4 +800,425 @@ fn dispatch(frame: Frame, backend: &Backend, shared: &Shared) -> Vec<u8> {
     // written, so admission counts running ops, not undelivered replies.
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     reply
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{encode_append_batch, TraceContext};
+    use chronorank_curve::PiecewiseLinear;
+    use std::collections::VecDeque;
+    use std::io::{self, ErrorKind};
+
+    fn tiny_set(objects: usize) -> TemporalSet {
+        let curves: Vec<_> = (0..objects)
+            .map(|i| {
+                PiecewiseLinear::from_points(&[
+                    (0.0, i as f64),
+                    (50.0, (objects - i) as f64),
+                    (100.0, i as f64 + 1.0),
+                ])
+                .unwrap()
+            })
+            .collect();
+        TemporalSet::from_curves(curves).unwrap()
+    }
+
+    fn serve_backend(objects: usize) -> Backend {
+        let config = ServeConfig { workers: 2, ..Default::default() };
+        ServeEngine::new(&tiny_set(objects), config).unwrap().into()
+    }
+
+    fn live_backend() -> Backend {
+        let config = LiveConfig { workers: 2, ..Default::default() };
+        IngestEngine::new(&tiny_set(8), config).unwrap().into()
+    }
+
+    /// The peer's bytes: one scripted chunk per `read`, then end of stream.
+    struct Script {
+        chunks: VecDeque<Vec<u8>>,
+    }
+
+    impl Script {
+        fn new(chunks: Vec<Vec<u8>>) -> Self {
+            Self { chunks: chunks.into() }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.chunks.front_mut() else { return Ok(0) };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    /// A peer that stops reading: it takes `budget` bytes, then every
+    /// write would block, as a socket write past its timeout does.
+    struct Stalled {
+        budget: usize,
+        accepted: usize,
+        refused: usize,
+    }
+
+    impl Write for Stalled {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.accepted == self.budget {
+                self.refused += 1;
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.budget - self.accepted);
+            self.accepted += n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run the loop over `script` and decode everything it wrote.
+    fn serve(backend: &Backend, shared: &Shared, script: &mut Script) -> Vec<Frame> {
+        let mut written = Vec::new();
+        serve_stream(&mut *script, &mut written, backend, shared);
+        let mut decoder = Decoder::new();
+        decoder.feed(&written);
+        let replies: Vec<_> = std::iter::from_fn(|| decoder.next_frame().unwrap()).collect();
+        assert_eq!(decoder.pending(), 0, "the loop writes whole frames");
+        replies
+    }
+
+    fn frame(op: OpCode, id: u64, payload: &[u8]) -> Vec<u8> {
+        Frame::new(op, id, payload.to_vec()).encode()
+    }
+
+    fn topk(id: u64, q: ServeQuery) -> Vec<u8> {
+        frame(OpCode::TopK, id, &TopKRequest(q).encode().unwrap())
+    }
+
+    fn append(id: u64, recs: &[AppendRecord]) -> Vec<u8> {
+        frame(OpCode::AppendBatch, id, &encode_append_batch(recs, None).unwrap())
+    }
+
+    /// A reply's opcode, echoed id and, for an error, its code.
+    fn verdict(reply: &Frame) -> (OpCode, u64, Option<ErrCode>) {
+        let code = (reply.opcode == OpCode::Error)
+            .then(|| ErrorBody::decode(&reply.payload).expect("a typed error body").code);
+        (reply.opcode, reply.request_id, code)
+    }
+
+    fn error_code(reply: &Frame) -> ErrCode {
+        verdict(reply).2.unwrap_or_else(|| panic!("expected an error, got {:?}", reply.opcode))
+    }
+
+    fn text(reply: &Frame) -> &str {
+        std::str::from_utf8(&reply.payload).unwrap()
+    }
+
+    #[test]
+    fn ping_stats_and_query_roundtrip() {
+        let (backend, shared) = (serve_backend(12), Shared::new(&NetConfig::default()));
+        // One pipelined burst: all three frames arrive in one read.
+        let burst = [
+            frame(OpCode::Ping, 1, b"echo me"),
+            topk(2, ServeQuery::exact(10.0, 90.0, 4)),
+            frame(OpCode::Stats, 3, &[]),
+        ]
+        .concat();
+        let replies = serve(&backend, &shared, &mut Script::new(vec![burst]));
+        assert_eq!(replies.iter().map(|r| r.request_id).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(replies[0].opcode, OpCode::Pong);
+        assert_eq!(replies[0].payload, b"echo me");
+        let answer = TopKResponse::decode(&replies[1].payload).unwrap();
+        assert_eq!(answer.topk.len(), 4);
+        assert_eq!(answer.appends_applied, 0, "read-only backend never applies appends");
+        let stats = StatsBody::decode(&replies[2].payload).unwrap();
+        assert_eq!((stats.live_backend, stats.workers, stats.queries), (0, 2, 1));
+        assert_eq!((stats.frames_in, stats.frames_out), (3, 2));
+        assert_eq!(stats.connections, 0, "the acceptor counts connections, not the loop");
+    }
+
+    #[test]
+    fn serve_backend_refuses_writes_with_typed_unsupported() {
+        let (backend, shared) = (serve_backend(8), Shared::new(&NetConfig::default()));
+        let rec = AppendRecord { object: 0, t: 200.0, v: 1.0 };
+        let script = vec![
+            append(1, &[rec]),
+            frame(OpCode::Checkpoint, 2, &[]),
+            frame(OpCode::Ping, 3, b"still here"),
+        ];
+        let replies = serve(&backend, &shared, &mut Script::new(script));
+        assert_eq!(error_code(&replies[0]), ErrCode::Unsupported);
+        assert_eq!(error_code(&replies[1]), ErrCode::Unsupported);
+        // The connection survives a typed refusal.
+        assert_eq!(verdict(&replies[2]), (OpCode::Pong, 3, None));
+    }
+
+    #[test]
+    fn live_backend_appends_and_checkpoints() {
+        let (backend, shared) = (live_backend(), Shared::new(&NetConfig::default()));
+        let batch: Vec<AppendRecord> =
+            (0..8).map(|i| AppendRecord { object: i, t: 150.0, v: 100.0 + i as f64 }).collect();
+        // A rejected append (non-monotone time) is a typed engine error, and
+        // it refuses its whole batch: none of the records ahead of it may
+        // land, and a retry of those is accepted.
+        let bad = AppendRecord { object: 0, t: 10.0, v: 1.0 };
+        let good = [1, 2].map(|object| AppendRecord { object, t: 160.0, v: 1.0 });
+        let script = vec![
+            append(1, &batch),
+            topk(2, ServeQuery::exact(120.0, 150.0, 3)),
+            frame(OpCode::Checkpoint, 3, &[]),
+            append(4, &[good[0], bad, good[1]]),
+            frame(OpCode::Stats, 5, &[]),
+            append(6, &good),
+        ];
+        let replies = serve(&backend, &shared, &mut Script::new(script));
+        let ok = AppendOk::decode(&replies[0].payload).unwrap();
+        assert_eq!((ok.accepted, ok.total_appends), (8, 8));
+        let answer = TopKResponse::decode(&replies[1].payload).unwrap();
+        assert_eq!(answer.appends_applied, 8, "the answer must report the applied appends");
+        assert_eq!(verdict(&replies[2]), (OpCode::CheckpointOk, 3, None));
+        assert_eq!(error_code(&replies[3]), ErrCode::Engine);
+        assert_eq!(StatsBody::decode(&replies[4].payload).unwrap().appends, 8);
+        assert_eq!(AppendOk::decode(&replies[5].payload).unwrap().total_appends, 10);
+    }
+
+    #[test]
+    fn admission_control_answers_busy_instead_of_queueing() {
+        // max_in_flight = 0: every engine frame bounces with BUSY while the
+        // engine-free PING path keeps working. STATS is an engine op too.
+        let backend = serve_backend(8);
+        let shared = Shared::new(&NetConfig { max_in_flight: 0, ..Default::default() });
+        let script = vec![
+            topk(1, ServeQuery::exact(10.0, 90.0, 2)),
+            frame(OpCode::Ping, 2, b"ok"),
+            frame(OpCode::Stats, 3, &[]),
+        ];
+        let replies = serve(&backend, &shared, &mut Script::new(script));
+        let got: Vec<_> = replies.iter().map(verdict).collect();
+        assert_eq!(
+            got,
+            [
+                (OpCode::Error, 1, Some(ErrCode::Busy)),
+                (OpCode::Pong, 2, None),
+                (OpCode::Error, 3, Some(ErrCode::Busy)),
+            ]
+        );
+        assert_eq!(shared.busy_rejections.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn metrics_scrape_returns_valid_exposition_with_serve_families() {
+        let (backend, shared) = (serve_backend(12), Shared::new(&NetConfig::default()));
+        let script = vec![
+            topk(1, ServeQuery::exact(10.0, 90.0, 4)),
+            topk(2, ServeQuery::approx(10.0, 90.0, 4, 0.05)),
+            frame(OpCode::Metrics, 3, &[]),
+        ];
+        let replies = serve(&backend, &shared, &mut Script::new(script));
+        assert_eq!(verdict(&replies[2]), (OpCode::MetricsOk, 3, None));
+        let text = text(&replies[2]);
+        let families = chronorank_obs::validate_exposition(text)
+            .unwrap_or_else(|e| panic!("malformed exposition: {e}\n{text}"));
+        for family in [
+            "chronorank_serve_route_latency_us",
+            "chronorank_serve_route_total",
+            "chronorank_serve_queries",
+            "chronorank_serve_workers",
+            "chronorank_net_frames_in",
+            "chronorank_net_frame_decode_us",
+            "chronorank_net_frame_encode_us",
+        ] {
+            assert!(families.contains(family), "missing family {family} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn metrics_scrape_covers_the_live_tier() {
+        let (backend, shared) = (live_backend(), Shared::new(&NetConfig::default()));
+        let batch: Vec<AppendRecord> =
+            (0..8).map(|i| AppendRecord { object: i, t: 150.0, v: 100.0 + i as f64 }).collect();
+        let script = vec![
+            append(1, &batch),
+            frame(OpCode::Checkpoint, 2, &[]),
+            frame(OpCode::Metrics, 3, &[]),
+        ];
+        let replies = serve(&backend, &shared, &mut Script::new(script));
+        assert_eq!(verdict(&replies[2]), (OpCode::MetricsOk, 3, None));
+        let text = text(&replies[2]);
+        let families = chronorank_obs::validate_exposition(text)
+            .unwrap_or_else(|e| panic!("malformed exposition: {e}\n{text}"));
+        for family in [
+            "chronorank_live_appends",
+            "chronorank_live_batch_size",
+            "chronorank_live_wal_fsync_us",
+            "chronorank_live_checkpoint_us",
+            "chronorank_live_recovery_us",
+        ] {
+            assert!(families.contains(family), "missing family {family} in:\n{text}");
+        }
+        // The gauges mirror the engine's own counters.
+        assert!(text.contains("chronorank_live_appends 8"), "got:\n{text}");
+        assert!(text.contains("chronorank_live_checkpoints 1"), "got:\n{text}");
+    }
+
+    /// Every request opcode, valid and malformed in every way its frame or
+    /// payload can be, each split into two reads at every byte boundary
+    /// and followed by a PING. Lost framing gets one BadRequest goodbye
+    /// with id 0 and the PING is never read; a refused payload gets a
+    /// BadRequest echoing its id and the PING is answered.
+    #[test]
+    fn every_malformed_frame_gets_its_defined_reply() {
+        use OpCode::*;
+        const ID: u64 = 7;
+        let (backend, shared) = (serve_backend(8), Shared::new(&NetConfig::default()));
+        let q = TopKRequest(ServeQuery::exact(10.0, 90.0, 3)).encode().unwrap();
+        let rec = AppendRecord { object: 0, t: 200.0, v: 1.0 };
+        let batch = encode_append_batch(&[rec], None).unwrap();
+        let patched = |base: &[u8], at: usize, bytes: &[u8]| {
+            let mut p = base.to_vec();
+            p[at..at + bytes.len()].copy_from_slice(bytes);
+            p
+        };
+        let short = |p: &[u8]| p[..p.len() - 1].to_vec();
+        let long = |p: &[u8]| [p, &[0]].concat();
+        // A trace context whose trace id is 0, the "absent" sentinel.
+        let zero_tail = |p: &[u8]| [p, &[0; TraceContext::WIRE_LEN]].concat();
+        // A body-less op refuses any payload byte.
+        let body = || vec![("body", vec![0])];
+        // (request, its response opcode, the reply to a valid frame, a valid
+        // payload, payloads its decoder must refuse)
+        let rows = [
+            (Ping, Pong, (Pong, None), b"hi".to_vec(), vec![]),
+            (
+                TopK,
+                TopKOk,
+                (TopKOk, None),
+                q.clone(),
+                vec![
+                    ("short", short(&q)),
+                    ("long", long(&q)),
+                    ("zero trace id", zero_tail(&q)),
+                    ("t1 = t2", patched(&q, 8, &10f64.to_bits().to_le_bytes())),
+                    ("NaN t1", patched(&q, 0, &f64::NAN.to_bits().to_le_bytes())),
+                    ("k past 2^20", patched(&q, 16, &((1u32 << 20) + 1).to_le_bytes())),
+                    ("tolerance tag", patched(&q, 20, &[3])),
+                ],
+            ),
+            (
+                AppendBatch,
+                AppendOk,
+                (Error, Some(ErrCode::Unsupported)),
+                batch.clone(),
+                vec![
+                    ("short", short(&batch)),
+                    ("long", long(&batch)),
+                    ("zero trace id", zero_tail(&batch)),
+                    ("count 2", patched(&batch, 0, &2u32.to_le_bytes())),
+                ],
+            ),
+            (Checkpoint, CheckpointOk, (Error, Some(ErrCode::Unsupported)), vec![], body()),
+            (Stats, StatsOk, (StatsOk, None), vec![], body()),
+            (Metrics, MetricsOk, (MetricsOk, None), vec![], body()),
+            (Trace, TraceOk, (TraceOk, None), vec![], body()),
+        ];
+        let ping = frame(Ping, 99, b"next");
+        let pong = (Pong, 99, None);
+        let bad_request = (Error, ID, Some(ErrCode::BadRequest));
+        let goodbye = vec![(Error, 0, Some(ErrCode::BadRequest))];
+        let mut cases = Vec::new();
+        for (op, response, (valid_op, valid_code), valid, refused) in rows {
+            let good = frame(op, ID, &valid);
+            cases.push((
+                format!("{op:?} valid"),
+                good.clone(),
+                vec![(valid_op, ID, valid_code), pong],
+            ));
+            cases.push((
+                format!("{op:?} as {response:?}"),
+                frame(response, ID, &valid),
+                vec![bad_request, pong],
+            ));
+            for (what, payload) in &refused {
+                cases.push((
+                    format!("{op:?} payload {what}"),
+                    frame(op, ID, payload),
+                    vec![bad_request, pong],
+                ));
+            }
+            let oversized = (MAX_PAYLOAD + 1).to_le_bytes();
+            for (what, at, bytes) in [
+                ("magic", 0, &b"X"[..]),
+                ("version", 2, &[9]),
+                ("opcode", 3, &[0x7f]),
+                ("length", 12, &oversized),
+                ("crc", 16, &[good[16] ^ 1]),
+            ] {
+                cases.push((
+                    format!("{op:?} bad {what}"),
+                    patched(&good, at, bytes),
+                    goodbye.clone(),
+                ));
+            }
+        }
+        assert_eq!(cases.len(), 64);
+        for (name, bytes, want) in &cases {
+            let framing_lost = want == &goodbye;
+            for split in 1..bytes.len() {
+                let chunks = vec![bytes[..split].to_vec(), bytes[split..].to_vec(), ping.clone()];
+                let mut script = Script::new(chunks);
+                let got: Vec<_> =
+                    serve(&backend, &shared, &mut script).iter().map(verdict).collect();
+                assert_eq!(&got, want, "{name}, split at {split}");
+                let unread = if framing_lost { Some(&ping) } else { None };
+                assert_eq!(script.chunks.back(), unread, "{name}, split at {split}");
+            }
+        }
+    }
+
+    /// A peer that stops reading ends the loop at the first refused write:
+    /// nothing more is read and nothing more is written. A stall between
+    /// bursts fails the flush before the next read; a stall inside one
+    /// fails the write that overflows the reply buffer.
+    #[test]
+    fn a_stalled_write_ends_the_loop_without_another_read_or_write() {
+        let (backend, shared) = (serve_backend(8), Shared::new(&NetConfig::default()));
+        let ping = frame(OpCode::Ping, 1, &[0x5a; 1 << 10]);
+        for (chunks, budget, unread) in
+            [(vec![ping.clone(); 64], 10_000, 54), (vec![ping.repeat(12), ping.clone()], 8_000, 1)]
+        {
+            let mut script = Script::new(chunks);
+            let mut peer = Stalled { budget, accepted: 0, refused: 0 };
+            serve_stream(&mut script, &mut peer, &backend, &shared);
+            assert_eq!((peer.accepted, peer.refused), (budget, 1));
+            assert_eq!(script.chunks.len(), unread);
+        }
+    }
+
+    /// The write-stall bound is set on every accepted socket before its
+    /// connection thread runs (a socket option: the registry's clone of the
+    /// socket reads it back).
+    #[test]
+    fn an_accepted_socket_carries_the_write_stall_bound() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let shared = Arc::new(Shared::new(&NetConfig::default()));
+        let conns: Arc<Mutex<ConnRegistry>> = Arc::default();
+        shared.active_conns.fetch_add(1, Ordering::SeqCst);
+        spawn_connection(accepted, Arc::new(serve_backend(8)), Arc::clone(&shared), &conns);
+        let ConnRegistry { streams, handles } = std::mem::take(&mut *conns.lock().unwrap());
+        assert_eq!(streams[0].write_timeout().unwrap(), Some(WRITE_STALL));
+        assert!(streams[0].nodelay().unwrap());
+        drop(client); // end of stream: the loop returns
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(shared.active_conns.load(Ordering::SeqCst), 0);
+    }
 }

@@ -7,8 +7,7 @@
 
 use chronorank_core::{AppendRecord, TopK};
 use chronorank_net::frame::{
-    crc32, decode_append_batch, decode_append_batch_traced, encode_append_batch,
-    encode_append_batch_traced, HEADER_LEN, MAX_PAYLOAD,
+    crc32, decode_append_batch, encode_append_batch, HEADER_LEN, MAX_PAYLOAD,
 };
 use chronorank_net::{
     Decoder, ErrCode, ErrorBody, Frame, FrameError, OpCode, TopKRequest, TopKResponse, TraceContext,
@@ -111,16 +110,18 @@ proptest! {
         }
     }
 
-    /// Pure byte soup: `decode_all` terminates with frames or one typed
-    /// error, and whatever it parses stays within the input.
+    /// Pure byte soup: the streaming decoder yields frames until it waits
+    /// for more bytes or reports one typed error, and every input byte is
+    /// accounted for — inside a returned frame or still pending.
     #[test]
     fn arbitrary_bytes_never_panic(soup in proptest::collection::vec(any::<u8>(), 0..400)) {
-        // A typed Err terminates the scan; a successful parse must
-        // account for every input byte.
-        if let Ok(frames) = Frame::decode_all(&soup) {
-            let total: usize = frames.iter().map(|f| HEADER_LEN + f.payload.len()).sum();
-            prop_assert_eq!(total, soup.len());
+        let mut decoder = Decoder::new();
+        decoder.feed(&soup);
+        let mut parsed = 0;
+        while let Ok(Some(f)) = decoder.next_frame() {
+            parsed += HEADER_LEN + f.payload.len();
         }
+        prop_assert_eq!(parsed + decoder.pending(), soup.len());
     }
 
     /// The streaming decoder under adversarial chunking: valid frames
@@ -232,8 +233,8 @@ proptest! {
         // Append batch.
         let recs: Vec<AppendRecord> =
             recs.into_iter().map(|(object, t, v)| AppendRecord { object, t, v }).collect();
-        let bytes = encode_append_batch(&recs).expect("in-range record count encodes");
-        prop_assert_eq!(decode_append_batch(&bytes).unwrap(), recs);
+        let bytes = encode_append_batch(&recs, None).expect("in-range record count encodes");
+        prop_assert_eq!(decode_append_batch(&bytes).unwrap(), (recs, None));
 
         // Error body (arbitrary printable-ASCII message).
         const CODES: [ErrCode; 4] =
@@ -325,8 +326,9 @@ proptest! {
     }
 
     /// The append-batch tail obeys the same contract: strictly additive,
-    /// unambiguous against the 20-byte record stride, typed refusal on a
-    /// truncated tail, and legacy decoders reject traced bytes.
+    /// unambiguous against the 20-byte record stride, and a typed refusal
+    /// on a truncated tail. A context-free encoding is the pre-trace
+    /// layout: a count and 20 bytes per record, nothing after.
     #[test]
     fn append_batch_trace_tail_roundtrips(
         recs in proptest::collection::vec(
@@ -341,24 +343,22 @@ proptest! {
             recs.into_iter().map(|(object, t, v)| AppendRecord { object, t, v }).collect();
         let ctx = TraceContext { trace_id, parent_span };
 
-        let legacy = encode_append_batch(&recs).unwrap();
-        prop_assert_eq!(&encode_append_batch_traced(&recs, None).unwrap(), &legacy);
+        let legacy = encode_append_batch(&recs, None).unwrap();
+        prop_assert_eq!(legacy.len(), 4 + 20 * recs.len());
 
-        let traced = encode_append_batch_traced(&recs, Some(ctx)).unwrap();
+        let traced = encode_append_batch(&recs, Some(ctx)).unwrap();
         prop_assert_eq!(&traced[..legacy.len()], &legacy[..]);
         prop_assert_eq!(traced.len(), legacy.len() + TraceContext::WIRE_LEN);
 
-        let (back, got) = decode_append_batch_traced(&traced).unwrap();
+        let (back, got) = decode_append_batch(&traced).unwrap();
         prop_assert_eq!(&back, &recs);
         prop_assert_eq!(got, Some(ctx));
-        prop_assert_eq!(decode_append_batch_traced(&legacy).unwrap(), (recs, None));
-        // The strict legacy decoder refuses traced bytes outright.
-        prop_assert!(decode_append_batch(&traced).is_err());
+        prop_assert_eq!(decode_append_batch(&legacy).unwrap(), (recs, None));
 
         // Truncating inside the tail is typed, never a panic: the 16-byte
         // width can't be mistaken for records (16 is not a multiple of 20).
         let keep = legacy.len() + cut;
-        prop_assert!(decode_append_batch_traced(&traced[..keep]).is_err());
+        prop_assert!(decode_append_batch(&traced[..keep]).is_err());
     }
 }
 
