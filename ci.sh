@@ -62,14 +62,16 @@
 #                     bench itself exits nonzero unless EXACT3 beats EXACT1
 #                     in per-query cold IO and the BREAKPOINTS2 sweep held
 #                     at most m segments)
-#   benchmark-smoke   benchmark/run.sh --quick        (the standalone
-#                     BENCHMARK.json package still builds against the
-#                     crates' public API and every workload — in-process
-#                     serve, the wire, live ingest beside reads, checkpoint
-#                     and image boot, out-of-core builds — answers
-#                     correctly at 1/20 scale; exit code only, its numbers
-#                     are the driver's to gate; artifacts and the report
-#                     stay under target/benchmark)
+#   benchmark-smoke   benchmark/run.sh --lint, then --quick  (the
+#                     standalone BENCHMARK.json package, which pins the
+#                     crates' public API, passes its own fmt --check,
+#                     clippy -D warnings and unit tests; then it still
+#                     builds against that API and every workload —
+#                     in-process serve, the wire, live ingest beside
+#                     reads, checkpoint and image boot, out-of-core builds
+#                     — answers correctly at 1/20 scale; exit codes only,
+#                     its numbers are not gated here; artifacts and
+#                     the report stay under target/benchmark)
 #
 # Every smoke artifact goes under target/ so the committed full-scale
 # BENCH_*.json and results/ CSVs are never clobbered by quick numbers.
@@ -286,6 +288,7 @@ paperscale_smoke() {
 # is the only stage that notices when a crate change breaks it.
 benchmark_smoke() {
     mkdir -p target/benchmark
+    benchmark/run.sh --lint
     benchmark/run.sh --quick > target/benchmark/ci-smoke.log
 }
 

@@ -696,7 +696,7 @@ fn ablation(opts: &Opts) {
         let appx = ApproxIndex::build(
             &set,
             ApproxVariant::APPX2,
-            ApproxConfig { r: opts.r, kmax: opts.kmax, store, ..Default::default() },
+            ApproxConfig { r: opts.r, kmax: opts.kmax, store },
         )
         .expect("build");
         let built = Built {
@@ -957,7 +957,7 @@ fn paperscale(opts: &Opts) {
             // QUERY1 keeps r+1 files alive (lists + r-1 sub-trees + top).
             let store = budget.store_config(r + 1);
             let env = Env::dir(rung_dir.join(sub), store).expect("env");
-            let cfg = ApproxConfig { r: breakpoints.len(), kmax, eps: None, store };
+            let cfg = ApproxConfig { r: breakpoints.len(), kmax, store };
             let t0 = Instant::now();
             let idx = ApproxIndex::build_streaming(
                 env,

@@ -100,8 +100,6 @@ pub struct ApproxConfig {
     /// Breakpoint budget `r` (the paper's experiments fix `r`, defaulting
     /// to 500 at full scale; scaled default here).
     pub r: usize,
-    /// Explicit `ε` — overrides `r` when set.
-    pub eps: Option<f64>,
     /// Largest `k` the index will answer (paper default 200).
     pub kmax: usize,
     /// Storage settings.
@@ -110,7 +108,7 @@ pub struct ApproxConfig {
 
 impl Default for ApproxConfig {
     fn default() -> Self {
-        Self { r: 128, eps: None, kmax: 64, store: StoreConfig::default() }
+        Self { r: 128, kmax: 64, store: StoreConfig::default() }
     }
 }
 
@@ -134,16 +132,14 @@ pub struct ApproxIndex {
 }
 
 impl ApproxConfig {
-    /// The breakpoint set this configuration asks for over `set`: the
-    /// explicit `ε` when given, else fitted to `r` (BREAKPOINTS2 by its
-    /// efficient construction).
+    /// The breakpoint set this configuration asks for over `set`: fitted
+    /// to `r` (BREAKPOINTS2 by its efficient construction).
     fn breakpoints(&self, set: &TemporalSet, kind: BreakpointsKind) -> Result<Breakpoints> {
-        let efficient = B2Construction::Efficient;
-        match (kind, self.eps) {
-            (BreakpointsKind::B1, Some(eps)) => Breakpoints::b1_with_eps(set, eps),
-            (BreakpointsKind::B1, None) => Breakpoints::b1_with_count(set, self.r),
-            (BreakpointsKind::B2, Some(eps)) => Breakpoints::b2_with_eps(set, eps, efficient),
-            (BreakpointsKind::B2, None) => Breakpoints::b2_with_count(set, self.r, efficient),
+        match kind {
+            BreakpointsKind::B1 => Breakpoints::b1_with_count(set, self.r),
+            BreakpointsKind::B2 => {
+                Breakpoints::b2_with_count(set, self.r, B2Construction::Efficient)
+            }
         }
     }
 }

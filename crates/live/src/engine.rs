@@ -18,8 +18,8 @@ use chronorank_core::{AppendRecord, CoreError, MethodProfile, ObjectId, Temporal
 use chronorank_curve::{ColumnarTail, Segment};
 use chronorank_obs::{elapsed_us, Registry, SpanId, SpanSink, TraceId};
 use chronorank_serve::{
-    merge_profiles, partition, Answer, Freshness, MethodSet, Planner, PlannerParams, Route,
-    ServeError, ServeQuery, WorkerPool,
+    merge_profiles, partition, to_local, Answer, Freshness, MethodSet, Planner, PlannerParams,
+    Route, ServeError, ServeQuery, WorkerPool,
 };
 use chronorank_storage::{
     Env, FileDevice, GenerationImage, ImageWriter, IoCounter, StorageError, WriteAheadLog,
@@ -142,24 +142,19 @@ impl IngestEngine {
         }
         let preloaded_shards = preloads.iter().filter(|p| p.is_some()).count() as u64;
         let parts = partition(&base, w);
-        let params = PlannerParams {
-            shard_m: parts.iter().map(|(s, _)| s.num_objects() as u64).max().unwrap_or(0),
-            shard_n: parts.iter().map(|(s, _)| s.num_segments()).max().unwrap_or(0),
-            block: config.store.block_size as u64,
-            r: config.approx.r as u64,
-            span: base.span(),
-        };
+        let (params, domain) =
+            PlannerParams::of_partition(&parts, config.store.block_size, config.approx.r);
         let last = base.objects().iter().map(|o| o.curve.point(o.curve.num_points() - 1)).collect();
-        let (live_mass, domain) = (base.total_mass(), (base.t_min(), base.t_max()));
+        let live_mass = base.total_mass();
         drop(base);
         // Every shard boots (generation 0, or its reopen) on a thread of
         // its own, all at once.
         let pool = WorkerPool::boot(
             parts.into_iter().zip(preloads).collect(),
             &Registry::noop(),
-            |shard, ((subset, global_ids), preload)| {
+            |shard, (subset, preload)| {
                 let (config, obs) = (config.clone(), obs.shard.clone());
-                LiveShard::boot(shard, subset, global_ids, config, preload, obs)
+                LiveShard::boot(shard, subset, config, preload, obs)
             },
         )?;
         let (planner, built_mass) = plan(pool.shards(), params);
@@ -406,12 +401,8 @@ impl IngestEngine {
                 Segment::new(prev_t, prev_v, rec.t, rec.v).abs_integral_clipped(prev_t, rec.t);
             self.domain.1 = self.domain.1.max(rec.t);
             accepted += 1;
-            let shard = rec.object as usize % w;
-            per_shard[shard].push(AppendRecord {
-                object: rec.object / w as u32,
-                t: rec.t,
-                v: rec.v,
-            });
+            let (shard, object) = to_local(rec.object, w);
+            per_shard[shard].push(AppendRecord { object, ..*rec });
         }
         if accepted > 0 {
             // Even if the sync fails the logged records reach the shards —
@@ -611,9 +602,9 @@ impl IngestEngine {
             build_stages: statuses.iter().map(|s| s.counters.build_stages).sum(),
             swap_pause,
             queries_during_rebuild: counters.queries_during_rebuild,
-            cache_hits: statuses.iter().map(|s| s.counters.cache_hits).sum(),
-            cache_lookups: statuses.iter().map(|s| s.counters.cache_lookups).sum(),
-            cache_invalidations: statuses.iter().map(|s| s.counters.cache_invalidations).sum(),
+            cache_hits: statuses.iter().map(|s| s.cache.hits).sum(),
+            cache_lookups: statuses.iter().map(|s| s.cache.lookups).sum(),
+            cache_invalidations: statuses.iter().map(|s| s.cache.invalidations).sum(),
             tail_segments: statuses.iter().map(|s| s.tail_segments).sum(),
             tail_bytes: statuses.iter().map(|s| s.tail_bytes).sum(),
             tail_objects: statuses.iter().map(|s| s.tail_objects).sum(),

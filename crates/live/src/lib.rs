@@ -37,7 +37,8 @@
 //!    live mass, the planner
 //!    ([`chronorank_serve::Planner::route_with_freshness`]) restates that
 //!    bound against `M_live` before admitting the route, and the
-//!    shard-local result cache keeps a per-entry *staleness account*:
+//!    shard-local result cache (serve's [`chronorank_serve::ResultCache`],
+//!    which each append batch charges) keeps a per-entry *staleness account*:
 //!    a snapped answer is served only while
 //!    `ε·M_built + appended-mass-overlapping ≤ ε_query·M_live`, else the
 //!    entry is invalidated and recomputed. No stale approximate answer

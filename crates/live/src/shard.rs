@@ -34,14 +34,25 @@
 //! file picked: one exact rescoring over a superset, and no second copy
 //! of the points beside the columns.
 //!
+//! Answers leave the shard in its local ids (the columns' dense ids); the
+//! pool worker maps them to global ones ([`chronorank_serve::to_global`]),
+//! and the engine hands the shard its appends in local ids
+//! ([`chronorank_serve::to_local`]), so the shard keeps no id map.
+//!
 //! ## Staleness-audited caching
 //!
-//! Cacheable routes (APPX1/APPX2) answer over the *snapped* interval, so
-//! answers are cached per `(B(t1), B(t2), k, route)`. An append whose new
-//! segment starts before a cached entry's snapped right edge adds its mass
-//! to the entry's staleness account; at lookup time the entry is served
-//! only while `ε·M_built + staleness ≤ ε_query · M_live` — otherwise it is
-//! invalidated and recomputed. Epoch swaps clear the cache outright.
+//! The window dedup and the result cache are serve's
+//! ([`chronorank_serve::dedup_window`], [`chronorank_serve::ResultCache`]);
+//! what a live shard adds is the charge. Cacheable routes (APPX1/APPX2)
+//! answer over the *snapped* interval, so answers are cached per
+//! `(B(t1), B(t2), k, route)`. An append whose new segment starts before a
+//! cached entry's snapped right edge adds its mass to the entry's
+//! staleness account ([`chronorank_serve::ResultCache::charge`]); at lookup
+//! time the entry is served only while
+//! `ε·M_built + staleness ≤ ε_query · M_live` — otherwise it is
+//! invalidated and recomputed. That budget reads the query's tolerance, so
+//! the dedup key carries it: two tolerances on one probe key are two
+//! lookups. Epoch swaps clear the cache outright.
 
 use crate::config::LiveConfig;
 use crate::generation::{GenParts, Generation};
@@ -50,12 +61,10 @@ use crate::report::PauseHistogram;
 use chronorank_core::{AppendRecord, ObjectId, TemporalSet};
 use chronorank_curve::{ColumnarTail, Segment};
 use chronorank_serve::{
-    panic_message, BuildStages, LruCache, ProbeKey, Route, RouteProfiles, ServeQuery, ShardAnswer,
-    ShardProbe,
+    dedup_window, panic_message, to_local, BuildStages, CacheCounters, ProbeKey, ResultCache,
+    Route, RouteProfiles, ServeQuery, ShardAnswer, ShardProbe,
 };
 use chronorank_storage::IoStats;
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -81,15 +90,13 @@ pub(crate) struct Counters {
     pub build_secs: f64,
     pub build_stages: BuildStages,
     pub swap_pause: PauseHistogram,
-    pub cache_hits: u64,
-    pub cache_lookups: u64,
-    pub cache_invalidations: u64,
 }
 
 /// A shard's statistics, read on demand under its lock.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardStatus {
     pub counters: Counters,
+    pub cache: CacheCounters,
     pub generation: u64,
     pub built_mass: f64,
     pub tail_segments: u64,
@@ -102,19 +109,6 @@ pub(crate) struct ShardStatus {
     pub tail_bytes: u64,
     /// Objects with a non-empty appended tail.
     pub tail_objects: u64,
-}
-
-/// A cached snapped answer plus its staleness account.
-struct Cached {
-    /// Global-id answer, descending score.
-    entries: Vec<(ObjectId, f64)>,
-    /// Snapped right edge — appends starting before this time affect it.
-    snap_t2: f64,
-    /// Absolute mass appended (potentially) inside the snapped interval
-    /// since this entry was computed. `Cell` so the apply path can charge
-    /// it during a non-removing `retain` walk (the cache lives under the
-    /// shard lock).
-    stale: Cell<f64>,
 }
 
 /// A build in flight, as cut at its snapshot.
@@ -138,15 +132,13 @@ struct ShardState {
     /// the arithmetic [`TemporalSet::append_segment`] uses, so rebuild
     /// triggers and staleness budgets behave as the row-form set did.
     live_mass: f64,
-    /// Local dense id → global id.
-    global_ids: Vec<ObjectId>,
     /// The published generation, and the per-object frozen edge its
     /// snapshot was cut at.
     gen: Arc<Generation>,
     frozen_end: Vec<f64>,
     pending: Option<PendingGen>,
     /// Staleness-audited result cache (snapped keys only, see module docs).
-    cache: Option<LruCache<ProbeKey, Cached>>,
+    cache: Option<ResultCache>,
     /// Records applied since boot, and as of the installed generation's
     /// snapshot.
     applied: u64,
@@ -166,18 +158,16 @@ impl ShardState {
     fn new(
         shard: usize,
         subset: &TemporalSet,
-        global_ids: Vec<ObjectId>,
         config: LiveConfig,
         obs: ShardObs,
         (gen, frozen_end): (Arc<Generation>, Vec<f64>),
     ) -> Self {
-        let cache = (config.cache_capacity > 0).then(|| LruCache::new(config.cache_capacity));
+        let cache = (config.cache_capacity > 0).then(|| ResultCache::new(config.cache_capacity));
         Self {
             shard,
             config,
             live: subset.to_columnar(),
             live_mass: subset.total_mass(),
-            global_ids,
             gen,
             frozen_end,
             pending: None,
@@ -285,13 +275,8 @@ impl ShardState {
         }
         self.applied += recs.len() as u64;
         let batch_mass = (self.live_mass - mass_before).max(0.0);
-        if let Some(cache) = &mut self.cache {
-            cache.retain(|_, v| {
-                if v.snap_t2 > batch_min_t0 {
-                    v.stale.set(v.stale.get() + batch_mass);
-                }
-                true
-            });
+        if let (Some(cache), Some(bp)) = (&mut self.cache, &self.gen.built.breakpoints) {
+            cache.charge(bp, batch_min_t0, batch_mass);
         }
         // Rebuild trigger: geometric mass doubling (core's §4 policy) or a
         // full tail.
@@ -303,144 +288,53 @@ impl ShardState {
         }
     }
 
-    /// Answer one routed query (see module docs for the merge contract);
-    /// the second return is `Some(hit)` when the result cache was consulted.
-    fn answer(
-        &mut self,
-        q: ServeQuery,
-        route: Route,
-        key: ProbeKey,
-    ) -> (ShardAnswer, Option<bool>) {
-        if let Some(e) = &self.poisoned {
-            return (Err(e.clone()), None);
-        }
-        let gen = Arc::clone(&self.gen);
-        // APPX1/APPX2 answer over the *snapped* interval — that is route
-        // semantics (their index structures only know breakpoint pairs),
-        // not a cache artifact, so it must not depend on whether a cache
-        // is configured.
-        let (ProbeKey::Snapped { .. }, Some(bp)) = (key, &gen.built.breakpoints) else {
-            return (self.merged_answer(&gen, q.t1, q.t2, q.k, route), None);
-        };
-        let (a, b) = (bp.snap(q.t1), bp.snap(q.t2));
-        if self.cache.is_none() || q.tolerance.is_none() {
-            return (self.merged_answer(&gen, a, b, q.k, route), None);
-        }
-        // Staleness audit: this generation's re-validated absolute bound
-        // ε·M_built, plus whatever mass landed inside the snapped interval
-        // since the entry was computed, must still fit the query's
-        // ε-budget against the *live* mass.
-        let eps_abs = gen.profile(route).map_or(0.0, |g| g.eps_abs());
-        let budget_abs = q.tolerance.map(|t| t.eps * self.live_mass).unwrap_or(0.0);
-        self.counters.cache_lookups += 1;
-        let mut invalidate = false;
-        if let Some(entry) = self.cache.as_mut().expect("cacheable implies cache").get(&key) {
-            let stale = entry.stale.get();
-            if stale <= 0.0 || eps_abs + stale <= budget_abs {
-                self.counters.cache_hits += 1;
-                return (Ok(entry.entries.clone()), Some(true));
-            }
-            invalidate = true;
-        }
-        if invalidate {
-            self.counters.cache_invalidations += 1;
-        }
-        let res = self.merged_answer(&gen, a, b, q.k, route);
-        if let Ok(entries) = &res {
-            self.cache.as_mut().expect("cacheable implies cache").insert(
-                key,
-                Cached { entries: entries.clone(), snap_t2: b, stale: Cell::new(0.0) },
-            );
-        }
-        (res, Some(false))
-    }
-
-    /// Answer one window of routed queries, deduplicating shared probes:
-    /// queries are grouped by what fully determines their answer — the
+    /// Answer one window of routed queries: [`dedup_window`] keyed on the
     /// [`ProbeKey`] on the published generation plus the tolerance (the
-    /// staleness audit can tell two tolerances apart) — and each group
-    /// runs [`ShardState::answer`] exactly once (one frozen probe, one
-    /// columnar rescore, one cache lookup), with every member sharing the
-    /// result. Deterministic state means the shared answer is
-    /// bit-identical to answering each query sequentially.
+    /// staleness audit can tell two tolerances apart), then per group one
+    /// frozen probe and columnar rescore ([`merged_answer`]), through the
+    /// result cache on a snapped key. Deterministic state means the shared
+    /// answer is bit-identical to answering each query sequentially.
     fn answer_batch(&mut self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)> {
-        let gen = Arc::clone(&self.gen);
+        if let Some(e) = &self.poisoned {
+            return window.iter().map(|_| (Err(e.clone()), None)).collect();
+        }
+        let Self { gen, live, frozen_end, cache, live_mass, .. } = self;
         let breakpoints = gen.built.breakpoints.as_ref();
-        let mut first_of: HashMap<(ProbeKey, Option<(u64, bool)>), usize> =
-            HashMap::with_capacity(window.len());
-        let mut out: Vec<(ShardAnswer, Option<bool>)> = Vec::with_capacity(window.len());
-        for (q, route) in window {
-            let key = ProbeKey::new(q, *route, breakpoints);
-            let tolerance = q.tolerance.map(|t| (t.eps.to_bits(), t.tight_ranks));
-            let answered = match first_of.get(&(key, tolerance)) {
-                Some(&first) => out[first].clone(),
-                None => {
-                    first_of.insert((key, tolerance), out.len());
-                    self.answer(*q, *route, key)
+        let tolerance = |q: &ServeQuery| q.tolerance.map(|t| (t.eps.to_bits(), t.tight_ranks));
+        dedup_window(
+            window,
+            |q, route| (ProbeKey::new(q, route, breakpoints), tolerance(q)),
+            |q, route, (key, _)| {
+                // APPX1/APPX2 answer over the *snapped* interval — that is
+                // route semantics (their index structures only know
+                // breakpoint pairs), not a cache artifact, so it must not
+                // depend on whether a cache is configured.
+                let (t1, t2) = match (key, breakpoints) {
+                    (ProbeKey::Snapped { .. }, Some(bp)) => (bp.snap(q.t1), bp.snap(q.t2)),
+                    _ => (q.t1, q.t2),
+                };
+                let probe = || merged_answer(live, frozen_end, gen, (t1, t2), q.k, route);
+                match (cache.as_mut(), key) {
+                    (Some(cache), ProbeKey::Snapped { .. }) => {
+                        // The staleness audit: this generation's absolute
+                        // bound ε·M_built plus what landed inside the
+                        // snapped interval since, against the query's
+                        // ε-budget on the *live* mass.
+                        let eps_abs = gen.profile(route).map_or(0.0, |g| g.eps_abs());
+                        let budget_abs = q.tolerance.map_or(0.0, |t| t.eps * *live_mass);
+                        cache.answer(key, eps_abs, budget_abs, probe)
+                    }
+                    _ => (probe(), None),
                 }
-            };
-            out.push(answered);
-        }
-        out
-    }
-
-    /// Frozen candidates ∪ touched tail objects, exactly rescored on the
-    /// live curves over `[t1, t2]`, global ids, descending score.
-    fn merged_answer(
-        &mut self,
-        gen: &Generation,
-        t1: f64,
-        t2: f64,
-        k: usize,
-        route: Route,
-    ) -> ShardAnswer {
-        if t2 < t1 || !t1.is_finite() || !t2.is_finite() {
-            return Err(format!("bad query interval [{t1}, {t2}]"));
-        }
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let m = self.live.num_objects();
-        // Tail-touched objects: appended segments overlapping the interval.
-        let mut touched: Vec<ObjectId> = Vec::new();
-        for i in 0..m {
-            let fe = self.frozen_end[i];
-            let end = self.live.end_time(i);
-            if end > fe && fe < t2 && end > t1 {
-                touched.push(i as ObjectId);
-            }
-        }
-        // Candidate budget: k + |touched| (+ slack) suffices — any object
-        // outside it is beaten by ≥ k candidates (see module docs). The
-        // approximate routes are additionally capped by their built kmax.
-        let mut kk = k.saturating_add(touched.len() + CANDIDATE_SLACK).min(m);
-        if !route.is_exact() {
-            kk = kk.min(gen.meta.kmax).max(k.min(gen.meta.kmax));
-        }
-        let frozen = gen.built.candidates(route, t1, t2, kk)?;
-        let mut seen = vec![false; m];
-        let mut candidates: Vec<ObjectId> = Vec::with_capacity(frozen.len() + touched.len());
-        for id in frozen.into_iter().chain(touched) {
-            if !seen[id as usize] {
-                seen[id as usize] = true;
-                candidates.push(id);
-            }
-        }
-        // Exact rescoring streams the shared columns in one batched pass;
-        // the columnar kernel is bit-identical to the per-object curve
-        // walk, hence bit-identical answers for exact routes.
-        let mut scores = Vec::new();
-        self.live.integral_batch(&candidates, t1, t2, &mut scores);
-        let mut scored: Vec<(ObjectId, f64)> = candidates.into_iter().zip(scores).collect();
-        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-        scored.truncate(k);
-        Ok(scored.into_iter().map(|(id, s)| (self.global_ids[id as usize], s)).collect())
+            },
+        )
     }
 
     fn status(&self) -> ShardStatus {
         let (meta, built) = (self.gen.meta, &self.gen.built);
         ShardStatus {
             counters: self.counters,
+            cache: self.cache.as_ref().map_or_else(CacheCounters::default, ResultCache::counters),
             generation: meta.generation,
             built_mass: meta.built_mass,
             tail_segments: self.applied - self.gen_applied,
@@ -452,6 +346,60 @@ impl ShardState {
             tail_objects: self.live.tail_objects() as u64,
         }
     }
+}
+
+/// Frozen candidates ∪ touched tail objects, exactly rescored on the live
+/// curves `live` over `[t1, t2]`, local ids, descending score. An object is
+/// touched when its curve ends past `frozen_end`, the edge `gen` was cut
+/// at, inside the interval.
+fn merged_answer(
+    live: &ColumnarTail,
+    frozen_end: &[f64],
+    gen: &Generation,
+    (t1, t2): (f64, f64),
+    k: usize,
+    route: Route,
+) -> ShardAnswer {
+    if t2 < t1 || !t1.is_finite() || !t2.is_finite() {
+        return Err(format!("bad query interval [{t1}, {t2}]"));
+    }
+    if k == 0 {
+        return Ok(Vec::new());
+    }
+    let m = live.num_objects();
+    // Tail-touched objects: appended segments overlapping the interval.
+    let mut touched: Vec<ObjectId> = Vec::new();
+    for (i, &fe) in frozen_end.iter().enumerate() {
+        let end = live.end_time(i);
+        if end > fe && fe < t2 && end > t1 {
+            touched.push(i as ObjectId);
+        }
+    }
+    // Candidate budget: k + |touched| (+ slack) suffices — any object
+    // outside it is beaten by ≥ k candidates (see module docs). The
+    // approximate routes are additionally capped by their built kmax.
+    let mut kk = k.saturating_add(touched.len() + CANDIDATE_SLACK).min(m);
+    if !route.is_exact() {
+        kk = kk.min(gen.meta.kmax).max(k.min(gen.meta.kmax));
+    }
+    let frozen = gen.built.candidates(route, t1, t2, kk)?;
+    let mut seen = vec![false; m];
+    let mut candidates: Vec<ObjectId> = Vec::with_capacity(frozen.len() + touched.len());
+    for id in frozen.into_iter().chain(touched) {
+        if !seen[id as usize] {
+            seen[id as usize] = true;
+            candidates.push(id);
+        }
+    }
+    // Exact rescoring streams the shared columns in one batched pass; the
+    // columnar kernel is bit-identical to the per-object curve walk, hence
+    // bit-identical answers for exact routes.
+    let mut scores = Vec::new();
+    live.integral_batch(&candidates, t1, t2, &mut scores);
+    let mut scored: Vec<(ObjectId, f64)> = candidates.into_iter().zip(scores).collect();
+    scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+    scored.truncate(k);
+    Ok(scored)
 }
 
 /// One ingest shard, owned by the worker pool: its worker answers query
@@ -468,7 +416,6 @@ impl LiveShard {
     pub fn boot(
         shard: usize,
         subset: TemporalSet,
-        global_ids: Vec<ObjectId>,
         config: LiveConfig,
         preload: Option<GenParts>,
         obs: ShardObs,
@@ -488,7 +435,7 @@ impl LiveShard {
                 (Arc::new(gen), subset.objects().iter().map(|o| o.curve.end()).collect())
             }
         };
-        let mut state = ShardState::new(shard, &subset, global_ids, config, obs, installed);
+        let mut state = ShardState::new(shard, &subset, config, obs, installed);
         if fresh {
             state.count_build();
         }
@@ -542,16 +489,17 @@ impl LiveShard {
 }
 
 /// The live data of `shards` gathered into one column set in global object
-/// order (`global = local · W + shard`, as [`chronorank_serve::partition`]
-/// numbers them): point for point what `to_columnar()` of a row-form set
-/// holding the same data is. Every shard's lock is taken once and held
-/// across the gather; no other path holds two, so the order cannot deadlock.
+/// order ([`to_local`] finds each object's shard): point for point what
+/// `to_columnar()` of a row-form set holding the same data is. Every
+/// shard's lock is taken once and held across the gather; no other path
+/// holds two, so the order cannot deadlock.
 pub(crate) fn live_columns(shards: &[Arc<LiveShard>]) -> ColumnarTail {
     let states: Vec<_> = shards.iter().map(|s| s.lock()).collect();
     let m: usize = states.iter().map(|s| s.live.num_objects()).sum();
     let (mut all, mut ts, mut vs) = (ColumnarTail::new(), Vec::new(), Vec::new());
-    for global in 0..m {
-        states[global % states.len()].live.copy_points(global / states.len(), &mut ts, &mut vs);
+    for global in 0..m as ObjectId {
+        let (shard, local) = to_local(global, states.len());
+        states[shard].live.copy_points(local as usize, &mut ts, &mut vs);
         all.push_object(&ts, &vs).expect("shard columns hold valid curves");
     }
     all

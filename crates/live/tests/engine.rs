@@ -4,7 +4,7 @@
 use chronorank_core::{AppendRecord, TemporalSet};
 use chronorank_live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank_obs::SpanSink;
-use chronorank_serve::{Route, ServeQuery};
+use chronorank_serve::{Route, ServeConfig, ServeEngine, ServeQuery};
 use chronorank_storage::GenerationImage;
 use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
 
@@ -304,6 +304,35 @@ fn eps_invalidating_appends_evict_cached_answers() {
     );
     // And the recomputed answer sees the appended mass: object 0 now wins.
     assert_eq!(top.rank(0).0, 0, "fresh answer must include the appended mass: {top:?}");
+}
+
+#[test]
+fn two_tolerances_on_one_probe_key_are_one_serve_lookup_and_two_live_ones() {
+    // Serve and live shards run one window dedup; only its key differs. A
+    // serve answer does not read the tolerance, so both queries share one
+    // probe and one cache lookup per shard. A live shard's staleness audit
+    // does, so its key keeps the tolerance: two lookups per shard.
+    let seed = stock_stream(64, 8).base_set();
+    let (t1, t2) = (seed.t_min() + 0.2 * seed.span(), seed.t_min() + 0.7 * seed.span());
+    let window = [ServeQuery::approx(t1, t2, 5, 0.3), ServeQuery::approx(t1, t2, 5, 0.4)];
+    let w = 2;
+    let serve = ServeEngine::new(&seed, ServeConfig { workers: w, ..Default::default() }).unwrap();
+    let live = IngestEngine::new(&seed, LiveConfig { workers: w, ..Default::default() }).unwrap();
+    for q in &window {
+        assert_eq!(serve.route_for(q), Route::Appx2, "{q:?}: one cacheable route, one key");
+        assert_eq!(live.route_for(q), Route::Appx2, "{q:?}: one cacheable route, one key");
+    }
+    let served = serve.execute(&window, None, &SpanSink::noop()).unwrap();
+    let (lookups, hits) = (serve.report().cache_lookups, serve.report().cache_hits);
+    assert_eq!((lookups, hits), (w as u64, 0), "serve: one lookup per shard");
+    assert_eq!(served[0].topk, served[1].topk, "serve: one probe answered both");
+    let answered = live.execute(&window, None, &SpanSink::noop()).unwrap();
+    let report = live.report();
+    assert_eq!(report.cache_lookups, 2 * w as u64, "live: one lookup per tolerance per shard");
+    // The second tolerance finds the entry the first one cached: nothing
+    // was charged to it, so it hits.
+    assert_eq!((report.cache_hits, report.cache_invalidations), (w as u64, 0));
+    assert_eq!(answered[0].topk, answered[1].topk);
 }
 
 #[test]

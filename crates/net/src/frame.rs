@@ -409,22 +409,12 @@ impl TopKRequest {
         Ok(out)
     }
 
-    /// Parse and validate: finite interval with `t1 < t2`, finite
-    /// non-negative `eps`, bounded `k`. The server trusts a decoded query
-    /// enough to hand it to the engine, so garbage is rejected here.
-    /// Rejects payloads carrying a trace-context tail — use
-    /// [`TopKRequest::decode_traced`] to accept both shapes.
-    pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
-        if buf.len() != Self::LEN {
-            return Err(FrameError::BadPayload("topk request must be 29 bytes"));
-        }
-        Ok(Self::decode_traced(buf)?.0)
-    }
-
-    /// Parse either payload shape: 29 bytes (no context) or 29 + 16
-    /// bytes (context tail). Anything else — a truncated or padded tail
-    /// included — is a typed [`FrameError::BadPayload`].
-    pub fn decode_traced(buf: &[u8]) -> Result<(Self, Option<TraceContext>), FrameError> {
+    /// Parse and validate either payload shape: 29 bytes (no context) or
+    /// 29 + 16 bytes (context tail). Anything else — a truncated or padded
+    /// tail included — is a typed [`FrameError::BadPayload`], and so is a
+    /// query the engine must not see: the interval must be finite with
+    /// `t1 < t2`, `eps` finite and non-negative, `k` bounded.
+    pub fn decode(buf: &[u8]) -> Result<(Self, Option<TraceContext>), FrameError> {
         let ctx = match buf.len() {
             Self::LEN => None,
             n if n == Self::LEN + TraceContext::WIRE_LEN => {
@@ -826,7 +816,7 @@ mod tests {
             ServeQuery::approx_tight(1.0, 2.0, 1, 0.2),
         ] {
             let back = TopKRequest::decode(&TopKRequest(q).encode().unwrap()).unwrap();
-            assert_eq!(back.0, q);
+            assert_eq!(back, (TopKRequest(q), None));
         }
         let bad = TopKRequest(ServeQuery::exact(5.0, 4.0, 2)).encode().unwrap();
         assert!(TopKRequest::decode(&bad).is_err(), "t1 >= t2 must be rejected");
@@ -870,8 +860,8 @@ mod tests {
         assert_eq!(plain.len(), 29);
         assert_eq!(traced.len(), 45);
         assert_eq!(&traced[..29], &plain[..], "context is strictly a tail");
-        assert_eq!(TopKRequest::decode_traced(&plain).unwrap(), (TopKRequest(q), None));
-        assert_eq!(TopKRequest::decode_traced(&traced).unwrap(), (TopKRequest(q), Some(ctx)));
+        assert_eq!(TopKRequest::decode(&plain).unwrap(), (TopKRequest(q), None));
+        assert_eq!(TopKRequest::decode(&traced).unwrap(), (TopKRequest(q), Some(ctx)));
         // Context-free encoding is bit-identical through both paths.
         assert_eq!(TopKRequest(q).encode_with(None).unwrap(), plain);
         // Append batch both shapes.
@@ -890,23 +880,18 @@ mod tests {
         // Truncated tail (30..44 bytes): typed BadPayload, never a panic.
         for cut in 30..45 {
             assert!(
-                matches!(
-                    TopKRequest::decode_traced(&traced[..cut]),
-                    Err(FrameError::BadPayload(_))
-                ),
+                matches!(TopKRequest::decode(&traced[..cut]), Err(FrameError::BadPayload(_))),
                 "cut={cut}"
             );
         }
         // Oversized: extra byte after the tail.
         let mut fat = traced.clone();
         fat.push(0);
-        assert!(matches!(TopKRequest::decode_traced(&fat), Err(FrameError::BadPayload(_))));
+        assert!(matches!(TopKRequest::decode(&fat), Err(FrameError::BadPayload(_))));
         // Zero trace id marks corruption.
-        let mut zeroed = traced.clone();
+        let mut zeroed = traced;
         zeroed[29..37].fill(0);
-        assert!(matches!(TopKRequest::decode_traced(&zeroed), Err(FrameError::BadPayload(_))));
-        // The strict TOPK decoder rejects a traced payload outright.
-        assert!(TopKRequest::decode(&traced).is_err());
+        assert!(matches!(TopKRequest::decode(&zeroed), Err(FrameError::BadPayload(_))));
     }
 
     #[test]

@@ -77,6 +77,12 @@ use std::time::{Duration, Instant};
 /// is closed: a client that never reads holds its thread this long.
 const WRITE_STALL: Duration = Duration::from_secs(30);
 
+/// How many bytes the acceptor reads from a client it refused, after the
+/// refusal, before it closes the socket: room for what a client pipelined
+/// before it saw the refusal, and a bound on how long one that keeps
+/// sending holds the acceptor.
+const REFUSAL_DRAIN_BYTES: u64 = 64 * 1024;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -642,10 +648,11 @@ fn acceptor_main(
                 // FIN first, then briefly drain whatever the client already
                 // sent: closing with unread inbound bytes turns into an RST
                 // on many stacks, which would destroy the refusal in flight.
+                // The drain ends at EOF, after 250 ms without data, or
+                // after `REFUSAL_DRAIN_BYTES`, whichever comes first.
                 stream.shutdown(Shutdown::Write).ok();
                 stream.set_read_timeout(Some(std::time::Duration::from_millis(250))).ok();
-                let mut sink = [0u8; 1024];
-                while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+                std::io::copy(&mut (&stream).take(REFUSAL_DRAIN_BYTES), &mut std::io::sink()).ok();
             }
             continue;
         }
@@ -739,7 +746,7 @@ fn dispatch(frame: Frame, backend: &Backend, shared: &Shared) -> Vec<u8> {
     let bad_request = |message: String| error_frame(id, ErrCode::BadRequest, message).encode();
     let (op, ctx) = match frame.opcode {
         OpCode::Ping => return Frame::new(OpCode::Pong, id, frame.payload).encode(),
-        OpCode::TopK => match TopKRequest::decode_traced(&frame.payload) {
+        OpCode::TopK => match TopKRequest::decode(&frame.payload) {
             Ok((req, ctx)) => (EngineOp::TopK(req.0), ctx),
             Err(e) => return bad_request(e.to_string()),
         },

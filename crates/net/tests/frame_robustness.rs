@@ -214,7 +214,7 @@ proptest! {
             _ => ServeQuery::approx_tight(t1, t1 + span, k, eps),
         };
         let bytes = TopKRequest(q).encode().expect("in-range k encodes");
-        prop_assert_eq!(TopKRequest::decode(&bytes).unwrap().0, q);
+        prop_assert_eq!(TopKRequest::decode(&bytes).unwrap(), (TopKRequest(q), None));
 
         // TOPK response: re-encoding the decoded body must give the same
         // bytes (scores cross as exact bits).
@@ -273,13 +273,11 @@ proptest! {
         prop_assert_eq!(&traced[..legacy.len()], &legacy[..], "tail must be strictly additive");
         prop_assert_eq!(traced.len(), legacy.len() + TraceContext::WIRE_LEN);
 
-        let (back, got) = TopKRequest::decode_traced(&traced).unwrap();
+        let (back, got) = TopKRequest::decode(&traced).unwrap();
         prop_assert_eq!(back.0, q);
         prop_assert_eq!(got, Some(ctx));
         // And the untraced bytes report no context.
-        prop_assert_eq!(TopKRequest::decode_traced(&legacy).unwrap().1, None);
-        // A strict legacy decoder refuses — never misparses — traced bytes.
-        prop_assert!(TopKRequest::decode(&traced).is_err());
+        prop_assert_eq!(TopKRequest::decode(&legacy).unwrap().1, None);
     }
 
     /// Truncating a traced TOPK payload anywhere inside the tail (or one
@@ -304,7 +302,7 @@ proptest! {
         // Every cut strictly inside the tail region (30..=44 bytes kept).
         let keep = base + 1 + (cut * (TraceContext::WIRE_LEN - 1) as f64) as usize;
         prop_assert!(matches!(
-            TopKRequest::decode_traced(&traced[..keep]),
+            TopKRequest::decode(&traced[..keep]),
             Err(FrameError::BadPayload(_))
         ));
 
@@ -312,7 +310,7 @@ proptest! {
         let mut longer = traced.clone();
         longer.extend(std::iter::repeat_n(0xAB, extend));
         prop_assert!(matches!(
-            TopKRequest::decode_traced(&longer),
+            TopKRequest::decode(&longer),
             Err(FrameError::BadPayload(_))
         ));
 
@@ -320,7 +318,7 @@ proptest! {
         let mut zeroed = traced;
         zeroed[base..base + 8].fill(0);
         prop_assert!(matches!(
-            TopKRequest::decode_traced(&zeroed),
+            TopKRequest::decode(&zeroed),
             Err(FrameError::BadPayload(_))
         ));
     }

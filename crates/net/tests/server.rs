@@ -1,6 +1,7 @@
-//! What only a real socket shows: the connection cap's typed refusal,
-//! BUSY against refusal in the client's pipeline, concurrent connections
-//! on one backend, and clean shutdown. The protocol itself — replies,
+//! What only a real socket shows: the connection cap's typed refusal and
+//! its bounded drain of a refused client, BUSY against refusal in the
+//! client's pipeline, concurrent connections on one backend, and clean
+//! shutdown. The protocol itself — replies,
 //! refusals, admission, scrapes, malformed frames, a peer that stops
 //! reading — is tested on scripted byte streams in `src/server.rs`, and
 //! answer-level agreement with the in-process engines in the
@@ -11,6 +12,8 @@ use chronorank_curve::PiecewiseLinear;
 use chronorank_live::LiveConfig;
 use chronorank_net::{NetClient, NetConfig, NetServer, Response};
 use chronorank_serve::{ServeConfig, ServeQuery};
+use std::io::Write;
+use std::net::TcpStream;
 
 fn tiny_set(objects: usize) -> TemporalSet {
     let curves: Vec<_> = (0..objects)
@@ -52,6 +55,37 @@ fn connection_cap_refuses_with_typed_refusal_not_busy() {
     // The acceptor counts the connection it admitted and the one it refused.
     let stats = first.stats().unwrap();
     assert_eq!((stats.connections, stats.busy_rejections), (1, 1));
+    server.shutdown();
+}
+
+#[test]
+fn a_refused_client_that_keeps_sending_is_cut_off() {
+    // Far above what the kernel buffers on both ends of a loopback socket:
+    // a client that gets this much through was read by the acceptor.
+    const CAP: usize = 64 << 20;
+    let server = NetServer::start_serve(
+        tiny_set(8),
+        ServeConfig::default(),
+        NetConfig { max_connections: 1, ..Default::default() },
+    )
+    .unwrap();
+    let mut first = NetClient::connect(server.local_addr()).unwrap();
+    assert_eq!(first.ping(b"a").unwrap(), b"a");
+    // Refused, and never stops sending: the acceptor must stop draining
+    // it and close, so the write fails well before the cap.
+    let mut flood = TcpStream::connect(server.local_addr()).unwrap();
+    let chunk = vec![0x5A; 64 << 10];
+    let mut sent = 0;
+    while sent < CAP {
+        match flood.write(&chunk) {
+            Ok(n) => sent += n,
+            Err(_) => break,
+        }
+    }
+    assert!(sent < CAP, "the acceptor read all {sent} bytes a refused client sent");
+    // The acceptor is free again: the refused count moved, and shutdown
+    // can join it.
+    assert_eq!(first.stats().unwrap().busy_rejections, 1);
     server.shutdown();
 }
 

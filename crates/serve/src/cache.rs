@@ -1,10 +1,17 @@
-//! A small intrusive-list LRU cache for shard-local result caching.
+//! The shard-local result cache both engines' shards keep.
 //!
-//! Each worker owns one [`LruCache`] mapping a *snapped* query key to the
-//! shard's ranked answer (see the crate-private `shard` module);
-//! `get`/`insert` are `O(1)`. Hit/miss counters live in the cache so
-//! workers report them for free.
+//! A [`ResultCache`] maps a *snapped* [`ProbeKey`] to the shard's ranked
+//! answer (shard-local ids) in a small intrusive-list LRU, and keeps the
+//! §4 staleness account beside every entry: mass appended inside the
+//! entry's snapped interval since it was computed. It is the one place
+//! that decides a hit and the one place that counts hits, lookups and
+//! invalidations. A serve shard's snapshot never grows, so nothing is
+//! ever charged to its entries and every lookup that finds one hits; a
+//! live shard charges each durable batch ([`ResultCache::charge`]) and
+//! clears the cache when a new generation is installed.
 
+use crate::shard::{ProbeKey, ShardAnswer};
+use chronorank_core::{Breakpoints, ObjectId};
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -17,132 +24,72 @@ struct Node<K, V> {
     next: usize,
 }
 
-/// A fixed-capacity least-recently-used map.
-pub struct LruCache<K, V> {
+/// A fixed-capacity least-recently-used map; `get` and `insert` are
+/// `O(1)`. Nothing removes an entry but eviction and `clear`, so every
+/// node is live and eviction reuses the victim's slot.
+struct LruCache<K, V> {
     map: HashMap<K, usize>,
     nodes: Vec<Node<K, V>>,
-    free: Vec<usize>,
     head: usize,
     tail: usize,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// A cache holding at most `capacity` entries (`capacity ≥ 1`).
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "LRU capacity must be at least 1");
         Self {
             map: HashMap::with_capacity(capacity.min(1 << 20)),
             nodes: Vec::new(),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Look up `key`, marking the entry most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.hits += 1;
-                self.unlink(idx);
-                self.push_front(idx);
-                Some(&self.nodes[idx].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    fn get(&mut self, key: &K) -> Option<&mut V> {
+        let idx = self.map.get(key).copied()?;
+        self.unlink(idx);
+        self.push_front(idx);
+        Some(&mut self.nodes[idx].value)
     }
 
     /// Insert (or replace) `key`, evicting the least-recently-used entry
     /// when full.
-    pub fn insert(&mut self, key: K, value: V) {
+    fn insert(&mut self, key: K, value: V) {
         if let Some(&idx) = self.map.get(&key) {
             self.nodes[idx].value = value;
             self.unlink(idx);
             self.push_front(idx);
             return;
         }
-        if self.map.len() == self.capacity {
+        let node = Node { key: key.clone(), value, prev: NIL, next: NIL };
+        let idx = if self.map.len() == self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
             self.unlink(victim);
             self.map.remove(&self.nodes[victim].key);
-            self.free.push(victim);
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Node { key: key.clone(), value, prev: NIL, next: NIL };
-                i
-            }
-            None => {
-                self.nodes.push(Node { key: key.clone(), value, prev: NIL, next: NIL });
-                self.nodes.len() - 1
-            }
+            self.nodes[victim] = node;
+            victim
+        } else {
+            self.nodes.push(node);
+            self.nodes.len() - 1
         };
         self.map.insert(key, idx);
         self.push_front(idx);
     }
 
-    /// Keep only the entries for which `keep` returns true, preserving
-    /// recency order. `O(len)` — the invalidation primitive a live ingest
-    /// path uses when appends make a *subset* of cached answers stale
-    /// (e.g. every snapped interval overlapping the appended region).
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
-        // Collect victims first: unlink mutates the list we are walking.
-        let mut victims = Vec::new();
-        let mut idx = self.head;
-        while idx != NIL {
-            let node = &self.nodes[idx];
-            if !keep(&node.key, &node.value) {
-                victims.push(idx);
-            }
-            idx = node.next;
-        }
-        for idx in victims {
-            self.unlink(idx);
-            self.map.remove(&self.nodes[idx].key);
-            self.free.push(idx);
-        }
+    /// Every entry, in no particular order.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
+        self.nodes.iter_mut().map(|n| (&n.key, &mut n.value))
     }
 
-    /// Drop every entry (counters are kept).
-    pub fn clear(&mut self) {
+    /// Drop every entry.
+    fn clear(&mut self) {
         self.map.clear();
         self.nodes.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
@@ -176,21 +123,111 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
+/// What a [`ResultCache`] has counted since it was created (a `clear`
+/// keeps them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounters {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups, hits or not.
+    pub lookups: u64,
+    /// Lookups that found an entry charged past the query's budget, which
+    /// the recomputed answer then replaced.
+    pub invalidations: u64,
+}
+
+/// A cached answer and the mass charged to it since it was computed.
+struct Entry {
+    answer: Vec<(ObjectId, f64)>,
+    stale: f64,
+}
+
+/// Snapped answers with their §4 staleness account (see module docs).
+pub struct ResultCache {
+    lru: LruCache<ProbeKey, Entry>,
+    counters: CacheCounters,
+}
+
+impl ResultCache {
+    /// An empty cache of at most `capacity ≥ 1` answers.
+    pub fn new(capacity: usize) -> Self {
+        Self { lru: LruCache::new(capacity), counters: CacheCounters::default() }
+    }
+
+    /// The answer to a snapped `key`: the cached one while it is still
+    /// good enough, else `probe`'s, which is then cached (an `Err` is not).
+    /// An entry nothing was charged to is always good enough; a charged
+    /// one while `eps_abs + stale ≤ budget_abs` — the generation's
+    /// absolute error bound `ε·M_built` plus the mass appended inside the
+    /// snapped interval since, against the query's ε-budget on the live
+    /// mass. A charged entry past that is invalidated. A serve shard,
+    /// whose entries are never charged, passes zeros. The second return is
+    /// `Some(hit)`: the cache was consulted.
+    pub fn answer(
+        &mut self,
+        key: ProbeKey,
+        eps_abs: f64,
+        budget_abs: f64,
+        probe: impl FnOnce() -> ShardAnswer,
+    ) -> (ShardAnswer, Option<bool>) {
+        self.counters.lookups += 1;
+        if let Some(entry) = self.lru.get(&key) {
+            if entry.stale <= 0.0 || eps_abs + entry.stale <= budget_abs {
+                self.counters.hits += 1;
+                return (Ok(entry.answer.clone()), Some(true));
+            }
+            self.counters.invalidations += 1;
+        }
+        // The recomputed answer replaces an invalidated entry.
+        let res = probe();
+        if let Ok(answer) = &res {
+            self.lru.insert(key, Entry { answer: answer.clone(), stale: 0.0 });
+        }
+        (res, Some(false))
+    }
+
+    /// Charge `mass`, appended from time `from` on, to every entry whose
+    /// snapped right edge (a point of `breakpoints`, the set its keys were
+    /// snapped to) lies after `from`.
+    pub fn charge(&mut self, breakpoints: &Breakpoints, from: f64, mass: f64) {
+        for (key, entry) in self.lru.iter_mut() {
+            if let ProbeKey::Snapped { b2, .. } = *key {
+                if breakpoints.points()[b2 as usize] > from {
+                    entry.stale += mass;
+                }
+            }
+        }
+    }
+
+    /// Drop every entry; the counters are kept.
+    pub fn clear(&mut self) {
+        self.lru.clear();
+    }
+
+    /// Hits, lookups and invalidations so far.
+    pub fn counters(&self) -> CacheCounters {
+        self.counters
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Route;
+    use chronorank_core::B2Construction;
+    use chronorank_workloads::{DatasetGenerator, TempConfig, TempGenerator};
 
     #[test]
     fn evicts_least_recently_used() {
         let mut c = LruCache::new(2);
         c.insert("a", 1);
         c.insert("b", 2);
-        assert_eq!(c.get(&"a"), Some(&1)); // a is now MRU
+        assert_eq!(c.get(&"a"), Some(&mut 1)); // a is now MRU
         c.insert("c", 3); // evicts b
         assert_eq!(c.get(&"b"), None);
-        assert_eq!(c.get(&"a"), Some(&1));
-        assert_eq!(c.get(&"c"), Some(&3));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&"a"), Some(&mut 1));
+        assert_eq!(c.get(&"c"), Some(&mut 3));
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
@@ -198,18 +235,8 @@ mod tests {
         let mut c = LruCache::new(2);
         c.insert("a", 1);
         c.insert("a", 9);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&"a"), Some(&9));
-    }
-
-    #[test]
-    fn counts_hits_and_misses() {
-        let mut c = LruCache::new(4);
-        assert!(c.get(&"x").is_none());
-        c.insert("x", 0);
-        assert!(c.get(&"x").is_some());
-        assert!(c.get(&"x").is_some());
-        assert_eq!((c.hits(), c.misses()), (2, 1));
+        assert_eq!(c.map.len(), 1);
+        assert_eq!(c.get(&"a"), Some(&mut 9));
     }
 
     #[test]
@@ -217,43 +244,9 @@ mod tests {
         let mut c = LruCache::new(1);
         c.insert(1u32, "one");
         c.insert(2u32, "two");
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.map.len(), 1);
         assert!(c.get(&1).is_none());
-        assert_eq!(c.get(&2), Some(&"two"));
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let mut c = LruCache::new(3);
-        c.insert(1u8, 1);
-        c.get(&1);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.hits(), 1);
-        c.insert(2u8, 2); // reusable after clear
-        assert_eq!(c.get(&2), Some(&2));
-    }
-
-    #[test]
-    fn retain_drops_only_matching_entries() {
-        let mut c = LruCache::new(8);
-        for i in 0..6u32 {
-            c.insert(i, i * 10);
-        }
-        c.retain(|&k, _| k % 2 == 0);
-        assert_eq!(c.len(), 3);
-        for i in 0..6u32 {
-            assert_eq!(c.get(&i).is_some(), i % 2 == 0, "key {i}");
-        }
-        // Freed slots are reused and eviction order stays sane.
-        for i in 100..108u32 {
-            c.insert(i, i);
-        }
-        assert_eq!(c.len(), 8);
-        c.retain(|_, _| false);
-        assert!(c.is_empty());
-        c.insert(7u32, 7);
-        assert_eq!(c.get(&7), Some(&7));
+        assert_eq!(c.get(&2), Some(&mut "two"));
     }
 
     #[test]
@@ -262,10 +255,89 @@ mod tests {
         for i in 0..1000u32 {
             c.insert(i % 13, i);
             let probe = (i * 7) % 13;
-            if let Some(&v) = c.get(&probe) {
+            if let Some(&mut v) = c.get(&probe) {
                 assert_eq!(v % 13, probe % 13);
             }
-            assert!(c.len() <= 8);
+            assert!(c.map.len() <= 8);
+            assert_eq!(c.iter_mut().count(), c.map.len(), "every node is a live entry");
         }
+    }
+
+    fn key(b1: u32, b2: u32) -> ProbeKey {
+        ProbeKey::Snapped { b1, b2, k: 5, route: Route::Appx2 }
+    }
+
+    /// Answers `answer` and counts its calls.
+    fn probe<'a>(calls: &'a mut u32, answer: f64) -> impl FnOnce() -> ShardAnswer + 'a {
+        move || {
+            *calls += 1;
+            Ok(vec![(7, answer)])
+        }
+    }
+
+    fn breakpoints() -> Breakpoints {
+        let set =
+            TempGenerator::new(TempConfig { objects: 20, avg_segments: 20, ..Default::default() })
+                .generate_set();
+        Breakpoints::b2_with_count(&set, 16, B2Construction::Efficient).unwrap()
+    }
+
+    #[test]
+    fn a_fresh_entry_hits() {
+        let (mut cache, mut calls) = (ResultCache::new(4), 0);
+        assert_eq!(cache.answer(key(0, 3), 0.0, 0.0, probe(&mut calls, 1.0)).1, Some(false));
+        let (hit, outcome) = cache.answer(key(0, 3), 0.0, 0.0, probe(&mut calls, 2.0));
+        assert_eq!((hit.unwrap(), outcome), (vec![(7, 1.0)], Some(true)));
+        assert_eq!(calls, 1, "a hit does not probe");
+        assert_eq!(
+            cache.counters(),
+            CacheCounters { hits: 1, lookups: 2, invalidations: 0 },
+            "one miss, one hit"
+        );
+    }
+
+    #[test]
+    fn a_charged_entry_hits_up_to_its_budget_then_is_replaced() {
+        let bp = breakpoints();
+        let (mut cache, mut calls) = (ResultCache::new(4), 0);
+        let last = (bp.len() - 1) as u32;
+        cache.answer(key(0, last), 0.0, 0.0, probe(&mut calls, 1.0)).0.unwrap();
+        // Appended before the entry's snapped right edge: charged.
+        cache.charge(&bp, bp.points()[0], 0.25);
+        // Appended at or after it: not charged.
+        cache.charge(&bp, bp.points()[last as usize], 100.0);
+        // eps_abs + stale == budget exactly: still good enough.
+        let (hit, outcome) = cache.answer(key(0, last), 0.5, 0.75, probe(&mut calls, 2.0));
+        assert_eq!((hit.unwrap(), outcome, calls), (vec![(7, 1.0)], Some(true), 1));
+        // One ulp less budget: invalidated, recomputed, replaced.
+        let tight = f64::from_bits(0.75f64.to_bits() - 1);
+        let (fresh, outcome) = cache.answer(key(0, last), 0.5, tight, probe(&mut calls, 2.0));
+        assert_eq!((fresh.unwrap(), outcome, calls), (vec![(7, 2.0)], Some(false), 2));
+        // The replacement carries no charge: it hits under any budget.
+        let (hit, outcome) = cache.answer(key(0, last), 0.5, 0.0, probe(&mut calls, 3.0));
+        assert_eq!((hit.unwrap(), outcome, calls), (vec![(7, 2.0)], Some(true), 2));
+        assert_eq!(cache.counters(), CacheCounters { hits: 2, lookups: 4, invalidations: 1 });
+    }
+
+    #[test]
+    fn an_error_is_not_cached() {
+        let mut cache = ResultCache::new(4);
+        let (res, outcome) = cache.answer(key(0, 1), 0.0, 0.0, || Err("no".into()));
+        assert_eq!((res, outcome), (Err("no".to_string()), Some(false)));
+        assert_eq!(cache.answer(key(0, 1), 0.0, 0.0, || Ok(Vec::new())).1, Some(false));
+    }
+
+    #[test]
+    fn clear_empties_but_keeps_counters() {
+        let (mut cache, mut calls) = (ResultCache::new(4), 0);
+        for want in [Some(false), Some(true)] {
+            assert_eq!(cache.answer(key(0, 1), 0.0, 0.0, probe(&mut calls, 1.0)).1, want);
+        }
+        cache.clear();
+        assert_eq!(cache.lru.map.len(), 0);
+        let counters = CacheCounters { hits: 1, lookups: 2, invalidations: 0 };
+        assert_eq!(cache.counters(), counters);
+        assert_eq!(cache.answer(key(0, 1), 0.0, 0.0, probe(&mut calls, 2.0)).1, Some(false));
+        assert_eq!(calls, 2, "the cleared entry is probed again");
     }
 }

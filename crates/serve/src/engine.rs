@@ -77,8 +77,8 @@ struct Job {
 /// *window's* (dedup makes per-query probes fictional inside one).
 struct JobReply {
     shard: usize,
-    /// Per query of the window: the shard-local answer, and `Some(hit)`
-    /// when the shard's result cache was consulted.
+    /// Per query of the window: the shard's answer in global ids, and
+    /// `Some(hit)` when the shard's result cache was consulted.
     results: Vec<(ShardAnswer, Option<bool>)>,
     /// Window wall time (µs) measured on the worker thread.
     elapsed_us: u64,
@@ -140,12 +140,13 @@ impl<S: ShardProbe + 'static> WorkerPool<S> {
             shards,
             obs: ServeObs::attach(registry),
         };
+        let w = pool.shards.len();
         for (i, shard) in pool.shards.iter().enumerate() {
             let (job_tx, job_rx) = channel();
             let shard = Arc::clone(shard);
             let handle = std::thread::Builder::new()
                 .name(format!("chronorank-serve-{i}"))
-                .spawn(move || worker_main(i, &*shard, job_rx))
+                .spawn(move || worker_main(i, w, &*shard, job_rx))
                 .map_err(|e| ServeError::Spawn(e.to_string()))?;
             pool.jobs.push(job_tx);
             pool.handles.push(handle);
@@ -277,21 +278,25 @@ impl<S> Drop for WorkerPool<S> {
     }
 }
 
-/// Thread body of worker `shard_idx`: answer `shard`'s part of every
-/// window sent to it until the pool closes the channel. Panic-safe: a
-/// panicking probe becomes an `Err` reply, so the gathering caller is never
-/// left short.
-fn worker_main<S: ShardProbe>(shard_idx: usize, shard: &S, jobs: Receiver<Job>) {
+/// Thread body of worker `shard_idx` of `w`: answer `shard`'s part of
+/// every window sent to it until the pool closes the channel, mapping the
+/// shard's local ids to global ones ([`to_global`]) — the one place an
+/// answer changes id space. Panic-safe: a panicking probe becomes an `Err`
+/// reply, so the gathering caller is never left short.
+fn worker_main<S: ShardProbe>(shard_idx: usize, w: usize, shard: &S, jobs: Receiver<Job>) {
     for job in jobs {
         let t0 = Instant::now();
         let reads_before = chronorank_storage::IoCounter::thread_reads();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shard.answer_batch(&job.window)
         }));
-        let results = outcome.unwrap_or_else(|payload| {
+        let mut results = outcome.unwrap_or_else(|payload| {
             let msg = format!("query panicked: {}", panic_message(&*payload));
             job.window.iter().map(|_| (Err(msg.clone()), None)).collect()
         });
+        for (id, _) in results.iter_mut().filter_map(|(a, _)| a.as_mut().ok()).flatten() {
+            *id = to_global(shard_idx, *id, w);
+        }
         // A dropped receiver means the window's caller is gone; fine.
         job.reply
             .send(JobReply {
@@ -338,28 +343,22 @@ impl ServeEngine {
     pub fn new(set: &TemporalSet, config: ServeConfig) -> Result<Self, ServeError> {
         let t0 = Instant::now();
         let w = config.workers.clamp(1, set.num_objects());
-        let pool = WorkerPool::boot(partition(set, w), Registry::global(), |_, (subset, ids)| {
-            Shard::build(&subset, ids, &config).map_err(|e| e.to_string())
+        let parts = partition(set, w);
+        let (params, domain) =
+            PlannerParams::of_partition(&parts, config.store.block_size, config.approx.r);
+        let pool = WorkerPool::boot(parts, Registry::global(), |_, subset| {
+            Shard::build(&subset, &config).map_err(|e| e.to_string())
         })?;
         let shards = pool.shards();
-        let facts: Vec<_> = shards.iter().map(|s| s.facts()).collect();
-        let t_min = facts.iter().map(|f| f.t_min).fold(f64::INFINITY, f64::min);
-        let t_max = facts.iter().map(|f| f.t_max).fold(f64::NEG_INFINITY, f64::max);
         let planner = Planner::new(
-            PlannerParams {
-                shard_m: facts.iter().map(|f| f.m).max().unwrap_or(0),
-                shard_n: facts.iter().map(|f| f.n).max().unwrap_or(0),
-                block: config.store.block_size as u64,
-                r: config.approx.r as u64,
-                span: (t_max - t_min).max(0.0),
-            },
+            params,
             merge_profiles(&shards.iter().map(|s| s.built().profiles()).collect::<Vec<_>>()),
         );
         Ok(Self {
             index_bytes: shards.iter().map(|s| s.built().size_bytes).sum(),
             pool,
             planner,
-            domain: (t_min, t_max),
+            domain,
             served: Mutex::new(Served {
                 routes: [RouteStats::default(); 5],
                 queries: 0,
@@ -563,17 +562,14 @@ impl ServeEngine {
     pub fn report(&self) -> ServeReport {
         let served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let shards = self.pool.shards();
-        let (cache_hits, cache_lookups) = shards
-            .iter()
-            .map(|s| s.cache_counters())
-            .fold((0, 0), |(h, l), (sh, sl)| (h + sh, l + sl));
+        let caches: Vec<_> = shards.iter().map(|s| s.cache_counters()).collect();
         ServeReport {
             workers: shards.len(),
             queries: served.queries,
             elapsed_secs: served.elapsed_secs,
             routes: served.routes,
-            cache_hits,
-            cache_lookups,
+            cache_hits: caches.iter().map(|c| c.hits).sum(),
+            cache_lookups: caches.iter().map(|c| c.lookups).sum(),
             io: shards.iter().map(|s| s.built().io_total()).sum(),
             index_bytes: self.index_bytes,
             build_secs: self.build_secs,
@@ -583,28 +579,35 @@ impl ServeEngine {
 }
 
 /// Round-robin object partition: shard `s` holds every object with
-/// `id % w == s`, re-numbered densely (`local = id / w`), with the
-/// local → global id map. Public because other sharded layers (the live
-/// ingest engine) must partition with *identical* arithmetic — their
-/// global↔local id translation assumes exactly this scheme.
-pub fn partition(set: &TemporalSet, w: usize) -> Vec<(TemporalSet, Vec<ObjectId>)> {
+/// `id % w == s`, re-numbered densely as `local = id / w` ([`to_local`];
+/// [`to_global`] is the inverse). Both engines partition with it, and
+/// every id that crosses a shard boundary — an answer leaving a pool
+/// worker, an append entering a live shard — goes through those two
+/// functions, so no shard keeps an id map.
+pub fn partition(set: &TemporalSet, w: usize) -> Vec<TemporalSet> {
     let mut objects: Vec<Vec<TemporalObject>> = vec![Vec::new(); w];
-    let mut global_ids: Vec<Vec<ObjectId>> = vec![Vec::new(); w];
     for o in set.objects() {
-        let s = o.id as usize % w;
-        let local = objects[s].len() as ObjectId;
-        objects[s].push(TemporalObject { id: local, curve: o.curve.clone() });
-        global_ids[s].push(o.id);
+        let (shard, local) = to_local(o.id, w);
+        objects[shard].push(TemporalObject { id: local, curve: o.curve.clone() });
     }
     objects
         .into_iter()
-        .zip(global_ids)
-        .map(|(objs, ids)| {
-            let subset =
-                TemporalSet::from_objects(objs).expect("w ≤ m guarantees every shard is non-empty");
-            (subset, ids)
+        .map(|objs| {
+            TemporalSet::from_objects(objs).expect("w ≤ m guarantees every shard is non-empty")
         })
         .collect()
+}
+
+/// Where global object `id` lives under a `w`-way [`partition`]:
+/// `(shard, local id)`.
+pub fn to_local(id: ObjectId, w: usize) -> (usize, ObjectId) {
+    (id as usize % w, id / w as ObjectId)
+}
+
+/// The global id of `shard`'s object `local` under a `w`-way
+/// [`partition`]: `local · w + shard`.
+pub fn to_global(shard: usize, local: ObjectId, w: usize) -> ObjectId {
+    local * w as ObjectId + shard as ObjectId
 }
 
 /// Item of the k-way merge heap: best-first (highest score, then smallest

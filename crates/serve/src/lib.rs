@@ -34,12 +34,16 @@
 //!
 //!    with an exact fallback whenever the budget is unsatisfiable (`ε`
 //!    below the achieved breakpoint `ε`, or `k > kmax`);
-//! 3. **caches** approximate answers in a shard-local [`LruCache`] keyed
-//!    on the *snapped* breakpoint pair `(B(t1), B(t2), k)` — sound
-//!    precisely for the routes whose answers depend only on the snapped
-//!    interval (APPX1/APPX2; APPX2+ re-scores over the raw interval and is
-//!    deliberately not cached) — so hot intervals are answered without
-//!    touching any index;
+//! 3. **caches** approximate answers in a shard-local [`ResultCache`]
+//!    keyed on the *snapped* breakpoint pair `(B(t1), B(t2), k)` ([`ProbeKey`])
+//!    — sound precisely for the routes whose answers depend only on the
+//!    snapped interval (APPX1/APPX2; APPX2+ re-scores over the raw interval
+//!    and is deliberately not cached) — so hot intervals are answered
+//!    without touching any index. The same cache, with its §4 staleness
+//!    account charged by appends, is a live shard's, and the same window
+//!    dedup ([`dedup_window`]) and id arithmetic ([`to_local`],
+//!    [`to_global`]) run under both engines' shards: a serve shard and a
+//!    live shard differ only in how one probe is answered;
 //! 4. **reports** per-route throughput and latency, cache hit rates, and
 //!    cross-thread aggregated [`chronorank_storage::IoStats`] snapshots in
 //!    a [`ServeReport`].
@@ -71,7 +75,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
+mod cache;
 mod config;
 mod engine;
 mod obs;
@@ -80,17 +84,19 @@ mod query;
 mod report;
 mod shard;
 
-pub use cache::LruCache;
+pub use cache::{CacheCounters, ResultCache};
 pub use config::ServeConfig;
-pub use engine::{merge_ranked, partition, Answer, ServeEngine, ServeError, WorkerPool};
+pub use engine::{
+    merge_ranked, partition, to_global, to_local, Answer, ServeEngine, ServeError, WorkerPool,
+};
 pub use planner::{
     merge_profiles, Freshness, MethodSet, Planner, PlannerParams, Route, RouteProfiles,
 };
 pub use query::{ServeQuery, Tolerance};
 pub use report::{RouteStats, ServeReport};
 pub use shard::{
-    assemble_route_methods, build_route_methods, build_route_methods_with_handles, BuildStages,
-    BuiltRoutes, PlusRescore, ProbeKey, ShardAnswer, ShardProbe,
+    assemble_route_methods, build_route_methods, build_route_methods_with_handles, dedup_window,
+    BuildStages, BuiltRoutes, PlusRescore, ProbeKey, ShardAnswer, ShardProbe,
 };
 
 /// Render a `catch_unwind` payload into a readable error message. Shared

@@ -20,7 +20,7 @@
 
 use crate::query::ServeQuery;
 use chronorank_core::cost_model::{query_cost, CostParams};
-use chronorank_core::MethodProfile;
+use chronorank_core::{MethodProfile, TemporalSet};
 
 /// The freshness/staleness dimension a live (append-receiving) deployment
 /// feeds into routing: the index generations the shards currently serve
@@ -198,6 +198,25 @@ pub struct PlannerParams {
     pub r: u64,
     /// Global time-domain span `T` (for the overlap-fraction estimate).
     pub span: f64,
+}
+
+impl PlannerParams {
+    /// The parameters of a `W`-way partition ([`crate::partition`]) — its
+    /// largest shard, the block size and `r` — and the time domain
+    /// `(t_min, t_max)` its parts cover together. Both engines plan with
+    /// this.
+    pub fn of_partition(parts: &[TemporalSet], block: usize, r: usize) -> (Self, (f64, f64)) {
+        let t_min = parts.iter().map(TemporalSet::t_min).fold(f64::INFINITY, f64::min);
+        let t_max = parts.iter().map(TemporalSet::t_max).fold(f64::NEG_INFINITY, f64::max);
+        let params = Self {
+            shard_m: parts.iter().map(|s| s.num_objects() as u64).max().unwrap_or(0),
+            shard_n: parts.iter().map(TemporalSet::num_segments).max().unwrap_or(0),
+            block: block as u64,
+            r: r as u64,
+            span: (t_max - t_min).max(0.0),
+        };
+        (params, (t_min, t_max))
+    }
 }
 
 /// The engine-side router (one per engine, shared by all shards).

@@ -1,5 +1,6 @@
 //! Shared-snapshot shards: one partition's indexes, built once, queried
-//! from any thread.
+//! from any thread — and the shard-side steps every shard runs, serve or
+//! live.
 //!
 //! Since the storage layer became `Send + Sync` (atomic IO counters, a
 //! mutex-guarded buffer pool), a fully built index is an immutable
@@ -8,11 +9,17 @@
 //! each shard's own worker answers its part — parallel scatter-gather
 //! over shared state, with no per-worker index duplication.
 //!
-//! The only mutable piece is the shard-local result cache (a small LRU
-//! behind its own [`Mutex`]; the critical section is a key lookup or an
-//! insert, never an index probe).
+//! A serve shard and a live shard differ only in how one probe is
+//! answered: the index's answer here, frozen candidates plus tail-touched
+//! objects rescored in `chronorank-live`. Everything around the probe is
+//! shared: both dedup a window with [`dedup_window`] on its [`ProbeKey`]s,
+//! both keep snapped answers in a [`ResultCache`], and both answer in
+//! shard-local ids, which the pool worker maps to global ones
+//! ([`crate::to_global`]). The only mutable piece of a serve shard is its
+//! result cache, behind its own [`Mutex`], which the shard's worker holds
+//! for a window.
 
-use crate::cache::LruCache;
+use crate::cache::{CacheCounters, ResultCache};
 use crate::config::ServeConfig;
 use crate::planner::{MethodSet, Route, RouteProfiles};
 use crate::query::ServeQuery;
@@ -23,11 +30,12 @@ use chronorank_core::{
 use chronorank_storage::{Env, IoStats, StoreConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// A shard-local ranked answer (global ids, descending score) or an error
-/// message — what every shard, serve or live, hands the gather.
+/// A shard's ranked answer in its own local ids (descending score), or an
+/// error message — what every shard, serve or live, hands its worker.
 pub type ShardAnswer = Result<Vec<(ObjectId, f64)>, String>;
 
 /// One partition as the worker pool sees it — the seam both engines share:
@@ -35,31 +43,46 @@ pub type ShardAnswer = Result<Vec<(ObjectId, f64)>, String>;
 /// behind its own lock.
 pub trait ShardProbe: Send + Sync {
     /// Answer this shard's view of one routed window, one entry per query
-    /// in window order: the shard-local answer, and `Some(hit)` when the
-    /// shard's result cache was consulted (`None` = the route bypassed it).
-    /// Queries that collapse onto one [`ProbeKey`] share one probe.
+    /// in window order: the answer in shard-local ids, and `Some(hit)`
+    /// when the shard's result cache was consulted (`None` = the route
+    /// bypassed it). Queries that collapse onto one [`ProbeKey`] share one
+    /// probe ([`dedup_window`]).
     fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)>;
 }
 
-/// The shard-local result cache under its lock (only ever holds
-/// [`ProbeKey::Snapped`] keys).
-type ResultCache = Mutex<LruCache<ProbeKey, Vec<(ObjectId, f64)>>>;
-
-/// Per-shard facts the engine folds into the planner and report.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardFacts {
-    pub m: u64,
-    pub n: u64,
-    /// This partition's time domain (the engine merges all shards').
-    pub t_min: f64,
-    pub t_max: f64,
+/// The window dedup every shard runs: queries with equal `key`s are
+/// answered by **one** call of `answer`, whose result is cloned to every
+/// member of the group, so a group costs one probe and at most one cache
+/// lookup per window. Bit-identical to answering each query alone as long
+/// as the key holds everything the answer depends on: a serve shard keys
+/// on the [`ProbeKey`]; a live shard adds the tolerance, which its cache's
+/// staleness audit reads.
+pub fn dedup_window<K: Copy + Eq + Hash>(
+    window: &[(ServeQuery, Route)],
+    key: impl Fn(&ServeQuery, Route) -> K,
+    mut answer: impl FnMut(&ServeQuery, Route, K) -> (ShardAnswer, Option<bool>),
+) -> Vec<(ShardAnswer, Option<bool>)> {
+    let mut first_of: HashMap<K, usize> = HashMap::with_capacity(window.len());
+    let mut out: Vec<(ShardAnswer, Option<bool>)> = Vec::with_capacity(window.len());
+    for (q, route) in window {
+        let key = key(q, *route);
+        let answered = match first_of.entry(key) {
+            Entry::Occupied(e) => out[*e.get()].clone(),
+            Entry::Vacant(e) => {
+                e.insert(out.len());
+                answer(q, *route, key)
+            }
+        };
+        out.push(answered);
+    }
+    out
 }
 
 /// What fully determines a shard-local answer on one snapshot: the route,
 /// `k`, and the interval — **snapped** to breakpoint indexes on the routes
 /// that answer from the snapped interval alone ([`Route::cacheable`]), its
-/// raw bits on the rest. The one key behind both the result caches (which
-/// hold snapped keys only) and the probe dedup inside a window.
+/// raw bits on the rest. The one key behind both the result cache (which
+/// holds snapped keys only) and the probe dedup inside a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeKey {
     /// `(B(t1), B(t2))` as breakpoint indexes.
@@ -94,11 +117,11 @@ impl ProbeKey {
 pub struct BuildStages {
     /// EXACT3 build, µs.
     pub exact3_us: u64,
-    /// Breakpoint construction (the `r` fit or the fixed-`ε` sweep), µs.
+    /// Breakpoint construction (the BREAKPOINTS2 fit to `r`), µs.
     pub b2_us: u64,
     /// Every enabled APPX variant over the shared breakpoints, µs.
     pub appx_us: u64,
-    /// Sweeps of the B2 count fit (`1` per build under a fixed `ε`).
+    /// Sweeps of the B2 count fit.
     pub b2_sweeps: u64,
 }
 
@@ -274,13 +297,11 @@ pub fn build_route_methods(
     let exact3_us = micros_since(t0);
     let t0 = Instant::now();
     let efficient = B2Construction::Efficient;
-    let (breakpoints, b2_sweeps) = if !methods.any_approx() {
-        (None, 0)
-    } else if let Some(eps) = approx.eps {
-        (Some(Breakpoints::b2_with_eps(set, eps, efficient)?), 1)
-    } else {
+    let (breakpoints, b2_sweeps) = if methods.any_approx() {
         let (bp, fit) = Breakpoints::b2_with_count_stats(set, approx.r, efficient)?;
         (Some(bp), fit.sweeps as u64)
+    } else {
+        (None, 0)
     };
     let b2_us = micros_since(t0);
     let mut built =
@@ -368,34 +389,18 @@ pub fn assemble_route_methods(
 /// Published as `Arc<Shard>`; every method takes `&self`.
 pub(crate) struct Shard {
     built: BuiltRoutes,
-    cache: Option<ResultCache>,
-    /// Local dense id → global id.
-    global_ids: Vec<ObjectId>,
-    facts: ShardFacts,
+    cache: Option<Mutex<ResultCache>>,
 }
 
 impl Shard {
     /// Build one partition's indexes per `cfg`. Runs wherever the caller
     /// wants (the engine builds all partitions concurrently); the result
     /// is immediately shareable.
-    pub(crate) fn build(
-        set: &TemporalSet,
-        global_ids: Vec<ObjectId>,
-        cfg: &ServeConfig,
-    ) -> chronorank_core::Result<Self> {
+    pub(crate) fn build(set: &TemporalSet, cfg: &ServeConfig) -> chronorank_core::Result<Self> {
         let built = build_route_methods_with_handles(set, cfg.methods, cfg.approx, cfg.store)?;
-        let facts = ShardFacts {
-            m: set.num_objects() as u64,
-            n: set.num_segments(),
-            t_min: set.t_min(),
-            t_max: set.t_max(),
-        };
-        let cache = (cfg.cache_capacity > 0).then(|| Mutex::new(LruCache::new(cfg.cache_capacity)));
-        Ok(Self { built, cache, global_ids, facts })
-    }
-
-    pub(crate) fn facts(&self) -> ShardFacts {
-        self.facts
+        let cache =
+            (cfg.cache_capacity > 0).then(|| Mutex::new(ResultCache::new(cfg.cache_capacity)));
+        Ok(Self { built, cache })
     }
 
     /// The built indexes, with their sizes, profiles, IO and build stages.
@@ -403,73 +408,38 @@ impl Shard {
         &self.built
     }
 
-    /// `(hits, lookups)` of the shard-local result cache.
-    pub(crate) fn cache_counters(&self) -> (u64, u64) {
-        match &self.cache {
-            Some(cache) => {
-                let cache = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                (cache.hits(), cache.hits() + cache.misses())
-            }
-            None => (0, 0),
-        }
+    /// What the shard's result cache has counted (zeros without one).
+    pub(crate) fn cache_counters(&self) -> CacheCounters {
+        self.cache.as_ref().map_or_else(CacheCounters::default, |cache| {
+            cache.lock().unwrap_or_else(PoisonError::into_inner).counters()
+        })
     }
 
-    /// Answer one routed query (`key` is its [`ProbeKey`] on this shard),
-    /// consulting the result cache when the key is a snapped one. `&self`:
-    /// the shard's worker answers from the shared snapshot. The second
-    /// return is `Some(hit)` when the result cache was consulted (`None` =
-    /// the route bypassed it) — what the engine folds into a query-level
-    /// [`chronorank_obs::CacheOutcome`].
-    fn answer(&self, q: ServeQuery, route: Route, key: ProbeKey) -> (ShardAnswer, Option<bool>) {
-        let (Some(cache), ProbeKey::Snapped { .. }) = (&self.cache, key) else {
-            return (self.probe(route, q), None);
-        };
-        if let Some(hit) =
-            cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).get(&key).cloned()
-        {
-            return (Ok(hit), Some(true));
-        }
-        // The index probe runs outside the cache lock; two callers racing
-        // on the same cold key both probe and the second insert wins —
-        // identical answers either way (cached == uncached is bit-exact).
-        let res = self.probe(route, q);
-        if let Ok(entries) = &res {
-            cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(key, entries.clone());
-        }
-        (res, Some(false))
-    }
-
-    /// Run the routed index probe and translate ids to the global space.
+    /// The routed index probe, in shard-local ids.
     fn probe(&self, route: Route, q: ServeQuery) -> ShardAnswer {
-        let top = self.built.probe(route, q.t1, q.t2, q.k)?;
-        Ok(top.into_iter().map(|(id, s)| (self.global_ids[id as usize], s)).collect())
+        self.built.probe(route, q.t1, q.t2, q.k)
     }
 }
 
 impl ShardProbe for Shard {
-    /// Queries that collapse onto the same [`ProbeKey`] are answered by
-    /// **one** probe whose result is cloned to every group member, so the
-    /// result cache sees exactly one lookup per group per window (the
-    /// probe-dedup regression test pins this). Bit-identical to answering
-    /// every query alone: the key holds the whole probe input.
+    /// [`dedup_window`] on the [`ProbeKey`], then per group the result
+    /// cache on a snapped key — a frozen snapshot charges nothing, so a
+    /// cached answer always hits — or the index probe.
     fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)> {
-        let mut first_of: HashMap<ProbeKey, usize> = HashMap::with_capacity(window.len());
-        let mut out: Vec<(ShardAnswer, Option<bool>)> = Vec::with_capacity(window.len());
-        for (q, route) in window {
-            let key = ProbeKey::new(q, *route, self.built.breakpoints.as_ref());
-            let answered = match first_of.entry(key) {
-                Entry::Occupied(e) => out[*e.get()].clone(),
-                Entry::Vacant(e) => {
-                    e.insert(out.len());
-                    self.answer(*q, *route, key)
+        let breakpoints = self.built.breakpoints.as_ref();
+        let mut cache =
+            self.cache.as_ref().map(|c| c.lock().unwrap_or_else(PoisonError::into_inner));
+        dedup_window(
+            window,
+            |q, route| ProbeKey::new(q, route, breakpoints),
+            |q, route, key| {
+                let probe = || self.probe(route, *q);
+                match (cache.as_deref_mut(), key) {
+                    (Some(cache), ProbeKey::Snapped { .. }) => cache.answer(key, 0.0, 0.0, probe),
+                    _ => (probe(), None),
                 }
-            };
-            out.push(answered);
-        }
-        out
+            },
+        )
     }
 }
 
@@ -484,8 +454,7 @@ mod tests {
             TempGenerator::new(TempConfig { objects: 200, avg_segments: 40, ..Default::default() })
                 .generate_set();
         let cfg = ServeConfig { cache_capacity: 0, ..Default::default() };
-        let ids = (0..set.num_objects() as ObjectId).collect();
-        let shard = Shard::build(&set, ids, &cfg).unwrap();
+        let shard = Shard::build(&set, &cfg).unwrap();
         (set, shard)
     }
 

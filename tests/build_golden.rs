@@ -137,7 +137,7 @@ fn dir_hash(dir: &Path) -> u64 {
 }
 
 fn appx_hash(set: &TemporalSet, tag: &str, variant: ApproxVariant, streamed: bool) -> u64 {
-    let cfg = ApproxConfig { r: 24, kmax: 16, store: STORE, ..Default::default() };
+    let cfg = ApproxConfig { r: 24, kmax: 16, store: STORE };
     let bp = match variant.breakpoints {
         chronorank::core::BreakpointsKind::B1 => Breakpoints::b1_with_count(set, cfg.r),
         chronorank::core::BreakpointsKind::B2 => {
