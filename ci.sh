@@ -43,9 +43,10 @@
 #                     one tests/shard_workers.rs pins (worker threads that
 #                     probed each shard of a W = 4 pool under 4 callers:
 #                     1, each shard's own worker), plus the sleeps, yields
-#                     and socket read/write timeouts in tests/ and
-#                     crates/*/tests (must be 0: tests wait on events, not
-#                     time) — 26 lines, echoed
+#                     and socket read/write timeouts in tests/,
+#                     crates/*/tests and the #[cfg(test)] part of every
+#                     crates/*/src file (must be 0: tests wait on events,
+#                     not time) — 26 lines, echoed
 #                     into the summary below the timings —
 #                     and below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
@@ -243,9 +244,17 @@ tier1_stage() {
         --test pool_reads --test paper_claims --test shard_workers -- --nocapture \
         2> /dev/null | grep -o 'pinned:.*' || true)
     # Tests wait on events, not time: none may sleep, yield or wait out a
-    # socket timeout.
-    local waits
-    waits=$(grep -rnE 'thread::(sleep|yield_now)|set_(read|write)_timeout' tests crates/*/tests || true)
+    # socket timeout — in tests/, crates/*/tests, or the unit tests of
+    # crates/*/src (each file from its first `#[cfg(test)]` on: the lines
+    # NON_TEST_LINES leaves out).
+    local waits re='thread::(sleep|yield_now)|set_(read|write)_timeout'
+    waits=$(
+        grep -rnE "$re" tests crates/*/tests || true
+        find crates/*/src -name '*.rs' -print0 | xargs -0 awk -v re="$re" '
+            FNR == 1 { cut = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
+            cut && $0 ~ re { print FILENAME ":" FNR ":" $0 }'
+    )
     PINNED_COUNTS+="${PINNED_COUNTS:+$'\n'}pinned: sleeps, yields and socket timeouts in tests: $(grep -c . <<< "$waits" || true)"
     if [[ -n $waits ]]; then
         echo "$waits" >&2

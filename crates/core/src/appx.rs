@@ -20,10 +20,10 @@
 //! ([`ApproxIndex::into_plus_view`]) and re-scores the candidate pool
 //! ([`ApproxIndex::candidates`]) from its own copy.
 //!
-//! Updates follow the paper's §4 amortized policy: the structures are
-//! built for a fixed threshold `τ = εM`; when the dataset's mass doubles,
-//! [`ApproxIndex::maybe_rebuild`] rebuilds everything (amortizing to the
-//! stated per-segment update bounds).
+//! A built index never changes. The paper's §4 policy — structures built
+//! for a fixed threshold `τ = εM`, rebuilt when the mass doubles — is the
+//! live engine's: it restates `ε` against the grown mass until then, and
+//! builds a fresh generation at the doubling.
 
 use crate::agg::AggKind;
 use crate::breakpoints::{B2Construction, Breakpoints, BreakpointsKind};
@@ -116,7 +116,8 @@ impl Default for ApproxConfig {
 /// prefix-sum re-scorer). See module docs for the variant grid.
 pub struct ApproxIndex {
     variant: ApproxVariant,
-    config: ApproxConfig,
+    /// The largest `k` its lists answer.
+    kmax: usize,
     /// Owner of this index's IO counter; the re-scorer's file lives here.
     env: Env,
     breakpoints: Breakpoints,
@@ -126,9 +127,6 @@ pub struct ApproxIndex {
     /// every probe's reads are credited to `env`.
     q2: Option<Arc<Query2Index>>,
     rescorer: Option<PackedPrefix>,
-    /// `M` at build time: the §4 policy rebuilds when the live mass
-    /// doubles.
-    built_mass: f64,
 }
 
 impl ApproxConfig {
@@ -216,7 +214,6 @@ impl ApproxIndex {
         I: IntoIterator,
         I::Item: Borrow<TemporalObject>,
     {
-        let built_mass = breakpoints.mass();
         let mut packer = if variant.plus {
             Some(PackedPrefixBuilder::new(env.create_file(PREFIX_FILE)?))
         } else {
@@ -257,7 +254,7 @@ impl ApproxIndex {
             return Err(e);
         }
         let rescorer = packer.map(PackedPrefixBuilder::finish).transpose()?;
-        Ok(Self { variant, config, env, breakpoints, q1, q2, rescorer, built_mass })
+        Ok(Self { variant, kmax: config.kmax, env, breakpoints, q1, q2, rescorer })
     }
 
     /// This QUERY2 index as its `+` variant **without** a prefix file: a
@@ -289,7 +286,7 @@ impl ApproxIndex {
 
     /// Maximum `k` answerable.
     pub fn kmax(&self) -> usize {
-        self.config.kmax
+        self.kmax
     }
 
     /// The QUERY2 structure behind this index (`None` for QUERY1
@@ -327,11 +324,8 @@ impl ApproxIndex {
     }
 
     fn check_k(&self, k: usize) -> Result<()> {
-        if k > self.config.kmax {
-            return Err(CoreError::BadQuery(format!(
-                "k = {k} exceeds kmax = {}",
-                self.config.kmax
-            )));
+        if k > self.kmax {
+            return Err(CoreError::BadQuery(format!("k = {k} exceeds kmax = {}", self.kmax)));
         }
         Ok(())
     }
@@ -345,18 +339,6 @@ impl ApproxIndex {
         let reads = IoCounter::thread_reads() - before;
         self.env.io().credit(IoStats { reads, ..IoStats::default() });
         out
-    }
-
-    /// The paper's §4 amortized update policy: breakpoints were built for a
-    /// fixed threshold `τ = εM`; once the live mass reaches `2M`, rebuild
-    /// everything. Returns whether a rebuild happened.
-    pub fn maybe_rebuild(&mut self, set: &TemporalSet) -> Result<bool> {
-        if set.total_mass() < 2.0 * self.built_mass {
-            return Ok(false);
-        }
-        let rebuilt = Self::build(set, self.variant, self.config)?;
-        *self = rebuilt;
-        Ok(true)
     }
 }
 
@@ -519,22 +501,6 @@ mod tests {
         idx.top_k(2.0, 18.0, 4, AggKind::Sum).unwrap();
         let io = idx.io_stats();
         assert!(io.reads > 0, "query IOs must be visible on the shared counter");
-    }
-
-    #[test]
-    fn rebuild_policy_triggers_on_mass_doubling() {
-        let mut set = small_set();
-        let mut idx = ApproxIndex::build(&set, ApproxVariant::APPX2, cfg(16, 4)).unwrap();
-        assert!(!idx.maybe_rebuild(&set).unwrap());
-        // Append enough mass to double M.
-        let need = set.total_mass();
-        let end = set.object(0).unwrap().curve.end();
-        let dt = 10.0;
-        let v = 2.0 * need / dt; // triangle-ish mass ≥ need
-        set.append_segment(0, end + dt, v).unwrap();
-        assert!(idx.maybe_rebuild(&set).unwrap(), "mass doubled, must rebuild");
-        let top = idx.top_k(end, end + dt, 1, AggKind::Sum).unwrap();
-        assert_eq!(top.ids(), vec![0]);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! `O((N/B) log_B N)` IOs (external sort + bulk load), query
 //! `O(log_B N + Σ_i q_i/B)` IOs where `q_i` counts `o_i`'s segments
 //! overlapping the query window — `O(N/B)` in the worst case, which is
-//! exactly the non-scalability the paper's Figure 16 shows.
+//! exactly the non-scalability the paper's Figure 16 shows. A built index
+//! never changes; the paper's `O(log_B N)` update is not reproduced
+//! (`REPRODUCTION.md`, "Known deviations").
 //!
 //! One honest deviation (`REPRODUCTION.md`, "Known deviations", item 6): a
 //! left-endpoint B+-tree alone cannot find the segments *straddling* `t1`
@@ -56,7 +58,7 @@ pub struct Exact1 {
     env: Env,
     tree: BPlusTree,
     num_objects: usize,
-    /// Read by every query, raised by appends.
+    /// `Δmax`: how far left of `t1` a query starts its scan.
     max_segment_duration: f64,
 }
 
@@ -132,15 +134,6 @@ impl Exact1 {
             loader.push(key, &payload)?;
         }
         Ok(loader.finish()?)
-    }
-
-    /// Append a new segment for `obj` (the paper's §4 update:
-    /// `O(log_B N)` IOs). The caller keeps the [`TemporalSet`] in sync via
-    /// [`TemporalSet::append_segment`].
-    pub fn append_segment(&mut self, obj: ObjectId, seg: Segment) -> Result<()> {
-        self.tree.insert(seg.t0, &encode_payload(obj, seg))?;
-        self.max_segment_duration = self.max_segment_duration.max(seg.duration());
-        Ok(())
     }
 
     /// Number of indexed segments.
@@ -258,21 +251,6 @@ mod tests {
         let idx = Exact1::build(&set, IndexConfig::default()).unwrap();
         assert!(idx.top_k(5.0, 1.0, 3, AggKind::Sum).is_err());
         assert!(idx.top_k(f64::NAN, 1.0, 3, AggKind::Sum).is_err());
-    }
-
-    #[test]
-    fn update_then_query_sees_new_segment() {
-        let mut set = small_set();
-        let mut idx = Exact1::build(&set, IndexConfig::default()).unwrap();
-        // Extend object 0 far to the right with a tall segment.
-        let end = set.object(0).unwrap().curve.end();
-        let v_end = set.object(0).unwrap().curve.eval(end).unwrap();
-        set.append_segment(0, end + 10.0, 100.0).unwrap();
-        idx.append_segment(0, Segment::new(end, v_end, end + 10.0, 100.0)).unwrap();
-        let want = set.top_k_bruteforce(end, end + 10.0, 1);
-        let got = idx.top_k(end, end + 10.0, 1, AggKind::Sum).unwrap();
-        assert_same_answer(&want, &got, "EXACT1 after update");
-        assert_eq!(got.ids(), vec![0]);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Costs (Fig. 3): size `O(N/B)`, construction `O(Σ (n_i/B) log_B n_i)`,
-//! query `O(Σ log_B n_i)` IOs, update `O(log_B n_i)`. The weakness the
+//! query `O(Σ log_B n_i)` IOs; the `O(log_B n_i)` update is not reproduced
+//! — a built forest never changes. The weakness the
 //! paper calls out — and Figure 13 shows — is the `m` separate tree
 //! traversals (and on a real filesystem, `m` file opens) per query, which
 //! is why EXACT3 exists.
@@ -106,20 +107,6 @@ impl Exact2 {
         }
         Ok(self.cumulative(id, t2)? - self.cumulative(id, t1)?)
     }
-
-    /// Append a new segment for `obj`: fetches `σ_i(I_{i,n_i})` from the
-    /// last entry and inserts the new one in `O(log_B n_i)` IOs.
-    pub fn append_segment(&mut self, obj: ObjectId, seg: Segment) -> Result<()> {
-        let tree = self.trees.get_mut(obj as usize).ok_or(crate::CoreError::NoSuchObject(obj))?;
-        let prev_prefix = match tree.last_entry()? {
-            Some((_, p)) => f64::from_le_bytes(p[24..32].try_into().expect("8")),
-            None => 0.0,
-        };
-        let mut payload = [0u8; PAYLOAD_LEN];
-        encode_payload(&mut payload, seg.t0, seg.v0, seg.v1, prev_prefix + seg.integral_full());
-        tree.insert(seg.t1, &payload)?;
-        Ok(())
-    }
 }
 
 impl RankMethod for Exact2 {
@@ -188,6 +175,7 @@ mod tests {
                 );
             }
         }
+        assert!(idx.score_one(99, 0.0, 1.0).is_err());
     }
 
     #[test]
@@ -199,23 +187,6 @@ mod tests {
         let (t1, t2) = (2.0, 11.0);
         let got = idx.score_one(3, t1, t2).unwrap();
         assert!((got - c.integral(t1, t2)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn update_then_query() {
-        let mut set = small_set();
-        let mut idx = Exact2::build(&set, IndexConfig::default()).unwrap();
-        let end = set.object(2).unwrap().curve.end();
-        let v_end = set.object(2).unwrap().curve.eval(end).unwrap();
-        set.append_segment(2, end + 4.0, 50.0).unwrap();
-        idx.append_segment(2, Segment::new(end, v_end, end + 4.0, 50.0)).unwrap();
-        for &(a, b) in &[(end - 1.0, end + 4.0), (0.0, 40.0)] {
-            let want = set.top_k_bruteforce(a, b, 3);
-            let got = idx.top_k(a, b, 3, AggKind::Sum).unwrap();
-            assert_same_answer(&want, &got, "EXACT2 after update");
-        }
-        assert!(idx.append_segment(99, Segment::new(0.0, 0.0, 1.0, 1.0)).is_err());
-        assert!(idx.score_one(99, 0.0, 1.0).is_err());
     }
 
     #[test]

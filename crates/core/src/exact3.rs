@@ -29,9 +29,9 @@
 //! `(start, end, total)` triples are kept in memory, exactly as EXACT1
 //! keeps its `m` running sums in memory.
 //!
-//! Updates append the new entry to the interval tree's tail
-//! (`O(1)` amortized writes) and the tree reports when the amortized
-//! rebuild is due ([`Exact3::needs_rebuild`] / [`Exact3::rebuild`]).
+//! A built index never changes. The paper's §4 right-edge appends are the
+//! live engine's: it rescores appended segments from columns beside a
+//! frozen EXACT3 and builds a fresh one when the mass doubles.
 
 use crate::agg::AggKind;
 use crate::error::Result;
@@ -83,16 +83,17 @@ impl ObjMeta {
 }
 
 /// The EXACT3 index (see module docs).
-/// `Send + Sync`: a built index is an immutable snapshot any number of
-/// threads may query concurrently; appends and rebuilds take `&mut self`.
+/// `Send + Sync`: a built index is immutable — no method takes `&mut self`
+/// — and any number of threads may query it concurrently.
 pub struct Exact3 {
     env: Env,
     store: StoreConfig,
     tree: IntervalTree,
     meta: Vec<ObjMeta>,
-    /// Counter used to give rebuilt trees fresh file names.
-    generation: u32,
 }
+
+/// The index's one file: its interval tree.
+const TREE_FILE: &str = "exact3_tree_gen0";
 
 impl Exact3 {
     /// Build from a resident set, in memory. No sort: the set's curves are
@@ -101,10 +102,18 @@ impl Exact3 {
     /// read back, and the file is byte for byte what
     /// [`Exact3::build_streaming`] writes over the same objects — the merge
     /// yields the sorter's sequence, ties included (`tests/build_golden.rs`).
+    /// Beyond the loader's share, memory is the merge's `64·m` bytes and
+    /// the `24·m` of `(start, end, total)` triples — no copy of the entries
+    /// anywhere.
     pub fn build(set: &TemporalSet, config: IndexConfig) -> Result<Self> {
         let env = Env::mem(config.store);
-        let (tree, meta) = Self::fill(&env, set, 0)?;
-        Ok(Self { env, store: config.store, tree, meta, generation: 0 })
+        let merged = set.time_ordered().map(|entry| {
+            let (obj, seg, prefix) = entry?;
+            Ok((seg.t0, seg.t1, encode_payload(obj, seg.v0, seg.v1, prefix)))
+        });
+        let tree = Self::load(&env, merged)?;
+        let meta = set.objects().iter().map(ObjMeta::of).collect();
+        Ok(Self { env, store: config.store, tree, meta })
     }
 
     /// Build from an object stream, owned or borrowed, that is never
@@ -153,22 +162,9 @@ impl Exact3 {
             Ok(false) => None,
             Err(e) => Some(Err(e.into())),
         });
-        let tree = Self::load(&env, 0, sorted)?;
+        let tree = Self::load(&env, sorted)?;
         tree.file().drop_cache()?;
-        Ok(Self { env, store, tree, meta, generation: 0 })
-    }
-
-    /// The resident build behind [`Exact3::build`] and [`Exact3::rebuild`]:
-    /// the set's time-ordered merge into [`Exact3::load`]. Beyond the
-    /// loader's share, memory is the merge's `64·m` bytes and the `24·m` of
-    /// `(start, end, total)` triples — no copy of the entries anywhere.
-    fn fill(env: &Env, set: &TemporalSet, generation: u32) -> Result<(IntervalTree, Vec<ObjMeta>)> {
-        let merged = set.time_ordered().map(|entry| {
-            let (obj, seg, prefix) = entry?;
-            Ok((seg.t0, seg.t1, encode_payload(obj, seg.v0, seg.v1, prefix)))
-        });
-        let tree = Self::load(env, generation, merged)?;
-        Ok((tree, set.objects().iter().map(ObjMeta::of).collect()))
+        Ok(Self { env, store, tree, meta })
     }
 
     /// The one loader loop: `(lo, hi, payload)` entries in `lo` order — a
@@ -177,11 +173,9 @@ impl Exact3 {
     /// (≤ 256 whole leaves between them) and one fence per leaf.
     fn load(
         env: &Env,
-        generation: u32,
         entries: impl Iterator<Item = Result<(f64, f64, [u8; PAYLOAD_LEN])>>,
     ) -> Result<IntervalTree> {
-        let file = env.create_file(&format!("exact3_tree_gen{generation}"))?;
-        let mut loader = IntervalBulkLoader::new(file, PAYLOAD_LEN)?;
+        let mut loader = IntervalBulkLoader::new(env.create_file(TREE_FILE)?, PAYLOAD_LEN)?;
         for entry in entries {
             let (lo, hi, payload) = entry?;
             loader.push(lo, hi, &payload)?;
@@ -240,32 +234,7 @@ impl Exact3 {
         Ok(top_k_from_scores(values.into_iter().map(|(id, _, v)| (id, v)), k))
     }
 
-    /// Append a new segment for `obj`: one tail write + in-memory metadata
-    /// update (`O(log_B N)` in the paper's accounting).
-    pub fn append_segment(&mut self, obj: ObjectId, seg: Segment) -> Result<()> {
-        let m = self.meta.get_mut(obj as usize).ok_or(crate::CoreError::NoSuchObject(obj))?;
-        let prefix = m.total + seg.integral_full();
-        self.tree.append(seg.t0, seg.t1, &encode_payload(obj, seg.v0, seg.v1, prefix))?;
-        m.total = prefix;
-        m.end = seg.t1;
-        Ok(())
-    }
-
-    /// True when enough appends accumulated that the amortized rebuild
-    /// (paper §4) is due.
-    pub fn needs_rebuild(&self) -> bool {
-        self.tree.needs_rebuild()
-    }
-
-    /// Rebuild the interval tree from the (updated) set, folding the append
-    /// tail into the static structure.
-    pub fn rebuild(&mut self, set: &TemporalSet) -> Result<()> {
-        self.generation += 1;
-        (self.tree, self.meta) = Self::fill(&self.env, set, self.generation)?;
-        Ok(())
-    }
-
-    /// Number of indexed entries (static + tail).
+    /// Number of indexed entries.
     pub fn num_entries(&self) -> u64 {
         self.tree.len()
     }
@@ -286,13 +255,14 @@ impl Exact3 {
         Ok(self.tree.flush()?)
     }
 
-    /// Serialize the in-memory side state (rebuild generation + per-object
-    /// `(start, end, total)` triples) for a generation image. All floats
-    /// cross as raw bits, so a reopened index rescored bit-identically.
+    /// Serialize the in-memory side state for a generation image: a
+    /// reserved `u32` written 0 (a rebuild counter, in older images), then
+    /// the per-object `(start, end, total)` triples. All floats cross as
+    /// raw bits, so a reopened index rescored bit-identically.
     pub fn meta_bytes(&self) -> Vec<u8> {
         let meta = &self.meta;
         let mut out = Vec::with_capacity(8 + 24 * meta.len());
-        out.extend_from_slice(&self.generation.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
         for m in meta.iter() {
             out.extend_from_slice(&m.start.to_bits().to_le_bytes());
@@ -303,13 +273,13 @@ impl Exact3 {
     }
 
     /// Reopen from a page-captured tree file plus [`Exact3::meta_bytes`]
-    /// — no set scan, no sort, no rebuild.
+    /// — no set scan, no sort, no rebuild. A non-zero reserved word is
+    /// refused as corrupt.
     pub fn open_parts(env: Env, store: StoreConfig, file: PagedFile, bytes: &[u8]) -> Result<Self> {
         let corrupt = || crate::CoreError::BadQuery("corrupt EXACT3 generation metadata".into());
-        if bytes.len() < 8 {
+        if bytes.len() < 8 || bytes[..4] != [0; 4] {
             return Err(corrupt());
         }
-        let generation = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
         let m = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
         if bytes.len() != 8 + 24 * m {
             return Err(corrupt());
@@ -324,7 +294,7 @@ impl Exact3 {
             })
             .collect();
         let tree = IntervalTree::open(file)?;
-        Ok(Self { env, store, tree, meta, generation })
+        Ok(Self { env, store, tree, meta })
     }
 }
 
@@ -488,44 +458,38 @@ mod tests {
     fn a_resident_build_writes_each_tree_page_once_and_reads_none() {
         // No sort scratch: the one file is the tree, and the build's whole
         // IO is the tree's pages going out once.
-        let mut set = crate::test_support::wavy_set(40, 30);
-        let mut idx = Exact3::build(&set, IndexConfig::default()).unwrap();
+        let set = crate::test_support::wavy_set(40, 30);
+        let idx = Exact3::build(&set, IndexConfig::default()).unwrap();
         idx.flush().unwrap();
         assert_eq!(idx.env.num_files(), 1);
-        let pages = idx.size_bytes() / idx.env.block_size() as u64;
-        let io = idx.io_stats();
-        assert_eq!((io.writes, io.reads), (pages, 0));
-        // A rebuild is the same merge into the next generation's file.
-        let end = set.object(1).unwrap().curve.end();
-        set.append_segment(1, end + 5.0, 20.0).unwrap();
-        idx.reset_io();
-        idx.rebuild(&set).unwrap();
-        idx.flush().unwrap();
-        assert_eq!(idx.env.num_files(), 2);
         let pages = idx.size_bytes() / idx.env.block_size() as u64;
         let io = idx.io_stats();
         assert_eq!((io.writes, io.reads), (pages, 0));
     }
 
     #[test]
-    fn update_then_query_and_rebuild() {
-        let mut set = small_set();
-        let mut idx = Exact3::build(&set, IndexConfig::default()).unwrap();
-        let end = set.object(1).unwrap().curve.end();
-        let v_end = set.object(1).unwrap().curve.eval(end).unwrap();
-        set.append_segment(1, end + 5.0, 20.0).unwrap();
-        idx.append_segment(1, Segment::new(end, v_end, end + 5.0, 20.0)).unwrap();
-        let want = set.top_k_bruteforce(end, end + 5.0, 2);
-        let got = idx.top_k(end, end + 5.0, 2, AggKind::Sum).unwrap();
-        assert_same_answer(&want, &got, "EXACT3 after append");
-        // Force the amortized rebuild and re-check everything.
-        idx.rebuild(&set).unwrap();
+    fn open_parts_reopens_the_tree_and_refuses_a_nonzero_reserved_word() {
+        let set = small_set();
+        let idx = Exact3::build(&set, IndexConfig::default()).unwrap();
+        idx.flush().unwrap();
+        let reopen = |meta: &[u8]| {
+            let env = Env::mem(idx.store_config());
+            let (src, file) = (idx.tree_file(), env.create_file("copy").unwrap());
+            file.allocate(src.num_blocks()).unwrap();
+            for id in 0..src.num_blocks() {
+                file.write(id, &src.page(id).unwrap()).unwrap();
+            }
+            Exact3::open_parts(env, idx.store_config(), file, meta)
+        };
+        let mut bytes = idx.meta_bytes();
+        assert_eq!(bytes[..4], [0; 4]);
+        let reopened = reopen(&bytes).unwrap();
         for &(a, b) in crate::test_support::INTERVALS {
-            let want = set.top_k_bruteforce(a, b, 4);
-            let got = idx.top_k(a, b, 4, AggKind::Sum).unwrap();
-            assert_same_answer(&want, &got, &format!("EXACT3 rebuilt [{a},{b}]"));
+            let want = idx.top_k(a, b, 4, AggKind::Sum).unwrap();
+            assert_eq!(reopened.top_k(a, b, 4, AggKind::Sum).unwrap(), want, "[{a},{b}]");
         }
-        assert!(idx.append_segment(99, Segment::new(0.0, 0.0, 1.0, 1.0)).is_err());
+        bytes[0] = 1;
+        assert!(reopen(&bytes).is_err());
     }
 
     #[test]
@@ -536,21 +500,5 @@ mod tests {
         let avg = idx.top_k(2.0, 10.0, 3, AggKind::Avg).unwrap();
         assert_eq!(sum.ids(), avg.ids());
         assert!((avg.rank(0).1 - sum.rank(0).1 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn many_appends_trigger_rebuild_flag() {
-        let mut set = small_set();
-        let mut idx = Exact3::build(&set, IndexConfig::default()).unwrap();
-        assert!(!idx.needs_rebuild());
-        let mut t = set.t_max();
-        for i in 0..300 {
-            let end = set.object(0).unwrap().curve.end();
-            let v = set.object(0).unwrap().curve.eval(end).unwrap();
-            t += 1.0;
-            set.append_segment(0, t, 1.0 + (i % 5) as f64).unwrap();
-            idx.append_segment(0, Segment::new(end, v, t, 1.0 + (i % 5) as f64)).unwrap();
-        }
-        assert!(idx.needs_rebuild());
     }
 }

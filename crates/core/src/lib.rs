@@ -25,11 +25,15 @@
 //! (per-object max reaches `εM`, `r = O(1/ε)`, much smaller in practice) —
 //! with both the baseline and the efficient §3.1 constructions for B2.
 //!
-//! Section 4 extensions included: right-edge **updates** with amortized
-//! rebuilds, **negative scores** (absolute-value thresholds), and `avg`
-//! and instant top-k **aggregates** ([`AggKind::apply`] is where `avg` is
-//! computed). Piecewise-polynomial data is not supported: every index
-//! stores linear segments.
+//! Section 4 extensions included: **negative scores** (absolute-value
+//! thresholds), and `avg` and instant top-k **aggregates**
+//! ([`AggKind::apply`] is where `avg` is computed). A built index never
+//! changes — no method of one takes `&mut self`. Right-edge **updates**
+//! with amortized rebuilds are `chronorank-live`'s: its WAL and columnar
+//! tails take the appends (WAL replay applies them with
+//! [`TemporalSet::apply`]), every answer rescores them, and a fresh
+//! generation is built when the mass doubles. Piecewise-polynomial data is
+//! not supported: every index stores linear segments.
 //!
 //! ## Glossary (paper Table 1)
 //!

@@ -96,50 +96,6 @@ proptest! {
         }
     }
 
-    /// EXACT3 bulk-built == append-built (ISSUE 6): the bottom-up bulk
-    /// build over the full set must answer exactly like an index built
-    /// over a truncated prefix of the same set and then extended
-    /// segment-by-segment through the §4 append path.
-    #[test]
-    fn exact3_bulk_build_equals_append_extended(
-        set in arb_set(true),
-        cut in 0.0f64..1.0,
-        (t1, t2, k) in arb_query(),
-    ) {
-        // Per-object split point on a segment boundary: keep at least one
-        // segment, append the rest (cut < 1 guarantees a non-empty tail
-        // whenever the curve has more than one segment).
-        let ends: Vec<f64> = set
-            .objects()
-            .iter()
-            .map(|o| {
-                let times = o.curve.times();
-                let keep = 2 + ((times.len() - 2) as f64 * cut) as usize;
-                times[keep - 1]
-            })
-            .collect();
-        let base = set.truncated_at(&ends).unwrap();
-        let bulk = Exact3::build(&set, IndexConfig::default()).unwrap();
-        let mut inc = Exact3::build(&base, IndexConfig::default()).unwrap();
-        for (i, o) in set.objects().iter().enumerate() {
-            for seg in o.curve.segments() {
-                if seg.t0 >= ends[i] {
-                    inc.append_segment(o.id, seg).unwrap();
-                }
-            }
-        }
-        let a = bulk.top_k(t1, t2, k, AggKind::Sum).unwrap();
-        let b = inc.top_k(t1, t2, k, AggKind::Sum).unwrap();
-        prop_assert_eq!(a.len(), b.len());
-        for j in 0..a.len() {
-            prop_assert_eq!(a.rank(j).0, b.rank(j).0, "rank {} object", j);
-            prop_assert!(
-                scores_close(a.rank(j).1, b.rank(j).1),
-                "rank {}: bulk {} incremental {}", j, a.rank(j).1, b.rank(j).1
-            );
-        }
-    }
-
     /// Negative scores: exact methods still equal brute force (§4).
     #[test]
     fn exact_methods_handle_negatives(set in arb_set(true), (t1, t2, k) in arb_query()) {

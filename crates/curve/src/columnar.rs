@@ -412,42 +412,36 @@ impl ColumnarTail {
         out
     }
 
-    /// Parse [`ColumnarTail::to_bytes`] output; `None` on truncation or
-    /// malformed curves (offsets not monotone, <2 points, non-finite or
-    /// non-increasing times).
+    /// Parse [`ColumnarTail::to_bytes`] output; `None` on a length other
+    /// than the counts imply, or malformed curves (offsets not monotone,
+    /// <2 points, non-finite or non-increasing times). The counts are
+    /// checked against the blob's length before anything is allocated, so
+    /// an untrusted blob costs at most its own size.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = bytes.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
+        let word = |at: usize| {
+            let w = bytes.get(at..at.checked_add(4)?)?;
+            Some(u32::from_le_bytes(w.try_into().expect("4 bytes")))
         };
-        let m = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-        let mut start = Vec::with_capacity(m + 1);
-        for _ in 0..=m {
-            start.push(u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?));
-        }
-        let total = *start.last()? as usize;
-        for w in start.windows(2) {
-            if w[1] < w[0] + 2 {
-                return None; // every object needs ≥ 2 points
-            }
-        }
-        if start[0] != 0 {
+        let m = word(0)? as usize;
+        // The columns start past `m` and the m + 1 offsets.
+        let cols = m.checked_mul(4)?.checked_add(8)?;
+        let total = word(cols - 4)? as usize;
+        if total.checked_mul(16).and_then(|n| n.checked_add(cols)) != Some(bytes.len()) {
             return None;
         }
-        let read_col = |pos: &mut usize| -> Option<Vec<f64>> {
-            let mut col = Vec::with_capacity(total);
-            for _ in 0..total {
-                col.push(f64::from_le_bytes(take(pos, 8)?.try_into().ok()?));
-            }
-            Some(col)
-        };
-        let base_t = read_col(&mut pos)?;
-        let base_v = read_col(&mut pos)?;
-        if pos != bytes.len() {
+        let start: Vec<u32> = bytes[4..cols]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+            .collect();
+        // Every object needs ≥ 2 points.
+        if start[0] != 0 || start.windows(2).any(|w| w[0].checked_add(2).is_none_or(|n| w[1] < n)) {
             return None;
         }
+        let col = |at: usize| -> Vec<f64> {
+            let c = bytes[at..at + 8 * total].chunks_exact(8);
+            c.map(|x| f64::from_le_bytes(x.try_into().expect("8 bytes"))).collect()
+        };
+        let (base_t, base_v) = (col(cols), col(cols + 8 * total));
         for w in start.windows(2) {
             let (s, e) = (w[0] as usize, w[1] as usize);
             for j in s..e {
@@ -668,6 +662,20 @@ mod tests {
         let col_at = 4 + (m + 1) * 4;
         bad[col_at..col_at + 8].copy_from_slice(&f64::MAX.to_le_bytes());
         assert!(ColumnarTail::from_bytes(&bad).is_none());
+    }
+
+    #[test]
+    fn from_bytes_checks_counts_against_the_length_before_allocating() {
+        // 2³² − 1 objects in a 4-byte blob, and one object whose offsets
+        // claim 2³² − 1 points in a 12-byte one: sized from the counts,
+        // the offset table or the columns would ask for 16 GiB or 32 GiB.
+        let blob = |words: &[u32]| words.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<_>>();
+        assert!(ColumnarTail::from_bytes(&blob(&[u32::MAX])).is_none());
+        assert!(ColumnarTail::from_bytes(&blob(&[1, 0, u32::MAX])).is_none());
+        // Offsets whose `+ 2` would wrap, in a blob of the right length.
+        let mut wrap = blob(&[2, 0, u32::MAX - 1, 2]);
+        wrap.extend([0u8; 32]);
+        assert!(ColumnarTail::from_bytes(&wrap).is_none());
     }
 
     #[test]

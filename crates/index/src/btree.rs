@@ -3,13 +3,13 @@
 //! This is the structure the paper calls "a B+-tree" throughout Section 2:
 //! EXACT1 bulk-loads one over all `N` segments keyed by left endpoint;
 //! EXACT2 builds a forest of `m` of them over prefix-sum entries; the
-//! approximate methods use small ones as breakpoint directories. Supported
-//! operations:
-//!
-//! * streaming **bulk load** from key-sorted input ([`BulkLoader`]),
-//! * point **insert** with node splits (the paper's `O(log_B N)` update),
-//! * **lower-bound search** returning a [`Cursor`] positioned at the first
-//!   entry with key ≥ the probe, stepping rightward across leaf links.
+//! approximate methods use small ones as breakpoint directories. A tree
+//! comes from a streaming **bulk load** of key-sorted input
+//! ([`BulkLoader`]) or from [`BPlusTree::open`], and never changes after:
+//! it answers **lower-bound searches** with a [`Cursor`] positioned at the
+//! first entry with key ≥ the probe, stepping rightward across leaf links.
+//! Appends live in the live engine, which rebuilds a tree rather than
+//! editing one.
 //!
 //! Duplicate keys are allowed; `seek` always lands on the *leftmost*
 //! duplicate.
@@ -40,10 +40,10 @@ const INTERNAL_HDR: usize = 4 + 4;
 
 /// A disk-based B+-tree (see module docs).
 ///
-/// `Send + Sync`: a built tree is an immutable snapshot that any number of
-/// threads may `seek`/scan through a shared reference (the backing
-/// [`PagedFile`] synchronizes block access internally). Mutation
-/// ([`BPlusTree::insert`]) takes `&mut self`.
+/// `Send + Sync`: a built tree is immutable — no method takes `&mut self`
+/// — and any number of threads may `seek`/scan it through a shared
+/// reference (the backing [`PagedFile`] synchronizes block access
+/// internally).
 pub struct BPlusTree {
     file: PagedFile,
     value_len: usize,
@@ -69,26 +69,7 @@ impl BPlusTree {
         (block - INTERNAL_HDR - 8) / 16 + 1
     }
 
-    /// Create an empty tree in `file` (which must be freshly created).
-    pub fn create(file: PagedFile, value_len: usize) -> Result<Self> {
-        let block = file.block_size();
-        if Self::leaf_cap(block, value_len) < 2 || Self::internal_cap(block) < 3 {
-            return Err(IndexError::BadInput(format!(
-                "payload of {value_len} bytes does not fit a {block}-byte block"
-            )));
-        }
-        let meta = file.allocate(1)?;
-        debug_assert_eq!(meta, 0);
-        let root = file.allocate(1)?;
-        let mut buf = vec![0u8; block];
-        encode_leaf_header(&mut buf, 0, 0);
-        file.write(root, &buf)?;
-        let tree = Self { file, value_len, root, height: 1, count: 0, first_leaf: root };
-        tree.write_meta()?;
-        Ok(tree)
-    }
-
-    /// Open a tree previously created/bulk-loaded in `file`.
+    /// Open a tree previously bulk-loaded in `file`.
     pub fn open(file: PagedFile) -> Result<Self> {
         let buf = file.page(0)?;
         if get_u32(&buf, 0) != META_MAGIC {
@@ -209,8 +190,9 @@ impl BPlusTree {
         Ok(cur)
     }
 
-    /// Payload of the entry with the largest key (`None` when empty).
-    /// Used by the update path to fetch `σ_i(I_{i,n_i})` in `O(log_B n)`.
+    /// The entry with the largest key (`None` when empty), in
+    /// `O(log_B n)`: a seek past the last key falls back to it (EXACT2's
+    /// total mass `σ_i(I_{i,n_i})`, QUERY1's last breakpoint).
     pub fn last_entry(&self) -> Result<Option<(f64, Vec<u8>)>> {
         if self.is_empty() {
             return Ok(None);
@@ -229,149 +211,6 @@ impl BPlusTree {
         let stride = 8 + self.value_len;
         let off = LEAF_HDR + (n - 1) * stride;
         Ok(Some((get_f64(&buf, off), buf[off + 8..off + 8 + self.value_len].to_vec())))
-    }
-
-    // ----- insert ---------------------------------------------------------
-
-    /// Insert an entry (duplicates allowed, placed after existing equals).
-    pub fn insert(&mut self, key: f64, payload: &[u8]) -> Result<()> {
-        if payload.len() != self.value_len {
-            return Err(IndexError::BadInput(format!(
-                "payload length {} != value_len {}",
-                payload.len(),
-                self.value_len
-            )));
-        }
-        if !key.is_finite() {
-            return Err(IndexError::BadInput("key must be finite".into()));
-        }
-        let split = self.insert_rec(self.root, self.height, key, payload)?;
-        if let Some((sep, right)) = split {
-            // Grow the tree: new root with two children.
-            let new_root = self.file.allocate(1)?;
-            let mut buf = vec![0u8; self.file.block_size()];
-            let mut o = put_u32(&mut buf, 0, INTERNAL_MAGIC);
-            o = put_u32(&mut buf, o, 2);
-            o = put_u64(&mut buf, o, self.root);
-            o = put_f64(&mut buf, o, sep);
-            put_u64(&mut buf, o, right);
-            self.file.write(new_root, &buf)?;
-            self.root = new_root;
-            self.height += 1;
-        }
-        self.count += 1;
-        self.write_meta()?;
-        Ok(())
-    }
-
-    fn insert_rec(
-        &self,
-        node: PageId,
-        level: u32,
-        key: f64,
-        payload: &[u8],
-    ) -> Result<Option<(f64, PageId)>> {
-        let block = self.file.block_size();
-        // Read-modify-write: our own copy of the node.
-        if level == 1 {
-            let mut buf = self.node(node, LEAF_MAGIC)?.0.to_vec();
-            return self.leaf_insert(node, &mut buf, key, payload);
-        }
-        let (page, n) = self.node(node, INTERNAL_MAGIC)?;
-        let mut buf = page.to_vec();
-        // Rightmost-duplicate descent for inserts.
-        let mut idx = 0usize;
-        while idx + 1 < n && internal_key(&buf, idx + 1) <= key {
-            idx += 1;
-        }
-        let child = internal_child(&buf, idx);
-        let split = self.insert_rec(child, level - 1, key, payload)?;
-        let Some((sep, right)) = split else { return Ok(None) };
-        // The child's split wrote only below this node: `buf` is current.
-        let (mut children, mut keys) = decode_internal(&buf);
-        children.insert(idx + 1, right);
-        keys.insert(idx, sep);
-        let cap = Self::internal_cap(block);
-        if children.len() <= cap {
-            encode_internal(&mut buf, &children, &keys);
-            self.file.write(node, &buf)?;
-            return Ok(None);
-        }
-        // Split: promote the median separator.
-        let mid = children.len() / 2; // left keeps `mid` children
-        let promoted = keys[mid - 1];
-        let right_children: Vec<u64> = children.split_off(mid);
-        let right_keys: Vec<f64> = keys.split_off(mid);
-        keys.pop(); // drop the promoted separator from the left node
-        let right_id = self.file.allocate(1)?;
-        encode_internal(&mut buf, &children, &keys);
-        self.file.write(node, &buf)?;
-        let mut rbuf = vec![0u8; block];
-        encode_internal(&mut rbuf, &right_children, &right_keys);
-        self.file.write(right_id, &rbuf)?;
-        Ok(Some((promoted, right_id)))
-    }
-
-    fn leaf_insert(
-        &self,
-        node: PageId,
-        buf: &mut [u8],
-        key: f64,
-        payload: &[u8],
-    ) -> Result<Option<(f64, PageId)>> {
-        let block = self.file.block_size();
-        let stride = 8 + self.value_len;
-        let cap = Self::leaf_cap(block, self.value_len);
-        let n = get_u32(buf, 4) as usize;
-        let mut pos = 0usize;
-        while pos < n && get_f64(buf, LEAF_HDR + pos * stride) <= key {
-            pos += 1;
-        }
-        if n < cap {
-            // Shift right and insert in place.
-            let start = LEAF_HDR + pos * stride;
-            let end = LEAF_HDR + n * stride;
-            buf.copy_within(start..end, start + stride);
-            put_f64(buf, start, key);
-            buf[start + 8..start + stride].copy_from_slice(payload);
-            put_u32(buf, 4, (n + 1) as u32);
-            self.file.write(node, buf)?;
-            return Ok(None);
-        }
-        // Split the leaf: left keeps `half`, right takes the rest.
-        let half = n.div_ceil(2);
-        let right_id = self.file.allocate(1)?;
-        let next = get_u64(buf, 8);
-        let mut entries: Vec<(f64, Vec<u8>)> = (0..n)
-            .map(|i| {
-                let off = LEAF_HDR + i * stride;
-                (get_f64(buf, off), buf[off + 8..off + stride].to_vec())
-            })
-            .collect();
-        entries.insert(pos, (key, payload.to_vec()));
-        let right_entries = entries.split_off(half);
-        // Rewrite left leaf (points to the new right leaf).
-        encode_leaf_header(buf, entries.len() as u32, right_id);
-        for (i, (k, v)) in entries.iter().enumerate() {
-            let off = LEAF_HDR + i * stride;
-            put_f64(buf, off, *k);
-            buf[off + 8..off + stride].copy_from_slice(v);
-        }
-        // Zero the tail so stale bytes never persist.
-        for b in &mut buf[LEAF_HDR + entries.len() * stride..] {
-            *b = 0;
-        }
-        self.file.write(node, buf)?;
-        // Write the right leaf.
-        let mut rbuf = vec![0u8; block];
-        encode_leaf_header(&mut rbuf, right_entries.len() as u32, next);
-        for (i, (k, v)) in right_entries.iter().enumerate() {
-            let off = LEAF_HDR + i * stride;
-            put_f64(&mut rbuf, off, *k);
-            rbuf[off + 8..off + stride].copy_from_slice(v);
-        }
-        self.file.write(right_id, &rbuf)?;
-        Ok(Some((right_entries[0].0, right_id)))
     }
 }
 
@@ -642,19 +481,6 @@ fn internal_child(buf: &[u8], i: usize) -> u64 {
     }
 }
 
-fn decode_internal(buf: &[u8]) -> (Vec<u64>, Vec<f64>) {
-    let n = get_u32(buf, 4) as usize;
-    let mut children = Vec::with_capacity(n + 1);
-    let mut keys = Vec::with_capacity(n);
-    for i in 0..n {
-        children.push(internal_child(buf, i));
-        if i > 0 {
-            keys.push(internal_key(buf, i));
-        }
-    }
-    (children, keys)
-}
-
 fn encode_internal(buf: &mut [u8], children: &[u64], keys: &[f64]) {
     debug_assert_eq!(children.len(), keys.len() + 1);
     buf.fill(0);
@@ -800,49 +626,14 @@ mod tests {
     }
 
     #[test]
-    fn inserts_into_empty_tree() {
-        let e = env();
-        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
-        assert!(tree.is_empty());
-        for i in (0..300u64).rev() {
-            tree.insert(i as f64, &payload(i)).unwrap();
-        }
-        assert_eq!(tree.len(), 300);
-        let all = collect_all(&tree);
-        assert_eq!(all.len(), 300);
-        for (i, (k, v)) in all.iter().enumerate() {
-            assert_eq!(*k, i as f64, "sorted order after random-order inserts");
-            assert_eq!(*v, i as u64);
-        }
-    }
-
-    #[test]
-    fn interleaved_inserts_after_bulk_load() {
-        let e = env();
-        let mut b = BulkLoader::new(e.create_file("t").unwrap(), 8).unwrap();
-        for i in 0..200u64 {
-            b.push((2 * i) as f64, &payload(2 * i)).unwrap();
-        }
-        let mut tree = b.finish().unwrap();
-        for i in 0..200u64 {
-            tree.insert((2 * i + 1) as f64, &payload(2 * i + 1)).unwrap();
-        }
-        assert_eq!(tree.len(), 400);
-        let all = collect_all(&tree);
-        for (i, (k, v)) in all.iter().enumerate() {
-            assert_eq!(*k, i as f64);
-            assert_eq!(*v, i as u64);
-        }
-    }
-
-    #[test]
     fn last_entry_returns_max_key() {
         let e = env();
-        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
-        assert!(tree.last_entry().unwrap().is_none());
+        let mut b = BulkLoader::new(e.create_file("t").unwrap(), 8).unwrap();
         for i in 0..250u64 {
-            tree.insert(i as f64, &payload(i)).unwrap();
+            b.push(i as f64, &payload(i)).unwrap();
         }
+        let tree = b.finish().unwrap();
+        assert!(tree.height >= 2, "the rightmost descent must cross an inner level");
         let (k, v) = tree.last_entry().unwrap().unwrap();
         assert_eq!(k, 249.0);
         assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), 249);
@@ -883,16 +674,18 @@ mod tests {
     #[test]
     fn wrong_payload_len_rejected() {
         let e = env();
-        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
-        assert!(matches!(tree.insert(1.0, &[0u8; 4]), Err(IndexError::BadInput(_))));
-        let mut b = BulkLoader::new(e.create_file("u").unwrap(), 8).unwrap();
+        let mut b = BulkLoader::new(e.create_file("t").unwrap(), 8).unwrap();
+        assert!(matches!(b.push(1.0, &[0u8; 4]), Err(IndexError::BadInput(_))));
         assert!(matches!(b.push(1.0, &[0u8; 9]), Err(IndexError::BadInput(_))));
+        b.push(1.0, &payload(1)).unwrap();
+        let tree = b.finish().unwrap();
+        assert_eq!(collect_all(&tree), vec![(1.0, 1)], "refused pushes leave no entry");
     }
 
     #[test]
     fn empty_tree_cursors_are_invalid() {
         let e = env();
-        let tree = BPlusTree::create(e.create_file("t").unwrap(), 8).unwrap();
+        let tree = BulkLoader::new(e.create_file("t").unwrap(), 8).unwrap().finish().unwrap();
         assert!(!tree.cursor_first().unwrap().valid());
         assert!(!tree.seek(0.0).unwrap().valid());
     }
@@ -901,43 +694,50 @@ mod tests {
     fn empty_bulk_load_is_a_valid_empty_tree() {
         let e = env();
         let b = BulkLoader::new(e.create_file("t").unwrap(), 8).unwrap();
-        let mut tree = b.finish().unwrap();
+        let tree = b.finish().unwrap();
         assert!(tree.is_empty());
-        assert!(!tree.cursor_first().unwrap().valid());
-        tree.insert(1.0, &payload(1)).unwrap();
-        assert_eq!(collect_all(&tree), vec![(1.0, 1)]);
+        assert_eq!(tree.height, 1);
+        assert!(tree.last_entry().unwrap().is_none());
+        tree.flush().unwrap();
+        let BPlusTree { file, .. } = tree;
+        let reopened = BPlusTree::open(file).unwrap();
+        assert!(reopened.is_empty());
+        assert!(!reopened.cursor_first().unwrap().valid());
     }
 
     #[test]
     fn large_payloads_still_split_correctly() {
         let e = env();
-        // 100-byte payloads in 256-byte blocks → 2 entries per leaf.
-        let mut tree = BPlusTree::create(e.create_file("t").unwrap(), 100).unwrap();
+        // 100-byte payloads in 256-byte blocks → 2 entries per leaf: 50
+        // leaves under an inner level, ten duplicates of each key.
+        let mut b = BulkLoader::new(e.create_file("t").unwrap(), 100).unwrap();
         let mk = |i: u64| {
             let mut p = vec![0u8; 100];
             p[..8].copy_from_slice(&i.to_le_bytes());
             p
         };
         for i in 0..100u64 {
-            tree.insert((i % 10) as f64, &mk(i)).unwrap();
+            b.push((i / 10) as f64, &mk(i)).unwrap();
         }
+        let tree = b.finish().unwrap();
         assert_eq!(tree.len(), 100);
+        assert!(tree.height >= 2);
         let mut cur = tree.cursor_first().unwrap();
-        let mut prev = f64::NEG_INFINITY;
-        let mut n = 0;
+        let mut n = 0u64;
         while cur.valid() {
-            assert!(cur.key() >= prev);
-            prev = cur.key();
+            assert_eq!(cur.key(), (n / 10) as f64);
+            assert_eq!(cur.payload(), mk(n).as_slice(), "entry {n}");
             n += 1;
             cur.advance().unwrap();
         }
         assert_eq!(n, 100);
+        let c = tree.seek(7.0).unwrap();
+        assert_eq!(c.payload(), mk(70).as_slice(), "leftmost duplicate across a leaf split");
     }
 
     #[test]
     fn payload_too_large_for_block_is_rejected() {
         let e = env();
-        assert!(BPlusTree::create(e.create_file("t").unwrap(), 4000).is_err());
         assert!(BulkLoader::new(e.create_file("u").unwrap(), 4000).is_err());
     }
 
@@ -956,7 +756,7 @@ mod tests {
             for i in 0..1000u64 {
                 b.push(i as f64, &payload(i)).unwrap();
             }
-            let mut tree = b.finish().unwrap();
+            let tree = b.finish().unwrap();
             assert_eq!(tree.height, 3);
             let page = if node == "leaf" { tree.first_leaf + 1 } else { tree.root };
             let mut buf = tree.file.page(page).unwrap().to_vec();
@@ -969,7 +769,6 @@ mod tests {
                 assert!(corrupt(scan.unwrap()), "a scan into the leaf");
             } else {
                 assert!(corrupt(tree.last_entry().map(drop)), "{count}: last entry");
-                assert!(corrupt(tree.insert(5.5, &payload(0))), "{count}: insert");
             }
         }
     }

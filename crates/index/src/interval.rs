@@ -64,10 +64,9 @@
 //! chains) cannot blow the call stack or the run buffers no matter how
 //! large `N` grows.
 //!
-//! **Appends** (the paper's right-edge update model) go to a chained tail
-//! of blocks scanned lineally by stabs; [`IntervalTree::needs_rebuild`]
-//! tells the owner when folding the tail into a fresh build is due, which
-//! is how the paper amortizes update cost.
+//! A built tree never changes: no method takes `&mut self`. The paper's
+//! right-edge appends live in the live engine, which keeps them in columns
+//! beside a frozen tree and bulk-loads a new one when the mass doubles.
 //!
 //! Interval containment is **closed** (`lo ≤ t ≤ hi`); callers that need
 //! half-open semantics (EXACT3 does, to get exactly one entry per object)
@@ -76,16 +75,15 @@
 use crate::error::{IndexError, Result};
 use crate::extsort::total_order_bits;
 use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
-use chronorank_storage::{Page, PageId, PagedFile};
+use chronorank_storage::{PageId, PagedFile};
 
 const META_MAGIC: u32 = 0x17EE_0002;
 const LEAF_MAGIC: u32 = 0x17EE_00AA;
 const INNER_MAGIC: u32 = 0x17EE_00BB;
-const TAIL_MAGIC: u32 = 0x17EE_00DD;
 
-/// Leaf and tail blocks share one header shape: magic, count, next-link
-/// (leaves leave the link zero — they are physically consecutive).
-const TAIL_HDR: usize = 4 + 4 + 8;
+/// Leaf header: magic, count and a link word left zero (leaves are
+/// physically consecutive).
+const LEAF_HDR: usize = 4 + 4 + 8;
 /// Inner node header: magic, child count.
 const INNER_HDR: usize = 4 + 4;
 /// Per-child fence record in an inner node: page, min lo, max hi.
@@ -104,21 +102,14 @@ pub struct IntervalEntry {
 
 /// Disk-based bottom-up interval tree (see module docs).
 ///
-/// `Send + Sync`: a built tree is an immutable snapshot that any number of
-/// threads may stab concurrently (block access is synchronized inside
-/// [`PagedFile`]). Tail appends ([`IntervalTree::append`]) take
-/// `&mut self`.
+/// `Send + Sync`: a built tree is immutable — no method takes `&mut self`
+/// — and any number of threads may stab it concurrently (block access is
+/// synchronized inside [`PagedFile`]).
 pub struct IntervalTree {
     file: PagedFile,
     payload_len: usize,
     root: PageId,
     n: u64,
-    /// First and last tail blocks (0 = none).
-    tail_head: PageId,
-    tail_last: PageId,
-    tail_count: u64,
-    /// Entries folded into the main (static) tree.
-    main_count: u64,
 }
 
 /// The open runs together never hold more whole leaves than this (1 MiB
@@ -347,7 +338,7 @@ impl IntervalBulkLoader {
             if filled[leaf] == 0 {
                 touched.push((leaf, get_f64(entry, 0)));
             }
-            pages[leaf * block + TAIL_HDR + filled[leaf] * elen..][..elen].copy_from_slice(entry);
+            pages[leaf * block + LEAF_HDR + filled[leaf] * elen..][..elen].copy_from_slice(entry);
             filled[leaf] += 1;
         }
         for (leaf, min_lo) in touched {
@@ -444,16 +435,8 @@ impl IntervalBulkLoader {
             level = next;
         }
         let root = level.first().map(|&(page, _, _)| page).unwrap_or(0);
-        let tree = IntervalTree {
-            file: self.file,
-            payload_len: self.payload_len,
-            root,
-            n: self.count,
-            tail_head: 0,
-            tail_last: 0,
-            tail_count: 0,
-            main_count: self.count,
-        };
+        let tree =
+            IntervalTree { file: self.file, payload_len: self.payload_len, root, n: self.count };
         tree.write_meta()?;
         Ok(tree)
     }
@@ -465,7 +448,7 @@ impl IntervalTree {
     }
 
     fn entries_per_block(block: usize, payload_len: usize) -> usize {
-        (block - TAIL_HDR) / Self::entry_len(payload_len)
+        (block - LEAF_HDR) / Self::entry_len(payload_len)
     }
 
     /// Build a tree over `entries` in `file` (freshly created): validate,
@@ -500,56 +483,49 @@ impl IntervalTree {
         loader.finish()
     }
 
+    /// The metadata page: `magic u32 | payload_len u32 | root u64 | n u64`,
+    /// three reserved words written 0 (an append tail's, in older files),
+    /// then `n` again (the entries in the static tree — all of them).
     fn write_meta(&self) -> Result<()> {
         let mut buf = vec![0u8; self.file.block_size()];
         let mut o = put_u32(&mut buf, 0, META_MAGIC);
         o = put_u32(&mut buf, o, self.payload_len as u32);
         o = put_u64(&mut buf, o, self.root);
         o = put_u64(&mut buf, o, self.n);
-        o = put_u64(&mut buf, o, self.tail_head);
-        o = put_u64(&mut buf, o, self.tail_last);
-        o = put_u64(&mut buf, o, self.tail_count);
-        put_u64(&mut buf, o, self.main_count);
+        put_u64(&mut buf, o + 24, self.n);
         self.file.write(0, &buf)?;
         Ok(())
     }
 
     /// Open a tree previously built in `file`. A metadata page that cannot
-    /// describe a tree in this file — an entry wider than a block, a page
-    /// id past its end, counts that do not add up — is refused as
-    /// [`IndexError::Corrupt`].
+    /// describe a tree in this file — an entry wider than a block, a root
+    /// past its end, a non-zero tail word or a static count other than
+    /// `n` — is refused as [`IndexError::Corrupt`].
     pub fn open(file: PagedFile) -> Result<Self> {
         let block = file.block_size();
         let buf = file.page(0)?;
         if get_u32(&buf, 0) != META_MAGIC {
             return Err(IndexError::Corrupt("not an interval-tree file".into()));
         }
-        let tree = Self {
-            payload_len: get_u32(&buf, 4) as usize,
-            root: get_u64(&buf, 8),
-            n: get_u64(&buf, 16),
-            tail_head: get_u64(&buf, 24),
-            tail_last: get_u64(&buf, 32),
-            tail_count: get_u64(&buf, 40),
-            main_count: get_u64(&buf, 48),
-            file,
-        };
-        if TAIL_HDR + Self::entry_len(tree.payload_len) > block {
+        let (root, n) = (get_u64(&buf, 8), get_u64(&buf, 16));
+        let tree = Self { payload_len: get_u32(&buf, 4) as usize, root, n, file };
+        if LEAF_HDR + Self::entry_len(tree.payload_len) > block {
             return Err(IndexError::Corrupt(format!(
                 "a {}-byte payload does not fit a {block}-byte block",
                 tree.payload_len
             )));
         }
         let blocks = tree.file.num_blocks();
-        if let Some(id) =
-            [tree.root, tree.tail_head, tree.tail_last].into_iter().find(|&id| id >= blocks)
-        {
-            return Err(IndexError::Corrupt(format!("page {id} past the file's {blocks} blocks")));
-        }
-        if tree.main_count.checked_add(tree.tail_count) != Some(tree.n) {
+        if root >= blocks {
             return Err(IndexError::Corrupt(format!(
-                "{} main + {} tail entries != {}",
-                tree.main_count, tree.tail_count, tree.n
+                "root {root} past the file's {blocks} blocks"
+            )));
+        }
+        let tail = [24, 32, 40].map(|at| get_u64(&buf, at));
+        if tail != [0; 3] || get_u64(&buf, 48) != n {
+            return Err(IndexError::Corrupt(format!(
+                "tail words {tail:?} and {} static entries in a tree of {n}",
+                get_u64(&buf, 48)
             )));
         }
         Ok(tree)
@@ -564,7 +540,7 @@ impl IntervalTree {
         Ok(count)
     }
 
-    /// Total entries (static tree + tail).
+    /// Total entries.
     pub fn len(&self) -> u64 {
         self.n
     }
@@ -591,41 +567,30 @@ impl IntervalTree {
         Ok(())
     }
 
-    /// True when the append tail has outgrown the amortization threshold
-    /// (10 % of the static tree, min 256 entries) and the owner should
-    /// rebuild — the paper's rebuild-on-doubling policy uses the same hook.
-    pub fn needs_rebuild(&self) -> bool {
-        let tail = self.tail_count;
-        tail > 256.max(self.main_count / 10)
-    }
-
     /// Visit every entry whose closed interval contains `t`:
     /// `visit(lo, hi, payload)`. Iterative — an explicit work stack of
     /// page ids bounded by `height × fanout`, never the call stack. Each
     /// node is decoded from the pool's own page. A well-formed stab visits
     /// no page twice, so one that would visit more pages than the file
-    /// holds (a tail or child link back into itself) is refused as
+    /// holds (a child link back into itself) is refused as
     /// [`IndexError::Corrupt`].
     pub fn stab(&self, t: f64, visit: &mut dyn FnMut(f64, f64, &[u8])) -> Result<()> {
         let block = self.file.block_size();
         let elen = Self::entry_len(self.payload_len);
         let epb = Self::entries_per_block(block, self.payload_len);
         let (blocks, mut visited) = (self.file.num_blocks(), 0u64);
-        let mut fetch = |page: PageId| -> Result<Page> {
-            visited += 1;
-            if visited > blocks {
-                let msg = format!("a stab visits more than the file's {blocks} blocks");
-                return Err(IndexError::Corrupt(msg));
-            }
-            Ok(self.file.page(page)?)
-        };
         let mut stack: Vec<PageId> = Vec::new();
         let root = self.root;
         if root != 0 {
             stack.push(root);
         }
         while let Some(page) = stack.pop() {
-            let buf = fetch(page)?;
+            visited += 1;
+            if visited > blocks {
+                let msg = format!("a stab visits more than the file's {blocks} blocks");
+                return Err(IndexError::Corrupt(msg));
+            }
+            let buf = self.file.page(page)?;
             match get_u32(&buf, 0) {
                 INNER_MAGIC => {
                     let count = Self::node_count(&buf, (block - INNER_HDR) / FENCE_LEN)?;
@@ -644,7 +609,7 @@ impl IntervalTree {
                 }
                 LEAF_MAGIC => {
                     for i in 0..Self::node_count(&buf, epb)? {
-                        let off = TAIL_HDR + i * elen;
+                        let off = LEAF_HDR + i * elen;
                         let lo = get_f64(&buf, off);
                         if lo > t {
                             break;
@@ -658,75 +623,6 @@ impl IntervalTree {
                 _ => return Err(IndexError::Corrupt("bad interval node magic".into())),
             }
         }
-        // Tail scan: the append log is small by the rebuild invariant.
-        let mut blk = self.tail_head;
-        while blk != 0 {
-            let buf = fetch(blk)?;
-            if get_u32(&buf, 0) != TAIL_MAGIC {
-                return Err(IndexError::Corrupt("bad tail block magic".into()));
-            }
-            for i in 0..Self::node_count(&buf, epb)? {
-                let off = TAIL_HDR + i * elen;
-                let lo = get_f64(&buf, off);
-                let hi = get_f64(&buf, off + 8);
-                if lo <= t && t <= hi {
-                    visit(lo, hi, &buf[off + 16..off + 16 + self.payload_len]);
-                }
-            }
-            blk = get_u64(&buf, 8);
-        }
-        Ok(())
-    }
-
-    /// Append an entry to the tail (`O(1)` amortized block writes — the
-    /// paper's `O(log_B N)` bound is dominated by this plus the eventual
-    /// amortized rebuild).
-    pub fn append(&mut self, lo: f64, hi: f64, payload: &[u8]) -> Result<()> {
-        if payload.len() != self.payload_len {
-            return Err(IndexError::BadInput("payload length mismatch".into()));
-        }
-        if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
-            return Err(IndexError::BadInput(format!("bad interval [{lo}, {hi}]")));
-        }
-        let block = self.file.block_size();
-        let epb = Self::entries_per_block(block, self.payload_len);
-        let elen = Self::entry_len(self.payload_len);
-        let last = self.tail_last;
-        let mut target = last;
-        let (mut buf, mut count_in_block) = if last != 0 {
-            // Read-modify-write: our own copy of the block.
-            let buf = self.file.page(last)?.to_vec();
-            let count = Self::node_count(&buf, epb)?;
-            (buf, count)
-        } else {
-            (vec![0u8; block], 0)
-        };
-        if last == 0 || count_in_block == epb {
-            // Start a new tail block and link it in.
-            let new_blk = self.file.allocate(1)?;
-            if last != 0 {
-                put_u64(&mut buf, 8, new_blk);
-                self.file.write(last, &buf)?;
-            } else {
-                self.tail_head = new_blk;
-            }
-            buf.fill(0);
-            put_u32(&mut buf, 0, TAIL_MAGIC);
-            put_u32(&mut buf, 4, 0);
-            put_u64(&mut buf, 8, 0);
-            self.tail_last = new_blk;
-            target = new_blk;
-            count_in_block = 0;
-        }
-        let off = TAIL_HDR + count_in_block * elen;
-        put_f64(&mut buf, off, lo);
-        put_f64(&mut buf, off + 8, hi);
-        buf[off + 16..off + 16 + self.payload_len].copy_from_slice(payload);
-        put_u32(&mut buf, 4, (count_in_block + 1) as u32);
-        self.file.write(target, &buf)?;
-        self.tail_count += 1;
-        self.n += 1;
-        self.write_meta()?;
         Ok(())
     }
 }
@@ -867,15 +763,13 @@ mod tests {
         }
     }
 
-    /// A 100-entry tree over `[i, i + 3]` with one appended tail entry,
-    /// flushed: its file, root page and tail head.
-    fn built_with_tail(e: &Env, name: &str) -> (PagedFile, PageId, PageId) {
+    /// A flushed 100-entry tree over `[i, i + 3]`: its file and root page.
+    fn built(e: &Env, name: &str) -> (PagedFile, PageId) {
         let entries = (0..100).map(|i| entry(i as f64, i as f64 + 3.0, i)).collect();
-        let mut tree = IntervalTree::build(e.create_file(name).unwrap(), 4, entries).unwrap();
-        tree.append(200.0, 201.0, &7u32.to_le_bytes()).unwrap();
+        let tree = IntervalTree::build(e.create_file(name).unwrap(), 4, entries).unwrap();
         tree.flush().unwrap();
-        let IntervalTree { file, root, tail_head, .. } = tree;
-        (file, root, tail_head)
+        let IntervalTree { file, root, .. } = tree;
+        (file, root)
     }
 
     /// Overwrite the `u32` at offset 4 (a count), or the `u64` at `off`.
@@ -890,12 +784,11 @@ mod tests {
 
     #[test]
     fn a_corrupt_meta_page_or_node_count_is_refused_not_trusted() {
-        // Every field of the meta page, and the count of an inner, a leaf
-        // and a tail block, patched to a value no tree here can have:
-        // `open` refuses the first kind and the first stab the second.
+        // Every field of the meta page, and the count of an inner and a
+        // leaf block, patched to a value no tree here can have: `open`
+        // refuses the first kind and the first stab the second.
         let e = env();
-        let built = |name: &str| built_with_tail(&e, name);
-        let (file, ..) = built("probe");
+        let (file, _) = built(&e, "probe");
         let past_end = file.num_blocks();
         for (off, value) in [
             (4, 5000),
@@ -906,19 +799,14 @@ mod tests {
             (40, 2),
             (48, 99),
         ] {
-            let (file, ..) = built(&format!("meta{off}"));
+            let (file, _) = built(&e, &format!("meta{off}"));
             patch(&file, 0, off, value);
             let opened = IntervalTree::open(file);
             assert!(matches!(opened, Err(IndexError::Corrupt(_))), "meta offset {off}");
         }
-        for node in ["inner", "leaf", "tail"] {
-            let (file, root, tail_head) = built(node);
-            let page = match node {
-                "inner" => root,
-                "leaf" => 1,
-                _ => tail_head,
-            };
-            patch(&file, page, 4, 1 << 20);
+        for node in ["inner", "leaf"] {
+            let (file, root) = built(&e, node);
+            patch(&file, if node == "inner" { root } else { 1 }, 4, 1 << 20);
             let tree = IntervalTree::open(file).unwrap();
             let stabbed = tree.stab(5.0, &mut |_, _, _| {});
             assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "{node} count");
@@ -927,27 +815,15 @@ mod tests {
 
     #[test]
     fn a_link_back_into_the_tree_or_its_tail_is_refused_not_followed() {
-        // The root's first child and the tail block's next link, each
-        // pointed at its own page: a stab that followed either would never
-        // return. It may visit no more pages than the file holds.
+        // The root's first child pointed at the root itself: a stab that
+        // followed it would never return. It may visit no more pages than
+        // the file holds.
         let e = env();
-        for node in ["inner", "tail"] {
-            let (file, root, tail_head) = built_with_tail(&e, node);
-            let (page, link) = match node {
-                "inner" => (root, INNER_HDR),
-                _ => (tail_head, 8),
-            };
-            patch(&file, page, link, page);
-            let tree = IntervalTree::open(file).unwrap();
-            let stabbed = tree.stab(5.0, &mut |_, _, _| {});
-            assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "{node} self-link");
-        }
-        // Appending to a tail block whose count is past its capacity.
-        let (file, _, tail_head) = built_with_tail(&e, "append");
-        patch(&file, tail_head, 4, 1 << 20);
-        let mut tree = IntervalTree::open(file).unwrap();
-        let appended = tree.append(300.0, 301.0, &8u32.to_le_bytes());
-        assert!(matches!(appended, Err(IndexError::Corrupt(_))));
+        let (file, root) = built(&e, "inner");
+        patch(&file, root, INNER_HDR, root);
+        let tree = IntervalTree::open(file).unwrap();
+        let stabbed = tree.stab(5.0, &mut |_, _, _| {});
+        assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "inner self-link");
     }
 
     #[test]
@@ -1064,51 +940,21 @@ mod tests {
     }
 
     #[test]
-    fn appended_entries_are_stabbed() {
-        let e = env();
-        let entries = vec![entry(0.0, 10.0, 1)];
-        let mut tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
-        for i in 0..50u32 {
-            let lo = 10.0 + i as f64;
-            tree.append(lo, lo + 2.0, &(100 + i).to_le_bytes()).unwrap();
-        }
-        assert_eq!(tree.len(), 51);
-        assert_eq!(tree.tail_count, 50);
-        // t=30.5 hits appended intervals [29,31] and [30,32].
-        assert_eq!(stab_tags(&tree, 30.5), vec![119, 120]);
-        // Static entry still found.
-        assert_eq!(stab_tags(&tree, 5.0), vec![1]);
-        // Boundary overlap between static and tail.
-        assert_eq!(stab_tags(&tree, 10.0), vec![1, 100]);
-    }
-
-    #[test]
-    fn needs_rebuild_after_many_appends() {
-        let e = env();
-        let entries = vec![entry(0.0, 1.0, 0)];
-        let mut tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
-        assert!(!tree.needs_rebuild());
-        for i in 0..300u32 {
-            tree.append(i as f64, i as f64 + 1.0, &i.to_le_bytes()).unwrap();
-        }
-        assert!(tree.needs_rebuild());
-    }
-
-    #[test]
     fn open_round_trips_with_tail() {
         let e = env();
-        let entries = vec![entry(0.0, 10.0, 1), entry(5.0, 7.0, 2)];
-        let mut tree = IntervalTree::build(e.create_file("it").unwrap(), 4, entries).unwrap();
-        tree.append(10.0, 12.0, &3u32.to_le_bytes()).unwrap();
-        tree.flush().unwrap();
-        let file = {
-            let IntervalTree { file, .. } = tree;
-            file
-        };
-        let tree2 = IntervalTree::open(file).unwrap();
-        assert_eq!(tree2.len(), 3);
-        assert_eq!(stab_tags(&tree2, 6.0), vec![1, 2]);
-        assert_eq!(stab_tags(&tree2, 11.0), vec![3]);
+        let (file, _) = built(&e, "it");
+        let tree = IntervalTree::open(file).unwrap();
+        assert_eq!(tree.len(), 100);
+        assert_eq!(stab_tags(&tree, 50.5), vec![48, 49, 50]);
+        // The meta page of a tree carrying a one-entry append tail, its
+        // counts consistent (100 static + 1 tail = 101): built trees have
+        // no tail, so `open` refuses it rather than skip the entry.
+        let IntervalTree { file, .. } = tree;
+        let tail = file.allocate(1).unwrap();
+        for (off, value) in [(16, 101), (24, tail), (32, tail), (40, 1)] {
+            patch(&file, 0, off, value);
+        }
+        assert!(matches!(IntervalTree::open(file), Err(IndexError::Corrupt(_))));
     }
 
     #[test]

@@ -5,19 +5,24 @@
 //! [`chronorank-storage`](chronorank_storage) block layer:
 //!
 //! * [`BPlusTree`] — a disk-based B+-tree over `f64` keys with fixed-size
-//!   payloads: bulk loading from sorted input, point inserts (splits),
-//!   lower-bound search, and leaf-linked range cursors. EXACT1 indexes all
-//!   `N` segments in one such tree; EXACT2 builds a forest of `m`; QUERY1's
-//!   nested breakpoint directory is two levels of them.
+//!   payloads: bulk loading from sorted input, lower-bound search, and
+//!   leaf-linked range cursors. EXACT1 indexes all `N` segments in one such
+//!   tree; EXACT2 builds a forest of `m`; QUERY1's nested breakpoint
+//!   directory is two levels of them.
 //! * [`IntervalTree`] — a disk-resident interval tree with stabbing
-//!   queries (`O(height + output/B)` IOs) and right-edge appends, the
-//!   backbone of EXACT3. Built bottom-up at leaf fill 1.0 from lo-sorted
-//!   streams via [`IntervalBulkLoader`].
+//!   queries (`O(height + output/B)` IOs), the backbone of EXACT3. Built
+//!   bottom-up at leaf fill 1.0 from lo-sorted streams via
+//!   [`IntervalBulkLoader`].
 //! * [`ExternalSorter`] — run-based external merge sort, used by every
 //!   streaming construction (the paper sorts all `N` segments before every
 //!   build). A run is its byte budget: `record_len` bytes plus a 4-byte
 //!   permutation slot per record, nothing beside it. There is no external
 //!   priority queue: every sweep here consumes a sorted stream.
+//!
+//! A built structure never changes: none of them has a method that takes
+//! `&mut self`. The paper's §4 right-edge appends are the live engine's
+//! (`chronorank-live`): it keeps them beside a frozen generation and
+//! bulk-loads the next one.
 //!
 //! All structures charge their block transfers to the
 //! [`IoCounter`](chronorank_storage::IoCounter) of the environment that

@@ -122,6 +122,44 @@ fn mass_doubling_triggers_an_epoch_swap_without_blocking_readers() {
     assert_top_matches(&oracle.top_k_bruteforce(oracle.t_min(), oracle.t_max(), 4), &got, "after");
 }
 
+/// The paper's §4 trigger at its own factor: at W = 1 with no tail
+/// bound, no build starts while a batch leaves the live mass below twice
+/// the built mass, the first batch that reaches it starts exactly one, and
+/// installing that build publishes generation 1.
+#[test]
+fn mass_doubling_starts_one_build_at_twice_the_built_mass_and_not_before() {
+    let generator =
+        StockGenerator::new(StockConfig { objects: 6, days: 12, readings_per_day: 6, seed: 17 });
+    let stream = AppendStream::from_generator(
+        &generator,
+        AppendStreamConfig { base_fraction: 0.25, batch: 4, ..Default::default() },
+    );
+    let config = LiveConfig {
+        workers: 1,
+        rebuild: RebuildPolicy { max_tail_segments: usize::MAX, ..Default::default() },
+        ..Default::default()
+    };
+    assert_eq!(config.rebuild.mass_factor, 2.0, "the paper's doubling");
+    let mut engine = IngestEngine::new(&stream.base_set(), config).unwrap();
+    let mut below = 0;
+    for batch in stream.batches() {
+        engine.append_batch(batch).unwrap();
+        let report = engine.report();
+        if report.live_mass < 2.0 * report.built_mass {
+            assert_eq!(report.rebuilds_in_flight, 0, "a build below doubling: {report}");
+            below += 1;
+            continue;
+        }
+        assert_eq!((report.rebuilds_in_flight, report.rebuilds), (1, 0), "{report}");
+        engine.finish_rebuilds();
+        let report = engine.report();
+        assert_eq!((report.generations, report.rebuilds, report.rebuilds_in_flight), (1, 1, 0));
+        assert!(below > 1, "the stream must cross 2× only after several batches ({below})");
+        return;
+    }
+    panic!("the appended mass never doubled the built mass");
+}
+
 #[test]
 fn tail_length_policy_also_triggers_rebuilds() {
     let stream = stock_stream(8, 16);

@@ -1,5 +1,6 @@
 //! Smoke coverage for the `examples/` directory: every example target must
-//! compile, and `quickstart` must run to completion and print its report.
+//! compile, and `quickstart`, `live_ticker` and `stock_volumes` must run to
+//! completion and print their reports.
 //!
 //! The child `cargo` processes use a dedicated target directory
 //! (`target/examples-smoke`): the parent `cargo test` invocation may hold
@@ -25,32 +26,34 @@ fn all_examples_build() {
     );
 }
 
-#[test]
-fn live_ticker_runs_to_completion() {
-    let out = cargo().args(["run", "--example", "live_ticker"]).output().expect("spawn cargo");
+/// Run `example` in debug and check that it exits zero and prints every
+/// one of `needles`.
+fn runs_to_completion(example: &str, needles: &[&str]) {
+    let out = cargo().args(["run", "--example", example]).output().expect("spawn cargo");
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "live_ticker exited nonzero:\nstdout:\n{}\nstderr:\n{}",
-        String::from_utf8_lossy(&out.stdout),
+        "{example} exited nonzero:\nstdout:\n{stdout}\nstderr:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["ticks/s", "top-10 tickers", "live report"] {
-        assert!(stdout.contains(needle), "live_ticker output missing {needle:?}:\n{stdout}");
+    for needle in needles {
+        assert!(stdout.contains(needle), "{example} output missing {needle:?}:\n{stdout}");
     }
 }
 
 #[test]
+fn live_ticker_runs_to_completion() {
+    runs_to_completion("live_ticker", &["ticks/s", "top-10 tickers", "live report"]);
+}
+
+#[test]
 fn quickstart_runs_to_completion() {
-    let out = cargo().args(["run", "--example", "quickstart"]).output().expect("spawn cargo");
-    assert!(
-        out.status.success(),
-        "quickstart exited nonzero:\nstdout:\n{}\nstderr:\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["dataset: m = ", "IO cost", "precision/recall"] {
-        assert!(stdout.contains(needle), "quickstart output missing {needle:?}:\n{stdout}");
-    }
+    runs_to_completion("quickstart", &["dataset: m = ", "IO cost", "precision/recall"]);
+}
+
+/// The example asserts its live engine's answer over the appended
+/// half-day against brute force, so a run to completion is a check.
+#[test]
+fn stock_volumes_runs_to_completion() {
+    runs_to_completion("stock_volumes", &["top-20 tickers", "live tail", "verified against"]);
 }

@@ -15,15 +15,16 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn btree_survives_reopen_from_disk() {
     let dir = tmpdir("btree");
     let cfg = StoreConfig { block_size: 512, pool_capacity: 16 };
+    // Half-step keys, and one quarter-step key with its own payload.
+    let mut model: Vec<(f64, u64)> = (0..5000u64).map(|i| (i as f64 * 0.5, i)).collect();
+    model.insert(247, (123.25, 999_999));
     {
         let env = Env::dir(&dir, cfg).unwrap();
         let mut loader = BulkLoader::new(env.create_file("tree").unwrap(), 8).unwrap();
-        for i in 0..5000u64 {
-            loader.push(i as f64 * 0.5, &i.to_le_bytes()).unwrap();
+        for &(k, v) in &model {
+            loader.push(k, &v.to_le_bytes()).unwrap();
         }
-        let mut tree = loader.finish().unwrap();
-        tree.insert(123.25, &999_999u64.to_le_bytes()).unwrap();
-        tree.flush().unwrap();
+        loader.finish().unwrap().flush().unwrap();
     }
     // Reopen through a fresh device + pool.
     let device = FileDevice::open(&dir.join("tree"), 512).unwrap();
@@ -32,15 +33,15 @@ fn btree_survives_reopen_from_disk() {
     assert_eq!(tree.len(), 5001);
     let c = tree.seek(123.25).unwrap();
     assert!(c.valid());
-    assert_eq!(c.key(), 123.25);
-    // Scan a range across leaf boundaries.
-    let mut c = tree.seek(1000.0).unwrap();
-    let mut count = 0;
-    while c.valid() && c.key() < 1010.0 {
-        count += 1;
+    assert_eq!((c.key(), c.payload()), (123.25, &999_999u64.to_le_bytes()[..]));
+    // Every entry comes back in key order, across leaf boundaries.
+    let mut c = tree.cursor_first().unwrap();
+    let mut scanned = Vec::new();
+    while c.valid() {
+        scanned.push((c.key(), u64::from_le_bytes(c.payload().try_into().unwrap())));
         c.advance().unwrap();
     }
-    assert_eq!(count, 20, "20 half-step keys in [1000, 1010)");
+    assert_eq!(scanned, model);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -48,34 +49,30 @@ fn btree_survives_reopen_from_disk() {
 fn interval_tree_survives_reopen_from_disk() {
     let dir = tmpdir("itree");
     let cfg = StoreConfig { block_size: 512, pool_capacity: 16 };
+    // 2,000 ten-wide intervals and one long one past them.
+    let spans: Vec<(f64, f64)> =
+        (0..2000).map(|i| (i as f64, i as f64 + 10.0)).chain([(2500.0, 2600.0)]).collect();
     {
         let env = Env::dir(&dir, cfg).unwrap();
-        let entries: Vec<IntervalEntry> = (0..2000u32)
-            .map(|i| IntervalEntry {
-                lo: i as f64,
-                hi: i as f64 + 10.0,
-                payload: i.to_le_bytes().to_vec(),
-            })
+        let entries: Vec<IntervalEntry> = (0u32..)
+            .zip(&spans)
+            .map(|(i, &(lo, hi))| IntervalEntry { lo, hi, payload: i.to_le_bytes().to_vec() })
             .collect();
-        let mut tree = IntervalTree::build(env.create_file("itree").unwrap(), 4, entries).unwrap();
-        tree.append(2500.0, 2600.0, &7777u32.to_le_bytes()).unwrap();
+        let tree = IntervalTree::build(env.create_file("itree").unwrap(), 4, entries).unwrap();
         tree.flush().unwrap();
     }
     let device = FileDevice::open(&dir.join("itree"), 512).unwrap();
     let file = PagedFile::new(Box::new(device), cfg, Default::default());
     let tree = IntervalTree::open(file).unwrap();
     assert_eq!(tree.len(), 2001);
-    let mut hits = Vec::new();
-    tree.stab(1005.5, &mut |_, _, p| {
-        hits.push(u32::from_le_bytes(p.try_into().unwrap()));
-    })
-    .unwrap();
-    hits.sort();
-    // Intervals [996,1006]..[1005,1015] contain 1005.5.
-    assert_eq!(hits, (996..=1005).collect::<Vec<u32>>());
-    let mut tail_hits = 0;
-    tree.stab(2550.0, &mut |_, _, _| tail_hits += 1).unwrap();
-    assert_eq!(tail_hits, 1, "appended tail entry visible after reopen");
+    // Intervals [996,1006]..[1005,1015] contain 1005.5; only the long one
+    // contains 2550.
+    for (t, want) in [(1005.5, (996..=1005).collect::<Vec<u32>>()), (2550.0, vec![2000])] {
+        let mut hits = Vec::new();
+        tree.stab(t, &mut |_, _, p| hits.push(u32::from_le_bytes(p.try_into().unwrap()))).unwrap();
+        hits.sort();
+        assert_eq!(hits, want, "stab at {t}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
