@@ -17,8 +17,11 @@
 #   doc               cargo doc --no-deps             (RUSTDOCFLAGS="-D warnings")
 #   tier1             cargo build --release && cargo test -q, then the
 #                     counts tests/resident_build_counts.rs pins (blocks
-#                     written, blocks read, allocations per shard build,
-#                     heap bytes held per index byte and per live point),
+#                     written, blocks read, index bytes a default serve
+#                     shard holds per segment, allocations per shard
+#                     build, heap bytes held per index byte, index bytes
+#                     per segment and heap bytes per live point of a live
+#                     engine),
 #                     the ones tests/streaming_build_counts.rs pins (peak
 #                     heap beyond the ScaleBudget, heap held and blocks a
 #                     drop_caches writes after each out-of-core build),
@@ -37,8 +40,10 @@
 #                     tests/paper_claims.rs pins (per generator — Temp,
 #                     Meme, Stock at N ≈ 10⁵ — cold reads per query of
 #                     EXACT1 / EXACT3 / APPX1 / APPX2 / APPX2+ against the
-#                     paper's EXACT3 bound, and APPX precision, ratio and
-#                     worst error vs EXACT3; then the blocks 64 Zipf
+#                     paper's EXACT3 bound, APPX precision, ratio and
+#                     worst error vs EXACT3, and APPX2+'s re-scoring reads
+#                     per candidate; then EXACT3 vs APPX2+ cold reads on
+#                     an exact_cold-shaped shard, and the blocks 64 Zipf
 #                     queries read solo against one execute window), the
 #                     one tests/shard_workers.rs pins (worker threads that
 #                     probed each shard of a W = 4 pool under 4 callers:
@@ -46,7 +51,7 @@
 #                     and socket read/write timeouts in tests/,
 #                     crates/*/tests and the #[cfg(test)] part of every
 #                     crates/*/src file (must be 0: tests wait on events,
-#                     not time) — 26 lines, echoed
+#                     not time) — 31 lines, echoed
 #                     into the summary below the timings —
 #                     and below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
@@ -106,7 +111,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; 26 lines)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; 31 lines)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }

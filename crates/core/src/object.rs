@@ -211,10 +211,11 @@ impl TemporalSet {
     }
 
     /// Serialize every curve with exact `f64` bits: `m`, then per object
-    /// the point count followed by its `(t, v)` pairs. The persistent
-    /// generation image stores this instead of re-parsing a CSV snapshot
-    /// on recovery; [`TemporalSet::from_bytes`] reproduces a bit-identical
-    /// set (statistics are recomputed from the same bits).
+    /// the point count followed by its `(t, v)` pairs — a blob of the
+    /// set's size for a caller that writes one out. Nothing in the
+    /// workspace parses it back: a live checkpoint stores the columnar
+    /// form ([`TemporalSet::to_columnar`]), whose reader checks every count
+    /// against the blob's length before it allocates.
     pub fn to_bytes(&self) -> Vec<u8> {
         let total_points: usize = self.objects.iter().map(|o| o.curve.num_points()).sum();
         let mut out = Vec::with_capacity(4 + 4 * self.objects.len() + 16 * total_points);
@@ -227,40 +228,6 @@ impl TemporalSet {
             }
         }
         out
-    }
-
-    /// Inverse of [`TemporalSet::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let corrupt = || CoreError::BadQuery("corrupt serialized temporal set".into());
-        let mut at = 0usize;
-        let u32_at = |at: &mut usize| -> Result<u32> {
-            let v = bytes.get(*at..*at + 4).ok_or_else(corrupt)?;
-            *at += 4;
-            Ok(u32::from_le_bytes(v.try_into().expect("4 bytes")))
-        };
-        let m = u32_at(&mut at)? as usize;
-        let mut objects = Vec::with_capacity(m);
-        for id in 0..m {
-            let n_points = u32_at(&mut at)? as usize;
-            let mut times = Vec::with_capacity(n_points);
-            let mut values = Vec::with_capacity(n_points);
-            for _ in 0..n_points {
-                let raw = bytes.get(at..at + 16).ok_or_else(corrupt)?;
-                times.push(f64::from_bits(u64::from_le_bytes(
-                    raw[..8].try_into().expect("8 bytes"),
-                )));
-                values.push(f64::from_bits(u64::from_le_bytes(
-                    raw[8..].try_into().expect("8 bytes"),
-                )));
-                at += 16;
-            }
-            let curve = PiecewiseLinear::from_times_values(times, values)?;
-            objects.push(TemporalObject { id: id as ObjectId, curve });
-        }
-        if at != bytes.len() {
-            return Err(corrupt());
-        }
-        Self::from_objects(objects)
     }
 
     /// Freeze every curve into columnar (structure-of-arrays) storage —

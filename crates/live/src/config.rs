@@ -31,7 +31,8 @@ impl Default for RebuildPolicy {
 pub struct LiveConfig {
     /// Ingest/serve shard count `W`; clamped to `[1, m]`.
     pub workers: usize,
-    /// Which methods every generation builds (EXACT3 always).
+    /// Which methods every generation builds (EXACT3 always). The default
+    /// is [`MethodSet::default`] with APPX2+ on.
     pub methods: MethodSet,
     /// Parameters of the generation-local approximate indexes.
     pub approx: ApproxConfig,
@@ -51,7 +52,11 @@ impl Default for LiveConfig {
     fn default() -> Self {
         Self {
             workers: 1,
-            methods: MethodSet::default(),
+            // A generation's APPX2+ is a view over the QUERY2 structure
+            // APPX2 builds anyway, re-scored from the shard's columns: no
+            // prefix file, no index bytes and no reads of its own, so live
+            // keeps the route serve shards leave out by default.
+            methods: MethodSet { appx2_plus: true, ..MethodSet::default() },
             approx: ApproxConfig::default(),
             store: StoreConfig::default(),
             cache_capacity: 1024,

@@ -33,7 +33,11 @@
 //!    | `ε`-budget, tight ranks, no APPX1 | APPX2+ (§3.3) | `O(k log r log_B n)` |
 //!
 //!    with an exact fallback whenever the budget is unsatisfiable (`ε`
-//!    below the achieved breakpoint `ε`, or `k > kmax`);
+//!    below the achieved breakpoint `ε`, `k > kmax`, or no built method
+//!    gives the ranks asked for). A default [`MethodSet`] builds EXACT3
+//!    and APPX2 only: APPX2+ pays for its prefix file only on dense shards
+//!    or above about 30 k objects per shard, so a tight-ranks query gets
+//!    EXACT3's exact answer unless the caller opts in to APPX1 or APPX2+;
 //! 3. **caches** approximate answers in a shard-local [`ResultCache`]
 //!    keyed on the *snapped* breakpoint pair `(B(t1), B(t2), k)` ([`ProbeKey`])
 //!    — sound precisely for the routes whose answers depend only on the

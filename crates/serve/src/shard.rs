@@ -449,11 +449,13 @@ mod tests {
     use chronorank_storage::IoCounter;
     use chronorank_workloads::{DatasetGenerator, TempConfig, TempGenerator};
 
+    /// A shard that builds APPX2+ beside APPX2, so the two share QUERY2.
     fn shard() -> (TemporalSet, Shard) {
         let set =
             TempGenerator::new(TempConfig { objects: 200, avg_segments: 40, ..Default::default() })
                 .generate_set();
-        let cfg = ServeConfig { cache_capacity: 0, ..Default::default() };
+        let methods = MethodSet { appx2_plus: true, ..Default::default() };
+        let cfg = ServeConfig { cache_capacity: 0, methods, ..Default::default() };
         let shard = Shard::build(&set, &cfg).unwrap();
         (set, shard)
     }

@@ -243,6 +243,34 @@ fn build_failures_surface_instead_of_hanging() {
     }
 }
 
+/// A default engine builds no APPX2+ (and no APPX1), so no built method
+/// gives tight ranks: the query gets EXACT3's exact answer — the exact
+/// query's, bit for bit, and brute force's ranking (EXACT3 sums a score
+/// in another order, so the last bit may differ). Opting in to APPX2+
+/// gives the query its own route back.
+#[test]
+fn a_default_engine_answers_tight_ranks_exactly() {
+    let set = dataset(60);
+    let (t1, t2) = (set.t_min() + 0.2 * set.span(), set.t_min() + 0.6 * set.span());
+    let q = ServeQuery::approx_tight(t1, t2, 8, 0.3);
+    let truth = set.top_k_bruteforce(t1, t2, 8);
+    for w in [1usize, 3] {
+        let engine = ServeEngine::new(&set, config(w)).unwrap();
+        assert_eq!(engine.route_for(&q), Route::Exact3, "W = {w}");
+        let (got, route) = engine.query_routed(q).unwrap();
+        assert_eq!(route, Route::Exact3, "W = {w}");
+        let exact = engine.query(ServeQuery::exact(t1, t2, 8)).unwrap();
+        assert_same_bits(&exact, &got, &format!("W = {w}"));
+        assert_eq!(got.ids(), truth.ids(), "W = {w}");
+        for (g, t) in got.scores().iter().zip(truth.scores()) {
+            assert!((g - t).abs() <= 1e-12 * t.abs(), "W = {w}: {g} vs {t}");
+        }
+    }
+    let methods = MethodSet { appx2_plus: true, ..Default::default() };
+    let opted_in = ServeEngine::new(&set, ServeConfig { methods, ..config(3) }).unwrap();
+    assert_eq!(opted_in.route_for(&q), Route::Appx2Plus);
+}
+
 #[test]
 fn methods_can_be_trimmed_to_exact3_only() {
     let set = dataset(30);

@@ -18,7 +18,7 @@
 use chronorank::core::{AppendRecord, TemporalSet, TopK};
 use chronorank::live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank::net::{NetClient, NetConfig, NetServer};
-use chronorank::serve::{ServeConfig, ServeEngine, ServeQuery};
+use chronorank::serve::{MethodSet, ServeConfig, ServeEngine, ServeQuery};
 use chronorank::workloads::{
     AppendStream, AppendStreamConfig, ClosedLoopTraffic, DatasetGenerator, IntervalPattern,
     QueryWorkloadConfig, TempConfig, TempGenerator, TrafficConfig,
@@ -48,6 +48,13 @@ fn assert_bit_identical(want: &TopK, got: &TopK, ctx: &str) {
     for (j, (ws, gs)) in want.scores().iter().zip(got.scores()).enumerate() {
         assert_eq!(ws.to_bits(), gs.to_bits(), "{ctx} rank {j}: {ws} vs {gs}");
     }
+}
+
+/// A serve engine that builds APPX2+, so the tight-ranks third of
+/// [`mixed_queries`] takes an approximate route rather than EXACT3.
+fn serve_config(workers: usize) -> ServeConfig {
+    let methods = MethodSet { appx2_plus: true, ..Default::default() };
+    ServeConfig { workers, methods, ..Default::default() }
 }
 
 /// A mixed-route query stream: exact, loose-ε, and tight-ranks queries.
@@ -83,7 +90,7 @@ fn wire_topk_is_bit_identical_to_in_process_serve() {
     let set = temp_set(80);
     let queries = mixed_queries(&set, 24);
     for w in worker_widths() {
-        let cfg = ServeConfig { workers: w, ..Default::default() };
+        let cfg = serve_config(w);
         let oracle = ServeEngine::new(&set, cfg).unwrap();
         let server = NetServer::start_serve(set.clone(), cfg, NetConfig::default()).unwrap();
         let mut client = NetClient::connect(server.local_addr()).unwrap();
@@ -104,7 +111,7 @@ fn pipelined_wire_answers_match_in_process_in_order() {
     let set = temp_set(60);
     let queries = mixed_queries(&set, 40);
     for w in worker_widths() {
-        let cfg = ServeConfig { workers: w, ..Default::default() };
+        let cfg = serve_config(w);
         let oracle = ServeEngine::new(&set, cfg).unwrap();
         let server = NetServer::start_serve(set.clone(), cfg, NetConfig::default()).unwrap();
         let mut client = NetClient::connect(server.local_addr()).unwrap();

@@ -7,6 +7,9 @@
 //!   with APPX2+ indistinguishable from exact;
 //! * §5: cold block reads order EXACT1 ≫ EXACT3 ≫ APPX, and EXACT3 reads at
 //!   most the paper's `2·(log_B N + m/B)`;
+//! * what APPX2+'s exact re-scoring costs: its reads beyond APPX2's per
+//!   candidate, and on a dense shard the one place it reads less than
+//!   EXACT3 — the tradeoff serve shards' default method set rests on;
 //! * batching: one `execute` window probes each shared key once, so it
 //!   reads at most a third of what its queries read one at a time;
 //! * §4: `avg` ranks like `sum`, negative scores keep the `(ε, 1)` bound
@@ -19,13 +22,13 @@
 use chronorank::core::metrics;
 use chronorank::core::{
     AggKind, ApproxConfig, ApproxIndex, ApproxVariant, B2Construction, Breakpoints, Exact1, Exact2,
-    Exact3, IndexConfig, QueryKind, RankMethod, TemporalSet,
+    Exact3, IndexConfig, QueryKind, RankMethod, TemporalSet, TopK,
 };
 use chronorank::obs::SpanSink;
 use chronorank::serve::{ServeConfig, ServeEngine, ServeQuery};
 use chronorank::storage::{Env, StoreConfig};
 use chronorank::workloads::{
-    DatasetGenerator, IntervalPattern, MemeConfig, MemeGenerator, QueryWorkload,
+    DatasetGenerator, IntervalPattern, MemeConfig, MemeGenerator, QueryInterval, QueryWorkload,
     QueryWorkloadConfig, RandomWalkConfig, RandomWalkGenerator, StockConfig, StockGenerator,
     TempConfig, TempGenerator,
 };
@@ -63,6 +66,8 @@ struct Claims {
     name: &'static str,
     /// Cold block reads per query: EXACT1, EXACT3, APPX1, APPX2, APPX2+.
     reads: [f64; 5],
+    /// Distinct QUERY2 candidates APPX2+ re-scores per query.
+    candidates: f64,
     /// The paper's EXACT3 bound `2·(log_B N + m/B)`, `B` = block / 16.
     exact3_bound: f64,
     gated: bool,
@@ -75,6 +80,39 @@ struct Claims {
     outside: [usize; 3],
     /// The first answer outside its bound, for the failure message.
     first_outside: Option<String>,
+}
+
+impl Claims {
+    /// What APPX2+'s prefix file costs a query over APPX2: its cold reads
+    /// beyond QUERY2's, per candidate it re-scores.
+    fn reads_per_candidate(&self) -> f64 {
+        (self.reads[4] - self.reads[3]) / self.candidates
+    }
+}
+
+/// Each generator's 20 uniform queries: span 0.2, `k` = 20.
+fn queries(set: &TemporalSet) -> Vec<QueryInterval> {
+    QueryWorkload::new(
+        QueryWorkloadConfig {
+            count: 20,
+            span_fraction: 0.2,
+            k: K,
+            seed: QUERY_SEED,
+            ..Default::default()
+        },
+        set.t_min(),
+        set.t_max(),
+    )
+    .generate()
+}
+
+/// One query on empty pools and a zeroed counter: the answer and the
+/// block reads it cost.
+fn cold_top_k(method: &dyn RankMethod, q: &QueryInterval) -> (TopK, u64) {
+    method.drop_caches().unwrap();
+    method.reset_io();
+    let answer = method.top_k(q.t1, q.t2, q.k, AggKind::Sum).unwrap();
+    (answer, method.io_stats().reads)
 }
 
 /// Build EXACT1, EXACT3 and APPX1 / APPX2 / APPX2+ over one fitted B2 set
@@ -102,33 +140,21 @@ fn measure(name: &'static str, set: &TemporalSet, gated: bool) -> Claims {
     .unwrap();
     let methods: [&dyn RankMethod; 5] = [&e1, &e3, &appx1, &appx2, &plus];
 
-    let queries = QueryWorkload::new(
-        QueryWorkloadConfig {
-            count: 20,
-            span_fraction: 0.2,
-            k: K,
-            seed: QUERY_SEED,
-            ..Default::default()
-        },
-        set.t_min(),
-        set.t_max(),
-    )
-    .generate();
+    let queries = queries(set);
     let (mut reads, mut precision, mut ratio, mut worst) =
         ([0u64; 5], [0.0; 3], [0.0; 3], [0.0; 3]);
-    let (mut outside, mut first_outside) = ([0; 3], None);
+    let (mut outside, mut first_outside, mut candidates) = ([0; 3], None, 0);
     for q in &queries {
         let answers: Vec<_> = methods
             .iter()
             .zip(&mut reads)
             .map(|(m, reads)| {
-                m.drop_caches().unwrap();
-                m.reset_io();
-                let answer = m.top_k(q.t1, q.t2, q.k, AggKind::Sum).unwrap();
-                *reads += m.io_stats().reads;
+                let (answer, cold) = cold_top_k(*m, q);
+                *reads += cold;
                 answer
             })
             .collect();
+        candidates += plus.candidates(q.t1, q.t2, q.k).unwrap().len();
         let exact = &answers[1];
         for (j, approx) in answers[2..].iter().enumerate() {
             let label = methods[j + 2].name();
@@ -157,6 +183,7 @@ fn measure(name: &'static str, set: &TemporalSet, gated: bool) -> Claims {
     Claims {
         name,
         reads: reads.map(|r| r as f64 / n),
+        candidates: candidates as f64 / n,
         exact3_bound: 2.0 * (log_b_n + set.num_objects() as f64 / b),
         gated,
         precision: precision.map(|p| p / n),
@@ -192,6 +219,13 @@ fn the_section_5_claims_hold_on_temp_meme_and_stock() {
             join(&c.worst, 3),
             c.outside.map(|o| o.to_string()).join(" / "),
         );
+        println!(
+            "pinned: {} APPX2+ re-scoring reads per distinct candidate: {:.2} \
+             ({:.1} candidates per query)",
+            c.name,
+            c.reads_per_candidate(),
+            c.candidates,
+        );
     }
     for c in &claims {
         let first = c.first_outside.as_deref().unwrap_or_default();
@@ -204,7 +238,34 @@ fn the_section_5_claims_hold_on_temp_meme_and_stock() {
         assert!(p_plus >= 0.95, "{}: APPX2+ precision {p_plus}", c.name);
         assert!((c.ratio[2] - 1.0).abs() <= 1e-9, "{}: APPX2+ ratio {}", c.name, c.ratio[2]);
         assert!(p1 >= 0.7 && p2 >= 0.7, "{}: APPX1 / APPX2 precision {p1} / {p2}", c.name);
+        let per_candidate = c.reads_per_candidate();
+        assert!(per_candidate <= 2.0, "{}: {per_candidate} reads per candidate", c.name);
     }
+}
+
+/// The tradeoff behind serve shards leaving APPX2+ out by default, on one
+/// shard of the benchmark's `exact_cold` engine (Temp, m = 2000,
+/// n_avg = 100, every object alive at every `t`): on a shard this dense
+/// APPX2+ reads fewer blocks than EXACT3, where on Meme and Stock at
+/// N ≈ 10⁵ it reads about four times as many.
+#[test]
+fn on_a_dense_exact_cold_shard_appx2plus_reads_less_than_exact3() {
+    let set =
+        TempGenerator::new(TempConfig { objects: 2000, avg_segments: 100, ..Default::default() })
+            .generate_set();
+    let e3 = Exact3::build(&set, IndexConfig::default()).unwrap();
+    let plus =
+        ApproxIndex::build(&set, ApproxVariant::APPX2_PLUS, ApproxConfig::default()).unwrap();
+    let queries = queries(&set);
+    let mean = |m: &dyn RankMethod| {
+        queries.iter().map(|q| cold_top_k(m, q).1).sum::<u64>() as f64 / queries.len() as f64
+    };
+    let (exact3, appx2_plus) = (mean(&e3), mean(&plus));
+    println!(
+        "pinned: exact_cold shard (temp 2000 × 100) cold reads per query EXACT3 / APPX2+: \
+         {exact3:.1} / {appx2_plus:.1}"
+    );
+    assert!(appx2_plus < exact3, "APPX2+ {appx2_plus} vs EXACT3 {exact3}");
 }
 
 /// The 64 Zipf queries (8 hot spots) on a W = 2 engine with no result

@@ -8,8 +8,11 @@
 //! scratch copy: the build's whole IO is the tree's pages going out once,
 //! and nothing is allocated per record. The indexes sit on memory devices
 //! whose blocks the buffer pools share rather than copy, so a built shard
-//! holds its index bytes once. A live generation's index bytes per segment
-//! are pinned beside the fifth: its APPX2+ keeps no prefix file.
+//! holds its index bytes once. Beside them, the index bytes a default
+//! shard holds per segment: the EXACT3 tree and APPX2's QUERY2 structure,
+//! with no APPX2+ prefix file (74.56 with one). A live generation's index
+//! bytes per segment are pinned beside the fifth: its APPX2+ keeps no
+//! prefix file either.
 //!
 //! One test, so nothing else in the process allocates while it counts;
 //! `ci.sh`'s `tier1` stage echoes the `pinned:` lines into its summary.
@@ -104,6 +107,9 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
     )
     .unwrap();
     let allocations = counting::allocations() - before;
+    let per_segment = built.size_bytes as f64 / set.num_segments() as f64;
+    println!("pinned: index bytes a default serve shard holds per segment: {per_segment:.2}");
+    assert!(per_segment <= 51.0, "{} index bytes for 194,334 segments", built.size_bytes);
     println!("pinned: allocations per shard build: {allocations}");
     assert!(allocations <= 15_000, "{allocations} allocations for one shard build");
 
