@@ -21,12 +21,13 @@
 //!   crossed the threshold), achieving the paper's Lemma 1
 //!   `O(N log N)` bound. Both produce identical breakpoints.
 //!   [`Breakpoints::b2_with_count`] fits `ε` to a breakpoint budget `r`
-//!   with a few sweeps over one prepared segment run.
+//!   with a few sweeps over one prepared merge order.
 //!
 //! There is one BREAKPOINTS2 sweep, `B2Sweeper`: one loop over the queue Q
 //! and one `commit`, generic only over what feeds it segments. A resident
-//! [`TemporalSet`] feeds a sorted `Vec` (`ResidentRun`);
-//! [`crate::b2_streaming`] feeds an external sort's merge. Its state is
+//! [`TemporalSet`] feeds an `m`-way merge of its curves, kept as one object
+//! id per segment (`ResidentRun`); [`crate::b2_streaming`] feeds an
+//! external sort's merge. Its state is
 //! `O(m)`: of everything it has consumed, the sweep keeps **one segment per
 //! object, the last one**. That is all a re-base can ask about, because
 //! when object `i` is re-based at breakpoint `b`, every segment consumed
@@ -47,10 +48,9 @@
 //! and every threshold use absolute mass.
 
 use crate::error::{CoreError, Result};
-use crate::object::TemporalSet;
+use crate::object::{TemporalSet, TimeOrdered};
 use chronorank_curve::numeric::accumulation_crossing;
 use chronorank_curve::{PiecewiseLinear, Segment};
-use std::borrow::Cow;
 
 /// Which of the paper's two breakpoint families a [`Breakpoints`] set is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,8 +133,8 @@ impl Breakpoints {
     /// The count of a B2 sweep lies between `max_i M_i / (εM)` (the
     /// heaviest object alone forces that many cuts) and `1/ε` (B1's
     /// count), so the `ε*` whose sweep yields `r` points satisfies
-    /// `max_i M_i / ((r−1)·M) ≤ ε* ≤ 1/(r−1)`. The fit prepares the sorted
-    /// segment run once, sweeps the upper end of that bracket (always a
+    /// `max_i M_i / ((r−1)·M) ≤ ε* ≤ 1/(r−1)`. The fit prepares the merge
+    /// order once, sweeps the upper end of that bracket (always a
     /// valid answer), then closes in on `r`: log–log interpolation between
     /// the bracket ends once both have been swept, else `count ∝ 1/ε`
     /// around the latest trial, else bisection. A trial is abandoned as
@@ -285,16 +285,15 @@ pub(crate) fn check_eps(eps: f64) -> Result<()> {
 // Absolute-value curve view (negative-score handling, §4)
 // ---------------------------------------------------------------------------
 
-/// The curves the sweeps actually integrate: `|g_i|` in id order,
-/// materialized only when negatives exist.
-type AbsCurves<'a> = Vec<Cow<'a, PiecewiseLinear>>;
-
-fn abs_curves(set: &TemporalSet) -> Result<AbsCurves<'_>> {
+/// The curves the sweeps actually integrate, `|g_i|` in id order:
+/// materialized only when negatives exist, else clones that share the
+/// set's columns.
+fn abs_curves(set: &TemporalSet) -> Result<Vec<PiecewiseLinear>> {
     let curves = set.objects().iter().map(|o| &o.curve);
     if set.has_negative() {
-        curves.map(|c| abs_curve(c).map(Cow::Owned)).collect()
+        curves.map(abs_curve).collect()
     } else {
-        Ok(curves.map(Cow::Borrowed).collect())
+        Ok(curves.cloned().collect())
     }
 }
 
@@ -329,7 +328,7 @@ struct Event {
     dv: f64,
 }
 
-fn b1_events(curves: &AbsCurves<'_>) -> Vec<Event> {
+fn b1_events(curves: &[PiecewiseLinear]) -> Vec<Event> {
     let mut events: Vec<Event> = Vec::new();
     for c in curves {
         let first = c.segment(0);
@@ -602,27 +601,26 @@ fn earlier(a: f64, b: f64) -> f64 {
     }
 }
 
-/// What the sweeps over one resident set share: the `|g_i|` view and all
-/// its segments as `(t0, object, index)` sorted by left endpoint (the
-/// paper's queue Q), prepared once. A count fit runs several sweeps over it.
-struct ResidentRun<'a> {
-    curves: AbsCurves<'a>,
-    segs: Vec<(f64, u32, u32)>,
+/// What the sweeps over one resident set share: the `|g_i|` view and the
+/// paper's queue Q over it, prepared once as the object of every segment in
+/// left-endpoint order — one [`TimeOrdered`] merge of the curves (ties in
+/// object order, as the streamed sort breaks them), 4 bytes a segment. A
+/// sweep replays it with a cursor per object; a count fit runs several.
+struct ResidentRun {
+    curves: Vec<PiecewiseLinear>,
+    order: Vec<u32>,
     construction: B2Construction,
     domain: (f64, f64),
 }
 
-impl<'a> ResidentRun<'a> {
-    fn new(set: &'a TemporalSet, construction: B2Construction) -> Result<Self> {
+impl ResidentRun {
+    fn new(set: &TemporalSet, construction: B2Construction) -> Result<Self> {
         let curves = abs_curves(set)?;
-        let mut segs: Vec<(f64, u32, u32)> = Vec::with_capacity(set.num_segments() as usize);
-        for (i, c) in curves.iter().enumerate() {
-            for j in 0..c.num_segments() {
-                segs.push((c.segment(j).t0, i as u32, j as u32));
-            }
+        let mut order = Vec::with_capacity(curves.iter().map(|c| c.num_segments()).sum());
+        for item in TimeOrdered::new(curves.iter().map(|c| (c.times(), c.values())).collect()) {
+            order.push(item?.0);
         }
-        segs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Ok(Self { curves, segs, construction, domain: (set.t_min(), set.t_max()) })
+        Ok(Self { curves, order, construction, domain: (set.t_min(), set.t_max()) })
     }
 
     /// Heaviest single object's absolute mass, `max_i M_i`.
@@ -633,10 +631,12 @@ impl<'a> ResidentRun<'a> {
     /// One sweep over the run.
     fn sweep(&self, tau: f64, limit: usize) -> Result<Sweep> {
         let m = self.curves.len();
-        let segments = self
-            .segs
-            .iter()
-            .map(|&(_, obj, j)| Ok((obj, self.curves[obj as usize].segment(j as usize))));
+        let mut cursor = vec![0usize; m];
+        let segments = self.order.iter().map(|&obj| {
+            let j = &mut cursor[obj as usize];
+            *j += 1;
+            Ok((obj, self.curves[obj as usize].segment(*j - 1)))
+        });
         B2Sweeper::sweep(m, self.construction, self.domain, tau, limit, segments)
             .map(|(sweep, _)| sweep)
     }

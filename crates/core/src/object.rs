@@ -165,7 +165,8 @@ impl TemporalSet {
 
     /// Every segment of the set in global start-time order (see
     /// [`TimeOrdered`]) — what a resident EXACT1 / EXACT3 build loads its
-    /// tree from.
+    /// tree from. A resident BREAKPOINTS2 sweep runs the same merge over
+    /// the `|g_i|` curves and keeps only its object order.
     pub fn time_ordered(&self) -> TimeOrdered<'_> {
         TimeOrdered::new(self.objects.iter().map(|o| (o.curve.times(), o.curve.values())).collect())
     }
@@ -305,7 +306,10 @@ impl TemporalSet {
 /// `chronorank_index::ExternalSorter` (stable run sort, run index as the
 /// merge tie-break) hands the streamed builds. Memory is `O(m)`, `64·m`
 /// bytes: the borrowed point columns, the heap, each object's next segment
-/// and its running prefix sum.
+/// and its running prefix sum. The resident EXACT1 / EXACT3 loaders read
+/// it, and so does a resident BREAKPOINTS2 run, which keeps only the
+/// object of each segment (4 bytes a segment) and replays that order once
+/// per sweep of a count fit.
 ///
 /// Yields `(object, segment, prefix)`, `prefix` being `σ_i` through the end
 /// of that segment — the running sum of [`Segment::integral_full`] in
@@ -331,7 +335,7 @@ fn total_order_bits(t: f64) -> u64 {
 impl<'a> TimeOrdered<'a> {
     /// Merge objects given as point columns (`n + 1` points = `n`
     /// segments; ids are positions).
-    fn new(columns: Vec<(&'a [f64], &'a [f64])>) -> Self {
+    pub(crate) fn new(columns: Vec<(&'a [f64], &'a [f64])>) -> Self {
         let heap = columns
             .iter()
             .zip(0u32..)
@@ -462,6 +466,27 @@ mod tests {
         assert_eq!(s.t_max(), 20.0);
         assert!(s.append_segment(9, 30.0, 0.0).is_err());
         assert!(s.append_segment(0, 1.0, 0.0).is_err(), "must extend rightward");
+    }
+
+    #[test]
+    fn appending_to_a_cloned_set_leaves_the_original_bit_for_bit() {
+        let original = set();
+        let bits = |s: &TemporalSet| -> Vec<u64> {
+            let columns = s.objects().iter().flat_map(|o| [o.curve.times(), o.curve.values()]);
+            columns.flatten().map(|x| x.to_bits()).collect()
+        };
+        let before = bits(&original);
+        let mut clone = original.clone();
+        for (a, b) in original.objects().iter().zip(clone.objects()) {
+            assert_eq!(a.curve.times().as_ptr(), b.curve.times().as_ptr(), "columns are shared");
+        }
+        clone.append_segment(1, 9.5, -2.0).unwrap();
+        assert_eq!(bits(&original), before);
+        assert_eq!((original.num_segments(), original.t_max()), (4, 15.0));
+        assert!(!original.has_negative());
+        assert_eq!(clone.object(1).unwrap().curve.point(3), (9.5, -2.0));
+        assert_eq!(clone.num_segments(), 5);
+        assert!(clone.has_negative());
     }
 
     #[test]

@@ -133,8 +133,8 @@ where
 {
     check_eps(eps)?;
     // Externally sort all |g| segments by t0 (the paper's queue Q). Pushed
-    // object-major in id order, so equal-t0 ties merge back in the same
-    // order the resident stable sort produces.
+    // object-major in id order, so equal-t0 ties merge back in object
+    // order, as the resident sweep's `TimeOrdered` merge breaks them.
     let sort_file = env.create_scratch("b2_stream_sort")?;
     let mut sorter =
         ExternalSorter::with_byte_budget(sort_file, B2_REC_LEN, sort_budget_bytes, |rec| {
@@ -145,7 +145,7 @@ where
         let o: &TemporalObject = o.borrow();
         check_id(position, o)?;
         // §4 negative scores: sweep |g| — same global rule as the resident
-        // AbsCurves (all curves pass through abs_curve).
+        // `abs_curves` (all curves pass through abs_curve).
         let abs = if stats.has_negative { Some(abs_curve(&o.curve)?) } else { None };
         for seg in abs.as_ref().unwrap_or(&o.curve).segments() {
             encode_b2(&mut rec, o.id, &seg);

@@ -64,6 +64,27 @@ fn arb_staggered_set() -> impl Strategy<Value = TemporalSet> {
     })
 }
 
+/// Objects on one shared time grid, so every segment start ties across
+/// objects, with values crossing zero, so `|g_i|` splits segments where the
+/// grid has no point: 2..=10 objects, each over a run of the grid's 2..=12
+/// points starting at one of its first four.
+fn arb_tied_set() -> impl Strategy<Value = TemporalSet> {
+    let object = (0usize..4, 2usize..=12, proptest::collection::vec(-5.0f64..5.0, 16));
+    (-3.0f64..3.0, 0.25f64..2.0, proptest::collection::vec(object, 2..=10)).prop_map(
+        |(origin, step, specs)| {
+            let curves = specs
+                .into_iter()
+                .map(|(first, n, values)| {
+                    let pts: Vec<(f64, f64)> =
+                        (first..first + n).map(|i| (origin + i as f64 * step, values[i])).collect();
+                    PiecewiseLinear::from_points(&pts).expect("valid curve")
+                })
+                .collect();
+            TemporalSet::from_curves(curves).expect("valid set")
+        },
+    )
+}
+
 /// A query interval loosely around the generated sets' domains.
 fn arb_query() -> impl Strategy<Value = (f64, f64, usize)> {
     (-10.0f64..160.0, 0.0f64..120.0, 1usize..6).prop_map(|(a, len, k)| (a, a + len, k))
@@ -168,6 +189,34 @@ proptest! {
                     "gap [{}, {}] obj {}: {} > τ = {}", w[0], w[1], o.id, s, tau
                 );
             }
+        }
+    }
+
+    /// The resident sweeps' merge order breaks `t0` ties the way the
+    /// streamed sort does: on sets whose segment starts all tie across
+    /// objects, `b2_with_eps` and `b2_with_count` emit bit for bit the
+    /// points `b2_streaming` does at their `ε`, under both constructions.
+    #[test]
+    fn b2_merge_order_matches_the_streamed_sort_on_tied_starts(
+        set in arb_tied_set(),
+        eps in 0.005f64..0.3,
+        r in 3usize..40,
+    ) {
+        prop_assume!(set.has_negative());
+        let stats = scan_stats(set.objects());
+        let bits = |bp: &Breakpoints| bp.points().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for construction in [B2Construction::Baseline, B2Construction::Efficient] {
+            let streamed = |eps: f64| {
+                let env = Env::mem(StoreConfig { block_size: 256, pool_capacity: 8 });
+                b2_streaming(&env, set.objects(), &stats, eps, construction, 16 * 36)
+                    .unwrap()
+                    .breakpoints
+            };
+            let by_eps = Breakpoints::b2_with_eps(&set, eps, construction).unwrap();
+            prop_assert_eq!(bits(&by_eps), bits(&streamed(eps)), "{:?} ε = {}", construction, eps);
+            let by_count = Breakpoints::b2_with_count(&set, r, construction).unwrap();
+            let fitted = by_count.eps();
+            prop_assert_eq!(bits(&by_count), bits(&streamed(fitted)), "{:?} r = {}", construction, r);
         }
     }
 

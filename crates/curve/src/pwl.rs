@@ -3,16 +3,22 @@
 use crate::error::{CurveError, Result};
 use crate::segment::Segment;
 use crate::{Time, Value};
+use std::sync::Arc;
 
 /// A validated piecewise-linear function: `n+1` points with strictly
 /// increasing, finite time stamps define `n` segments. The curve is defined
 /// on its own domain `[start, end] ⊆ [0, T]`; everything outside contributes
 /// nothing to integrals (the paper's objects need not span the whole time
 /// domain, nor align with each other).
+///
+/// A clone shares its point columns with the original, so copying a curve
+/// (or a set of them) costs `O(1)`, not `O(n)`; [`PiecewiseLinear::append`]
+/// copies the columns on write when they are shared, so every holder keeps
+/// value semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinear {
-    times: Vec<Time>,
-    values: Vec<Value>,
+    times: Arc<Vec<Time>>,
+    values: Arc<Vec<Value>>,
 }
 
 impl PiecewiseLinear {
@@ -38,7 +44,7 @@ impl PiecewiseLinear {
                 return Err(CurveError::NotIncreasing { index: i, time: t, prev: times[i - 1] });
             }
         }
-        Ok(Self { times, values })
+        Ok(Self { times: Arc::new(times), values: Arc::new(values) })
     }
 
     /// Number of segments `n_i`.
@@ -252,7 +258,8 @@ impl PiecewiseLinear {
     }
 
     /// Append a point, extending the curve to the right (the paper's update
-    /// model: "updates only at the current time instance").
+    /// model: "updates only at the current time instance"). Columns shared
+    /// with a clone are copied first, so the clone is left as it was.
     pub fn append(&mut self, t: Time, v: Value) -> Result<()> {
         if !t.is_finite() || !v.is_finite() {
             return Err(CurveError::NonFinite { index: self.num_points() });
@@ -260,8 +267,8 @@ impl PiecewiseLinear {
         if t <= self.end() {
             return Err(CurveError::AppendNotAfterEnd { end: self.end(), time: t });
         }
-        self.times.push(t);
-        self.values.push(v);
+        Arc::make_mut(&mut self.times).push(t);
+        Arc::make_mut(&mut self.values).push(v);
         Ok(())
     }
 
@@ -401,6 +408,23 @@ mod tests {
         assert_eq!(c.end(), 8.0);
         // new trapezoid from (6,1) to (8,3): area 4
         assert!(approx_eq(c.total(), 16.5, 1e-12));
+    }
+
+    #[test]
+    fn appending_to_a_clone_leaves_the_original_bit_for_bit() {
+        let original = curve();
+        let bits = |c: &PiecewiseLinear| {
+            c.times().iter().chain(c.values()).map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let before = bits(&original);
+        let mut clone = original.clone();
+        assert_eq!(clone.times().as_ptr(), original.times().as_ptr(), "a clone shares its columns");
+        clone.append(7.5, -2.25).unwrap();
+        assert_eq!(bits(&original), before);
+        assert_eq!(original.num_points(), 4);
+        assert_eq!(clone.num_points(), 5);
+        assert_eq!(clone.point(4), (7.5, -2.25));
+        assert_eq!(bits(&clone)[..4], before[..4]);
     }
 
     #[test]

@@ -79,9 +79,17 @@ const WRITE_STALL: Duration = Duration::from_secs(30);
 
 /// How many bytes the acceptor reads from a client it refused, after the
 /// refusal, before it closes the socket: room for what a client pipelined
-/// before it saw the refusal, and a bound on how long one that keeps
-/// sending holds the acceptor.
-const REFUSAL_DRAIN_BYTES: u64 = 64 * 1024;
+/// before it saw the refusal.
+const REFUSAL_DRAIN_BYTES: usize = 64 * 1024;
+
+/// How many reads the acceptor makes from a refused client at most. Each
+/// waits up to [`REFUSAL_DRAIN_WAIT`], so a client that sends one byte
+/// just inside that wait holds the acceptor about 16 s, not the 4.5 h its
+/// 64 Ki one-byte reads would take under the byte bound alone.
+const REFUSAL_DRAIN_READS: usize = 64;
+
+/// How long one read of a refused client's drain waits for data.
+const REFUSAL_DRAIN_WAIT: Duration = Duration::from_millis(250);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -648,11 +656,9 @@ fn acceptor_main(
                 // FIN first, then briefly drain whatever the client already
                 // sent: closing with unread inbound bytes turns into an RST
                 // on many stacks, which would destroy the refusal in flight.
-                // The drain ends at EOF, after 250 ms without data, or
-                // after `REFUSAL_DRAIN_BYTES`, whichever comes first.
                 stream.shutdown(Shutdown::Write).ok();
-                stream.set_read_timeout(Some(std::time::Duration::from_millis(250))).ok();
-                std::io::copy(&mut (&stream).take(REFUSAL_DRAIN_BYTES), &mut std::io::sink()).ok();
+                stream.set_read_timeout(Some(REFUSAL_DRAIN_WAIT)).ok();
+                drain_refused(&stream);
             }
             continue;
         }
@@ -660,6 +666,23 @@ fn acceptor_main(
         shared.connections.fetch_add(1, Ordering::Relaxed);
         spawn_connection(stream, Arc::clone(backend), Arc::clone(shared), conns);
     }
+}
+
+/// Read and drop what a refused client sent, until EOF, a read error (the
+/// [`REFUSAL_DRAIN_WAIT`] timeout among them), [`REFUSAL_DRAIN_BYTES`] or
+/// [`REFUSAL_DRAIN_READS`] reads, whichever comes first. Returns the reads
+/// made.
+fn drain_refused(mut peer: impl Read) -> usize {
+    let mut buf = [0u8; 4096];
+    let mut left = REFUSAL_DRAIN_BYTES;
+    for reads in 1..=REFUSAL_DRAIN_READS {
+        let want = left.min(buf.len());
+        match peer.read(&mut buf[..want]) {
+            Ok(n) if n > 0 && n < left => left -= n,
+            _ => return reads,
+        }
+    }
+    REFUSAL_DRAIN_READS
 }
 
 fn spawn_connection(
@@ -925,6 +948,21 @@ mod tests {
 
     fn text(reply: &Frame) -> &str {
         std::str::from_utf8(&reply.payload).unwrap()
+    }
+
+    #[test]
+    fn a_refused_client_is_drained_for_a_bounded_number_of_reads() {
+        // A drip client: one byte per read, far more reads than the bound.
+        let mut drip = Script::new(vec![vec![7]; 10 * REFUSAL_DRAIN_READS]);
+        assert_eq!(drain_refused(&mut drip), REFUSAL_DRAIN_READS);
+        assert_eq!(drip.chunks.len(), 9 * REFUSAL_DRAIN_READS, "no read past the bound");
+        // A fast sender stops at the byte bound, in fewer reads.
+        let mut flood = Script::new(vec![vec![7; 4096]; 32]);
+        assert_eq!(drain_refused(&mut flood), REFUSAL_DRAIN_BYTES / 4096);
+        assert_eq!(flood.chunks.len(), 32 - REFUSAL_DRAIN_BYTES / 4096);
+        // A client that closes is read to its EOF and no further.
+        let mut brief = Script::new(vec![vec![7; 10]; 3]);
+        assert_eq!(drain_refused(&mut brief), 4);
     }
 
     #[test]

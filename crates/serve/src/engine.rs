@@ -583,7 +583,8 @@ impl ServeEngine {
 /// [`to_global`] is the inverse). Both engines partition with it, and
 /// every id that crosses a shard boundary — an answer leaving a pool
 /// worker, an append entering a live shard — goes through those two
-/// functions, so no shard keeps an id map.
+/// functions, so no shard keeps an id map. A part's curves share their
+/// point columns with `set`'s, so partitioning costs `O(m)`, not `O(N)`.
 pub fn partition(set: &TemporalSet, w: usize) -> Vec<TemporalSet> {
     let mut objects: Vec<Vec<TemporalObject>> = vec![Vec::new(); w];
     for o in set.objects() {
@@ -683,6 +684,21 @@ fn merge_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_partition_shares_its_curves_columns_with_the_source() {
+        let curve = |t0: f64| {
+            chronorank_curve::PiecewiseLinear::from_points(&[(t0, 1.0), (t0 + 2.0, 3.0)]).unwrap()
+        };
+        let set = TemporalSet::from_curves((0..5).map(|i| curve(i as f64)).collect()).unwrap();
+        let parts = partition(&set, 2);
+        for o in set.objects() {
+            let (shard, local) = to_local(o.id, 2);
+            let part = &parts[shard].object(local).unwrap().curve;
+            assert_eq!(part.times().as_ptr(), o.curve.times().as_ptr(), "object {}", o.id);
+            assert_eq!(part.values().as_ptr(), o.curve.values().as_ptr(), "object {}", o.id);
+        }
+    }
 
     #[test]
     fn merge_interleaves_and_breaks_ties_by_id() {

@@ -12,14 +12,18 @@
 //! shard holds per segment: the EXACT3 tree and APPX2's QUERY2 structure,
 //! with no APPX2+ prefix file (74.56 with one). A live generation's index
 //! bytes per segment are pinned beside the fifth: its APPX2+ keeps no
-//! prefix file either.
+//! prefix file either. Two more pin what a build holds beyond what it
+//! keeps: the shard build's heap high-water mark above what the built shard
+//! holds, and what a `partition` copies — curves share their point
+//! columns, and BREAKPOINTS2's count fit replays a 4-byte-a-segment merge
+//! order instead of sorting a copy of every segment.
 //!
 //! One test, so nothing else in the process allocates while it counts;
 //! `ci.sh`'s `tier1` stage echoes the `pinned:` lines into its summary.
 
 use chronorank::core::{ApproxConfig, Exact1, Exact3, IndexConfig, RankMethod, TemporalSet};
 use chronorank::live::{IngestEngine, LiveConfig, RebuildPolicy};
-use chronorank::serve::{build_route_methods_with_handles, MethodSet};
+use chronorank::serve::{build_route_methods_with_handles, partition, MethodSet};
 use chronorank::storage::StoreConfig;
 use chronorank::workloads::{
     AppendStream, AppendStreamConfig, DatasetGenerator, StockConfig, StockGenerator, TempConfig,
@@ -99,6 +103,7 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
 
     let before = counting::allocations();
     let live_before = counting::live_bytes();
+    counting::reset_peak();
     let built = build_route_methods_with_handles(
         &set,
         MethodSet::default(),
@@ -122,7 +127,28 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
         "a built shard holds {held} heap bytes for {} of index",
         built.size_bytes
     );
+    // The build's high-water mark is what it keeps: B2's count fit replays
+    // a 4-byte-a-segment merge order, built after the EXACT3 tree, below
+    // what QUERY2 adds to it (a sorted `(t0, object, index)` copy and its
+    // stable sort's scratch read 26.86).
+    let transient = counting::peak_bytes() - live_before - held;
+    let per_segment = transient as f64 / set.num_segments() as f64;
+    println!(
+        "pinned: peak heap of a shard build beyond what it holds, per segment: {per_segment:.2}"
+    );
+    assert!(per_segment <= 1.0, "a shard build peaked {transient} heap bytes above what it holds");
     drop(built);
+
+    // A partition shares its parts' point columns with the source: the
+    // parts cost their object tables, not the points (a deep copy read
+    // 16.76).
+    let live_before = counting::live_bytes();
+    let parts = partition(&set, 2);
+    let copied = counting::live_bytes() - live_before;
+    let per_segment = copied as f64 / set.num_segments() as f64;
+    println!("pinned: point bytes a W = 2 partition copies, per segment: {per_segment:.2}");
+    assert!(per_segment <= 1.0, "a W = 2 partition allocated {copied} bytes");
+    drop(parts);
 
     live_engine_bytes_per_point();
 }
