@@ -10,6 +10,16 @@
 #                          same rules applied to `git show <rev>:<file>` — the
 #                          one command a CHANGES entry quotes for lines, public
 #                          surface and knobs
+#   ./ci.sh --pairs <rev> <workload> <n> [first-seed]
+#                          n pairs of <rev> / working-tree runs of one
+#                          benchmark workload (`--seed s --seconds 10
+#                          --trace 0`, seeds first-seed.., default 1; the
+#                          side that runs first alternates), each
+#                          side built once (<rev> from `git archive` under
+#                          target/pairs/); then per metric BENCHMARK.json
+#                          declares, plus the #detail line's build_s: both
+#                          medians, their quartiles and the pairs the
+#                          working tree won
 #
 # Stages (8):
 #   fmt               cargo fmt --check               (style per rustfmt.toml)
@@ -222,6 +232,118 @@ if [[ "${1:-}" == "--lines" ]]; then
     fi
     print_lines "${2:-}"
     print_configs "${2:-}"
+    exit 0
+fi
+
+# One A/B series: what a perf claim quotes, as one command. Each run's
+# stdout goes to target/pairs/<rev>/runs/; the report reads the result
+# line (the last) and the `#detail` line of each.
+PAIRS_REPORT='
+# Quartile q of the sorted v[1..n], interpolated.
+function quantile(v, n, q,    pos, lo) {
+    pos = 1 + q * (n - 1); lo = int(pos)
+    return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+}
+function sorted(src, key, n, dst,    i, j, x) {
+    for (i = 1; i <= n; i++) {
+        x = src[key, i]
+        for (j = i - 1; j >= 1 && dst[j] > x; j--) dst[j + 1] = dst[j]
+        dst[j + 1] = x
+    }
+}
+function value(line, name,    at) {
+    at = index(line, "\"" name "\":{\"value\":")
+    if (!at) return ""
+    return substr(line, at + length(name) + 12) + 0
+}
+FILENAME ~ /BENCHMARK.json$/ {
+    if ($0 ~ /"end_to_end"/) decl = 1
+    else if (decl && $0 ~ /^[[:space:]]*\]/) decl = 0
+    else if (decl && match($0, /"name":"[^"]+"/)) {
+        names[++m] = substr($0, RSTART + 8, RLENGTH - 9)
+        lower[m] = $0 ~ /"better":"lower"/
+    }
+    next
+}
+FNR == 1 { side = FILENAME ~ /\/parent-[0-9]+\.out$/ ? "parent" : "change"; runs[side]++ }
+/^#detail / { build[side, runs[side]] = value($0, "build_s") }
+/^\{"correct":/ {
+    r = runs[side]
+    correct[side] += $0 ~ /"correct":true/
+    if (match($0, /"failed":[0-9]+/)) failed[side] += substr($0, RSTART + 9, RLENGTH - 9)
+    for (i = 1; i <= m; i++) got[side, names[i], r] = value($0, names[i])
+}
+END {
+    names[++m] = "build_s"; lower[m] = 1; detail = m
+    for (r = 1; r <= runs["change"]; r++) {
+        got["parent", "build_s", r] = build["parent", r]
+        got["change", "build_s", r] = build["change", r]
+    }
+    n = runs["change"] < runs["parent"] ? runs["change"] : runs["parent"]
+    printf "  %-34s %-32s %-32s %s\n", "metric, better", "parent median [q1, q3]", "change median [q1, q3]", "change won / tied"
+    for (i = 1; i <= m; i++) {
+        won = tied = 0
+        for (r = 1; r <= n; r++) {
+            a = got["parent", names[i], r]; b = got["change", names[i], r]
+            if (a == b) tied++
+            else if ((b < a) == lower[i]) won++
+        }
+        sorted(got, "parent" SUBSEP names[i], n, ps); sorted(got, "change" SUBSEP names[i], n, cs)
+        label = names[i] (i == detail ? " (#detail)" : "") (lower[i] ? ", lower" : ", higher")
+        printf "  %-34s %-32s %-32s %d / %d of %d\n", label, \
+            sprintf("%.6g [%.6g, %.6g]", quantile(ps, n, 0.5), quantile(ps, n, 0.25), quantile(ps, n, 0.75)), \
+            sprintf("%.6g [%.6g, %.6g]", quantile(cs, n, 0.5), quantile(cs, n, 0.25), quantile(cs, n, 0.75)), \
+            won, tied, n
+    }
+    printf "  runs correct: parent %d of %d, change %d of %d; failed ops: parent %d, change %d\n", \
+        correct["parent"], runs["parent"], correct["change"], runs["change"], failed["parent"], failed["change"]
+}'
+
+run_pairs() {
+    local rev=$1 workload=$2 n=$3 seed=${4:-1} sha dir s side root
+    if ! sha=$(git rev-parse --verify --quiet "$rev^{commit}"); then
+        echo "ci.sh --pairs: not a revision: $rev" >&2
+        exit 2
+    fi
+    if [[ ! $n =~ ^[1-9][0-9]*$ || ! $seed =~ ^[0-9]+$ || -z $workload ]]; then
+        echo "usage: ./ci.sh --pairs <rev> <workload> <n> [first-seed]" >&2
+        exit 2
+    fi
+    dir=target/pairs/${sha:0:12}
+    if [[ ! -d $dir/benchmark ]]; then
+        mkdir -p "$dir"
+        git archive "$sha" | tar -x -C "$dir"
+    fi
+    echo "== building the benchmark at ${sha:0:12} and in the working tree" >&2
+    (cd "$dir" && CARGO_TARGET_DIR=target/benchmark cargo build --offline --release --quiet \
+        --manifest-path benchmark/Cargo.toml)
+    CARGO_TARGET_DIR=target/benchmark cargo build --offline --release --quiet \
+        --manifest-path benchmark/Cargo.toml
+    rm -rf "$dir/runs" && mkdir -p "$dir/runs"
+    local sides=(parent change)
+    for ((s = seed; s < seed + n; s++)); do
+        # Alternate which side runs first, pair by pair.
+        for side in "${sides[@]}"; do
+            root=.
+            [[ $side == change ]] || root=$dir
+            echo "   $workload seed $s: $side" >&2
+            (cd "$root" && CARGO_TARGET_DIR=target/benchmark \
+                target/benchmark/release/chronorank-benchmark --workload "$workload" \
+                --seed "$s" --seconds 10 --trace 0 2> /dev/null) > "$dir/runs/$side-$s.out"
+        done
+        sides=("${sides[1]}" "${sides[0]}")
+    done
+    echo
+    echo "== $workload, $n pairs, seeds $seed..$((seed + n - 1)): ${sha:0:12} (parent) → working tree (change)"
+    local files=()
+    for ((s = seed; s < seed + n; s++)); do
+        files+=("$dir/runs/parent-$s.out" "$dir/runs/change-$s.out")
+    done
+    awk "$PAIRS_REPORT" BENCHMARK.json "${files[@]}"
+}
+
+if [[ "${1:-}" == "--pairs" ]]; then
+    run_pairs "${2:-}" "${3:-}" "${4:-}" "${5:-}"
     exit 0
 fi
 

@@ -21,13 +21,16 @@
 //!   crossed the threshold), achieving the paper's Lemma 1
 //!   `O(N log N)` bound. Both produce identical breakpoints.
 //!   [`Breakpoints::b2_with_count`] fits `ε` to a breakpoint budget `r`
-//!   with a few sweeps over one prepared merge order.
+//!   with a few sweeps over one merge order, merged here or recorded by
+//!   a shard's EXACT3 load ([`Breakpoints::b2_with_count_stats_in_order`]).
 //!
 //! There is one BREAKPOINTS2 sweep, `B2Sweeper`: one loop over the queue Q
 //! and one `commit`, generic only over what feeds it segments. A resident
-//! [`TemporalSet`] feeds an `m`-way merge of its curves, kept as one object
-//! id per segment (`ResidentRun`); [`crate::b2_streaming`] feeds an
-//! external sort's merge. Its state is
+//! [`TemporalSet`] feeds the replay of an `m`-way merge of its curves,
+//! kept as one object id per segment (`ResidentRun`) — in a shard build
+//! the merge EXACT3 loads from, unless the set has negative values and its
+//! `|g_i|` curves need one of their own; [`crate::b2_streaming`]
+//! feeds an external sort's merge. Its state is
 //! `O(m)`: of everything it has consumed, the sweep keeps **one segment per
 //! object, the last one**. That is all a re-base can ask about, because
 //! when object `i` is re-based at breakpoint `b`, every segment consumed
@@ -48,7 +51,7 @@
 //! and every threshold use absolute mass.
 
 use crate::error::{CoreError, Result};
-use crate::object::{TemporalSet, TimeOrdered};
+use crate::object::{columns, MergeOrder, TemporalSet, TimeOrdered};
 use chronorank_curve::numeric::accumulation_crossing;
 use chronorank_curve::{PiecewiseLinear, Segment};
 
@@ -113,7 +116,7 @@ impl Breakpoints {
     pub fn b2_with_eps(set: &TemporalSet, eps: f64, construction: B2Construction) -> Result<Self> {
         check_eps(eps)?;
         let tau = eps * set.total_mass();
-        let points = ResidentRun::new(set, construction)?.sweep(tau, usize::MAX)?.done();
+        let points = ResidentRun::new(set, construction, None)?.sweep(tau, usize::MAX)?.done();
         Ok(Self { kind: BreakpointsKind::B2, points, eps, mass: set.total_mass() })
     }
 
@@ -149,10 +152,33 @@ impl Breakpoints {
         r: usize,
         construction: B2Construction,
     ) -> Result<(Self, FitStats)> {
+        Self::fit_b2(set, r, construction, None)
+    }
+
+    /// [`Breakpoints::b2_with_count_stats`] over the set whose merge
+    /// `order` recorded ([`crate::Exact3::build_recording_order`]): every
+    /// sweep replays it instead of a merge run here. A set with negative
+    /// values sweeps its `|g_i|` curves, whose segments are split at zero
+    /// crossings, so it merges those itself and `order` goes unread. The
+    /// same points, bit for bit, as [`Breakpoints::b2_with_count_stats`].
+    pub fn b2_with_count_stats_in_order(
+        order: MergeOrder<'_>,
+        r: usize,
+        construction: B2Construction,
+    ) -> Result<(Self, FitStats)> {
+        Self::fit_b2(order.set, r, construction, Some(order.objects))
+    }
+
+    fn fit_b2(
+        set: &TemporalSet,
+        r: usize,
+        construction: B2Construction,
+        order: Option<Vec<u32>>,
+    ) -> Result<(Self, FitStats)> {
         if r < 2 {
             return Err(CoreError::BadQuery(format!("need r ≥ 2 breakpoints, got {r}")));
         }
-        let run = ResidentRun::new(set, construction)?;
+        let run = ResidentRun::new(set, construction, order)?;
         let mass = set.total_mass();
         let hi = 1.0 / (r as f64 - 1.0);
         let lo = if mass > 0.0 { hi * (run.max_object_mass() / mass).min(1.0) } else { hi };
@@ -205,7 +231,11 @@ impl Breakpoints {
         out
     }
 
-    /// Inverse of [`Breakpoints::to_bytes`].
+    /// Inverse of [`Breakpoints::to_bytes`]. Refuses, as corrupt, any
+    /// table no construction yields: fewer than two points (both domain
+    /// ends are always present), points not finite and strictly
+    /// increasing, an `ε` that is not finite and positive, or an `M` that
+    /// is not finite and non-negative.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let corrupt = || CoreError::BadQuery("corrupt breakpoint table".into());
         if bytes.len() < 21 {
@@ -222,7 +252,9 @@ impl Breakpoints {
         let eps = f(1);
         let mass = f(9);
         let r = u32::from_le_bytes(bytes[17..21].try_into().expect("4 bytes")) as usize;
-        if bytes.len() != 21 + 8 * r {
+        let eps_ok = eps > 0.0 && eps.is_finite();
+        let mass_ok = mass >= 0.0 && mass.is_finite();
+        if r < 2 || !eps_ok || !mass_ok || bytes.len() != 21 + 8 * r {
             return Err(corrupt());
         }
         let points: Vec<f64> = (0..r).map(|i| f(21 + 8 * i)).collect();
@@ -603,9 +635,13 @@ fn earlier(a: f64, b: f64) -> f64 {
 
 /// What the sweeps over one resident set share: the `|g_i|` view and the
 /// paper's queue Q over it, prepared once as the object of every segment in
-/// left-endpoint order — one [`TimeOrdered`] merge of the curves (ties in
-/// object order, as the streamed sort breaks them), 4 bytes a segment. A
-/// sweep replays it with a cursor per object; a count fit runs several.
+/// left-endpoint order, 4 bytes a segment — the [`MergeOrder`] a shard's
+/// EXACT3 load recorded from the set's curves, or, for a set with negative
+/// values (or a caller without one), a [`TimeOrdered`] merge of the `|g_i|`
+/// curves run here (ties in object order either way, as the streamed sort
+/// breaks them). A sweep replays it over the curves' point columns,
+/// borrowed once per sweep, with a cursor per object; a count fit runs
+/// several.
 struct ResidentRun {
     curves: Vec<PiecewiseLinear>,
     order: Vec<u32>,
@@ -614,12 +650,24 @@ struct ResidentRun {
 }
 
 impl ResidentRun {
-    fn new(set: &TemporalSet, construction: B2Construction) -> Result<Self> {
+    /// `order`, when given, is the set's own [`MergeOrder`]; a set with
+    /// negative values merges its `|g_i|` curves instead.
+    fn new(
+        set: &TemporalSet,
+        construction: B2Construction,
+        order: Option<Vec<u32>>,
+    ) -> Result<Self> {
         let curves = abs_curves(set)?;
-        let mut order = Vec::with_capacity(curves.iter().map(|c| c.num_segments()).sum());
-        for item in TimeOrdered::new(curves.iter().map(|c| (c.times(), c.values())).collect()) {
-            order.push(item?.0);
-        }
+        let order = match order {
+            Some(order) if !set.has_negative() => order,
+            _ => {
+                let mut order = Vec::with_capacity(curves.iter().map(|c| c.num_segments()).sum());
+                for item in TimeOrdered::new(columns(&curves)) {
+                    order.push(item?.0);
+                }
+                order
+            }
+        };
         Ok(Self { curves, order, construction, domain: (set.t_min(), set.t_max()) })
     }
 
@@ -630,12 +678,13 @@ impl ResidentRun {
 
     /// One sweep over the run.
     fn sweep(&self, tau: f64, limit: usize) -> Result<Sweep> {
-        let m = self.curves.len();
+        let (m, columns) = (self.curves.len(), columns(&self.curves));
         let mut cursor = vec![0usize; m];
         let segments = self.order.iter().map(|&obj| {
-            let j = &mut cursor[obj as usize];
-            *j += 1;
-            Ok((obj, self.curves[obj as usize].segment(*j - 1)))
+            let (times, values) = columns[obj as usize];
+            let j = cursor[obj as usize];
+            cursor[obj as usize] = j + 1;
+            Ok((obj, Segment { t0: times[j], v0: values[j], t1: times[j + 1], v1: values[j + 1] }))
         });
         B2Sweeper::sweep(m, self.construction, self.domain, tau, limit, segments)
             .map(|(sweep, _)| sweep)
@@ -1011,6 +1060,58 @@ mod tests {
         assert_eq!(bp.points(), &[0.0, 5.0]);
         let bp = Breakpoints::b2_with_eps(&set, 0.1, B2Construction::Efficient).unwrap();
         assert_eq!(bp.points(), &[0.0, 5.0]);
+    }
+
+    #[test]
+    fn a_recorded_merge_order_fits_the_same_points() {
+        let set = small_set();
+        assert!(!set.has_negative());
+        let config = crate::IndexConfig::default();
+        let (_, order) = crate::Exact3::build_recording_order(&set, config).unwrap();
+        let merged: Vec<u32> = set.time_ordered().map(|e| e.unwrap().0).collect();
+        assert_eq!(order.objects, merged);
+        let (got, stats) =
+            Breakpoints::b2_with_count_stats_in_order(order, 8, B2Construction::Efficient).unwrap();
+        let (want, want_stats) =
+            Breakpoints::b2_with_count_stats(&set, 8, B2Construction::Efficient).unwrap();
+        let bits = |bp: &Breakpoints| bp.points().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!((bits(&got), got.eps().to_bits()), (bits(&want), want.eps().to_bits()));
+        assert!(stats.sweeps > 1 && stats == want_stats, "{stats:?}");
+    }
+
+    #[test]
+    fn from_bytes_refuses_tables_no_construction_yields() {
+        let set = small_set();
+        let good = Breakpoints::b2_with_count(&set, 16, B2Construction::Efficient).unwrap();
+        let back = Breakpoints::from_bytes(&good.to_bytes()).unwrap();
+        assert_eq!(back.points(), good.points());
+        // A table of `r` points with the given ε and M.
+        let table = |eps: f64, mass: f64, points: &[f64]| {
+            let bp = Breakpoints { kind: BreakpointsKind::B2, points: points.to_vec(), eps, mass };
+            bp.to_bytes()
+        };
+        let fine = table(0.1, 5.0, &[0.0, 1.0]);
+        assert!(Breakpoints::from_bytes(&fine).is_ok());
+        let blobs = [
+            ("r = 0", table(0.1, 5.0, &[])),
+            ("r = 1", table(0.1, 5.0, &[0.5])),
+            ("NaN ε", table(f64::NAN, 5.0, &[0.0, 1.0])),
+            ("ε = 0", table(0.0, 5.0, &[0.0, 1.0])),
+            ("ε < 0", table(-0.1, 5.0, &[0.0, 1.0])),
+            ("ε = ∞", table(f64::INFINITY, 5.0, &[0.0, 1.0])),
+            ("NaN M", table(0.1, f64::NAN, &[0.0, 1.0])),
+            ("M = ∞", table(0.1, f64::INFINITY, &[0.0, 1.0])),
+            ("M < 0", table(0.1, -1.0, &[0.0, 1.0])),
+        ];
+        assert_eq!(blobs[0].1.len(), 21);
+        for (what, blob) in blobs {
+            // An r = 0 table used to decode, and `snap` then panicked on
+            // its empty point list.
+            match Breakpoints::from_bytes(&blob) {
+                Ok(bp) => panic!("{what} accepted; snap(0.0) = {}", bp.snap(0.0)),
+                Err(e) => assert!(e.to_string().contains("corrupt"), "{what}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -64,8 +64,9 @@ pub struct Exact1 {
 
 impl Exact1 {
     /// Build from a resident set, in memory. No sort: the set's curves are
-    /// each in `t0` order already, so [`TemporalSet::time_ordered`] merges
-    /// them into the bulk loader, and `m` and `Δmax` are the set's own.
+    /// each in `t0` order already, so a loser tree merges them into the
+    /// bulk loader at `⌈log₂ m⌉` comparisons a segment, and `m` and `Δmax`
+    /// are the set's own.
     /// Every tree page is written once and none is read back, and the file
     /// is byte for byte what [`Exact1::build_streaming`] writes over the
     /// same objects — the merge yields the sorter's sequence, ties included
@@ -73,7 +74,7 @@ impl Exact1 {
     pub fn build(set: &TemporalSet, config: IndexConfig) -> Result<Self> {
         let env = Env::mem(config.store);
         let merged = set.time_ordered().map(|entry| {
-            let (obj, seg, _) = entry?;
+            let (obj, seg) = entry?;
             Ok((seg.t0, encode_payload(obj, seg)))
         });
         let tree = Self::load(&env, merged)?;

@@ -35,7 +35,7 @@
 
 use crate::agg::AggKind;
 use crate::error::Result;
-use crate::object::{check_id, ObjectId, TemporalObject, TemporalSet};
+use crate::object::{check_id, MergeOrder, ObjectId, TemporalObject, TemporalSet};
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
@@ -97,21 +97,51 @@ const TREE_FILE: &str = "exact3_tree_gen0";
 
 impl Exact3 {
     /// Build from a resident set, in memory. No sort: the set's curves are
-    /// each in `t0` order already, so [`TemporalSet::time_ordered`] merges
-    /// them into the loader. Every tree page is written once and none is
-    /// read back, and the file is byte for byte what
+    /// each in `t0` order already, so a loser tree merges them into the
+    /// loader at `⌈log₂ m⌉` comparisons a segment. Every tree page is written
+    /// once and none is read back, and the file is byte for byte what
     /// [`Exact3::build_streaming`] writes over the same objects — the merge
     /// yields the sorter's sequence, ties included (`tests/build_golden.rs`).
-    /// Beyond the loader's share, memory is the merge's `64·m` bytes and
-    /// the `24·m` of `(start, end, total)` triples — no copy of the entries
-    /// anywhere.
+    /// Beyond the loader's share, memory is `O(m)`: the merge's loser tree
+    /// and cursors, a running prefix sum per object and the `24·m` of
+    /// `(start, end, total)` triples — no copy of the entries anywhere.
     pub fn build(set: &TemporalSet, config: IndexConfig) -> Result<Self> {
+        Self::build_resident(set, config, |_| {})
+    }
+
+    /// [`Exact3::build`], recording the object of each segment as the
+    /// merge hands it to the loader: the same file, plus the set's
+    /// [`MergeOrder`] (4 bytes a segment), which a shard build's
+    /// BREAKPOINTS2 count fit replays instead of merging the curves again
+    /// ([`crate::Breakpoints::b2_with_count_stats_in_order`]).
+    pub fn build_recording_order(
+        set: &TemporalSet,
+        config: IndexConfig,
+    ) -> Result<(Self, MergeOrder<'_>)> {
+        let mut objects = Vec::with_capacity(set.num_segments() as usize);
+        let exact3 = Self::build_resident(set, config, |obj| objects.push(obj))?;
+        Ok((exact3, MergeOrder { set, objects }))
+    }
+
+    /// The resident builds' shared part: the set's segments in merge order
+    /// become entries carrying each object's running prefix sum, the sum
+    /// of [`Segment::integral_full`] through the entry's segment; `record`
+    /// sees the object of each.
+    fn build_resident(
+        set: &TemporalSet,
+        config: IndexConfig,
+        mut record: impl FnMut(ObjectId),
+    ) -> Result<Self> {
         let env = Env::mem(config.store);
-        let merged = set.time_ordered().map(|entry| {
-            let (obj, seg, prefix) = entry?;
-            Ok((seg.t0, seg.t1, encode_payload(obj, seg.v0, seg.v1, prefix)))
+        let mut prefix = vec![0.0f64; set.num_objects()];
+        let entries = set.time_ordered().map(|entry| {
+            let (obj, seg) = entry?;
+            record(obj);
+            let prefix = &mut prefix[obj as usize];
+            *prefix += seg.integral_full();
+            Ok((seg.t0, seg.t1, encode_payload(obj, seg.v0, seg.v1, *prefix)))
         });
-        let tree = Self::load(&env, merged)?;
+        let tree = Self::load(&env, entries)?;
         let meta = set.objects().iter().map(ObjMeta::of).collect();
         Ok(Self { env, store: config.store, tree, meta })
     }

@@ -78,7 +78,7 @@ pub use exact1::Exact1;
 pub use exact2::Exact2;
 pub use exact3::Exact3;
 pub use method::{GenerationProfile, MethodProfile, SharedMethod, TopKMethod};
-pub use object::{AppendRecord, ObjectId, TemporalObject, TemporalSet, TimeOrdered};
+pub use object::{AppendRecord, MergeOrder, ObjectId, TemporalObject, TemporalSet};
 pub use packed::{PackedPrefix, PackedPrefixBuilder, PackedScorer};
 pub use query1::Query1Index;
 pub use query2::Query2Index;

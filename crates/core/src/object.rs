@@ -4,8 +4,7 @@ use crate::error::{CoreError, Result};
 use crate::streambuild::{scan_stats, StreamStats};
 use chronorank_curve::{ColumnarTail, PiecewiseLinear, Segment};
 use chronorank_index::IndexError;
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::hint::select_unpredictable;
 
 /// Object identifier; objects are dense `0..m` within a [`TemporalSet`].
 pub type ObjectId = u32;
@@ -165,10 +164,10 @@ impl TemporalSet {
 
     /// Every segment of the set in global start-time order (see
     /// [`TimeOrdered`]) — what a resident EXACT1 / EXACT3 build loads its
-    /// tree from. A resident BREAKPOINTS2 sweep runs the same merge over
-    /// the `|g_i|` curves and keeps only its object order.
-    pub fn time_ordered(&self) -> TimeOrdered<'_> {
-        TimeOrdered::new(self.objects.iter().map(|o| (o.curve.times(), o.curve.values())).collect())
+    /// tree from, and, recorded as a [`MergeOrder`], what a shard's
+    /// BREAKPOINTS2 count fit replays.
+    pub(crate) fn time_ordered(&self) -> TimeOrdered<'_> {
+        TimeOrdered::new(columns(self.objects.iter().map(|o| &o.curve)))
     }
 
     /// `σ_i(t1, t2)`: the ground-truth aggregate score of one object.
@@ -297,6 +296,13 @@ impl TemporalSet {
     }
 }
 
+/// Each curve's `(times, values)` point columns, in order.
+pub(crate) fn columns<'a>(
+    curves: impl IntoIterator<Item = &'a PiecewiseLinear>,
+) -> Vec<(&'a [f64], &'a [f64])> {
+    curves.into_iter().map(|c| (c.times(), c.values())).collect()
+}
+
 /// A resident set's segments in global start-time order, without sorting
 /// them: every curve is already in `t0` order, so an `m`-way merge of
 /// per-object cursors keyed `(t0 by total_cmp, object position)` — an
@@ -304,27 +310,43 @@ impl TemporalSet {
 /// has to break a tie — yields exactly the sequence a stable sort by `t0`
 /// over an object-major push produces, which is what
 /// `chronorank_index::ExternalSorter` (stable run sort, run index as the
-/// merge tie-break) hands the streamed builds. Memory is `O(m)`, `64·m`
-/// bytes: the borrowed point columns, the heap, each object's next segment
-/// and its running prefix sum. The resident EXACT1 / EXACT3 loaders read
-/// it, and so does a resident BREAKPOINTS2 run, which keeps only the
-/// object of each segment (4 bytes a segment) and replays that order once
-/// per sweep of a count fit.
+/// merge tie-break) hands the streamed builds.
 ///
-/// Yields `(object, segment, prefix)`, `prefix` being `σ_i` through the end
-/// of that segment — the running sum of [`Segment::integral_full`] in
-/// segment order, the value EXACT3 stores beside each entry. A non-finite
-/// start time is refused with the sorter's error when the merge reaches it
-/// (a validated curve holds none).
-pub struct TimeOrdered<'a> {
+/// The merge is a loser tree over the objects, padded to a power of two
+/// `P ≥ m` leaves. Each of its `P − 1` nodes holds the `(key, object)`
+/// that lost the match played there, and the winner sits apart. A key is
+/// `t0`'s total-order bits; a padded or exhausted leaf holds one above
+/// every real key. The object breaks ties without being compared: leaves
+/// run in object order, so at every node the left side's objects are the
+/// lower ones, and a key climbing from the right loses a tie. A segment
+/// costs one comparison per level, `⌈log₂ m⌉` in all: the winner's next key
+/// climbs its leaf's path, and at each node the smaller key goes on up
+/// and the larger stays, a swap taken by conditional moves rather than a
+/// branch on the data. Memory is `O(m)`: the tree's `16·P` bytes (less
+/// than `32·m`) and, per object, its borrowed point columns and its next
+/// segment.
+///
+/// The resident EXACT1 / EXACT3 loaders read it. A shard's EXACT3 load
+/// records the object of each segment as a [`MergeOrder`], which every
+/// sweep of BREAKPOINTS2's count fit replays, so a shard build merges once.
+///
+/// Yields `(object, segment)`. A non-finite start time is refused with the
+/// sorter's error when the merge reaches it (a validated curve holds
+/// none).
+pub(crate) struct TimeOrdered<'a> {
     /// Per object, its `(times, values)` point columns.
     columns: Vec<(&'a [f64], &'a [f64])>,
-    /// One head per object with segments left: `(t0 in total order, object)`.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Per object, the segment its head stands for.
+    /// `tree[0]` is the winner, `tree[n]` for `n` in `1..P` the loser at
+    /// node `n`; leaf `i` sits below node `(P + i) / 2`.
+    tree: Vec<(u64, u32)>,
+    /// Per object, the segment its key stands for.
     next: Vec<usize>,
-    prefix: Vec<f64>,
 }
+
+/// The key of a padded or exhausted leaf. Real keys are clamped below it,
+/// which moves only a NaN with an all-ones payload, so every segment is
+/// yielded (and a non-finite one refused) before the merge ends.
+const DONE: u64 = u64::MAX;
 
 /// `f64::total_cmp` order as unsigned integers: negatives flipped whole,
 /// the sign bit set on the rest.
@@ -332,44 +354,79 @@ fn total_order_bits(t: f64) -> u64 {
     t.to_bits() ^ ((t.to_bits() as i64 >> 63) as u64 | 1 << 63)
 }
 
+/// The merge key of a segment starting at `t0`.
+fn merge_key(t0: f64) -> u64 {
+    total_order_bits(t0).min(DONE - 1)
+}
+
 impl<'a> TimeOrdered<'a> {
     /// Merge objects given as point columns (`n + 1` points = `n`
     /// segments; ids are positions).
     pub(crate) fn new(columns: Vec<(&'a [f64], &'a [f64])>) -> Self {
-        let heap = columns
-            .iter()
-            .zip(0u32..)
-            .filter(|((times, _), _)| times.len() >= 2)
-            .map(|((times, _), obj)| Reverse((total_order_bits(times[0]), obj)))
-            .collect();
-        Self { next: vec![0; columns.len()], prefix: vec![0.0; columns.len()], heap, columns }
+        let leaves = columns.len().next_power_of_two();
+        // Play every match once, bottom-up: slot `P + i` is leaf `i`, slot
+        // `n < P` the winner at node `n`, whose loser the tree keeps.
+        let mut won = vec![(DONE, u32::MAX); 2 * leaves];
+        for ((slot, (times, _)), obj) in won[leaves..].iter_mut().zip(&columns).zip(0u32..) {
+            if times.len() >= 2 {
+                *slot = (merge_key(times[0]), obj);
+            }
+        }
+        let mut tree = vec![(DONE, u32::MAX); leaves];
+        for n in (1..leaves).rev() {
+            let (left, right) = (won[2 * n], won[2 * n + 1]);
+            (won[n], tree[n]) = if right.0 < left.0 { (right, left) } else { (left, right) };
+        }
+        tree[0] = won[1];
+        Self { next: vec![0; columns.len()], tree, columns }
     }
 }
 
 impl Iterator for TimeOrdered<'_> {
-    type Item = Result<(ObjectId, Segment, f64)>;
+    type Item = Result<(ObjectId, Segment)>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        let mut head = self.heap.peek_mut()?;
-        let obj = head.0 .1;
+        let (key, obj) = self.tree[0];
+        if key == DONE {
+            return None;
+        }
         let (times, values) = self.columns[obj as usize];
         let j = self.next[obj as usize];
         self.next[obj as usize] = j + 1;
-        // Re-key the head in place (one sift) while the object has more.
-        if j + 2 < times.len() {
-            head.0 .0 = total_order_bits(times[j + 1]);
-            drop(head);
-        } else {
-            PeekMut::pop(head);
-        }
         let seg = Segment { t0: times[j], v0: values[j], t1: times[j + 1], v1: values[j + 1] };
+        // The object's next key climbs its leaf's path to the root.
+        let mut climbing = (if j + 2 < times.len() { merge_key(seg.t1) } else { DONE }, obj);
+        let tree = self.tree.as_mut_slice();
+        let mut child = tree.len() + obj as usize;
+        while child > 1 {
+            let node = child / 2;
+            let stored = tree[node];
+            // From a right child, a tie goes to the lower objects on the left.
+            let swap = stored.0 < climbing.0.saturating_add(child as u64 & 1);
+            (tree[node], climbing) = (
+                select_unpredictable(swap, climbing, stored),
+                select_unpredictable(swap, stored, climbing),
+            );
+            child = node;
+        }
+        tree[0] = climbing;
         if !seg.t0.is_finite() {
             return Some(Err(IndexError::BadInput("record key must be finite".into()).into()));
         }
-        let prefix = &mut self.prefix[obj as usize];
-        *prefix += seg.integral_full();
-        Some(Ok((obj, seg, *prefix)))
+        Some(Ok((obj, seg)))
     }
+}
+
+/// The object of each of a set's segments, in the order the `m`-way merge
+/// of its curves yields them (global `t0` order, ties in object order): 4
+/// bytes a segment. Only core fills one, by running that merge over the
+/// set it borrows ([`crate::Exact3::build_recording_order`] records it
+/// while it loads), so a BREAKPOINTS2 count fit replays it as its queue Q
+/// unchecked ([`crate::Breakpoints::b2_with_count_stats_in_order`]).
+pub struct MergeOrder<'s> {
+    pub(crate) set: &'s TemporalSet,
+    pub(crate) objects: Vec<ObjectId>,
 }
 
 #[cfg(test)]
@@ -544,12 +601,21 @@ mod tests {
         pushed
     }
 
+    /// `(object, t0 bits)` of everything an iterator over segments yields.
+    fn keys(items: impl Iterator<Item = Result<(ObjectId, Segment)>>) -> Result<Vec<(u32, u64)>> {
+        items.map(|item| item.map(|(obj, seg)| (obj, seg.t0.to_bits()))).collect()
+    }
+
     proptest::proptest! {
         /// Objects start on a 4-point grid and step by 1 or 2, so start
         /// times collide across objects all the time; zero is `-0.0` for
         /// some objects and `+0.0` for others (`total_cmp` tells them
         /// apart, `==` does not); point counts 0 and 1 are objects with no
-        /// segment, 2 is a single-segment object.
+        /// segment, 2 is a single-segment object. Some objects open at
+        /// `-f64::MAX` and some start a last segment at `f64::MAX`, so the
+        /// extremes tie too. Up to 39 objects: `m` crosses 2, 4, 8, 16 and
+        /// 32, leaving padded leaves, and objects run out at different
+        /// times, leaving exhausted ones.
         #[test]
         fn time_ordered_is_a_stable_sort_by_t0_over_object_major_order(
             specs in proptest::collection::vec(
@@ -558,40 +624,57 @@ mod tests {
                     0usize..4,
                     0usize..7,
                     proptest::collection::vec((1usize..3, -3.0f64..3.0), 7),
+                    0usize..4,
                 ),
-                1..12,
+                1..40,
             ),
         ) {
             let objects: Vec<(Vec<f64>, Vec<f64>)> = specs
                 .iter()
-                .map(|(neg_zero, start, points, steps)| {
+                .map(|(neg_zero, start, points, steps, edge)| {
                     let mut at = *start;
-                    steps[..*points]
+                    let (mut times, mut values): (Vec<f64>, Vec<f64>) = steps[..*points]
                         .iter()
                         .map(|&(step, v)| {
                             let t = at as f64 - 2.0;
                             at += step;
                             (if t == 0.0 && *neg_zero { -0.0 } else { t }, v)
                         })
-                        .unzip()
+                        .unzip();
+                    match edge {
+                        1 if !times.is_empty() => times[0] = -f64::MAX,
+                        2 => {
+                            times.extend([f64::MAX, f64::INFINITY]);
+                            values.extend([1.0, 1.0]);
+                        }
+                        _ => {}
+                    }
+                    (times, values)
                 })
                 .collect();
             let columns: Vec<(&[f64], &[f64])> =
                 objects.iter().map(|(t, v)| (t.as_slice(), v.as_slice())).collect();
             let want = stable_sort_order(&columns);
-            let mut prefix = vec![0.0f64; columns.len()];
             let mut merged = TimeOrdered::new(columns.clone());
             for &(obj, j) in &want {
                 let (times, values) = columns[obj as usize];
                 let seg = Segment { t0: times[j], v0: values[j], t1: times[j + 1], v1: values[j + 1] };
-                prefix[obj as usize] += seg.integral_full();
-                let (got_obj, got, got_prefix) = merged.next().expect("a segment is missing").unwrap();
+                let (got_obj, got) = merged.next().expect("a segment is missing").unwrap();
                 let bits = |s: Segment| [s.t0, s.v0, s.t1, s.v1].map(f64::to_bits);
                 proptest::prop_assert_eq!((got_obj, bits(got)), (obj, bits(seg)));
-                proptest::prop_assert_eq!(got_prefix.to_bits(), prefix[obj as usize].to_bits());
             }
             proptest::prop_assert!(merged.next().is_none());
         }
+    }
+
+    #[test]
+    fn time_ordered_over_one_object_is_its_segments_in_order() {
+        let (times, values) = ([-1.0, 0.5, 2.0, 7.0], [1.0, -2.0, 3.0, 0.0]);
+        let merged = keys(TimeOrdered::new(vec![(&times, &values)])).unwrap();
+        assert_eq!(merged, [-1.0, 0.5, 2.0].map(|t: f64| (0, t.to_bits())));
+        let (one_point, none) = ([3.0], [1.0]);
+        assert_eq!(TimeOrdered::new(vec![(&one_point, &none)]).count(), 0);
+        assert_eq!(TimeOrdered::new(vec![]).count(), 0);
     }
 
     #[test]

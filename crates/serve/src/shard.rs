@@ -115,7 +115,8 @@ impl ProbeKey {
 /// successive generation builds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildStages {
-    /// EXACT3 build, µs.
+    /// EXACT3 build, µs: the one `m`-way merge of the snapshot's curves,
+    /// recorded for the B2 fit to replay, and the tree load it feeds.
     pub exact3_us: u64,
     /// Breakpoint construction (the BREAKPOINTS2 fit to `r`), µs.
     pub b2_us: u64,
@@ -284,7 +285,8 @@ pub fn build_route_methods_with_handles(
 /// a serve shard holds no curves, so its APPX2+ re-scores from a prefix
 /// file of its own; a live shard re-scores every candidate from its
 /// columns, so its APPX2+ is a view over QUERY2 and keeps no second copy
-/// of the points.
+/// of the points. The snapshot's curves are merged once: EXACT3 loads from
+/// the merge and records its object order, which the B2 count fit replays.
 pub fn build_route_methods(
     set: &TemporalSet,
     methods: MethodSet,
@@ -293,19 +295,27 @@ pub fn build_route_methods(
     rescore: PlusRescore,
 ) -> chronorank_core::Result<BuiltRoutes> {
     let t0 = Instant::now();
-    let exact3 = Arc::new(Exact3::build(set, IndexConfig { store })?);
+    let (exact3, order) = Exact3::build_recording_order(set, IndexConfig { store })?;
     let exact3_us = micros_since(t0);
     let t0 = Instant::now();
     let efficient = B2Construction::Efficient;
     let (breakpoints, b2_sweeps) = if methods.any_approx() {
-        let (bp, fit) = Breakpoints::b2_with_count_stats(set, approx.r, efficient)?;
+        let (bp, fit) = Breakpoints::b2_with_count_stats_in_order(order, approx.r, efficient)?;
         (Some(bp), fit.sweeps as u64)
     } else {
+        drop(order);
         (None, 0)
     };
     let b2_us = micros_since(t0);
-    let mut built =
-        assemble_route_methods(set, methods, approx, store, exact3, breakpoints, rescore)?;
+    let mut built = assemble_route_methods(
+        set,
+        methods,
+        approx,
+        store,
+        Arc::new(exact3),
+        breakpoints,
+        rescore,
+    )?;
     built.stages = BuildStages { exact3_us, b2_us, b2_sweeps, ..built.stages };
     Ok(built)
 }

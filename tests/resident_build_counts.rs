@@ -127,10 +127,10 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
         "a built shard holds {held} heap bytes for {} of index",
         built.size_bytes
     );
-    // The build's high-water mark is what it keeps: B2's count fit replays
-    // a 4-byte-a-segment merge order, built after the EXACT3 tree, below
-    // what QUERY2 adds to it (a sorted `(t0, object, index)` copy and its
-    // stable sort's scratch read 26.86).
+    // The build's high-water mark is what it keeps: EXACT3's load records
+    // a 4-byte-a-segment merge order, which B2's count fit replays and
+    // drops before QUERY2 is built, below what QUERY2 adds to it (a sorted
+    // `(t0, object, index)` copy and its stable sort's scratch read 26.86).
     let transient = counting::peak_bytes() - live_before - held;
     let per_segment = transient as f64 / set.num_segments() as f64;
     println!(
