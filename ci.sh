@@ -33,7 +33,9 @@
 #                     a shard build beyond what it holds and point bytes
 #                     a W = 2 partition copies, both per segment, index
 #                     bytes per segment and heap bytes per live point of
-#                     a live engine),
+#                     a live engine, heap bytes per live point after an
+#                     image boot, and peak heap of a live rebuild beyond
+#                     what the engine holds after it, per live point),
 #                     the ones tests/streaming_build_counts.rs pins (peak
 #                     heap beyond the ScaleBudget, heap held and blocks a
 #                     drop_caches writes after each out-of-core build),
@@ -63,7 +65,7 @@
 #                     and socket read/write timeouts in tests/,
 #                     crates/*/tests and the #[cfg(test)] part of every
 #                     crates/*/src file (must be 0: tests wait on events,
-#                     not time) — 33 lines, echoed
+#                     not time) — echoed, with their count,
 #                     into the summary below the timings —
 #                     and below a failure
 #   agreement-w8      serve/live/window/wire agreement suites re-run at W=8
@@ -123,7 +125,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; 33 lines)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; $(grep -c . <<< "$PINNED_COUNTS") lines)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }

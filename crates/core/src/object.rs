@@ -230,32 +230,21 @@ impl TemporalSet {
         out
     }
 
-    /// Freeze every curve into columnar (structure-of-arrays) storage —
-    /// the live tier's mutable-tail representation and the checkpoint
-    /// image's `live_set` section format. Point bits are copied verbatim.
+    /// The set as a [`ColumnarTail`] with an empty append log — the live
+    /// tier's mutable-tail representation, whose [`ColumnarTail::to_bytes`]
+    /// is the checkpoint image's `live_set` section format. Copies no
+    /// point: the store shares every curve's columns with the set.
     pub fn to_columnar(&self) -> ColumnarTail {
-        let mut ct = ColumnarTail::new();
-        for o in &self.objects {
-            ct.push_object(o.curve.times(), o.curve.values())
-                .expect("set curves are already validated");
-        }
-        ct
+        ColumnarTail::from_curves(self.objects.iter().map(|o| o.curve.clone()).collect())
     }
 
-    /// Rebuild a row-form set from columnar storage (ids positional, as
-    /// [`TemporalSet::from_curves`]). Inverse of
-    /// [`TemporalSet::to_columnar`] bit-for-bit; statistics are recomputed
-    /// from the same point bits.
+    /// A row-form set of `ct`'s curves (ids positional, as
+    /// [`TemporalSet::from_curves`]): an object with an empty append log
+    /// shares its columns with the store, one with a log is copied
+    /// ([`ColumnarTail::curve`]). Statistics are recomputed from the same
+    /// point bits.
     pub fn from_columnar(ct: &ColumnarTail) -> Result<Self> {
-        let (mut times, mut values) = (Vec::new(), Vec::new());
-        let objects = (0..ct.num_objects())
-            .map(|i| {
-                ct.copy_points(i, &mut times, &mut values);
-                let curve = PiecewiseLinear::from_times_values(times.clone(), values.clone())?;
-                Ok(TemporalObject { id: i as ObjectId, curve })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Self::from_objects(objects)
+        Self::from_curves((0..ct.num_objects()).map(|i| ct.curve(i)).collect())
     }
 
     /// The set as it looked when object `i` ended at `ends[i]`: every
@@ -586,6 +575,76 @@ mod tests {
         assert_eq!(back.total_mass().to_bits(), s.total_mass().to_bits());
         assert_eq!(back.num_segments(), s.num_segments());
         assert!(back.has_negative());
+    }
+
+    #[test]
+    fn to_columnar_and_back_share_every_curves_columns() {
+        let s = set();
+        let back = TemporalSet::from_columnar(&s.to_columnar()).unwrap();
+        for (a, b) in s.objects().iter().zip(back.objects()) {
+            assert_eq!(a.curve.times().as_ptr(), b.curve.times().as_ptr(), "object {}", a.id);
+            assert_eq!(a.curve.values().as_ptr(), b.curve.values().as_ptr(), "object {}", a.id);
+        }
+    }
+
+    #[test]
+    fn from_columnar_shares_an_untouched_objects_columns_and_copies_a_logged_one() {
+        let s = set();
+        let mut ct = s.to_columnar();
+        ct.append(1, 9.0, 1.0).unwrap();
+        let back = TemporalSet::from_columnar(&ct).unwrap();
+        for (a, b) in s.objects().iter().zip(back.objects()) {
+            let shared = a.curve.times().as_ptr() == b.curve.times().as_ptr();
+            assert_eq!(shared, a.curve.values().as_ptr() == b.curve.values().as_ptr());
+            assert_eq!(shared, a.id != 1, "object {}", a.id);
+        }
+        assert_eq!(back.objects()[1].curve.times(), [2.0, 6.0, 8.0, 9.0]);
+        assert_eq!(back.objects()[1].curve.values(), [0.0, 4.0, 0.0, 1.0]);
+    }
+
+    /// The checkpoint image's `live_set` section, byte for byte: `m`, the
+    /// `m + 1` point offsets (`u32` LE), then every object's times, then
+    /// every object's values (`f64` LE), logged points in place.
+    #[test]
+    fn live_set_image_bytes_are_pinned() {
+        let c0 = PiecewiseLinear::from_points(&[(0.0, 1.0), (2.0, 3.0)]).unwrap();
+        let c1 = PiecewiseLinear::from_points(&[(1.0, -1.0), (4.0, 0.5)]).unwrap();
+        let mut ct = TemporalSet::from_curves(vec![c0, c1]).unwrap().to_columnar();
+        // Interleaved appends: object 1's log straddles object 0's.
+        ct.append(1, 5.0, 2.0).unwrap();
+        ct.append(0, 3.0, 0.1).unwrap();
+        ct.append(1, 6.0, -4.0).unwrap();
+        #[rustfmt::skip]
+        let golden: Vec<u8> = vec![
+            2, 0, 0, 0,                                     // m
+            0, 0, 0, 0, 3, 0, 0, 0, 7, 0, 0, 0,             // offsets 0, 3, 7
+            0, 0, 0, 0, 0, 0, 0x00, 0x00,                   // t 0.0
+            0, 0, 0, 0, 0, 0, 0x00, 0x40,                   // t 2.0
+            0, 0, 0, 0, 0, 0, 0x08, 0x40,                   // t 3.0 (log)
+            0, 0, 0, 0, 0, 0, 0xf0, 0x3f,                   // t 1.0
+            0, 0, 0, 0, 0, 0, 0x10, 0x40,                   // t 4.0
+            0, 0, 0, 0, 0, 0, 0x14, 0x40,                   // t 5.0 (log)
+            0, 0, 0, 0, 0, 0, 0x18, 0x40,                   // t 6.0 (log)
+            0, 0, 0, 0, 0, 0, 0xf0, 0x3f,                   // v 1.0
+            0, 0, 0, 0, 0, 0, 0x08, 0x40,                   // v 3.0
+            0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f, // v 0.1 (log)
+            0, 0, 0, 0, 0, 0, 0xf0, 0xbf,                   // v -1.0
+            0, 0, 0, 0, 0, 0, 0xe0, 0x3f,                   // v 0.5
+            0, 0, 0, 0, 0, 0, 0x00, 0x40,                   // v 2.0 (log)
+            0, 0, 0, 0, 0, 0, 0x10, 0xc0,                   // v -4.0 (log)
+        ];
+        assert_eq!(ct.to_bytes(), golden);
+        let back = ColumnarTail::from_bytes(&golden).expect("golden image parses");
+        assert_eq!(back.num_objects(), 2);
+        assert_eq!(back.tail_segments(), 0);
+        for i in 0..2 {
+            assert_eq!(back.num_points(i), ct.num_points(i));
+            for j in 0..ct.num_points(i) {
+                let ((at, av), (bt, bv)) = (ct.point(i, j), back.point(i, j));
+                assert_eq!((at.to_bits(), av.to_bits()), (bt.to_bits(), bv.to_bits()));
+            }
+        }
+        assert_eq!(back.to_bytes(), golden);
     }
 
     /// What the resident builds used to get from the sorter: every segment

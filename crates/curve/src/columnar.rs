@@ -1,14 +1,16 @@
-//! Columnar (PAX-ish, structure-of-arrays) storage for mutable curve tails.
+//! Curves with append-only mutable tails, in structure-of-arrays form.
 //!
-//! The live tier rescores tail-touched objects on every exact query; doing
-//! that by walking per-object `Vec<Segment>` curves is pure pointer-chasing.
-//! [`ColumnarTail`] instead keeps all curve points in two shared column
-//! arrays (`t`, `v`) with per-object offsets, split into an **epoch-frozen
-//! base** (contiguous per object, built at construction or by
-//! [`ColumnarTail::freeze`]) and an **append log** (shared columns plus
-//! per-object index lists, since live appends from different objects
-//! interleave). Freezing compacts the log back into the contiguous base,
-//! exactly like a generation swap retires a tail.
+//! The live tier rescores tail-touched objects on every exact query, so
+//! [`ColumnarTail`] keeps every point in `t` / `v` columns, split into a
+//! **frozen base** and an **append log**. The base is the objects'
+//! [`PiecewiseLinear`] curves themselves, whose columns are contiguous per
+//! object and shared by every clone: a store built by
+//! [`ColumnarTail::from_curves`] copies no point, and the set a rebuild is
+//! cut from shares them too. The log holds what was appended since (two
+//! shared columns plus per-object index lists, since live appends from
+//! different objects interleave). [`ColumnarTail::freeze`] folds the log
+//! into the curves it extends, replacing each of those by a copy at exact
+//! capacity and leaving every other curve's columns where they are.
 //!
 //! The integral kernels ([`ColumnarTail::integral`],
 //! [`ColumnarTail::integral_batch`], [`ColumnarTail::integral_multi`])
@@ -35,7 +37,7 @@
 //! to infinity, and `0.0 * inf` would be NaN.
 
 use crate::error::{CurveError, Result};
-use crate::{Time, Value};
+use crate::{PiecewiseLinear, Time, Value};
 
 /// Lane width of the chunked contribution buffer. Eight f64 lanes cover one
 /// AVX-512 register or two AVX2 registers; the exact value only affects
@@ -101,17 +103,14 @@ fn accumulate_run(ts: &[f64], vs: &[f64], first: usize, lo: f64, hi: f64, acc: &
     }
 }
 
-/// Structure-of-arrays storage for a set of piecewise-linear curves with
-/// append-only mutable tails. See the module docs for layout and
-/// bit-identity guarantees.
+/// Piecewise-linear curves with append-only mutable tails: a frozen base of
+/// shared curves plus a columnar append log. See the module docs for
+/// layout and bit-identity guarantees.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarTail {
-    /// Per-object offsets into the base columns, length `m + 1`.
-    start: Vec<u32>,
-    /// Frozen time column (contiguous per object).
-    base_t: Vec<f64>,
-    /// Frozen value column (contiguous per object).
-    base_v: Vec<f64>,
+    /// The frozen curves, one per object; each shares its point columns
+    /// with every other holder of the curve.
+    base: Vec<PiecewiseLinear>,
     /// Append-log time column, shared across objects in arrival order.
     log_t: Vec<f64>,
     /// Append-log value column, parallel to `log_t`.
@@ -120,80 +119,43 @@ pub struct ColumnarTail {
     log_of: Vec<Vec<u32>>,
     /// Number of objects with a non-empty append log.
     touched: usize,
-    /// Bumped by every [`ColumnarTail::freeze`].
-    epoch: u64,
 }
 
 impl ColumnarTail {
-    /// An empty store with no objects.
-    pub fn new() -> Self {
-        Self { start: vec![0], ..Self::default() }
-    }
-
-    /// Append a new object from parallel `times` / `values` slices, frozen
-    /// into the base columns. Validation mirrors
-    /// [`PiecewiseLinear::from_times_values`](crate::PiecewiseLinear::from_times_values).
-    /// Returns the new object's id.
-    pub fn push_object(&mut self, times: &[f64], values: &[f64]) -> Result<u32> {
-        assert_eq!(times.len(), values.len(), "times/values length mismatch");
-        if times.len() < 2 {
-            return Err(CurveError::TooFewPoints(times.len()));
-        }
-        for (i, (&t, &v)) in times.iter().zip(values.iter()).enumerate() {
-            if !t.is_finite() || !v.is_finite() {
-                return Err(CurveError::NonFinite { index: i });
-            }
-            if i > 0 && t <= times[i - 1] {
-                return Err(CurveError::NotIncreasing { index: i, time: t, prev: times[i - 1] });
-            }
-        }
-        self.base_t.extend_from_slice(times);
-        self.base_v.extend_from_slice(values);
-        self.start.push(self.base_t.len() as u32);
-        self.log_of.push(Vec::new());
-        Ok((self.num_objects() - 1) as u32)
+    /// A store over `curves` (object `i` is `curves[i]`) with an empty
+    /// append log. Copies no point: the store shares the curves' columns.
+    pub fn from_curves(curves: Vec<PiecewiseLinear>) -> Self {
+        let log_of = vec![Vec::new(); curves.len()];
+        Self { base: curves, log_of, ..Self::default() }
     }
 
     /// Number of objects `m`.
     #[inline]
     pub fn num_objects(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    /// True when the store holds no objects.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.num_objects() == 0
+        self.base.len()
     }
 
     /// Number of points of object `i` (base + log).
     #[inline]
     pub fn num_points(&self, i: usize) -> usize {
-        (self.start[i + 1] - self.start[i]) as usize + self.log_of[i].len()
+        self.base[i].num_points() + self.log_of[i].len()
     }
 
     /// Total number of points across all objects.
-    #[inline]
     pub fn total_points(&self) -> usize {
-        self.base_t.len() + self.log_t.len()
+        self.base.iter().map(PiecewiseLinear::num_points).sum::<usize>() + self.log_t.len()
     }
 
     /// The `j`-th point of object `i`, in time order across base then log.
     pub fn point(&self, i: usize, j: usize) -> (Time, Value) {
-        let base_len = (self.start[i + 1] - self.start[i]) as usize;
-        if j < base_len {
-            let p = self.start[i] as usize + j;
-            (self.base_t[p], self.base_v[p])
-        } else {
-            let idx = self.log_of[i][j - base_len] as usize;
-            (self.log_t[idx], self.log_v[idx])
+        let base = &self.base[i];
+        match j.checked_sub(base.num_points()) {
+            None => base.point(j),
+            Some(l) => {
+                let idx = self.log_of[i][l] as usize;
+                (self.log_t[idx], self.log_v[idx])
+            }
         }
-    }
-
-    /// Left end of object `i`'s domain.
-    #[inline]
-    fn start_time(&self, i: usize) -> Time {
-        self.base_t[self.start[i] as usize]
     }
 
     /// Right end of object `i`'s domain (last base point or last log entry).
@@ -201,43 +163,39 @@ impl ColumnarTail {
     pub fn end_time(&self, i: usize) -> Time {
         match self.log_of[i].last() {
             Some(&idx) => self.log_t[idx as usize],
-            None => self.base_t[self.start[i + 1] as usize - 1],
+            None => self.base[i].end(),
         }
     }
 
-    /// Copy object `i`'s points (time order) into the supplied vectors,
-    /// clearing them first. Used to materialize row-form snapshots.
-    pub fn copy_points(&self, i: usize, out_t: &mut Vec<f64>, out_v: &mut Vec<f64>) {
-        out_t.clear();
-        out_v.clear();
-        let (s, e) = (self.start[i] as usize, self.start[i + 1] as usize);
-        out_t.extend_from_slice(&self.base_t[s..e]);
-        out_v.extend_from_slice(&self.base_v[s..e]);
-        for &idx in &self.log_of[i] {
-            out_t.push(self.log_t[idx as usize]);
-            out_v.push(self.log_v[idx as usize]);
+    /// Object `i` as one curve. With an empty log this is the frozen curve
+    /// itself, sharing its columns; otherwise a copy of base and log at
+    /// exact capacity.
+    pub fn curve(&self, i: usize) -> PiecewiseLinear {
+        let (base, log) = (&self.base[i], &self.log_of[i]);
+        if log.is_empty() {
+            return base.clone();
         }
+        let n = base.num_points() + log.len();
+        let (mut times, mut values) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        times.extend_from_slice(base.times());
+        values.extend_from_slice(base.values());
+        times.extend(log.iter().map(|&idx| self.log_t[idx as usize]));
+        values.extend(log.iter().map(|&idx| self.log_v[idx as usize]));
+        PiecewiseLinear::from_times_values(times, values).expect("appends extend a valid curve")
     }
 
     /// Append a point to object `i`'s tail. Validation mirrors
-    /// [`PiecewiseLinear::append`](crate::PiecewiseLinear::append); returns
-    /// the previous right endpoint `(t, v)` so the caller can account the
-    /// new segment's mass without re-reading columns.
+    /// [`PiecewiseLinear::append`]; returns the previous right endpoint
+    /// `(t, v)` so the caller can account the new segment's mass without
+    /// re-reading columns.
     pub fn append(&mut self, i: usize, t: Time, v: Value) -> Result<(Time, Value)> {
         if !t.is_finite() || !v.is_finite() {
             return Err(CurveError::NonFinite { index: self.num_points(i) });
         }
-        let end = self.end_time(i);
-        if t <= end {
-            return Err(CurveError::AppendNotAfterEnd { end, time: t });
+        let prev = self.point(i, self.num_points(i) - 1);
+        if t <= prev.0 {
+            return Err(CurveError::AppendNotAfterEnd { end: prev.0, time: t });
         }
-        let prev = match self.log_of[i].last() {
-            Some(&idx) => (self.log_t[idx as usize], self.log_v[idx as usize]),
-            None => {
-                let p = self.start[i + 1] as usize - 1;
-                (self.base_t[p], self.base_v[p])
-            }
-        };
         if self.log_of[i].is_empty() {
             self.touched += 1;
         }
@@ -266,63 +224,41 @@ impl ColumnarTail {
             + self.log_of.iter().map(|l| l.capacity() * 4).sum::<usize>()
     }
 
-    /// Current freeze epoch (bumped by every [`ColumnarTail::freeze`]).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Compact the append log into the contiguous base columns, release the
-    /// log's buffers, and bump the epoch — the columnar analogue of a
-    /// generation swap retiring a tail. Integrals are unchanged
-    /// bit-for-bit: the merged point sequence per object is identical, only
-    /// its storage moves.
-    pub fn freeze(&mut self) {
-        self.epoch += 1;
-        if self.log_t.is_empty() {
-            return;
-        }
-        let m = self.num_objects();
-        let total = self.base_t.len() + self.log_t.len();
-        let mut nt = Vec::with_capacity(total);
-        let mut nv = Vec::with_capacity(total);
-        let mut nstart = Vec::with_capacity(m + 1);
-        nstart.push(0u32);
-        for i in 0..m {
-            let (s, e) = (self.start[i] as usize, self.start[i + 1] as usize);
-            nt.extend_from_slice(&self.base_t[s..e]);
-            nv.extend_from_slice(&self.base_v[s..e]);
-            for &idx in &self.log_of[i] {
-                nt.push(self.log_t[idx as usize]);
-                nv.push(self.log_v[idx as usize]);
+    /// Fold the append log into the frozen curves, release the log's
+    /// buffers, and return the frozen curves. Only a curve the log extends
+    /// is replaced, one at a time, by a copy at exact capacity
+    /// ([`ColumnarTail::curve`]); every other curve keeps its columns.
+    /// Integrals are unchanged bit-for-bit: the point sequence per object
+    /// is identical, only its storage moves.
+    pub fn freeze(&mut self) -> &[PiecewiseLinear] {
+        if self.touched > 0 {
+            for i in 0..self.num_objects() {
+                if !self.log_of[i].is_empty() {
+                    self.base[i] = self.curve(i);
+                    self.log_of[i] = Vec::new();
+                }
             }
-            nstart.push(nt.len() as u32);
-            self.log_of[i] = Vec::new();
+            self.log_t = Vec::new();
+            self.log_v = Vec::new();
+            self.touched = 0;
         }
-        self.base_t = nt;
-        self.base_v = nv;
-        self.start = nstart;
-        self.log_t = Vec::new();
-        self.log_v = Vec::new();
-        self.touched = 0;
+        &self.base
     }
 
     /// `σ_i(a, b)` for object `i`, bit-identical to
-    /// [`PiecewiseLinear::integral`](crate::PiecewiseLinear::integral) on the
-    /// same point sequence.
+    /// [`PiecewiseLinear::integral`] on the same point sequence.
     pub fn integral(&self, i: usize, a: Time, b: Time) -> f64 {
         if b <= a {
             return 0.0;
         }
-        let lo = a.max(self.start_time(i));
+        let base = &self.base[i];
+        let lo = a.max(base.start());
         let hi = b.min(self.end_time(i));
         if hi <= lo {
             return 0.0;
         }
         let mut acc = 0.0f64;
-        let (s, e) = (self.start[i] as usize, self.start[i + 1] as usize);
-        let ts = &self.base_t[s..e];
-        let vs = &self.base_v[s..e];
+        let (ts, vs) = (base.times(), base.values());
         let nseg = ts.len() - 1;
         // One binary search finds the first candidate segment (every
         // overlapping segment j satisfies ts[j] < hi and ts[j+1] > lo);
@@ -391,32 +327,27 @@ impl ColumnarTail {
             off += self.num_points(i) as u32;
             out.extend_from_slice(&off.to_le_bytes());
         }
-        for i in 0..m {
-            let (s, e) = (self.start[i] as usize, self.start[i + 1] as usize);
-            for &t in &self.base_t[s..e] {
-                out.extend_from_slice(&t.to_le_bytes());
+        let mut column = |frozen: fn(&PiecewiseLinear) -> &[f64], logged: &[f64]| {
+            for (base, log) in self.base.iter().zip(&self.log_of) {
+                for &x in frozen(base) {
+                    out.extend_from_slice(&x.to_le_bytes());
+                }
+                for &idx in log {
+                    out.extend_from_slice(&logged[idx as usize].to_le_bytes());
+                }
             }
-            for &idx in &self.log_of[i] {
-                out.extend_from_slice(&self.log_t[idx as usize].to_le_bytes());
-            }
-        }
-        for i in 0..m {
-            let (s, e) = (self.start[i] as usize, self.start[i + 1] as usize);
-            for &v in &self.base_v[s..e] {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            for &idx in &self.log_of[i] {
-                out.extend_from_slice(&self.log_v[idx as usize].to_le_bytes());
-            }
-        }
+        };
+        column(PiecewiseLinear::times, &self.log_t);
+        column(PiecewiseLinear::values, &self.log_v);
         out
     }
 
-    /// Parse [`ColumnarTail::to_bytes`] output; `None` on a length other
-    /// than the counts imply, or malformed curves (offsets not monotone,
-    /// <2 points, non-finite or non-increasing times). The counts are
-    /// checked against the blob's length before anything is allocated, so
-    /// an untrusted blob costs at most its own size.
+    /// Parse [`ColumnarTail::to_bytes`] output into a store of frozen
+    /// curves; `None` on a length other than the counts imply, or
+    /// malformed curves (offsets not monotone, <2 points, non-finite or
+    /// non-increasing times). The counts are checked against the blob's
+    /// length before anything is allocated, so an untrusted blob costs at
+    /// most its own size.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let word = |at: usize| {
             let w = bytes.get(at..at.checked_add(4)?)?;
@@ -437,39 +368,23 @@ impl ColumnarTail {
         if start[0] != 0 || start.windows(2).any(|w| w[0].checked_add(2).is_none_or(|n| w[1] < n)) {
             return None;
         }
-        let col = |at: usize| -> Vec<f64> {
-            let c = bytes[at..at + 8 * total].chunks_exact(8);
+        // Object `[s, e)` of the column at byte `at`.
+        let column = |at: usize, s: usize, e: usize| -> Vec<f64> {
+            let c = bytes[at + 8 * s..at + 8 * e].chunks_exact(8);
             c.map(|x| f64::from_le_bytes(x.try_into().expect("8 bytes"))).collect()
         };
-        let (base_t, base_v) = (col(cols), col(cols + 8 * total));
-        for w in start.windows(2) {
+        let curves = start.windows(2).map(|w| {
             let (s, e) = (w[0] as usize, w[1] as usize);
-            for j in s..e {
-                if !base_t[j].is_finite() || !base_v[j].is_finite() {
-                    return None;
-                }
-                if j > s && base_t[j] <= base_t[j - 1] {
-                    return None;
-                }
-            }
-        }
-        Some(Self {
-            start,
-            base_t,
-            base_v,
-            log_t: Vec::new(),
-            log_v: Vec::new(),
-            log_of: vec![Vec::new(); m],
-            touched: 0,
-            epoch: 0,
-        })
+            let (times, values) = (column(cols, s, e), column(cols + 8 * total, s, e));
+            PiecewiseLinear::from_times_values(times, values).ok()
+        });
+        Some(Self::from_curves(curves.collect::<Option<_>>()?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PiecewiseLinear;
 
     fn curves() -> Vec<PiecewiseLinear> {
         vec![
@@ -494,11 +409,7 @@ mod tests {
     }
 
     fn build(curves: &[PiecewiseLinear]) -> ColumnarTail {
-        let mut ct = ColumnarTail::new();
-        for c in curves {
-            ct.push_object(c.times(), c.values()).unwrap();
-        }
-        ct
+        ColumnarTail::from_curves(curves.to_vec())
     }
 
     fn windows() -> Vec<(f64, f64)> {
@@ -555,7 +466,6 @@ mod tests {
         // Freezing compacts the log without changing any result bits, and
         // hands its buffers back.
         ct.freeze();
-        assert_eq!(ct.epoch(), 1);
         assert_eq!(ct.tail_segments(), 0);
         assert_eq!(ct.tail_objects(), 0);
         assert_eq!(ct.tail_bytes(), 0);
@@ -572,13 +482,31 @@ mod tests {
         assert_eq!(ct.num_objects(), 4);
         assert_eq!(ct.num_points(1), 3);
         assert_eq!(ct.point(1, 2), (30.0, 5.0));
-        assert_eq!(ct.start_time(1), 10.0);
+        assert_eq!(ct.point(1, 0), (10.0, 2.0));
         assert_eq!(ct.end_time(1), 30.0);
         assert_eq!(ct.log_of[1].len(), 1);
-        let (mut t, mut v) = (Vec::new(), Vec::new());
-        ct.copy_points(1, &mut t, &mut v);
-        assert_eq!(t, vec![10.0, 20.0, 30.0]);
-        assert_eq!(v, vec![2.0, 2.0, 5.0]);
+        let curve = ct.curve(1);
+        assert_eq!(curve.times(), [10.0, 20.0, 30.0]);
+        assert_eq!(curve.values(), [2.0, 2.0, 5.0]);
+    }
+
+    #[test]
+    fn freeze_copies_only_the_curves_its_log_extends() {
+        let cs = curves();
+        let mut ct = build(&cs);
+        ct.append(2, 4.5, 1.5).unwrap();
+        ct.append(2, 5.0, 2.0).unwrap();
+        let frozen = ct.freeze();
+        for (i, (c, f)) in cs.iter().zip(frozen).enumerate() {
+            let shared = c.times().as_ptr() == f.times().as_ptr();
+            assert_eq!(shared, c.values().as_ptr() == f.values().as_ptr());
+            assert_eq!(shared, i != 2, "object {i}");
+        }
+        // The touched curve's copy holds exactly its points.
+        assert_eq!(frozen[2].times(), [0.0, 2.0, 3.0, 4.5, 5.0]);
+        assert_eq!(frozen[2].values(), [-1.0, 1.0, -5.0, 1.5, 2.0]);
+        // With an empty log, a curve is the frozen one itself.
+        assert_eq!(ct.curve(2).times().as_ptr(), ct.base[2].times().as_ptr());
     }
 
     #[test]
@@ -588,21 +516,6 @@ mod tests {
         assert!(matches!(ct.append(0, 7.0, f64::NAN), Err(CurveError::NonFinite { .. })));
         ct.append(0, 7.0, 1.0).unwrap();
         assert!(matches!(ct.append(0, 6.5, 1.0), Err(CurveError::AppendNotAfterEnd { .. })));
-    }
-
-    #[test]
-    fn push_object_validates() {
-        let mut ct = ColumnarTail::new();
-        assert!(matches!(ct.push_object(&[1.0], &[2.0]), Err(CurveError::TooFewPoints(1))));
-        assert!(matches!(
-            ct.push_object(&[0.0, 0.0], &[1.0, 2.0]),
-            Err(CurveError::NotIncreasing { index: 1, .. })
-        ));
-        assert!(matches!(
-            ct.push_object(&[0.0, f64::INFINITY], &[1.0, 2.0]),
-            Err(CurveError::NonFinite { index: 1 })
-        ));
-        assert!(ct.is_empty());
     }
 
     #[test]
@@ -680,9 +593,9 @@ mod tests {
 
     #[test]
     fn empty_store_roundtrips() {
-        let ct = ColumnarTail::new();
+        let ct = ColumnarTail::default();
         let back = ColumnarTail::from_bytes(&ct.to_bytes()).unwrap();
-        assert!(back.is_empty());
+        assert_eq!(back.num_objects(), 0);
         assert_eq!(back.total_points(), 0);
     }
 }

@@ -14,10 +14,10 @@
 //!   search evaluation, interval integrals, prefix sums
 //!   `σ_i(I_{i,ℓ})` (the quantity EXACT2/EXACT3 store), and right-edge
 //!   appends (the paper's update model);
-//! * [`ColumnarTail`] — PAX-style structure-of-arrays storage for curves
-//!   with append-only mutable tails, plus branch-light batch integral
-//!   kernels bit-identical to the scalar path (the live tier's columnar
-//!   rescoring engine);
+//! * [`ColumnarTail`] — curves with append-only mutable tails: a frozen
+//!   base of shared [`PiecewiseLinear`] curves plus a columnar append log,
+//!   with branch-light batch integral kernels bit-identical to the scalar
+//!   path (the live tier's rescoring engine);
 //! * [`numeric`] — shared robust solvers (quadratic accumulation
 //!   crossings).
 //!

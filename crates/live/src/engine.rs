@@ -13,7 +13,7 @@ use crate::config::LiveConfig;
 use crate::generation::{GenPart, GenParts};
 use crate::obs::LiveObs;
 use crate::report::{LiveReport, PauseHistogram};
-use crate::shard::{live_columns, LiveShard, ShardStatus, Step};
+use crate::shard::{live_curves, LiveShard, ShardStatus, Step};
 use chronorank_core::{AppendRecord, CoreError, MethodProfile, ObjectId, TemporalSet, TopK};
 use chronorank_curve::{ColumnarTail, Segment};
 use chronorank_obs::{elapsed_us, Registry, SpanId, SpanSink, TraceId};
@@ -327,12 +327,12 @@ impl IngestEngine {
     }
 
     /// The live data (appends applied) as a row-form set, assembled from
-    /// the shards' columns on every call — a copy of the whole dataset. The
-    /// test and diagnostic surface (ground-truth assertions, segment
-    /// counts); nothing on the append, query or STATS path calls it.
+    /// the shards' curves on every call: it shares the columns of every
+    /// curve without an appended log and copies the others. The test and
+    /// diagnostic surface (ground-truth assertions, segment counts);
+    /// nothing on the append, query or STATS path calls it.
     pub fn live_set(&self) -> TemporalSet {
-        TemporalSet::from_columnar(&live_columns(self.pool.shards()))
-            .expect("columns hold valid curves")
+        TemporalSet::from_curves(live_curves(self.pool.shards())).expect("an engine has objects")
     }
 
     /// `(t_min, t_max)` of the live data — what remote clients need to
@@ -553,8 +553,10 @@ impl IngestEngine {
         let Some(path) = &self.image_path else { return Ok(()) };
         let mut writer = ImageWriter::create(path)?;
         // The live set travels in columnar (PAX) form: one shared offset
-        // table plus contiguous t/v columns, gathered from the shards'.
-        writer.add_blob("live_set", &live_columns(self.pool.shards()).to_bytes())?;
+        // table plus contiguous t/v columns, gathered from the shards'
+        // curves.
+        let live = ColumnarTail::from_curves(live_curves(self.pool.shards()));
+        writer.add_blob("live_set", &live.to_bytes())?;
         let mut meta = Vec::with_capacity(25);
         meta.extend_from_slice(&(self.pool.shards().len() as u64).to_le_bytes());
         meta.extend_from_slice(&self.planner.params().block.to_le_bytes());

@@ -1,10 +1,10 @@
 //! Generations: the frozen, epoch-swapped index side of a shard.
 //!
 //! A generation is an **immutable snapshot**: EXACT3 (+ optional APPX1 /
-//! APPX2 / APPX2+ sharing one breakpoint set) built over a copy of
-//! the live data, plus the metadata the planner and the ε re-validation
-//! need. The copy is dropped once the build returns; only the indexes
-//! stay. APPX2+ keeps no packed prefix file here: its slot is a view over
+//! APPX2 / APPX2+ sharing one breakpoint set) built over a snapshot set
+//! whose curves share their columns with the shard's live curves, plus the
+//! metadata the planner and the ε re-validation need. The snapshot is
+//! dropped once the build returns; only the indexes stay. APPX2+ keeps no packed prefix file here: its slot is a view over
 //! the QUERY2 structure APPX2 shares, publishing APPX2+'s profile and
 //! handing the shard QUERY2's whole candidate pool, which the shard
 //! re-scores exactly from its columns as it does every route's candidates

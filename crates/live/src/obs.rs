@@ -21,7 +21,7 @@ pub(crate) struct LiveObs {
     pub checkpoint_us: Histogram,
     /// Boot-time recovery (WAL open, image load, replay), µs.
     pub recovery_us: Gauge,
-    /// Bytes held by the shards' columnar tails (offset table + columns).
+    /// Bytes held by the shards' append logs (log columns + index lists).
     pub tail_bytes: Gauge,
     /// Objects with a non-empty appended tail.
     pub tail_objects: Gauge,

@@ -85,9 +85,10 @@ pub struct LiveReport {
     pub cache_invalidations: u64,
     /// Appended segments currently waiting in mutable tails.
     pub tail_segments: u64,
-    /// Bytes held by the shards' columnar tails (offset table + columns).
+    /// Bytes held by the shards' append logs (log columns + index lists).
     pub tail_bytes: u64,
-    /// Objects with a non-empty appended tail.
+    /// Objects with a non-empty append log (appends since the shard's last
+    /// snapshot cut).
     pub tail_objects: u64,
     /// Σ mass the serving generations were built over.
     pub built_mass: f64,

@@ -1,11 +1,14 @@
 //! The ingest shard: one partition's live state, shared behind one lock.
 //!
 //! A [`LiveShard`] holds the *mutable* side of its partition — the live
-//! [`TemporalSet`] (appends applied immediately), the per-object frozen
-//! edge of the currently published generation, the pending build, and the
-//! result cache — in a `Mutex<ShardState>`, and probes its frozen side
-//! directly: the published generation is an immutable `Arc`-shared
-//! snapshot ([`crate::generation`]). The engine's `chronorank-serve`
+//! data as a [`ColumnarTail`] (appends applied immediately), the per-object
+//! frozen edge of the currently published generation, the pending build,
+//! and the result cache — in a `Mutex<ShardState>`, and probes its frozen
+//! side directly: the published generation is an immutable `Arc`-shared
+//! snapshot ([`crate::generation`]). Each point has one home: the store's
+//! frozen curves, which a build's snapshot shares instead of copying
+//! ([`ColumnarTail::freeze`] copies only the curves its log extends).
+//! The engine's `chronorank-serve`
 //! worker pool owns the shard and runs its query windows on the shard's
 //! own worker through [`ShardProbe`], the same seam serve's immutable
 //! shards sit behind; an append batch, and the install of a finished
@@ -59,7 +62,7 @@ use crate::generation::{GenParts, Generation};
 use crate::obs::ShardObs;
 use crate::report::PauseHistogram;
 use chronorank_core::{AppendRecord, ObjectId, TemporalSet};
-use chronorank_curve::{ColumnarTail, Segment};
+use chronorank_curve::{ColumnarTail, PiecewiseLinear, Segment};
 use chronorank_serve::{
     dedup_window, panic_message, to_local, BuildStages, CacheCounters, ProbeKey, ResultCache,
     Route, RouteProfiles, ServeQuery, ShardAnswer, ShardProbe,
@@ -104,10 +107,9 @@ pub(crate) struct ShardStatus {
     pub io: IoStats,
     pub size_bytes: u64,
     pub route_bytes: [u64; 5],
-    /// Heap bytes held by the columnar append log (tail columns + index
-    /// lists).
+    /// Heap bytes held by the append log (log columns + index lists).
     pub tail_bytes: u64,
-    /// Objects with a non-empty appended tail.
+    /// Objects with a non-empty append log.
     pub tail_objects: u64,
 }
 
@@ -124,9 +126,9 @@ struct PendingGen {
 struct ShardState {
     shard: usize,
     config: LiveConfig,
-    /// The live partition (local dense ids) in columnar form: epoch-frozen
-    /// base columns plus the mutable append log. Appends land immediately;
-    /// rescoring streams the shared `t`/`v` columns.
+    /// The live partition (local dense ids): frozen curves, shared with
+    /// the last build's snapshot, plus the log of appends since its cut.
+    /// Rescoring streams each curve's columns, then its log.
     live: ColumnarTail,
     /// `M` of the live partition, maintained incrementally with exactly
     /// the arithmetic [`TemporalSet::append_segment`] uses, so rebuild
@@ -184,9 +186,10 @@ impl ShardState {
     /// Cut the snapshot generation `generation` is built over and start its
     /// build on a thread of its own (or poison the shard).
     fn begin_generation(&mut self, generation: u64) {
-        // Materialize a row-form snapshot from the columns (the index
-        // builders consume `TemporalSet`); point bits are copied verbatim.
-        let snapshot = match TemporalSet::from_columnar(&self.live) {
+        // Fold the append log into the shard's curves (only the curves it
+        // extends are copied) and hand the builder a set sharing their
+        // columns: `m` reference counts, not `N` points.
+        let snapshot = match TemporalSet::from_curves(self.live.freeze().to_vec()) {
             Ok(s) => s,
             Err(e) => {
                 self.poisoned = Some(format!("generation snapshot: {e}"));
@@ -213,7 +216,8 @@ impl ShardState {
     /// Epoch swap: install the pending build if its builder has finished
     /// (or, with `wait`, once it has); a failed build installs nothing and
     /// the next trigger retries. The swap itself — an `Arc` replacement
-    /// plus bookkeeping — is measured into the pause histogram.
+    /// plus bookkeeping, no point moved — is measured into the pause
+    /// histogram.
     fn install(&mut self, wait: bool) -> bool {
         if !self.pending.as_ref().is_some_and(|p| wait || p.builder.is_finished()) {
             return false;
@@ -226,11 +230,6 @@ impl ShardState {
         self.count_build();
         self.frozen_end = pending.frozen_end;
         self.gen_applied = pending.stamp_applied;
-        // The epoch swap also compacts the columnar append log into the
-        // contiguous base columns — the tail the new generation absorbed
-        // no longer needs its gather indirection (a storage move only;
-        // every point and every integral keeps its bits).
-        self.live.freeze();
         if let Some(cache) = &mut self.cache {
             cache.clear(); // superseded frozen parts
         }
@@ -488,21 +487,20 @@ impl LiveShard {
     }
 }
 
-/// The live data of `shards` gathered into one column set in global object
-/// order ([`to_local`] finds each object's shard): point for point what
-/// `to_columnar()` of a row-form set holding the same data is. Every
-/// shard's lock is taken once and held across the gather; no other path
-/// holds two, so the order cannot deadlock.
-pub(crate) fn live_columns(shards: &[Arc<LiveShard>]) -> ColumnarTail {
+/// The live curves of `shards` in global object order ([`to_local`] finds
+/// each object's shard). A curve with no appended log is the shard's own,
+/// sharing its columns; only a logged one is copied
+/// ([`ColumnarTail::curve`]). Every shard's lock is taken once and held
+/// across the gather; no other path holds two, so the order cannot
+/// deadlock.
+pub(crate) fn live_curves(shards: &[Arc<LiveShard>]) -> Vec<PiecewiseLinear> {
     let states: Vec<_> = shards.iter().map(|s| s.lock()).collect();
     let m: usize = states.iter().map(|s| s.live.num_objects()).sum();
-    let (mut all, mut ts, mut vs) = (ColumnarTail::new(), Vec::new(), Vec::new());
-    for global in 0..m as ObjectId {
+    let curve = |global| {
         let (shard, local) = to_local(global, states.len());
-        states[shard].live.copy_points(local as usize, &mut ts, &mut vs);
-        all.push_object(&ts, &vs).expect("shard columns hold valid curves");
-    }
-    all
+        states[shard].live.curve(local as usize)
+    };
+    (0..m as ObjectId).map(curve).collect()
 }
 
 impl ShardProbe for LiveShard {

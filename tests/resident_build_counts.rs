@@ -16,7 +16,10 @@
 //! keeps: the shard build's heap high-water mark above what the built shard
 //! holds, and what a `partition` copies — curves share their point
 //! columns, and BREAKPOINTS2's count fit replays a 4-byte-a-segment merge
-//! order instead of sorting a copy of every segment.
+//! order instead of sorting a copy of every segment. Two more pin the live
+//! data path, where each point has one home, the shard's curves: the heap
+//! an engine holds per live point after an image boot, and the peak heap
+//! of a live rebuild beyond what the engine holds after it.
 //!
 //! One test, so nothing else in the process allocates while it counts;
 //! `ci.sh`'s `tier1` stage echoes the `pinned:` lines into its summary.
@@ -42,24 +45,46 @@ fn build_io(index: &dyn RankMethod) -> (u64, u64, u64) {
     (index.size_bytes() / StoreConfig::default().block_size as u64, io.writes, io.reads)
 }
 
-/// Heap bytes a two-shard live engine holds beyond its indexes, per live
-/// point, after a stream of appends it never rebuilds over (directory WAL,
-/// so the log is not in the heap): the shards' columns are the one copy of
-/// the data, 16 bytes a point plus the append log's 4-byte index and `Vec`
-/// slack (22.55 here). A second, row-form copy beside them read 48.19.
-/// Its generation's indexes hold 81.78 bytes a segment: APPX2+ re-scores
-/// QUERY2's pool from those columns, so no 24-byte-a-point prefix file
-/// sits beside them (106.21 with one).
-fn live_engine_bytes_per_point() {
-    let dir = std::env::temp_dir().join(format!("chronorank-counts-live-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+/// The benchmark's live stream at test scale: Stock 600 × 120 × 8, a tenth
+/// of it in the base set, appended in batches of 4,096 records.
+fn stock_stream() -> AppendStream {
     let stream = AppendStream::from_generator(
         &StockGenerator::new(StockConfig { objects: 600, days: 120, readings_per_day: 8, seed: 7 }),
         AppendStreamConfig { base_fraction: 0.1, batch: 4096, ..Default::default() },
     );
-    let base = stream.base_set();
     assert!(stream.records().len() >= 500_000);
-    let points = base.num_segments() + base.num_objects() as u64 + stream.records().len() as u64;
+    stream
+}
+
+/// Points of the live data once `stream` is fully appended.
+fn live_points(stream: &AppendStream) -> u64 {
+    let base = stream.base_set();
+    base.num_segments() + base.num_objects() as u64 + stream.records().len() as u64
+}
+
+/// A fresh directory for one engine's WAL and image (so the log is not in
+/// the heap).
+fn wal_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("chronorank-counts-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Heap bytes a two-shard live engine holds beyond its indexes, per live
+/// point, after a stream of appends it never rebuilds over: the shards'
+/// curves are the one copy of the data, shared with the set they booted
+/// from, and the append log holds 16 bytes a point plus a 4-byte index and
+/// `Vec` slack (22.43 while a boot copied the base into columns of its
+/// own; a second, row-form copy beside them read 48.19). Its generation's
+/// indexes hold 81.78 bytes a segment: APPX2+ re-scores QUERY2's pool from
+/// those columns, so no 24-byte-a-point prefix file sits beside them
+/// (106.21 with one). Then the same data booted from its checkpoint image:
+/// the image's curves are read once, and the shards share them (27.88 while
+/// a boot copied them again into columns grown by pushing).
+fn live_engine_bytes_per_point(stream: &AppendStream) {
+    let dir = wal_dir("live");
+    let base = stream.base_set();
+    let points = live_points(stream);
     let config = LiveConfig {
         workers: 2,
         wal_dir: Some(dir.clone()),
@@ -68,7 +93,7 @@ fn live_engine_bytes_per_point() {
     };
 
     let live_before = counting::live_bytes();
-    let mut engine = IngestEngine::new(&base, config).unwrap();
+    let mut engine = IngestEngine::new(&base, config.clone()).unwrap();
     let index_bytes = engine.report().index_bytes;
     let per_segment = index_bytes as f64 / base.num_segments() as f64;
     println!("pinned: index bytes a live generation holds per segment: {per_segment:.2}");
@@ -78,6 +103,57 @@ fn live_engine_bytes_per_point() {
     let per_point = held as f64 / points as f64;
     println!("pinned: heap bytes a live engine holds per live point: {per_point:.2}");
     assert!(per_point <= 30.0, "{held} heap bytes beyond the indexes for {points} live points");
+    engine.checkpoint().unwrap();
+    drop(engine);
+
+    let live_before = counting::live_bytes();
+    let engine = IngestEngine::new(&base, config).unwrap();
+    assert_eq!(engine.report().preloaded_shards, 2);
+    let held = counting::live_bytes() - live_before - engine.report().index_bytes;
+    let per_point = held as f64 / points as f64;
+    println!(
+        "pinned: heap bytes a live engine holds per live point after an image boot: {per_point:.2}"
+    );
+    assert!(per_point <= 20.0, "{held} heap bytes beyond the indexes for {points} live points");
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The heap high-water mark of one live rebuild above what the engine
+/// holds once it is installed, per live point: one shard, whose one build
+/// the last batch starts. Cutting the snapshot folds the log into the
+/// curves it extends and hands the builder clones sharing their columns,
+/// and the install moves no point, so what peaks above the end state is
+/// the generation the install retires, alive beside the new one until the
+/// swap, plus the build's own transients (30.74 while the snapshot was a
+/// row-form copy of the columns and the install re-packed every point).
+fn live_rebuild_peak_per_point(stream: &AppendStream) {
+    let dir = wal_dir("rebuild");
+    let config = LiveConfig {
+        workers: 1,
+        wal_dir: Some(dir.clone()),
+        rebuild: RebuildPolicy {
+            mass_factor: f64::INFINITY,
+            max_tail_segments: stream.records().len(),
+        },
+        ..Default::default()
+    };
+    let mut engine = IngestEngine::new(&stream.base_set(), config).unwrap();
+    let batches: Vec<_> = stream.batches().collect();
+    let (last, rest) = batches.split_last().unwrap();
+    rest.iter().for_each(|batch| engine.append_batch(batch).unwrap());
+    assert_eq!(engine.report().rebuilds_in_flight, 0);
+    counting::reset_peak();
+    engine.append_batch(last).unwrap();
+    engine.finish_rebuilds();
+    let transient = counting::peak_bytes() - counting::live_bytes();
+    assert_eq!(engine.report().rebuilds, 1);
+    let per_point = transient as f64 / live_points(stream) as f64;
+    println!(
+        "pinned: peak heap of a live rebuild beyond what the engine holds after it, per live \
+         point: {per_point:.2}"
+    );
+    assert!(per_point <= 16.0, "a live rebuild peaked {transient} heap bytes above what it holds");
     drop(engine);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -150,5 +226,7 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
     assert!(per_segment <= 1.0, "a W = 2 partition allocated {copied} bytes");
     drop(parts);
 
-    live_engine_bytes_per_point();
+    let stream = stock_stream();
+    live_engine_bytes_per_point(&stream);
+    live_rebuild_peak_per_point(&stream);
 }
