@@ -137,14 +137,15 @@ impl Breakpoints {
     /// heaviest object alone forces that many cuts) and `1/ε` (B1's
     /// count), so the `ε*` whose sweep yields `r` points satisfies
     /// `max_i M_i / ((r−1)·M) ≤ ε* ≤ 1/(r−1)`. The fit prepares the merge
-    /// order once, sweeps the upper end of that bracket (always a
-    /// valid answer), then closes in on `r`: log–log interpolation between
+    /// order once, tries the upper end of that bracket (always a valid
+    /// answer, and one it knows without sweeping when no object's mass
+    /// reaches `τ` there), then closes in on `r`: log–log interpolation between
     /// the bracket ends once both have been swept, else `count ∝ 1/ε`
     /// around the latest trial, else bisection. A trial is abandoned as
     /// soon as its count passes `r +` the best distance so far. The fit
     /// stops at the first count with `|count − r| ≤ max(1, r/64)`, when two
     /// consecutive trials on one side report the same count, or after
-    /// [`B2_FIT_MAX_SWEEPS`] sweeps, and returns the closest completed
+    /// [`B2_FIT_MAX_SWEEPS`] trials, and returns the closest completed
     /// trial — always a genuine `b2_with_eps` set, so the `ε` guarantee is
     /// that of its own `ε`. A pure function of `(set, r, construction)`.
     pub fn b2_with_count_stats(
@@ -180,10 +181,16 @@ impl Breakpoints {
         }
         let run = ResidentRun::new(set, construction, order)?;
         let mass = set.total_mass();
+        let heaviest = run.max_object_mass();
         let hi = 1.0 / (r as f64 - 1.0);
-        let lo = if mass > 0.0 { hi * (run.max_object_mass() / mass).min(1.0) } else { hi };
+        let lo = if mass > 0.0 { hi * (heaviest / mass).min(1.0) } else { hi };
+        // No object's whole mass reaches τ = εM: a sweep commits nothing and
+        // returns the domain's ends (the margin dwarfs the rounding by
+        // which a sweep's running integral can differ from `M_i`).
+        let ends = vec![set.t_min(), set.t_max()];
+        let idle = |eps: f64| (heaviest < eps * mass * (1.0 - 1e-9)).then(|| ends.clone());
         let (eps, points, stats) =
-            fit_count(r, lo, hi, set.span(), |eps, limit| run.sweep(eps * mass, limit))?;
+            fit_count(r, lo, hi, set.span(), idle, |eps, limit| run.sweep(eps * mass, limit))?;
         Ok((Self { kind: BreakpointsKind::B2, points, eps, mass }, stats))
     }
 
@@ -695,13 +702,14 @@ impl ResidentRun {
 // BREAKPOINTS2 count fit
 // ---------------------------------------------------------------------------
 
-/// Sweep budget of one [`Breakpoints::b2_with_count`] fit.
+/// Trial budget of one [`Breakpoints::b2_with_count`] fit.
 pub const B2_FIT_MAX_SWEEPS: u32 = 8;
 
 /// What one [`Breakpoints::b2_with_count_stats`] fit cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FitStats {
-    /// Sweeps run, aborted ones included (≤ [`B2_FIT_MAX_SWEEPS`]).
+    /// Sweeps run, aborted ones included (≤ [`B2_FIT_MAX_SWEEPS`]); a
+    /// trial whose threshold no object's mass reaches runs none.
     pub sweeps: u32,
     /// Sweeps given up early because their count had already overshot.
     pub aborted: u32,
@@ -716,31 +724,46 @@ struct End {
 }
 
 /// Search `[lo, hi]` for the `ε` whose sweep yields `r` points, where
-/// `trial(ε, limit)` runs one sweep that may give up past `limit` points.
-/// The caller guarantees `count(hi) ≤ r ≲ count(lo)`. Returns the closest
-/// completed trial as `(ε, points)`.
+/// `sweep(ε, limit)` runs one sweep that may give up past `limit` points
+/// and `idle(ε)` is the points of a trial at `ε` known without sweeping,
+/// if they are. The caller guarantees `count(hi) ≤ r ≲ count(lo)`.
+/// Returns the closest completed trial as `(ε, points)`. A trial answered
+/// by `idle` spends the budget but runs no sweep while it only steers the
+/// search; if it is the closest, it is swept once at the end, so the
+/// points a fit returns always come from a completed sweep.
 fn fit_count(
     r: usize,
     lo: f64,
     hi: f64,
     span: f64,
-    mut trial: impl FnMut(f64, usize) -> Result<Sweep>,
+    idle: impl Fn(f64) -> Option<Vec<f64>>,
+    mut sweep: impl FnMut(f64, usize) -> Result<Sweep>,
 ) -> Result<(f64, Vec<f64>, FitStats)> {
+    let mut stats = FitStats::default();
+    // A trial's outcome, and whether a sweep produced it.
+    let mut trial = |eps: f64, limit: usize, stats: &mut FitStats| match idle(eps) {
+        Some(points) => Ok((Sweep::Done(points), false)),
+        None => {
+            stats.sweeps += 1;
+            sweep(eps, limit).map(|outcome| (outcome, true))
+        }
+    };
     let band = (r / 64).max(1);
     let want = r as f64 - 1.0;
-    let first = trial(hi, usize::MAX)?.done();
-    let mut stats = FitStats { sweeps: 1, aborted: 0 };
+    let (first, first_swept) = trial(hi, usize::MAX, &mut stats)?;
+    let first = first.done();
+    let mut trials = 1;
     let mut best_d = first.len().abs_diff(r);
     // `many` has too many points (smaller ε), `few` too few.
     let mut many = End { eps: lo, gaps: None };
     // The latest trial: its ε, gap count (measured or extrapolated), count.
     let (mut last_eps, mut last_gaps, mut last_count) = (hi, first.len() as f64 - 1.0, first.len());
     let mut few = End { eps: hi, gaps: Some(last_gaps) };
-    let mut best = (hi, first);
+    let mut best = (hi, first, first_swept);
     if last_count >= r {
-        return Ok((best.0, best.1, stats));
+        return settle(best, stats, &mut sweep);
     }
-    while best_d > band && stats.sweeps < B2_FIT_MAX_SWEEPS {
+    while best_d > band && trials < B2_FIT_MAX_SWEEPS {
         // Strictly inside the bracket; the `lo` end itself is fair game
         // until it has been swept.
         let inside =
@@ -767,13 +790,14 @@ fn fit_count(
             break; // bracket exhausted
         }
         let limit = r + best_d;
-        stats.sweeps += 1;
-        let (count, gaps) = match trial(eps, limit)? {
+        trials += 1;
+        let (outcome, swept) = trial(eps, limit, &mut stats)?;
+        let (count, gaps) = match outcome {
             Sweep::Done(points) => {
                 let count = points.len();
                 if count.abs_diff(r) < best_d {
                     best_d = count.abs_diff(r);
-                    best = (eps, points);
+                    best = (eps, points, swept);
                 }
                 (count, count as f64 - 1.0)
             }
@@ -797,7 +821,23 @@ fn fit_count(
         }
         (last_eps, last_gaps, last_count) = (eps, gaps, count);
     }
-    Ok((best.0, best.1, stats))
+    settle(best, stats, &mut sweep)
+}
+
+/// A fit's answer `(ε, points, swept)` as a completed sweep produces it:
+/// an answer known without sweeping is swept once here.
+fn settle(
+    (eps, points, swept): (f64, Vec<f64>, bool),
+    mut stats: FitStats,
+    sweep: &mut impl FnMut(f64, usize) -> Result<Sweep>,
+) -> Result<(f64, Vec<f64>, FitStats)> {
+    if swept {
+        return Ok((eps, points, stats));
+    }
+    stats.sweeps += 1;
+    let swept = sweep(eps, usize::MAX)?.done();
+    debug_assert_eq!(swept, points, "a trial answered without sweeping is what its sweep returns");
+    Ok((eps, swept, stats))
 }
 
 #[cfg(test)]
@@ -908,14 +948,21 @@ mod tests {
     ) -> (usize, FitStats, Vec<usize>) {
         let mut seen = Vec::new();
         let hi = 1.0 / (r as f64 - 1.0);
-        let (eps, points, stats) = fit_count(r, lo, hi, 1.0, |eps, limit| {
-            let c = count(eps);
-            if c > limit {
-                return Ok(Sweep::Aborted { progress: limit as f64 / c as f64 });
-            }
-            seen.push(c);
-            Ok(Sweep::Done(vec![0.0; c]))
-        })
+        let (eps, points, stats) = fit_count(
+            r,
+            lo,
+            hi,
+            1.0,
+            |_| None,
+            |eps, limit| {
+                let c = count(eps);
+                if c > limit {
+                    return Ok(Sweep::Aborted { progress: limit as f64 / c as f64 });
+                }
+                seen.push(c);
+                Ok(Sweep::Done(vec![0.0; c]))
+            },
+        )
         .unwrap();
         assert_eq!(points.len(), count(eps), "the returned points are those of the returned ε");
         assert_eq!(stats.sweeps as usize, seen.len() + stats.aborted as usize);
@@ -945,6 +992,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_trial_whose_threshold_no_object_reaches_runs_no_sweep() {
+        // Above ε = 0.01 no object reaches τ: a sweep there yields the two
+        // domain ends. Knowing so skips the first trial and nothing else.
+        let count = |eps: f64| if eps > 0.01 { 2 } else { (0.5 / eps) as usize + 1 };
+        let fit = |skip: bool| {
+            let idle = |eps: f64| (skip && eps > 0.01).then(|| vec![0.0; 2]);
+            fit_count(64, 1e-3, 1.0 / 63.0, 1.0, idle, |eps, limit| {
+                let c = count(eps);
+                Ok(if c > limit {
+                    Sweep::Aborted { progress: limit as f64 / c as f64 }
+                } else {
+                    Sweep::Done(vec![0.0; c])
+                })
+            })
+            .unwrap()
+        };
+        let ((eps, points, swept), (eps_skip, points_skip, skipped)) = (fit(false), fit(true));
+        assert_eq!((eps.to_bits(), points.len()), (eps_skip.to_bits(), points_skip.len()));
+        assert_eq!(skipped.sweeps + 1, swept.sweeps, "{swept:?} {skipped:?}");
+        assert_eq!(skipped.aborted, swept.aborted);
     }
 
     #[test]

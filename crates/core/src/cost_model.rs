@@ -67,7 +67,8 @@ mod entry {
     pub const EXACT1: u64 = 8 + 28;
     /// EXACT3 interval entry: lo + hi + payload(obj, v0, v1, prefix).
     pub const EXACT3: u64 = 16 + 28;
-    /// QUERY1/2 list entry: id + score.
+    /// QUERY1/2 list entry: id + score; a breakpoint directory leaf entry
+    /// (breakpoint + index) is as long.
     pub const LIST: u64 = 12;
     /// APPX2+ prefix-file point: t + v + prefix.
     pub const PREFIX_POINT: u64 = 24;
@@ -110,9 +111,11 @@ pub struct SizeCost {
     pub exact2: f64,
     /// 〃 (two sorted copies of every list entry).
     pub exact3: f64,
-    /// QUERY1: `r(r−1)/2` lists of `kmax` entries.
+    /// QUERY1: `r(r−1)/2` lists of `kmax` entries, `⌊B / (12·kmax)⌋` to a
+    /// block, plus the breakpoint directory.
     pub appx1: f64,
-    /// QUERY2: < `2r` lists of `kmax` entries.
+    /// QUERY2: < `2r` lists of `kmax` entries, packed as QUERY1's, plus the
+    /// breakpoint directory.
     pub appx2: f64,
     /// APPX2+: QUERY2 plus `N + m` prefix points packed at fill 1.0.
     pub appx2_plus: f64,
@@ -124,9 +127,18 @@ pub fn size_cost(p: &CostParams) -> SizeCost {
     let exact1 = (p.n_total * entry::EXACT1) as f64 / b;
     let exact2 = (p.n_total * (8 + 32)) as f64 / b + 2.0 * p.m as f64;
     let exact3 = (2 * p.n_total * entry::EXACT3) as f64 / b;
-    let list_blocks = ((p.kmax * entry::LIST) as f64 / b).ceil().max(1.0);
-    let appx1 = (p.r * (p.r - 1) / 2) as f64 * list_blocks;
-    let appx2 = (2 * p.r) as f64 * list_blocks;
+    // A list that fits a block shares it with `⌊B / (12·kmax)⌋ − 1` others;
+    // a longer one spans whole blocks of `⌊B/12⌋` entries.
+    let lists_blocks = |lists: u64| match p.block / (p.kmax * entry::LIST).max(1) {
+        0 => lists * p.kmax.div_ceil(p.block / entry::LIST),
+        per_block => lists.div_ceil(per_block),
+    };
+    // The breakpoint directory is a B+-tree: a meta block, full leaves of
+    // `r` entries and, past one leaf, a level above them.
+    let leaves = p.r.div_ceil((p.block - 16) / entry::LIST).max(1);
+    let directory = 1 + leaves + if leaves > 1 { leaves.div_ceil(p.block / 16) } else { 0 };
+    let appx1 = (lists_blocks(p.r * (p.r - 1) / 2) + directory) as f64;
+    let appx2 = (lists_blocks(2 * p.r) + directory) as f64;
     let appx2_plus = appx2 + ((p.n_total + p.m) * entry::PREFIX_POINT) as f64 / b;
     SizeCost { exact1, exact2, exact3, appx1, appx2, appx2_plus }
 }

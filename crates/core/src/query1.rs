@@ -1,18 +1,22 @@
-//! QUERY1 — nested B+-tree queries over all breakpoint pairs (paper §3.2).
+//! QUERY1 — top-`kmax` lists over all breakpoint pairs (paper §3.2).
 //!
 //! For every pair of breakpoints `b_j < b_j'` (there are `r(r−1)/2`),
-//! materialize the `kmax` objects with the largest `σ_i(b_j, b_j')`. A
-//! top-level B+-tree indexes the left endpoint; each of its entries points
-//! to a lower-level B+-tree over the right endpoints, whose entries point
-//! to the stored list. A query snaps `[t1, t2]` to
-//! `[B(t1), B(t2)]` with the two tree descents and reads the first
-//! `⌈k·entry/B⌉` blocks of the list:
+//! materialize the `kmax` objects with the largest `σ_i(b_j, b_j')`. The
+//! lists sit in one [`Lists`] file in `j`-major order, so the pair's list
+//! is the one at slot `pair_base(j) + (j′ − j − 1)`. A query snaps both
+//! endpoints through one B+-tree over the `r` breakpoints, to
+//! `[B(t1), B(t2)]`, and reads the first `⌈k·entry/B⌉` blocks of that list:
 //!
-//! * size `Θ(r² kmax / B)` blocks,
+//! * size `Θ(r² kmax / B)` blocks: `⌊B / (12·kmax)⌋` lists share a block,
 //! * `(ε, 1)`-approximate answers (the stored scores are *exact* on the
 //!   snapped interval; Lemma 2 bounds the snapping error by `εM`),
 //! * query cost `O(k/B + log_B r)` IOs — the 6–8 cold IOs of the paper's
 //!   Figure 12(c).
+//!
+//! The paper nests a B+-tree per left endpoint under a top-level tree;
+//! with lists addressed by slot, one directory and the slot arithmetic do
+//! the same job in two files instead of `r + 1` (`REPRODUCTION.md`,
+//! "Known deviations", item 9).
 //!
 //! Construction streams objects in object-major order, pushing each
 //! object's breakpoint-prefix row into the pair heaps (`O(r² kmax)` space,
@@ -26,7 +30,7 @@ use crate::error::{CoreError, Result};
 use crate::object::{ObjectId, TemporalObject};
 use crate::topk::{capped_push, check_interval, heap_into_desc, RankMethod, TopK, WorstFirst};
 use chronorank_index::BPlusTree;
-use chronorank_storage::{Env, IoStats, PagedFile};
+use chronorank_storage::{Env, IoStats, Page, PagedFile};
 use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 
@@ -35,16 +39,140 @@ const ENTRY_LEN: usize = 12;
 /// Padding id marking unused list slots (`m < kmax`).
 const PAD_ID: u32 = u32::MAX;
 
+/// A file of fixed-size top-`kmax` lists, addressed by slot — QUERY1's and
+/// QUERY2's. While a list fits a block, `⌊B / (12·kmax)⌋` lists share each
+/// block and none straddles two; a longer list starts a block of its own
+/// and spans `⌈kmax / ⌊B/12⌋⌉` whole blocks. Unused entries of a list are
+/// padded.
+pub(crate) struct Lists {
+    file: PagedFile,
+    kmax: usize,
+    /// Lists per block; 0 when one list outgrows a block.
+    per_block: usize,
+}
+
+impl Lists {
+    /// Write `lists` (each best first, at most `kmax` entries) to the empty
+    /// `file`, slot after slot. One block buffer is filled at a time and
+    /// written when the next entry belongs to another block.
+    pub(crate) fn write<I>(file: PagedFile, kmax: usize, lists: I) -> Result<Self>
+    where
+        I: IntoIterator<Item = Vec<(ObjectId, f64)>>,
+    {
+        let block = file.block_size();
+        let out = Self { per_block: block / (kmax * ENTRY_LEN), file, kmax };
+        let mut buf = vec![0u8; block];
+        let mut held: Option<u64> = None;
+        let flush = |id: u64, buf: &[u8]| -> Result<()> {
+            let got = out.file.allocate(1)?;
+            assert_eq!(got, id, "a lists file is written from its first block");
+            Ok(out.file.write(got, buf)?)
+        };
+        for (slot, list) in lists.into_iter().enumerate() {
+            debug_assert!(list.len() <= kmax);
+            for e in 0..kmax {
+                let (id, off) = out.place(slot as u64, e);
+                if held != Some(id) {
+                    if let Some(prev) = held {
+                        flush(prev, &buf)?;
+                        buf.fill(0);
+                    }
+                    held = Some(id);
+                }
+                let (obj, score) = list.get(e).copied().unwrap_or((PAD_ID, 0.0));
+                buf[off..off + 4].copy_from_slice(&obj.to_le_bytes());
+                buf[off + 4..off + ENTRY_LEN].copy_from_slice(&score.to_le_bytes());
+            }
+        }
+        if let Some(prev) = held {
+            flush(prev, &buf)?;
+        }
+        Ok(out)
+    }
+
+    /// Block and byte offset of entry `e` of the list at `slot`.
+    fn place(&self, slot: u64, e: usize) -> (u64, usize) {
+        if self.per_block > 0 {
+            let per = self.per_block as u64;
+            (slot / per, ((slot % per) as usize * self.kmax + e) * ENTRY_LEN)
+        } else {
+            let entries = self.file.block_size() / ENTRY_LEN;
+            let blocks = self.kmax.div_ceil(entries) as u64;
+            (slot * blocks + (e / entries) as u64, (e % entries) * ENTRY_LEN)
+        }
+    }
+
+    /// The first `k` real entries of the list at `slot`.
+    pub(crate) fn read(&self, slot: u64, k: usize) -> Result<Vec<(ObjectId, f64)>> {
+        let k = k.min(self.kmax);
+        let mut out = Vec::with_capacity(k);
+        let mut page: Option<(u64, Page)> = None;
+        for e in 0..k {
+            let (id, off) = self.place(slot, e);
+            let buf = match &page {
+                Some((held, buf)) if *held == id => buf,
+                _ => &page.insert((id, self.file.page(id)?)).1,
+            };
+            let obj = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4"));
+            if obj == PAD_ID {
+                break;
+            }
+            out.push((
+                obj,
+                f64::from_le_bytes(buf[off + 4..off + ENTRY_LEN].try_into().expect("8")),
+            ));
+        }
+        Ok(out)
+    }
+
+    /// The largest `k` a list answers.
+    pub(crate) fn kmax(&self) -> usize {
+        self.kmax
+    }
+
+    pub(crate) fn size_bytes(&self) -> u64 {
+        self.file.size_bytes()
+    }
+
+    pub(crate) fn drop_cache(&self) -> Result<()> {
+        Ok(self.file.drop_cache()?)
+    }
+}
+
+/// The breakpoint directory: a B+-tree over all `r` breakpoints whose
+/// payload is the index, so snapping costs real reads.
+pub(crate) fn breakpoint_tree(
+    env: &Env,
+    name: &str,
+    breakpoints: &Breakpoints,
+) -> Result<BPlusTree> {
+    let mut loader = BPlusTree::bulk_loader(env.create_file(name)?, 4)?;
+    for (j, &b) in breakpoints.points().iter().enumerate() {
+        loader.push(b, &(j as u32).to_le_bytes())?;
+    }
+    Ok(loader.finish()?)
+}
+
+/// `B(t)` through the directory: the index of the smallest breakpoint
+/// `≥ t`, `None` past the last.
+pub(crate) fn snap_via_tree(tree: &BPlusTree, t: f64) -> Result<Option<usize>> {
+    let cur = tree.seek(t)?;
+    Ok(cur.valid().then(|| u32::from_le_bytes(cur.payload().try_into().expect("4")) as usize))
+}
+
 /// The QUERY1 index (see module docs). Combined with BREAKPOINTS1 this is
 /// the paper's **APPX1-B**; with BREAKPOINTS2, **APPX1**.
 pub struct Query1Index {
     env: Env,
     breakpoints: Breakpoints,
-    top_tree: BPlusTree,
-    sub_trees: Vec<BPlusTree>,
-    lists: PagedFile,
-    kmax: usize,
-    blocks_per_list: u64,
+    bp_tree: BPlusTree,
+    lists: Lists,
+}
+
+/// Slot of pair `(j, j + 1)`: the pairs of every smaller left endpoint
+/// come first.
+fn pair_base(r: usize, j: usize) -> usize {
+    j * (2 * r - 1 - j) / 2
 }
 
 impl Query1Index {
@@ -63,13 +191,9 @@ impl Query1Index {
             return Err(CoreError::BadQuery("kmax must be at least 1".into()));
         }
         let r = breakpoints.len();
-        let block = env.block_size();
-        let blocks_per_list = ((kmax * ENTRY_LEN) as u64).div_ceil(block as u64);
 
-        // Flat heap table over all pairs: pair (j, j+1+p) lives at
-        // pair_base(j) + p.
+        // Flat heap table over all pairs, in slot order.
         let npairs_total = r * r.saturating_sub(1) / 2;
-        let pair_base = |j: usize| j * (2 * r - 1 - j) / 2;
         let mut heaps: Vec<BinaryHeap<WorstFirst>> = Vec::with_capacity(npairs_total);
         heaps.resize_with(npairs_total, BinaryHeap::new);
         for o in objects {
@@ -77,43 +201,25 @@ impl Query1Index {
             let row = breakpoints.cums_at(&o.curve);
             for j in 0..r.saturating_sub(1) {
                 let base = row[j];
-                let at = pair_base(j);
+                let at = pair_base(r, j);
                 for (p, &c) in row[j + 1..].iter().enumerate() {
                     capped_push(&mut heaps[at + p], kmax, c - base, o.id);
                 }
             }
         }
 
-        // Drain in j-major order: one sub-tree per left endpoint.
-        let lists = env.create_file("q1_lists")?;
-        let mut list_buf = vec![0u8; block];
-        let mut sub_trees = Vec::with_capacity(r.saturating_sub(1));
-        let mut heap_it = heaps.into_iter();
-        for j in 0..r.saturating_sub(1) {
-            let mut loader =
-                BPlusTree::bulk_loader(env.create_file(&format!("q1_sub_{j:06}"))?, 8)?;
-            for p in 0..(r - 1 - j) {
-                let jp = j + 1 + p;
-                let heap = heap_it.next().expect("pair table sized r(r-1)/2");
-                let entries = heap_into_desc(heap);
-                let start = lists.allocate(blocks_per_list)?;
-                write_list(&lists, &mut list_buf, start, kmax, &entries)?;
-                loader.push(breakpoints.points()[jp], &start.to_le_bytes())?;
-            }
-            sub_trees.push(loader.finish()?);
-        }
-
-        let mut loader = BPlusTree::bulk_loader(env.create_file("q1_top")?, 4)?;
-        for (j, &b) in breakpoints.points()[..r.saturating_sub(1)].iter().enumerate() {
-            loader.push(b, &(j as u32).to_le_bytes())?;
-        }
-        let top_tree = loader.finish()?;
-        Ok(Self { env, breakpoints, top_tree, sub_trees, lists, kmax, blocks_per_list })
+        let lists = Lists::write(
+            env.create_file("q1_lists")?,
+            kmax,
+            heaps.into_iter().map(heap_into_desc),
+        )?;
+        let bp_tree = breakpoint_tree(&env, "q1_bp", &breakpoints)?;
+        Ok(Self { env, breakpoints, bp_tree, lists })
     }
 
     /// Maximum `k` this index can answer.
     pub fn kmax(&self) -> usize {
-        self.kmax
+        self.lists.kmax()
     }
 
     /// The breakpoints this index snaps to.
@@ -122,92 +228,21 @@ impl Query1Index {
     }
 
     /// Read the top-`k` prefix of the list for the snapped interval; `None`
-    /// when `t1` snaps past the last left endpoint (empty snapped interval).
+    /// when `t1` snaps to the last breakpoint or past it (empty snapped
+    /// interval).
     fn lookup(&self, t1: f64, t2: f64, k: usize) -> Result<Option<Vec<(ObjectId, f64)>>> {
-        // Descent 1: B(t1) in the top-level tree.
-        let cur = self.top_tree.seek(t1)?;
-        if !cur.valid() {
-            return Ok(None);
-        }
-        let j = u32::from_le_bytes(cur.payload().try_into().expect("4")) as usize;
-        // Descent 2: B(t2) in the sub-tree (clamped to the last breakpoint
-        // when t2 exceeds the domain, per B(t) = smallest breakpoint ≥ t,
-        // which is T itself for t ≥ T).
-        let sub = &self.sub_trees[j];
-        let cur2 = sub.seek(t2)?;
-        let start = if cur2.valid() {
-            u64::from_le_bytes(cur2.payload().try_into().expect("8"))
-        } else {
-            match sub.last_entry()? {
-                Some((_, p)) => u64::from_le_bytes(p.as_slice().try_into().expect("8")),
-                None => return Ok(None),
-            }
+        let r = self.breakpoints.len();
+        let j = match snap_via_tree(&self.bp_tree, t1)? {
+            Some(j) if j + 1 < r => j,
+            _ => return Ok(None),
         };
-        Ok(Some(read_list(&self.lists, start, self.blocks_per_list, k)?))
+        // B(t2), clamped to the last breakpoint when t2 exceeds the domain
+        // (B(t) = smallest breakpoint ≥ t, which is T itself for t ≥ T),
+        // and at least one breakpoint right of B(t1).
+        let jp = snap_via_tree(&self.bp_tree, t2)?.unwrap_or(r - 1).max(j + 1);
+        let slot = pair_base(r, j) + (jp - j - 1);
+        Ok(Some(self.lists.read(slot as u64, k)?))
     }
-}
-
-/// Write one fixed-size list (`kmax` slots, unused slots padded).
-pub(crate) fn write_list(
-    lists: &PagedFile,
-    buf: &mut [u8],
-    start: u64,
-    kmax: usize,
-    entries: &[(ObjectId, f64)],
-) -> Result<()> {
-    let block = buf.len();
-    let per_block = block / ENTRY_LEN;
-    let blocks = ((kmax * ENTRY_LEN) as u64).div_ceil(block as u64);
-    let mut it = entries.iter();
-    for b in 0..blocks {
-        buf.fill(0);
-        for slot in 0..per_block {
-            let global = b as usize * per_block + slot;
-            if global >= kmax {
-                break;
-            }
-            let off = slot * ENTRY_LEN;
-            match it.next() {
-                Some(&(id, score)) => {
-                    buf[off..off + 4].copy_from_slice(&id.to_le_bytes());
-                    buf[off + 4..off + 12].copy_from_slice(&score.to_le_bytes());
-                }
-                None => {
-                    buf[off..off + 4].copy_from_slice(&PAD_ID.to_le_bytes());
-                }
-            }
-        }
-        lists.write(start + b, buf)?;
-    }
-    Ok(())
-}
-
-/// Read the first `k` real entries of a list.
-pub(crate) fn read_list(
-    lists: &PagedFile,
-    start: u64,
-    blocks_per_list: u64,
-    k: usize,
-) -> Result<Vec<(ObjectId, f64)>> {
-    let per_block = lists.block_size() / ENTRY_LEN;
-    let mut out = Vec::with_capacity(k);
-    let need_blocks = (k as u64).div_ceil(per_block as u64).min(blocks_per_list);
-    'outer: for b in 0..need_blocks {
-        let buf = lists.page(start + b)?;
-        for slot in 0..per_block {
-            if out.len() >= k {
-                break 'outer;
-            }
-            let off = slot * ENTRY_LEN;
-            let id = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4"));
-            if id == PAD_ID {
-                break 'outer;
-            }
-            let score = f64::from_le_bytes(buf[off + 4..off + 12].try_into().expect("8"));
-            out.push((id, score));
-        }
-    }
-    Ok(out)
 }
 
 impl RankMethod for Query1Index {
@@ -217,10 +252,10 @@ impl RankMethod for Query1Index {
 
     fn top_k(&self, t1: f64, t2: f64, k: usize, agg: AggKind) -> Result<TopK> {
         check_interval(t1, t2)?;
-        if k > self.kmax {
+        if k > self.kmax() {
             return Err(CoreError::BadQuery(format!(
                 "k = {k} exceeds kmax = {} this index was built for",
-                self.kmax
+                self.kmax()
             )));
         }
         let entries = match self.lookup(t1, t2, k)? {
@@ -232,9 +267,7 @@ impl RankMethod for Query1Index {
     }
 
     fn size_bytes(&self) -> u64 {
-        self.top_tree.size_bytes()
-            + self.sub_trees.iter().map(|t| t.size_bytes()).sum::<u64>()
-            + self.lists.size_bytes()
+        self.bp_tree.size_bytes() + self.lists.size_bytes()
     }
 
     fn io_stats(&self) -> IoStats {
@@ -246,10 +279,7 @@ impl RankMethod for Query1Index {
     }
 
     fn drop_caches(&self) -> Result<()> {
-        self.top_tree.file().drop_cache()?;
-        for t in &self.sub_trees {
-            t.file().drop_cache()?;
-        }
+        self.bp_tree.file().drop_cache()?;
         self.lists.drop_cache()?;
         Ok(())
     }
@@ -343,6 +373,53 @@ mod tests {
         idx.top_k(3.0, 15.0, 8, AggKind::Sum).unwrap();
         let reads = idx.io_stats().reads;
         assert!(reads <= 8, "QUERY1 cold query took {reads} reads (paper: 6-8)");
+    }
+
+    proptest::proptest! {
+        /// Lists of every length up to `kmax`, `kmax` on both sides of the
+        /// one-block boundary (21 / 22 at 256-byte blocks, 85 / 86 at
+        /// 1024, 341 / 342 at 4096): each slot reads back its entries at
+        /// every `k`, one list costs one block read while `12·kmax ≤ B`,
+        /// and the file holds `⌈lists / ⌊B/(12·kmax)⌋⌉` blocks — or
+        /// `⌈kmax / ⌊B/12⌋⌉` for each list that outgrows a block.
+        #[test]
+        fn every_slot_reads_back_its_list_and_a_list_that_fits_a_block_stays_in_it(
+            block_at in 0usize..3,
+            kmax_at in 0usize..9,
+            fills in proptest::collection::vec(0.0f64..1.0, 1..48),
+        ) {
+            let block = [256, 1024, 4096][block_at];
+            let kmax = [1, 21, 22, 64, 85, 86, 341, 342, 400][kmax_at];
+            let env = Env::mem(StoreConfig { block_size: block, pool_capacity: 4 });
+            let want: Vec<Vec<(ObjectId, f64)>> = fills
+                .iter()
+                .enumerate()
+                .map(|(slot, fill)| {
+                    let len = ((kmax + 1) as f64 * fill) as usize;
+                    (0..len).map(|e| ((slot * 1000 + e) as u32, (slot + e) as f64 * -0.5)).collect()
+                })
+                .collect();
+            let lists = Lists::write(env.create_file("lists").unwrap(), kmax, want.clone()).unwrap();
+            let per_block = block / (12 * kmax);
+            let blocks = if per_block > 0 {
+                want.len().div_ceil(per_block)
+            } else {
+                want.len() * kmax.div_ceil(block / 12)
+            };
+            proptest::prop_assert_eq!(lists.size_bytes(), (blocks * block) as u64);
+            for (slot, list) in want.iter().enumerate() {
+                for k in [1, kmax / 2, kmax] {
+                    let got = lists.read(slot as u64, k).unwrap();
+                    proptest::prop_assert_eq!(&got[..], &list[..k.min(list.len())]);
+                }
+                if per_block > 0 {
+                    lists.drop_cache().unwrap();
+                    let before = env.io_stats().reads;
+                    lists.read(slot as u64, kmax).unwrap();
+                    proptest::prop_assert!(env.io_stats().reads - before <= 1, "slot {} straddles", slot);
+                }
+            }
+        }
     }
 
     #[test]

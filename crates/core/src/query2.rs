@@ -8,7 +8,9 @@
 //! top-k prefixes into a candidate set `K` (summing the scores of objects
 //! appearing in several pieces) and returns the top `k` of `K`.
 //!
-//! * size `Θ(r·kmax/B)` blocks — **1–2 orders smaller than QUERY1**,
+//! * size `Θ(r·kmax/B)` blocks — **1–2 orders smaller than QUERY1**: the
+//!   lists share QUERY1's [`crate::query1::Lists`] layout, `⌊B / (12·kmax)⌋`
+//!   to a block in heap order, so a node's list sits beside its sibling's,
 //! * `(ε, 2 log r)`-approximate (Lemma 4: an object may have only a
 //!   `1/(2 log r)` fraction of its mass visible in any single piece, but
 //!   in practice accuracy is close to QUERY1 — paper Fig. 12),
@@ -24,18 +26,17 @@ use crate::agg::AggKind;
 use crate::breakpoints::Breakpoints;
 use crate::error::{CoreError, Result};
 use crate::object::{ObjectId, TemporalObject};
+use crate::query1::{breakpoint_tree, snap_via_tree, Lists};
 use crate::topk::{
     capped_push, check_interval, heap_into_desc, top_k_from_scores, RankMethod, TopK, WorstFirst,
 };
 use chronorank_index::BPlusTree;
-use chronorank_storage::{Env, IoStats, PagedFile};
+use chronorank_storage::{Env, IoStats};
 use std::borrow::Borrow;
 use std::collections::{BinaryHeap, HashMap};
 
-/// List entry: `id u32 | score f64`.
-const ENTRY_LEN: usize = 12;
-/// Directory sentinel for dead (fully padded-out) nodes.
-const NO_LIST: u64 = u64::MAX;
+/// Slot sentinel for dead (fully padded-out) nodes.
+const NO_LIST: u32 = u32::MAX;
 
 /// One node of the implicit dyadic tree (heap order, root = 0).
 #[derive(Debug, Clone, Copy)]
@@ -44,8 +45,8 @@ struct Node {
     lo: u32,
     /// One past the last *real* gap covered.
     hi: u32,
-    /// First block of the node's top-`kmax` list (`NO_LIST` if dead).
-    list_start: u64,
+    /// Slot of the node's top-`kmax` list (`NO_LIST` if dead).
+    list: u32,
 }
 
 /// The QUERY2 index (see module docs). With BREAKPOINTS1 this is the
@@ -59,9 +60,7 @@ pub struct Query2Index {
     /// Implicit binary tree over the gap range `[0, r − 1)` padded to a
     /// power of two.
     nodes: Vec<Node>,
-    lists: PagedFile,
-    kmax: usize,
-    blocks_per_list: u64,
+    lists: Lists,
 }
 
 impl Query2Index {
@@ -83,8 +82,6 @@ impl Query2Index {
         let gaps = r - 1;
         let pad = gaps.next_power_of_two().max(1);
         let total_nodes = 2 * pad - 1;
-        let block = env.block_size();
-        let blocks_per_list = ((kmax * ENTRY_LEN) as u64).div_ceil(block as u64);
 
         // Node spans in heap order.
         let mut nodes = Vec::with_capacity(total_nodes);
@@ -104,47 +101,29 @@ impl Query2Index {
             }
         }
 
-        // Persist the lists.
-        let lists = env.create_file("q2_lists")?;
-        let mut buf = vec![0u8; block];
-        for (ni, heap) in heaps.into_iter().enumerate() {
-            if nodes[ni].lo >= nodes[ni].hi {
-                nodes[ni].list_start = NO_LIST;
-                continue;
-            }
-            let entries = heap_into_desc(heap);
-            let start = lists.allocate(blocks_per_list)?;
-            crate::query1::write_list(&lists, &mut buf, start, kmax, &entries)?;
-            nodes[ni].list_start = start;
+        // Persist the live nodes' lists, slot after slot in heap order.
+        for (slot, node) in nodes.iter_mut().filter(|n| n.lo < n.hi).enumerate() {
+            node.list = slot as u32;
         }
-
+        let live = heaps.into_iter().zip(&nodes).filter(|(_, n)| n.list != NO_LIST);
+        let lists = Lists::write(
+            env.create_file("q2_lists")?,
+            kmax,
+            live.map(|(heap, _)| heap_into_desc(heap)),
+        )?;
         // Breakpoint directory tree (for IO-honest snapping).
-        let mut loader = BPlusTree::bulk_loader(env.create_file("q2_bp")?, 4)?;
-        for (j, &b) in breakpoints.points().iter().enumerate() {
-            loader.push(b, &(j as u32).to_le_bytes())?;
-        }
-        let bp_tree = loader.finish()?;
-        Ok(Self { env, breakpoints, bp_tree, nodes, lists, kmax, blocks_per_list })
+        let bp_tree = breakpoint_tree(&env, "q2_bp", &breakpoints)?;
+        Ok(Self { env, breakpoints, bp_tree, nodes, lists })
     }
 
     /// Maximum `k` this index can answer.
     pub fn kmax(&self) -> usize {
-        self.kmax
+        self.lists.kmax()
     }
 
     /// The breakpoints this index snaps to.
     pub fn breakpoints(&self) -> &Breakpoints {
         &self.breakpoints
-    }
-
-    /// Snap `t` to a breakpoint index through the directory tree.
-    fn snap_via_tree(&self, t: f64) -> Result<Option<usize>> {
-        let cur = self.bp_tree.seek(t)?;
-        if cur.valid() {
-            Ok(Some(u32::from_le_bytes(cur.payload().try_into().expect("4")) as usize))
-        } else {
-            Ok(None)
-        }
     }
 
     /// The candidate set `K` for a query: summed visible scores per object
@@ -160,11 +139,11 @@ impl Query2Index {
         t2: f64,
         k: usize,
     ) -> Result<Option<HashMap<ObjectId, f64>>> {
-        let j1 = match self.snap_via_tree(t1)? {
+        let j1 = match snap_via_tree(&self.bp_tree, t1)? {
             Some(j) => j,
             None => return Ok(None), // t1 beyond T
         };
-        let j2 = match self.snap_via_tree(t2)? {
+        let j2 = match snap_via_tree(&self.bp_tree, t2)? {
             Some(j) => j,
             None => self.breakpoints.len() - 1, // clamp: B(t2) = T
         };
@@ -187,12 +166,10 @@ impl Query2Index {
         let mut cand: HashMap<ObjectId, f64> = HashMap::new();
         for ni in pieces {
             let node = self.nodes[ni];
-            if node.list_start == NO_LIST {
+            if node.list == NO_LIST {
                 continue;
             }
-            let entries =
-                crate::query1::read_list(&self.lists, node.list_start, self.blocks_per_list, k)?;
-            for (id, s) in entries {
+            for (id, s) in self.lists.read(node.list as u64, k)? {
                 *cand.entry(id).or_insert(0.0) += s;
             }
         }
@@ -203,9 +180,9 @@ impl Query2Index {
 /// Fill `nodes` (heap order) with each node's `[lo, hi)` real-gap span.
 fn build_spans(idx: usize, lo: u32, width: u32, gaps: u32, total: usize, nodes: &mut Vec<Node>) {
     if nodes.len() <= idx {
-        nodes.resize(total, Node { lo: 0, hi: 0, list_start: NO_LIST });
+        nodes.resize(total, Node { lo: 0, hi: 0, list: NO_LIST });
     }
-    nodes[idx] = Node { lo: lo.min(gaps), hi: (lo + width).min(gaps), list_start: NO_LIST };
+    nodes[idx] = Node { lo: lo.min(gaps), hi: (lo + width).min(gaps), list: NO_LIST };
     if width > 1 {
         let half = width / 2;
         build_spans(2 * idx + 1, lo, half, gaps, total, nodes);
@@ -250,10 +227,10 @@ impl RankMethod for Query2Index {
 
     fn top_k(&self, t1: f64, t2: f64, k: usize, agg: AggKind) -> Result<TopK> {
         check_interval(t1, t2)?;
-        if k > self.kmax {
+        if k > self.kmax() {
             return Err(CoreError::BadQuery(format!(
                 "k = {k} exceeds kmax = {} this index was built for",
-                self.kmax
+                self.kmax()
             )));
         }
         let cand = match self.candidates(t1, t2, k)? {
@@ -302,7 +279,7 @@ mod tests {
     fn dyadic_node_count_is_linear_in_r() {
         let (_, idx) = build(24, 4);
         let r = idx.breakpoints().len();
-        let live_nodes = idx.nodes.iter().filter(|n| n.list_start != NO_LIST).count();
+        let live_nodes = idx.nodes.iter().filter(|n| n.list != NO_LIST).count();
         assert!(
             live_nodes <= 2 * r + (r as f64).log2() as usize + 2,
             "live nodes {live_nodes} vs bound for r = {r}"

@@ -7,7 +7,7 @@
 //! `Baseline` — on one Temp, one Meme and one negative-score set.
 
 use chronorank::core::{
-    b2_streaming, scan_stats, ApproxConfig, ApproxIndex, ApproxVariant, B2Construction,
+    b2_streaming, scan_stats, AggKind, ApproxConfig, ApproxIndex, ApproxVariant, B2Construction,
     Breakpoints, Exact1, Exact3, IndexConfig, RankMethod, TemporalObject, TemporalSet,
 };
 use chronorank::storage::{Env, PagedFile, StoreConfig};
@@ -187,7 +187,13 @@ fn build_all(tag: &str, set: &TemporalSet) -> Vec<(String, u64, u64)> {
 /// shared tick grid makes `hi` order equal `lo` order. `meme/exact3` was
 /// re-recorded again when the loader began sending outlier-long segments
 /// to runs of their own length band; temp and negative have no outliers
-/// and keep their bytes, which is what their rows guard.
+/// and keep their bytes, which is what their rows guard. The fifteen APPX
+/// rows were re-recorded when QUERY1 and QUERY2 began packing
+/// `⌊B / (12·kmax)⌋` lists into each block of their lists files and QUERY1
+/// replaced its per-left-endpoint sub-trees with one breakpoint directory:
+/// the same lists hold the same entries in fewer blocks and files, and
+/// `every_appx_answer_matches_the_recorded_answers_bit_for_bit` shows no
+/// answer moved.
 const GOLDEN: [(&str, [(&str, u64); 8]); 3] = [
     (
         "temp",
@@ -195,11 +201,11 @@ const GOLDEN: [(&str, [(&str, u64); 8]); 3] = [
             ("exact1", 0x5866_b428_0b27_f0fe),
             ("exact3", 0xc47c_0c2f_f6e9_4ca1),
             ("b2", 0x51e9_36ff_5130_c6df),
-            ("APPX1-B", 0xf0ed_f67f_ec50_8b36),
-            ("APPX2-B", 0xa45f_66e1_102d_4952),
-            ("APPX1", 0xf258_4a73_1d7e_e790),
-            ("APPX2", 0xaf92_d1ef_45db_8830),
-            ("APPX2+", 0x5758_465d_2e8a_6d80),
+            ("APPX1-B", 0x7ff8_80b1_79f5_17e3),
+            ("APPX2-B", 0x8c1d_8fe1_85dc_8352),
+            ("APPX1", 0x8919_a7d0_ec71_01da),
+            ("APPX2", 0x59c5_f0ca_d736_f330),
+            ("APPX2+", 0x27cf_b03d_d6fe_1880),
         ],
     ),
     (
@@ -208,11 +214,11 @@ const GOLDEN: [(&str, [(&str, u64); 8]); 3] = [
             ("exact1", 0xcdb3_fa0e_aafa_0d7f),
             ("exact3", 0x58e9_3a54_0292_f58c),
             ("b2", 0x3ff0_784c_1682_fe95),
-            ("APPX1-B", 0x8631_0634_7ebb_3971),
-            ("APPX2-B", 0xdc03_519e_32f7_71df),
-            ("APPX1", 0x568f_6ec3_d2a2_0fab),
-            ("APPX2", 0xdb5d_0fa1_009e_e221),
-            ("APPX2+", 0xc1de_0ad4_260e_9720),
+            ("APPX1-B", 0x6c6b_242b_c126_a6fa),
+            ("APPX2-B", 0x8ca7_23a4_9044_53df),
+            ("APPX1", 0x6ea5_a47d_7b59_2b6d),
+            ("APPX2", 0x6b84_ba9c_599c_6921),
+            ("APPX2+", 0xc711_59ce_c1bb_6020),
         ],
     ),
     (
@@ -221,11 +227,11 @@ const GOLDEN: [(&str, [(&str, u64); 8]); 3] = [
             ("exact1", 0xd86d_c194_d4fa_e208),
             ("exact3", 0x7ee9_076c_e590_948e),
             ("b2", 0xde8e_7ac1_77d3_ef93),
-            ("APPX1-B", 0x3d4c_a406_474c_dce4),
-            ("APPX2-B", 0xa95e_f272_82b4_72f9),
-            ("APPX1", 0x0c7c_1996_df0a_5177),
-            ("APPX2", 0xa1ad_090f_1487_0dfa),
-            ("APPX2+", 0x0226_f494_6787_65e0),
+            ("APPX1-B", 0xd017_6181_84c2_3642),
+            ("APPX2-B", 0xb560_2819_da84_f6f9),
+            ("APPX1", 0x9dd7_5bb1_b22a_d999),
+            ("APPX2", 0xd8cf_159f_4bcf_43fa),
+            ("APPX2+", 0x918a_6a71_7bdd_bbe0),
         ],
     ),
 ];
@@ -250,4 +256,95 @@ fn every_build_output_matches_the_parent_commit_byte_for_byte() {
         }
     }
     assert!(moved.is_empty(), "golden hashes moved:\n{}", moved.join("\n"));
+}
+
+/// Query endpoints: a fixed grid over the set's domain (both sides of it
+/// included), every other breakpoint, and the midpoint after each of those.
+fn query_points(set: &TemporalSet, bp: &Breakpoints) -> Vec<f64> {
+    let (lo, span) = (set.t_min(), set.t_max() - set.t_min());
+    let mut points: Vec<f64> =
+        [-0.25, 0.0, 0.01, 0.1, 0.25, 0.333, 0.5, 0.62, 0.9, 0.999, 1.0, 1.5]
+            .iter()
+            .map(|f| lo + f * span)
+            .collect();
+    for w in bp.points().windows(2).step_by(2) {
+        points.push(w[0]);
+        points.push(0.5 * (w[0] + w[1]));
+    }
+    points.sort_by(f64::total_cmp);
+    points
+}
+
+/// Every APPX variant's answers — ids and score bits — at
+/// `k ∈ {1, kmax/2, kmax}` over every `t1 ≤ t2` pair of `query_points`.
+fn appx_answers_hash(set: &TemporalSet, variant: ApproxVariant) -> u64 {
+    let cfg = ApproxConfig { r: 24, kmax: 16, store: STORE };
+    let idx = ApproxIndex::build(set, variant, cfg).unwrap();
+    let points = query_points(set, idx.breakpoints());
+    let mut h = Fnv::new();
+    for k in [1, cfg.kmax / 2, cfg.kmax] {
+        for (i, &t1) in points.iter().enumerate() {
+            for &t2 in &points[i..] {
+                let top = idx.top_k(t1, t2, k, AggKind::Sum).unwrap();
+                h.eat(&(top.len() as u32).to_le_bytes());
+                for &(id, score) in top.entries() {
+                    h.eat(&id.to_le_bytes());
+                    h.eat(&score.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+    h.0
+}
+
+/// Recorded at the commit before QUERY1 and QUERY2 packed several lists
+/// into a block and QUERY1 gave up its per-left-endpoint sub-trees: a
+/// change of file layout must not move a single answer.
+const GOLDEN_ANSWERS: [(&str, [(&str, u64); 5]); 3] = [
+    (
+        "temp",
+        [
+            ("APPX1-B", 0x1537_2827_34d8_c475),
+            ("APPX2-B", 0x1a4a_f858_2410_16a3),
+            ("APPX1", 0x8eab_eb49_8e55_dab2),
+            ("APPX2", 0xc9d3_d92f_f02e_74d4),
+            ("APPX2+", 0x1155_79c0_d7c2_6bff),
+        ],
+    ),
+    (
+        "meme",
+        [
+            ("APPX1-B", 0x05fa_ce85_9c9b_9a0c),
+            ("APPX2-B", 0x99a7_96f0_d33f_4909),
+            ("APPX1", 0x73ea_35cf_afa2_b82b),
+            ("APPX2", 0x2a71_37d8_fec1_996a),
+            ("APPX2+", 0xbbad_ef56_5f15_2395),
+        ],
+    ),
+    (
+        "negative",
+        [
+            ("APPX1-B", 0x4b18_5389_4f6a_7368),
+            ("APPX2-B", 0x55c6_bcdc_eaba_b38b),
+            ("APPX1", 0x2f21_db1e_1ada_0e01),
+            ("APPX2", 0x038e_6cc0_fa6e_a2eb),
+            ("APPX2+", 0xeaf0_53e1_5d8e_fdac),
+        ],
+    ),
+];
+
+#[test]
+fn every_appx_answer_matches_the_recorded_answers_bit_for_bit() {
+    let mut moved = Vec::new();
+    for ((tag, set), (golden_tag, golden)) in sets().iter().zip(GOLDEN_ANSWERS) {
+        assert_eq!(*tag, golden_tag);
+        for (variant, (golden_name, want)) in ApproxVariant::ALL.into_iter().zip(golden) {
+            assert_eq!(variant.name(), golden_name);
+            let got = appx_answers_hash(set, variant);
+            if got != want {
+                moved.push(format!("{tag}/{golden_name}: {got:#018x} golden {want:#018x}"));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "answer hashes moved:\n{}", moved.join("\n"));
 }

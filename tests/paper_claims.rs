@@ -10,6 +10,8 @@
 //! * what APPX2+'s exact re-scoring costs: its reads beyond APPX2's per
 //!   candidate, and on a dense shard the one place it reads less than
 //!   EXACT3 — the tradeoff serve shards' default method set rests on;
+//! * §3: QUERY1 and QUERY2 take `Θ(r²·kmax/B)` and `Θ(r·kmax/B)` blocks —
+//!   the list bytes they hold per stored entry;
 //! * batching: one `execute` window probes each shared key once, so it
 //!   reads at most a third of what its queries read one at a time;
 //! * §4: `avg` ranks like `sum`, negative scores keep the `(ε, 1)` bound
@@ -266,6 +268,62 @@ fn on_a_dense_exact_cold_shard_appx2plus_reads_less_than_exact3() {
          {exact3:.1} / {appx2_plus:.1}"
     );
     assert!(appx2_plus < exact3, "APPX2+ {appx2_plus} vs EXACT3 {exact3}");
+}
+
+/// Lists the dyadic tree over `gaps` breakpoint gaps (padded to a power of
+/// two) stores: one per node that covers a real gap.
+fn dyadic_lists(lo: usize, width: usize, gaps: usize) -> usize {
+    match (lo < gaps, width) {
+        (false, _) => 0,
+        (true, 1) => 1,
+        (true, _) => {
+            1 + dyadic_lists(lo, width / 2, gaps) + dyadic_lists(lo + width / 2, width / 2, gaps)
+        }
+    }
+}
+
+/// §3 sizes QUERY1 at `Θ(r²·kmax/B)` blocks and QUERY2 at `Θ(r·kmax/B)`:
+/// their lists files pack `⌊B / (12·kmax)⌋` lists into a block, so a
+/// stored 12-byte entry costs little more than itself (64 bytes while each
+/// 64-entry list took a 4 KiB block of its own). Measured on the lists
+/// files an APPX1 and an APPX2 over one fitted B2 set leave on disk.
+#[test]
+fn appx_lists_take_about_twelve_bytes_a_stored_entry() {
+    let set = temp();
+    let config = ApproxConfig::default();
+    let bp = Breakpoints::b2_with_count(&set, config.r, B2Construction::Efficient).unwrap();
+    let r = bp.len();
+    let gaps = r - 1;
+    let per_entry = [
+        (ApproxVariant::APPX1, "q1_lists", r * gaps / 2),
+        (ApproxVariant::APPX2, "q2_lists", dyadic_lists(0, gaps.next_power_of_two(), gaps)),
+    ]
+    .map(|(variant, file, lists)| {
+        let dir = std::env::temp_dir().join(format!(
+            "chronorank-claims-{}-{}",
+            variant.name(),
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let env = Env::dir(&dir, config.store).unwrap();
+        let idx =
+            ApproxIndex::build_with_breakpoints(env, &set, variant, config, bp.clone()).unwrap();
+        idx.drop_caches().unwrap();
+        let bytes: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(file))
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
+        drop(idx);
+        std::fs::remove_dir_all(&dir).ok();
+        bytes as f64 / (lists * config.kmax) as f64
+    });
+    println!(
+        "pinned: list bytes APPX1 / APPX2 hold per stored entry: {:.2} / {:.2}",
+        per_entry[0], per_entry[1]
+    );
+    assert!(per_entry.iter().all(|&b| b <= 13.0), "{per_entry:?} bytes per stored entry");
 }
 
 /// The 64 Zipf queries (8 hot spots) on a W = 2 engine with no result
