@@ -47,10 +47,13 @@
 #                     threads with 3 connections, 4 = the acceptor + one
 #                     per connection, and after shutdown, 0) and the one
 #                     tests/stab_reads.rs pins (blocks 100 cold Meme stabs
-#                     read, at most a third of lo-order packing), the one
+#                     read, at most a third of lo-order packing), the ones
 #                     tests/pool_reads.rs pins (blocks per exact query on
 #                     an exact_cold-shaped engine through 64-frame
-#                     segmented-LRU pools), the ones
+#                     segmented-LRU pools, and blocks per hot exact query
+#                     on a W = 2 live ingest that installs 10 generations,
+#                     which the result cache answers across appends and
+#                     installs), the ones
 #                     tests/paper_claims.rs pins (per generator — Temp,
 #                     Meme, Stock at N ≈ 10⁵ — cold reads per query of
 #                     EXACT1 / EXACT3 / APPX1 / APPX2 / APPX2+ against the

@@ -592,10 +592,11 @@ impl B2Sweeper {
         Ok((Sweep::Done(sw.points), sw.peak_held))
     }
 
-    /// Commit breakpoint `b_star` and re-base eagerly, in ascending id
-    /// order: the dangerous objects under `Efficient` (everything else is
-    /// re-based lazily when its next segment arrives), every object under
-    /// `Baseline` (the paper's `O(rm)` resets).
+    /// Commit breakpoint `b_star` and re-base eagerly: the dangerous
+    /// objects under `Efficient` (everything else is re-based lazily when
+    /// its next segment arrives), every object under `Baseline` (the
+    /// paper's `O(rm)` resets). The order is free: a re-base touches only
+    /// its own object, and the next crossing is a total-order minimum.
     fn commit(&mut self, b_star: f64) {
         self.points.push(b_star);
         let epoch = self.points.len() - 1;
@@ -617,10 +618,7 @@ impl B2Sweeper {
             s.dangerous
         };
         match self.construction {
-            B2Construction::Efficient => {
-                self.dangerous.sort_unstable();
-                self.dangerous.retain(|&i| rebase(i));
-            }
+            B2Construction::Efficient => self.dangerous.retain(|&i| rebase(i)),
             B2Construction::Baseline => {
                 self.dangerous.clear();
                 self.dangerous.extend((0..num_objects).filter(|&i| rebase(i)));

@@ -677,7 +677,7 @@ impl IngestEngine {
         g("chronorank_live_cache_lookups", "staleness-audited cache lookups", r.cache_lookups);
         g(
             "chronorank_live_cache_invalidations",
-            "cache entries dropped as eps-stale",
+            "cache entries recomputed because appends made them stale",
             r.cache_invalidations,
         );
         g("chronorank_live_checkpoints", "checkpoints taken (WAL truncations)", r.checkpoints);

@@ -42,7 +42,9 @@
 //!    a snapped answer is served only while
 //!    `ε·M_built + appended-mass-overlapping ≤ ε_query·M_live`, else the
 //!    entry is invalidated and recomputed. No stale approximate answer
-//!    ever escapes the budget.
+//!    ever escapes the budget. An answer cached on the raw interval (exact
+//!    routes, APPX2+) is served only until a batch appends a segment that
+//!    starts before its `t2`, and an install keeps the exact ones.
 //!
 //! Queries go through one body, [`IngestEngine::execute`]: a window is
 //! routed from one snapshot of the shards' profiles and masses and run
@@ -93,7 +95,7 @@ mod shard;
 
 pub use config::{LiveConfig, RebuildPolicy};
 pub use engine::{IngestEngine, LiveError};
-pub use report::{LiveReport, PauseHistogram, PAUSE_BUCKETS_US};
+pub use report::{LiveReport, PauseHistogram};
 
 // Re-export the append vocabulary so callers need not name the core crate
 // for the common path.

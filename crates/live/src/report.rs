@@ -6,11 +6,11 @@ use chronorank_storage::IoStats;
 
 /// Bucket upper bounds (µs) of [`PauseHistogram`]; the last bucket is
 /// open-ended.
-pub const PAUSE_BUCKETS_US: [u64; 5] = [50, 200, 1_000, 5_000, 20_000];
+const PAUSE_BUCKETS_US: [u64; 5] = [50, 200, 1_000, 5_000, 20_000];
 
 /// Histogram of epoch-swap pauses — the only moments a shard does anything
 /// besides serving: install the new generation handle, prune the absorbed
-/// tail, invalidate the cache. The whole point of off-thread generation
+/// tail, drop the approximate cache entries. The whole point of off-thread generation
 /// builds is that every sample lands in the microsecond buckets while the
 /// builds themselves take milliseconds to seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,7 +81,8 @@ pub struct LiveReport {
     pub cache_hits: u64,
     /// Shard-cache lookups.
     pub cache_lookups: u64,
-    /// Cache entries dropped because appends made them ε-stale.
+    /// Lookups that found an entry appends made stale (past its ε budget,
+    /// or, on the raw interval, reached at all) and recomputed it.
     pub cache_invalidations: u64,
     /// Appended segments currently waiting in mutable tails.
     pub tail_segments: u64,
@@ -113,7 +114,7 @@ impl LiveReport {
         }
     }
 
-    /// Cache hit rate over cacheable lookups (0 when none happened).
+    /// Cache hit rate over lookups (0 when none happened).
     pub fn cache_hit_rate(&self) -> f64 {
         if self.cache_lookups > 0 {
             self.cache_hits as f64 / self.cache_lookups as f64

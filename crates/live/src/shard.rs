@@ -46,8 +46,8 @@
 //!
 //! The window dedup and the result cache are serve's
 //! ([`chronorank_serve::dedup_window`], [`chronorank_serve::ResultCache`]);
-//! what a live shard adds is the charge. Cacheable routes (APPX1/APPX2)
-//! answer over the *snapped* interval, so answers are cached per
+//! what a live shard adds is the charge. APPX1/APPX2 answer over the
+//! *snapped* interval, so their answers are cached per
 //! `(B(t1), B(t2), k, route)`. An append whose new segment starts before a
 //! cached entry's snapped right edge adds its mass to the entry's
 //! staleness account ([`chronorank_serve::ResultCache::charge`]); at lookup
@@ -55,7 +55,12 @@
 //! `ε·M_built + staleness ≤ ε_query · M_live` — otherwise it is
 //! invalidated and recomputed. That budget reads the query's tolerance, so
 //! the dedup key carries it: two tolerances on one probe key are two
-//! lookups. Epoch swaps clear the cache outright.
+//! lookups. Every other route is cached on the raw interval, and such an
+//! entry is served only until a segment that starts before its `t2` is
+//! appended: appends extend an object at its right edge, so a later one
+//! moves no score over `[t1, t2]` and no object into or out of the
+//! touched set. An epoch swap drops the approximate entries and keeps the
+//! exact ones, whose answers do not depend on the generation.
 
 use crate::config::LiveConfig;
 use crate::generation::{GenParts, Generation};
@@ -139,7 +144,7 @@ struct ShardState {
     gen: Arc<Generation>,
     frozen_end: Vec<f64>,
     pending: Option<PendingGen>,
-    /// Staleness-audited result cache (snapped keys only, see module docs).
+    /// Staleness-audited result cache (see module docs).
     cache: Option<ResultCache>,
     /// Records applied since boot, and as of the installed generation's
     /// snapshot.
@@ -231,7 +236,7 @@ impl ShardState {
         self.frozen_end = pending.frozen_end;
         self.gen_applied = pending.stamp_applied;
         if let Some(cache) = &mut self.cache {
-            cache.clear(); // superseded frozen parts
+            cache.retain_exact(); // the approximate answers read superseded parts
         }
         self.counters.rebuilds += 1;
         let pause_us = t0.elapsed().as_micros() as u64;
@@ -249,8 +254,9 @@ impl ShardState {
     }
 
     /// Apply one durable batch to the live state, charge staleness to the
-    /// overlapped cache entries, and start the build the §4 rebuild policy
-    /// now calls for, if any.
+    /// overlapped cache entries (with or without breakpoints: exact entries
+    /// are charged too), and start the build the §4 rebuild policy now
+    /// calls for, if any.
     fn apply(&mut self, recs: &[AppendRecord]) {
         let mass_before = self.live_mass;
         let mut batch_min_t0 = f64::INFINITY;
@@ -274,8 +280,8 @@ impl ShardState {
         }
         self.applied += recs.len() as u64;
         let batch_mass = (self.live_mass - mass_before).max(0.0);
-        if let (Some(cache), Some(bp)) = (&mut self.cache, &self.gen.built.breakpoints) {
-            cache.charge(bp, batch_min_t0, batch_mass);
+        if let Some(cache) = &mut self.cache {
+            cache.charge(self.gen.built.breakpoints.as_ref(), batch_min_t0, batch_mass);
         }
         // Rebuild trigger: geometric mass doubling (core's §4 policy) or a
         // full tail.
@@ -290,9 +296,9 @@ impl ShardState {
     /// Answer one window of routed queries: [`dedup_window`] keyed on the
     /// [`ProbeKey`] on the published generation plus the tolerance (the
     /// staleness audit can tell two tolerances apart), then per group one
-    /// frozen probe and columnar rescore ([`merged_answer`]), through the
-    /// result cache on a snapped key. Deterministic state means the shared
-    /// answer is bit-identical to answering each query sequentially.
+    /// frozen probe and columnar rescore ([`merged_answer`]), behind the
+    /// result cache. Deterministic state means the shared answer is
+    /// bit-identical to answering each query sequentially.
     fn answer_batch(&mut self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)> {
         if let Some(e) = &self.poisoned {
             return window.iter().map(|_| (Err(e.clone()), None)).collect();
@@ -313,17 +319,17 @@ impl ShardState {
                     _ => (q.t1, q.t2),
                 };
                 let probe = || merged_answer(live, frozen_end, gen, (t1, t2), q.k, route);
-                match (cache.as_mut(), key) {
-                    (Some(cache), ProbeKey::Snapped { .. }) => {
-                        // The staleness audit: this generation's absolute
-                        // bound ε·M_built plus what landed inside the
-                        // snapped interval since, against the query's
-                        // ε-budget on the *live* mass.
+                match cache.as_mut() {
+                    Some(cache) => {
+                        // A snapped entry's staleness audit: this
+                        // generation's absolute bound ε·M_built plus what
+                        // landed inside the snapped interval since, against
+                        // the query's ε-budget on the *live* mass.
                         let eps_abs = gen.profile(route).map_or(0.0, |g| g.eps_abs());
                         let budget_abs = q.tolerance.map_or(0.0, |t| t.eps * *live_mass);
                         cache.answer(key, eps_abs, budget_abs, probe)
                     }
-                    _ => (probe(), None),
+                    None => (probe(), None),
                 }
             },
         )

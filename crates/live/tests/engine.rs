@@ -344,6 +344,83 @@ fn eps_invalidating_appends_evict_cached_answers() {
     assert_eq!(top.rank(0).0, 0, "fresh answer must include the appended mass: {top:?}");
 }
 
+/// What one query found in a W = 1 engine's result cache.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Lookup {
+    Hit,
+    Miss,
+    Invalidated,
+}
+
+/// An exact answer is cached on its raw interval. It survives an append
+/// that starts at or after its `t2` and an install, and is invalidated by
+/// one that starts before `t2` — whatever that segment's mass, and on an
+/// engine with no breakpoints as on one with APPX methods. Every answer,
+/// served or recomputed, is brute force's over the applied prefix.
+#[test]
+fn an_exact_entry_lives_until_an_append_starts_before_its_t2() {
+    use chronorank_curve::PiecewiseLinear;
+    use chronorank_serve::MethodSet;
+    use Lookup::{Hit, Invalidated, Miss};
+    let curve = |points: &[(f64, f64)]| PiecewiseLinear::from_points(points).unwrap();
+    let seed = TemporalSet::from_curves(vec![
+        curve(&[(0.0, 1.0), (10.0, 0.0)]),
+        curve(&[(0.0, 2.0), (20.0, 2.0)]),
+        curve(&[(0.0, 1.0), (40.0, 3.0)]),
+        curve(&[(0.0, 3.0), (30.0, 1.0)]),
+    ])
+    .unwrap();
+    let q = ServeQuery::exact(5.0, 25.0, 3);
+    let rec = |object, t, v| AppendRecord { object, t, v };
+    // Per step: what is appended, whether the build it triggers is then
+    // installed, and what the query finds. Every second tail segment
+    // triggers a build.
+    let script = [
+        (vec![], false, Miss),
+        (vec![], false, Hit),
+        (vec![rec(3, 35.0, 1.0)], false, Hit), // starts at 30, after t2
+        (vec![rec(2, 45.0, 3.0)], true, Hit),  // starts at 40; generation 1 installed
+        (vec![rec(0, 12.0, 0.0)], false, Invalidated), // no mass, starts at 10
+        (vec![], false, Hit),
+        (vec![rec(1, 22.0, 5.0)], false, Invalidated), // starts at 20
+        (vec![], true, Hit),                           // generation 2 installed
+    ];
+    let no_appx = MethodSet { exact1: true, appx1: false, appx2: false, appx2_plus: false };
+    for methods in [LiveConfig::default().methods, no_appx] {
+        let config = LiveConfig {
+            methods,
+            rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 2 },
+            ..Default::default()
+        };
+        let mut engine = IngestEngine::new(&seed, config).unwrap();
+        let mut oracle = seed.clone();
+        for (step, (appends, install, want)) in script.iter().enumerate() {
+            let ctx = format!("{methods:?} step {step}");
+            engine.append_batch(appends).unwrap();
+            appends.iter().for_each(|&r| oracle.apply(r).unwrap());
+            if *install {
+                engine.finish_rebuilds();
+            }
+            let before = engine.report();
+            let got = engine.query(q).unwrap();
+            let after = engine.report();
+            let found = match (
+                after.cache_hits - before.cache_hits,
+                after.cache_invalidations - before.cache_invalidations,
+            ) {
+                (1, 0) => Hit,
+                (0, 0) => Miss,
+                (0, 1) => Invalidated,
+                other => panic!("{ctx}: hits and invalidations {other:?}"),
+            };
+            assert_eq!(after.cache_lookups - before.cache_lookups, 1, "{ctx}");
+            assert_eq!(found, *want, "{ctx}");
+            assert_top_matches(&oracle.top_k_bruteforce(q.t1, q.t2, q.k), &got, &ctx);
+        }
+        assert_eq!(engine.report().rebuilds, 2, "{methods:?}: two installs");
+    }
+}
+
 #[test]
 fn two_tolerances_on_one_probe_key_are_one_serve_lookup_and_two_live_ones() {
     // Serve and live shards run one window dedup; only its key differs. A

@@ -15,11 +15,11 @@ use std::sync::{Arc, Mutex};
 pub enum CacheOutcome {
     /// Every shard answered from its cache.
     Hit,
-    /// No shard answered from its cache (cacheable route, cold keys).
+    /// No shard answered from its cache (cold keys).
     Miss,
     /// Some shards hit, some missed.
     Partial,
-    /// The route is not cacheable (exact routes) or no cache exists.
+    /// No shard consulted a result cache (caching is off).
     Bypass,
 }
 

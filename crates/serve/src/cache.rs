@@ -1,14 +1,20 @@
 //! The shard-local result cache both engines' shards keep.
 //!
-//! A [`ResultCache`] maps a *snapped* [`ProbeKey`] to the shard's ranked
-//! answer (shard-local ids) in a small intrusive-list LRU, and keeps the
-//! §4 staleness account beside every entry: mass appended inside the
-//! entry's snapped interval since it was computed. It is the one place
-//! that decides a hit and the one place that counts hits, lookups and
-//! invalidations. A serve shard's snapshot never grows, so nothing is
-//! ever charged to its entries and every lookup that finds one hits; a
-//! live shard charges each durable batch ([`ResultCache::charge`]) and
-//! clears the cache when a new generation is installed.
+//! A [`ResultCache`] maps a [`ProbeKey`] — snapped on the APPX1 / APPX2
+//! routes, the raw interval on the rest — to the shard's ranked answer
+//! (shard-local ids) in a small intrusive-list LRU, and keeps the §4
+//! staleness account beside every entry. It is the one place that decides
+//! a hit and the one place that counts hits, lookups and invalidations. A
+//! serve shard's snapshot never grows, so nothing is ever charged to its
+//! entries and every lookup that finds one hits. A live shard charges each
+//! durable batch ([`ResultCache::charge`]): a snapped entry accrues the mass
+//! appended inside its snapped interval and is served while its ε audit
+//! holds; a raw entry is served only while no appended segment has started
+//! before its `t2` (appends extend objects at their right edge only, so
+//! nothing else can move an answer over `[t1, t2]`). When a new generation
+//! is installed the approximate entries go, and the exact ones stay: an
+//! exact answer does not depend on the generation
+//! ([`ResultCache::retain_exact`]).
 
 use crate::shard::{ProbeKey, ShardAnswer};
 use chronorank_core::{Breakpoints, ObjectId};
@@ -25,8 +31,9 @@ struct Node<K, V> {
 }
 
 /// A fixed-capacity least-recently-used map; `get` and `insert` are
-/// `O(1)`. Nothing removes an entry but eviction and `clear`, so every
-/// node is live and eviction reuses the victim's slot.
+/// `O(1)`. Nothing removes an entry but eviction and `retain`, which
+/// re-packs the survivors, so every node is live and eviction reuses the
+/// victim's slot.
 struct LruCache<K, V> {
     map: HashMap<K, usize>,
     nodes: Vec<Node<K, V>>,
@@ -86,12 +93,25 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.nodes.iter_mut().map(|n| (&n.key, &mut n.value))
     }
 
-    /// Drop every entry.
-    fn clear(&mut self) {
+    /// Keep only the entries `keep` accepts, in their recency order:
+    /// re-inserted least-recently-used first.
+    fn retain(&mut self, keep: impl Fn(&K) -> bool) {
+        let mut lru_first = Vec::with_capacity(self.nodes.len());
+        let mut idx = self.tail;
+        while idx != NIL {
+            lru_first.push(idx);
+            idx = self.nodes[idx].prev;
+        }
+        let mut nodes: Vec<Option<Node<K, V>>> =
+            std::mem::take(&mut self.nodes).into_iter().map(Some).collect();
         self.map.clear();
-        self.nodes.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        (self.head, self.tail) = (NIL, NIL);
+        for idx in lru_first {
+            let node = nodes[idx].take().expect("a node is on the list once");
+            if keep(&node.key) {
+                self.insert(node.key, node.value);
+            }
+        }
     }
 
     fn unlink(&mut self, idx: usize) {
@@ -123,26 +143,27 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
-/// What a [`ResultCache`] has counted since it was created (a `clear`
-/// keeps them).
+/// What a [`ResultCache`] has counted since it was created (a
+/// [`ResultCache::retain_exact`] keeps them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups, hits or not.
     pub lookups: u64,
-    /// Lookups that found an entry charged past the query's budget, which
-    /// the recomputed answer then replaced.
+    /// Lookups that found an entry charged past the query's budget (a raw
+    /// entry: charged at all), which the recomputed answer then replaced.
     pub invalidations: u64,
 }
 
-/// A cached answer and the mass charged to it since it was computed.
+/// A cached answer and the mass charged to it since it was computed
+/// (`+∞` on a charged raw entry).
 struct Entry {
     answer: Vec<(ObjectId, f64)>,
     stale: f64,
 }
 
-/// Snapped answers with their §4 staleness account (see module docs).
+/// Shard answers with their §4 staleness account (see module docs).
 pub struct ResultCache {
     lru: LruCache<ProbeKey, Entry>,
     counters: CacheCounters,
@@ -154,15 +175,15 @@ impl ResultCache {
         Self { lru: LruCache::new(capacity), counters: CacheCounters::default() }
     }
 
-    /// The answer to a snapped `key`: the cached one while it is still
-    /// good enough, else `probe`'s, which is then cached (an `Err` is not).
-    /// An entry nothing was charged to is always good enough; a charged
-    /// one while `eps_abs + stale ≤ budget_abs` — the generation's
-    /// absolute error bound `ε·M_built` plus the mass appended inside the
-    /// snapped interval since, against the query's ε-budget on the live
-    /// mass. A charged entry past that is invalidated. A serve shard,
-    /// whose entries are never charged, passes zeros. The second return is
-    /// `Some(hit)`: the cache was consulted.
+    /// The answer to `key`: the cached one while it is still good enough,
+    /// else `probe`'s, which is then cached (an `Err` is not). An entry
+    /// nothing was charged to is always good enough; a charged snapped one
+    /// while `eps_abs + stale ≤ budget_abs` — the generation's absolute
+    /// error bound `ε·M_built` plus the mass appended inside the snapped
+    /// interval since, against the query's ε-budget on the live mass; a
+    /// charged raw one never. A charged entry past that is invalidated. A
+    /// serve shard, whose entries are never charged, passes zeros. The
+    /// second return is `Some(hit)`: the cache was consulted.
     pub fn answer(
         &mut self,
         key: ProbeKey,
@@ -172,7 +193,9 @@ impl ResultCache {
     ) -> (ShardAnswer, Option<bool>) {
         self.counters.lookups += 1;
         if let Some(entry) = self.lru.get(&key) {
-            if entry.stale <= 0.0 || eps_abs + entry.stale <= budget_abs {
+            let audited =
+                matches!(key, ProbeKey::Snapped { .. }) && eps_abs + entry.stale <= budget_abs;
+            if entry.stale <= 0.0 || audited {
                 self.counters.hits += 1;
                 return (Ok(entry.answer.clone()), Some(true));
             }
@@ -186,22 +209,31 @@ impl ResultCache {
         (res, Some(false))
     }
 
-    /// Charge `mass`, appended from time `from` on, to every entry whose
-    /// snapped right edge (a point of `breakpoints`, the set its keys were
-    /// snapped to) lies after `from`.
-    pub fn charge(&mut self, breakpoints: &Breakpoints, from: f64, mass: f64) {
+    /// Charge a batch whose earliest appended segment starts at `from` and
+    /// which added `mass`: `mass` to every snapped entry whose right edge
+    /// (a point of `breakpoints`, the set its keys were snapped to) lies
+    /// after `from`, and a stale mark to every raw entry whose `t2` does,
+    /// whatever the mass — a zero-valued segment can still change which
+    /// objects a probe rescores.
+    pub fn charge(&mut self, breakpoints: Option<&Breakpoints>, from: f64, mass: f64) {
         for (key, entry) in self.lru.iter_mut() {
-            if let ProbeKey::Snapped { b2, .. } = *key {
-                if breakpoints.points()[b2 as usize] > from {
+            match (*key, breakpoints) {
+                (ProbeKey::Snapped { b2, .. }, Some(bp)) if bp.points()[b2 as usize] > from => {
                     entry.stale += mass;
                 }
+                (ProbeKey::Raw { t2, .. }, _) if f64::from_bits(t2) > from => {
+                    entry.stale = f64::INFINITY;
+                }
+                _ => {}
             }
         }
     }
 
-    /// Drop every entry; the counters are kept.
-    pub fn clear(&mut self) {
-        self.lru.clear();
+    /// Drop every approximate-route entry, which a new generation
+    /// supersedes, and keep the exact ones: an exact answer is the live
+    /// data's, whichever generation probed it. The counters are kept.
+    pub fn retain_exact(&mut self) {
+        self.lru.retain(|key| matches!(key, ProbeKey::Raw { route, .. } if route.is_exact()));
     }
 
     /// Hits, lookups and invalidations so far.
@@ -303,9 +335,9 @@ mod tests {
         let last = (bp.len() - 1) as u32;
         cache.answer(key(0, last), 0.0, 0.0, probe(&mut calls, 1.0)).0.unwrap();
         // Appended before the entry's snapped right edge: charged.
-        cache.charge(&bp, bp.points()[0], 0.25);
+        cache.charge(Some(&bp), bp.points()[0], 0.25);
         // Appended at or after it: not charged.
-        cache.charge(&bp, bp.points()[last as usize], 100.0);
+        cache.charge(Some(&bp), bp.points()[last as usize], 100.0);
         // eps_abs + stale == budget exactly: still good enough.
         let (hit, outcome) = cache.answer(key(0, last), 0.5, 0.75, probe(&mut calls, 2.0));
         assert_eq!((hit.unwrap(), outcome, calls), (vec![(7, 1.0)], Some(true), 1));
@@ -328,16 +360,52 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_counters() {
-        let (mut cache, mut calls) = (ResultCache::new(4), 0);
-        for want in [Some(false), Some(true)] {
-            assert_eq!(cache.answer(key(0, 1), 0.0, 0.0, probe(&mut calls, 1.0)).1, want);
+    fn retain_keeps_the_survivors_in_recency_order() {
+        let mut c = LruCache::new(4);
+        for i in 1..=4u32 {
+            c.insert(i, i);
         }
-        cache.clear();
-        assert_eq!(cache.lru.map.len(), 0);
-        let counters = CacheCounters { hits: 1, lookups: 2, invalidations: 0 };
-        assert_eq!(cache.counters(), counters);
-        assert_eq!(cache.answer(key(0, 1), 0.0, 0.0, probe(&mut calls, 2.0)).1, Some(false));
-        assert_eq!(calls, 2, "the cleared entry is probed again");
+        c.get(&1); // recency, most recent first: 1 4 3 2
+        c.retain(|&k| k != 3);
+        assert_eq!((c.map.len(), c.nodes.len()), (3, 3), "the survivors are re-packed");
+        c.insert(5, 5); // room for one: nothing evicted
+        c.insert(6, 6); // evicts 2, the least recently used survivor
+        assert_eq!(c.get(&2), None);
+        assert!([1, 4, 5, 6].iter().all(|k| c.get(k).copied() == Some(*k)));
+    }
+
+    fn raw(t1: f64, t2: f64, route: Route) -> ProbeKey {
+        ProbeKey::Raw { t1: t1.to_bits(), t2: t2.to_bits(), k: 5, route }
+    }
+
+    #[test]
+    fn a_raw_entry_is_invalidated_by_any_charge_that_starts_before_its_t2() {
+        let (mut cache, mut calls) = (ResultCache::new(4), 0);
+        let key = raw(1.0, 5.0, Route::Exact3);
+        cache.answer(key, 0.0, 0.0, probe(&mut calls, 1.0)).0.unwrap();
+        // A segment starting at t2 or later cannot change the answer.
+        cache.charge(None, 5.0, 100.0);
+        let (hit, outcome) = cache.answer(key, 0.0, 0.0, probe(&mut calls, 2.0));
+        assert_eq!((hit.unwrap(), outcome, calls), (vec![(7, 1.0)], Some(true), 1));
+        // One that starts before it can, even with no mass and any budget.
+        cache.charge(None, 4.5, 0.0);
+        let (fresh, outcome) = cache.answer(key, 0.0, f64::MAX, probe(&mut calls, 2.0));
+        assert_eq!((fresh.unwrap(), outcome, calls), (vec![(7, 2.0)], Some(false), 2));
+        assert_eq!(cache.counters(), CacheCounters { hits: 1, lookups: 3, invalidations: 1 });
+    }
+
+    #[test]
+    fn retain_exact_drops_approximate_entries_and_keeps_counters() {
+        let (mut cache, mut calls) = (ResultCache::new(4), 0);
+        let keys = [raw(1.0, 5.0, Route::Exact3), raw(1.0, 5.0, Route::Appx2Plus), key(0, 1)];
+        for key in keys {
+            assert_eq!(cache.answer(key, 0.0, 0.0, probe(&mut calls, 1.0)).1, Some(false));
+        }
+        cache.retain_exact();
+        assert_eq!(cache.lru.map.len(), 1);
+        assert_eq!(cache.counters(), CacheCounters { hits: 0, lookups: 3, invalidations: 0 });
+        let outcomes = keys.map(|key| cache.answer(key, 0.0, 0.0, probe(&mut calls, 2.0)).1);
+        assert_eq!(outcomes, [Some(true), Some(false), Some(false)]);
+        assert_eq!(calls, 5, "the dropped entries are probed again");
     }
 }

@@ -199,11 +199,11 @@ impl<S: ShardProbe + 'static> WorkerPool<S> {
             for (outcome, (_, cache)) in caches.iter_mut().zip(&reply.results) {
                 if let Some(hit) = *cache {
                     *outcome = outcome.fold(hit);
-                    self.obs.shard_cache(hit);
                 }
             }
             slots[reply.shard] = reply.results;
         }
+        self.obs.cache_outcomes(&caches);
         let tops =
             merge_window(routed.iter().map(|(q, _)| q.k), slots).map_err(ServeError::Query)?;
         let total_us = elapsed_us(t0);

@@ -38,12 +38,12 @@
 //!    and APPX2 only: APPX2+ pays for its prefix file only on dense shards
 //!    or above about 30 k objects per shard, so a tight-ranks query gets
 //!    EXACT3's exact answer unless the caller opts in to APPX1 or APPX2+;
-//! 3. **caches** approximate answers in a shard-local [`ResultCache`]
-//!    keyed on the *snapped* breakpoint pair `(B(t1), B(t2), k)` ([`ProbeKey`])
-//!    — sound precisely for the routes whose answers depend only on the
-//!    snapped interval (APPX1/APPX2; APPX2+ re-scores over the raw interval
-//!    and is deliberately not cached) — so hot intervals are answered
-//!    without touching any index. The same cache, with its §4 staleness
+//! 3. **caches** every answer in a shard-local [`ResultCache`] on its
+//!    [`ProbeKey`]: the *snapped* breakpoint pair `(B(t1), B(t2), k)` on
+//!    the routes whose answers depend only on the snapped interval
+//!    (APPX1/APPX2), the raw interval on the rest (EXACT3, and APPX2+,
+//!    which re-scores over it) — so hot intervals, exact or not, are
+//!    answered without touching any index. The same cache, with its §4 staleness
 //!    account charged by appends, is a live shard's, and the same window
 //!    dedup ([`dedup_window`]) and id arithmetic ([`to_local`],
 //!    [`to_global`]) run under both engines' shards: a serve shard and a

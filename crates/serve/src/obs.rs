@@ -9,7 +9,7 @@
 //! heap allocation).
 
 use crate::planner::Route;
-use chronorank_obs::{Counter, FlightRecorder, Histogram, Registry};
+use chronorank_obs::{CacheOutcome, Counter, FlightRecorder, Histogram, Registry};
 
 /// How many [`chronorank_obs::QueryTrace`]s the engine retains.
 pub(crate) const RECORDER_CAPACITY: usize = 64;
@@ -25,21 +25,26 @@ pub(crate) struct ServeObs {
     pub route_latency_us: [Histogram; 5],
     /// Planner decisions per route.
     pub route_decisions: [Counter; 5],
-    /// Shard-level result-cache hits / misses (cacheable routes only).
+    /// Queries every shard answered from its result cache, and queries
+    /// at least one shard's cache missed (either counts a query once,
+    /// whatever its route; a shard without a cache counts nothing).
     pub cache_hits: Counter,
     pub cache_misses: Counter,
     pub recorder: FlightRecorder,
 }
 
 impl ServeObs {
-    /// Count one shard-level cache outcome.
-    #[inline]
-    pub fn shard_cache(&self, hit: bool) {
-        if hit {
-            self.cache_hits.inc();
-        } else {
-            self.cache_misses.inc();
-        }
+    /// Count a window's folded per-query cache outcomes: at most one
+    /// update per counter, not one per shard or query.
+    pub fn cache_outcomes(&self, outcomes: &[CacheOutcome]) {
+        let add = |counter: &Counter, of: fn(&CacheOutcome) -> bool| {
+            let n = outcomes.iter().filter(|o| of(o)).count() as u64;
+            if n > 0 {
+                counter.add(n);
+            }
+        };
+        add(&self.cache_hits, |o| *o == CacheOutcome::Hit);
+        add(&self.cache_misses, |o| matches!(o, CacheOutcome::Miss | CacheOutcome::Partial));
     }
 
     /// Resolve every handle against `registry`. A no-op registry yields
@@ -70,11 +75,11 @@ impl ServeObs {
             route_decisions: Route::ALL.map(decisions),
             cache_hits: registry.counter(
                 "chronorank_serve_cache_hits_total",
-                "shard result-cache hits across all serve shards",
+                "queries every shard answered from its result cache",
             ),
             cache_misses: registry.counter(
                 "chronorank_serve_cache_misses_total",
-                "shard result-cache misses across all serve shards",
+                "queries at least one shard's result cache missed",
             ),
             recorder,
         }

@@ -79,11 +79,12 @@ impl Route {
     }
 
     /// Whether answers on this route are fully determined by the *snapped*
-    /// breakpoint pair — the condition for result caching. True for APPX1
-    /// and APPX2 (both snap `[t1, t2]` to `[B(t1), B(t2)]` before touching
-    /// any list). False for exact routes (answers depend on the raw
-    /// interval) and for APPX2+ (its re-scoring integrates over the raw
-    /// `[t1, t2]`).
+    /// breakpoint pair, so a probe and its result-cache entry are keyed on
+    /// it ([`crate::ProbeKey::Snapped`]). True for APPX1 and APPX2 (both
+    /// snap `[t1, t2]` to `[B(t1), B(t2)]` before touching any list).
+    /// False for exact routes (answers depend on the raw interval) and for
+    /// APPX2+ (its re-scoring integrates over the raw `[t1, t2]`): those
+    /// are keyed, and cached, on the raw interval.
     pub fn cacheable(self) -> bool {
         matches!(self, Route::Appx1 | Route::Appx2)
     }

@@ -25,8 +25,8 @@ pub struct ServeReport {
     pub elapsed_secs: f64,
     /// Per-route counters, [`Route::ALL`] order.
     pub routes: [RouteStats; 5],
-    /// Shard-level result-cache hits (one lookup per shard per cacheable
-    /// query).
+    /// Shard-level result-cache hits (one lookup per shard per distinct
+    /// probe of a window).
     pub cache_hits: u64,
     /// Shard-level result-cache lookups.
     pub cache_lookups: u64,
@@ -53,7 +53,7 @@ impl ServeReport {
         }
     }
 
-    /// Cache hit rate over cacheable lookups (0 when none happened).
+    /// Cache hit rate over lookups (0 when none happened).
     pub fn cache_hit_rate(&self) -> f64 {
         if self.cache_lookups > 0 {
             self.cache_hits as f64 / self.cache_lookups as f64

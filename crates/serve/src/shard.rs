@@ -13,7 +13,7 @@
 //! answered: the index's answer here, frozen candidates plus tail-touched
 //! objects rescored in `chronorank-live`. Everything around the probe is
 //! shared: both dedup a window with [`dedup_window`] on its [`ProbeKey`]s,
-//! both keep snapped answers in a [`ResultCache`], and both answer in
+//! both keep every probe's answer in a [`ResultCache`], and both answer in
 //! shard-local ids, which the pool worker maps to global ones
 //! ([`crate::to_global`]). The only mutable piece of a serve shard is its
 //! result cache, behind its own [`Mutex`], which the shard's worker holds
@@ -44,9 +44,9 @@ pub type ShardAnswer = Result<Vec<(ObjectId, f64)>, String>;
 pub trait ShardProbe: Send + Sync {
     /// Answer this shard's view of one routed window, one entry per query
     /// in window order: the answer in shard-local ids, and `Some(hit)`
-    /// when the shard's result cache was consulted (`None` = the route
-    /// bypassed it). Queries that collapse onto one [`ProbeKey`] share one
-    /// probe ([`dedup_window`]).
+    /// when the shard's result cache was consulted (`None` = the shard has
+    /// none). Queries that collapse onto one [`ProbeKey`] share one probe
+    /// ([`dedup_window`]).
     fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)>;
 }
 
@@ -82,7 +82,7 @@ pub fn dedup_window<K: Copy + Eq + Hash>(
 /// `k`, and the interval — **snapped** to breakpoint indexes on the routes
 /// that answer from the snapped interval alone ([`Route::cacheable`]), its
 /// raw bits on the rest. The one key behind both the result cache (which
-/// holds snapped keys only) and the probe dedup inside a window.
+/// holds every kind) and the probe dedup inside a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeKey {
     /// `(B(t1), B(t2))` as breakpoint indexes.
@@ -433,8 +433,8 @@ impl Shard {
 
 impl ShardProbe for Shard {
     /// [`dedup_window`] on the [`ProbeKey`], then per group the result
-    /// cache on a snapped key — a frozen snapshot charges nothing, so a
-    /// cached answer always hits — or the index probe.
+    /// cache — a frozen snapshot charges nothing, so a cached answer always
+    /// hits — in front of the index probe.
     fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)> {
         let breakpoints = self.built.breakpoints.as_ref();
         let mut cache =
@@ -444,9 +444,9 @@ impl ShardProbe for Shard {
             |q, route| ProbeKey::new(q, route, breakpoints),
             |q, route, key| {
                 let probe = || self.probe(route, *q);
-                match (cache.as_deref_mut(), key) {
-                    (Some(cache), ProbeKey::Snapped { .. }) => cache.answer(key, 0.0, 0.0, probe),
-                    _ => (probe(), None),
+                match cache.as_deref_mut() {
+                    Some(cache) => cache.answer(key, 0.0, 0.0, probe),
+                    None => (probe(), None),
                 }
             },
         )

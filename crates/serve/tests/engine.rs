@@ -60,6 +60,33 @@ fn repeated_hot_queries_hit_the_cache() {
 }
 
 #[test]
+fn a_repeated_exact_query_probes_its_shards_once() {
+    let set = dataset(60);
+    let cfg = ServeConfig {
+        workers: 2,
+        store: chronorank_storage::StoreConfig { block_size: 4096, pool_capacity: 1 },
+        ..Default::default()
+    };
+    let engine = ServeEngine::new(&set, cfg).unwrap();
+    let (t1, t2) = (set.t_min() + 0.25 * set.span(), set.t_min() + 0.55 * set.span());
+    let q = ServeQuery::exact(t1, t2, 7);
+    assert_eq!(engine.route_for(&q), Route::Exact3);
+    let reads = engine.report().io.reads;
+    let first = engine.query(q).unwrap();
+    let probed = engine.report().io.reads;
+    // One-frame pools: every probe of a stab path reads blocks.
+    assert!(probed > reads, "the first query probes EXACT3");
+    for _ in 0..3 {
+        assert_eq!(engine.query(q).unwrap().entries(), first.entries());
+    }
+    let report = engine.report();
+    assert_eq!(report.io.reads, probed, "the repeats read no block");
+    // One lookup per shard per query; every repeat hits on both shards.
+    assert_eq!((report.cache_lookups, report.cache_hits), (8, 6));
+    assert_eq!(first.ids(), set.top_k_bruteforce(t1, t2, 7).ids());
+}
+
+#[test]
 fn snapped_neighbours_share_a_cache_entry() {
     let set = dataset(50);
     let engine = ServeEngine::new(&set, config(1)).unwrap();

@@ -54,8 +54,8 @@ fn injected_slow_query_produces_a_correct_trace() {
     let shards: Vec<usize> = trace.shards.iter().map(|s| s.shard).collect();
     assert_eq!(shards, (0..WORKERS).collect::<Vec<_>>(), "all shards touched, sorted");
 
-    // Exact routes bypass the result cache.
-    assert_eq!(trace.cache, CacheOutcome::Bypass);
+    // Exact routes go through the result cache too: a cold one misses.
+    assert_eq!(trace.cache, CacheOutcome::Miss);
     assert!(trace.shards.iter().all(|s| !s.cache_hit));
 
     // The IO delta is real and consistent: the per-shard reads sum to the
@@ -74,6 +74,13 @@ fn injected_slow_query_produces_a_correct_trace() {
         trace.total_us,
         max_span
     );
+
+    // The identical repeat hits on every shard and reads nothing.
+    engine.query(q).expect("repeat");
+    let repeat = engine.flight_recorder().snapshot().remove(1);
+    assert_eq!(repeat.cache, CacheOutcome::Hit, "identical repeat: {repeat:?}");
+    assert!(repeat.shards.iter().all(|s| s.cache_hit));
+    assert_eq!(repeat.io.reads, 0);
 }
 
 #[test]

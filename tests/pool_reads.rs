@@ -11,14 +11,21 @@
 //! (every exact query routes to it; the approximate structures have files
 //! and pools of their own).
 //!
-//! The count repeats exactly, so it is printed as a `pinned:` line before
-//! it is asserted; `ci.sh`'s `tier1` stage echoes it into its summary.
+//! The second gate is the result cache's on a live ingest: hot exact
+//! windows re-asked after every batch of a W = 2 live engine that installs
+//! new generations as it goes. An exact answer is cached on its raw
+//! interval and kept across installs until an append starts before its
+//! `t2`, so only the window the appends reach is probed again.
+//!
+//! The counts repeat exactly, so they are printed as `pinned:` lines before
+//! they are asserted; `ci.sh`'s `tier1` stage echoes them into its summary.
 
+use chronorank::live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank::serve::{MethodSet, ServeConfig, ServeEngine, ServeQuery};
 use chronorank::storage::StoreConfig;
 use chronorank::workloads::{
-    DatasetGenerator, IntervalPattern, QueryWorkload, QueryWorkloadConfig, TempConfig,
-    TempGenerator,
+    AppendStream, AppendStreamConfig, DatasetGenerator, IntervalPattern, QueryWorkload,
+    QueryWorkloadConfig, TempConfig, TempGenerator,
 };
 
 /// Queries before the count starts, and counted.
@@ -66,5 +73,55 @@ fn an_exact_query_reads_at_most_the_pinned_blocks_through_64_frame_pools() {
     assert!(
         reads <= PINNED,
         "{reads} blocks per exact query; the pin is {PINNED} (plain LRU: {PINNED_LRU})"
+    );
+}
+
+/// Hot windows, as fractions of the full stream's domain: three end before
+/// the appends begin (about half way), one reaches into them.
+const HOT: [(f64, f64); 4] = [(0.05, 0.25), (0.1, 0.4), (0.2, 0.35), (0.3, 0.7)];
+/// The pinned count, per query: 1 block over the 240 queries (60 batches
+/// of 200 appends, 10 installs). With every exact query probing, as with
+/// `cache_capacity: 0`, they read 286 (1.19 a query).
+const PINNED_LIVE: f64 = 1.0 / 240.0;
+
+#[test]
+fn a_hot_exact_window_on_a_live_ingest_reads_at_most_the_pinned_blocks() {
+    let generator =
+        TempGenerator::new(TempConfig { objects: 400, avg_segments: 60, ..Default::default() });
+    let stream = AppendStream::from_generator(
+        &generator,
+        AppendStreamConfig { base_fraction: 0.5, batch: 200, ..Default::default() },
+    );
+    let config = LiveConfig {
+        workers: 2,
+        store: StoreConfig { pool_capacity: 64, ..Default::default() },
+        rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: 1_000 },
+        ..Default::default()
+    };
+    let mut engine = IngestEngine::new(&stream.base_set(), config).unwrap();
+    let full = stream.full_set();
+    let at = |f: f64| full.t_min() + f * full.span();
+    let (mut reads, mut queries) = (0, 0);
+    for batch in stream.batches() {
+        engine.append_batch(batch).unwrap();
+        // Installed here, not whenever a builder happens to finish.
+        engine.finish_rebuilds();
+        let before = engine.report().index_io.reads;
+        for (t1, t2) in HOT {
+            engine.query(ServeQuery::exact(at(t1), at(t2), 20)).unwrap();
+            queries += 1;
+        }
+        reads += engine.report().index_io.reads - before;
+    }
+    let rebuilds = engine.report().rebuilds;
+    let per_query = reads as f64 / queries as f64;
+    println!(
+        "pinned: blocks per hot exact query, W = 2 live ingest at 64 frames, \
+         {rebuilds} installs: {per_query:.4} ({reads} over {queries})"
+    );
+    assert!(rebuilds >= 4, "each shard installs at least twice: {rebuilds}");
+    assert!(
+        per_query <= PINNED_LIVE,
+        "{per_query} blocks per hot exact query; the pin is {PINNED_LIVE}"
     );
 }
