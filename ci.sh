@@ -45,9 +45,11 @@
 #                     repeat rather than a timing), the ones
 #                     crates/net/tests/thread_counts.rs pins (wire-server
 #                     threads with 3 connections, 4 = the acceptor + one
-#                     per connection, and after shutdown, 0) and the one
+#                     per connection, and after shutdown, 0) and the two
 #                     tests/stab_reads.rs pins (blocks 100 cold Meme stabs
-#                     read, at most a third of lo-order packing), the ones
+#                     read, at most a third of lo-order packing, and the
+#                     row bytes EXACT3's packed leaves spend per entry on
+#                     a Temp shard and on Meme), the ones
 #                     tests/pool_reads.rs pins (blocks per exact query on
 #                     an exact_cold-shaped engine through 64-frame
 #                     segmented-LRU pools, and blocks per hot exact query

@@ -51,7 +51,7 @@
 //! and every threshold use absolute mass.
 
 use crate::error::{CoreError, Result};
-use crate::object::{columns, MergeOrder, TemporalSet, TimeOrdered};
+use crate::object::{columns, MergeOrder, ObjectIds, TemporalSet, TimeOrdered};
 use chronorank_curve::numeric::accumulation_crossing;
 use chronorank_curve::{PiecewiseLinear, Segment};
 
@@ -174,7 +174,7 @@ impl Breakpoints {
         set: &TemporalSet,
         r: usize,
         construction: B2Construction,
-        order: Option<Vec<u32>>,
+        order: Option<ObjectIds>,
     ) -> Result<(Self, FitStats)> {
         if r < 2 {
             return Err(CoreError::BadQuery(format!("need r ≥ 2 breakpoints, got {r}")));
@@ -640,16 +640,16 @@ fn earlier(a: f64, b: f64) -> f64 {
 
 /// What the sweeps over one resident set share: the `|g_i|` view and the
 /// paper's queue Q over it, prepared once as the object of every segment in
-/// left-endpoint order, 4 bytes a segment — the [`MergeOrder`] a shard's
-/// EXACT3 load recorded from the set's curves, or, for a set with negative
-/// values (or a caller without one), a [`TimeOrdered`] merge of the `|g_i|`
-/// curves run here (ties in object order either way, as the streamed sort
-/// breaks them). A sweep replays it over the curves' point columns,
-/// borrowed once per sweep, with a cursor per object; a count fit runs
-/// several.
+/// left-endpoint order, 2 bytes a segment up to 2¹⁶ objects — the
+/// [`MergeOrder`] a shard's EXACT3 load recorded from the set's curves, or,
+/// for a set with negative values (or a caller without one), a
+/// [`TimeOrdered`] merge of the `|g_i|` curves run here (ties in object
+/// order either way, as the streamed sort breaks them). A sweep replays it
+/// over the curves' point columns, borrowed once per sweep, with a cursor
+/// per object; a count fit runs several.
 struct ResidentRun {
     curves: Vec<PiecewiseLinear>,
-    order: Vec<u32>,
+    order: ObjectIds,
     construction: B2Construction,
     domain: (f64, f64),
 }
@@ -660,13 +660,14 @@ impl ResidentRun {
     fn new(
         set: &TemporalSet,
         construction: B2Construction,
-        order: Option<Vec<u32>>,
+        order: Option<ObjectIds>,
     ) -> Result<Self> {
         let curves = abs_curves(set)?;
         let order = match order {
             Some(order) if !set.has_negative() => order,
             _ => {
-                let mut order = Vec::with_capacity(curves.iter().map(|c| c.num_segments()).sum());
+                let segments = curves.iter().map(|c| c.num_segments()).sum();
+                let mut order = ObjectIds::with_capacity(curves.len(), segments);
                 for item in TimeOrdered::new(columns(&curves)) {
                     order.push(item?.0);
                 }
@@ -683,9 +684,17 @@ impl ResidentRun {
 
     /// One sweep over the run.
     fn sweep(&self, tau: f64, limit: usize) -> Result<Sweep> {
+        match &self.order {
+            ObjectIds::Narrow(ids) => self.sweep_ids(ids.iter().map(|&obj| obj.into()), tau, limit),
+            ObjectIds::Wide(ids) => self.sweep_ids(ids.iter().copied(), tau, limit),
+        }
+    }
+
+    /// One sweep over the curves' segments in the order of `ids`.
+    fn sweep_ids(&self, ids: impl Iterator<Item = u32>, tau: f64, limit: usize) -> Result<Sweep> {
         let (m, columns) = (self.curves.len(), columns(&self.curves));
         let mut cursor = vec![0usize; m];
-        let segments = self.order.iter().map(|&obj| {
+        let segments = ids.map(|obj| {
             let (times, values) = columns[obj as usize];
             let j = cursor[obj as usize];
             cursor[obj as usize] = j + 1;
@@ -1136,8 +1145,8 @@ mod tests {
         assert!(!set.has_negative());
         let config = crate::IndexConfig::default();
         let (_, order) = crate::Exact3::build_recording_order(&set, config).unwrap();
-        let merged: Vec<u32> = set.time_ordered().map(|e| e.unwrap().0).collect();
-        assert_eq!(order.objects, merged);
+        let merged: Vec<u16> = set.time_ordered().map(|e| e.unwrap().0 as u16).collect();
+        assert!(matches!(&order.objects, ObjectIds::Narrow(ids) if *ids == merged));
         let (got, stats) =
             Breakpoints::b2_with_count_stats_in_order(order, 8, B2Construction::Efficient).unwrap();
         let (want, want_stats) =

@@ -408,14 +408,43 @@ impl Iterator for TimeOrdered<'_> {
 }
 
 /// The object of each of a set's segments, in the order the `m`-way merge
-/// of its curves yields them (global `t0` order, ties in object order): 4
-/// bytes a segment. Only core fills one, by running that merge over the
-/// set it borrows ([`crate::Exact3::build_recording_order`] records it
-/// while it loads), so a BREAKPOINTS2 count fit replays it as its queue Q
-/// unchecked ([`crate::Breakpoints::b2_with_count_stats_in_order`]).
+/// of its curves yields them (global `t0` order, ties in object order): 2
+/// bytes a segment when the set has at most 2¹⁶ objects, else 4. Only core
+/// fills one, by running that merge over the set it borrows
+/// ([`crate::Exact3::build_recording_order`] records it while it loads),
+/// so a BREAKPOINTS2 count fit replays it as its queue Q unchecked
+/// ([`crate::Breakpoints::b2_with_count_stats_in_order`]).
 pub struct MergeOrder<'s> {
     pub(crate) set: &'s TemporalSet,
-    pub(crate) objects: Vec<ObjectId>,
+    pub(crate) objects: ObjectIds,
+}
+
+/// A sequence of object ids, each stored in the narrowest width that holds
+/// every id of its set.
+pub(crate) enum ObjectIds {
+    /// Ids of a set of at most 2¹⁶ objects.
+    Narrow(Vec<u16>),
+    /// Any ids.
+    Wide(Vec<u32>),
+}
+
+impl ObjectIds {
+    /// Room for `len` ids of a set of `objects` objects.
+    pub(crate) fn with_capacity(objects: usize, len: usize) -> Self {
+        if objects <= 1 << 16 {
+            Self::Narrow(Vec::with_capacity(len))
+        } else {
+            Self::Wide(Vec::with_capacity(len))
+        }
+    }
+
+    /// Append `obj`, which must be an id of the set this was sized for.
+    pub(crate) fn push(&mut self, obj: ObjectId) {
+        match self {
+            Self::Narrow(ids) => ids.push(obj as u16),
+            Self::Wide(ids) => ids.push(obj),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -441,6 +470,25 @@ mod tests {
         assert!(approx_eq(s.total_mass(), 42.0, 1e-12));
         assert!(!s.has_negative());
         assert_eq!(s.max_segment_duration(), 10.0);
+    }
+
+    #[test]
+    fn merge_order_ids_are_two_bytes_up_to_2_16_objects() {
+        for (objects, narrow) in [(1, true), (1 << 16, true), ((1 << 16) + 1, false)] {
+            let mut ids = ObjectIds::with_capacity(objects, 2);
+            ids.push(0);
+            ids.push(objects as u32 - 1);
+            match ids {
+                ObjectIds::Narrow(ids) => {
+                    assert!(narrow, "{objects} objects");
+                    assert_eq!(ids, [0, (objects - 1) as u16]);
+                }
+                ObjectIds::Wide(ids) => {
+                    assert!(!narrow, "{objects} objects");
+                    assert_eq!(ids, [0, objects as u32 - 1]);
+                }
+            }
+        }
     }
 
     #[test]

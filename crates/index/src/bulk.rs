@@ -57,7 +57,7 @@ pub struct FenceSpill {
 
 impl FenceSpill {
     /// A queue that never spills — pure `Vec` semantics, no scratch file.
-    pub fn unbounded() -> Self {
+    pub(crate) fn unbounded() -> Self {
         Self {
             budget: usize::MAX,
             mem: Vec::new(),
@@ -92,12 +92,12 @@ impl FenceSpill {
     }
 
     /// Records pushed so far (in memory plus spilled).
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.mem.len() as u64 + self.spilled
     }
 
     /// True when nothing was pushed yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

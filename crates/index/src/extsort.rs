@@ -225,16 +225,6 @@ impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
         Ok(())
     }
 
-    /// Total records pushed so far.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// True when nothing was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Spill the final batch and return the merged, key-ordered stream.
     pub fn finish(mut self) -> Result<SortedStream<F>> {
         self.spill()?;
@@ -329,7 +319,7 @@ mod tests {
             keys.push(k);
             s.push(&rec(k, i)).unwrap();
         }
-        assert_eq!(s.len(), 2000);
+        assert_eq!(s.total, 2000);
         assert_eq!(s.runs.len(), 40, "the budget caps every run at 50 records");
         let mut stream = s.finish().unwrap();
         keys.sort_by(f64::total_cmp);
@@ -390,7 +380,7 @@ mod tests {
         // Degenerate budgets floor at the 16-record minimum.
         let tiny = ExternalSorter::with_byte_budget(e.create_file("tiny").unwrap(), 12, 0, key_of)
             .unwrap();
-        assert!(tiny.is_empty());
+        assert_eq!(tiny.total, 0);
     }
 
     #[test]
@@ -439,7 +429,7 @@ mod tests {
         let s =
             ExternalSorter::with_byte_budget(e.create_file("runs").unwrap(), 12, 12 * 50, key_of)
                 .unwrap();
-        assert!(s.is_empty());
+        assert_eq!(s.total, 0);
         let mut stream = s.finish().unwrap();
         let mut out = vec![0u8; 12];
         assert!(!stream.next_into(&mut out).unwrap());

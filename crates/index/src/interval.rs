@@ -8,12 +8,13 @@
 //! `N` segments externally (`O((N/B) log_B N)` IOs); this implementation
 //! takes the same shape end to end:
 //!
-//! * **leaves** are written at fill rate 1.0 as the sorted stream arrives
+//! * **leaves** are written full as the sorted stream arrives
 //!   ([`IntervalBulkLoader`], the sweep-bptree pattern: never insert, only
 //!   append). The stream is split by length into a main stream and one
 //!   stream per length band of outlier-long entries, and each stream is cut
 //!   into **runs** of whole leaves; inside a run the entries are dealt to
-//!   leaves by `hi`, and each leaf keeps its entries in `lo` order;
+//!   leaves by `hi`, and each leaf keeps its entries in `lo` order, packed
+//!   (below);
 //! * **inner levels** are stacked bottom-up over the leaves sorted by
 //!   `min_lo`; an inner node stores, per child, the page id plus two
 //!   fences — the child subtree's minimum `lo` and maximum `hi` (a
@@ -23,6 +24,27 @@
 //!   scan their lo-ascending prefix while `lo ≤ t` and report entries with
 //!   `hi ≥ t`. The boundary path costs `O(log_B N)`.
 //!
+//! **Packed leaves.** `B`, the entries a leaf holds, sets the `m/B` term,
+//! so a leaf stores each entry in as few bytes as its neighbours allow
+//! (frame-of-reference packing, Goldstein et al., ICDE 1998, on XOR-coded
+//! floats, Pelkonen et al., VLDB 2015). An entry is cut into **lanes**: its
+//! 8-byte words `lo`, `hi` and the payload's, the last one shorter when the
+//! payload is not a multiple of 8. A leaf's header is its magic, its count,
+//! one width in bytes per lane and its **base** — its first entry, whole.
+//! Each entry is a **row**: per lane, the low `width` bytes of the lane
+//! XOR the base's, little-endian, where `width` is the most significant
+//! bytes any of the leaf's entries needs. Decoding is a zero-extended load
+//! XOR the base, so every bit comes back — `−0.0`, NaN payloads and
+//! subnormals included. A stab decodes `lo` for each row it scans and `hi`
+//! and the payload only for hits. A leaf is cut by bytes, not by count: in
+//! `hi` order it takes the next entry while its rows, widened to that
+//! entry, still fit — and at most twice what whole records would fit, so
+//! all-equal entries, whose rows take 0 bytes, fill bounded leaves. A
+//! header whose count passes that cap, whose lane is wider than the lane,
+//! or whose rows overrun the block is refused as [`IndexError::Corrupt`]
+//! before any row is read. EXACT3's 44-byte entries pack to ≈ 35.5 bytes
+//! on Temp and ≈ 38 on Meme.
+//!
 //! **The output term.** A run left of `t` is read only in the leaves whose
 //! `max_hi` reaches `t` — the top of its `hi` order, `⌈its hits/B⌉` leaves
 //! — while the run straddling `t` may be read whole. With runs of `w`
@@ -31,7 +53,12 @@
 //! ≈ `R/w` clipped leaves plus ≈ `w`, least at `w² = R`. Substituting `R`
 //! and `w` leaves = `w·B/density` of `lo` turns `w² = R` into the rule a
 //! run closes by, with no constant to tune:
-//! `leaves × (last_lo − first_lo) ≥ longest interval in the run`.
+//! `leaves × (last_lo − first_lo) ≥ longest interval in the run`. A run
+//! counts its leaves by cutting its entries in `lo` order as they arrive,
+//! and checks the rule each time that cut fills one; a close deals them by
+//! `hi` and writes at most that many leaves. Entries the `hi` cut puts past
+//! them stay in the run — the newest ones, as whole-record leaves left the
+//! rest after the last whole leaf.
 //!
 //! That rule lets the longest entry set the width of every run, which is
 //! wrong when lengths span orders of magnitude: on Meme (records bunch
@@ -44,19 +71,22 @@
 //! above, so long tails land in leaves full of long-lived entries, and a
 //! query's two stabs often share those leaves. At `finish` each band run
 //! writes its whole leaves and its partial rest joins the main run, which
-//! closes last: the tree has one partial leaf, `⌈N/B⌉` leaves in all, the
-//! size a single stream would write. Leaves are written as runs close, so
-//! their fences are sorted by `min_lo` before the inner levels are
-//! stacked; inner nodes stay in `min_lo` order, which a stab's early exit
-//! needs. Data of one length scale (Temp, Stock, random walks) never
+//! closes last and writes everything: its last leaf is the tree's one
+//! partial leaf by design, and a close's last leaf may fall short where the
+//! `lo`-order cut ended a leaf early on an entry that widened it (6 % of
+//! a Temp shard's leaves, ≥ 75 of 115 entries). Leaves are written as runs
+//! close, so their fences are sorted by `min_lo` before the inner levels
+//! are stacked; inner nodes stay in `min_lo` order, which a stab's early
+//! exit needs. Data of one length scale (Temp, Stock, random walks) never
 //! divert and write the bytes a single stream writes.
 //!
-//! Measured in cold blocks per stab against `⌈hits/B⌉` (pure `lo` order
-//! in brackets): 31 vs 21.7 on a Temp shard of m = 2000 (46); on Meme
-//! (m = 4000, 100 probes, `tests/stab_reads.rs`) 1,012 blocks where one
-//! stream read 1,377 (3,350); EXACT3 on the benchmark's `paper_build`
-//! (Meme, m = 29 850, two stabs a query) ≈ 65 blocks a query where one
-//! stream read ≈ 99.
+//! Measured in cold blocks per stab against `⌈hits/B⌉`: 27.3 vs 17.5 on a
+//! Temp shard of m = 2000 (31 vs 21.7 with 44-byte records); on Meme
+//! (m = 4000, 100 probes, `tests/stab_reads.rs`) 962 blocks, where
+//! 44-byte records read 1,012, one stream of runs 1,377 and `lo`-order
+//! packed leaves 3,159; EXACT3 on the benchmark's `paper_build` (Meme,
+//! m = 29 850, two stabs a query) 59.2 blocks a query at seed 7 (64.4
+//! with 44-byte records, ≈ 99 with one stream).
 //!
 //! Nothing here recurses: the build and the stab are loops over explicit
 //! stacks and the open runs share a cap of `RUN_CAP_LEAVES`, so
@@ -76,14 +106,12 @@ use crate::error::{IndexError, Result};
 use crate::extsort::total_order_bits;
 use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
 use chronorank_storage::{PageId, PagedFile};
+use std::ops::Range;
 
-const META_MAGIC: u32 = 0x17EE_0002;
-const LEAF_MAGIC: u32 = 0x17EE_00AA;
+const META_MAGIC: u32 = 0x17EE_0003;
+const LEAF_MAGIC: u32 = 0x17EE_00AC;
 const INNER_MAGIC: u32 = 0x17EE_00BB;
 
-/// Leaf header: magic, count and a link word left zero (leaves are
-/// physically consecutive).
-const LEAF_HDR: usize = 4 + 4 + 8;
 /// Inner node header: magic, child count.
 const INNER_HDR: usize = 4 + 4;
 /// Per-child fence record in an inner node: page, min lo, max hi.
@@ -100,6 +128,297 @@ pub struct IntervalEntry {
     pub payload: Vec<u8>,
 }
 
+/// A tree's packed leaf geometry, fixed by its block and payload sizes
+/// (module docs: "packed leaves").
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Entry bytes: `lo`, `hi`, payload.
+    elen: usize,
+    /// Lanes an entry is cut into: its 8-byte words, the last one shorter
+    /// when the payload is not a multiple of 8.
+    lanes: usize,
+    /// Leaf header bytes: magic, count, one width per lane, the base entry.
+    hdr: usize,
+    /// Row bytes a leaf holds after its header.
+    body: usize,
+}
+
+impl Shape {
+    /// `None` when a leaf cannot hold one entry at full width.
+    fn new(block: usize, payload_len: usize) -> Option<Self> {
+        let elen = 16 + payload_len;
+        let lanes = elen.div_ceil(8);
+        let hdr = 8 + lanes + elen;
+        (hdr + elen <= block).then(|| Self { elen, lanes, hdr, body: block - hdr })
+    }
+
+    /// The most entries one leaf may hold: twice what full-width rows fit,
+    /// so all-equal entries, whose rows pack to 0 bytes, still fill
+    /// bounded leaves.
+    fn cap(&self) -> usize {
+        2 * (self.body / self.elen)
+    }
+
+    /// The most rows of `row` bytes one leaf holds.
+    fn room(&self, row: usize) -> usize {
+        match row {
+            0 => self.cap(),
+            row => self.cap().min(self.body / row),
+        }
+    }
+
+    /// Lane `j`'s bytes within an entry.
+    fn lane(&self, j: usize) -> Range<usize> {
+        8 * j..(8 * j + 8).min(self.elen)
+    }
+
+    /// Lane `j` of `entry`, zero-extended.
+    fn word(&self, entry: &[u8], j: usize) -> u64 {
+        word(&entry[self.lane(j)])
+    }
+
+    /// Append the lanes of the entry `(lo, hi, payload)` to `out`: a loader
+    /// holds its entries as lanes, so each is decoded once.
+    fn encode(&self, lo: f64, hi: f64, payload: &[u8], out: &mut Vec<u64>) {
+        out.extend([lo.to_bits(), hi.to_bits()]);
+        out.extend(payload.chunks(8).map(word));
+    }
+
+    /// The bytes of the entry whose lanes are `words`, into `out`.
+    fn decode(&self, words: &[u64], out: &mut [u8]) {
+        for (j, &w) in words.iter().enumerate() {
+            let lane = self.lane(j);
+            out[lane.clone()].copy_from_slice(&w.to_le_bytes()[..lane.len()]);
+        }
+    }
+}
+
+/// A lane's bytes, little-endian, zero-extended.
+#[inline]
+fn word(lane: &[u8]) -> u64 {
+    match lane.try_into() {
+        Ok(word) => u64::from_le_bytes(word),
+        Err(_) => lane.iter().rev().fold(0, |word, &b| word << 8 | b as u64),
+    }
+}
+
+/// Bytes needed for the set bits of `diff`, a lane's XOR against its base.
+fn width(diff: u64) -> usize {
+    (71 - diff.leading_zeros() as usize) / 8
+}
+
+/// The low `width` bytes' bits.
+fn mask(width: usize) -> u64 {
+    if width == 8 {
+        u64::MAX
+    } else {
+        (1 << (8 * width)) - 1
+    }
+}
+
+/// One lane of a packed leaf: where it sits in a row, its width, and its
+/// base value.
+#[derive(Clone, Copy)]
+struct Lane {
+    at: usize,
+    width: usize,
+    mask: u64,
+    base: u64,
+}
+
+impl Lane {
+    fn new(at: usize, width: usize, base: u64) -> Self {
+        Self { at, width, mask: mask(width), base }
+    }
+
+    /// The lane in the row at `row`: its low `width` bytes, zero-extended,
+    /// XOR the base.
+    #[inline]
+    fn get(&self, buf: &[u8], row: usize) -> u64 {
+        let at = row + self.at;
+        let bits = match buf.get(at..at + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")) & self.mask,
+            None => {
+                let mut word = [0u8; 8];
+                word[..self.width].copy_from_slice(&buf[at..at + self.width]);
+                u64::from_le_bytes(word)
+            }
+        };
+        self.base ^ bits
+    }
+}
+
+/// A packed leaf's header, checked: its count, its row bytes and its key
+/// lanes, `lo` and `hi`.
+struct Rows {
+    count: usize,
+    row: usize,
+    keys: [Lane; 2],
+}
+
+impl Rows {
+    /// Read a leaf's header. A count above [`Shape::cap`], a lane width
+    /// wider than its lane, or rows that overrun the block are refused as
+    /// [`IndexError::Corrupt`], so every later read of a row is in bounds.
+    fn parse(buf: &[u8], shape: &Shape) -> Result<Self> {
+        let count = get_u32(buf, 4) as usize;
+        if count > shape.cap() {
+            return Err(IndexError::Corrupt(format!(
+                "leaf holds {count} > {} entries",
+                shape.cap()
+            )));
+        }
+        let base = &buf[8 + shape.lanes..shape.hdr];
+        let (mut keys, mut row) = ([Lane::new(0, 0, 0); 2], 0);
+        for j in 0..shape.lanes {
+            let (width, len) = (buf[8 + j] as usize, shape.lane(j).len());
+            if width > len {
+                return Err(IndexError::Corrupt(format!("lane {j} is {width} > {len} bytes wide")));
+            }
+            if j < 2 {
+                keys[j] = Lane::new(row, width, shape.word(base, j));
+            }
+            row += width;
+        }
+        if count * row > shape.body {
+            return Err(IndexError::Corrupt(format!(
+                "{count} rows of {row} bytes overrun a {}-byte leaf body",
+                shape.body
+            )));
+        }
+        Ok(Self { count, row, keys })
+    }
+
+    /// Key `j` (0 = `lo`, 1 = `hi`) of row `i`.
+    #[inline]
+    fn key(&self, buf: &[u8], shape: &Shape, i: usize, j: usize) -> f64 {
+        f64::from_bits(self.keys[j].get(buf, shape.hdr + i * self.row))
+    }
+
+    /// Row `i`'s payload, decoded into `out`.
+    fn payload(&self, buf: &[u8], shape: &Shape, i: usize, out: &mut [u8]) {
+        let base = &buf[8 + shape.lanes..shape.hdr];
+        let mut at = shape.hdr + i * self.row + self.keys[0].width + self.keys[1].width;
+        for (j, word) in (2..).zip(out.chunks_mut(8)) {
+            let lane = Lane::new(0, buf[8 + j] as usize, shape.word(base, j));
+            word.copy_from_slice(&lane.get(buf, at).to_le_bytes()[..word.len()]);
+            at += lane.width;
+        }
+    }
+}
+
+/// The leaf a cut is filling: its entry count, its first entry's lanes
+/// and, per lane, the low bits its width covers, which every entry's XOR
+/// against that first entry fits. A lane's widest XOR against any one of a
+/// leaf's entries is its widest against every other, so these widths are
+/// what the leaf's base — whichever entry it is — needs.
+#[derive(Default)]
+struct OpenLeaf {
+    count: usize,
+    first: Vec<u64>,
+    cover: Vec<u64>,
+    /// Entries the leaf holds at its widths.
+    room: usize,
+}
+
+impl OpenLeaf {
+    /// Take `entry` if the leaf's rows, widened to it, still fit; an empty
+    /// leaf takes any entry.
+    #[inline]
+    fn take(&mut self, shape: &Shape, entry: &[u64]) -> bool {
+        if self.count == 0 {
+            self.first.clear();
+            self.first.extend_from_slice(entry);
+            self.cover.clear();
+            self.cover.resize(shape.lanes, 0);
+            (self.count, self.room) = (1, shape.room(0));
+            return true;
+        }
+        let lanes = || entry.iter().zip(&self.first).map(|(word, first)| word ^ first);
+        if lanes().zip(&self.cover).any(|(xor, cover)| xor & !cover != 0) {
+            let row = lanes().zip(&self.cover).map(|(xor, cover)| width(xor | cover)).sum();
+            if self.count + 1 > shape.room(row) {
+                return false;
+            }
+            for (xor, cover) in
+                entry.iter().zip(&self.first).map(|(w, f)| w ^ f).zip(&mut self.cover)
+            {
+                *cover = mask(width(xor | *cover));
+            }
+            self.room = shape.room(row);
+        } else if self.count + 1 > self.room {
+            return false;
+        }
+        self.count += 1;
+        true
+    }
+
+    /// Its lanes' widths, in bytes.
+    fn widths(&self) -> impl Iterator<Item = u8> + '_ {
+        self.cover.iter().map(|&c| width(c) as u8)
+    }
+}
+
+/// Entries in `lo` order dealt to packed leaves by `hi` (module docs:
+/// "packed leaves"). A loader keeps one and refills it per close.
+#[derive(Default)]
+struct Cut {
+    /// `(hi as total-order bits, index)`, sorted: the stable `hi` order.
+    order: Vec<(u64, u32)>,
+    /// Per entry, its leaf.
+    leaf_of: Vec<u32>,
+    /// Per leaf in `hi` order, its lane widths.
+    widths: Vec<u8>,
+    /// Per leaf, its largest `hi`.
+    max_hi: Vec<f64>,
+    /// The leaf being filled.
+    open: OpenLeaf,
+}
+
+impl Cut {
+    /// Deal `entries` by `hi` (a stable sort of `(hi, index)` pairs, not of
+    /// the records) and cut by bytes: a leaf takes the next entry while its
+    /// rows, widened to that entry, still fit.
+    fn deal(&mut self, shape: &Shape, entries: &[u64]) {
+        let entry = |i: usize| &entries[i * shape.lanes..][..shape.lanes];
+        self.order.clear();
+        self.order.extend(
+            entries
+                .chunks_exact(shape.lanes)
+                .zip(0..)
+                .map(|(e, i)| (total_order_bits(f64::from_bits(e[1])), i)),
+        );
+        self.order.sort_unstable();
+        self.leaf_of.clear();
+        self.leaf_of.resize(self.order.len(), 0);
+        self.widths.clear();
+        self.max_hi.clear();
+        self.open.count = 0;
+        for &(_, i) in &self.order {
+            let (i, e) = (i as usize, entry(i as usize));
+            if !self.open.take(shape, e) {
+                self.widths.extend(self.open.widths());
+                self.open.count = 0;
+                self.open.take(shape, e);
+            }
+            if self.open.count == 1 {
+                self.max_hi.push(f64::from_bits(e[1]));
+            } else {
+                *self.max_hi.last_mut().expect("an open leaf") = f64::from_bits(e[1]);
+            }
+            self.leaf_of[i] = self.max_hi.len() as u32 - 1;
+        }
+        if self.open.count > 0 {
+            self.widths.extend(self.open.widths());
+        }
+    }
+
+    /// Entries dealt to leaves `limit` and later.
+    fn past(&self, limit: usize) -> usize {
+        self.leaf_of.iter().filter(|&&leaf| leaf as usize >= limit).count()
+    }
+}
+
 /// Disk-based bottom-up interval tree (see module docs).
 ///
 /// `Send + Sync`: a built tree is immutable — no method takes `&mut self`
@@ -108,12 +427,14 @@ pub struct IntervalEntry {
 pub struct IntervalTree {
     file: PagedFile,
     payload_len: usize,
+    shape: Shape,
     root: PageId,
     n: u64,
 }
 
 /// The open runs together never hold more whole leaves than this (1 MiB
-/// of 4 KiB blocks), so all-equal `lo` keys cannot grow them without bound.
+/// of 4 KiB blocks at full-width rows), so all-equal `lo` keys cannot grow
+/// them without bound.
 const RUN_CAP_LEAVES: usize = 256;
 
 /// An entry longer than this many times the median length of the main
@@ -126,28 +447,67 @@ fn band_of(len: f64) -> i32 {
     (len.log2().floor() as i32).div_euclid(3)
 }
 
-/// One stream's open run: `entry_len` records in push (= `lo`) order.
+/// `hi − lo` of the entry whose lanes are `entry`.
+fn length(entry: &[u64]) -> f64 {
+    f64::from_bits(entry[1]) - f64::from_bits(entry[0])
+}
+
+/// One stream's open run: its entries' lanes in push (= `lo`) order, with
+/// the leaves a cut of them in that order fills as they arrive. The cut is
+/// how a run counts its leaves; a close deals them by `hi` instead
+/// ([`Cut::deal`]).
 #[derive(Default)]
 struct Run {
-    entries: Vec<u8>,
+    entries: Vec<u64>,
     /// Longest `hi − lo` among them.
     longest: f64,
+    /// Leaves the cut has filled.
+    leaves: usize,
+    /// The leaf the cut is filling.
+    open: OpenLeaf,
 }
 
 impl Run {
-    /// Whole leaves among the entries, for leaves of `leaf_bytes`.
-    fn whole_leaves(&self, leaf_bytes: usize) -> usize {
-        self.entries.len() / leaf_bytes
+    /// Count the open leaf as filled, so the next entry opens one.
+    fn seal(&mut self) {
+        if self.open.count > 0 {
+            self.leaves += 1;
+            self.open.count = 0;
+        }
+    }
+
+    /// Append `entry`, into a new leaf of the cut if the open one cannot
+    /// take it.
+    fn append(&mut self, shape: &Shape, entry: &[u64]) {
+        if !self.open.take(shape, entry) {
+            self.seal();
+            self.open.take(shape, entry);
+        }
+        self.entries.extend_from_slice(entry);
+        self.longest = self.longest.max(length(entry));
+    }
+
+    /// Cut the entries a close kept afresh.
+    fn recount(&mut self, shape: &Shape) {
+        (self.longest, self.leaves, self.open.count) = (0.0, 0, 0);
+        for entry in self.entries.chunks_exact(shape.lanes) {
+            if !self.open.take(shape, entry) {
+                self.leaves += 1;
+                self.open.count = 0;
+                self.open.take(shape, entry);
+            }
+            self.longest = self.longest.max(length(entry));
+        }
     }
 }
 
 /// Streaming bottom-up builder: push entries in **nondecreasing `lo`
 /// order** (an [`crate::ExternalSorter`] stream, typically) and leaves are
-/// written at fill 1.0 as their run closes (module docs: "the output
-/// term"); [`IntervalBulkLoader::finish`] stacks the inner levels over the
+/// written full as their run closes (module docs: "the output term");
+/// [`IntervalBulkLoader::finish`] stacks the inner levels over the
 /// collected fences and returns the ready tree.
 ///
-/// Memory held during the build: the open runs buffer at most 256 whole
+/// Memory held during the build: the open runs buffer about 256 whole
 /// leaves of entries between them plus one partial leaf per stream —
 /// the cap counts every stream's leaves together, so a many-band input
 /// cannot multiply it, and a band's buffer is freed when its run empties.
@@ -157,6 +517,7 @@ impl Run {
 pub struct IntervalBulkLoader {
     file: PagedFile,
     payload_len: usize,
+    shape: Shape,
     /// The main stream's open run.
     main: Run,
     /// One open run per band `⌊log₈ len⌋` of diverted entries, in opening
@@ -165,6 +526,10 @@ pub struct IntervalBulkLoader {
     /// Entries longer than this divert: [`DIVERT`] × the median length of
     /// the main stream's last closed run (∞ until its first close).
     divert_above: f64,
+    /// The lanes of the entry being pushed.
+    entry: Vec<u64>,
+    /// The last close's cut, kept for its buffers.
+    cut: Cut,
     buf: Vec<u8>,
     /// `(page, min_lo, max_hi)` of every written leaf, in write order.
     fences: Vec<(PageId, f64, f64)>,
@@ -177,11 +542,11 @@ impl IntervalBulkLoader {
     /// metadata page).
     pub fn new(file: PagedFile, payload_len: usize) -> Result<Self> {
         let block = file.block_size();
-        if IntervalTree::entries_per_block(block, payload_len) < 1 {
+        let Some(shape) = Shape::new(block, payload_len) else {
             return Err(IndexError::BadInput(format!(
                 "payload of {payload_len} bytes does not fit a {block}-byte block"
             )));
-        }
+        };
         if (block - INNER_HDR) / FENCE_LEN < 2 {
             return Err(IndexError::BadInput(format!(
                 "{block}-byte blocks cannot hold two child fences"
@@ -193,19 +558,16 @@ impl IntervalBulkLoader {
             main: Run::default(),
             bands: Vec::new(),
             divert_above: f64::INFINITY,
+            entry: Vec::new(),
+            cut: Cut::default(),
             buf: vec![0u8; block],
             fences: Vec::new(),
             count: 0,
             last_lo: f64::NEG_INFINITY,
             file,
             payload_len,
+            shape,
         })
-    }
-
-    /// `(entry bytes, entries per leaf)`.
-    fn shape(&self) -> (usize, usize) {
-        let elen = IntervalTree::entry_len(self.payload_len);
-        (elen, IntervalTree::entries_per_block(self.file.block_size(), self.payload_len))
     }
 
     /// Stream `0` is the main one, stream `i ≥ 1` is `bands[i − 1]`.
@@ -221,13 +583,10 @@ impl IntervalBulkLoader {
         std::iter::once(&self.main).chain(self.bands.iter().map(|(_, run)| run))
     }
 
-    /// The stream an entry of length `len` goes to, opening its band's
-    /// run if it diverts to a band with none.
-    fn stream_of(&mut self, len: f64) -> usize {
-        if len <= self.divert_above {
-            return 0;
-        }
-        let band = band_of(len);
+    /// The stream of band `band`'s entries (the main stream's for `None`),
+    /// opening the band's run if it has none.
+    fn stream(&mut self, band: Option<i32>) -> usize {
+        let Some(band) = band else { return 0 };
         match self.bands.iter().position(|&(b, _)| b == band) {
             Some(i) => i + 1,
             None => {
@@ -257,119 +616,145 @@ impl IntervalBulkLoader {
         }
         self.last_lo = lo;
         self.count += 1;
-        let len = hi - lo;
-        let stream = self.stream_of(len);
-        let (elen, epb) = self.shape();
+        let (shape, mut entry) = (self.shape, std::mem::take(&mut self.entry));
+        entry.clear();
+        shape.encode(lo, hi, payload, &mut entry);
+        let band = (hi - lo > self.divert_above).then(|| band_of(hi - lo));
+        let stream = self.stream(band);
         let run = self.run_mut(stream);
-        run.entries.extend_from_slice(&lo.to_le_bytes());
-        run.entries.extend_from_slice(&hi.to_le_bytes());
-        run.entries.extend_from_slice(payload);
-        run.longest = run.longest.max(len);
-        let in_run = run.entries.len() / elen;
-        if in_run.is_multiple_of(epb) {
-            let width = lo - get_f64(&run.entries, 0);
-            if (in_run / epb) as f64 * width >= run.longest {
+        if run.open.take(&shape, &entry) {
+            run.entries.extend_from_slice(&entry);
+            run.longest = run.longest.max(hi - lo);
+        } else {
+            // The run holds whole leaves only: the rule may close it.
+            run.seal();
+            let last_lo = run.entries[run.entries.len() - shape.lanes];
+            let width = f64::from_bits(last_lo) - f64::from_bits(run.entries[0]);
+            if run.leaves as f64 * width >= run.longest {
                 self.close(stream)?;
-            } else if self.runs().map(|r| r.whole_leaves(epb * elen)).sum::<usize>()
-                >= RUN_CAP_LEAVES
-            {
+            } else if self.runs().map(|r| r.leaves).sum::<usize>() >= RUN_CAP_LEAVES {
                 // The cap: the stream holding the most whole leaves (the
                 // earliest on a tie) writes them.
                 let fullest = (0..)
                     .zip(self.runs())
-                    .max_by_key(|&(i, r)| (r.whole_leaves(epb * elen), std::cmp::Reverse(i)))
+                    .max_by_key(|&(i, r)| (r.leaves, std::cmp::Reverse(i)))
                     .map_or(0, |(i, _)| i);
                 self.close(fullest)?;
             }
+            // A close may have emptied a band's run and dropped it.
+            let stream = self.stream(band);
+            self.run_mut(stream).append(&shape, &entry);
         }
+        self.entry = entry;
         Ok(())
     }
 
-    /// Write the whole leaves of `stream`'s open run; a partial leaf stays
-    /// open. A main-stream close resets the divert threshold, and a band
-    /// whose run empties leaves the list.
+    /// Write the full leaves of `stream`'s open run; the partial one stays
+    /// open. A main-stream close that writes resets the divert threshold,
+    /// and a band whose run empties leaves the list.
     fn close(&mut self, stream: usize) -> Result<()> {
-        let (elen, epb) = self.shape();
         let mut run = std::mem::take(self.run_mut(stream));
-        let whole = run.whole_leaves(epb * elen) * epb * elen;
-        let median = self.write_leaves(&run.entries[..whole])?;
-        if stream == 0 {
+        let median = self.write_leaves(&mut run.entries, Some(run.leaves))?;
+        if let (0, Some(median)) = (stream, median) {
             self.divert_above = DIVERT * median;
         }
-        run.entries.drain(..whole);
-        run.longest = run
-            .entries
-            .chunks_exact(elen)
-            .map(|e| get_f64(e, 8) - get_f64(e, 0))
-            .fold(0.0, f64::max);
         if stream > 0 && run.entries.is_empty() {
             self.bands.remove(stream - 1);
         } else {
+            run.recount(&self.shape);
             *self.run_mut(stream) = run;
         }
         Ok(())
     }
 
-    /// Write `entries` (records in `lo` order) as leaves: deal them to
-    /// leaves by `hi` (a stable sort of `(hi, index)` pairs, not of the
-    /// records), then copy them out in `lo` (= index) order, each to its
-    /// leaf, so every leaf holds its entries in `lo` order. Returns the
-    /// entries' median length (the upper one; ∞ for none), selected in the
-    /// pair buffer once the dealing is done with it.
-    fn write_leaves(&mut self, entries: &[u8]) -> Result<f64> {
-        let block = self.file.block_size();
-        let (elen, epb) = self.shape();
-        let mut order: Vec<(u64, u32)> = entries
-            .chunks_exact(elen)
-            .zip(0..)
-            .map(|(e, i)| (total_order_bits(get_f64(e, 8)), i))
-            .collect();
-        order.sort_unstable();
-        let mut leaf_of = vec![0u32; order.len()];
-        for (at, &(_, i)) in order.iter().enumerate() {
-            leaf_of[i as usize] = (at / epb) as u32;
+    /// Write `entries` (records in `lo` order) as packed leaves, cut as
+    /// [`Cut::deal`] cuts them, then copied out in `lo` (= index) order, each
+    /// to its leaf, so every leaf holds its entries in `lo` order and its
+    /// base is its lowest. At most `limit` leaves are written, if one is
+    /// given: the entries of the rest stay in `entries`, in `lo` order, and
+    /// the written ones are cleared. Those are the newest ones, as an
+    /// unpacked run keeps them: when the cut fills more than `limit` leaves,
+    /// it is redone without as many of the newest entries as the leaves
+    /// past `limit` hold, and only what that cut puts past `limit` stays
+    /// besides them. Returns the written entries' median length (the upper
+    /// one; `None` for none), selected in the pair buffer once the dealing
+    /// is done with it.
+    fn write_leaves(
+        &mut self,
+        entries: &mut Vec<u64>,
+        limit: Option<usize>,
+    ) -> Result<Option<f64>> {
+        let (shape, block, lanes) = (self.shape, self.file.block_size(), self.shape.lanes);
+        let limit = limit.unwrap_or(usize::MAX);
+        let mut cut = std::mem::take(&mut self.cut);
+        cut.deal(&shape, entries);
+        let mut dealt = entries.len();
+        if cut.past(limit) > 0 {
+            dealt -= cut.past(limit) * lanes;
+            cut.deal(&shape, &entries[..dealt]);
         }
-        let leaves = order.len().div_ceil(epb);
+        let Cut { order, leaf_of, widths, max_hi, .. } = &mut cut;
+        let entry = |i: usize| &entries[i * lanes..][..lanes];
+        let leaves = max_hi.len().min(limit);
         let mut pages = vec![0u8; leaves * block];
-        let mut filled = vec![0usize; leaves];
+        // Per leaf, its rows so far and its base, its first entry.
+        let mut filled = vec![(0usize, 0usize); leaves];
         let mut touched: Vec<(usize, f64)> = Vec::with_capacity(leaves);
-        for (entry, &leaf) in entries.chunks_exact(elen).zip(&leaf_of) {
+        for (i, &leaf) in leaf_of.iter().enumerate() {
             let leaf = leaf as usize;
-            if filled[leaf] == 0 {
-                touched.push((leaf, get_f64(entry, 0)));
+            if leaf >= limit {
+                continue;
             }
-            pages[leaf * block + LEAF_HDR + filled[leaf] * elen..][..elen].copy_from_slice(entry);
-            filled[leaf] += 1;
+            let e = entry(i);
+            let (head, rows) = pages[leaf * block..][..block].split_at_mut(shape.hdr);
+            let leaf_widths = &widths[leaf * lanes..][..lanes];
+            if filled[leaf].0 == 0 {
+                touched.push((leaf, f64::from_bits(e[0])));
+                head[8..8 + lanes].copy_from_slice(leaf_widths);
+                shape.decode(e, &mut head[8 + lanes..]);
+                filled[leaf].1 = i;
+            }
+            let row: usize = leaf_widths.iter().map(|&w| w as usize).sum();
+            let mut at = filled[leaf].0 * row;
+            for ((word, base), &w) in e.iter().zip(entry(filled[leaf].1)).zip(leaf_widths) {
+                // A lane's bytes past its width are 0: 8 written where 8 fit.
+                let bytes = (word ^ base).to_le_bytes();
+                match rows.get_mut(at..at + 8) {
+                    Some(out) => out.copy_from_slice(&bytes),
+                    None => rows[at..][..w as usize].copy_from_slice(&bytes[..w as usize]),
+                }
+                at += w as usize;
+            }
+            filled[leaf].0 += 1;
         }
-        for (leaf, min_lo) in touched {
+        for &(leaf, min_lo) in &touched {
             let buf = &mut pages[leaf * block..][..block];
             put_u32(buf, 0, LEAF_MAGIC);
-            put_u32(buf, 4, filled[leaf] as u32);
-            let (_, last) = order[leaf * epb + filled[leaf] - 1];
-            let max_hi = get_f64(entries, last as usize * elen + 8);
+            put_u32(buf, 4, filled[leaf].0 as u32);
             let page = self.file.allocate(1)?;
             self.file.write(page, buf)?;
-            self.fences.push((page, min_lo, max_hi));
+            self.fences.push((page, min_lo, max_hi[leaf]));
         }
         // Lengths are ≥ +0, so their raw bits order as the lengths do.
-        for (pair, e) in order.iter_mut().zip(entries.chunks_exact(elen)) {
-            pair.0 = (get_f64(e, 8) - get_f64(e, 0)).to_bits();
+        order.retain(|&(_, i)| (leaf_of[i as usize] as usize) < limit);
+        for pair in order.iter_mut() {
+            pair.0 = length(entry(pair.1 as usize)).to_bits();
         }
-        if order.is_empty() {
-            return Ok(f64::INFINITY);
+        let median = match order.len() {
+            0 => None,
+            n => Some(f64::from_bits(order.select_nth_unstable(n / 2).1 .0)),
+        };
+        let mut keep = 0;
+        for (i, &leaf) in leaf_of.iter().enumerate() {
+            if leaf as usize >= limit {
+                entries.copy_within(i * lanes..(i + 1) * lanes, keep * lanes);
+                keep += 1;
+            }
         }
-        let mid = order.len() / 2;
-        Ok(f64::from_bits(order.select_nth_unstable(mid).1 .0))
-    }
-
-    /// Entries pushed so far.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// True when nothing was pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
+        entries.copy_within(dealt.., keep * lanes);
+        entries.truncate(keep * lanes + entries.len() - dealt);
+        self.cut = cut;
+        Ok(median)
     }
 
     /// Write one inner node over `children` and return its own fence.
@@ -392,34 +777,33 @@ impl IntervalBulkLoader {
         Ok((page, min_lo, max_hi))
     }
 
-    /// Close the open runs — each band's whole leaves, then the main run
+    /// Close the open runs — each band's full leaves, then the main run
     /// with every band's partial rest merged in by `lo`, so the tree's one
     /// partial leaf is the last written — stack the inner levels bottom-up
     /// over the leaves in `min_lo` order, persist the metadata page, and
     /// return the finished tree.
     pub fn finish(mut self) -> Result<IntervalTree> {
-        let (elen, epb) = self.shape();
+        let lanes = self.shape.lanes;
         let mut last = std::mem::take(&mut self.main.entries);
         let main_len = last.len();
-        for (_, run) in std::mem::take(&mut self.bands) {
-            let whole = run.whole_leaves(epb * elen) * epb * elen;
-            self.write_leaves(&run.entries[..whole])?;
-            last.extend_from_slice(&run.entries[whole..]);
+        for (_, mut run) in std::mem::take(&mut self.bands) {
+            self.write_leaves(&mut run.entries, Some(run.leaves))?;
+            last.extend_from_slice(&run.entries);
         }
         if last.len() > main_len {
             let mut order: Vec<(u64, u32)> = last
-                .chunks_exact(elen)
+                .chunks_exact(lanes)
                 .zip(0..)
-                .map(|(e, i)| (total_order_bits(get_f64(e, 0)), i))
+                .map(|(e, i)| (total_order_bits(f64::from_bits(e[0])), i))
                 .collect();
             order.sort_unstable();
             last = order
                 .iter()
-                .flat_map(|&(_, i)| &last[i as usize * elen..][..elen])
+                .flat_map(|&(_, i)| &last[i as usize * lanes..][..lanes])
                 .copied()
                 .collect();
         }
-        self.write_leaves(&last)?;
+        self.write_leaves(&mut last, None)?;
         let per_inner = (self.file.block_size() - INNER_HDR) / FENCE_LEN;
         // Ties keep write order, so a single stream's fences (written in
         // `min_lo` order) stay as they are.
@@ -435,22 +819,19 @@ impl IntervalBulkLoader {
             level = next;
         }
         let root = level.first().map(|&(page, _, _)| page).unwrap_or(0);
-        let tree =
-            IntervalTree { file: self.file, payload_len: self.payload_len, root, n: self.count };
+        let tree = IntervalTree {
+            file: self.file,
+            payload_len: self.payload_len,
+            shape: self.shape,
+            root,
+            n: self.count,
+        };
         tree.write_meta()?;
         Ok(tree)
     }
 }
 
 impl IntervalTree {
-    fn entry_len(payload_len: usize) -> usize {
-        16 + payload_len
-    }
-
-    fn entries_per_block(block: usize, payload_len: usize) -> usize {
-        (block - LEAF_HDR) / Self::entry_len(payload_len)
-    }
-
     /// Build a tree over `entries` in `file` (freshly created): validate,
     /// sort by `lo`, and feed the [`IntervalBulkLoader`]. `entries` is
     /// consumed; the build is `O(N log N)` comparisons and `O(N/B)`
@@ -498,24 +879,25 @@ impl IntervalTree {
     }
 
     /// Open a tree previously built in `file`. A metadata page that cannot
-    /// describe a tree in this file — an entry wider than a block, a root
-    /// past its end, a non-zero tail word or a static count other than
-    /// `n` — is refused as [`IndexError::Corrupt`].
+    /// describe a tree in this file — another format's magic, a leaf that
+    /// cannot hold one entry, a root past its end, a non-zero tail word or
+    /// a static count other than `n` — is refused as
+    /// [`IndexError::Corrupt`]; a malformed leaf is refused by the stab
+    /// that reads it.
     pub fn open(file: PagedFile) -> Result<Self> {
         let block = file.block_size();
         let buf = file.page(0)?;
         if get_u32(&buf, 0) != META_MAGIC {
-            return Err(IndexError::Corrupt("not an interval-tree file".into()));
+            return Err(IndexError::Corrupt("not a packed interval-tree file".into()));
         }
-        let (root, n) = (get_u64(&buf, 8), get_u64(&buf, 16));
-        let tree = Self { payload_len: get_u32(&buf, 4) as usize, root, n, file };
-        if LEAF_HDR + Self::entry_len(tree.payload_len) > block {
+        let (payload_len, root, n) =
+            (get_u32(&buf, 4) as usize, get_u64(&buf, 8), get_u64(&buf, 16));
+        let Some(shape) = Shape::new(block, payload_len) else {
             return Err(IndexError::Corrupt(format!(
-                "a {}-byte payload does not fit a {block}-byte block",
-                tree.payload_len
+                "a {payload_len}-byte payload does not fit a {block}-byte block"
             )));
-        }
-        let blocks = tree.file.num_blocks();
+        };
+        let blocks = file.num_blocks();
         if root >= blocks {
             return Err(IndexError::Corrupt(format!(
                 "root {root} past the file's {blocks} blocks"
@@ -528,16 +910,7 @@ impl IntervalTree {
                 get_u64(&buf, 48)
             )));
         }
-        Ok(tree)
-    }
-
-    /// A node's entry count, refused as corrupt past the block's `capacity`.
-    fn node_count(buf: &[u8], capacity: usize) -> Result<usize> {
-        let count = get_u32(buf, 4) as usize;
-        if count > capacity {
-            return Err(IndexError::Corrupt(format!("node holds {count} > {capacity} entries")));
-        }
-        Ok(count)
+        Ok(Self { file, payload_len, shape, root, n })
     }
 
     /// Total entries.
@@ -570,16 +943,24 @@ impl IntervalTree {
     /// Visit every entry whose closed interval contains `t`:
     /// `visit(lo, hi, payload)`. Iterative — an explicit work stack of
     /// page ids bounded by `height × fanout`, never the call stack. Each
-    /// node is decoded from the pool's own page. A well-formed stab visits
-    /// no page twice, so one that would visit more pages than the file
-    /// holds (a child link back into itself) is refused as
-    /// [`IndexError::Corrupt`].
+    /// node is decoded from the pool's own page; a leaf decodes `lo` for
+    /// each row it scans and `hi` and the payload only for hits. A
+    /// malformed leaf header is refused as [`IndexError::Corrupt`], as is
+    /// a stab that would visit more pages than the file holds (a child
+    /// link back into itself): a well-formed one visits no page twice.
     pub fn stab(&self, t: f64, visit: &mut dyn FnMut(f64, f64, &[u8])) -> Result<()> {
-        let block = self.file.block_size();
-        let elen = Self::entry_len(self.payload_len);
-        let epb = Self::entries_per_block(block, self.payload_len);
+        let (block, shape) = (self.file.block_size(), &self.shape);
         let (blocks, mut visited) = (self.file.num_blocks(), 0u64);
         let mut stack: Vec<PageId> = Vec::new();
+        // Payloads up to 64 bytes decode on the stack.
+        let (mut inline, mut heap) = ([0u8; 64], Vec::new());
+        let payload = match self.payload_len {
+            len if len <= inline.len() => &mut inline[..len],
+            len => {
+                heap.resize(len, 0);
+                &mut heap[..]
+            }
+        };
         let root = self.root;
         if root != 0 {
             stack.push(root);
@@ -593,7 +974,13 @@ impl IntervalTree {
             let buf = self.file.page(page)?;
             match get_u32(&buf, 0) {
                 INNER_MAGIC => {
-                    let count = Self::node_count(&buf, (block - INNER_HDR) / FENCE_LEN)?;
+                    let capacity = (block - INNER_HDR) / FENCE_LEN;
+                    let count = get_u32(&buf, 4) as usize;
+                    if count > capacity {
+                        return Err(IndexError::Corrupt(format!(
+                            "node holds {count} > {capacity} entries"
+                        )));
+                    }
                     for i in 0..count {
                         let off = INNER_HDR + i * FENCE_LEN;
                         let min_lo = get_f64(&buf, off + 8);
@@ -608,15 +995,16 @@ impl IntervalTree {
                     }
                 }
                 LEAF_MAGIC => {
-                    for i in 0..Self::node_count(&buf, epb)? {
-                        let off = LEAF_HDR + i * elen;
-                        let lo = get_f64(&buf, off);
+                    let rows = Rows::parse(&buf, shape)?;
+                    for i in 0..rows.count {
+                        let lo = rows.key(&buf, shape, i, 0);
                         if lo > t {
                             break;
                         }
-                        let hi = get_f64(&buf, off + 8);
+                        let hi = rows.key(&buf, shape, i, 1);
                         if hi >= t {
-                            visit(lo, hi, &buf[off + 16..off + 16 + self.payload_len]);
+                            rows.payload(&buf, shape, i, payload);
+                            visit(lo, hi, payload);
                         }
                     }
                 }
@@ -654,16 +1042,16 @@ mod tests {
     }
 
     /// The `min_lo` fences of each inner level, root level first, and the
-    /// number of leaves under them.
-    fn inner_levels(tree: &IntervalTree) -> (Vec<Vec<f64>>, usize) {
-        let (mut levels, mut leaves) = (Vec::new(), 0);
+    /// entry count of each leaf under them.
+    fn inner_levels(tree: &IntervalTree) -> (Vec<Vec<f64>>, Vec<usize>) {
+        let (mut levels, mut leaves) = (Vec::new(), Vec::new());
         let mut level = if tree.root == 0 { vec![] } else { vec![tree.root] };
         while !level.is_empty() {
             let (mut fences, mut next) = (Vec::new(), Vec::new());
             for page in level {
                 let buf = tree.file.page(page).unwrap();
                 if get_u32(&buf, 0) == LEAF_MAGIC {
-                    leaves += 1;
+                    leaves.push(get_u32(&buf, 4) as usize);
                     continue;
                 }
                 for i in 0..get_u32(&buf, 4) as usize {
@@ -681,20 +1069,24 @@ mod tests {
 
     #[test]
     fn every_stream_shape_loads_one_partial_leaf_in_min_lo_order() {
-        // B = 12 entries a leaf here. Around one block and over many runs;
-        // the shapes that hold a run open (to the cap when every `lo` is
+        // A leaf here holds 11 full-width rows and at most 22 packed ones.
+        // Around one block and over many runs; the shapes that hold a run
+        // open (to the cap when every `lo` is
         // equal); and the shapes that divert: a heavy tail over two bands,
         // a band that stops qualifying when the median grows past it,
         // zero and subnormal lengths (a zero median diverts every nonzero
         // one), and equal `lo` over many bands, where only the shared cap
         // closes band runs. Each input names the distinct bands it must
         // divert to at least; 0 marks one length scale, which diverts none.
-        type Shape = (String, Vec<(f64, f64)>, usize);
+        type Input = (String, Vec<(f64, f64)>, usize);
         let e = env();
         let ramp = |n: u32| (0..n).map(|i| ((i / 2) as f64, (i / 2 + 5 + i % 7) as f64)).collect();
-        let mut inputs: Vec<Shape> =
+        let mut inputs: Vec<Input> =
             [0u32, 1, 11, 12, 13, 900].iter().map(|&n| (format!("ramp{n}"), ramp(n), 0)).collect();
-        let n = (RUN_CAP_LEAVES as u32 + 40) * 12 + 5;
+        let shape = Shape::new(256, 4).unwrap();
+        let (full_rows, cap) = (shape.body / shape.elen, shape.cap());
+        assert_eq!((full_rows, cap), (11, 22));
+        let n = (RUN_CAP_LEAVES + 40) as u32 * cap as u32 + 5;
         let mut push = |name: &str, entries: Vec<(f64, f64)>, bands| {
             inputs.push((name.into(), entries, bands));
         };
@@ -727,7 +1119,6 @@ mod tests {
             let mut loader =
                 IntervalBulkLoader::new(e.create_file(&format!("tree_{name}")).unwrap(), 4)
                     .unwrap();
-            let leaf = 12 * IntervalTree::entry_len(4);
             let (mut diverted, mut stopped) = (BTreeSet::new(), BTreeSet::new());
             for (i, &(lo, hi)) in (0u32..).zip(entries) {
                 let band = band_of(hi - lo);
@@ -737,9 +1128,14 @@ mod tests {
                     stopped.insert(band);
                 }
                 loader.push(lo, hi, &i.to_le_bytes()).unwrap();
-                let buffered: usize = loader.runs().map(|r| r.entries.len()).sum();
+                let buffered: usize = loader.runs().map(|r| r.entries.len() / shape.lanes).sum();
                 let streams = 1 + loader.bands.len();
-                assert!(buffered <= (RUN_CAP_LEAVES + streams) * leaf, "{name}: {buffered} bytes");
+                let whole: usize = loader.runs().map(|r| r.leaves).sum();
+                assert!(whole < RUN_CAP_LEAVES + streams, "{name}: {whole} whole leaves");
+                assert!(
+                    buffered <= (RUN_CAP_LEAVES + streams) * cap,
+                    "{name}: {buffered} entries buffered"
+                );
             }
             if *bands == 0 {
                 assert!(diverted.is_empty(), "{name} opened band streams {diverted:?}");
@@ -749,8 +1145,15 @@ mod tests {
                 assert!(!stopped.is_empty(), "{name}: the median never outgrew a band");
             }
             let tree = loader.finish().unwrap();
+            // A leaf is cut when its next entry does not fit, and no row is
+            // wider than an entry, so only the last leaf of a close's cut
+            // can hold fewer than the full-width count; on these inputs
+            // only the tree's last one does.
             let (levels, leaves) = inner_levels(&tree);
-            assert_eq!(leaves, entries.len().div_ceil(12), "{name}: one partial leaf");
+            assert_eq!(leaves.iter().sum::<usize>(), entries.len(), "{name}: entries");
+            let short = leaves.iter().filter(|&&count| count < full_rows).count();
+            assert!(short <= 1, "{name}: {short} short leaves");
+            assert!(leaves.len() <= entries.len().div_ceil(full_rows), "{name}: leaves");
             for fences in &levels {
                 assert!(fences.is_sorted(), "{name}: an inner level leaves min_lo order");
             }
@@ -810,6 +1213,175 @@ mod tests {
             let tree = IntervalTree::open(file).unwrap();
             let stabbed = tree.stab(5.0, &mut |_, _, _| {});
             assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "{node} count");
+        }
+    }
+
+    /// A flushed tree over `(lo, hi, payload)` entries in `e`.
+    fn tree_of(
+        e: &Env,
+        name: &str,
+        payload_len: usize,
+        entries: &[(f64, f64, Vec<u8>)],
+    ) -> IntervalTree {
+        let entries = entries.iter().map(|(lo, hi, p)| IntervalEntry {
+            lo: *lo,
+            hi: *hi,
+            payload: p.clone(),
+        });
+        let tree =
+            IntervalTree::build(e.create_file(name).unwrap(), payload_len, entries.collect())
+                .unwrap();
+        tree.flush().unwrap();
+        tree
+    }
+
+    /// The lane widths of every leaf of `tree`.
+    fn leaf_widths(tree: &IntervalTree) -> Vec<Vec<u8>> {
+        let lanes = tree.shape.lanes;
+        (1..tree.file.num_blocks())
+            .map(|page| tree.file.page(page).unwrap())
+            .filter(|buf| get_u32(buf, 0) == LEAF_MAGIC)
+            .map(|buf| buf[8..8 + lanes].to_vec())
+            .collect()
+    }
+
+    /// What a stab at `t` visits, as bits, sorted.
+    fn stab_bits(tree: &IntervalTree, t: f64) -> Result<Vec<(u64, u64, Vec<u8>)>> {
+        let mut out = Vec::new();
+        tree.stab(t, &mut |lo, hi, p| out.push((lo.to_bits(), hi.to_bits(), p.to_vec())))?;
+        out.sort();
+        Ok(out)
+    }
+
+    #[test]
+    fn a_malformed_packed_leaf_is_refused_or_read_never_panics() {
+        // One 256-byte leaf of 12-byte payloads (a 4-byte last lane) and
+        // full-width rows, then every truncation of it (the rest zeroed)
+        // and every single-byte flip: a stab returns entries or an error.
+        let e = env();
+        let entries: Vec<(f64, f64, Vec<u8>)> = (0u8..6)
+            .map(|i| {
+                (i as f64 - 2.5, 3.0 + i as f64, (0..12).map(|b| b ^ i.wrapping_mul(97)).collect())
+            })
+            .collect();
+        let tree = tree_of(&e, "leaf", 12, &entries);
+        assert_eq!(leaf_widths(&tree).len(), 1);
+        let good = tree.file.page(1).unwrap().to_vec();
+        let want = stab_bits(&tree, 2.75).unwrap();
+        assert_eq!(want.len(), 6);
+        let mut outcomes = [0usize; 2];
+        let mut probe = |page: &[u8]| {
+            tree.file.write(1, page).unwrap();
+            for t in [-3.0, 2.75, 8.5] {
+                outcomes[usize::from(stab_bits(&tree, t).is_ok())] += 1;
+            }
+        };
+        for len in 0..good.len() {
+            let mut page = vec![0u8; good.len()];
+            page[..len].copy_from_slice(&good[..len]);
+            probe(&page);
+        }
+        for at in 0..good.len() {
+            let mut page = good.clone();
+            page[at] ^= 0xFF;
+            probe(&page);
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "errors / values: {outcomes:?}");
+        tree.file.write(1, &good).unwrap();
+        assert_eq!(stab_bits(&tree, 2.75).unwrap(), want);
+        // The three header faults, each refused as corrupt: a lane wider
+        // than its lane, rows past the block, a count past the cap.
+        let shape = tree.shape;
+        let (count, widths) = (get_u32(&good, 4) as usize, &good[8..8 + shape.lanes]);
+        let row: usize = widths.iter().map(|&w| w as usize).sum();
+        let overrun = (shape.body / row + 1) as u64;
+        for (at, value) in [(8 + shape.lanes - 1, 5), (4, overrun), (4, shape.cap() as u64 + 1)] {
+            let mut page = good.clone();
+            match at {
+                4 => _ = put_u32(&mut page, 4, value as u32),
+                _ => page[at] = value as u8,
+            }
+            tree.file.write(1, &page).unwrap();
+            let stabbed = stab_bits(&tree, 1.0);
+            assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "byte {at} = {value}");
+        }
+        assert!(count <= shape.cap() && overrun > count as u64);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Rows decode to the pushed bits — `−0.0`, subnormal keys and
+        /// NaN-patterned payloads included — at every payload length whose
+        /// last lane is short or whole, from 256-byte to 4 KiB blocks, and
+        /// at both extremes of the format: all-equal entries (every lane 0
+        /// bytes wide) and a leaf whose lanes all differ in their top byte.
+        #[test]
+        fn packed_rows_round_trip_bit_for_bit(
+            payload_len in proptest::prelude::prop_oneof![
+                proptest::strategy::Just(1usize), proptest::strategy::Just(4usize),
+                proptest::strategy::Just(8usize), proptest::strategy::Just(12usize),
+                proptest::strategy::Just(28usize)
+            ],
+            block_log in 8usize..13,
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..400,
+        ) {
+            let block = 1 << block_log;
+            let e = Env::mem(StoreConfig { block_size: block, pool_capacity: 64 });
+            let mut x = seed | 1;
+            let mut rnd = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let keys = [-0.0, 0.0, f64::from_bits(1), f64::from_bits(0x000F_FFFF_FFFF_FFFF), -3.5, 1e300];
+            let random: Vec<(f64, f64, Vec<u8>)> = (0..n)
+                .map(|_| {
+                    let lo = match rnd() % 3 {
+                        0 => keys[(rnd() % 6) as usize],
+                        _ => (rnd() % 1000) as f64 * 0.37 - 150.0,
+                    };
+                    let hi = match rnd() % 4 {
+                        0 => lo,
+                        _ => lo + (rnd() % 500) as f64 * 0.11,
+                    };
+                    let nan = f64::from_bits(0x7FF8_0000_0000_0000 | rnd() >> 13).to_le_bytes();
+                    let payload = (0..payload_len).map(|b| if b < 8 { nan[b] } else { rnd() as u8 }).collect();
+                    (lo, hi, payload)
+                })
+                .collect();
+            let same = vec![(f64::from_bits(1), 2.5, vec![0xA5; payload_len]); n];
+            let top = |v: u8| {
+                let mut p = vec![v; payload_len];
+                for lane in p.chunks_mut(8) {
+                    *lane.last_mut().unwrap() ^= 0x80;
+                }
+                p
+            };
+            let full = vec![(-1.0, -0.5, top(0x00)), (-1.0, 2.0, top(0xFF)), (0.5, 2.0, top(0x0F))];
+            for (name, entries) in [("random", &random), ("same", &same), ("full", &full)] {
+                let tree = tree_of(&e, name, payload_len, entries);
+                let widths = leaf_widths(&tree);
+                let full_widths: Vec<u8> = (0..tree.shape.lanes).map(|j| tree.shape.lane(j).len() as u8).collect();
+                match name {
+                    "same" => proptest::prop_assert!(widths.iter().all(|w| w.iter().all(|&w| w == 0))),
+                    "full" => proptest::prop_assert_eq!(&widths, &vec![full_widths]),
+                    _ => {}
+                }
+                let mut probes: Vec<f64> = entries.iter().flat_map(|e| [e.0, e.1]).collect();
+                probes.dedup();
+                for t in probes {
+                    let mut want: Vec<(u64, u64, Vec<u8>)> = entries
+                        .iter()
+                        .filter(|e| e.0 <= t && t <= e.1)
+                        .map(|e| (e.0.to_bits(), e.1.to_bits(), e.2.clone()))
+                        .collect();
+                    want.sort();
+                    proptest::prop_assert_eq!(stab_bits(&tree, t).unwrap(), want, "{} t={}", name, t);
+                }
+            }
         }
     }
 

@@ -4,31 +4,83 @@
 //! the loader's `hi`-packed runs, with outlier-long segments in runs of
 //! their own length band, must read at most a third of what pure
 //! `lo`-order packing reads — a count this test derives from the same
-//! entries. One stream of runs (every segment in the main run) read 1,377
-//! blocks against 3,350 and fails it; `lo` order fails it by far.
+//! entries, cut into leaves of the same packed format. One stream of runs
+//! (every segment in the main run) read 1,377 blocks against 3,350 at 44
+//! bytes an entry and failed it; `lo` order fails it by far.
 //!
-//! The count repeats exactly, so it is printed as a `pinned:` line before
-//! it is asserted; `ci.sh`'s `tier1` stage echoes it into its summary.
+//! The entries carry EXACT3's payload (`v0 | v1 | prefix | obj`), so the
+//! leaves pack as EXACT3's do: all-zero payloads would pack to nothing and
+//! measure a tree no index builds.
+//!
+//! Beside it, what makes a leaf read worth more: the row bytes EXACT3's
+//! leaves spend on an entry, on an `exact_cold`-shaped Temp shard and on
+//! the Meme set above. Each lane of a row is its XOR against the leaf's
+//! base, in as many bytes as the leaf needs, where a leaf of whole records
+//! spent 44.0 bytes on each.
+//!
+//! The counts repeat exactly, so they are printed as `pinned:` lines before
+//! they are asserted; `ci.sh`'s `tier1` stage echoes them into its summary.
 
+use chronorank::core::{Exact3, IndexConfig, TemporalSet};
 use chronorank::index::IntervalBulkLoader;
 use chronorank::storage::{Env, StoreConfig};
-use chronorank::workloads::{DatasetGenerator, MemeConfig, MemeGenerator};
+use chronorank::workloads::{
+    DatasetGenerator, MemeConfig, MemeGenerator, TempConfig, TempGenerator,
+};
 
 const BLOCK: usize = 4096;
-/// EXACT3's entry: two `f64` keys and a 28-byte payload, after a 16-byte
-/// leaf header; an inner node holds 24-byte fences after 8.
-const PAYLOAD: usize = 28;
-const PER_LEAF: usize = (BLOCK - 16) / (16 + PAYLOAD);
+/// EXACT3's entry: two `f64` keys and a 28-byte payload.
+const ENTRY: usize = 16 + 28;
+/// An entry's 8-byte lanes, the last one 4 bytes.
+const LANES: usize = ENTRY.div_ceil(8);
+/// A packed leaf: magic, count, a width per lane and a base entry, then
+/// rows; at most twice the entries 44-byte rows fit.
+const LEAF_BODY: usize = BLOCK - (8 + LANES + ENTRY);
+const LEAF_CAP: usize = 2 * (LEAF_BODY / ENTRY);
+/// An inner node holds 24-byte fences after 8.
 const PER_INNER: usize = (BLOCK - 8) / 24;
 
-/// The `(min_lo, max_hi)` fences of a fill-1.0 tree whose leaves hold
-/// `entries` (sorted by `lo`) in that order — every level, root last. A
-/// stab at `t` reads the nodes with `min_lo ≤ t ≤ max_hi`.
-fn lo_order_fences(entries: &[(f64, f64)]) -> Vec<(f64, f64)> {
+/// Lane `j` of `entry`, zero-extended.
+fn word(entry: &[u8; ENTRY], j: usize) -> u64 {
+    let mut w = [0u8; 8];
+    let lane = &entry[8 * j..(8 * j + 8).min(ENTRY)];
+    w[..lane.len()].copy_from_slice(lane);
+    u64::from_le_bytes(w)
+}
+
+/// `entries` (sorted by `lo`) cut into packed leaves in that order: a leaf
+/// takes the next entry while its rows — each lane as many bytes as its
+/// widest XOR against the leaf's first entry — still fit.
+fn lo_order_leaves(entries: &[[u8; ENTRY]]) -> Vec<&[[u8; ENTRY]]> {
+    let (mut leaves, mut start, mut diff) = (Vec::new(), 0, [0u64; LANES]);
+    for (i, e) in entries.iter().enumerate() {
+        let wider: [u64; LANES] =
+            std::array::from_fn(|j| diff[j] | (word(e, j) ^ word(&entries[start], j)));
+        let row: usize = wider.iter().map(|&d| (71 - d.leading_zeros() as usize) / 8).sum();
+        let count = i - start + 1;
+        if count <= LEAF_CAP && count * row <= LEAF_BODY {
+            diff = wider;
+        } else {
+            leaves.push(&entries[start..i]);
+            (start, diff) = (i, [0; LANES]);
+        }
+    }
+    leaves.push(&entries[start..]);
+    leaves
+}
+
+/// The `(min_lo, max_hi)` fences of a tree whose leaves are `leaves` in
+/// that order — every level, root last. A stab at `t` reads the nodes with
+/// `min_lo ≤ t ≤ max_hi`.
+fn lo_order_fences(leaves: &[&[[u8; ENTRY]]]) -> Vec<(f64, f64)> {
+    let key = |e: &[u8; ENTRY], at: usize| f64::from_le_bytes(e[at..at + 8].try_into().unwrap());
     let fence = |group: &[(f64, f64)]| {
-        (group[0].0, group.iter().map(|e| e.1).fold(f64::NEG_INFINITY, f64::max))
+        (group[0].0, group.iter().map(|f| f.1).fold(f64::NEG_INFINITY, f64::max))
     };
-    let mut level: Vec<(f64, f64)> = entries.chunks(PER_LEAF).map(fence).collect();
+    let mut level: Vec<(f64, f64)> = leaves
+        .iter()
+        .map(|leaf| (key(&leaf[0], 0), leaf.iter().map(|e| key(e, 8)).fold(f64::MIN, f64::max)))
+        .collect();
     let mut all = level.clone();
     while level.len() > 1 {
         level = level.chunks(PER_INNER).map(fence).collect();
@@ -40,17 +92,31 @@ fn lo_order_fences(entries: &[(f64, f64)]) -> Vec<(f64, f64)> {
 #[test]
 fn a_cold_stab_reads_at_most_a_third_of_what_lo_order_packing_would() {
     let set = MemeGenerator::new(MemeConfig { objects: 4000, ..Default::default() }).generate_set();
-    let mut entries: Vec<(f64, f64)> =
-        set.objects().iter().flat_map(|o| o.curve.segments().map(|s| (s.t0, s.t1))).collect();
-    entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+    // EXACT3's entries, in `lo` order with ties in object order.
+    let mut entries: Vec<[u8; ENTRY]> = Vec::new();
+    for o in set.objects() {
+        let mut prefix = 0.0f64;
+        for s in o.curve.segments() {
+            prefix += s.integral_full();
+            let mut e = [0u8; ENTRY];
+            for (at, v) in [(0, s.t0), (8, s.t1), (16, s.v0), (24, s.v1), (32, prefix)] {
+                e[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            e[40..].copy_from_slice(&o.id.to_le_bytes());
+            entries.push(e);
+        }
+    }
+    let key = |e: &[u8; ENTRY], at: usize| f64::from_le_bytes(e[at..at + 8].try_into().unwrap());
+    entries.sort_by(|a, b| key(a, 0).total_cmp(&key(b, 0)));
 
     let env = Env::mem(StoreConfig { block_size: BLOCK, pool_capacity: 64 });
-    let mut loader = IntervalBulkLoader::new(env.create_file("tree").unwrap(), PAYLOAD).unwrap();
-    for &(lo, hi) in &entries {
-        loader.push(lo, hi, &[0u8; PAYLOAD]).unwrap();
+    let mut loader = IntervalBulkLoader::new(env.create_file("tree").unwrap(), 28).unwrap();
+    for e in &entries {
+        loader.push(key(e, 0), key(e, 8), &e[16..]).unwrap();
     }
     let tree = loader.finish().unwrap();
-    let fences = lo_order_fences(&entries);
+    let leaves = lo_order_leaves(&entries);
+    let fences = lo_order_fences(&leaves);
 
     let (t_min, t_max) = (set.t_min(), set.t_max());
     let (mut reads, mut lo_order, mut hits) = (0u64, 0usize, 0usize);
@@ -61,14 +127,53 @@ fn a_cold_stab_reads_at_most_a_third_of_what_lo_order_packing_would() {
         let mut stabbed = 0;
         tree.stab(t, &mut |_, _, _| stabbed += 1).unwrap();
         reads += env.io_stats().reads;
-        assert_eq!(stabbed, entries.iter().filter(|e| e.0 <= t && t <= e.1).count(), "t={t}");
+        let alive = entries.iter().filter(|e| key(e, 0) <= t && t <= key(e, 8)).count();
+        assert_eq!(stabbed, alive, "t={t}");
         hits += stabbed;
         lo_order += fences.iter().filter(|f| f.0 <= t && t <= f.1).count();
     }
     println!("pinned: blocks 100 cold Meme stabs read: {reads} (lo-order packing: {lo_order})");
-    assert!(hits >= 100 * PER_LEAF, "the probes must have an output term: {hits} hits");
+    let per_leaf = entries.len() / leaves.len();
+    assert!(hits >= 100 * per_leaf, "the probes must have an output term: {hits} hits");
     assert!(
         3 * reads <= lo_order as u64,
         "100 cold stabs read {reads} blocks; lo-order packing visits {lo_order}"
     );
+}
+
+/// Row bytes an EXACT3 tree over `set` spends per entry, read from its
+/// leaf pages: a packed leaf's header holds its count and one width per
+/// lane after the magic, and its rows are the widths' sum. A leaf of any
+/// other format counts its entries at the 44 bytes of a whole record.
+fn exact3_bytes_per_entry(set: &TemporalSet) -> f64 {
+    const PACKED_LEAF: u32 = 0x17EE_00AC;
+    const INNER: u32 = 0x17EE_00BB;
+    let exact3 = Exact3::build(set, IndexConfig::default()).unwrap();
+    let file = exact3.tree_file();
+    let (mut entries, mut bytes) = (0u64, 0u64);
+    for id in 1..file.num_blocks() {
+        let page = file.page(id).unwrap();
+        let word = |at: usize| u32::from_le_bytes(page[at..at + 4].try_into().unwrap());
+        let count = word(4) as u64;
+        let row = match word(0) {
+            INNER => continue,
+            PACKED_LEAF => page[8..8 + LANES].iter().map(|&w| w as u64).sum(),
+            _ => ENTRY as u64,
+        };
+        (entries, bytes) = (entries + count, bytes + count * row);
+    }
+    assert_eq!(entries, exact3.num_entries());
+    bytes as f64 / entries as f64
+}
+
+#[test]
+fn exact3_leaves_spend_fewer_bytes_on_an_entry_than_its_44_byte_record() {
+    let temp =
+        TempGenerator::new(TempConfig { objects: 2000, avg_segments: 100, ..Default::default() })
+            .generate_set();
+    let meme =
+        MemeGenerator::new(MemeConfig { objects: 4000, ..Default::default() }).generate_set();
+    let (temp, meme) = (exact3_bytes_per_entry(&temp), exact3_bytes_per_entry(&meme));
+    println!("pinned: EXACT3 bytes per entry, Temp shard / Meme: {temp:.2} / {meme:.2}");
+    assert!(temp <= 35.5 && meme <= 38.0, "EXACT3 rows take {temp:.2} / {meme:.2} bytes");
 }
