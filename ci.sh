@@ -62,8 +62,12 @@
 #                     paper's EXACT3 bound, APPX precision, ratio and
 #                     worst error vs EXACT3, and APPX2+'s re-scoring reads
 #                     per candidate; then EXACT3 vs APPX2+ cold reads on
-#                     an exact_cold-shaped shard, and the blocks 64 Zipf
-#                     queries read solo against one execute window), the
+#                     an exact_cold-shaped shard, the blocks 64 Zipf
+#                     queries read solo against one execute window, and
+#                     the paper's Figures 12, 16 and 17 per generator —
+#                     precision, ratio and cold reads by r, query span
+#                     and k — and Figure 18's APPX1 / APPX2 bytes and
+#                     reads by kmax on Temp), the
 #                     one tests/shard_workers.rs pins (worker threads that
 #                     probed each shard of a W = 4 pool under 4 callers:
 #                     1, each shard's own worker), plus the sleeps, yields
@@ -99,7 +103,7 @@
 #                     the report stay under target/benchmark)
 #
 # Every smoke artifact goes under target/ so the committed full-scale
-# BENCH_*.json and results/ CSVs are never clobbered by quick numbers.
+# BENCH_PAPERSCALE.json is never clobbered by quick numbers.
 #
 # A per-stage wall-clock summary is printed at the end, then non-test
 # Rust lines and pub items per crate and settable fields per config

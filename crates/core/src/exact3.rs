@@ -40,12 +40,12 @@
 //! frozen EXACT3 and builds a fresh one when the mass doubles.
 
 use crate::agg::AggKind;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::object::{check_id, MergeOrder, ObjectId, ObjectIds, TemporalObject, TemporalSet};
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
-use chronorank_index::{ExternalSorter, IntervalBulkLoader, IntervalTree};
+use chronorank_index::{ExternalSorter, IndexError, IntervalBulkLoader, IntervalTree};
 use chronorank_storage::{Env, IoStats, PagedFile, StoreConfig};
 use std::borrow::Borrow;
 
@@ -73,6 +73,11 @@ fn decode_payload(p: &[u8]) -> (ObjectId, f64, f64, f64) {
     let prefix = f64::from_le_bytes(p[16..24].try_into().expect("8"));
     let obj = u32::from_le_bytes(p[24..28].try_into().expect("4"));
     (obj, v0, v1, prefix)
+}
+
+/// The error for a tree whose entries contradict the index's own state.
+fn corrupt(what: String) -> CoreError {
+    CoreError::Index(IndexError::Corrupt(what))
 }
 
 /// Per-object metadata kept in memory (the analogue of EXACT1's in-memory
@@ -233,9 +238,13 @@ impl Exact3 {
                 f64::NAN // must be filled by the stab below
             };
         }
+        let mut stray = None;
         self.tree.stab(t, &mut |lo, hi, p| {
             let (obj, v0, v1, prefix) = decode_payload(p);
-            let slot = &mut out[obj as usize];
+            let Some(slot) = out.get_mut(obj as usize) else {
+                stray = Some(obj);
+                return;
+            };
             // At a vertex two entries share `t`, and `(prefix_A + I_B) − I_B`
             // need not equal `prefix_A` in the last bit: the entry that
             // *ends* at `t` answers (`prefix`, nothing subtracted) whichever
@@ -246,10 +255,21 @@ impl Exact3 {
             }
             *slot = prefix - Segment { t0: lo, v0, t1: hi, v1 }.integral_clipped(t, hi);
         })?;
-        // Objects alive at t but not stabbed cannot happen: intervals tile
-        // each object's domain. Guard against NaN leakage anyway.
-        debug_assert!(out.iter().all(|v| !v.is_nan()), "stab missed an alive object");
+        if let Some(obj) = stray {
+            return Err(self.stray_object(obj));
+        }
+        // Intervals tile each object's domain, so a stab misses an alive
+        // object only when the tree and the triples disagree.
+        if out.iter().any(|v| v.is_nan()) {
+            return Err(corrupt("stab missed an alive object".into()));
+        }
         Ok(())
+    }
+
+    /// A leaf entry naming an object the in-memory triples do not hold: a
+    /// tree and metadata that do not belong together.
+    fn stray_object(&self, obj: ObjectId) -> CoreError {
+        corrupt(format!("a leaf names object {obj} of {}", self.meta.len()))
     }
 
     /// Instant top-k (`top-k(t)` of the prior work \[15\]) ranked by `g_i(t)`
@@ -269,6 +289,9 @@ impl Exact3 {
         // there, and the dedup keeps the first.
         values.sort_by_key(|&(id, starts_at_t, _)| (id, starts_at_t));
         values.dedup_by_key(|&mut (id, ..)| id);
+        if let Some(&(obj, ..)) = values.last().filter(|v| v.0 as usize >= self.meta.len()) {
+            return Err(self.stray_object(obj));
+        }
         Ok(top_k_from_scores(values.into_iter().map(|(id, _, v)| (id, v)), k))
     }
 
@@ -505,20 +528,23 @@ mod tests {
         assert_eq!((io.writes, io.reads), (pages, 0));
     }
 
+    /// `idx`'s tree pages copied into a fresh file, reopened beside `meta`.
+    fn reopen(idx: &Exact3, meta: &[u8]) -> Result<Exact3> {
+        let env = Env::mem(idx.store_config());
+        let (src, file) = (idx.tree_file(), env.create_file("copy").unwrap());
+        file.allocate(src.num_blocks()).unwrap();
+        for id in 0..src.num_blocks() {
+            file.write(id, &src.page(id).unwrap()).unwrap();
+        }
+        Exact3::open_parts(env, idx.store_config(), file, meta)
+    }
+
     #[test]
     fn open_parts_reopens_the_tree_and_refuses_a_nonzero_reserved_word() {
         let set = small_set();
         let idx = Exact3::build(&set, IndexConfig::default()).unwrap();
         idx.flush().unwrap();
-        let reopen = |meta: &[u8]| {
-            let env = Env::mem(idx.store_config());
-            let (src, file) = (idx.tree_file(), env.create_file("copy").unwrap());
-            file.allocate(src.num_blocks()).unwrap();
-            for id in 0..src.num_blocks() {
-                file.write(id, &src.page(id).unwrap()).unwrap();
-            }
-            Exact3::open_parts(env, idx.store_config(), file, meta)
-        };
+        let reopen = |meta: &[u8]| reopen(&idx, meta);
         let mut bytes = idx.meta_bytes();
         assert_eq!(bytes[..4], [0; 4]);
         let reopened = reopen(&bytes).unwrap();
@@ -528,6 +554,28 @@ mod tests {
         }
         bytes[0] = 1;
         assert!(reopen(&bytes).is_err());
+    }
+
+    /// Metadata one triple short of the tree: the last object's leaf
+    /// entries name an id past the triples, and both queries that stab
+    /// through it refuse it as corrupt instead of indexing out of bounds.
+    #[test]
+    fn a_leaf_naming_an_object_past_the_triples_is_corrupt() {
+        let set = small_set();
+        let idx = Exact3::build(&set, IndexConfig::default()).unwrap();
+        idx.flush().unwrap();
+        let mut bytes = idx.meta_bytes();
+        let m = set.num_objects() as u32;
+        bytes[4..8].copy_from_slice(&(m - 1).to_le_bytes());
+        bytes.truncate(bytes.len() - 24);
+        let short = reopen(&idx, &bytes).unwrap();
+        // The last object (o9) is alive on [0, 19].
+        let is_corrupt = |r: Result<TopK>| match r {
+            Err(CoreError::Index(IndexError::Corrupt(what))) => what.contains("object 9 of 9"),
+            _ => false,
+        };
+        assert!(is_corrupt(short.top_k(2.0, 10.0, 4, AggKind::Sum)));
+        assert!(is_corrupt(short.instant_top_k(6.0, 4)));
     }
 
     #[test]

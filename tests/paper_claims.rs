@@ -12,6 +12,11 @@
 //!   EXACT3 — the tradeoff serve shards' default method set rests on;
 //! * §3: QUERY1 and QUERY2 take `Θ(r²·kmax/B)` and `Θ(r·kmax/B)` blocks —
 //!   the list bytes they hold per stored entry;
+//! * §5, Figures 12, 16, 17 and 18: the same workload swept over `r`, the
+//!   query span, `k` and `kmax` — precision never falls as `r` grows,
+//!   APPX1 reads two blocks at every point, only QUERY2's reads follow the
+//!   span, only APPX2+'s follow `k`, and the lists grow about linearly in
+//!   `kmax`;
 //! * batching: one `execute` window probes each shared key once, so it
 //!   reads at most a third of what its queries read one at a time;
 //! * §4: `avg` ranks like `sum`, negative scores keep the `(ε, 1)` bound
@@ -34,9 +39,12 @@ use chronorank::workloads::{
     QueryWorkloadConfig, RandomWalkConfig, RandomWalkGenerator, StockConfig, StockGenerator,
     TempConfig, TempGenerator,
 };
+use std::sync::OnceLock;
 
-/// The `k` of every query in the two count tests.
+/// The `k` of every query in the count tests.
 const K: usize = 20;
+/// The span of every query in the count tests, as a fraction of the domain.
+const SPAN: f64 = 0.2;
 /// Seed of each generator's 20 uniform queries (the datasets use 7). The
 /// APPX2+ precision floor is not loose: at query seed 7 Meme's APPX2+
 /// precision is 0.948.
@@ -44,6 +52,18 @@ const QUERY_SEED: u64 = 3;
 /// Relative slack on `εM` for float rounding: APPX1's worst answer on Meme
 /// sits at 1.000 `εM`.
 const SLACK: f64 = 1e-9;
+
+/// Figure 12's breakpoint counts `r`; 128 is `ApproxConfig::default()`'s.
+const RS: [usize; 4] = [16, 32, 64, 128];
+/// Figure 16's query spans, as fractions of the domain.
+const SPANS: [f64; 4] = [0.02, 0.1, SPAN, 0.5];
+/// Figure 17's `k`; 64 is the default `kmax`.
+const KS: [usize; 4] = [5, 10, K, 64];
+/// Figure 18's `kmax`, on Temp at `r` = 64, and the `k` it queries at:
+/// the largest all three serve.
+const KMAXES: [usize; 3] = [16, 64, 256];
+const KMAX_R: usize = 64;
+const KMAX_K: usize = 16;
 
 fn temp() -> TemporalSet {
     TempGenerator::new(TempConfig { objects: 400, avg_segments: 250, seed: 7, dropout: 0.02 })
@@ -63,16 +83,14 @@ fn generators() -> [(&'static str, TemporalSet, bool); 3] {
     ]
 }
 
-/// What one generator's fixed workload measured.
-struct Claims {
-    name: &'static str,
-    /// Cold block reads per query: EXACT1, EXACT3, APPX1, APPX2, APPX2+.
-    reads: [f64; 5],
+/// What one workload read and returned, per query.
+#[derive(Clone)]
+struct Scores {
+    /// Cold block reads per query of each method run: the exact ones
+    /// (EXACT3 last), then APPX1, APPX2, APPX2+.
+    reads: Vec<f64>,
     /// Distinct QUERY2 candidates APPX2+ re-scores per query.
     candidates: f64,
-    /// The paper's EXACT3 bound `2·(log_B N + m/B)`, `B` = block / 16.
-    exact3_bound: f64,
-    gated: bool,
     /// Mean precision and mean approximation ratio vs EXACT3, the largest
     /// `|σ̃ − σ| / εM` over every returned object, and how many returned
     /// objects broke their §3 bound: APPX1, APPX2, APPX2+.
@@ -84,21 +102,45 @@ struct Claims {
     first_outside: Option<String>,
 }
 
+impl Scores {
+    /// Cold reads per query of EXACT3, APPX1, APPX2 and APPX2+.
+    fn reads(&self) -> [f64; 4] {
+        self.reads[self.reads.len() - 4..].try_into().unwrap()
+    }
+}
+
+/// What one generator's workloads measured.
+struct Claims {
+    name: &'static str,
+    /// The §5 workload: 20 queries, span 0.2, `k` = 20, over EXACT1,
+    /// EXACT3 and the APPX methods at `r` = 128, `kmax` = 64.
+    base: Scores,
+    /// The paper's EXACT3 bound `2·(log_B N + m/B)`, `B` = block / 16.
+    exact3_bound: f64,
+    gated: bool,
+    /// Figures 12, 16 and 17: the workload again at each of [`RS`],
+    /// [`SPANS`] and [`KS`] (`base` where the value is the §5 one).
+    by_r: [Scores; 4],
+    by_span: [Scores; 4],
+    by_k: [Scores; 4],
+}
+
 impl Claims {
     /// What APPX2+'s prefix file costs a query over APPX2: its cold reads
     /// beyond QUERY2's, per candidate it re-scores.
     fn reads_per_candidate(&self) -> f64 {
-        (self.reads[4] - self.reads[3]) / self.candidates
+        let [.., appx2, plus] = self.base.reads();
+        (plus - appx2) / self.base.candidates
     }
 }
 
-/// Each generator's 20 uniform queries: span 0.2, `k` = 20.
-fn queries(set: &TemporalSet) -> Vec<QueryInterval> {
+/// Each generator's 20 uniform queries at `span` and `k`.
+fn queries(set: &TemporalSet, span: f64, k: usize) -> Vec<QueryInterval> {
     QueryWorkload::new(
         QueryWorkloadConfig {
             count: 20,
-            span_fraction: 0.2,
-            k: K,
+            span_fraction: span,
+            k,
             seed: QUERY_SEED,
             ..Default::default()
         },
@@ -117,20 +159,24 @@ fn cold_top_k(method: &dyn RankMethod, q: &QueryInterval) -> (TopK, u64) {
     (answer, method.io_stats().reads)
 }
 
-/// Build EXACT1, EXACT3 and APPX1 / APPX2 / APPX2+ over one fitted B2 set
-/// (`ApproxConfig::default()`), run 20 cold queries (span 0.2, `k` = 20)
-/// through each, and score every returned object against its exact score.
-fn measure(name: &'static str, set: &TemporalSet, gated: bool) -> Claims {
-    let e1 = Exact1::build(set, IndexConfig::default()).unwrap();
-    let e3 = Exact3::build(set, IndexConfig::default()).unwrap();
+/// Mean cold reads per query.
+fn cold_reads(method: &dyn RankMethod, queries: &[QueryInterval]) -> f64 {
+    queries.iter().map(|q| cold_top_k(method, q).1).sum::<u64>() as f64 / queries.len() as f64
+}
+
+/// One of the APPX variants at `kmax` over a fitted breakpoint set.
+fn appx(set: &TemporalSet, variant: ApproxVariant, bp: &Breakpoints, kmax: usize) -> ApproxIndex {
+    let config = ApproxConfig { kmax, ..Default::default() };
+    ApproxIndex::build_with_breakpoints(Env::mem(config.store), set, variant, config, bp.clone())
+        .unwrap()
+}
+
+/// APPX1, APPX2 and APPX2+ over one B2 set fitted to `r` points, the last
+/// two sharing one QUERY2 structure.
+fn appx_methods(set: &TemporalSet, r: usize) -> [ApproxIndex; 3] {
+    let bp = Breakpoints::b2_with_count(set, r, B2Construction::Efficient).unwrap();
     let config = ApproxConfig::default();
-    let bp = Breakpoints::b2_with_count(set, config.r, B2Construction::Efficient).unwrap();
-    let (em, alpha) = (bp.eps() * bp.mass(), 2.0 * (bp.len() as f64).log2());
-    let build = |variant, bp| {
-        ApproxIndex::build_with_breakpoints(Env::mem(config.store), set, variant, config, bp)
-    };
-    let appx1 = build(ApproxVariant::APPX1, bp.clone()).unwrap();
-    let appx2 = build(ApproxVariant::APPX2, bp).unwrap();
+    let appx2 = appx(set, ApproxVariant::APPX2, &bp, config.kmax);
     let q2 = appx2.query2().unwrap().clone();
     let plus = ApproxIndex::build_with_query2(
         Env::mem(config.store),
@@ -140,13 +186,26 @@ fn measure(name: &'static str, set: &TemporalSet, gated: bool) -> Claims {
         q2,
     )
     .unwrap();
-    let methods: [&dyn RankMethod; 5] = [&e1, &e3, &appx1, &appx2, &plus];
+    [appx(set, ApproxVariant::APPX1, &bp, config.kmax), appx2, plus]
+}
 
-    let queries = queries(set);
+/// Run `queries` cold through `exact` (EXACT3 last: its answers are the
+/// reference) and APPX1 / APPX2 / APPX2+, and score every returned object
+/// against its exact score.
+fn score(
+    set: &TemporalSet,
+    exact: &[&dyn RankMethod],
+    appx: &[ApproxIndex; 3],
+    queries: &[QueryInterval],
+) -> Scores {
+    let bp = appx[0].breakpoints();
+    let (em, alpha) = (bp.eps() * bp.mass(), 2.0 * (bp.len() as f64).log2());
+    let methods: Vec<&dyn RankMethod> =
+        exact.iter().copied().chain(appx.iter().map(|a| a as &dyn RankMethod)).collect();
     let (mut reads, mut precision, mut ratio, mut worst) =
-        ([0u64; 5], [0.0; 3], [0.0; 3], [0.0; 3]);
+        (vec![0u64; methods.len()], [0.0; 3], [0.0; 3], [0.0; 3]);
     let (mut outside, mut first_outside, mut candidates) = ([0; 3], None, 0);
-    for q in &queries {
+    for q in queries {
         let answers: Vec<_> = methods
             .iter()
             .zip(&mut reads)
@@ -156,10 +215,11 @@ fn measure(name: &'static str, set: &TemporalSet, gated: bool) -> Claims {
                 answer
             })
             .collect();
-        candidates += plus.candidates(q.t1, q.t2, q.k).unwrap().len();
-        let exact = &answers[1];
-        for (j, approx) in answers[2..].iter().enumerate() {
-            let label = methods[j + 2].name();
+        candidates += appx[2].candidates(q.t1, q.t2, q.k).unwrap().len();
+        let (exact, approx) = answers.split_at(exact.len());
+        let exact = exact.last().unwrap();
+        for (j, approx) in approx.iter().enumerate() {
+            let label = appx[j].name();
             precision[j] += metrics::precision(exact, approx);
             ratio[j] += metrics::approximation_ratio(set, approx, q.t1, q.t2).unwrap().mean;
             for &(id, got) in approx.entries() {
@@ -180,14 +240,9 @@ fn measure(name: &'static str, set: &TemporalSet, gated: bool) -> Claims {
         }
     }
     let n = queries.len() as f64;
-    let b = (StoreConfig::default().block_size / 16) as f64;
-    let log_b_n = (set.num_segments() as f64).ln() / b.ln();
-    Claims {
-        name,
-        reads: reads.map(|r| r as f64 / n),
+    Scores {
+        reads: reads.into_iter().map(|r| r as f64 / n).collect(),
         candidates: candidates as f64 / n,
-        exact3_bound: 2.0 * (log_b_n + set.num_objects() as f64 / b),
-        gated,
         precision: precision.map(|p| p / n),
         ratio: ratio.map(|r| r / n),
         worst,
@@ -196,53 +251,233 @@ fn measure(name: &'static str, set: &TemporalSet, gated: bool) -> Claims {
     }
 }
 
+/// Build EXACT1, EXACT3 and APPX1 / APPX2 / APPX2+ over one fitted B2 set
+/// (`ApproxConfig::default()`) and score the §5 workload through them;
+/// then re-run it through EXACT3 and the APPX methods at every other `r`,
+/// span and `k` of Figures 12, 16 and 17.
+fn measure(name: &'static str, set: &TemporalSet, gated: bool) -> Claims {
+    let e1 = Exact1::build(set, IndexConfig::default()).unwrap();
+    let e3 = Exact3::build(set, IndexConfig::default()).unwrap();
+    let default = ApproxConfig::default();
+    let methods = appx_methods(set, default.r);
+    let base = score(set, &[&e1, &e3], &methods, &queries(set, SPAN, K));
+    let sweep = |appx: &[ApproxIndex; 3], span, k| score(set, &[&e3], appx, &queries(set, span, k));
+    let by_r = RS.map(|r| match r == default.r {
+        true => base.clone(),
+        false => sweep(&appx_methods(set, r), SPAN, K),
+    });
+    let by_span = SPANS.map(|span| match span == SPAN {
+        true => base.clone(),
+        false => sweep(&methods, span, K),
+    });
+    let by_k = KS.map(|k| match k == K {
+        true => base.clone(),
+        false => sweep(&methods, SPAN, k),
+    });
+    let b = (StoreConfig::default().block_size / 16) as f64;
+    let log_b_n = (set.num_segments() as f64).ln() / b.ln();
+    Claims {
+        name,
+        base,
+        exact3_bound: 2.0 * (log_b_n + set.num_objects() as f64 / b),
+        gated,
+        by_r,
+        by_span,
+        by_k,
+    }
+}
+
+/// Every generator's claims, measured once on a thread per generator and
+/// shared by the tests that assert them.
+fn claims() -> &'static [Claims] {
+    static CLAIMS: OnceLock<Vec<Claims>> = OnceLock::new();
+    CLAIMS.get_or_init(|| {
+        std::thread::scope(|s| {
+            let running =
+                generators().map(|(name, set, gated)| s.spawn(move || measure(name, &set, gated)));
+            Vec::from(running.map(|measuring| measuring.join().unwrap()))
+        })
+    })
+}
+
+/// `xs` as `a / b / c` at `digits` decimals.
+fn join(xs: &[f64], digits: usize) -> String {
+    xs.iter().map(|x| format!("{x:.digits$}")).collect::<Vec<_>>().join(" / ")
+}
+
 #[test]
 fn the_section_5_claims_hold_on_temp_meme_and_stock() {
-    let claims: Vec<Claims> =
-        generators().iter().map(|(name, set, gated)| measure(name, set, *gated)).collect();
-    let join = |xs: &[f64], digits: usize| {
-        xs.iter().map(|x| format!("{x:.digits$}")).collect::<Vec<_>>().join(" / ")
-    };
-    for c in &claims {
-        println!(
-            "pinned: {} cold reads per query EXACT1 / EXACT3 / APPX1 / APPX2 / APPX2+: {} \
-             (EXACT3 bound 2·(log_B N + m/B) = {:.1}{})",
-            c.name,
-            join(&c.reads, 1),
+    let mut block = String::new();
+    for c in claims() {
+        let s = &c.base;
+        block += &format!(
+            "pinned: {name} cold reads per query EXACT1 / EXACT3 / APPX1 / APPX2 / APPX2+: {} \
+             (EXACT3 bound 2·(log_B N + m/B) = {:.1}{})\n\
+             pinned: {name} vs EXACT3, APPX1 / APPX2 / APPX2+: precision {}, mean ratio {}, \
+             worst |σ̃ − σ| / εM {}, answers outside the ε bound {}\n\
+             pinned: {name} APPX2+ re-scoring reads per distinct candidate: {:.2} \
+             ({:.1} candidates per query)\n",
+            join(&s.reads, 1),
             c.exact3_bound,
             if c.gated { "" } else { ", not gated" },
-        );
-        println!(
-            "pinned: {} vs EXACT3, APPX1 / APPX2 / APPX2+: precision {}, mean ratio {}, \
-             worst |σ̃ − σ| / εM {}, answers outside the ε bound {}",
-            c.name,
-            join(&c.precision, 3),
-            join(&c.ratio, 3),
-            join(&c.worst, 3),
-            c.outside.map(|o| o.to_string()).join(" / "),
-        );
-        println!(
-            "pinned: {} APPX2+ re-scoring reads per distinct candidate: {:.2} \
-             ({:.1} candidates per query)",
-            c.name,
+            join(&s.precision, 3),
+            join(&s.ratio, 3),
+            join(&s.worst, 3),
+            s.outside.map(|o| o.to_string()).join(" / "),
             c.reads_per_candidate(),
-            c.candidates,
+            s.candidates,
+            name = c.name,
         );
     }
-    for c in &claims {
-        let first = c.first_outside.as_deref().unwrap_or_default();
-        assert_eq!(c.outside, [0; 3], "{}: answers outside the ε bound, first {first}", c.name);
-        let [e1, e3, appx @ ..] = c.reads;
+    print!("{block}");
+    for c in claims() {
+        let s = &c.base;
+        let first = s.first_outside.as_deref().unwrap_or_default();
+        assert_eq!(s.outside, [0; 3], "{}: answers outside the ε bound, first {first}", c.name);
+        let [e1, e3, appx @ ..]: [f64; 5] = s.reads[..].try_into().unwrap();
         let best = appx.into_iter().fold(f64::INFINITY, f64::min);
-        assert!(e1 > e3 && e3 > best, "{}: cold reads {:?} are out of order", c.name, c.reads);
+        assert!(e1 > e3 && e3 > best, "{}: cold reads {:?} are out of order", c.name, s.reads);
         assert!(!c.gated || e3 <= c.exact3_bound, "{}: EXACT3 reads {e3}", c.name);
-        let [p1, p2, p_plus] = c.precision;
+        let [p1, p2, p_plus] = s.precision;
         assert!(p_plus >= 0.95, "{}: APPX2+ precision {p_plus}", c.name);
-        assert!((c.ratio[2] - 1.0).abs() <= 1e-9, "{}: APPX2+ ratio {}", c.name, c.ratio[2]);
+        assert!((s.ratio[2] - 1.0).abs() <= 1e-9, "{}: APPX2+ ratio {}", c.name, s.ratio[2]);
         assert!(p1 >= 0.7 && p2 >= 0.7, "{}: APPX1 / APPX2 precision {p1} / {p2}", c.name);
         let per_candidate = c.reads_per_candidate();
         assert!(per_candidate <= 2.0, "{}: {per_candidate} reads per candidate", c.name);
     }
+}
+
+/// One column of a sweep, point by point.
+fn series(points: &[Scores; 4], column: impl Fn(&Scores) -> f64) -> [f64; 4] {
+    points.each_ref().map(column)
+}
+
+/// Prints one figure's sweep on every generator as one block — a
+/// `pinned:` line each for precision, mean ratio and cold reads, a series
+/// per method — and asserts what holds at every point of it: no answer
+/// outside its §3 bound, APPX2+'s exact ratio, and APPX1's two blocks
+/// (one list, one directory page).
+fn pin_sweep(figure: &str, axis: &str, values: &[String], points: fn(&Claims) -> &[Scores; 4]) {
+    let at = format!("{figure} by {axis} = {}", values.join(" / "));
+    let mut block = String::new();
+    for c in claims() {
+        let points = points(c);
+        let columns = |names: &[&str], column: &dyn Fn(&Scores, usize) -> f64, digits| {
+            let series = names.iter().enumerate().map(|(j, name)| {
+                format!("{name} {}", join(&series(points, |s| column(s, j)), digits))
+            });
+            series.collect::<Vec<_>>().join(", ")
+        };
+        let appx = ["APPX1", "APPX2", "APPX2+"];
+        let all = ["EXACT3", "APPX1", "APPX2", "APPX2+"];
+        block += &format!(
+            "pinned: {name} {at}: precision {}\n\
+             pinned: {name} {at}: mean ratio {}\n\
+             pinned: {name} {at}: cold reads {}\n",
+            columns(&appx, &|s, j| s.precision[j], 3),
+            columns(&appx, &|s, j| s.ratio[j], 3),
+            columns(&all, &|s, j| s.reads()[j], 1),
+            name = c.name,
+        );
+    }
+    print!("{block}");
+    for c in claims() {
+        for (s, value) in points(c).iter().zip(values) {
+            let (name, first) = (c.name, s.first_outside.as_deref().unwrap_or_default());
+            assert_eq!(s.outside, [0; 3], "{name} {axis} {value}: outside the ε bound: {first}");
+            assert!((s.ratio[2] - 1.0).abs() <= 1e-9, "{name} {axis} {value}: APPX2+ ratio");
+            assert_eq!(s.reads()[1], 2.0, "{name} {axis} {value}: APPX1 reads");
+        }
+    }
+}
+
+/// Each value at least the one before it (`strict`: above it).
+fn rising(xs: &[f64], strict: bool) -> bool {
+    xs.windows(2).all(|w| if strict { w[0] < w[1] } else { w[0] <= w[1] })
+}
+
+/// Figure 12: more breakpoints, better answers — and QUERY2 reads more of
+/// its `log r` lists.
+#[test]
+fn figure_12_appx_precision_never_falls_as_r_grows() {
+    pin_sweep("Fig. 12", "r", &RS.map(|r| r.to_string()), |c| &c.by_r);
+    for c in claims() {
+        for (j, method) in ["APPX1", "APPX2", "APPX2+"].iter().enumerate() {
+            let precision = series(&c.by_r, |s| s.precision[j]);
+            assert!(rising(&precision, false), "{} {method} precision by r: {precision:?}", c.name);
+        }
+        let appx2 = series(&c.by_r, |s| s.reads()[2]);
+        assert!(rising(&appx2, true), "{} APPX2 reads by r: {appx2:?}", c.name);
+    }
+}
+
+/// Figure 16: a longer span leaves APPX1 at one list but splits QUERY2's
+/// interval into more dyadic lists, and hands APPX2+ more candidates.
+#[test]
+fn figure_16_only_query2_reads_grow_with_the_span() {
+    pin_sweep("Fig. 16", "span", &SPANS.map(|s| s.to_string()), |c| &c.by_span);
+    for c in claims() {
+        for (j, method) in [(2, "APPX2"), (3, "APPX2+")] {
+            let reads = series(&c.by_span, |s| s.reads()[j]);
+            assert!(rising(&reads, true), "{} {method} reads by span: {reads:?}", c.name);
+        }
+    }
+}
+
+/// Figure 17: `k` changes what APPX2+ re-scores, and nothing else reads.
+#[test]
+fn figure_17_only_appx2plus_reads_grow_with_k() {
+    pin_sweep("Fig. 17", "k", &KS.map(|k| k.to_string()), |c| &c.by_k);
+    for c in claims() {
+        for (j, method) in ["EXACT3", "APPX1", "APPX2"].iter().enumerate() {
+            let reads = series(&c.by_k, |s| s.reads()[j]);
+            assert!(
+                reads.iter().all(|&r| r == reads[0]),
+                "{} {method} reads by k: {reads:?}",
+                c.name
+            );
+        }
+        let plus = series(&c.by_k, |s| s.reads()[3]);
+        assert!(rising(&plus, true), "{} APPX2+ reads by k: {plus:?}", c.name);
+    }
+}
+
+/// Figure 18: QUERY1 and QUERY2 grow about linearly in `kmax` — ×3 to ×6
+/// for each ×4, past ×4 where a 256-entry list fills a block alone — and
+/// APPX1 still reads one list. On Temp, as in the paper, over one B2 set
+/// at `r` = 64: QUERY1's `r²` lists of 256 entries take four times as
+/// long to build at `r` = 128, and the lists pack `⌊B / (12·kmax)⌋` to a
+/// block whatever `r` is.
+#[test]
+fn figure_18_appx_sizes_grow_about_linearly_in_kmax() {
+    let set = temp();
+    let bp = Breakpoints::b2_with_count(&set, KMAX_R, B2Construction::Efficient).unwrap();
+    let queries = queries(&set, SPAN, KMAX_K);
+    let points = KMAXES.map(|kmax| {
+        [ApproxVariant::APPX1, ApproxVariant::APPX2].map(|variant| {
+            let appx = appx(&set, variant, &bp, kmax);
+            (appx.size_bytes() as f64, cold_reads(&appx, &queries))
+        })
+    });
+    let bytes = |j: usize| points.map(|p| p[j].0);
+    let reads = |j: usize| points.map(|p| p[j].1);
+    println!(
+        "pinned: temp Fig. 18 by kmax = {} at r = {KMAX_R}: bytes APPX1 {}, APPX2 {}; \
+         cold reads at k = {KMAX_K} APPX1 {}, APPX2 {}",
+        KMAXES.map(|k| k.to_string()).join(" / "),
+        join(&bytes(0), 0),
+        join(&bytes(1), 0),
+        join(&reads(0), 1),
+        join(&reads(1), 1),
+    );
+    for (j, method) in ["APPX1", "APPX2"].iter().enumerate() {
+        let growth: Vec<f64> = bytes(j).windows(2).map(|w| w[1] / w[0]).collect();
+        assert!(
+            growth.iter().all(|g| (3.0..=6.0).contains(g)),
+            "{method} bytes by kmax ×{growth:?}"
+        );
+    }
+    assert_eq!(reads(0), [2.0; 3], "APPX1 reads by kmax");
 }
 
 /// The tradeoff behind serve shards leaving APPX2+ out by default, on one
@@ -260,11 +495,8 @@ fn on_a_dense_exact_cold_shard_appx2plus_reads_less_than_exact3() {
     let e3 = Exact3::build(&set, IndexConfig::default()).unwrap();
     let plus =
         ApproxIndex::build(&set, ApproxVariant::APPX2_PLUS, ApproxConfig::default()).unwrap();
-    let queries = queries(&set);
-    let mean = |m: &dyn RankMethod| {
-        queries.iter().map(|q| cold_top_k(m, q).1).sum::<u64>() as f64 / queries.len() as f64
-    };
-    let (exact3, appx2_plus) = (mean(&e3), mean(&plus));
+    let queries = queries(&set, SPAN, K);
+    let (exact3, appx2_plus) = (cold_reads(&e3, &queries), cold_reads(&plus, &queries));
     println!(
         "pinned: exact_cold shard (temp 2000 × 100) cold reads per query EXACT3 / APPX2+: \
          {exact3:.2} / {appx2_plus:.2}"
