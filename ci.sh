@@ -49,7 +49,12 @@
 #                     tests/stab_reads.rs pins (blocks 100 cold Meme stabs
 #                     read, at most a third of lo-order packing, and the
 #                     row bytes EXACT3's packed leaves spend per entry on
-#                     a Temp shard and on Meme), the ones
+#                     a Temp shard and on Meme), the one tests/leaf_flips.rs
+#                     pins (panics over every single-byte flip of a built
+#                     EXACT3 leaf, reopened: 0), the one
+#                     crates/index/src/interval.rs pins (cuts per entry an
+#                     EXACT3 load makes, on a Temp shard and on Meme: each
+#                     entry goes into a leaf about once), the ones
 #                     tests/pool_reads.rs pins (blocks per exact query on
 #                     an exact_cold-shaped engine through 64-frame
 #                     segmented-LRU pools, and blocks per hot exact query
@@ -134,7 +139,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; $(grep -c . <<< "$PINNED_COUNTS") lines)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/leaf_flips.rs, crates/index/src/interval.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; $(grep -c . <<< "$PINNED_COUNTS") lines)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -381,8 +386,10 @@ tier1_stage() {
     cargo build --release
     PINNED_COUNTS=$(cargo test -q -p chronorank -p chronorank-net --test resident_build_counts \
         --test streaming_build_counts --test obs_counts --test thread_counts --test stab_reads \
-        --test pool_reads --test paper_claims --test shard_workers -- --nocapture \
+        --test leaf_flips --test pool_reads --test paper_claims --test shard_workers -- --nocapture \
         2> /dev/null | grep -o 'pinned:.*' || true)
+    PINNED_COUNTS+=$'\n'$(cargo test -q -p chronorank-index --lib a_load_cuts_each_entry_about_once \
+        -- --nocapture 2> /dev/null | grep -o 'pinned:.*' || true)
     # Tests wait on events, not time: none may sleep, yield or wait out a
     # socket timeout — in tests/, crates/*/tests, or the unit tests of
     # crates/*/src (each file from its first `#[cfg(test)]` on: the lines

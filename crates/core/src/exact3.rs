@@ -26,7 +26,7 @@
 //! a layout property too: a leaf stores each field as its XOR against the
 //! leaf's first entry in as few bytes as the leaf needs, so the 44-byte
 //! entry takes ≈ 35.5 bytes on Temp and ≈ 38 on Meme, bit for bit, and a
-//! Temp shard's stab reads 27.3 blocks where whole records read 31
+//! Temp shard's stab reads 26.5 blocks where whole records read 31
 //! ("packed leaves" there). The payload orders its fields `v0 | v1 |
 //! prefix | obj` so that each is one 8-byte lane of a row.
 //!

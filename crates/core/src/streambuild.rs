@@ -72,12 +72,20 @@ where
     };
     for o in objects {
         let c = &Borrow::<TemporalObject>::borrow(&o).curve;
-        s.t_min = s.t_min.min(c.start());
-        s.t_max = s.t_max.max(c.end());
+        let (start, end) = c.domain();
+        s.t_min = s.t_min.min(start);
+        s.t_max = s.t_max.max(end);
         s.num_segments += c.num_segments() as u64;
-        s.total_mass += c.total_abs();
-        s.has_negative |= c.min_value() < 0.0;
-        s.max_segment_duration = s.max_segment_duration.max(c.max_segment_duration());
+        // One pass over the curve's segments: its mass sums the clipped
+        // `|g|` terms of `PiecewiseLinear::abs_integral(start, end)`, in its
+        // order, so `M` is bit-identical to that sum's.
+        let mut mass = 0.0;
+        for seg in c.segments() {
+            mass += seg.abs_integral_clipped(start, end);
+            s.has_negative |= seg.v0 < 0.0 || seg.v1 < 0.0;
+            s.max_segment_duration = s.max_segment_duration.max(seg.duration());
+        }
+        s.total_mass += mass;
         s.num_objects += 1;
     }
     s
@@ -220,6 +228,29 @@ mod tests {
         assert_eq!(s.total_mass.to_bits(), set.total_mass().to_bits(), "M must be bit-identical");
         assert_eq!(s.has_negative, set.has_negative());
         assert_eq!(s.max_segment_duration, set.max_segment_duration());
+    }
+
+    #[test]
+    fn one_pass_stats_equal_the_per_curve_passes_bit_for_bit() {
+        // Each curve's `|g|` mass as `abs_integral` over its domain, its
+        // lowest vertex and its longest segment, each a pass of its own;
+        // beside the small set, a mixed-sign one.
+        let mixed = [
+            vec![(0.0, 1.5), (1.0, -2.0), (4.0, 0.25)],
+            vec![(2.0, 0.5), (3.0, -0.5)],
+            vec![(1.0, 3.0), (9.0, 7.0)],
+        ];
+        let mixed = mixed.iter().map(|p| PiecewiseLinear::from_points(p).unwrap()).collect();
+        for set in [small_set(), TemporalSet::from_curves(mixed).unwrap()] {
+            let s = scan_stats(set.objects().iter());
+            let curves = || set.objects().iter().map(|o| &o.curve);
+            let mass = curves().map(|c| c.abs_integral(c.start(), c.end())).fold(0.0, |m, c| m + c);
+            let longest =
+                curves().flat_map(|c| c.segments()).map(|g| g.duration()).fold(0.0, f64::max);
+            assert_eq!(s.total_mass.to_bits(), mass.to_bits());
+            assert_eq!(s.has_negative, curves().any(|c| c.min_value() < 0.0));
+            assert_eq!(s.max_segment_duration.to_bits(), longest.to_bits());
+        }
     }
 
     #[test]

@@ -184,12 +184,6 @@ impl PiecewiseLinear {
         self.segments().map(|s| s.integral_full()).sum()
     }
 
-    /// Total absolute integral.
-    pub fn total_abs(&self) -> f64 {
-        let (a, b) = self.domain();
-        self.abs_integral(a, b)
-    }
-
     /// Prefix sums `P[ℓ] = σ_i(t_{i,0}, t_{i,ℓ})` for `ℓ ∈ [0, n_i]`
     /// (`P[0] = 0`). This is exactly the quantity EXACT2/EXACT3 store in
     /// their data entries (`σ_i(I_{i,ℓ})`), computed in one sweep.
@@ -250,11 +244,6 @@ impl PiecewiseLinear {
             need -= available;
         }
         None
-    }
-
-    /// Longest segment duration (EXACT1 needs this to bound its scan-back).
-    pub fn max_segment_duration(&self) -> f64 {
-        self.segments().map(|s| s.duration()).fold(0.0, f64::max)
     }
 
     /// Append a point, extending the curve to the right (the paper's update
@@ -395,7 +384,6 @@ mod tests {
         let c = PiecewiseLinear::from_points(&[(0.0, -1.0), (2.0, 1.0)]).unwrap();
         assert!(approx_eq(c.integral(0.0, 2.0), 0.0, 1e-12));
         assert!(approx_eq(c.abs_integral(0.0, 2.0), 1.0, 1e-12));
-        assert!(approx_eq(c.total_abs(), 1.0, 1e-12));
     }
 
     #[test]
@@ -428,9 +416,8 @@ mod tests {
     }
 
     #[test]
-    fn max_segment_duration_and_extrema() {
+    fn vertex_extrema() {
         let c = curve();
-        assert_eq!(c.max_segment_duration(), 3.0);
         assert_eq!(c.min_value(), 0.0);
         assert_eq!(c.max_value(), 4.0);
     }

@@ -54,11 +54,15 @@
 //! and `w` leaves = `w·B/density` of `lo` turns `w² = R` into the rule a
 //! run closes by, with no constant to tune:
 //! `leaves × (last_lo − first_lo) ≥ longest interval in the run`. A run
-//! counts its leaves by cutting its entries in `lo` order as they arrive,
-//! and checks the rule each time that cut fills one; a close deals them by
-//! `hi` and writes at most that many leaves. Entries the `hi` cut puts past
-//! them stay in the run — the newest ones, as whole-record leaves left the
-//! rest after the last whole leaf.
+//! counts its leaves before any entry is cut, at the entries per leaf its
+//! stream's last close filled, and checks the rule each time that count
+//! grows; a close then cuts its entries once, in `hi` order, writing each
+//! leaf its next entry does not fit, and each page once. The leaf the cut
+//! leaves open is written too unless it holds under half a leaf, or exactly
+//! the run's newest entries: then those entries stay in the run for its
+//! next close, the only entries cut twice (1.01 cuts an entry on Temp, 1.05
+//! on Meme; a `lo`-order count at push and a re-deal of what a close could
+//! not write made 2.29 / 2.12).
 //!
 //! That rule lets the longest entry set the width of every run, which is
 //! wrong when lengths span orders of magnitude: on Meme (records bunch
@@ -69,20 +73,18 @@
 //! stream's last closed run goes to the run of its band `⌊log₈ len⌋`;
 //! every other entry goes to the main run. Each run closes by the rule
 //! above, so long tails land in leaves full of long-lived entries, and a
-//! query's two stabs often share those leaves. At `finish` each band run
-//! writes its whole leaves and its partial rest joins the main run, which
-//! closes last and writes everything: its last leaf is the tree's one
-//! partial leaf by design, and a close's last leaf may fall short where the
-//! `lo`-order cut ended a leaf early on an entry that widened it (6 % of
-//! a Temp shard's leaves, ≥ 75 of 115 entries). Leaves are written as runs
-//! close, so their fences are sorted by `min_lo` before the inner levels
-//! are stacked; inner nodes stay in `min_lo` order, which a stab's early
-//! exit needs. Data of one length scale (Temp, Stock, random walks) never
+//! query's two stabs often share those leaves. At `finish` every run is
+//! cut and written whole, each band's before the main one's, so each
+//! stream ends in one partial leaf; every other leaf a close writes holds
+//! at least half its stream's count. Leaves are written as runs close, so
+//! their fences are sorted by `min_lo` before the inner levels are
+//! stacked; inner nodes stay in `min_lo` order, which a stab's early exit
+//! needs. Data of one length scale (Temp, Stock, random walks) never
 //! divert and write the bytes a single stream writes.
 //!
-//! Measured in cold blocks per stab against `⌈hits/B⌉`: 27.3 vs 17.5 on a
+//! Measured in cold blocks per stab against `⌈hits/B⌉`: 26.5 vs 17.5 on a
 //! Temp shard of m = 2000 (31 vs 21.7 with 44-byte records); on Meme
-//! (m = 4000, 100 probes, `tests/stab_reads.rs`) 962 blocks, where
+//! (m = 4000, 100 probes, `tests/stab_reads.rs`) 970 blocks, where
 //! 44-byte records read 1,012, one stream of runs 1,377 and `lo`-order
 //! packed leaves 3,159; EXACT3 on the benchmark's `paper_build` (Meme,
 //! m = 29 850, two stabs a query) 59.2 blocks a query at seed 7 (64.4
@@ -322,16 +324,22 @@ struct OpenLeaf {
 }
 
 impl OpenLeaf {
+    /// Open the leaf afresh with `entry` alone.
+    fn start(&mut self, shape: &Shape, entry: &[u64]) {
+        self.first.clear();
+        self.first.extend_from_slice(entry);
+        self.cover.clear();
+        self.cover.resize(shape.lanes, 0);
+        (self.count, self.room) = (1, shape.room(0));
+    }
+
     /// Take `entry` if the leaf's rows, widened to it, still fit; an empty
     /// leaf takes any entry.
     #[inline]
     fn take(&mut self, shape: &Shape, entry: &[u64]) -> bool {
+        Self::counted();
         if self.count == 0 {
-            self.first.clear();
-            self.first.extend_from_slice(entry);
-            self.cover.clear();
-            self.cover.resize(shape.lanes, 0);
-            (self.count, self.room) = (1, shape.room(0));
+            self.start(shape, entry);
             return true;
         }
         let lanes = || entry.iter().zip(&self.first).map(|(word, first)| word ^ first);
@@ -353,70 +361,83 @@ impl OpenLeaf {
         true
     }
 
+    /// Counts a call of [`OpenLeaf::take`] in the unit tests, which define
+    /// it; nothing otherwise.
+    #[cfg(not(test))]
+    #[inline(always)]
+    fn counted() {}
+
     /// Its lanes' widths, in bytes.
     fn widths(&self) -> impl Iterator<Item = u8> + '_ {
         self.cover.iter().map(|&c| width(c) as u8)
     }
 }
 
-/// Entries in `lo` order dealt to packed leaves by `hi` (module docs:
-/// "packed leaves"). A loader keeps one and refills it per close.
+/// Entry `i`'s lanes in `entries`, `lanes` to an entry.
+fn entry_at(entries: &[u64], lanes: usize, i: u32) -> &[u64] {
+    &entries[i as usize * lanes..][..lanes]
+}
+
+/// What a cut wrote: the entries in and the count of the leaves a failed
+/// take closed, and the median length of every entry it wrote (the upper
+/// one; `None` for none).
+struct Written {
+    full_entries: usize,
+    full_leaves: usize,
+    median: Option<f64>,
+}
+
+/// Sort `pairs`, in index order, stably by key — so by `(key, index)` — a
+/// byte of the key at a time from the lowest, skipping the bytes every key
+/// shares (least-significant-digit radix sort, through `spare`): a few
+/// passes over the run, where comparison sorts cost `log₂` of its length.
+fn radix_sort(pairs: &mut Vec<(u64, u32)>, spare: &mut Vec<(u64, u32)>) {
+    let Some(&(first, _)) = pairs.first() else { return };
+    let mut counts = [[0usize; 256]; 8];
+    let mut differ = 0;
+    for &(key, _) in pairs.iter() {
+        differ |= key ^ first;
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * byte)) as usize & 0xFF] += 1;
+        }
+    }
+    spare.resize(pairs.len(), (0, 0));
+    for (byte, count) in counts.iter_mut().enumerate() {
+        if (differ >> (8 * byte)) & 0xFF == 0 {
+            continue;
+        }
+        let mut at = 0;
+        for slot in count.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        for &pair in pairs.iter() {
+            let slot = &mut count[(pair.0 >> (8 * byte)) as usize & 0xFF];
+            spare[*slot] = pair;
+            *slot += 1;
+        }
+        std::mem::swap(pairs, spare);
+    }
+}
+
+/// A cut's working buffers, which a loader keeps across closes.
 #[derive(Default)]
 struct Cut {
     /// `(hi as total-order bits, index)`, sorted: the stable `hi` order.
     order: Vec<(u64, u32)>,
+    /// The other half of each pass of its sort.
+    sorted: Vec<(u64, u32)>,
     /// Per entry, its leaf.
     leaf_of: Vec<u32>,
     /// Per leaf in `hi` order, its lane widths.
     widths: Vec<u8>,
     /// Per leaf, its largest `hi`.
     max_hi: Vec<f64>,
+    /// Per written leaf, its rows so far, its row bytes and its base's index.
+    filled: Vec<(usize, usize, u32)>,
+    /// The written leaves' pages.
+    pages: Vec<u8>,
     /// The leaf being filled.
     open: OpenLeaf,
-}
-
-impl Cut {
-    /// Deal `entries` by `hi` (a stable sort of `(hi, index)` pairs, not of
-    /// the records) and cut by bytes: a leaf takes the next entry while its
-    /// rows, widened to that entry, still fit.
-    fn deal(&mut self, shape: &Shape, entries: &[u64]) {
-        let entry = |i: usize| &entries[i * shape.lanes..][..shape.lanes];
-        self.order.clear();
-        self.order.extend(
-            entries
-                .chunks_exact(shape.lanes)
-                .zip(0..)
-                .map(|(e, i)| (total_order_bits(f64::from_bits(e[1])), i)),
-        );
-        self.order.sort_unstable();
-        self.leaf_of.clear();
-        self.leaf_of.resize(self.order.len(), 0);
-        self.widths.clear();
-        self.max_hi.clear();
-        self.open.count = 0;
-        for &(_, i) in &self.order {
-            let (i, e) = (i as usize, entry(i as usize));
-            if !self.open.take(shape, e) {
-                self.widths.extend(self.open.widths());
-                self.open.count = 0;
-                self.open.take(shape, e);
-            }
-            if self.open.count == 1 {
-                self.max_hi.push(f64::from_bits(e[1]));
-            } else {
-                *self.max_hi.last_mut().expect("an open leaf") = f64::from_bits(e[1]);
-            }
-            self.leaf_of[i] = self.max_hi.len() as u32 - 1;
-        }
-        if self.open.count > 0 {
-            self.widths.extend(self.open.widths());
-        }
-    }
-
-    /// Entries dealt to leaves `limit` and later.
-    fn past(&self, limit: usize) -> usize {
-        self.leaf_of.iter().filter(|&&leaf| leaf as usize >= limit).count()
-    }
 }
 
 /// Disk-based bottom-up interval tree (see module docs).
@@ -452,52 +473,24 @@ fn length(entry: &[u64]) -> f64 {
     f64::from_bits(entry[1]) - f64::from_bits(entry[0])
 }
 
-/// One stream's open run: its entries' lanes in push (= `lo`) order, with
-/// the leaves a cut of them in that order fills as they arrive. The cut is
-/// how a run counts its leaves; a close deals them by `hi` instead
-/// ([`Cut::deal`]).
+/// One stream's open run: its entries' lanes in push (= `lo`) order. It
+/// counts its whole leaves at the entries per leaf its stream's last close
+/// filled, so it knows its leaf count before any entry is cut.
 #[derive(Default)]
 struct Run {
     entries: Vec<u64>,
     /// Longest `hi − lo` among them.
     longest: f64,
-    /// Leaves the cut has filled.
+    /// Whole leaves its entries fill, `per_leaf` entries to a leaf.
     leaves: usize,
-    /// The leaf the cut is filling.
-    open: OpenLeaf,
+    /// Entries per leaf the stream's last close filled; before its first,
+    /// what full-width rows fit.
+    per_leaf: usize,
 }
 
 impl Run {
-    /// Count the open leaf as filled, so the next entry opens one.
-    fn seal(&mut self) {
-        if self.open.count > 0 {
-            self.leaves += 1;
-            self.open.count = 0;
-        }
-    }
-
-    /// Append `entry`, into a new leaf of the cut if the open one cannot
-    /// take it.
-    fn append(&mut self, shape: &Shape, entry: &[u64]) {
-        if !self.open.take(shape, entry) {
-            self.seal();
-            self.open.take(shape, entry);
-        }
-        self.entries.extend_from_slice(entry);
-        self.longest = self.longest.max(length(entry));
-    }
-
-    /// Cut the entries a close kept afresh.
-    fn recount(&mut self, shape: &Shape) {
-        (self.longest, self.leaves, self.open.count) = (0.0, 0, 0);
-        for entry in self.entries.chunks_exact(shape.lanes) {
-            if !self.open.take(shape, entry) {
-                self.leaves += 1;
-                self.open.count = 0;
-                self.open.take(shape, entry);
-            }
-            self.longest = self.longest.max(length(entry));
-        }
+    fn new(shape: &Shape) -> Self {
+        Self { per_leaf: shape.body / shape.elen, ..Self::default() }
     }
 }
 
@@ -510,10 +503,11 @@ impl Run {
 /// Memory held during the build: the open runs buffer about 256 whole
 /// leaves of entries between them plus one partial leaf per stream —
 /// the cap counts every stream's leaves together, so a many-band input
-/// cannot multiply it, and a band's buffer is freed when its run empties.
-/// A closing run holds its entries beside their leaf pages, twice its own
-/// size. Beside the runs, one 24-byte fence per leaf (`O(N/B)`), shrinking
-/// by the inner fanout per level.
+/// cannot multiply it. A close's buffers — 36 bytes per entry of its run
+/// for the `hi` order, its sort and each entry's leaf, and the pages of the
+/// leaves it writes — are kept across closes, so they grow to the largest
+/// close and is not allocated again. Beside the runs, one 24-byte fence per
+/// leaf (`O(N/B)`), shrinking by the inner fanout per level.
 pub struct IntervalBulkLoader {
     file: PagedFile,
     payload_len: usize,
@@ -521,15 +515,14 @@ pub struct IntervalBulkLoader {
     /// The main stream's open run.
     main: Run,
     /// One open run per band `⌊log₈ len⌋` of diverted entries, in opening
-    /// order; a band leaves the list when its run empties.
+    /// order.
     bands: Vec<(i32, Run)>,
     /// Entries longer than this divert: [`DIVERT`] × the median length of
     /// the main stream's last closed run (∞ until its first close).
     divert_above: f64,
-    /// The lanes of the entry being pushed.
-    entry: Vec<u64>,
-    /// The last close's cut, kept for its buffers.
+    /// The last cut's buffers, kept for reuse.
     cut: Cut,
+    /// An inner node's page.
     buf: Vec<u8>,
     /// `(page, min_lo, max_hi)` of every written leaf, in write order.
     fences: Vec<(PageId, f64, f64)>,
@@ -555,10 +548,9 @@ impl IntervalBulkLoader {
         let meta = file.allocate(1)?;
         debug_assert_eq!(meta, 0);
         Ok(Self {
-            main: Run::default(),
+            main: Run::new(&shape),
             bands: Vec::new(),
             divert_above: f64::INFINITY,
-            entry: Vec::new(),
             cut: Cut::default(),
             buf: vec![0u8; block],
             fences: Vec::new(),
@@ -590,7 +582,7 @@ impl IntervalBulkLoader {
         match self.bands.iter().position(|&(b, _)| b == band) {
             Some(i) => i + 1,
             None => {
-                self.bands.push((band, Run::default()));
+                self.bands.push((band, Run::new(&self.shape)));
                 self.bands.len()
             }
         }
@@ -616,107 +608,137 @@ impl IntervalBulkLoader {
         }
         self.last_lo = lo;
         self.count += 1;
-        let (shape, mut entry) = (self.shape, std::mem::take(&mut self.entry));
-        entry.clear();
-        shape.encode(lo, hi, payload, &mut entry);
         let band = (hi - lo > self.divert_above).then(|| band_of(hi - lo));
-        let stream = self.stream(band);
+        let (shape, stream) = (self.shape, self.stream(band));
         let run = self.run_mut(stream);
-        if run.open.take(&shape, &entry) {
-            run.entries.extend_from_slice(&entry);
-            run.longest = run.longest.max(hi - lo);
-        } else {
-            // The run holds whole leaves only: the rule may close it.
-            run.seal();
-            let last_lo = run.entries[run.entries.len() - shape.lanes];
-            let width = f64::from_bits(last_lo) - f64::from_bits(run.entries[0]);
-            if run.leaves as f64 * width >= run.longest {
-                self.close(stream)?;
-            } else if self.runs().map(|r| r.leaves).sum::<usize>() >= RUN_CAP_LEAVES {
-                // The cap: the stream holding the most whole leaves (the
-                // earliest on a tie) writes them.
-                let fullest = (0..)
-                    .zip(self.runs())
-                    .max_by_key(|&(i, r)| (r.leaves, std::cmp::Reverse(i)))
-                    .map_or(0, |(i, _)| i);
-                self.close(fullest)?;
-            }
-            // A close may have emptied a band's run and dropped it.
-            let stream = self.stream(band);
-            self.run_mut(stream).append(&shape, &entry);
+        shape.encode(lo, hi, payload, &mut run.entries);
+        run.longest = run.longest.max(hi - lo);
+        if run.entries.len() < (run.leaves + 1) * run.per_leaf * shape.lanes {
+            return Ok(());
         }
-        self.entry = entry;
-        Ok(())
+        // One whole leaf more: the rule may close the run.
+        run.leaves += 1;
+        if run.leaves as f64 * (lo - f64::from_bits(run.entries[0])) >= run.longest {
+            self.close(stream)
+        } else if self.runs().map(|r| r.leaves).sum::<usize>() >= RUN_CAP_LEAVES {
+            // The cap: the stream holding the most whole leaves (the
+            // earliest on a tie) writes them.
+            let fullest = (0..)
+                .zip(self.runs())
+                .max_by_key(|&(i, r)| (r.leaves, std::cmp::Reverse(i)))
+                .map_or(0, |(i, _)| i);
+            self.close(fullest)
+        } else {
+            Ok(())
+        }
     }
 
-    /// Write the full leaves of `stream`'s open run; the partial one stays
-    /// open. A main-stream close that writes resets the divert threshold,
-    /// and a band whose run empties leaves the list.
+    /// Cut `stream`'s open run and write its leaves; the entries the cut
+    /// leaves open may stay ([`IntervalBulkLoader::write_leaves`]). The run
+    /// then counts its leaves at the entries per leaf this close filled
+    /// (twice the last count, up to the cap, if it filled none). A
+    /// main-stream close resets the divert threshold.
     fn close(&mut self, stream: usize) -> Result<()> {
+        let (lanes, cap) = (self.shape.lanes, self.shape.cap());
         let mut run = std::mem::take(self.run_mut(stream));
-        let median = self.write_leaves(&mut run.entries, Some(run.leaves))?;
-        if let (0, Some(median)) = (stream, median) {
+        let written = self.write_leaves(&mut run.entries, Some(run.per_leaf))?;
+        if let (0, Some(median)) = (stream, written.median) {
             self.divert_above = DIVERT * median;
         }
-        if stream > 0 && run.entries.is_empty() {
-            self.bands.remove(stream - 1);
-        } else {
-            run.recount(&self.shape);
-            *self.run_mut(stream) = run;
-        }
+        run.per_leaf = match written.full_leaves {
+            0 => (2 * run.per_leaf).min(cap),
+            leaves => written.full_entries / leaves,
+        };
+        run.leaves = run.entries.len() / lanes / run.per_leaf;
+        run.longest = run.entries.chunks_exact(lanes).map(length).fold(0.0, f64::max);
+        *self.run_mut(stream) = run;
         Ok(())
     }
 
-    /// Write `entries` (records in `lo` order) as packed leaves, cut as
-    /// [`Cut::deal`] cuts them, then copied out in `lo` (= index) order, each
-    /// to its leaf, so every leaf holds its entries in `lo` order and its
-    /// base is its lowest. At most `limit` leaves are written, if one is
-    /// given: the entries of the rest stay in `entries`, in `lo` order, and
-    /// the written ones are cleared. Those are the newest ones, as an
-    /// unpacked run keeps them: when the cut fills more than `limit` leaves,
-    /// it is redone without as many of the newest entries as the leaves
-    /// past `limit` hold, and only what that cut puts past `limit` stays
-    /// besides them. Returns the written entries' median length (the upper
-    /// one; `None` for none), selected in the pair buffer once the dealing
-    /// is done with it.
-    fn write_leaves(
-        &mut self,
-        entries: &mut Vec<u64>,
-        limit: Option<usize>,
-    ) -> Result<Option<f64>> {
+    /// Cut `entries` (lanes, in `lo` order) into packed leaves in one pass
+    /// over their `hi` order — a sort of `(hi, index)` pairs, not of the
+    /// entries: a leaf takes the next entry while its rows, widened to that
+    /// entry, still fit. The leaf the pass leaves open is written too,
+    /// unless this is a close of a run counted at `per_leaf` entries a leaf
+    /// and that leaf holds fewer than half as many, or exactly the run's
+    /// newest entries: then its entries stay in `entries`, in `lo` order,
+    /// for the run's next close. So each entry is cut once, bar the few a
+    /// close leaves open. Each entry then goes to its leaf's page in `lo`
+    /// (= index) order, so every leaf holds its entries in `lo` order and
+    /// its base is its lowest, and each page is written once.
+    fn write_leaves(&mut self, entries: &mut Vec<u64>, per_leaf: Option<usize>) -> Result<Written> {
         let (shape, block, lanes) = (self.shape, self.file.block_size(), self.shape.lanes);
-        let limit = limit.unwrap_or(usize::MAX);
         let mut cut = std::mem::take(&mut self.cut);
-        cut.deal(&shape, entries);
-        let mut dealt = entries.len();
-        if cut.past(limit) > 0 {
-            dealt -= cut.past(limit) * lanes;
-            cut.deal(&shape, &entries[..dealt]);
+        let Cut { order, sorted, leaf_of, widths, max_hi, filled, pages, open } = &mut cut;
+        let entry = |i: u32| entry_at(entries, lanes, i);
+        let hi = |i: u32| f64::from_bits(entry(i)[1]);
+        order.clear();
+        order.extend(
+            entries
+                .chunks_exact(lanes)
+                .zip(0..)
+                .map(|(e, i)| (total_order_bits(f64::from_bits(e[1])), i)),
+        );
+        radix_sort(order, sorted);
+        leaf_of.clear();
+        leaf_of.resize(order.len(), 0);
+        widths.clear();
+        max_hi.clear();
+        let (mut start, mut full_entries) = (0, 0);
+        open.count = 0;
+        for (i, &(_, at)) in order.iter().enumerate() {
+            if !open.take(&shape, entry(at)) {
+                widths.extend(open.widths());
+                max_hi.push(hi(order[i - 1].1));
+                (start, full_entries) = (i, full_entries + open.count);
+                open.start(&shape, entry(at));
+            }
+            leaf_of[at as usize] = max_hi.len() as u32;
         }
-        let Cut { order, leaf_of, widths, max_hi, .. } = &mut cut;
-        let entry = |i: usize| &entries[i * lanes..][..lanes];
-        let leaves = max_hi.len().min(limit);
-        let mut pages = vec![0u8; leaves * block];
-        // Per leaf, its rows so far and its base, its first entry.
-        let mut filled = vec![(0usize, 0usize); leaves];
-        let mut touched: Vec<(usize, f64)> = Vec::with_capacity(leaves);
-        for (i, &leaf) in leaf_of.iter().enumerate() {
+        let full_leaves = max_hi.len();
+        // The open leaf holds the run's newest entries when no entry before
+        // it in `hi` order comes after one of them in push order.
+        let newest = || order[start..].iter().all(|&(_, i)| i as usize >= start);
+        let stays = |per_leaf| 2 * open.count < per_leaf || newest();
+        if start < order.len() && !per_leaf.is_some_and(stays) {
+            widths.extend(open.widths());
+            max_hi.push(hi(order[order.len() - 1].1));
+            start = order.len();
+        }
+        // Lengths are ≥ +0, so their raw bits order as the lengths do.
+        let written = &mut order[..start];
+        for pair in written.iter_mut() {
+            pair.0 = length(entry(pair.1)).to_bits();
+        }
+        let median = match written.len() {
+            0 => None,
+            n => Some(f64::from_bits(written.select_nth_unstable(n / 2).1 .0)),
+        };
+        let leaves = max_hi.len();
+        // Every byte of a page up to its last row is written below, and
+        // the rest zeroed after it: a page from an earlier close is reused
+        // as it is.
+        if pages.len() < leaves * block {
+            pages.resize(leaves * block, 0);
+        }
+        filled.clear();
+        filled.resize(leaves, (0, 0, 0));
+        for (i, (e, &leaf)) in (0..).zip(entries.chunks_exact(lanes).zip(leaf_of.iter())) {
             let leaf = leaf as usize;
-            if leaf >= limit {
+            if leaf == leaves {
                 continue;
             }
-            let e = entry(i);
             let (head, rows) = pages[leaf * block..][..block].split_at_mut(shape.hdr);
             let leaf_widths = &widths[leaf * lanes..][..lanes];
-            if filled[leaf].0 == 0 {
-                touched.push((leaf, f64::from_bits(e[0])));
+            let (count, row, base) = &mut filled[leaf];
+            if *count == 0 {
                 head[8..8 + lanes].copy_from_slice(leaf_widths);
                 shape.decode(e, &mut head[8 + lanes..]);
-                filled[leaf].1 = i;
+                *row = leaf_widths.iter().map(|&w| w as usize).sum();
+                *base = i;
             }
-            let row: usize = leaf_widths.iter().map(|&w| w as usize).sum();
-            let mut at = filled[leaf].0 * row;
-            for ((word, base), &w) in e.iter().zip(entry(filled[leaf].1)).zip(leaf_widths) {
+            let mut at = *count * *row;
+            for ((word, base), &w) in e.iter().zip(entry(*base)).zip(leaf_widths) {
                 // A lane's bytes past its width are 0: 8 written where 8 fit.
                 let bytes = (word ^ base).to_le_bytes();
                 match rows.get_mut(at..at + 8) {
@@ -725,36 +747,28 @@ impl IntervalBulkLoader {
                 }
                 at += w as usize;
             }
-            filled[leaf].0 += 1;
+            *count += 1;
         }
-        for &(leaf, min_lo) in &touched {
-            let buf = &mut pages[leaf * block..][..block];
-            put_u32(buf, 0, LEAF_MAGIC);
-            put_u32(buf, 4, filled[leaf].0 as u32);
-            let page = self.file.allocate(1)?;
-            self.file.write(page, buf)?;
-            self.fences.push((page, min_lo, max_hi[leaf]));
+        let first = self.file.allocate(leaves as u64)?;
+        for ((id, page), (&(count, row, base), &max_hi)) in
+            (first..).zip(pages.chunks_exact_mut(block)).zip(filled.iter().zip(max_hi.iter()))
+        {
+            put_u32(page, 0, LEAF_MAGIC);
+            put_u32(page, 4, count as u32);
+            page[shape.hdr + count * row..].fill(0);
+            self.file.write(id, page)?;
+            self.fences.push((id, f64::from_bits(entry(base)[0]), max_hi));
         }
-        // Lengths are ≥ +0, so their raw bits order as the lengths do.
-        order.retain(|&(_, i)| (leaf_of[i as usize] as usize) < limit);
-        for pair in order.iter_mut() {
-            pair.0 = length(entry(pair.1 as usize)).to_bits();
-        }
-        let median = match order.len() {
-            0 => None,
-            n => Some(f64::from_bits(order.select_nth_unstable(n / 2).1 .0)),
-        };
         let mut keep = 0;
         for (i, &leaf) in leaf_of.iter().enumerate() {
-            if leaf as usize >= limit {
+            if leaf as usize == leaves {
                 entries.copy_within(i * lanes..(i + 1) * lanes, keep * lanes);
                 keep += 1;
             }
         }
-        entries.copy_within(dealt.., keep * lanes);
-        entries.truncate(keep * lanes + entries.len() - dealt);
+        entries.truncate(keep * lanes);
         self.cut = cut;
-        Ok(median)
+        Ok(Written { full_entries, full_leaves, median })
     }
 
     /// Write one inner node over `children` and return its own fence.
@@ -777,33 +791,16 @@ impl IntervalBulkLoader {
         Ok((page, min_lo, max_hi))
     }
 
-    /// Close the open runs — each band's full leaves, then the main run
-    /// with every band's partial rest merged in by `lo`, so the tree's one
-    /// partial leaf is the last written — stack the inner levels bottom-up
-    /// over the leaves in `min_lo` order, persist the metadata page, and
-    /// return the finished tree.
+    /// Write every open run whole — each band's, then the main one's, so
+    /// the last leaf written is the main stream's partial one — stack the
+    /// inner levels bottom-up over the leaves in `min_lo` order, persist
+    /// the metadata page, and return the finished tree.
     pub fn finish(mut self) -> Result<IntervalTree> {
-        let lanes = self.shape.lanes;
-        let mut last = std::mem::take(&mut self.main.entries);
-        let main_len = last.len();
         for (_, mut run) in std::mem::take(&mut self.bands) {
-            self.write_leaves(&mut run.entries, Some(run.leaves))?;
-            last.extend_from_slice(&run.entries);
+            self.write_leaves(&mut run.entries, None)?;
         }
-        if last.len() > main_len {
-            let mut order: Vec<(u64, u32)> = last
-                .chunks_exact(lanes)
-                .zip(0..)
-                .map(|(e, i)| (total_order_bits(f64::from_bits(e[0])), i))
-                .collect();
-            order.sort_unstable();
-            last = order
-                .iter()
-                .flat_map(|&(_, i)| &last[i as usize * lanes..][..lanes])
-                .copied()
-                .collect();
-        }
-        self.write_leaves(&mut last, None)?;
+        let mut main = std::mem::take(&mut self.main.entries);
+        self.write_leaves(&mut main, None)?;
         let per_inner = (self.file.block_size() - INNER_HDR) / FENCE_LEN;
         // Ties keep write order, so a single stream's fences (written in
         // `min_lo` order) stay as they are.
@@ -1019,7 +1016,20 @@ impl IntervalTree {
 mod tests {
     use super::*;
     use chronorank_storage::{Env, StoreConfig};
+    use std::cell::Cell;
     use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Calls of [`OpenLeaf::take`] on this thread: one per entry a cut
+        /// puts into a leaf, plus one per entry cut again.
+        static TAKES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    impl OpenLeaf {
+        pub(super) fn counted() {
+            TAKES.set(TAKES.get() + 1);
+        }
+    }
 
     fn env() -> Env {
         Env::mem(StoreConfig { block_size: 256, pool_capacity: 64 })
@@ -1068,7 +1078,7 @@ mod tests {
     }
 
     #[test]
-    fn every_stream_shape_loads_one_partial_leaf_in_min_lo_order() {
+    fn every_stream_shape_loads_one_short_leaf_per_stream_in_min_lo_order() {
         // A leaf here holds 11 full-width rows and at most 22 packed ones.
         // Around one block and over many runs; the shapes that hold a run
         // open (to the cap when every `lo` is
@@ -1146,13 +1156,14 @@ mod tests {
             }
             let tree = loader.finish().unwrap();
             // A leaf is cut when its next entry does not fit, and no row is
-            // wider than an entry, so only the last leaf of a close's cut
-            // can hold fewer than the full-width count; on these inputs
-            // only the tree's last one does.
+            // wider than an entry, so a leaf a failed take closed holds at
+            // least the full-width count, and a close writes the leaf its
+            // cut leaves open only at half its stream's count or more: only
+            // each stream's last leaf, written by `finish`, may hold less.
             let (levels, leaves) = inner_levels(&tree);
             assert_eq!(leaves.iter().sum::<usize>(), entries.len(), "{name}: entries");
-            let short = leaves.iter().filter(|&&count| count < full_rows).count();
-            assert!(short <= 1, "{name}: {short} short leaves");
+            let small = leaves.iter().filter(|&&count| 2 * count < full_rows).count();
+            assert!(small <= 1 + diverted.len(), "{name}: {small} leaves under half full");
             assert!(leaves.len() <= entries.len().div_ceil(full_rows), "{name}: leaves");
             for fences in &levels {
                 assert!(fences.is_sorted(), "{name}: an inner level leaves min_lo order");
@@ -1164,6 +1175,52 @@ mod tests {
                 assert_eq!(stab_tags(&tree, probe), brute_tags(entries, probe), "{name} t={probe}");
             }
         }
+    }
+
+    /// Cuts per entry loaded: the calls of [`OpenLeaf::take`] a load of
+    /// EXACT3's entries over the paper's generators makes, per entry. A
+    /// close cuts each of its run's entries once and leaves at most one
+    /// leaf's entries to its run's next close (2.29 on Temp and 2.12 on
+    /// Meme while a push cut each entry in `lo` order to count its run's
+    /// leaves, a close dealt them again by `hi`, re-dealt what it could not
+    /// write and a run re-cut what a close left).
+    #[test]
+    fn a_load_cuts_each_entry_about_once() {
+        use chronorank_workloads::{
+            DatasetGenerator, MemeConfig, MemeGenerator, TempConfig, TempGenerator,
+        };
+        // EXACT3's entries, `(t0, t1, v0 | v1 | prefix | object)`, in `lo`
+        // order with ties in object order, through one loader.
+        fn cuts(generator: impl DatasetGenerator) -> f64 {
+            let mut entries: Vec<(f64, f64, [u8; 28])> = Vec::new();
+            for o in generator.generate_set().objects() {
+                let mut prefix = 0.0f64;
+                for s in o.curve.segments() {
+                    prefix += s.integral_full();
+                    let mut payload = [0u8; 28];
+                    for (at, v) in [(0, s.v0), (8, s.v1), (16, prefix)] {
+                        payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                    }
+                    payload[24..].copy_from_slice(&o.id.to_le_bytes());
+                    entries.push((s.t0, s.t1, payload));
+                }
+            }
+            entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let e = Env::mem(StoreConfig { block_size: 4096, pool_capacity: 64 });
+            let mut loader = IntervalBulkLoader::new(e.create_file("cuts").unwrap(), 28).unwrap();
+            TAKES.set(0);
+            for (lo, hi, payload) in &entries {
+                loader.push(*lo, *hi, payload).unwrap();
+            }
+            loader.finish().unwrap();
+            TAKES.get() as f64 / entries.len() as f64
+        }
+        let temp = TempConfig { objects: 2000, avg_segments: 100, ..Default::default() };
+        let temp = cuts(TempGenerator::new(temp));
+        let meme = MemeConfig { objects: 4000, ..Default::default() };
+        let meme = cuts(MemeGenerator::new(meme));
+        println!("pinned: cuts per entry loaded, Temp shard / Meme: {temp:.2} / {meme:.2}");
+        assert!(temp <= 1.1 && meme <= 1.1, "a load cut each entry {temp:.2} / {meme:.2} times");
     }
 
     /// A flushed 100-entry tree over `[i, i + 3]`: its file and root page.

@@ -35,8 +35,8 @@
 //!    with an exact fallback whenever the budget is unsatisfiable (`ε`
 //!    below the achieved breakpoint `ε`, `k > kmax`, or no built method
 //!    gives the ranks asked for). A default [`MethodSet`] builds EXACT3
-//!    and APPX2 only: APPX2+ pays for its prefix file only on dense shards
-//!    or above about 30 k objects per shard, so a tight-ranks query gets
+//!    and APPX2 only: APPX2+ pays for its prefix file only on Meme-shaped
+//!    sets above about 30 k objects per shard, so a tight-ranks query gets
 //!    EXACT3's exact answer unless the caller opts in to APPX1 or APPX2+;
 //! 3. **caches** every answer in a shard-local [`ResultCache`] on its
 //!    [`ProbeKey`]: the *snapped* breakpoint pair `(B(t1), B(t2), k)` on

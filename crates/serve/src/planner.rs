@@ -109,10 +109,10 @@ impl Route {
 ///
 /// The default builds APPX2 and leaves APPX2+ out. APPX2+'s packed prefix
 /// file is a third of a default shard's index bytes, and it pays only for
-/// tight-ranks traffic on dense shards (every object alive at every `t`)
-/// or above about 30 k objects per shard: below that, EXACT3 answers a
-/// tight-ranks query exactly in fewer cold reads (on Meme at 1.5 k
-/// objects, 14.5 against 67.3). A caller with such traffic sets
+/// tight-ranks traffic on Meme-shaped sets above about 30 k objects per
+/// shard: below that, EXACT3 answers a tight-ranks query exactly in fewer
+/// cold reads (on Meme at 1.5 k objects, 12.8 against 67.0; on a dense
+/// shard, every object alive at every `t`, 52.95 against 54.05). A caller with such traffic sets
 /// `appx2_plus: true`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodSet {
