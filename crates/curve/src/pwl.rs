@@ -416,8 +416,10 @@ mod tests {
     }
 
     #[test]
-    fn vertex_extrema() {
+    fn max_segment_duration_and_extrema() {
         let c = curve();
+        // The longest segment, as `scan_stats` folds it over `segments()`.
+        assert_eq!(c.segments().map(|s| s.duration()).fold(0.0, f64::max), 3.0);
         assert_eq!(c.min_value(), 0.0);
         assert_eq!(c.max_value(), 4.0);
     }
