@@ -46,7 +46,7 @@
 #                     crates/net/tests/thread_counts.rs pins (wire-server
 #                     threads with 3 connections, 4 = the acceptor + one
 #                     per connection, and after shutdown, 0) and the two
-#                     tests/stab_reads.rs pins (blocks 100 cold Meme stabs
+#                     tests/stab_reads.rs pins (blocks 2,000 cold Meme stabs
 #                     read, at most a third of lo-order packing, and the
 #                     row bytes EXACT3's packed leaves spend per entry on
 #                     a Temp shard and on Meme), the one tests/leaf_flips.rs
@@ -144,14 +144,21 @@ print_timings() {
     fi
 }
 
-# Non-test Rust lines per crate: every src/**/*.rs up to its first
-# `#[cfg(test)]`. The number a CHANGES entry quotes as "net lines
-# deleted": with a revision, each crate prints as `<rev> → now`.
-NON_TEST_LINES='/^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 } !cut { n++ } END { print n + 0 }'
+# A file's test part starts at its first `#[cfg(test)]` line that a `mod`
+# line follows; a `#[cfg(test)]` on a statement or any other item is a
+# line like the rest (`attrs` counts them). Shared by the three scans below.
+TEST_PART='!cut && pend { pend = 0; if ($0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod /) cut = 1; else attrs++ }
+!cut && /^[[:space:]]*#\[cfg\(test\)\]/ { pend = 1; next }'
+# Non-test Rust lines per crate: every src/**/*.rs up to its test part. The
+# number a CHANGES entry quotes as "net lines deleted": with a revision,
+# each crate prints as `<rev> → now`.
+NON_TEST_LINES="$TEST_PART"'
+!cut { n++ }
+END { print n + attrs + pend }'
 # Public items per crate, over the same lines: each `pub fn|struct|enum|
 # trait|type|const|static|mod|use` declaration (`pub(crate)` and struct
 # fields are not items). The count a dead-`pub` sweep quotes.
-PUB_ITEMS='/^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
+PUB_ITEMS="$TEST_PART"'
 !cut && /^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod|use) / { n++ }
 END { print n + 0 }'
 
@@ -392,14 +399,14 @@ tier1_stage() {
         -- --nocapture 2> /dev/null | grep -o 'pinned:.*' || true)
     # Tests wait on events, not time: none may sleep, yield or wait out a
     # socket timeout — in tests/, crates/*/tests, or the unit tests of
-    # crates/*/src (each file from its first `#[cfg(test)]` on: the lines
-    # NON_TEST_LINES leaves out).
+    # crates/*/src (each file's test part: the lines NON_TEST_LINES leaves
+    # out).
     local waits re='thread::(sleep|yield_now)|set_(read|write)_timeout'
     waits=$(
         grep -rnE "$re" tests crates/*/tests || true
         find crates/*/src -name '*.rs' -print0 | xargs -0 awk -v re="$re" '
-            FNR == 1 { cut = 0 }
-            /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
+            FNR == 1 { cut = 0; pend = 0 }
+            '"$TEST_PART"'
             cut && $0 ~ re { print FILENAME ":" FNR ":" $0 }'
     )
     PINNED_COUNTS+="${PINNED_COUNTS:+$'\n'}pinned: sleeps, yields and socket timeouts in tests: $(grep -c . <<< "$waits" || true)"

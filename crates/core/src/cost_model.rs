@@ -67,8 +67,9 @@ mod entry {
     pub const EXACT1: u64 = 8 + 28;
     /// EXACT3 interval entry: lo + hi + payload(v0, v1, prefix, obj) — the
     /// widest row a packed leaf stores, so the planner's worst-case price.
-    /// Packed rows average ≈ 35.5 bytes on Temp and ≈ 38 on Meme; routing
-    /// prices the full width, and the gap is a residual for the planner's
+    /// Packed rows average ≈ 32 bytes on Temp and ≈ 33.5 on Meme (31.9 /
+    /// 33.5 measured, `tests/stab_reads.rs`); routing prices the full
+    /// width, and the gap is a residual for the planner's
     /// predicted-vs-actual reads (ROADMAP item 7), not a constant to tune.
     pub const EXACT3: u64 = 16 + 28;
     /// QUERY1/2 list entry: id + score; a breakpoint directory leaf entry

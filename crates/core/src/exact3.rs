@@ -23,12 +23,14 @@
 //! and on Meme ≈ 0.3× of what pure `lo` order reads (≈ 0.4× with one
 //! stream of runs), because long tails no longer widen every run (see
 //! `chronorank_index`'s interval module, "the output term"). `B` itself is
-//! a layout property too: a leaf stores each field as its XOR against the
-//! leaf's first entry in as few bytes as the leaf needs, so the 44-byte
-//! entry takes ≈ 35.5 bytes on Temp and ≈ 38 on Meme, bit for bit, and a
-//! Temp shard's stab reads 26.5 blocks where whole records read 31
-//! ("packed leaves" there). The payload orders its fields `v0 | v1 |
-//! prefix | obj` so that each is one 8-byte lane of a row.
+//! a layout property too: a leaf stores each field as its offset from the
+//! leaf's minimum of that field, in as few bits as the leaf needs, so the
+//! 44-byte entry takes ≈ 31.9 bytes on Temp and ≈ 33.5 on Meme, bit for
+//! bit (35.5 and 38.0 with XOR-coded bytes), and a Temp shard's stab reads
+//! 24.9 blocks where XOR-coded rows read 26.8 and whole records 31
+//! ("packed leaves" there).
+//! The payload orders its fields `v0 | v1 | prefix | obj` so that each is
+//! one 8-byte lane of a row.
 //!
 //! Objects whose domain does not cover a stab time contribute `0` (before
 //! their start) or their total mass (after their end); per-object
@@ -51,8 +53,8 @@ use std::borrow::Borrow;
 
 /// Entry payload: `v0 f64 | v1 f64 | prefix f64 | obj u32` (the interval
 /// key holds `t0` / `t1`): each field is one lane of a packed leaf row,
-/// so a lane's XOR against the leaf's base keeps only the bytes its field
-/// varies in.
+/// so a lane's offset from the leaf's minimum keeps only the bits its
+/// field spans.
 const PAYLOAD_LEN: usize = 4 + 8 + 8 + 8;
 
 /// External-sort record for the bulk build: `lo f64 | hi f64 | payload`.

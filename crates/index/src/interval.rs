@@ -25,25 +25,29 @@
 //!   `hi ≥ t`. The boundary path costs `O(log_B N)`.
 //!
 //! **Packed leaves.** `B`, the entries a leaf holds, sets the `m/B` term,
-//! so a leaf stores each entry in as few bytes as its neighbours allow
-//! (frame-of-reference packing, Goldstein et al., ICDE 1998, on XOR-coded
-//! floats, Pelkonen et al., VLDB 2015). An entry is cut into **lanes**: its
-//! 8-byte words `lo`, `hi` and the payload's, the last one shorter when the
-//! payload is not a multiple of 8. A leaf's header is its magic, its count,
-//! one width in bytes per lane and its **base** — its first entry, whole.
-//! Each entry is a **row**: per lane, the low `width` bytes of the lane
-//! XOR the base's, little-endian, where `width` is the most significant
-//! bytes any of the leaf's entries needs. Decoding is a zero-extended load
-//! XOR the base, so every bit comes back — `−0.0`, NaN payloads and
-//! subnormals included. A stab decodes `lo` for each row it scans and `hi`
-//! and the payload only for hits. A leaf is cut by bytes, not by count: in
-//! `hi` order it takes the next entry while its rows, widened to that
-//! entry, still fit — and at most twice what whole records would fit, so
-//! all-equal entries, whose rows take 0 bytes, fill bounded leaves. A
-//! header whose count passes that cap, whose lane is wider than the lane,
-//! or whose rows overrun the block is refused as [`IndexError::Corrupt`]
-//! before any row is read. EXACT3's 44-byte entries pack to ≈ 35.5 bytes
-//! on Temp and ≈ 38 on Meme.
+//! so a leaf stores each entry in as few bits as its neighbours allow
+//! (frame-of-reference packing at bit granularity, Goldstein et al.,
+//! ICDE 1998). An entry is cut into **lanes**: its 8-byte words `lo`, `hi`
+//! and the payload's, the last one shorter when the payload is not a
+//! multiple of 8. A leaf's header is its magic, its count, one width in
+//! bits per lane and the lanes' **minima** over the leaf, laid out as an
+//! entry's bytes. Each entry is a **row**: per lane, the lane's word less
+//! the lane's minimum in exactly `bits(max − min)` bits; rows sit back to
+//! back in one little-endian bitstream after the header. Decoding a lane
+//! is one unaligned 16-byte window, shifted and masked, plus the minimum,
+//! so every bit comes back — `−0.0`, NaN payloads and subnormals included.
+//! A stab decodes `lo` for each row it scans and `hi` and the payload only
+//! for hits. A leaf is cut by bits, not by count: in `hi` order it takes
+//! the next entry while `count × row bits ≤ 8 × body bytes` with its lanes
+//! widened to that entry — and at most twice what whole records would fit,
+//! so all-equal entries, whose rows take 0 bits, fill bounded leaves. A
+//! header whose count passes that cap, whose lane is wider than 8 × its
+//! bytes bits, or whose rows overrun the body is refused as
+//! [`IndexError::Corrupt`] before any row is read. EXACT3's 44-byte
+//! entries pack to ≈ 31.9 bytes on Temp and ≈ 33.5 on Meme (35.5 and 38.0
+//! while each lane was its XOR against the leaf's first entry in whole
+//! bytes: a value that straddles a power of two keeps a near-full XOR but
+//! only a short offset).
 //!
 //! **The output term.** A run left of `t` is read only in the leaves whose
 //! `max_hi` reaches `t` — the top of its `hi` order, `⌈its hits/B⌉` leaves
@@ -60,7 +64,7 @@
 //! leaf its next entry does not fit, and each page once. The leaf the cut
 //! leaves open is written too unless it holds under half a leaf, or exactly
 //! the run's newest entries: then those entries stay in the run for its
-//! next close, the only entries cut twice (1.01 cuts an entry on Temp, 1.05
+//! next close, the only entries cut twice (1.00 cuts an entry on Temp, 1.06
 //! on Meme; a `lo`-order count at push and a re-deal of what a close could
 //! not write made 2.29 / 2.12).
 //!
@@ -82,13 +86,15 @@
 //! needs. Data of one length scale (Temp, Stock, random walks) never
 //! divert and write the bytes a single stream writes.
 //!
-//! Measured in cold blocks per stab against `⌈hits/B⌉`: 26.5 vs 17.5 on a
-//! Temp shard of m = 2000 (31 vs 21.7 with 44-byte records); on Meme
-//! (m = 4000, 100 probes, `tests/stab_reads.rs`) 970 blocks, where
-//! 44-byte records read 1,012, one stream of runs 1,377 and `lo`-order
-//! packed leaves 3,159; EXACT3 on the benchmark's `paper_build` (Meme,
-//! m = 29 850, two stabs a query) 59.2 blocks a query at seed 7 (64.4
-//! with 44-byte records, ≈ 99 with one stream).
+//! Measured in cold blocks per stab against `⌈hits/B⌉`: 24.9 vs 15.7 on a
+//! Temp shard of m = 2000 (26.8 vs 17.7 with XOR-coded rows, 31 vs 21.7
+//! with 44-byte records); on Meme (m = 4000, 2,000 probes,
+//! `tests/stab_reads.rs`) 18,582 blocks, where XOR-coded rows read 19,324
+//! and `lo`-order packed leaves 59,283 (at 100 probes 44-byte records read
+//! 1,012 and one stream of runs 1,377); EXACT3 on the benchmark's
+//! `paper_build` (Meme, m = 29 850, two stabs a query) 53.8 blocks a query
+//! at seed 7 (57.6 with XOR-coded rows, 64.4 with 44-byte records, ≈ 99
+//! with one stream).
 //!
 //! Nothing here recurses: the build and the stab are loops over explicit
 //! stacks and the open runs share a cap of `RUN_CAP_LEAVES`, so
@@ -111,7 +117,7 @@ use chronorank_storage::{PageId, PagedFile};
 use std::ops::Range;
 
 const META_MAGIC: u32 = 0x17EE_0003;
-const LEAF_MAGIC: u32 = 0x17EE_00AC;
+const LEAF_MAGIC: u32 = 0x17EE_00AD;
 const INNER_MAGIC: u32 = 0x17EE_00BB;
 
 /// Inner node header: magic, child count.
@@ -139,10 +145,15 @@ struct Shape {
     /// Lanes an entry is cut into: its 8-byte words, the last one shorter
     /// when the payload is not a multiple of 8.
     lanes: usize,
-    /// Leaf header bytes: magic, count, one width per lane, the base entry.
+    /// Leaf header bytes: magic, count, one width in bits per lane, the
+    /// lanes' minima.
     hdr: usize,
     /// Row bytes a leaf holds after its header.
     body: usize,
+    /// The most entries one leaf may hold: twice what full-width rows fit,
+    /// so all-equal entries, whose rows pack to 0 bits, still fill
+    /// bounded leaves.
+    cap: usize,
 }
 
 impl Shape {
@@ -151,22 +162,16 @@ impl Shape {
         let elen = 16 + payload_len;
         let lanes = elen.div_ceil(8);
         let hdr = 8 + lanes + elen;
-        (hdr + elen <= block).then(|| Self { elen, lanes, hdr, body: block - hdr })
+        (hdr + elen <= block).then(|| {
+            let body = block - hdr;
+            Self { elen, lanes, hdr, body, cap: 2 * (body / elen) }
+        })
     }
 
-    /// The most entries one leaf may hold: twice what full-width rows fit,
-    /// so all-equal entries, whose rows pack to 0 bytes, still fill
-    /// bounded leaves.
-    fn cap(&self) -> usize {
-        2 * (self.body / self.elen)
-    }
-
-    /// The most rows of `row` bytes one leaf holds.
-    fn room(&self, row: usize) -> usize {
-        match row {
-            0 => self.cap(),
-            row => self.cap().min(self.body / row),
-        }
+    /// Whether one leaf holds `count` rows of `row` bits.
+    #[inline]
+    fn fits(&self, count: usize, row: usize) -> bool {
+        count <= self.cap && count * row <= 8 * self.body
     }
 
     /// Lane `j`'s bytes within an entry.
@@ -204,53 +209,52 @@ fn word(lane: &[u8]) -> u64 {
     }
 }
 
-/// Bytes needed for the set bits of `diff`, a lane's XOR against its base.
-fn width(diff: u64) -> usize {
-    (71 - diff.leading_zeros() as usize) / 8
+/// Bits needed for `offset`, a lane's word less its leaf's minimum.
+#[inline]
+fn bits(offset: u64) -> usize {
+    64 - offset.leading_zeros() as usize
 }
 
-/// The low `width` bytes' bits.
-fn mask(width: usize) -> u64 {
-    if width == 8 {
-        u64::MAX
-    } else {
-        (1 << (8 * width)) - 1
-    }
+/// The low `bits` bits set.
+#[inline]
+fn mask(bits: usize) -> u64 {
+    u64::MAX.checked_shr(64 - bits as u32).unwrap_or(0)
 }
 
-/// One lane of a packed leaf: where it sits in a row, its width, and its
-/// base value.
+/// One lane of a packed leaf: where it sits in a row, in bits, its width
+/// and its minimum.
 #[derive(Clone, Copy)]
 struct Lane {
     at: usize,
-    width: usize,
+    bits: usize,
     mask: u64,
-    base: u64,
+    min: u64,
 }
 
 impl Lane {
-    fn new(at: usize, width: usize, base: u64) -> Self {
-        Self { at, width, mask: mask(width), base }
+    fn new(at: usize, bits: usize, min: u64) -> Self {
+        Self { at, bits, mask: mask(bits), min }
     }
 
-    /// The lane in the row at `row`: its low `width` bytes, zero-extended,
-    /// XOR the base.
+    /// The lane of the row at bit `row` of `rows`: one unaligned 16-byte
+    /// window, shifted and masked to the lane's bits, plus its minimum.
     #[inline]
-    fn get(&self, buf: &[u8], row: usize) -> u64 {
+    fn get(&self, rows: &[u8], row: usize) -> u64 {
         let at = row + self.at;
-        let bits = match buf.get(at..at + 8) {
-            Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")) & self.mask,
+        let byte = at / 8;
+        let window = match rows.get(byte..byte + 16) {
+            Some(window) => u128::from_le_bytes(window.try_into().expect("16 bytes")),
             None => {
-                let mut word = [0u8; 8];
-                word[..self.width].copy_from_slice(&buf[at..at + self.width]);
-                u64::from_le_bytes(word)
+                let (mut window, tail) = ([0u8; 16], rows.get(byte..).unwrap_or_default());
+                window[..tail.len()].copy_from_slice(tail);
+                u128::from_le_bytes(window)
             }
         };
-        self.base ^ bits
+        self.min.wrapping_add((window >> (at % 8)) as u64 & self.mask)
     }
 }
 
-/// A packed leaf's header, checked: its count, its row bytes and its key
+/// A packed leaf's header, checked: its count, its row bits and its key
 /// lanes, `lo` and `hi`.
 struct Rows {
     count: usize,
@@ -259,104 +263,138 @@ struct Rows {
 }
 
 impl Rows {
-    /// Read a leaf's header. A count above [`Shape::cap`], a lane width
-    /// wider than its lane, or rows that overrun the block are refused as
+    /// Read a leaf's header. A count above [`Shape::cap`], a lane wider
+    /// than its lane's bits, or rows that overrun the block are refused as
     /// [`IndexError::Corrupt`], so every later read of a row is in bounds.
     fn parse(buf: &[u8], shape: &Shape) -> Result<Self> {
         let count = get_u32(buf, 4) as usize;
-        if count > shape.cap() {
-            return Err(IndexError::Corrupt(format!(
-                "leaf holds {count} > {} entries",
-                shape.cap()
-            )));
+        if count > shape.cap {
+            return Err(IndexError::Corrupt(format!("leaf holds {count} > {} entries", shape.cap)));
         }
-        let base = &buf[8 + shape.lanes..shape.hdr];
+        let minima = &buf[8 + shape.lanes..shape.hdr];
         let (mut keys, mut row) = ([Lane::new(0, 0, 0); 2], 0);
         for j in 0..shape.lanes {
-            let (width, len) = (buf[8 + j] as usize, shape.lane(j).len());
+            let (width, len) = (buf[8 + j] as usize, 8 * shape.lane(j).len());
             if width > len {
-                return Err(IndexError::Corrupt(format!("lane {j} is {width} > {len} bytes wide")));
+                return Err(IndexError::Corrupt(format!("lane {j} is {width} > {len} bits wide")));
             }
             if j < 2 {
-                keys[j] = Lane::new(row, width, shape.word(base, j));
+                keys[j] = Lane::new(row, width, shape.word(minima, j));
             }
             row += width;
         }
-        if count * row > shape.body {
+        if count * row > 8 * shape.body {
             return Err(IndexError::Corrupt(format!(
-                "{count} rows of {row} bytes overrun a {}-byte leaf body",
+                "{count} rows of {row} bits overrun a {}-byte leaf body",
                 shape.body
             )));
         }
         Ok(Self { count, row, keys })
     }
 
-    /// Key `j` (0 = `lo`, 1 = `hi`) of row `i`.
+    /// Key `j` (0 = `lo`, 1 = `hi`) of row `i` of the leaf body `rows`.
     #[inline]
-    fn key(&self, buf: &[u8], shape: &Shape, i: usize, j: usize) -> f64 {
-        f64::from_bits(self.keys[j].get(buf, shape.hdr + i * self.row))
+    fn key(&self, rows: &[u8], i: usize, j: usize) -> f64 {
+        f64::from_bits(self.keys[j].get(rows, i * self.row))
     }
 
     /// Row `i`'s payload, decoded into `out`.
     fn payload(&self, buf: &[u8], shape: &Shape, i: usize, out: &mut [u8]) {
-        let base = &buf[8 + shape.lanes..shape.hdr];
-        let mut at = shape.hdr + i * self.row + self.keys[0].width + self.keys[1].width;
+        let (minima, rows) = (&buf[8 + shape.lanes..shape.hdr], &buf[shape.hdr..]);
+        let mut at = i * self.row + self.keys[0].bits + self.keys[1].bits;
         for (j, word) in (2..).zip(out.chunks_mut(8)) {
-            let lane = Lane::new(0, buf[8 + j] as usize, shape.word(base, j));
-            word.copy_from_slice(&lane.get(buf, at).to_le_bytes()[..word.len()]);
-            at += lane.width;
+            let lane = Lane::new(0, buf[8 + j] as usize, shape.word(minima, j));
+            word.copy_from_slice(&lane.get(rows, at).to_le_bytes()[..word.len()]);
+            at += lane.bits;
         }
     }
 }
 
-/// The leaf a cut is filling: its entry count, its first entry's lanes
-/// and, per lane, the low bits its width covers, which every entry's XOR
-/// against that first entry fits. A lane's widest XOR against any one of a
-/// leaf's entries is its widest against every other, so these widths are
-/// what the leaf's base — whichever entry it is — needs.
-#[derive(Default)]
-struct OpenLeaf {
-    count: usize,
-    first: Vec<u64>,
-    cover: Vec<u64>,
-    /// Entries the leaf holds at its widths.
-    room: usize,
+/// A leaf's rows, written bit by bit from its first, little-endian,
+/// through a 64-bit accumulator.
+struct RowWriter<'a> {
+    out: &'a mut [u8],
+    /// Bytes written.
+    at: usize,
+    /// Bits not yet written, the low `len` of `acc`.
+    acc: u64,
+    len: u32,
 }
 
-impl OpenLeaf {
+impl<'a> RowWriter<'a> {
+    fn new(out: &'a mut [u8]) -> Self {
+        Self { out, at: 0, acc: 0, len: 0 }
+    }
+
+    /// Append the low `bits` bits of `value`, which has no others.
+    #[inline]
+    fn put(&mut self, value: u64, bits: usize) {
+        self.acc |= value << self.len;
+        let len = self.len + bits as u32;
+        if len < 64 {
+            self.len = len;
+            return;
+        }
+        self.out[self.at..self.at + 8].copy_from_slice(&self.acc.to_le_bytes());
+        self.at += 8;
+        self.acc = value.checked_shr(64 - self.len).unwrap_or(0);
+        self.len = len - 64;
+    }
+
+    /// Write the bits left over; the bytes the rows take.
+    fn finish(self) -> usize {
+        let tail = self.len.div_ceil(8) as usize;
+        self.out[self.at..self.at + tail].copy_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.at + tail
+    }
+}
+
+/// The leaf a cut is filling: its entry count and, per lane, its least
+/// and greatest word. It borrows its lanes from a cut's buffer, so a cut
+/// holds their slices in locals.
+struct OpenLeaf<'a> {
+    count: usize,
+    /// Per lane, `[least, greatest]` word.
+    span: &'a mut [[u64; 2]],
+    /// `span` widened to the entry a take tries, kept if the entry fits.
+    next: &'a mut [[u64; 2]],
+}
+
+impl<'a> OpenLeaf<'a> {
+    /// An empty leaf of `lanes` lanes over `spans`.
+    fn new(lanes: usize, spans: &'a mut Vec<[u64; 2]>) -> Self {
+        spans.resize(2 * lanes, [0; 2]);
+        let (span, next) = spans.split_at_mut(lanes);
+        Self { count: 0, span, next }
+    }
+
     /// Open the leaf afresh with `entry` alone.
-    fn start(&mut self, shape: &Shape, entry: &[u64]) {
-        self.first.clear();
-        self.first.extend_from_slice(entry);
-        self.cover.clear();
-        self.cover.resize(shape.lanes, 0);
-        (self.count, self.room) = (1, shape.room(0));
+    fn start(&mut self, entry: &[u64]) {
+        for (span, &word) in self.span.iter_mut().zip(entry) {
+            *span = [word; 2];
+        }
+        self.count = 1;
     }
 
     /// Take `entry` if the leaf's rows, widened to it, still fit; an empty
-    /// leaf takes any entry.
+    /// leaf takes any entry. Every take sums the row's bits afresh: no
+    /// branch but the fit's.
     #[inline]
     fn take(&mut self, shape: &Shape, entry: &[u64]) -> bool {
         Self::counted();
         if self.count == 0 {
-            self.start(shape, entry);
+            self.start(entry);
             return true;
         }
-        let lanes = || entry.iter().zip(&self.first).map(|(word, first)| word ^ first);
-        if lanes().zip(&self.cover).any(|(xor, cover)| xor & !cover != 0) {
-            let row = lanes().zip(&self.cover).map(|(xor, cover)| width(xor | cover)).sum();
-            if self.count + 1 > shape.room(row) {
-                return false;
-            }
-            for (xor, cover) in
-                entry.iter().zip(&self.first).map(|(w, f)| w ^ f).zip(&mut self.cover)
-            {
-                *cover = mask(width(xor | *cover));
-            }
-            self.room = shape.room(row);
-        } else if self.count + 1 > self.room {
+        let mut row = 0;
+        for ((next, &[min, max]), &word) in self.next.iter_mut().zip(self.span.iter()).zip(entry) {
+            *next = [min.min(word), max.max(word)];
+            row += bits(next[1] - next[0]);
+        }
+        if !shape.fits(self.count + 1, row) {
             return false;
         }
+        std::mem::swap(&mut self.span, &mut self.next);
         self.count += 1;
         true
     }
@@ -367,9 +405,14 @@ impl OpenLeaf {
     #[inline(always)]
     fn counted() {}
 
-    /// Its lanes' widths, in bytes.
+    /// Its lanes' widths, in bits.
     fn widths(&self) -> impl Iterator<Item = u8> + '_ {
-        self.cover.iter().map(|&c| width(c) as u8)
+        self.span.iter().map(|&[min, max]| bits(max - min) as u8)
+    }
+
+    /// Its lanes' minima.
+    fn minima(&self) -> impl Iterator<Item = u64> + '_ {
+        self.span.iter().map(|&[min, _]| min)
     }
 }
 
@@ -428,16 +471,20 @@ struct Cut {
     sorted: Vec<(u64, u32)>,
     /// Per entry, its leaf.
     leaf_of: Vec<u32>,
-    /// Per leaf in `hi` order, its lane widths.
+    /// Per leaf in `hi` order, its lane widths in bits.
     widths: Vec<u8>,
+    /// Per leaf, its lanes' minima.
+    minima: Vec<u64>,
     /// Per leaf, its largest `hi`.
     max_hi: Vec<f64>,
-    /// Per written leaf, its rows so far, its row bytes and its base's index.
-    filled: Vec<(usize, usize, u32)>,
-    /// The written leaves' pages.
-    pages: Vec<u8>,
-    /// The leaf being filled.
-    open: OpenLeaf,
+    /// Per leaf, where its entries end in `grouped`.
+    ends: Vec<usize>,
+    /// Entry indices grouped by leaf, each group in index (= `lo`) order.
+    grouped: Vec<u32>,
+    /// The page of the leaf being written.
+    page: Vec<u8>,
+    /// The open leaf's lanes: its spans, and the spans a take tries.
+    spans: Vec<[u64; 2]>,
 }
 
 /// Disk-based bottom-up interval tree (see module docs).
@@ -503,11 +550,12 @@ impl Run {
 /// Memory held during the build: the open runs buffer about 256 whole
 /// leaves of entries between them plus one partial leaf per stream —
 /// the cap counts every stream's leaves together, so a many-band input
-/// cannot multiply it. A close's buffers — 36 bytes per entry of its run
-/// for the `hi` order, its sort and each entry's leaf, and the pages of the
-/// leaves it writes — are kept across closes, so they grow to the largest
-/// close and is not allocated again. Beside the runs, one 24-byte fence per
-/// leaf (`O(N/B)`), shrinking by the inner fanout per level.
+/// cannot multiply it. A close's buffers — 40 bytes per entry of its run
+/// for the `hi` order, its sort, each entry's leaf and the entries grouped
+/// by leaf, a few bytes per leaf it cuts, and one page — are kept across
+/// closes, so they grow to the largest close and are not allocated again.
+/// Beside the runs, one 24-byte fence per leaf (`O(N/B)`), shrinking by
+/// the inner fanout per level.
 pub struct IntervalBulkLoader {
     file: PagedFile,
     payload_len: usize,
@@ -639,7 +687,7 @@ impl IntervalBulkLoader {
     /// (twice the last count, up to the cap, if it filled none). A
     /// main-stream close resets the divert threshold.
     fn close(&mut self, stream: usize) -> Result<()> {
-        let (lanes, cap) = (self.shape.lanes, self.shape.cap());
+        let (lanes, cap) = (self.shape.lanes, self.shape.cap);
         let mut run = std::mem::take(self.run_mut(stream));
         let written = self.write_leaves(&mut run.entries, Some(run.per_leaf))?;
         if let (0, Some(median)) = (stream, written.median) {
@@ -663,13 +711,15 @@ impl IntervalBulkLoader {
     /// and that leaf holds fewer than half as many, or exactly the run's
     /// newest entries: then its entries stay in `entries`, in `lo` order,
     /// for the run's next close. So each entry is cut once, bar the few a
-    /// close leaves open. Each entry then goes to its leaf's page in `lo`
-    /// (= index) order, so every leaf holds its entries in `lo` order and
-    /// its base is its lowest, and each page is written once.
+    /// close leaves open. The cut counts each leaf's entries, one pass
+    /// then groups the entries by leaf in `lo` (= index) order, so every
+    /// leaf holds its entries in `lo` order, and each leaf's rows stream
+    /// through one reused page, written once.
     fn write_leaves(&mut self, entries: &mut Vec<u64>, per_leaf: Option<usize>) -> Result<Written> {
         let (shape, block, lanes) = (self.shape, self.file.block_size(), self.shape.lanes);
         let mut cut = std::mem::take(&mut self.cut);
-        let Cut { order, sorted, leaf_of, widths, max_hi, filled, pages, open } = &mut cut;
+        let Cut { order, sorted, leaf_of, widths, minima, max_hi, ends, grouped, page, spans } =
+            &mut cut;
         let entry = |i: u32| entry_at(entries, lanes, i);
         let hi = |i: u32| f64::from_bits(entry(i)[1]);
         order.clear();
@@ -683,15 +733,20 @@ impl IntervalBulkLoader {
         leaf_of.clear();
         leaf_of.resize(order.len(), 0);
         widths.clear();
+        minima.clear();
         max_hi.clear();
+        ends.clear();
+        ends.push(0);
         let (mut start, mut full_entries) = (0, 0);
-        open.count = 0;
+        let mut open = OpenLeaf::new(lanes, spans);
         for (i, &(_, at)) in order.iter().enumerate() {
             if !open.take(&shape, entry(at)) {
                 widths.extend(open.widths());
+                minima.extend(open.minima());
                 max_hi.push(hi(order[i - 1].1));
+                ends.push(open.count);
                 (start, full_entries) = (i, full_entries + open.count);
-                open.start(&shape, entry(at));
+                open.start(entry(at));
             }
             leaf_of[at as usize] = max_hi.len() as u32;
         }
@@ -702,7 +757,9 @@ impl IntervalBulkLoader {
         let stays = |per_leaf| 2 * open.count < per_leaf || newest();
         if start < order.len() && !per_leaf.is_some_and(stays) {
             widths.extend(open.widths());
+            minima.extend(open.minima());
             max_hi.push(hi(order[order.len() - 1].1));
+            ends.push(open.count);
             start = order.len();
         }
         // Lengths are ≥ +0, so their raw bits order as the lengths do.
@@ -714,59 +771,48 @@ impl IntervalBulkLoader {
             0 => None,
             n => Some(f64::from_bits(written.select_nth_unstable(n / 2).1 .0)),
         };
+        // Group the entries by leaf — the ones that stay last, as leaf
+        // `leaves` — each group in index order: `ends[l + 1]` counts leaf
+        // `l`'s entries, the counts sum to where each leaf starts, and
+        // `ends[l]` ends where leaf `l` ends once its entries are placed.
         let leaves = max_hi.len();
-        // Every byte of a page up to its last row is written below, and
-        // the rest zeroed after it: a page from an earlier close is reused
-        // as it is.
-        if pages.len() < leaves * block {
-            pages.resize(leaves * block, 0);
+        for l in 1..ends.len() {
+            ends[l] += ends[l - 1];
         }
-        filled.clear();
-        filled.resize(leaves, (0, 0, 0));
-        for (i, (e, &leaf)) in (0..).zip(entries.chunks_exact(lanes).zip(leaf_of.iter())) {
-            let leaf = leaf as usize;
-            if leaf == leaves {
-                continue;
-            }
-            let (head, rows) = pages[leaf * block..][..block].split_at_mut(shape.hdr);
-            let leaf_widths = &widths[leaf * lanes..][..lanes];
-            let (count, row, base) = &mut filled[leaf];
-            if *count == 0 {
-                head[8..8 + lanes].copy_from_slice(leaf_widths);
-                shape.decode(e, &mut head[8 + lanes..]);
-                *row = leaf_widths.iter().map(|&w| w as usize).sum();
-                *base = i;
-            }
-            let mut at = *count * *row;
-            for ((word, base), &w) in e.iter().zip(entry(*base)).zip(leaf_widths) {
-                // A lane's bytes past its width are 0: 8 written where 8 fit.
-                let bytes = (word ^ base).to_le_bytes();
-                match rows.get_mut(at..at + 8) {
-                    Some(out) => out.copy_from_slice(&bytes),
-                    None => rows[at..][..w as usize].copy_from_slice(&bytes[..w as usize]),
-                }
-                at += w as usize;
-            }
-            *count += 1;
+        grouped.resize(leaf_of.len(), 0);
+        for (i, &leaf) in (0..).zip(leaf_of.iter()) {
+            let end = &mut ends[leaf as usize];
+            grouped[*end] = i;
+            *end += 1;
         }
+        page.resize(block, 0);
         let first = self.file.allocate(leaves as u64)?;
-        for ((id, page), (&(count, row, base), &max_hi)) in
-            (first..).zip(pages.chunks_exact_mut(block)).zip(filled.iter().zip(max_hi.iter()))
-        {
+        let mut from = 0;
+        for (leaf, id) in (0..leaves).zip(first..) {
+            let group = &grouped[from..ends[leaf]];
+            let (leaf_widths, leaf_min) =
+                (&widths[leaf * lanes..][..lanes], &minima[leaf * lanes..][..lanes]);
             put_u32(page, 0, LEAF_MAGIC);
-            put_u32(page, 4, count as u32);
-            page[shape.hdr + count * row..].fill(0);
-            self.file.write(id, page)?;
-            self.fences.push((id, f64::from_bits(entry(base)[0]), max_hi));
-        }
-        let mut keep = 0;
-        for (i, &leaf) in leaf_of.iter().enumerate() {
-            if leaf as usize == leaves {
-                entries.copy_within(i * lanes..(i + 1) * lanes, keep * lanes);
-                keep += 1;
+            put_u32(page, 4, group.len() as u32);
+            page[8..8 + lanes].copy_from_slice(leaf_widths);
+            shape.decode(leaf_min, &mut page[8 + lanes..shape.hdr]);
+            let mut rows = RowWriter::new(&mut page[shape.hdr..]);
+            for &i in group {
+                for ((word, min), &bits) in entry(i).iter().zip(leaf_min).zip(leaf_widths) {
+                    rows.put(word - min, bits as usize);
+                }
             }
+            let end = shape.hdr + rows.finish();
+            page[end..].fill(0);
+            self.file.write(id, page)?;
+            self.fences.push((id, f64::from_bits(entry(group[0])[0]), max_hi[leaf]));
+            from = ends[leaf];
         }
-        entries.truncate(keep * lanes);
+        for (keep, &i) in grouped[from..].iter().enumerate() {
+            let i = i as usize;
+            entries.copy_within(i * lanes..(i + 1) * lanes, keep * lanes);
+        }
+        entries.truncate((grouped.len() - from) * lanes);
         self.cut = cut;
         Ok(Written { full_entries, full_leaves, median })
     }
@@ -992,13 +1038,13 @@ impl IntervalTree {
                     }
                 }
                 LEAF_MAGIC => {
-                    let rows = Rows::parse(&buf, shape)?;
+                    let (rows, body) = (Rows::parse(&buf, shape)?, &buf[shape.hdr..]);
                     for i in 0..rows.count {
-                        let lo = rows.key(&buf, shape, i, 0);
+                        let lo = rows.key(body, i, 0);
                         if lo > t {
                             break;
                         }
-                        let hi = rows.key(&buf, shape, i, 1);
+                        let hi = rows.key(body, i, 1);
                         if hi >= t {
                             rows.payload(&buf, shape, i, payload);
                             visit(lo, hi, payload);
@@ -1025,7 +1071,7 @@ mod tests {
         static TAKES: Cell<u64> = const { Cell::new(0) };
     }
 
-    impl OpenLeaf {
+    impl OpenLeaf<'_> {
         pub(super) fn counted() {
             TAKES.set(TAKES.get() + 1);
         }
@@ -1094,7 +1140,7 @@ mod tests {
         let mut inputs: Vec<Input> =
             [0u32, 1, 11, 12, 13, 900].iter().map(|&n| (format!("ramp{n}"), ramp(n), 0)).collect();
         let shape = Shape::new(256, 4).unwrap();
-        let (full_rows, cap) = (shape.body / shape.elen, shape.cap());
+        let (full_rows, cap) = (shape.body / shape.elen, shape.cap);
         assert_eq!((full_rows, cap), (11, 22));
         let n = (RUN_CAP_LEAVES + 40) as u32 * cap as u32 + 5;
         let mut push = |name: &str, entries: Vec<(f64, f64)>, bands| {
@@ -1292,7 +1338,7 @@ mod tests {
         tree
     }
 
-    /// The lane widths of every leaf of `tree`.
+    /// The lane widths, in bits, of every leaf of `tree`.
     fn leaf_widths(tree: &IntervalTree) -> Vec<Vec<u8>> {
         let lanes = tree.shape.lanes;
         (1..tree.file.num_blocks())
@@ -1313,7 +1359,7 @@ mod tests {
     #[test]
     fn a_malformed_packed_leaf_is_refused_or_read_never_panics() {
         // One 256-byte leaf of 12-byte payloads (a 4-byte last lane) and
-        // full-width rows, then every truncation of it (the rest zeroed)
+        // mixed-sign keys, then every truncation of it (the rest zeroed)
         // and every single-byte flip: a stab returns entries or an error.
         let e = env();
         let entries: Vec<(f64, f64, Vec<u8>)> = (0u8..6)
@@ -1347,12 +1393,13 @@ mod tests {
         tree.file.write(1, &good).unwrap();
         assert_eq!(stab_bits(&tree, 2.75).unwrap(), want);
         // The three header faults, each refused as corrupt: a lane wider
-        // than its lane, rows past the block, a count past the cap.
+        // than 8 × its bytes bits, rows past 8 × the body's bytes bits, a
+        // count past the cap.
         let shape = tree.shape;
         let (count, widths) = (get_u32(&good, 4) as usize, &good[8..8 + shape.lanes]);
         let row: usize = widths.iter().map(|&w| w as usize).sum();
-        let overrun = (shape.body / row + 1) as u64;
-        for (at, value) in [(8 + shape.lanes - 1, 5), (4, overrun), (4, shape.cap() as u64 + 1)] {
+        let overrun = (8 * shape.body / row + 1) as u64;
+        for (at, value) in [(8 + shape.lanes - 1, 33), (4, overrun), (4, shape.cap as u64 + 1)] {
             let mut page = good.clone();
             match at {
                 4 => _ = put_u32(&mut page, 4, value as u32),
@@ -1362,17 +1409,19 @@ mod tests {
             let stabbed = stab_bits(&tree, 1.0);
             assert!(matches!(stabbed, Err(IndexError::Corrupt(_))), "byte {at} = {value}");
         }
-        assert!(count <= shape.cap() && overrun > count as u64);
+        assert!(count <= shape.cap && overrun > count as u64);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Rows decode to the pushed bits — `−0.0`, subnormal keys and
-        /// NaN-patterned payloads included — at every payload length whose
-        /// last lane is short or whole, from 256-byte to 4 KiB blocks, and
-        /// at both extremes of the format: all-equal entries (every lane 0
-        /// bytes wide) and a leaf whose lanes all differ in their top byte.
+        /// Rows decode to the pushed bits — `−0.0`, subnormal keys,
+        /// NaN-patterned payloads and mixed-sign `f64` lanes included — at
+        /// every payload length whose last lane is short or whole, from
+        /// 256-byte to 4 KiB blocks, and at both extremes of the format:
+        /// all-equal entries (every lane 0 bits wide) and one leaf holding
+        /// both `0` and `u64::MAX` words, whose lanes span their full range
+        /// (64 bits, and 8 a byte for a short lane).
         #[test]
         fn packed_rows_round_trip_bit_for_bit(
             payload_len in proptest::prelude::prop_oneof![
@@ -1405,23 +1454,29 @@ mod tests {
                         _ => lo + (rnd() % 500) as f64 * 0.11,
                     };
                     let nan = f64::from_bits(0x7FF8_0000_0000_0000 | rnd() >> 13).to_le_bytes();
-                    let payload = (0..payload_len).map(|b| if b < 8 { nan[b] } else { rnd() as u8 }).collect();
+                    let signed = ((rnd() % 1000) as f64 * 0.37 - 185.0).to_le_bytes();
+                    let payload = (0..payload_len)
+                        .map(|b| match b {
+                            0..8 => nan[b],
+                            8..16 => signed[b - 8],
+                            _ => rnd() as u8,
+                        })
+                        .collect();
                     (lo, hi, payload)
                 })
                 .collect();
             let same = vec![(f64::from_bits(1), 2.5, vec![0xA5; payload_len]); n];
-            let top = |v: u8| {
-                let mut p = vec![v; payload_len];
-                for lane in p.chunks_mut(8) {
-                    *lane.last_mut().unwrap() ^= 0x80;
-                }
-                p
-            };
-            let full = vec![(-1.0, -0.5, top(0x00)), (-1.0, 2.0, top(0xFF)), (0.5, 2.0, top(0x0F))];
+            // `lo` and `hi` span 0 (`+0.0`) to `−f64::MAX`'s bits, each
+            // payload lane 0 to all ones.
+            let full = vec![
+                (-f64::MAX, -f64::MAX, vec![0xFF; payload_len]),
+                (0.0, 0.0, vec![0x00; payload_len]),
+                (0.5, 2.0, vec![0x0F; payload_len]),
+            ];
             for (name, entries) in [("random", &random), ("same", &same), ("full", &full)] {
                 let tree = tree_of(&e, name, payload_len, entries);
                 let widths = leaf_widths(&tree);
-                let full_widths: Vec<u8> = (0..tree.shape.lanes).map(|j| tree.shape.lane(j).len() as u8).collect();
+                let full_widths: Vec<u8> = (0..tree.shape.lanes).map(|j| 8 * tree.shape.lane(j).len() as u8).collect();
                 match name {
                     "same" => proptest::prop_assert!(widths.iter().all(|w| w.iter().all(|&w| w == 0))),
                     "full" => proptest::prop_assert_eq!(&widths, &vec![full_widths]),

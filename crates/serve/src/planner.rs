@@ -111,8 +111,8 @@ impl Route {
 /// file is a third of a default shard's index bytes, and it pays only for
 /// tight-ranks traffic on Meme-shaped sets above about 30 k objects per
 /// shard: below that, EXACT3 answers a tight-ranks query exactly in fewer
-/// cold reads (on Meme at 1.5 k objects, 12.8 against 67.0; on a dense
-/// shard, every object alive at every `t`, 52.95 against 54.05). A caller with such traffic sets
+/// cold reads (on Meme at 1.5 k objects, 12.2 against 67.0; on a dense
+/// shard, every object alive at every `t`, 48.95 against 54.05). A caller with such traffic sets
 /// `appx2_plus: true`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodSet {

@@ -177,10 +177,11 @@ fn a_resident_shard_build_writes_its_trees_once_and_allocates_per_page_not_per_r
         (build_io(&exact3), build_io(&exact1));
     println!("pinned: blocks written by a resident build: EXACT3 {writes3}, EXACT1 {writes1}");
     println!("pinned: blocks read by a resident build: EXACT3 {reads3}, EXACT1 {reads1}");
-    // EXACT3's leaves pack their rows: 1,735 pages where 44-byte entries
-    // took 2,128 (1,742 while a run counted its leaves by a `lo`-order
-    // cut).
-    assert_eq!((pages3, writes3, reads3), (1735, 1735, 0));
+    // EXACT3's leaves pack their rows: 1,559 pages with bit-packed
+    // offsets from each lane's minimum, 1,735 with XOR-coded bytes, where
+    // 44-byte entries took 2,128 (1,742 while a run counted its leaves by
+    // a `lo`-order cut).
+    assert_eq!((pages3, writes3, reads3), (1559, 1559, 0));
     assert_eq!((pages1, writes1, reads1), (1729, 1729, 0));
     drop((exact3, exact1));
 
