@@ -51,7 +51,12 @@
 #                     row bytes EXACT3's packed leaves spend per entry on
 #                     a Temp shard and on Meme), the one tests/leaf_flips.rs
 #                     pins (panics over every single-byte flip of a built
-#                     EXACT3 leaf, reopened: 0), the one
+#                     EXACT3 leaf, reopened: 0), the ones
+#                     tests/malformed_inputs.rs pins (decoders of bytes
+#                     read back from a file or a socket swept, the
+#                     truncated or flipped blobs they decoded, the panics
+#                     over them, 0, and the worst heap a decode held per
+#                     byte it was handed), the one
 #                     crates/index/src/interval.rs pins (cuts per entry an
 #                     EXACT3 load makes, on a Temp shard and on Meme: each
 #                     entry goes into a leaf about once), the ones
@@ -139,7 +144,7 @@ print_timings() {
     printf '  %-18s %4ds\n' "total" "$((SECONDS - CI_T0))"
     if [[ -n $PINNED_COUNTS ]]; then
         echo
-        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/leaf_flips.rs, crates/index/src/interval.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; $(grep -c . <<< "$PINNED_COUNTS") lines)"
+        echo "== pinned counts (tier1, tests/{resident,streaming}_build_counts.rs, tests/obs_counts.rs, crates/net/tests/thread_counts.rs, tests/stab_reads.rs, tests/leaf_flips.rs, tests/malformed_inputs.rs, crates/index/src/interval.rs, tests/pool_reads.rs, tests/paper_claims.rs, tests/shard_workers.rs, test waits; $(grep -c . <<< "$PINNED_COUNTS") lines)"
         sed 's/^pinned:/ /' <<< "$PINNED_COUNTS"
     fi
 }
@@ -393,7 +398,8 @@ tier1_stage() {
     cargo build --release
     PINNED_COUNTS=$(cargo test -q -p chronorank -p chronorank-net --test resident_build_counts \
         --test streaming_build_counts --test obs_counts --test thread_counts --test stab_reads \
-        --test leaf_flips --test pool_reads --test paper_claims --test shard_workers -- --nocapture \
+        --test leaf_flips --test malformed_inputs --test pool_reads --test paper_claims \
+        --test shard_workers -- --nocapture \
         2> /dev/null | grep -o 'pinned:.*' || true)
     PINNED_COUNTS+=$'\n'$(cargo test -q -p chronorank-index --lib a_load_cuts_each_entry_about_once \
         -- --nocapture 2> /dev/null | grep -o 'pinned:.*' || true)

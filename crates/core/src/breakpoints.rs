@@ -54,6 +54,7 @@ use crate::error::{CoreError, Result};
 use crate::object::{columns, MergeOrder, ObjectIds, TemporalSet, TimeOrdered};
 use chronorank_curve::numeric::accumulation_crossing;
 use chronorank_curve::{PiecewiseLinear, Segment};
+use chronorank_storage::Reader;
 
 /// Which of the paper's two breakpoint families a [`Breakpoints`] set is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,26 +246,21 @@ impl Breakpoints {
     /// is not finite and non-negative.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let corrupt = || CoreError::BadQuery("corrupt breakpoint table".into());
-        if bytes.len() < 21 {
-            return Err(corrupt());
-        }
-        let kind = match bytes[0] {
+        let mut r = Reader::new(bytes);
+        let kind = match r.u8("breakpoint kind")? {
             1 => BreakpointsKind::B1,
             2 => BreakpointsKind::B2,
             _ => return Err(corrupt()),
         };
-        let f = |at: usize| {
-            f64::from_bits(u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")))
-        };
-        let eps = f(1);
-        let mass = f(9);
-        let r = u32::from_le_bytes(bytes[17..21].try_into().expect("4 bytes")) as usize;
+        let (eps, mass) = (r.f64("breakpoint ε")?, r.f64("breakpoint mass")?);
+        let n = r.count("breakpoint count", 8)?;
+        let points = r.f64s("breakpoints", n)?;
+        r.end("breakpoint table")?;
         let eps_ok = eps > 0.0 && eps.is_finite();
         let mass_ok = mass >= 0.0 && mass.is_finite();
-        if r < 2 || !eps_ok || !mass_ok || bytes.len() != 21 + 8 * r {
+        if n < 2 || !eps_ok || !mass_ok {
             return Err(corrupt());
         }
-        let points: Vec<f64> = (0..r).map(|i| f(21 + 8 * i)).collect();
         if points.iter().any(|p| !p.is_finite()) || points.windows(2).any(|w| w[0] >= w[1]) {
             return Err(corrupt());
         }

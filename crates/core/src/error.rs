@@ -49,6 +49,12 @@ impl From<chronorank_storage::StorageError> for CoreError {
     }
 }
 
+impl From<chronorank_storage::DecodeError> for CoreError {
+    fn from(e: chronorank_storage::DecodeError) -> Self {
+        CoreError::Storage(e.into())
+    }
+}
+
 impl From<chronorank_index::IndexError> for CoreError {
     fn from(e: chronorank_index::IndexError) -> Self {
         CoreError::Index(e)

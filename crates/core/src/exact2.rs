@@ -93,7 +93,7 @@ impl Exact2 {
             // t is past the object's end: cumulative = total mass, stored
             // in the last entry (O(log_B n_i) via the rightmost descent).
             match tree.last_entry()? {
-                Some((_, p)) => Ok(f64::from_le_bytes(p[24..32].try_into().expect("8"))),
+                Some((key, p)) => Ok(decode_payload(key, &p).1),
                 None => Ok(0.0),
             }
         }

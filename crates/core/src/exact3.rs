@@ -48,7 +48,7 @@ use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
 use chronorank_index::{ExternalSorter, IndexError, IntervalBulkLoader, IntervalTree};
-use chronorank_storage::{Env, IoStats, PagedFile, StoreConfig};
+use chronorank_storage::{Env, IoStats, PagedFile, Reader, StoreConfig};
 use std::borrow::Borrow;
 
 /// Entry payload: `v0 f64 | v1 f64 | prefix f64 | obj u32` (the interval
@@ -339,24 +339,22 @@ impl Exact3 {
     /// — no set scan, no sort, no rebuild. A non-zero reserved word is
     /// refused as corrupt.
     pub fn open_parts(env: Env, store: StoreConfig, file: PagedFile, bytes: &[u8]) -> Result<Self> {
-        let corrupt = || crate::CoreError::BadQuery("corrupt EXACT3 generation metadata".into());
-        if bytes.len() < 8 || bytes[..4] != [0; 4] {
-            return Err(corrupt());
+        let corrupt = |what: &str| crate::CoreError::BadQuery(format!("corrupt EXACT3 {what}"));
+        let mut r = Reader::new(bytes);
+        if r.u32("EXACT3 reserved word")? != 0 {
+            return Err(corrupt("generation metadata"));
         }
-        let m = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-        if bytes.len() != 8 + 24 * m {
-            return Err(corrupt());
+        let m = r.count("EXACT3 object count", 24)?;
+        let mut meta = Vec::with_capacity(m);
+        for _ in 0..m {
+            let (start, end) = (r.f64("object start")?, r.f64("object end")?);
+            meta.push(ObjMeta { start, end, total: r.f64("object total")? });
         }
-        let f = |at: usize| {
-            f64::from_bits(u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")))
-        };
-        let meta = (0..m)
-            .map(|i| {
-                let at = 8 + 24 * i;
-                ObjMeta { start: f(at), end: f(at + 8), total: f(at + 16) }
-            })
-            .collect();
+        r.end("EXACT3 generation metadata")?;
         let tree = IntervalTree::open(file)?;
+        if tree.payload_len() != PAYLOAD_LEN {
+            return Err(corrupt("tree: its payloads are not EXACT3's"));
+        }
         Ok(Self { env, store, tree, meta })
     }
 }
@@ -402,6 +400,7 @@ impl RankMethod for Exact3 {
 mod tests {
     use super::*;
     use crate::test_support::{assert_same_answer, small_set};
+    use chronorank_index::IntervalEntry;
 
     #[test]
     fn matches_bruteforce_on_small_set() {
@@ -556,6 +555,33 @@ mod tests {
         }
         bytes[0] = 1;
         assert!(reopen(&bytes).is_err());
+    }
+
+    /// A tree whose entries carry another payload than EXACT3's 28 bytes,
+    /// beside valid metadata: refused at open, before a stab decodes a
+    /// payload from fewer bytes than it has.
+    #[test]
+    fn a_tree_of_other_payloads_is_refused_at_open() {
+        let set = small_set();
+        let store = IndexConfig::default().store;
+        let meta = Exact3::build(&set, IndexConfig { store }).unwrap().meta_bytes();
+        let env = Env::mem(store);
+        let entries = (0..40)
+            .map(|i| IntervalEntry {
+                lo: i as f64 / 2.0,
+                hi: i as f64 / 2.0 + 1.0,
+                payload: vec![0; 8],
+            })
+            .collect();
+        let tree = IntervalTree::build(env.create_file("other").unwrap(), 8, entries).unwrap();
+        tree.flush().unwrap();
+        let file = env.create_file("copy").unwrap();
+        file.allocate(tree.file().num_blocks()).unwrap();
+        for id in 0..tree.file().num_blocks() {
+            file.write(id, &tree.file().page(id).unwrap()).unwrap();
+        }
+        let opened = Exact3::open_parts(env, store, file, &meta);
+        assert!(matches!(opened, Err(CoreError::BadQuery(what)) if what.contains("payloads")));
     }
 
     /// Metadata one triple short of the tree: the last object's leaf

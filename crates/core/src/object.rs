@@ -4,6 +4,7 @@ use crate::error::{CoreError, Result};
 use crate::streambuild::{scan_stats, StreamStats};
 use chronorank_curve::{ColumnarTail, PiecewiseLinear, Segment};
 use chronorank_index::IndexError;
+use chronorank_storage::Reader;
 use std::hint::select_unpredictable;
 
 /// Object identifier; objects are dense `0..m` within a [`TemporalSet`].
@@ -62,14 +63,13 @@ impl AppendRecord {
 
     /// Inverse of [`AppendRecord::encode`]; `None` on a length mismatch.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != Self::ENCODED_LEN {
-            return None;
-        }
-        Some(Self {
-            object: ObjectId::from_le_bytes(bytes[..4].try_into().ok()?),
-            t: f64::from_bits(u64::from_le_bytes(bytes[4..12].try_into().ok()?)),
-            v: f64::from_bits(u64::from_le_bytes(bytes[12..20].try_into().ok()?)),
-        })
+        let mut r = Reader::new(bytes);
+        let rec = Self {
+            object: r.u32("append object").ok()?,
+            t: r.f64("append t").ok()?,
+            v: r.f64("append v").ok()?,
+        };
+        r.end("append record").ok().map(|_| rec)
     }
 }
 

@@ -23,13 +23,14 @@
 use crate::error::{CoreError, Result};
 use crate::object::{check_id, ObjectId, TemporalObject};
 use chronorank_curve::Segment;
+use chronorank_storage::page::get_f64;
 use chronorank_storage::{Page, PageId, PagedFile};
 
 /// One point: `t f64 | v f64 | prefix f64`. Records never straddle a page.
 const RECORD_LEN: usize = 24;
 
 fn record_at(page: &[u8], slot: usize) -> (f64, f64, f64) {
-    let f = |at: usize| f64::from_le_bytes(page[at..at + 8].try_into().expect("8 bytes"));
+    let f = |at: usize| get_f64(page, at);
     let at = slot * RECORD_LEN;
     (f(at), f(at + 8), f(at + 16))
 }

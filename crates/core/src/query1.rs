@@ -30,7 +30,7 @@ use crate::error::{CoreError, Result};
 use crate::object::{ObjectId, TemporalObject};
 use crate::topk::{capped_push, check_interval, heap_into_desc, RankMethod, TopK, WorstFirst};
 use chronorank_index::BPlusTree;
-use chronorank_storage::{Env, IoStats, Page, PagedFile};
+use chronorank_storage::{Env, IoStats, Page, PagedFile, Reader};
 use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 
@@ -113,14 +113,12 @@ impl Lists {
                 Some((held, buf)) if *held == id => buf,
                 _ => &page.insert((id, self.file.page(id)?)).1,
             };
-            let obj = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4"));
+            let mut r = Reader::new(&buf[off..]);
+            let obj = r.u32("list id")?;
             if obj == PAD_ID {
                 break;
             }
-            out.push((
-                obj,
-                f64::from_le_bytes(buf[off + 4..off + ENTRY_LEN].try_into().expect("8")),
-            ));
+            out.push((obj, r.f64("list score")?));
         }
         Ok(out)
     }
@@ -157,7 +155,10 @@ pub(crate) fn breakpoint_tree(
 /// `≥ t`, `None` past the last.
 pub(crate) fn snap_via_tree(tree: &BPlusTree, t: f64) -> Result<Option<usize>> {
     let cur = tree.seek(t)?;
-    Ok(cur.valid().then(|| u32::from_le_bytes(cur.payload().try_into().expect("4")) as usize))
+    if !cur.valid() {
+        return Ok(None);
+    }
+    Ok(Some(Reader::new(cur.payload()).u32("breakpoint index")? as usize))
 }
 
 /// The QUERY1 index (see module docs). Combined with BREAKPOINTS1 this is

@@ -38,6 +38,7 @@
 
 use crate::error::{CurveError, Result};
 use crate::{PiecewiseLinear, Time, Value};
+use chronorank_storage::Reader;
 
 /// Lane width of the chunked contribution buffer. Eight f64 lanes cover one
 /// AVX-512 register or two AVX2 registers; the exact value only affects
@@ -349,33 +350,24 @@ impl ColumnarTail {
     /// length before anything is allocated, so an untrusted blob costs at
     /// most its own size.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let word = |at: usize| {
-            let w = bytes.get(at..at.checked_add(4)?)?;
-            Some(u32::from_le_bytes(w.try_into().expect("4 bytes")))
-        };
-        let m = word(0)? as usize;
-        // The columns start past `m` and the m + 1 offsets.
-        let cols = m.checked_mul(4)?.checked_add(8)?;
-        let total = word(cols - 4)? as usize;
-        if total.checked_mul(16).and_then(|n| n.checked_add(cols)) != Some(bytes.len()) {
-            return None;
+        let mut r = Reader::new(bytes);
+        // `m` objects, then `m + 1` offsets.
+        let m = r.count("object count", 4).ok()?;
+        let mut start = Vec::with_capacity(m + 1);
+        for _ in 0..=m {
+            start.push(r.u32("point offset").ok()?);
         }
-        let start: Vec<u32> = bytes[4..cols]
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
-            .collect();
         // Every object needs ≥ 2 points.
         if start[0] != 0 || start.windows(2).any(|w| w[0].checked_add(2).is_none_or(|n| w[1] < n)) {
             return None;
         }
-        // Object `[s, e)` of the column at byte `at`.
-        let column = |at: usize, s: usize, e: usize| -> Vec<f64> {
-            let c = bytes[at + 8 * s..at + 8 * e].chunks_exact(8);
-            c.map(|x| f64::from_le_bytes(x.try_into().expect("8 bytes"))).collect()
-        };
+        let column = 8usize.checked_mul(start[m] as usize)?;
+        let (ts, vs) = (r.bytes("t column", column).ok()?, r.bytes("v column", column).ok()?);
+        r.end("columnar image").ok()?;
+        let (mut ts, mut vs) = (Reader::new(ts), Reader::new(vs));
         let curves = start.windows(2).map(|w| {
-            let (s, e) = (w[0] as usize, w[1] as usize);
-            let (times, values) = (column(cols, s, e), column(cols + 8 * total, s, e));
+            let n = (w[1] - w[0]) as usize;
+            let (times, values) = (ts.f64s("times", n).ok()?, vs.f64s("values", n).ok()?);
             PiecewiseLinear::from_times_values(times, values).ok()
         });
         Some(Self::from_curves(curves.collect::<Option<_>>()?))

@@ -28,8 +28,8 @@
 
 use crate::bulk::FenceSpill;
 use crate::error::{IndexError, Result};
-use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
-use chronorank_storage::{Page, PageId, PagedFile};
+use chronorank_storage::page::{get_f64, get_u64, put_f64, put_u32, put_u64};
+use chronorank_storage::{Page, PageId, PagedFile, Reader};
 
 const META_MAGIC: u32 = 0xB7EE_0001;
 const LEAF_MAGIC: u32 = 0xB7EE_00AA;
@@ -72,15 +72,19 @@ impl BPlusTree {
     /// Open a tree previously bulk-loaded in `file`.
     pub fn open(file: PagedFile) -> Result<Self> {
         let buf = file.page(0)?;
-        if get_u32(&buf, 0) != META_MAGIC {
+        let mut r = Reader::new(&buf);
+        if r.u32("B+-tree magic")? != META_MAGIC {
             return Err(IndexError::Corrupt("not a B+-tree file".into()));
         }
-        let value_len = get_u32(&buf, 4) as usize;
-        let root = get_u64(&buf, 8);
-        let height = get_u32(&buf, 16);
-        let count = get_u64(&buf, 20);
-        let first_leaf = get_u64(&buf, 28);
-        Ok(Self { file, value_len, root, height, count, first_leaf })
+        Ok(Self {
+            // A payload fits a page: bounded by the meta page's bytes.
+            value_len: r.count("value length", 1)?,
+            root: r.u64("root")?,
+            height: r.u32("height")?,
+            count: r.u64("entry count")?,
+            first_leaf: r.u64("first leaf")?,
+            file,
+        })
     }
 
     fn write_meta(&self) -> Result<()> {
@@ -123,12 +127,14 @@ impl BPlusTree {
     }
 
     /// Node `id` as the pool lends it, checked to be a `magic` node, with
-    /// its entry count. A count its block cannot hold (or an internal node
-    /// without a child) is refused as [`IndexError::Corrupt`]: every
-    /// decode below indexes the block by it.
-    fn node(&self, id: PageId, magic: u32) -> Result<(Page, usize)> {
+    /// its entry count and its leaf link (a leaf's next leaf). A count its
+    /// block cannot hold (or an internal node without a child) is refused
+    /// as [`IndexError::Corrupt`]: every decode below indexes the block by
+    /// it.
+    fn node(&self, id: PageId, magic: u32) -> Result<(Page, usize, PageId)> {
         let page = self.file.page(id)?;
-        let got = get_u32(&page, 0);
+        let mut r = Reader::new(&page);
+        let got = r.u32("node magic")?;
         if got != magic {
             return Err(IndexError::Corrupt(format!(
                 "expected page magic {magic:#x}, found {got:#x}"
@@ -139,13 +145,14 @@ impl BPlusTree {
             LEAF_MAGIC => 0..=Self::leaf_cap(block, self.value_len),
             _ => 1..=Self::internal_cap(block),
         };
-        let n = get_u32(&page, 4) as usize;
+        let n = r.u32("node entry count")? as usize;
         if !counts.contains(&n) {
             return Err(IndexError::Corrupt(format!(
                 "node {id} holds {n} entries, not {counts:?}"
             )));
         }
-        Ok((page, n))
+        let link = r.u64("leaf link")?;
+        Ok((page, n, link))
     }
 
     // ----- search ---------------------------------------------------------
@@ -155,7 +162,7 @@ impl BPlusTree {
         let mut node = self.root;
         let mut level = self.height;
         while level > 1 {
-            let (buf, n) = self.node(node, INTERNAL_MAGIC)?;
+            let (buf, n, _) = self.node(node, INTERNAL_MAGIC)?;
             // Leftmost-duplicate rule: descend to the first child whose
             // separator range can contain an entry ≥ key, i.e. child index
             // = #separators strictly below `key`.
@@ -166,13 +173,13 @@ impl BPlusTree {
             node = internal_child(&buf, idx);
             level -= 1;
         }
-        let (buf, n) = self.node(node, LEAF_MAGIC)?;
+        let (buf, n, next) = self.node(node, LEAF_MAGIC)?;
         let stride = 8 + self.value_len;
         let mut idx = 0usize;
         while idx < n && get_f64(&buf, LEAF_HDR + idx * stride) < key {
             idx += 1;
         }
-        let mut cur = Cursor { tree: self, buf, leaf: node, idx, entries: n };
+        let mut cur = Cursor { tree: self, buf, next, idx, entries: n };
         if idx == n {
             cur.advance_leaf()?;
         }
@@ -182,8 +189,8 @@ impl BPlusTree {
     /// Cursor at the first entry of the tree.
     pub fn cursor_first(&self) -> Result<Cursor<'_>> {
         let leaf = self.first_leaf;
-        let (buf, n) = self.node(leaf, LEAF_MAGIC)?;
-        let mut cur = Cursor { tree: self, buf, leaf, idx: 0, entries: n };
+        let (buf, n, next) = self.node(leaf, LEAF_MAGIC)?;
+        let mut cur = Cursor { tree: self, buf, next, idx: 0, entries: n };
         if n == 0 {
             cur.advance_leaf()?;
         }
@@ -200,11 +207,11 @@ impl BPlusTree {
         let mut node = self.root;
         let mut level = self.height;
         while level > 1 {
-            let (buf, n) = self.node(node, INTERNAL_MAGIC)?;
+            let (buf, n, _) = self.node(node, INTERNAL_MAGIC)?;
             node = internal_child(&buf, n - 1);
             level -= 1;
         }
-        let (buf, n) = self.node(node, LEAF_MAGIC)?;
+        let (buf, n, _) = self.node(node, LEAF_MAGIC)?;
         if n == 0 {
             return Ok(None);
         }
@@ -406,7 +413,8 @@ pub struct Cursor<'a> {
     tree: &'a BPlusTree,
     /// The current leaf, as the pool lent it.
     buf: Page,
-    leaf: PageId,
+    /// The current leaf's next leaf, 0 after the last.
+    next: PageId,
     idx: usize,
     entries: usize,
 }
@@ -444,14 +452,12 @@ impl<'a> Cursor<'a> {
     /// Move to the first entry of the next non-empty leaf, if any.
     fn advance_leaf(&mut self) -> Result<()> {
         loop {
-            let next = get_u64(&self.buf, 8);
-            if next == 0 {
+            if self.next == 0 {
                 self.idx = 0;
                 self.entries = 0;
                 return Ok(());
             }
-            (self.buf, self.entries) = self.tree.node(next, LEAF_MAGIC)?;
-            self.leaf = next;
+            (self.buf, self.entries, self.next) = self.tree.node(self.next, LEAF_MAGIC)?;
             self.idx = 0;
             if self.entries > 0 {
                 return Ok(());

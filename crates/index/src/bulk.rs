@@ -33,8 +33,8 @@
 //!   buffer and the per-level chunk buffer (≤ fanout records) are O(B).
 
 use crate::error::{IndexError, Result};
-use chronorank_storage::page::{get_f64, get_u64, put_f64, put_u64};
-use chronorank_storage::{Page, PageId, PagedFile};
+use chronorank_storage::page::{put_f64, put_u64};
+use chronorank_storage::{Page, PageId, PagedFile, Reader};
 
 /// Bytes per spilled fence record: two `f64` fields plus a page id.
 const REC_LEN: usize = 8 + 8 + 8;
@@ -191,13 +191,11 @@ impl FenceReplay {
             self.block_n = (self.epb as u64).min(self.remaining) as usize;
             self.in_block = 0;
         }
-        let off = self.in_block * REC_LEN;
-        let a = get_f64(&self.page, off);
-        let b = get_f64(&self.page, off + 8);
-        let page = get_u64(&self.page, off + 16);
+        let mut r = Reader::new(&self.page[self.in_block * REC_LEN..]);
+        let fence = (r.f64("fence min")?, r.f64("fence max")?, r.u64("fence page")?);
         self.in_block += 1;
         self.remaining -= 1;
-        Ok(Some((a, b, page)))
+        Ok(Some(fence))
     }
 }
 

@@ -37,6 +37,12 @@ impl std::error::Error for IndexError {
     }
 }
 
+impl From<chronorank_storage::DecodeError> for IndexError {
+    fn from(e: chronorank_storage::DecodeError) -> Self {
+        IndexError::Corrupt(e.to_string())
+    }
+}
+
 impl From<StorageError> for IndexError {
     fn from(e: StorageError) -> Self {
         IndexError::Storage(e)

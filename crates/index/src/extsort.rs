@@ -16,8 +16,8 @@
 //! queues have no caller here: every sweep consumes a sorted stream.)
 
 use crate::error::{IndexError, Result};
-use chronorank_storage::page::{get_u32, put_u32};
-use chronorank_storage::{Page, PageId, PagedFile};
+use chronorank_storage::page::put_u32;
+use chronorank_storage::{Page, PageId, PagedFile, Reader};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -104,7 +104,7 @@ impl RunCursor {
         let (block_idx, within) = run_position(self.pos, self.per_block);
         if block_idx != self.cur_block {
             self.page = file.page(self.run.start + block_idx)?;
-            let count = get_u32(&self.page, 0) as u64;
+            let count = Reader::new(&self.page).u32("run block count")? as u64;
             let expected =
                 (self.run.records - block_idx * self.per_block as u64).min(self.per_block as u64);
             if count != expected {

@@ -112,8 +112,8 @@
 
 use crate::error::{IndexError, Result};
 use crate::extsort::total_order_bits;
-use chronorank_storage::page::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
-use chronorank_storage::{PageId, PagedFile};
+use chronorank_storage::page::{get_f64, get_u64, put_f64, put_u32, put_u64};
+use chronorank_storage::{PageId, PagedFile, Reader};
 use std::ops::Range;
 
 const META_MAGIC: u32 = 0x17EE_0003;
@@ -254,27 +254,31 @@ impl Lane {
     }
 }
 
-/// A packed leaf's header, checked: its count, its row bits and its key
-/// lanes, `lo` and `hi`.
-struct Rows {
+/// A packed leaf's header, checked: its count, its row bits, its key
+/// lanes, `lo` and `hi`, and every lane's width and minimum.
+struct Rows<'a> {
     count: usize,
     row: usize,
     keys: [Lane; 2],
+    widths: &'a [u8],
+    minima: &'a [u8],
 }
 
-impl Rows {
-    /// Read a leaf's header. A count above [`Shape::cap`], a lane wider
-    /// than its lane's bits, or rows that overrun the block are refused as
-    /// [`IndexError::Corrupt`], so every later read of a row is in bounds.
-    fn parse(buf: &[u8], shape: &Shape) -> Result<Self> {
-        let count = get_u32(buf, 4) as usize;
+impl<'a> Rows<'a> {
+    /// Read a leaf's header from `r`, just past its magic. A count above
+    /// [`Shape::cap`], a lane wider than its lane's bits, or rows that
+    /// overrun the block are refused as [`IndexError::Corrupt`], so every
+    /// later read of a row is in bounds.
+    fn parse(mut r: Reader<'a>, shape: &Shape) -> Result<Self> {
+        let count = r.u32("leaf entry count")? as usize;
         if count > shape.cap {
             return Err(IndexError::Corrupt(format!("leaf holds {count} > {} entries", shape.cap)));
         }
-        let minima = &buf[8 + shape.lanes..shape.hdr];
+        let (widths, minima) =
+            (r.bytes("lane widths", shape.lanes)?, r.bytes("lane minima", shape.elen)?);
         let (mut keys, mut row) = ([Lane::new(0, 0, 0); 2], 0);
-        for j in 0..shape.lanes {
-            let (width, len) = (buf[8 + j] as usize, 8 * shape.lane(j).len());
+        for (j, &width) in widths.iter().enumerate() {
+            let (width, len) = (width as usize, 8 * shape.lane(j).len());
             if width > len {
                 return Err(IndexError::Corrupt(format!("lane {j} is {width} > {len} bits wide")));
             }
@@ -289,7 +293,7 @@ impl Rows {
                 shape.body
             )));
         }
-        Ok(Self { count, row, keys })
+        Ok(Self { count, row, keys, widths, minima })
     }
 
     /// Key `j` (0 = `lo`, 1 = `hi`) of row `i` of the leaf body `rows`.
@@ -298,12 +302,11 @@ impl Rows {
         f64::from_bits(self.keys[j].get(rows, i * self.row))
     }
 
-    /// Row `i`'s payload, decoded into `out`.
-    fn payload(&self, buf: &[u8], shape: &Shape, i: usize, out: &mut [u8]) {
-        let (minima, rows) = (&buf[8 + shape.lanes..shape.hdr], &buf[shape.hdr..]);
+    /// Row `i`'s payload, from the leaf body `rows`, decoded into `out`.
+    fn payload(&self, rows: &[u8], shape: &Shape, i: usize, out: &mut [u8]) {
         let mut at = i * self.row + self.keys[0].bits + self.keys[1].bits;
         for (j, word) in (2..).zip(out.chunks_mut(8)) {
-            let lane = Lane::new(0, buf[8 + j] as usize, shape.word(minima, j));
+            let lane = Lane::new(0, self.widths[j] as usize, shape.word(self.minima, j));
             word.copy_from_slice(&lane.get(rows, at).to_le_bytes()[..word.len()]);
             at += lane.bits;
         }
@@ -930,11 +933,13 @@ impl IntervalTree {
     pub fn open(file: PagedFile) -> Result<Self> {
         let block = file.block_size();
         let buf = file.page(0)?;
-        if get_u32(&buf, 0) != META_MAGIC {
+        let mut r = Reader::new(&buf);
+        if r.u32("interval-tree magic")? != META_MAGIC {
             return Err(IndexError::Corrupt("not a packed interval-tree file".into()));
         }
-        let (payload_len, root, n) =
-            (get_u32(&buf, 4) as usize, get_u64(&buf, 8), get_u64(&buf, 16));
+        // A payload fits a page: bounded by the meta page's bytes.
+        let payload_len = r.count("payload length", 1)?;
+        let (root, n) = (r.u64("root")?, r.u64("entry count")?);
         let Some(shape) = Shape::new(block, payload_len) else {
             return Err(IndexError::Corrupt(format!(
                 "a {payload_len}-byte payload does not fit a {block}-byte block"
@@ -946,14 +951,19 @@ impl IntervalTree {
                 "root {root} past the file's {blocks} blocks"
             )));
         }
-        let tail = [24, 32, 40].map(|at| get_u64(&buf, at));
-        if tail != [0; 3] || get_u64(&buf, 48) != n {
+        let tail = [r.u64("reserved word")?, r.u64("reserved word")?, r.u64("reserved word")?];
+        let fixed = r.u64("static entry count")?;
+        if tail != [0; 3] || fixed != n {
             return Err(IndexError::Corrupt(format!(
-                "tail words {tail:?} and {} static entries in a tree of {n}",
-                get_u64(&buf, 48)
+                "tail words {tail:?} and {fixed} static entries in a tree of {n}"
             )));
         }
         Ok(Self { file, payload_len, shape, root, n })
+    }
+
+    /// Bytes of each entry's payload.
+    pub fn payload_len(&self) -> usize {
+        self.payload_len
     }
 
     /// Total entries.
@@ -1015,10 +1025,11 @@ impl IntervalTree {
                 return Err(IndexError::Corrupt(msg));
             }
             let buf = self.file.page(page)?;
-            match get_u32(&buf, 0) {
+            let mut r = Reader::new(&buf);
+            match r.u32("node magic")? {
                 INNER_MAGIC => {
                     let capacity = (block - INNER_HDR) / FENCE_LEN;
-                    let count = get_u32(&buf, 4) as usize;
+                    let count = r.u32("node child count")? as usize;
                     if count > capacity {
                         return Err(IndexError::Corrupt(format!(
                             "node holds {count} > {capacity} entries"
@@ -1038,7 +1049,7 @@ impl IntervalTree {
                     }
                 }
                 LEAF_MAGIC => {
-                    let (rows, body) = (Rows::parse(&buf, shape)?, &buf[shape.hdr..]);
+                    let (rows, body) = (Rows::parse(r, shape)?, &buf[shape.hdr..]);
                     for i in 0..rows.count {
                         let lo = rows.key(body, i, 0);
                         if lo > t {
@@ -1046,7 +1057,7 @@ impl IntervalTree {
                         }
                         let hi = rows.key(body, i, 1);
                         if hi >= t {
-                            rows.payload(&buf, shape, i, payload);
+                            rows.payload(body, shape, i, payload);
                             visit(lo, hi, payload);
                         }
                     }
@@ -1064,6 +1075,10 @@ mod tests {
     use chronorank_storage::{Env, StoreConfig};
     use std::cell::Cell;
     use std::collections::BTreeSet;
+
+    fn get_u32(buf: &[u8], off: usize) -> u32 {
+        u32::from_le_bytes(buf[off..off + 4].try_into().unwrap())
+    }
 
     thread_local! {
         /// Calls of [`OpenLeaf::take`] on this thread: one per entry a cut

@@ -22,7 +22,8 @@ use chronorank_serve::{
     Route, ServeError, ServeQuery, WorkerPool,
 };
 use chronorank_storage::{
-    Env, FileDevice, GenerationImage, ImageWriter, IoCounter, StorageError, WriteAheadLog,
+    DecodeError, Env, FileDevice, GenerationImage, ImageWriter, IoCounter, Reader, StorageError,
+    WriteAheadLog,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -56,6 +57,12 @@ impl std::fmt::Display for LiveError {
 }
 
 impl std::error::Error for LiveError {}
+
+impl From<DecodeError> for LiveError {
+    fn from(e: DecodeError) -> Self {
+        LiveError::Snapshot(e.to_string())
+    }
+}
 
 impl From<StorageError> for LiveError {
     fn from(e: StorageError) -> Self {
@@ -263,15 +270,14 @@ impl IngestEngine {
             .map_err(|e| LiveError::Snapshot(format!("live_set: {e}")))?;
         let epoch = img.epoch();
         let meta = img.blob("engine")?;
-        if meta.len() != 25 {
-            return Err(LiveError::Snapshot("corrupt engine metadata".into()));
-        }
-        let u64_at = |at: usize| u64::from_le_bytes(meta[at..at + 8].try_into().expect("8"));
-        let w = u64_at(0) as usize;
-        let compatible = w == config.workers.clamp(1, set.num_objects())
-            && u64_at(8) as usize == config.store.block_size
-            && u64_at(16) as usize == config.approx.kmax
-            && meta[24] == method_flags(config.methods);
+        let mut r = Reader::new(&meta);
+        let w = config.workers.clamp(1, set.num_objects());
+        let stamped = [r.u64("worker count")?, r.u64("block size")?, r.u64("kmax")?];
+        let flags = r.u8("method flags")?;
+        r.end("engine metadata")?;
+        let compatible = stamped
+            == [w, config.store.block_size, config.approx.kmax].map(|n| n as u64)
+            && flags == method_flags(config.methods);
         if !compatible {
             return Ok((set, epoch, Vec::new()));
         }
@@ -291,23 +297,15 @@ impl IngestEngine {
         config: &LiveConfig,
     ) -> Result<GenParts, LiveError> {
         let meta = img.blob(&format!("s{shard}/meta"))?;
-        if meta.len() < 14 {
-            return Err(LiveError::Snapshot("corrupt shard metadata".into()));
-        }
-        let generation = u64::from_le_bytes(meta[..8].try_into().expect("8"));
-        // meta[8] said "an EXACT1 tree follows" in images written while
+        let mut r = Reader::new(&meta);
+        let generation = r.u64("generation")?;
+        // This byte said "an EXACT1 tree follows" in images written while
         // generations still built one; those sections are simply not read.
-        let has_bp = meta[9] != 0;
-        let count = u32::from_le_bytes(meta[10..14].try_into().expect("4")) as usize;
-        if meta.len() != 14 + 8 * count {
-            return Err(LiveError::Snapshot("corrupt shard metadata".into()));
-        }
-        let frozen_end: Vec<f64> = (0..count)
-            .map(|i| {
-                let at = 14 + 8 * i;
-                f64::from_bits(u64::from_le_bytes(meta[at..at + 8].try_into().expect("8")))
-            })
-            .collect();
+        r.u8("EXACT1 flag")?;
+        let has_bp = r.u8("breakpoints flag")? != 0;
+        let count = r.count("frozen edge count", 8)?;
+        let frozen_end = r.f64s("frozen edges", count)?;
+        r.end("shard metadata")?;
         let mut part = |name: &str| -> Result<GenPart, LiveError> {
             let env = Env::mem(config.store);
             let file =

@@ -28,6 +28,7 @@
 
 use chronorank_core::{AppendRecord, TopK};
 use chronorank_serve::{Route, ServeQuery};
+use chronorank_storage::{DecodeError, Reader};
 
 /// Protocol version carried in every frame header.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -186,6 +187,14 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// A payload field its bytes cannot hold is a [`FrameError::BadPayload`]
+/// naming the field.
+impl From<DecodeError> for FrameError {
+    fn from(e: DecodeError) -> Self {
+        FrameError::BadPayload(e.field)
+    }
+}
+
 /// One parsed frame: opcode, request id, raw payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
@@ -229,32 +238,32 @@ impl Frame {
     /// the number of bytes it consumed. Validates everything (magic,
     /// version, opcode, length bound, CRC) and reads only within `buf`.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
-        if buf.len() < HEADER_LEN {
-            return Err(FrameError::Truncated { needed: HEADER_LEN, have: buf.len() });
+        let truncated =
+            |e: DecodeError| FrameError::Truncated { needed: e.offset + e.need, have: buf.len() };
+        let mut r = Reader::new(buf);
+        let mut head = Reader::new(r.bytes("frame header", HEADER_LEN).map_err(truncated)?);
+        let magic = head.array("magic")?;
+        if magic != MAGIC {
+            return Err(FrameError::BadMagic(magic));
         }
-        if buf[..2] != MAGIC {
-            return Err(FrameError::BadMagic([buf[0], buf[1]]));
+        let version = head.u8("version")?;
+        if version != PROTOCOL_VERSION {
+            return Err(FrameError::BadVersion(version));
         }
-        if buf[2] != PROTOCOL_VERSION {
-            return Err(FrameError::BadVersion(buf[2]));
-        }
-        let opcode = OpCode::from_u8(buf[3]).ok_or(FrameError::UnknownOp(buf[3]))?;
-        let request_id = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes"));
+        let op = head.u8("opcode")?;
+        let opcode = OpCode::from_u8(op).ok_or(FrameError::UnknownOp(op))?;
+        let request_id = head.u64("request id")?;
+        let len = head.u32("payload length")?;
         if len > MAX_PAYLOAD {
             return Err(FrameError::Oversized { len, max: MAX_PAYLOAD });
         }
-        let want = u32::from_le_bytes(buf[16..20].try_into().expect("4 bytes"));
-        let total = HEADER_LEN + len as usize;
-        if buf.len() < total {
-            return Err(FrameError::Truncated { needed: total, have: buf.len() });
-        }
-        let payload = &buf[HEADER_LEN..total];
+        let want = head.u32("payload crc")?;
+        let payload = r.bytes("payload", len as usize).map_err(truncated)?;
         let got = crc32(payload);
         if got != want {
             return Err(FrameError::BadCrc { want, got });
         }
-        Ok((Frame { opcode, request_id, payload: payload.to_vec() }, total))
+        Ok((Frame { opcode, request_id, payload: payload.to_vec() }, HEADER_LEN + payload.len()))
     }
 }
 
@@ -308,14 +317,6 @@ impl Decoder {
 // Payload bodies
 // ---------------------------------------------------------------------------
 
-fn take<const N: usize>(buf: &[u8], at: usize, what: &'static str) -> Result<[u8; N], FrameError> {
-    buf.get(at..at + N).and_then(|s| s.try_into().ok()).ok_or(FrameError::BadPayload(what))
-}
-
-fn f64_at(buf: &[u8], at: usize, what: &'static str) -> Result<f64, FrameError> {
-    Ok(f64::from_bits(u64::from_le_bytes(take::<8>(buf, at, what)?)))
-}
-
 /// Fit a host-side count into a u32 wire field, or say exactly why not.
 fn fit_u32(field: &'static str, value: usize) -> Result<u32, FrameError> {
     u32::try_from(value).map_err(|_| FrameError::FieldOverflow {
@@ -361,11 +362,9 @@ impl TraceContext {
     /// Parse a 16-byte tail. A zero trace id is rejected — no conforming
     /// encoder produces one, so it marks corruption, not a trace.
     pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
-        if buf.len() != Self::WIRE_LEN {
-            return Err(FrameError::BadPayload("trace context must be 16 bytes"));
-        }
-        let trace_id = u64::from_le_bytes(take::<8>(buf, 0, "trace id")?);
-        let parent_span = u64::from_le_bytes(take::<8>(buf, 8, "parent span")?);
+        let mut r = Reader::new(buf);
+        let (trace_id, parent_span) = (r.u64("trace id")?, r.u64("parent span")?);
+        r.end("trace context")?;
         if trace_id == 0 {
             return Err(FrameError::BadPayload("trace context with zero trace id"));
         }
@@ -415,22 +414,14 @@ impl TopKRequest {
     /// query the engine must not see: the interval must be finite with
     /// `t1 < t2`, `eps` finite and non-negative, `k` bounded.
     pub fn decode(buf: &[u8]) -> Result<(Self, Option<TraceContext>), FrameError> {
-        let ctx = match buf.len() {
-            Self::LEN => None,
-            n if n == Self::LEN + TraceContext::WIRE_LEN => {
-                Some(TraceContext::decode(&buf[Self::LEN..])?)
-            }
-            _ => {
-                return Err(FrameError::BadPayload(
-                    "topk request must be 29 bytes, or 45 with a trace context",
-                ))
-            }
+        let mut r = Reader::new(buf);
+        let (t1, t2) = (r.f64("t1")?, r.f64("t2")?);
+        let k = r.u32("k")? as usize;
+        let (tag, eps) = (r.u8("tolerance tag")?, r.f64("eps")?);
+        let ctx = match r.left() {
+            0 => None,
+            left => Some(TraceContext::decode(r.bytes("trace context", left)?)?),
         };
-        let t1 = f64_at(buf, 0, "t1")?;
-        let t2 = f64_at(buf, 8, "t2")?;
-        let k = u32::from_le_bytes(take::<4>(buf, 16, "k")?) as usize;
-        let tag = buf[20];
-        let eps = f64_at(buf, 21, "eps")?;
         if !t1.is_finite() || !t2.is_finite() || t1 >= t2 {
             return Err(FrameError::BadPayload("interval must be finite with t1 < t2"));
         }
@@ -491,29 +482,27 @@ impl TopKResponse {
         Ok(out)
     }
 
-    /// Parse.
+    /// Parse. Entries not ranked best first (a NaN score included) are
+    /// refused: [`TopK`] holds them in rank order.
     pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
-        if buf.len() < 21 {
-            return Err(FrameError::BadPayload("topk response shorter than its fixed head"));
-        }
+        let mut r = Reader::new(buf);
         let route = *Route::ALL
-            .get(buf[0] as usize)
+            .get(r.u8("route")? as usize)
             .ok_or(FrameError::BadPayload("route byte out of range"))?;
-        let eps = f64_at(buf, 1, "eps_used")?;
+        let eps = r.f64("eps_used")?;
         if eps != -1.0 && !(eps.is_finite() && eps >= 0.0) {
             return Err(FrameError::BadPayload("eps_used must be -1 or finite and ≥ 0"));
         }
         let eps_used = (eps >= 0.0).then_some(eps);
-        let appends_applied = u64::from_le_bytes(take::<8>(buf, 9, "appends_applied")?);
-        let count = u32::from_le_bytes(take::<4>(buf, 17, "entry count")?) as usize;
-        if buf.len() != 21 + 12 * count {
-            return Err(FrameError::BadPayload("entry count disagrees with payload length"));
-        }
+        let appends_applied = r.u64("appends_applied")?;
+        let count = r.count("entry count", 12)?;
         let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = 21 + 12 * i;
-            let id = u32::from_le_bytes(take::<4>(buf, at, "entry id")?);
-            entries.push((id, f64_at(buf, at + 4, "entry score")?));
+        for _ in 0..count {
+            entries.push((r.u32("entry id")?, r.f64("entry score")?));
+        }
+        r.end("topk response")?;
+        if !entries.is_sorted_by(|a, b| a.1 >= b.1) {
+            return Err(FrameError::BadPayload("topk entries are not ranked best first"));
         }
         Ok(Self { topk: TopK::from_ranked(entries), route, eps_used, appends_applied })
     }
@@ -548,26 +537,17 @@ pub fn encode_append_batch(
 pub fn decode_append_batch(
     buf: &[u8],
 ) -> Result<(Vec<AppendRecord>, Option<TraceContext>), FrameError> {
-    let count = u32::from_le_bytes(take::<4>(buf, 0, "append count")?) as usize;
-    // Checked arithmetic: on a 32-bit usize a hostile count could wrap
-    // `4 + LEN * count` into agreeing with the buffer length.
-    let need = count
-        .checked_mul(AppendRecord::ENCODED_LEN)
-        .and_then(|n| n.checked_add(4))
-        .ok_or(FrameError::BadPayload("append count overflows"))?;
-    let ctx = if buf.len() == need {
-        None
-    } else if need.checked_add(TraceContext::WIRE_LEN) == Some(buf.len()) {
-        Some(TraceContext::decode(&buf[need..])?)
-    } else {
-        return Err(FrameError::BadPayload("append count disagrees with payload length"));
+    let mut r = Reader::new(buf);
+    let count = r.count("append count", AppendRecord::ENCODED_LEN)?;
+    let mut recs = Vec::with_capacity(count);
+    for _ in 0..count {
+        let rec = AppendRecord::decode(r.bytes("append record", AppendRecord::ENCODED_LEN)?);
+        recs.push(rec.ok_or(FrameError::BadPayload("undecodable append record"))?);
+    }
+    let ctx = match r.left() {
+        0 => None,
+        left => Some(TraceContext::decode(r.bytes("trace context", left)?)?),
     };
-    let recs = buf[4..need]
-        .chunks_exact(AppendRecord::ENCODED_LEN)
-        .map(|chunk| {
-            AppendRecord::decode(chunk).ok_or(FrameError::BadPayload("undecodable append record"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
     Ok((recs, ctx))
 }
 
@@ -591,13 +571,10 @@ impl AppendOk {
 
     /// Parse.
     pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
-        if buf.len() != 16 {
-            return Err(FrameError::BadPayload("append-ok must be 16 bytes"));
-        }
-        Ok(Self {
-            accepted: u64::from_le_bytes(take::<8>(buf, 0, "accepted")?),
-            total_appends: u64::from_le_bytes(take::<8>(buf, 8, "total_appends")?),
-        })
+        let mut r = Reader::new(buf);
+        let ok = Self { accepted: r.u64("accepted")?, total_appends: r.u64("total_appends")? };
+        r.end("append-ok")?;
+        Ok(ok)
     }
 }
 
@@ -653,24 +630,21 @@ impl StatsBody {
 
     /// Parse.
     pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
-        if buf.len() != Self::LEN {
-            return Err(FrameError::BadPayload("stats body must be 69 bytes"));
-        }
-        let at = |i: usize| -> Result<u64, FrameError> {
-            Ok(u64::from_le_bytes(take::<8>(buf, 5 + 8 * i, "stats counter")?))
+        let mut r = Reader::new(buf);
+        let stats = Self {
+            live_backend: r.u8("live backend")?,
+            workers: r.u32("workers")?,
+            queries: r.u64("queries")?,
+            appends: r.u64("appends")?,
+            frames_in: r.u64("frames_in")?,
+            frames_out: r.u64("frames_out")?,
+            busy_rejections: r.u64("busy_rejections")?,
+            connections: r.u64("connections")?,
+            t_min: r.f64("t_min")?,
+            t_max: r.f64("t_max")?,
         };
-        Ok(Self {
-            live_backend: buf[0],
-            workers: u32::from_le_bytes(take::<4>(buf, 1, "workers")?),
-            queries: at(0)?,
-            appends: at(1)?,
-            frames_in: at(2)?,
-            frames_out: at(3)?,
-            busy_rejections: at(4)?,
-            connections: at(5)?,
-            t_min: f64_at(buf, 53, "t_min")?,
-            t_max: f64_at(buf, 61, "t_max")?,
-        })
+        r.end("stats body")?;
+        Ok(stats)
     }
 }
 
@@ -728,17 +702,14 @@ impl ErrorBody {
 
     /// Parse.
     pub fn decode(buf: &[u8]) -> Result<Self, FrameError> {
-        if buf.len() < 5 {
-            return Err(FrameError::BadPayload("error body shorter than its fixed head"));
-        }
-        let code = ErrCode::from_u8(buf[0]).ok_or(FrameError::BadPayload("unknown error code"))?;
-        let len = u32::from_le_bytes(take::<4>(buf, 1, "message length")?) as usize;
-        if buf.len() != 5 + len {
-            return Err(FrameError::BadPayload("message length disagrees with payload"));
-        }
-        let message = std::str::from_utf8(&buf[5..])
+        let mut r = Reader::new(buf);
+        let code = r.u8("error code")?;
+        let code = ErrCode::from_u8(code).ok_or(FrameError::BadPayload("unknown error code"))?;
+        let len = r.count("message length", 1)?;
+        let message = std::str::from_utf8(r.bytes("message", len)?)
             .map_err(|_| FrameError::BadPayload("message is not utf-8"))?
             .to_string();
+        r.end("error body")?;
         Ok(Self { code, message })
     }
 }

@@ -57,6 +57,12 @@ impl std::error::Error for StorageError {
     }
 }
 
+impl From<crate::DecodeError> for StorageError {
+    fn from(e: crate::DecodeError) -> Self {
+        StorageError::Corrupt(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
         StorageError::Io(e)

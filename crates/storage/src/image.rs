@@ -27,6 +27,7 @@
 
 use crate::device::zeroed_page;
 use crate::error::{Result, StorageError};
+use crate::page::Reader;
 use crate::pool::{PagedFile, StoreConfig};
 use crate::stats::IoCounter;
 use crate::wal::crc32;
@@ -173,14 +174,13 @@ impl GenerationImage {
             return Err(StorageError::Corrupt("image shorter than header".into()));
         }
         file.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
+        let mut r = Reader::new(&header);
+        if &r.array("image magic")? != MAGIC {
             return Err(StorageError::Corrupt("bad generation image magic".into()));
         }
-        let u64_at = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8"));
-        let epoch = u64_at(8);
-        let manifest_off = u64_at(16);
-        let manifest_len = u64_at(24);
-        let manifest_crc = u32::from_le_bytes(header[32..36].try_into().expect("4"));
+        let epoch = r.u64("image epoch")?;
+        let (manifest_off, manifest_len) = (r.u64("manifest offset")?, r.u64("manifest length")?);
+        let manifest_crc = r.u32("manifest CRC")?;
         if manifest_off < HEADER_LEN
             || manifest_off.checked_add(manifest_len).is_none_or(|end| end > file_len)
         {
@@ -266,27 +266,20 @@ impl GenerationImage {
 }
 
 fn parse_manifest(manifest: &[u8], payload_end: u64) -> Result<Vec<Section>> {
-    let corrupt = || StorageError::Corrupt("truncated image manifest".into());
+    let mut r = Reader::new(manifest);
     let mut sections = Vec::new();
-    let mut at = 0usize;
-    while at < manifest.len() {
-        let name_len = u16::from_le_bytes(
-            manifest.get(at..at + 2).ok_or_else(corrupt)?.try_into().expect("2"),
-        ) as usize;
-        at += 2;
-        let name = std::str::from_utf8(manifest.get(at..at + name_len).ok_or_else(corrupt)?)
+    while r.left() > 0 {
+        let name_len = r.u16("section name length")? as usize;
+        let name = std::str::from_utf8(r.bytes("section name", name_len)?)
             .map_err(|_| StorageError::Corrupt("non-utf8 image section name".into()))?
             .to_string();
-        at += name_len;
-        let fixed = manifest.get(at..at + 25).ok_or_else(corrupt)?;
-        at += 25;
         let section = Section {
             name,
-            kind: fixed[0],
-            block_size: u32::from_le_bytes(fixed[1..5].try_into().expect("4")),
-            start: u64::from_le_bytes(fixed[5..13].try_into().expect("8")),
-            len: u64::from_le_bytes(fixed[13..21].try_into().expect("8")),
-            crc: u32::from_le_bytes(fixed[21..25].try_into().expect("4")),
+            kind: r.u8("section kind")?,
+            block_size: r.u32("section block size")?,
+            start: r.u64("section start")?,
+            len: r.u64("section length")?,
+            crc: r.u32("section CRC")?,
         };
         if section.kind > KIND_PAGED
             || section.start < HEADER_LEN

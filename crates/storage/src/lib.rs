@@ -32,7 +32,12 @@
 //! * [`ImageWriter`] / [`GenerationImage`] — a versioned, CRC'd container
 //!   that persists a frozen index generation (page captures of whole
 //!   [`PagedFile`]s plus metadata blobs) so a restart serves it directly
-//!   instead of rebuilding.
+//!   instead of rebuilding;
+//! * [`Reader`] — the one decoder of untrusted bytes: every container
+//!   read back from a file or a socket (this crate's, the indexes', the
+//!   wire's) goes through it, so a malformed one is a [`DecodeError`] and
+//!   a decoded count sizes memory only after [`Reader::count`] has checked
+//!   it against the bytes that back it.
 //!
 //! ## Concurrency
 //!
@@ -81,6 +86,7 @@ pub use device::{BlockDevice, FileDevice, MemDevice, Page};
 pub use env::Env;
 pub use error::{Result, StorageError};
 pub use image::{GenerationImage, ImageWriter};
+pub use page::{DecodeError, Reader};
 pub use pool::{PagedFile, StoreConfig};
 pub use stats::{IoCounter, IoStats};
 pub use wal::{crc32, WriteAheadLog};

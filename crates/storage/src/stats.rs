@@ -117,7 +117,7 @@ impl IoCounter {
     }
 
     /// Record `n` block reads.
-    pub fn add_reads(&self, n: u64) {
+    pub(crate) fn add_reads(&self, n: u64) {
         self.inner.reads.fetch_add(n, Ordering::Relaxed);
         THREAD_READS.with(|c| c.set(c.get() + n));
     }
@@ -145,12 +145,12 @@ impl IoCounter {
     }
 
     /// Record `n` block writes.
-    pub fn add_writes(&self, n: u64) {
+    pub(crate) fn add_writes(&self, n: u64) {
         self.inner.writes.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record one WAL block flush carrying `bytes` of fresh payload.
-    pub fn add_wal_write(&self, bytes: u64) {
+    pub(crate) fn add_wal_write(&self, bytes: u64) {
         self.inner.wal_writes.fetch_add(1, Ordering::Relaxed);
         self.inner.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
     }

@@ -27,6 +27,7 @@
 
 use crate::device::{BlockDevice, MemDevice};
 use crate::error::{Result, StorageError};
+use crate::page::Reader;
 use crate::stats::{IoCounter, IoStats};
 use crate::PageId;
 
@@ -132,19 +133,18 @@ impl WriteAheadLog {
         }
         let mut header = vec![0u8; block_size as usize];
         device.read(0, &mut header)?;
-        if header[..8] != MAGIC {
+        let mut r = Reader::new(&header);
+        if r.array("WAL magic")? != MAGIC {
             return Err(StorageError::Corrupt("bad WAL magic".into()));
         }
-        let bs = u32::from_le_bytes(header[8..12].try_into().unwrap()) as u64;
+        let bs = r.u32("WAL block size")? as u64;
         if bs != block_size {
             return Err(StorageError::Corrupt(format!(
                 "WAL written with block size {bs}, opened with {block_size}"
             )));
         }
-        let epoch = u64::from_le_bytes(header[12..20].try_into().unwrap());
-        let start = u64::from_le_bytes(header[20..28].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[28..32].try_into().unwrap());
-        if crc != crc32(0, &header[..28]) {
+        let (epoch, start) = (r.u64("WAL epoch")?, r.u64("WAL start")?);
+        if r.u32("WAL header CRC")? != crc32(0, &header[..28]) {
             return Err(StorageError::Corrupt("WAL header CRC mismatch".into()));
         }
         let mut wal = Self {
@@ -161,8 +161,8 @@ impl WriteAheadLog {
         };
         // Scan to find the durable end.
         let mut offset = start;
-        while let Some(len) = wal.probe(offset)? {
-            offset += FRAME + len;
+        while let Some(payload) = wal.probe(offset)? {
+            offset += FRAME + payload.len() as u64;
             wal.records += 1;
         }
         wal.end = offset;
@@ -232,16 +232,10 @@ impl WriteAheadLog {
         self.sync()?;
         let mut offset = self.start;
         let mut replayed = 0u64;
-        let mut buf = Vec::new();
         while offset < self.end {
-            let len = match self.probe(offset)? {
-                Some(len) => len,
-                None => break,
-            };
-            buf.resize(len as usize, 0);
-            self.read_stream(offset + FRAME, &mut buf)?;
-            f(offset, &buf);
-            offset += FRAME + len;
+            let Some(payload) = self.probe(offset)? else { break };
+            f(offset, &payload);
+            offset += FRAME + payload.len() as u64;
             replayed += 1;
         }
         Ok(replayed)
@@ -354,9 +348,10 @@ impl WriteAheadLog {
         Ok(())
     }
 
-    /// Verify the record at `offset`; `Some(payload_len)` when it parses
-    /// and passes its CRC, `None` when the stream ends there.
-    fn probe(&mut self, offset: u64) -> Result<Option<u64>> {
+    /// The payload of the record at `offset` when it parses and passes its
+    /// CRC, `None` when the stream ends there. Its length is bounded by the
+    /// bytes the log holds past the frame before it sizes the payload.
+    fn probe(&mut self, offset: u64) -> Result<Option<Vec<u8>>> {
         let capacity = (self.device.num_blocks().saturating_sub(1)) * self.block_size;
         let in_memory_end = self.end.max(self.synced_end);
         let readable = capacity.max(in_memory_end);
@@ -365,17 +360,14 @@ impl WriteAheadLog {
         }
         let mut frame = [0u8; FRAME as usize];
         self.read_stream(offset, &mut frame)?;
-        let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as u64;
-        let crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+        let mut r = Reader::new(&frame);
+        let (len, crc) = (r.u32("WAL record length")? as u64, r.u32("WAL record CRC")?);
         if len == 0 || len > MAX_RECORD_LEN as u64 || offset + FRAME + len > readable {
             return Ok(None);
         }
         let mut payload = vec![0u8; len as usize];
         self.read_stream(offset + FRAME, &mut payload)?;
-        if record_crc(self.epoch, &payload) != crc {
-            return Ok(None);
-        }
-        Ok(Some(len))
+        Ok((record_crc(self.epoch, &payload) == crc).then_some(payload))
     }
 
     fn write_header(&mut self) -> Result<()> {

@@ -1,5 +1,6 @@
 //! The allocator the count-pinning test binaries share
-//! (`resident_build_counts`, `obs_counts`, `streaming_build_counts`): the
+//! (`resident_build_counts`, `obs_counts`, `streaming_build_counts`,
+//! `malformed_inputs`): the
 //! system allocator, counting every block it hands out or moves, the bytes
 //! currently handed out and their high-water mark.
 //! Each binary installs it itself (`#[global_allocator]` must sit in the
