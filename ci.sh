@@ -55,8 +55,9 @@
 #                     tests/malformed_inputs.rs pins (decoders of bytes
 #                     read back from a file or a socket swept, the
 #                     truncated or flipped blobs they decoded, the panics
-#                     over them, 0, and the worst heap a decode held per
-#                     byte it was handed), the one
+#                     over them, 0, the damaged live images whose boot
+#                     was refused, 0, and the worst heap a decode held
+#                     per byte it was handed), the one
 #                     crates/index/src/interval.rs pins (cuts per entry an
 #                     EXACT3 load makes, on a Temp shard and on Meme: each
 #                     entry goes into a leaf about once), the ones

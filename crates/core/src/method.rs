@@ -49,12 +49,13 @@ impl MethodProfile {
     /// absolute bound is the fraction `ε·M_built / M_live` of the current
     /// mass. Returns the profile restated against `live_mass`, which is
     /// what a planner must compare a client's ε-budget to. Exact profiles
-    /// are unchanged; so is everything when `live_mass` is not a usable
-    /// scale (≤ 0, or below the built mass — a shrunk mass would *loosen*
-    /// the restated bound, and appends can only grow it).
+    /// are unchanged; so is everything unless the live mass has grown past
+    /// the built mass — at equal mass the profile comes back bit for bit
+    /// (`ε·M/M` need not be `ε`), and a shrunk or non-positive mass would
+    /// *loosen* the restated bound, while appends can only grow it.
     pub fn revalidate(self, built_mass: f64, live_mass: f64) -> Self {
         match self.eps {
-            Some(eps) if live_mass > 0.0 && built_mass > 0.0 && live_mass >= built_mass => {
+            Some(eps) if built_mass > 0.0 && live_mass > built_mass => {
                 Self { eps: Some(eps * built_mass / live_mass), ..self }
             }
             _ => self,
@@ -235,6 +236,17 @@ mod tests {
         assert_eq!(p.revalidate(0.0, 10.0), p);
         // Exact profiles are immune.
         assert_eq!(MethodProfile::EXACT.revalidate(1.0, 9.0), MethodProfile::EXACT);
+    }
+
+    #[test]
+    fn revalidation_at_equal_mass_returns_the_profile_bit_for_bit() {
+        // 0.1 · 3 / 3 rounds to 0.10000000000000002: restating at equal
+        // mass would move the ε a static engine reports.
+        let p = MethodProfile { eps: Some(0.1), tight_ranks: true, max_k: Some(8) };
+        assert_ne!((0.1f64 * 3.0 / 3.0).to_bits(), 0.1f64.to_bits());
+        assert_eq!(p.revalidate(3.0, 3.0).eps.map(f64::to_bits), Some(0.1f64.to_bits()));
+        let grown = p.revalidate(3.0, 6.0).eps.unwrap();
+        assert!((grown - 0.05).abs() < 1e-12, "a grown mass still tightens: {grown}");
     }
 
     #[test]

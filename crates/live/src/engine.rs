@@ -2,32 +2,29 @@
 //!
 //! Appends take `&mut self` (there is exactly one WAL) and are applied to
 //! the owning shards, which hold the data, before the call returns. The
-//! query path — [`IngestEngine::execute`], one window of queries scattered
-//! as one job to each shard's own pool worker — takes `&self`: every call
-//! gathers on its own reply channel, so any number of caller threads can
-//! query one engine concurrently — the network tier wraps an
-//! `IngestEngine` in an `RwLock` and lets reads overlap while appends
-//! serialize, and installs with them.
+//! query path is the engine body serve runs too — [`Engine::execute`] on
+//! the [`Engine`] an [`IngestEngine`] owns (and derefs to), one window of
+//! queries scattered as one job to each shard's own pool worker. It takes
+//! `&self`: every call gathers on its own reply channel, so any number of
+//! caller threads can query one engine concurrently — the network tier
+//! wraps an `IngestEngine` in an `RwLock` and lets reads overlap while
+//! appends serialize, and installs with them.
 
 use crate::config::LiveConfig;
 use crate::generation::{GenPart, GenParts};
 use crate::obs::LiveObs;
 use crate::report::{LiveReport, PauseHistogram};
 use crate::shard::{live_curves, LiveShard, ShardStatus, Step};
-use chronorank_core::{AppendRecord, CoreError, MethodProfile, ObjectId, TemporalSet, TopK};
+use chronorank_core::{AppendRecord, CoreError, ObjectId, TemporalSet};
 use chronorank_curve::{ColumnarTail, Segment};
-use chronorank_obs::{elapsed_us, Registry, SpanId, SpanSink, TraceId};
-use chronorank_serve::{
-    merge_profiles, partition, to_local, Answer, Freshness, MethodSet, Planner, PlannerParams,
-    Route, ServeError, ServeQuery, WorkerPool,
-};
+use chronorank_obs::{elapsed_us, Registry};
+use chronorank_serve::{to_local, Engine, MethodSet, ServeError, ShardGauges};
 use chronorank_storage::{
     DecodeError, Env, FileDevice, GenerationImage, ImageWriter, IoCounter, Reader, StorageError,
     WriteAheadLog,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Errors surfaced by the live layer.
@@ -76,58 +73,50 @@ impl From<ServeError> for LiveError {
     }
 }
 
-/// Query-path counters updated under one short lock (the query path is
-/// `&self`, so plain fields will not do).
-#[derive(Default)]
-struct QueryCounters {
-    queries: u64,
-    queries_during_rebuild: u64,
-    elapsed_secs: f64,
-}
-
-/// The WAL-backed live ingest/serving engine (see crate docs).
-///
-/// Owns the write-ahead log, the worker pool — which owns the `W` ingest
-/// shards, each pairing its partition's columns (the only copy of the live
-/// data) with an epoch-swapped frozen generation, and runs each shard's
-/// query windows on a worker of its own — and what the §4 update model
-/// needs of the data as a whole: every object's right edge, the live mass
-/// and the time domain.
+/// The WAL-backed live ingest/serving engine (see crate docs): the
+/// write-ahead log, each object's right edge, and an [`Engine`] over the
+/// `W` ingest shards — each pairing its partition's columns (the only copy
+/// of the live data) with an epoch-swapped frozen generation — which
+/// routes, answers and counts every query; the query methods are the
+/// engine's, through `Deref`.
 pub struct IngestEngine {
     /// Each object's last point `(t, v)`, by global id: the edge an append
     /// must extend and the left end of the segment it adds.
     last: Vec<(f64, f64)>,
-    /// `M` of the live data, advanced with exactly the arithmetic of
-    /// [`TemporalSet::append_segment`]: the bits a bulk set would report.
-    live_mass: f64,
-    /// `(t_min, t_max)` of the live data.
-    domain: (f64, f64),
     wal: WriteAheadLog,
     image_path: Option<PathBuf>,
-    pool: WorkerPool<LiveShard>,
-    /// Routing over the installed generations and the mass they were built
-    /// over (recomputed at install), and whether a build is pending.
-    planner: Planner,
-    built_mass: f64,
-    building: bool,
-    // --- accumulated statistics ---
+    /// Its live mass grows with every appended segment, with exactly the
+    /// arithmetic of [`TemporalSet::append_segment`].
+    engine: Engine<LiveShard>,
     appends: u64,
     batches: u64,
-    query_counters: Mutex<QueryCounters>,
     checkpoints: u64,
-    /// Shards that reopened their frozen generation from the checkpoint
-    /// image at boot instead of rebuilding it (cold-start observability).
-    preloaded_shards: u64,
-    /// Config facts stamped into checkpoint images (the preload gate).
-    config_kmax: usize,
-    config_flags: u8,
+    /// What checkpoint images stamp (the preload gate).
+    stamp: Stamp,
     /// Pre-resolved metric handles (process-global registry).
     obs: LiveObs,
 }
 
-/// Bit-packed [`MethodSet`] for the image's engine metadata.
-fn method_flags(m: MethodSet) -> u8 {
-    (m.exact1 as u8) | ((m.appx1 as u8) << 1) | ((m.appx2 as u8) << 2) | ((m.appx2_plus as u8) << 3)
+/// The topology a checkpoint image's `engine` blob stamps, which a boot
+/// must match to reopen its generations: worker count, block size and
+/// kmax, then the bit-packed [`MethodSet`].
+type Stamp = ([u64; 3], u8);
+
+fn stamp(w: usize, config: &LiveConfig) -> Stamp {
+    let m: MethodSet = config.methods;
+    let flags = (m.exact1 as u8)
+        | ((m.appx1 as u8) << 1)
+        | ((m.appx2 as u8) << 2)
+        | ((m.appx2_plus as u8) << 3);
+    ([w, config.store.block_size, config.approx.kmax].map(|n| n as u64), flags)
+}
+
+fn read_stamp(meta: &[u8]) -> Result<Stamp, DecodeError> {
+    let mut r = Reader::new(meta);
+    let stamped = [r.u64("worker count")?, r.u64("block size")?, r.u64("kmax")?];
+    let stamp = (stamped, r.u8("method flags")?);
+    r.end("engine metadata")?;
+    Ok(stamp)
 }
 
 impl IngestEngine {
@@ -147,41 +136,24 @@ impl IngestEngine {
         if preloads.len() != w {
             preloads = (0..w).map(|_| None).collect();
         }
-        let preloaded_shards = preloads.iter().filter(|p| p.is_some()).count() as u64;
-        let parts = partition(&base, w);
-        let (params, domain) =
-            PlannerParams::of_partition(&parts, config.store.block_size, config.approx.r);
         let last = base.objects().iter().map(|o| o.curve.point(o.curve.num_points() - 1)).collect();
-        let live_mass = base.total_mass();
-        drop(base);
         // Every shard boots (generation 0, or its reopen) on a thread of
         // its own, all at once.
-        let pool = WorkerPool::boot(
-            parts.into_iter().zip(preloads).collect(),
-            &Registry::noop(),
-            |shard, (subset, preload)| {
-                let (config, obs) = (config.clone(), obs.shard.clone());
-                LiveShard::boot(shard, subset, config, preload, obs)
-            },
-        )?;
-        let (planner, built_mass) = plan(pool.shards(), params);
+        let plan = (config.store.block_size, config.approx.r);
+        let engine =
+            Engine::boot(&base, preloads, plan, &Registry::noop(), |shard, (subset, p)| {
+                LiveShard::boot(shard, subset, config.clone(), p, obs.shard.clone())
+            })?;
+        drop(base);
         Ok(Self {
             last,
-            live_mass,
-            domain,
             wal,
             image_path,
-            pool,
-            planner,
-            built_mass,
-            building: false,
+            engine,
             appends: 0,
             batches: 0,
-            query_counters: Mutex::default(),
             checkpoints: 0,
-            preloaded_shards,
-            config_kmax: config.approx.kmax,
-            config_flags: method_flags(config.methods),
+            stamp: stamp(w, &config),
             obs,
         })
     }
@@ -269,16 +241,11 @@ impl IngestEngine {
         let set = TemporalSet::from_columnar(&columns)
             .map_err(|e| LiveError::Snapshot(format!("live_set: {e}")))?;
         let epoch = img.epoch();
-        let meta = img.blob("engine")?;
-        let mut r = Reader::new(&meta);
         let w = config.workers.clamp(1, set.num_objects());
-        let stamped = [r.u64("worker count")?, r.u64("block size")?, r.u64("kmax")?];
-        let flags = r.u8("method flags")?;
-        r.end("engine metadata")?;
-        let compatible = stamped
-            == [w, config.store.block_size, config.approx.kmax].map(|n| n as u64)
-            && flags == method_flags(config.methods);
-        if !compatible {
+        // A missing or unreadable stamp forfeits the preload as a
+        // mismatched one does.
+        let stamped = img.blob("engine").ok().and_then(|meta| read_stamp(&meta).ok());
+        if stamped != Some(stamp(w, config)) {
             return Ok((set, epoch, Vec::new()));
         }
         let mut preloads = Vec::with_capacity(w);
@@ -319,40 +286,13 @@ impl IngestEngine {
         Ok(GenParts { generation, frozen_end, exact3, breakpoints })
     }
 
-    /// Number of ingest shards.
-    pub fn workers(&self) -> usize {
-        self.pool.shards().len()
-    }
-
     /// The live data (appends applied) as a row-form set, assembled from
     /// the shards' curves on every call: it shares the columns of every
     /// curve without an appended log and copies the others. The test and
     /// diagnostic surface (ground-truth assertions, segment counts);
     /// nothing on the append, query or STATS path calls it.
     pub fn live_set(&self) -> TemporalSet {
-        TemporalSet::from_curves(live_curves(self.pool.shards())).expect("an engine has objects")
-    }
-
-    /// `(t_min, t_max)` of the live data — what remote clients need to
-    /// form meaningful query intervals.
-    pub fn domain(&self) -> (f64, f64) {
-        self.domain
-    }
-
-    /// The freshness-aware routing decision for `q` (without executing).
-    pub fn route_for(&self, q: &ServeQuery) -> Route {
-        let (planner, fresh) = self.routing_snapshot();
-        planner.route_with_freshness(q, Some(fresh))
-    }
-
-    /// Everything a routing decision reads, copied: the router over the
-    /// installed generations' profiles and the §4 freshness dimension those
-    /// profiles are restated against — mass the serving generations were
-    /// built over vs the live (appends-included) mass. One snapshot both
-    /// admits a query and restates the ε its answer reports, so the two
-    /// are the same number.
-    pub fn routing_snapshot(&self) -> (Planner, Freshness) {
-        (self.planner, Freshness { built_mass: self.built_mass, live_mass: self.live_mass })
+        TemporalSet::from_curves(live_curves(self.engine.shards())).expect("an engine has objects")
     }
 
     /// Records durably applied over the engine's lifetime (cheaper than
@@ -382,7 +322,7 @@ impl IngestEngine {
             return Ok(());
         }
         self.validate(recs)?;
-        let w = self.pool.shards().len();
+        let w = self.engine.workers();
         let mut per_shard: Vec<Vec<AppendRecord>> = vec![Vec::new(); w];
         let mut accepted = 0u64;
         let mut failed = None;
@@ -395,9 +335,9 @@ impl IngestEngine {
             self.obs.wal_append_us.record(elapsed_us(t_append));
             let (prev_t, prev_v) =
                 std::mem::replace(&mut self.last[rec.object as usize], (rec.t, rec.v));
-            self.live_mass +=
+            let mass =
                 Segment::new(prev_t, prev_v, rec.t, rec.v).abs_integral_clipped(prev_t, rec.t);
-            self.domain.1 = self.domain.1.max(rec.t);
+            self.engine.grow(mass, rec.t);
             accepted += 1;
             let (shard, object) = to_local(rec.object, w);
             per_shard[shard].push(AppendRecord { object, ..*rec });
@@ -410,7 +350,7 @@ impl IngestEngine {
             self.obs.wal_fsync_us.record(elapsed_us(t_sync));
             self.obs.batch_size.record(accepted);
             let steps =
-                self.pool.shards().iter().zip(&per_shard).map(|(s, b)| s.apply(b)).collect();
+                self.engine.shards().iter().zip(&per_shard).map(|(s, b)| s.apply(b)).collect();
             self.stepped(steps);
             self.appends += accepted;
             self.batches += 1;
@@ -418,23 +358,18 @@ impl IngestEngine {
                 failed.get_or_insert(LiveError::Storage(e));
             }
         }
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        failed.map_or(Ok(()), Err)
     }
 
     /// Fold what a step left the shards with into what queries read.
     fn stepped(&mut self, steps: Vec<Step>) {
-        self.building = steps.iter().any(|s| s.pending);
-        if steps.iter().any(|s| s.installed) {
-            (self.planner, self.built_mass) = plan(self.pool.shards(), self.planner.params());
-        }
+        let installed = steps.iter().any(|s| s.installed);
+        self.engine.settle(installed, steps.iter().any(|s| s.pending));
     }
 
     /// Every shard installs a finished build (with `wait`, any pending one).
     fn install(&mut self, wait: bool) {
-        let steps = self.pool.shards().iter().map(|s| s.install(wait)).collect();
+        let steps = self.engine.shards().iter().map(|s| s.install(wait)).collect();
         self.stepped(steps);
     }
 
@@ -465,55 +400,6 @@ impl IngestEngine {
             batch_end.insert(rec.object, rec.t);
         }
         Ok(())
-    }
-
-    /// Answer one window of queries — the engine's one query body. The
-    /// window is routed against one [`IngestEngine::routing_snapshot`] and
-    /// handed to the worker pool's [`WorkerPool::scatter_gather`] — the
-    /// scatter–gather `chronorank-serve` runs, one window per call: each
-    /// shard's worker gets it as **one** job, takes its lock, answers
-    /// probe-identical queries (same snapped or raw interval, `k`, route
-    /// and tolerance) with a single frozen probe and columnar rescore, and
-    /// once every shard has replied the lists are merged per query.
-    /// Answers are bit-identical to executing every
-    /// query in a window of its own (the window agreement suite pins this);
-    /// each [`Answer`] carries the route it was planned onto and that
-    /// route's ε restated against the same snapshot, which no install can
-    /// change underneath (installs take `&mut self`).
-    ///
-    /// With a `trace` context `(trace, parent)`, every query gets an
-    /// `engine.query` span under `parent` with one `shard.probe` child per
-    /// shard carrying its reads, exactly as on the serve backend.
-    pub fn execute(
-        &self,
-        window: &[ServeQuery],
-        trace: Option<(TraceId, SpanId)>,
-        sink: &SpanSink,
-    ) -> Result<Vec<Answer>, LiveError> {
-        let t0 = Instant::now();
-        let (planner, fresh) = self.routing_snapshot();
-        let routed: Arc<[(ServeQuery, Route)]> =
-            window.iter().map(|q| (*q, planner.route_with_freshness(q, Some(fresh)))).collect();
-        let tops = self.pool.scatter_gather(&routed, trace, sink)?;
-        let mut counters =
-            self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        counters.queries += tops.len() as u64;
-        if self.building {
-            counters.queries_during_rebuild += tops.len() as u64;
-        }
-        counters.elapsed_secs += t0.elapsed().as_secs_f64();
-        drop(counters);
-        let answer = |(topk, (_, route)): (TopK, &(ServeQuery, Route))| {
-            let restated = |p: MethodProfile| p.revalidate(fresh.built_mass, fresh.live_mass).eps;
-            Answer { topk, route: *route, eps_used: planner.profile(*route).and_then(restated) }
-        };
-        Ok(tops.into_iter().zip(routed.iter()).map(answer).collect())
-    }
-
-    /// Answer one query: a window of one.
-    pub fn query(&self, q: ServeQuery) -> Result<TopK, LiveError> {
-        let answers = self.execute(&[q], None, &SpanSink::noop())?;
-        Ok(answers.into_iter().map(|a| a.topk).next().expect("one answer per query"))
     }
 
     /// Checkpoint: publish a generation image next to the WAL — the live
@@ -553,15 +439,13 @@ impl IngestEngine {
         // The live set travels in columnar (PAX) form: one shared offset
         // table plus contiguous t/v columns, gathered from the shards'
         // curves.
-        let live = ColumnarTail::from_curves(live_curves(self.pool.shards()));
+        let shards = self.engine.shards();
+        let live = ColumnarTail::from_curves(live_curves(shards));
         writer.add_blob("live_set", &live.to_bytes())?;
-        let mut meta = Vec::with_capacity(25);
-        meta.extend_from_slice(&(self.pool.shards().len() as u64).to_le_bytes());
-        meta.extend_from_slice(&self.planner.params().block.to_le_bytes());
-        meta.extend_from_slice(&(self.config_kmax as u64).to_le_bytes());
-        meta.push(self.config_flags);
+        let mut meta: Vec<u8> = self.stamp.0.iter().flat_map(|n| n.to_le_bytes()).collect();
+        meta.push(self.stamp.1);
         writer.add_blob("engine", &meta)?;
-        for (shard, live) in self.pool.shards().iter().enumerate() {
+        for (shard, live) in shards.iter().enumerate() {
             let (gen, frozen_end) = live.checkpoint();
             gen.add_to_image(&mut writer, &format!("s{shard}/"), &frozen_end)
                 .map_err(|e| LiveError::Snapshot(e.to_string()))?;
@@ -570,25 +454,17 @@ impl IngestEngine {
         Ok(())
     }
 
-    /// A snapshot of everything ingested and served so far.
+    /// A snapshot of everything ingested and served so far, every shard's
+    /// statistics read now (each under its shard's lock).
     pub fn report(&self) -> LiveReport {
-        self.report_of(&self.statuses())
-    }
-
-    /// Every shard's statistics, read now (each under its shard's lock).
-    fn statuses(&self) -> Vec<ShardStatus> {
-        self.pool.shards().iter().map(|s| s.status()).collect()
-    }
-
-    fn report_of(&self, statuses: &[ShardStatus]) -> LiveReport {
-        let counters =
-            self.query_counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let statuses: Vec<ShardStatus> = self.engine.shards().iter().map(|s| s.status()).collect();
+        let counters = self.engine.counters();
         let mut swap_pause = PauseHistogram::default();
         for s in statuses.iter() {
             swap_pause.merge(&s.counters.swap_pause);
         }
         LiveReport {
-            workers: self.pool.shards().len(),
+            workers: statuses.len(),
             appends: self.appends,
             batches: self.batches,
             queries: counters.queries,
@@ -609,10 +485,10 @@ impl IngestEngine {
             tail_bytes: statuses.iter().map(|s| s.tail_bytes).sum(),
             tail_objects: statuses.iter().map(|s| s.tail_objects).sum(),
             built_mass: statuses.iter().map(|s| s.built_mass).sum(),
-            live_mass: self.live_mass,
+            live_mass: self.engine.routing_snapshot().1.live_mass,
             generations: statuses.iter().map(|s| s.generation).max().unwrap_or(0),
             checkpoints: self.checkpoints,
-            preloaded_shards: self.preloaded_shards,
+            preloaded_shards: statuses.iter().filter(|s| s.counters.reopened).count() as u64,
         }
     }
 
@@ -626,53 +502,34 @@ impl IngestEngine {
         if registry.is_noop() {
             return;
         }
-        let statuses = self.statuses();
-        let r = self.report_of(&statuses);
+        let r = self.report();
+        let routes: Vec<_> = self.engine.shards().iter().map(|s| s.status().route_bytes).collect();
+        ShardGauges {
+            workers: r.workers,
+            queries: r.queries,
+            cache: (r.cache_hits, r.cache_lookups),
+            index_bytes: r.index_bytes,
+            build_stages: r.build_stages,
+            route_bytes: std::array::from_fn(|i| routes.iter().map(|b| b[i]).sum()),
+        }
+        .sync(registry, "live", "rebuild");
         let g = |name: &str, help: &str, v: u64| registry.gauge(name, help).set_u64(v);
-        g("chronorank_live_workers", "ingest shard count", r.workers as u64);
         g("chronorank_live_appends", "records appended (WAL-durable)", r.appends);
         g("chronorank_live_batches", "durable group-commits", r.batches);
-        g("chronorank_live_queries", "queries answered by the live engine", r.queries);
         g("chronorank_live_rebuilds", "completed generation rebuilds", r.rebuilds);
         g(
             "chronorank_live_rebuilds_in_flight",
             "shards with a rebuild in flight",
             r.rebuilds_in_flight,
         );
-        for (stage, us) in r.build_stages.stage_us() {
-            registry
-                .gauge_with(
-                    "chronorank_live_rebuild_stage_us",
-                    "cumulative generation build time per stage, microseconds",
-                    &[("stage", stage)],
-                )
-                .set_u64(us);
-        }
-        g(
-            "chronorank_live_rebuild_b2_sweeps",
-            "cumulative sweeps of the BREAKPOINTS2 count fit across generation builds",
-            r.build_stages.b2_sweeps,
-        );
-        g("chronorank_live_index_bytes", "bytes across published generations", r.index_bytes);
-        for route in Route::ALL {
-            registry
-                .gauge_with(
-                    "chronorank_live_route_index_bytes",
-                    "bytes of the files each route reads across published generations (a shared file counts for every route using it: EXACT1 is the EXACT3 tree)",
-                    &[("route", route.name())],
-                )
-                .set_u64(statuses.iter().map(|s| s.route_bytes[route.idx()]).sum());
-        }
         g("chronorank_live_tail_segments", "appended segments in mutable tails", r.tail_segments);
-        self.obs.tail_bytes.set_u64(r.tail_bytes);
-        self.obs.tail_objects.set_u64(r.tail_objects);
+        g("chronorank_live_tail_bytes", "bytes held by the shards' columnar tails", r.tail_bytes);
+        g("chronorank_live_tail_objects", "objects with a non-empty appended tail", r.tail_objects);
         g(
             "chronorank_live_queries_during_rebuild",
             "queries served while a rebuild was in flight",
             r.queries_during_rebuild,
         );
-        g("chronorank_live_cache_hits", "staleness-audited cache hits", r.cache_hits);
-        g("chronorank_live_cache_lookups", "staleness-audited cache lookups", r.cache_lookups);
         g(
             "chronorank_live_cache_invalidations",
             "cache entries recomputed because appends made them stale",
@@ -691,11 +548,13 @@ impl IngestEngine {
     }
 }
 
-/// The router over `shards`' installed generations (their profiles merged
-/// worst-case) and the mass those generations were built over.
-fn plan(shards: &[Arc<LiveShard>], params: PlannerParams) -> (Planner, f64) {
-    let (profiles, masses): (Vec<_>, Vec<f64>) = shards.iter().map(|s| s.routing()).unzip();
-    (Planner::new(params, merge_profiles(&profiles)), masses.iter().sum())
+impl std::ops::Deref for IngestEngine {
+    type Target = Engine<LiveShard>;
+
+    /// The query side: routing, answering and counting are the engine's.
+    fn deref(&self) -> &Engine<LiveShard> {
+        &self.engine
+    }
 }
 
 impl Drop for IngestEngine {
@@ -710,6 +569,7 @@ mod tests {
     use super::*;
     use crate::RebuildPolicy;
     use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
+    use std::sync::Arc;
 
     /// What only the crate can see (the bounded wait is `tests/engine.rs`'s):
     /// a generation builder never owns a shard, not even mid-build (each is
@@ -736,8 +596,8 @@ mod tests {
         engine.append_batch(stream.batches().next().unwrap()).unwrap();
         assert!(engine.report().rebuilds_in_flight > 0, "the drop below must race a build");
         let held = |s: &Arc<LiveShard>| Arc::strong_count(s) == 2;
-        assert!(engine.pool.shards().iter().all(held), "a builder holds a shard");
-        let shards: Vec<_> = engine.pool.shards().iter().map(Arc::downgrade).collect();
+        assert!(engine.shards().iter().all(held), "a builder holds a shard");
+        let shards: Vec<_> = engine.shards().iter().map(Arc::downgrade).collect();
         drop(engine);
         assert!(shards.iter().all(|s| s.strong_count() == 0), "a thread outlived the engine");
     }

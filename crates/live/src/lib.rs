@@ -17,10 +17,8 @@
 //!    replays the log over the latest checkpoint snapshot, and
 //!    [`IngestEngine::checkpoint`] truncates it.
 //! 2. **Mutable tails** — each of `W` ingest shards holds its partition of
-//!    the live data in columns behind one lock (the one copy: the engine
-//!    itself keeps only each object's right edge, the live mass and the
-//!    time domain), and an append is applied to it before `append_batch`
-//!    returns. Queries answer as *frozen-generation candidates ∪
+//!    the live data in columns behind one lock (the one copy), and an
+//!    append is applied to it before `append_batch` returns. Queries answer as *frozen-generation candidates ∪
 //!    tail-touched objects*, exactly rescored on the live curves, so
 //!    results are **exact-fresh at every point between rebuilds**: the
 //!    frozen index only nominates candidates, never scores the answer.
@@ -33,10 +31,9 @@
 //!    take `&self`, so none overlaps an install, none blocks on a build,
 //!    and each probes the shared snapshot directly (`Send + Sync`).
 //! 4. **ε re-validation** — an approximate generation built over mass
-//!    `M_built` carries an absolute bound `ε·M_built`. As appends grow the
-//!    live mass, the planner
-//!    ([`chronorank_serve::Planner::route_with_freshness`]) restates that
-//!    bound against `M_live` before admitting the route, and the
+//!    `M_built` carries an absolute bound `ε·M_built`, which the planner
+//!    ([`chronorank_serve::Planner::route_with_freshness`]) restates
+//!    against the grown `M_live` before admitting the route, and the
 //!    shard-local result cache (serve's [`chronorank_serve::ResultCache`],
 //!    which each append batch charges) keeps a per-entry *staleness account*:
 //!    a snapped answer is served only while
@@ -46,19 +43,14 @@
 //!    routes, APPX2+) is served only until a batch appends a segment that
 //!    starts before its `t2`, and an install keeps the exact ones.
 //!
-//! Queries go through one body, [`IngestEngine::execute`]: a window is
-//! routed from one snapshot of the shards' profiles and masses and run
-//! through [`chronorank_serve::WorkerPool::scatter_gather`] — the pool
-//! (booted by [`chronorank_serve::WorkerPool::boot`], which owns the
-//! shards), one job per shard's own worker, per-query merge and span tree
-//! `chronorank-serve` itself uses, with a live shard behind
-//! [`chronorank_serve::ShardProbe`] where serve has an immutable one — and
-//! answered as one
-//! [`chronorank_serve::Answer`] per query whose `eps_used` is restated
-//! from that same snapshot.
-//! [`IngestEngine::query`] is a window of one. Beside the pool's `W`
-//! workers, one per shard, the only threads the engine starts are generation builders,
-//! one per build.
+//! Queries go through the one engine body serve runs: an `IngestEngine`
+//! owns a [`chronorank_serve::Engine`] over its [`LiveShard`]s and derefs
+//! to it, so [`chronorank_serve::Engine::execute`] routes a window from
+//! one snapshot of the installed profiles and the masses, scatters it to
+//! each shard's own pool worker, merges, and restates each answer's ε from
+//! that snapshot; an append moves the engine's live mass and domain, an
+//! install its plan. Beside the pool's `W` workers the only threads the
+//! engine starts are generation builders, one per build.
 //!
 //! ## Example
 //!
@@ -96,6 +88,7 @@ mod shard;
 pub use config::{LiveConfig, RebuildPolicy};
 pub use engine::{IngestEngine, LiveError};
 pub use report::{LiveReport, PauseHistogram};
+pub use shard::LiveShard;
 
 // Re-export the append vocabulary so callers need not name the core crate
 // for the common path.

@@ -21,10 +21,6 @@ pub(crate) struct LiveObs {
     pub checkpoint_us: Histogram,
     /// Boot-time recovery (WAL open, image load, replay), µs.
     pub recovery_us: Gauge,
-    /// Bytes held by the shards' append logs (log columns + index lists).
-    pub tail_bytes: Gauge,
-    /// Objects with a non-empty appended tail.
-    pub tail_objects: Gauge,
     /// Handles cloned into every shard.
     pub shard: ShardObs,
 }
@@ -65,10 +61,6 @@ impl LiveObs {
                 "chronorank_live_recovery_us",
                 "boot-time recovery (WAL open, checkpoint image load, replay), microseconds",
             ),
-            tail_bytes: registry
-                .gauge("chronorank_live_tail_bytes", "bytes held by the shards' columnar tails"),
-            tail_objects: registry
-                .gauge("chronorank_live_tail_objects", "objects with a non-empty appended tail"),
             shard: ShardObs {
                 swap_pause_us: registry.histogram(
                     "chronorank_live_swap_pause_us",

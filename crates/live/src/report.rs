@@ -1,7 +1,7 @@
 //! Live-engine statistics: ingest throughput, rebuild behaviour, and the
 //! reader-side evidence that epoch swaps never block queries.
 
-use chronorank_serve::BuildStages;
+use chronorank_serve::{rate, BuildStages};
 use chronorank_storage::IoStats;
 
 /// Bucket upper bounds (µs) of [`PauseHistogram`]; the last bucket is
@@ -107,30 +107,18 @@ pub struct LiveReport {
 impl LiveReport {
     /// Overall queries per second (0 when nothing was served).
     pub fn qps(&self) -> f64 {
-        if self.elapsed_secs > 0.0 {
-            self.queries as f64 / self.elapsed_secs
-        } else {
-            0.0
-        }
+        rate(self.queries as f64, self.elapsed_secs)
     }
 
     /// Cache hit rate over lookups (0 when none happened).
     pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups > 0 {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        } else {
-            0.0
-        }
+        rate(self.cache_hits as f64, self.cache_lookups as f64)
     }
 
     /// Fraction the live mass has grown past the built generations —
     /// the ε re-validation headroom (`0` right after every shard rebuilt).
     fn mass_growth(&self) -> f64 {
-        if self.built_mass > 0.0 {
-            (self.live_mass - self.built_mass).max(0.0) / self.built_mass
-        } else {
-            0.0
-        }
+        rate((self.live_mass - self.built_mass).max(0.0), self.built_mass)
     }
 }
 

@@ -8,15 +8,14 @@
 //! snapshot ([`crate::generation`]). Each point has one home: the store's
 //! frozen curves, which a build's snapshot shares instead of copying
 //! ([`ColumnarTail::freeze`] copies only the curves its log extends).
-//! The engine's `chronorank-serve`
-//! worker pool owns the shard and runs its query windows on the shard's
-//! own worker through [`ShardProbe`], the same seam serve's immutable
-//! shards sit behind; an append batch, and the install of a finished
-//! build, are steps the engine takes from its `&mut self` calls, on the
-//! shard directly. A generation builder holds only its snapshot: it
-//! returns the generation through its `JoinHandle` and never touches the
-//! shard, so no install can overlap a query. Every statistic is read on
-//! demand ([`LiveShard::status`]).
+//! The pool of the ingest engine's [`chronorank_serve::Engine`] owns the
+//! shard and runs its query windows on the shard's own worker through
+//! [`ShardProbe`], as it runs serve's immutable shards; appends and
+//! installs are steps the ingest engine takes on the shard directly, from
+//! `&mut self` calls. A generation builder holds only its snapshot and
+//! returns the generation through its `JoinHandle`, so no install can
+//! overlap a query. Every statistic is read on demand
+//! ([`LiveShard::status`]).
 //!
 //! ## Query = frozen candidates ∪ tail, exactly rescored
 //!
@@ -69,8 +68,8 @@ use crate::report::PauseHistogram;
 use chronorank_core::{AppendRecord, ObjectId, TemporalSet};
 use chronorank_curve::{ColumnarTail, PiecewiseLinear, Segment};
 use chronorank_serve::{
-    dedup_window, panic_message, to_local, BuildStages, CacheCounters, ProbeKey, ResultCache,
-    Route, RouteProfiles, ServeQuery, ShardAnswer, ShardProbe,
+    dedup_window, panic_message, to_local, BuildStages, CacheCounters, Freshness, ProbeKey,
+    ResultCache, Route, RouteProfiles, ServeQuery, ShardAnswer, ShardProbe,
 };
 use chronorank_storage::IoStats;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -94,6 +93,8 @@ pub(crate) struct Step {
 /// What a shard has counted since boot.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Counters {
+    /// Whether the boot reopened its generation from a checkpoint image.
+    pub reopened: bool,
     pub rebuilds: u64,
     pub build_secs: f64,
     pub build_stages: BuildStages,
@@ -407,41 +408,43 @@ fn merged_answer(
     Ok(scored)
 }
 
-/// One ingest shard, owned by the worker pool: its worker answers query
-/// windows, the engine calls it directly for everything else (see module
-/// docs).
-pub(crate) struct LiveShard {
+/// One ingest shard, owned by the worker pool of an
+/// [`crate::IngestEngine`]'s engine: its worker answers query windows, the
+/// ingest engine calls it directly for everything else (see module docs).
+pub struct LiveShard {
     state: Mutex<ShardState>,
 }
 
 impl LiveShard {
     /// Boot one shard on the calling thread: reopen its frozen generation
     /// from a checkpoint image's parts (a page-copy plus a deterministic
-    /// APPX rebuild, not an index construction), or build generation 0.
-    pub fn boot(
+    /// APPX rebuild, not an index construction), or build generation 0 —
+    /// also when the parts do not reopen over `subset` (frozen edges no
+    /// curve reaches, a tree or table that does not decode).
+    pub(crate) fn boot(
         shard: usize,
         subset: TemporalSet,
         config: LiveConfig,
         preload: Option<GenParts>,
         obs: ShardObs,
     ) -> Result<Self, String> {
-        let fresh = preload.is_none();
-        let installed = match preload {
-            Some(parts) => {
-                let frozen_end = parts.frozen_end.clone();
-                let gen = subset
-                    .truncated_at(&frozen_end)
-                    .and_then(|snapshot| Generation::open(&snapshot, parts, &config))
-                    .map_err(|e| format!("generation reopen: {e}"))?;
-                (Arc::new(gen), frozen_end)
-            }
+        let reopened = preload.and_then(|parts| {
+            let frozen_end = parts.frozen_end.clone();
+            let snapshot = subset.truncated_at(&frozen_end).ok()?;
+            let gen = Generation::open(&snapshot, parts, &config).ok()?;
+            Some((Arc::new(gen), frozen_end))
+        });
+        let reopen = reopened.is_some();
+        let installed = match reopened {
+            Some(installed) => installed,
             None => {
                 let gen = Generation::build(&subset, 0, &config).map_err(|e| e.to_string())?;
                 (Arc::new(gen), subset.objects().iter().map(|o| o.curve.end()).collect())
             }
         };
         let mut state = ShardState::new(shard, &subset, config, obs, installed);
-        if fresh {
+        state.counters.reopened = reopen;
+        if !reopen {
             state.count_build();
         }
         Ok(Self { state: Mutex::new(state) })
@@ -457,7 +460,7 @@ impl LiveShard {
     /// The append step: install a finished build, then apply a batch of
     /// already-durable appends (object ids are **local**) and check the
     /// rebuild trigger against the generation now installed.
-    pub fn apply(&self, recs: &[AppendRecord]) -> Step {
+    pub(crate) fn apply(&self, recs: &[AppendRecord]) -> Step {
         let mut state = self.lock();
         let installed = state.install(false);
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| state.apply(recs))) {
@@ -467,27 +470,20 @@ impl LiveShard {
     }
 
     /// The install step on its own.
-    pub fn install(&self, wait: bool) -> Step {
+    pub(crate) fn install(&self, wait: bool) -> Step {
         let mut state = self.lock();
         let installed = state.install(wait);
         Step { installed, pending: state.pending.is_some() }
     }
 
-    /// What routing reads of the installed generation: its profiles and
-    /// the mass it was built over.
-    pub fn routing(&self) -> (RouteProfiles, f64) {
-        let state = self.lock();
-        (state.gen.built.profiles(), state.gen.meta.built_mass)
-    }
-
     /// The shard's statistics as of now.
-    pub fn status(&self) -> ShardStatus {
+    pub(crate) fn status(&self) -> ShardStatus {
         self.lock().status()
     }
 
     /// The installed frozen generation and the frozen edges its snapshot
     /// was cut at — one shard's contribution to a checkpoint image.
-    pub fn checkpoint(&self) -> (Arc<Generation>, Vec<f64>) {
+    pub(crate) fn checkpoint(&self) -> (Arc<Generation>, Vec<f64>) {
         let state = self.lock();
         (Arc::clone(&state.gen), state.frozen_end.clone())
     }
@@ -512,5 +508,13 @@ pub(crate) fn live_curves(shards: &[Arc<LiveShard>]) -> Vec<PiecewiseLinear> {
 impl ShardProbe for LiveShard {
     fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)> {
         self.lock().answer_batch(window)
+    }
+
+    /// The installed generation's profiles and the mass it was built over,
+    /// and the partition's live mass.
+    fn routing(&self) -> (RouteProfiles, Freshness) {
+        let state = self.lock();
+        let fresh = Freshness { built_mass: state.gen.meta.built_mass, live_mass: state.live_mass };
+        (state.gen.built.profiles(), fresh)
     }
 }

@@ -6,7 +6,10 @@ use chronorank_live::{IngestEngine, LiveConfig, RebuildPolicy};
 use chronorank_obs::SpanSink;
 use chronorank_serve::{Route, ServeConfig, ServeEngine, ServeQuery};
 use chronorank_storage::GenerationImage;
-use chronorank_workloads::{AppendStream, AppendStreamConfig, StockConfig, StockGenerator};
+use chronorank_workloads::{
+    AppendStream, AppendStreamConfig, ClosedLoopTraffic, IntervalPattern, QueryWorkloadConfig,
+    StockConfig, StockGenerator, TempConfig, TempGenerator, TrafficConfig,
+};
 
 fn stock_stream(objects: usize, batch: usize) -> AppendStream {
     let generator =
@@ -699,6 +702,88 @@ fn appx2_plus_rescores_the_whole_query2_pool_from_the_columns() {
             }
             // Pool ∪ touched, ranked exactly: on these seeds, the exact top-k.
             assert_top_matches(&live.top_k_bruteforce(t1, t2, kmax), &answer.topk, &ctx);
+        }
+    }
+}
+
+/// Exact, loose-ε and tight-ranks queries over a Zipf stream on `set`.
+fn mixed_queries(set: &TemporalSet, count: usize) -> Vec<ServeQuery> {
+    let workload = QueryWorkloadConfig {
+        span_fraction: 0.25,
+        k: 7,
+        seed: 17,
+        pattern: IntervalPattern::Zipf { hotspots: 5, exponent: 1.0, background: 0.2 },
+        ..Default::default()
+    };
+    let traffic = TrafficConfig { clients: 1, queries_per_client: count, workload };
+    let plan = ClosedLoopTraffic::new(traffic, set.t_min(), set.t_max());
+    plan.streams()[0]
+        .iter()
+        .enumerate()
+        .map(|(i, q)| match i % 3 {
+            0 => ServeQuery::exact(q.t1, q.t2, q.k),
+            1 => ServeQuery::approx(q.t1, q.t2, q.k, 0.3),
+            _ => ServeQuery::approx_tight(q.t1, q.t2, q.k, 0.3),
+        })
+        .collect()
+}
+
+/// Both engines route through one body: before any append a live engine
+/// picks the route a serve engine with the same shards, methods and
+/// breakpoints picks, and reports the same ε bit for bit; after a batch
+/// its ε is the built one restated from the snapshot that routed it.
+#[test]
+fn an_unappended_live_engine_routes_and_states_eps_as_serve_does() {
+    let generator =
+        TempGenerator::new(TempConfig { objects: 80, avg_segments: 40, seed: 33, dropout: 0.02 });
+    let stream = AppendStream::from_generator(
+        &generator,
+        AppendStreamConfig { base_fraction: 0.6, batch: 32, ..Default::default() },
+    );
+    let set = stream.base_set();
+    let queries = mixed_queries(&set, 36);
+    for workers in [1, 3] {
+        let live_config = LiveConfig {
+            workers,
+            rebuild: RebuildPolicy { mass_factor: f64::INFINITY, max_tail_segments: usize::MAX },
+            ..Default::default()
+        };
+        let serve = ServeEngine::new(
+            &set,
+            ServeConfig {
+                workers,
+                methods: live_config.methods,
+                approx: live_config.approx,
+                store: live_config.store,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut live = IngestEngine::new(&set, live_config).unwrap();
+        let want = serve.execute(&queries, None, &SpanSink::noop()).unwrap();
+        let got = live.execute(&queries, None, &SpanSink::noop()).unwrap();
+        let mut approximate = 0;
+        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(g.route, w.route, "W={workers} q{i}: route");
+            assert_eq!(live.route_for(&queries[i]), serve.route_for(&queries[i]), "q{i}");
+            let bits = |a: &chronorank_serve::Answer| a.eps_used.map(f64::to_bits);
+            assert_eq!(bits(g), bits(w), "W={workers} q{i}: eps_used");
+            approximate += usize::from(!w.route.is_exact());
+        }
+        assert!(approximate >= queries.len() / 2, "W={workers}: {approximate} approximate");
+
+        live.append_batch(stream.batches().next().unwrap()).unwrap();
+        let (planner, fresh) = live.routing_snapshot();
+        assert!(fresh.live_mass > fresh.built_mass, "the batch must grow the live mass");
+        let got = live.execute(&queries, None, &SpanSink::noop()).unwrap();
+        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+            let restated = planner
+                .profile(g.route)
+                .and_then(|p| p.revalidate(fresh.built_mass, fresh.live_mass).eps);
+            assert_eq!(g.eps_used.map(f64::to_bits), restated.map(f64::to_bits), "q{i}");
+            if let (Some(built), Some(now), true) = (w.eps_used, g.eps_used, g.route == w.route) {
+                assert!(now < built, "W={workers} q{i}: ε {now} must tighten from {built}");
+            }
         }
     }
 }

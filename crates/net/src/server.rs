@@ -65,7 +65,7 @@ use chronorank_obs::{
     elapsed_us, spans_json, ActiveSpan, AttrValue, Counter, Histogram, Registry, SloObjective,
     SloTracker, SpanId, SpanSink, TraceId,
 };
-use chronorank_serve::{Answer, ServeConfig, ServeEngine, ServeQuery};
+use chronorank_serve::{Answer, Engine, ServeConfig, ServeEngine, ServeQuery};
 use std::io::{BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -216,16 +216,17 @@ impl Backend {
         }
     }
 
+    /// STATS reads the engine's counters and domain, not a report: no
+    /// shard lock is taken.
     fn stats(&self, shared: &Shared) -> StatsBody {
-        let (live_backend, workers, queries, appends, (t_min, t_max)) = match self {
-            Backend::Serve(e) => {
-                let r = e.report();
-                (0, r.workers as u32, r.queries, 0, e.domain())
-            }
+        fn of<S>(e: &Engine<S>) -> (u32, u64, (f64, f64)) {
+            (e.workers() as u32, e.counters().queries, e.domain())
+        }
+        let (live_backend, (workers, queries, (t_min, t_max)), appends) = match self {
+            Backend::Serve(e) => (0, of(e), 0),
             Backend::Live(lock) => {
                 let e = lock.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let r = e.report();
-                (1, r.workers as u32, r.queries, r.appends, e.domain())
+                (1, of(&e), e.appends())
             }
         };
         StatsBody {

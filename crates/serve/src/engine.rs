@@ -1,18 +1,20 @@
-//! The serving engine: partition, build once, scatter to one worker per
-//! shard over shared snapshots, gather, merge.
+//! The engine body both serving engines share: partition, build once,
+//! scatter to one worker per shard, gather, merge — and route, count and
+//! answer in one [`Engine::execute`].
 
 use crate::config::ServeConfig;
-use crate::obs::ServeObs;
+use crate::obs::{ServeObs, ShardGauges};
 use crate::panic_message;
-use crate::planner::{merge_profiles, Planner, PlannerParams, Route};
+use crate::planner::{merge_profiles, Freshness, Planner, PlannerParams, Route};
 use crate::query::ServeQuery;
 use crate::report::{RouteStats, ServeReport};
 use crate::shard::{Shard, ShardAnswer, ShardProbe};
-use chronorank_core::{ObjectId, TemporalObject, TemporalSet, TopK};
+use chronorank_core::{MethodProfile, ObjectId, TemporalObject, TemporalSet, TopK};
 use chronorank_obs::{
     elapsed_us, AttrValue, CacheOutcome, FlightRecorder, IoDelta, QueryTrace, Registry, ShardSpan,
     SpanId, SpanSink, TraceId,
 };
+use std::array::from_fn;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -166,7 +168,7 @@ impl<S: ShardProbe + 'static> WorkerPool<S> {
     /// the window's bookkeeping — metrics, the slow-query recorder, and
     /// with a `trace` context one `engine.query` span per query with the
     /// per-shard probes as `shard.probe` children (see
-    /// [`ServeEngine::execute`]). Merged answers come back in input order.
+    /// [`Engine::execute`]). Merged answers come back in input order.
     pub fn scatter_gather(
         &self,
         routed: &Arc<[(ServeQuery, Route)]>,
@@ -309,69 +311,205 @@ fn worker_main<S: ShardProbe>(shard_idx: usize, w: usize, shard: &S, jobs: Recei
     }
 }
 
-/// Coordinator-side counters behind one mutex (locked once per window,
-/// off the scatter-gather hot path).
-struct Served {
-    routes: [RouteStats; 5],
-    queries: u64,
-    elapsed_secs: f64,
+/// What an engine has answered, behind its one mutex (locked once per
+/// window, off the scatter-gather hot path).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QueryCounters {
+    /// Queries and seconds per route, [`Route::ALL`] order.
+    pub routes: [RouteStats; 5],
+    /// Queries answered, and those answered while a build was pending.
+    pub queries: u64,
+    /// See [`QueryCounters::queries`].
+    pub queries_during_rebuild: u64,
+    /// Wall seconds across every window.
+    pub elapsed_secs: f64,
 }
 
-/// The sharded, cost-routed serving engine (see crate docs).
-///
-/// Data is partitioned once into immutable [`Arc`]-published shard
-/// snapshots owned by a [`WorkerPool`]; each shard's own worker answers
-/// its part of every query, all in parallel, and the shard-local top-k
-/// lists are k-way merged into the global answer. All query methods take `&self` — the engine
-/// itself is `Send + Sync`, so any number of caller threads (e.g. the
-/// network tier's connection threads) can query one engine
-/// concurrently.
-pub struct ServeEngine {
-    pool: WorkerPool<Shard>,
+/// The one engine body (see crate docs): a [`WorkerPool`] of shards `S`,
+/// the [`Planner`] over their merged profiles, the time domain, the
+/// [`Freshness`] that restates ε, and the [`QueryCounters`]. A
+/// [`ServeEngine`] is one over immutable [`Shard`]s; `chronorank-live`'s
+/// ingest engine owns one over its live shards, and moves the live mass
+/// and the domain with every append ([`Engine::grow`]) and the plan with
+/// every install ([`Engine::settle`]). Queries take `&self`: the engine is
+/// `Send + Sync`, so any number of caller threads can query one engine.
+pub struct Engine<S> {
+    pool: WorkerPool<S>,
     planner: Planner,
     domain: (f64, f64),
-    served: Mutex<Served>,
-    index_bytes: u64,
-    build_secs: f64,
+    fresh: Freshness,
+    building: bool,
+    counters: Mutex<QueryCounters>,
+    boot_secs: f64,
 }
 
-impl ServeEngine {
-    /// Partition `set` across `config.workers` shards (round-robin by
-    /// object id), build every shard's indexes **concurrently on build
-    /// threads** ([`WorkerPool::boot`]), and serve each on a worker of its
-    /// own.
-    pub fn new(set: &TemporalSet, config: ServeConfig) -> Result<Self, ServeError> {
+/// The read-only serving engine: an [`Engine`] over immutable shards.
+pub type ServeEngine = Engine<Shard>;
+
+/// The router over `shards` (their profiles merged worst-case) and their
+/// masses, summed.
+fn plan<S: ShardProbe>(shards: &[Arc<S>], params: PlannerParams) -> (Planner, Freshness) {
+    let (profiles, masses): (Vec<_>, Vec<Freshness>) = shards.iter().map(|s| s.routing()).unzip();
+    let built_mass = masses.iter().map(|f| f.built_mass).sum();
+    let fresh = Freshness { built_mass, live_mass: masses.iter().map(|f| f.live_mass).sum() };
+    (Planner::new(params, merge_profiles(&profiles)), fresh)
+}
+
+impl<S: ShardProbe + 'static> Engine<S> {
+    /// The boot both engines share: [`partition`] `set` into one part per
+    /// element of `per_shard`, plan over the parts
+    /// ([`PlannerParams::of_partition`] with `block` and `r`), and build
+    /// shard `i` as `build(i, (part, per_shard[i]))` ([`WorkerPool::boot`],
+    /// metrics on `registry`).
+    pub fn boot<P: Send>(
+        set: &TemporalSet,
+        per_shard: Vec<P>,
+        (block, r): (usize, usize),
+        registry: &Registry,
+        build: impl Fn(usize, (TemporalSet, P)) -> Result<S, String> + Sync,
+    ) -> Result<Self, ServeError> {
         let t0 = Instant::now();
-        let w = config.workers.clamp(1, set.num_objects());
-        let parts = partition(set, w);
-        let (params, domain) =
-            PlannerParams::of_partition(&parts, config.store.block_size, config.approx.r);
-        let pool = WorkerPool::boot(parts, Registry::global(), |_, subset| {
-            Shard::build(&subset, &config).map_err(|e| e.to_string())
-        })?;
-        let shards = pool.shards();
-        let planner = Planner::new(
-            params,
-            merge_profiles(&shards.iter().map(|s| s.built().profiles()).collect::<Vec<_>>()),
-        );
-        Ok(Self {
-            index_bytes: shards.iter().map(|s| s.built().size_bytes).sum(),
-            pool,
-            planner,
-            domain,
-            served: Mutex::new(Served {
-                routes: [RouteStats::default(); 5],
-                queries: 0,
-                elapsed_secs: 0.0,
-            }),
-            build_secs: t0.elapsed().as_secs_f64(),
-        })
+        let parts = partition(set, per_shard.len());
+        let (params, domain) = PlannerParams::of_partition(&parts, block, r);
+        let pool = WorkerPool::boot(parts.into_iter().zip(per_shard).collect(), registry, build)?;
+        let (planner, fresh) = plan(pool.shards(), params);
+        let counters = Mutex::default();
+        let boot_secs = t0.elapsed().as_secs_f64();
+        Ok(Self { pool, planner, domain, fresh, building: false, counters, boot_secs })
     }
 
-    /// Re-attach this engine's instrumentation to `registry` — a private
-    /// registry for isolated measurements, or [`Registry::noop`] for an
-    /// uninstrumented engine. Counters restart at the
-    /// new registry's values; the flight recorder is replaced too.
+    /// Answer one window of queries — the one query body of both engines.
+    /// Every query is routed from one snapshot
+    /// ([`Planner::route_with_freshness`]), and each shard's worker gets
+    /// the window as **one** job, answers probe-identical queries (same
+    /// [`crate::ProbeKey`]) with one probe, and the lists are k-way merged
+    /// per query ([`WorkerPool::scatter_gather`]): answers are
+    /// bit-identical to windows of one. Each [`Answer`] carries its route
+    /// and that route's ε restated from the same snapshot
+    /// ([`chronorank_core::MethodProfile::revalidate`]: as built until the
+    /// live mass outgrows the built mass); appends and installs take
+    /// `&mut self`, so nothing moves it underneath.
+    ///
+    /// With a `trace` context `(trace, parent)` every query gets an
+    /// `engine.query` span under `parent` with the per-shard probes as
+    /// `shard.probe` children. `n` queries add `n` route-latency samples
+    /// (each the window's wall time), and a window slow enough for the
+    /// flight recorder leaves one [`QueryTrace`] per query.
+    pub fn execute(
+        &self,
+        window: &[ServeQuery],
+        trace: Option<(TraceId, SpanId)>,
+        sink: &SpanSink,
+    ) -> Result<Vec<Answer>, ServeError> {
+        let t0 = Instant::now();
+        let (planner, fresh) = (&self.planner, self.fresh);
+        let routed: Arc<[(ServeQuery, Route)]> =
+            window.iter().map(|q| (*q, planner.route_with_freshness(q, Some(fresh)))).collect();
+        let tops = self.pool.scatter_gather(&routed, trace, sink)?;
+        let elapsed_secs = t0.elapsed().as_secs_f64();
+        let per_query = elapsed_secs / tops.len().max(1) as f64;
+        let mut counters = self.counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for (_, route) in routed.iter() {
+            counters.routes[route.idx()].queries += 1;
+            counters.routes[route.idx()].secs += per_query;
+        }
+        counters.queries += tops.len() as u64;
+        counters.queries_during_rebuild += if self.building { tops.len() as u64 } else { 0 };
+        counters.elapsed_secs += elapsed_secs;
+        drop(counters);
+        let restated = |p: MethodProfile| p.revalidate(fresh.built_mass, fresh.live_mass).eps;
+        let answer = |(topk, &(_, route)): (TopK, &(ServeQuery, Route))| Answer {
+            topk,
+            route,
+            eps_used: planner.profile(route).and_then(restated),
+        };
+        Ok(tops.into_iter().zip(routed.iter()).map(answer).collect())
+    }
+
+    /// Answer one query: a window of one.
+    pub fn query(&self, q: ServeQuery) -> Result<TopK, ServeError> {
+        self.query_routed(q).map(|(top, _)| top)
+    }
+
+    /// [`Engine::query`], also returning the route the planner chose for
+    /// exactly this execution: a traced query with the noop sink.
+    pub fn query_routed(&self, q: ServeQuery) -> Result<(TopK, Route), ServeError> {
+        self.query_spanned(q, TraceId(0), SpanId(0), &SpanSink::noop())
+    }
+
+    /// [`Engine::query_routed`] joined into the trace `trace` under
+    /// `parent` (see [`Engine::execute`]).
+    pub fn query_spanned(
+        &self,
+        q: ServeQuery,
+        trace: TraceId,
+        parent: SpanId,
+        sink: &SpanSink,
+    ) -> Result<(TopK, Route), ServeError> {
+        let answers = self.execute(&[q], Some((trace, parent)), sink)?;
+        Ok(answers.into_iter().map(|a| (a.topk, a.route)).next().expect("one answer per query"))
+    }
+
+    /// An install point: whether a build is still `building`, and, if a
+    /// shard `installed` a new index, a re-plan over the shards' profiles.
+    pub fn settle(&mut self, installed: bool, building: bool) {
+        self.building = building;
+        if installed {
+            let (planner, fresh) = plan(self.pool.shards(), self.planner.params());
+            (self.planner, self.fresh.built_mass) = (planner, fresh.built_mass);
+        }
+    }
+}
+
+impl<S> Engine<S> {
+    /// One appended segment: `mass` more live mass; the domain reaches `t`.
+    pub fn grow(&mut self, mass: f64, t: f64) {
+        self.fresh.live_mass += mass;
+        self.domain.1 = self.domain.1.max(t);
+    }
+
+    /// The shards, in partition order ([`WorkerPool::shards`]).
+    pub fn shards(&self) -> &[Arc<S>] {
+        &self.pool.shards
+    }
+
+    /// Number of shard partitions.
+    pub fn workers(&self) -> usize {
+        self.pool.shards.len()
+    }
+
+    /// The data's time domain `(t_min, t_max)`.
+    pub fn domain(&self) -> (f64, f64) {
+        self.domain
+    }
+
+    /// What the engine has answered so far.
+    pub fn counters(&self) -> QueryCounters {
+        *self.counters.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The routing decision for `q` (without executing it).
+    pub fn route_for(&self, q: &ServeQuery) -> Route {
+        self.planner.route_with_freshness(q, Some(self.fresh))
+    }
+
+    /// Everything a routing decision reads, copied: the router and the §4
+    /// [`Freshness`] its profiles are restated against (built and live
+    /// mass are one number on a serve engine). One snapshot both routes a
+    /// query and restates the ε its answer reports.
+    pub fn routing_snapshot(&self) -> (Planner, Freshness) {
+        (self.planner, self.fresh)
+    }
+
+    /// The engine's router (its merged worst-case [`MethodProfile`]s are
+    /// how serving layers above learn the ε behind each route).
+    pub fn planner(&self) -> &Planner {
+        &self.planner
+    }
+
+    /// Re-attach the pool's instrumentation (and a new flight recorder) to
+    /// `registry` — a private one for isolated measurements, or
+    /// [`Registry::noop`].
     pub fn set_registry(&mut self, registry: &Registry) {
         self.pool.obs = ServeObs::attach(registry);
     }
@@ -386,193 +524,80 @@ impl ServeEngine {
     pub fn set_slow_query_threshold_us(&self, us: u64) {
         self.pool.obs.recorder.set_threshold_us(us);
     }
+}
 
-    /// Number of shard partitions.
-    pub fn workers(&self) -> usize {
-        self.pool.shards().len()
-    }
-
-    /// The served data's time domain `(t_min, t_max)` — what remote
-    /// clients need to form meaningful query intervals.
-    pub fn domain(&self) -> (f64, f64) {
-        self.domain
-    }
-
-    /// The planner's routing decision for `q` (without executing it).
-    pub fn route_for(&self, q: &ServeQuery) -> Route {
-        self.planner.route(q)
-    }
-
-    /// The engine's router (its merged worst-case [`MethodProfile`]s are
-    /// how serving layers above — the network tier — learn the achieved ε
-    /// behind each route they answer on).
-    ///
-    /// [`MethodProfile`]: chronorank_core::MethodProfile
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    /// Answer one window of queries — the engine's one query body. Every
-    /// query is routed on its own ([`Planner::route`]), each shard's worker
-    /// gets the window as **one** job and answers probe-identical queries
-    /// (same [`crate::ProbeKey`]) with one shared probe, and the per-shard
-    /// lists are k-way merged per query. Answers are bit-identical to
-    /// executing every query in a window of its own (the window agreement
-    /// suite pins this): a window buys probe and scatter amortization, not
-    /// approximation. `&self`: concurrent callers each gather on a private
-    /// reply channel, so answers can never cross.
-    ///
-    /// With a `trace` context `(trace, parent)` every query gets an
-    /// `engine.query` span under `parent` with the window's per-shard
-    /// probes as `shard.probe` children, so a wire query's tree reaches
-    /// from the remote client into the shards; without one, or with a noop
-    /// `sink`, tracing costs a branch. Metrics are per query whatever the
-    /// window: `n` queries add `n` route-latency samples (each the
-    /// window's wall time — what its caller waited) and `n` served
-    /// queries, and a window slow enough for the flight recorder leaves one
-    /// [`QueryTrace`] per query carrying the window's per-shard spans.
-    pub fn execute(
-        &self,
-        window: &[ServeQuery],
-        trace: Option<(TraceId, SpanId)>,
-        sink: &SpanSink,
-    ) -> Result<Vec<Answer>, ServeError> {
-        let t0 = Instant::now();
-        let routed: Arc<[(ServeQuery, Route)]> =
-            window.iter().map(|q| (*q, self.planner.route(q))).collect();
-        let tops = self.pool.scatter_gather(&routed, trace, sink)?;
-        let elapsed_secs = t0.elapsed().as_secs_f64();
-        let answers: Vec<Answer> = tops
-            .into_iter()
-            .zip(routed.iter())
-            .map(|(topk, (_, route))| Answer {
-                topk,
-                route: *route,
-                eps_used: self.planner.profile(*route).and_then(|p| p.eps),
-            })
-            .collect();
-        let per_query = elapsed_secs / answers.len().max(1) as f64;
-        let mut served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for a in &answers {
-            served.routes[a.route.idx()].queries += 1;
-            served.routes[a.route.idx()].secs += per_query;
-        }
-        served.queries += answers.len() as u64;
-        served.elapsed_secs += elapsed_secs;
-        Ok(answers)
-    }
-
-    /// Answer one query: a window of one.
-    pub fn query(&self, q: ServeQuery) -> Result<TopK, ServeError> {
-        self.query_routed(q).map(|(top, _)| top)
-    }
-
-    /// [`ServeEngine::query`], also returning the route the planner chose
-    /// for exactly this execution: a traced query with the noop sink.
-    pub fn query_routed(&self, q: ServeQuery) -> Result<(TopK, Route), ServeError> {
-        self.query_spanned(q, TraceId(0), SpanId(0), &SpanSink::noop())
-    }
-
-    /// [`ServeEngine::query_routed`] joined into the trace `trace` under
-    /// `parent` (see [`ServeEngine::execute`]).
-    pub fn query_spanned(
-        &self,
-        q: ServeQuery,
-        trace: TraceId,
-        parent: SpanId,
-        sink: &SpanSink,
-    ) -> Result<(TopK, Route), ServeError> {
-        let answers = self.execute(&[q], Some((trace, parent)), sink)?;
-        Ok(answers.into_iter().map(|a| (a.topk, a.route)).next().expect("one answer per query"))
+impl Engine<Shard> {
+    /// Partition `set` across `config.workers` shards (round-robin by
+    /// object id), build every shard's indexes concurrently, and serve
+    /// each on a worker of its own ([`Engine::boot`]).
+    pub fn new(set: &TemporalSet, config: ServeConfig) -> Result<Self, ServeError> {
+        let w = config.workers.clamp(1, set.num_objects());
+        let plan = (config.store.block_size, config.approx.r);
+        Self::boot(set, vec![(); w], plan, Registry::global(), |_, (subset, ())| {
+            Shard::build(&subset, &config).map_err(|e| e.to_string())
+        })
     }
 
     /// Mirror the current [`ServeReport`] into this engine's registry as
-    /// gauges, so the wire `METRICS` op is the one scrape point for the
-    /// numbers [`ServeEngine::report`] exposes in-process (the report
-    /// stays the thin programmatic view). Cold path: registration is
-    /// idempotent and only this call touches the registry mutex.
+    /// gauges, so the wire `METRICS` op is the one scrape point for what
+    /// [`Engine::report`] shows in-process. Cold path: only this call
+    /// touches the registry mutex.
     pub fn sync_obs(&self) {
         let registry = &self.pool.obs.registry;
         if registry.is_noop() {
             return;
         }
-        let report = self.report();
+        let r = self.report();
+        let shards = self.shards();
+        ShardGauges {
+            workers: r.workers,
+            queries: r.queries,
+            cache: (r.cache_hits, r.cache_lookups),
+            index_bytes: r.index_bytes,
+            build_stages: r.build_stages,
+            route_bytes: from_fn(|i| shards.iter().map(|s| s.built().route_bytes()[i]).sum()),
+        }
+        .sync(registry, "serve", "build");
         let g = |name: &str, help: &str, v: u64| registry.gauge(name, help).set_u64(v);
-        g("chronorank_serve_workers", "serve shard count", report.workers as u64);
-        g("chronorank_serve_queries", "queries served so far", report.queries);
+        let us = |secs: f64| (secs * 1e6) as u64;
         g(
             "chronorank_serve_busy_us",
             "cumulative query wall time, microseconds",
-            (report.elapsed_secs * 1e6) as u64,
+            us(r.elapsed_secs),
         );
-        g("chronorank_serve_cache_hits", "shard result-cache hits", report.cache_hits);
-        g("chronorank_serve_cache_lookups", "shard result-cache lookups", report.cache_lookups);
-        g("chronorank_serve_index_bytes", "bytes across all shard indexes", report.index_bytes);
         g(
             "chronorank_serve_build_us",
             "wall time the engine spent building, microseconds",
-            (report.build_secs * 1e6) as u64,
+            us(r.build_secs),
         );
-        for (stage, us) in report.build_stages.stage_us() {
-            registry
-                .gauge_with(
-                    "chronorank_serve_build_stage_us",
-                    "shard build time per stage, summed over shards, microseconds",
-                    &[("stage", stage)],
-                )
-                .set_u64(us);
-        }
-        g(
-            "chronorank_serve_build_b2_sweeps",
-            "sweeps the BREAKPOINTS2 count fit ran, summed over shards",
-            report.build_stages.b2_sweeps,
-        );
-        g("chronorank_serve_io_reads", "block reads across all shards", report.io.reads);
-        g("chronorank_serve_io_writes", "block writes across all shards", report.io.writes);
-        let route_bytes: Vec<_> =
-            self.pool.shards().iter().map(|s| s.built().route_bytes()).collect();
-        for route in Route::ALL {
-            let stats = report.routes[route.idx()];
-            registry
-                .gauge_with(
-                    "chronorank_serve_route_queries",
-                    "queries served per route",
-                    &[("route", route.name())],
-                )
-                .set_u64(stats.queries);
-            registry
-                .gauge_with(
-                    "chronorank_serve_route_busy_us",
-                    "cumulative wall time per route, microseconds",
-                    &[("route", route.name())],
-                )
-                .set_u64((stats.secs * 1e6) as u64);
-            registry
-                .gauge_with(
-                    "chronorank_serve_route_index_bytes",
-                    "bytes of the files each route reads, summed over shards (a shared file counts for every route using it: EXACT1 is the EXACT3 tree)",
-                    &[("route", route.name())],
-                )
-                .set_u64(route_bytes.iter().map(|b| b[route.idx()]).sum());
+        g("chronorank_serve_io_reads", "block reads across all shards", r.io.reads);
+        g("chronorank_serve_io_writes", "block writes across all shards", r.io.writes);
+        let help = "cumulative wall time per route, microseconds";
+        for (route, stats) in Route::ALL.iter().zip(r.routes) {
+            let per = |name, help, v| {
+                registry.gauge_with(name, help, &[("route", route.name())]).set_u64(v)
+            };
+            per("chronorank_serve_route_queries", "queries served per route", stats.queries);
+            per("chronorank_serve_route_busy_us", help, us(stats.secs));
         }
     }
 
     /// A snapshot of everything served so far. Cache and IO counters are
     /// read straight off the shared shards.
     pub fn report(&self) -> ServeReport {
-        let served = self.served.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let shards = self.pool.shards();
+        let counters = self.counters();
+        let shards = self.shards();
         let caches: Vec<_> = shards.iter().map(|s| s.cache_counters()).collect();
         ServeReport {
             workers: shards.len(),
-            queries: served.queries,
-            elapsed_secs: served.elapsed_secs,
-            routes: served.routes,
+            queries: counters.queries,
+            elapsed_secs: counters.elapsed_secs,
+            routes: counters.routes,
             cache_hits: caches.iter().map(|c| c.hits).sum(),
             cache_lookups: caches.iter().map(|c| c.lookups).sum(),
             io: shards.iter().map(|s| s.built().io_total()).sum(),
-            index_bytes: self.index_bytes,
-            build_secs: self.build_secs,
+            index_bytes: shards.iter().map(|s| s.built().size_bytes).sum(),
+            build_secs: self.boot_secs,
             build_stages: shards.iter().map(|s| s.built().stages).sum(),
         }
     }

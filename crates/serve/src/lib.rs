@@ -2,25 +2,21 @@
 //!
 //! The paper's evaluation (§5) is about answering aggregate top-k queries
 //! over large temporal data (`m ≈ 1.5M`, `N = 10⁸`); this crate is the
-//! layer that serves a *stream* of such queries: a [`ServeEngine`] that
+//! layer that serves a *stream* of such queries. Its [`Engine`] is the one
+//! engine body — a [`ServeEngine`] is one over immutable shards, and
+//! `chronorank-live`'s ingest engine owns one over live shards — that
 //!
 //! 1. **shards** a [`TemporalSet`] into `W` partitions (round-robin by
-//!    object id), builds every partition's indexes concurrently, and
-//!    publishes each as an immutable `Arc<Shard>` **snapshot** — the
-//!    storage layer is `Send + Sync`, so built indexes are shared, not
-//!    duplicated. A [`WorkerPool`] owns the shards and one worker thread
-//!    per shard: worker `i` answers shard `i`'s part of every query, all
-//!    shards in parallel, and the shard-local top-k lists are k-way
-//!    merged (exact: because shards partition the objects, the global
-//!    top-k is a subset of the union of shard top-k's). There is one
-//!    query body, [`ServeEngine::execute`]: a *window* of queries goes to
-//!    every shard's worker as one job, comes
-//!    back as one reply per shard, and each query's lists are merged
-//!    ([`merge_ranked`]) into one [`Answer`] per query by the one
-//!    [`WorkerPool::scatter_gather`] both engines run; a solo query
-//!    ([`ServeEngine::query`] and its routed/spanned variants) is a window
-//!    of one. It takes `&self`, so whole engines are themselves shareable
-//!    across caller threads;
+//!    object id) that a [`WorkerPool`] builds concurrently and owns, one
+//!    worker thread per shard: worker `i` answers shard `i`'s part of
+//!    every query, all shards in parallel, and the shard-local top-k lists
+//!    are k-way merged ([`merge_ranked`]; exact, because shards partition
+//!    the objects). There is one query body, [`Engine::execute`]: a
+//!    *window* of queries goes to every shard's worker as one job
+//!    ([`WorkerPool::scatter_gather`]) and comes back as one [`Answer`]
+//!    per query; [`Engine::query`] and its routed / spanned variants are
+//!    windows of one. It takes `&self`, so an engine is shared across
+//!    caller threads;
 //! 2. **routes** each query with a cost-based [`Planner`] built on
 //!    [`chronorank_core::cost_model`] (the paper's Figure-3 table as
 //!    executable formulas). Per query `(t1, t2, k, tolerance)` it picks:
@@ -40,14 +36,12 @@
 //!    EXACT3's exact answer unless the caller opts in to APPX1 or APPX2+;
 //! 3. **caches** every answer in a shard-local [`ResultCache`] on its
 //!    [`ProbeKey`]: the *snapped* breakpoint pair `(B(t1), B(t2), k)` on
-//!    the routes whose answers depend only on the snapped interval
-//!    (APPX1/APPX2), the raw interval on the rest (EXACT3, and APPX2+,
-//!    which re-scores over it) — so hot intervals, exact or not, are
-//!    answered without touching any index. The same cache, with its §4 staleness
-//!    account charged by appends, is a live shard's, and the same window
-//!    dedup ([`dedup_window`]) and id arithmetic ([`to_local`],
-//!    [`to_global`]) run under both engines' shards: a serve shard and a
-//!    live shard differ only in how one probe is answered;
+//!    APPX1/APPX2, whose answers depend only on the snapped interval, the
+//!    raw interval on EXACT3 and APPX2+ — so hot intervals are answered
+//!    without touching any index. A live shard runs the same cache (its
+//!    §4 staleness account charged by appends), window dedup
+//!    ([`dedup_window`]) and id arithmetic ([`to_local`], [`to_global`]):
+//!    the two shards differ only in how one probe is answered;
 //! 4. **reports** per-route throughput and latency, cache hit rates, and
 //!    cross-thread aggregated [`chronorank_storage::IoStats`] snapshots in
 //!    a [`ServeReport`].
@@ -91,16 +85,18 @@ mod shard;
 pub use cache::{CacheCounters, ResultCache};
 pub use config::ServeConfig;
 pub use engine::{
-    merge_ranked, partition, to_global, to_local, Answer, ServeEngine, ServeError, WorkerPool,
+    merge_ranked, partition, to_global, to_local, Answer, Engine, QueryCounters, ServeEngine,
+    ServeError, WorkerPool,
 };
+pub use obs::ShardGauges;
 pub use planner::{
     merge_profiles, Freshness, MethodSet, Planner, PlannerParams, Route, RouteProfiles,
 };
 pub use query::{ServeQuery, Tolerance};
-pub use report::{RouteStats, ServeReport};
+pub use report::{rate, RouteStats, ServeReport};
 pub use shard::{
     assemble_route_methods, build_route_methods, build_route_methods_with_handles, dedup_window,
-    BuildStages, BuiltRoutes, PlusRescore, ProbeKey, ShardAnswer, ShardProbe,
+    BuildStages, BuiltRoutes, PlusRescore, ProbeKey, Shard, ShardAnswer, ShardProbe,
 };
 
 /// Render a `catch_unwind` payload into a readable error message. Shared

@@ -9,6 +9,7 @@
 //! heap allocation).
 
 use crate::planner::Route;
+use crate::shard::BuildStages;
 use chronorank_obs::{CacheOutcome, Counter, FlightRecorder, Histogram, Registry};
 
 /// How many [`chronorank_obs::QueryTrace`]s the engine retains.
@@ -82,6 +83,53 @@ impl ServeObs {
                 "queries at least one shard's result cache missed",
             ),
             recorder,
+        }
+    }
+}
+
+/// The gauges both engines' `sync_obs` write, by one
+/// [`ShardGauges::sync`].
+#[derive(Debug, Clone, Copy)]
+pub struct ShardGauges {
+    /// Shard count.
+    pub workers: usize,
+    /// Queries answered.
+    pub queries: u64,
+    /// Result-cache hits and lookups, summed over shards.
+    pub cache: (u64, u64),
+    /// Bytes across the shards' installed indexes.
+    pub index_bytes: u64,
+    /// Build time per stage and B2 sweeps, summed over shards and builds.
+    pub build_stages: BuildStages,
+    /// Bytes of the files each route reads, summed over shards.
+    pub route_bytes: [u64; 5],
+}
+
+impl ShardGauges {
+    /// Set `chronorank_{tier}_{workers, queries, cache_hits,
+    /// cache_lookups, index_bytes}`, `chronorank_{tier}_{build}_stage_us`
+    /// by stage, `chronorank_{tier}_{build}_b2_sweeps` and
+    /// `chronorank_{tier}_route_index_bytes` by route in `registry`.
+    pub fn sync(&self, registry: &Registry, tier: &str, build: &str) {
+        let name = |gauge: &str| format!("chronorank_{tier}_{gauge}");
+        let g = |gauge: &str, help: &str, v| registry.gauge(&name(gauge), help).set_u64(v);
+        let per = |gauge: &str, help: &str, label, v| {
+            registry.gauge_with(&name(gauge), help, &[label]).set_u64(v);
+        };
+        g("workers", "shard count", self.workers as u64);
+        g("queries", "queries answered", self.queries);
+        g("cache_hits", "shard result-cache hits", self.cache.0);
+        g("cache_lookups", "shard result-cache lookups", self.cache.1);
+        g("index_bytes", "bytes across the shards' installed indexes", self.index_bytes);
+        let help = "index build time per stage, summed over shards and builds, microseconds";
+        for (stage, us) in self.build_stages.stage_us() {
+            per(&format!("{build}_stage_us"), help, ("stage", stage), us);
+        }
+        let help = "sweeps the BREAKPOINTS2 count fit ran, summed over shards and builds";
+        g(&format!("{build}_b2_sweeps"), help, self.build_stages.b2_sweeps);
+        let help = "bytes of the files each route reads, summed over shards (a shared file counts for every route using it: EXACT1 is the EXACT3 tree)";
+        for route in Route::ALL {
+            per("route_index_bytes", help, ("route", route.name()), self.route_bytes[route.idx()]);
         }
     }
 }

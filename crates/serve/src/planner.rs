@@ -22,16 +22,13 @@ use crate::query::ServeQuery;
 use chronorank_core::cost_model::{query_cost, CostParams};
 use chronorank_core::{MethodProfile, TemporalSet};
 
-/// The freshness/staleness dimension a live (append-receiving) deployment
-/// feeds into routing: the index generations the shards currently serve
-/// were built over `built_mass`, while right-edge appends have grown the
-/// live mass to `live_mass ≥ built_mass`. The planner re-validates every
-/// approximate profile against the live mass
-/// ([`chronorank_core::MethodProfile::revalidate`]) before admitting it —
-/// a frozen generation's *absolute* error bound `ε·M_built` is a smaller
-/// fraction of a grown mass, so queries keep routing to approximate
-/// indexes (and their caches) for exactly as long as the snapped ε-bound
-/// still holds.
+/// The §4 freshness dimension every engine routes with: the indexes its
+/// shards serve were built over `built_mass`, and right-edge appends have
+/// grown the live mass to `live_mass ≥ built_mass` (one number where none
+/// arrive). The planner restates every approximate profile against the
+/// live mass ([`chronorank_core::MethodProfile::revalidate`]) before
+/// admitting it: a built index's *absolute* bound `ε·M_built` is a smaller
+/// fraction of a grown mass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Freshness {
     /// Total mass `M` the serving generations were built over.

@@ -43,23 +43,25 @@ pub struct ServeReport {
     pub build_stages: BuildStages,
 }
 
+/// `n / d`, or 0 when `d` is not positive: the rates both engines' reports
+/// derive.
+pub fn rate(n: f64, d: f64) -> f64 {
+    if d > 0.0 {
+        n / d
+    } else {
+        0.0
+    }
+}
+
 impl ServeReport {
     /// Overall queries per second (0 when nothing was served).
     pub fn qps(&self) -> f64 {
-        if self.elapsed_secs > 0.0 {
-            self.queries as f64 / self.elapsed_secs
-        } else {
-            0.0
-        }
+        rate(self.queries as f64, self.elapsed_secs)
     }
 
     /// Cache hit rate over lookups (0 when none happened).
     pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups > 0 {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        } else {
-            0.0
-        }
+        rate(self.cache_hits as f64, self.cache_lookups as f64)
     }
 }
 

@@ -21,7 +21,7 @@
 
 use crate::cache::{CacheCounters, ResultCache};
 use crate::config::ServeConfig;
-use crate::planner::{MethodSet, Route, RouteProfiles};
+use crate::planner::{Freshness, MethodSet, Route, RouteProfiles};
 use crate::query::ServeQuery;
 use chronorank_core::{
     AggKind, ApproxConfig, ApproxIndex, ApproxVariant, B2Construction, Breakpoints, Exact3,
@@ -48,6 +48,10 @@ pub trait ShardProbe: Send + Sync {
     /// none). Queries that collapse onto one [`ProbeKey`] share one probe
     /// ([`dedup_window`]).
     fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)>;
+
+    /// What routing reads of the shard: the profiles of its installed
+    /// routes, the mass they were built over and the shard's mass now.
+    fn routing(&self) -> (RouteProfiles, Freshness);
 }
 
 /// The window dedup every shard runs: queries with equal `key`s are
@@ -395,11 +399,14 @@ pub fn assemble_route_methods(
     })
 }
 
-/// One partition's built, immutable index snapshot (see module docs).
-/// Published as `Arc<Shard>`; every method takes `&self`.
-pub(crate) struct Shard {
+/// One partition's built, immutable index snapshot (see module docs):
+/// what the worker pool of a [`crate::ServeEngine`] owns. Published as
+/// `Arc<Shard>`; every method takes `&self`.
+pub struct Shard {
     built: BuiltRoutes,
     cache: Option<Mutex<ResultCache>>,
+    /// `M` of the partition, which the built routes were built over.
+    mass: f64,
 }
 
 impl Shard {
@@ -410,7 +417,7 @@ impl Shard {
         let built = build_route_methods_with_handles(set, cfg.methods, cfg.approx, cfg.store)?;
         let cache =
             (cfg.cache_capacity > 0).then(|| Mutex::new(ResultCache::new(cfg.cache_capacity)));
-        Ok(Self { built, cache })
+        Ok(Self { built, cache, mass: set.total_mass() })
     }
 
     /// The built indexes, with their sizes, profiles, IO and build stages.
@@ -450,6 +457,11 @@ impl ShardProbe for Shard {
                 }
             },
         )
+    }
+
+    /// A frozen snapshot: the mass it was built over is its mass now.
+    fn routing(&self) -> (RouteProfiles, Freshness) {
+        (self.built.profiles(), Freshness { built_mass: self.mass, live_mass: self.mass })
     }
 }
 

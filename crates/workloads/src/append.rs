@@ -2,7 +2,7 @@
 //!
 //! The paper's §4 update model receives segments at each object's right
 //! time edge. [`AppendStream`] turns the output of *any*
-//! [`DatasetGenerator`] (temp / stock / meme / randomwalk / CSV) into that
+//! [`DatasetGenerator`] (temp / stock / meme / randomwalk) into that
 //! shape deterministically: each object keeps its first points as the
 //! **base** (the state a live system is bootstrapped from) and the
 //! remaining points become a time-ordered trace of

@@ -60,7 +60,6 @@
 #![forbid(unsafe_code)]
 
 mod append;
-pub mod csvio;
 mod meme;
 mod query;
 mod randomwalk;
@@ -70,7 +69,6 @@ mod traffic;
 mod util;
 
 pub use append::{AppendStream, AppendStreamConfig, LiveOp};
-pub use csvio::{read_csv, read_csv_file, write_csv, write_csv_file, CsvDataset, CsvError};
 pub use meme::{MemeConfig, MemeGenerator};
 pub use query::{IntervalPattern, QueryInterval, QueryWorkload, QueryWorkloadConfig};
 pub use randomwalk::{RandomWalkConfig, RandomWalkGenerator};

@@ -12,8 +12,10 @@
 //! peak beyond what it held before must stay within 2× the bytes it was
 //! handed plus 256 — a decoded count may size memory only for bytes that
 //! back it. The live engine's metadata is the exception: it is read while
-//! an engine boots, which allocates for the boot, so it is swept for
-//! panics only.
+//! an engine boots, which allocates for the boot, so it is not weighed.
+//! Its image's `live_set` stays intact, so every boot must succeed instead
+//! (a damaged blob costs at most the index preload), and one past a
+//! damaged `engine` stamp must reopen no shard from the image.
 //!
 //! The trees sit in 256-byte blocks, the sets are small (12 and 6 Temp
 //! objects), and a damaged file shares every page but the damaged one
@@ -38,6 +40,7 @@ use chronorank::storage::{
     StoreConfig, WriteAheadLog,
 };
 use chronorank::workloads::{DatasetGenerator, TempConfig, TempGenerator};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -69,6 +72,10 @@ struct Sweep {
     /// Worst heap a decode held at its peak beyond [`FIXED`] ÷ its input,
     /// and where.
     worst: (f64, String),
+    /// Damaged live images whose boot was refused, and the shards the
+    /// boots past a damaged `engine` stamp reopened from the image.
+    refused_boots: u64,
+    preloaded_past_a_damaged_stamp: u64,
 }
 
 impl Sweep {
@@ -340,18 +347,29 @@ fn live_decoders(sweep: &mut Sweep) {
     let image = dir.join("generation.img");
     let valid = std::fs::read(&image).unwrap();
     let q = ServeQuery::exact(seed.t_min(), seed.t_max(), 3);
+    // The `live_set` blob is intact, so every damaged image must boot; a
+    // damaged `engine` stamp must forfeit the preload.
+    let (refused, preloaded) = (Cell::new(0), Cell::new(0));
     for name in ["engine", "s0/meta"] {
         let blob = GenerationImage::open(&image).unwrap().blob(name).unwrap();
         let place = |b: &[u8]| {
             with_blob(&image, name, b);
-            ((), b.len())
+            (b != blob.as_slice(), b.len())
         };
-        sweep.run(&format!("live image {name}"), &blob, false, place, |()| {
+        sweep.run(&format!("live image {name}"), &blob, false, place, |damaged| {
             let booted = IngestEngine::new(&seed, config.clone());
             std::fs::write(&image, &valid).unwrap();
-            booted.and_then(|engine| engine.query(q))
+            let engine = booted
+                .inspect_err(|_| refused.set(refused.get() + 1))
+                .map_err(|e| e.to_string())?;
+            if damaged && name == "engine" {
+                preloaded.set(preloaded.get() + engine.report().preloaded_shards);
+            }
+            engine.query(q).map_err(|e| e.to_string())
         });
     }
+    sweep.refused_boots = refused.get();
+    sweep.preloaded_past_a_damaged_stamp = preloaded.get();
 }
 
 #[test]
@@ -365,12 +383,16 @@ fn every_truncation_and_byte_flip_of_a_container_decodes_or_is_refused() {
     live_decoders(&mut sweep);
     std::panic::set_hook(quiet);
     std::fs::remove_dir_all(scratch_root()).ok();
-    let Sweep { decoders, blobs, panics, worst } = sweep;
+    let Sweep { decoders, blobs, panics, worst, refused_boots, preloaded_past_a_damaged_stamp } =
+        sweep;
     println!("pinned: decoders of untrusted bytes swept: {decoders}");
     println!("pinned: truncated or flipped blobs they decoded: {blobs}");
     println!("pinned: panics over those blobs: {}", panics.len());
+    println!("pinned: live image blobs that refuse a boot: {refused_boots}");
     println!("pinned: worst heap a decode held beyond {FIXED} bytes ÷ its input: {:.2}", worst.0);
     println!("measured: worst at {}", worst.1);
     assert!(panics.is_empty(), "{panics:?}");
+    assert_eq!(refused_boots, 0, "a live image with an intact live set must boot");
+    assert_eq!(preloaded_past_a_damaged_stamp, 0, "a damaged engine stamp forfeits the preload");
     assert!(worst.0 <= MAX_ALLOCATION_PER_BYTE, "{worst:?}");
 }

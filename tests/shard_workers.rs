@@ -17,7 +17,8 @@ use chronorank::core::{ObjectId, TemporalSet};
 use chronorank::curve::PiecewiseLinear;
 use chronorank::obs::{Registry, SpanSink};
 use chronorank::serve::{
-    partition, to_global, to_local, Route, ServeQuery, ShardAnswer, ShardProbe, WorkerPool,
+    partition, to_global, to_local, Freshness, Route, RouteProfiles, ServeQuery, ShardAnswer,
+    ShardProbe, WorkerPool,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -39,6 +40,10 @@ impl ShardProbe for NamedProbe {
         let name = std::thread::current().name().unwrap_or("unnamed").to_string();
         self.threads.lock().unwrap().insert(name);
         window.iter().map(|_| (Ok(Vec::new()), None)).collect()
+    }
+
+    fn routing(&self) -> (RouteProfiles, Freshness) {
+        unreachable!("a bare pool does not plan")
     }
 }
 
@@ -80,6 +85,10 @@ impl ShardProbe for LocalIds {
     fn answer_batch(&self, window: &[(ServeQuery, Route)]) -> Vec<(ShardAnswer, Option<bool>)> {
         let all: Vec<(ObjectId, f64)> = (0..self.m).rev().map(|id| (id, id as f64)).collect();
         window.iter().map(|_| (Ok(all.clone()), None)).collect()
+    }
+
+    fn routing(&self) -> (RouteProfiles, Freshness) {
+        unreachable!("a bare pool does not plan")
     }
 }
 
