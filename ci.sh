@@ -38,7 +38,8 @@
 #                     what the engine holds after it, per live point),
 #                     the ones tests/streaming_build_counts.rs pins (peak
 #                     heap beyond the ScaleBudget, heap held and blocks a
-#                     drop_caches writes after each out-of-core build),
+#                     drop_caches writes after each out-of-core build, and
+#                     the blocks each one writes and reads),
 #                     the ones tests/obs_counts.rs pins (spans, heap
 #                     allocations and metric updates per query, bytes per
 #                     span slot — what telemetry costs, as counts that
@@ -111,7 +112,9 @@
 #                     reads, checkpoint and image boot, out-of-core builds
 #                     — answers correctly at 1/20 scale; exit codes only,
 #                     its numbers are not gated here; artifacts and
-#                     the report stay under target/benchmark)
+#                     the report stay under target/benchmark, and
+#                     benchmark/Cargo.lock is put back byte for byte
+#                     after each build)
 #
 # Every smoke artifact goes under target/ so the committed full-scale
 # BENCH_PAPERSCALE.json is never clobbered by quick numbers.
@@ -264,6 +267,20 @@ if [[ "${1:-}" == "--lines" ]]; then
     exit 0
 fi
 
+# Building the benchmark package rewrites benchmark/Cargo.lock whenever a
+# crate's dependency edges moved since the lock was committed. The lock
+# changes only with the benchmark itself, so every build here runs through
+# this: the lock is copied before, put back after, and compared.
+keep_benchmark_lock() {
+    local lock=benchmark/Cargo.lock saved=target/benchmark-Cargo.lock.orig status=0
+    mkdir -p target
+    cp "$lock" "$saved"
+    "$@" || status=$?
+    cp "$saved" "$lock"
+    cmp "$saved" "$lock"
+    return "$status"
+}
+
 # One A/B series: what a perf claim quotes, as one command. Each run's
 # stdout goes to target/pairs/<rev>/runs/; the report reads the result
 # line (the last) and the `#detail` line of each.
@@ -346,8 +363,8 @@ run_pairs() {
     echo "== building the benchmark at ${sha:0:12} and in the working tree" >&2
     (cd "$dir" && CARGO_TARGET_DIR=target/benchmark cargo build --offline --release --quiet \
         --manifest-path benchmark/Cargo.toml)
-    CARGO_TARGET_DIR=target/benchmark cargo build --offline --release --quiet \
-        --manifest-path benchmark/Cargo.toml
+    CARGO_TARGET_DIR=target/benchmark keep_benchmark_lock cargo build --offline --release \
+        --quiet --manifest-path benchmark/Cargo.toml
     rm -rf "$dir/runs" && mkdir -p "$dir/runs"
     local sides=(parent change)
     for ((s = seed; s < seed + n; s++)); do
@@ -458,8 +475,8 @@ paperscale_smoke() {
 # is the only stage that notices when a crate change breaks it.
 benchmark_smoke() {
     mkdir -p target/benchmark
-    benchmark/run.sh --lint
-    benchmark/run.sh --quick > target/benchmark/ci-smoke.log
+    keep_benchmark_lock benchmark/run.sh --lint
+    keep_benchmark_lock benchmark/run.sh --quick > target/benchmark/ci-smoke.log
 }
 
 stage fmt              cargo fmt --check

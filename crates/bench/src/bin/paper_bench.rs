@@ -512,7 +512,9 @@ fn paperscale(opts: &Opts) {
          \"span_fraction\": {span_frac}}},\n  \
          \"note\": \"Streamed out-of-core builds on a geometric N ladder: datasets are \
          generated object-at-a-time (never materialized), sorted externally under the sort \
-         budget, and bulk-loaded through pools sized from the same budget. avg_ios is mean \
+         budget into runs that go straight to disk, and bulk-loaded: EXACT1 and EXACT3 write \
+         each tree page straight to disk, the APPX files go through pools sized from the \
+         budget's pool share. avg_ios is mean \
          cold-cache block reads per query (pools dropped + counter zeroed per query). The \
          bench exits nonzero unless EXACT3 < EXACT1 on every rung and the better of APPX1 and \
          APPX2 < EXACT3 on every rung with N >= 1e5 — the paper's Section 5 headline ordering; \

@@ -26,7 +26,7 @@ use crate::object::{check_id, ObjectId, TemporalObject, TemporalSet};
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
-use chronorank_index::{BPlusTree, ExternalSorter};
+use chronorank_index::{BPlusTree, BulkLoader, ExternalSorter};
 use chronorank_storage::{Env, IoStats, PagedFile};
 use std::borrow::Borrow;
 
@@ -35,6 +35,8 @@ use std::borrow::Borrow;
 const PAYLOAD_LEN: usize = 4 + 8 + 8 + 8;
 /// Sort record: key prefix + payload.
 const RECORD_LEN: usize = 8 + PAYLOAD_LEN;
+/// The B+-tree's file name within the index's environment.
+const TREE_FILE: &str = "exact1_tree";
 
 fn encode_payload(obj: ObjectId, s: Segment) -> [u8; PAYLOAD_LEN] {
     let mut out = [0u8; PAYLOAD_LEN];
@@ -77,7 +79,7 @@ impl Exact1 {
             let (obj, seg) = entry?;
             Ok((seg.t0, encode_payload(obj, seg)))
         });
-        let tree = Self::load(&env, merged)?;
+        let tree = Self::load(env.create_file(TREE_FILE)?, merged)?;
         let (num_objects, max_segment_duration) = (set.num_objects(), set.max_segment_duration());
         Ok(Self { env, tree, num_objects, max_segment_duration })
     }
@@ -87,8 +89,10 @@ impl Exact1 {
     /// disk in object order): external-sort all `N` segments by left
     /// endpoint in runs of `sort_budget_bytes`, then bulk-load the
     /// B+-tree. `m` and `Δmax` are accumulated in the push loop, which
-    /// refuses ids out of `0, 1, 2, …` order. The build ends by writing the
-    /// tree back and emptying its pool: the index keeps no frame.
+    /// refuses ids out of `0, 1, 2, …` order. Neither file fills a pool:
+    /// the runs are scratch, and the tree is write-through
+    /// (`Env::create_write_through`), so each page goes to the device as
+    /// the loader seals it and the index starts with no frame.
     pub fn build_streaming<I>(env: Env, objects: I, sort_budget_bytes: u64) -> Result<Self>
     where
         I: IntoIterator,
@@ -118,18 +122,17 @@ impl Exact1 {
             Ok(false) => None,
             Err(e) => Some(Err(e.into())),
         });
-        let tree = Self::load(&env, sorted)?;
-        tree.file().drop_cache()?;
+        let tree = Self::load(env.create_write_through(TREE_FILE)?, sorted)?;
         Ok(Self { env, tree, num_objects, max_segment_duration: max_dur })
     }
 
     /// The one loader loop: `(t0, payload)` entries in `t0` order — a
     /// sorted stream's or a resident set's merge — into the bulk loader.
     fn load(
-        env: &Env,
+        file: PagedFile,
         entries: impl Iterator<Item = Result<(f64, [u8; PAYLOAD_LEN])>>,
     ) -> Result<BPlusTree> {
-        let mut loader = BPlusTree::bulk_loader(env.create_file("exact1_tree")?, PAYLOAD_LEN)?;
+        let mut loader = BulkLoader::new(file, PAYLOAD_LEN)?;
         for entry in entries {
             let (key, payload) = entry?;
             loader.push(key, &payload)?;

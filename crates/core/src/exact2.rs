@@ -23,7 +23,7 @@ use crate::object::{ObjectId, TemporalSet};
 use crate::topk::{check_interval, top_k_from_scores, RankMethod, TopK};
 use crate::IndexConfig;
 use chronorank_curve::Segment;
-use chronorank_index::BPlusTree;
+use chronorank_index::{BPlusTree, BulkLoader};
 use chronorank_storage::{Env, IoStats};
 
 /// Leaf payload: `t_prev f64 | v_prev f64 | v_cur f64 | prefix f64`
@@ -64,7 +64,7 @@ impl Exact2 {
         let mut payload = [0u8; PAYLOAD_LEN];
         for o in set.objects() {
             let file = env.create_file(&format!("exact2_{:08}", o.id))?;
-            let mut loader = BPlusTree::bulk_loader(file, PAYLOAD_LEN)?;
+            let mut loader = BulkLoader::new(file, PAYLOAD_LEN)?;
             // One sweep computes prefix sums incrementally (the paper's
             // O(n_i/B) preprocessing).
             let mut prefix = 0.0f64;

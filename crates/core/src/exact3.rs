@@ -156,7 +156,7 @@ impl Exact3 {
             *prefix += seg.integral_full();
             Ok((seg.t0, seg.t1, encode_payload(obj, seg.v0, seg.v1, *prefix)))
         });
-        let tree = Self::load(&env, entries)?;
+        let tree = Self::load(env.create_file(TREE_FILE)?, entries)?;
         let meta = set.objects().iter().map(ObjMeta::of).collect();
         Ok(Self { env, store: config.store, tree, meta })
     }
@@ -168,8 +168,10 @@ impl Exact3 {
     /// load. Peak memory is one sort run, the loader's open runs (≤ 256
     /// whole leaves between them), one fence per leaf and the per-object `(start, end, total)` triples
     /// collected in the push loop (`24·m` bytes; it refuses ids out of
-    /// `0, 1, 2, …` order) — never the full entry set. The build ends by
-    /// writing the tree back and emptying its pool: the index keeps no frame.
+    /// `0, 1, 2, …` order) — never the full entry set, and no pool frame:
+    /// the runs are scratch, and the tree is write-through
+    /// (`Env::create_write_through`), so each page goes to the device as
+    /// the loader writes it and the index starts with no frame.
     pub fn build_streaming<I>(
         env: Env,
         store: StoreConfig,
@@ -207,8 +209,7 @@ impl Exact3 {
             Ok(false) => None,
             Err(e) => Some(Err(e.into())),
         });
-        let tree = Self::load(&env, sorted)?;
-        tree.file().drop_cache()?;
+        let tree = Self::load(env.create_write_through(TREE_FILE)?, sorted)?;
         Ok(Self { env, store, tree, meta })
     }
 
@@ -217,10 +218,10 @@ impl Exact3 {
     /// interval tree's leaf-fill-1.0 bulk loader, which holds its open runs
     /// (≤ 256 whole leaves between them) and one fence per leaf.
     fn load(
-        env: &Env,
+        file: PagedFile,
         entries: impl Iterator<Item = Result<(f64, f64, [u8; PAYLOAD_LEN])>>,
     ) -> Result<IntervalTree> {
-        let mut loader = IntervalBulkLoader::new(env.create_file(TREE_FILE)?, PAYLOAD_LEN)?;
+        let mut loader = IntervalBulkLoader::new(file, PAYLOAD_LEN)?;
         for entry in entries {
             let (lo, hi, payload) = entry?;
             loader.push(lo, hi, &payload)?;

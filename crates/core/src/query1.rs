@@ -29,7 +29,7 @@ use crate::breakpoints::Breakpoints;
 use crate::error::{CoreError, Result};
 use crate::object::{ObjectId, TemporalObject};
 use crate::topk::{capped_push, check_interval, heap_into_desc, RankMethod, TopK, WorstFirst};
-use chronorank_index::BPlusTree;
+use chronorank_index::{BPlusTree, BulkLoader};
 use chronorank_storage::{Env, IoStats, Page, PagedFile, Reader};
 use std::borrow::Borrow;
 use std::collections::BinaryHeap;
@@ -144,7 +144,7 @@ pub(crate) fn breakpoint_tree(
     name: &str,
     breakpoints: &Breakpoints,
 ) -> Result<BPlusTree> {
-    let mut loader = BPlusTree::bulk_loader(env.create_file(name)?, 4)?;
+    let mut loader = BulkLoader::new(env.create_file(name)?, 4)?;
     for (j, &b) in breakpoints.points().iter().enumerate() {
         loader.push(b, &(j as u32).to_le_bytes())?;
     }

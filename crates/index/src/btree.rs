@@ -54,11 +54,6 @@ pub struct BPlusTree {
 }
 
 impl BPlusTree {
-    /// Start a streaming bulk load (alias for [`BulkLoader::new`]).
-    pub fn bulk_loader(file: PagedFile, value_len: usize) -> Result<BulkLoader> {
-        BulkLoader::new(file, value_len)
-    }
-
     /// Maximum entries per leaf for this block size / payload length.
     fn leaf_cap(block: usize, value_len: usize) -> usize {
         (block - LEAF_HDR) / (8 + value_len)

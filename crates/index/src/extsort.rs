@@ -12,12 +12,15 @@
 //! records. The spill writes the records straight off the permutation (no
 //! vector of references), and the buffer is sized once to the whole run
 //! after its first MiB, so it stops reallocating through the heap. The
-//! merge then holds one block per run. (The paper's IO-efficient priority
-//! queues have no caller here: every sweep consumes a sorted stream.)
+//! sort file is scratch that keeps no pool frame (`Env::create_scratch`):
+//! a spill writes its blocks straight to the device, and the merge reads
+//! each block into its run's own buffer — one block per run, read once.
+//! (The paper's IO-efficient priority queues have no caller here: every
+//! sweep consumes a sorted stream.)
 
 use crate::error::{IndexError, Result};
 use chronorank_storage::page::put_u32;
-use chronorank_storage::{Page, PageId, PagedFile, Reader};
+use chronorank_storage::{PageId, PagedFile, Reader};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -76,11 +79,11 @@ struct RunCursor {
     run: Run,
     record_len: usize,
     per_block: usize,
-    /// The block being read, as the pool lent it.
-    page: Page,
+    /// The block being read, loaded into the cursor's own buffer.
+    buf: Vec<u8>,
     /// Next record ordinal within the run.
     pos: u64,
-    /// Block `page` holds (`u64::MAX` = none yet).
+    /// Block `buf` holds (`u64::MAX` = none yet).
     cur_block: u64,
 }
 
@@ -90,7 +93,7 @@ impl RunCursor {
             run,
             record_len,
             per_block: (block - RUN_HDR) / record_len,
-            page: Page::default(),
+            buf: vec![0u8; block],
             pos: 0,
             cur_block: u64::MAX,
         }
@@ -103,8 +106,8 @@ impl RunCursor {
         }
         let (block_idx, within) = run_position(self.pos, self.per_block);
         if block_idx != self.cur_block {
-            self.page = file.page(self.run.start + block_idx)?;
-            let count = Reader::new(&self.page).u32("run block count")? as u64;
+            file.read(self.run.start + block_idx, &mut self.buf)?;
+            let count = Reader::new(&self.buf).u32("run block count")? as u64;
             let expected =
                 (self.run.records - block_idx * self.per_block as u64).min(self.per_block as u64);
             if count != expected {
@@ -116,15 +119,15 @@ impl RunCursor {
         }
         self.pos += 1;
         let off = RUN_HDR + within * self.record_len;
-        Ok(Some(&self.page[off..off + self.record_len]))
+        Ok(Some(&self.buf[off..off + self.record_len]))
     }
 
-    /// The record the last `next` returned: it stays in `page` until the
+    /// The record the last `next` returned: it stays in `buf` until the
     /// following `next`.
     fn current(&self) -> &[u8] {
         let (_, within) = run_position(self.pos - 1, self.per_block);
         let off = RUN_HDR + within * self.record_len;
-        &self.page[off..off + self.record_len]
+        &self.buf[off..off + self.record_len]
     }
 }
 
@@ -147,12 +150,13 @@ pub struct ExternalSorter<F: Fn(&[u8]) -> f64> {
 }
 
 impl<F: Fn(&[u8]) -> f64> ExternalSorter<F> {
-    /// `file` must be a fresh scratch file (`Env::create_scratch`: it goes
-    /// away with the sorter or its `SortedStream`). `budget_bytes` (a
-    /// `ScaleBudget` sort share) is the whole run: a record costs
-    /// `record_len` bytes plus its 4-byte permutation slot, so a run holds
-    /// `budget_bytes / (record_len + 4)` records — never fewer than 16, so
-    /// a degenerate budget still sorts, nor more than `u32::MAX`.
+    /// `file` must be a fresh scratch file (`Env::create_scratch`: it keeps
+    /// no pool frame, and goes away with the sorter or its
+    /// `SortedStream`). `budget_bytes` (a `ScaleBudget` sort share) is the
+    /// whole run: a record costs `record_len` bytes plus its 4-byte
+    /// permutation slot, so a run holds `budget_bytes / (record_len + 4)`
+    /// records — never fewer than 16, so a degenerate budget still sorts,
+    /// nor more than `u32::MAX`.
     /// Nothing is reserved up front: the buffer grows as records arrive,
     /// so a budget far above the input costs nothing.
     pub fn with_byte_budget(

@@ -16,8 +16,10 @@
 //! * [`ExternalSorter`] — run-based external merge sort, used by every
 //!   streaming construction (the paper sorts all `N` segments before every
 //!   build). A run is its byte budget: `record_len` bytes plus a 4-byte
-//!   permutation slot per record, nothing beside it. There is no external
-//!   priority queue: every sweep here consumes a sorted stream.
+//!   permutation slot per record, nothing beside it; it goes to a scratch
+//!   file that keeps no pool frame, and the merge reads it back one block
+//!   per run. There is no external priority queue: every sweep here
+//!   consumes a sorted stream.
 //!
 //! A built structure never changes: none of them has a method that takes
 //! `&mut self`. The paper's §4 right-edge appends are the live engine's

@@ -20,10 +20,13 @@
 //!   out-of-core).
 //!
 //! The split is static — half the budget to pools, half to sort runs —
-//! because the two phases overlap: the sorted stream is consumed while the
-//! bulk loader writes leaves through a pool. A tree build returns its pool
-//! share: `Exact1` / `Exact3::build_streaming` end by writing the tree back
-//! and emptying its pool. Outside the budget, by design, live the bulk
+//! and a streaming build spends only the sort half: its runs are scratch
+//! files that keep no frame (`Env::create_scratch`), and the trees
+//! `Exact1` / `Exact3::build_streaming` load write each page straight to
+//! the device (`Env::create_write_through`), so their pools start filling
+//! only when queries read. The pool half is what the built indexes cache
+//! with, and what the files loaded through a write-back pool (APPX's)
+//! spend while they build. Outside the budget, by design, live the bulk
 //! loader's open runs (≤ 256 whole leaves between them plus a partial
 //! leaf per stream, a run twice its size while it closes), one 24-byte
 //! fence per leaf and the per-object state (EXACT3's 24-byte triples, the

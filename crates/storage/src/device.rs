@@ -112,11 +112,6 @@ impl MemDevice {
         check_bounds(id, self.blocks.len() as u64)?;
         Ok(&mut self.blocks[id as usize])
     }
-
-    /// Bytes currently held by the device.
-    pub fn size_bytes(&self) -> u64 {
-        self.blocks.len() as u64 * self.block_size as u64
-    }
 }
 
 impl BlockDevice for MemDevice {
@@ -181,7 +176,7 @@ impl FileDevice {
 
     /// [`FileDevice::create`] for build-time scratch (sort runs, fence
     /// spills): the file is removed when the device drops.
-    pub fn create_scratch(path: &Path, block_size: usize) -> Result<Self> {
+    pub(crate) fn create_scratch(path: &Path, block_size: usize) -> Result<Self> {
         let mut dev = Self::create(path, block_size)?;
         dev.scratch_path = Some(path.to_path_buf());
         Ok(dev)

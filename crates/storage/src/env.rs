@@ -13,7 +13,7 @@
 
 use crate::device::{FileDevice, MemDevice};
 use crate::error::{Result, StorageError};
-use crate::pool::{PagedFile, StoreConfig};
+use crate::pool::{Caching, PagedFile, StoreConfig};
 use crate::stats::{IoCounter, IoStats};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -123,22 +123,33 @@ impl Env {
         self.config
     }
 
-    /// Create a new logical file. Names must be unique within the
-    /// environment; the check-and-insert is atomic under the registry
-    /// lock, so two threads racing on one name see exactly one winner.
+    /// Create a new logical file with a write-back pool. Names must be
+    /// unique within the environment; the check-and-insert is atomic under
+    /// the registry lock, so two threads racing on one name see exactly one
+    /// winner.
     pub fn create_file(&self, name: &str) -> Result<PagedFile> {
-        self.new_file(name, false)
+        self.new_file(name, Caching::WriteBack)
+    }
+
+    /// [`Env::create_file`] for a tree a streaming build bulk-loads: its
+    /// pool is write-through without write-allocate, so the build's pages
+    /// go straight to the device and the pool caches only the pages
+    /// queries read (`crate::pool`'s module docs).
+    pub fn create_write_through(&self, name: &str) -> Result<PagedFile> {
+        self.new_file(name, Caching::WriteThrough)
     }
 
     /// [`Env::create_file`] for build-time scratch (external-sort runs,
-    /// fence spills): a directory-backed environment removes the file when
-    /// the returned [`PagedFile`] drops, so a finished — or failed — build
-    /// leaves only its index files behind. In memory the two are the same.
+    /// fence spills): the file keeps no frame — each block is written once
+    /// and read back at most once, every transfer straight between the
+    /// device and the caller's buffer — and a directory-backed environment
+    /// removes it when the returned [`PagedFile`] drops, so a finished — or
+    /// failed — build leaves only its index files behind.
     pub fn create_scratch(&self, name: &str) -> Result<PagedFile> {
-        self.new_file(name, true)
+        self.new_file(name, Caching::Uncached)
     }
 
-    fn new_file(&self, name: &str, scratch: bool) -> Result<PagedFile> {
+    fn new_file(&self, name: &str, caching: Caching) -> Result<PagedFile> {
         {
             let mut names = self.names.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             if !names.insert(name.to_string()) {
@@ -149,12 +160,15 @@ impl Env {
             EnvBacking::Memory => Box::new(MemDevice::new(self.config.block_size)),
             EnvBacking::Directory(dir) => {
                 let path = dir.join(sanitize(&format!("{}{name}", self.prefix)));
-                let create = if scratch { FileDevice::create_scratch } else { FileDevice::create };
+                let create = match caching {
+                    Caching::Uncached => FileDevice::create_scratch,
+                    Caching::WriteBack | Caching::WriteThrough => FileDevice::create,
+                };
                 Box::new(create(&path, self.config.block_size)?)
             }
         };
         self.files.fetch_add(1, Ordering::Relaxed);
-        Ok(PagedFile::new(device, self.config, self.counter.clone()))
+        Ok(PagedFile::with_caching(device, self.config, self.counter.clone(), caching))
     }
 
     /// The shared counter.

@@ -8,8 +8,10 @@
 //! * [`BlockDevice`] — a raw array of fixed-size blocks, either in memory
 //!   ([`MemDevice`]) or backed by a file ([`FileDevice`]);
 //! * [`PagedFile`] — a buffer-pool-cached view of a device with
-//!   segmented-LRU eviction (a page hit once more is protected from scans)
-//!   and write-back caching;
+//!   segmented-LRU eviction (a page hit once more is protected from scans);
+//!   an index file caches write-back, a tree a streaming build loads
+//!   writes through, and build scratch keeps no frame, each fixed when
+//!   [`Env`] creates the file;
 //! * [`Page`] — one block's bytes behind a shared handle, the unit the pool,
 //!   a device and a reader exchange. A memory device and the pool in front
 //!   of it hold the same handle for a clean page, so an index built in
@@ -95,8 +97,8 @@ pub use wal::{crc32, WriteAheadLog};
 pub type PageId = u64;
 
 /// The paper's default block size (TPIE was configured with 4 KB blocks).
-pub const DEFAULT_BLOCK_SIZE: usize = 4096;
+const DEFAULT_BLOCK_SIZE: usize = 4096;
 
 /// Default number of frames in a buffer pool (4 MB of cache at the default
 /// block size — deliberately small so that cold-query IO counts are honest).
-pub const DEFAULT_POOL_CAPACITY: usize = 1024;
+const DEFAULT_POOL_CAPACITY: usize = 1024;

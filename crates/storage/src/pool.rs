@@ -1,10 +1,30 @@
-//! Buffer pool: a write-back block cache with segmented-LRU eviction.
+//! Buffer pool: a block cache with segmented-LRU eviction.
 //!
 //! [`PagedFile`] is the unit the index crates build on. Reads that hit the
 //! cache are free; misses fetch from the device and count one read IO;
-//! dirty frames count one write IO when they are evicted or flushed. This
-//! mirrors how TPIE-backed structures in the paper accumulate their IO
-//! counts.
+//! every block that reaches the device counts one write IO. This mirrors
+//! how TPIE-backed structures in the paper accumulate their IO counts.
+//!
+//! **Which files keep frames** is fixed when [`crate::Env`] creates the
+//! file, by what the file's blocks are for:
+//!
+//! * an index file ([`crate::Env::create_file`] — every resident build,
+//!   serve shard and live generation) is **write-back**: a write dirties a
+//!   frame, which reaches the device when it is evicted or flushed, so a
+//!   freshly built tree starts with its pages cached;
+//! * a tree a streaming build bulk-loads
+//!   ([`crate::Env::create_write_through`]) is **write-through without
+//!   write-allocate**: each page goes straight to the device, a write to a
+//!   block the pool already holds updates that frame, and only reads fault
+//!   pages in — the build writes every page once and reads none back, so
+//!   it leaves the pool empty for the queries;
+//! * build scratch ([`crate::Env::create_scratch`] — sort runs, fence
+//!   spills) keeps **no frame**: every read and write is one device
+//!   transfer into or out of the caller's buffer, since each block is
+//!   written once and read back at most once.
+//!
+//! Each block is counted the same way under all three rules: written once
+//! and read once, it costs one write and one read IO.
 //!
 //! **Eviction is segmented LRU** (Karedla, Love & Wherry, IEEE Computer
 //! 1994). A page faulted in enters *probation*; a hit on a probation page
@@ -64,6 +84,17 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self { block_size: crate::DEFAULT_BLOCK_SIZE, pool_capacity: crate::DEFAULT_POOL_CAPACITY }
     }
+}
+
+/// What a file's pool keeps (module docs: which files keep frames).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Caching {
+    /// Writes dirty frames; the device sees them on eviction or flush.
+    WriteBack,
+    /// Writes go to the device at once and allocate no frame.
+    WriteThrough,
+    /// No frames at all.
+    Uncached,
 }
 
 struct Frame {
@@ -141,9 +172,7 @@ impl PoolInner {
     /// failed write-back leaves the pool as it was; a failed load costs at
     /// most the victim's cached copy, which was clean by then.
     fn frame_for(&mut self, id: PageId, counter: &IoCounter, load: bool) -> Result<usize> {
-        if id >= self.device.num_blocks() {
-            return Err(StorageError::OutOfBounds { id, len: self.device.num_blocks() });
-        }
+        self.check_bounds(id)?;
         if let Some(&idx) = self.map.get(&id) {
             self.hits += 1;
             self.touch(idx);
@@ -189,6 +218,13 @@ impl PoolInner {
         Ok(idx)
     }
 
+    fn check_bounds(&self, id: PageId) -> Result<()> {
+        match self.device.num_blocks() {
+            len if id >= len => Err(StorageError::OutOfBounds { id, len }),
+            _ => Ok(()),
+        }
+    }
+
     /// What every access leaves true, checked in debug builds (so
     /// `tests/pool_model.rs` checks it after every op it generates): no
     /// more frames than the capacity, no more protected than the share.
@@ -224,12 +260,22 @@ pub struct PagedFile {
     inner: Mutex<PoolInner>,
     counter: IoCounter,
     block_size: usize,
+    caching: Caching,
 }
 
 impl PagedFile {
-    /// Wrap `device` with a pool of `config.pool_capacity` frames, charging
-    /// IOs to `counter`.
+    /// Wrap `device` with a write-back pool of `config.pool_capacity`
+    /// frames, charging IOs to `counter`.
     pub fn new(device: Box<dyn BlockDevice>, config: StoreConfig, counter: IoCounter) -> Self {
+        Self::with_caching(device, config, counter, Caching::WriteBack)
+    }
+
+    pub(crate) fn with_caching(
+        device: Box<dyn BlockDevice>,
+        config: StoreConfig,
+        counter: IoCounter,
+        caching: Caching,
+    ) -> Self {
         assert_eq!(device.block_size(), config.block_size, "device/config block size mismatch");
         assert!(config.pool_capacity >= 1, "pool needs at least one frame");
         let block_size = device.block_size();
@@ -246,6 +292,7 @@ impl PagedFile {
             }),
             counter,
             block_size,
+            caching,
         }
     }
 
@@ -279,29 +326,70 @@ impl PagedFile {
 
     /// Block `id`, lent: the frame's own handle, taken under the lock and
     /// decoded by the caller outside it. Its bytes never change; a later
-    /// write to the block replaces the frame's handle instead.
+    /// write to the block replaces the frame's handle instead. A file that
+    /// keeps no frame hands out the device's handle or a fresh copy.
     pub fn page(&self, id: PageId) -> Result<Page> {
+        if self.caching == Caching::Uncached {
+            let mut page = Page::default();
+            self.read_uncached(id, |device| device.load(id, &mut page))?;
+            return Ok(page);
+        }
         let mut inner = self.lock();
         let idx = inner.frame_for(id, &self.counter, true)?;
         Ok(Arc::clone(&inner.frames[idx].page))
     }
 
+    /// One read of a file that keeps no frame: `transfer` moves block `id`
+    /// out of the device, a miss and one read IO.
+    fn read_uncached(
+        &self,
+        id: PageId,
+        transfer: impl FnOnce(&mut dyn BlockDevice) -> Result<()>,
+    ) -> Result<()> {
+        let mut inner = self.lock();
+        inner.check_bounds(id)?;
+        transfer(inner.device.as_mut())?;
+        inner.misses += 1;
+        self.counter.add_reads(1);
+        Ok(())
+    }
+
     /// Copy block `id` into `buf` (length must equal the block size):
-    /// [`PagedFile::page`] plus one copy.
+    /// [`PagedFile::page`] plus one copy, or straight from the device into
+    /// `buf` where the file keeps no frame.
     pub fn read(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         if buf.len() != self.block_size {
             return Err(StorageError::BadBufferLen { got: buf.len(), want: self.block_size });
+        }
+        if self.caching == Caching::Uncached {
+            return self.read_uncached(id, |device| device.read(id, buf));
         }
         buf.copy_from_slice(&self.page(id)?);
         Ok(())
     }
 
-    /// Write `buf` to block `id` (write-back: dirties the cached frame).
+    /// Write `buf` to block `id`: into its frame on a write-back file,
+    /// straight to the device otherwise (module docs).
     pub fn write(&self, id: PageId, buf: &[u8]) -> Result<()> {
         if buf.len() != self.block_size {
             return Err(StorageError::BadBufferLen { got: buf.len(), want: self.block_size });
         }
         let mut inner = self.lock();
+        if self.caching != Caching::WriteBack {
+            inner.check_bounds(id)?;
+            match inner.map.get(&id).copied() {
+                None => inner.device.write(id, buf)?,
+                Some(idx) => {
+                    // Cached by a read: the device and the frame take one
+                    // new page (over memory, one allocation for both).
+                    let page = Page::from(buf);
+                    inner.device.store(id, &page)?;
+                    inner.frames[idx].page = page;
+                }
+            }
+            self.counter.add_writes(1);
+            return Ok(());
+        }
         // A full-block overwrite never needs to fault the old contents in.
         let idx = inner.frame_for(id, &self.counter, false)?;
         let frame = &mut inner.frames[idx];
@@ -808,6 +896,74 @@ mod tests {
             f.read(first + i, &mut out).unwrap();
             assert_eq!(out[0], i as u8);
         }
+    }
+
+    fn file_caching(dev: &Shared, cap: usize, caching: Caching) -> PagedFile {
+        let cfg = StoreConfig { block_size: 128, pool_capacity: cap };
+        PagedFile::with_caching(Box::new(dev.clone()), cfg, IoCounter::new(), caching)
+    }
+
+    fn frames(f: &PagedFile) -> usize {
+        f.lock().frames.len()
+    }
+
+    #[test]
+    fn a_write_straight_to_the_device_allocates_no_frame() {
+        for caching in [Caching::WriteThrough, Caching::Uncached] {
+            let dev = Shared(Arc::new(Mutex::new(MemDevice::new(128))));
+            let f = file_caching(&dev, 4, caching);
+            f.allocate(3).unwrap();
+            for id in 0..3u64 {
+                f.write(id, &[id as u8 + 1; 128]).unwrap();
+                assert_eq!(frames(&f), 0, "{caching:?}: block {id}");
+                assert!(dev.block(id).iter().all(|&b| b == id as u8 + 1), "{caching:?}: not out");
+            }
+            assert_eq!(f.io().snapshot().writes, 3, "{caching:?}: one write a block");
+            f.flush().unwrap();
+            f.drop_cache().unwrap();
+            assert_eq!(f.io().snapshot().writes, 3, "{caching:?}: nothing was left to write back");
+        }
+    }
+
+    #[test]
+    fn a_write_to_a_cached_block_updates_its_frame() {
+        let dev = Shared(Arc::new(Mutex::new(MemDevice::new(128))));
+        let f = file_caching(&dev, 2, Caching::WriteThrough);
+        f.allocate(2).unwrap();
+        f.write(0, &[1u8; 128]).unwrap();
+        let lent = f.page(0).unwrap();
+        assert_eq!(frames(&f), 1, "a read faults the page in");
+        f.write(0, &[2u8; 128]).unwrap();
+        assert_eq!(*f.page(0).unwrap(), [2u8; 128], "the read after the write sees it");
+        assert_eq!(*lent, [1u8; 128], "a lent page keeps its bytes");
+        assert!(Arc::ptr_eq(&cached(&f, 0), &dev.block(0)), "frame and device share the page");
+        assert_eq!(f.io().snapshot(), crate::IoStats { reads: 1, writes: 2, ..Default::default() });
+        f.drop_cache().unwrap();
+        assert_eq!(*f.page(0).unwrap(), [2u8; 128]);
+    }
+
+    #[test]
+    fn a_scratch_file_ends_with_no_frame() {
+        let dev = Shared(Arc::new(Mutex::new(MemDevice::new(128))));
+        let f = file_caching(&dev, 4, Caching::Uncached);
+        f.allocate(4).unwrap();
+        let mut out = vec![0u8; 128];
+        for id in 0..4u64 {
+            f.write(id, &[id as u8 + 5; 128]).unwrap();
+        }
+        for id in (0..4u64).chain(0..4) {
+            f.read(id, &mut out).unwrap();
+            assert_eq!(out, [id as u8 + 5; 128]);
+            assert_eq!(*f.page(id).unwrap(), [id as u8 + 5; 128]);
+        }
+        assert_eq!(frames(&f), 0);
+        assert_eq!(f.cache_stats(), (0, 16), "every read is a transfer");
+        assert_eq!(
+            f.io().snapshot(),
+            crate::IoStats { reads: 16, writes: 4, ..Default::default() }
+        );
+        assert!(matches!(f.read(4, &mut out), Err(StorageError::OutOfBounds { .. })));
+        assert!(matches!(f.write(4, &out), Err(StorageError::OutOfBounds { .. })));
     }
 
     #[test]

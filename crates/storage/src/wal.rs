@@ -93,9 +93,6 @@ pub struct WriteAheadLog {
     /// Payload+frame bytes appended since the last device flush (for the
     /// `wal_bytes` attribution).
     unflushed_bytes: u64,
-    /// Live records: scanned on open, incremented per append, zeroed on
-    /// truncation.
-    records: u64,
 }
 
 impl WriteAheadLog {
@@ -116,7 +113,6 @@ impl WriteAheadLog {
             synced_end: 0,
             tail: vec![0u8; block_size as usize],
             unflushed_bytes: 0,
-            records: 0,
         };
         wal.write_header()?;
         Ok(wal)
@@ -157,13 +153,11 @@ impl WriteAheadLog {
             synced_end: start,
             tail: vec![0u8; block_size as usize],
             unflushed_bytes: 0,
-            records: 0,
         };
         // Scan to find the durable end.
         let mut offset = start;
         while let Some(payload) = wal.probe(offset)? {
             offset += FRAME + payload.len() as u64;
-            wal.records += 1;
         }
         wal.end = offset;
         wal.synced_end = offset;
@@ -211,7 +205,6 @@ impl WriteAheadLog {
         self.put(&crc.to_le_bytes())?;
         self.put(payload)?;
         self.unflushed_bytes += FRAME + payload.len() as u64;
-        self.records += 1;
         Ok(lsn)
     }
 
@@ -249,7 +242,6 @@ impl WriteAheadLog {
         self.start = 0;
         self.end = 0;
         self.synced_end = 0;
-        self.records = 0;
         self.tail.fill(0);
         self.unflushed_bytes = 0;
         self.write_header()?;
@@ -257,19 +249,9 @@ impl WriteAheadLog {
         Ok(())
     }
 
-    /// Number of live records (appended since the last truncation).
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// The current truncation epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// True when no live record exists.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
     }
 
     /// Snapshot of the shared IO counter this log reports into.
@@ -421,7 +403,6 @@ mod tests {
             wal.append(p).unwrap();
         }
         wal.sync().unwrap();
-        assert_eq!(wal.records(), 40);
         let mut seen = Vec::new();
         let n = wal.replay(|_, p| seen.push(p.to_vec())).unwrap();
         assert_eq!(n, 40);
@@ -474,8 +455,6 @@ mod tests {
         wal.sync().unwrap();
         let blocks_before = wal.device.num_blocks();
         wal.truncate().unwrap();
-        assert!(wal.is_empty());
-        assert_eq!(wal.records(), 0);
         assert_eq!(wal.replay(|_, _| panic!("log must be empty")).unwrap(), 0);
         // New appends land in the reused region and old bytes are never
         // resurrected (epoch mismatch).

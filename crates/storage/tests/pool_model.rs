@@ -150,3 +150,54 @@ proptest! {
         prop_assert!(io.writes <= logical_accesses + 1);
     }
 }
+
+/// How an [`Env`] creates a file of one kind.
+type Create = fn(&Env, &str) -> Result<PagedFile>;
+
+/// A file `make` opens in an environment of `config`, in memory and in a
+/// directory: what each replay saw, and what each counted.
+fn replay_both(config: StoreConfig, ops: &[Op], make: Create) -> [(Vec<Vec<u8>>, IoStats); 2] {
+    let mem = Env::mem(config);
+    let in_memory = replay(&make(&mem, "kind").unwrap(), ops);
+    let path = std::env::temp_dir().join(format!("chronorank-model-kinds-{}", std::process::id()));
+    let dir = Env::dir(&path, config).unwrap();
+    let on_disk = replay(&make(&dir, "kind").unwrap(), ops);
+    std::fs::remove_dir_all(&path).ok();
+    [(in_memory, mem.io_stats()), (on_disk, dir.io_stats())]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The two kinds of file that write past the pool — build scratch,
+    /// which keeps no frame, and a streamed tree, which caches only what it
+    /// reads — hold the model's bytes on both backings and count alike
+    /// there. Scratch counts every access: one write a write, one read a
+    /// read. A streamed tree writes each write once and nothing on a flush.
+    #[test]
+    fn scratch_and_write_through_files_match_the_model_on_both_backings(
+        ops in proptest::collection::vec(arb_op(BLOCKS as u8), 1..120),
+        pool_frames in 1usize..6,
+    ) {
+        let config = StoreConfig { block_size: BLOCK_SIZE, pool_capacity: pool_frames };
+        let want = replay_model(&ops);
+        let count = |f: fn(&Op) -> bool| ops.iter().filter(|op| f(op)).count() as u64;
+        let writes = count(|op| matches!(op, Op::Write(..)));
+        let reads = count(|op| matches!(op, Op::Read(_) | Op::Lend(_)));
+
+        let kinds: [(&str, Create); 2] =
+            [("scratch", Env::create_scratch), ("write-through", Env::create_write_through)];
+        for (kind, make) in kinds {
+            let [(in_memory, io), (on_disk, disk_io)] = replay_both(config, &ops, make);
+            prop_assert_eq!(&in_memory, &want, "{} in memory", kind);
+            prop_assert_eq!(&on_disk, &want, "{} in a directory", kind);
+            prop_assert_eq!(disk_io, io, "{}: a directory counts differently from memory", kind);
+            prop_assert_eq!(io.writes, writes, "{}: one write per write", kind);
+            if kind == "scratch" {
+                prop_assert_eq!(io.reads, reads + BLOCKS as u64, "scratch: one read per read");
+            } else {
+                prop_assert!(io.reads <= reads + BLOCKS as u64);
+            }
+        }
+    }
+}

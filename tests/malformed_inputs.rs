@@ -28,7 +28,7 @@
 use chronorank::core::{AggKind, B2Construction, Breakpoints, Exact3, IndexConfig, RankMethod};
 use chronorank::core::{AppendRecord, TemporalSet, TopK};
 use chronorank::curve::ColumnarTail;
-use chronorank::index::BPlusTree;
+use chronorank::index::{BPlusTree, BulkLoader};
 use chronorank::live::{IngestEngine, LiveConfig};
 use chronorank::net::frame::{decode_append_batch, encode_append_batch};
 use chronorank::net::{
@@ -220,7 +220,7 @@ fn index_decoders(sweep: &mut Sweep) {
     // first leaf, each read by a seek, a scan and a descent to its last
     // entry.
     let env = Env::mem(STORE);
-    let mut loader = BPlusTree::bulk_loader(env.create_file("btree").unwrap(), 8).unwrap();
+    let mut loader = BulkLoader::new(env.create_file("btree").unwrap(), 8).unwrap();
     for i in 0..200u64 {
         loader.push(i as f64 * 0.5, &i.to_le_bytes()).unwrap();
     }
